@@ -2,9 +2,9 @@
 //! with per-arrival structural invariant checks.
 
 use crate::gen::{Arrival, Case, ReducedMemory};
-use mstream_core::ingest::{FnSink, IngestRole};
+use mstream_core::ingest::FnSink;
 use mstream_core::shard::{Backpressure, HotKeyConfig, ShardConfig};
-use mstream_core::{BatchItem, EngineBuilder, EngineMetrics};
+use mstream_core::{EngineBuilder, EngineMetrics};
 use mstream_join::{Bindings, ExactJoin};
 use mstream_shed_policies::{parse_policy, ALL_POLICY_NAMES};
 use mstream_sketch::BankConfig;
@@ -225,7 +225,7 @@ fn drive_engine(
 /// invariants after every arrival. Panics anywhere inside the engine are
 /// converted into [`FailureKind::InvariantPanic`]. `cache` pins the
 /// productivity score cache on/off for this instance (`None` leaves the
-/// process-wide default).
+/// builder default, on).
 fn drive_engine_with(
     case: &Case,
     arrivals: &[Arrival],
@@ -247,47 +247,19 @@ fn drive_engine_with(
         .build()
         .map_err(|e| fail(format!("engine construction failed: {e:?}"), FailureKind::InvariantPanic))?;
 
-    // The case's batch knob picks the ingest path: 1 drives the
-    // per-arrival reference loop, >1 drives the batch-amortized path in
-    // `case.batch`-sized runs. Both must yield identical rows; invariants
-    // are re-checked at each boundary where the engine is quiescent.
     let mut rows = Vec::new();
-    let batch = case.batch.max(1);
-    for (ci, chunk) in arrivals.chunks(batch).enumerate() {
+    for (i, a) in arrivals.iter().enumerate() {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut sink = FnSink(|b: &Bindings<'_>| rows.push(row(b, n)));
-            if batch == 1 {
-                let a = &chunk[0];
-                let values: Vec<Value> = a.values.iter().map(|&v| Value(v)).collect();
-                let now = VTime::from_micros(a.at_micros);
-                let tuple =
-                    engine.mint(mstream_core::Arrival::new(StreamId(a.stream), values, now));
-                engine.ingest_tuple(tuple, now, &mut sink);
-            } else {
-                let mut items: Vec<BatchItem> = chunk
-                    .iter()
-                    .map(|a| {
-                        let values: Vec<Value> = a.values.iter().map(|&v| Value(v)).collect();
-                        let now = VTime::from_micros(a.at_micros);
-                        let tuple = engine.mint(mstream_core::Arrival::new(
-                            StreamId(a.stream),
-                            values,
-                            now,
-                        ));
-                        BatchItem {
-                            tuple,
-                            now,
-                            role: IngestRole::FULL,
-                        }
-                    })
-                    .collect();
-                engine.ingest_tuple_batch(&mut items, &mut sink);
-            }
+            let values: Vec<Value> = a.values.iter().map(|&v| Value(v)).collect();
+            let now = VTime::from_micros(a.at_micros);
+            let tuple = engine.mint(mstream_core::Arrival::new(StreamId(a.stream), values, now));
+            engine.ingest_tuple(tuple, now, &mut sink);
             engine.check_invariants();
         }));
         if let Err(payload) = outcome {
             return Err(fail(
-                format!("arrival batch #{ci} (x{batch}): {}", panic_message(&payload)),
+                format!("arrival #{i}: {}", panic_message(&payload)),
                 FailureKind::InvariantPanic,
             ));
         }
@@ -412,9 +384,6 @@ fn drive_sharded_with(
                 demote_permille: 100,
             },
             broadcast: true,
-            // Rotates with the case's batch knob so the sweep covers both
-            // the per-arrival and batch-amortized worker paths.
-            batch_ingest: case.batch > 1,
         })
         .build_sharded()
         .map_err(|e| fail(format!("sharded construction failed: {e:?}"), FailureKind::InvariantPanic))?;

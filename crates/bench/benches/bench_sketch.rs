@@ -267,10 +267,10 @@ fn bench_score_cache(c: &mut Criterion) {
     group.finish();
 }
 
-/// Vector-vs-scalar on the raw kernels, every mode the build supports:
-/// the pinned scalar reference, the lane-parallel safe form, the AVX2
-/// sign specializations when the host has them, and the dispatched entry
-/// point the engine actually calls. Each input is asserted bit-identical
+/// Vector-vs-scalar on the raw kernels, every form the build supports:
+/// the scalar reference, the lane-parallel safe form, the AVX2 sign
+/// specializations when the host has them, and the entry point the
+/// engine actually calls. Each input is asserted bit-identical
 /// across modes before timing (the equivalence proptests own the
 /// exhaustive version of that claim).
 fn bench_kernel_modes(c: &mut Criterion) {

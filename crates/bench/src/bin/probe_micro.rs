@@ -393,95 +393,8 @@ fn bench_index_probe(n_slots: usize, probes: usize, repeats: usize, seed: u64) -
     }
 }
 
-/// The batch-amortized engine ingest (`ingest_batch`, one prefetched
-/// lookup pass + coalesced priority rescoring) vs the per-arrival
-/// reference on the same trace, asserted bit-identical before timing:
-/// same produced count, same shed count, same deterministic metrics.
-fn bench_engine_batched(
-    arrivals: usize,
-    capacity: usize,
-    batch: usize,
-    repeats: usize,
-    seed: u64,
-) -> Row {
-    let q = query(&[("R1.A1", "R2.A1"), ("R2.A1", "R3.A1")], 3);
-    let domain = (capacity as u64 / 4).max(8);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let trace: Vec<Arrival> = (0..arrivals)
-        .map(|i| {
-            Arrival::new(
-                StreamId(i % 3),
-                vec![
-                    Value(rng.gen_range(0..domain)),
-                    Value(rng.gen_range(0..domain)),
-                ],
-                VTime::from_secs(i as u64 / 4),
-            )
-        })
-        .collect();
-    // FIFO isolates the data plane: per-arrival cost is probe + insert +
-    // expiry, so the batched path's prefetched lookup pass is what's
-    // measured (sketch policies bury it under per-tuple estimation math).
-    let mk = || {
-        EngineBuilder::new(q.clone())
-            .policy(Fifo)
-            .capacity_per_window(capacity)
-            .seed(seed)
-            .build()
-            .unwrap()
-    };
-    let det = |m: &EngineMetrics| EngineMetrics {
-        sketch_observe_ns: 0,
-        priority_rebuild_ns: 0,
-        score_ns: 0,
-        ..m.clone()
-    };
-    // Correctness first: the batched replay must be bit-identical.
-    let mut per = mk();
-    let mut per_sink = CountSink::default();
-    for a in &trace {
-        per.ingest(a.clone(), &mut per_sink);
-    }
-    let mut bat = mk();
-    let mut bat_sink = CountSink::default();
-    for chunk in trace.chunks(batch) {
-        bat.ingest_batch(chunk.iter().cloned(), &mut bat_sink);
-    }
-    assert_eq!(per_sink.produced, bat_sink.produced, "batched produced diverged");
-    assert_eq!(det(per.metrics()), det(bat.metrics()), "batched metrics diverged");
-
-    let run_per = || {
-        let mut engine = mk();
-        let mut sink = CountSink::default();
-        for a in &trace {
-            engine.ingest(a.clone(), &mut sink);
-        }
-        black_box(sink.produced);
-    };
-    let run_bat = || {
-        let mut engine = mk();
-        let mut sink = CountSink::default();
-        for chunk in trace.chunks(batch) {
-            engine.ingest_batch(chunk.iter().cloned(), &mut sink);
-        }
-        black_box(sink.produced);
-    };
-    run_per(); // warmup
-    run_bat();
-    let flat = time_ns_per_op(repeats, arrivals as u64, run_bat);
-    let base = time_ns_per_op(repeats, arrivals as u64, run_per);
-    Row {
-        bench: format!("engine_ingest_batch{batch}"),
-        baseline: "per-arrival ingest".to_string(),
-        baseline_ns_per_op: base,
-        flat_ns_per_op: flat,
-        speedup: base / flat,
-        ops: arrivals as u64,
-    }
-}
-
-/// The dispatched sign-application kernel (lane/AVX2 path) vs the pinned
-/// scalar reference on the same buffers, asserted bitwise-equal first.
+/// The shipped sign-application kernel (lane/AVX2 path) vs the scalar
+/// reference on the same buffers, asserted bitwise-equal first.
 fn bench_kernel_signed_copy(len: usize, repeats: usize, seed: u64) -> Row {
     let mut rng = StdRng::seed_from_u64(seed);
     let src: Vec<f64> = (0..len).map(|_| rng.gen::<f64>() - 0.5).collect();
@@ -506,7 +419,7 @@ fn bench_kernel_signed_copy(len: usize, repeats: usize, seed: u64) -> Row {
     let base = time_ns_per_op(repeats.max(50), len as u64, &mut run_scalar);
     Row {
         bench: format!("kernel_signed_copy_{len}"),
-        baseline: format!("scalar kernel (dispatch: {:?})", kernel::kernel_mode()),
+        baseline: "scalar kernel".to_string(),
         baseline_ns_per_op: base,
         flat_ns_per_op: flat,
         speedup: base / flat,
@@ -514,8 +427,8 @@ fn bench_kernel_signed_copy(len: usize, repeats: usize, seed: u64) -> Row {
     }
 }
 
-/// The dispatched mean-stage kernel (`group_sums`, lane-parallel across
-/// groups with serial in-group order) vs the pinned scalar reference,
+/// The shipped mean-stage kernel (`group_sums`, lane-parallel across
+/// groups with serial in-group order) vs the scalar reference,
 /// asserted bitwise-equal first.
 fn bench_kernel_group_sums(s1: usize, s2: usize, repeats: usize, seed: u64) -> Row {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -543,7 +456,7 @@ fn bench_kernel_group_sums(s1: usize, s2: usize, repeats: usize, seed: u64) -> R
     let base = time_ns_per_op(repeats.max(50), ops, &mut run_scalar);
     Row {
         bench: format!("kernel_group_sums_{s1}x{s2}"),
-        baseline: format!("scalar kernel (dispatch: {:?})", kernel::kernel_mode()),
+        baseline: "scalar kernel".to_string(),
         baseline_ns_per_op: base,
         flat_ns_per_op: flat,
         speedup: base / flat,
@@ -604,16 +517,6 @@ fn main() {
         ),
         bench_insert_evict(cap, churn, repeats, a.seed + 4),
         bench_index_probe(idx_slots, idx_probes, repeats, a.seed + 5),
-        // Windows sized to hold the whole trace: the stores grow far past
-        // cache, so the batched pass's software prefetch has real misses
-        // to hide (small resident stores sit in L2 and see pure overhead).
-        bench_engine_batched(
-            if quick { 12_000 } else { 90_000 },
-            if quick { 12_000 } else { 90_000 },
-            64,
-            repeats,
-            a.seed + 6,
-        ),
         bench_kernel_signed_copy(if quick { 16_384 } else { 65_536 }, repeats, a.seed + 7),
         bench_kernel_group_sums(32, if quick { 512 } else { 2_048 }, repeats, a.seed + 8),
     ];

@@ -52,14 +52,10 @@
 //!   must reproduce the identical output at every K, and the
 //!   `shard_scaling_disorder` section of BENCH_shard.json gates the
 //!   wall-time cost.
-//! * `--batch <list>` — comma-separated worker ingest-batch sizes (e.g.
-//!   `0,64,256`). `0` switches the workers to the per-arrival reference
-//!   path (`batch_ingest: false`); any other value runs the
-//!   batch-amortized path with that channel batch size (DESIGN.md §15).
-//!   Batching is bit-identical by contract, so every batch value must
-//!   reproduce the identical output per shard count — the rows measure
-//!   pure amortization gain, and the `shard_scaling_batch` section of
-//!   BENCH_shard.json gates the wall time.
+//! * `--score-cache on|off` — build every worker with the productivity
+//!   score cache on (the default) or off (DESIGN.md §16). Output is
+//!   identical by contract; `scripts/bench_shard.sh` runs both legs for
+//!   the `score_cache_zipf` section of BENCH_shard.json.
 
 use mstream_bench::{args, paper, table, Args};
 use mstream_core::prelude::*;
@@ -209,15 +205,11 @@ fn main() {
             .map(|s| s.trim().parse().expect("--disorder takes e.g. 0,16,256 (ms)"))
             .collect()
     });
-    let batch_list: Option<Vec<usize>> = args.flag_value("--batch").map(|v| {
-        v.split(',')
-            .map(|s| s.trim().parse().expect("--batch takes e.g. 0,64,256"))
-            .collect()
-    });
-    assert!(
-        disorder_ms.is_none() || batch_list.is_none(),
-        "--disorder and --batch sweep different dimensions; pass one at a time"
-    );
+    let score_cache = match args.flag_value("--score-cache") {
+        None | Some("on") => true,
+        Some("off") => false,
+        Some(other) => panic!("--score-cache takes on|off, got {other}"),
+    };
 
     let (query, trace, base_capacity, workload) = match zipf_theta {
         Some(theta) => {
@@ -261,7 +253,7 @@ fn main() {
         keyed.into_iter().map(|(_, i)| i).collect()
     };
 
-    let run_pass = |shards: usize, disorder: Option<(u64, &[usize])>, batch: Option<usize>| -> Pass {
+    let run_pass = |shards: usize, disorder: Option<(u64, &[usize])>| -> Pass {
         // At >= 100% the run is made *provably* lossless instead of
         // nominally so: every window can hold the whole trace on every
         // shard (hot-key splitting replicates build sides, so "full
@@ -281,27 +273,20 @@ fn main() {
         let mut builder = EngineBuilder::new(query.clone())
             .policy(MSketch)
             .capacity_per_window(capacity)
+            .score_cache(score_cache)
             .seed(args.seed);
         if let Some((k_ms, _)) = disorder {
             builder = builder.disorder_bound(VDur::from_micros(k_ms * 1000));
         }
-        // `--batch 0` is the per-arrival reference; any other value runs
-        // the batch-amortized worker path with that channel batch size.
-        let (batch_ingest, batch_size) = match batch {
-            Some(0) => (false, 256),
-            Some(n) => (true, n),
-            None => (true, 256),
-        };
         let mut engine = builder
             .shard_config(ShardConfig {
                 shards,
                 channel_capacity: 64,
-                batch_size,
+                batch_size: 256,
                 backpressure: Backpressure::Block,
                 collect_rows: false,
                 route_only,
                 hot_keys,
-                batch_ingest,
                 ..ShardConfig::default()
             })
             .build_sharded()
@@ -337,12 +322,11 @@ fn main() {
         .iter()
         .map(|&k| (k, delivery_order(k)))
         .collect();
-    let mut points: Vec<(usize, Option<u64>, Option<usize>)> = Vec::new();
+    let mut points: Vec<(usize, Option<u64>)> = Vec::new();
     for &shards in &shard_list {
-        match (&disorder_ms, &batch_list) {
-            (Some(ks), _) => points.extend(ks.iter().map(|&k| (shards, Some(k), None))),
-            (None, Some(bs)) => points.extend(bs.iter().map(|&b| (shards, None, Some(b)))),
-            (None, None) => points.push((shards, None, None)),
+        match &disorder_ms {
+            Some(ks) => points.extend(ks.iter().map(|&k| (shards, Some(k)))),
+            None => points.push((shards, None)),
         }
     }
 
@@ -362,20 +346,17 @@ fn main() {
     if disorder_ms.is_some() {
         header.insert(1, "K (ms)".to_string());
     }
-    if batch_list.is_some() {
-        header.insert(1, "batch".to_string());
-    }
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     let mut base_secs = 0.0f64;
     let mut times = Vec::new();
-    for (point, &(shards, k_ms, batch)) in points.iter().enumerate() {
+    for (point, &(shards, k_ms)) in points.iter().enumerate() {
         let disorder = k_ms.map(|k| {
             let order = &k_orders.iter().find(|(ko, _)| *ko == k).expect("order built").1;
             (k, order.as_slice())
         });
         // Untimed warmup: thread spin-up, page faults, allocator warm.
-        let warm = run_pass(shards, disorder, batch);
+        let warm = run_pass(shards, disorder);
         // Timed passes until the point has accumulated `min_secs` of wall
         // time; each pass is a fresh engine over the same trace.
         let mut total_secs = 0.0f64;
@@ -392,7 +373,7 @@ fn main() {
         let mut routed = Vec::new();
         let mut resident = Vec::new();
         while total_secs < min_secs {
-            let pass = run_pass(shards, disorder, batch);
+            let pass = run_pass(shards, disorder);
             assert_eq!(
                 pass.report.combined.total_output(),
                 warm.report.combined.total_output(),
@@ -443,9 +424,6 @@ fn main() {
         if let Some(k) = k_ms {
             row.insert(1, k.to_string());
         }
-        if let Some(b) = batch {
-            row.insert(1, if b == 0 { "off".into() } else { b.to_string() });
-        }
         rows.push(row);
         let json_row = serde_json::json!({
             "shards": shards,
@@ -478,23 +456,11 @@ fn main() {
             }
             (_, v) => v,
         };
-        let json_row = match (batch, json_row) {
-            (Some(b), serde_json::Value::Object(mut m)) => {
-                m.push(("batch".to_string(), serde_json::json!(b)));
-                serde_json::Value::Object(m)
-            }
-            (_, v) => v,
-        };
         json_rows.push(json_row);
     }
     let title = if let Some(ks) = &disorder_ms {
         format!(
             "Shard scaling (bounded disorder K ∈ {ks:?} ms): keyed 3-way join, {mem_pct}% memory, {} arrivals",
-            trace.len()
-        )
-    } else if let Some(bs) = &batch_list {
-        format!(
-            "Shard scaling (ingest batch ∈ {bs:?}, 0 = per-arrival): keyed 3-way join, {mem_pct}% memory, {} arrivals",
             trace.len()
         )
     } else if route_only {
@@ -520,17 +486,6 @@ fn main() {
             .all(|w| w[0]["shards"] != w[1]["shards"] || w[0]["output"] == w[1]["output"]);
         table::print_shape(
             "bounded disorder is output-invisible (every K reproduces the same output per shard count)",
-            invisible,
-        );
-    } else if batch_list.is_some() {
-        // Batching is bit-identical by contract: every batch size
-        // (including 0 = per-arrival) must reproduce the same output at
-        // every shard count, so the sweep measures pure amortization.
-        let invisible = json_rows
-            .windows(2)
-            .all(|w| w[0]["shards"] != w[1]["shards"] || w[0]["output"] == w[1]["output"]);
-        table::print_shape(
-            "batch-amortized ingest is output-invisible (every batch size reproduces the same output per shard count)",
             invisible,
         );
     } else if route_only {

@@ -280,13 +280,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Forces the epoch-memoized productivity score cache on or off for
-    /// this engine (DESIGN.md §16), overriding the process-wide
-    /// `MSTREAM_SCORE_CACHE` environment pin. Cached and uncached runs
+    /// Turns the epoch-memoized productivity score cache (DESIGN.md §16,
+    /// on by default) on or off for this engine. Cached and uncached runs
     /// are bit-identical; the cache only changes how often the estimation
     /// kernel runs. Sharded builds propagate the setting to every worker.
     pub fn score_cache(mut self, enabled: bool) -> Self {
-        self.config.score_cache = Some(enabled);
+        self.config.score_cache = enabled;
         self
     }
 

@@ -45,7 +45,7 @@
 //! the audit harness do exactly this.
 
 use crate::builder::BuildError;
-use crate::engine::{default_epoch, EngineConfig, MemoryMode, ProducedScratch};
+use crate::engine::{default_epoch, rescore_store, EngineConfig, MemoryMode, ProducedScratch};
 use crate::ingest::{Arrival, EmitSink, IngestOutcome};
 use crate::report::EngineMetrics;
 use mstream_join::{Bindings, ProbePlan, StoreLookup};
@@ -141,13 +141,12 @@ struct TrieNode {
     children: Vec<TrieNode>,
 }
 
-/// Applies every pending produced-output credit of every store: one
-/// coalesced `add_produced` + priority refresh per touched live slot,
+/// Applies the produced-output credits of the probe just run to every
+/// store: one coalesced `add_produced` + priority refresh per touched slot,
 /// refreshed by the store owner's policy (credits are only accrued by
 /// owner-class emissions, keeping the owner's counters solo-identical).
 /// The multi-query twin of the solo engine's `flush_produced`; shares its
-/// generation-safe [`ProducedScratch`]. A store removed while credits were
-/// pending just drops them (its tuples are gone with it).
+/// [`ProducedScratch`].
 fn flush_credit_stores(
     stores: &mut [Option<StoreEntry>],
     scratches: &mut [ProducedScratch],
@@ -157,10 +156,7 @@ fn flush_credit_stores(
         if scratch.touched.is_empty() {
             continue;
         }
-        let Some(entry) = slot.as_mut() else {
-            scratch.drain_credits(|_, _| {});
-            continue;
-        };
+        let entry = slot.as_mut().expect("credited store is live");
         let owner = entry.users[0];
         let policy = &classes[owner].as_ref().expect("owner is live").policy;
         scratch.drain_credits(|slot, cnt| {
@@ -217,8 +213,6 @@ pub struct MultiQueryEngine {
     /// engine-level cache statistics stay monotone as classes (and the
     /// sketch banks carrying the live counters) come and go.
     retired_cache: RetiredCacheStats,
-    /// Recycled buffer behind [`MultiQueryEngine::ingest_batch`].
-    batch_scratch: Vec<(Tuple, VTime)>,
 }
 
 /// Sketch-side cache counters surviving their class (see
@@ -304,7 +298,6 @@ impl MultiQueryEngine {
             next_seq: SeqNo(0),
             metrics: EngineMetrics::default(),
             retired_cache: RetiredCacheStats::default(),
-            batch_scratch: Vec::new(),
         };
         engine.per_window_capacity()?;
         // Group into classes first so structurally identical queries share
@@ -669,77 +662,6 @@ impl MultiQueryEngine {
         now: VTime,
         sink: &mut impl EmitSink,
     ) -> IngestOutcome {
-        self.ingest_tuple_inner(tuple, now, sink, false)
-    }
-
-    /// Runs a pre-minted batch through the shared data plane, replaying
-    /// the per-arrival path bit-identically (same fan-out emissions in the
-    /// same order, same shed decisions) with the batch amortizations of
-    /// the solo engine: an upfront pass software-prefetches each tuple's
-    /// origin-driven trie-root probes, and produced-credit rescoring is
-    /// deferred — flushed before any owner rollover rebuild, before any
-    /// at-capacity insert, and at batch end. Items are drained; the
-    /// vector's capacity is retained for recycling.
-    pub fn ingest_tuple_batch(
-        &mut self,
-        items: &mut Vec<(Tuple, VTime)>,
-        sink: &mut impl EmitSink,
-    ) -> IngestOutcome {
-        for (tuple, _) in items.iter() {
-            let Some(roots) = self.tries.get(tuple.stream.index()) else {
-                continue;
-            };
-            for node in roots {
-                // Trie roots are driven by the arriving tuple itself.
-                let (PathRef::Origin, attr) = &node.drive else {
-                    continue;
-                };
-                if let Some(entry) = self.stores[node.store].as_ref() {
-                    entry.store.prefetch(node.probe_attr, tuple.values[*attr]);
-                }
-            }
-        }
-        let mut total = IngestOutcome {
-            produced: 0,
-            stored: true,
-            shed: 0,
-        };
-        for (tuple, now) in items.drain(..) {
-            let out = self.ingest_tuple_inner(tuple, now, sink, true);
-            total.produced += out.produced;
-            total.shed += out.shed;
-            total.stored = out.stored;
-        }
-        flush_credit_stores(&mut self.stores, &mut self.scratches, &self.classes);
-        total
-    }
-
-    /// Batch counterpart of [`MultiQueryEngine::ingest`]: mints every
-    /// arrival and feeds [`MultiQueryEngine::ingest_tuple_batch`].
-    pub fn ingest_batch(
-        &mut self,
-        arrivals: impl IntoIterator<Item = Arrival>,
-        sink: &mut impl EmitSink,
-    ) -> IngestOutcome {
-        let mut items = std::mem::take(&mut self.batch_scratch);
-        items.clear();
-        for arrival in arrivals {
-            let now = arrival.ts;
-            let tuple = self.mint(arrival);
-            items.push((tuple, now));
-        }
-        let out = self.ingest_tuple_batch(&mut items, sink);
-        self.batch_scratch = items;
-        out
-    }
-
-    fn ingest_tuple_inner(
-        &mut self,
-        tuple: Tuple,
-        now: VTime,
-        sink: &mut impl EmitSink,
-        defer_credits: bool,
-    ) -> IngestOutcome {
         let g = tuple.stream;
         assert!(
             g.index() < self.catalog.len(),
@@ -759,8 +681,8 @@ impl MultiQueryEngine {
         //    state under its *local* stream id; a class whose epoch rolls
         //    over rebuilds the priorities of the stores it owns (exactly
         //    its solo rollover, store tuples already carry its tags).
-        for cid in 0..classes.len() {
-            let Some(class) = classes[cid].as_mut() else {
+        for (cid, class) in classes.iter_mut().enumerate() {
+            let Some(class) = class.as_mut() else {
                 continue;
             };
             let Some(k) = class.local_of(g) else { continue };
@@ -778,11 +700,6 @@ impl MultiQueryEngine {
             if !class.reqs.recompute_on_epoch {
                 continue;
             }
-            // The rebuild reads produced counts: land any credits still
-            // pending from earlier arrivals of a batch first (no-op on the
-            // per-arrival path, whose scratches are always drained).
-            flush_credit_stores(stores, scratches, classes);
-            let class = classes[cid].as_mut().expect("class observed above");
             let QueryClass {
                 query,
                 policy,
@@ -792,46 +709,18 @@ impl MultiQueryEngine {
                 store_of,
                 ..
             } = class;
-            let grouped = policy.groupable_estimate();
             for &si in store_of.iter() {
                 let entry = stores[si].as_mut().expect("class store is live");
-                if entry.users.first() != Some(&cid) {
-                    continue;
-                }
-                if grouped {
-                    // One estimation-kernel run per distinct join key,
-                    // fanned out to every slot holding that key
-                    // (DESIGN.md §16) — same grouped walk as the solo
-                    // engine's rollover.
-                    entry.store.rebuild_priorities_grouped(|t, produced, shared| {
-                        let mut ctx = PriorityCtx {
-                            query,
-                            sketches: sketches.as_mut(),
-                            partner_freq: partner_freq.as_ref(),
-                            now,
-                            rng,
-                            event_time: false,
-                        };
-                        let estimate =
-                            shared.unwrap_or_else(|| policy.window_estimate(&mut ctx, t));
-                        let (score, state) =
-                            policy.window_priority_from_estimate(&mut ctx, t, produced, estimate);
-                        (clamp_score(score), state, estimate)
-                    });
-                } else {
-                    entry.store.rebuild_priorities(|t, produced| {
-                        let mut ctx = PriorityCtx {
-                            query,
-                            sketches: sketches.as_mut(),
-                            partner_freq: partner_freq.as_ref(),
-                            now,
-                            rng,
-                            event_time: false,
-                        };
-                        let (score, state) =
-                            policy.window_priority_with_state(&mut ctx, t, produced);
-                        (clamp_score(score), state)
-                    });
+                if entry.users.first() == Some(&cid) {
+                    rescore_store(
+                        query,
+                        policy.as_mut(),
+                        sketches,
+                        partner_freq,
+                        rng,
+                        &mut entry.store,
+                        now,
+                    );
                 }
             }
         }
@@ -868,23 +757,10 @@ impl MultiQueryEngine {
         metrics.total_output += produced;
         metrics.processed += 1;
         // 4. Apply produced-output credits: one coalesced heap update per
-        //    touched slot (see `flush_credit_stores`). Batched arrivals
-        //    leave them pending instead, so a slot matched by many batch
-        //    members still costs one update.
-        if !defer_credits {
-            flush_credit_stores(stores, scratches, classes);
-        }
+        //    touched slot (see `flush_credit_stores`).
+        flush_credit_stores(stores, scratches, classes);
         // 5. Store the arrival once per (stream, window) store, scored and
-        //    tagged by the store's owner; shed if full. A full store evicts
-        //    by priority, so the batched path lands pending refreshes
-        //    first to pick the same victim the per-arrival replay would.
-        if defer_credits
-            && stores.iter().flatten().any(|e| {
-                e.gstream == g && e.store.len() >= e.store.capacity()
-            })
-        {
-            flush_credit_stores(stores, scratches, classes);
-        }
+        //    tagged by the store's owner; shed if full.
         let mut stored = false;
         let mut shed = 0u64;
         for (si, slot) in stores.iter_mut().enumerate() {
@@ -936,6 +812,28 @@ impl MultiQueryEngine {
             stored,
             shed,
         }
+    }
+
+    /// [`MultiQueryEngine::ingest`] over a run of arrivals, in order. The
+    /// aggregate outcome sums `produced`/`shed`; `stored` reports the final
+    /// arrival's disposition.
+    pub fn ingest_batch(
+        &mut self,
+        arrivals: impl IntoIterator<Item = Arrival>,
+        sink: &mut impl EmitSink,
+    ) -> IngestOutcome {
+        let mut total = IngestOutcome {
+            produced: 0,
+            stored: true,
+            shed: 0,
+        };
+        for arrival in arrivals {
+            let out = self.ingest(arrival, sink);
+            total.produced += out.produced;
+            total.shed += out.shed;
+            total.stored = out.stored;
+        }
+        total
     }
 
     /// Notes `n` arrivals of global stream `g` processed on another shard,
@@ -1061,8 +959,8 @@ fn make_class(
     let mut sketches = reqs.sketches.then(|| {
         TumblingSketches::new(&query, config.bank, epoch.expect("resolved above"))
     });
-    if let (Some(on), Some(s)) = (config.score_cache, sketches.as_mut()) {
-        s.set_score_cache(on);
+    if let Some(s) = sketches.as_mut() {
+        s.set_score_cache(config.score_cache);
     }
     let partner_freq = reqs
         .partner_freq

@@ -36,7 +36,7 @@ use crate::shard::{split_bank, split_memory, splitmix64, Backpressure, ShardConf
 use crossbeam::channel::{bounded, Receiver, Sender};
 use mstream_shed_policies::ShedPolicy;
 use mstream_types::{
-    Catalog, Error, JoinQuery, Partitioning, QueryId, SeqNo, StreamId, Tuple, VTime, WindowSpec,
+    Catalog, Error, JoinQuery, Partitioning, QueryId, SeqNo, StreamId, Tuple, WindowSpec,
 };
 use std::cmp::Ordering;
 use std::thread::JoinHandle;
@@ -214,9 +214,8 @@ impl ShardedMultiEngine {
             let engine = MultiQueryEngine::new(queries.clone(), policy.clone(), worker_config)?;
             let (tx, rx) = bounded(shard.channel_capacity);
             let collect_rows = shard.collect_rows;
-            let batch_ingest = shard.batch_ingest;
             handles.push(std::thread::spawn(move || {
-                multi_worker_loop(engine, rx, collect_rows, batch_ingest)
+                multi_worker_loop(engine, rx, collect_rows)
             }));
             senders.push(tx);
         }
@@ -504,68 +503,33 @@ fn multi_worker_loop(
     mut engine: MultiQueryEngine,
     rx: Receiver<MultiMsg>,
     collect_rows: bool,
-    batch_ingest: bool,
 ) -> MultiWorkerOut {
-    /// Upper bound on one coalesced tuple run, so a saturated channel
-    /// cannot starve the sink-clearing step or grow the scratch unbounded.
-    const MAX_BATCH: usize = 64;
     let mut sink = QueryRowsSink::default();
-    let mut pending: Vec<(Tuple, VTime)> = Vec::new();
     while let Ok(msg) = rx.recv() {
-        // One received message may expand into two processing units: a
-        // coalesced tuple run plus the control message that ended it.
-        let mut next = Some(msg);
-        while let Some(m) = next.take() {
-            match m {
-                MultiMsg::Tuple(tuple) => {
-                    if batch_ingest {
-                        let now = tuple.ts;
-                        pending.push((tuple, now));
-                        // Greedily drain consecutive routed tuples already
-                        // queued in the channel. A control message ends the
-                        // run and is processed after the flush — exactly
-                        // its FIFO position in the sub-trace.
-                        while pending.len() < MAX_BATCH {
-                            match rx.try_recv() {
-                                Ok(MultiMsg::Tuple(t)) => {
-                                    let now = t.ts;
-                                    pending.push((t, now));
-                                }
-                                Ok(other) => {
-                                    next = Some(other);
-                                    break;
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                        engine.ingest_tuple_batch(&mut pending, &mut sink);
-                        #[cfg(feature = "audit")]
-                        engine.check_invariants();
-                    } else {
-                        let now = tuple.ts;
-                        engine.ingest_tuple(tuple, now, &mut sink);
-                        #[cfg(feature = "audit")]
-                        engine.check_invariants();
-                    }
-                }
-                MultiMsg::Ticks(ticks) => {
-                    for (g, n) in ticks {
-                        engine.note_foreign_arrivals(g, n);
-                    }
-                }
-                MultiMsg::Add(query) => {
-                    engine
-                        .add_query(query)
-                        .expect("coordinator-validated registration");
-                }
-                MultiMsg::Remove(id) => {
-                    engine.remove_query(id);
+        match msg {
+            MultiMsg::Tuple(tuple) => {
+                let now = tuple.ts;
+                engine.ingest_tuple(tuple, now, &mut sink);
+                #[cfg(feature = "audit")]
+                engine.check_invariants();
+            }
+            MultiMsg::Ticks(ticks) => {
+                for (g, n) in ticks {
+                    engine.note_foreign_arrivals(g, n);
                 }
             }
-            if !collect_rows {
-                for rows in &mut sink.rows {
-                    rows.clear();
-                }
+            MultiMsg::Add(query) => {
+                engine
+                    .add_query(query)
+                    .expect("coordinator-validated registration");
+            }
+            MultiMsg::Remove(id) => {
+                engine.remove_query(id);
+            }
+        }
+        if !collect_rows {
+            for rows in &mut sink.rows {
+                rows.clear();
             }
         }
     }

@@ -49,7 +49,7 @@ pub struct EngineMetrics {
     pub sign_cache_misses: u64,
     /// Productivity score-cache hits: cacheable estimate lookups served
     /// from the epoch memo (DESIGN.md §16); 0 when sketch-free or with
-    /// `MSTREAM_SCORE_CACHE=off`.
+    /// the cache turned off.
     #[serde(default)]
     pub score_cache_hits: u64,
     /// Productivity score-cache misses: cacheable estimate lookups that

@@ -1,7 +1,7 @@
-//! Flat, branch-light kernels over the SoA sketch state, in three
-//! interchangeable implementations: a scalar reference path, a portable
-//! fixed-width lane path, and (on `x86_64`) AVX2 specializations for the
-//! sign-application kernels — all **bit-identical** by construction.
+//! Flat, branch-light kernels over the SoA sketch state: a portable
+//! fixed-width lane path (the one the engine runs), AVX2 specializations
+//! of the two sign-application kernels on `x86_64`, and a scalar reference
+//! path the tests compare against — all **bit-identical** by construction.
 //!
 //! Every function here works on contiguous slices laid out *stream-major*:
 //! the counters (or last-epoch snapshots) of stream `k` occupy
@@ -19,69 +19,21 @@
 //! A lane-parallel form evaluates the *same* operation sequence per index;
 //! only the order **across** independent indexes changes, which is not
 //! observable. The one reduction that crosses indexes — the mean stage of
-//! median-of-means — keeps its serial within-group fold order in every
-//! mode ([`group_sums`] lane-parallelizes **across** groups, never inside
+//! median-of-means — keeps its serial within-group fold order
+//! ([`group_sums`] lane-parallelizes **across** groups, never inside
 //! one), because IEEE-754 addition is not associative and the estimates
 //! are pinned bit-for-bit against the legacy layout. `tests/equivalence.rs`
-//! proves all of this for every mode, including ragged tails and extreme
-//! counters.
+//! proves all of this against [`scalar`], including ragged tails and
+//! extreme counters.
 //!
 //! # Dispatch
 //!
-//! The public top-level functions dispatch once per process via
-//! [`kernel_mode`]: `MSTREAM_KERNEL=scalar|lanes|native` overrides; the
-//! default is the best mode the CPU supports (`native` = AVX2 where
-//! detected, otherwise the portable lane path). The [`scalar`] and
-//! [`lanes`] modules stay public so the equivalence suite and the benches
-//! can pin a specific implementation.
-
-use std::sync::OnceLock;
+//! The top-level functions check shapes and run [`lanes`]; the two sign
+//! kernels run [`avx2`] instead where the CPU reports it.
 
 /// Lane width of the portable vector kernels (f64x4 / i64x4-sized blocks,
 /// one 256-bit register on the machines this targets).
 pub const LANES: usize = 4;
-
-/// Which kernel implementation the dispatching entry points run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelMode {
-    /// The legacy one-element-per-iteration reference path.
-    Scalar,
-    /// Portable fixed-width lane blocks ([`LANES`] elements per step).
-    Lanes,
-    /// AVX2 `std::arch` specializations for the sign-application kernels
-    /// (the remaining kernels run the lane path, which the compiler
-    /// vectorizes with the same width).
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl KernelMode {
-    fn resolve() -> KernelMode {
-        match std::env::var("MSTREAM_KERNEL").as_deref() {
-            Ok("scalar") => KernelMode::Scalar,
-            Ok("lanes") => KernelMode::Lanes,
-            _ => KernelMode::native(),
-        }
-    }
-
-    /// The best mode this CPU supports.
-    fn native() -> KernelMode {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return KernelMode::Avx2;
-        }
-        KernelMode::Lanes
-    }
-}
-
-/// The process-wide kernel mode, resolved once on first use: the
-/// `MSTREAM_KERNEL` environment variable (`scalar`, `lanes` or `native`)
-/// when set, otherwise the best mode the CPU supports. Every mode is
-/// bit-identical; the knob exists for benchmarking and bisection.
-pub fn kernel_mode() -> KernelMode {
-    static MODE: OnceLock<KernelMode> = OnceLock::new();
-    *MODE.get_or_init(KernelMode::resolve)
-}
 
 // ---------------------------------------------------------------------------
 // Shape guards, shared by every implementation.
@@ -125,8 +77,17 @@ fn check_group_shape(per_copy: &[f64], s1: usize, s2: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatching entry points (the public kernel API).
+// Shape-checked entry points (the public kernel API).
 // ---------------------------------------------------------------------------
+
+/// Whether the AVX2 sign kernels can run here. A platform fact, probed
+/// once per process.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_avx2() -> bool {
+    static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+}
 
 /// Adds the packed ±1 signs in `words` into per-copy counters:
 /// `counters[c] += +1` where bit `c` is clear, `−1` where set.
@@ -136,10 +97,7 @@ fn check_group_shape(per_copy: &[f64], s1: usize, s2: usize) {
 /// (with any `words`, including none) is a no-op.
 pub fn fold_packed_signs(words: &[u64], counters: &mut [i64]) {
     check_sign_shape(words, counters.len(), "counters");
-    match kernel_mode() {
-        KernelMode::Scalar => scalar::fold_packed_signs(words, counters),
-        _ => lanes::fold_packed_signs(words, counters),
-    }
+    lanes::fold_packed_signs(words, counters)
 }
 
 /// Per-copy product of the counters of every stream except `exclude`
@@ -153,20 +111,14 @@ pub fn column_products(buf: &[i64], copies: usize, exclude: usize, out: &mut [f6
     if check_column_shape(buf, copies, out) {
         return;
     }
-    match kernel_mode() {
-        KernelMode::Scalar => scalar::column_products(buf, copies, exclude, out),
-        _ => lanes::column_products(buf, copies, exclude, out),
-    }
+    lanes::column_products(buf, copies, exclude, out)
 }
 
 /// Multiplies one stream-row of counters into an accumulator:
 /// `acc[c] *= row[c]`. Used by the mixed last/current fallback path.
 #[inline]
 pub fn multiply_row(acc: &mut [f64], row: &[i64]) {
-    match kernel_mode() {
-        KernelMode::Scalar => scalar::multiply_row(acc, row),
-        _ => lanes::multiply_row(acc, row),
-    }
+    lanes::multiply_row(acc, row)
 }
 
 /// Negates `vals[c]` wherever bit `c` of `words` is set (sign −1).
@@ -176,12 +128,11 @@ pub fn multiply_row(acc: &mut [f64], row: &[i64]) {
 /// time.
 pub fn apply_packed_signs(words: &[u64], vals: &mut [f64]) {
     check_sign_shape(words, vals.len(), "values");
-    match kernel_mode() {
-        KernelMode::Scalar => scalar::apply_packed_signs(words, vals),
-        KernelMode::Lanes => lanes::apply_packed_signs(words, vals),
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Avx2 => avx2::apply_packed_signs(words, vals),
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        return avx2::apply_packed_signs(words, vals);
     }
+    lanes::apply_packed_signs(words, vals)
 }
 
 /// The fused two-partner mixed path (3-stream joins, the paper's shape):
@@ -193,10 +144,7 @@ pub fn product2_signed(a: &[i64], b: &[i64], words: &[u64], out: &mut [f64]) {
     assert_eq!(a.len(), out.len(), "row/output length mismatch");
     assert_eq!(b.len(), out.len(), "row/output length mismatch");
     check_sign_shape(words, out.len(), "values");
-    match kernel_mode() {
-        KernelMode::Scalar => scalar::product2_signed(a, b, words, out),
-        _ => lanes::product2_signed(a, b, words, out),
-    }
+    lanes::product2_signed(a, b, words, out)
 }
 
 /// `dst[c] = ±src[c]` according to the packed signs — the entire frozen
@@ -205,35 +153,31 @@ pub fn product2_signed(a: &[i64], b: &[i64], words: &[u64], out: &mut [f64]) {
 pub fn signed_copy(words: &[u64], src: &[f64], dst: &mut [f64]) {
     assert_eq!(src.len(), dst.len(), "source/destination length mismatch");
     check_sign_shape(words, src.len(), "values");
-    match kernel_mode() {
-        KernelMode::Scalar => scalar::signed_copy(words, src, dst),
-        KernelMode::Lanes => lanes::signed_copy(words, src, dst),
-        #[cfg(target_arch = "x86_64")]
-        KernelMode::Avx2 => avx2::signed_copy(words, src, dst),
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        return avx2::signed_copy(words, src, dst);
     }
+    lanes::signed_copy(words, src, dst)
 }
 
 /// The mean stage of median-of-means: appends to `groups` the serial sum
 /// of each of the `s2` groups of `s1` consecutive `per_copy` values
-/// (group-major layout). Every mode keeps the **within-group fold order
-/// strictly serial** — f64 addition is not associative, so an in-group
-/// tree would change bits — and the lane path parallelizes only *across*
-/// independent groups.
+/// (group-major layout). The **within-group fold order stays strictly
+/// serial** — f64 addition is not associative, so an in-group tree would
+/// change bits — and the lane path parallelizes only *across* independent
+/// groups.
 pub fn group_sums(per_copy: &[f64], s1: usize, s2: usize, groups: &mut Vec<f64>) {
     check_group_shape(per_copy, s1, s2);
-    match kernel_mode() {
-        KernelMode::Scalar => scalar::group_sums(per_copy, s1, s2, groups),
-        _ => lanes::group_sums(per_copy, s1, s2, groups),
-    }
+    lanes::group_sums(per_copy, s1, s2, groups)
 }
 
 // ---------------------------------------------------------------------------
 // Scalar reference path.
 // ---------------------------------------------------------------------------
 
-/// The one-element-per-iteration reference implementations. Shape guards
-/// live in the dispatching entry points; these assume validated inputs
-/// (public so the equivalence suite and benches can pin this path).
+/// The one-element-per-iteration reference implementations the
+/// equivalence suite and benches compare the shipped path against. Shape
+/// guards live in the entry points; these assume validated inputs.
 pub mod scalar {
     /// Scalar [`super::fold_packed_signs`].
     pub fn fold_packed_signs(words: &[u64], counters: &mut [i64]) {
@@ -492,7 +436,7 @@ pub mod lanes {
 /// (broadcast + variable shift) and XOR into four values per instruction.
 /// Sign application is a pure bit operation, so these are exact for every
 /// input including NaNs and ±0.0. Only reached after
-/// `is_x86_feature_detected!("avx2")` at dispatch resolution.
+/// `is_x86_feature_detected!("avx2")` in the entry points.
 ///
 /// This module is the one sanctioned `unsafe` island of the crate (see
 /// the crate-level `deny(unsafe_code)`): the only unsafety is the
@@ -528,7 +472,7 @@ pub mod avx2 {
     }
 
     /// AVX2 body of [`apply_packed_signs`]: `vals` and `words` already
-    /// shape-checked by the dispatcher.
+    /// shape-checked by the entry point.
     #[target_feature(enable = "avx2")]
     unsafe fn apply_packed_signs_impl(words: &[u64], vals: &mut [f64]) {
         for (chunk, &w) in vals.chunks_mut(64).zip(words) {
@@ -573,7 +517,7 @@ pub mod avx2 {
     }
 
     /// AVX2 [`super::apply_packed_signs`]. Panics if AVX2 is unavailable
-    /// (the dispatcher only selects this mode after runtime detection).
+    /// (the entry point only calls this after runtime detection).
     pub fn apply_packed_signs(words: &[u64], vals: &mut [f64]) {
         assert!(
             std::arch::is_x86_feature_detected!("avx2"),
@@ -718,7 +662,7 @@ mod tests {
     fn group_sums_keeps_serial_order_in_every_mode() {
         // Adversarial magnitudes where fold order is observable: a tree
         // reduction of [1e16, 1.0, -1e16, 1.0] gives 2.0, the serial fold
-        // gives 1.0. Both lane and scalar modes must produce the serial
+        // gives 1.0. Both lane and scalar forms must produce the serial
         // answer for every group.
         let per_copy: Vec<f64> = (0..6 * 4)
             .map(|i| match i % 4 {
@@ -738,11 +682,4 @@ mod tests {
         assert_eq!(dispatched, vec![1.0; 6]);
     }
 
-    #[test]
-    fn kernel_mode_resolves() {
-        // Whatever the host supports, the resolved mode is stable and the
-        // dispatching kernels run under it (the equivalence suite pins
-        // bit-identity across modes).
-        assert_eq!(kernel_mode(), kernel_mode());
-    }
 }

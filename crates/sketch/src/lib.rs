@@ -70,7 +70,7 @@ pub use atomic::AtomicSketch;
 pub use bank::{median_of_means_into, median_of_means_slice, BankConfig, SketchBank};
 pub use freq::{FreqTable, PartnerFrequency, SpaceSaving, TumblingFreq};
 pub use hash::FourWiseHash;
-pub use kernel::{kernel_mode, KernelMode, LANES};
-pub use score_cache::{score_cache_env_default, ScoreCache, ScoreCacheStats, ScoreKey};
+pub use kernel::LANES;
+pub use score_cache::{ScoreCache, ScoreCacheStats, ScoreKey};
 pub use signs::{SignCache, SignCacheStats, SignFamilies};
 pub use tumbling::{EpochSpec, TumblingSketches};

@@ -23,16 +23,14 @@
 //!   the bound drops the whole map (O(1) amortized; a Zipfian hot set
 //!   repopulates immediately), and every rollover clears it wholesale.
 //!
-//! `MSTREAM_SCORE_CACHE=off` (or `0`/`false`) disables memoization
-//! process-wide; [`TumblingSketches::set_score_cache`] overrides per
-//! instance (the audit harness A/B-compares cached and uncached runs in
-//! one process).
+//! The memo is on by default; [`TumblingSketches::set_score_cache`] turns
+//! it off per instance (the audit harness A/B-compares cached and uncached
+//! runs in one process).
 //!
 //! [`TumblingSketches::set_score_cache`]: crate::TumblingSketches::set_score_cache
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Default bound on resident estimates (matches the packed-sign memo's
 /// order of magnitude: the hot key set of a skewed workload fits easily,
@@ -43,17 +41,6 @@ pub const DEFAULT_SCORE_CACHE_ENTRIES: usize = 8192;
 /// Most incident join attributes a stream may have and still be cached
 /// (the key inlines the values; streams beyond this skip the memo).
 pub const MAX_CACHED_ATTRS: usize = 4;
-
-/// Resolves the `MSTREAM_SCORE_CACHE` environment pin once per process:
-/// `off` / `0` / `false` (case-insensitive) disable the memo, anything
-/// else (including unset) enables it.
-pub fn score_cache_env_default() -> bool {
-    static PIN: OnceLock<bool> = OnceLock::new();
-    *PIN.get_or_init(|| match std::env::var("MSTREAM_SCORE_CACHE") {
-        Ok(v) => !matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"),
-        Err(_) => true,
-    })
-}
 
 /// Exact lookup key of one memoized estimate. No hashing of the values
 /// into a digest — the raw attribute values are the key, so distinct
@@ -96,7 +83,7 @@ pub struct ScoreCache {
 
 impl Default for ScoreCache {
     fn default() -> Self {
-        ScoreCache::with_capacity_bound(DEFAULT_SCORE_CACHE_ENTRIES, score_cache_env_default())
+        ScoreCache::with_capacity_bound(DEFAULT_SCORE_CACHE_ENTRIES, true)
     }
 }
 
@@ -266,15 +253,5 @@ mod tests {
         c.set_enabled(false);
         c.set_enabled(true);
         assert_eq!(c.get(&key(1, 7)), None, "re-enabling starts cold");
-    }
-
-    #[test]
-    fn env_default_is_on_when_unset() {
-        // The test binary does not set MSTREAM_SCORE_CACHE; the pin must
-        // resolve to enabled (and to the same answer on every call).
-        if std::env::var("MSTREAM_SCORE_CACHE").is_err() {
-            assert!(score_cache_env_default());
-        }
-        assert_eq!(score_cache_env_default(), score_cache_env_default());
     }
 }

@@ -121,20 +121,16 @@ impl SignFamilies {
     /// the signs into `out` (bit `c % 64` of word `c / 64` set ⇔ copy `c`
     /// has sign −1). `out` is cleared and resized to [`words_for`] words.
     ///
-    /// Dispatches between the scalar reference loop and a lane-blocked
-    /// form ([`crate::kernel::LANES`] independent Horner chains per step);
-    /// the arithmetic is pure integer math, so both are exact and
-    /// bit-identical — proven by [`Self::eval_packed_scalar`] /
-    /// [`Self::eval_packed_lanes`] comparisons in the equivalence suite.
+    /// Runs the lane-blocked form ([`Self::eval_packed_lanes`]); the
+    /// arithmetic is pure integer math, so it is exact and bit-identical
+    /// to the scalar reference loop — proven by the
+    /// [`Self::eval_packed_scalar`] comparison in the equivalence suite.
     pub fn eval_packed_into(&self, pred: usize, x: u64, out: &mut Vec<u64>) {
-        match crate::kernel::kernel_mode() {
-            crate::kernel::KernelMode::Scalar => self.eval_packed_scalar(pred, x, out),
-            _ => self.eval_packed_lanes(pred, x, out),
-        }
+        self.eval_packed_lanes(pred, x, out)
     }
 
-    /// Scalar reference body of [`Self::eval_packed_into`]: one Horner
-    /// chain per copy, ascending copy order.
+    /// Scalar reference for [`Self::eval_packed_into`]: one Horner chain
+    /// per copy, ascending copy order.
     pub fn eval_packed_scalar(&self, pred: usize, x: u64, out: &mut Vec<u64>) {
         let n = self.copies;
         out.clear();

@@ -535,10 +535,11 @@ proptest! {
 //
 // Every kernel in `mstream_sketch::kernel` ships a scalar reference path
 // and a portable lane path (plus AVX2 specializations for the two
-// sign-application kernels); the dispatching entry points pick one per
-// process. These properties pin all implementations bit-identical across
-// odd lengths, ragged tails (len % LANES != 0, len % 64 != 0), and
-// extreme inputs (i64::MIN/MAX-adjacent counters, ±0.0 values).
+// sign-application kernels); the entry points run the lane path, or AVX2
+// where the CPU has it. These properties pin all implementations
+// bit-identical across odd lengths, ragged tails (len % LANES != 0,
+// len % 64 != 0), and extreme inputs (i64::MIN/MAX-adjacent counters,
+// ±0.0 values).
 // ---------------------------------------------------------------------------
 
 mod kernels {
@@ -756,8 +757,8 @@ mod kernels {
     }
 
     /// On AVX2 hosts the `std::arch` specializations must also be
-    /// bit-identical (elsewhere this test is vacuous — dispatch never
-    /// selects them there either).
+    /// bit-identical (elsewhere this test is vacuous — the entry points
+    /// never call them there either).
     #[test]
     fn avx2_sign_kernels_match_scalar() {
         #[cfg(target_arch = "x86_64")]

@@ -42,11 +42,7 @@
 //! assert_eq!(w.probe(0, Value(7)).len(), 1);
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the scoped
-// `#[allow(unsafe_code)]` around `FlatIndex::prefetch`'s `_mm_prefetch`
-// cache hint — a side-effect-free instruction valid for any address.
-// Everything else in the crate stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arena;

@@ -6,11 +6,9 @@
 # Usage: scripts/bench_diff.sh OLD.json NEW.json [--tolerance PCT]
 #
 # Every "shard_scaling*" section — uniform, the Zipf hot-key
-# "shard_scaling_zipf", the bounded-disorder "shard_scaling_disorder"
-# (rows keyed by shard count AND disorder bound), and the
-# batch-amortized "shard_scaling_batch" (rows keyed by shard count AND
-# ingest batch size, 0 = per-arrival) — plus the "multi_query" section
-# of BENCH_multi.json (rows keyed by execution mode AND query count) is
+# "shard_scaling_zipf" and the bounded-disorder "shard_scaling_disorder"
+# (rows keyed by shard count AND disorder bound) — plus the "multi_query"
+# section of BENCH_multi.json (rows keyed by execution mode AND query count) is
 # compared when present in both snapshots (a section missing on either
 # side is noted and skipped).
 # Prints a per-shard-count table (old/new seconds, delta, speedups,
@@ -50,10 +48,6 @@ def load(path):
         # Multi-query rows are keyed by execution mode and query count.
         if "mode" in r:
             return (r["mode"], int(r["queries"]))
-        # Batch rows repeat shard counts across ingest batch sizes; the
-        # "B" tag keeps them distinct from disorder keys.
-        if r.get("batch") is not None:
-            return (int(r["shards"]), "B", int(r["batch"]))
         # Disorder rows repeat shard counts across bounds; key on both.
         k = r.get("disorder_k_ms")
         return int(r["shards"]) if k is None else (int(r["shards"]), int(k))
@@ -93,8 +87,6 @@ for name in shared_sections:
         o, n = old[s], new[s]
         if isinstance(s, int):
             label = str(s)
-        elif len(s) == 3:
-            label = f"{s[0]}/B{s[2]}" if s[2] else f"{s[0]}/per-arrival"
         elif isinstance(s[0], int):
             label = f"{s[0]}/K{s[1]}"
         else:

@@ -8,15 +8,11 @@
 #   - disorder: the regions trace at S=4 under bounded-disorder delivery
 #     with K in {0,16,256} ms (DESIGN.md §13 reorder-buffer overhead row;
 #     output invariance across K is the headline)
-#   - batch:   the regions trace at S in {1,4} with worker ingest batch
-#     in {0,64,256} (0 = per-arrival reference; DESIGN.md §15
-#     batch-amortized probe path; output invariance across batch sizes
-#     is the headline)
 #   - score cache: the Zipf hot-key trace at theta in {1.5, 2.0}, S=4,
 #     with the epoch-memoized productivity score cache on (default) and
-#     pinned off via MSTREAM_SCORE_CACHE=off (DESIGN.md §16; the
-#     score_ns / priority_rebuild_ns reduction is the headline, output
-#     is identical by contract)
+#     off via --score-cache off (DESIGN.md §16; the score_ns /
+#     priority_rebuild_ns reduction is the headline, output is identical
+#     by contract)
 #
 # Usage: scripts/bench_shard.sh [--scale S] [--zipf-only]
 #
@@ -33,8 +29,6 @@
 #     "shard_scaling_zipf":     [ {"shards": 1, "imbalance": ...,
 #                                  "hot_promoted": ..., "cores": ...}, ... ],
 #     "shard_scaling_disorder": [ {"shards": 4, "disorder_k_ms": 0,
-#                                  "seconds": ..., "output": ...}, ... ],
-#     "shard_scaling_batch":    [ {"shards": 1, "batch": 0,
 #                                  "seconds": ..., "output": ...}, ... ],
 #     "score_cache_zipf":       [ {"shards": 4, "zipf_theta": 1.5,
 #                                  "score_cache": "on"|"off",
@@ -63,11 +57,6 @@ if [ "$ZIPF_ONLY" = 0 ]; then
   cargo run --release -p mstream-bench --bin shard_scaling -- \
     --scale "$SCALE" --shards 4 --disorder 0,16,256 \
     --json target/shard_scaling_disorder.json
-
-  echo "== shard_scaling batch (ingest batch in {0,64,256}) =="
-  cargo run --release -p mstream-bench --bin shard_scaling -- \
-    --scale "$SCALE" --shards 1,4 --batch 0,64,256 \
-    --json target/shard_scaling_batch.json
 fi
 
 echo "== shard_scaling zipf (theta 2.0) =="
@@ -79,9 +68,8 @@ for THETA in 1.5 2.0; do
   cargo run --release -p mstream-bench --bin shard_scaling -- \
     --zipf "$THETA" --shards 4 --min-secs 0.3 \
     --json "target/shard_scaling_sc_on_${THETA}.json"
-  MSTREAM_SCORE_CACHE=off \
   cargo run --release -p mstream-bench --bin shard_scaling -- \
-    --zipf "$THETA" --shards 4 --min-secs 0.3 \
+    --zipf "$THETA" --shards 4 --min-secs 0.3 --score-cache off \
     --json "target/shard_scaling_sc_off_${THETA}.json"
 done
 
@@ -99,8 +87,6 @@ else:
         doc["shard_scaling"] = json.load(f)
     with open("target/shard_scaling_disorder.json") as f:
         doc["shard_scaling_disorder"] = json.load(f)
-    with open("target/shard_scaling_batch.json") as f:
-        doc["shard_scaling_batch"] = json.load(f)
 with open("target/shard_scaling_zipf.json") as f:
     doc["shard_scaling_zipf"] = json.load(f)
 
@@ -122,10 +108,9 @@ with open("BENCH_shard.json", "w") as f:
 uniform = len(doc.get("shard_scaling", []))
 zipf = len(doc["shard_scaling_zipf"])
 disorder = len(doc.get("shard_scaling_disorder", []))
-batch = len(doc.get("shard_scaling_batch", []))
 print(
     f"wrote BENCH_shard.json ({uniform} uniform + {zipf} zipf "
-    f"+ {disorder} disorder + {batch} batch + {len(sc)} score-cache rows)"
+    f"+ {disorder} disorder + {len(sc)} score-cache rows)"
 )
 by = {(r["zipf_theta"], r["score_cache"]): r for r in sc}
 for theta in (1.5, 2.0):

@@ -1,15 +1,11 @@
-//! Differential acceptance tests for the batch-amortized ingest path
-//! (DESIGN.md "Vectorized kernels and batch-amortized probes").
+//! `ingest_batch` is a plain loop over `ingest` on both in-process engines.
 //!
-//! The contract under test: feeding a trace through `ingest_batch` /
-//! `ingest_tuple_batch` — any chunking — must replay the per-arrival
-//! reference **bit-identically**: same result rows in the same emission
-//! order, same sequence numbers, same shed decisions, same deterministic
-//! metrics. Batching may only amortize work (one prefetched lookup pass,
-//! coalesced priority rescoring); it must never reorder or change an
-//! observable outcome. This holds at full memory, under per-window and
-//! global-pool shedding, across the sharded engine (where the worker's
-//! `batch_ingest` knob flips the path), and on the multi-query plane.
+//! The contract under test: feeding a trace through `ingest_batch` — any
+//! chunking — is the per-arrival loop: same result rows in the same
+//! emission order, same sequence numbers, same shed decisions, same
+//! deterministic metrics. This holds at full memory, under per-window and
+//! global-pool shedding, with a disorder bound, and on the multi-query
+//! plane.
 
 use mstream_core::prelude::*;
 use rand::rngs::StdRng;
@@ -19,8 +15,7 @@ use rand::{Rng, SeedableRng};
 /// every trace length, and one larger than most per-epoch runs.
 const BATCHES: [usize; 3] = [1, 7, 64];
 
-/// All predicates on attribute 0 — key-partitionable, so sharded runs
-/// keep their requested width.
+/// All predicates on attribute 0.
 fn keyed3(window: WindowSpec) -> JoinQuery {
     let mut c = Catalog::new();
     c.add_stream(StreamSchema::new("R1", &["A1", "A2"]));
@@ -29,8 +24,7 @@ fn keyed3(window: WindowSpec) -> JoinQuery {
     JoinQuery::from_names(c, &[("R1.A1", "R2.A1"), ("R2.A1", "R3.A1")], window).unwrap()
 }
 
-/// The paper's chain through two different attributes of R2 — not
-/// key-partitionable, so sharded runs exercise broadcast mode.
+/// The paper's chain through two different attributes of R2.
 fn chain3(window: WindowSpec) -> JoinQuery {
     let mut c = Catalog::new();
     c.add_stream(StreamSchema::new("R1", &["A1", "A2"]));
@@ -67,7 +61,7 @@ fn det(m: &EngineMetrics) -> EngineMetrics {
 }
 
 /// Result rows in emission order as per-stream sequence numbers. No sort:
-/// batching must preserve the exact emission sequence, not just the set.
+/// chunking must preserve the exact emission sequence, not just the set.
 fn emitted(rows: &[Vec<Tuple>]) -> Vec<Vec<SeqNo>> {
     rows.iter()
         .map(|row| row.iter().map(|t| t.seq).collect())
@@ -120,9 +114,9 @@ fn run_batched(
     (emitted(&sink.rows), det(engine.metrics()), engine.total_resident())
 }
 
-/// Full memory: the batched path replays the per-arrival reference
-/// bit-identically for a sketch policy and a deterministic one, on both
-/// the keyed and the chain shape.
+/// Full memory: chunked `ingest_batch` equals the per-arrival loop for a
+/// sketch policy and a deterministic one, on both the keyed and the chain
+/// shape.
 #[test]
 fn batched_ingest_is_bit_identical_at_full_memory() {
     let arrivals = trace(600, 8, 7);
@@ -145,10 +139,10 @@ fn batched_ingest_is_bit_identical_at_full_memory() {
     }
 }
 
-/// Reduced memory is the hard case: evictions force priority reads, so
-/// every deferred produced-credit must be flushed at exactly the right
-/// point. Per-window and global-pool disciplines, every policy whose
-/// priorities depend on produced counts plus the sketch family.
+/// Reduced memory: evictions read priorities, so every produced-credit
+/// must have landed by then whatever the chunking. Per-window and
+/// global-pool disciplines, every policy whose priorities depend on
+/// produced counts plus the sketch family.
 #[test]
 fn batched_ingest_is_bit_identical_under_shedding() {
     let arrivals = trace(600, 5, 11);
@@ -171,8 +165,8 @@ fn batched_ingest_is_bit_identical_under_shedding() {
     }
 }
 
-/// Tuple-count windows roll epochs and expire on arrival counts — the
-/// rollover flush point in the batched path must land identically.
+/// Tuple-count windows roll epochs and expire on arrival counts, not on
+/// timestamps — chunk boundaries must not move either.
 #[test]
 fn batched_ingest_is_bit_identical_on_tuple_windows() {
     let arrivals = trace(400, 5, 13);
@@ -191,7 +185,7 @@ fn batched_ingest_is_bit_identical_on_tuple_windows() {
 }
 
 /// With a disorder bound the event-time front end owns arrival order;
-/// `ingest_batch` must fall back to the per-arrival path and stay exact.
+/// `ingest_batch` goes through it arrival by arrival and stays exact.
 #[test]
 fn batched_ingest_defers_to_event_time_front_end() {
     let arrivals = trace(300, 6, 17);
@@ -218,82 +212,8 @@ fn batched_ingest_defers_to_event_time_front_end() {
     assert_eq!(det(batched.metrics()), det(reference.metrics()));
 }
 
-fn sharded_report(
-    query: JoinQuery,
-    shards: usize,
-    capacity: usize,
-    arrivals: &[Arrival],
-    batch_ingest: bool,
-) -> ShardedRunReport {
-    let mut engine = EngineBuilder::new(query)
-        .policy(MSketch)
-        .capacity_per_window(capacity)
-        .seed(5)
-        .shard_config(ShardConfig {
-            shards,
-            channel_capacity: 4,
-            batch_size: 7,
-            backpressure: Backpressure::Block,
-            collect_rows: true,
-            batch_ingest,
-            ..ShardConfig::default()
-        })
-        .build_sharded()
-        .unwrap();
-    for a in arrivals {
-        engine.ingest(a.clone());
-    }
-    engine.finish().unwrap()
-}
-
-/// The worker's `batch_ingest` knob must be invisible: batched and
-/// per-arrival workers produce the same merged rows and deterministic
-/// metrics at S ∈ {1, 4}, at full memory and while shedding.
-#[test]
-fn sharded_batch_knob_is_observably_invisible() {
-    let arrivals = trace(700, 12, 19);
-    for shards in [1usize, 4] {
-        for capacity in [100_000usize, 32] {
-            let on = sharded_report(
-                keyed3(WindowSpec::secs(25)),
-                shards,
-                capacity,
-                &arrivals,
-                true,
-            );
-            let off = sharded_report(
-                keyed3(WindowSpec::secs(25)),
-                shards,
-                capacity,
-                &arrivals,
-                false,
-            );
-            let mut rows_on = emitted(on.rows.as_ref().unwrap());
-            let mut rows_off = emitted(off.rows.as_ref().unwrap());
-            // Merge order across shard outputs is canonicalized by the
-            // report; per-shard emission order is what batching must
-            // preserve, and equal sorted sets + equal per-shard metrics
-            // pin exactly that.
-            rows_on.sort();
-            rows_off.sort();
-            assert_eq!(
-                rows_on, rows_off,
-                "S={shards} cap={capacity}: batch knob changed the row set"
-            );
-            assert_eq!(
-                det(&on.combined.metrics),
-                det(&off.combined.metrics),
-                "S={shards} cap={capacity}: batch knob changed the metrics"
-            );
-            for (a, b) in on.per_shard.iter().zip(off.per_shard.iter()) {
-                assert_eq!(det(a), det(b), "S={shards} cap={capacity}: per-shard drift");
-            }
-        }
-    }
-}
-
-/// The multi-query plane: `ingest_batch` chunks must replay the
-/// per-arrival reference bit-identically for every registered query.
+/// The multi-query plane: `ingest_batch` chunks equal the per-arrival
+/// loop for every registered query.
 #[test]
 fn multi_query_batched_ingest_is_bit_identical() {
     let queries = vec![keyed3(WindowSpec::secs(20)), chain3(WindowSpec::secs(30))];
