@@ -218,7 +218,9 @@ pub enum MixKind {
 /// streams `R1..R5` — a mix of exact duplicates, overlapping subgraphs and
 /// independent spans — plus one arrival trace over the union of their
 /// streams. Windows are all time-based (the solo sweep owns tuple-window
-/// coverage; one epoch discipline then serves every query).
+/// coverage; one epoch discipline then serves every query). About half
+/// the cases also carry registration churn: one `remove_query` and/or one
+/// `add_query` applied mid-trace.
 pub struct MultiCase {
     /// The seed this case was generated from.
     pub seed: u64,
@@ -242,6 +244,37 @@ pub struct MultiCase {
     /// The arrival trace. `stream` is the *pool* index; the runner
     /// resolves it to the engine's union-catalog id by name (`R<pool+1>`).
     pub arrivals: Vec<Arrival>,
+    /// `(query index, position)`: that standing query is removed just
+    /// before the arrival at `position`. Any query may be drawn, the owner
+    /// of a shared store included (its stores then change hands).
+    pub remove: Option<(usize, usize)>,
+    /// `(query, position)`: registered just before the arrival at
+    /// `position` (after the removal, if both land on one position), under
+    /// the next dense id, `queries.len()`. Keyed cases draw a fresh query
+    /// over an existing span; the others re-register a clone of a standing
+    /// query, the one shape a sharded run of any width must accept.
+    pub add: Option<(JoinQuery, usize)>,
+}
+
+impl MultiCase {
+    /// Whether the case carries an `add_query` or `remove_query`.
+    pub fn has_churn(&self) -> bool {
+        self.remove.is_some() || self.add.is_some()
+    }
+
+    /// Every query the case registers, `add` last, each with the
+    /// half-open range of arrival positions it is registered over.
+    pub fn registered(&self) -> Vec<(&JoinQuery, std::ops::Range<usize>)> {
+        let len = self.arrivals.len();
+        let mut out: Vec<_> = self.queries.iter().map(|q| (q, 0..len)).collect();
+        if let Some((q, at)) = self.remove {
+            out[q].1.end = at;
+        }
+        if let Some((query, at)) = &self.add {
+            out.push((query, *at..len));
+        }
+        out
+    }
 }
 
 /// Generates the multi-query audit case for `seed`.
@@ -335,6 +368,21 @@ pub fn generate_multi_case(seed: u64) -> MultiCase {
         })
         .collect();
 
+    // Churn is drawn last, so everything above is the case the seed always
+    // generated. Positions keep a quarter of the trace on either side.
+    let remove = rng
+        .gen_bool(0.35)
+        .then(|| (rng.gen_range(0..n_queries), rng.gen_range(len / 4..3 * len / 4)));
+    let add = rng.gen_bool(0.35).then(|| {
+        let i = rng.gen_range(0..n_queries);
+        let query = if keyed {
+            build(&mut rng, spans[i], true)
+        } else {
+            queries[i].clone()
+        };
+        (query, rng.gen_range(len / 4..3 * len / 4))
+    });
+
     MultiCase {
         seed,
         queries,
@@ -345,6 +393,8 @@ pub fn generate_multi_case(seed: u64) -> MultiCase {
         // Arithmetic (no rng draw): pinned classes stay byte-identical.
         cache_ab: seed % 2 == 1,
         arrivals,
+        remove,
+        add,
     }
 }
 
@@ -410,6 +460,15 @@ mod tests {
             assert!(!case.arrivals.is_empty());
         }
         assert!(dup && overlap && fresh, "all three mix kinds generated");
+        let churn: Vec<MultiCase> = (0..60).map(generate_multi_case).collect();
+        assert!(churn.iter().any(|c| c.remove.is_some() && c.add.is_none()));
+        assert!(churn.iter().any(|c| c.remove.is_none() && c.add.is_some()));
+        assert!(churn.iter().any(|c| c.remove.is_some() && c.add.is_some()));
+        assert!(churn.iter().any(|c| !c.has_churn()), "plain cases keep rotating");
+        assert!(
+            churn.iter().any(|c| c.remove.is_some_and(|(q, _)| q == 0)),
+            "the first query, owner of whatever it shares, gets removed too"
+        );
         assert!(keyed && free, "both partitionability classes generated");
         assert!(sizes.iter().all(|&s| s), "query-set sizes 2..=4 generated");
     }

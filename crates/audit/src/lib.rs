@@ -30,7 +30,9 @@
 //! shared data plane, and each query's output is checked against its *own*
 //! solo exact oracle — equal at 100% memory, a sub-multiset under reduced
 //! memory — for every policy, in-process and sharded S ∈ {1, 2}
-//! (`mstream-audit multi --cases N`).
+//! (`mstream-audit multi --cases N`). About half the cases remove a
+//! standing query and/or add one mid-trace; each query is then held to its
+//! oracle over the arrivals it was registered for.
 //!
 //! Every **odd-seed case** additionally pins the score-cache A/B class:
 //! each engine run in the three audits above (single-engine, sharded,

@@ -195,11 +195,13 @@ fn multi(args: &[String]) -> i32 {
     silence_panics();
     let mut arrivals_total = 0usize;
     let mut queries_total = 0usize;
+    let mut churn_cases = 0usize;
     for i in 0..cases {
         let seed = case_seed(master, i);
         let case = generate_multi_case(seed);
         arrivals_total += case.arrivals.len();
-        queries_total += case.queries.len();
+        queries_total += case.registered().len();
+        churn_cases += usize::from(case.has_churn());
         if let Err(failure) = run_multi_case(&case) {
             report_multi(&case, &failure);
             return 1;
@@ -210,8 +212,10 @@ fn multi(args: &[String]) -> i32 {
     }
     println!(
         "multi-query audit: {cases} cases ({queries_total} standing queries, \
-         {arrivals_total} arrivals) — every query's shared-plane output matches its solo \
-         exact oracle at 100% memory for every policy (in-process and sharded S ∈ {{1, 2}}), \
+         {arrivals_total} arrivals, {churn_cases} churn cases with a mid-trace add_query or \
+         remove_query) — every query's shared-plane output matches its solo exact oracle \
+         over the arrivals it was registered for at 100% memory for every policy \
+         (in-process and sharded S ∈ {{1, 2}}), \
          every shed run is a per-query sub-multiset, keyed sets run at full width, \
          score-cache on/off A/B runs are bit-identical on every odd-seed case, zero \
          invariant violations"
@@ -307,14 +311,21 @@ fn describe_multi(case: &MultiCase) -> String {
             format!("{kind:?}({})", streams.join(","))
         })
         .collect();
+    let remove = case.remove.map(|(q, at)| format!(", remove q{q} before #{at}"));
+    let add = case.add.as_ref().map(|(q, at)| {
+        let streams: Vec<&str> = q.catalog().iter().map(|(_, s)| s.name.as_str()).collect();
+        format!(", add ({}) before #{at}", streams.join(","))
+    });
     format!(
-        "{} queries [{}], epoch {:?}, cap {}/window, keyed {}, {} arrivals",
+        "{} queries [{}], epoch {:?}, cap {}/window, keyed {}, {} arrivals{}{}",
         case.queries.len(),
         queries.join(" "),
         case.epoch,
         case.capacity,
         case.keyed,
-        case.arrivals.len()
+        case.arrivals.len(),
+        remove.unwrap_or_default(),
+        add.unwrap_or_default()
     )
 }
 

@@ -15,6 +15,11 @@
 //! 3. The engine's structural invariants hold after every arrival, and the
 //!    sharded coordinator honours its contract: keyed query sets run at
 //!    the requested width, nothing is dropped under blocking backpressure.
+//!
+//! A case may carry registration churn ([`MultiCase::remove`],
+//! [`MultiCase::add`]); both drivers apply it at the drawn positions and
+//! every query's oracle then covers only the arrivals it was registered
+//! over ([`MultiCase::registered`]).
 
 use crate::gen::{Arrival as GenArrival, MultiCase};
 use crate::run::{first_diff, normalized_metrics, not_in_multiset, panic_message, Failure, FailureKind};
@@ -24,16 +29,16 @@ use mstream_core::{Arrival, EngineBuilder, EngineMetrics};
 use mstream_join::{Bindings, ExactJoin};
 use mstream_shed_policies::{parse_policy, ALL_POLICY_NAMES};
 use mstream_sketch::BankConfig;
-use mstream_types::{JoinQuery, StreamId, VTime, Value};
+use mstream_types::{JoinQuery, QueryId, StreamId, VTime, Value};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Runs the full multi-query differential for `case`.
 pub fn run_multi_case(case: &MultiCase) -> Result<(), Failure> {
     let oracle: Vec<Vec<Vec<u64>>> = case
-        .queries
-        .iter()
-        .map(|q| oracle_rows(q, &case.arrivals))
+        .registered()
+        .into_iter()
+        .map(|(q, over)| oracle_rows(q, &case.arrivals[over]))
         .collect();
 
     for &name in ALL_POLICY_NAMES {
@@ -243,12 +248,20 @@ fn drive_multi_with(
         .map_err(|e| fail(format!("engine construction failed: {e:?}"), FailureKind::InvariantPanic))?;
     let globals = pool_map(&case.arrivals, |name| engine.stream_id(name));
 
-    let mut rows: Vec<Vec<Vec<u64>>> = vec![Vec::new(); case.queries.len()];
+    let mut rows: Vec<Vec<Vec<u64>>> = vec![Vec::new(); case.registered().len()];
     for (i, a) in case.arrivals.iter().enumerate() {
         let g = globals[&a.stream];
         let values: Vec<Value> = a.values.iter().map(|&v| Value(v)).collect();
         let now = VTime::from_micros(a.at_micros);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if let Some((q, _)) = case.remove.filter(|&(_, at)| at == i) {
+                assert!(engine.remove_query(QueryId(q as u32)), "q{q} was registered");
+                engine.check_invariants();
+            }
+            if let Some((query, _)) = case.add.as_ref().filter(|(_, at)| *at == i) {
+                let id = engine.add_query(query.clone()).expect("pool schemas agree");
+                assert_eq!(id.index(), case.queries.len(), "ids are dense");
+            }
             engine.ingest(
                 Arrival::new(g, values, now),
                 &mut QueryFnSink(|qid, b: &Bindings<'_>| {
@@ -313,7 +326,15 @@ fn drive_multi_sharded(
         ));
     }
     let globals = pool_map(&case.arrivals, |name| engine.stream_id(name));
-    for a in &case.arrivals {
+    for (i, a) in case.arrivals.iter().enumerate() {
+        if let Some((q, _)) = case.remove.filter(|&(_, at)| at == i) {
+            engine.remove_query(QueryId(q as u32));
+        }
+        if let Some((query, _)) = case.add.as_ref().filter(|(_, at)| *at == i) {
+            engine.add_query(query.clone()).map_err(|e| {
+                fail(format!("add_query rejected at #{i}: {e:?}"), FailureKind::ShardContract)
+            })?;
+        }
         let values: Vec<Value> = a.values.iter().map(|&v| Value(v)).collect();
         engine.ingest(Arrival::new(
             globals[&a.stream],
@@ -351,7 +372,7 @@ fn drive_multi_sharded(
                 .collect()
         })
         .collect();
-    rows.resize_with(case.queries.len(), Vec::new);
+    rows.resize_with(case.registered().len(), Vec::new);
     for r in &mut rows {
         r.sort();
     }
@@ -383,4 +404,5 @@ mod tests {
             assert_eq!(a, b);
         }
     }
+
 }

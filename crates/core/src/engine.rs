@@ -1,12 +1,13 @@
 //! The shedding multi-way join engine (paper §4, Algorithm 1).
 
+use crate::builder::BuildError;
 use crate::ingest::{Arrival, EmitSink, IngestOutcome, IngestRole};
 use crate::report::EngineMetrics;
 use mstream_join::{probe_each, ProbePlan};
 use mstream_shed_policies::{clamp_score, PriorityCtx, Requirements, ShedPolicy};
 use mstream_sketch::{BankConfig, EpochSpec, TumblingFreq, TumblingSketches};
 use mstream_types::{
-    JoinQuery, QueryId, Result, SeqNo, StreamId, Tuple, VDur, VTime, WindowSpec,
+    JoinQuery, QueryId, Result, SeqNo, StreamId, Tuple, VDur, VTime, Value, WindowSpec,
 };
 use mstream_window::{QueueVictim, ReorderBuffer, Slot, WindowStore};
 use rand::rngs::StdRng;
@@ -114,6 +115,146 @@ impl EventTimeFrontEnd {
     }
 }
 
+/// The per-query half of Algorithm 1: one query's probe plans, shedding
+/// policy and tumbling estimation state, with the steps that touch nothing
+/// else — fold an arrival in (step 1), score a tuple for admission (step 5)
+/// or for the input queue, rescore one store's residents at a rollover.
+/// [`ShedJoinEngine`] embeds one next to the stores it owns; every class of
+/// the multi-query plane embeds one next to its mapping into the shared
+/// store table, so the plane at N = 1 runs the solo engine's code.
+pub(crate) struct QueryCore {
+    pub(crate) query: JoinQuery,
+    pub(crate) plans: Vec<ProbePlan>,
+    pub(crate) policy: Box<dyn ShedPolicy>,
+    pub(crate) reqs: Requirements,
+    pub(crate) sketches: Option<TumblingSketches>,
+    partner_freq: Option<TumblingFreq>,
+    pub(crate) rng: StdRng,
+}
+
+impl QueryCore {
+    /// Materializes exactly the estimation state `policy` declares it
+    /// needs, on `config`'s epoch (or the paper's default for `query`).
+    pub(crate) fn new(
+        query: JoinQuery,
+        policy: Box<dyn ShedPolicy>,
+        config: &EngineConfig,
+    ) -> core::result::Result<Self, BuildError> {
+        let reqs = policy.requirements();
+        let epoch = if reqs.sketches || reqs.partner_freq {
+            Some(match config.epoch {
+                Some(e) => e,
+                None => default_epoch(&query)?,
+            })
+        } else {
+            None
+        };
+        let mut sketches = reqs
+            .sketches
+            .then(|| TumblingSketches::new(&query, config.bank, epoch.expect("resolved above")));
+        if let Some(s) = sketches.as_mut() {
+            s.set_score_cache(config.score_cache);
+        }
+        let partner_freq = reqs
+            .partner_freq
+            .then(|| TumblingFreq::new(&query, epoch.expect("resolved above")));
+        Ok(QueryCore {
+            plans: ProbePlan::all(&query),
+            query,
+            policy,
+            reqs,
+            sketches,
+            partner_freq,
+            rng: StdRng::seed_from_u64(config.seed),
+        })
+    }
+
+    /// Step 1: folds an arrival on (query-local) `stream` into the current
+    /// tumbling estimation state — AGMS sketches and/or exact
+    /// arrival-frequency tables. Returns whether the epoch rolled over.
+    pub(crate) fn observe(&mut self, stream: StreamId, values: &[Value], now: VTime) -> bool {
+        let mut rolled = false;
+        if let Some(sketches) = self.sketches.as_mut() {
+            rolled |= sketches.observe(stream, values, now);
+        }
+        if let Some(freq) = self.partner_freq.as_mut() {
+            rolled |= freq.observe(stream, values, now);
+        }
+        rolled
+    }
+
+    /// The policy next to the estimation state it scores against.
+    fn scoring(&mut self, now: VTime, event_time: bool) -> (&mut dyn ShedPolicy, PriorityCtx<'_>) {
+        let ctx = PriorityCtx {
+            query: &self.query,
+            sketches: self.sketches.as_mut(),
+            partner_freq: self.partner_freq.as_ref(),
+            now,
+            rng: &mut self.rng,
+            event_time,
+        };
+        (self.policy.as_mut(), ctx)
+    }
+
+    /// Step 5: the `(priority, cached policy state)` `tuple` (tagged with
+    /// its query-local stream) enters its window with. All scores funnel
+    /// through the finite clamp before they reach a priority heap —
+    /// third-party policies included.
+    pub(crate) fn admission_score(
+        &mut self,
+        tuple: &Tuple,
+        now: VTime,
+        event_time: bool,
+    ) -> (f64, f64) {
+        let (policy, mut ctx) = self.scoring(now, event_time);
+        let (score, state) = policy.window_priority_with_state(&mut ctx, tuple, 0);
+        (clamp_score(score), state)
+    }
+
+    /// Priority the policy assigns `tuple` if it were queued right now.
+    pub(crate) fn queue_score(&mut self, tuple: &Tuple, now: VTime, event_time: bool) -> f64 {
+        let (policy, mut ctx) = self.scoring(now, event_time);
+        clamp_score(policy.queue_priority(&mut ctx, tuple))
+    }
+
+    /// Rollover rescoring of one store's residents.
+    ///
+    /// Residents are rescored against the *current* epoch snapshot even in
+    /// event-time mode: the paper's rollover rescoring asks "how productive
+    /// will this tuple be from now on", not "which epoch did it arrive in"
+    /// — and the trusting engine does exactly this, which the K = 0
+    /// bit-identity contract (DESIGN.md §13) pins. Event-time epoch
+    /// targeting applies only where a tuple's own timestamp is the scoring
+    /// instant: admission scoring and queue admission.
+    pub(crate) fn rescore_store(&mut self, store: &mut WindowStore, now: VTime) {
+        let (policy, mut ctx) = self.scoring(now, false);
+        if policy.groupable_estimate() {
+            // Walk residents grouped by distinct join key: one
+            // estimation-kernel run per key, fanned out to every slot
+            // holding that key through the cheap produced-count combiner
+            // (DESIGN.md §16).
+            store.rebuild_priorities_grouped(|tuple, produced, shared| {
+                let estimate = shared.unwrap_or_else(|| policy.window_estimate(&mut ctx, tuple));
+                let (score, state) =
+                    policy.window_priority_from_estimate(&mut ctx, tuple, produced, estimate);
+                (clamp_score(score), state, estimate)
+            });
+        } else {
+            store.rebuild_priorities(|tuple, produced| {
+                let (score, state) = policy.window_priority_with_state(&mut ctx, tuple, produced);
+                (clamp_score(score), state)
+            });
+        }
+    }
+
+    /// Step 4 for one slot: the priority after its produced count grew to
+    /// `produced`, from the state cached at its last full scoring (the
+    /// paper's "productivity computed at most twice per lifetime").
+    pub(crate) fn refreshed_priority(&self, state: f64, produced: u64) -> f64 {
+        clamp_score(self.policy.refresh_priority(state, produced))
+    }
+}
+
 /// A multi-way sliding-window join that sheds load by priority.
 ///
 /// Per arriving tuple (Algorithm 1): update the current tumbling sketch,
@@ -123,15 +264,9 @@ impl EventTimeFrontEnd {
 /// its window (or the global pool) is full. Tumbling-epoch rollovers
 /// rebuild all priorities ("reset all the priority queues").
 pub struct ShedJoinEngine {
-    query: JoinQuery,
-    policy: Box<dyn ShedPolicy>,
-    reqs: Requirements,
+    core: QueryCore,
     memory: MemoryMode,
     stores: Vec<WindowStore>,
-    plans: Vec<ProbePlan>,
-    sketches: Option<TumblingSketches>,
-    partner_freq: Option<TumblingFreq>,
-    rng: StdRng,
     next_seq: SeqNo,
     metrics: EngineMetrics,
     /// Per-stream scratch reused across arrivals for per-slot produced
@@ -156,7 +291,7 @@ pub struct ShedJoinEngine {
 #[derive(Default)]
 pub(crate) struct ProducedScratch {
     delta: Vec<u64>,
-    pub(crate) touched: Vec<Slot>,
+    touched: Vec<Slot>,
 }
 
 impl ProducedScratch {
@@ -172,16 +307,18 @@ impl ProducedScratch {
         self.delta[i] += n;
     }
 
-    /// Drains the pending credits, invoking `apply(slot, count)` once per
-    /// credited slot in first-credit order. Leaves the scratch all-zero.
-    #[inline]
-    pub(crate) fn drain_credits(&mut self, mut apply: impl FnMut(Slot, u64)) {
-        let mut touched = std::mem::take(&mut self.touched);
-        for slot in touched.drain(..) {
+    /// Lands the pending credits on `store` — one coalesced
+    /// `add_produced` + priority refresh by `core`'s policy per credited
+    /// slot, in first-credit order — and leaves the scratch all-zero.
+    pub(crate) fn apply_to(&mut self, store: &mut WindowStore, core: &QueryCore) {
+        for slot in self.touched.drain(..) {
             let cnt = std::mem::take(&mut self.delta[slot.index()]);
-            apply(slot, cnt);
+            let Some(total) = store.add_produced(slot, cnt) else {
+                continue;
+            };
+            let state = store.state(slot).expect("counted slot is live");
+            store.update_priority(slot, core.refreshed_priority(state, total));
         }
-        self.touched = touched;
     }
 }
 
@@ -200,34 +337,10 @@ impl ShedJoinEngine {
                 WindowStore::new(query.window(sid), query.join_attrs(sid), capacities[s])
             })
             .collect();
-        let reqs = policy.requirements();
-        let epoch = if reqs.sketches || reqs.partner_freq {
-            Some(match config.epoch {
-                Some(e) => e,
-                None => default_epoch(&query)?,
-            })
-        } else {
-            None
-        };
-        let mut sketches = reqs
-            .sketches
-            .then(|| TumblingSketches::new(&query, config.bank, epoch.expect("resolved above")));
-        if let Some(s) = sketches.as_mut() {
-            s.set_score_cache(config.score_cache);
-        }
-        let partner_freq = reqs
-            .partner_freq
-            .then(|| TumblingFreq::new(&query, epoch.expect("resolved above")));
         Ok(ShedJoinEngine {
-            plans: ProbePlan::all(&query),
-            query,
-            policy,
-            reqs,
+            core: QueryCore::new(query, policy, &config)?,
             memory: config.memory,
             stores,
-            sketches,
-            partner_freq,
-            rng: StdRng::seed_from_u64(config.seed),
             next_seq: SeqNo(0),
             metrics: EngineMetrics::default(),
             produced_scratch: (0..n).map(|_| ProducedScratch::default()).collect(),
@@ -237,12 +350,12 @@ impl ShedJoinEngine {
 
     /// The query being executed.
     pub fn query(&self) -> &JoinQuery {
-        &self.query
+        &self.core.query
     }
 
     /// The active policy's display name.
     pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
+        self.core.policy.name()
     }
 
     /// Accumulated counters. Sketch-side cache statistics (packed-sign and
@@ -250,7 +363,7 @@ impl ShedJoinEngine {
     /// on every arrival, which put two counter copies on the per-ingest
     /// hot path for values nobody reads mid-run.
     pub fn metrics(&mut self) -> &EngineMetrics {
-        if let Some(sketches) = self.sketches.as_ref() {
+        if let Some(sketches) = self.core.sketches.as_ref() {
             let signs = sketches.sign_cache_stats();
             self.metrics.sign_cache_hits = signs.hits;
             self.metrics.sign_cache_misses = signs.misses;
@@ -291,7 +404,7 @@ impl ShedJoinEngine {
         for store in &self.stores {
             store.check_invariants();
         }
-        if let Some(sketches) = self.sketches.as_ref() {
+        if let Some(sketches) = self.core.sketches.as_ref() {
             sketches.check_invariants();
         }
         match &self.memory {
@@ -491,23 +604,20 @@ impl ShedJoinEngine {
         // 1. Fold into the current tumbling estimation state (AGMS sketches
         //    and/or exact arrival-frequency tables); on epoch rollover,
         //    rebuild every window's priorities against the fresh snapshot.
-        let mut rolled = false;
-        if self.sketches.is_some() || self.partner_freq.is_some() {
+        let core = &mut self.core;
+        if core.reqs.sketches || core.reqs.partner_freq {
             let t0 = Instant::now();
-            if let Some(sketches) = self.sketches.as_mut() {
-                rolled |= sketches.observe(stream, &tuple.values, now);
-            }
-            if let Some(freq) = self.partner_freq.as_mut() {
-                rolled |= freq.observe(stream, &tuple.values, now);
-            }
+            let rolled = core.observe(stream, &tuple.values, now);
             self.metrics.sketch_observe_ns += t0.elapsed().as_nanos() as u64;
-        }
-        if rolled {
-            self.metrics.epoch_rollovers += 1;
-            if self.reqs.recompute_on_epoch {
-                let t0 = Instant::now();
-                self.rebuild_all_priorities(now);
-                self.metrics.priority_rebuild_ns += t0.elapsed().as_nanos() as u64;
+            if rolled {
+                self.metrics.epoch_rollovers += 1;
+                if core.reqs.recompute_on_epoch {
+                    let t0 = Instant::now();
+                    for store in &mut self.stores {
+                        core.rescore_store(store, now);
+                    }
+                    self.metrics.priority_rebuild_ns += t0.elapsed().as_nanos() as u64;
+                }
             }
         }
         // 2. Delete expired tuples from every window.
@@ -519,9 +629,9 @@ impl ShedJoinEngine {
         //    a closure that carries the crediting code is too big for the
         //    probe kernels to inline at their match sites, and policies
         //    without produced counters then pay a call per result row.
-        let track = self.reqs.produced_counters;
+        let track = self.core.reqs.produced_counters;
         let origin = stream.index();
-        let plan = &self.plans[origin];
+        let plan = &self.core.plans[origin];
         let produced = if !role.probe {
             0
         } else if track {
@@ -553,7 +663,9 @@ impl ShedJoinEngine {
         }
         // 5. Score and store the arriving tuple, shedding if full.
         let t0 = Instant::now();
-        let (score, state) = self.score_window_with_state(&tuple, 0, now);
+        let (score, state) = self
+            .core
+            .admission_score(&tuple, now, self.front.is_some());
         self.metrics.score_ns += t0.elapsed().as_nanos() as u64;
         let (stored, shed) = self.insert_with_shedding(tuple, score, state);
         IngestOutcome {
@@ -585,27 +697,11 @@ impl ShedJoinEngine {
         total
     }
 
-    /// Applies the produced-output credits of the probe just run: one
-    /// coalesced `add_produced` + priority refresh per touched slot, in
-    /// first-credit order. Refreshes use the per-tuple state cached at the
-    /// last full scoring, keeping the paper's "productivity computed at
-    /// most twice per lifetime" discipline.
+    /// Applies the produced-output credits of the probe just run, in
+    /// first-credit order.
     fn flush_produced(&mut self) {
-        let Self {
-            policy,
-            stores,
-            produced_scratch,
-            ..
-        } = self;
-        for (k, scratch) in produced_scratch.iter_mut().enumerate() {
-            scratch.drain_credits(|slot, cnt| {
-                let Some(total) = stores[k].add_produced(slot, cnt) else {
-                    return;
-                };
-                let state = stores[k].state(slot).expect("counted slot is live");
-                let score = clamp_score(policy.refresh_priority(state, total));
-                stores[k].update_priority(slot, score);
-            });
+        for (store, scratch) in self.stores.iter_mut().zip(&mut self.produced_scratch) {
+            scratch.apply_to(store, &self.core);
         }
     }
 
@@ -626,35 +722,18 @@ impl ShedJoinEngine {
 
     /// Priority a policy assigns `tuple` if it were queued right now.
     pub fn queue_score(&mut self, tuple: &Tuple, now: VTime) -> f64 {
-        let event_time = self.front.is_some();
-        let Self {
-            query,
-            policy,
-            sketches,
-            partner_freq,
-            rng,
-            ..
-        } = self;
-        let mut ctx = PriorityCtx {
-            query,
-            sketches: sketches.as_mut(),
-            partner_freq: partner_freq.as_ref(),
-            now,
-            rng,
-            event_time,
-        };
-        clamp_score(policy.queue_priority(&mut ctx, tuple))
+        self.core.queue_score(tuple, now, self.front.is_some())
     }
 
     /// The queue-victim mode of the active policy.
     pub fn queue_victim(&self) -> QueueVictim {
-        self.policy.queue_victim()
+        self.core.policy.queue_victim()
     }
 
     /// The engine's seeded rng (shared with the queue for victim draws so a
     /// whole run remains a single deterministic random sequence).
     pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
+        &mut self.core.rng
     }
 
     /// Records that the input queue shed a tuple before it reached the
@@ -666,51 +745,7 @@ impl ShedJoinEngine {
     /// Estimated size of the full multi-way join over the current epoch
     /// (diagnostics; `None` when the policy runs sketch-free).
     pub fn estimate_join_count(&self) -> Option<f64> {
-        self.sketches.as_ref().map(|s| s.estimate_join_count())
-    }
-
-    fn score_window_with_state(
-        &mut self,
-        tuple: &Tuple,
-        produced: u64,
-        now: VTime,
-    ) -> (f64, f64) {
-        let event_time = self.front.is_some();
-        let Self {
-            query,
-            policy,
-            sketches,
-            partner_freq,
-            rng,
-            ..
-        } = self;
-        let mut ctx = PriorityCtx {
-            query,
-            sketches: sketches.as_mut(),
-            partner_freq: partner_freq.as_ref(),
-            now,
-            rng,
-            event_time,
-        };
-        // All scores funnel through the finite clamp before they reach a
-        // priority heap — third-party policies included.
-        let (score, state) = policy.window_priority_with_state(&mut ctx, tuple, produced);
-        (clamp_score(score), state)
-    }
-
-    fn rebuild_all_priorities(&mut self, now: VTime) {
-        let Self {
-            query,
-            policy,
-            stores,
-            sketches,
-            partner_freq,
-            rng,
-            ..
-        } = self;
-        for store in stores.iter_mut() {
-            rescore_store(query, policy.as_mut(), sketches, partner_freq, rng, store, now);
-        }
+        self.core.sketches.as_ref().map(|s| s.estimate_join_count())
     }
 
     fn expire_all(&mut self, now: VTime) {
@@ -781,60 +816,6 @@ impl ShedJoinEngine {
     }
 }
 
-/// Rollover rescoring of one store's residents by its class's policy,
-/// shared by the solo engine and the multi-query plane's owner classes.
-///
-/// Residents are rescored against the *current* epoch snapshot even in
-/// event-time mode: the paper's rollover rescoring asks "how productive
-/// will this tuple be from now on", not "which epoch did it arrive in" —
-/// and the trusting engine does exactly this, which the K = 0 bit-identity
-/// contract (DESIGN.md §13) pins. Event-time epoch targeting applies only
-/// where a tuple's own timestamp is the scoring instant: admission scoring
-/// and queue admission.
-pub(crate) fn rescore_store(
-    query: &JoinQuery,
-    policy: &mut dyn ShedPolicy,
-    sketches: &mut Option<TumblingSketches>,
-    partner_freq: &Option<TumblingFreq>,
-    rng: &mut StdRng,
-    store: &mut WindowStore,
-    now: VTime,
-) {
-    if policy.groupable_estimate() {
-        // Walk residents grouped by distinct join key: one
-        // estimation-kernel run per key, fanned out to every slot holding
-        // that key through the cheap produced-count combiner
-        // (DESIGN.md §16).
-        store.rebuild_priorities_grouped(|tuple, produced, shared| {
-            let mut ctx = PriorityCtx {
-                query,
-                sketches: sketches.as_mut(),
-                partner_freq: partner_freq.as_ref(),
-                now,
-                rng,
-                event_time: false,
-            };
-            let estimate = shared.unwrap_or_else(|| policy.window_estimate(&mut ctx, tuple));
-            let (score, state) =
-                policy.window_priority_from_estimate(&mut ctx, tuple, produced, estimate);
-            (clamp_score(score), state, estimate)
-        });
-    } else {
-        store.rebuild_priorities(|tuple, produced| {
-            let mut ctx = PriorityCtx {
-                query,
-                sketches: sketches.as_mut(),
-                partner_freq: partner_freq.as_ref(),
-                now,
-                rng,
-                event_time: false,
-            };
-            let (score, state) = policy.window_priority_with_state(&mut ctx, tuple, produced);
-            (clamp_score(score), state)
-        });
-    }
-}
-
 /// Resolves a [`MemoryMode`] into per-store capacities for an `n`-stream
 /// query, validating it in the process (shared by the engine, the builder
 /// and the sharded coordinator).
@@ -848,8 +829,7 @@ pub(crate) fn rescore_store(
 pub(crate) fn resolve_capacities(
     memory: &MemoryMode,
     n: usize,
-) -> core::result::Result<Vec<usize>, crate::builder::BuildError> {
-    use crate::builder::BuildError;
+) -> core::result::Result<Vec<usize>, BuildError> {
     let capacities: Vec<usize> = match memory {
         MemoryMode::PerWindow(c) => vec![*c; n],
         MemoryMode::PerWindowEach(cs) => {
@@ -879,7 +859,7 @@ pub(crate) fn resolve_capacities(
 /// explicit epoch choice.
 pub(crate) fn default_epoch(
     query: &JoinQuery,
-) -> core::result::Result<EpochSpec, crate::builder::BuildError> {
+) -> core::result::Result<EpochSpec, BuildError> {
     if query.all_tuple_based() {
         let count = query
             .windows()
@@ -896,7 +876,7 @@ pub(crate) fn default_epoch(
         Some(p) if query.windows().iter().all(|w| matches!(w, WindowSpec::Time(_))) => {
             Ok(EpochSpec::Time(p))
         }
-        _ => Err(crate::builder::BuildError::EpochUnderivable),
+        _ => Err(BuildError::EpochUnderivable),
     }
 }
 

@@ -117,6 +117,12 @@ pub struct IngestOutcome {
 /// valid only for the duration of the call — sinks that keep results must
 /// copy what they need. Single-query engines always pass
 /// [`QueryId::SOLO`]; sinks that serve one query may ignore the id.
+///
+/// One query's results arrive in that query's solo emission order. Across
+/// queries, the multi-query engine emits an arrival's results class by
+/// class in class-id (registration) order — all of one class's rows, each
+/// row to every member in turn, before the next class's — so a sink that
+/// serves several queries sees them interleaved per arrival, not per row.
 pub trait EmitSink {
     /// Receives one join result emitted by query `query`.
     fn emit(&mut self, query: QueryId, bindings: &Bindings<'_>);

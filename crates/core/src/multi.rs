@@ -8,10 +8,18 @@
 //! predicates) collapse into one class that is planned, estimated, scored
 //! and probed exactly once; its emissions fan out to every member
 //! [`QueryId`]. Distinct classes that touch the same `(stream, window)`
-//! pair share the store outright, and their probe plans are merged into a
-//! per-arrival-stream **probe trie** so a shared plan prefix (the same
-//! equi-predicate over the same stores) is enumerated once and its partial
-//! probe results are reused by every query hanging off it.
+//! pair share the store outright. A class *is* the solo engine's
+//! per-query core ([`QueryCore`]: plans, policy, estimation state) plus a
+//! mapping of its local streams into the shared store table; it probes
+//! with `mstream-join`'s kernels through that mapping, exactly as
+//! [`crate::ShedJoinEngine`] does over the stores it owns.
+//!
+//! # Emission order
+//!
+//! Each query's results arrive in its solo run's order. Across queries,
+//! one arrival's results are emitted class by class in class-id
+//! (registration) order, and within a class row by row, each row to every
+//! member in registration order.
 //!
 //! # Ownership and exactness
 //!
@@ -33,8 +41,10 @@
 //! deterministic state handoff with no retroactive results.
 //! [`MultiQueryEngine::remove_query`] drops the member; a class with no
 //! members left is dismantled and any store losing its last user is freed
-//! immediately (its memory budget with it). Query ids are dense
-//! registration-order indices and are never reused.
+//! immediately (its memory budget with it). A shared store whose owner
+//! departs passes to its next-oldest user: its residents are retagged to
+//! that class's local stream id and rescored by its policy on the spot.
+//! Query ids are dense registration-order indices and are never reused.
 //!
 //! # Stream tags in emissions
 //!
@@ -45,18 +55,16 @@
 //! the audit harness do exactly this.
 
 use crate::builder::BuildError;
-use crate::engine::{default_epoch, rescore_store, EngineConfig, MemoryMode, ProducedScratch};
+use crate::engine::{EngineConfig, MemoryMode, ProducedScratch, QueryCore};
 use crate::ingest::{Arrival, EmitSink, IngestOutcome};
 use crate::report::EngineMetrics;
-use mstream_join::{Bindings, ProbePlan, StoreLookup};
-use mstream_shed_policies::{clamp_score, PriorityCtx, Requirements, ShedPolicy};
-use mstream_sketch::{TumblingFreq, TumblingSketches};
+use mstream_join::{probe_each_in, StoreLookup};
+use mstream_shed_policies::ShedPolicy;
+use mstream_sketch::TumblingSketches;
 use mstream_types::{
-    Catalog, EquiPredicate, JoinQuery, QueryId, SeqNo, StreamId, Tuple, VTime, Value, WindowSpec,
+    Catalog, EquiPredicate, JoinQuery, QueryId, SeqNo, StreamId, Tuple, VTime, WindowSpec,
 };
-use mstream_window::{Slot, WindowStore};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use mstream_window::WindowStore;
 
 pub use crate::multi_shard::{MultiRunReport, ShardedMultiEngine};
 
@@ -68,23 +76,21 @@ struct StoreEntry {
     /// Classes using this store, in registration order; `users[0]` is the
     /// owner whose policy governs scoring and shedding here.
     users: Vec<usize>,
+    /// This store's stream in the owner's local space — the tag every
+    /// resident carries.
+    owner_local: StreamId,
     /// Tuples shed from this store (evictions before expiry).
     shed: u64,
 }
 
 /// One class of structurally identical registered queries.
 struct QueryClass {
-    /// The class's query in its own local stream space (`StreamId(0..n)`).
-    query: JoinQuery,
+    /// The class's query in its own local stream space (`StreamId(0..n)`),
+    /// with its plans, policy and estimation state.
+    core: QueryCore,
     /// Member queries, in registration order; every emission fans out to
     /// each of them.
     members: Vec<QueryId>,
-    plans: Vec<ProbePlan>,
-    policy: Box<dyn ShedPolicy>,
-    reqs: Requirements,
-    sketches: Option<TumblingSketches>,
-    partner_freq: Option<TumblingFreq>,
-    rng: StdRng,
     /// Local stream `k` → global stream id.
     gstream_of: Vec<StreamId>,
     /// Local stream `k` → store table index.
@@ -114,65 +120,9 @@ pub struct QueryStats {
     pub shed: u64,
 }
 
-/// A position in the probe-trie path: the arriving tuple or an
-/// already-bound trie depth. Canonicalizing plan steps into path positions
-/// (instead of query-local stream ids) is what lets structurally matching
-/// steps of *different* queries merge into one trie node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PathRef {
-    Origin,
-    Depth(usize),
-}
-
-/// One merged probe step shared by every class whose canonical plan
-/// traverses it. `terminals` lists the classes whose plans complete here.
-struct TrieNode {
-    /// Store table index probed by this step.
-    store: usize,
-    /// Schema attribute hash-probed on that store.
-    probe_attr: usize,
-    /// Where the probe value comes from.
-    drive: (PathRef, usize),
-    /// Residual equi-checks `(bound position, bound attr, candidate
-    /// attr)`.
-    residual: Vec<(PathRef, usize, usize)>,
-    /// `(class id, class-local origin stream)` pairs completing here.
-    terminals: Vec<(usize, StreamId)>,
-    children: Vec<TrieNode>,
-}
-
-/// Applies the produced-output credits of the probe just run to every
-/// store: one coalesced `add_produced` + priority refresh per touched slot,
-/// refreshed by the store owner's policy (credits are only accrued by
-/// owner-class emissions, keeping the owner's counters solo-identical).
-/// The multi-query twin of the solo engine's `flush_produced`; shares its
-/// [`ProducedScratch`].
-fn flush_credit_stores(
-    stores: &mut [Option<StoreEntry>],
-    scratches: &mut [ProducedScratch],
-    classes: &[Option<QueryClass>],
-) {
-    for (slot, scratch) in stores.iter_mut().zip(scratches.iter_mut()) {
-        if scratch.touched.is_empty() {
-            continue;
-        }
-        let entry = slot.as_mut().expect("credited store is live");
-        let owner = entry.users[0];
-        let policy = &classes[owner].as_ref().expect("owner is live").policy;
-        scratch.drain_credits(|slot, cnt| {
-            let Some(total) = entry.store.add_produced(slot, cnt) else {
-                return;
-            };
-            let state = entry.store.state(slot).expect("credited slot is live");
-            let score = clamp_score(policy.refresh_priority(state, total));
-            entry.store.update_priority(slot, score);
-        });
-    }
-}
-
 /// A query-local view of the shared store table: local stream `k` resolves
-/// through the class's `store_of` mapping. This is the [`StoreLookup`]
-/// behind every multi-query [`Bindings`].
+/// through the class's `store_of` mapping. This is the [`StoreLookup`] a
+/// class probes through.
 struct MappedStores<'a> {
     entries: &'a [Option<StoreEntry>],
     map: &'a [usize],
@@ -201,12 +151,10 @@ pub struct MultiQueryEngine {
     stores: Vec<Option<StoreEntry>>,
     /// Per-store produced-credit scratch (parallel to `stores`).
     scratches: Vec<ProducedScratch>,
-    /// Per-class slot scratch for assembling emission bindings (parallel
-    /// to `classes`).
-    emit_scratch: Vec<Vec<Option<Slot>>>,
-    /// Per global stream: merged probe-trie roots.
-    tries: Vec<Vec<TrieNode>>,
     next_seq: SeqNo,
+    /// The latest processing instant: what a store handed to a new owner
+    /// between arrivals is rescored at.
+    clock: VTime,
     metrics: EngineMetrics,
     /// Cache counters of classes dismantled by
     /// [`MultiQueryEngine::remove_query`], folded in at teardown so the
@@ -293,9 +241,8 @@ impl MultiQueryEngine {
             classes: Vec::new(),
             stores: Vec::new(),
             scratches: Vec::new(),
-            emit_scratch: Vec::new(),
-            tries: Vec::new(),
             next_seq: SeqNo(0),
+            clock: VTime::ZERO,
             metrics: EngineMetrics::default(),
             retired_cache: RetiredCacheStats::default(),
         };
@@ -316,6 +263,7 @@ impl MultiQueryEngine {
             window: WindowSpec,
             attrs: Vec<usize>,
             users: Vec<usize>,
+            owner_local: StreamId,
         }
         let mut planned: Vec<Planned> = Vec::new();
         let mut class_maps: Vec<(Vec<StreamId>, Vec<usize>)> = Vec::new();
@@ -350,6 +298,7 @@ impl MultiQueryEngine {
                             window,
                             attrs,
                             users: vec![cid],
+                            owner_local: StreamId(k),
                         });
                         planned.len() - 1
                     }
@@ -361,26 +310,17 @@ impl MultiQueryEngine {
         let capacity = engine.per_window_capacity()?;
         for p in planned {
             engine.stores.push(Some(StoreEntry {
-                store: WindowStore::new(p.window, p.attrs.clone(), capacity),
+                store: WindowStore::new(p.window, p.attrs, capacity),
                 gstream: p.gstream,
                 users: p.users,
+                owner_local: p.owner_local,
                 shed: 0,
             }));
             engine.scratches.push(ProducedScratch::default());
         }
         for ((q, members), (gstream_of, store_of)) in specs.into_iter().zip(class_maps) {
             let cid = engine.classes.len();
-            let class = make_class(
-                q,
-                members.clone(),
-                gstream_of,
-                store_of,
-                engine.policy_proto.clone(),
-                &engine.config,
-            )?;
-            engine.classes.push(Some(class));
-            engine.emit_scratch.push(Vec::new());
-            for m in members {
+            for m in &members {
                 if engine.queries.len() <= m.index() {
                     engine.queries.resize_with(m.index() + 1, || None);
                 }
@@ -389,8 +329,13 @@ impl MultiQueryEngine {
                     produced: 0,
                 });
             }
+            engine.classes.push(Some(QueryClass {
+                core: QueryCore::new(q, engine.policy_proto.clone(), &engine.config)?,
+                members,
+                gstream_of,
+                store_of,
+            }));
         }
-        engine.rebuild_tries();
         Ok(engine)
     }
 
@@ -453,7 +398,7 @@ impl MultiQueryEngine {
     /// The query executed for `id` (its class's local-stream-space query).
     pub fn query(&self, id: QueryId) -> Option<&JoinQuery> {
         let state = self.queries.get(id.index())?.as_ref()?;
-        self.classes[state.class].as_ref().map(|c| &c.query)
+        self.classes[state.class].as_ref().map(|c| &c.core.query)
     }
 
     /// Accumulated engine-level counters. Sketch-side cache statistics
@@ -464,7 +409,7 @@ impl MultiQueryEngine {
     pub fn metrics(&mut self) -> &EngineMetrics {
         let mut total = self.retired_cache;
         for class in self.classes.iter().flatten() {
-            if let Some(sk) = class.sketches.as_ref() {
+            if let Some(sk) = class.core.sketches.as_ref() {
                 total.absorb(sk);
             }
         }
@@ -502,14 +447,16 @@ impl MultiQueryEngine {
 
     /// Structural audit of the shared data plane: every live store's
     /// internal invariants, every class's sketch coherence, and the
-    /// sharing bookkeeping (owners exist, mappings in range). Compiled
-    /// only under the `audit` feature.
+    /// sharing bookkeeping (owners exist, mappings in range, every
+    /// resident carries its owner's local stream id). Compiled only under
+    /// the `audit` feature.
     ///
     /// # Panics
     /// Panics on any violated invariant.
     #[cfg(feature = "audit")]
     pub fn check_invariants(&self) {
-        for entry in self.stores.iter().flatten() {
+        for (si, entry) in self.stores.iter().enumerate() {
+            let Some(entry) = entry else { continue };
             entry.store.check_invariants();
             assert!(!entry.users.is_empty(), "stores without users are freed");
             for &cid in &entry.users {
@@ -518,9 +465,21 @@ impl MultiQueryEngine {
                     "store user class {cid} is live"
                 );
             }
+            let owner = self.classes[entry.users[0]].as_ref().expect("checked");
+            assert_eq!(
+                owner.store_of.get(entry.owner_local.index()),
+                Some(&si),
+                "store {si}: recorded owner-local stream maps back to the store"
+            );
+            for (_, tuple) in entry.store.iter() {
+                assert_eq!(
+                    tuple.stream, entry.owner_local,
+                    "store {si}: resident carries its owner's local stream id"
+                );
+            }
         }
         for class in self.classes.iter().flatten() {
-            if let Some(sk) = class.sketches.as_ref() {
+            if let Some(sk) = class.core.sketches.as_ref() {
                 sk.check_invariants();
             }
             for (&si, &g) in class.store_of.iter().zip(&class.gstream_of) {
@@ -568,36 +527,34 @@ impl MultiQueryEngine {
             })
             .collect();
         let qid = QueryId(self.queries.len() as u32);
-        let class = match make_class(
-            query,
-            vec![qid],
-            gstream_of.clone(),
-            store_of,
-            self.policy_proto.clone(),
-            &self.config,
-        ) {
+        let core = match QueryCore::new(query, self.policy_proto.clone(), &self.config) {
             Ok(c) => c,
             Err(e) => {
                 self.catalog = snapshot;
                 return Err(e);
             }
         };
-        for ((&g, window), attrs) in gstream_of.iter().zip(windows).zip(attr_sets) {
+        for (k, ((&g, window), attrs)) in gstream_of.iter().zip(windows).zip(attr_sets).enumerate()
+        {
             self.stores.push(Some(StoreEntry {
                 store: WindowStore::new(window, attrs, capacity),
                 gstream: g,
                 users: vec![cid],
+                owner_local: StreamId(k),
                 shed: 0,
             }));
             self.scratches.push(ProducedScratch::default());
         }
-        self.classes.push(Some(class));
-        self.emit_scratch.push(Vec::new());
+        self.classes.push(Some(QueryClass {
+            core,
+            members: vec![qid],
+            gstream_of,
+            store_of,
+        }));
         self.queries.push(Some(QueryState {
             class: cid,
             produced: 0,
         }));
-        self.rebuild_tries();
         Ok(qid)
     }
 
@@ -605,9 +562,11 @@ impl MultiQueryEngine {
     /// class's last member the class is dismantled, and stores left with
     /// no users are freed on the spot (their memory budget with them).
     /// Returns `false` if `id` is unknown or already removed. Survivor
-    /// queries are not perturbed: shared stores keep evolving, and a
+    /// queries are not perturbed: shared stores keep their contents, and a
     /// shared store whose owner departs is handed to its next-oldest user
-    /// (which rescoring picks up from the next epoch rollover).
+    /// — residents retagged to that class's local stream id and, for
+    /// policies that rescore at rollovers, rescored by it right away, so
+    /// one heap never mixes two queries' estimates.
     pub fn remove_query(&mut self, id: QueryId) -> bool {
         let Some(state) = self.queries.get_mut(id.index()).and_then(Option::take) else {
             return false;
@@ -617,21 +576,31 @@ impl MultiQueryEngine {
         class.members.retain(|&q| q != id);
         if class.members.is_empty() {
             let retired = std::mem::take(&mut self.classes[cid]).expect("checked");
-            if let Some(sk) = retired.sketches.as_ref() {
+            if let Some(sk) = retired.core.sketches.as_ref() {
                 // The class's sketch bank dies here; bank its cache
                 // counters so engine-level stats stay monotone.
                 self.retired_cache.absorb(sk);
             }
-            let store_of = retired.store_of;
-            for si in store_of {
+            for si in retired.store_of {
                 let entry = self.stores[si].as_mut().expect("class store is live");
+                let owned = entry.users[0] == cid;
                 entry.users.retain(|&c| c != cid);
-                if entry.users.is_empty() {
+                let Some(&heir) = entry.users.first() else {
                     self.stores[si] = None;
+                    continue;
+                };
+                if !owned {
+                    continue;
+                }
+                let heir = self.classes[heir].as_mut().expect("store user is live");
+                let k = heir.store_of.iter().position(|&s| s == si);
+                entry.owner_local = StreamId(k.expect("a user maps its store"));
+                entry.store.retag(entry.owner_local);
+                if heir.core.reqs.recompute_on_epoch {
+                    heir.core.rescore_store(&mut entry.store, self.clock);
                 }
             }
         }
-        self.rebuild_tries();
         true
     }
 
@@ -644,10 +613,9 @@ impl MultiQueryEngine {
     }
 
     /// Feeds one arrival (addressed by **global** stream id) through the
-    /// shared data plane: every interested class observes it, probes once
-    /// through the merged trie, and fans results out to its member
-    /// queries via `sink`. Returns the aggregate outcome across all
-    /// queries.
+    /// shared data plane: every interested class observes it, probes its
+    /// partner stores, and fans results out to its member queries via
+    /// `sink`. Returns the aggregate outcome across all queries.
     pub fn ingest(&mut self, arrival: Arrival, sink: &mut impl EmitSink) -> IngestOutcome {
         let now = arrival.ts;
         let tuple = self.mint(arrival);
@@ -667,13 +635,12 @@ impl MultiQueryEngine {
             g.index() < self.catalog.len(),
             "arrival stream {g} is not in the engine catalog"
         );
+        self.clock = now;
         let Self {
             queries,
             classes,
             stores,
             scratches,
-            emit_scratch,
-            tries,
             metrics,
             ..
         } = self;
@@ -686,41 +653,17 @@ impl MultiQueryEngine {
                 continue;
             };
             let Some(k) = class.local_of(g) else { continue };
-            let mut rolled = false;
-            if let Some(sk) = class.sketches.as_mut() {
-                rolled |= sk.observe(k, &tuple.values, now);
-            }
-            if let Some(fr) = class.partner_freq.as_mut() {
-                rolled |= fr.observe(k, &tuple.values, now);
-            }
-            if !rolled {
+            if !class.core.observe(k, &tuple.values, now) {
                 continue;
             }
             metrics.epoch_rollovers += 1;
-            if !class.reqs.recompute_on_epoch {
+            if !class.core.reqs.recompute_on_epoch {
                 continue;
             }
-            let QueryClass {
-                query,
-                policy,
-                sketches,
-                partner_freq,
-                rng,
-                store_of,
-                ..
-            } = class;
-            for &si in store_of.iter() {
+            for &si in &class.store_of {
                 let entry = stores[si].as_mut().expect("class store is live");
-                if entry.users.first() == Some(&cid) {
-                    rescore_store(
-                        query,
-                        policy.as_mut(),
-                        sketches,
-                        partner_freq,
-                        rng,
-                        &mut entry.store,
-                        now,
-                    );
+                if entry.users[0] == cid {
+                    class.core.rescore_store(&mut entry.store, now);
                 }
             }
         }
@@ -731,74 +674,80 @@ impl MultiQueryEngine {
         for entry in stores.iter_mut().flatten() {
             metrics.expired += entry.store.expire(now).len() as u64;
         }
-        // 3. Probe every interested class through the merged trie, before
-        //    any insertion (the paper's operator probes partner windows
-        //    only). Shared prefixes are enumerated once.
-        let produced = {
-            let entries: &[Option<StoreEntry>] = stores;
-            let mut ctx = ProbeCtx {
-                entries,
-                classes,
-                queries,
-                scratches,
-                emit_scratch,
-                sink,
-                tuple: &tuple,
-                path: Vec::with_capacity(4),
-                produced: 0,
+        // 3. Every interested class probes its partner stores, before any
+        //    insertion (the paper's operator probes partner windows only),
+        //    and each match goes to every member. Matches credit the
+        //    partner stores the class owns, so an owner's produced counts
+        //    stay those of its solo run. Whether a class credits at all is
+        //    decided here, not per match — the crediting closure is too
+        //    big for the kernels to inline at their match sites (see
+        //    `ShedJoinEngine::ingest_tuple_as`).
+        let mut produced = 0u64;
+        let mut credited = false;
+        let entries: &[Option<StoreEntry>] = stores;
+        for (cid, class) in classes.iter().enumerate() {
+            let Some(class) = class.as_ref() else {
+                continue;
             };
-            if let Some(roots) = tries.get(g.index()) {
-                for node in roots {
-                    ctx.walk(node);
-                }
+            let Some(origin) = class.local_of(g) else {
+                continue;
+            };
+            let plan = &class.core.plans[origin.index()];
+            // Slices: the match closure then carries (ptr, len) itself
+            // instead of re-reading them through the class per row.
+            let members: &[QueryId] = &class.members;
+            let map: &[usize] = &class.store_of;
+            let lookup = MappedStores { entries, map };
+            let rows = if class.core.reqs.produced_counters {
+                credited = true;
+                probe_each_in(plan, &tuple, &lookup, |b| {
+                    for (k, &si) in map.iter().enumerate() {
+                        let entry = entries[si].as_ref().expect("class store is live");
+                        if k != origin.index() && entry.users[0] == cid {
+                            let slot = b.slot(StreamId(k)).expect("bound in match");
+                            scratches[si].add(slot, 1);
+                        }
+                    }
+                    for &qid in members {
+                        sink.emit(qid, b);
+                    }
+                })
+            } else {
+                probe_each_in(plan, &tuple, &lookup, |b| {
+                    for &qid in members {
+                        sink.emit(qid, b);
+                    }
+                })
+            };
+            for &qid in members {
+                let q = queries[qid.index()].as_mut();
+                q.expect("member is registered").produced += rows;
             }
-            ctx.produced
-        };
+            produced += rows * members.len() as u64;
+        }
         metrics.total_output += produced;
         metrics.processed += 1;
-        // 4. Apply produced-output credits: one coalesced heap update per
-        //    touched slot (see `flush_credit_stores`).
-        flush_credit_stores(stores, scratches, classes);
+        // 4. Land the produced-output credits, refreshed by each store
+        //    owner's policy.
+        if credited && produced > 0 {
+            for (entry, scratch) in stores.iter_mut().zip(scratches.iter_mut()) {
+                let Some(entry) = entry else { continue };
+                let owner = classes[entry.users[0]].as_ref().expect("owner is live");
+                scratch.apply_to(&mut entry.store, &owner.core);
+            }
+        }
         // 5. Store the arrival once per (stream, window) store, scored and
         //    tagged by the store's owner; shed if full.
         let mut stored = false;
         let mut shed = 0u64;
-        for (si, slot) in stores.iter_mut().enumerate() {
-            let Some(entry) = slot.as_mut() else {
-                continue;
-            };
+        for entry in stores.iter_mut().flatten() {
             if entry.gstream != g {
                 continue;
             }
-            let owner = entry.users[0];
-            let class = classes[owner].as_mut().expect("owner is live");
-            let k = class
-                .store_of
-                .iter()
-                .position(|&s| s == si)
-                .expect("owner uses its store");
+            let owner = classes[entry.users[0]].as_mut().expect("owner is live");
             let mut local = tuple.clone();
-            local.stream = StreamId(k);
-            let (score, state) = {
-                let QueryClass {
-                    query,
-                    policy,
-                    sketches,
-                    partner_freq,
-                    rng,
-                    ..
-                } = class;
-                let mut ctx = PriorityCtx {
-                    query,
-                    sketches: sketches.as_mut(),
-                    partner_freq: partner_freq.as_ref(),
-                    now,
-                    rng,
-                    event_time: false,
-                };
-                let (s, st) = policy.window_priority_with_state(&mut ctx, &local, 0);
-                (clamp_score(s), st)
-            };
+            local.stream = entry.owner_local;
+            let (score, state) = owner.core.admission_score(&local, now, false);
             let outcome = entry.store.insert_scored(local, score, state);
             stored |= outcome.slot.is_some();
             if let mstream_window::Eviction::Evicted(_) = outcome.eviction {
@@ -846,237 +795,6 @@ impl MultiQueryEngine {
             }
         }
     }
-
-    /// Rebuilds the per-stream probe tries from the live classes (called
-    /// after every registration change; class-id insertion order keeps the
-    /// merge deterministic).
-    fn rebuild_tries(&mut self) {
-        let mut tries: Vec<Vec<TrieNode>> = (0..self.catalog.len()).map(|_| Vec::new()).collect();
-        for cid in 0..self.classes.len() {
-            let Some(class) = self.classes[cid].as_ref() else {
-                continue;
-            };
-            for k in 0..class.query.n_streams() {
-                let g = class.gstream_of[k];
-                let steps = canon_steps(class, StreamId(k));
-                debug_assert!(!steps.is_empty(), "joins have at least two streams");
-                let mut cur: &mut Vec<TrieNode> = &mut tries[g.index()];
-                for (j, step) in steps.iter().enumerate() {
-                    let pos = match cur.iter().position(|n| {
-                        n.store == step.store
-                            && n.probe_attr == step.probe_attr
-                            && n.drive == step.drive
-                            && n.residual == step.residual
-                    }) {
-                        Some(p) => p,
-                        None => {
-                            cur.push(TrieNode {
-                                store: step.store,
-                                probe_attr: step.probe_attr,
-                                drive: step.drive,
-                                residual: step.residual.clone(),
-                                terminals: Vec::new(),
-                                children: Vec::new(),
-                            });
-                            cur.len() - 1
-                        }
-                    };
-                    if j + 1 == steps.len() {
-                        cur[pos].terminals.push((cid, StreamId(k)));
-                        break;
-                    }
-                    cur = &mut cur[pos].children;
-                }
-            }
-        }
-        self.tries = tries;
-    }
-}
-
-/// A class plan step canonicalized into path-position space.
-struct CanonStep {
-    store: usize,
-    probe_attr: usize,
-    drive: (PathRef, usize),
-    residual: Vec<(PathRef, usize, usize)>,
-}
-
-/// Rewrites `class`'s probe plan for local origin `k` so that every stream
-/// reference becomes a path position — the representation under which
-/// structurally matching steps of different queries compare equal.
-fn canon_steps(class: &QueryClass, origin: StreamId) -> Vec<CanonStep> {
-    let plan = &class.plans[origin.index()];
-    let mut pos_of: Vec<Option<PathRef>> = vec![None; class.query.n_streams()];
-    pos_of[origin.index()] = Some(PathRef::Origin);
-    plan.steps()
-        .iter()
-        .enumerate()
-        .map(|(j, step)| {
-            let canon = CanonStep {
-                store: class.store_of[step.stream.index()],
-                probe_attr: step.probe_attr,
-                drive: (
-                    pos_of[step.drive_stream.index()].expect("drive stream bound before use"),
-                    step.drive_attr,
-                ),
-                residual: step
-                    .residual
-                    .iter()
-                    .map(|&(bs, ba, ca)| {
-                        (
-                            pos_of[bs.index()].expect("residual stream bound before use"),
-                            ba,
-                            ca,
-                        )
-                    })
-                    .collect(),
-            };
-            pos_of[step.stream.index()] = Some(PathRef::Depth(j));
-            canon
-        })
-        .collect()
-}
-
-/// Constructs one query class (shared by build-time registration and
-/// runtime [`MultiQueryEngine::add_query`]).
-fn make_class(
-    query: JoinQuery,
-    members: Vec<QueryId>,
-    gstream_of: Vec<StreamId>,
-    store_of: Vec<usize>,
-    policy: Box<dyn ShedPolicy>,
-    config: &EngineConfig,
-) -> Result<QueryClass, BuildError> {
-    let reqs = policy.requirements();
-    let epoch = if reqs.sketches || reqs.partner_freq {
-        Some(match config.epoch {
-            Some(e) => e,
-            None => default_epoch(&query)?,
-        })
-    } else {
-        None
-    };
-    let mut sketches = reqs.sketches.then(|| {
-        TumblingSketches::new(&query, config.bank, epoch.expect("resolved above"))
-    });
-    if let Some(s) = sketches.as_mut() {
-        s.set_score_cache(config.score_cache);
-    }
-    let partner_freq = reqs
-        .partner_freq
-        .then(|| TumblingFreq::new(&query, epoch.expect("resolved above")));
-    Ok(QueryClass {
-        plans: ProbePlan::all(&query),
-        query,
-        members,
-        policy,
-        reqs,
-        sketches,
-        partner_freq,
-        rng: StdRng::seed_from_u64(config.seed),
-        gstream_of,
-        store_of,
-    })
-}
-
-/// The trie walk state: one depth-first enumeration over a global stream's
-/// merged probe trie, shared by every interested class.
-struct ProbeCtx<'a, S: EmitSink> {
-    entries: &'a [Option<StoreEntry>],
-    classes: &'a [Option<QueryClass>],
-    queries: &'a mut [Option<QueryState>],
-    scratches: &'a mut [ProducedScratch],
-    emit_scratch: &'a mut [Vec<Option<Slot>>],
-    sink: &'a mut S,
-    /// The arriving tuple (global stream tag; only values/ts/seq are read).
-    tuple: &'a Tuple,
-    /// `(slot, store index)` bound at each trie depth.
-    path: Vec<(Slot, usize)>,
-    produced: u64,
-}
-
-impl<'a, S: EmitSink> ProbeCtx<'a, S> {
-    /// Resolves a path-position attribute reference against the current
-    /// path.
-    fn value_at(&self, r: PathRef, attr: usize) -> Value {
-        match r {
-            PathRef::Origin => self.tuple.values[attr],
-            PathRef::Depth(j) => {
-                let (slot, si) = self.path[j];
-                self.entries[si]
-                    .as_ref()
-                    .expect("path store is live")
-                    .store
-                    .tuple(slot)
-                    .expect("bound slot is live")
-                    .values[attr]
-            }
-        }
-    }
-
-    /// Depth-first enumeration: candidates of this node's store, residual
-    /// filtering, terminal emissions, then children — which is exactly the
-    /// recursive kernel's order for each individual class, so per-query
-    /// emission order matches that query's solo run.
-    fn walk(&mut self, node: &TrieNode) {
-        let entries = self.entries;
-        let drive = self.value_at(node.drive.0, node.drive.1);
-        let res: Vec<(Value, usize)> = node
-            .residual
-            .iter()
-            .map(|&(r, ba, ca)| (self.value_at(r, ba), ca))
-            .collect();
-        let store = &entries[node.store].as_ref().expect("trie store is live").store;
-        for slot in store.probe(node.probe_attr, drive).iter() {
-            if !res.is_empty() {
-                let t = store.tuple(slot).expect("probed slot is live");
-                if !res.iter().all(|&(v, ca)| t.values[ca] == v) {
-                    continue;
-                }
-            }
-            self.path.push((slot, node.store));
-            for &(cid, origin_local) in &node.terminals {
-                self.emit(cid, origin_local);
-            }
-            for child in &node.children {
-                self.walk(child);
-            }
-            self.path.pop();
-        }
-    }
-
-    /// Emits one completed match of class `cid` to every member query, and
-    /// accrues produced credits on the stores the class owns.
-    fn emit(&mut self, cid: usize, origin_local: StreamId) {
-        let class = self.classes[cid].as_ref().expect("terminal class is live");
-        let plan = &class.plans[origin_local.index()];
-        let scratch = &mut self.emit_scratch[cid];
-        scratch.clear();
-        scratch.resize(class.query.n_streams(), None);
-        for (j, step) in plan.steps().iter().enumerate() {
-            scratch[step.stream.index()] = Some(self.path[j].0);
-        }
-        if class.reqs.produced_counters {
-            for &(slot, si) in self.path.iter() {
-                let owner = self.entries[si].as_ref().expect("path store is live").users[0];
-                if owner == cid {
-                    self.scratches[si].add(slot, 1);
-                }
-            }
-        }
-        let lookup = MappedStores {
-            entries: self.entries,
-            map: &class.store_of,
-        };
-        let bindings = Bindings::from_parts(origin_local, self.tuple, scratch, &lookup);
-        for &qid in &class.members {
-            if let Some(q) = self.queries[qid.index()].as_mut() {
-                q.produced += 1;
-            }
-            self.sink.emit(qid, &bindings);
-            self.produced += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1084,8 +802,8 @@ mod tests {
     use super::*;
     use crate::builder::EngineBuilder;
     use crate::ingest::{CountSink, QueryRowsSink, VecSink};
-    use mstream_shed_policies::Fifo;
-    use mstream_types::{Row, StreamSchema};
+    use mstream_shed_policies::{Fifo, MSketch};
+    use mstream_types::{Row, StreamSchema, Value};
 
     fn pair_query(l: &str, r: &str, secs: u64) -> JoinQuery {
         let mut c = Catalog::new();
@@ -1320,6 +1038,32 @@ mod tests {
         feed(&mut e, &t[20..], &mut sink);
         let solo = solo_rows(chain_query("L", "R", "X", 60), &t, 1 << 20);
         assert_eq!(key_rows(&sink.rows[1]), key_rows(&solo));
+    }
+
+    #[test]
+    fn owner_handoff_retags_residents_for_the_heir() {
+        // chain(A,B,X) owns the shared X store and tags its residents with
+        // its local id 2; pair(X,Y) knows X as 0 and has two streams. Once
+        // the chain departs, the pair's rollovers rescore those residents:
+        // under the departed owner's tag that indexed the pair's sketch
+        // bank out of bounds.
+        let mut b = EngineBuilder::new_multi()
+            .policy(MSketch)
+            .capacity_per_window(8);
+        b.register(chain_query("A", "B", "X", 20)).unwrap();
+        b.register(pair_query("X", "Y", 20)).unwrap();
+        let mut e = b.build_multi().unwrap();
+        let t = trace(&["A", "B", "X", "Y"], 200);
+        let mut sink = QueryRowsSink::default();
+        feed(&mut e, &t[..40], &mut sink);
+        assert!(e.remove_query(QueryId(0)));
+        assert_eq!(e.n_stores(), 2, "the shared X store passes to the pair");
+        feed(&mut e, &t[40..], &mut sink);
+        assert!(e.metrics().epoch_rollovers > 0, "the heir must roll over");
+        let x = e.stores.iter().flatten().find(|s| s.gstream == StreamId(2));
+        let x = x.expect("X store is live");
+        assert_eq!(x.owner_local, StreamId(0));
+        assert!(x.store.iter().all(|(_, t)| t.stream == StreamId(0)));
     }
 
     #[test]

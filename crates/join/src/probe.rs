@@ -22,8 +22,8 @@ use mstream_window::{Slot, WindowStore};
 /// stream, so a plain slice implements this directly. The multi-query
 /// engine owns one store table shared by all registered queries and hands
 /// each query a *mapped* view (query-local stream `k` → some shared store),
-/// which is why [`Bindings`] reads tuples through this trait instead of
-/// indexing a slice.
+/// which is why the probe kernels and [`Bindings`] reach stores through
+/// this trait instead of indexing a slice.
 pub trait StoreLookup {
     /// The window store holding tuples of query-local stream `stream`.
     fn store(&self, stream: StreamId) -> &WindowStore;
@@ -48,24 +48,6 @@ pub struct Bindings<'a> {
 }
 
 impl<'a> Bindings<'a> {
-    /// Assembles a match view from raw parts. Engine-internal: consumers
-    /// receive `Bindings` from probe callbacks; only join executors (the
-    /// probe kernels here and the multi-query trie walker) construct them.
-    #[doc(hidden)]
-    pub fn from_parts(
-        origin: StreamId,
-        origin_tuple: &'a Tuple,
-        slots: &'a [Option<Slot>],
-        stores: &'a dyn StoreLookup,
-    ) -> Self {
-        Bindings {
-            origin,
-            origin_tuple,
-            slots,
-            stores,
-        }
-    }
-
     /// The value of `attr` on `stream` within this match.
     pub fn value(&self, stream: StreamId, attr: usize) -> Value {
         if stream == self.origin {
@@ -133,19 +115,33 @@ pub fn probe_each<F: FnMut(&Bindings<'_>)>(
     plan: &ProbePlan,
     origin_tuple: &Tuple,
     stores: &[WindowStore],
-    mut on_match: F,
+    on_match: F,
 ) -> u64 {
     debug_assert_eq!(plan.origin(), origin_tuple.stream);
+    probe_each_in(plan, origin_tuple, &stores, on_match)
+}
+
+/// [`probe_each`] over any [`StoreLookup`]: `stores.store(k)` must be the
+/// window of the plan's query-local stream `k`. `origin_tuple` stands for
+/// `plan.origin()` whatever its own `stream` tag says — the multi-query
+/// plane probes with the arriving tuple under its global tag.
+pub fn probe_each_in<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
+    plan: &ProbePlan,
+    origin_tuple: &Tuple,
+    stores: &L,
+    mut on_match: F,
+) -> u64 {
     let steps = plan.steps();
     let origin = plan.origin();
-    let mut slots: Vec<Option<Slot>> = vec![None; stores.len()];
+    // Every step binds one stream, so a plan spans `steps + 1` streams.
+    let mut slots: Vec<Option<Slot>> = vec![None; steps.len() + 1];
     match steps {
         [] => {
             on_match(&Bindings {
                 origin,
                 origin_tuple,
                 slots: &slots,
-                stores: &stores,
+                stores,
             });
             1
         }
@@ -166,16 +162,16 @@ pub fn probe_count(plan: &ProbePlan, origin_tuple: &Tuple, stores: &[WindowStore
 /// the arriving tuple; candidates need dereferencing only when residual
 /// predicates exist (and their left-hand values are hoisted — at step 0
 /// only the origin is bound).
-fn probe_1<F: FnMut(&Bindings<'_>)>(
+fn probe_1<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
     step: &PlanStep,
     origin: StreamId,
     origin_tuple: &Tuple,
-    stores: &[WindowStore],
+    stores: &L,
     slots: &mut [Option<Slot>],
     on_match: &mut F,
 ) -> u64 {
     debug_assert_eq!(step.drive_stream, origin, "step 0 is driven by the origin");
-    let store = &stores[step.stream.index()];
+    let store = stores.store(step.stream);
     let cands = store.probe(step.probe_attr, origin_tuple.values[step.drive_attr]);
     let si = step.stream.index();
     let mut count = 0u64;
@@ -189,7 +185,7 @@ fn probe_1<F: FnMut(&Bindings<'_>)>(
                     origin,
                     origin_tuple,
                     slots,
-                    stores: &stores,
+                    stores,
                 });
             }
         }
@@ -212,7 +208,7 @@ fn probe_1<F: FnMut(&Bindings<'_>)>(
                     origin,
                     origin_tuple,
                     slots,
-                    stores: &stores,
+                    stores,
                 });
             }
         }
@@ -225,18 +221,18 @@ fn probe_1<F: FnMut(&Bindings<'_>)>(
 /// (both steps driven by the origin) hoist the second candidate list out of
 /// the outer loop entirely; chain shapes dereference the outer candidate
 /// once for its drive value and never touch the inner candidates' tuples.
-fn probe_2<F: FnMut(&Bindings<'_>)>(
+fn probe_2<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
     s0: &PlanStep,
     s1: &PlanStep,
     origin: StreamId,
     origin_tuple: &Tuple,
-    stores: &[WindowStore],
+    stores: &L,
     slots: &mut [Option<Slot>],
     on_match: &mut F,
 ) -> u64 {
     debug_assert_eq!(s0.drive_stream, origin, "step 0 is driven by the origin");
-    let store0 = &stores[s0.stream.index()];
-    let store1 = &stores[s1.stream.index()];
+    let store0 = stores.store(s0.stream);
+    let store1 = stores.store(s1.stream);
     let c0 = store0.probe(s0.probe_attr, origin_tuple.values[s0.drive_attr]);
     let (i0, i1) = (s0.stream.index(), s1.stream.index());
     let mut count = 0u64;
@@ -253,7 +249,7 @@ fn probe_2<F: FnMut(&Bindings<'_>)>(
                         origin,
                         origin_tuple,
                         slots,
-                        stores: &stores,
+                        stores,
                     });
                 }
             }
@@ -275,7 +271,7 @@ fn probe_2<F: FnMut(&Bindings<'_>)>(
                     origin,
                     origin_tuple,
                     slots,
-                    stores: &stores,
+                    stores,
                 });
             }
         }
@@ -312,11 +308,11 @@ impl<'a> Frame<'a> {
 /// the plan's steps. Entering a frame computes the step's drive value and
 /// hoists its residual left-hand values once; the candidate loop then only
 /// dereferences tuples for steps that actually carry residual checks.
-fn probe_n<F: FnMut(&Bindings<'_>)>(
+fn probe_n<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
     steps: &[PlanStep],
     origin: StreamId,
     origin_tuple: &Tuple,
-    stores: &[WindowStore],
+    stores: &L,
     slots: &mut [Option<Slot>],
     on_match: &mut F,
 ) -> u64 {
@@ -344,7 +340,8 @@ fn probe_n<F: FnMut(&Bindings<'_>)>(
                 ca,
             ));
         }
-        let (head, tail) = stores[step.stream.index()]
+        let (head, tail) = stores
+            .store(step.stream)
             .probe(step.probe_attr, drive)
             .parts();
         Frame {
@@ -357,7 +354,7 @@ fn probe_n<F: FnMut(&Bindings<'_>)>(
     frames.push(enter(&steps[0], slots, &mut res));
     while let Some(depth) = frames.len().checked_sub(1) {
         let step = &steps[depth];
-        let store = &stores[step.stream.index()];
+        let store = stores.store(step.stream);
         if depth + 1 == steps.len() {
             // Innermost level: every surviving candidate is a match — drain
             // the whole frame in one tight loop (last frames are always
@@ -380,7 +377,7 @@ fn probe_n<F: FnMut(&Bindings<'_>)>(
                         origin,
                         origin_tuple,
                         slots,
-                        stores: &stores,
+                        stores,
                     });
                 }
             }
@@ -472,7 +469,7 @@ fn recurse<F: FnMut(&Bindings<'_>)>(
     let drive_value = bound_value(
         plan.origin(),
         origin_tuple,
-        stores,
+        &stores,
         slots,
         step.drive_stream,
         step.drive_attr,
@@ -482,7 +479,7 @@ fn recurse<F: FnMut(&Bindings<'_>)>(
     for slot in candidates.iter() {
         let tuple = store.tuple(slot).expect("probed slot is live");
         let residual_ok = step.residual.iter().all(|&(bs, ba, ca)| {
-            bound_value(plan.origin(), origin_tuple, stores, slots, bs, ba) == tuple.values[ca]
+            bound_value(plan.origin(), origin_tuple, &stores, slots, bs, ba) == tuple.values[ca]
         });
         if !residual_ok {
             continue;
@@ -502,10 +499,10 @@ fn recurse<F: FnMut(&Bindings<'_>)>(
 }
 
 /// Reads an attribute of a bound stream (origin or already-probed window).
-fn bound_value(
+fn bound_value<L: StoreLookup>(
     origin: StreamId,
     origin_tuple: &Tuple,
-    stores: &[WindowStore],
+    stores: &L,
     slots: &[Option<Slot>],
     stream: StreamId,
     attr: usize,
@@ -514,7 +511,8 @@ fn bound_value(
         origin_tuple.values[attr]
     } else {
         let slot = slots[stream.index()].expect("drive stream bound before use");
-        stores[stream.index()]
+        stores
+            .store(stream)
             .tuple(slot)
             .expect("bound slot is live")
             .values[attr]

@@ -178,6 +178,14 @@ impl<T> Arena<T> {
             Entry::Free { .. } => None,
         })
     }
+
+    /// Mutable access to every live entry, in slot order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.entries.iter_mut().filter_map(|e| match e {
+            Entry::Occupied { value, .. } => Some(value),
+            Entry::Free { .. } => None,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use crate::arena::{Arena, Slot};
 use crate::heap::IndexedHeap;
 use crate::index::{Candidates, FlatIndex};
-use mstream_types::{SeqNo, Tuple, VTime, Value, WindowSpec};
+use mstream_types::{SeqNo, StreamId, Tuple, VTime, Value, WindowSpec};
 use std::collections::VecDeque;
 
 /// One resident window tuple plus the bookkeeping that must travel with it.
@@ -377,6 +377,16 @@ impl WindowStore {
                 state[i] = st;
                 heap.insert(slot, sc, entry.tuple.seq.0);
             }
+        }
+    }
+
+    /// Rewrites every resident's [`Tuple::stream`] tag to `stream`. Tags
+    /// are query-local, so a store changing hands between queries of the
+    /// multi-query plane must carry its new owner's id for this stream
+    /// before that owner's policy scores the residents.
+    pub fn retag(&mut self, stream: StreamId) {
+        for entry in self.arena.iter_mut() {
+            entry.tuple.stream = stream;
         }
     }
 

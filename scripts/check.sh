@@ -17,6 +17,12 @@ if grep -rn 'MSTREAM_' crates/{types,sketch,window,join,shed,core}/src; then
   echo "FAIL: an engine crate names an MSTREAM_* environment variable"
   exit 1
 fi
+# One match enumerator: the probe kernels in mstream-join serve the solo
+# engine and every class of the multi-query plane (DESIGN.md §14).
+if grep -rnE 'TrieNode|ProbeCtx|from_parts' crates/{join,core}/src; then
+  echo "FAIL: a second probe enumerator is back in mstream-join / mstream-core"
+  exit 1
+fi
 # Differential audit smoke: every policy vs the exact oracle over 50
 # fuzzed cases, with per-arrival structural invariant checks (includes the
 # sharded-vs-oracle differential at the case's shard count). Odd-seed
@@ -109,8 +115,11 @@ EOF
 # <= 1.5x the wall time and <= 2x the resident state of N=1 on the
 # shared plane while each duplicate reproduces the solo output count,
 # and the independent-engine baseline must cost more than the shared
-# plane at N=64.
-cargo run --release -p mstream-audit -- multi --cases 25 --seed 7
+# plane at N=64. The audit smoke must include registration churn (a
+# mid-trace add_query / remove_query), or owner hand-off goes unwatched.
+cargo run --release -p mstream-audit -- multi --cases 25 --seed 7 | tee target/check_multi_audit.txt
+grep -Eq '[1-9][0-9]* churn cases' target/check_multi_audit.txt \
+  || { echo "FAIL: the multi-query audit smoke ran no churn case"; exit 1; }
 cargo run --release -p mstream-bench --bin multi_query -- \
   --scale 0.1 --queries 1,64 --min-secs 0.05 --json target/check_multi.json
 python3 - <<'EOF'

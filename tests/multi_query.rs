@@ -17,6 +17,11 @@
 //!   removed query was never registered.
 //! * The sharded coordinator (S ∈ {1, 2}) reproduces the in-process
 //!   result set at full memory, including across runtime add/remove.
+//! * A one-query plane *is* the solo engine: same rows in the same order
+//!   and the same counters under shedding, for every policy.
+//! * Two classes whose plans open with the same probe step stay
+//!   independent: the store owner replays its solo run, the sharer stays
+//!   within its exact result.
 
 use mstream_core::prelude::*;
 use mstream_types::Row;
@@ -97,11 +102,17 @@ fn projected(rows: &[Vec<Tuple>]) -> Vec<Vec<(u64, Row)>> {
         .collect()
 }
 
-/// Runs `query` solo over the arrivals on its own streams and returns the
-/// projected rows in emission order.
-fn solo(query: JoinQuery, t: &[(String, Row, VTime)], capacity: usize) -> Vec<Vec<(u64, Row)>> {
+/// Runs `query` solo under `policy` over the arrivals on its own streams
+/// and returns the projected rows in emission order plus the final
+/// counters.
+fn solo_as(
+    policy: &str,
+    query: JoinQuery,
+    t: &[(String, Row, VTime)],
+    capacity: usize,
+) -> (Vec<Vec<(u64, Row)>>, EngineMetrics) {
     let mut engine = EngineBuilder::new(query)
-        .policy(MSketch)
+        .boxed_policy(parse_policy(policy).unwrap())
         .capacity_per_window(capacity)
         .seed(5)
         .build()
@@ -118,7 +129,12 @@ fn solo(query: JoinQuery, t: &[(String, Row, VTime)], capacity: usize) -> Vec<Ve
         };
         engine.ingest(Arrival::new(id, row.clone(), *ts), &mut sink);
     }
-    projected(&sink.rows)
+    (projected(&sink.rows), engine.metrics().clone())
+}
+
+/// [`solo_as`] under the suite's default policy, rows only.
+fn solo(query: JoinQuery, t: &[(String, Row, VTime)], capacity: usize) -> Vec<Vec<(u64, Row)>> {
+    solo_as("MSketch", query, t, capacity).0
 }
 
 /// Multiset inclusion: every row of `sub` is matched against (and
@@ -145,15 +161,19 @@ fn standing_mix() -> Vec<JoinQuery> {
     ]
 }
 
-fn build_multi(queries: &[JoinQuery], capacity: usize) -> MultiQueryEngine {
+fn build_multi_as(policy: &str, queries: &[JoinQuery], capacity: usize) -> MultiQueryEngine {
     let mut b = EngineBuilder::new_multi()
-        .policy(MSketch)
+        .boxed_policy(parse_policy(policy).unwrap())
         .capacity_per_window(capacity)
         .seed(5);
     for q in queries {
         b.register(q.clone()).unwrap();
     }
     b.build_multi().unwrap()
+}
+
+fn build_multi(queries: &[JoinQuery], capacity: usize) -> MultiQueryEngine {
+    build_multi_as("MSketch", queries, capacity)
 }
 
 /// At full memory nothing is shed, so sharing windows across queries is
@@ -265,6 +285,68 @@ fn removed_query_frees_budget_without_perturbing_survivors() {
         projected(&solo_sink.rows[0]),
         "survivor diverged from the never-registered baseline"
     );
+}
+
+/// The N = 1 contract: a plane holding one query runs the solo engine's
+/// per-query code over the same stores, so under shedding it emits the
+/// same rows in the same order and counts the same sheds and expirations
+/// — for every policy, the randomized and produced-count-driven included.
+#[test]
+fn one_query_plane_replays_the_solo_engine_under_shedding() {
+    let query = keyed_chain("R1", "R2", "R3", 40);
+    let t = trace(&["R1", "R2", "R3"], 800, 8, 16);
+    for &policy in ALL_POLICY_NAMES {
+        let mut plane = build_multi_as(policy, std::slice::from_ref(&query), 16);
+        let mut sink = QueryRowsSink::default();
+        feed(&mut plane, &t, &mut sink);
+        let (rows, want) = solo_as(policy, query.clone(), &t, 16);
+        assert!(want.shed_window > 0, "{policy}: capacity 16 must shed");
+        assert!(!rows.is_empty(), "{policy}: trace must produce joins");
+        assert_eq!(projected(&sink.rows[0]), rows, "{policy}: rows diverged");
+        let got = plane.metrics();
+        assert_eq!(
+            (got.shed_window, got.expired, got.total_output),
+            (want.shed_window, want.expired, want.total_output),
+            "{policy}: (shed_window, expired, total_output)"
+        );
+    }
+}
+
+/// A pair and a chain over the same `R1`, `R2` stores, whose plans for an
+/// `R1` arrival both open by probing `R2` on `A1`. The pair registers
+/// first and owns both shared stores, so its rows replay its solo run in
+/// order even under shedding (produced-output credits come from owner
+/// emissions only); the chain's rows stay within its exact result, and at
+/// full memory both replay their solo runs in order.
+#[test]
+fn classes_sharing_a_first_probe_step_stay_independent() {
+    let queries = [pair("R1", "R2", 40), keyed_chain("R1", "R2", "R3", 40)];
+    let t = trace(&["R1", "R2", "R3"], 500, 8, 17);
+    for &policy in ALL_POLICY_NAMES {
+        let mut plane = build_multi_as(policy, &queries, 12);
+        assert_eq!(plane.n_stores(), 3, "R1 and R2 are shared");
+        let mut sink = QueryRowsSink::default();
+        feed(&mut plane, &t, &mut sink);
+        assert!(plane.metrics().shed_window > 0, "{policy}: capacity 12 must shed");
+        assert_eq!(
+            projected(&sink.rows[0]),
+            solo_as(policy, queries[0].clone(), &t, 12).0,
+            "{policy}: the store owner diverged from its solo run"
+        );
+        let exact = solo_as(policy, queries[1].clone(), &t, 1 << 20).0;
+        assert_sub_multiset(&projected(&sink.rows[1]), &exact, policy);
+
+        let mut plane = build_multi_as(policy, &queries, 1 << 20);
+        let mut sink = QueryRowsSink::default();
+        feed(&mut plane, &t, &mut sink);
+        for (i, q) in queries.iter().enumerate() {
+            assert_eq!(
+                projected(&sink.rows[i]),
+                solo_as(policy, q.clone(), &t, 1 << 20).0,
+                "{policy}: query {i} diverged from its solo run at full memory"
+            );
+        }
+    }
 }
 
 /// Sorts projected rows for order-insensitive comparison (shard merge
