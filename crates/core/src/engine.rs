@@ -744,13 +744,13 @@ impl ShedJoinEngine {
 
     /// Estimated size of the full multi-way join over the current epoch
     /// (diagnostics; `None` when the policy runs sketch-free).
-    pub fn estimate_join_count(&self) -> Option<f64> {
-        self.core.sketches.as_ref().map(|s| s.estimate_join_count())
+    pub fn estimate_join_count(&mut self) -> Option<f64> {
+        self.core.sketches.as_mut().map(|s| s.estimate_join_count())
     }
 
     fn expire_all(&mut self, now: VTime) {
         for store in &mut self.stores {
-            self.metrics.expired += store.expire(now).len() as u64;
+            self.metrics.expired += store.expire_each(now, drop);
         }
     }
 

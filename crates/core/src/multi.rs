@@ -672,7 +672,7 @@ impl MultiQueryEngine {
         //    changes only the batching of removals, never their sequence —
         //    owner-solo equivalence is preserved.
         for entry in stores.iter_mut().flatten() {
-            metrics.expired += entry.store.expire(now).len() as u64;
+            metrics.expired += entry.store.expire_each(now, drop);
         }
         // 3. Every interested class probes its partner stores, before any
         //    insertion (the paper's operator probes partner windows only),

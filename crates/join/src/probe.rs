@@ -121,6 +121,9 @@ pub fn probe_each<F: FnMut(&Bindings<'_>)>(
     probe_each_in(plan, origin_tuple, &stores, on_match)
 }
 
+/// Binding slots [`probe_each_in`] keeps on the stack.
+const INLINE_SLOTS: usize = 8;
+
 /// [`probe_each`] over any [`StoreLookup`]: `stores.store(k)` must be the
 /// window of the plan's query-local stream `k`. `origin_tuple` stands for
 /// `plan.origin()` whatever its own `stream` tag says — the multi-query
@@ -134,22 +137,32 @@ pub fn probe_each_in<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
     let steps = plan.steps();
     let origin = plan.origin();
     // Every step binds one stream, so a plan spans `steps + 1` streams.
-    let mut slots: Vec<Option<Slot>> = vec![None; steps.len() + 1];
+    // The binding slots live on the stack for every join width seen in
+    // practice (this runs once per arrival); wider plans spill to the heap.
+    let n_streams = steps.len() + 1;
+    let mut inline = [None; INLINE_SLOTS];
+    let mut spill = Vec::new();
+    let slots: &mut [Option<Slot>] = if n_streams <= INLINE_SLOTS {
+        &mut inline[..n_streams]
+    } else {
+        spill.resize(n_streams, None);
+        &mut spill
+    };
     match steps {
         [] => {
             on_match(&Bindings {
                 origin,
                 origin_tuple,
-                slots: &slots,
+                slots,
                 stores,
             });
             1
         }
-        [step] => probe_1(step, origin, origin_tuple, stores, &mut slots, &mut on_match),
+        [step] => probe_1(step, origin, origin_tuple, stores, slots, &mut on_match),
         [s0, s1] if s0.residual.is_empty() && s1.residual.is_empty() => {
-            probe_2(s0, s1, origin, origin_tuple, stores, &mut slots, &mut on_match)
+            probe_2(s0, s1, origin, origin_tuple, stores, slots, &mut on_match)
         }
-        _ => probe_n(steps, origin, origin_tuple, stores, &mut slots, &mut on_match),
+        _ => probe_n(steps, origin, origin_tuple, stores, slots, &mut on_match),
     }
 }
 
@@ -575,6 +588,41 @@ mod tests {
         // Non-matching arrival produces nothing.
         let t = tup(0, 10, 6, 0);
         assert_eq!(probe_count(&plan, &t, &stores), 0);
+    }
+
+    #[test]
+    fn wide_chain_spills_binding_slots_to_the_heap() {
+        // One stream more than the inline slot array holds, plus the
+        // origin: R1.A2 = R2.A1, R2.A2 = R3.A1, … — every binding visible.
+        let n = INLINE_SLOTS + 2;
+        let names: Vec<String> = (1..=n).map(|i| format!("R{i}")).collect();
+        let mut c = Catalog::new();
+        for name in &names {
+            c.add_stream(StreamSchema::new(name, &["A1", "A2"]));
+        }
+        let preds: Vec<(String, String)> = names
+            .windows(2)
+            .map(|w| (format!("{}.A2", w[0]), format!("{}.A1", w[1])))
+            .collect();
+        let pred_refs: Vec<(&str, &str)> =
+            preds.iter().map(|(l, r)| (l.as_str(), r.as_str())).collect();
+        let q = JoinQuery::from_names(c, &pred_refs, WindowSpec::secs(500)).unwrap();
+        let mut stores = stores_for(&q);
+        for (s, store) in stores.iter_mut().enumerate().skip(1) {
+            // Stream s holds (s, s + 1); the last one twice.
+            store.insert(tup(s, s as u64, s as u64, s as u64 + 1), 0.0);
+        }
+        stores[n - 1].insert(tup(n - 1, 99, n as u64 - 1, 0), 0.0);
+        let plan = ProbePlan::new(&q, StreamId(0));
+        let mut rows = 0;
+        let count = probe_each(&plan, &tup(0, 100, 0, 1), &stores, |b| {
+            assert_eq!(b.n_streams(), n);
+            for s in 1..n {
+                assert_eq!(b.value(StreamId(s), 0), Value(s as u64));
+            }
+            rows += 1;
+        });
+        assert_eq!((count, rows), (2, 2));
     }
 
     #[test]

@@ -88,10 +88,10 @@ impl<'a> PriorityCtx<'a> {
     ///
     /// # Panics
     /// Panics if the policy did not declare `sketches`.
-    pub fn current_productivity(&self, tuple: &Tuple) -> f64 {
+    pub fn current_productivity(&mut self, tuple: &Tuple) -> f64 {
         let sketches = self
             .sketches
-            .as_deref()
+            .as_deref_mut()
             .expect("policy did not declare Requirements::sketches");
         crate::policies::clamp_score(sketches.current_productivity(tuple.stream, &tuple.values))
             .max(0.0)

@@ -664,7 +664,7 @@ mod tests {
             sk.observe(StreamId(2), &[Value(i), Value(0)], VTime::ZERO);
         }
         let negative = (0..64)
-            .find(|&a| sk.bank().productivity(StreamId(0), &[Value(a), Value(0)]) < 0.0)
+            .find(|&a| sk.current_productivity(StreamId(0), &[Value(a), Value(0)]) < 0.0)
             .expect("a single-copy sketch has negative estimates");
         let t = tup(0, 0, 0, negative, 0);
         let mut rng = StdRng::seed_from_u64(0);

@@ -10,9 +10,16 @@
 //! once, bit-packed, and memoized in a [`SignCache`]. All estimates are
 //! bit-identical to the legacy AoS layout under the same seed (enforced by
 //! `tests/equivalence.rs`).
+//!
+//! Updates are **deferred**: [`SketchBank::update`] adds the tuple's packed
+//! sign words into a small per-stream *vertical counter* (bit-planes that
+//! count, per copy, the pending −1 signs) and the `i64` counters are only
+//! brought up to date — *settled* — when something reads them. Integer
+//! addition commutes, so a settled counter equals the eagerly folded one
+//! bit for bit; every reader of counter values therefore takes `&mut self`.
 
 use crate::kernel;
-use crate::signs::{combine_packed_signs, SignCache, SignCacheStats, SignFamilies};
+use crate::signs::{combine_packed_signs, words_for, SignCache, SignCacheStats, SignFamilies};
 use mstream_types::{JoinQuery, StreamId, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,16 +62,35 @@ impl BankConfig {
     }
 }
 
+/// Bit-planes per stream in the vertical pending counters: a stream
+/// settles after [`SketchBank::PENDING_MAX`] deferred updates at the latest. A
+/// constant, not a setting — more planes amortise the settle over more
+/// updates (`P·copies` operations per `2^P` updates) but deepen the carry
+/// ripple of every update and cost `P · words_for(copies)` words per
+/// stream; ten puts both costs in the noise of one sign-cache lookup.
+const PENDING_PLANES: usize = 10;
+
+/// Planes that can be non-zero while `pending` updates are held: the bit
+/// length of `pending`.
+fn active_planes(pending: u32) -> usize {
+    (u32::BITS - pending.leading_zeros()) as usize
+}
+
 /// Reusable query-path buffers (packed sign words, per-copy statistics,
-/// group means) plus the packed-sign memo. Kept behind a `RefCell` so the
-/// read-only estimation API (`estimate_join_count`, `productivity`) stays
-/// `&self` while never allocating per call.
+/// group means) plus the packed-sign memo. Kept behind a `RefCell` so
+/// [`SketchBank::packed_signs_into`] stays `&self` while never allocating
+/// per call.
 #[derive(Clone, Debug, Default)]
 struct BankScratch {
     cache: SignCache,
     words: Vec<u64>,
     per_copy: Vec<f64>,
     groups: Vec<f64>,
+    /// Eagerly folded twin of the counters, for
+    /// [`SketchBank::check_invariants`]. Empty — and then not compared —
+    /// on a deserialised bank, whose scratch serde skips.
+    #[cfg(any(test, feature = "audit"))]
+    shadow: Vec<i64>,
 }
 
 /// A bank of `s1 × s2` sketch copies over the streams of one [`JoinQuery`].
@@ -80,8 +106,18 @@ pub struct SketchBank {
     incidence: Vec<Vec<(usize, usize)>>,
     /// SoA hash coefficient banks, one polynomial per (predicate, copy).
     families: SignFamilies,
-    /// `counters[k * copies + c]` = atomic sketch `X_k` in copy `c`.
+    /// `counters[k * copies + c]` = atomic sketch `X_k` in copy `c`, as of
+    /// stream `k`'s last settle.
     counters: Vec<i64>,
+    /// Vertical pending counters, `PENDING_PLANES` planes of
+    /// `words_for(copies)` words per stream: bit `c % 64` of word `c / 64`
+    /// of plane `p` of stream `k` is bit `p` of the number of −1 signs
+    /// among copy `c`'s updates since the last settle. Serialised with the
+    /// counters, so a round trip keeps the settled view.
+    planes: Vec<u64>,
+    /// `pending[k]` = updates of stream `k` held in `planes`
+    /// (`< Self::PENDING_MAX` between calls).
+    pending: Vec<u32>,
     /// Tuples folded per stream this epoch.
     tuples: Vec<u64>,
     /// Query scratch + packed-sign memo (not part of the logical state).
@@ -90,6 +126,11 @@ pub struct SketchBank {
 }
 
 impl SketchBank {
+    /// Deferred updates at which [`SketchBank::update`] settles a stream on
+    /// its own (`2^P − 1` for the `P` bit-planes of the pending counters),
+    /// so a stream never holds this many between calls.
+    pub const PENDING_MAX: u32 = (1 << PENDING_PLANES) - 1;
+
     /// Builds a zeroed bank for `query`, drawing hash families from
     /// `config.seed`.
     pub fn new(query: &JoinQuery, config: BankConfig) -> Self {
@@ -108,8 +149,14 @@ impl SketchBank {
             incidence,
             families,
             counters: vec![0; n_streams * copies],
+            planes: vec![0; n_streams * PENDING_PLANES * words_for(copies)],
+            pending: vec![0; n_streams],
             tuples: vec![0; n_streams],
-            scratch: RefCell::new(BankScratch::default()),
+            scratch: RefCell::new(BankScratch {
+                #[cfg(any(test, feature = "audit"))]
+                shadow: vec![0; n_streams * copies],
+                ..BankScratch::default()
+            }),
         }
     }
 
@@ -135,11 +182,13 @@ impl SketchBank {
     ///
     /// Cost: one packed-sign lookup per incident predicate (a polynomial
     /// sweep on cache miss, a memcpy-sized fetch on hit), one XOR combine,
-    /// and `s1·s2` counter adds — no per-copy pointer chasing.
+    /// and a carry-save add of the sign words into the stream's vertical
+    /// counter — word operations, not `s1·s2` counter adds. The counters
+    /// catch up when a reader settles the stream, or here once
+    /// [`Self::PENDING_MAX`] updates are pending.
     pub fn update(&mut self, stream: StreamId, values: &[Value]) {
         let k = stream.index();
         debug_assert!(k < self.n_streams);
-        let copies = self.config.copies();
         let scratch = self.scratch.get_mut();
         combine_packed_signs(
             &self.families,
@@ -148,9 +197,54 @@ impl SketchBank {
             values,
             &mut scratch.words,
         );
-        let row = &mut self.counters[k * copies..(k + 1) * copies];
-        kernel::fold_packed_signs(&scratch.words, row);
+        #[cfg(any(test, feature = "audit"))]
+        if scratch.shadow.len() == self.counters.len() {
+            let copies = self.config.copies();
+            let row = &mut scratch.shadow[k * copies..(k + 1) * copies];
+            kernel::scalar::fold_packed_signs(&scratch.words, row);
+        }
+        let span = PENDING_PLANES * scratch.words.len();
+        kernel::add_sign_planes(
+            &mut scratch.words,
+            &mut self.planes[k * span..(k + 1) * span],
+        );
+        self.pending[k] += 1;
         self.tuples[k] += 1;
+        if self.pending[k] == Self::PENDING_MAX {
+            self.settle_stream(stream);
+        }
+    }
+
+    /// Brings `stream`'s counters up to date with every update so far:
+    /// `X_k[c] += pending − 2·neg[c]`, then zeroes the planes. One pending
+    /// update settles through the plain sign fold — the first epoch, where
+    /// every arrival reads its partners' live rows, costs what an eager
+    /// update does.
+    pub fn settle_stream(&mut self, stream: StreamId) {
+        let k = stream.index();
+        let pending = std::mem::take(&mut self.pending[k]);
+        if pending == 0 {
+            return;
+        }
+        let copies = self.config.copies();
+        let words = words_for(copies);
+        let active = active_planes(pending);
+        let first = k * PENDING_PLANES * words;
+        let planes = &mut self.planes[first..first + active * words];
+        let row = &mut self.counters[k * copies..(k + 1) * copies];
+        if pending == 1 {
+            kernel::fold_packed_signs(planes, row);
+        } else {
+            kernel::settle_planes(planes, pending, row);
+        }
+        planes.fill(0);
+    }
+
+    /// Settles every stream.
+    fn settle(&mut self) {
+        for k in 0..self.n_streams {
+            self.settle_stream(StreamId(k));
+        }
     }
 
     /// The ξ-sign product of a tuple of `stream` in copy `c`
@@ -182,29 +276,47 @@ impl SketchBank {
 
     /// The raw atomic-sketch counter `X_k` of `stream` in copy `c`.
     #[inline]
-    pub fn sketch_value(&self, c: usize, stream: StreamId) -> i64 {
-        self.counters[stream.index() * self.config.copies() + c]
+    pub fn sketch_value(&mut self, c: usize, stream: StreamId) -> i64 {
+        self.counters_row(stream)[c]
     }
 
     /// The contiguous per-copy counter row of `stream` (`X_k` for every
-    /// copy) — the flat view the tumbling layer snapshots and multiplies.
+    /// copy), settled first.
     #[inline]
-    pub fn counters_row(&self, stream: StreamId) -> &[i64] {
+    pub fn counters_row(&mut self, stream: StreamId) -> &[i64] {
+        self.settle_stream(stream);
+        self.settled_row(stream)
+    }
+
+    /// The counter row of a stream the caller has just settled — the
+    /// shared-borrow form the tumbling layer multiplies two of at once.
+    #[inline]
+    pub(crate) fn settled_row(&self, stream: StreamId) -> &[i64] {
         let copies = self.config.copies();
         let k = stream.index();
+        assert_eq!(self.pending[k], 0, "stream {k} read with updates pending");
         &self.counters[k * copies..(k + 1) * copies]
     }
 
-    /// Takes a snapshot of `stream`'s per-copy counters and resets them
-    /// (per-stream epoch rollover for tuple-based windows, paper §4.1).
-    pub fn take_stream_snapshot(&mut self, stream: StreamId) -> Vec<i64> {
+    /// Moves `stream`'s settled per-copy counters into `snapshot` and
+    /// resets them (epoch rollover of one stream, paper §4.1).
+    pub fn roll_stream_into(&mut self, stream: StreamId, snapshot: &mut [i64]) {
+        self.settle_stream(stream);
         let copies = self.config.copies();
         let k = stream.index();
         let row = &mut self.counters[k * copies..(k + 1) * copies];
-        let snapshot = row.to_vec();
+        snapshot.copy_from_slice(row);
         row.fill(0);
         self.tuples[k] = 0;
-        snapshot
+        #[cfg(any(test, feature = "audit"))]
+        if let Some(shadow) = self
+            .scratch
+            .get_mut()
+            .shadow
+            .get_mut(k * copies..(k + 1) * copies)
+        {
+            shadow.fill(0);
+        }
     }
 
     /// Resets every atomic sketch (epoch rollover); hash families persist,
@@ -212,7 +324,11 @@ impl SketchBank {
     /// families, so they stay valid across epochs.
     pub fn reset(&mut self) {
         self.counters.fill(0);
+        self.planes.fill(0);
+        self.pending.fill(0);
         self.tuples.fill(0);
+        #[cfg(any(test, feature = "audit"))]
+        self.scratch.get_mut().shadow.fill(0);
     }
 
     /// Number of tuples folded into stream `k` this epoch.
@@ -233,12 +349,12 @@ impl SketchBank {
 
     /// Median-of-means estimate of the full multi-way COUNT
     /// `|W_1 ⋈ … ⋈ W_n|` from this bank's sketches.
-    pub fn estimate_join_count(&self) -> f64 {
+    pub fn estimate_join_count(&mut self) -> f64 {
+        self.settle();
         let copies = self.config.copies();
-        let mut scratch = self.scratch.borrow_mut();
         let BankScratch {
             per_copy, groups, ..
-        } = &mut *scratch;
+        } = self.scratch.get_mut();
         per_copy.resize(copies, 0.0);
         kernel::column_products(&self.counters, copies, usize::MAX, per_copy);
         median_of_means_into(self.config.s1, self.config.s2, per_copy, groups)
@@ -251,21 +367,71 @@ impl SketchBank {
     /// The estimate is unbiased but can come out negative for unproductive
     /// tuples; callers that need a priority should clamp at zero (true
     /// productivity is a count, hence non-negative).
-    pub fn productivity(&self, stream: StreamId, values: &[Value]) -> f64 {
+    pub fn productivity(&mut self, stream: StreamId, values: &[Value]) -> f64 {
+        self.settle();
         let i = stream.index();
         let copies = self.config.copies();
-        let mut scratch = self.scratch.borrow_mut();
         let BankScratch {
             cache,
             words,
             per_copy,
             groups,
-        } = &mut *scratch;
+            ..
+        } = self.scratch.get_mut();
         combine_packed_signs(&self.families, cache, &self.incidence[i], values, words);
         per_copy.resize(copies, 0.0);
         kernel::column_products(&self.counters, copies, i, per_copy);
         kernel::apply_packed_signs(words, per_copy);
         median_of_means_into(self.config.s1, self.config.s2, per_copy, groups)
+    }
+
+    /// Structural audit of the deferred-update state:
+    ///
+    /// - buffer shapes agree with the stream and copy counts;
+    /// - no stream holds [`Self::PENDING_MAX`] or more pending updates, and every
+    ///   plane above the bit length of its pending count is all-zero;
+    /// - the settled view of every stream — its counters plus what its
+    ///   planes hold — equals the eagerly folded shadow, copy by copy.
+    ///
+    /// O(streams · copies · planes); compiled only for tests and the
+    /// `audit` feature.
+    ///
+    /// # Panics
+    /// Panics on any violated invariant.
+    #[cfg(any(test, feature = "audit"))]
+    pub fn check_invariants(&self) {
+        let copies = self.config.copies();
+        let words = words_for(copies);
+        let n = self.n_streams;
+        assert_eq!(self.counters.len(), n * copies, "counter shape");
+        assert_eq!(self.planes.len(), n * PENDING_PLANES * words, "plane shape");
+        assert_eq!(self.pending.len(), n, "pending shape");
+        let scratch = self.scratch.borrow();
+        let mut view = vec![0i64; copies];
+        for k in 0..n {
+            let pending = self.pending[k];
+            assert!(
+                pending < Self::PENDING_MAX,
+                "stream {k} missed its settle: {pending} pending"
+            );
+            let active = active_planes(pending);
+            let planes = &self.planes[k * PENDING_PLANES * words..(k + 1) * PENDING_PLANES * words];
+            let (live, idle) = planes.split_at(active * words);
+            assert!(
+                idle.iter().all(|&w| w == 0),
+                "stream {k}: a plane above bit {active} of {pending} pending updates is set"
+            );
+            if scratch.shadow.len() != self.counters.len() {
+                continue;
+            }
+            view.copy_from_slice(&self.counters[k * copies..(k + 1) * copies]);
+            kernel::settle_planes(live, pending, &mut view);
+            assert_eq!(
+                view,
+                &scratch.shadow[k * copies..(k + 1) * copies],
+                "stream {k}: settled view diverged from the eager fold"
+            );
+        }
     }
 }
 
@@ -286,10 +452,16 @@ pub fn median_of_means_into(
 ) -> f64 {
     groups.clear();
     kernel::group_sums(per_copy, s1, s2, groups);
-    for g in groups.iter_mut() {
+    median_of_sums(s1, groups)
+}
+
+/// The median stage of median-of-means over group *sums* of `s1` copies
+/// each: divides in place, then takes the median.
+pub(crate) fn median_of_sums(s1: usize, sums: &mut [f64]) -> f64 {
+    for g in sums.iter_mut() {
         *g /= s1 as f64;
     }
-    median_in_place(groups)
+    median_in_place(sums)
 }
 
 /// Median-of-means over per-copy statistics laid out as `s1 × s2` values
@@ -543,7 +715,7 @@ mod tests {
     #[test]
     fn empty_bank_estimates_zero() {
         let q = chain_query();
-        let bank = SketchBank::new(&q, BankConfig::default());
+        let mut bank = SketchBank::new(&q, BankConfig::default());
         assert_eq!(bank.estimate_join_count(), 0.0);
         assert_eq!(bank.productivity(StreamId(0), &v(1, 1)), 0.0);
     }
@@ -561,10 +733,41 @@ mod tests {
         bank.update(StreamId(1), &v(4, 2));
         let expected: Vec<i64> = (0..6).map(|c| bank.sketch_value(c, StreamId(1))).collect();
         assert!(expected.iter().any(|&x| x != 0));
-        let snap = bank.take_stream_snapshot(StreamId(1));
+        // One more update, left pending: the roll must settle it first.
+        bank.update(StreamId(1), &v(4, 2));
+        let expected: Vec<i64> = expected.iter().map(|x| x / 2 * 3).collect();
+        let mut snap = vec![0i64; 6];
+        bank.roll_stream_into(StreamId(1), &mut snap);
         assert_eq!(snap, expected);
+        bank.check_invariants();
         assert_eq!(bank.counters_row(StreamId(1)), vec![0i64; 6].as_slice());
         assert_eq!(bank.tuples_seen(StreamId(1)), 0);
+    }
+
+    #[test]
+    fn serde_round_trip_keeps_pending_updates() {
+        let q = chain_query();
+        let cfg = BankConfig {
+            s1: 70,
+            s2: 1,
+            seed: 17,
+        };
+        let mut bank = SketchBank::new(&q, cfg);
+        for i in 0..5 {
+            bank.update(StreamId(0), &v(i, 1));
+            bank.update(StreamId(1), &v(i % 2, 1));
+        }
+        // Settle one stream only: the other goes out with planes in use.
+        let _ = bank.counters_row(StreamId(0));
+        assert_eq!((bank.pending[0], bank.pending[1]), (0, 5));
+        let json = serde_json::to_string(&bank).unwrap();
+        let mut back: SketchBank = serde_json::from_str(&json).unwrap();
+        back.check_invariants();
+        for k in 0..3 {
+            let want = bank.counters_row(StreamId(k)).to_vec();
+            assert_eq!(back.counters_row(StreamId(k)), want, "stream {k}");
+        }
+        assert_eq!(back.tuples_seen(StreamId(1)), 5);
     }
 
     #[test]

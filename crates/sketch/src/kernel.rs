@@ -26,10 +26,21 @@
 //! proves all of this against [`scalar`], including ragged tails and
 //! extreme counters.
 //!
+//! # Two kernels that do reorder — by identity, not by luck
+//!
+//! [`add_sign_planes`] / [`settle_planes`] defer the counter fold: sign
+//! vectors accumulate in bit-sliced per-copy counters and reach the `i64`
+//! counters later, all at once. Integer addition is associative and
+//! commutative, so the settled counters are the eagerly folded ones.
+//! [`signed_group_sums`] sums a frozen cross row in sixteen accumulators;
+//! it is only called on rows [`sum_is_exact`] accepts, where every partial
+//! sum in every order is an exactly representable integer.
+//!
 //! # Dispatch
 //!
 //! The top-level functions check shapes and run [`lanes`]; the two sign
-//! kernels run [`avx2`] instead where the CPU reports it.
+//! kernels run [`avx2`] instead where the CPU reports it. The kernels of
+//! the previous section have one portable form each.
 
 /// Lane width of the portable vector kernels (f64x4 / i64x4-sized blocks,
 /// one 256-bit register on the machines this targets).
@@ -169,6 +180,166 @@ pub fn signed_copy(words: &[u64], src: &[f64], dst: &mut [f64]) {
 pub fn group_sums(per_copy: &[f64], s1: usize, s2: usize, groups: &mut Vec<f64>) {
     check_group_shape(per_copy, s1, s2);
     lanes::group_sums(per_copy, s1, s2, groups)
+}
+
+// ---------------------------------------------------------------------------
+// Vertical (bit-sliced) pending counters.
+// ---------------------------------------------------------------------------
+
+/// Adds one packed sign vector into a *vertical counter*: `planes` holds
+/// `planes.len() / carry.len()` bit-planes of `carry.len()` words each,
+/// plane `p` carrying bit `p` of a per-copy count of −1 signs. A
+/// carry-save ripple — `plane ^= carry; carry &= old plane` — that stops
+/// at the first plane no copy carries into. `carry` enters as the sign
+/// words and leaves all-zero.
+///
+/// # Panics
+/// Panics if a copy's count carries out of the top plane (the caller
+/// settles before `2^planes` updates can accumulate).
+pub fn add_sign_planes(carry: &mut [u64], planes: &mut [u64]) {
+    if carry.is_empty() {
+        return;
+    }
+    assert_eq!(planes.len() % carry.len(), 0, "planes are not word-major");
+    for plane in planes.chunks_exact_mut(carry.len()) {
+        let mut any = 0u64;
+        for (p, c) in plane.iter_mut().zip(carry.iter_mut()) {
+            let old = *p;
+            *p = old ^ *c;
+            *c &= old;
+            any |= *c;
+        }
+        if any == 0 {
+            return;
+        }
+    }
+    panic!("vertical counter overflow: settle before the top plane carries");
+}
+
+/// `SIGN_MASKS[n][l]` = bit `l` of the nibble `n`, moved to the sign bit
+/// of lane `l`: four packed sign bits expand to four lanes of
+/// `{0, 1 << 63}` with one 32-byte load.
+const SIGN_MASKS: [[u64; LANES]; 16] = {
+    let mut table = [[0u64; LANES]; 16];
+    let mut n = 0;
+    while n < 16 {
+        let mut l = 0;
+        while l < LANES {
+            table[n][l] = ((n as u64 >> l) & 1) << 63;
+            l += 1;
+        }
+        n += 1;
+    }
+    table
+};
+
+/// Folds `pending` deferred ±1 updates out of a vertical counter into the
+/// per-copy counters: `counters[c] += pending − 2·neg[c]`, where `neg[c]`
+/// is read back from the bit-planes (see [`add_sign_planes`]). Integer
+/// addition commutes, so the result equals folding the `pending` sign
+/// vectors one by one with [`fold_packed_signs`]; with one plane and
+/// `pending == 1` it *is* that fold.
+pub fn settle_planes(planes: &[u64], pending: u32, counters: &mut [i64]) {
+    let words = counters.len().div_ceil(64);
+    if words == 0 {
+        return;
+    }
+    assert_eq!(planes.len() % words, 0, "planes are not word-major");
+    let n = i64::from(pending);
+    for (w, chunk) in counters.chunks_mut(64).enumerate() {
+        for (q, block) in chunk.chunks_mut(LANES).enumerate() {
+            let mut neg = [0u64; LANES];
+            for (p, plane) in planes.chunks_exact(words).enumerate() {
+                let bits = &SIGN_MASKS[((plane[w] >> (LANES * q)) & 15) as usize];
+                for (acc, &bit) in neg.iter_mut().zip(bits) {
+                    // Sign bit down to bit `p` of the count.
+                    *acc |= bit >> (63 - p);
+                }
+            }
+            for (cnt, &m) in block.iter_mut().zip(&neg) {
+                *cnt += n - 2 * m as i64;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Order-free signed sums over integer-valued rows.
+// ---------------------------------------------------------------------------
+
+/// Independent accumulators of [`signed_group_sums`]: four registers of
+/// [`LANES`], enough to hide the latency of a floating-point add.
+const SUM_ACCS: usize = 4 * LANES;
+
+/// Whether every signed sum over `row` is exact in any order:
+/// `Σ_c |row[c]| < 2^53`. For integer-valued entries (products of
+/// counters) that bounds every partial sum of `Σ_c ±row[c]`, under any
+/// association, by an exactly representable integer, so no add rounds.
+/// `false` for any non-finite entry. The test itself is a serial sum of
+/// non-negative terms, exact until it first reaches `2^53` and monotone
+/// after, so it cannot come out below the bound by rounding.
+pub fn sum_is_exact(row: &[f64]) -> bool {
+    const LIMIT: f64 = (1u64 << 53) as f64;
+    row.iter().map(|v| v.abs()).sum::<f64>() < LIMIT
+}
+
+/// `Σ_j ±vals[j]` with the sign of `vals[j]` taken from packed sign bit
+/// `first + j`, summed in [`SUM_ACCS`] independent accumulators. Every
+/// accumulator starts from −0.0 like `Iterator::sum`, so a zero total is
+/// −0.0 exactly when every term is −0.0 — in this order or the serial
+/// one.
+fn signed_sum(words: &[u64], first: usize, vals: &[f64]) -> f64 {
+    let flipped = |pos: usize, v: f64| {
+        f64::from_bits(v.to_bits() ^ (((words[pos / 64] >> (pos % 64)) & 1) << 63))
+    };
+    let mut acc = [-0.0f64; SUM_ACCS];
+    // A head up to the next multiple of SUM_ACCS sign bits, so that no
+    // body block straddles a sign word.
+    let head = (first.wrapping_neg() % SUM_ACCS).min(vals.len());
+    let (head_vals, body) = vals.split_at(head);
+    for (j, (a, &v)) in acc.iter_mut().zip(head_vals).enumerate() {
+        *a += flipped(first + j, v);
+    }
+    let mut pos = first + head;
+    let mut blocks = body.chunks_exact(SUM_ACCS);
+    for block in &mut blocks {
+        let bits = words[pos / 64] >> (pos % 64);
+        for (q, (accs, vs)) in acc
+            .chunks_exact_mut(LANES)
+            .zip(block.chunks_exact(LANES))
+            .enumerate()
+        {
+            let mask = &SIGN_MASKS[((bits >> (LANES * q)) & 15) as usize];
+            for ((a, &v), &m) in accs.iter_mut().zip(vs).zip(mask) {
+                *a += f64::from_bits(v.to_bits() ^ m);
+            }
+        }
+        pos += SUM_ACCS;
+    }
+    for (j, (a, &v)) in acc.iter_mut().zip(blocks.remainder()).enumerate() {
+        *a += flipped(pos + j, v);
+    }
+    acc.iter().fold(-0.0, |sum, &a| sum + a)
+}
+
+/// The frozen productivity query in one pass: appends to `groups`, for
+/// each of the `s2` groups of `s1` consecutive `row` values, the sum of
+/// the group's values under the packed signs — what [`signed_copy`] +
+/// [`group_sums`] compute, without the intermediate buffer and without
+/// the serial add chain.
+///
+/// Bit-identical to that pair **only for rows [`sum_is_exact`] accepts**;
+/// the caller checks the row once when it builds it and runs the serial
+/// pair otherwise.
+pub fn signed_group_sums(words: &[u64], row: &[f64], s1: usize, s2: usize, groups: &mut Vec<f64>) {
+    assert!(s1 > 0, "groups must hold at least one copy");
+    check_group_shape(row, s1, s2);
+    check_sign_shape(words, row.len(), "values");
+    groups.extend(
+        row.chunks_exact(s1)
+            .enumerate()
+            .map(|(g, vals)| signed_sum(words, g * s1, vals)),
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -612,6 +783,42 @@ mod tests {
             unfused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             "fused pass must be bit-identical (negative zero included)"
         );
+    }
+
+    #[test]
+    fn planes_settle_like_one_fold_per_update() {
+        // 70 copies (a ragged second word), three planes: seven updates is
+        // the most they hold.
+        let mut planes = vec![0u64; 3 * 2];
+        let mut eager: Vec<i64> = (0..70).map(|i| 100 - 3 * i).collect();
+        let mut counters = eager.clone();
+        for i in 0..7u64 {
+            let words = [
+                0xDEAD_BEEF_0123_4567u64.rotate_left(9 * i as u32),
+                (0x2Fu64 << i) & 0x3F,
+            ];
+            scalar::fold_packed_signs(&words, &mut eager);
+            let mut carry = words;
+            add_sign_planes(&mut carry, &mut planes);
+            assert_eq!(carry, [0, 0], "the carry is consumed");
+        }
+        settle_planes(&planes, 7, &mut counters);
+        assert_eq!(counters, eager);
+        // One pending update in one plane is the plain fold.
+        let words = [5u64, 1];
+        let mut a = eager.clone();
+        fold_packed_signs(&words, &mut a);
+        settle_planes(&words, 1, &mut eager);
+        assert_eq!(a, eager);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertical counter overflow")]
+    fn planes_refuse_to_carry_out_of_the_top() {
+        let mut planes = vec![0u64; 2];
+        for _ in 0..4 {
+            add_sign_planes(&mut [1], &mut planes);
+        }
     }
 
     #[test]

@@ -51,9 +51,10 @@
 //! ```
 
 // `deny` rather than `forbid`: the one sanctioned exception is the
-// tightly-scoped `#[allow(unsafe_code)]` on `kernel::avx2`, whose only
-// unsafety is the `target_feature` calling contract (discharged by runtime
-// CPU detection). Everything else in the crate stays safe.
+// tightly-scoped allow on `kernel::avx2`, whose only unsafety is the
+// `target_feature` calling contract (discharged by runtime CPU detection).
+// Everything else in the crate stays safe; `scripts/check.sh` counts the
+// allows.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -23,7 +23,7 @@ use crate::hash::{mod_mersenne, FourWiseHash};
 use mstream_types::Value;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Sign bits packed per `u64` word.
 const WORD_BITS: usize = 64;
@@ -236,21 +236,23 @@ impl SignCache {
         pred: usize,
         value: u64,
     ) -> &[u64] {
-        if self.map.contains_key(&(pred, value)) {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            if self.map.len() >= self.max_entries {
-                self.map.clear();
-            }
-            let mut bits = Vec::new();
-            families.eval_packed_into(pred, value, &mut bits);
-            self.map.insert((pred, value), bits);
+        let key = (pred, value);
+        // Only a full map pays a second lookup; a hit hashes the key once.
+        if self.map.len() >= self.max_entries && !self.map.contains_key(&key) {
+            self.map.clear();
         }
-        self.map
-            .get(&(pred, value))
-            .expect("inserted above")
-            .as_slice()
+        match self.map.entry(key) {
+            Entry::Occupied(hit) => {
+                self.hits += 1;
+                hit.into_mut()
+            }
+            Entry::Vacant(miss) => {
+                self.misses += 1;
+                let mut bits = Vec::new();
+                families.eval_packed_into(pred, value, &mut bits);
+                miss.insert(bits)
+            }
+        }
     }
 
     /// Drops every memoized vector; hit/miss counters persist.

@@ -21,7 +21,7 @@
 //! `O(copies)` adds instead of `O(copies · n)` multiplies — which is also
 //! what the engine's epoch-rollover priority rebuild pays per tuple.
 
-use crate::bank::{median_of_means_into, BankConfig, SketchBank};
+use crate::bank::{median_of_means_into, median_of_sums, BankConfig, SketchBank};
 use crate::kernel;
 use crate::score_cache::{ScoreCache, ScoreCacheStats, ScoreKey, MAX_CACHED_ATTRS};
 use crate::signs::SignCacheStats;
@@ -73,6 +73,9 @@ pub struct TumblingSketches {
     cross: Vec<f64>,
     /// Whether `cross` row `i` reflects the current `last` snapshot.
     cross_valid: Vec<bool>,
+    /// Whether valid `cross` row `i` passes [`kernel::sum_is_exact`], i.e.
+    /// may be summed in any order; recomputed with the row.
+    cross_exact: Vec<bool>,
     /// Epoch-scoped memo of exact productivity estimates (DESIGN.md §16).
     /// Only fully-frozen lookups are memoized, so a hit returns the same
     /// bits a recomputation would.
@@ -113,6 +116,7 @@ impl TumblingSketches {
             words: Vec::new(),
             cross: vec![0.0; n_streams * copies],
             cross_valid: vec![false; n_streams],
+            cross_exact: vec![false; n_streams],
             score_cache: ScoreCache::default(),
             generation: 0,
         }
@@ -162,15 +166,9 @@ impl TumblingSketches {
 
     /// Rolls every stream at once (time-based epochs).
     fn roll_all(&mut self) {
-        let copies = self.bank.config().copies();
-        self.prev.copy_from_slice(&self.last);
-        self.has_prev.copy_from_slice(&self.has_last);
         for k in 0..self.has_last.len() {
-            self.last[k * copies..(k + 1) * copies]
-                .copy_from_slice(self.bank.counters_row(StreamId(k)));
+            self.shift_snapshots(StreamId(k));
         }
-        self.bank.reset();
-        self.has_last.fill(true);
         self.cross_valid.fill(false);
         self.generation += 1;
         self.score_cache.clear();
@@ -178,22 +176,27 @@ impl TumblingSketches {
 
     /// Rolls a single stream (tuple-based epochs).
     fn roll_stream(&mut self, stream: StreamId) {
-        let copies = self.bank.config().copies();
-        let k = stream.index();
-        let snapshot = self.bank.take_stream_snapshot(stream);
-        self.prev[k * copies..(k + 1) * copies]
-            .copy_from_slice(&self.last[k * copies..(k + 1) * copies]);
-        self.has_prev[k] = self.has_last[k];
-        self.last[k * copies..(k + 1) * copies].copy_from_slice(&snapshot);
-        self.has_last[k] = true;
+        self.shift_snapshots(stream);
         // Every cross-product row except `k`'s own consults X_k^{last}.
         for (i, valid) in self.cross_valid.iter_mut().enumerate() {
-            if i != k {
+            if i != stream.index() {
                 *valid = false;
             }
         }
         self.generation += 1;
         self.score_cache.clear();
+    }
+
+    /// The data movement of a roll: `stream`'s `last` snapshot becomes its
+    /// `prev`, and its settled bank counters move straight into `last`.
+    fn shift_snapshots(&mut self, stream: StreamId) {
+        let copies = self.bank.config().copies();
+        let k = stream.index();
+        let last = &mut self.last[k * copies..(k + 1) * copies];
+        self.prev[k * copies..(k + 1) * copies].copy_from_slice(last);
+        self.has_prev[k] = self.has_last[k];
+        self.bank.roll_stream_into(stream, last);
+        self.has_last[k] = true;
     }
 
     /// Rebuilds the frozen cross-product row excluding stream `i` from the
@@ -206,6 +209,7 @@ impl TumblingSketches {
         let copies = self.bank.config().copies();
         let row = &mut self.cross[i * copies..(i + 1) * copies];
         kernel::column_products(&self.last, copies, i, row);
+        self.cross_exact[i] = kernel::sum_is_exact(row);
         self.cross_valid[i] = true;
     }
 
@@ -248,12 +252,21 @@ impl TumblingSketches {
     fn productivity_uncached(&mut self, stream: StreamId, values: &[Value], frozen: bool) -> f64 {
         let i = stream.index();
         let n = self.has_last.len();
-        let copies = self.bank.config().copies();
+        let cfg = self.bank.config();
+        let copies = cfg.copies();
         self.bank.packed_signs_into(stream, values, &mut self.words);
         self.scratch.resize(copies, 0.0);
         if frozen {
             self.ensure_cross_row(i);
             let row = &self.cross[i * copies..(i + 1) * copies];
+            if self.cross_exact[i] {
+                // Every partial sum of this row is an exact integer in any
+                // order (DESIGN.md §16): one fused multi-accumulator pass,
+                // bit-identical to the serial pair below.
+                self.groups.clear();
+                kernel::signed_group_sums(&self.words, row, cfg.s1, cfg.s2, &mut self.groups);
+                return median_of_sums(cfg.s1, &mut self.groups);
+            }
             kernel::signed_copy(&self.words, row, &mut self.scratch);
         } else if n == 3 {
             // Two-partner mixed path (the paper's 3-stream shape): one
@@ -264,6 +277,7 @@ impl TumblingSketches {
                 1 => (0, 2),
                 _ => (0, 1),
             };
+            self.settle_live_partners(i);
             let Self {
                 bank,
                 last,
@@ -276,7 +290,7 @@ impl TumblingSketches {
                 if has_last[k] {
                     &last[k * copies..(k + 1) * copies]
                 } else {
-                    bank.counters_row(StreamId(k))
+                    bank.settled_row(StreamId(k))
                 }
             };
             kernel::product2_signed(row(a), row(b), words, scratch);
@@ -284,6 +298,7 @@ impl TumblingSketches {
             // Mixed path (some stream still in its first epoch): multiply
             // per-stream rows in ascending order, choosing last-epoch or
             // live counters per stream exactly as the paper prescribes.
+            self.settle_live_partners(i);
             self.scratch.fill(1.0);
             for k in 0..n {
                 if k == i {
@@ -292,14 +307,23 @@ impl TumblingSketches {
                 let row: &[i64] = if self.has_last[k] {
                     &self.last[k * copies..(k + 1) * copies]
                 } else {
-                    self.bank.counters_row(StreamId(k))
+                    self.bank.settled_row(StreamId(k))
                 };
                 kernel::multiply_row(&mut self.scratch, row);
             }
             kernel::apply_packed_signs(&self.words, &mut self.scratch);
         }
-        let cfg = self.bank.config();
         median_of_means_into(cfg.s1, cfg.s2, &self.scratch, &mut self.groups)
+    }
+
+    /// Settles the live bank row of every partner of stream `i` that has
+    /// no `last` snapshot yet — the rows the mixed first-epoch paths fold.
+    fn settle_live_partners(&mut self, i: usize) {
+        for k in 0..self.has_last.len() {
+            if k != i && !self.has_last[k] {
+                self.bank.settle_stream(StreamId(k));
+            }
+        }
     }
 
     /// When the current (still-accumulating) epoch began, for time-based
@@ -364,6 +388,7 @@ impl TumblingSketches {
         }
         let copies = self.bank.config().copies();
         self.bank.packed_signs_into(stream, values, &mut self.words);
+        self.settle_live_partners(i);
         self.scratch.resize(copies, 0.0);
         self.scratch.fill(1.0);
         for k in 0..n {
@@ -375,7 +400,7 @@ impl TumblingSketches {
             } else if self.has_last[k] {
                 &self.last[k * copies..(k + 1) * copies]
             } else {
-                self.bank.counters_row(StreamId(k))
+                self.bank.settled_row(StreamId(k))
             };
             kernel::multiply_row(&mut self.scratch, row);
         }
@@ -416,16 +441,18 @@ impl TumblingSketches {
     /// Productivity computed against the *current* epoch's sketches
     /// (the expensive variant; exposed for the recompute-policy ablation).
     /// Never memoized — the live bank changes on every arrival.
-    pub fn current_productivity(&self, stream: StreamId, values: &[Value]) -> f64 {
+    pub fn current_productivity(&mut self, stream: StreamId, values: &[Value]) -> f64 {
         self.bank.productivity(stream, values)
     }
 
     /// Estimated size of the full multi-way join over the current epoch.
-    pub fn estimate_join_count(&self) -> f64 {
+    pub fn estimate_join_count(&mut self) -> f64 {
         self.bank.estimate_join_count()
     }
 
-    /// Read-only access to the underlying current-epoch bank.
+    /// Read-only access to the underlying current-epoch bank (sizing,
+    /// incidence, memo counters — reading counter values settles pending
+    /// updates and goes through `&mut self` methods instead).
     pub fn bank(&self) -> &SketchBank {
         &self.bank
     }
@@ -472,7 +499,10 @@ impl TumblingSketches {
     ///   arrival counter has silently passed its roll threshold);
     /// - every cross-product row flagged `cross_valid` is bit-identical to
     ///   a fresh recomputation from the `last` snapshot — the frozen fast
-    ///   path must never serve a stale product.
+    ///   path must never serve a stale product — and its stored
+    ///   order-free-sum guard equals a fresh [`kernel::sum_is_exact`];
+    /// - the bank's deferred-update state holds
+    ///   ([`SketchBank::check_invariants`]).
     ///
     /// O(streams² · copies); compiled only for tests and the `audit`
     /// feature, where the differential harness calls it after every arrival.
@@ -494,7 +524,9 @@ impl TumblingSketches {
         }
         assert_eq!(self.cross.len(), n * copies, "cross-product shape");
         assert_eq!(self.cross_valid.len(), n, "cross_valid shape");
+        assert_eq!(self.cross_exact.len(), n, "cross_exact shape");
         assert_eq!(self.arrivals.len(), n, "arrival counter shape");
+        self.bank.check_invariants();
         match self.epoch {
             EpochSpec::Time(p) => {
                 let micros = self.next_roll.as_micros();
@@ -522,6 +554,11 @@ impl TumblingSketches {
                     "stale frozen cross-product: row {i}, copy {c}"
                 );
             }
+            assert_eq!(
+                self.cross_exact[i],
+                kernel::sum_is_exact(&fresh),
+                "stale order-free-sum guard: row {i}"
+            );
         }
     }
 }
@@ -882,6 +919,62 @@ mod tests {
             (after - before).abs() > 1e-9,
             "estimate must follow the live row: {before} vs {after}"
         );
+    }
+
+    #[test]
+    fn frozen_sum_branch_follows_each_cross_row_guard() {
+        // Inject a last-epoch snapshot whose cross row for R1 is the
+        // cancellation bait [1e16, 1 ×15, −1e16, 1 ×3]: Σ|x| ≥ 2^53, so the
+        // row must be summed serially — a sixteen-accumulator sum cancels
+        // the two giants first and keeps every 1 the serial fold absorbs.
+        let q = chain_query();
+        let mut ts = TumblingSketches::new(&q, cfg(20, 9), EpochSpec::Time(VDur::from_secs(10)));
+        let mut r2 = vec![1i64; 20];
+        (r2[0], r2[16]) = (100_000_000, -100_000_000);
+        let mut r3 = vec![1i64; 20];
+        (r3[0], r3[16]) = (100_000_000, 100_000_000);
+        ts.last[20..40].copy_from_slice(&r2);
+        ts.last[40..60].copy_from_slice(&r3);
+        ts.has_last.fill(true);
+        ts.set_score_cache(false);
+
+        // The serial reference, from the scalar kernels and the row the
+        // instance built.
+        let serial = |ts: &TumblingSketches, vals: &[Value]| -> f64 {
+            let mut words = Vec::new();
+            ts.bank().packed_signs_into(StreamId(0), vals, &mut words);
+            let mut signed = vec![0.0f64; 20];
+            kernel::scalar::signed_copy(&words, &ts.cross[..20], &mut signed);
+            let mut sums = Vec::new();
+            kernel::scalar::group_sums(&signed, 20, 1, &mut sums);
+            sums[0] / 20.0
+        };
+        let mut orders_differ = false;
+        for a in 0..32 {
+            let got = ts.productivity(StreamId(0), &v(a, 0));
+            assert!(!ts.cross_exact[0], "bait row refused by the guard");
+            assert_eq!(got.to_bits(), serial(&ts, &v(a, 0)).to_bits(), "value {a}");
+            let mut fused = Vec::new();
+            kernel::signed_group_sums(&ts.words, &ts.cross[..20], 20, 1, &mut fused);
+            orders_differ |= fused[0] / 20.0 != got;
+        }
+        assert!(orders_differ, "the bait separates the two summation orders");
+        ts.check_invariants();
+
+        // One real roll later the snapshot is a handful of small counters:
+        // the same instance now takes the fused branch, and still returns
+        // the serial bits.
+        for i in 0..6 {
+            ts.observe(StreamId(1), &v(i % 2, 3), VTime::from_secs(1));
+            ts.observe(StreamId(2), &v(3, i), VTime::from_secs(1));
+        }
+        assert!(ts.observe(StreamId(0), &v(0, 0), VTime::from_secs(11)));
+        for a in 0..4 {
+            let got = ts.productivity(StreamId(0), &v(a, 0));
+            assert!(ts.cross_exact[0], "small integer row passes the guard");
+            assert_eq!(got.to_bits(), serial(&ts, &v(a, 0)).to_bits(), "value {a}");
+        }
+        ts.check_invariants();
     }
 
     #[test]

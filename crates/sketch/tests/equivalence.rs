@@ -780,3 +780,351 @@ mod kernels {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Deferred counter updates and the order-free signed sum (PR 14).
+//
+// `SketchBank::update` parks sign vectors in bit-sliced pending counters
+// and settles them into the `i64` counters on read; the frozen
+// productivity query sums a guarded cross row in sixteen accumulators.
+// Both are pinned here against the eager, serial scalar kernels.
+// ---------------------------------------------------------------------------
+
+mod deferred {
+    use super::{chain_query, v, LegacyTumbling};
+    use mstream_sketch::kernel::{self, scalar};
+    use mstream_sketch::{
+        median_of_means_slice, BankConfig, EpochSpec, SketchBank, TumblingSketches,
+    };
+    use mstream_types::{StreamId, VDur, VTime, Value};
+    use proptest::prelude::*;
+
+    /// The eager twin of a [`SketchBank`]: every update folded into the
+    /// counters at once by `scalar::fold_packed_signs`, estimates from the
+    /// scalar kernels.
+    struct EagerBank {
+        cfg: BankConfig,
+        counters: Vec<i64>,
+        words: Vec<u64>,
+    }
+
+    impl EagerBank {
+        fn new(cfg: BankConfig) -> Self {
+            EagerBank {
+                cfg,
+                counters: vec![0; 3 * cfg.copies()],
+                words: Vec::new(),
+            }
+        }
+
+        fn row(&mut self, stream: usize) -> &mut [i64] {
+            let copies = self.cfg.copies();
+            &mut self.counters[stream * copies..(stream + 1) * copies]
+        }
+
+        fn update(&mut self, bank: &SketchBank, stream: usize, values: &[Value]) {
+            let mut words = std::mem::take(&mut self.words);
+            bank.packed_signs_into(StreamId(stream), values, &mut words);
+            scalar::fold_packed_signs(&words, self.row(stream));
+            self.words = words;
+        }
+
+        fn estimate(&mut self, bank: &SketchBank, exclude: Option<(usize, &[Value])>) -> f64 {
+            let copies = self.cfg.copies();
+            let mut per_copy = vec![0.0f64; copies];
+            let skip = exclude.map_or(usize::MAX, |(i, _)| i);
+            scalar::column_products(&self.counters, copies, skip, &mut per_copy);
+            if let Some((i, values)) = exclude {
+                bank.packed_signs_into(StreamId(i), values, &mut self.words);
+                scalar::apply_packed_signs(&self.words, &mut per_copy);
+            }
+            median_of_means_slice(self.cfg.s1, self.cfg.s2, &per_copy)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Updates, reads, resets and per-stream rolls in random order —
+        /// after one burst long enough to hit the bank's own settle
+        /// threshold — leave every counter and every estimate equal to the
+        /// eager fold's.
+        #[test]
+        fn bank_settles_to_the_eager_fold_under_any_interleaving(
+            seed in any::<u64>(),
+            s1 in 1usize..70,
+            s2 in 1usize..3,
+            burst_stream in 0usize..3,
+            burst_extra in 0u64..40,
+            ops in prop::collection::vec(
+                (0u8..11, 0usize..3, 0u64..12, 0u64..12), 1..150),
+        ) {
+            let q = chain_query();
+            let cfg = BankConfig { s1, s2, seed };
+            let copies = cfg.copies();
+            let mut bank = SketchBank::new(&q, cfg);
+            let mut eager = EagerBank::new(cfg);
+            for i in 0..u64::from(SketchBank::PENDING_MAX) + burst_extra {
+                let vals = v(i % 5, i % 3);
+                bank.update(StreamId(burst_stream), &vals);
+                eager.update(&bank, burst_stream, &vals);
+            }
+            for (op, s, a, b) in ops {
+                let sid = StreamId(s);
+                match op {
+                    0..=4 => {
+                        bank.update(sid, &v(a, b));
+                        eager.update(&bank, s, &v(a, b));
+                    }
+                    5 => {
+                        for i in 0..70 {
+                            bank.update(sid, &v(a, i % 4));
+                            eager.update(&bank, s, &v(a, i % 4));
+                        }
+                    }
+                    6 => prop_assert_eq!(
+                        bank.estimate_join_count().to_bits(),
+                        eager.estimate(&bank, None).to_bits()
+                    ),
+                    7 => {
+                        let c = (13 * a + b) as usize % copies;
+                        prop_assert_eq!(bank.sketch_value(c, sid), eager.row(s)[c]);
+                    }
+                    8 => {
+                        let vals = v(a, b);
+                        prop_assert_eq!(
+                            bank.productivity(sid, &vals).to_bits(),
+                            eager.estimate(&bank, Some((s, &vals))).to_bits()
+                        );
+                    }
+                    9 => {
+                        bank.reset();
+                        eager.counters.fill(0);
+                    }
+                    _ => {
+                        let mut snapshot = vec![0i64; copies];
+                        bank.roll_stream_into(sid, &mut snapshot);
+                        prop_assert_eq!(&snapshot[..], &*eager.row(s));
+                        eager.row(s).fill(0);
+                        prop_assert_eq!(bank.tuples_seen(sid), 0);
+                    }
+                }
+            }
+            for s in 0..3 {
+                prop_assert_eq!(bank.counters_row(StreamId(s)), &*eager.row(s));
+            }
+        }
+
+        /// The same through the tumbling layer, against the legacy eager
+        /// implementation, in both epoch modes: bursts past the settle
+        /// threshold between reads, whole-bank and per-stream rolls, the
+        /// mixed first-epoch paths and the frozen one.
+        #[test]
+        fn tumbling_layer_settles_before_every_roll_and_live_read(
+            seed in any::<u64>(),
+            s1 in 1usize..10,
+            time_mode in any::<bool>(),
+            long_epochs in any::<bool>(),
+            period in 1u64..12,
+            burst_stream in 0usize..3,
+            ops in prop::collection::vec(
+                (0u8..8, 0usize..3, 0u64..8, 0u64..8, 0u64..40), 1..80),
+        ) {
+            let q = chain_query();
+            let cfg = BankConfig { s1, s2: 1, seed };
+            let threshold = u64::from(SketchBank::PENDING_MAX);
+            let epoch = match (time_mode, long_epochs) {
+                (true, _) => EpochSpec::Time(VDur::from_secs(period)),
+                // Long tuple epochs hold a whole burst without a roll.
+                (false, true) => EpochSpec::PerStreamTuples(threshold + 100 + period),
+                (false, false) => EpochSpec::PerStreamTuples(period),
+            };
+            let mut new = TumblingSketches::new(&q, cfg, epoch);
+            let mut old = LegacyTumbling::new(&q, cfg, epoch);
+            let mut now = 0u64;
+            let mut bursts = 0;
+            // Every case opens with a burst, so the threshold is always hit.
+            let opening = std::iter::once((5u8, burst_stream, 1u64, 2u64, 16u64));
+            for (op, s, a, b, dt) in opening.chain(ops) {
+                now += dt / 8;
+                let t = VTime::from_secs(now);
+                match op {
+                    5 if bursts < 2 => {
+                        bursts += 1;
+                        for i in 0..threshold + dt {
+                            let vals = v((a + i) % 6, b);
+                            prop_assert_eq!(
+                                new.observe(StreamId(s), &vals, t),
+                                old.observe(StreamId(s), &vals, t)
+                            );
+                        }
+                    }
+                    6 => {
+                        for stream in 0..3 {
+                            prop_assert_eq!(
+                                new.productivity(StreamId(stream), &v(a, b)).to_bits(),
+                                old.productivity(StreamId(stream), &v(a, b)).to_bits()
+                            );
+                        }
+                    }
+                    7 => prop_assert_eq!(
+                        new.estimate_join_count().to_bits(),
+                        old.bank.estimate_join_count().to_bits()
+                    ),
+                    _ => prop_assert_eq!(
+                        new.observe(StreamId(s), &v(a, b), t),
+                        old.observe(StreamId(s), &v(a, b), t)
+                    ),
+                }
+            }
+            for stream in 0..3 {
+                prop_assert_eq!(
+                    new.productivity(StreamId(stream), &v(1, 2)).to_bits(),
+                    old.productivity(StreamId(stream), &v(1, 2)).to_bits()
+                );
+            }
+        }
+
+        /// Random integer-valued rows under the 2^53 guard: the fused
+        /// multi-accumulator sum returns the serial pair's bits for every
+        /// group shape, ragged heads and tails included.
+        #[test]
+        fn signed_group_sums_match_the_serial_pair_on_guarded_rows(
+            seed in any::<u64>(),
+            shape in 0usize..SHAPES.len(),
+            zero_every in 1usize..9,
+        ) {
+            let (s1, s2) = SHAPES[shape];
+            let len = s1 * s2;
+            // |x| < 2^52 / len keeps Σ|x| under the guard.
+            let bound = (1u64 << 52) / len as u64;
+            let row: Vec<f64> = (0..len)
+                .map(|i| {
+                    let r = mix(seed, i as u64);
+                    if i % zero_every == 0 {
+                        if r & 1 == 0 { 0.0 } else { -0.0 }
+                    } else {
+                        let x = (r % bound) as f64;
+                        if r >> 63 == 0 { x } else { -x }
+                    }
+                })
+                .collect();
+            prop_assert!(kernel::sum_is_exact(&row));
+            let words: Vec<u64> = (0..len.div_ceil(64)).map(|i| mix(!seed, i as u64)).collect();
+            prop_assert_eq!(bits(&fused(&words, &row, s1, s2)), bits(&serial(&words, &row, s1, s2)));
+        }
+    }
+
+    /// `(s1, s2)`: single groups at every ragged length the sign words and
+    /// the sixteen accumulators care about, and multi-group shapes whose
+    /// `s1` is no multiple of four, so groups start mid-nibble.
+    #[rustfmt::skip]
+    const SHAPES: [(usize, usize); 16] = [
+        (1, 1), (63, 1), (64, 1), (65, 1), (130, 1), (1000, 1),
+        (1, 3), (7, 3), (21, 3), (63, 3), (130, 3), (333, 3),
+        (1, 5), (15, 5), (65, 5), (201, 5),
+    ];
+
+    fn mix(seed: u64, i: u64) -> u64 {
+        let mut z = seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn fused(words: &[u64], row: &[f64], s1: usize, s2: usize) -> Vec<f64> {
+        let mut groups = Vec::new();
+        kernel::signed_group_sums(words, row, s1, s2, &mut groups);
+        groups
+    }
+
+    fn serial(words: &[u64], row: &[f64], s1: usize, s2: usize) -> Vec<f64> {
+        let mut signed = vec![0.0f64; row.len()];
+        scalar::signed_copy(words, row, &mut signed);
+        let mut groups = Vec::new();
+        scalar::group_sums(&signed, s1, s2, &mut groups);
+        groups
+    }
+
+    #[test]
+    fn signed_group_sums_pin_the_sign_of_zero() {
+        for (s1, s2) in SHAPES {
+            let len = s1 * s2;
+            let words: Vec<u64> = (0..len.div_ceil(64)).map(|i| mix(7, i as u64)).collect();
+            let all_plus = vec![0u64; words.len()];
+            // Rows of one kind of zero: with no sign flipped the total
+            // keeps the row's zero; under random signs it is −0.0 only if
+            // every flipped term came out −0.0 — whatever the serial fold
+            // says.
+            for zero in [0.0f64, -0.0] {
+                let row = vec![zero; len];
+                assert!(kernel::sum_is_exact(&row));
+                let plain = fused(&all_plus, &row, s1, s2);
+                assert!(
+                    plain.iter().all(|g| g.to_bits() == zero.to_bits()),
+                    "{s1}x{s2}"
+                );
+                assert_eq!(
+                    bits(&fused(&words, &row, s1, s2)),
+                    bits(&serial(&words, &row, s1, s2)),
+                    "zeros {zero:?} at {s1}x{s2}"
+                );
+            }
+            // Non-zero terms that cancel: x where the sign bit is clear, −x
+            // where it is set, alternating, so every signed pair sums to
+            // +0.0 and never to −0.0.
+            let row: Vec<f64> = (0..len)
+                .map(|i| {
+                    let x = (i / 2 + 1) as f64;
+                    let flipped = (words[i / 64] >> (i % 64)) & 1 == 1;
+                    if (i % 2 == 0) == flipped {
+                        -x
+                    } else {
+                        x
+                    }
+                })
+                .collect();
+            assert_eq!(
+                bits(&fused(&words, &row, s1, s2)),
+                bits(&serial(&words, &row, s1, s2)),
+                "cancelling row at {s1}x{s2}"
+            );
+        }
+    }
+
+    #[test]
+    fn exactness_guard_sits_at_two_to_the_53() {
+        let limit = (1u64 << 53) as f64;
+        // Σ|x| = 2^53 − 1 passes, and the fused sum is then the serial one.
+        let mut row = vec![1.0f64; 1000];
+        row[17] = -(limit - 1000.0);
+        assert!(kernel::sum_is_exact(&row));
+        let words: Vec<u64> = (0..16).map(|i| mix(53, i)).collect();
+        assert_eq!(
+            bits(&fused(&words, &row, 1000, 1)),
+            bits(&serial(&words, &row, 1000, 1))
+        );
+        // Σ|x| = 2^53 does not, nor does anything non-finite.
+        row[0] = 2.0;
+        assert!(!kernel::sum_is_exact(&row));
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert!(!kernel::sum_is_exact(&[1.0, bad, 1.0]));
+        }
+        // The cancellation bait of `group_sums_keeps_serial_order_in_every_mode`
+        // is refused, so its row only ever meets the serial fold. Stretched
+        // over more than sixteen copies the orders do differ — the guard is
+        // what keeps that from showing.
+        assert!(!kernel::sum_is_exact(&[1e16, 1.0, -1e16, 1.0]));
+        let mut bait = vec![1.0f64; 20];
+        bait[0] = 1e16;
+        bait[16] = -1e16;
+        assert!(!kernel::sum_is_exact(&bait));
+        let plus = [0u64];
+        assert_eq!(serial(&plus, &bait, 20, 1), [3.0]);
+        assert_eq!(fused(&plus, &bait, 20, 1), [18.0]);
+    }
+}

@@ -159,6 +159,15 @@ impl WindowStore {
     /// shedding does not extend lifetimes).
     pub fn expire(&mut self, now: VTime) -> Vec<Tuple> {
         let mut expired = Vec::new();
+        self.expire_each(now, |tuple| expired.push(tuple));
+        expired
+    }
+
+    /// [`Self::expire`] handing each expired tuple to `visit`, oldest
+    /// first, instead of collecting them; returns how many expired. The
+    /// engines only count, so their per-arrival expiry allocates nothing.
+    pub fn expire_each(&mut self, now: VTime, mut visit: impl FnMut(Tuple)) -> u64 {
+        let mut expired = 0;
         while let Some(&slot) = self.expiry.front() {
             // Lazily drop queue entries for tuples already evicted.
             let Some(entry) = self.arena.get(slot) else {
@@ -175,7 +184,8 @@ impl WindowStore {
                 break;
             }
             self.expiry.pop_front();
-            expired.push(self.remove_slot(slot).expect("slot checked live"));
+            visit(self.remove_slot(slot).expect("slot checked live"));
+            expired += 1;
         }
         expired
     }
@@ -594,6 +604,20 @@ mod tests {
         w.note_arrival();
         let dead = w.expire(VTime::ZERO);
         assert_eq!(dead.len(), 1, "3 newer arrivals expire the tuple");
+    }
+
+    #[test]
+    fn expire_each_visits_oldest_first_and_counts() {
+        let mut w = time_store(10);
+        for seq in 0..4 {
+            w.insert(tup(seq, seq, 7, 0), 1.0);
+        }
+        // Window length 10: at t = 12 the tuples stamped 0, 1, 2 are out.
+        let mut seen = Vec::new();
+        let n = w.expire_each(VTime::from_secs(12), |t| seen.push(t.seq.0));
+        assert_eq!((n, seen), (3, vec![0, 1, 2]));
+        assert_eq!(w.expire_each(VTime::from_secs(12), drop), 0);
+        assert_eq!(w.len(), 1);
     }
 
     #[test]
