@@ -41,6 +41,17 @@
 //! must agree bit for bit on emissions and on every metric except the
 //! cache counters and stage timers themselves (DESIGN.md §16).
 //!
+//! Every **even-seed case** pins the plain-vs-eager A/B class instead:
+//! each run of a policy that lets the engine owe window priorities
+//! (`MSketch`, `MSketch-RS`; single-engine, sharded and multi-query) is
+//! driven twice — the policy as shipped, and wrapped so that it no longer
+//! declares `ShedPolicy::deferrable_priority`, which is the engine that
+//! scores every arrival and rebuilds every window at every rollover — and
+//! the two runs must agree in the same sense. The sweep summaries count
+//! the cases in which a window actually owed its priorities. (The
+//! event-time audit's `K = 0` identity already holds an eager engine — a
+//! front end never defers — to the trusting one, in emit order.)
+//!
 //! Failures print a replay line (`cargo run -p mstream-audit -- replay
 //! <seed>`) and a greedily shrunk minimal trace ([`shrink`]).
 
@@ -48,6 +59,9 @@
 #![warn(missing_docs)]
 
 pub mod disorder;
+/// The eager reference policy the plain-vs-eager A/B runs compare against.
+#[path = "../../../tests/support/eager.rs"]
+mod eager;
 pub mod gen;
 pub mod multi;
 pub mod run;
@@ -56,7 +70,7 @@ pub mod shrink;
 pub use disorder::{inject_disorder, run_disorder_case};
 pub use gen::{generate_case, generate_multi_case, Arrival, Case, MixKind, MultiCase, ReducedMemory};
 pub use multi::run_multi_case;
-pub use run::{install_quiet_hook, run_case, run_case_on, Failure, FailureKind};
+pub use run::{install_quiet_hook, run_case, run_case_on, CaseStats, Failure, FailureKind};
 pub use shrink::shrink_case;
 
 /// Derives the per-case seed for case `index` of a sweep started with
@@ -160,6 +174,29 @@ mod tests {
             }
         }
         assert!(ab && plain, "both parities must appear in a sweep");
+    }
+
+    /// The plain/eager A/B class is the even seeds, for exactly the
+    /// policies that let the engine owe priorities; odd seeds keep the
+    /// score-cache pair for every policy.
+    #[test]
+    fn deferral_ab_class_is_the_even_seeds_of_deferrable_policies() {
+        use crate::run::{ab_pair, FailureKind};
+        for &name in mstream_shed_policies::ALL_POLICY_NAMES {
+            let owes = matches!(name, "MSketch" | "MSketch-RS");
+            match ab_pair(false, name) {
+                Some((plain, eager, kind)) => {
+                    assert!(owes, "{name} must not get an eager twin");
+                    assert!(!plain.eager && eager.eager);
+                    assert_eq!(kind, FailureKind::DeferralDivergence);
+                }
+                None => assert!(!owes, "{name} must be A/B-run against its eager twin"),
+            }
+            let (on, off, kind) = ab_pair(true, name).expect("odd seeds A/B every policy");
+            assert_eq!((on.cache, off.cache), (Some(true), Some(false)));
+            assert!(!on.eager && !off.eager);
+            assert_eq!(kind, FailureKind::ScoreCacheDivergence);
+        }
     }
 
     #[test]

@@ -64,24 +64,29 @@ fn sweep(args: &[String]) -> i32 {
     }
     silence_panics();
     let mut arrivals_total = 0usize;
+    let mut deferred_cases = 0usize;
     for i in 0..cases {
         let seed = case_seed(master, i);
         let case = generate_case(seed);
         arrivals_total += case.arrivals.len();
-        if let Err(failure) = run_case(&case) {
-            report(&case, &failure);
-            return 1;
+        match run_case(&case) {
+            Ok(stats) => deferred_cases += usize::from(stats.deferred),
+            Err(failure) => {
+                report(&case, &failure);
+                return 1;
+            }
         }
         if (i + 1) % 25 == 0 {
             eprintln!("  … {}/{cases} cases clean", i + 1);
         }
     }
     println!(
-        "audit sweep: {cases} cases ({arrivals_total} arrivals) — all policies match the \
+        "audit sweep: {cases} cases ({arrivals_total} arrivals, {deferred_cases} deferred \
+         cases in which a window owed its priorities) — all policies match the \
          exact oracle at 100% memory (single-engine and sharded), all shed runs are \
          sub-multisets, sharded runs honour the partitioning contract, score-cache \
-         on/off A/B runs are bit-identical on every odd-seed case, zero invariant \
-         violations"
+         on/off A/B runs are bit-identical on every odd-seed case and plain/eager A/B \
+         runs on every even-seed case, zero invariant violations"
     );
     0
 }
@@ -94,7 +99,7 @@ fn replay(args: &[String]) -> i32 {
     silence_panics();
     let case = generate_case(seed);
     match run_case(&case) {
-        Ok(()) => {
+        Ok(_) => {
             println!("seed {seed}: PASS ({} arrivals)", case.arrivals.len());
             0
         }
@@ -196,15 +201,19 @@ fn multi(args: &[String]) -> i32 {
     let mut arrivals_total = 0usize;
     let mut queries_total = 0usize;
     let mut churn_cases = 0usize;
+    let mut deferred_cases = 0usize;
     for i in 0..cases {
         let seed = case_seed(master, i);
         let case = generate_multi_case(seed);
         arrivals_total += case.arrivals.len();
         queries_total += case.registered().len();
         churn_cases += usize::from(case.has_churn());
-        if let Err(failure) = run_multi_case(&case) {
-            report_multi(&case, &failure);
-            return 1;
+        match run_multi_case(&case) {
+            Ok(stats) => deferred_cases += usize::from(stats.deferred),
+            Err(failure) => {
+                report_multi(&case, &failure);
+                return 1;
+            }
         }
         if (i + 1) % 25 == 0 {
             eprintln!("  … {}/{cases} multi-query cases clean", i + 1);
@@ -213,12 +222,13 @@ fn multi(args: &[String]) -> i32 {
     println!(
         "multi-query audit: {cases} cases ({queries_total} standing queries, \
          {arrivals_total} arrivals, {churn_cases} churn cases with a mid-trace add_query or \
-         remove_query) — every query's shared-plane output matches its solo exact oracle \
+         remove_query, {deferred_cases} deferred cases in which a shared store owed its \
+         priorities) — every query's shared-plane output matches its solo exact oracle \
          over the arrivals it was registered for at 100% memory for every policy \
          (in-process and sharded S ∈ {{1, 2}}), \
          every shed run is a per-query sub-multiset, keyed sets run at full width, \
-         score-cache on/off A/B runs are bit-identical on every odd-seed case, zero \
-         invariant violations"
+         score-cache on/off A/B runs are bit-identical on every odd-seed case and \
+         plain/eager A/B runs on every even-seed case, zero invariant violations"
     );
     0
 }
@@ -231,7 +241,7 @@ fn multi_replay(args: &[String]) -> i32 {
     silence_panics();
     let case = generate_multi_case(seed);
     match run_multi_case(&case) {
-        Ok(()) => {
+        Ok(_) => {
             println!(
                 "seed {seed}: PASS ({} queries, {} arrivals)",
                 case.queries.len(),

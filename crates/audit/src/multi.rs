@@ -22,29 +22,32 @@
 //! over ([`MultiCase::registered`]).
 
 use crate::gen::{Arrival as GenArrival, MultiCase};
-use crate::run::{first_diff, normalized_metrics, not_in_multiset, panic_message, Failure, FailureKind};
+use crate::run::{
+    first_diff, not_in_multiset, panic_message, run_ab, CaseStats, Failure, FailureKind, Variant,
+};
 use mstream_core::ingest::QueryFnSink;
 use mstream_core::shard::ShardConfig;
 use mstream_core::{Arrival, EngineBuilder, EngineMetrics};
 use mstream_join::{Bindings, ExactJoin};
-use mstream_shed_policies::{parse_policy, ALL_POLICY_NAMES};
+use mstream_shed_policies::ALL_POLICY_NAMES;
 use mstream_sketch::BankConfig;
 use mstream_types::{JoinQuery, QueryId, StreamId, VTime, Value};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Runs the full multi-query differential for `case`.
-pub fn run_multi_case(case: &MultiCase) -> Result<(), Failure> {
+pub fn run_multi_case(case: &MultiCase) -> Result<CaseStats, Failure> {
     let oracle: Vec<Vec<Vec<u64>>> = case
         .registered()
         .into_iter()
         .map(|(q, over)| oracle_rows(q, &case.arrivals[over]))
         .collect();
+    let mut stats = CaseStats::default();
 
     for &name in ALL_POLICY_NAMES {
-        let full = drive_multi(case, name, true)?;
+        let full = drive_multi(case, name, true, &mut stats)?;
         check_exact(name, &full, &oracle)?;
-        let shed = drive_multi(case, name, false)?;
+        let shed = drive_multi(case, name, false, &mut stats)?;
         check_sub(name, &shed, &oracle)?;
     }
 
@@ -57,7 +60,7 @@ pub fn run_multi_case(case: &MultiCase) -> Result<(), Failure> {
             check_sub(&label, &shed, &oracle)?;
         }
     }
-    Ok(())
+    Ok(stats)
 }
 
 /// Per-query exact-match check at 100% memory.
@@ -138,10 +141,10 @@ fn oracle_rows(query: &JoinQuery, arrivals: &[GenArrival]) -> Vec<Vec<u64>> {
 
 /// The shared [`EngineBuilder`] setup for one multi-query run: explicit
 /// epoch and sketch bank, case-seeded determinism, every query registered
-/// in case order.
-fn builder(case: &MultiCase, policy: &str, capacity: usize) -> EngineBuilder {
+/// in case order, `variant`'s policy wrapping and cache pin applied.
+fn builder(case: &MultiCase, policy: &str, capacity: usize, variant: Variant) -> EngineBuilder {
     let mut b = EngineBuilder::new_multi()
-        .boxed_policy(parse_policy(policy).expect("every registered policy parses"))
+        .boxed_policy(variant.policy(policy))
         .capacity_per_window(capacity)
         .epoch(case.epoch)
         .bank(BankConfig {
@@ -150,6 +153,9 @@ fn builder(case: &MultiCase, policy: &str, capacity: usize) -> EngineBuilder {
             seed: case.seed,
         })
         .seed(case.seed);
+    if let Some(on) = variant.cache {
+        b = b.score_cache(on);
+    }
     for query in &case.queries {
         b.register(query.clone())
             .expect("generated pool schemas always agree");
@@ -173,47 +179,28 @@ fn pool_map(
     map
 }
 
-/// Drives the trace through the in-process shared data plane. On a
-/// `cache_ab` case the trace runs twice — score cache forced on and off —
-/// and every query's output plus the cache/ns-normalized engine metrics
-/// must be bit-identical (the shared plane's per-class sketch banks and
-/// `remove_query` retirement baseline must not leak into scoring).
+/// Drives the trace through the in-process shared data plane. When
+/// [`crate::run::ab_pair`] names a pair for this case and policy the trace runs twice
+/// — score cache on and off on odd seeds, the policy plain and eager on
+/// even ones — and every query's output plus the normalized engine
+/// metrics must be bit-identical (the shared plane's per-class sketch
+/// banks, its `remove_query` retirement baseline and hand-off, and its
+/// owed rescoring passes must not leak into what is emitted).
 fn drive_multi(
     case: &MultiCase,
     policy: &str,
     full_memory: bool,
+    stats: &mut CaseStats,
 ) -> Result<Vec<Vec<Vec<u64>>>, Failure> {
-    if !case.cache_ab {
-        return Ok(drive_multi_with(case, policy, full_memory, None)?.0);
-    }
-    let (rows_on, metrics_on) = drive_multi_with(case, policy, full_memory, Some(true))?;
-    let (rows_off, metrics_off) = drive_multi_with(case, policy, full_memory, Some(false))?;
-    let fail = |detail: String| Failure {
-        policy: policy.into(),
-        kind: FailureKind::ScoreCacheDivergence,
-        detail,
+    let run = |variant| {
+        let (rows, metrics, deferred) = drive_multi_with(case, policy, full_memory, variant)?;
+        stats.deferred |= deferred;
+        Ok((rows, metrics))
     };
-    if rows_on != rows_off {
-        let q = rows_on
-            .iter()
-            .zip(&rows_off)
-            .position(|(a, b)| a != b)
-            .unwrap_or(0);
-        return Err(fail(format!(
-            "multi-query emissions diverge (memory {}, q{q}): {}",
-            if full_memory { "full" } else { "reduced" },
-            first_diff(&rows_on[q], &rows_off[q])
-        )));
-    }
-    if normalized_metrics(&metrics_on) != normalized_metrics(&metrics_off) {
-        return Err(fail(format!(
-            "multi-query normalized metrics diverge (memory {}): on {:?} vs off {:?}",
-            if full_memory { "full" } else { "reduced" },
-            normalized_metrics(&metrics_on),
-            normalized_metrics(&metrics_off)
-        )));
-    }
-    Ok(rows_on)
+    run_ab(case.cache_ab, policy, policy, full_memory, run, |a, b| {
+        let q = a.iter().zip(b).position(|(a, b)| a != b).unwrap_or(0);
+        format!("q{q}: {}", first_diff(&a[q], &b[q]))
+    })
 }
 
 /// Per-query canonical rows, as produced by one multi-engine drive.
@@ -221,14 +208,14 @@ type PerQueryRows = Vec<Vec<Vec<u64>>>;
 
 /// The single-run body behind [`drive_multi`]: collects per-query
 /// canonical rows, re-checks structural invariants after every arrival,
-/// and returns the final engine metrics. `cache` pins the productivity
-/// score cache for this instance.
+/// and returns the final engine metrics and whether any shared store owed
+/// its priorities after some arrival.
 fn drive_multi_with(
     case: &MultiCase,
     policy: &str,
     full_memory: bool,
-    cache: Option<bool>,
-) -> Result<(PerQueryRows, EngineMetrics), Failure> {
+    variant: Variant,
+) -> Result<(PerQueryRows, EngineMetrics, bool), Failure> {
     let fail = |detail: String, kind| Failure {
         policy: policy.into(),
         kind,
@@ -239,16 +226,13 @@ fn drive_multi_with(
     } else {
         case.capacity
     };
-    let mut b = builder(case, policy, capacity);
-    if let Some(on) = cache {
-        b = b.score_cache(on);
-    }
-    let mut engine = b
+    let mut engine = builder(case, policy, capacity, variant)
         .build_multi()
         .map_err(|e| fail(format!("engine construction failed: {e:?}"), FailureKind::InvariantPanic))?;
     let globals = pool_map(&case.arrivals, |name| engine.stream_id(name));
 
     let mut rows: Vec<Vec<Vec<u64>>> = vec![Vec::new(); case.registered().len()];
+    let mut deferred = false;
     for (i, a) in case.arrivals.iter().enumerate() {
         let g = globals[&a.stream];
         let values: Vec<Value> = a.values.iter().map(|&v| Value(v)).collect();
@@ -269,6 +253,7 @@ fn drive_multi_with(
                 }),
             );
             engine.check_invariants();
+            deferred |= engine.deferred_windows() > 0;
         }));
         if let Err(payload) = outcome {
             return Err(fail(
@@ -281,7 +266,7 @@ fn drive_multi_with(
         r.sort();
     }
     let metrics = engine.metrics().clone();
-    Ok((rows, metrics))
+    Ok((rows, metrics, deferred))
 }
 
 /// Drives the trace through the sharded coordinator at `shards` workers,
@@ -306,7 +291,7 @@ fn drive_multi_sharded(
     } else {
         case.capacity
     };
-    let mut engine = builder(case, policy, capacity)
+    let mut engine = builder(case, policy, capacity, Variant::default())
         .shard_config(ShardConfig {
             shards,
             channel_capacity: 4,

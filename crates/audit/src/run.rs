@@ -1,12 +1,13 @@
 //! The differential runner: engine vs oracle, per policy, per memory mode,
 //! with per-arrival structural invariant checks.
 
+use crate::eager::Eager;
 use crate::gen::{Arrival, Case, ReducedMemory};
 use mstream_core::ingest::FnSink;
 use mstream_core::shard::{Backpressure, HotKeyConfig, ShardConfig};
 use mstream_core::{EngineBuilder, EngineMetrics};
 use mstream_join::{Bindings, ExactJoin};
-use mstream_shed_policies::{parse_policy, ALL_POLICY_NAMES};
+use mstream_shed_policies::{parse_policy, ShedPolicy, ALL_POLICY_NAMES};
 use mstream_sketch::BankConfig;
 use mstream_types::{Partitioning, Row, SeqNo, StreamId, Tuple, VTime, Value};
 use mstream_window::{QueueVictim, ShedQueue};
@@ -42,6 +43,12 @@ pub enum FailureKind {
     /// (cache/ns-normalized) metrics than with it forced off. The memo is
     /// supposed to be a pure evaluation shortcut (DESIGN.md §16).
     ScoreCacheDivergence,
+    /// A plain-vs-eager A/B pair diverged: a policy that lets the engine
+    /// owe window priorities emitted different rows or different
+    /// normalized metrics than the same policy scored eagerly. Owing a
+    /// priority is supposed to change when it is computed, never what it
+    /// is (DESIGN.md §16).
+    DeferralDivergence,
 }
 
 impl std::fmt::Display for FailureKind {
@@ -54,6 +61,7 @@ impl std::fmt::Display for FailureKind {
             FailureKind::ShardContract => "shard-contract-violation",
             FailureKind::DisorderContract => "disorder-contract-violation (event time)",
             FailureKind::ScoreCacheDivergence => "score-cache-divergence (on/off A/B)",
+            FailureKind::DeferralDivergence => "deferral-divergence (plain/eager A/B)",
         };
         f.write_str(s)
     }
@@ -94,15 +102,24 @@ pub(crate) fn row(b: &Bindings<'_>, n: usize) -> Vec<u64> {
     r
 }
 
+/// What a passing case exercised, for the sweep summaries.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CaseStats {
+    /// Some in-process run of the case held a window that owed its
+    /// priorities (DESIGN.md §16) after at least one arrival.
+    pub deferred: bool,
+}
+
 /// Runs the full differential audit for `case`.
-pub fn run_case(case: &Case) -> Result<(), Failure> {
+pub fn run_case(case: &Case) -> Result<CaseStats, Failure> {
     run_case_on(case, &case.arrivals)
 }
 
 /// Runs the differential audit for `case` restricted to `arrivals` (the
 /// shrinker re-enters here with progressively smaller traces).
-pub fn run_case_on(case: &Case, arrivals: &[Arrival]) -> Result<(), Failure> {
+pub fn run_case_on(case: &Case, arrivals: &[Arrival]) -> Result<CaseStats, Failure> {
     let n = case.n_streams();
+    let mut stats = CaseStats::default();
 
     let mut oracle = ExactJoin::new(case.query.clone());
     let mut oracle_rows: Vec<Vec<u64>> = Vec::new();
@@ -118,7 +135,7 @@ pub fn run_case_on(case: &Case, arrivals: &[Arrival]) -> Result<(), Failure> {
     oracle_rows.sort();
 
     for &name in ALL_POLICY_NAMES {
-        let full = drive_engine(case, arrivals, name, true)?;
+        let full = drive_engine(case, arrivals, name, true, &mut stats)?;
         if full != oracle_rows {
             return Err(Failure {
                 policy: name.into(),
@@ -126,7 +143,7 @@ pub fn run_case_on(case: &Case, arrivals: &[Arrival]) -> Result<(), Failure> {
                 detail: first_diff(&full, &oracle_rows),
             });
         }
-        let shed = drive_engine(case, arrivals, name, false)?;
+        let shed = drive_engine(case, arrivals, name, false, &mut stats)?;
         if let Some(extra) = not_in_multiset(&shed, &oracle_rows) {
             return Err(Failure {
                 policy: name.into(),
@@ -158,20 +175,106 @@ pub fn run_case_on(case: &Case, arrivals: &[Arrival]) -> Result<(), Failure> {
         }
     }
 
-    queue_audit(case, arrivals)
+    queue_audit(case, arrivals)?;
+    Ok(stats)
 }
 
-/// Strips the metric fields that legitimately differ between a
-/// score-cache-on and score-cache-off run of the same trace: the
-/// wall-clock stage timers, the score-cache counters themselves, and the
-/// packed-sign cache counters (a score-cache hit skips the packed-sign
-/// computation entirely, so sign traffic diverges by design). Everything
-/// else — shed counts, emissions, replication, late drops — must match
-/// bit for bit.
+/// How one run of an A/B pair departs from the case's configuration.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Variant {
+    /// Pins the productivity score cache on or off (`None` leaves the
+    /// builder default, on).
+    pub cache: Option<bool>,
+    /// Runs the policy behind [`Eager`]: every arrival scored, every
+    /// window rebuilt at every rollover.
+    pub eager: bool,
+}
+
+impl Variant {
+    /// `name`'s policy as this variant runs it.
+    pub(crate) fn policy(self, name: &str) -> Box<dyn ShedPolicy> {
+        let policy = parse_policy(name).expect("every registered policy parses");
+        if self.eager {
+            Box::new(Eager(policy))
+        } else {
+            policy
+        }
+    }
+}
+
+/// The A/B pair a case runs `policy` under, with the failure a divergence
+/// reports. Odd seeds pin the score cache on against off (every policy);
+/// even seeds run each policy that lets the engine owe priorities against
+/// its eager reference. The first variant of a pair is the engine as
+/// shipped: its rows are the ones held to the oracle.
+pub(crate) fn ab_pair(cache_ab: bool, policy: &str) -> Option<(Variant, Variant, FailureKind)> {
+    let cache = |on| Variant {
+        cache: Some(on),
+        ..Variant::default()
+    };
+    if cache_ab {
+        return Some((cache(true), cache(false), FailureKind::ScoreCacheDivergence));
+    }
+    let eager = Variant {
+        eager: true,
+        ..Variant::default()
+    };
+    Variant::default()
+        .policy(policy)
+        .deferrable_priority()
+        .then_some((Variant::default(), eager, FailureKind::DeferralDivergence))
+}
+
+/// Runs one (policy, memory-mode) configuration through `run`: once, or —
+/// when [`ab_pair`] names a pair — under both variants, which must then
+/// agree on rows (`diff` locates the first difference) and on normalized
+/// metrics. Returns the rows of the engine as shipped.
+pub(crate) fn run_ab<R: PartialEq>(
+    cache_ab: bool,
+    policy: &str,
+    label: &str,
+    full_memory: bool,
+    mut run: impl FnMut(Variant) -> Result<(R, EngineMetrics), Failure>,
+    diff: impl FnOnce(&R, &R) -> String,
+) -> Result<R, Failure> {
+    let Some((a, b, kind)) = ab_pair(cache_ab, policy) else {
+        return Ok(run(Variant::default())?.0);
+    };
+    let (rows_a, metrics_a) = run(a)?;
+    let (rows_b, metrics_b) = run(b)?;
+    let memory = if full_memory { "full" } else { "reduced" };
+    let fail = |detail: String| Failure {
+        policy: label.into(),
+        kind,
+        detail,
+    };
+    if rows_a != rows_b {
+        return Err(fail(format!(
+            "emissions diverge (memory {memory}): {}",
+            diff(&rows_a, &rows_b)
+        )));
+    }
+    let (a, b) = (normalized_metrics(&metrics_a), normalized_metrics(&metrics_b));
+    if a != b {
+        return Err(fail(format!(
+            "normalized metrics diverge (memory {memory}): {a:?} vs {b:?}"
+        )));
+    }
+    Ok(rows_a)
+}
+
+/// Strips the metric fields that legitimately differ between the two runs
+/// of an A/B pair: the wall-clock stage timers, the score-cache counters
+/// themselves, the packed-sign cache counters (a score-cache hit, like an
+/// arrival stored unscored, skips the packed-sign computation entirely, so
+/// sign traffic diverges by design) and the count of rescoring passes (an
+/// owed pass nobody needs is never run). Everything else — shed counts,
+/// emissions, replication, late drops — must match bit for bit.
 pub(crate) fn normalized_metrics(m: &EngineMetrics) -> EngineMetrics {
     let mut m = m.clone();
     m.sketch_observe_ns = 0;
     m.priority_rebuild_ns = 0;
+    m.priority_rebuilds = 0;
     m.score_ns = 0;
     m.sign_cache_hits = 0;
     m.sign_cache_misses = 0;
@@ -180,74 +283,49 @@ pub(crate) fn normalized_metrics(m: &EngineMetrics) -> EngineMetrics {
     m
 }
 
-/// Runs one (policy, memory-mode) configuration. On a plain case this is
-/// a single engine run; on a `cache_ab` case the trace is driven twice —
-/// productivity score cache forced on, then forced off — and any
-/// divergence in rows or normalized metrics is a
-/// [`FailureKind::ScoreCacheDivergence`].
+/// Runs one (policy, memory-mode) configuration: a single engine run, or
+/// — when [`ab_pair`] names one — the trace driven twice and the two runs
+/// held to each other.
 fn drive_engine(
     case: &Case,
     arrivals: &[Arrival],
     policy: &str,
     full_memory: bool,
+    stats: &mut CaseStats,
 ) -> Result<Vec<Vec<u64>>, Failure> {
-    if !case.cache_ab {
-        return Ok(drive_engine_with(case, arrivals, policy, full_memory, None)?.0);
-    }
-    let (rows_on, metrics_on) = drive_engine_with(case, arrivals, policy, full_memory, Some(true))?;
-    let (rows_off, metrics_off) =
-        drive_engine_with(case, arrivals, policy, full_memory, Some(false))?;
-    let fail = |detail: String| Failure {
-        policy: policy.into(),
-        kind: FailureKind::ScoreCacheDivergence,
-        detail,
+    let run = |variant| {
+        let (rows, metrics, deferred) =
+            drive_engine_with(case, arrivals, policy, full_memory, variant)?;
+        stats.deferred |= deferred;
+        Ok((rows, metrics))
     };
-    if rows_on != rows_off {
-        return Err(fail(format!(
-            "emissions diverge (memory {}): {}",
-            if full_memory { "full" } else { "reduced" },
-            first_diff(&rows_on, &rows_off)
-        )));
-    }
-    if normalized_metrics(&metrics_on) != normalized_metrics(&metrics_off) {
-        return Err(fail(format!(
-            "normalized metrics diverge (memory {}): on {:?} vs off {:?}",
-            if full_memory { "full" } else { "reduced" },
-            normalized_metrics(&metrics_on),
-            normalized_metrics(&metrics_off)
-        )));
-    }
-    Ok(rows_on)
+    run_ab(case.cache_ab, policy, policy, full_memory, run, |a, b| first_diff(a, b))
 }
 
 /// Builds the engine for one (policy, memory-mode) run and drives the
 /// trace through it, collecting canonical rows and re-checking structural
-/// invariants after every arrival. Panics anywhere inside the engine are
-/// converted into [`FailureKind::InvariantPanic`]. `cache` pins the
-/// productivity score cache on/off for this instance (`None` leaves the
-/// builder default, on).
+/// invariants after every arrival; also reports whether any window owed
+/// its priorities after some arrival. Panics anywhere inside the engine
+/// are converted into [`FailureKind::InvariantPanic`].
 fn drive_engine_with(
     case: &Case,
     arrivals: &[Arrival],
     policy: &str,
     full_memory: bool,
-    cache: Option<bool>,
-) -> Result<(Vec<Vec<u64>>, EngineMetrics), Failure> {
+    variant: Variant,
+) -> Result<(Vec<Vec<u64>>, EngineMetrics, bool), Failure> {
     let n = case.n_streams();
     let fail = |detail: String, kind| Failure {
         policy: policy.into(),
         kind,
         detail,
     };
-    let mut builder = configured_builder(case, arrivals, policy, full_memory);
-    if let Some(on) = cache {
-        builder = builder.score_cache(on);
-    }
-    let mut engine = builder
+    let mut engine = configured_builder(case, arrivals, policy, full_memory, variant)
         .build()
         .map_err(|e| fail(format!("engine construction failed: {e:?}"), FailureKind::InvariantPanic))?;
 
     let mut rows = Vec::new();
+    let mut deferred = false;
     for (i, a) in arrivals.iter().enumerate() {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut sink = FnSink(|b: &Bindings<'_>| rows.push(row(b, n)));
@@ -256,6 +334,7 @@ fn drive_engine_with(
             let tuple = engine.mint(mstream_core::Arrival::new(StreamId(a.stream), values, now));
             engine.ingest_tuple(tuple, now, &mut sink);
             engine.check_invariants();
+            deferred |= engine.deferred_windows() > 0;
         }));
         if let Err(payload) = outcome {
             return Err(fail(
@@ -266,21 +345,22 @@ fn drive_engine_with(
     }
     rows.sort();
     let metrics = engine.metrics().clone();
-    Ok((rows, metrics))
+    Ok((rows, metrics, deferred))
 }
 
 /// The shared [`EngineBuilder`] setup for one (policy, memory-mode) run:
-/// explicit epoch and sketch bank, case-seeded determinism, and the case's
-/// reduced-memory discipline (full-memory runs size every window to hold
-/// the whole trace).
+/// explicit epoch and sketch bank, case-seeded determinism, the variant's
+/// policy wrapping and cache pin, and the case's reduced-memory discipline
+/// (full-memory runs size every window to hold the whole trace).
 fn configured_builder(
     case: &Case,
     arrivals: &[Arrival],
     policy: &str,
     full_memory: bool,
+    variant: Variant,
 ) -> EngineBuilder {
-    let builder = EngineBuilder::new(case.query.clone())
-        .boxed_policy(parse_policy(policy).expect("every registered policy parses"))
+    let mut builder = EngineBuilder::new(case.query.clone())
+        .boxed_policy(variant.policy(policy))
         .epoch(case.epoch)
         .bank(BankConfig {
             s1: 32,
@@ -288,6 +368,9 @@ fn configured_builder(
             seed: case.seed,
         })
         .seed(case.seed);
+    if let Some(on) = variant.cache {
+        builder = builder.score_cache(on);
+    }
     if full_memory {
         builder.capacity_per_window(arrivals.len() + 1)
     } else {
@@ -312,55 +395,27 @@ fn drive_sharded(
     policy: &str,
     full_memory: bool,
 ) -> Result<Vec<Vec<u64>>, Failure> {
-    if !case.cache_ab {
-        return Ok(drive_sharded_with(case, arrivals, policy, full_memory, None)?.0);
-    }
-    let (rows_on, metrics_on) =
-        drive_sharded_with(case, arrivals, policy, full_memory, Some(true))?;
-    let (rows_off, metrics_off) =
-        drive_sharded_with(case, arrivals, policy, full_memory, Some(false))?;
-    let fail = |detail: String| Failure {
-        policy: format!("{policy}@x{}", case.shards),
-        kind: FailureKind::ScoreCacheDivergence,
-        detail,
-    };
-    if rows_on != rows_off {
-        return Err(fail(format!(
-            "sharded emissions diverge (memory {}): {}",
-            if full_memory { "full" } else { "reduced" },
-            first_diff(&rows_on, &rows_off)
-        )));
-    }
-    if normalized_metrics(&metrics_on) != normalized_metrics(&metrics_off) {
-        return Err(fail(format!(
-            "sharded normalized metrics diverge (memory {}): on {:?} vs off {:?}",
-            if full_memory { "full" } else { "reduced" },
-            normalized_metrics(&metrics_on),
-            normalized_metrics(&metrics_off)
-        )));
-    }
-    Ok(rows_on)
+    let label = format!("{policy}@x{}", case.shards);
+    let run = |variant| drive_sharded_with(case, arrivals, policy, full_memory, variant);
+    run_ab(case.cache_ab, policy, &label, full_memory, run, |a, b| first_diff(a, b))
 }
 
 /// The single-run body behind [`drive_sharded`]: returns the merged rows
 /// plus the combined cross-shard metrics so the A/B wrapper can compare
-/// both. `cache` pins the score cache for every worker in the instance.
+/// both. `variant` applies to every worker in the instance.
 fn drive_sharded_with(
     case: &Case,
     arrivals: &[Arrival],
     policy: &str,
     full_memory: bool,
-    cache: Option<bool>,
+    variant: Variant,
 ) -> Result<(Vec<Vec<u64>>, EngineMetrics), Failure> {
     let fail = |detail: String, kind| Failure {
         policy: format!("{policy}@x{}", case.shards),
         kind,
         detail,
     };
-    let mut builder = configured_builder(case, arrivals, policy, full_memory);
-    if let Some(on) = cache {
-        builder = builder.score_cache(on);
-    }
+    let mut builder = configured_builder(case, arrivals, policy, full_memory, variant);
     if full_memory {
         // The shard layer splits the budget S ways; skewed routing may put
         // most tuples on one shard, so "full memory" must survive the

@@ -8,12 +8,14 @@ use std::io::Write;
 use std::time::Instant;
 
 /// The `--stage-json` view of one engine's counters: per-stage wall-clock
-/// nanoseconds plus the estimation-cache statistics (packed-sign and
-/// productivity-score memos, DESIGN.md §16).
+/// nanoseconds, the rescoring passes actually run, and the
+/// estimation-cache statistics (packed-sign and productivity-score memos,
+/// DESIGN.md §16).
 fn stage_view(m: &EngineMetrics) -> serde_json::Value {
     serde_json::json!({
         "sketch_observe_ns": m.sketch_observe_ns,
         "priority_rebuild_ns": m.priority_rebuild_ns,
+        "priority_rebuilds": m.priority_rebuilds,
         "score_ns": m.score_ns,
         "sign_cache_hits": m.sign_cache_hits,
         "sign_cache_misses": m.sign_cache_misses,
@@ -94,6 +96,7 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             "disorder_bound_secs": disorder.map(|d| d.as_secs_f64()),
             "expired": report.metrics.expired,
             "epoch_rollovers": report.metrics.epoch_rollovers,
+            "priority_rebuilds": report.metrics.priority_rebuilds,
             "end_time_secs": report.end_time.as_secs_f64(),
             "wall_seconds": report.wall_time.as_secs_f64(),
         });
@@ -196,6 +199,8 @@ fn run_sharded(
             "late_dropped": report.combined.metrics.late_dropped,
             "disorder_bound_secs": disorder.map(|d| d.as_secs_f64()),
             "expired": report.combined.metrics.expired,
+            "epoch_rollovers": report.combined.metrics.epoch_rollovers,
+            "priority_rebuilds": report.combined.metrics.priority_rebuilds,
             "per_shard": per_shard,
             "end_time_secs": report.combined.end_time.as_secs_f64(),
             "wall_seconds": report.combined.wall_time.as_secs_f64(),
@@ -394,6 +399,8 @@ fn run_multi(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             "shed_window": o.metrics.shed_window,
             "shed_channel": o.shed_channel,
             "expired": o.metrics.expired,
+            "epoch_rollovers": o.metrics.epoch_rollovers,
+            "priority_rebuilds": o.metrics.priority_rebuilds,
             "resident": o.resident,
             "per_query": per_query,
             "end_time_secs": span_secs,
@@ -800,6 +807,7 @@ mod tests {
         for key in [
             "sketch_observe_ns",
             "priority_rebuild_ns",
+            "priority_rebuilds",
             "score_ns",
             "sign_cache_hits",
             "sign_cache_misses",

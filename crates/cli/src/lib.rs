@@ -79,9 +79,10 @@ RUN OPTIONS:
     --json               print the report as JSON instead of text
     --stage-json         append a JSON object of per-stage wall-clock
                          nanoseconds (sketch_observe_ns, priority_rebuild_ns,
-                         score_ns) and estimation-cache counters (packed-sign
-                         and productivity score memos); sharded runs include a
-                         per_shard breakdown
+                         score_ns), the rescoring passes run
+                         (priority_rebuilds) and estimation-cache counters
+                         (packed-sign and productivity score memos); sharded
+                         runs include a per_shard breakdown
 
 GENERATE OPTIONS:
     --workload <w>       regions (Table-1 synthetic) | census

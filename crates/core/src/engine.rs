@@ -9,7 +9,7 @@ use mstream_sketch::{BankConfig, EpochSpec, TumblingFreq, TumblingSketches};
 use mstream_types::{
     JoinQuery, QueryId, Result, SeqNo, StreamId, Tuple, VDur, VTime, Value, WindowSpec,
 };
-use mstream_window::{QueueVictim, ReorderBuffer, Slot, WindowStore};
+use mstream_window::{Eviction, InsertOutcome, QueueVictim, ReorderBuffer, Slot, WindowStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -117,8 +117,9 @@ impl EventTimeFrontEnd {
 
 /// The per-query half of Algorithm 1: one query's probe plans, shedding
 /// policy and tumbling estimation state, with the steps that touch nothing
-/// else — fold an arrival in (step 1), score a tuple for admission (step 5)
-/// or for the input queue, rescore one store's residents at a rollover.
+/// else — fold an arrival in (step 1), rescore or defer one store at a
+/// rollover, admit a tuple to its window (step 5), score one for the
+/// input queue.
 /// [`ShedJoinEngine`] embeds one next to the stores it owns; every class of
 /// the multi-query plane embeds one next to its mapping into the shared
 /// store table, so the plane at N = 1 runs the solo engine's code.
@@ -130,6 +131,8 @@ pub(crate) struct QueryCore {
     pub(crate) sketches: Option<TumblingSketches>,
     partner_freq: Option<TumblingFreq>,
     pub(crate) rng: StdRng,
+    /// The construction-time half of [`QueryCore::can_defer`].
+    may_defer: bool,
 }
 
 impl QueryCore {
@@ -158,6 +161,11 @@ impl QueryCore {
         let partner_freq = reqs
             .partner_freq
             .then(|| TumblingFreq::new(&query, epoch.expect("resolved above")));
+        let may_defer = policy.deferrable_priority()
+            && reqs.recompute_on_epoch
+            && sketches.is_some()
+            && config.disorder.is_none()
+            && !matches!(config.memory, MemoryMode::GlobalPool(_));
         Ok(QueryCore {
             plans: ProbePlan::all(&query),
             query,
@@ -166,6 +174,7 @@ impl QueryCore {
             sketches,
             partner_freq,
             rng: StdRng::seed_from_u64(config.seed),
+            may_defer,
         })
     }
 
@@ -196,16 +205,11 @@ impl QueryCore {
         (self.policy.as_mut(), ctx)
     }
 
-    /// Step 5: the `(priority, cached policy state)` `tuple` (tagged with
-    /// its query-local stream) enters its window with. All scores funnel
+    /// The `(priority, cached policy state)` `tuple` (tagged with its
+    /// query-local stream) enters its window with. All scores funnel
     /// through the finite clamp before they reach a priority heap —
     /// third-party policies included.
-    pub(crate) fn admission_score(
-        &mut self,
-        tuple: &Tuple,
-        now: VTime,
-        event_time: bool,
-    ) -> (f64, f64) {
+    fn admission_score(&mut self, tuple: &Tuple, now: VTime, event_time: bool) -> (f64, f64) {
         let (policy, mut ctx) = self.scoring(now, event_time);
         let (score, state) = policy.window_priority_with_state(&mut ctx, tuple, 0);
         (clamp_score(score), state)
@@ -217,6 +221,79 @@ impl QueryCore {
         clamp_score(policy.queue_priority(&mut ctx, tuple))
     }
 
+    /// Whether a store's priorities may be owed instead of kept: the
+    /// answer must not depend on *when* it is computed (DESIGN.md §16).
+    /// That holds when the policy declares its priority a function of key
+    /// values, produced count and the frozen snapshot
+    /// ([`ShedPolicy::deferrable_priority`]) and rebuilds at rollovers, no
+    /// event-time front end scores late tuples against an older snapshot,
+    /// memory is per window (the pool picks its victim across heaps on
+    /// every overflow) — fixed at construction — and every stream has
+    /// completed an epoch, so no estimate reads the live bank.
+    fn can_defer(&self) -> bool {
+        self.may_defer
+            && self.sketches.as_ref().is_some_and(|s| {
+                (0..self.query.n_streams()).all(|k| s.has_last_epoch(StreamId(k)))
+            })
+    }
+
+    /// One store's share of an epoch rollover (or of a change of owner):
+    /// rescore its residents against the fresh snapshot now, or owe the
+    /// pass until the store first needs a victim ([`QueryCore::admit`]).
+    pub(crate) fn rollover_store(
+        &mut self,
+        store: &mut WindowStore,
+        now: VTime,
+        metrics: &mut EngineMetrics,
+    ) {
+        if self.can_defer() {
+            store.defer_priorities();
+        } else {
+            self.timed_rescore(store, now, metrics);
+        }
+    }
+
+    /// Step 5: stores `tuple` in its window, shedding if full. A window
+    /// that owes its priorities and has room takes the tuple unscored; one
+    /// that owes them and is full first runs the pass its last rollover
+    /// skipped, then scores and inserts like any other.
+    ///
+    /// `TIME_SCORE` charges the scoring to [`EngineMetrics::score_ns`]: the
+    /// solo engine clocks its per-arrival stages, the multi-query plane
+    /// never has (two clock reads per store insert are 5 % of its arrival).
+    pub(crate) fn admit<const TIME_SCORE: bool>(
+        &mut self,
+        store: &mut WindowStore,
+        tuple: Tuple,
+        now: VTime,
+        event_time: bool,
+        metrics: &mut EngineMetrics,
+    ) -> InsertOutcome {
+        if store.is_deferred() {
+            if !store.is_full() {
+                return InsertOutcome {
+                    slot: Some(store.insert_unscored(tuple)),
+                    eviction: Eviction::None,
+                };
+            }
+            self.timed_rescore(store, now, metrics);
+        }
+        let t0 = TIME_SCORE.then(Instant::now);
+        let (score, state) = self.admission_score(&tuple, now, event_time);
+        if let Some(t0) = t0 {
+            metrics.score_ns += t0.elapsed().as_nanos() as u64;
+        }
+        store.insert_scored(tuple, score, state)
+    }
+
+    /// [`QueryCore::rescore_store`], counted and timed.
+    fn timed_rescore(&mut self, store: &mut WindowStore, now: VTime, metrics: &mut EngineMetrics) {
+        let t0 = Instant::now();
+        self.rescore_store(store, now);
+        metrics.priority_rebuild_ns += t0.elapsed().as_nanos() as u64;
+        metrics.priority_rebuilds += 1;
+    }
+
     /// Rollover rescoring of one store's residents.
     ///
     /// Residents are rescored against the *current* epoch snapshot even in
@@ -226,7 +303,7 @@ impl QueryCore {
     /// bit-identity contract (DESIGN.md §13) pins. Event-time epoch
     /// targeting applies only where a tuple's own timestamp is the scoring
     /// instant: admission scoring and queue admission.
-    pub(crate) fn rescore_store(&mut self, store: &mut WindowStore, now: VTime) {
+    fn rescore_store(&mut self, store: &mut WindowStore, now: VTime) {
         let (policy, mut ctx) = self.scoring(now, false);
         if policy.groupable_estimate() {
             // Walk residents grouped by distinct join key: one
@@ -259,10 +336,12 @@ impl QueryCore {
 ///
 /// Per arriving tuple (Algorithm 1): update the current tumbling sketch,
 /// expire stale tuples from every window, emit the join results the tuple
-/// produces against all other windows, score it with the active policy's
-/// priority measure, and store it — evicting the least-priority resident if
-/// its window (or the global pool) is full. Tumbling-epoch rollovers
-/// rebuild all priorities ("reset all the priority queues").
+/// produces against all other windows, and store it — scored with the
+/// active policy's priority measure only if its window may shed, evicting
+/// the least-priority resident if the window (or the global pool) is full.
+/// Tumbling-epoch rollovers rebuild all priorities ("reset all the priority
+/// queues"), or owe the rebuild to the first arrival that needs a victim
+/// when its result cannot depend on the delay ([`QueryCore::rollover_store`]).
 pub struct ShedJoinEngine {
     core: QueryCore,
     memory: MemoryMode,
@@ -309,13 +388,19 @@ impl ProducedScratch {
 
     /// Lands the pending credits on `store` — one coalesced
     /// `add_produced` + priority refresh by `core`'s policy per credited
-    /// slot, in first-credit order — and leaves the scratch all-zero.
+    /// slot, in first-credit order — and leaves the scratch all-zero. A
+    /// store that owes its priorities takes the counts only: its rebuild
+    /// reads them.
     pub(crate) fn apply_to(&mut self, store: &mut WindowStore, core: &QueryCore) {
+        let owed = store.is_deferred();
         for slot in self.touched.drain(..) {
             let cnt = std::mem::take(&mut self.delta[slot.index()]);
             let Some(total) = store.add_produced(slot, cnt) else {
                 continue;
             };
+            if owed {
+                continue;
+            }
             let state = store.state(slot).expect("counted slot is live");
             store.update_priority(slot, core.refreshed_priority(state, total));
         }
@@ -384,6 +469,13 @@ impl ShedJoinEngine {
     /// sharded run).
     pub fn total_resident(&self) -> usize {
         self.stores.iter().map(WindowStore::len).sum()
+    }
+
+    /// Windows that currently owe their priorities: marked at a rollover
+    /// and not yet short of room (DESIGN.md §16). Always 0 for an engine
+    /// that scores eagerly.
+    pub fn deferred_windows(&self) -> usize {
+        self.stores.iter().filter(|s| s.is_deferred()).count()
     }
 
     /// Structural audit of the whole operator: every window store's
@@ -603,7 +695,8 @@ impl ShedJoinEngine {
         let stream = tuple.stream;
         // 1. Fold into the current tumbling estimation state (AGMS sketches
         //    and/or exact arrival-frequency tables); on epoch rollover,
-        //    rebuild every window's priorities against the fresh snapshot.
+        //    rebuild every window's priorities against the fresh snapshot,
+        //    or owe the rebuild to the window's next shed.
         let core = &mut self.core;
         if core.reqs.sketches || core.reqs.partner_freq {
             let t0 = Instant::now();
@@ -612,11 +705,9 @@ impl ShedJoinEngine {
             if rolled {
                 self.metrics.epoch_rollovers += 1;
                 if core.reqs.recompute_on_epoch {
-                    let t0 = Instant::now();
                     for store in &mut self.stores {
-                        core.rescore_store(store, now);
+                        core.rollover_store(store, now, &mut self.metrics);
                     }
-                    self.metrics.priority_rebuild_ns += t0.elapsed().as_nanos() as u64;
                 }
             }
         }
@@ -661,13 +752,9 @@ impl ShedJoinEngine {
         if track && produced > 0 {
             self.flush_produced();
         }
-        // 5. Score and store the arriving tuple, shedding if full.
-        let t0 = Instant::now();
-        let (score, state) = self
-            .core
-            .admission_score(&tuple, now, self.front.is_some());
-        self.metrics.score_ns += t0.elapsed().as_nanos() as u64;
-        let (stored, shed) = self.insert_with_shedding(tuple, score, state);
+        // 5. Store the arriving tuple — scored only if its window may
+        //    shed — shedding if full.
+        let (stored, shed) = self.insert_with_shedding(tuple, now);
         IngestOutcome {
             produced,
             stored,
@@ -756,13 +843,17 @@ impl ShedJoinEngine {
 
     /// Returns `(stored, shed)`: whether the arriving tuple remained
     /// resident, and how many tuples (possibly itself) were evicted.
-    fn insert_with_shedding(&mut self, tuple: Tuple, score: f64, state: f64) -> (bool, u64) {
-        let stream = tuple.stream.index();
+    fn insert_with_shedding(&mut self, tuple: Tuple, now: VTime) -> (bool, u64) {
+        let seq = tuple.seq;
+        let store = &mut self.stores[tuple.stream.index()];
+        let event_time = self.front.is_some();
+        let outcome = self
+            .core
+            .admit::<true>(store, tuple, now, event_time, &mut self.metrics);
         match self.memory {
             MemoryMode::PerWindow(_) | MemoryMode::PerWindowEach(_) => {
-                let outcome = self.stores[stream].insert_scored(tuple, score, state);
                 let stored = outcome.slot.is_some();
-                if let mstream_window::Eviction::Evicted(_) = outcome.eviction {
+                if let Eviction::Evicted(_) = outcome.eviction {
                     self.metrics.shed_window += 1;
                     (stored, 1)
                 } else {
@@ -770,11 +861,9 @@ impl ShedJoinEngine {
                 }
             }
             MemoryMode::GlobalPool(total) => {
-                let seq = tuple.seq;
-                let outcome = self.stores[stream].insert_scored(tuple, score, state);
                 debug_assert_eq!(
                     outcome.eviction,
-                    mstream_window::Eviction::None,
+                    Eviction::None,
                     "pool-mode stores are unbounded; only the engine evicts"
                 );
                 let mut stored = true;
@@ -1182,7 +1271,8 @@ mod tests {
 
     #[test]
     fn stage_timings_and_cache_stats_accumulate() {
-        let mut config = cfg(32);
+        // Windows of 8 fill, so the passes the rollovers owe run on demand.
+        let mut config = cfg(8);
         config.epoch = Some(EpochSpec::Time(VDur::from_secs(10)));
         let mut engine = ShedJoinEngine::new(chain3(100), Box::new(MSketch), config).unwrap();
         for i in 0..60u64 {
@@ -1192,7 +1282,8 @@ mod tests {
         let m = engine.metrics();
         assert!(m.sketch_observe_ns > 0, "observe stage timed");
         assert!(m.score_ns > 0, "scoring stage timed");
-        assert!(m.priority_rebuild_ns > 0, "rollover rebuilds timed");
+        assert!(m.priority_rebuild_ns > 0, "on-demand rebuilds timed");
+        assert!(m.priority_rebuilds > 0);
         assert!(m.sign_cache_misses > 0);
         assert!(
             m.sign_cache_hits > m.sign_cache_misses,
@@ -1206,6 +1297,36 @@ mod tests {
         arrive(&mut plain, StreamId(0), v(1, 1), VTime::ZERO);
         assert_eq!(plain.metrics().sign_cache_hits, 0);
         assert_eq!(plain.metrics().sketch_observe_ns, 0);
+    }
+
+    #[test]
+    fn priority_rebuilds_counts_the_passes_actually_run() {
+        use crate::eager::Eager;
+        let run = |policy: Box<dyn ShedPolicy>, capacity: usize| {
+            let mut config = cfg(capacity);
+            config.epoch = Some(EpochSpec::Time(VDur::from_secs(10)));
+            let mut engine = ShedJoinEngine::new(chain3(40), policy, config).unwrap();
+            for i in 0..600u64 {
+                arrive(&mut engine, StreamId(i as usize % 3), v(i % 4, i % 3), VTime::from_secs(i / 3));
+            }
+            engine.metrics().clone()
+        };
+        // The reference rebuilds every window at every rollover.
+        let eager = run(Box::new(Eager(Box::new(MSketch))), 10_000);
+        assert!(eager.epoch_rollovers >= 10);
+        assert_eq!(eager.priority_rebuilds, eager.epoch_rollovers * 3);
+        // Time epochs roll every stream at once, so from the first rollover
+        // on a window that never fills owes its pass for good.
+        let roomy = run(Box::new(MSketch), 10_000);
+        assert_eq!(roomy.epoch_rollovers, eager.epoch_rollovers);
+        assert_eq!((roomy.priority_rebuilds, roomy.priority_rebuild_ns), (0, 0));
+        assert_eq!(roomy.total_output, eager.total_output);
+        // A window that is short of room runs the pass when it first needs
+        // a victim, and the time lands where rollover passes put it.
+        let tight = run(Box::new(MSketch), 8);
+        assert!(tight.shed_window > 0);
+        assert!(tight.priority_rebuilds > 0 && tight.priority_rebuilds <= eager.priority_rebuilds);
+        assert!(tight.priority_rebuild_ns > 0);
     }
 
     #[test]

@@ -69,6 +69,10 @@
 #![warn(missing_docs)]
 
 pub mod builder;
+/// The eager reference policy the deferral tests compare against.
+#[cfg(test)]
+#[path = "../../../tests/support/eager.rs"]
+mod eager;
 pub mod engine;
 pub mod ingest;
 pub mod multi;

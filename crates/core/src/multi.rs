@@ -445,6 +445,13 @@ impl MultiQueryEngine {
             .sum()
     }
 
+    /// Shared stores that currently owe their priorities (see
+    /// [`crate::ShedJoinEngine::deferred_windows`]).
+    pub fn deferred_windows(&self) -> usize {
+        let live = self.stores.iter().flatten();
+        live.filter(|e| e.store.is_deferred()).count()
+    }
+
     /// Structural audit of the shared data plane: every live store's
     /// internal invariants, every class's sketch coherence, and the
     /// sharing bookkeeping (owners exist, mappings in range, every
@@ -597,7 +604,8 @@ impl MultiQueryEngine {
                 entry.owner_local = StreamId(k.expect("a user maps its store"));
                 entry.store.retag(entry.owner_local);
                 if heir.core.reqs.recompute_on_epoch {
-                    heir.core.rescore_store(&mut entry.store, self.clock);
+                    heir.core
+                        .rollover_store(&mut entry.store, self.clock, &mut self.metrics);
                 }
             }
         }
@@ -646,8 +654,9 @@ impl MultiQueryEngine {
         } = self;
         // 1. Every interested class folds the arrival into its estimation
         //    state under its *local* stream id; a class whose epoch rolls
-        //    over rebuilds the priorities of the stores it owns (exactly
-        //    its solo rollover, store tuples already carry its tags).
+        //    over rebuilds or defers the priorities of the stores it owns
+        //    (exactly its solo rollover, store tuples already carry its
+        //    tags).
         for (cid, class) in classes.iter_mut().enumerate() {
             let Some(class) = class.as_mut() else {
                 continue;
@@ -663,7 +672,7 @@ impl MultiQueryEngine {
             for &si in &class.store_of {
                 let entry = stores[si].as_mut().expect("class store is live");
                 if entry.users[0] == cid {
-                    class.core.rescore_store(&mut entry.store, now);
+                    class.core.rollover_store(&mut entry.store, now, metrics);
                 }
             }
         }
@@ -736,8 +745,9 @@ impl MultiQueryEngine {
                 scratch.apply_to(&mut entry.store, &owner.core);
             }
         }
-        // 5. Store the arrival once per (stream, window) store, scored and
-        //    tagged by the store's owner; shed if full.
+        // 5. Store the arrival once per (stream, window) store, tagged and
+        //    — if the store may shed — scored by the store's owner; shed if
+        //    full.
         let mut stored = false;
         let mut shed = 0u64;
         for entry in stores.iter_mut().flatten() {
@@ -747,8 +757,9 @@ impl MultiQueryEngine {
             let owner = classes[entry.users[0]].as_mut().expect("owner is live");
             let mut local = tuple.clone();
             local.stream = entry.owner_local;
-            let (score, state) = owner.core.admission_score(&local, now, false);
-            let outcome = entry.store.insert_scored(local, score, state);
+            let outcome = owner
+                .core
+                .admit::<false>(&mut entry.store, local, now, false, metrics);
             stored |= outcome.slot.is_some();
             if let mstream_window::Eviction::Evicted(_) = outcome.eviction {
                 entry.shed += 1;
@@ -995,7 +1006,7 @@ mod tests {
         // baseline, never lose them.
         let mut b = EngineBuilder::new_multi()
             .policy(mstream_shed_policies::MSketch)
-            .capacity_per_window(16);
+            .capacity_per_window(4); // full windows: every arrival is scored
         b.register(pair_query("L", "R", 30)).unwrap();
         b.register(pair_query("A", "B", 30)).unwrap();
         let mut e = b.build_multi().unwrap();
@@ -1064,6 +1075,60 @@ mod tests {
         let x = x.expect("X store is live");
         assert_eq!(x.owner_local, StreamId(0));
         assert!(x.store.iter().all(|(_, t)| t.stream == StreamId(0)));
+    }
+
+    #[test]
+    fn plane_owes_priorities_exactly_like_the_eager_reference() {
+        // Rollover, step 5 and the owner hand-off all go through the solo
+        // engine's two methods: chain(A,B,X) owns the shared X store until
+        // it departs mid-run and pair(X,Y) inherits it, owed passes and all.
+        use crate::eager::Eager;
+        use mstream_shed_policies::MSketchRs;
+        let t = trace(&["A", "B", "X", "Y"], 400);
+        let run = |policy: Box<dyn ShedPolicy>, capacity: usize| {
+            let mut b = EngineBuilder::new_multi()
+                .boxed_policy(policy)
+                .capacity_per_window(capacity);
+            b.register(chain_query("A", "B", "X", 20)).unwrap();
+            b.register(pair_query("X", "Y", 20)).unwrap();
+            let mut e = b.build_multi().unwrap();
+            let mut sink = QueryRowsSink::default();
+            let mut deferred_peak = 0;
+            for (i, (name, row, ts)) in t.iter().enumerate() {
+                if i == 200 {
+                    assert!(e.remove_query(QueryId(0)));
+                }
+                let g = e.stream_id(name).unwrap();
+                e.ingest(Arrival::new(g, row.clone(), *ts), &mut sink);
+                deferred_peak = deferred_peak.max(e.deferred_windows());
+            }
+            let metrics = EngineMetrics {
+                priority_rebuild_ns: 0,
+                priority_rebuilds: 0,
+                sign_cache_hits: 0,
+                sign_cache_misses: 0,
+                score_cache_hits: 0,
+                score_cache_misses: 0,
+                ..e.metrics().clone()
+            };
+            (sink.rows, metrics, deferred_peak)
+        };
+        let policies: [fn() -> Box<dyn ShedPolicy>; 2] =
+            [|| Box::new(MSketch), || Box::new(MSketchRs)];
+        for mk in policies {
+            // 5 residents per 20 s window: capacity 4 is always full.
+            for capacity in [4, 64] {
+                let (rows, metrics, deferred) = run(mk(), capacity);
+                let (want_rows, want_metrics, never) = run(Box::new(Eager(mk())), capacity);
+                let label = format!("{} at capacity {capacity}", mk().name());
+                assert_eq!(rows, want_rows, "{label}: rows or their order");
+                assert_eq!(metrics, want_metrics, "{label}: counters");
+                assert!(rows.iter().all(|r| !r.is_empty()), "{label}: both queries join");
+                assert_eq!(never, 0, "{label}: the reference owes nothing");
+                assert!(deferred > 0, "{label}: the plane must defer");
+                assert_eq!(metrics.shed_window > 0, capacity == 4, "{label}");
+            }
+        }
     }
 
     #[test]

@@ -34,9 +34,15 @@ pub struct EngineMetrics {
     /// (AGMS sketch / frequency-table `observe` calls).
     #[serde(default)]
     pub sketch_observe_ns: u64,
-    /// Wall-clock nanoseconds rebuilding window priorities at rollovers.
+    /// Wall-clock nanoseconds rebuilding window priorities, at rollovers
+    /// or on demand.
     #[serde(default)]
     pub priority_rebuild_ns: u64,
+    /// Store rescoring passes actually run: one per store at a rollover
+    /// that rebuilds eagerly, one when a store that owed its priorities
+    /// first needs a victim, none for a rollover that only marks.
+    #[serde(default)]
+    pub priority_rebuilds: u64,
     /// Wall-clock nanoseconds scoring arriving tuples (productivity
     /// queries for sketch policies).
     #[serde(default)]
@@ -72,6 +78,7 @@ impl EngineMetrics {
         self.epoch_rollovers += other.epoch_rollovers;
         self.sketch_observe_ns += other.sketch_observe_ns;
         self.priority_rebuild_ns += other.priority_rebuild_ns;
+        self.priority_rebuilds += other.priority_rebuilds;
         self.score_ns += other.score_ns;
         self.sign_cache_hits += other.sign_cache_hits;
         self.sign_cache_misses += other.sign_cache_misses;
@@ -155,6 +162,7 @@ mod tests {
             epoch_rollovers: 6,
             sketch_observe_ns: 7,
             priority_rebuild_ns: 8,
+            priority_rebuilds: 16,
             score_ns: 9,
             sign_cache_hits: 10,
             sign_cache_misses: 11,

@@ -94,6 +94,24 @@ pub trait ShedPolicy: Send {
         false
     }
 
+    /// Whether this policy's window priority is a function of exactly three
+    /// things: the tuple's join-key values, its produced count, and the
+    /// **frozen** last-epoch sketch snapshot read through
+    /// [`PriorityCtx::productivity`] — not of `ctx.now`, `ctx.rng`, the
+    /// tuple's timestamp or sequence number, the live bank or the
+    /// frequency tables — with [`ShedPolicy::refresh_priority`] agreeing
+    /// with a full rescoring at the same produced count. Such a priority
+    /// comes out the same whenever between two rollovers it is computed,
+    /// so the engine may owe it: a window with room stores arrivals
+    /// unscored and skips rollover rebuilds until it first needs a victim
+    /// (DESIGN.md §16 lists the conditions the engine checks on its side).
+    ///
+    /// Defaults to `false`: an undeclared policy is scored on every
+    /// arrival and rebuilt at every rollover, as ever.
+    fn deferrable_priority(&self) -> bool {
+        false
+    }
+
     /// The shareable component of the window priority (see
     /// [`ShedPolicy::groupable_estimate`]). Defaults to the clamped
     /// sketch-estimated productivity — the partner-side quantity every
@@ -168,6 +186,10 @@ impl ShedPolicy for MSketch {
         true
     }
 
+    fn deferrable_priority(&self) -> bool {
+        true
+    }
+
     fn window_priority_from_estimate(
         &mut self,
         _ctx: &mut PriorityCtx<'_>,
@@ -222,6 +244,10 @@ impl ShedPolicy for MSketchRs {
     }
 
     fn groupable_estimate(&self) -> bool {
+        true
+    }
+
+    fn deferrable_priority(&self) -> bool {
         true
     }
 

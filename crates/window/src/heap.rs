@@ -113,6 +113,16 @@ impl IndexedHeap {
         self.heap.first().map(|&(s, p)| (s, p.score))
     }
 
+    /// Whether an entry `(score, tie)` would sort strictly before the
+    /// current minimum (`false` on an empty heap).
+    ///
+    /// # Panics
+    /// Panics if `score` is not finite.
+    pub fn would_be_min(&self, score: f64, tie: u64) -> bool {
+        let prio = Prio::new(score, tie);
+        self.heap.first().is_some_and(|(_, min)| prio.less(min))
+    }
+
     /// Removes and returns the minimum-priority slot.
     pub fn pop_min(&mut self) -> Option<(Slot, f64)> {
         if self.heap.is_empty() {

@@ -81,6 +81,9 @@ pub struct WindowStore {
     /// denominator of the random-sampling measure), refreshed whenever the
     /// priority is recomputed from scratch. Indexed by `slot.index()`.
     state: Vec<f64>,
+    /// Priorities are owed, not kept: the heap is empty and residents carry
+    /// no score until the next rebuild (see [`WindowStore::defer_priorities`]).
+    deferred: bool,
 }
 
 impl WindowStore {
@@ -107,6 +110,7 @@ impl WindowStore {
             index_pos: Vec::with_capacity(reserve * n_idx),
             produced: Vec::with_capacity(reserve),
             state: Vec::with_capacity(reserve),
+            deferred: false,
         }
     }
 
@@ -198,29 +202,58 @@ impl WindowStore {
     }
 
     /// [`Self::insert`] with explicit per-tuple policy state.
+    ///
+    /// A full window whose minimum outranks the arrival under the heap's
+    /// own `(score, seq)` order dismisses the arrival before it touches
+    /// arena, indexes, expiry deque or heap: it would be stored only to be
+    /// picked as the victim.
+    ///
+    /// # Panics
+    /// Panics if priorities are deferred ([`Self::defer_priorities`]): a
+    /// lone scored resident among unscored ones would be the only victim
+    /// the heap can name.
     pub fn insert_scored(&mut self, tuple: Tuple, score: f64, state: f64) -> InsertOutcome {
+        assert!(!self.deferred, "rebuild a deferred store before scoring into it");
         self.arrivals_seen += 1;
-        let seq = tuple.seq;
-        let slot = self.store(tuple, score, state);
-        if self.arena.len() <= self.capacity {
+        let full = self.arena.len() >= self.capacity;
+        if full && self.heap.would_be_min(score, tuple.seq.0) {
             return InsertOutcome {
-                slot: Some(slot),
-                eviction: Eviction::None,
+                slot: None,
+                eviction: Eviction::Evicted(tuple),
             };
         }
-        let (victim_slot, _) = self.heap.peek_min().expect("non-empty over capacity");
-        let victim = self
-            .remove_slot(victim_slot)
-            .expect("heap entries are live");
-        let stored = victim.seq != seq;
+        let slot = self.store(tuple, Some(score), state);
+        let eviction = if full {
+            let (victim_slot, _) = self.heap.peek_min().expect("non-empty over capacity");
+            let victim = self.remove_slot(victim_slot);
+            Eviction::Evicted(victim.expect("heap entries are live"))
+        } else {
+            Eviction::None
+        };
         InsertOutcome {
-            slot: stored.then_some(slot),
-            eviction: Eviction::Evicted(victim),
+            slot: Some(slot),
+            eviction,
         }
     }
 
-    /// Stores a tuple unconditionally (no capacity check, no arrival count).
-    fn store(&mut self, tuple: Tuple, score: f64, state: f64) -> Slot {
+    /// Stores `tuple` in a deferred window that has room, with no score
+    /// and no heap entry: the rebuild that ends the deferral scores it
+    /// with the other residents. Counts the arrival.
+    ///
+    /// # Panics
+    /// Panics unless priorities are deferred and the window has room.
+    pub fn insert_unscored(&mut self, tuple: Tuple) -> Slot {
+        assert!(
+            self.deferred && self.arena.len() < self.capacity,
+            "unscored inserts need a deferred store with room"
+        );
+        self.arrivals_seen += 1;
+        self.store(tuple, None, 0.0)
+    }
+
+    /// Stores a tuple unconditionally (no capacity check, no arrival
+    /// count); `score: None` leaves it out of the heap.
+    fn store(&mut self, tuple: Tuple, score: Option<f64>, state: f64) -> Slot {
         let tie = tuple.seq.0;
         let arrival_idx = self.arrivals_seen;
         let n_idx = self.join_attrs.len();
@@ -240,7 +273,9 @@ impl WindowStore {
             self.index_pos[i * n_idx + a] = pos;
         }
         self.expiry.push_back(slot);
-        self.heap.insert(slot, score, tie);
+        if let Some(score) = score {
+            self.heap.insert(slot, score, tie);
+        }
         slot
     }
 
@@ -261,14 +296,16 @@ impl WindowStore {
         Some(entry.tuple)
     }
 
-    /// Evicts and returns the lowest-priority tuple, if any.
+    /// Evicts and returns the lowest-priority tuple, if any (`None` while
+    /// priorities are deferred: no resident has one).
     pub fn evict_min(&mut self) -> Option<(Tuple, f64)> {
         let (slot, score) = self.heap.peek_min()?;
         let tuple = self.remove_slot(slot).expect("heap entries are live");
         Some((tuple, score))
     }
 
-    /// The lowest priority currently resident, if any (global-pool variant).
+    /// The lowest priority currently resident, if any (global-pool
+    /// variant); `None` while priorities are deferred.
     pub fn peek_min(&self) -> Option<(Slot, f64)> {
         self.heap.peek_min()
     }
@@ -314,7 +351,7 @@ impl WindowStore {
     }
 
     /// Updates the priority of a resident tuple; `false` if the slot is
-    /// stale.
+    /// stale or priorities are deferred.
     pub fn update_priority(&mut self, slot: Slot, score: f64) -> bool {
         self.heap.update(slot, score)
     }
@@ -324,11 +361,35 @@ impl WindowStore {
         self.heap.score(slot)
     }
 
+    /// Owes every priority instead of recomputing it: empties the heap and
+    /// leaves the store **deferred** until the next
+    /// [`WindowStore::rebuild_priorities`] /
+    /// [`WindowStore::rebuild_priorities_grouped`]. Arena, indexes, expiry
+    /// order and produced counts are untouched, so probes, expiry and
+    /// credits run as ever; only victim selection needs the rebuild, and a
+    /// window with room selects none. Legal when a rebuild yields the same
+    /// priorities whenever it runs — the caller's call (DESIGN.md §16).
+    pub fn defer_priorities(&mut self) {
+        self.heap.clear();
+        self.deferred = true;
+    }
+
+    /// Whether priorities are owed ([`WindowStore::defer_priorities`]).
+    pub fn is_deferred(&self) -> bool {
+        self.deferred
+    }
+
+    /// Whether the next stored arrival needs a victim.
+    pub fn is_full(&self) -> bool {
+        self.arena.len() >= self.capacity
+    }
+
     /// Recomputes every resident tuple's priority (tumbling-epoch rollover:
     /// "reset all the priority queues"). The callback sees the tuple and
     /// its produced-so-far counter and returns `(score, policy state)`.
     pub fn rebuild_priorities(&mut self, mut score: impl FnMut(&Tuple, u64) -> (f64, f64)) {
         self.heap.clear();
+        self.deferred = false;
         for (slot, entry) in self.arena.iter() {
             let i = slot.index();
             let (sc, st) = score(&entry.tuple, self.produced[i]);
@@ -369,6 +430,7 @@ impl WindowStore {
             return;
         }
         self.heap.clear();
+        self.deferred = false;
         let Self {
             arena,
             indexes,
@@ -411,13 +473,21 @@ impl WindowStore {
     }
 
     /// Internal consistency check used by tests: every resident tuple is in
-    /// the heap and in every index bucket its values demand, and vice versa.
+    /// the heap — or, on a deferred store, none is and the heap is empty —
+    /// and in every index bucket its values demand, and vice versa.
     #[doc(hidden)]
     pub fn check_consistency(&self) {
-        assert_eq!(self.arena.len(), self.heap.len(), "arena vs heap size");
+        if self.deferred {
+            assert!(self.heap.is_empty(), "heap entry on a deferred store");
+        } else {
+            assert_eq!(self.arena.len(), self.heap.len(), "arena vs heap size");
+        }
         let n_idx = self.join_attrs.len();
         for (slot, entry) in self.arena.iter() {
-            assert!(self.heap.contains(slot), "live slot missing from heap");
+            assert!(
+                self.deferred || self.heap.contains(slot),
+                "live slot missing from heap"
+            );
             for (a, &attr) in self.join_attrs.iter().enumerate() {
                 let value = entry.tuple.values[attr];
                 let pos = self.index_pos[slot.index() * n_idx + a] as usize;
@@ -747,6 +817,87 @@ mod tests {
     }
 
     #[test]
+    fn deferred_store_keeps_everything_but_the_heap() {
+        let mut w = time_store(4);
+        let s0 = w.insert(tup(0, 0, 7, 1), 5.0).slot.unwrap();
+        w.insert(tup(1, 1, 7, 2), 1.0);
+        w.defer_priorities();
+        assert!(w.is_deferred() && !w.is_full());
+        assert_eq!((w.peek_min(), w.priority(s0)), (None, None), "no priorities");
+        assert!(!w.update_priority(s0, 9.0));
+        // Unscored inserts, probes, credits and expiry run as ever.
+        let s2 = w.insert_unscored(tup(2, 2, 7, 3));
+        assert_eq!(w.probe(0, Value(7)).len(), 3);
+        assert_eq!(w.add_produced(s2, 4), Some(4));
+        assert_eq!(w.arrivals_seen(), 3);
+        w.check_invariants();
+        assert_eq!(w.expire(VTime::from_secs(10)).len(), 1, "seq 0 expires");
+        w.check_invariants();
+        // The rebuild ends the deferral and sees the counts kept meanwhile.
+        w.rebuild_priorities(|t, produced| (t.seq.0 as f64 + produced as f64, 0.0));
+        assert!(!w.is_deferred());
+        assert_eq!(w.priority(s2), Some(6.0));
+        assert_eq!(w.peek_min().map(|(_, p)| p), Some(1.0));
+        w.check_invariants();
+    }
+
+    #[test]
+    fn deferred_store_is_full_at_capacity_and_still_bounded() {
+        let mut w = time_store(2);
+        w.defer_priorities();
+        w.insert_unscored(tup(0, 0, 1, 1));
+        w.insert_unscored(tup(1, 0, 2, 2));
+        assert!(w.is_full());
+        w.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "deferred store with room")]
+    fn unscored_insert_into_a_full_store_panics() {
+        let mut w = time_store(1);
+        w.defer_priorities();
+        w.insert_unscored(tup(0, 0, 1, 1));
+        w.insert_unscored(tup(1, 0, 2, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "rebuild a deferred store")]
+    fn scored_insert_into_a_deferred_store_panics() {
+        let mut w = time_store(2);
+        w.defer_priorities();
+        w.insert(tup(0, 0, 1, 1), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "heap entry on a deferred store")]
+    fn consistency_check_rejects_a_heap_entry_on_a_deferred_store() {
+        let mut w = time_store(2);
+        w.defer_priorities();
+        let slot = w.insert_unscored(tup(0, 0, 1, 1));
+        w.heap.insert(slot, 1.0, 0);
+        w.check_consistency();
+    }
+
+    #[test]
+    fn full_store_dismisses_a_losing_arrival_untouched() {
+        let mut w = time_store(2);
+        w.insert(tup(0, 0, 7, 0), 5.0);
+        w.insert(tup(1, 0, 7, 0), 4.0);
+        let survivor = w.probe(0, Value(7)).get(0);
+        // The heap evicts the lowest (score, seq): an arrival tying the
+        // minimum's score is younger, so it outlives it.
+        let tie = w.insert(tup(2, 0, 7, 0), 4.0);
+        assert!(matches!(tie.eviction, Eviction::Evicted(ref t) if t.seq == SeqNo(1)));
+        assert!(tie.slot.is_some());
+        let loser = w.insert(tup(3, 0, 7, 0), 3.0);
+        assert_eq!(loser.slot, None);
+        assert!(matches!(loser.eviction, Eviction::Evicted(ref t) if t.seq == SeqNo(3)));
+        assert_eq!(w.arrivals_seen(), 4, "a dismissed arrival still counts");
+        assert_eq!(w.probe(0, Value(7)).get(0), survivor, "buckets untouched");
+        w.check_invariants();
+    }
+
+    #[test]
     fn update_priority_single() {
         let mut w = time_store(3);
         let s0 = w.insert(tup(0, 0, 1, 0), 5.0).slot.unwrap();
@@ -778,7 +929,68 @@ mod tests {
         assert_eq!(w.oldest_seq(), Some(SeqNo(3)));
     }
 
+    /// [`WindowStore::insert_scored`] as it was before a losing arrival
+    /// was dismissed up front: always store, then evict the minimum.
+    fn insert_store_then_evict(w: &mut WindowStore, tuple: Tuple, score: f64) -> InsertOutcome {
+        w.arrivals_seen += 1;
+        let seq = tuple.seq;
+        let slot = w.store(tuple, Some(score), 0.0);
+        if w.arena.len() <= w.capacity {
+            return InsertOutcome {
+                slot: Some(slot),
+                eviction: Eviction::None,
+            };
+        }
+        let (victim_slot, _) = w.heap.peek_min().expect("non-empty over capacity");
+        let victim = w.remove_slot(victim_slot).expect("heap entries are live");
+        InsertOutcome {
+            slot: (victim.seq != seq).then_some(slot),
+            eviction: Eviction::Evicted(victim),
+        }
+    }
+
+    /// Every bucket of both indexes as resident sequence numbers, in
+    /// bucket order — what a probe enumerates, hence the emission order.
+    fn buckets(w: &WindowStore) -> Vec<Vec<u64>> {
+        let mut out = Vec::new();
+        for attr in 0..2 {
+            for value in 0..20 {
+                let bucket = w.probe(attr, Value(value));
+                out.push(bucket.iter().map(|s| w.tuple(s).unwrap().seq.0).collect());
+            }
+        }
+        out
+    }
+
     proptest! {
+        /// Dismissing a losing arrival before it is stored is unobservable:
+        /// same victims, same stored/dismissed verdicts, same residents in
+        /// the same bucket order, same expirations as store-then-evict.
+        #[test]
+        fn dismissal_matches_store_then_evict(ops in proptest::collection::vec((0u8..4, 0u64..20, 0u64..4), 1..200)) {
+            let mut new = WindowStore::new(WindowSpec::Time(VDur::from_secs(5)), vec![0, 1], 6);
+            let mut old = WindowStore::new(WindowSpec::Time(VDur::from_secs(5)), vec![0, 1], 6);
+            let (mut seq, mut clock) = (0u64, 0u64);
+            for (op, val, score) in ops {
+                if op == 0 {
+                    clock += 1;
+                    let now = VTime::from_secs(clock);
+                    prop_assert_eq!(new.expire(now), old.expire(now));
+                } else {
+                    let t = tup(seq, clock, val, val % 3);
+                    seq += 1;
+                    let a = new.insert(t.clone(), score as f64);
+                    let b = insert_store_then_evict(&mut old, t, score as f64);
+                    prop_assert_eq!(a.slot.is_some(), b.slot.is_some());
+                    prop_assert_eq!(a.eviction, b.eviction);
+                }
+                prop_assert_eq!(buckets(&new), buckets(&old));
+                prop_assert_eq!(new.arrivals_seen(), old.arrivals_seen());
+                new.check_invariants();
+                old.check_invariants();
+            }
+        }
+
         /// Random mixes of inserts, evictions and expirations never break
         /// internal consistency, and capacity is never exceeded.
         #[test]

@@ -28,7 +28,13 @@ fi
 # sharded-vs-oracle differential at the case's shard count). Odd-seed
 # cases additionally run every engine twice — productivity score cache
 # forced on and off — and the runs must be bit-identical (DESIGN.md §16).
-cargo run --release -p mstream-audit -- sweep --cases 50 --seed 7
+# Even-seed cases run MSketch and MSketch-RS twice instead — as shipped
+# (window priorities owed until a window is short) and behind the eager
+# wrapper — with the same requirement; a sweep in which no window ever
+# owed its priorities watched nothing.
+cargo run --release -p mstream-audit -- sweep --cases 50 --seed 7 | tee target/check_audit.txt
+grep -Eq '[1-9][0-9]* deferred cases' target/check_audit.txt \
+  || { echo "FAIL: no audit case entered the deferred state"; exit 1; }
 # Event-time disorder smoke (DESIGN.md §13): for fuzzed cases across every
 # policy and both memory modes, a K=0 run is bit-identical to the trusting
 # engine, a shuffle bounded by K reproduces the in-order output exactly
@@ -39,7 +45,8 @@ cargo run --release -p mstream-audit -- disorder --cases 25 --seed 7
 
 # Sharded-vs-single CLI differential smoke: the same key-partitionable
 # query and trace must produce the same output count at S in {1,2,4} when
-# nothing sheds (full memory, blocking channels).
+# nothing sheds (full memory, blocking channels) — and, with Time epochs
+# and windows that never fill, no worker may run a single rescoring pass.
 KEYED_QUERY='SELECT * FROM R1(A1, A2) [RANGE 30 SECONDS], R2(A1, A2), R3(A1, A2)
              WHERE R1.A1 = R2.A1 AND R2.A1 = R3.A1'
 cargo run --release -p mstream-cli -- generate \
@@ -49,10 +56,12 @@ for S in 1 2 4; do
   OUT=$(cargo run --release -p mstream-cli -- run \
     --query "$KEYED_QUERY" --trace target/check_shard_trace.csv \
     --capacity 100000 --shards "$S" --json \
-    | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["output_tuples"], r["shards"], r["shed_window"], r["shed_channel"])')
-  read -r TUPLES GOT_S SHED_W SHED_C <<<"$OUT"
+    | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["output_tuples"], r["shards"], r["shed_window"], r["shed_channel"], r["epoch_rollovers"], r["priority_rebuilds"])')
+  read -r TUPLES GOT_S SHED_W SHED_C ROLLS REBUILDS <<<"$OUT"
   [ "$GOT_S" = "$S" ] || { echo "FAIL: requested $S shards, ran $GOT_S"; exit 1; }
   [ "$SHED_W" = 0 ] && [ "$SHED_C" = 0 ] || { echo "FAIL: full-memory run shed ($SHED_W window, $SHED_C channel)"; exit 1; }
+  [ "$ROLLS" -gt 0 ] || { echo "FAIL: the smoke trace spans no epoch rollover"; exit 1; }
+  [ "$REBUILDS" = 0 ] || { echo "FAIL: full-memory run rescored windows ($REBUILDS passes over $ROLLS rollovers)"; exit 1; }
   if [ -z "$BASELINE" ]; then BASELINE="$TUPLES"; fi
   [ "$TUPLES" = "$BASELINE" ] || { echo "FAIL: S=$S produced $TUPLES tuples, S=1 produced $BASELINE"; exit 1; }
   echo "shard smoke: S=$S -> $TUPLES output tuples (matches baseline)"
@@ -71,6 +80,10 @@ cargo run --release -p mstream-bench --bin probe_micro -- --quick
 # buffer-recycling stress at channel capacity 1, and Shed-backpressure
 # arrival accounting.
 cargo test -q --test sharded_join
+# Priorities on demand (DESIGN.md §16): MSketch / MSketch-RS against their
+# eager wrapper — rows in order, per-arrival outcomes, counters — solo and
+# sharded, and the pins that nothing else ever owes a priority.
+cargo test -q --test deferred_priorities
 
 # Vectorized kernel suite (DESIGN.md §15): vector-vs-scalar bit-equality
 # proptests over every kernel, lanes and AVX2 against the scalar reference.
