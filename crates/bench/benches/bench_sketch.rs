@@ -325,15 +325,6 @@ fn bench_kernel_modes(c: &mut Criterion) {
                 black_box(&dst);
             })
         });
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            group.bench_function("signed_copy_avx2", |b| {
-                b.iter(|| {
-                    kernel::avx2::signed_copy(black_box(&signs), black_box(&f64s), &mut dst);
-                    black_box(&dst);
-                })
-            });
-        }
     }
     // group_sums: the mean stage of median-of-means (serial in-group
     // order, lanes across groups).

@@ -2,7 +2,7 @@
 //! index probes, probe kernels, and queue shedding.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mstream_core::mstream_join::{probe_each, probe_each_recursive, ProbePlan};
+use mstream_core::mstream_join::{probe_each, ProbePlan};
 use mstream_core::mstream_window::{Arena, FlatIndex, QueueVictim, ShedQueue, Slot, WindowStore};
 use mstream_core::prelude::*;
 use rand::rngs::StdRng;
@@ -37,7 +37,7 @@ fn bench_insert_evict(c: &mut Criterion) {
 }
 
 /// Hash-index probe on a 1024-tuple window.
-fn bench_probe(c: &mut Criterion) {
+fn bench_window_probe(c: &mut Criterion) {
     let mut store = WindowStore::new(WindowSpec::Time(VDur::from_secs(1 << 30)), vec![0, 1], 2048);
     let mut rng = StdRng::seed_from_u64(2);
     for seq in 0..1024u64 {
@@ -93,10 +93,9 @@ fn bench_queue(c: &mut Criterion) {
     group.finish();
 }
 
-/// The iterative probe kernel against the retained recursive one on a
-/// 3-stream chain (middle origin — the star fast path plus a chain step
-/// from the ends), populated windows, random arrivals.
-fn bench_probe_kernel(c: &mut Criterion) {
+/// The probe kernel on a 3-stream chain from the middle origin (the star
+/// fast path), populated windows, random arrivals.
+fn bench_join_probe(c: &mut Criterion) {
     let names = ["R1", "R2", "R3"];
     let mut cat = Catalog::new();
     for name in names {
@@ -125,28 +124,17 @@ fn bench_probe_kernel(c: &mut Criterion) {
             seq += 1;
         }
     }
-    let mut group = c.benchmark_group("probe_kernel_chain3_mid");
-    for (label, recursive) in [("iterative", false), ("recursive", true)] {
-        let plan = ProbePlan::new(&q, StreamId(1));
-        let mut v = 0u64;
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                v = (v + 1) % 64;
-                let t = Tuple::new(StreamId(1), VTime::ZERO, SeqNo(seq), vec![Value(v), Value((v * 7) % 64)]);
-                let n = if recursive {
-                    probe_each_recursive(&plan, &t, &stores, |m| {
-                        black_box(m.origin());
-                    })
-                } else {
-                    probe_each(&plan, &t, &stores, |m| {
-                        black_box(m.origin());
-                    })
-                };
-                black_box(n)
-            })
-        });
-    }
-    group.finish();
+    let plan = ProbePlan::new(&q, StreamId(1));
+    let mut v = 0u64;
+    c.bench_function("probe_kernel_chain3_mid", |b| {
+        b.iter(|| {
+            v = (v + 1) % 64;
+            let t = Tuple::new(StreamId(1), VTime::ZERO, SeqNo(seq), vec![Value(v), Value((v * 7) % 64)]);
+            black_box(probe_each(&plan, &t, &stores, |m| {
+                black_box(m.origin());
+            }))
+        })
+    });
 }
 
 /// Raw single-key probe: the open-addressed `FlatIndex` against the
@@ -182,10 +170,10 @@ fn bench_flat_index(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_insert_evict,
-    bench_probe,
+    bench_window_probe,
     bench_rebuild,
     bench_queue,
-    bench_probe_kernel,
+    bench_join_probe,
     bench_flat_index
 );
 criterion_main!(benches);

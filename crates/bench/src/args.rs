@@ -79,15 +79,6 @@ impl Args {
     pub fn has_flag(&self, name: &str) -> bool {
         self.rest.iter().any(|r| r == name)
     }
-
-    /// The value following a binary-specific `--flag value` pair.
-    pub fn flag_value(&self, name: &str) -> Option<&str> {
-        self.rest
-            .iter()
-            .position(|r| r == name)
-            .and_then(|i| self.rest.get(i + 1))
-            .map(String::as_str)
-    }
 }
 
 fn die<T>(msg: &str) -> T {
@@ -133,7 +124,7 @@ mod tests {
     fn keeps_binary_specific_rest() {
         let a = parse(&["--part", "b", "--global-pool"]);
         assert!(a.has_flag("--global-pool"));
-        assert_eq!(a.flag_value("--part"), Some("b"));
-        assert_eq!(a.flag_value("--missing"), None);
+        assert!(!a.has_flag("--missing"));
+        assert_eq!(a.rest, ["--part", "b", "--global-pool"]);
     }
 }

@@ -8,11 +8,6 @@
 //! ```text
 //! cargo run --release -p mstream-bench --bin fig3_time
 //! ```
-//!
-//! Pass `--stage-json <path>` to additionally dump per-policy stage
-//! timings (sketch observe / priority rebuild / scoring nanoseconds and
-//! packed-sign cache hit rates) — the artifact `scripts/bench_sketch.sh`
-//! merges into `BENCH_sketch.json`.
 
 use mstream_bench::{paper, runner, table, Args};
 use mstream_core::prelude::*;
@@ -34,7 +29,6 @@ fn main() {
     ];
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-    let mut stage_rows = Vec::new();
     let mut timings: Vec<(String, f64)> = Vec::new();
     for policy in paper::MAX_SUBSET_POLICIES {
         let report = runner::run_policy(&query, policy, capacity, &trace, &opts, args.seed);
@@ -51,23 +45,6 @@ fn main() {
             "policy": policy,
             "seconds": secs,
             "output": report.total_output(),
-        }));
-        let m = &report.metrics;
-        let lookups = m.sign_cache_hits + m.sign_cache_misses;
-        stage_rows.push(serde_json::json!({
-            "policy": policy,
-            "wall_seconds": secs,
-            "processed": m.processed,
-            "sketch_observe_ns": m.sketch_observe_ns,
-            "priority_rebuild_ns": m.priority_rebuild_ns,
-            "score_ns": m.score_ns,
-            "sign_cache_hits": m.sign_cache_hits,
-            "sign_cache_misses": m.sign_cache_misses,
-            "sign_cache_hit_rate": if lookups > 0 {
-                m.sign_cache_hits as f64 / lookups as f64
-            } else {
-                0.0
-            },
         }));
     }
     table::print_table(
@@ -118,7 +95,4 @@ fn main() {
         per_output("MSketch") <= 2.0 * per_output("Random"),
     );
     mstream_bench::args::maybe_dump_json(&args.json, &json_rows);
-    if let Some(path) = args.flag_value("--stage-json") {
-        mstream_bench::args::maybe_dump_json(&Some(path.to_string()), &stage_rows);
-    }
 }

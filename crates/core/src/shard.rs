@@ -176,8 +176,9 @@ pub struct ShardConfig {
     pub collect_rows: bool,
     /// Diagnostic mode: workers drain and recycle batches without running
     /// the join, isolating the data-plane cost (mint + route + channel
-    /// round-trip). Output counters stay zero; used by the `shard_scaling
-    /// --route-only` bench to demonstrate allocation-free ingest.
+    /// round-trip). Output counters stay zero; `tests/route_only_allocs.rs`
+    /// holds its steady state to zero allocations and the benchmark times
+    /// it as `shard.route_only_ns_per_arrival`.
     pub route_only: bool,
     /// Heavy-hitter splitting for key-partitioned queries.
     pub hot_keys: HotKeyConfig,

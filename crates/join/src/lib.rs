@@ -45,6 +45,4 @@ pub mod probe;
 
 pub use exact::ExactJoin;
 pub use plan::{PlanStep, ProbePlan};
-#[doc(hidden)]
-pub use probe::probe_each_recursive;
 pub use probe::{probe_count, probe_each, probe_each_in, Bindings, StoreLookup};

@@ -9,8 +9,9 @@
 //! shapes the benchmarks exercise get specialized fast paths (single-step,
 //! two-step star, two-step chain); plans with residual predicates or more
 //! steps run the general kernel. All variants enumerate matches in exactly
-//! the order of the original recursive kernel ([`probe_each_recursive`],
-//! kept for differential tests), so results are bit-identical.
+//! the order of the original recursive kernel (`probe_each_recursive`, kept
+//! in this module's tests as the differential reference), so results are
+//! bit-identical.
 
 use crate::plan::{PlanStep, ProbePlan};
 use mstream_types::{StreamId, Tuple, Value};
@@ -432,85 +433,6 @@ fn probe_n<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
     count
 }
 
-/// The original recursive probe kernel, retained verbatim as a differential
-/// reference: the iterative kernel must visit the exact same matches in the
-/// exact same order (`tests/probe_equivalence.rs`, probe microbenches).
-/// Not part of the public API.
-#[doc(hidden)]
-pub fn probe_each_recursive<F: FnMut(&Bindings<'_>)>(
-    plan: &ProbePlan,
-    origin_tuple: &Tuple,
-    stores: &[WindowStore],
-    mut on_match: F,
-) -> u64 {
-    debug_assert_eq!(plan.origin(), origin_tuple.stream);
-    let mut slots: Vec<Option<Slot>> = vec![None; stores.len()];
-    let mut count = 0u64;
-    recurse(
-        plan,
-        0,
-        origin_tuple,
-        stores,
-        &mut slots,
-        &mut count,
-        &mut on_match,
-    );
-    count
-}
-
-fn recurse<F: FnMut(&Bindings<'_>)>(
-    plan: &ProbePlan,
-    step_idx: usize,
-    origin_tuple: &Tuple,
-    stores: &[WindowStore],
-    slots: &mut Vec<Option<Slot>>,
-    count: &mut u64,
-    on_match: &mut F,
-) {
-    if step_idx == plan.steps().len() {
-        *count += 1;
-        let bindings = Bindings {
-            origin: plan.origin(),
-            origin_tuple,
-            slots,
-            stores: &stores,
-        };
-        on_match(&bindings);
-        return;
-    }
-    let step = &plan.steps()[step_idx];
-    let drive_value = bound_value(
-        plan.origin(),
-        origin_tuple,
-        &stores,
-        slots,
-        step.drive_stream,
-        step.drive_attr,
-    );
-    let store = &stores[step.stream.index()];
-    let candidates = store.probe(step.probe_attr, drive_value);
-    for slot in candidates.iter() {
-        let tuple = store.tuple(slot).expect("probed slot is live");
-        let residual_ok = step.residual.iter().all(|&(bs, ba, ca)| {
-            bound_value(plan.origin(), origin_tuple, &stores, slots, bs, ba) == tuple.values[ca]
-        });
-        if !residual_ok {
-            continue;
-        }
-        slots[step.stream.index()] = Some(slot);
-        recurse(
-            plan,
-            step_idx + 1,
-            origin_tuple,
-            stores,
-            slots,
-            count,
-            on_match,
-        );
-        slots[step.stream.index()] = None;
-    }
-}
-
 /// Reads an attribute of a bound stream (origin or already-probed window).
 fn bound_value<L: StoreLookup>(
     origin: StreamId,
@@ -536,6 +458,84 @@ fn bound_value<L: StoreLookup>(
 mod tests {
     use super::*;
     use mstream_types::{Catalog, JoinQuery, SeqNo, StreamSchema, VTime, WindowSpec};
+    use proptest::prelude::*;
+
+    /// The original recursive probe kernel, retained verbatim as the
+    /// differential reference: the iterative kernels must visit the exact
+    /// same matches in the exact same order.
+    fn probe_each_recursive<F: FnMut(&Bindings<'_>)>(
+        plan: &ProbePlan,
+        origin_tuple: &Tuple,
+        stores: &[WindowStore],
+        mut on_match: F,
+    ) -> u64 {
+        debug_assert_eq!(plan.origin(), origin_tuple.stream);
+        let mut slots: Vec<Option<Slot>> = vec![None; stores.len()];
+        let mut count = 0u64;
+        recurse(
+            plan,
+            0,
+            origin_tuple,
+            stores,
+            &mut slots,
+            &mut count,
+            &mut on_match,
+        );
+        count
+    }
+
+    fn recurse<F: FnMut(&Bindings<'_>)>(
+        plan: &ProbePlan,
+        step_idx: usize,
+        origin_tuple: &Tuple,
+        stores: &[WindowStore],
+        slots: &mut Vec<Option<Slot>>,
+        count: &mut u64,
+        on_match: &mut F,
+    ) {
+        if step_idx == plan.steps().len() {
+            *count += 1;
+            let bindings = Bindings {
+                origin: plan.origin(),
+                origin_tuple,
+                slots,
+                stores: &stores,
+            };
+            on_match(&bindings);
+            return;
+        }
+        let step = &plan.steps()[step_idx];
+        let drive_value = bound_value(
+            plan.origin(),
+            origin_tuple,
+            &stores,
+            slots,
+            step.drive_stream,
+            step.drive_attr,
+        );
+        let store = &stores[step.stream.index()];
+        let candidates = store.probe(step.probe_attr, drive_value);
+        for slot in candidates.iter() {
+            let tuple = store.tuple(slot).expect("probed slot is live");
+            let residual_ok = step.residual.iter().all(|&(bs, ba, ca)| {
+                bound_value(plan.origin(), origin_tuple, &stores, slots, bs, ba) == tuple.values[ca]
+            });
+            if !residual_ok {
+                continue;
+            }
+            slots[step.stream.index()] = Some(slot);
+            recurse(
+                plan,
+                step_idx + 1,
+                origin_tuple,
+                stores,
+                slots,
+                count,
+                on_match,
+            );
+            slots[step.stream.index()] = None;
+        }
+    }
 
     fn chain3() -> JoinQuery {
         let mut c = Catalog::new();
@@ -756,6 +756,114 @@ mod tests {
             });
             assert_eq!(n1, n2);
             assert_eq!(got, want, "match order diverged (origin {:?})", plan.origin());
+        }
+    }
+
+    /// The query shapes the differential proptest draws from.
+    fn query(shape: usize) -> JoinQuery {
+        let names = ["R1", "R2", "R3", "R4"];
+        let mk = |n: usize| {
+            let mut c = Catalog::new();
+            for &name in &names[..n] {
+                c.add_stream(StreamSchema::new(name, &["A1", "A2"]));
+            }
+            c
+        };
+        let w = WindowSpec::secs(500);
+        match shape {
+            // chain2: one predicate, single-step plans.
+            0 => JoinQuery::from_names(mk(2), &[("R1.A1", "R2.A1")], w).unwrap(),
+            // chain3: two-step chain from the ends, star from the middle.
+            1 => JoinQuery::from_names(mk(3), &[("R1.A1", "R2.A1"), ("R2.A2", "R3.A1")], w).unwrap(),
+            // star3: R1 in the middle — two-step star from R1.
+            2 => JoinQuery::from_names(mk(3), &[("R1.A1", "R2.A1"), ("R1.A2", "R3.A1")], w).unwrap(),
+            // triangle: cyclic, one residual predicate.
+            3 => JoinQuery::from_names(
+                mk(3),
+                &[
+                    ("R1.A1", "R2.A1"),
+                    ("R2.A2", "R3.A1"),
+                    ("R3.A2", "R1.A2"),
+                ],
+                w,
+            )
+            .unwrap(),
+            // chain4: three-step plans through the general kernel.
+            4 => JoinQuery::from_names(
+                mk(4),
+                &[
+                    ("R1.A1", "R2.A1"),
+                    ("R2.A2", "R3.A1"),
+                    ("R3.A2", "R4.A1"),
+                ],
+                w,
+            )
+            .unwrap(),
+            // cycle4: 4-cycle — three plan steps plus a residual closing edge.
+            _ => JoinQuery::from_names(
+                mk(4),
+                &[
+                    ("R1.A1", "R2.A1"),
+                    ("R2.A2", "R3.A1"),
+                    ("R3.A2", "R4.A1"),
+                    ("R4.A2", "R1.A2"),
+                ],
+                w,
+            )
+            .unwrap(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On random chain, star and cyclic queries with random window
+        /// contents, `probe_each` visits the exact same matches in the
+        /// exact same order as the recursive kernel from every origin —
+        /// single-step, two-step star, two-step chain and the general
+        /// frame-stack kernel (3+ steps, residual predicates) alike.
+        #[test]
+        fn iterative_kernel_matches_recursive(
+            shape in 0usize..6,
+            // Small value domain so joins actually fan out.
+            data in proptest::collection::vec((0u64..4, 0u64..4), 10..80),
+            probe_vals in (0u64..4, 0u64..4),
+        ) {
+            let q = query(shape);
+            let n = q.n_streams();
+            let mut stores: Vec<WindowStore> = (0..n)
+                .map(|s| WindowStore::new(q.window(StreamId(s)), q.join_attrs(StreamId(s)), 10_000))
+                .collect();
+            for (i, &(a, b)) in data.iter().enumerate() {
+                let s = i % n;
+                let t = Tuple::new(
+                    StreamId(s),
+                    VTime::ZERO,
+                    SeqNo(i as u64),
+                    vec![Value(a), Value(b)],
+                );
+                stores[s].insert(t, 0.0);
+            }
+            for origin in 0..n {
+                let plan = ProbePlan::new(&q, StreamId(origin));
+                let t = Tuple::new(
+                    StreamId(origin),
+                    VTime::ZERO,
+                    SeqNo(9999),
+                    vec![Value(probe_vals.0), Value(probe_vals.1)],
+                );
+                let mut got = Vec::new();
+                let n1 = probe_each(&plan, &t, &stores, |b| {
+                    got.push((0..n).map(|k| b.seq(StreamId(k))).collect::<Vec<_>>());
+                });
+                let mut want = Vec::new();
+                let n2 = probe_each_recursive(&plan, &t, &stores, |b| {
+                    want.push((0..n).map(|k| b.seq(StreamId(k))).collect::<Vec<_>>());
+                });
+                prop_assert_eq!(n1, n2, "match count (shape {}, origin {})", shape, origin);
+                prop_assert_eq!(&got, &want, "match order (shape {}, origin {})", shape, origin);
+                prop_assert_eq!(n1 as usize, got.len());
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Flat, branch-light kernels over the SoA sketch state: a portable
-//! fixed-width lane path (the one the engine runs), AVX2 specializations
-//! of the two sign-application kernels on `x86_64`, and a scalar reference
-//! path the tests compare against — all **bit-identical** by construction.
+//! fixed-width lane path (the one the engine runs), an AVX2 specialization
+//! of the in-place sign-application kernel on `x86_64`, and a scalar
+//! reference path the tests compare against — all **bit-identical** by
+//! construction.
 //!
 //! Every function here works on contiguous slices laid out *stream-major*:
 //! the counters (or last-epoch snapshots) of stream `k` occupy
@@ -38,9 +39,9 @@
 //!
 //! # Dispatch
 //!
-//! The top-level functions check shapes and run [`lanes`]; the two sign
-//! kernels run [`avx2`] instead where the CPU reports it. The kernels of
-//! the previous section have one portable form each.
+//! The top-level functions check shapes and run [`lanes`];
+//! [`apply_packed_signs`] runs [`avx2`] instead where the CPU reports it.
+//! The kernels of the previous section have one portable form each.
 
 /// Lane width of the portable vector kernels (f64x4 / i64x4-sized blocks,
 /// one 256-bit register on the machines this targets).
@@ -91,7 +92,7 @@ fn check_group_shape(per_copy: &[f64], s1: usize, s2: usize) {
 // Shape-checked entry points (the public kernel API).
 // ---------------------------------------------------------------------------
 
-/// Whether the AVX2 sign kernels can run here. A platform fact, probed
+/// Whether the AVX2 sign kernel can run here. A platform fact, probed
 /// once per process.
 #[cfg(target_arch = "x86_64")]
 #[inline]
@@ -158,16 +159,13 @@ pub fn product2_signed(a: &[i64], b: &[i64], words: &[u64], out: &mut [f64]) {
     lanes::product2_signed(a, b, words, out)
 }
 
-/// `dst[c] = ±src[c]` according to the packed signs — the entire frozen
-/// cross-product productivity query: one sign lookup and one copy per
-/// sketch copy, no multiplies.
+/// `dst[c] = ±src[c]` according to the packed signs — with [`group_sums`],
+/// the frozen cross-product productivity query for a row
+/// [`sum_is_exact`] rejects: one sign lookup and one copy per sketch copy,
+/// no multiplies.
 pub fn signed_copy(words: &[u64], src: &[f64], dst: &mut [f64]) {
     assert_eq!(src.len(), dst.len(), "source/destination length mismatch");
     check_sign_shape(words, src.len(), "values");
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        return avx2::signed_copy(words, src, dst);
-    }
     lanes::signed_copy(words, src, dst)
 }
 
@@ -602,12 +600,12 @@ pub mod lanes {
 // AVX2 specializations (x86_64 only).
 // ---------------------------------------------------------------------------
 
-/// AVX2 `std::arch` specializations for the sign-application kernels: the
-/// packed sign bits expand to a `{0, 1<<63}` lane mask in-register
-/// (broadcast + variable shift) and XOR into four values per instruction.
-/// Sign application is a pure bit operation, so these are exact for every
-/// input including NaNs and ±0.0. Only reached after
-/// `is_x86_feature_detected!("avx2")` in the entry points.
+/// AVX2 `std::arch` specialization of the in-place sign-application
+/// kernel: the packed sign bits expand to a `{0, 1<<63}` lane mask
+/// in-register (broadcast + variable shift) and XOR into four values per
+/// instruction. Sign application is a pure bit operation, so this is exact
+/// for every input including NaNs and ±0.0. Only reached after
+/// `is_x86_feature_detected!("avx2")` in the entry point.
 ///
 /// This module is the one sanctioned `unsafe` island of the crate (see
 /// the crate-level `deny(unsafe_code)`): the only unsafety is the
@@ -661,32 +659,6 @@ pub mod avx2 {
         }
     }
 
-    /// AVX2 body of [`signed_copy`].
-    #[target_feature(enable = "avx2")]
-    unsafe fn signed_copy_impl(words: &[u64], src: &[f64], dst: &mut [f64]) {
-        for ((chunk, s_chunk), &w) in dst.chunks_mut(64).zip(src.chunks(64)).zip(words) {
-            let mut d_blocks = chunk.chunks_exact_mut(LANES);
-            let mut s_blocks = s_chunk.chunks_exact(LANES);
-            let mut base = 0u32;
-            for (d, s) in (&mut d_blocks).zip(&mut s_blocks) {
-                let v = _mm256_loadu_si256(s.as_ptr() as *const __m256i);
-                _mm256_storeu_si256(
-                    d.as_mut_ptr() as *mut __m256i,
-                    _mm256_xor_si256(v, sign_mask(w, base)),
-                );
-                base += LANES as u32;
-            }
-            for ((b, d), &s) in d_blocks
-                .into_remainder()
-                .iter_mut()
-                .enumerate()
-                .zip(s_blocks.remainder())
-            {
-                *d = f64::from_bits(s.to_bits() ^ (((w >> (base + b as u32)) & 1) << 63));
-            }
-        }
-    }
-
     /// AVX2 [`super::apply_packed_signs`]. Panics if AVX2 is unavailable
     /// (the entry point only calls this after runtime detection).
     pub fn apply_packed_signs(words: &[u64], vals: &mut [f64]) {
@@ -696,16 +668,6 @@ pub mod avx2 {
         );
         // SAFETY: AVX2 presence asserted above; slice accesses are safe.
         unsafe { apply_packed_signs_impl(words, vals) }
-    }
-
-    /// AVX2 [`super::signed_copy`]. Panics if AVX2 is unavailable.
-    pub fn signed_copy(words: &[u64], src: &[f64], dst: &mut [f64]) {
-        assert!(
-            std::arch::is_x86_feature_detected!("avx2"),
-            "avx2 kernels selected without avx2"
-        );
-        // SAFETY: AVX2 presence asserted above; slice accesses are safe.
-        unsafe { signed_copy_impl(words, src, dst) }
     }
 }
 

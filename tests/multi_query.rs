@@ -201,6 +201,28 @@ fn full_memory_per_query_output_matches_each_solo_run() {
     }
 }
 
+/// Duplicates are free in state: 64 copies of one standing query form one
+/// class over the stores — and the residents — a single copy holds, and
+/// every copy emits the solo run's rows.
+#[test]
+fn sixty_four_duplicates_share_one_class_and_its_stores() {
+    let t = trace(&["R1", "R2"], 500, 8, 18);
+    let solo_rows = solo(pair("R1", "R2", 40), &t, 100_000).len();
+    assert!(solo_rows > 0, "trace must produce joins");
+    let run = |n: usize| {
+        let mut engine = build_multi(&vec![pair("R1", "R2", 40); n], 100_000);
+        let mut sink = QueryRowsSink::default();
+        feed(&mut engine, &t, &mut sink);
+        assert_eq!(engine.n_classes(), 1, "N={n}: duplicates collapse");
+        assert_eq!(sink.rows.len(), n, "N={n}: every copy emits");
+        for (q, rows) in sink.rows.iter().enumerate() {
+            assert_eq!(rows.len(), solo_rows, "N={n}: query {q} row count");
+        }
+        (engine.n_stores(), engine.total_resident())
+    };
+    assert_eq!(run(64), run(1), "(stores, residents) at N=64 vs N=1");
+}
+
 /// Under reduced memory the shared plane sheds, but can only lose rows:
 /// each query's output stays a sub-multiset of its own solo exact result.
 #[test]
