@@ -3,7 +3,7 @@
 use crate::builder::BuildError;
 use crate::ingest::{Arrival, EmitSink, IngestOutcome, IngestRole};
 use crate::report::EngineMetrics;
-use mstream_join::{probe_each, ProbePlan};
+use mstream_join::{probe_runs_in, ProbePlan, Run};
 use mstream_shed_policies::{clamp_score, PriorityCtx, Requirements, ShedPolicy};
 use mstream_sketch::{BankConfig, EpochSpec, TumblingFreq, TumblingSketches};
 use mstream_types::{
@@ -375,7 +375,7 @@ pub(crate) struct ProducedScratch {
 
 impl ProducedScratch {
     #[inline]
-    pub(crate) fn add(&mut self, slot: Slot, n: u64) {
+    fn add(&mut self, slot: Slot, n: u64) {
         let i = slot.index();
         if i >= self.delta.len() {
             self.delta.resize(i + 1, 0);
@@ -384,6 +384,20 @@ impl ProducedScratch {
             self.touched.push(slot);
         }
         self.delta[i] += n;
+    }
+
+    /// Credits `stream`'s share of `run`, `self` being that stream's
+    /// scratch: the one slot the run's prefix binds there earns the run's
+    /// length, the run's own slots one each, the origin stream nothing —
+    /// the integers, and the first-credit order, of crediting every stream
+    /// of every row.
+    #[inline]
+    pub(crate) fn credit(&mut self, stream: StreamId, run: &Run<'_>) {
+        if stream == run.stream() {
+            run.slots().for_each(|slot| self.add(slot, 1));
+        } else if let Some(slot) = run.slot(stream) {
+            self.add(slot, run.len() as u64);
+        }
     }
 
     /// Lands the pending credits on `store` — one coalesced
@@ -713,31 +727,33 @@ impl ShedJoinEngine {
         }
         // 2. Delete expired tuples from every window.
         self.expire_all(now);
-        // 3. Emit the join results produced by this tuple. Store-only
+        // 3. Emit the join results produced by this tuple, a run of the
+        //    probe's innermost level at a time: what a run costs beyond
+        //    finding it is the sink's to decide (`EmitSink::emit_run` — a
+        //    row reader pays per row, a counter per run), and with
+        //    produced counters a run is credited as a unit. Store-only
         //    replicas skip the probe entirely: their arrival's results are
         //    emitted by the one shard that received the FULL delivery.
-        //    Whether matches are credited is decided here, not per match:
-        //    a closure that carries the crediting code is too big for the
-        //    probe kernels to inline at their match sites, and policies
-        //    without produced counters then pay a call per result row.
+        //    Whether runs are credited is decided here, once per arrival:
+        //    a policy without produced counters runs kernels instantiated
+        //    over a closure that carries no crediting code at all.
         let track = self.core.reqs.produced_counters;
-        let origin = stream.index();
-        let plan = &self.core.plans[origin];
+        let plan = &self.core.plans[stream.index()];
+        let stores = &self.stores.as_slice();
         let produced = if !role.probe {
             0
         } else if track {
             let scratch = &mut self.produced_scratch;
-            probe_each(plan, &tuple, &self.stores, |b| {
+            probe_runs_in(plan, &tuple, stores, |run| {
                 for (k, s) in scratch.iter_mut().enumerate() {
-                    if k != origin {
-                        let slot = b.slot(StreamId(k)).expect("bound in match");
-                        s.add(slot, 1);
-                    }
+                    s.credit(StreamId(k), run);
                 }
-                sink.emit(QueryId::SOLO, b);
+                sink.emit_run(QueryId::SOLO, run);
             })
         } else {
-            probe_each(plan, &tuple, &self.stores, |b| sink.emit(QueryId::SOLO, b))
+            probe_runs_in(plan, &tuple, stores, |run| {
+                sink.emit_run(QueryId::SOLO, run)
+            })
         };
         self.metrics.total_output += produced;
         if role.count_processed {
@@ -1256,6 +1272,40 @@ mod tests {
         }
         assert_eq!(produced, 10);
         assert_eq!(engine.metrics().total_output, 10);
+    }
+
+    #[test]
+    fn crediting_by_run_equals_crediting_by_row() {
+        // Chain from the ends, star from the middle: per stream, the
+        // run-wise credits are the row-wise integers in the same
+        // first-credit order.
+        let mut engine = ShedJoinEngine::new(chain3(1000), Box::new(Fifo), cfg(1000)).unwrap();
+        for i in 0..90u64 {
+            let j = i / 3;
+            arrive(&mut engine, StreamId(i as usize % 3), v(j % 3, j % 2), VTime::ZERO);
+        }
+        for (origin, plan) in engine.core.plans.iter().enumerate() {
+            let t = Tuple::new(StreamId(origin), VTime::ZERO, SeqNo(999), v(1, 1));
+            let scratches = || -> Vec<ProducedScratch> { (0..3).map(|_| Default::default()).collect() };
+            let (mut by_run, mut by_row) = (scratches(), scratches());
+            probe_runs_in(plan, &t, &engine.stores.as_slice(), |run| {
+                for (k, s) in by_run.iter_mut().enumerate() {
+                    s.credit(StreamId(k), run);
+                }
+            });
+            let rows = mstream_join::probe_each(plan, &t, &engine.stores, |b| {
+                for (k, s) in by_row.iter_mut().enumerate() {
+                    if let Some(slot) = b.slot(StreamId(k)) {
+                        s.add(slot, 1);
+                    }
+                }
+            });
+            assert!(rows >= 100, "origin {origin} fans out");
+            for (run, row) in by_run.iter().zip(&by_row) {
+                assert_eq!(run.touched, row.touched, "origin {origin}");
+                assert_eq!(run.delta, row.delta, "origin {origin}");
+            }
+        }
     }
 
     #[test]

@@ -8,14 +8,15 @@
 //!
 //! An [`Arrival`] is the raw event a source produces — stream, values,
 //! timestamp. The engine mints it into a sequence-numbered tuple and runs
-//! it through the operator, invoking the [`EmitSink`] for every join
-//! result combination it completes. The returned [`IngestOutcome`] reports
-//! what the operator did with it.
+//! it through the operator, handing the [`EmitSink`] every join result
+//! combination it completes — a run of them at a time, which a sink that
+//! reads rows sees as one call per row. The returned [`IngestOutcome`]
+//! reports what the operator did with it.
 //!
 //! Three sink adapters cover the common shapes:
 //!
-//! * [`CountSink`] — counts results (the cheapest; equals
-//!   [`IngestOutcome::produced`]).
+//! * [`CountSink`] — counts results (the cheapest — it adds up run
+//!   lengths and never sees a row; equals [`IngestOutcome::produced`]).
 //! * [`VecSink`] — collects every result as owned tuples in stream order
 //!   (what the audit harness and the sharded merge consume).
 //! * [`FnSink`] — wraps any `FnMut(&Bindings)` closure (streaming
@@ -27,7 +28,7 @@
 //! [`QueryId::SOLO`]; the multi-query engine fans one arrival out to every
 //! registered query and tags each result with its owner.
 
-use mstream_join::Bindings;
+use mstream_join::{Bindings, Run};
 use mstream_types::{QueryId, Row, StreamId, Tuple, VTime};
 
 /// One raw stream event, before the engine assigns it a sequence number.
@@ -98,8 +99,8 @@ impl IngestRole {
 /// What the operator did with one ingested arrival.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngestOutcome {
-    /// Join result combinations this arrival completed (each was passed to
-    /// the sink).
+    /// Join result combinations this arrival completed: the total length
+    /// of the runs handed to the sink.
     pub produced: u64,
     /// Whether the arriving tuple is resident in its window afterwards
     /// (`false` means it was itself the lowest-priority tuple and was shed
@@ -112,20 +113,34 @@ pub struct IngestOutcome {
 
 /// A consumer of join results.
 ///
-/// The engine calls [`EmitSink::emit`] once per result combination, with
-/// the emitting query's [`QueryId`] and a zero-copy [`Bindings`] view
-/// valid only for the duration of the call — sinks that keep results must
-/// copy what they need. Single-query engines always pass
-/// [`QueryId::SOLO`]; sinks that serve one query may ignore the id.
+/// The engines deliver results a [`Run`] at a time through
+/// [`EmitSink::emit_run`] — the probe's innermost level: one binding of
+/// every other stream, times a stretch of the last probed window's
+/// candidates. Its default body calls [`EmitSink::emit`] once per result
+/// combination, with the emitting query's [`QueryId`] and a zero-copy
+/// [`Bindings`] view valid only for the duration of the call — sinks that
+/// keep results must copy what they need — so a sink that reads rows
+/// implements `emit` alone and sees every row, in order. A sink that does
+/// not need the rows one at a time (a count, a per-tuple credit) overrides
+/// `emit_run` and pays per run instead of per row. Single-query engines
+/// always pass [`QueryId::SOLO`]; sinks that serve one query may ignore
+/// the id.
 ///
 /// One query's results arrive in that query's solo emission order. Across
 /// queries, the multi-query engine emits an arrival's results class by
-/// class in class-id (registration) order — all of one class's rows, each
-/// row to every member in turn, before the next class's — so a sink that
+/// class in class-id (registration) order — all of one class's runs, each
+/// run to every member in turn, before the next class's — so a sink that
 /// serves several queries sees them interleaved per arrival, not per row.
 pub trait EmitSink {
     /// Receives one join result emitted by query `query`.
     fn emit(&mut self, query: QueryId, bindings: &Bindings<'_>);
+
+    /// Receives one run of join results emitted by query `query`: by
+    /// default, each of its rows through [`EmitSink::emit`].
+    #[inline]
+    fn emit_run(&mut self, query: QueryId, run: &mut Run<'_>) {
+        run.for_each_row(|b| self.emit(query, b));
+    }
 }
 
 /// Counts results and otherwise discards them.
@@ -138,6 +153,11 @@ pub struct CountSink {
 impl EmitSink for CountSink {
     fn emit(&mut self, _query: QueryId, _bindings: &Bindings<'_>) {
         self.produced += 1;
+    }
+
+    #[inline]
+    fn emit_run(&mut self, _query: QueryId, run: &mut Run<'_>) {
+        self.produced += run.len() as u64;
     }
 }
 

@@ -18,8 +18,10 @@
 //!
 //! Each query's results arrive in its solo run's order. Across queries,
 //! one arrival's results are emitted class by class in class-id
-//! (registration) order, and within a class row by row, each row to every
-//! member in registration order.
+//! (registration) order, and within a class run by run (the probe's
+//! innermost level, [`mstream_join::Run`]), each run to every member in
+//! registration order — so two members of one class alternate per run,
+//! not per row, while every query's own order is unchanged.
 //!
 //! # Ownership and exactness
 //!
@@ -58,7 +60,7 @@ use crate::builder::BuildError;
 use crate::engine::{EngineConfig, MemoryMode, ProducedScratch, QueryCore};
 use crate::ingest::{Arrival, EmitSink, IngestOutcome};
 use crate::report::EngineMetrics;
-use mstream_join::{probe_each_in, StoreLookup};
+use mstream_join::{probe_runs_in, StoreLookup};
 use mstream_shed_policies::ShedPolicy;
 use mstream_sketch::TumblingSketches;
 use mstream_types::{
@@ -685,11 +687,10 @@ impl MultiQueryEngine {
         }
         // 3. Every interested class probes its partner stores, before any
         //    insertion (the paper's operator probes partner windows only),
-        //    and each match goes to every member. Matches credit the
+        //    and each run of matches goes to every member. Runs credit the
         //    partner stores the class owns, so an owner's produced counts
         //    stay those of its solo run. Whether a class credits at all is
-        //    decided here, not per match — the crediting closure is too
-        //    big for the kernels to inline at their match sites (see
+        //    decided here, not per run (see
         //    `ShedJoinEngine::ingest_tuple_as`).
         let mut produced = 0u64;
         let mut credited = false;
@@ -702,29 +703,28 @@ impl MultiQueryEngine {
                 continue;
             };
             let plan = &class.core.plans[origin.index()];
-            // Slices: the match closure then carries (ptr, len) itself
-            // instead of re-reading them through the class per row.
+            // Slices: the run closure then carries (ptr, len) itself
+            // instead of re-reading them through the class per run.
             let members: &[QueryId] = &class.members;
             let map: &[usize] = &class.store_of;
             let lookup = MappedStores { entries, map };
             let rows = if class.core.reqs.produced_counters {
                 credited = true;
-                probe_each_in(plan, &tuple, &lookup, |b| {
+                probe_runs_in(plan, &tuple, &lookup, |run| {
                     for (k, &si) in map.iter().enumerate() {
                         let entry = entries[si].as_ref().expect("class store is live");
-                        if k != origin.index() && entry.users[0] == cid {
-                            let slot = b.slot(StreamId(k)).expect("bound in match");
-                            scratches[si].add(slot, 1);
+                        if entry.users[0] == cid {
+                            scratches[si].credit(StreamId(k), run);
                         }
                     }
                     for &qid in members {
-                        sink.emit(qid, b);
+                        sink.emit_run(qid, run);
                     }
                 })
             } else {
-                probe_each_in(plan, &tuple, &lookup, |b| {
+                probe_runs_in(plan, &tuple, &lookup, |run| {
                     for &qid in members {
-                        sink.emit(qid, b);
+                        sink.emit_run(qid, run);
                     }
                 })
             };

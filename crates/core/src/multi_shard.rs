@@ -29,7 +29,7 @@
 
 use crate::builder::BuildError;
 use crate::engine::EngineConfig;
-use crate::ingest::{Arrival, QueryRowsSink};
+use crate::ingest::{Arrival, CountSink, QueryRowsSink};
 use crate::multi::{merge_into_catalog, MultiQueryEngine, QueryStats};
 use crate::report::EngineMetrics;
 use crate::shard::{split_bank, split_memory, splitmix64, Backpressure, ShardConfig};
@@ -504,12 +504,19 @@ fn multi_worker_loop(
     rx: Receiver<MultiMsg>,
     collect_rows: bool,
 ) -> MultiWorkerOut {
-    let mut sink = QueryRowsSink::default();
+    let mut rows_sink = QueryRowsSink::default();
+    // Without row collection nothing reads the results here: per-query
+    // counts come from `query_stats`.
+    let mut count_sink = CountSink::default();
     while let Ok(msg) = rx.recv() {
         match msg {
             MultiMsg::Tuple(tuple) => {
                 let now = tuple.ts;
-                engine.ingest_tuple(tuple, now, &mut sink);
+                if collect_rows {
+                    engine.ingest_tuple(tuple, now, &mut rows_sink);
+                } else {
+                    engine.ingest_tuple(tuple, now, &mut count_sink);
+                }
                 #[cfg(feature = "audit")]
                 engine.check_invariants();
             }
@@ -527,17 +534,12 @@ fn multi_worker_loop(
                 engine.remove_query(id);
             }
         }
-        if !collect_rows {
-            for rows in &mut sink.rows {
-                rows.clear();
-            }
-        }
     }
     let stats = (0..engine.n_registered())
         .map(|q| engine.query_stats(QueryId(q as u32)))
         .collect();
     let rows = collect_rows.then(|| {
-        let mut rows = sink.rows;
+        let mut rows = rows_sink.rows;
         rows.resize_with(engine.n_registered(), Vec::new);
         rows
     });

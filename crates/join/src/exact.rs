@@ -1,7 +1,7 @@
 //! The exact (unbounded-memory) reference join.
 
 use crate::plan::ProbePlan;
-use crate::probe::{probe_each, Bindings};
+use crate::probe::{probe_count, probe_each, Bindings};
 use mstream_types::{JoinQuery, Row, SeqNo, StreamId, Tuple, VTime};
 use mstream_window::WindowStore;
 
@@ -53,21 +53,35 @@ impl ExactJoin {
         now: VTime,
         on_match: F,
     ) -> u64 {
+        self.process_with(stream, values, now, |plan, tuple, stores| {
+            probe_each(plan, tuple, stores, on_match)
+        })
+    }
+
+    /// [`Self::process_each`] without inspecting matches: the probe's run
+    /// lengths are summed and no result row is enumerated.
+    pub fn process(&mut self, stream: StreamId, values: impl Into<Row>, now: VTime) -> u64 {
+        self.process_with(stream, values, now, probe_count)
+    }
+
+    /// One arrival through expire → `probe` → store.
+    fn process_with(
+        &mut self,
+        stream: StreamId,
+        values: impl Into<Row>,
+        now: VTime,
+        probe: impl FnOnce(&ProbePlan, &Tuple, &[WindowStore]) -> u64,
+    ) -> u64 {
         let seq = self.next_seq;
         self.next_seq = seq.next();
         for store in &mut self.stores {
             let _ = store.expire(now);
         }
         let tuple = Tuple::new(stream, now, seq, values);
-        let produced = probe_each(&self.plans[stream.index()], &tuple, &self.stores, on_match);
+        let produced = probe(&self.plans[stream.index()], &tuple, &self.stores);
         self.total_output += produced;
         self.stores[stream.index()].insert(tuple, 0.0);
         produced
-    }
-
-    /// [`Self::process_each`] without inspecting matches.
-    pub fn process(&mut self, stream: StreamId, values: impl Into<Row>, now: VTime) -> u64 {
-        self.process_each(stream, values, now, |_| {})
     }
 
     /// Total result tuples emitted so far.

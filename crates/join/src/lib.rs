@@ -10,12 +10,15 @@
 //! * [`ProbePlan`] — a per-origin-stream evaluation order over the join
 //!   graph: BFS from the origin so every step probes a hash index on one
 //!   driving predicate and verifies any remaining predicates by value.
-//! * [`probe_each`] / [`probe_count`] — enumeration of all combinations of
-//!   window tuples that join with the arriving tuple, with a zero-copy
-//!   [`Bindings`] view for consumers (output counting, per-tuple produced
-//!   counters, windowed aggregates). [`probe_each_in`] runs the same
-//!   kernels over any [`StoreLookup`] (the multi-query plane's mapped view
-//!   of its shared store table).
+//! * [`probe_runs_in`] — the one match enumerator. It delivers the probe
+//!   tree's innermost levels as [`Run`]s over any [`StoreLookup`] (a slice
+//!   of stores, or the multi-query plane's mapped view of its shared store
+//!   table): a consumer that counts or credits per tuple reads a run's
+//!   length and slots and never pays per result row.
+//! * [`probe_each`] / [`probe_each_in`] / [`probe_count`] — its row-wise
+//!   and counting instantiations: every combination of window tuples that
+//!   joins with the arriving tuple as a zero-copy [`Bindings`] view
+//!   (windowed aggregates, result collection), or just how many.
 //! * [`ExactJoin`] — the unbounded-memory reference executor: ground truth
 //!   for "ratio of approximate and exact result" (Figure 4) and for the
 //!   aggregate/quantile error metrics (Figure 7).
@@ -45,4 +48,6 @@ pub mod probe;
 
 pub use exact::ExactJoin;
 pub use plan::{PlanStep, ProbePlan};
-pub use probe::{probe_count, probe_each, probe_each_in, Bindings, StoreLookup};
+pub use probe::{
+    probe_count, probe_each, probe_each_in, probe_runs_in, Bindings, Run, StoreLookup,
+};

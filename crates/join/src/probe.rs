@@ -12,6 +12,13 @@
 //! the order of the original recursive kernel (`probe_each_recursive`, kept
 //! in this module's tests as the differential reference), so results are
 //! bit-identical.
+//!
+//! What the kernels deliver is a [`Run`] — the innermost level of the probe
+//! tree, all of whose rows share every binding but the last — not a row:
+//! [`probe_runs_in`] is the one enumerator, and a consumer that counts or
+//! credits per tuple never pays per result row. [`Run::for_each_row`] is
+//! where rows exist; [`probe_each`], [`probe_each_in`] and [`probe_count`]
+//! are instantiations.
 
 use crate::plan::{PlanStep, ProbePlan};
 use mstream_types::{StreamId, Tuple, Value};
@@ -106,6 +113,141 @@ impl<'a> Bindings<'a> {
     }
 }
 
+/// The innermost level of the probe tree: every stream but the last plan
+/// step's is bound (the *prefix*), and the last step's surviving candidates
+/// — a contiguous stretch of one index bucket, as the two
+/// [`mstream_window::Candidates::parts`] slices — each complete one match.
+///
+/// A run is what the probe kernels deliver ([`probe_runs_in`]). A consumer
+/// that only counts reads [`Run::len`]; one that credits per tuple reads
+/// the prefix ([`Run::slot`]) once and the run's own slots
+/// ([`Run::slots`]); one that needs the matches themselves calls
+/// [`Run::for_each_row`], the only place a per-row [`Bindings`] is built.
+/// A run is never empty.
+pub struct Run<'a> {
+    origin: StreamId,
+    origin_tuple: &'a Tuple,
+    /// The prefix: `slots[k]` = the bound window slot of stream `k`, `None`
+    /// for the origin and — outside [`Run::for_each_row`] — for `stream`.
+    slots: &'a mut [Option<Slot>],
+    stores: &'a dyn StoreLookup,
+    /// The last plan step's stream, whose candidates this run lists.
+    stream: StreamId,
+    head: &'a [Slot],
+    tail: &'a [Slot],
+}
+
+impl<'a> Run<'a> {
+    /// Number of matches in this run (at least 1).
+    #[inline]
+    #[allow(clippy::len_without_is_empty)] // a run is never empty
+    pub fn len(&self) -> usize {
+        self.head.len() + self.tail.len()
+    }
+
+    /// The stream whose window slots this run lists (the plan's last step).
+    #[inline]
+    pub fn stream(&self) -> StreamId {
+        self.stream
+    }
+
+    /// The run's own slots — live in [`Run::stream`]'s store — in bucket
+    /// order: the slot of the `i`-th row [`Run::for_each_row`] builds.
+    #[inline]
+    pub fn slots(&self) -> impl Iterator<Item = Slot> + 'a {
+        self.head.iter().chain(self.tail).copied()
+    }
+
+    /// The window slot every match of this run binds on `stream`: `None`
+    /// for the origin stream and for the run's own stream.
+    #[inline]
+    pub fn slot(&self, stream: StreamId) -> Option<Slot> {
+        self.slots[stream.index()]
+    }
+
+    /// Invokes `on_match` for each match of this run, in bucket order.
+    #[inline]
+    pub fn for_each_row<F: FnMut(&Bindings<'_>)>(&mut self, mut on_match: F) {
+        let si = self.stream.index();
+        // One chained loop, not one per slice: most runs are a few slots
+        // long, and two unrolled loops cost a short run more in prologue
+        // than they save a long one (EXPERIMENTS.md, "The probe delivers
+        // runs").
+        for slot in self.slots() {
+            self.slots[si] = Some(slot);
+            on_match(&Bindings {
+                origin: self.origin,
+                origin_tuple: self.origin_tuple,
+                slots: self.slots,
+                stores: self.stores,
+            });
+        }
+        self.slots[si] = None;
+    }
+}
+
+/// One probe in flight — what all of its runs share: the arriving tuple
+/// and the stream it stands for, the stores, and the plan's last stream,
+/// whose slots every run lists.
+struct Probe<'a, L> {
+    origin: StreamId,
+    origin_tuple: &'a Tuple,
+    stores: &'a L,
+    last: StreamId,
+}
+
+impl<L: StoreLookup> Probe<'_, L> {
+    /// Hands the candidates `(head, tail)` under the prefix `slots` to
+    /// `on_run` — unless there are none — and returns how many there were.
+    #[inline]
+    fn deliver<F: FnMut(&mut Run<'_>)>(
+        &self,
+        slots: &mut [Option<Slot>],
+        (head, tail): (&[Slot], &[Slot]),
+        on_run: &mut F,
+    ) -> u64 {
+        let len = head.len() + tail.len();
+        if len > 0 {
+            // A fresh `Run` per delivery: built from values already in
+            // registers, it need not exist in memory once `on_run` is
+            // inlined.
+            on_run(&mut Run {
+                origin: self.origin,
+                origin_tuple: self.origin_tuple,
+                slots,
+                stores: self.stores,
+                stream: self.last,
+                head,
+                tail,
+            });
+        }
+        len as u64
+    }
+
+    /// [`Probe::deliver`] for a last step with residual predicates: each
+    /// maximal stretch of either slice whose slots pass `keep` is one run.
+    fn deliver_passing<F: FnMut(&mut Run<'_>)>(
+        &self,
+        slots: &mut [Option<Slot>],
+        (head, tail): (&[Slot], &[Slot]),
+        mut keep: impl FnMut(Slot) -> bool,
+        on_run: &mut F,
+    ) -> u64 {
+        let mut count = 0;
+        for part in [head, tail] {
+            let mut start = 0;
+            for (i, &slot) in part.iter().enumerate() {
+                if !keep(slot) {
+                    count += self.deliver(slots, (&part[start..i], &[]), on_run);
+                    start = i + 1;
+                }
+            }
+            count += self.deliver(slots, (&part[start..], &[]), on_run);
+        }
+        count
+    }
+}
+
 /// Enumerates every combination of window tuples joining with
 /// `origin_tuple`, invoking `on_match` per combination. Returns the count.
 ///
@@ -122,21 +264,43 @@ pub fn probe_each<F: FnMut(&Bindings<'_>)>(
     probe_each_in(plan, origin_tuple, &stores, on_match)
 }
 
-/// Binding slots [`probe_each_in`] keeps on the stack.
-const INLINE_SLOTS: usize = 8;
-
-/// [`probe_each`] over any [`StoreLookup`]: `stores.store(k)` must be the
-/// window of the plan's query-local stream `k`. `origin_tuple` stands for
-/// `plan.origin()` whatever its own `stream` tag says — the multi-query
-/// plane probes with the arriving tuple under its global tag.
+/// [`probe_each`] over any [`StoreLookup`]: every row of every run
+/// [`probe_runs_in`] delivers, in order.
 pub fn probe_each_in<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
     plan: &ProbePlan,
     origin_tuple: &Tuple,
     stores: &L,
     mut on_match: F,
 ) -> u64 {
+    probe_runs_in(plan, origin_tuple, stores, |run| {
+        run.for_each_row(&mut on_match)
+    })
+}
+
+/// Counts join combinations without inspecting them.
+pub fn probe_count(plan: &ProbePlan, origin_tuple: &Tuple, stores: &[WindowStore]) -> u64 {
+    debug_assert_eq!(plan.origin(), origin_tuple.stream);
+    probe_runs_in(plan, origin_tuple, &stores, |_| {})
+}
+
+/// Binding slots [`probe_runs_in`] keeps on the stack.
+const INLINE_SLOTS: usize = 8;
+
+/// The one match enumerator: walks the probe tree of `origin_tuple` and
+/// hands `on_run` each non-empty [`Run`] in the recursive kernel's match
+/// order. Returns the number of matches — the sum of the run lengths.
+///
+/// `stores.store(k)` must be the window of the plan's query-local stream
+/// `k`. `origin_tuple` stands for `plan.origin()` whatever its own `stream`
+/// tag says — the multi-query plane probes with the arriving tuple under
+/// its global tag.
+pub fn probe_runs_in<L: StoreLookup, F: FnMut(&mut Run<'_>)>(
+    plan: &ProbePlan,
+    origin_tuple: &Tuple,
+    stores: &L,
+    mut on_run: F,
+) -> u64 {
     let steps = plan.steps();
-    let origin = plan.origin();
     // Every step binds one stream, so a plan spans `steps + 1` streams.
     // The binding slots live on the stack for every join width seen in
     // practice (this runs once per arrival); wider plans spill to the heap.
@@ -149,123 +313,80 @@ pub fn probe_each_in<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
         spill.resize(n_streams, None);
         &mut spill
     };
+    let last = steps.last().expect("a join plan has at least one step");
+    let probe = Probe {
+        origin: plan.origin(),
+        origin_tuple,
+        stores,
+        last: last.stream,
+    };
     match steps {
-        [] => {
-            on_match(&Bindings {
-                origin,
-                origin_tuple,
-                slots,
-                stores,
-            });
-            1
-        }
-        [step] => probe_1(step, origin, origin_tuple, stores, slots, &mut on_match),
+        [step] => probe_1(step, &probe, slots, &mut on_run),
         [s0, s1] if s0.residual.is_empty() && s1.residual.is_empty() => {
-            probe_2(s0, s1, origin, origin_tuple, stores, slots, &mut on_match)
+            probe_2(s0, s1, &probe, slots, &mut on_run)
         }
-        _ => probe_n(steps, origin, origin_tuple, stores, slots, &mut on_match),
+        _ => probe_n(steps, &probe, slots, &mut on_run),
     }
-}
-
-/// Counts join combinations without inspecting them.
-pub fn probe_count(plan: &ProbePlan, origin_tuple: &Tuple, stores: &[WindowStore]) -> u64 {
-    probe_each(plan, origin_tuple, stores, |_| {})
 }
 
 /// Single probe step (2-stream query). The drive value comes straight off
 /// the arriving tuple; candidates need dereferencing only when residual
 /// predicates exist (and their left-hand values are hoisted — at step 0
 /// only the origin is bound).
-fn probe_1<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
+fn probe_1<L: StoreLookup, F: FnMut(&mut Run<'_>)>(
     step: &PlanStep,
-    origin: StreamId,
-    origin_tuple: &Tuple,
-    stores: &L,
+    probe: &Probe<'_, L>,
     slots: &mut [Option<Slot>],
-    on_match: &mut F,
+    on_run: &mut F,
 ) -> u64 {
-    debug_assert_eq!(step.drive_stream, origin, "step 0 is driven by the origin");
-    let store = stores.store(step.stream);
+    debug_assert_eq!(step.drive_stream, probe.origin, "step 0 is driven by the origin");
+    let origin_tuple = probe.origin_tuple;
+    let store = probe.stores.store(step.stream);
     let cands = store.probe(step.probe_attr, origin_tuple.values[step.drive_attr]);
-    let si = step.stream.index();
-    let mut count = 0u64;
     if step.residual.is_empty() {
-        let (head, tail) = cands.parts();
-        for part in [head, tail] {
-            for &slot in part {
-                slots[si] = Some(slot);
-                count += 1;
-                on_match(&Bindings {
-                    origin,
-                    origin_tuple,
-                    slots,
-                    stores,
-                });
-            }
-        }
-    } else {
-        // Residual left-hand sides are all origin attributes here: hoist.
-        let res: Vec<(Value, usize)> = step
-            .residual
-            .iter()
-            .map(|&(bs, ba, ca)| {
-                debug_assert_eq!(bs, origin);
-                (origin_tuple.values[ba], ca)
-            })
-            .collect();
-        for slot in cands.iter() {
-            let t = store.tuple(slot).expect("probed slot is live");
-            if res.iter().all(|&(v, ca)| t.values[ca] == v) {
-                slots[si] = Some(slot);
-                count += 1;
-                on_match(&Bindings {
-                    origin,
-                    origin_tuple,
-                    slots,
-                    stores,
-                });
-            }
-        }
+        return probe.deliver(slots, cands.parts(), on_run);
     }
-    slots[si] = None;
-    count
+    // Residual left-hand sides are all origin attributes here: hoist.
+    let res: Vec<(Value, usize)> = step
+        .residual
+        .iter()
+        .map(|&(bs, ba, ca)| {
+            debug_assert_eq!(bs, probe.origin);
+            (origin_tuple.values[ba], ca)
+        })
+        .collect();
+    let keep = |slot| {
+        let t = store.tuple(slot).expect("probed slot is live");
+        res.iter().all(|&(v, ca)| t.values[ca] == v)
+    };
+    probe.deliver_passing(slots, cands.parts(), keep, on_run)
 }
 
 /// Two residual-free probe steps (3-stream acyclic query). Star shapes
 /// (both steps driven by the origin) hoist the second candidate list out of
 /// the outer loop entirely; chain shapes dereference the outer candidate
 /// once for its drive value and never touch the inner candidates' tuples.
-fn probe_2<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
+fn probe_2<L: StoreLookup, F: FnMut(&mut Run<'_>)>(
     s0: &PlanStep,
     s1: &PlanStep,
-    origin: StreamId,
-    origin_tuple: &Tuple,
-    stores: &L,
+    probe: &Probe<'_, L>,
     slots: &mut [Option<Slot>],
-    on_match: &mut F,
+    on_run: &mut F,
 ) -> u64 {
-    debug_assert_eq!(s0.drive_stream, origin, "step 0 is driven by the origin");
-    let store0 = stores.store(s0.stream);
-    let store1 = stores.store(s1.stream);
+    let origin_tuple = probe.origin_tuple;
+    debug_assert_eq!(s0.drive_stream, probe.origin, "step 0 is driven by the origin");
+    let store0 = probe.stores.store(s0.stream);
+    let store1 = probe.stores.store(s1.stream);
     let c0 = store0.probe(s0.probe_attr, origin_tuple.values[s0.drive_attr]);
-    let (i0, i1) = (s0.stream.index(), s1.stream.index());
+    let i0 = s0.stream.index();
     let mut count = 0u64;
-    if s1.drive_stream == origin {
+    if s1.drive_stream == probe.origin {
         // Star: the inner candidate list does not depend on the outer slot.
         let c1 = store1.probe(s1.probe_attr, origin_tuple.values[s1.drive_attr]);
         if !c1.is_empty() {
             for slot0 in c0.iter() {
                 slots[i0] = Some(slot0);
-                for slot1 in c1.iter() {
-                    slots[i1] = Some(slot1);
-                    count += 1;
-                    on_match(&Bindings {
-                        origin,
-                        origin_tuple,
-                        slots,
-                        stores,
-                    });
-                }
+                count += probe.deliver(slots, c1.parts(), on_run);
             }
         }
     } else {
@@ -274,24 +395,11 @@ fn probe_2<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
         for slot0 in c0.iter() {
             let t0 = store0.tuple(slot0).expect("probed slot is live");
             let c1 = store1.probe(s1.probe_attr, t0.values[s1.drive_attr]);
-            if c1.is_empty() {
-                continue;
-            }
             slots[i0] = Some(slot0);
-            for slot1 in c1.iter() {
-                slots[i1] = Some(slot1);
-                count += 1;
-                on_match(&Bindings {
-                    origin,
-                    origin_tuple,
-                    slots,
-                    stores,
-                });
-            }
+            count += probe.deliver(slots, c1.parts(), on_run);
         }
     }
     slots[i0] = None;
-    slots[i1] = None;
     count
 }
 
@@ -322,14 +430,13 @@ impl<'a> Frame<'a> {
 /// the plan's steps. Entering a frame computes the step's drive value and
 /// hoists its residual left-hand values once; the candidate loop then only
 /// dereferences tuples for steps that actually carry residual checks.
-fn probe_n<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
+fn probe_n<L: StoreLookup, F: FnMut(&mut Run<'_>)>(
     steps: &[PlanStep],
-    origin: StreamId,
-    origin_tuple: &Tuple,
-    stores: &L,
+    probe: &Probe<'_, L>,
     slots: &mut [Option<Slot>],
-    on_match: &mut F,
+    on_run: &mut F,
 ) -> u64 {
+    let (origin, origin_tuple, stores) = (probe.origin, probe.origin_tuple, probe.stores);
     let mut count = 0u64;
     let mut frames: Vec<Frame<'_>> = Vec::with_capacity(steps.len());
     // Hoisted residual `(left-hand value, candidate attr)` pairs for all
@@ -370,33 +477,22 @@ fn probe_n<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
         let step = &steps[depth];
         let store = stores.store(step.stream);
         if depth + 1 == steps.len() {
-            // Innermost level: every surviving candidate is a match — drain
-            // the whole frame in one tight loop (last frames are always
-            // fresh, so the cursor is at 0) instead of a stack round-trip
-            // per match.
-            let f = frames.last().expect("frame at current depth");
-            let rvals = &res[f.res_base..];
-            let si = step.stream.index();
-            for part in [f.head, f.tail] {
-                for &slot in part {
-                    if !rvals.is_empty() {
-                        let t = store.tuple(slot).expect("probed slot is live");
-                        if !rvals.iter().all(|&(v, ca)| t.values[ca] == v) {
-                            continue;
-                        }
-                    }
-                    slots[si] = Some(slot);
-                    count += 1;
-                    on_match(&Bindings {
-                        origin,
-                        origin_tuple,
-                        slots,
-                        stores,
-                    });
-                }
-            }
-            slots[si] = None;
+            // Innermost level: every surviving candidate is a match — the
+            // whole frame (last frames are always fresh, so the cursor is
+            // at 0) is one run, or one per passing stretch when the step
+            // carries residual checks, instead of a stack round-trip per
+            // match.
             let f = frames.pop().expect("frame at current depth");
+            let rvals = &res[f.res_base..];
+            if rvals.is_empty() {
+                count += probe.deliver(slots, (f.head, f.tail), on_run);
+            } else {
+                let keep = |slot| {
+                    let t = store.tuple(slot).expect("probed slot is live");
+                    rvals.iter().all(|&(v, ca)| t.values[ca] == v)
+                };
+                count += probe.deliver_passing(slots, (f.head, f.tail), keep, on_run);
+            }
             res.truncate(f.res_base);
             continue;
         }
@@ -590,12 +686,10 @@ mod tests {
         assert_eq!(probe_count(&plan, &t, &stores), 0);
     }
 
-    #[test]
-    fn wide_chain_spills_binding_slots_to_the_heap() {
-        // One stream more than the inline slot array holds, plus the
-        // origin: R1.A2 = R2.A1, R2.A2 = R3.A1, … — every binding visible.
-        let n = INLINE_SLOTS + 2;
-        let names: Vec<String> = (1..=n).map(|i| format!("R{i}")).collect();
+    /// A chain one stream wider than the inline slot array holds, plus the
+    /// origin: R1.A2 = R2.A1, R2.A2 = R3.A1, …
+    fn wide_chain() -> JoinQuery {
+        let names: Vec<String> = (1..=INLINE_SLOTS + 2).map(|i| format!("R{i}")).collect();
         let mut c = Catalog::new();
         for name in &names {
             c.add_stream(StreamSchema::new(name, &["A1", "A2"]));
@@ -606,7 +700,14 @@ mod tests {
             .collect();
         let pred_refs: Vec<(&str, &str)> =
             preds.iter().map(|(l, r)| (l.as_str(), r.as_str())).collect();
-        let q = JoinQuery::from_names(c, &pred_refs, WindowSpec::secs(500)).unwrap();
+        JoinQuery::from_names(c, &pred_refs, WindowSpec::secs(500)).unwrap()
+    }
+
+    #[test]
+    fn wide_chain_spills_binding_slots_to_the_heap() {
+        // Every binding of the spilled slot array stays visible.
+        let q = wide_chain();
+        let n = q.n_streams();
         let mut stores = stores_for(&q);
         for (s, store) in stores.iter_mut().enumerate().skip(1) {
             // Stream s holds (s, s + 1); the last one twice.
@@ -800,7 +901,7 @@ mod tests {
             )
             .unwrap(),
             // cycle4: 4-cycle — three plan steps plus a residual closing edge.
-            _ => JoinQuery::from_names(
+            5 => JoinQuery::from_names(
                 mk(4),
                 &[
                     ("R1.A1", "R2.A1"),
@@ -811,7 +912,24 @@ mod tests {
                 w,
             )
             .unwrap(),
+            // wide chain: binding slots spill to the heap.
+            _ => wide_chain(),
         }
+    }
+
+    /// `q`'s windows holding `data`, dealt round-robin across its streams.
+    fn filled_stores(q: &JoinQuery, data: &[(u64, u64)]) -> Vec<WindowStore> {
+        let n = q.n_streams();
+        let mut stores = stores_for(q);
+        for (i, &(a, b)) in data.iter().enumerate() {
+            stores[i % n].insert(tup(i % n, i as u64, a, b), 0.0);
+        }
+        stores
+    }
+
+    /// Every stream's bound sequence number: one match, identified.
+    fn seqs(b: &Bindings<'_>) -> Vec<SeqNo> {
+        (0..b.n_streams()).map(|k| b.seq(StreamId(k))).collect()
     }
 
     proptest! {
@@ -821,48 +939,77 @@ mod tests {
         /// contents, `probe_each` visits the exact same matches in the
         /// exact same order as the recursive kernel from every origin —
         /// single-step, two-step star, two-step chain and the general
-        /// frame-stack kernel (3+ steps, residual predicates) alike.
+        /// frame-stack kernel (3+ steps, residual predicates, spilled
+        /// binding slots) alike.
         #[test]
         fn iterative_kernel_matches_recursive(
-            shape in 0usize..6,
+            shape in 0usize..7,
             // Small value domain so joins actually fan out.
             data in proptest::collection::vec((0u64..4, 0u64..4), 10..80),
             probe_vals in (0u64..4, 0u64..4),
         ) {
             let q = query(shape);
-            let n = q.n_streams();
-            let mut stores: Vec<WindowStore> = (0..n)
-                .map(|s| WindowStore::new(q.window(StreamId(s)), q.join_attrs(StreamId(s)), 10_000))
-                .collect();
-            for (i, &(a, b)) in data.iter().enumerate() {
-                let s = i % n;
-                let t = Tuple::new(
-                    StreamId(s),
-                    VTime::ZERO,
-                    SeqNo(i as u64),
-                    vec![Value(a), Value(b)],
-                );
-                stores[s].insert(t, 0.0);
-            }
-            for origin in 0..n {
-                let plan = ProbePlan::new(&q, StreamId(origin));
-                let t = Tuple::new(
-                    StreamId(origin),
-                    VTime::ZERO,
-                    SeqNo(9999),
-                    vec![Value(probe_vals.0), Value(probe_vals.1)],
-                );
+            let stores = filled_stores(&q, &data);
+            for plan in ProbePlan::all(&q) {
+                let origin = plan.origin().index();
+                let t = tup(origin, 9999, probe_vals.0, probe_vals.1);
                 let mut got = Vec::new();
-                let n1 = probe_each(&plan, &t, &stores, |b| {
-                    got.push((0..n).map(|k| b.seq(StreamId(k))).collect::<Vec<_>>());
-                });
+                let n1 = probe_each(&plan, &t, &stores, |b| got.push(seqs(b)));
                 let mut want = Vec::new();
-                let n2 = probe_each_recursive(&plan, &t, &stores, |b| {
-                    want.push((0..n).map(|k| b.seq(StreamId(k))).collect::<Vec<_>>());
-                });
+                let n2 = probe_each_recursive(&plan, &t, &stores, |b| want.push(seqs(b)));
                 prop_assert_eq!(n1, n2, "match count (shape {}, origin {})", shape, origin);
                 prop_assert_eq!(&got, &want, "match order (shape {}, origin {})", shape, origin);
                 prop_assert_eq!(n1 as usize, got.len());
+            }
+        }
+
+        /// The runs `probe_runs_in` delivers tile the recursive kernel's
+        /// matches: their rows, in delivery order, are its matches one for
+        /// one; their lengths add up to the returned count and to
+        /// `probe_count`; none is empty; each lists live slots of the
+        /// plan's last stream, which — like the origin — its prefix leaves
+        /// unbound while every other stream is bound.
+        #[test]
+        fn runs_tile_the_recursive_matches(
+            shape in 0usize..7,
+            data in proptest::collection::vec((0u64..4, 0u64..4), 10..80),
+            probe_vals in (0u64..4, 0u64..4),
+        ) {
+            let q = query(shape);
+            let stores = filled_stores(&q, &data);
+            for plan in ProbePlan::all(&q) {
+                let origin = plan.origin();
+                let last = plan.steps().last().unwrap().stream;
+                let t = tup(origin.index(), 9999, probe_vals.0, probe_vals.1);
+                let mut got = Vec::new();
+                let mut lens = 0u64;
+                let total = probe_runs_in(&plan, &t, &stores.as_slice(), |run| {
+                    assert!(run.len() > 0, "empty run delivered");
+                    assert_eq!(run.stream(), last);
+                    for k in (0..q.n_streams()).map(StreamId) {
+                        let free = k == origin || k == last;
+                        assert_eq!(run.slot(k).is_none(), free, "prefix binding of {k}");
+                    }
+                    let slots: Vec<Slot> = run.slots().collect();
+                    assert_eq!(slots.len(), run.len());
+                    for &slot in &slots {
+                        assert!(stores[last.index()].tuple(slot).is_some(), "dead slot in run");
+                    }
+                    let mut rows = slots.iter();
+                    run.for_each_row(|b| {
+                        assert_eq!(b.slot(last), rows.next().copied(), "row order within run");
+                        got.push(seqs(b));
+                    });
+                    assert!(rows.next().is_none(), "fewer rows than the run's length");
+                    assert!(run.slot(last).is_none(), "run's stream left bound");
+                    lens += run.len() as u64;
+                });
+                let mut want = Vec::new();
+                let n = probe_each_recursive(&plan, &t, &stores, |b| want.push(seqs(b)));
+                prop_assert_eq!(total, n, "match count (shape {}, origin {})", shape, origin);
+                prop_assert_eq!(lens, n, "run lengths (shape {}, origin {})", shape, origin);
+                prop_assert_eq!(probe_count(&plan, &t, &stores), n);
+                prop_assert_eq!(&got, &want, "match order (shape {}, origin {})", shape, origin);
             }
         }
     }

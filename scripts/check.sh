@@ -23,6 +23,13 @@ if grep -rnE 'TrieNode|ProbeCtx|from_parts' crates/{join,core}/src; then
   echo "FAIL: a second probe enumerator is back in mstream-join / mstream-core"
   exit 1
 fi
+# The engines deliver results through `EmitSink::emit_run` only (its
+# default body is the per-row path), so no call site can bypass a sink's
+# override.
+if grep -nE 'sink\.emit\(' crates/core/src/{engine,multi}.rs; then
+  echo "FAIL: an engine calls sink.emit directly instead of emit_run"
+  exit 1
+fi
 # Differential audit smoke: every policy vs the exact oracle over 50
 # fuzzed cases, with per-arrival structural invariant checks (includes the
 # sharded-vs-oracle differential at the case's shard count). Odd-seed

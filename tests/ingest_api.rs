@@ -4,6 +4,7 @@
 //! `ingest`/`ingest_tuple` entry points through any sink — must produce
 //! identical results and identical metrics on the same trace.
 
+use mstream_core::mstream_join::Run;
 use mstream_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,13 +22,36 @@ fn keyed3() -> JoinQuery {
     .unwrap()
 }
 
-fn engine(capacity: usize, seed: u64) -> ShedJoinEngine {
-    EngineBuilder::new(keyed3())
-        .policy(MSketch)
+/// A 4-cycle: three probe steps, the closing edge checked as a residual.
+fn cycle4() -> JoinQuery {
+    let mut c = Catalog::new();
+    for name in ["R1", "R2", "R3", "R4"] {
+        c.add_stream(StreamSchema::new(name, &["A1", "A2"]));
+    }
+    JoinQuery::from_names(
+        c,
+        &[
+            ("R1.A1", "R2.A1"),
+            ("R2.A2", "R3.A1"),
+            ("R3.A2", "R4.A1"),
+            ("R4.A2", "R1.A2"),
+        ],
+        WindowSpec::secs(60),
+    )
+    .unwrap()
+}
+
+fn engine_for(query: JoinQuery, policy: &str, capacity: usize, seed: u64) -> ShedJoinEngine {
+    EngineBuilder::new(query)
+        .boxed_policy(parse_policy(policy).unwrap())
         .capacity_per_window(capacity)
         .seed(seed)
         .build()
         .unwrap()
+}
+
+fn engine(capacity: usize, seed: u64) -> ShedJoinEngine {
+    engine_for(keyed3(), "MSketch", capacity, seed)
 }
 
 /// Metrics with the wall-clock timing counters zeroed — everything else
@@ -41,42 +65,108 @@ fn det(m: &EngineMetrics) -> EngineMetrics {
     }
 }
 
-fn trace(n: usize) -> Vec<Arrival> {
+/// `n` arrivals over `streams` streams, values in 0..5 — uniform, or
+/// `skewed` towards 0 (the product of two uniform draws).
+fn trace_over(streams: usize, n: usize, skewed: bool) -> Vec<Arrival> {
     let mut rng = StdRng::seed_from_u64(11);
+    let value = |rng: &mut StdRng| {
+        let v = rng.gen_range(0..5u64);
+        Value(if skewed { v * rng.gen_range(0..5u64) / 4 } else { v })
+    };
     (0..n)
         .map(|i| {
             Arrival::new(
-                StreamId(rng.gen_range(0..3)),
-                vec![Value(rng.gen_range(0..5)), Value(rng.gen_range(0..5))],
+                StreamId(rng.gen_range(0..streams)),
+                vec![value(&mut rng), value(&mut rng)],
                 VTime::from_secs(i as u64 / 5),
             )
         })
         .collect()
 }
 
-/// The three sinks and the outcome counter all agree on every arrival.
+fn trace(n: usize) -> Vec<Arrival> {
+    trace_over(3, n, false)
+}
+
+/// A sink that overrides `emit_run`: every other run is read by its length,
+/// the rest row by row. The engine must reach `emit` only through
+/// `emit_run`, or a match read by length would be handed over twice.
+#[derive(Default)]
+struct RunSink {
+    runs: u64,
+    by_len: u64,
+    by_row: u64,
+    reading_rows: bool,
+}
+
+impl EmitSink for RunSink {
+    fn emit(&mut self, _query: QueryId, _bindings: &Bindings<'_>) {
+        assert!(self.reading_rows, "a row arrived outside its run");
+        self.by_row += 1;
+    }
+
+    fn emit_run(&mut self, query: QueryId, run: &mut Run<'_>) {
+        self.runs += 1;
+        if self.runs % 2 == 0 {
+            self.by_len += run.len() as u64;
+        } else {
+            self.reading_rows = true;
+            run.for_each_row(|b| self.emit(query, b));
+            self.reading_rows = false;
+        }
+    }
+}
+
+/// Which sink is plugged in never changes what the engine stores, credits
+/// or sheds: for every shipped policy (MSketch-RS is the one that credits
+/// produced counts) over a uniform chain, the paper chain on skewed values
+/// and a 4-cycle with a residual edge, every sink sees `produced` results
+/// on every arrival, the outcomes agree arrival for arrival and the
+/// metrics agree at the end.
 #[test]
 fn sinks_agree_with_outcome_counts() {
-    let mut counted = engine(16, 3);
-    let mut collected = engine(16, 3);
-    let mut closured = engine(16, 3);
-    for arrival in trace(500) {
-        let mut count = CountSink::default();
-        let mut vec = VecSink::default();
-        let mut calls = 0u64;
-        let a = counted.ingest(arrival.clone(), &mut count);
-        let b = collected.ingest(arrival.clone(), &mut vec);
-        let c = closured.ingest(arrival, &mut FnSink(|_b: &Bindings<'_>| calls += 1));
-        assert_eq!(a, b);
-        assert_eq!(b, c);
-        assert_eq!(count.produced, a.produced);
-        assert_eq!(vec.rows.len() as u64, a.produced);
-        assert_eq!(calls, a.produced);
+    let cases = [
+        ("keyed3", keyed3(), trace_over(3, 500, false)),
+        ("skewed chain", keyed3(), trace_over(3, 500, true)),
+        ("4-cycle", cycle4(), trace_over(4, 800, false)),
+    ];
+    for policy in ALL_POLICY_NAMES {
+        for (label, query, arrivals) in &cases {
+            let mut engines: [ShedJoinEngine; 4] =
+                std::array::from_fn(|_| engine_for(query.clone(), policy, 16, 3));
+            let [counted, collected, closured, run_read] = &mut engines;
+            let mut runs = RunSink::default();
+            for arrival in arrivals {
+                let mut count = CountSink::default();
+                let mut vec = VecSink::default();
+                let mut calls = 0u64;
+                let (by_len, by_row) = (runs.by_len, runs.by_row);
+                let a = counted.ingest(arrival.clone(), &mut count);
+                let b = collected.ingest(arrival.clone(), &mut vec);
+                let c = closured.ingest(
+                    arrival.clone(),
+                    &mut FnSink(|_b: &Bindings<'_>| calls += 1),
+                );
+                let d = run_read.ingest(arrival.clone(), &mut runs);
+                assert_eq!((a, a, a), (b, c, d), "{policy} on {label}");
+                assert_eq!(count.produced, a.produced);
+                assert_eq!(vec.rows.len() as u64, a.produced);
+                assert_eq!(calls, a.produced);
+                assert_eq!(
+                    (runs.by_len - by_len) + (runs.by_row - by_row),
+                    a.produced,
+                    "{policy} on {label}: every match exactly one way"
+                );
+            }
+            let want = det(counted.metrics());
+            for other in [collected, closured, run_read] {
+                assert_eq!(want, det(other.metrics()), "{policy} on {label}");
+            }
+            assert!(want.total_output > 0, "{policy} on {label} joins nothing");
+            assert!(want.shed_window > 0, "{policy} on {label}: capacity 16 must shed");
+            assert!(runs.by_len > 0 && runs.by_row > 0);
+        }
     }
-    assert_eq!(det(counted.metrics()), det(collected.metrics()));
-    assert_eq!(det(counted.metrics()), det(closured.metrics()));
-    assert!(counted.metrics().total_output > 0);
-    assert!(counted.metrics().shed_window > 0, "capacity 16 must shed");
 }
 
 /// The tuple-level entry point (`mint` + `ingest_tuple`) is equivalent to

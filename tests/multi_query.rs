@@ -334,6 +334,51 @@ fn one_query_plane_replays_the_solo_engine_under_shedding() {
     }
 }
 
+/// Which sink is plugged in never changes what the plane stores, credits
+/// or sheds. A three-member class (the store owner, so each member replays
+/// the solo run even under shedding) next to a pair sharing its stores:
+/// a `CountSink`, which reads runs by their length, leaves every arrival's
+/// outcome and the final counters exactly as a `QueryRowsSink`, which
+/// reads every row, does — and counts what `query_stats` reports.
+#[test]
+fn sink_choice_never_changes_what_the_plane_does() {
+    let chain = keyed_chain("R1", "R2", "R3", 40);
+    let queries = [chain.clone(), chain.clone(), chain.clone(), pair("R1", "R2", 40)];
+    let t = trace(&["R1", "R2", "R3"], 800, 8, 19);
+    for &policy in ALL_POLICY_NAMES {
+        let mut rows_plane = build_multi_as(policy, &queries, 16);
+        let mut count_plane = build_multi_as(policy, &queries, 16);
+        assert_eq!(rows_plane.n_classes(), 2);
+        let mut rows = QueryRowsSink::default();
+        let mut count = CountSink::default();
+        for (name, row, ts) in &t {
+            let g = rows_plane.stream_id(name).unwrap();
+            let arrival = Arrival::new(g, row.clone(), *ts);
+            let a = rows_plane.ingest(arrival.clone(), &mut rows);
+            let b = count_plane.ingest(arrival, &mut count);
+            assert_eq!(a, b, "{policy}: outcome under QueryRowsSink vs CountSink");
+        }
+        let det = |m: &EngineMetrics| EngineMetrics {
+            priority_rebuild_ns: 0,
+            ..m.clone()
+        };
+        assert_eq!(det(rows_plane.metrics()), det(count_plane.metrics()), "{policy}");
+        assert!(rows_plane.metrics().shed_window > 0, "{policy}: capacity 16 must shed");
+        let solo_rows = solo_as(policy, chain.clone(), &t, 16).0;
+        assert!(!solo_rows.is_empty(), "{policy}: trace must produce joins");
+        let mut total = 0;
+        for q in 0..queries.len() {
+            let stats = count_plane.query_stats(QueryId(q as u32)).unwrap();
+            assert_eq!(stats.produced, rows.rows[q].len() as u64, "{policy}: query {q}");
+            total += stats.produced;
+            if q < 3 {
+                assert_eq!(projected(&rows.rows[q]), solo_rows, "{policy}: member {q} rows");
+            }
+        }
+        assert_eq!(count.produced, total, "{policy}: CountSink vs query_stats");
+    }
+}
+
 /// A pair and a chain over the same `R1`, `R2` stores, whose plans for an
 /// `R1` arrival both open by probing `R2` on `A1`. The pair registers
 /// first and owns both shared stores, so its rows replay its solo run in
