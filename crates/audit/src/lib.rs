@@ -74,14 +74,10 @@ pub use run::{install_quiet_hook, run_case, run_case_on, CaseStats, Failure, Fai
 pub use shrink::shrink_case;
 
 /// Derives the per-case seed for case `index` of a sweep started with
-/// `master` (SplitMix64 finalizer — avoids correlated neighbour cases).
+/// `master`: the `index`-th output of the SplitMix64 generator seeded
+/// with `master` (avoids correlated neighbour cases).
 pub fn case_seed(master: u64, index: u64) -> u64 {
-    let mut z = master
-        .wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mstream_types::splitmix64(master.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 #[cfg(test)]

@@ -10,9 +10,11 @@ use std::time::Instant;
 /// The `--stage-json` view of one engine's counters: per-stage wall-clock
 /// nanoseconds, the rescoring passes actually run, and the
 /// estimation-cache statistics (packed-sign and productivity-score memos,
-/// DESIGN.md §16).
+/// DESIGN.md §16). `sketch_observe_ns` and `score_ns` are estimates: the
+/// time of one arrival in `stage_sample_stride`, times that stride.
 fn stage_view(m: &EngineMetrics) -> serde_json::Value {
     serde_json::json!({
+        "stage_sample_stride": mstream_core::clock::STRIDE,
         "sketch_observe_ns": m.sketch_observe_ns,
         "priority_rebuild_ns": m.priority_rebuild_ns,
         "priority_rebuilds": m.priority_rebuilds,
@@ -804,6 +806,7 @@ mod tests {
         let json_start = text.find('{').expect("stage object present");
         let v: serde_json::Value = serde_json::from_str(&text[json_start..]).unwrap();
         let stages = &v["stages"];
+        assert_eq!(stages["stage_sample_stride"].as_u64(), Some(mstream_core::clock::STRIDE));
         for key in [
             "sketch_observe_ns",
             "priority_rebuild_ns",

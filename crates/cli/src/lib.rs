@@ -82,7 +82,11 @@ RUN OPTIONS:
                          score_ns), the rescoring passes run
                          (priority_rebuilds) and estimation-cache counters
                          (packed-sign and productivity score memos); sharded
-                         runs include a per_shard breakdown
+                         runs include a per_shard breakdown.
+                         sketch_observe_ns and score_ns are estimates: one
+                         arrival in stage_sample_stride is timed and its
+                         time multiplied by the stride; priority_rebuild_ns
+                         is exact
 
 GENERATE OPTIONS:
     --workload <w>       regions (Table-1 synthetic) | census

@@ -1,6 +1,7 @@
 //! The shedding multi-way join engine (paper §4, Algorithm 1).
 
 use crate::builder::BuildError;
+use crate::clock::{Sample, StageClock};
 use crate::ingest::{Arrival, EmitSink, IngestOutcome, IngestRole};
 use crate::report::EngineMetrics;
 use mstream_join::{probe_runs_in, ProbePlan, Run};
@@ -181,15 +182,30 @@ impl QueryCore {
     /// Step 1: folds an arrival on (query-local) `stream` into the current
     /// tumbling estimation state — AGMS sketches and/or exact
     /// arrival-frequency tables. Returns whether the epoch rolled over.
-    pub(crate) fn observe(&mut self, stream: StreamId, values: &[Value], now: VTime) -> bool {
-        let mut rolled = false;
-        if let Some(sketches) = self.sketches.as_mut() {
-            rolled |= sketches.observe(stream, values, now);
+    /// Charged to [`EngineMetrics::sketch_observe_ns`] when `sample` says
+    /// the arrival is timed; a policy that keeps no estimation state is
+    /// charged nothing.
+    pub(crate) fn observe(
+        &mut self,
+        stream: StreamId,
+        values: &[Value],
+        now: VTime,
+        sample: Sample,
+        metrics: &mut EngineMetrics,
+    ) -> bool {
+        if self.sketches.is_none() && self.partner_freq.is_none() {
+            return false;
         }
-        if let Some(freq) = self.partner_freq.as_mut() {
-            rolled |= freq.observe(stream, values, now);
-        }
-        rolled
+        sample.time(&mut metrics.sketch_observe_ns, || {
+            let mut rolled = false;
+            if let Some(sketches) = self.sketches.as_mut() {
+                rolled |= sketches.observe(stream, values, now);
+            }
+            if let Some(freq) = self.partner_freq.as_mut() {
+                rolled |= freq.observe(stream, values, now);
+            }
+            rolled
+        })
     }
 
     /// The policy next to the estimation state it scores against.
@@ -256,17 +272,16 @@ impl QueryCore {
     /// Step 5: stores `tuple` in its window, shedding if full. A window
     /// that owes its priorities and has room takes the tuple unscored; one
     /// that owes them and is full first runs the pass its last rollover
-    /// skipped, then scores and inserts like any other.
-    ///
-    /// `TIME_SCORE` charges the scoring to [`EngineMetrics::score_ns`]: the
-    /// solo engine clocks its per-arrival stages, the multi-query plane
-    /// never has (two clock reads per store insert are 5 % of its arrival).
-    pub(crate) fn admit<const TIME_SCORE: bool>(
+    /// skipped, then scores and inserts like any other. The scoring is
+    /// charged to [`EngineMetrics::score_ns`] when `sample` says the
+    /// arrival is timed.
+    pub(crate) fn admit(
         &mut self,
         store: &mut WindowStore,
         tuple: Tuple,
         now: VTime,
         event_time: bool,
+        sample: Sample,
         metrics: &mut EngineMetrics,
     ) -> InsertOutcome {
         if store.is_deferred() {
@@ -278,15 +293,14 @@ impl QueryCore {
             }
             self.timed_rescore(store, now, metrics);
         }
-        let t0 = TIME_SCORE.then(Instant::now);
-        let (score, state) = self.admission_score(&tuple, now, event_time);
-        if let Some(t0) = t0 {
-            metrics.score_ns += t0.elapsed().as_nanos() as u64;
-        }
+        let (score, state) = sample.time(&mut metrics.score_ns, || {
+            self.admission_score(&tuple, now, event_time)
+        });
         store.insert_scored(tuple, score, state)
     }
 
-    /// [`QueryCore::rescore_store`], counted and timed.
+    /// [`QueryCore::rescore_store`], counted and timed — every pass, not
+    /// a sample: there are a few hundred a run.
     fn timed_rescore(&mut self, store: &mut WindowStore, now: VTime, metrics: &mut EngineMetrics) {
         let t0 = Instant::now();
         self.rescore_store(store, now);
@@ -348,6 +362,8 @@ pub struct ShedJoinEngine {
     stores: Vec<WindowStore>,
     next_seq: SeqNo,
     metrics: EngineMetrics,
+    /// Picks the arrivals whose stages are timed.
+    stage_clock: StageClock,
     /// Per-stream scratch reused across arrivals for per-slot produced
     /// counting (coalesced heap rescoring).
     produced_scratch: Vec<ProducedScratch>,
@@ -442,6 +458,7 @@ impl ShedJoinEngine {
             stores,
             next_seq: SeqNo(0),
             metrics: EngineMetrics::default(),
+            stage_clock: StageClock::default(),
             produced_scratch: (0..n).map(|_| ProducedScratch::default()).collect(),
             front: config.disorder.map(|k| EventTimeFrontEnd::new(k, n)),
         })
@@ -711,17 +728,13 @@ impl ShedJoinEngine {
         //    and/or exact arrival-frequency tables); on epoch rollover,
         //    rebuild every window's priorities against the fresh snapshot,
         //    or owe the rebuild to the window's next shed.
+        let sample = self.stage_clock.next_arrival();
         let core = &mut self.core;
-        if core.reqs.sketches || core.reqs.partner_freq {
-            let t0 = Instant::now();
-            let rolled = core.observe(stream, &tuple.values, now);
-            self.metrics.sketch_observe_ns += t0.elapsed().as_nanos() as u64;
-            if rolled {
-                self.metrics.epoch_rollovers += 1;
-                if core.reqs.recompute_on_epoch {
-                    for store in &mut self.stores {
-                        core.rollover_store(store, now, &mut self.metrics);
-                    }
+        if core.observe(stream, &tuple.values, now, sample, &mut self.metrics) {
+            self.metrics.epoch_rollovers += 1;
+            if core.reqs.recompute_on_epoch {
+                for store in &mut self.stores {
+                    core.rollover_store(store, now, &mut self.metrics);
                 }
             }
         }
@@ -770,7 +783,7 @@ impl ShedJoinEngine {
         }
         // 5. Store the arriving tuple — scored only if its window may
         //    shed — shedding if full.
-        let (stored, shed) = self.insert_with_shedding(tuple, now);
+        let (stored, shed) = self.insert_with_shedding(tuple, now, sample);
         IngestOutcome {
             produced,
             stored,
@@ -859,13 +872,13 @@ impl ShedJoinEngine {
 
     /// Returns `(stored, shed)`: whether the arriving tuple remained
     /// resident, and how many tuples (possibly itself) were evicted.
-    fn insert_with_shedding(&mut self, tuple: Tuple, now: VTime) -> (bool, u64) {
+    fn insert_with_shedding(&mut self, tuple: Tuple, now: VTime, sample: Sample) -> (bool, u64) {
         let seq = tuple.seq;
         let store = &mut self.stores[tuple.stream.index()];
         let event_time = self.front.is_some();
         let outcome = self
             .core
-            .admit::<true>(store, tuple, now, event_time, &mut self.metrics);
+            .admit(store, tuple, now, event_time, sample, &mut self.metrics);
         match self.memory {
             MemoryMode::PerWindow(_) | MemoryMode::PerWindowEach(_) => {
                 let stored = outcome.slot.is_some();
@@ -1325,7 +1338,8 @@ mod tests {
         let mut config = cfg(8);
         config.epoch = Some(EpochSpec::Time(VDur::from_secs(10)));
         let mut engine = ShedJoinEngine::new(chain3(100), Box::new(MSketch), config).unwrap();
-        for i in 0..60u64 {
+        // Long enough for a few timed arrivals (one in `clock::STRIDE`).
+        for i in 0..240u64 {
             // Heavy value repetition: the packed-sign cache must hit.
             arrive(&mut engine, StreamId(i as usize % 3), v(i % 4, i % 3), VTime::from_secs(i));
         }
@@ -1432,5 +1446,39 @@ mod tests {
         };
         assert_eq!(run(1), run(1));
         assert_ne!(run(1), run(2), "different seeds shed differently");
+    }
+
+    #[test]
+    fn random_policy_victims_are_pinned() {
+        // Which arrivals are timed is a function of the arrival count: a
+        // stage clock that drew from the engine's rng instead would move
+        // every uniform victim after the first timed arrival. The sequence
+        // is the one the engine shed before it had a stage clock.
+        const PINNED_VICTIMS: [u64; 76] = [
+            15, 16, 23, 9, 28, 17, 30, 4, 2, 6, 22, 5, 33, 37, 38, 39,
+            40, 29, 42, 43, 41, 45, 46, 47, 48, 1, 50, 36, 52, 53, 21, 55,
+            56, 3, 58, 26, 60, 19, 20, 63, 64, 65, 66, 7, 44, 69, 70, 59,
+            72, 61, 11, 75, 76, 77, 51, 79, 80, 81, 82, 83, 84, 85, 86, 12,
+            88, 14, 90, 91, 92, 93, 13, 89, 96, 97, 98, 99,
+        ];
+        let mut engine =
+            ShedJoinEngine::new(chain3(100), Box::new(RandomLoad), cfg(8)).unwrap();
+        let mut victims = Vec::new();
+        for i in 0..100u64 {
+            let k = i as usize % 3;
+            let resident = |e: &ShedJoinEngine| -> Vec<u64> {
+                e.stores[k].iter().map(|(_, t)| t.seq.0).collect()
+            };
+            let before = resident(&engine);
+            let arrival = Arrival::new(StreamId(k), v(i % 5, i % 7), VTime::from_secs(i / 4));
+            let out = engine.ingest(arrival, &mut CountSink::default());
+            if out.shed > 0 {
+                let after = resident(&engine);
+                let evicted = before.into_iter().find(|seq| !after.contains(seq));
+                victims.push(evicted.unwrap_or(i));
+            }
+        }
+        assert_eq!(victims.len(), 100 - 3 * 8, "every arrival past a full window sheds one");
+        assert_eq!(victims, PINNED_VICTIMS);
     }
 }

@@ -69,6 +69,7 @@
 #![warn(missing_docs)]
 
 pub mod builder;
+pub mod clock;
 /// The eager reference policy the deferral tests compare against.
 #[cfg(test)]
 #[path = "../../../tests/support/eager.rs"]

@@ -57,6 +57,7 @@
 //! the audit harness do exactly this.
 
 use crate::builder::BuildError;
+use crate::clock::StageClock;
 use crate::engine::{EngineConfig, MemoryMode, ProducedScratch, QueryCore};
 use crate::ingest::{Arrival, EmitSink, IngestOutcome};
 use crate::report::EngineMetrics;
@@ -158,6 +159,8 @@ pub struct MultiQueryEngine {
     /// between arrivals is rescored at.
     clock: VTime,
     metrics: EngineMetrics,
+    /// Picks the arrivals whose stages are timed.
+    stage_clock: StageClock,
     /// Cache counters of classes dismantled by
     /// [`MultiQueryEngine::remove_query`], folded in at teardown so the
     /// engine-level cache statistics stay monotone as classes (and the
@@ -246,6 +249,7 @@ impl MultiQueryEngine {
             next_seq: SeqNo(0),
             clock: VTime::ZERO,
             metrics: EngineMetrics::default(),
+            stage_clock: StageClock::default(),
             retired_cache: RetiredCacheStats::default(),
         };
         engine.per_window_capacity()?;
@@ -646,6 +650,7 @@ impl MultiQueryEngine {
             "arrival stream {g} is not in the engine catalog"
         );
         self.clock = now;
+        let sample = self.stage_clock.next_arrival();
         let Self {
             queries,
             classes,
@@ -664,7 +669,7 @@ impl MultiQueryEngine {
                 continue;
             };
             let Some(k) = class.local_of(g) else { continue };
-            if !class.core.observe(k, &tuple.values, now) {
+            if !class.core.observe(k, &tuple.values, now, sample, metrics) {
                 continue;
             }
             metrics.epoch_rollovers += 1;
@@ -759,7 +764,7 @@ impl MultiQueryEngine {
             local.stream = entry.owner_local;
             let outcome = owner
                 .core
-                .admit::<false>(&mut entry.store, local, now, false, metrics);
+                .admit(&mut entry.store, local, now, false, sample, metrics);
             stored |= outcome.slot.is_some();
             if let mstream_window::Eviction::Evicted(_) = outcome.eviction {
                 entry.shed += 1;
@@ -1103,6 +1108,8 @@ mod tests {
                 deferred_peak = deferred_peak.max(e.deferred_windows());
             }
             let metrics = EngineMetrics {
+                sketch_observe_ns: 0,
+                score_ns: 0,
                 priority_rebuild_ns: 0,
                 priority_rebuilds: 0,
                 sign_cache_hits: 0,
@@ -1129,6 +1136,28 @@ mod tests {
                 assert_eq!(metrics.shed_window > 0, capacity == 4, "{label}");
             }
         }
+    }
+
+    #[test]
+    fn plane_times_the_sampled_stages_like_the_solo_engine() {
+        // Two classes sharing the X store, windows always full: a sketch
+        // policy is charged observe and score time on the timed arrivals
+        // (400 arrivals, one in `clock::STRIDE` timed), a sketch-free one
+        // no observe time.
+        let run = |policy: Box<dyn ShedPolicy>| {
+            let mut b = EngineBuilder::new_multi()
+                .boxed_policy(policy)
+                .capacity_per_window(4);
+            b.register(chain_query("A", "B", "X", 20)).unwrap();
+            b.register(pair_query("X", "Y", 20)).unwrap();
+            let mut e = b.build_multi().unwrap();
+            feed(&mut e, &trace(&["A", "B", "X", "Y"], 400), &mut QueryRowsSink::default());
+            e.metrics().clone()
+        };
+        let m = run(Box::new(MSketch));
+        assert!(m.shed_window > 0, "capacity 4 must shed");
+        assert!(m.sketch_observe_ns > 0 && m.score_ns > 0, "{m:?}");
+        assert_eq!(run(Box::new(Fifo)).sketch_observe_ns, 0);
     }
 
     #[test]

@@ -32,11 +32,12 @@ use crate::engine::EngineConfig;
 use crate::ingest::{Arrival, CountSink, QueryRowsSink};
 use crate::multi::{merge_into_catalog, MultiQueryEngine, QueryStats};
 use crate::report::EngineMetrics;
-use crate::shard::{split_bank, split_memory, splitmix64, Backpressure, ShardConfig};
+use crate::shard::{split_bank, split_memory, Backpressure, ShardConfig};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use mstream_shed_policies::ShedPolicy;
 use mstream_types::{
-    Catalog, Error, JoinQuery, Partitioning, QueryId, SeqNo, StreamId, Tuple, WindowSpec,
+    splitmix64, Catalog, Error, JoinQuery, Partitioning, QueryId, SeqNo, StreamId, Tuple,
+    WindowSpec,
 };
 use std::cmp::Ordering;
 use std::thread::JoinHandle;

@@ -31,11 +31,13 @@ pub struct EngineMetrics {
     /// Tumbling-epoch rollovers observed.
     pub epoch_rollovers: u64,
     /// Wall-clock nanoseconds folding arrivals into the estimation state
-    /// (AGMS sketch / frequency-table `observe` calls).
+    /// (AGMS sketch / frequency-table `observe` calls). An estimate: one
+    /// arrival in [`STRIDE`](crate::clock::STRIDE) is timed and charged
+    /// `STRIDE` times what it took.
     #[serde(default)]
     pub sketch_observe_ns: u64,
     /// Wall-clock nanoseconds rebuilding window priorities, at rollovers
-    /// or on demand.
+    /// or on demand. Exact: every pass is timed.
     #[serde(default)]
     pub priority_rebuild_ns: u64,
     /// Store rescoring passes actually run: one per store at a rollover
@@ -44,7 +46,8 @@ pub struct EngineMetrics {
     #[serde(default)]
     pub priority_rebuilds: u64,
     /// Wall-clock nanoseconds scoring arriving tuples (productivity
-    /// queries for sketch policies).
+    /// queries for sketch policies). An estimate, sampled and scaled like
+    /// [`EngineMetrics::sketch_observe_ns`].
     #[serde(default)]
     pub score_ns: u64,
     /// Packed-sign cache hits inside the sketch bank (0 when sketch-free).

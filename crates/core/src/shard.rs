@@ -94,7 +94,8 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use mstream_shed_policies::ShedPolicy;
 use mstream_sketch::{BankConfig, SpaceSaving};
 use mstream_types::{
-    Error, JoinQuery, Partitioning, Result, SeqNo, StreamId, Tuple, VDur, VTime, WindowSpec,
+    splitmix64, Error, JoinQuery, Partitioning, Result, SeqNo, StreamId, Tuple, VDur, VTime,
+    WindowSpec, WordBuild,
 };
 use mstream_workload::Trace;
 use std::cmp::Ordering;
@@ -317,7 +318,7 @@ struct SkewRouter {
     promote_permille: u64,
     demote_permille: u64,
     /// key -> slot index; lookup-only (never iterated).
-    hot_index: HashMap<u64, usize>,
+    hot_index: HashMap<u64, usize, WordBuild>,
     slots: Vec<HotSlot>,
     /// Global arrivals per stream seen by the coordinator (the oracle
     /// position every shard's expiry counter is synchronized to).
@@ -367,7 +368,7 @@ impl SkewRouter {
             since_epoch: 0,
             promote_permille: promote,
             demote_permille: demote,
-            hot_index: HashMap::with_capacity(capacity * 2),
+            hot_index: HashMap::with_capacity_and_hasher(capacity * 2, WordBuild::default()),
             slots: (0..capacity)
                 .map(|i| HotSlot {
                     key: 0,
@@ -1258,16 +1259,6 @@ pub(crate) fn split_bank(bank: &BankConfig, shards: usize) -> BankConfig {
         s1: (bank.s1 / shards).max(1),
         ..*bank
     }
-}
-
-/// SplitMix64: the fixed avalanche hash used for both shard routing and
-/// per-worker seed derivation (stable across platforms and runs, unlike
-/// `std`'s `RandomState`).
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {

@@ -16,14 +16,14 @@
 //! only in *pairwise-exact vs multi-way-sketched*.
 
 use crate::tumbling::EpochSpec;
-use mstream_types::{JoinQuery, StreamId, VTime, Value};
+use mstream_types::{JoinQuery, StreamId, VTime, Value, WordBuild};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An exact multiset of values with O(1) add/remove/count.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct FreqTable {
-    counts: HashMap<Value, u64>,
+    counts: HashMap<Value, u64, WordBuild>,
     total: u64,
 }
 
@@ -317,7 +317,7 @@ impl TumblingFreq {
 pub struct SpaceSaving {
     counters: Vec<SsCounter>,
     /// key -> index into `counters`; lookup-only (never iterated).
-    index: HashMap<u64, usize>,
+    index: HashMap<u64, usize, WordBuild>,
     total: u64,
 }
 
@@ -334,7 +334,7 @@ impl SpaceSaving {
         let capacity = capacity.max(1);
         SpaceSaving {
             counters: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity * 2),
+            index: HashMap::with_capacity_and_hasher(capacity * 2, WordBuild::default()),
             total: 0,
         }
     }

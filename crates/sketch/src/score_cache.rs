@@ -29,6 +29,7 @@
 //!
 //! [`TumblingSketches::set_score_cache`]: crate::TumblingSketches::set_score_cache
 
+use mstream_types::WordBuild;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -74,7 +75,7 @@ pub struct ScoreCacheStats {
 /// Bounded epoch-scoped memo of exact productivity estimates.
 #[derive(Clone, Debug)]
 pub struct ScoreCache {
-    map: HashMap<ScoreKey, f64>,
+    map: HashMap<ScoreKey, f64, WordBuild>,
     hits: u64,
     misses: u64,
     max_entries: usize,
@@ -91,7 +92,7 @@ impl ScoreCache {
     /// An empty cache holding at most `max_entries` estimates (at least 1).
     pub fn with_capacity_bound(max_entries: usize, enabled: bool) -> Self {
         ScoreCache {
-            map: HashMap::new(),
+            map: HashMap::default(),
             hits: 0,
             misses: 0,
             max_entries: max_entries.max(1),

@@ -20,7 +20,7 @@
 //! lifetime; the cache bound exists purely to cap memory.
 
 use crate::hash::{mod_mersenne, FourWiseHash};
-use mstream_types::Value;
+use mstream_types::{Value, WordBuild};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{Entry, HashMap};
@@ -203,7 +203,7 @@ pub struct SignCacheStats {
 /// Bounded memo of packed sign vectors keyed by `(predicate, value)`.
 #[derive(Clone, Debug)]
 pub struct SignCache {
-    map: HashMap<(usize, u64), Vec<u64>>,
+    map: HashMap<(usize, u64), Vec<u64>, WordBuild>,
     hits: u64,
     misses: u64,
     max_entries: usize,
@@ -219,7 +219,7 @@ impl SignCache {
     /// An empty cache holding at most `max_entries` vectors (at least 1).
     pub fn with_capacity_bound(max_entries: usize) -> Self {
         SignCache {
-            map: HashMap::new(),
+            map: HashMap::default(),
             hits: 0,
             misses: 0,
             max_entries: max_entries.max(1),

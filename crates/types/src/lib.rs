@@ -13,6 +13,8 @@
 //! * [`StreamId`], [`AttrRef`], [`StreamSchema`], [`Catalog`] — naming.
 //! * [`JoinQuery`] — a conjunctive multi-way equi-join over sliding windows,
 //!   i.e. the query class the paper's load shedder targets.
+//! * [`splitmix64`] / [`WordHasher`] / [`WordBuild`] — the one bit mixer
+//!   and the word hasher under every table an arrival looks up.
 //!
 //! All types are plain data: `Clone`, `Debug`, and (where it makes sense)
 //! `serde`-serializable so experiment configurations and results can be
@@ -22,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod hash;
 pub mod query;
 pub mod row;
 pub mod schema;
@@ -30,6 +33,7 @@ pub mod tuple;
 pub mod value;
 
 pub use error::{Error, Result};
+pub use hash::{splitmix64, WordBuild, WordHasher};
 pub use query::{EquiPredicate, JoinQuery, Partitioning, QueryId, WindowSpec};
 pub use row::{Row, ROW_INLINE};
 pub use schema::{AttrRef, Catalog, StreamId, StreamSchema};

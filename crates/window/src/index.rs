@@ -25,6 +25,10 @@
 //! index, which is what keeps every engine result byte-for-byte unchanged.
 
 use crate::arena::Slot;
+// The key mixer is the function the sharded engine routes with — one
+// definition, imported by both — so behaviour is stable across platforms
+// and runs.
+use mstream_types::splitmix64 as mix;
 
 /// Slots stored inline in each bucket before spilling to the side arena.
 pub const INLINE: usize = 3;
@@ -32,17 +36,6 @@ pub const INLINE: usize = 3;
 const EMPTY: u8 = 0;
 const OCCUPIED: u8 = 1;
 const TOMBSTONE: u8 = 2;
-
-/// SplitMix64 finalizer: a full-avalanche mix of the raw key. The same
-/// function the sharded engine uses for routing, so behaviour is stable
-/// across platforms and runs.
-#[inline]
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One open-addressing cell's payload: the slot list (inline head, spill
 /// tail). The key itself lives in a dense side array so the probe scan

@@ -9,7 +9,7 @@
 
 use crate::arena::{Arena, Slot};
 use crate::heap::IndexedHeap;
-use mstream_types::Tuple;
+use mstream_types::{Tuple, WordBuild};
 use rand::Rng;
 use std::collections::{HashMap, VecDeque};
 
@@ -35,7 +35,7 @@ pub struct ShedQueue {
     heap: IndexedHeap,
     /// Dense list of live slots for O(1) random victim selection.
     live: Vec<Slot>,
-    live_pos: HashMap<Slot, usize>,
+    live_pos: HashMap<Slot, usize, WordBuild>,
 }
 
 impl ShedQueue {
@@ -48,7 +48,7 @@ impl ShedQueue {
             fifo: VecDeque::with_capacity(capacity + 1),
             heap: IndexedHeap::new(),
             live: Vec::with_capacity(capacity + 1),
-            live_pos: HashMap::with_capacity(capacity + 1),
+            live_pos: HashMap::with_capacity_and_hasher(capacity + 1, WordBuild::default()),
         }
     }
 

@@ -30,6 +30,35 @@ if grep -nE 'sink\.emit\(' crates/core/src/{engine,multi}.rs; then
   echo "FAIL: an engine calls sink.emit directly instead of emit_run"
   exit 1
 fi
+# An arrival reads no clock: per-arrival stages are timed through the
+# sampled `StageClock` (crates/core/src/clock.rs); the one exact timer left
+# in the engines is `timed_rescore` (a few hundred passes a run).
+CLOCK_READS=$(cat crates/core/src/{engine,multi}.rs | grep -c 'Instant::now' || true)
+RESCORE_READS=$(grep -A2 'fn timed_rescore' crates/core/src/engine.rs | grep -c 'Instant::now' || true)
+if [ "$CLOCK_READS" != 1 ] || [ "$RESCORE_READS" != 1 ]; then
+  echo "FAIL: engine.rs / multi.rs read the clock outside timed_rescore ($CLOCK_READS reads, $RESCORE_READS in timed_rescore)"
+  exit 1
+fi
+# ... and computes no SipHash: every map an engine crate keeps as a struct
+# field (the sign and score memos, the frequency tables, the heavy-hitter
+# and hot-key indexes, the queue's live positions) hashes through
+# `mstream_types::WordBuild`. Chosen over clippy `disallowed-types`, which
+# cannot tell a test's reference model from a field.
+MAP_FIELD='^\s*(pub(\([a-z]+\))? )?[a-z_]+: (std::collections::)?HashMap<'
+if grep -rnE "$MAP_FIELD" crates/{sketch,window,core}/src | grep -v 'WordBuild>,'; then
+  echo "FAIL: a HashMap field of an engine crate is built on RandomState"
+  exit 1
+fi
+WORD_MAPS=$(grep -rhE "$MAP_FIELD" crates/{sketch,window,core}/src | grep -c 'WordBuild>,' || true)
+if [ "$WORD_MAPS" -lt 6 ]; then
+  echo "FAIL: expected the six per-arrival tables on WordBuild, found $WORD_MAPS"
+  exit 1
+fi
+# One mixer: SplitMix64 is defined in mstream-types and imported.
+if grep -rniE '9E37_?79B9_?7F4A_?7C15|BF58_?476D_?1CE4_?E5B9|94D0_?49BB_?1331_?11EB' crates/{window,core,sketch}/src; then
+  echo "FAIL: a second copy of the SplitMix64 constants (import mstream_types::splitmix64)"
+  exit 1
+fi
 # Differential audit smoke: every policy vs the exact oracle over 50
 # fuzzed cases, with per-arrival structural invariant checks (includes the
 # sharded-vs-oracle differential at the case's shard count). Odd-seed
@@ -77,10 +106,12 @@ done
 # The sketch crate's tests once more in release with overflow checks on:
 # the pending bit-planes, the settle and the i64 counters share a build
 # where wrap-around panics instead of passing (ROADMAP chaos item 6 asks
-# for this workspace-wide; this crate is the start). Own target directory,
-# so the flag does not invalidate the release build above.
+# for this workspace-wide; this crate is the start), and mstream-types'
+# with it: the word hasher must wrap on purpose everywhere it wraps. Own
+# target directory, so the flag does not invalidate the release build
+# above.
 RUSTFLAGS="-C overflow-checks=on" \
-  cargo test -q --release -p mstream-sketch --target-dir target/overflow-checks
+  cargo test -q --release -p mstream-sketch -p mstream-types --target-dir target/overflow-checks
 # mstream-sketch has one sanctioned unsafe island (kernel::avx2); a second
 # allow must not slip in unnoticed.
 UNSAFE_ALLOWS=$(cat crates/sketch/src/*.rs | grep -c 'allow(unsafe_code)' || true)

@@ -359,6 +359,8 @@ fn sink_choice_never_changes_what_the_plane_does() {
             assert_eq!(a, b, "{policy}: outcome under QueryRowsSink vs CountSink");
         }
         let det = |m: &EngineMetrics| EngineMetrics {
+            sketch_observe_ns: 0,
+            score_ns: 0,
             priority_rebuild_ns: 0,
             ..m.clone()
         };
