@@ -267,10 +267,9 @@ fn bench_score_cache(c: &mut Criterion) {
     group.finish();
 }
 
-/// Vector-vs-scalar on the raw kernels, every form the build supports:
-/// the scalar reference, the lane-parallel safe form, the AVX2 sign
-/// specializations when the host has them, and the entry point the
-/// engine actually calls. Each input is asserted bit-identical
+/// Vector-vs-scalar on the raw kernels: the scalar reference and the
+/// lane-parallel safe form (the AVX2 forms the entry points dispatch to
+/// are timed in [`bench_arrival_kernels`]). Each input is asserted bit-identical
 /// across modes before timing (the equivalence proptests own the
 /// exhaustive version of that claim).
 fn bench_kernel_modes(c: &mut Criterion) {
@@ -355,6 +354,173 @@ fn bench_kernel_modes(c: &mut Criterion) {
     group.finish();
 }
 
+/// The loops an arrival pays at the paper's sizing (1000 copies), one
+/// case per figure DESIGN.md §15 quotes. Each sample runs its kernel
+/// `REPS` times, so the printed ms/iter reads as µs per call.
+///
+/// Run as `cargo bench --offline -p mstream-bench --bench bench_sketch`:
+/// without `-p`, cargo unifies features over the whole workspace,
+/// `mstream-audit` switches `mstream-sketch/audit` on, and every
+/// `SketchBank::update` also folds the audit shadow (≈ 0.9 µs).
+fn bench_arrival_kernels(c: &mut Criterion) {
+    const REPS: usize = 1000;
+    const COPIES: usize = 1000;
+    const WORDS: usize = COPIES.div_ceil(64);
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut group = c.benchmark_group("arrival_kernels_x1000");
+
+    // Eight sign vectors into ten planes: copying them into a block and
+    // one pass of the adder tree, against eight single-vector ripples.
+    let vectors: Vec<u64> = (0..kernel::BLOCK * WORDS).map(|_| rng.gen()).collect();
+    {
+        let mut planes = vec![0u64; 10 * WORDS];
+        let mut block = vec![0u64; kernel::BLOCK * WORDS];
+        group.bench_function("add_sign_block", |b| {
+            b.iter(|| {
+                // 125 blocks fill the planes to 1000 of their 1023.
+                for rep in 0..REPS {
+                    if rep % 125 == 0 {
+                        planes.fill(0);
+                    }
+                    block.copy_from_slice(black_box(&vectors));
+                    kernel::add_sign_block(&mut block, &mut planes);
+                }
+                black_box(&planes);
+            })
+        });
+        let mut carry = vec![0u64; WORDS];
+        group.bench_function("add_sign_planes_times_8", |b| {
+            b.iter(|| {
+                for rep in 0..REPS {
+                    if rep % 125 == 0 {
+                        planes.fill(0);
+                    }
+                    for vector in black_box(&vectors).chunks_exact(WORDS) {
+                        carry.copy_from_slice(vector);
+                        kernel::add_sign_planes(&mut carry, &mut planes);
+                    }
+                }
+                black_box(&planes);
+            })
+        });
+    }
+
+    // A settle at one pending update (the plain sign fold), a hundred
+    // (seven planes) and the bank's own threshold (all ten).
+    {
+        let mut counters = vec![0i64; COPIES];
+        let signs: Vec<u64> = (0..WORDS).map(|_| rng.gen()).collect();
+        group.bench_function("settle_pending_1_fold_packed_signs", |b| {
+            b.iter(|| {
+                for _ in 0..REPS {
+                    kernel::fold_packed_signs(black_box(&signs), &mut counters);
+                }
+                black_box(&counters);
+            })
+        });
+        for (pending, depth) in [(100u32, 7usize), (1023, 10)] {
+            let planes: Vec<u64> = (0..depth * WORDS).map(|_| rng.gen()).collect();
+            group.bench_function(&format!("settle_planes_pending_{pending}"), |b| {
+                b.iter(|| {
+                    for _ in 0..REPS {
+                        kernel::settle_planes(black_box(&planes), pending, &mut counters);
+                    }
+                    black_box(&counters);
+                })
+            });
+        }
+    }
+
+    // The frozen query's sum over one cross row, and its guard.
+    {
+        let signs: Vec<u64> = (0..WORDS).map(|_| rng.gen()).collect();
+        let row: Vec<f64> = (0..COPIES)
+            .map(|_| f64::from(rng.gen_range(-2000..2000)))
+            .collect();
+        assert!(kernel::sum_is_exact(&row));
+        group.bench_function("signed_sum", |b| {
+            b.iter(|| {
+                for _ in 0..REPS {
+                    black_box(kernel::signed_sum(black_box(&signs), 0, black_box(&row)));
+                }
+            })
+        });
+        group.bench_function("sum_is_exact", |b| {
+            b.iter(|| {
+                for _ in 0..REPS {
+                    black_box(kernel::sum_is_exact(black_box(&row)));
+                }
+            })
+        });
+    }
+
+    // The first-epoch query's two live rows: fused, and the pair it
+    // replaces (which stays as its fall-back).
+    {
+        let signs: Vec<u64> = (0..WORDS).map(|_| rng.gen()).collect();
+        let row_a: Vec<i64> = (0..COPIES).map(|_| rng.gen_range(-100..100)).collect();
+        let row_b: Vec<i64> = (0..COPIES).map(|_| rng.gen_range(-100..100)).collect();
+        group.bench_function("product2_signed_sum", |b| {
+            b.iter(|| {
+                for _ in 0..REPS {
+                    black_box(kernel::product2_signed_sum(
+                        black_box(&row_a),
+                        black_box(&row_b),
+                        &signs,
+                    ));
+                }
+            })
+        });
+        let mut per_copy = vec![0f64; COPIES];
+        let mut sums = Vec::new();
+        group.bench_function("product2_signed_then_group_sums", |b| {
+            b.iter(|| {
+                for _ in 0..REPS {
+                    kernel::product2_signed(
+                        black_box(&row_a),
+                        black_box(&row_b),
+                        &signs,
+                        &mut per_copy,
+                    );
+                    sums.clear();
+                    kernel::group_sums(&per_copy, COPIES, 1, &mut sums);
+                    black_box(&sums);
+                }
+            })
+        });
+    }
+
+    // What a first-epoch arrival pays the sketch layer end to end: the
+    // update, the settle of both partners' live rows, the fused query.
+    {
+        let query = chain3();
+        let mut sk = TumblingSketches::new(
+            &query,
+            BankConfig {
+                s1: COPIES,
+                s2: 1,
+                seed: 12,
+            },
+            EpochSpec::Time(VDur::from_secs(1_000_000)),
+        );
+        let arrivals: Vec<(StreamId, [Value; 2])> = (0..REPS)
+            .map(|_| {
+                let values = [Value(rng.gen_range(0..100)), Value(rng.gen_range(0..100))];
+                (StreamId(rng.gen_range(0..3)), values)
+            })
+            .collect();
+        group.bench_function("first_epoch_observe_and_productivity", |b| {
+            b.iter(|| {
+                for (stream, values) in &arrivals {
+                    sk.observe(*stream, values, VTime::ZERO);
+                    black_box(sk.productivity(*stream, values));
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_hash,
@@ -363,6 +529,7 @@ criterion_group!(
     bench_packed_signs,
     bench_productivity_repeated,
     bench_score_cache,
-    bench_kernel_modes
+    bench_kernel_modes,
+    bench_arrival_kernels
 );
 criterion_main!(benches);

@@ -11,14 +11,16 @@
 //! bit-identical to the legacy AoS layout under the same seed (enforced by
 //! `tests/equivalence.rs`).
 //!
-//! Updates are **deferred**: [`SketchBank::update`] adds the tuple's packed
-//! sign words into a small per-stream *vertical counter* (bit-planes that
-//! count, per copy, the pending −1 signs) and the `i64` counters are only
-//! brought up to date — *settled* — when something reads them. Integer
-//! addition commutes, so a settled counter equals the eagerly folded one
-//! bit for bit; every reader of counter values therefore takes `&mut self`.
+//! Updates are **deferred**: [`SketchBank::update`] copies the tuple's
+//! packed sign words into a per-stream *held block* of [`kernel::BLOCK`]
+//! vectors; a full block enters a small per-stream *vertical counter*
+//! (bit-planes that count, per copy, the pending −1 signs) through one
+//! carry-save adder tree, and the `i64` counters are only brought up to
+//! date — *settled* — when something reads them. Integer addition commutes,
+//! so a settled counter equals the eagerly folded one bit for bit; every
+//! reader of counter values therefore takes `&mut self`.
 
-use crate::kernel;
+use crate::kernel::{self, BLOCK};
 use crate::signs::{combine_packed_signs, words_for, SignCache, SignCacheStats, SignFamilies};
 use mstream_types::{JoinQuery, StreamId, Value};
 use rand::rngs::StdRng;
@@ -66,14 +68,20 @@ impl BankConfig {
 /// settles after [`SketchBank::PENDING_MAX`] deferred updates at the latest. A
 /// constant, not a setting — more planes amortise the settle over more
 /// updates (`P·copies` operations per `2^P` updates) but deepen the carry
-/// ripple of every update and cost `P · words_for(copies)` words per
+/// ripple of every block and cost `P · words_for(copies)` words per
 /// stream; ten puts both costs in the noise of one sign-cache lookup.
 const PENDING_PLANES: usize = 10;
 
-/// Planes that can be non-zero while `pending` updates are held: the bit
-/// length of `pending`.
-fn active_planes(pending: u32) -> usize {
-    (u32::BITS - pending.leading_zeros()) as usize
+/// Planes that can be non-zero while they hold `updates` updates: the bit
+/// length of `updates`.
+fn active_planes(updates: u32) -> usize {
+    (u32::BITS - updates.leading_zeros()) as usize
+}
+
+/// Of `pending` updates, those still in the stream's held block: whole
+/// blocks have entered the planes.
+fn held_vectors(pending: u32) -> usize {
+    pending as usize % BLOCK
 }
 
 /// Reusable query-path buffers (packed sign words, per-copy statistics,
@@ -115,8 +123,15 @@ pub struct SketchBank {
     /// among copy `c`'s updates since the last settle. Serialised with the
     /// counters, so a round trip keeps the settled view.
     planes: Vec<u64>,
-    /// `pending[k]` = updates of stream `k` held in `planes`
-    /// (`< Self::PENDING_MAX` between calls).
+    /// Held blocks, [`BLOCK`] vectors of `words_for(copies)` words per
+    /// stream: the sign words of stream `k`'s last `pending[k] % BLOCK`
+    /// updates, one vector each, not yet in `planes`; the slots behind
+    /// them are zero. Serialised too — a bank that goes out mid-block
+    /// settles to the same counters when it comes back.
+    blocks: Vec<u64>,
+    /// `pending[k]` = updates of stream `k` since its last settle
+    /// (`< Self::PENDING_MAX` between calls): whole blocks of them in
+    /// `planes`, the remainder in its held block.
     pending: Vec<u32>,
     /// Tuples folded per stream this epoch.
     tuples: Vec<u64>,
@@ -150,6 +165,7 @@ impl SketchBank {
             families,
             counters: vec![0; n_streams * copies],
             planes: vec![0; n_streams * PENDING_PLANES * words_for(copies)],
+            blocks: vec![0; n_streams * BLOCK * words_for(copies)],
             pending: vec![0; n_streams],
             tuples: vec![0; n_streams],
             scratch: RefCell::new(BankScratch {
@@ -182,9 +198,10 @@ impl SketchBank {
     ///
     /// Cost: one packed-sign lookup per incident predicate (a polynomial
     /// sweep on cache miss, a memcpy-sized fetch on hit), one XOR combine,
-    /// and a carry-save add of the sign words into the stream's vertical
-    /// counter — word operations, not `s1·s2` counter adds. The counters
-    /// catch up when a reader settles the stream, or here once
+    /// and a copy of the sign words into the stream's held block; every
+    /// [`kernel::BLOCK`]-th update adds the block into the stream's
+    /// vertical counter — word operations, not `s1·s2` counter adds. The
+    /// counters catch up when a reader settles the stream, or here once
     /// [`Self::PENDING_MAX`] updates are pending.
     pub fn update(&mut self, stream: StreamId, values: &[Value]) {
         let k = stream.index();
@@ -203,28 +220,43 @@ impl SketchBank {
             let row = &mut scratch.shadow[k * copies..(k + 1) * copies];
             kernel::scalar::fold_packed_signs(&scratch.words, row);
         }
-        let span = PENDING_PLANES * scratch.words.len();
-        kernel::add_sign_planes(
-            &mut scratch.words,
-            &mut self.planes[k * span..(k + 1) * span],
-        );
+        let words = scratch.words.len();
+        let slot = k * BLOCK + held_vectors(self.pending[k]);
+        self.blocks[slot * words..(slot + 1) * words].copy_from_slice(&scratch.words);
         self.pending[k] += 1;
         self.tuples[k] += 1;
+        if held_vectors(self.pending[k]) == 0 {
+            self.flush_block(k);
+        }
         if self.pending[k] == Self::PENDING_MAX {
             self.settle_stream(stream);
         }
     }
 
+    /// Adds stream `k`'s held block into its planes — full or, from a
+    /// settle, part-filled: the unused slots are zero and add nothing, so
+    /// both go through the one adder tree.
+    fn flush_block(&mut self, k: usize) {
+        let words = words_for(self.config.copies());
+        kernel::add_sign_block(
+            &mut self.blocks[k * BLOCK * words..(k + 1) * BLOCK * words],
+            &mut self.planes[k * PENDING_PLANES * words..(k + 1) * PENDING_PLANES * words],
+        );
+    }
+
     /// Brings `stream`'s counters up to date with every update so far:
-    /// `X_k[c] += pending − 2·neg[c]`, then zeroes the planes. One pending
-    /// update settles through the plain sign fold — the first epoch, where
-    /// every arrival reads its partners' live rows, costs what an eager
-    /// update does.
+    /// flushes its held block, `X_k[c] += pending − 2·neg[c]`, then zeroes
+    /// the planes. One pending update settles through the plain sign fold
+    /// — the first epoch, where every arrival reads its partners' live
+    /// rows, costs what an eager update does.
     pub fn settle_stream(&mut self, stream: StreamId) {
         let k = stream.index();
         let pending = std::mem::take(&mut self.pending[k]);
         if pending == 0 {
             return;
+        }
+        if held_vectors(pending) > 0 {
+            self.flush_block(k);
         }
         let copies = self.config.copies();
         let words = words_for(copies);
@@ -325,6 +357,7 @@ impl SketchBank {
     pub fn reset(&mut self) {
         self.counters.fill(0);
         self.planes.fill(0);
+        self.blocks.fill(0);
         self.pending.fill(0);
         self.tuples.fill(0);
         #[cfg(any(test, feature = "audit"))]
@@ -388,10 +421,13 @@ impl SketchBank {
     /// Structural audit of the deferred-update state:
     ///
     /// - buffer shapes agree with the stream and copy counts;
-    /// - no stream holds [`Self::PENDING_MAX`] or more pending updates, and every
-    ///   plane above the bit length of its pending count is all-zero;
+    /// - no stream holds [`Self::PENDING_MAX`] or more pending updates,
+    ///   every block slot behind the `pending % BLOCK` held vectors is
+    ///   all-zero, and so is every plane above the bit length of the
+    ///   updates the planes hold (the pending ones less the held ones);
     /// - the settled view of every stream — its counters plus what its
-    ///   planes hold — equals the eagerly folded shadow, copy by copy.
+    ///   planes and its block hold — equals the eagerly folded shadow, copy
+    ///   by copy.
     ///
     /// O(streams · copies · planes); compiled only for tests and the
     /// `audit` feature.
@@ -405,6 +441,7 @@ impl SketchBank {
         let n = self.n_streams;
         assert_eq!(self.counters.len(), n * copies, "counter shape");
         assert_eq!(self.planes.len(), n * PENDING_PLANES * words, "plane shape");
+        assert_eq!(self.blocks.len(), n * BLOCK * words, "block shape");
         assert_eq!(self.pending.len(), n, "pending shape");
         let scratch = self.scratch.borrow();
         let mut view = vec![0i64; copies];
@@ -414,18 +451,29 @@ impl SketchBank {
                 pending < Self::PENDING_MAX,
                 "stream {k} missed its settle: {pending} pending"
             );
-            let active = active_planes(pending);
+            let held = held_vectors(pending);
+            let block = &self.blocks[k * BLOCK * words..(k + 1) * BLOCK * words];
+            let (vectors, unused) = block.split_at(held * words);
+            assert!(
+                unused.iter().all(|&w| w == 0),
+                "stream {k}: a block slot behind its {held} held vectors is set"
+            );
+            let in_planes = pending - held as u32;
+            let active = active_planes(in_planes);
             let planes = &self.planes[k * PENDING_PLANES * words..(k + 1) * PENDING_PLANES * words];
             let (live, idle) = planes.split_at(active * words);
             assert!(
                 idle.iter().all(|&w| w == 0),
-                "stream {k}: a plane above bit {active} of {pending} pending updates is set"
+                "stream {k}: a plane above bit {active} of {in_planes} updates is set"
             );
             if scratch.shadow.len() != self.counters.len() {
                 continue;
             }
             view.copy_from_slice(&self.counters[k * copies..(k + 1) * copies]);
-            kernel::settle_planes(live, pending, &mut view);
+            kernel::settle_planes(live, in_planes, &mut view);
+            for vector in vectors.chunks_exact(words) {
+                kernel::scalar::fold_packed_signs(vector, &mut view);
+            }
             assert_eq!(
                 view,
                 &scratch.shadow[k * copies..(k + 1) * copies],
@@ -745,6 +793,48 @@ mod tests {
     }
 
     #[test]
+    fn held_vectors_count_in_the_settled_view() {
+        let q = chain_query();
+        let cfg = BankConfig {
+            s1: 70,
+            s2: 1,
+            seed: 19,
+        };
+        let mut bank = SketchBank::new(&q, cfg);
+        let mut eager = vec![0i64; 70];
+        let mut words = Vec::new();
+        for i in 0..21 {
+            bank.update(StreamId(2), &v(i % 5, 0));
+            bank.packed_signs_into(StreamId(2), &v(i % 5, 0), &mut words);
+            kernel::scalar::fold_packed_signs(&words, &mut eager);
+            // Every block fill level, audited against the shadow.
+            bank.check_invariants();
+        }
+        // A read flushes the part-filled block through the tree.
+        assert_eq!(bank.counters_row(StreamId(2)), eager.as_slice());
+        assert_eq!(bank.pending[2], 0);
+        bank.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "a block slot behind its 1 held vectors is set")]
+    fn invariants_catch_a_dirty_block_slot() {
+        let q = chain_query();
+        let mut bank = SketchBank::new(
+            &q,
+            BankConfig {
+                s1: 70,
+                s2: 1,
+                seed: 1,
+            },
+        );
+        bank.update(StreamId(0), &v(1, 1));
+        // Two words a vector: slot 3 of stream 0's block starts at word 6.
+        bank.blocks[6] = 1;
+        bank.check_invariants();
+    }
+
+    #[test]
     fn serde_round_trip_keeps_pending_updates() {
         let q = chain_query();
         let cfg = BankConfig {
@@ -753,13 +843,14 @@ mod tests {
             seed: 17,
         };
         let mut bank = SketchBank::new(&q, cfg);
-        for i in 0..5 {
+        for i in 0..13 {
             bank.update(StreamId(0), &v(i, 1));
             bank.update(StreamId(1), &v(i % 2, 1));
         }
-        // Settle one stream only: the other goes out with planes in use.
+        // Settle one stream only: the other goes out mid-block, one block
+        // in its planes and five vectors held.
         let _ = bank.counters_row(StreamId(0));
-        assert_eq!((bank.pending[0], bank.pending[1]), (0, 5));
+        assert_eq!((bank.pending[0], bank.pending[1]), (0, 13));
         let json = serde_json::to_string(&bank).unwrap();
         let mut back: SketchBank = serde_json::from_str(&json).unwrap();
         back.check_invariants();
@@ -767,7 +858,7 @@ mod tests {
             let want = bank.counters_row(StreamId(k)).to_vec();
             assert_eq!(back.counters_row(StreamId(k)), want, "stream {k}");
         }
-        assert_eq!(back.tuples_seen(StreamId(1)), 5);
+        assert_eq!(back.tuples_seen(StreamId(1)), 13);
     }
 
     #[test]

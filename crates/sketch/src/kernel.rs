@@ -1,8 +1,7 @@
 //! Flat, branch-light kernels over the SoA sketch state: a portable
-//! fixed-width lane path (the one the engine runs), an AVX2 specialization
-//! of the in-place sign-application kernel on `x86_64`, and a scalar
-//! reference path the tests compare against — all **bit-identical** by
-//! construction.
+//! fixed-width lane path, AVX2 specializations on `x86_64` for the loops an
+//! arrival pays, and a scalar reference path the tests compare against —
+//! all **bit-identical** by construction.
 //!
 //! Every function here works on contiguous slices laid out *stream-major*:
 //! the counters (or last-epoch snapshots) of stream `k` occupy
@@ -27,21 +26,28 @@
 //! proves all of this against [`scalar`], including ragged tails and
 //! extreme counters.
 //!
-//! # Two kernels that do reorder — by identity, not by luck
+//! # The kernels that do reorder — by identity, not by luck
 //!
-//! [`add_sign_planes`] / [`settle_planes`] defer the counter fold: sign
-//! vectors accumulate in bit-sliced per-copy counters and reach the `i64`
-//! counters later, all at once. Integer addition is associative and
+//! [`add_sign_block`] / [`add_sign_planes`] / [`settle_planes`] defer the
+//! counter fold: sign vectors accumulate in bit-sliced per-copy counters —
+//! [`BLOCK`] at a time through a carry-save adder tree — and reach the
+//! `i64` counters later, all at once. Integer addition is associative and
 //! commutative, so the settled counters are the eagerly folded ones.
-//! [`signed_group_sums`] sums a frozen cross row in sixteen accumulators;
-//! it is only called on rows [`sum_is_exact`] accepts, where every partial
-//! sum in every order is an exactly representable integer.
+//! [`signed_sum`] sums a frozen cross row in sixteen accumulators; it is
+//! only called on rows [`sum_is_exact`] accepts, where every partial sum in
+//! every order is an exactly representable integer. [`sum_is_exact`] itself
+//! and [`product2_signed_sum`] — the first-epoch product, sign and sum in
+//! one pass, which carries its own guard and answers `None` outside it —
+//! rest on the same argument.
 //!
 //! # Dispatch
 //!
-//! The top-level functions check shapes and run [`lanes`];
-//! [`apply_packed_signs`] runs [`avx2`] instead where the CPU reports it.
-//! The kernels of the previous section have one portable form each.
+//! The top-level functions check shapes and run [`lanes`]. Where the CPU
+//! reports AVX2, [`fold_packed_signs`], [`apply_packed_signs`] and
+//! [`signed_sum`] run their [`avx2`] forms instead, and
+//! [`product2_signed_sum`] has no other form (without AVX2 it answers
+//! `None` and the caller runs [`product2_signed`] + [`group_sums`]). The
+//! bit-plane kernels have one portable form each.
 
 /// Lane width of the portable vector kernels (f64x4 / i64x4-sized blocks,
 /// one 256-bit register on the machines this targets).
@@ -92,7 +98,7 @@ fn check_group_shape(per_copy: &[f64], s1: usize, s2: usize) {
 // Shape-checked entry points (the public kernel API).
 // ---------------------------------------------------------------------------
 
-/// Whether the AVX2 sign kernel can run here. A platform fact, probed
+/// Whether the AVX2 kernels can run here. A platform fact, probed
 /// once per process.
 #[cfg(target_arch = "x86_64")]
 #[inline]
@@ -109,6 +115,10 @@ fn has_avx2() -> bool {
 /// (with any `words`, including none) is a no-op.
 pub fn fold_packed_signs(words: &[u64], counters: &mut [i64]) {
     check_sign_shape(words, counters.len(), "counters");
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        return avx2::fold_packed_signs(words, counters);
+    }
     lanes::fold_packed_signs(words, counters)
 }
 
@@ -159,6 +169,41 @@ pub fn product2_signed(a: &[i64], b: &[i64], words: &[u64], out: &mut [f64]) {
     lanes::product2_signed(a, b, words, out)
 }
 
+/// Counters at or above this magnitude leave [`product2_signed_sum`]'s
+/// fast path: below it the `2^52` magic-number add converts an `i64` to
+/// the same `f64` the `as` cast gives.
+const COUNTER_LIMIT: u64 = 1 << 51;
+
+/// The sum at and above which a row of integer-valued terms may round
+/// while it is added up (`2^53`).
+const EXACT_LIMIT: f64 = (1u64 << 53) as f64;
+
+/// [`product2_signed`] and the sum of its output in one pass, when that
+/// sum does not depend on the order it is taken in: `Some(Σ_c ±(a[c] ·
+/// b[c]))` — the bits of the serial `product2_signed` + one-group
+/// [`group_sums`] pair — if every counter is below `2^51` in magnitude
+/// and `Σ_c |a[c] · b[c]| < 2^53`, `None` otherwise and wherever there is
+/// no AVX2. The caller runs the serial pair on `None`.
+///
+/// Why the fast path may reorder: a product that is below `2^53` after
+/// rounding was below it before (rounding is monotone and `2^53` is
+/// representable), so it is the exact integer; the terms are then
+/// integers whose absolute values sum to less than `2^53`, every partial
+/// sum in every association is an exactly representable integer, and no
+/// add rounds. Sixteen accumulators from `-0.0` keep the sign of a zero
+/// total too, as in [`signed_sum`]. The guard sum itself runs in several
+/// accumulators; its verdict is order-free for the reason given at
+/// [`sum_is_exact`].
+pub fn product2_signed_sum(a: &[i64], b: &[i64], words: &[u64]) -> Option<f64> {
+    assert_eq!(a.len(), b.len(), "row length mismatch");
+    check_sign_shape(words, a.len(), "values");
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        return avx2::product2_signed_sum(a, b, words);
+    }
+    None
+}
+
 /// `dst[c] = ±src[c]` according to the packed signs — with [`group_sums`],
 /// the frozen cross-product productivity query for a row
 /// [`sum_is_exact`] rejects: one sign lookup and one copy per sketch copy,
@@ -184,12 +229,72 @@ pub fn group_sums(per_copy: &[f64], s1: usize, s2: usize, groups: &mut Vec<f64>)
 // Vertical (bit-sliced) pending counters.
 // ---------------------------------------------------------------------------
 
+/// Sign vectors [`add_sign_block`] adds at once.
+pub const BLOCK: usize = 8;
+
+/// One full adder over 64 independent bit columns: `(sum, carry)`.
+#[inline(always)]
+fn full_add(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let ab = a ^ b;
+    (ab ^ c, (a & b) | (ab & c))
+}
+
+/// Adds [`BLOCK`] packed sign vectors into a *vertical counter* at once.
+/// `block` holds the vectors back to back (`block.len() / BLOCK` words
+/// each; an all-zero vector adds nothing, so a short block is padded with
+/// zeros); `planes` is the counter [`add_sign_planes`] describes, at least
+/// three planes deep. Per word, seven full adders — four at weight 1, two
+/// at weight 2, one at weight 4 — fold the eight bits and the word's
+/// planes 0–2 into new planes 0–2 and one carry of weight 8, which ripples
+/// on from plane 3 through [`add_sign_planes`]. `block` leaves all-zero.
+///
+/// # Panics
+/// Panics if a copy's count carries out of the top plane.
+pub fn add_sign_block(block: &mut [u64], planes: &mut [u64]) {
+    let words = block.len() / BLOCK;
+    assert_eq!(block.len(), words * BLOCK, "block is not BLOCK vectors");
+    if words == 0 {
+        return;
+    }
+    assert_eq!(planes.len() % words, 0, "planes are not word-major");
+    assert!(planes.len() >= 3 * words, "a block lands in three planes");
+    let (low, high) = planes.split_at_mut(3 * words);
+    let [p0, p1, p2] = split_vectors(low, words);
+    let [v0, v1, v2, v3, v4, v5, v6, v7] = split_vectors(block, words);
+    let mut any = 0u64;
+    for w in 0..words {
+        let (s, c1a) = full_add(p0[w], v0[w], v1[w]);
+        let (s, c1b) = full_add(s, v2[w], v3[w]);
+        let (s, c1c) = full_add(s, v4[w], v5[w]);
+        let (s, c1d) = full_add(s, v6[w], v7[w]);
+        p0[w] = s;
+        let (s, c2a) = full_add(p1[w], c1a, c1b);
+        let (s, c2b) = full_add(s, c1c, c1d);
+        p1[w] = s;
+        // The carry of weight 8 takes the first vector's place.
+        (p2[w], v0[w]) = full_add(p2[w], c2a, c2b);
+        any |= v0[w];
+    }
+    block[words..].fill(0);
+    if any != 0 {
+        add_sign_planes(&mut block[..words], high);
+    }
+}
+
+/// `buf` as `N` consecutive vectors of `words` words each.
+fn split_vectors<const N: usize>(buf: &mut [u64], words: usize) -> [&mut [u64]; N] {
+    assert_eq!(buf.len(), N * words, "buffer is not N vectors");
+    let mut vectors = buf.chunks_exact_mut(words);
+    std::array::from_fn(|_| vectors.next().expect("N vectors by the assert above"))
+}
+
 /// Adds one packed sign vector into a *vertical counter*: `planes` holds
 /// `planes.len() / carry.len()` bit-planes of `carry.len()` words each,
 /// plane `p` carrying bit `p` of a per-copy count of −1 signs. A
 /// carry-save ripple — `plane ^= carry; carry &= old plane` — that stops
 /// at the first plane no copy carries into. `carry` enters as the sign
-/// words and leaves all-zero.
+/// words and leaves all-zero. The bank adds whole blocks
+/// ([`add_sign_block`]); this is the ripple of a block's one carry vector.
 ///
 /// # Panics
 /// Panics if a copy's count carries out of the top plane (the caller
@@ -214,48 +319,62 @@ pub fn add_sign_planes(carry: &mut [u64], planes: &mut [u64]) {
     panic!("vertical counter overflow: settle before the top plane carries");
 }
 
-/// `SIGN_MASKS[n][l]` = bit `l` of the nibble `n`, moved to the sign bit
-/// of lane `l`: four packed sign bits expand to four lanes of
-/// `{0, 1 << 63}` with one 32-byte load.
-const SIGN_MASKS: [[u64; LANES]; 16] = {
-    let mut table = [[0u64; LANES]; 16];
-    let mut n = 0;
-    while n < 16 {
+/// Most planes [`settle_planes`] reads: two byte lanes of count per copy.
+const SETTLE_PLANES_MAX: usize = 16;
+
+/// `BYTE_SPREAD[b]` = bit `l` of the byte `b` in bit 0 of byte lane `l`:
+/// eight packed bits become eight byte-wide 0/1 lanes with one load.
+const BYTE_SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
         let mut l = 0;
-        while l < LANES {
-            table[n][l] = ((n as u64 >> l) & 1) << 63;
+        while l < 8 {
+            table[b] |= ((b as u64 >> l) & 1) << (8 * l);
             l += 1;
         }
-        n += 1;
+        b += 1;
     }
     table
 };
 
 /// Folds `pending` deferred ±1 updates out of a vertical counter into the
 /// per-copy counters: `counters[c] += pending − 2·neg[c]`, where `neg[c]`
-/// is read back from the bit-planes (see [`add_sign_planes`]). Integer
-/// addition commutes, so the result equals folding the `pending` sign
-/// vectors one by one with [`fold_packed_signs`]; with one plane and
-/// `pending == 1` it *is* that fold.
+/// is read back from the bit-planes (see [`add_sign_planes`]) eight copies
+/// at a time — one byte of each plane word spread over the byte lanes of a
+/// `u64` and shifted to its bit, planes 0–7 in one word, 8–15 in a second.
+/// Integer addition commutes, so the result equals folding the `pending`
+/// sign vectors one by one with [`fold_packed_signs`].
 pub fn settle_planes(planes: &[u64], pending: u32, counters: &mut [i64]) {
     let words = counters.len().div_ceil(64);
     if words == 0 {
         return;
     }
     assert_eq!(planes.len() % words, 0, "planes are not word-major");
+    let depth = planes.len() / words;
+    assert!(
+        depth <= SETTLE_PLANES_MAX,
+        "more planes than two byte lanes"
+    );
     let n = i64::from(pending);
+    let mut column = [0u64; SETTLE_PLANES_MAX];
     for (w, chunk) in counters.chunks_mut(64).enumerate() {
-        for (q, block) in chunk.chunks_mut(LANES).enumerate() {
-            let mut neg = [0u64; LANES];
-            for (p, plane) in planes.chunks_exact(words).enumerate() {
-                let bits = &SIGN_MASKS[((plane[w] >> (LANES * q)) & 15) as usize];
-                for (acc, &bit) in neg.iter_mut().zip(bits) {
-                    // Sign bit down to bit `p` of the count.
-                    *acc |= bit >> (63 - p);
-                }
-            }
-            for (cnt, &m) in block.iter_mut().zip(&neg) {
-                *cnt += n - 2 * m as i64;
+        for (slot, plane) in column.iter_mut().zip(planes.chunks_exact(words)) {
+            *slot = plane[w];
+        }
+        let (low, high) = column[..depth].split_at(depth.min(8));
+        for (q, block) in chunk.chunks_mut(8).enumerate() {
+            // Byte lane `l`: bit `p` is copy `8q + l`'s bit in plane `p` of
+            // the half.
+            let lanes_of = |half: &[u64]| {
+                let spread = half.iter().enumerate().fold(0u64, |acc, (p, &word)| {
+                    acc | BYTE_SPREAD[((word >> (8 * q)) & 0xFF) as usize] << p
+                });
+                spread.to_le_bytes()
+            };
+            let (lo, hi) = (lanes_of(low), lanes_of(high));
+            for ((cnt, &l), &h) in block.iter_mut().zip(&lo).zip(&hi) {
+                *cnt += n - 2 * (i64::from(l) | i64::from(h) << 8);
             }
         }
     }
@@ -265,66 +384,65 @@ pub fn settle_planes(planes: &[u64], pending: u32, counters: &mut [i64]) {
 // Order-free signed sums over integer-valued rows.
 // ---------------------------------------------------------------------------
 
-/// Independent accumulators of [`signed_group_sums`]: four registers of
+/// Independent accumulators of [`signed_sum`]: four registers of
 /// [`LANES`], enough to hide the latency of a floating-point add.
 const SUM_ACCS: usize = 4 * LANES;
+
+/// `v` with its sign flipped where packed sign bit `pos` is set.
+#[inline(always)]
+fn flipped(words: &[u64], pos: usize, v: f64) -> f64 {
+    f64::from_bits(v.to_bits() ^ (((words[pos / 64] >> (pos % 64)) & 1) << 63))
+}
 
 /// Whether every signed sum over `row` is exact in any order:
 /// `Σ_c |row[c]| < 2^53`. For integer-valued entries (products of
 /// counters) that bounds every partial sum of `Σ_c ±row[c]`, under any
 /// association, by an exactly representable integer, so no add rounds.
-/// `false` for any non-finite entry. The test itself is a serial sum of
-/// non-negative terms, exact until it first reaches `2^53` and monotone
-/// after, so it cannot come out below the bound by rounding.
+/// `false` for any non-finite entry.
+///
+/// The test sums in sixteen accumulators, and its verdict is the
+/// serial sum's: the terms are non-negative integers, so while a partial
+/// sum — of any subset, in any order — stays below `2^53` it is exact, and
+/// once one reaches `2^53` it cannot come back down, because
+/// round-to-nearest is monotone and `2^53` is representable. The total
+/// therefore reads below `2^53` exactly when the true sum is.
 pub fn sum_is_exact(row: &[f64]) -> bool {
-    const LIMIT: f64 = (1u64 << 53) as f64;
-    row.iter().map(|v| v.abs()).sum::<f64>() < LIMIT
+    let mut acc = [0.0f64; SUM_ACCS];
+    let mut blocks = row.chunks_exact(SUM_ACCS);
+    for block in &mut blocks {
+        for (a, v) in acc.iter_mut().zip(block) {
+            *a += v.abs();
+        }
+    }
+    for (a, v) in acc.iter_mut().zip(blocks.remainder()) {
+        *a += v.abs();
+    }
+    acc.iter().sum::<f64>() < EXACT_LIMIT
 }
 
 /// `Σ_j ±vals[j]` with the sign of `vals[j]` taken from packed sign bit
-/// `first + j`, summed in [`SUM_ACCS`] independent accumulators. Every
-/// accumulator starts from −0.0 like `Iterator::sum`, so a zero total is
-/// −0.0 exactly when every term is −0.0 — in this order or the serial
-/// one.
-fn signed_sum(words: &[u64], first: usize, vals: &[f64]) -> f64 {
-    let flipped = |pos: usize, v: f64| {
-        f64::from_bits(v.to_bits() ^ (((words[pos / 64] >> (pos % 64)) & 1) << 63))
-    };
-    let mut acc = [-0.0f64; SUM_ACCS];
-    // A head up to the next multiple of SUM_ACCS sign bits, so that no
-    // body block straddles a sign word.
-    let head = (first.wrapping_neg() % SUM_ACCS).min(vals.len());
-    let (head_vals, body) = vals.split_at(head);
-    for (j, (a, &v)) in acc.iter_mut().zip(head_vals).enumerate() {
-        *a += flipped(first + j, v);
+/// `first + j`, summed in sixteen independent accumulators: the values up
+/// to the next multiple of sixteen sign bits go to accumulators `0, 1, …`
+/// (so that no later block straddles a sign word), and from there value
+/// `j` goes to accumulator `j mod 16`. Every accumulator starts from −0.0
+/// like `Iterator::sum`, so a zero total is −0.0 exactly when every term
+/// is −0.0 — in this order or the serial one. All forms keep this
+/// assignment, so they agree bit for bit on every input; the *serial* sum
+/// is matched only on rows [`sum_is_exact`] accepts.
+pub fn signed_sum(words: &[u64], first: usize, vals: &[f64]) -> f64 {
+    check_sign_shape(words, first + vals.len(), "values");
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        return avx2::signed_sum(words, first, vals);
     }
-    let mut pos = first + head;
-    let mut blocks = body.chunks_exact(SUM_ACCS);
-    for block in &mut blocks {
-        let bits = words[pos / 64] >> (pos % 64);
-        for (q, (accs, vs)) in acc
-            .chunks_exact_mut(LANES)
-            .zip(block.chunks_exact(LANES))
-            .enumerate()
-        {
-            let mask = &SIGN_MASKS[((bits >> (LANES * q)) & 15) as usize];
-            for ((a, &v), &m) in accs.iter_mut().zip(vs).zip(mask) {
-                *a += f64::from_bits(v.to_bits() ^ m);
-            }
-        }
-        pos += SUM_ACCS;
-    }
-    for (j, (a, &v)) in acc.iter_mut().zip(blocks.remainder()).enumerate() {
-        *a += flipped(pos + j, v);
-    }
-    acc.iter().fold(-0.0, |sum, &a| sum + a)
+    lanes::signed_sum(words, first, vals)
 }
 
 /// The frozen productivity query in one pass: appends to `groups`, for
 /// each of the `s2` groups of `s1` consecutive `row` values, the sum of
-/// the group's values under the packed signs — what [`signed_copy`] +
-/// [`group_sums`] compute, without the intermediate buffer and without
-/// the serial add chain.
+/// the group's values under the packed signs ([`signed_sum`]) — what
+/// [`signed_copy`] + [`group_sums`] compute, without the intermediate
+/// buffer and without the serial add chain.
 ///
 /// Bit-identical to that pair **only for rows [`sum_is_exact`] accepts**;
 /// the caller checks the row once when it builds it and runs the serial
@@ -332,7 +450,6 @@ fn signed_sum(words: &[u64], first: usize, vals: &[f64]) -> f64 {
 pub fn signed_group_sums(words: &[u64], row: &[f64], s1: usize, s2: usize, groups: &mut Vec<f64>) {
     assert!(s1 > 0, "groups must hold at least one copy");
     check_group_shape(row, s1, s2);
-    check_sign_shape(words, row.len(), "values");
     groups.extend(
         row.chunks_exact(s1)
             .enumerate()
@@ -348,6 +465,8 @@ pub fn signed_group_sums(words: &[u64], row: &[f64], s1: usize, s2: usize, group
 /// equivalence suite and benches compare the shipped path against. Shape
 /// guards live in the entry points; these assume validated inputs.
 pub mod scalar {
+    use super::{flipped, COUNTER_LIMIT, EXACT_LIMIT, SUM_ACCS};
+
     /// Scalar [`super::fold_packed_signs`].
     pub fn fold_packed_signs(words: &[u64], counters: &mut [i64]) {
         for (chunk, &w) in counters.chunks_mut(64).zip(words) {
@@ -419,6 +538,30 @@ pub mod scalar {
             groups.push(sum);
         }
     }
+
+    /// Scalar [`super::signed_sum`]: one value per step into the
+    /// accumulator its position assigns it.
+    pub fn signed_sum(words: &[u64], first: usize, vals: &[f64]) -> f64 {
+        let mut acc = [-0.0f64; SUM_ACCS];
+        let head = (first.wrapping_neg() % SUM_ACCS).min(vals.len());
+        for (j, &v) in vals.iter().enumerate() {
+            let slot = if j < head { j } else { (j - head) % SUM_ACCS };
+            acc[slot] += flipped(words, first + j, v);
+        }
+        acc.iter().fold(-0.0, |sum, &a| sum + a)
+    }
+
+    /// Scalar [`super::product2_signed_sum`], as its contract reads: the
+    /// guards one by one, then [`product2_signed`] and a serial sum.
+    pub fn product2_signed_sum(a: &[i64], b: &[i64], words: &[u64]) -> Option<f64> {
+        if a.iter().chain(b).any(|x| x.unsigned_abs() >= COUNTER_LIMIT) {
+            return None;
+        }
+        let mut signed = vec![0.0f64; a.len()];
+        product2_signed(a, b, words, &mut signed);
+        let magnitude: f64 = signed.iter().map(|p| p.abs()).sum();
+        (magnitude < EXACT_LIMIT).then(|| signed.iter().sum())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -431,7 +574,24 @@ pub mod scalar {
 /// because every block computes the same per-index operation sequence;
 /// only the interleaving across independent indexes changes.
 pub mod lanes {
-    use super::LANES;
+    use super::{flipped, LANES, SUM_ACCS};
+
+    /// `SIGN_MASKS[n][l]` = bit `l` of the nibble `n`, moved to the sign
+    /// bit of lane `l`: four packed sign bits expand to four lanes of
+    /// `{0, 1 << 63}` with one 32-byte load.
+    const SIGN_MASKS: [[u64; LANES]; 16] = {
+        let mut table = [[0u64; LANES]; 16];
+        let mut n = 0;
+        while n < 16 {
+            let mut l = 0;
+            while l < LANES {
+                table[n][l] = ((n as u64 >> l) & 1) << 63;
+                l += 1;
+            }
+            n += 1;
+        }
+        table
+    };
 
     /// Lane [`super::fold_packed_signs`]: [`LANES`] counters per step,
     /// sign bits expanded in-register order.
@@ -556,6 +716,37 @@ pub mod lanes {
         }
     }
 
+    /// Lane [`super::signed_sum`]: sixteen values per step, a nibble of
+    /// sign bits per [`LANES`]-block through the `SIGN_MASKS` table.
+    pub fn signed_sum(words: &[u64], first: usize, vals: &[f64]) -> f64 {
+        let mut acc = [-0.0f64; SUM_ACCS];
+        let head = (first.wrapping_neg() % SUM_ACCS).min(vals.len());
+        let (head_vals, body) = vals.split_at(head);
+        for (j, (a, &v)) in acc.iter_mut().zip(head_vals).enumerate() {
+            *a += flipped(words, first + j, v);
+        }
+        let mut pos = first + head;
+        let mut blocks = body.chunks_exact(SUM_ACCS);
+        for block in &mut blocks {
+            let bits = words[pos / 64] >> (pos % 64);
+            for (q, (accs, vs)) in acc
+                .chunks_exact_mut(LANES)
+                .zip(block.chunks_exact(LANES))
+                .enumerate()
+            {
+                let mask = &SIGN_MASKS[((bits >> (LANES * q)) & 15) as usize];
+                for ((a, &v), &m) in accs.iter_mut().zip(vs).zip(mask) {
+                    *a += f64::from_bits(v.to_bits() ^ m);
+                }
+            }
+            pos += SUM_ACCS;
+        }
+        for (j, (a, &v)) in acc.iter_mut().zip(blocks.remainder()).enumerate() {
+            *a += flipped(words, pos + j, v);
+        }
+        acc.iter().fold(-0.0, |sum, &a| sum + a)
+    }
+
     // The four-way zip in [`group_sums`] spells the lanes out by hand.
     const _LANES_IS_FOUR: () = assert!(LANES == 4);
 
@@ -600,44 +791,107 @@ pub mod lanes {
 // AVX2 specializations (x86_64 only).
 // ---------------------------------------------------------------------------
 
-/// AVX2 `std::arch` specialization of the in-place sign-application
-/// kernel: the packed sign bits expand to a `{0, 1<<63}` lane mask
-/// in-register (broadcast + variable shift) and XOR into four values per
-/// instruction. Sign application is a pure bit operation, so this is exact
-/// for every input including NaNs and ±0.0. Only reached after
-/// `is_x86_feature_detected!("avx2")` in the entry point.
+/// AVX2 `std::arch` specializations of the loops an arrival pays: the sign
+/// fold and sign application (pure integer / bit operations, exact for
+/// every input), the sixteen-accumulator signed sum (the accumulator
+/// assignment of [`scalar::signed_sum`], four accumulators to a register)
+/// and the fused first-epoch product-and-sum, which has no portable form.
+/// Packed sign bits expand to a `{0, 1<<63}` lane mask in-register
+/// (broadcast + variable shift). Only reached after
+/// `is_x86_feature_detected!("avx2")` in the entry points.
 ///
 /// This module is the one sanctioned `unsafe` island of the crate (see
-/// the crate-level `deny(unsafe_code)`): the only unsafety is the
+/// the crate-level `deny(unsafe_code)`): the unsafety is the
 /// `target_feature` calling contract, discharged by the runtime
-/// detection; all loads and stores are bounds-derived from safe slices.
+/// detection, and unaligned vector loads and stores through pointers
+/// taken from `chunks_exact` blocks of the width read or written. Vector
+/// integer adds wrap where the scalar forms would trip an overflow check;
+/// a counter is bounded by the tuples of its epoch, so neither happens.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub mod avx2 {
-    use super::LANES;
+    use super::{flipped, COUNTER_LIMIT, EXACT_LIMIT, LANES, SUM_ACCS};
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_loadu_si256, _mm256_set1_epi64x,
-        _mm256_setr_epi64x, _mm256_slli_epi64, _mm256_srlv_epi64, _mm256_storeu_si256,
-        _mm256_xor_si256,
+        __m256d, __m256i, _mm256_add_epi64, _mm256_add_pd, _mm256_and_pd, _mm256_and_si256,
+        _mm256_castsi256_pd, _mm256_cmpgt_epi64, _mm256_loadu_pd, _mm256_loadu_si256,
+        _mm256_mul_pd, _mm256_or_si256, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_setr_epi64x,
+        _mm256_setzero_si256, _mm256_slli_epi64, _mm256_srli_epi64, _mm256_srlv_epi64,
+        _mm256_storeu_pd, _mm256_storeu_si256, _mm256_sub_epi64, _mm256_sub_pd, _mm256_testz_si256,
+        _mm256_xor_pd,
     };
 
-    /// Builds the `{0, 1<<63}` sign-flip mask for bits
-    /// `base..base + LANES` of `w`.
+    /// Registers holding the [`SUM_ACCS`] accumulators.
+    const REGS: usize = SUM_ACCS / LANES;
+
+    fn assert_avx2() {
+        assert!(
+            std::arch::is_x86_feature_detected!("avx2"),
+            "avx2 kernels selected without avx2"
+        );
+    }
+
+    /// The sign-flip masks of sixteen values from the low sixteen bits of
+    /// `bits` (higher bits are ignored): mask `q` covers values
+    /// `4q..4q + 4`. The left shift by 63 drops every bit but the lane's.
     ///
     /// # Safety
-    /// Requires AVX2 (enforced by the callers' `target_feature` scope).
+    /// Requires AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn sign_mask(w: u64, base: u32) -> __m256i {
-        let shifts = _mm256_add_epi64(
-            _mm256_set1_epi64x(base as i64),
-            _mm256_setr_epi64x(0, 1, 2, 3),
-        );
-        let bits = _mm256_and_si256(
-            _mm256_srlv_epi64(_mm256_set1_epi64x(w as i64), shifts),
-            _mm256_set1_epi64x(1),
-        );
-        _mm256_slli_epi64::<63>(bits)
+    unsafe fn sign_masks16(bits: u64) -> [__m256d; REGS] {
+        let bits = _mm256_set1_epi64x(bits as i64);
+        let lane = _mm256_setr_epi64x(0, 1, 2, 3);
+        let mut masks = [_mm256_castsi256_pd(bits); REGS];
+        for (q, mask) in masks.iter_mut().enumerate() {
+            let shifts = _mm256_add_epi64(lane, _mm256_set1_epi64x((LANES * q) as i64));
+            *mask = _mm256_castsi256_pd(_mm256_slli_epi64::<63>(_mm256_srlv_epi64(bits, shifts)));
+        }
+        masks
+    }
+
+    /// Splits off the sixteen-value blocks of `vals` whose sign bits —
+    /// packed from position `pos`, a multiple of sixteen — sit in one sign
+    /// word: `(that word shifted down to the first block's bits, the
+    /// blocks, the rest)`. The next block's bits are sixteen further up.
+    #[inline]
+    fn blocks_in_word<'a, T>(words: &[u64], pos: usize, vals: &'a [T]) -> (u64, &'a [T], &'a [T]) {
+        let blocks = ((64 - pos % 64) / SUM_ACCS).min(vals.len() / SUM_ACCS);
+        let (head, rest) = vals.split_at(blocks * SUM_ACCS);
+        (words[pos / 64] >> (pos % 64), head, rest)
+    }
+
+    /// AVX2 body of [`fold_packed_signs`]: `counters` and `words` already
+    /// shape-checked by the entry point.
+    #[target_feature(enable = "avx2")]
+    unsafe fn fold_packed_signs_impl(words: &[u64], counters: &mut [i64]) {
+        let one = _mm256_set1_epi64x(1);
+        for (chunk, &w) in counters.chunks_mut(64).zip(words) {
+            // Lane `l` holds `w >> l`; four bits are consumed per block.
+            let mut bits =
+                _mm256_srlv_epi64(_mm256_set1_epi64x(w as i64), _mm256_setr_epi64x(0, 1, 2, 3));
+            let mut blocks = chunk.chunks_exact_mut(LANES);
+            let mut base = 0u32;
+            for block in &mut blocks {
+                let neg = _mm256_and_si256(bits, one);
+                let step = _mm256_sub_epi64(one, _mm256_add_epi64(neg, neg));
+                let p = block.as_mut_ptr() as *mut __m256i;
+                // SAFETY: `block` is exactly LANES counters wide.
+                _mm256_storeu_si256(p, _mm256_add_epi64(_mm256_loadu_si256(p), step));
+                bits = _mm256_srli_epi64::<4>(bits);
+                base += LANES as u32;
+            }
+            for (b, cnt) in blocks.into_remainder().iter_mut().enumerate() {
+                *cnt += 1 - 2 * ((w >> (base + b as u32)) & 1) as i64;
+            }
+        }
+    }
+
+    /// AVX2 [`super::fold_packed_signs`]. Panics if AVX2 is unavailable
+    /// (the entry point only calls this after runtime detection).
+    pub fn fold_packed_signs(words: &[u64], counters: &mut [i64]) {
+        assert_avx2();
+        // SAFETY: AVX2 presence asserted above.
+        unsafe { fold_packed_signs_impl(words, counters) }
     }
 
     /// AVX2 body of [`apply_packed_signs`]: `vals` and `words` already
@@ -645,16 +899,21 @@ pub mod avx2 {
     #[target_feature(enable = "avx2")]
     unsafe fn apply_packed_signs_impl(words: &[u64], vals: &mut [f64]) {
         for (chunk, &w) in vals.chunks_mut(64).zip(words) {
-            let mut blocks = chunk.chunks_exact_mut(LANES);
-            let mut base = 0u32;
-            for block in &mut blocks {
-                let p = block.as_mut_ptr() as *mut __m256i;
-                let v = _mm256_loadu_si256(p);
-                _mm256_storeu_si256(p, _mm256_xor_si256(v, sign_mask(w, base)));
-                base += LANES as u32;
-            }
-            for (b, v) in blocks.into_remainder().iter_mut().enumerate() {
-                *v = f64::from_bits(v.to_bits() ^ (((w >> (base + b as u32)) & 1) << 63));
+            let mut bits = w;
+            for block in chunk.chunks_mut(SUM_ACCS) {
+                let masks = sign_masks16(bits);
+                let mut quads = block.chunks_exact_mut(LANES);
+                let mut done = 0u32;
+                for (quad, mask) in (&mut quads).zip(masks) {
+                    let p = quad.as_mut_ptr();
+                    // SAFETY: `quad` is exactly LANES values wide.
+                    _mm256_storeu_pd(p, _mm256_xor_pd(_mm256_loadu_pd(p), mask));
+                    done += LANES as u32;
+                }
+                for (b, v) in quads.into_remainder().iter_mut().enumerate() {
+                    *v = f64::from_bits(v.to_bits() ^ (((bits >> (done + b as u32)) & 1) << 63));
+                }
+                bits >>= SUM_ACCS;
             }
         }
     }
@@ -662,12 +921,162 @@ pub mod avx2 {
     /// AVX2 [`super::apply_packed_signs`]. Panics if AVX2 is unavailable
     /// (the entry point only calls this after runtime detection).
     pub fn apply_packed_signs(words: &[u64], vals: &mut [f64]) {
-        assert!(
-            std::arch::is_x86_feature_detected!("avx2"),
-            "avx2 kernels selected without avx2"
-        );
-        // SAFETY: AVX2 presence asserted above; slice accesses are safe.
+        assert_avx2();
+        // SAFETY: AVX2 presence asserted above.
         unsafe { apply_packed_signs_impl(words, vals) }
+    }
+
+    /// Loads the accumulator array into [`REGS`] registers.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_accs(acc: &[f64; SUM_ACCS]) -> [__m256d; REGS] {
+        let mut regs = [_mm256_set1_pd(0.0); REGS];
+        for (reg, lanes) in regs.iter_mut().zip(acc.chunks_exact(LANES)) {
+            // SAFETY: `lanes` is exactly LANES values wide.
+            *reg = _mm256_loadu_pd(lanes.as_ptr());
+        }
+        regs
+    }
+
+    /// Stores [`REGS`] registers back into the accumulator array.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_accs(regs: &[__m256d; REGS], acc: &mut [f64; SUM_ACCS]) {
+        for (reg, lanes) in regs.iter().zip(acc.chunks_exact_mut(LANES)) {
+            // SAFETY: `lanes` is exactly LANES values wide.
+            _mm256_storeu_pd(lanes.as_mut_ptr(), *reg);
+        }
+    }
+
+    /// AVX2 body of [`signed_sum`]: the head and the tail run as in
+    /// [`super::lanes::signed_sum`], the sixteen-value blocks between them
+    /// four registers at a time.
+    #[target_feature(enable = "avx2")]
+    unsafe fn signed_sum_impl(words: &[u64], first: usize, vals: &[f64]) -> f64 {
+        let mut acc = [-0.0f64; SUM_ACCS];
+        let head = (first.wrapping_neg() % SUM_ACCS).min(vals.len());
+        let (head_vals, body) = vals.split_at(head);
+        for (j, (a, &v)) in acc.iter_mut().zip(head_vals).enumerate() {
+            *a += flipped(words, first + j, v);
+        }
+        let mut pos = first + head;
+        let mut regs = load_accs(&acc);
+        let mut rest = body;
+        while rest.len() >= SUM_ACCS {
+            let (mut bits, blocks, after) = blocks_in_word(words, pos, rest);
+            for block in blocks.chunks_exact(SUM_ACCS) {
+                let masks = sign_masks16(bits);
+                for ((reg, vs), mask) in regs.iter_mut().zip(block.chunks_exact(LANES)).zip(masks) {
+                    // SAFETY: `vs` is exactly LANES values wide.
+                    let v = _mm256_loadu_pd(vs.as_ptr());
+                    *reg = _mm256_add_pd(*reg, _mm256_xor_pd(v, mask));
+                }
+                bits >>= SUM_ACCS;
+            }
+            pos += blocks.len();
+            rest = after;
+        }
+        store_accs(&regs, &mut acc);
+        for (j, (a, &v)) in acc.iter_mut().zip(rest).enumerate() {
+            *a += flipped(words, pos + j, v);
+        }
+        acc.iter().fold(-0.0, |sum, &a| sum + a)
+    }
+
+    /// AVX2 [`super::signed_sum`]. Panics if AVX2 is unavailable (the
+    /// entry point only calls this after runtime detection).
+    pub fn signed_sum(words: &[u64], first: usize, vals: &[f64]) -> f64 {
+        assert_avx2();
+        // SAFETY: AVX2 presence asserted above.
+        unsafe { signed_sum_impl(words, first, vals) }
+    }
+
+    /// `2^52 + 2^51`: added as an integer to the bits of this constant, a
+    /// counter `x` in `(−2^51, 2^51)` lands in the mantissa without
+    /// touching the exponent, so the sum read as a double is
+    /// `2^52 + 2^51 + x`, and subtracting the constant leaves `x` — the
+    /// same value as `x as f64`, +0.0 for zero included — with no
+    /// `cvtsi2sd`.
+    const MAGIC: f64 = ((1u64 << 52) + (1u64 << 51)) as f64;
+
+    /// AVX2 body of [`product2_signed_sum`]: shapes already checked.
+    #[target_feature(enable = "avx2")]
+    unsafe fn product2_signed_sum_impl(a: &[i64], b: &[i64], words: &[u64]) -> Option<f64> {
+        let magic_bits = _mm256_set1_epi64x(MAGIC.to_bits() as i64);
+        let magic = _mm256_set1_pd(MAGIC);
+        let abs = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));
+        // `|x| < 2^51` as one signed compare: `x + 2^51 − 1` lies in
+        // `0..=2^52 − 2` as an unsigned number, and adding `i64::MIN` to
+        // both sides turns the unsigned comparison into a signed one.
+        let limit = COUNTER_LIMIT as i64;
+        let shift = _mm256_set1_epi64x(i64::MIN + (limit - 1));
+        let ceiling = _mm256_set1_epi64x(i64::MIN + (2 * limit - 2));
+        let mut out_of_range = _mm256_setzero_si256();
+        let mut sums = [_mm256_set1_pd(-0.0); REGS];
+        let mut magnitudes = _mm256_set1_pd(0.0);
+
+        let (mut rest_a, mut rest_b) = (a, b);
+        let mut pos = 0;
+        while rest_a.len() >= SUM_ACCS {
+            let (mut bits, blocks_a, after_a) = blocks_in_word(words, pos, rest_a);
+            let (blocks_b, after_b) = rest_b.split_at(blocks_a.len());
+            for (xa, xb) in blocks_a
+                .chunks_exact(SUM_ACCS)
+                .zip(blocks_b.chunks_exact(SUM_ACCS))
+            {
+                let masks = sign_masks16(bits);
+                for (q, mask) in masks.into_iter().enumerate() {
+                    // SAFETY: `xa` and `xb` are SUM_ACCS = REGS·LANES counters
+                    // wide and `q < REGS`, so LANES counters follow the offset.
+                    let va = _mm256_loadu_si256(xa.as_ptr().add(LANES * q) as *const __m256i);
+                    let vb = _mm256_loadu_si256(xb.as_ptr().add(LANES * q) as *const __m256i);
+                    let over_a = _mm256_cmpgt_epi64(_mm256_add_epi64(va, shift), ceiling);
+                    let over_b = _mm256_cmpgt_epi64(_mm256_add_epi64(vb, shift), ceiling);
+                    out_of_range = _mm256_or_si256(out_of_range, _mm256_or_si256(over_a, over_b));
+                    let da =
+                        _mm256_sub_pd(_mm256_castsi256_pd(_mm256_add_epi64(va, magic_bits)), magic);
+                    let db =
+                        _mm256_sub_pd(_mm256_castsi256_pd(_mm256_add_epi64(vb, magic_bits)), magic);
+                    let product = _mm256_mul_pd(da, db);
+                    sums[q] = _mm256_add_pd(sums[q], _mm256_xor_pd(product, mask));
+                    magnitudes = _mm256_add_pd(magnitudes, _mm256_and_pd(product, abs));
+                }
+                bits >>= SUM_ACCS;
+            }
+            pos += blocks_a.len();
+            (rest_a, rest_b) = (after_a, after_b);
+        }
+        let mut acc = [-0.0f64; SUM_ACCS];
+        let mut magnitude = [0.0f64; LANES];
+        store_accs(&sums, &mut acc);
+        // SAFETY: `magnitude` is exactly LANES values wide.
+        _mm256_storeu_pd(magnitude.as_mut_ptr(), magnitudes);
+        let mut tail_in_range = true;
+        for (j, (&x, &y)) in rest_a.iter().zip(rest_b).enumerate() {
+            tail_in_range &= x.unsigned_abs().max(y.unsigned_abs()) < COUNTER_LIMIT;
+            let product = x as f64 * y as f64;
+            acc[j] += flipped(words, pos + j, product);
+            magnitude[j % LANES] += product.abs();
+        }
+        // An out-of-range lane converted to garbage; it is discarded here.
+        let exact = tail_in_range
+            && _mm256_testz_si256(out_of_range, out_of_range) == 1
+            && magnitude.iter().sum::<f64>() < EXACT_LIMIT;
+        exact.then(|| acc.iter().fold(-0.0, |sum, &a| sum + a))
+    }
+
+    /// AVX2 [`super::product2_signed_sum`]. Panics if AVX2 is unavailable
+    /// (the entry point only calls this after runtime detection).
+    pub fn product2_signed_sum(a: &[i64], b: &[i64], words: &[u64]) -> Option<f64> {
+        assert_avx2();
+        // SAFETY: AVX2 presence asserted above.
+        unsafe { product2_signed_sum_impl(a, b, words) }
     }
 }
 
@@ -772,6 +1181,66 @@ mod tests {
         fold_packed_signs(&words, &mut a);
         settle_planes(&words, 1, &mut eager);
         assert_eq!(a, eager);
+    }
+
+    #[test]
+    fn a_block_adds_like_its_vectors_one_by_one() {
+        // Eleven vectors over 70 copies: one full block, then three held
+        // vectors flushed zero-padded — against a plane add per vector.
+        let vector = |i: u64| {
+            [
+                0xDEAD_BEEF_0123_4567u64.rotate_left(7 * i as u32),
+                0x3F >> (i % 4),
+            ]
+        };
+        let mut planes = vec![0u64; 5 * 2];
+        let mut want = planes.clone();
+        for burst in [0..8u64, 8..11] {
+            let mut block = [0u64; BLOCK * 2];
+            for (slot, i) in burst.enumerate() {
+                block[2 * slot..2 * slot + 2].copy_from_slice(&vector(i));
+                add_sign_planes(&mut vector(i), &mut want);
+            }
+            add_sign_block(&mut block, &mut planes);
+            assert_eq!(block, [0; BLOCK * 2], "the block is consumed");
+            assert_eq!(planes, want);
+        }
+        // Counts past 255 reach the second byte lane of the settle.
+        let mut deep = vec![0u64; 10 * 2];
+        for _ in 0..40 {
+            let mut block = [u64::MAX; BLOCK * 2];
+            add_sign_block(&mut block, &mut deep);
+        }
+        let mut counters = vec![7i64; 70];
+        settle_planes(&deep, 320, &mut counters);
+        assert_eq!(counters, vec![7 - 320; 70]);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertical counter overflow")]
+    fn a_block_refuses_to_carry_out_of_the_top() {
+        // Three planes hold seven; a block of eight −1 signs carries out.
+        let mut planes = vec![0u64; 3];
+        add_sign_block(&mut [1; BLOCK], &mut planes);
+    }
+
+    #[test]
+    fn fused_first_epoch_sum_answers_inside_its_guards_only() {
+        let a: Vec<i64> = (0..70).map(|i| i - 35).collect();
+        let b: Vec<i64> = (0..70).map(|i| 2 * i - 11).collect();
+        let words = [0xDEAD_BEEF_0123_4567u64, 0x0F0F_0F0F_0F0F_0F0F];
+        let mut signed = vec![0.0f64; 70];
+        product2_signed(&a, &b, &words, &mut signed);
+        let serial: f64 = signed.iter().sum();
+        assert_eq!(scalar::product2_signed_sum(&a, &b, &words), Some(serial));
+        // The dispatched form is the reference with AVX2 and declines
+        // without; either way the caller ends with the serial bits.
+        let fused = product2_signed_sum(&a, &b, &words);
+        assert_eq!(fused.unwrap_or(serial).to_bits(), serial.to_bits());
+        let mut big = a.clone();
+        big[3] = 1 << 51;
+        assert_eq!(scalar::product2_signed_sum(&big, &b, &words), None);
+        assert_eq!(product2_signed_sum(&big, &b, &words), None);
     }
 
     #[test]

@@ -63,7 +63,10 @@ pub struct TumblingSketches {
     next_roll: VTime,
     /// Tuple-mode: arrivals seen per stream since its last roll.
     arrivals: Vec<u64>,
-    /// Scratch buffer of per-copy statistics (avoids per-query allocation).
+    /// Scratch buffer of per-copy statistics for the paths that build the
+    /// signed products before they sum them (the general mixed path, the
+    /// late-tuple path, and the fall-backs of the fused ones). Empty until
+    /// one of them first runs.
     scratch: Vec<f64>,
     /// Scratch buffer of group means for median-of-means.
     groups: Vec<f64>,
@@ -111,7 +114,7 @@ impl TumblingSketches {
             epoch,
             next_roll,
             arrivals: vec![0; n_streams],
-            scratch: vec![0.0; copies],
+            scratch: Vec::new(),
             groups: Vec::with_capacity(config.s2),
             words: Vec::new(),
             cross: vec![0.0; n_streams * copies],
@@ -255,7 +258,6 @@ impl TumblingSketches {
         let cfg = self.bank.config();
         let copies = cfg.copies();
         self.bank.packed_signs_into(stream, values, &mut self.words);
-        self.scratch.resize(copies, 0.0);
         if frozen {
             self.ensure_cross_row(i);
             let row = &self.cross[i * copies..(i + 1) * copies];
@@ -267,11 +269,15 @@ impl TumblingSketches {
                 kernel::signed_group_sums(&self.words, row, cfg.s1, cfg.s2, &mut self.groups);
                 return median_of_sums(cfg.s1, &mut self.groups);
             }
+            self.scratch.resize(copies, 0.0);
             kernel::signed_copy(&self.words, row, &mut self.scratch);
+            median_of_means_into(cfg.s1, cfg.s2, &self.scratch, &mut self.groups)
         } else if n == 3 {
-            // Two-partner mixed path (the paper's 3-stream shape): one
-            // fused, branch-free pass over both partner rows, bit-identical
-            // to the general fold below.
+            // Two-partner mixed path (the paper's 3-stream shape): product,
+            // sign and sum in one pass where the sum cannot depend on its
+            // order (DESIGN.md §15), else a fused, branch-free product pass
+            // and the serial sum — bit-identical to the general fold below
+            // either way.
             let (a, b) = match i {
                 0 => (1, 2),
                 1 => (0, 2),
@@ -283,6 +289,7 @@ impl TumblingSketches {
                 last,
                 has_last,
                 scratch,
+                groups,
                 words,
                 ..
             } = self;
@@ -293,13 +300,21 @@ impl TumblingSketches {
                     bank.settled_row(StreamId(k))
                 }
             };
+            if cfg.s2 == 1 {
+                if let Some(sum) = kernel::product2_signed_sum(row(a), row(b), words) {
+                    return median_of_sums(cfg.s1, &mut [sum]);
+                }
+            }
+            scratch.resize(copies, 0.0);
             kernel::product2_signed(row(a), row(b), words, scratch);
+            median_of_means_into(cfg.s1, cfg.s2, scratch, groups)
         } else {
             // Mixed path (some stream still in its first epoch): multiply
             // per-stream rows in ascending order, choosing last-epoch or
             // live counters per stream exactly as the paper prescribes.
             self.settle_live_partners(i);
-            self.scratch.fill(1.0);
+            self.scratch.clear();
+            self.scratch.resize(copies, 1.0);
             for k in 0..n {
                 if k == i {
                     continue;
@@ -312,8 +327,8 @@ impl TumblingSketches {
                 kernel::multiply_row(&mut self.scratch, row);
             }
             kernel::apply_packed_signs(&self.words, &mut self.scratch);
+            median_of_means_into(cfg.s1, cfg.s2, &self.scratch, &mut self.groups)
         }
-        median_of_means_into(cfg.s1, cfg.s2, &self.scratch, &mut self.groups)
     }
 
     /// Settles the live bank row of every partner of stream `i` that has
@@ -389,8 +404,8 @@ impl TumblingSketches {
         let copies = self.bank.config().copies();
         self.bank.packed_signs_into(stream, values, &mut self.words);
         self.settle_live_partners(i);
-        self.scratch.resize(copies, 0.0);
-        self.scratch.fill(1.0);
+        self.scratch.clear();
+        self.scratch.resize(copies, 1.0);
         for k in 0..n {
             if k == i {
                 continue;
@@ -975,6 +990,40 @@ mod tests {
             assert_eq!(got.to_bits(), serial(&ts, &v(a, 0)).to_bits(), "value {a}");
         }
         ts.check_invariants();
+    }
+
+    #[test]
+    fn scratch_row_is_allocated_by_the_fall_back_paths_only() {
+        // Three streams, one group: with AVX2 neither the first-epoch nor
+        // the frozen query builds a per-copy row.
+        let q = chain_query();
+        let epoch = EpochSpec::Time(VDur::from_secs(10));
+        let mut ts = TumblingSketches::new(&q, cfg(70, 3), epoch);
+        for i in 0..30 {
+            ts.observe(
+                StreamId(i % 3),
+                &v(i as u64 % 4, i as u64 % 3),
+                VTime::from_secs(1),
+            );
+            let _ = ts.productivity(StreamId(i % 3), &v(1, 2));
+        }
+        ts.observe(StreamId(0), &v(0, 0), VTime::from_secs(11));
+        let _ = ts.productivity(StreamId(1), &v(1, 2));
+        ts.check_invariants();
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            assert_eq!(ts.scratch.capacity(), 0, "fused paths need no scratch row");
+        }
+        // Two groups: the first-epoch query falls back and builds the row.
+        let two = BankConfig {
+            s1: 35,
+            s2: 2,
+            seed: 3,
+        };
+        let mut ts = TumblingSketches::new(&q, two, epoch);
+        ts.observe(StreamId(1), &v(1, 2), VTime::from_secs(1));
+        let _ = ts.productivity(StreamId(0), &v(1, 0));
+        assert_eq!(ts.scratch.len(), 70);
     }
 
     #[test]

@@ -253,6 +253,14 @@ fn v(a: u64, b: u64) -> Vec<Value> {
     vec![Value(a), Value(b)]
 }
 
+/// Whether the dispatched kernels run their AVX2 forms on this host.
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
 /// Deterministic pseudo-workload: `(stream, values, seconds)` triples.
 fn workload(len: u64, spread: u64) -> Vec<(StreamId, Vec<Value>, VTime)> {
     (0..len)
@@ -411,6 +419,50 @@ fn tumbling_tuple_epochs_bit_identical_with_snapshots() {
 }
 
 #[test]
+fn general_mixed_path_bit_identical_on_two_and_four_streams() {
+    // Off the three-stream shape a first-epoch query takes the general
+    // fold (multiply row by row, sign, serial sum); tuple-mode epochs with
+    // a lagging last stream keep it live beside the frozen path.
+    for n in [2usize, 4] {
+        let mut c = Catalog::new();
+        for k in 1..=n {
+            c.add_stream(StreamSchema::new(format!("R{k}").as_str(), &["A1", "A2"]));
+        }
+        let preds: Vec<(String, String)> = (1..n)
+            .map(|k| (format!("R{k}.A2"), format!("R{}.A1", k + 1)))
+            .collect();
+        let preds: Vec<(&str, &str)> = preds.iter().map(|(a, b)| (&**a, &**b)).collect();
+        let q = JoinQuery::from_names(c, &preds, WindowSpec::secs(500)).unwrap();
+        for (s1, s2) in [(33, 1), (20, 2)] {
+            let cfg = BankConfig { s1, s2, seed: 9 };
+            let epoch = EpochSpec::PerStreamTuples(8);
+            let mut new = TumblingSketches::new(&q, cfg, epoch);
+            let mut old = LegacyTumbling::new(&q, cfg, epoch);
+            for i in 0..240u64 {
+                let s = StreamId(i as usize % n);
+                if s.index() == n - 1 && i % 3 != 0 {
+                    continue;
+                }
+                let vals = v((i * i + 7 * i) % 9, (i / 2) % 9);
+                let t = VTime::from_secs(i / 4);
+                assert_eq!(new.observe(s, &vals, t), old.observe(s, &vals, t));
+                if i % 5 == 0 {
+                    for stream in 0..n {
+                        let probe = v(i % 9, i % 4);
+                        let sid = StreamId(stream);
+                        assert_eq!(
+                            new.productivity(sid, &probe).to_bits(),
+                            old.productivity(sid, &probe).to_bits(),
+                            "n={n} s2={s2}: productivity diverged at step {i} stream {stream}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn current_productivity_matches_bank_path() {
     let q = chain_query();
     let cfg = BankConfig {
@@ -534,15 +586,17 @@ proptest! {
 // Vector-vs-scalar kernel bit-identity (PR 9).
 //
 // Every kernel in `mstream_sketch::kernel` ships a scalar reference path
-// and a portable lane path (plus AVX2 specializations for the two
-// sign-application kernels); the entry points run the lane path, or AVX2
-// where the CPU has it. These properties pin all implementations
-// bit-identical across odd lengths, ragged tails (len % LANES != 0,
-// len % 64 != 0), and extreme inputs (i64::MIN/MAX-adjacent counters,
-// ±0.0 values).
+// and a portable lane path (plus AVX2 specializations of the sign fold,
+// sign application, the signed sum and the fused first-epoch
+// product-and-sum); the entry points run the lane path, or AVX2 where the
+// CPU has it. These properties pin all implementations bit-identical
+// across odd lengths, ragged tails (len % LANES != 0, len % 64 != 0), and
+// extreme inputs (i64::MIN/MAX-adjacent counters, ±0.0, subnormal and
+// infinite values).
 // ---------------------------------------------------------------------------
 
 mod kernels {
+    use super::has_avx2;
     use mstream_sketch::kernel::{self, lanes, scalar, LANES};
     use mstream_sketch::SignFamilies;
     use proptest::prelude::*;
@@ -575,6 +629,39 @@ mod kernels {
             _ => (r as i64 % 10_000) as f64 / 3.0,
         }
     }
+
+    /// Values at the edges of the format: signed zeros, subnormals,
+    /// infinities, and integers up to 2^60.
+    fn edge_f64(seed: u64, i: usize) -> f64 {
+        let r = mix(seed, i as u64);
+        let x = match r % 9 {
+            0 => 0.0,
+            1 => f64::from_bits(1 + (r >> 40)), // subnormal
+            2 => f64::MIN_POSITIVE,
+            3 => f64::INFINITY,
+            4 => 1e300,
+            _ => ((r >> 4) % (1 << 60)) as f64,
+        };
+        if r >> 63 == 0 {
+            x
+        } else {
+            -x
+        }
+    }
+
+    fn mix(seed: u64, i: u64) -> u64 {
+        super::deferred::mix(seed, i)
+    }
+
+    /// Bit equality, with any NaN equal to any NaN (∞ − ∞ in one
+    /// accumulator: which NaN comes out is the hardware's business).
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// The sketch sizes the engine and the benches run at, and their
+    /// neighbours across a sign word and a sixteen-value block.
+    const PINNED_COPIES: [usize; 8] = [1, 7, 63, 64, 65, 999, 1000, 1025];
 
     fn sign_words(seed: u64, len: usize) -> Vec<u64> {
         (0..len.div_ceil(64))
@@ -735,6 +822,81 @@ mod kernels {
         }
 
         #[test]
+        fn signed_sum_modes_agree(
+            sampled_len in 0usize..200,
+            first in 0usize..200,
+            seed in any::<u64>(),
+        ) {
+            // `first` is where a group of an `s2 > 1` bank starts: any
+            // offset into the sign words, so heads of every length.
+            let len = pick_len(sampled_len, seed);
+            let vals: Vec<f64> = (0..len).map(|i| edge_f64(seed, i)).collect();
+            let words = sign_words(seed ^ 0x5EED, first + len);
+            let want = scalar::signed_sum(&words, first, &vals);
+            prop_assert!(same(want, lanes::signed_sum(&words, first, &vals)));
+            prop_assert!(same(want, kernel::signed_sum(&words, first, &vals)));
+        }
+
+        #[test]
+        fn product2_signed_sum_modes_agree(
+            sampled_len in 0usize..200,
+            magnitude in 0u32..54,
+            seed in any::<u64>(),
+        ) {
+            // Counters up to `2^magnitude`: small ones keep the guard sum
+            // under 2^53 (the fast path answers), large ones push it over
+            // or leave the counter range (it declines) — the reference and
+            // the vector form must decline together.
+            let len = pick_len(sampled_len, seed);
+            let draw = |salt: u64, i: usize| {
+                let r = mix(seed ^ salt, i as u64);
+                let x = (r >> 1) % (1u64 << magnitude).max(2);
+                if r & 1 == 0 { x as i64 } else { -(x as i64) }
+            };
+            let a: Vec<i64> = (0..len).map(|i| draw(1, i)).collect();
+            let b: Vec<i64> = (0..len).map(|i| draw(2, i)).collect();
+            let words = sign_words(seed ^ 0xF00D, len);
+            let want = scalar::product2_signed_sum(&a, &b, &words);
+            if let Some(sum) = want {
+                let mut signed = vec![0.0f64; len];
+                scalar::product2_signed(&a, &b, &words, &mut signed);
+                let mut serial = Vec::new();
+                scalar::group_sums(&signed, len, 1, &mut serial);
+                prop_assert_eq!(sum.to_bits(), serial[0].to_bits());
+            }
+            if has_avx2() {
+                let got = kernel::product2_signed_sum(&a, &b, &words);
+                prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+            } else {
+                prop_assert_eq!(kernel::product2_signed_sum(&a, &b, &words), None);
+            }
+        }
+
+        #[test]
+        fn sum_is_exact_gives_the_serial_verdict(
+            sampled_len in 2usize..200,
+            slack in -40i64..40,
+            seed in any::<u64>(),
+        ) {
+            // Integer rows whose Σ|x| lands within 40 of 2^53, either side:
+            // the multi-accumulator test and the serial one agree.
+            let len = pick_len(sampled_len, seed).max(2) as u64;
+            let total = ((1i64 << 53) + slack) as u64;
+            // Every term but the last is at least 64, so the last — what
+            // is left of `total` — stays below 2^53 and converts exactly.
+            let mut ints: Vec<u64> = (1..len).map(|i| 64 + mix(seed, i) % (total / len - 64)).collect();
+            ints.push(total - ints.iter().sum::<u64>());
+            let row: Vec<f64> = ints
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| if mix(!seed, i as u64) & 1 == 1 { -(x as f64) } else { x as f64 })
+                .collect();
+            let serial = row.iter().map(|x| x.abs()).sum::<f64>() < (1u64 << 53) as f64;
+            prop_assert_eq!(serial, slack < 0);
+            prop_assert_eq!(kernel::sum_is_exact(&row), serial);
+        }
+
+        #[test]
         fn eval_packed_modes_agree(
             sampled_copies in 1usize..200,
             seed in any::<u64>(),
@@ -756,14 +918,14 @@ mod kernels {
         }
     }
 
-    /// On AVX2 hosts the `std::arch` specialization must also be
-    /// bit-identical (elsewhere this test is vacuous — the entry point
-    /// never calls it there either).
+    /// On AVX2 hosts the `std::arch` specializations must also be
+    /// bit-identical (elsewhere this test is vacuous — the entry points
+    /// never call them there either).
     #[test]
     fn avx2_sign_kernels_match_scalar() {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            for len in PINNED_LENS {
+        if has_avx2() {
+            for len in PINNED_LENS.into_iter().chain(PINNED_COPIES) {
                 let src: Vec<f64> = (0..len).map(|i| extreme_f64(0xC0FFEE, i)).collect();
                 let words = sign_words(0xBEEF, len);
                 let mut want = src.clone();
@@ -771,6 +933,53 @@ mod kernels {
                 let mut got = src.clone();
                 kernel::avx2::apply_packed_signs(&words, &mut got);
                 assert_eq!(bits(&want), bits(&got), "apply len={len}");
+
+                let counters: Vec<i64> = (0..len).map(|i| extreme_i64(7, i) / 2).collect();
+                let mut want = counters.clone();
+                scalar::fold_packed_signs(&words, &mut want);
+                let mut got = counters;
+                kernel::avx2::fold_packed_signs(&words, &mut got);
+                assert_eq!(want, got, "fold len={len}");
+            }
+        }
+    }
+
+    /// The summing kernels at the pinned sizes, every form: one group, and
+    /// three groups so that the later ones start mid-word and mid-block.
+    #[test]
+    fn summing_kernels_match_scalar_at_pinned_copies() {
+        for copies in PINNED_COPIES {
+            for seed in 0..4u64 {
+                let vals: Vec<f64> = (0..3 * copies).map(|i| edge_f64(seed, i)).collect();
+                let words = sign_words(seed ^ 0xACE, 3 * copies);
+                for g in 0..3 {
+                    let (first, group) = (g * copies, &vals[g * copies..(g + 1) * copies]);
+                    let want = scalar::signed_sum(&words, first, group);
+                    assert!(same(want, lanes::signed_sum(&words, first, group)));
+                    assert!(same(want, kernel::signed_sum(&words, first, group)));
+                    #[cfg(target_arch = "x86_64")]
+                    if has_avx2() {
+                        let got = kernel::avx2::signed_sum(&words, first, group);
+                        assert!(same(want, got), "signed_sum copies={copies} group={g}");
+                    }
+                }
+                let a: Vec<i64> = (0..copies)
+                    .map(|i| (mix(seed, i as u64) % 4001) as i64 - 2000)
+                    .collect();
+                let b: Vec<i64> = (0..copies)
+                    .map(|i| (mix(!seed, i as u64) % 4001) as i64 - 2000)
+                    .collect();
+                let want = scalar::product2_signed_sum(&a, &b, &words);
+                assert!(want.is_some(), "small counters pass both guards");
+                #[cfg(target_arch = "x86_64")]
+                if has_avx2() {
+                    let got = kernel::avx2::product2_signed_sum(&a, &b, &words);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "copies={copies}"
+                    );
+                }
             }
         }
     }
@@ -779,14 +988,16 @@ mod kernels {
 // ---------------------------------------------------------------------------
 // Deferred counter updates and the order-free signed sum (PR 14).
 //
-// `SketchBank::update` parks sign vectors in bit-sliced pending counters
-// and settles them into the `i64` counters on read; the frozen
-// productivity query sums a guarded cross row in sixteen accumulators.
-// Both are pinned here against the eager, serial scalar kernels.
+// `SketchBank::update` parks sign vectors — eight to a block — in
+// bit-sliced pending counters and settles them into the `i64` counters on
+// read; the frozen productivity query sums a guarded cross row in sixteen
+// accumulators, and the first-epoch one multiplies, signs and sums two
+// live rows in one guarded pass. All are pinned here against the eager,
+// serial scalar kernels.
 // ---------------------------------------------------------------------------
 
 mod deferred {
-    use super::{chain_query, v, LegacyTumbling};
+    use super::{chain_query, has_avx2, v, LegacyTumbling};
     use mstream_sketch::kernel::{self, scalar};
     use mstream_sketch::{
         median_of_means_slice, BankConfig, EpochSpec, SketchBank, TumblingSketches,
@@ -872,7 +1083,9 @@ mod deferred {
                         eager.update(&bank, s, &v(a, b));
                     }
                     5 => {
-                        for i in 0..70 {
+                        // 64..=75 updates: some bursts end on a block
+                        // boundary, most inside a block.
+                        for i in 0..64 + a {
                             bank.update(sid, &v(a, i % 4));
                             eager.update(&bank, s, &v(a, i % 4));
                         }
@@ -1010,6 +1223,121 @@ mod deferred {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A block of 0–8 held vectors (zero-padded) through the adder
+        /// tree leaves the planes eight single-vector adds leave, whatever
+        /// they held before, and comes back all-zero.
+        #[test]
+        fn add_sign_block_matches_one_plane_add_per_vector(
+            seed in any::<u64>(),
+            held in 0usize..=kernel::BLOCK,
+            words in 1usize..4,
+            prior in 0u64..1000,
+        ) {
+            let vector = |i: u64| -> Vec<u64> { (0..words as u64).map(|w| mix(seed ^ i, w)).collect() };
+            let mut planes = vec![0u64; 10 * words];
+            for i in 0..prior {
+                kernel::add_sign_planes(&mut vector(i), &mut planes);
+            }
+            let mut want = planes.clone();
+            let mut block = vec![0u64; kernel::BLOCK * words];
+            for j in 0..held {
+                let v = vector(prior + j as u64);
+                block[j * words..(j + 1) * words].copy_from_slice(&v);
+                kernel::add_sign_planes(&mut v.clone(), &mut want);
+            }
+            kernel::add_sign_block(&mut block, &mut planes);
+            prop_assert_eq!(planes, want);
+            prop_assert!(block.iter().all(|&w| w == 0), "the block is consumed");
+        }
+    }
+
+    /// Every pending count the bank can reach, in counters one to ten
+    /// planes deep (a `P`-plane counter holds `2^P − 1` updates), over a
+    /// row with a ragged last word: the settle is the eager fold.
+    #[test]
+    fn settle_planes_match_the_eager_fold_at_every_pending() {
+        const COPIES: usize = 70;
+        let words = COPIES.div_ceil(64);
+        for depth in 1..=10usize {
+            let mut planes = vec![0u64; depth * words];
+            let start: Vec<i64> = (0..COPIES as i64).map(|c| 1000 - 37 * c).collect();
+            let mut eager = start.clone();
+            let most = ((1u32 << depth) - 1).min(SketchBank::PENDING_MAX);
+            for pending in 0..=most {
+                let mut settled = start.clone();
+                kernel::settle_planes(&planes, pending, &mut settled);
+                assert_eq!(settled, eager, "{pending} pending in {depth} planes");
+                if pending < most {
+                    let signs: Vec<u64> = (0..words as u64)
+                        .map(|w| mix(depth as u64, 2 * u64::from(pending) + w))
+                        .collect();
+                    scalar::fold_packed_signs(&signs, &mut eager);
+                    kernel::add_sign_planes(&mut signs.clone(), &mut planes);
+                }
+            }
+        }
+    }
+
+    /// The fused first-epoch sum declines exactly at its two guards — a
+    /// counter of magnitude 2^51, a guard sum of 2^53 — in the vector body
+    /// and in the scalar tail, and just inside them returns the serial
+    /// pair's bits.
+    #[test]
+    fn product2_signed_sum_declines_at_its_guards() {
+        const COPIES: usize = 70;
+        let words: Vec<u64> = (0..2).map(|i| mix(51, i)).collect();
+        let serial = |a: &[i64], b: &[i64]| {
+            let mut signed = vec![0.0f64; COPIES];
+            scalar::product2_signed(a, b, &words, &mut signed);
+            let mut sums = Vec::new();
+            scalar::group_sums(&signed, COPIES, 1, &mut sums);
+            sums[0].to_bits()
+        };
+        // What the dispatched kernel must answer where the reference
+        // answers `want`: the same with AVX2, nothing without.
+        let check = |a: &[i64], b: &[i64], want: Option<u64>, what: &str| {
+            let reference = scalar::product2_signed_sum(a, b, &words).map(f64::to_bits);
+            assert_eq!(reference, want, "reference: {what}");
+            let got = kernel::product2_signed_sum(a, b, &words).map(f64::to_bits);
+            assert_eq!(
+                got,
+                if has_avx2() { want } else { None },
+                "dispatched: {what}"
+            );
+        };
+        let limit = 1i64 << 51;
+        // Slot 5 sits in the vector body, slot 67 in the tail.
+        for slot in [5, 67] {
+            for edge in [limit, -limit] {
+                let mut a = vec![1i64; COPIES];
+                let b = vec![0i64; COPIES];
+                a[slot] = edge;
+                check(&a, &b, None, "counter at the limit");
+                check(&b, &a, None, "counter at the limit, other row");
+                a[slot] = edge - edge.signum();
+                check(&a, &b, Some(serial(&a, &b)), "counter inside the limit");
+            }
+            // Σ|a·b| = 2^53 exactly, then one less.
+            let mut a = vec![0i64; COPIES];
+            let mut b = vec![0i64; COPIES];
+            (a[slot], b[slot]) = (1 << 26, -(1 << 26));
+            (a[20], b[20]) = (1 << 26, 1 << 26);
+            check(&a, &b, None, "guard sum at 2^53");
+            (a[40], b[40]) = (-1, 1);
+            check(&a, &b, None, "guard sum above 2^53");
+            b[20] -= 1;
+            b[40] = 0;
+            assert_eq!(
+                a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum::<i64>(),
+                (1 << 53) - (1 << 26)
+            );
+            check(&a, &b, Some(serial(&a, &b)), "guard sum under 2^53");
+        }
+    }
+
     /// `(s1, s2)`: single groups at every ragged length the sign words and
     /// the sixteen accumulators care about, and multi-group shapes whose
     /// `s1` is no multiple of four, so groups start mid-nibble.
@@ -1020,7 +1348,7 @@ mod deferred {
         (1, 5), (15, 5), (65, 5), (201, 5),
     ];
 
-    fn mix(seed: u64, i: u64) -> u64 {
+    pub(super) fn mix(seed: u64, i: u64) -> u64 {
         let mut z = seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -109,14 +109,31 @@ done
 # for this workspace-wide; this crate is the start), and mstream-types'
 # with it: the word hasher must wrap on purpose everywhere it wraps. Own
 # target directory, so the flag does not invalidate the release build
-# above.
+# above. The flag does not reach `kernel::avx2`: a vector integer add
+# (`_mm256_add_epi64` in the sign fold) wraps silently where the scalar
+# and lane forms would panic. No run gets there — |X_k[c]| is at most the
+# tuples stream k saw this epoch, a u64 the bank counts beside it — and the
+# equivalence suite keeps its fold inputs half an i64 away from the ends.
 RUSTFLAGS="-C overflow-checks=on" \
   cargo test -q --release -p mstream-sketch -p mstream-types --target-dir target/overflow-checks
 # mstream-sketch has one sanctioned unsafe island (kernel::avx2); a second
 # allow must not slip in unnoticed.
 UNSAFE_ALLOWS=$(cat crates/sketch/src/*.rs | grep -c 'allow(unsafe_code)' || true)
-if [ "$UNSAFE_ALLOWS" -gt 1 ]; then
-  echo "FAIL: mstream-sketch allows unsafe code in $UNSAFE_ALLOWS places (at most 1)"
+if [ "$UNSAFE_ALLOWS" != 1 ]; then
+  echo "FAIL: mstream-sketch allows unsafe code in $UNSAFE_ALLOWS places (exactly 1: kernel::avx2)"
+  exit 1
+fi
+# ... and every kernel in the island has a same-named one-element-per-step
+# reference in `kernel::scalar` for the equivalence suite to hold it to.
+pub_fns() { # the `pub fn` names of `pub mod $1` in kernel.rs
+  awk -v mod="$1" '$0 == "pub mod " mod " {" {inside = 1; next} inside && /^}/ {inside = 0}
+    inside && /^    pub fn / {sub(/^    pub fn /, ""); sub(/[(<].*/, ""); print}' \
+    crates/sketch/src/kernel.rs | sort
+}
+[ -n "$(pub_fns avx2)" ] || { echo "FAIL: found no pub fn in kernel::avx2 (gate out of date?)"; exit 1; }
+UNREFERENCED=$(comm -23 <(pub_fns avx2) <(pub_fns scalar))
+if [ -n "$UNREFERENCED" ]; then
+  echo "FAIL: kernel::avx2 kernels without a kernel::scalar reference:" $UNREFERENCED
   exit 1
 fi
 
