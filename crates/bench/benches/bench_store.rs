@@ -2,7 +2,7 @@
 //! index probes, probe kernels, and queue shedding.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mstream_core::mstream_join::{probe_each, ProbePlan};
+use mstream_core::mstream_join::{probe_count, probe_each, ProbePlan};
 use mstream_core::mstream_window::{Arena, FlatIndex, QueueVictim, ShedQueue, Slot, WindowStore};
 use mstream_core::prelude::*;
 use rand::rngs::StdRng;
@@ -93,8 +93,15 @@ fn bench_queue(c: &mut Criterion) {
     group.finish();
 }
 
-/// The probe kernel on a 3-stream chain from the middle origin (the star
-/// fast path), populated windows, random arrivals.
+/// The probe kernel on a 3-stream chain, populated windows: the row walk
+/// from the middle origin (the star fast path) over 64 values a column,
+/// and the counting drive over duplicate-heavy windows — four values a
+/// column, four in five of them the same one, the intra-window skew of
+/// the paper's Figures 3-4 — from an end (chain: one inner index probe and
+/// one delivery per stretch of equal drive values) and from the middle
+/// (star: one delivery per probe). There a probe has hundreds of outer
+/// candidates, so work that creeps back in per candidate shows here
+/// without an end-to-end run.
 fn bench_join_probe(c: &mut Criterion) {
     let names = ["R1", "R2", "R3"];
     let mut cat = Catalog::new();
@@ -108,33 +115,51 @@ fn bench_join_probe(c: &mut Criterion) {
     )
     .unwrap();
     let mut rng = StdRng::seed_from_u64(5);
-    let mut stores: Vec<WindowStore> = (0..3)
-        .map(|s| WindowStore::new(q.window(StreamId(s)), q.join_attrs(StreamId(s)), 2048))
-        .collect();
     let mut seq = 0u64;
-    for (s, store) in stores.iter_mut().enumerate() {
-        for _ in 0..1024 {
-            let t = Tuple::new(
-                StreamId(s),
-                VTime::ZERO,
-                SeqNo(seq),
-                vec![Value(rng.gen_range(0..64)), Value(rng.gen_range(0..64))],
-            );
-            store.insert(t, 0.0);
-            seq += 1;
-        }
-    }
-    let plan = ProbePlan::new(&q, StreamId(1));
+    // Three windows of 1024 tuples, each column drawn by `value`.
+    let mut filled = |value: &mut dyn FnMut(&mut StdRng) -> u64| -> Vec<WindowStore> {
+        (0..3)
+            .map(|s| {
+                let sid = StreamId(s);
+                let mut store = WindowStore::new(q.window(sid), q.join_attrs(sid), 2048);
+                for _ in 0..1024 {
+                    let values = vec![Value(value(&mut rng)), Value(value(&mut rng))];
+                    store.insert(Tuple::new(sid, VTime::ZERO, SeqNo(seq), values), 0.0);
+                    seq += 1;
+                }
+                store
+            })
+            .collect()
+    };
+    let stores = filled(&mut |rng| rng.gen_range(0..64));
+    let skewed = filled(&mut |rng| rng.gen_range(0..20u64).saturating_sub(16));
     let mut v = 0u64;
+    let mid = ProbePlan::new(&q, StreamId(1));
     c.bench_function("probe_kernel_chain3_mid", |b| {
         b.iter(|| {
             v = (v + 1) % 64;
             let t = Tuple::new(StreamId(1), VTime::ZERO, SeqNo(seq), vec![Value(v), Value((v * 7) % 64)]);
-            black_box(probe_each(&plan, &t, &stores, |m| {
+            black_box(probe_each(&mid, &t, &stores, |m| {
                 black_box(m.origin());
             }))
         })
     });
+    // A thousand probes an iteration: the vendored criterion prints
+    // milliseconds to three places, so ms/iter reads as microseconds a probe.
+    let mut group = c.benchmark_group("probe_count_dup_x1000");
+    for (name, origin) in [("chain3_end", 0), ("chain3_mid", 1)] {
+        let plan = ProbePlan::new(&q, StreamId(origin));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for _ in 0..1000 {
+                    v = (v + 1) % 4;
+                    let t = Tuple::new(StreamId(origin), VTime::ZERO, SeqNo(seq), vec![Value(v), Value(v / 2)]);
+                    black_box(probe_count(&plan, black_box(&t), &skewed));
+                }
+            })
+        });
+    }
+    group.finish();
 }
 
 /// Raw single-key probe: the open-addressed `FlatIndex` against the

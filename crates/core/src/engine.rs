@@ -403,14 +403,21 @@ impl ProducedScratch {
     }
 
     /// Credits `stream`'s share of `run`, `self` being that stream's
-    /// scratch: the one slot the run's prefix binds there earns the run's
-    /// length, the run's own slots one each, the origin stream nothing —
-    /// the integers, and the first-credit order, of crediting every stream
-    /// of every row.
+    /// scratch: each slot of the run's inner list earns the outer count,
+    /// once; each slot of its outer stretch the inner count; the one slot
+    /// the run's prefix binds there the run's length; the origin stream
+    /// nothing — the integers, and the first-credit order, of crediting
+    /// every stream of every row (rows run outer-major, so the first outer
+    /// candidate's rows touch the whole inner list, in order, before a
+    /// later one could).
     #[inline]
     pub(crate) fn credit(&mut self, stream: StreamId, run: &Run<'_>) {
         if stream == run.stream() {
-            run.slots().for_each(|slot| self.add(slot, 1));
+            let n = run.outer_len() as u64;
+            run.slots().for_each(|slot| self.add(slot, n));
+        } else if Some(stream) == run.outer_stream() {
+            let n = run.inner_len() as u64;
+            run.outer_slots().for_each(|slot| self.add(slot, n));
         } else if let Some(slot) = run.slot(stream) {
             self.add(slot, run.len() as u64);
         }
@@ -741,7 +748,7 @@ impl ShedJoinEngine {
         // 2. Delete expired tuples from every window.
         self.expire_all(now);
         // 3. Emit the join results produced by this tuple, a run of the
-        //    probe's innermost level at a time: what a run costs beyond
+        //    probe's two innermost levels at a time: what a run costs beyond
         //    finding it is the sink's to decide (`EmitSink::emit_run` — a
         //    row reader pays per row, a counter per run), and with
         //    produced counters a run is credited as a unit. Store-only
@@ -1289,23 +1296,28 @@ mod tests {
 
     #[test]
     fn crediting_by_run_equals_crediting_by_row() {
-        // Chain from the ends, star from the middle: per stream, the
+        // Chain from the ends, star from the middle, over windows where
+        // few values repeat often — neighbouring candidates drive the same
+        // inner list, so runs carry outer stretches: per stream, the
         // run-wise credits are the row-wise integers in the same
         // first-credit order.
         let mut engine = ShedJoinEngine::new(chain3(1000), Box::new(Fifo), cfg(1000)).unwrap();
         for i in 0..90u64 {
             let j = i / 3;
-            arrive(&mut engine, StreamId(i as usize % 3), v(j % 3, j % 2), VTime::ZERO);
+            arrive(&mut engine, StreamId(i as usize % 3), v(j / 2 % 3, j / 6 % 2), VTime::ZERO);
         }
         for (origin, plan) in engine.core.plans.iter().enumerate() {
             let t = Tuple::new(StreamId(origin), VTime::ZERO, SeqNo(999), v(1, 1));
             let scratches = || -> Vec<ProducedScratch> { (0..3).map(|_| Default::default()).collect() };
             let (mut by_run, mut by_row) = (scratches(), scratches());
+            let mut blocks = 0;
             probe_runs_in(plan, &t, &engine.stores.as_slice(), |run| {
+                blocks += usize::from(run.outer_len() > 1 && run.inner_len() > 1);
                 for (k, s) in by_run.iter_mut().enumerate() {
                     s.credit(StreamId(k), run);
                 }
             });
+            assert!(blocks > 0, "origin {origin}: no run spans several outer candidates");
             let rows = mstream_join::probe_each(plan, &t, &engine.stores, |b| {
                 for (k, s) in by_row.iter_mut().enumerate() {
                     if let Some(slot) = b.slot(StreamId(k)) {

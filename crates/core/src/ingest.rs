@@ -9,14 +9,16 @@
 //! An [`Arrival`] is the raw event a source produces — stream, values,
 //! timestamp. The engine mints it into a sequence-numbered tuple and runs
 //! it through the operator, handing the [`EmitSink`] every join result
-//! combination it completes — a run of them at a time, which a sink that
-//! reads rows sees as one call per row. The returned [`IngestOutcome`]
-//! reports what the operator did with it.
+//! combination it completes — a run (a block of outer × inner candidates)
+//! of them at a time, which a sink that reads rows sees as one call per
+//! row. The returned [`IngestOutcome`] reports what the operator did with
+//! it.
 //!
 //! Three sink adapters cover the common shapes:
 //!
 //! * [`CountSink`] — counts results (the cheapest — it adds up run
-//!   lengths and never sees a row; equals [`IngestOutcome::produced`]).
+//!   lengths, each a product, and never sees a row; equals
+//!   [`IngestOutcome::produced`]).
 //! * [`VecSink`] — collects every result as owned tuples in stream order
 //!   (what the audit harness and the sharded merge consume).
 //! * [`FnSink`] — wraps any `FnMut(&Bindings)` closure (streaming
@@ -114,23 +116,28 @@ pub struct IngestOutcome {
 /// A consumer of join results.
 ///
 /// The engines deliver results a [`Run`] at a time through
-/// [`EmitSink::emit_run`] — the probe's innermost level: one binding of
-/// every other stream, times a stretch of the last probed window's
-/// candidates. Its default body calls [`EmitSink::emit`] once per result
-/// combination, with the emitting query's [`QueryId`] and a zero-copy
+/// [`EmitSink::emit_run`] — the probe's two innermost levels: one binding
+/// of every other stream, times a stretch of the second-to-last probed
+/// window's candidates, times the stretch of the last probed window's
+/// candidates they all join with. Its default body calls
+/// [`EmitSink::emit`] once per result combination, outer candidate by
+/// outer candidate, with the emitting query's [`QueryId`] and a zero-copy
 /// [`Bindings`] view valid only for the duration of the call — sinks that
 /// keep results must copy what they need — so a sink that reads rows
 /// implements `emit` alone and sees every row, in order. A sink that does
 /// not need the rows one at a time (a count, a per-tuple credit) overrides
-/// `emit_run` and pays per run instead of per row. Single-query engines
-/// always pass [`QueryId::SOLO`]; sinks that serve one query may ignore
-/// the id.
+/// `emit_run`, reads [`Run::len`] (outer × inner) or the two slot lists,
+/// and pays per run instead of per row. Single-query engines always pass
+/// [`QueryId::SOLO`]; sinks that serve one query may ignore the id.
 ///
 /// One query's results arrive in that query's solo emission order. Across
 /// queries, the multi-query engine emits an arrival's results class by
 /// class in class-id (registration) order — all of one class's runs, each
 /// run to every member in turn, before the next class's — so a sink that
 /// serves several queries sees them interleaved per arrival, not per row.
+/// Only each query's own order is a contract: how the members of one
+/// class alternate within an arrival follows the run, which spans as many
+/// outer candidates as share an inner list.
 pub trait EmitSink {
     /// Receives one join result emitted by query `query`.
     fn emit(&mut self, query: QueryId, bindings: &Bindings<'_>);

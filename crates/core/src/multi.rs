@@ -18,10 +18,13 @@
 //!
 //! Each query's results arrive in its solo run's order. Across queries,
 //! one arrival's results are emitted class by class in class-id
-//! (registration) order, and within a class run by run (the probe's
-//! innermost level, [`mstream_join::Run`]), each run to every member in
+//! (registration) order, and within a class run by run (the probe's two
+//! innermost levels, [`mstream_join::Run`]), each run to every member in
 //! registration order — so two members of one class alternate per run,
-//! not per row, while every query's own order is unchanged.
+//! not per row, while every query's own order is unchanged. A run spans
+//! every consecutive outer candidate sharing its inner list, so that
+//! alternation is coarse and data-dependent; it is no contract, and the
+//! shipped sinks, the audit and the tests read per-query order only.
 //!
 //! # Ownership and exactness
 //!

@@ -11,10 +11,12 @@
 //!   graph: BFS from the origin so every step probes a hash index on one
 //!   driving predicate and verifies any remaining predicates by value.
 //! * [`probe_runs_in`] — the one match enumerator. It delivers the probe
-//!   tree's innermost levels as [`Run`]s over any [`StoreLookup`] (a slice
-//!   of stores, or the multi-query plane's mapped view of its shared store
-//!   table): a consumer that counts or credits per tuple reads a run's
-//!   length and slots and never pays per result row.
+//!   tree's two innermost levels as [`Run`]s — a stretch of outer
+//!   candidates times the inner candidate list they share — over any
+//!   [`StoreLookup`] (a slice of stores, or the multi-query plane's mapped
+//!   view of its shared store table): a consumer that counts or credits
+//!   per tuple reads a run's length and its two slot lists, once per
+//!   block instead of once per result row or per outer candidate.
 //! * [`probe_each`] / [`probe_each_in`] / [`probe_count`] — its row-wise
 //!   and counting instantiations: every combination of window tuples that
 //!   joins with the arriving tuple as a zero-copy [`Bindings`] view

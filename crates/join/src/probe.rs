@@ -2,27 +2,33 @@
 //!
 //! The probe kernel is iterative (an explicit frame stack instead of
 //! recursion) and hoists everything loop-invariant out of the candidate
-//! loops: each step's drive value and its residual-predicate left-hand
-//! values are computed once per frame, not re-derived through a
-//! `bound_value` call per candidate, and a candidate tuple is dereferenced
-//! only when the step actually has residual checks. The 2- and 3-stream
-//! shapes the benchmarks exercise get specialized fast paths (single-step,
-//! two-step star, two-step chain); plans with residual predicates or more
-//! steps run the general kernel. All variants enumerate matches in exactly
-//! the order of the original recursive kernel (`probe_each_recursive`, kept
-//! in this module's tests as the differential reference), so results are
+//! loops: each step's hash index is resolved once per probe, its drive
+//! value and its residual-predicate left-hand values are computed once per
+//! frame, not re-derived through a `bound_value` call per candidate, and a
+//! candidate tuple is dereferenced only when the step actually has residual
+//! checks or drives the next one. The frame stack, the hoisted values and
+//! the binding slots live on the stack (eight entries each; wider plans
+//! spill), so a probe allocates nothing. The 2- and 3-stream shapes the
+//! benchmarks exercise get short fast paths (one or two residual-free
+//! steps); plans with residual predicates or more steps run the general
+//! kernel. All variants enumerate matches in exactly the order of the
+//! original recursive kernel (`probe_each_recursive`, kept in this
+//! module's tests as the differential reference), so results are
 //! bit-identical.
 //!
-//! What the kernels deliver is a [`Run`] — the innermost level of the probe
-//! tree, all of whose rows share every binding but the last — not a row:
-//! [`probe_runs_in`] is the one enumerator, and a consumer that counts or
-//! credits per tuple never pays per result row. [`Run::for_each_row`] is
-//! where rows exist; [`probe_each`], [`probe_each_in`] and [`probe_count`]
-//! are instantiations.
+//! What the kernels deliver is a [`Run`] — the two innermost levels of the
+//! probe tree: a stretch of consecutive outer candidates that drive the
+//! last step to one and the same inner candidate list, times that list —
+//! not a row: [`probe_runs_in`] is the one enumerator, and a consumer that
+//! counts or credits per tuple is called once per block, not once per
+//! result row or per outer candidate (under intra-window skew nearly all
+//! of a probe's outer candidates share their inner list).
+//! [`Run::for_each_row`] is where rows exist; [`probe_each`],
+//! [`probe_each_in`] and [`probe_count`] are instantiations.
 
 use crate::plan::{PlanStep, ProbePlan};
 use mstream_types::{StreamId, Tuple, Value};
-use mstream_window::{Slot, WindowStore};
+use mstream_window::{FlatIndex, Slot, WindowStore};
 
 /// Resolves a query-local stream id to the window store backing it.
 ///
@@ -113,66 +119,134 @@ impl<'a> Bindings<'a> {
     }
 }
 
-/// The innermost level of the probe tree: every stream but the last plan
-/// step's is bound (the *prefix*), and the last step's surviving candidates
-/// — a contiguous stretch of one index bucket, as the two
-/// [`mstream_window::Candidates::parts`] slices — each complete one match.
+/// The two innermost levels of the probe tree, as one block of matches.
+///
+/// Every stream but the last two plan steps' is bound (the *prefix*). The
+/// last step's surviving candidates — the *inner list*, a contiguous
+/// stretch of one index bucket, as the two
+/// [`mstream_window::Candidates::parts`] slices — each complete one match
+/// with each slot of the *outer stretch*: consecutive candidates of the
+/// step before it that all drive the last step to that same inner list
+/// (they carry the same drive value, or the last step is not driven by
+/// their stream at all). The run stands for outer × inner matches,
+/// outer-major: exactly the rows, in exactly the order, the recursive
+/// kernel enumerates between the stretch's first candidate and its last.
+///
+/// A run has no outer stretch — [`Run::outer_stream`] is `None`, the step
+/// before the last is bound in the prefix like any other, and the run is
+/// the innermost level alone — when the plan has one step, or when its
+/// last step carries residual predicates: those may read the outer tuple,
+/// so which inner candidates survive is not shared between outer ones.
 ///
 /// A run is what the probe kernels deliver ([`probe_runs_in`]). A consumer
 /// that only counts reads [`Run::len`]; one that credits per tuple reads
-/// the prefix ([`Run::slot`]) once and the run's own slots
-/// ([`Run::slots`]); one that needs the matches themselves calls
-/// [`Run::for_each_row`], the only place a per-row [`Bindings`] is built.
-/// A run is never empty.
+/// the prefix ([`Run::slot`]) once, the inner list ([`Run::slots`]) once
+/// and the outer stretch ([`Run::outer_slots`]) once; one that needs the
+/// matches themselves calls [`Run::for_each_row`], the only place a
+/// per-row [`Bindings`] is built. A run is never empty.
 pub struct Run<'a> {
     origin: StreamId,
     origin_tuple: &'a Tuple,
     /// The prefix: `slots[k]` = the bound window slot of stream `k`, `None`
-    /// for the origin and — outside [`Run::for_each_row`] — for `stream`.
+    /// for the origin and — outside [`Run::for_each_row`] — for `stream`
+    /// and `outer_stream`.
     slots: &'a mut [Option<Slot>],
     stores: &'a dyn StoreLookup,
     /// The last plan step's stream, whose candidates this run lists.
     stream: StreamId,
     head: &'a [Slot],
     tail: &'a [Slot],
+    /// The stream of the step before the last, if this run blocks it.
+    outer_stream: Option<StreamId>,
+    /// The outer stretch (both empty without an `outer_stream`).
+    outer_head: &'a [Slot],
+    outer_tail: &'a [Slot],
 }
 
 impl<'a> Run<'a> {
-    /// Number of matches in this run (at least 1).
+    /// Number of matches in this run (at least 1):
+    /// [`Run::outer_len`] × [`Run::inner_len`].
     #[inline]
     #[allow(clippy::len_without_is_empty)] // a run is never empty
     pub fn len(&self) -> usize {
+        self.outer_len() * self.inner_len()
+    }
+
+    /// Number of slots in the inner list (at least 1): the matches each
+    /// outer candidate completes.
+    #[inline]
+    pub fn inner_len(&self) -> usize {
         self.head.len() + self.tail.len()
     }
 
-    /// The stream whose window slots this run lists (the plan's last step).
+    /// Number of outer candidates sharing the inner list (at least 1): the
+    /// length of the outer stretch, or 1 for a run without one — its one
+    /// outer candidate is bound in the prefix (or is the arriving tuple).
+    #[inline]
+    pub fn outer_len(&self) -> usize {
+        // A stretch is never empty, so 0 only ever means "no stretch".
+        (self.outer_head.len() + self.outer_tail.len()).max(1)
+    }
+
+    /// The stream whose window slots the inner list holds (the plan's last
+    /// step).
     #[inline]
     pub fn stream(&self) -> StreamId {
         self.stream
     }
 
-    /// The run's own slots — live in [`Run::stream`]'s store — in bucket
-    /// order: the slot of the `i`-th row [`Run::for_each_row`] builds.
+    /// The inner list — live slots of [`Run::stream`]'s store — in bucket
+    /// order: within each outer candidate's rows, the slot of the `i`-th
+    /// row [`Run::for_each_row`] builds.
     #[inline]
     pub fn slots(&self) -> impl Iterator<Item = Slot> + 'a {
         self.head.iter().chain(self.tail).copied()
     }
 
+    /// The stream whose window slots the outer stretch holds (the plan's
+    /// step before the last), or `None` for a run without one.
+    #[inline]
+    pub fn outer_stream(&self) -> Option<StreamId> {
+        self.outer_stream
+    }
+
+    /// The outer stretch — live slots of [`Run::outer_stream`]'s store — in
+    /// bucket order; empty for a run without one.
+    #[inline]
+    pub fn outer_slots(&self) -> impl Iterator<Item = Slot> + 'a {
+        self.outer_head.iter().chain(self.outer_tail).copied()
+    }
+
     /// The window slot every match of this run binds on `stream`: `None`
-    /// for the origin stream and for the run's own stream.
+    /// for the origin stream, for the run's own stream and for its outer
+    /// stream.
     #[inline]
     pub fn slot(&self, stream: StreamId) -> Option<Slot> {
         self.slots[stream.index()]
     }
 
-    /// Invokes `on_match` for each match of this run, in bucket order.
-    #[inline]
+    /// Invokes `on_match` for each match of this run: outer candidate by
+    /// outer candidate, each one's rows in the inner list's bucket order.
+    #[inline(always)] // see `Probe::deliver`
     pub fn for_each_row<F: FnMut(&Bindings<'_>)>(&mut self, mut on_match: F) {
+        let Some(outer) = self.outer_stream else {
+            return self.inner_rows(&mut on_match);
+        };
+        for slot in self.outer_slots() {
+            self.slots[outer.index()] = Some(slot);
+            self.inner_rows(&mut on_match);
+        }
+        self.slots[outer.index()] = None;
+    }
+
+    /// The rows of one outer candidate, bound in `slots` by the caller.
+    #[inline(always)] // see `Probe::deliver`
+    fn inner_rows<F: FnMut(&Bindings<'_>)>(&mut self, on_match: &mut F) {
         let si = self.stream.index();
-        // One chained loop, not one per slice: most runs are a few slots
-        // long, and two unrolled loops cost a short run more in prologue
-        // than they save a long one (EXPERIMENTS.md, "The probe delivers
-        // runs").
+        // One chained loop, not one per slice: most inner lists are a few
+        // slots long, and two unrolled loops cost a short one more in
+        // prologue than they save a long one (EXPERIMENTS.md, "The probe
+        // delivers runs").
         for slot in self.slots() {
             self.slots[si] = Some(slot);
             on_match(&Bindings {
@@ -186,50 +260,80 @@ impl<'a> Run<'a> {
     }
 }
 
+/// The two slices of a candidate list ([`mstream_window::Candidates::parts`]).
+type Parts<'a> = (&'a [Slot], &'a [Slot]);
+
+/// No outer stretch: what a delivery of the innermost level alone passes.
+const NO_OUTER: Parts<'static> = (&[], &[]);
+
 /// One probe in flight — what all of its runs share: the arriving tuple
-/// and the stream it stands for, the stores, and the plan's last stream,
-/// whose slots every run lists.
+/// and the stream it stands for, the stores, the plan's last stream, whose
+/// slots every run's inner list holds, and the stream before it if the
+/// plan's runs carry outer stretches.
 struct Probe<'a, L> {
     origin: StreamId,
     origin_tuple: &'a Tuple,
     stores: &'a L,
     last: StreamId,
+    outer: Option<StreamId>,
 }
 
 impl<L: StoreLookup> Probe<'_, L> {
-    /// Hands the candidates `(head, tail)` under the prefix `slots` to
-    /// `on_run` — unless there are none — and returns how many there were.
-    #[inline]
+    /// Hands the matches `outer` × `inner` under the prefix `slots` to
+    /// `on_run` — unless `inner` is empty — and returns how many there
+    /// are. `outer` is a stretch of `self.outer`'s candidates, or
+    /// [`NO_OUTER`] when the plan blocks no outer level.
+    ///
+    /// Forced inline — as are [`Frame::open`], [`Probe::deliver_passing`],
+    /// [`Probe::deliver_blocks`], [`Run::for_each_row`] and the row
+    /// closure of [`probe_each_in`]: the kernels must compile to one
+    /// function per instantiation, in which no `Run` exists in memory.
+    /// Split up, the optimizer can no longer prove that a row loop's
+    /// writes to the binding slots leave alone what the row callback
+    /// reaches through a pointer, and a count a row reader keeps is
+    /// re-loaded and re-stored every row instead of living in a register
+    /// (the benchmark's row drive: 1.85 → 2.35 ns a row; leaving any one
+    /// of them to the compiler brought that back — EXPERIMENTS.md, "The
+    /// probe delivers blocks").
+    #[inline(always)]
     fn deliver<F: FnMut(&mut Run<'_>)>(
         &self,
         slots: &mut [Option<Slot>],
-        (head, tail): (&[Slot], &[Slot]),
+        outer: Parts<'_>,
+        inner: Parts<'_>,
         on_run: &mut F,
     ) -> u64 {
-        let len = head.len() + tail.len();
-        if len > 0 {
-            // A fresh `Run` per delivery: built from values already in
-            // registers, it need not exist in memory once `on_run` is
-            // inlined.
-            on_run(&mut Run {
-                origin: self.origin,
-                origin_tuple: self.origin_tuple,
-                slots,
-                stores: self.stores,
-                stream: self.last,
-                head,
-                tail,
-            });
+        debug_assert_eq!(self.outer.is_some(), outer.0.len() + outer.1.len() > 0);
+        if inner.0.len() + inner.1.len() == 0 {
+            return 0;
         }
-        len as u64
+        // A fresh `Run` per delivery: built from values already in
+        // registers, it need not exist in memory once `on_run` is inlined.
+        let mut run = Run {
+            origin: self.origin,
+            origin_tuple: self.origin_tuple,
+            slots,
+            stores: self.stores,
+            stream: self.last,
+            head: inner.0,
+            tail: inner.1,
+            outer_stream: self.outer,
+            outer_head: outer.0,
+            outer_tail: outer.1,
+        };
+        on_run(&mut run);
+        run.len() as u64
     }
 
     /// [`Probe::deliver`] for a last step with residual predicates: each
-    /// maximal stretch of either slice whose slots pass `keep` is one run.
+    /// maximal stretch of either slice whose slots pass `keep` is one run,
+    /// under one outer candidate — bound in `slots` — at a time. Forced
+    /// inline for [`Probe::deliver`]'s reason.
+    #[inline(always)]
     fn deliver_passing<F: FnMut(&mut Run<'_>)>(
         &self,
         slots: &mut [Option<Slot>],
-        (head, tail): (&[Slot], &[Slot]),
+        (head, tail): Parts<'_>,
         mut keep: impl FnMut(Slot) -> bool,
         on_run: &mut F,
     ) -> u64 {
@@ -238,11 +342,76 @@ impl<L: StoreLookup> Probe<'_, L> {
             let mut start = 0;
             for (i, &slot) in part.iter().enumerate() {
                 if !keep(slot) {
-                    count += self.deliver(slots, (&part[start..i], &[]), on_run);
+                    count += self.deliver(slots, NO_OUTER, (&part[start..i], &[]), on_run);
                     start = i + 1;
                 }
             }
-            count += self.deliver(slots, (&part[start..], &[]), on_run);
+            count += self.deliver(slots, NO_OUTER, (&part[start..], &[]), on_run);
+        }
+        count
+    }
+
+    /// The plan's last two levels under the prefix `slots`: `cands` are the
+    /// candidates of `outer` (the step before the last), `rvals` its
+    /// hoisted residual checks, and `last` — residual-free — is probed once
+    /// per delivery instead of once per outer candidate. Consecutive
+    /// passing candidates with one drive value for `last` are one stretch;
+    /// a candidate failing `rvals`, a change of value and the seam between
+    /// the two slices of `cands` each end it. Forced inline for
+    /// [`Probe::deliver`]'s reason.
+    #[inline(always)]
+    fn deliver_blocks<F: FnMut(&mut Run<'_>)>(
+        &self,
+        outer: &PlanStep,
+        last: &PlanStep,
+        cands: Parts<'_>,
+        rvals: &[(Value, usize)],
+        slots: &mut [Option<Slot>],
+        on_run: &mut F,
+    ) -> u64 {
+        debug_assert!(last.residual.is_empty() && self.outer == Some(outer.stream));
+        if cands.0.is_empty() && cands.1.is_empty() {
+            return 0;
+        }
+        let index = self.stores.store(last.stream).index_on(last.probe_attr);
+        // Star: `last` is driven from the prefix, so every outer candidate
+        // shares one inner list. Chain: each drives with its own value.
+        let shared = (last.drive_stream != outer.stream).then(|| {
+            let (stream, attr) = (last.drive_stream, last.drive_attr);
+            bound_value(self.origin, self.origin_tuple, self.stores, slots, stream, attr)
+        });
+        if let (Some(drive), true) = (shared, rvals.is_empty()) {
+            // ... and all of them pass: the whole level is one delivery.
+            return self.deliver(slots, cands, index.probe(drive.0).parts(), on_run);
+        }
+        let store = self.stores.store(outer.stream);
+        // The value a candidate drives `last` with, if it passes `rvals`.
+        // Read off the candidate only for a chain: `last.drive_attr` indexes
+        // the drive stream's schema, and a star's outer tuples may be
+        // narrower than that.
+        let drive_of = |slot| {
+            let t = store.tuple(slot).expect("probed slot is live");
+            rvals
+                .iter()
+                .all(|&(v, ca)| t.values[ca] == v)
+                .then(|| shared.unwrap_or_else(|| t.values[last.drive_attr]))
+        };
+        let mut count = 0;
+        for part in [cands.0, cands.1] {
+            // `part[start..i]` is the open stretch, driving with `open`;
+            // `None` while the candidates since `start` have all failed, as
+            // the end of the slice does.
+            let (mut start, mut open) = (0, None);
+            for i in 0..=part.len() {
+                let drive = part.get(i).and_then(|&slot| drive_of(slot));
+                if drive != open {
+                    if let Some(drive) = open {
+                        let inner = index.probe(drive.0).parts();
+                        count += self.deliver(slots, (&part[start..i], &[]), inner, on_run);
+                    }
+                    (start, open) = (i, drive);
+                }
+            }
         }
         count
     }
@@ -272,9 +441,14 @@ pub fn probe_each_in<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
     stores: &L,
     mut on_match: F,
 ) -> u64 {
-    probe_runs_in(plan, origin_tuple, stores, |run| {
-        run.for_each_row(&mut on_match)
-    })
+    probe_runs_in(
+        plan,
+        origin_tuple,
+        stores,
+        // Forced inline for `Probe::deliver`'s reason.
+        #[inline(always)]
+        |run: &mut Run<'_>| run.for_each_row(&mut on_match),
+    )
 }
 
 /// Counts join combinations without inspecting them.
@@ -283,8 +457,26 @@ pub fn probe_count(plan: &ProbePlan, origin_tuple: &Tuple, stores: &[WindowStore
     probe_runs_in(plan, origin_tuple, &stores, |_| {})
 }
 
-/// Binding slots [`probe_runs_in`] keeps on the stack.
+/// Entries of each per-probe scratch array — binding slots, frames, hoisted
+/// residual values — [`probe_runs_in`] keeps on the stack.
 const INLINE_SLOTS: usize = 8;
+
+/// `n` copies of `fill` to scribble on: a prefix of `inline` when they fit
+/// there, `spill` grown to hold them otherwise. A probe runs once per
+/// arrival, and every join width seen in practice fits inline.
+fn scratch<'a, T: Clone>(
+    n: usize,
+    fill: T,
+    inline: &'a mut [T; INLINE_SLOTS],
+    spill: &'a mut Vec<T>,
+) -> &'a mut [T] {
+    if n <= INLINE_SLOTS {
+        &mut inline[..n]
+    } else {
+        spill.resize(n, fill);
+        spill
+    }
+}
 
 /// The one match enumerator: walks the probe tree of `origin_tuple` and
 /// hands `on_run` each non-empty [`Run`] in the recursive kernel's match
@@ -302,26 +494,23 @@ pub fn probe_runs_in<L: StoreLookup, F: FnMut(&mut Run<'_>)>(
 ) -> u64 {
     let steps = plan.steps();
     // Every step binds one stream, so a plan spans `steps + 1` streams.
-    // The binding slots live on the stack for every join width seen in
-    // practice (this runs once per arrival); wider plans spill to the heap.
-    let n_streams = steps.len() + 1;
-    let mut inline = [None; INLINE_SLOTS];
-    let mut spill = Vec::new();
-    let slots: &mut [Option<Slot>] = if n_streams <= INLINE_SLOTS {
-        &mut inline[..n_streams]
-    } else {
-        spill.resize(n_streams, None);
-        &mut spill
-    };
-    let last = steps.last().expect("a join plan has at least one step");
+    let (mut inline, mut spill) = ([None; INLINE_SLOTS], Vec::new());
+    let slots = scratch(steps.len() + 1, None, &mut inline, &mut spill);
+    let (last, before) = steps.split_last().expect("a join plan has at least one step");
     let probe = Probe {
         origin: plan.origin(),
         origin_tuple,
         stores,
         last: last.stream,
+        // The last two levels are delivered as blocks unless residual
+        // checks on the last step tie its survivors to the outer tuple.
+        outer: match before.last() {
+            Some(outer) if last.residual.is_empty() => Some(outer.stream),
+            _ => None,
+        },
     };
     match steps {
-        [step] => probe_1(step, &probe, slots, &mut on_run),
+        [step] if step.residual.is_empty() => probe_1(step, &probe, slots, &mut on_run),
         [s0, s1] if s0.residual.is_empty() && s1.residual.is_empty() => {
             probe_2(s0, s1, &probe, slots, &mut on_run)
         }
@@ -329,10 +518,8 @@ pub fn probe_runs_in<L: StoreLookup, F: FnMut(&mut Run<'_>)>(
     }
 }
 
-/// Single probe step (2-stream query). The drive value comes straight off
-/// the arriving tuple; candidates need dereferencing only when residual
-/// predicates exist (and their left-hand values are hoisted — at step 0
-/// only the origin is bound).
+/// A single residual-free probe step (2-stream query): the drive value
+/// comes straight off the arriving tuple and no candidate is dereferenced.
 fn probe_1<L: StoreLookup, F: FnMut(&mut Run<'_>)>(
     step: &PlanStep,
     probe: &Probe<'_, L>,
@@ -340,32 +527,16 @@ fn probe_1<L: StoreLookup, F: FnMut(&mut Run<'_>)>(
     on_run: &mut F,
 ) -> u64 {
     debug_assert_eq!(step.drive_stream, probe.origin, "step 0 is driven by the origin");
-    let origin_tuple = probe.origin_tuple;
-    let store = probe.stores.store(step.stream);
-    let cands = store.probe(step.probe_attr, origin_tuple.values[step.drive_attr]);
-    if step.residual.is_empty() {
-        return probe.deliver(slots, cands.parts(), on_run);
-    }
-    // Residual left-hand sides are all origin attributes here: hoist.
-    let res: Vec<(Value, usize)> = step
-        .residual
-        .iter()
-        .map(|&(bs, ba, ca)| {
-            debug_assert_eq!(bs, probe.origin);
-            (origin_tuple.values[ba], ca)
-        })
-        .collect();
-    let keep = |slot| {
-        let t = store.tuple(slot).expect("probed slot is live");
-        res.iter().all(|&(v, ca)| t.values[ca] == v)
-    };
-    probe.deliver_passing(slots, cands.parts(), keep, on_run)
+    let drive = probe.origin_tuple.values[step.drive_attr];
+    let cands = probe.stores.store(step.stream).probe(step.probe_attr, drive);
+    probe.deliver(slots, NO_OUTER, cands.parts(), on_run)
 }
 
-/// Two residual-free probe steps (3-stream acyclic query). Star shapes
-/// (both steps driven by the origin) hoist the second candidate list out of
-/// the outer loop entirely; chain shapes dereference the outer candidate
-/// once for its drive value and never touch the inner candidates' tuples.
+/// Two residual-free probe steps (3-stream acyclic query): the whole probe
+/// tree is its last two levels, so step 0's candidates go straight to
+/// [`Probe::deliver_blocks`] — one delivery in all for a star (both steps
+/// driven by the origin), one per stretch of equal drive values for a
+/// chain — and no inner candidate's tuple is ever touched.
 fn probe_2<L: StoreLookup, F: FnMut(&mut Run<'_>)>(
     s0: &PlanStep,
     s1: &PlanStep,
@@ -373,40 +544,20 @@ fn probe_2<L: StoreLookup, F: FnMut(&mut Run<'_>)>(
     slots: &mut [Option<Slot>],
     on_run: &mut F,
 ) -> u64 {
-    let origin_tuple = probe.origin_tuple;
     debug_assert_eq!(s0.drive_stream, probe.origin, "step 0 is driven by the origin");
-    let store0 = probe.stores.store(s0.stream);
-    let store1 = probe.stores.store(s1.stream);
-    let c0 = store0.probe(s0.probe_attr, origin_tuple.values[s0.drive_attr]);
-    let i0 = s0.stream.index();
-    let mut count = 0u64;
-    if s1.drive_stream == probe.origin {
-        // Star: the inner candidate list does not depend on the outer slot.
-        let c1 = store1.probe(s1.probe_attr, origin_tuple.values[s1.drive_attr]);
-        if !c1.is_empty() {
-            for slot0 in c0.iter() {
-                slots[i0] = Some(slot0);
-                count += probe.deliver(slots, c1.parts(), on_run);
-            }
-        }
-    } else {
-        // Chain: the inner probe is keyed by the outer candidate's tuple.
-        debug_assert_eq!(s1.drive_stream, s0.stream, "drive stream bound at step 0");
-        for slot0 in c0.iter() {
-            let t0 = store0.tuple(slot0).expect("probed slot is live");
-            let c1 = store1.probe(s1.probe_attr, t0.values[s1.drive_attr]);
-            slots[i0] = Some(slot0);
-            count += probe.deliver(slots, c1.parts(), on_run);
-        }
-    }
-    slots[i0] = None;
-    count
+    let drive = probe.origin_tuple.values[s0.drive_attr];
+    let c0 = probe.stores.store(s0.stream).probe(s0.probe_attr, drive);
+    probe.deliver_blocks(s0, s1, c0.parts(), &[], slots, on_run)
 }
 
-/// One suspended enumeration level of the general kernel: a step's
-/// candidate list (inline head + spill tail), the resume cursor, and where
-/// this step's hoisted residual values start in the shared scratch.
+/// One enumeration level of the general kernel: the step's hash index and,
+/// while the level is open, its candidate list (inline head + spill tail),
+/// the resume cursor, and where the step's hoisted residual values start in
+/// the shared scratch.
+#[derive(Clone, Copy, Default)]
 struct Frame<'a> {
+    /// Resolved when the level is first opened, then kept for the probe.
+    index: Option<&'a FlatIndex>,
     head: &'a [Slot],
     tail: &'a [Slot],
     cursor: usize,
@@ -414,6 +565,35 @@ struct Frame<'a> {
 }
 
 impl<'a> Frame<'a> {
+    /// Opens the level for `step` under the bindings in `slots`: computes
+    /// the step's drive value, lists its candidates, and hoists its
+    /// residual left-hand values onto `res[res_len..]`. Returns the new
+    /// `res_len`. Forced inline for [`Probe::deliver`]'s reason.
+    #[inline(always)]
+    fn open<L: StoreLookup>(
+        &mut self,
+        step: &PlanStep,
+        probe: &Probe<'a, L>,
+        slots: &[Option<Slot>],
+        res: &mut [(Value, usize)],
+        res_len: usize,
+    ) -> usize {
+        let stores = probe.stores;
+        let value =
+            |stream, attr| bound_value(probe.origin, probe.origin_tuple, stores, slots, stream, attr);
+        let index = *self
+            .index
+            .get_or_insert_with(|| stores.store(step.stream).index_on(step.probe_attr));
+        let drive = value(step.drive_stream, step.drive_attr);
+        (self.head, self.tail) = index.probe(drive.0).parts();
+        self.cursor = 0;
+        self.res_base = res_len;
+        for (r, &(bs, ba, ca)) in res[res_len..].iter_mut().zip(&step.residual) {
+            *r = (value(bs, ba), ca);
+        }
+        res_len + step.residual.len()
+    }
+
     #[inline]
     fn next(&mut self) -> Option<Slot> {
         let c = self.cursor;
@@ -427,106 +607,79 @@ impl<'a> Frame<'a> {
 }
 
 /// The general iterative kernel: an explicit depth-first frame stack over
-/// the plan's steps. Entering a frame computes the step's drive value and
+/// the plan's steps. Opening a level computes the step's drive value and
 /// hoists its residual left-hand values once; the candidate loop then only
-/// dereferences tuples for steps that actually carry residual checks.
-fn probe_n<L: StoreLookup, F: FnMut(&mut Run<'_>)>(
+/// dereferences tuples for steps that actually carry residual checks. The
+/// stack stops short of the leaves: the last level is delivered whole —
+/// one run, or one per passing stretch — and, when the plan blocks them,
+/// the last two together ([`Probe::deliver_blocks`]).
+fn probe_n<'a, L: StoreLookup, F: FnMut(&mut Run<'_>)>(
     steps: &[PlanStep],
-    probe: &Probe<'_, L>,
+    probe: &Probe<'a, L>,
     slots: &mut [Option<Slot>],
     on_run: &mut F,
 ) -> u64 {
-    let (origin, origin_tuple, stores) = (probe.origin, probe.origin_tuple, probe.stores);
+    let stores = probe.stores;
+    let last = &steps[steps.len() - 1];
+    // The depth whose level is delivered instead of walked.
+    let leaf = steps.len() - if probe.outer.is_some() { 2 } else { 1 };
+    let (mut inline, mut spill) = ([Frame::default(); INLINE_SLOTS], Vec::new());
+    let frames = scratch(leaf + 1, Frame::default(), &mut inline, &mut spill);
+    // Hoisted residual `(left-hand value, candidate attr)` pairs of the
+    // open levels, one step's after another's; `res_base` marks each span.
+    let n_res = steps.iter().map(|s| s.residual.len()).sum();
+    let (mut inline, mut spill) = ([(Value(0), 0); INLINE_SLOTS], Vec::new());
+    let res = scratch(n_res, (Value(0), 0), &mut inline, &mut spill);
+    let mut res_len = frames[0].open(&steps[0], probe, slots, res, 0);
     let mut count = 0u64;
-    let mut frames: Vec<Frame<'_>> = Vec::with_capacity(steps.len());
-    // Hoisted residual `(left-hand value, candidate attr)` pairs for all
-    // active frames; `res_base` marks each frame's span.
-    let mut res: Vec<(Value, usize)> = Vec::new();
-    let enter = |step: &PlanStep,
-                 slots: &[Option<Slot>],
-                 res: &mut Vec<(Value, usize)>|
-     -> Frame<'_> {
-        let drive = bound_value(
-            origin,
-            origin_tuple,
-            stores,
-            slots,
-            step.drive_stream,
-            step.drive_attr,
-        );
-        let res_base = res.len();
-        for &(bs, ba, ca) in &step.residual {
-            res.push((
-                bound_value(origin, origin_tuple, stores, slots, bs, ba),
-                ca,
-            ));
-        }
-        let (head, tail) = stores
-            .store(step.stream)
-            .probe(step.probe_attr, drive)
-            .parts();
-        Frame {
-            head,
-            tail,
-            cursor: 0,
-            res_base,
-        }
-    };
-    frames.push(enter(&steps[0], slots, &mut res));
-    while let Some(depth) = frames.len().checked_sub(1) {
+    let mut depth = 0;
+    loop {
         let step = &steps[depth];
         let store = stores.store(step.stream);
-        if depth + 1 == steps.len() {
-            // Innermost level: every surviving candidate is a match — the
-            // whole frame (last frames are always fresh, so the cursor is
-            // at 0) is one run, or one per passing stretch when the step
-            // carries residual checks, instead of a stack round-trip per
-            // match.
-            let f = frames.pop().expect("frame at current depth");
-            let rvals = &res[f.res_base..];
-            if rvals.is_empty() {
-                count += probe.deliver(slots, (f.head, f.tail), on_run);
+        let f = &mut frames[depth];
+        let rvals = &res[f.res_base..res_len];
+        let passes = |slot| {
+            let t = store.tuple(slot).expect("probed slot is live");
+            rvals.iter().all(|&(v, ca)| t.values[ca] == v)
+        };
+        let chosen = if depth < leaf {
+            loop {
+                match f.next() {
+                    Some(slot) if rvals.is_empty() || passes(slot) => break Some(slot),
+                    Some(_) => {}
+                    None => break None,
+                }
+            }
+        } else {
+            // Every surviving candidate completes a match (or, blocked,
+            // opens a last level whose every candidate does): delivered at
+            // once, with no stack round-trip per match.
+            let cands = (f.head, f.tail);
+            count += if probe.outer.is_some() {
+                probe.deliver_blocks(step, last, cands, rvals, slots, on_run)
+            } else if rvals.is_empty() {
+                probe.deliver(slots, NO_OUTER, cands, on_run)
             } else {
-                let keep = |slot| {
-                    let t = store.tuple(slot).expect("probed slot is live");
-                    rvals.iter().all(|&(v, ca)| t.values[ca] == v)
-                };
-                count += probe.deliver_passing(slots, (f.head, f.tail), keep, on_run);
-            }
-            res.truncate(f.res_base);
-            continue;
-        }
-        let chosen = {
-            let f = frames.last_mut().expect("frame at current depth");
-            let rvals = &res[f.res_base..];
-            let mut chosen = None;
-            while let Some(slot) = f.next() {
-                if rvals.is_empty() {
-                    chosen = Some(slot);
-                    break;
-                }
-                let t = store.tuple(slot).expect("probed slot is live");
-                if rvals.iter().all(|&(v, ca)| t.values[ca] == v) {
-                    chosen = Some(slot);
-                    break;
-                }
-            }
-            chosen
+                probe.deliver_passing(slots, cands, passes, on_run)
+            };
+            None
         };
         match chosen {
             Some(slot) => {
                 slots[step.stream.index()] = Some(slot);
-                let f = enter(&steps[depth + 1], slots, &mut res);
-                frames.push(f);
+                depth += 1;
+                res_len = frames[depth].open(&steps[depth], probe, slots, res, res_len);
             }
             None => {
                 slots[step.stream.index()] = None;
-                let f = frames.pop().expect("frame at current depth");
-                res.truncate(f.res_base);
+                res_len = f.res_base;
+                match depth.checked_sub(1) {
+                    Some(up) => depth = up,
+                    None => return count,
+                }
             }
         }
     }
-    count
 }
 
 /// Reads an attribute of a bound stream (origin or already-probed window).
@@ -665,6 +818,13 @@ mod tests {
             SeqNo(seq),
             vec![Value(a), Value(b)],
         )
+    }
+
+    /// A tuple of `q`'s `stream`, as wide as its schema: `a, b, a, b, …`.
+    fn tup_of(q: &JoinQuery, stream: usize, seq: u64, a: u64, b: u64) -> Tuple {
+        let arity = q.catalog().schema(StreamId(stream)).unwrap().arity();
+        let values: Vec<Value> = [a, b].into_iter().cycle().take(arity).map(Value).collect();
+        Tuple::new(StreamId(stream), VTime::ZERO, SeqNo(seq), values)
     }
 
     #[test]
@@ -860,7 +1020,9 @@ mod tests {
         }
     }
 
-    /// The query shapes the differential proptest draws from.
+    /// The query shapes the differential proptests cover.
+    const SHAPES: usize = 11;
+
     fn query(shape: usize) -> JoinQuery {
         let names = ["R1", "R2", "R3", "R4"];
         let mk = |n: usize| {
@@ -913,7 +1075,48 @@ mod tests {
             )
             .unwrap(),
             // wide chain: binding slots spill to the heap.
-            _ => wide_chain(),
+            6 => wide_chain(),
+            // triangle with a tail on its last-bound corner: from R1 and R2
+            // the step before the last carries the residual and the last is
+            // a chain step off it.
+            7 => JoinQuery::from_names(
+                mk(4),
+                &[
+                    ("R1.A1", "R2.A1"),
+                    ("R2.A2", "R3.A1"),
+                    ("R3.A2", "R1.A2"),
+                    ("R3.A2", "R4.A1"),
+                ],
+                w,
+            )
+            .unwrap(),
+            // triangle with a tail on R1: from R1 the last step is driven
+            // by the origin, past a step with a residual.
+            8 => JoinQuery::from_names(
+                mk(4),
+                &[
+                    ("R1.A1", "R2.A1"),
+                    ("R2.A2", "R3.A1"),
+                    ("R3.A2", "R1.A2"),
+                    ("R1.A1", "R4.A1"),
+                ],
+                w,
+            )
+            .unwrap(),
+            // pair: two predicates between two streams — single-step plans
+            // whose one step carries a residual.
+            9 => JoinQuery::from_names(mk(2), &[("R1.A1", "R2.A1"), ("R1.A2", "R2.A2")], w).unwrap(),
+            // mixed arities: from R1 the outer step (R2, two attributes)
+            // carries a residual and the last (R3) is driven by the
+            // origin's fourth — an index no outer tuple has.
+            _ => {
+                let mut c = Catalog::new();
+                c.add_stream(StreamSchema::new("R1", &["A1", "A2", "A3", "A4"]));
+                c.add_stream(StreamSchema::new("R2", &["A1", "A2"]));
+                c.add_stream(StreamSchema::new("R3", &["A1"]));
+                let preds = [("R1.A1", "R2.A1"), ("R1.A2", "R2.A2"), ("R1.A4", "R3.A1")];
+                JoinQuery::from_names(c, &preds, w).unwrap()
+            }
         }
     }
 
@@ -922,7 +1125,7 @@ mod tests {
         let n = q.n_streams();
         let mut stores = stores_for(q);
         for (i, &(a, b)) in data.iter().enumerate() {
-            stores[i % n].insert(tup(i % n, i as u64, a, b), 0.0);
+            stores[i % n].insert(tup_of(q, i % n, i as u64, a, b), 0.0);
         }
         stores
     }
@@ -943,7 +1146,7 @@ mod tests {
         /// binding slots) alike.
         #[test]
         fn iterative_kernel_matches_recursive(
-            shape in 0usize..7,
+            shape in 0..SHAPES,
             // Small value domain so joins actually fan out.
             data in proptest::collection::vec((0u64..4, 0u64..4), 10..80),
             probe_vals in (0u64..4, 0u64..4),
@@ -952,7 +1155,7 @@ mod tests {
             let stores = filled_stores(&q, &data);
             for plan in ProbePlan::all(&q) {
                 let origin = plan.origin().index();
-                let t = tup(origin, 9999, probe_vals.0, probe_vals.1);
+                let t = tup_of(&q, origin, 9999, probe_vals.0, probe_vals.1);
                 let mut got = Vec::new();
                 let n1 = probe_each(&plan, &t, &stores, |b| got.push(seqs(b)));
                 let mut want = Vec::new();
@@ -964,52 +1167,94 @@ mod tests {
         }
 
         /// The runs `probe_runs_in` delivers tile the recursive kernel's
-        /// matches: their rows, in delivery order, are its matches one for
-        /// one; their lengths add up to the returned count and to
-        /// `probe_count`; none is empty; each lists live slots of the
-        /// plan's last stream, which — like the origin — its prefix leaves
-        /// unbound while every other stream is bound.
+        /// matches, over every query shape and value domains of 1 to 4
+        /// values (few values: long stretches of outer candidates driving
+        /// one inner list; many: stretches cut at every other candidate).
+        /// Their rows, in delivery order, are its matches one for one;
+        /// their lengths — outer × inner — add up to the returned count
+        /// and to `probe_count`; none is empty; each lists live slots of
+        /// the plan's last stream and, if it has an outer stretch, of the
+        /// stream before it, which — like the origin — its prefix leaves
+        /// unbound while every other stream is bound. Plans that block
+        /// their last two levels do form stretches longer than one
+        /// candidate; the others deliver none at all.
         #[test]
         fn runs_tile_the_recursive_matches(
-            shape in 0usize..7,
-            data in proptest::collection::vec((0u64..4, 0u64..4), 10..80),
+            domain in 1u64..=4,
+            data in proptest::collection::vec((0u64..4, 0u64..4), 20..80),
             probe_vals in (0u64..4, 0u64..4),
         ) {
-            let q = query(shape);
-            let stores = filled_stores(&q, &data);
-            for plan in ProbePlan::all(&q) {
-                let origin = plan.origin();
-                let last = plan.steps().last().unwrap().stream;
-                let t = tup(origin.index(), 9999, probe_vals.0, probe_vals.1);
-                let mut got = Vec::new();
-                let mut lens = 0u64;
-                let total = probe_runs_in(&plan, &t, &stores.as_slice(), |run| {
-                    assert!(run.len() > 0, "empty run delivered");
-                    assert_eq!(run.stream(), last);
-                    for k in (0..q.n_streams()).map(StreamId) {
-                        let free = k == origin || k == last;
-                        assert_eq!(run.slot(k).is_none(), free, "prefix binding of {k}");
-                    }
-                    let slots: Vec<Slot> = run.slots().collect();
-                    assert_eq!(slots.len(), run.len());
-                    for &slot in &slots {
-                        assert!(stores[last.index()].tuple(slot).is_some(), "dead slot in run");
-                    }
-                    let mut rows = slots.iter();
-                    run.for_each_row(|b| {
-                        assert_eq!(b.slot(last), rows.next().copied(), "row order within run");
-                        got.push(seqs(b));
+            for shape in 0..SHAPES {
+                let q = query(shape);
+                let n = q.n_streams();
+                // Keep the fan-out of a level near 6 (2 on the wide
+                // chain) whatever the domain: windows hold this many
+                // tuples a value.
+                let per_value = if n > 4 { 2 } else { 6 };
+                let data: Vec<(u64, u64)> = data
+                    .iter()
+                    .take(n * per_value * domain as usize)
+                    .map(|&(a, b)| (a % domain, b % domain))
+                    .collect();
+                let stores = filled_stores(&q, &data);
+                for plan in ProbePlan::all(&q) {
+                    let origin = plan.origin();
+                    let (last, before) = plan.steps().split_last().unwrap();
+                    let blocked = !before.is_empty() && last.residual.is_empty();
+                    let outer = blocked.then(|| before.last().unwrap().stream);
+                    let t = tup_of(&q, origin.index(), 9999, probe_vals.0 % domain, probe_vals.1 % domain);
+                    let mut got = Vec::new();
+                    let mut lens = 0u64;
+                    let mut longest_stretch = 0;
+                    let total = probe_runs_in(&plan, &t, &stores.as_slice(), |run| {
+                        assert!(run.len() > 0, "empty run delivered");
+                        assert_eq!(run.stream(), last.stream);
+                        assert_eq!(run.outer_stream(), outer);
+                        for k in (0..n).map(StreamId) {
+                            let free = k == origin || k == last.stream || Some(k) == outer;
+                            assert_eq!(run.slot(k).is_none(), free, "prefix binding of {k}");
+                        }
+                        let inner: Vec<Slot> = run.slots().collect();
+                        let stretch: Vec<Slot> = run.outer_slots().collect();
+                        assert_eq!(inner.len(), run.inner_len());
+                        assert_eq!(stretch.len().max(1), run.outer_len());
+                        assert_eq!(stretch.is_empty(), outer.is_none());
+                        assert_eq!(run.len(), run.outer_len() * run.inner_len());
+                        for &slot in &inner {
+                            assert!(stores[last.stream.index()].tuple(slot).is_some(), "dead inner slot");
+                        }
+                        for &slot in &stretch {
+                            assert!(stores[outer.unwrap().index()].tuple(slot).is_some(), "dead outer slot");
+                        }
+                        // Outer-major: each outer candidate's rows walk
+                        // the whole inner list before the next one's.
+                        let mut rows = 0;
+                        run.for_each_row(|b| {
+                            assert_eq!(b.slot(last.stream), Some(inner[rows % inner.len()]), "inner order");
+                            if let Some(o) = outer {
+                                assert_eq!(b.slot(o), Some(stretch[rows / inner.len()]), "outer order");
+                            }
+                            rows += 1;
+                            got.push(seqs(b));
+                        });
+                        assert_eq!(rows, run.len(), "rows built vs the run's length");
+                        assert!(run.slot(last.stream).is_none(), "run's stream left bound");
+                        assert!(outer.map_or(true, |o| run.slot(o).is_none()), "outer stream left bound");
+                        lens += run.len() as u64;
+                        longest_stretch = longest_stretch.max(stretch.len());
                     });
-                    assert!(rows.next().is_none(), "fewer rows than the run's length");
-                    assert!(run.slot(last).is_none(), "run's stream left bound");
-                    lens += run.len() as u64;
-                });
-                let mut want = Vec::new();
-                let n = probe_each_recursive(&plan, &t, &stores, |b| want.push(seqs(b)));
-                prop_assert_eq!(total, n, "match count (shape {}, origin {})", shape, origin);
-                prop_assert_eq!(lens, n, "run lengths (shape {}, origin {})", shape, origin);
-                prop_assert_eq!(probe_count(&plan, &t, &stores), n);
-                prop_assert_eq!(&got, &want, "match order (shape {}, origin {})", shape, origin);
+                    let mut want = Vec::new();
+                    let rows = probe_each_recursive(&plan, &t, &stores, |b| want.push(seqs(b)));
+                    prop_assert_eq!(total, rows, "match count (shape {}, origin {})", shape, origin);
+                    prop_assert_eq!(lens, rows, "run lengths (shape {}, origin {})", shape, origin);
+                    prop_assert_eq!(probe_count(&plan, &t, &stores), rows);
+                    prop_assert_eq!(&got, &want, "match order (shape {}, origin {})", shape, origin);
+                    // One value everywhere: every window's (two or more)
+                    // tuples are candidates, all driving one inner list.
+                    if blocked && domain == 1 {
+                        prop_assert!(longest_stretch > 1, "no stretch formed (shape {}, origin {})", shape, origin);
+                    }
+                }
             }
         }
     }

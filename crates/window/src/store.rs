@@ -310,17 +310,25 @@ impl WindowStore {
         self.heap.peek_min()
     }
 
+    /// The hash index on schema attribute `attr`, keyed by the raw value
+    /// payload: what a caller probing the same attribute many times
+    /// resolves once ([`WindowStore::probe`] resolves it per call).
+    ///
+    /// # Panics
+    /// Panics if `attr` is not one of the indexed join attributes.
+    pub fn index_on(&self, attr: usize) -> &FlatIndex {
+        match self.join_attrs.iter().position(|&ja| ja == attr) {
+            Some(a) => &self.indexes[a],
+            None => panic!("attribute {attr} is not indexed"),
+        }
+    }
+
     /// Slots holding `value` on schema attribute `attr`, in bucket order.
     ///
     /// # Panics
     /// Panics if `attr` is not one of the indexed join attributes.
     pub fn probe(&self, attr: usize, value: Value) -> Candidates<'_> {
-        let a = self
-            .join_attrs
-            .iter()
-            .position(|&ja| ja == attr)
-            .unwrap_or_else(|| panic!("attribute {attr} is not indexed"));
-        self.indexes[a].probe(value.0)
+        self.index_on(attr).probe(value.0)
     }
 
     /// The tuple at `slot`, if live.

@@ -30,6 +30,15 @@ if grep -nE 'sink\.emit\(' crates/core/src/{engine,multi}.rs; then
   echo "FAIL: an engine calls sink.emit directly instead of emit_run"
   exit 1
 fi
+# ... and a counting path never walks rows: the engines credit a run from
+# its slot lists and CountSink reads its length (outer x inner), so neither
+# may reach for the per-row walk.
+COUNT_SINK=$(sed -n '/^impl EmitSink for CountSink/,/^}/p' crates/core/src/ingest.rs)
+[ -n "$COUNT_SINK" ] || { echo "FAIL: found no 'impl EmitSink for CountSink' in ingest.rs (gate out of date?)"; exit 1; }
+if grep -n 'for_each_row' crates/core/src/{engine,multi}.rs || grep -n 'for_each_row' <<<"$COUNT_SINK"; then
+  echo "FAIL: a counting path (engine.rs, multi.rs, CountSink) walks a run's rows"
+  exit 1
+fi
 # An arrival reads no clock: per-arrival stages are timed through the
 # sampled `StageClock` (crates/core/src/clock.rs); the one exact timer left
 # in the engines is `timed_rescore` (a few hundred passes a run).

@@ -88,15 +88,25 @@ fn trace(n: usize) -> Vec<Arrival> {
     trace_over(3, n, false)
 }
 
-/// A sink that overrides `emit_run`: every other run is read by its length,
-/// the rest row by row. The engine must reach `emit` only through
-/// `emit_run`, or a match read by length would be handed over twice.
+/// A sink that overrides `emit_run`: runs are read in turn by their length,
+/// row by row, and as the product of their two slot lists. The engine must
+/// reach `emit` only through `emit_run`, or a match read by length would
+/// be handed over twice.
 #[derive(Default)]
 struct RunSink {
     runs: u64,
     by_len: u64,
     by_row: u64,
+    by_product: u64,
+    /// Runs spanning several outer candidates.
+    blocks: u64,
     reading_rows: bool,
+}
+
+impl RunSink {
+    fn matches(&self) -> u64 {
+        self.by_len + self.by_row + self.by_product
+    }
 }
 
 impl EmitSink for RunSink {
@@ -107,12 +117,18 @@ impl EmitSink for RunSink {
 
     fn emit_run(&mut self, query: QueryId, run: &mut Run<'_>) {
         self.runs += 1;
-        if self.runs % 2 == 0 {
-            self.by_len += run.len() as u64;
-        } else {
-            self.reading_rows = true;
-            run.for_each_row(|b| self.emit(query, b));
-            self.reading_rows = false;
+        // A run without an outer stretch has its one outer candidate in
+        // the prefix.
+        let outer = run.outer_slots().count().max(1);
+        self.blocks += u64::from(outer > 1);
+        match self.runs % 3 {
+            0 => self.by_len += run.len() as u64,
+            1 => {
+                self.reading_rows = true;
+                run.for_each_row(|b| self.emit(query, b));
+                self.reading_rows = false;
+            }
+            _ => self.by_product += (outer * run.slots().count()) as u64,
         }
     }
 }
@@ -140,7 +156,7 @@ fn sinks_agree_with_outcome_counts() {
                 let mut count = CountSink::default();
                 let mut vec = VecSink::default();
                 let mut calls = 0u64;
-                let (by_len, by_row) = (runs.by_len, runs.by_row);
+                let before = runs.matches();
                 let a = counted.ingest(arrival.clone(), &mut count);
                 let b = collected.ingest(arrival.clone(), &mut vec);
                 let c = closured.ingest(
@@ -153,7 +169,7 @@ fn sinks_agree_with_outcome_counts() {
                 assert_eq!(vec.rows.len() as u64, a.produced);
                 assert_eq!(calls, a.produced);
                 assert_eq!(
-                    (runs.by_len - by_len) + (runs.by_row - by_row),
+                    runs.matches() - before,
                     a.produced,
                     "{policy} on {label}: every match exactly one way"
                 );
@@ -164,7 +180,9 @@ fn sinks_agree_with_outcome_counts() {
             }
             assert!(want.total_output > 0, "{policy} on {label} joins nothing");
             assert!(want.shed_window > 0, "{policy} on {label}: capacity 16 must shed");
-            assert!(runs.by_len > 0 && runs.by_row > 0);
+            assert!(runs.by_len > 0 && runs.by_row > 0 && runs.by_product > 0);
+            // The 4-cycle's last step carries the residual: never blocked.
+            assert_eq!(runs.blocks > 0, *label != "4-cycle", "{policy} on {label}");
         }
     }
 }

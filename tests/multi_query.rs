@@ -178,6 +178,9 @@ fn build_multi(queries: &[JoinQuery], capacity: usize) -> MultiQueryEngine {
 
 /// At full memory nothing is shed, so sharing windows across queries is
 /// invisible: every query's output equals its solo run, in order.
+/// Order is compared per query (`QueryRowsSink` buckets by id) and is a
+/// contract per query only: how the two members of the duplicate class
+/// interleave within one arrival follows the probe's run granularity.
 #[test]
 fn full_memory_per_query_output_matches_each_solo_run() {
     let queries = standing_mix();

@@ -5,43 +5,15 @@
 //! batch buffers are recycling — without one allocator call, coordinator
 //! and workers together.
 //!
-//! This is the only test in its binary: the counting allocator is
-//! process-wide, and a neighbour running on another test thread would be
-//! counted too.
+//! This is the only test in its binary (see `support/counting_alloc.rs`).
 
 use mstream_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The system allocator behind a process-wide call counter.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{alloc_calls, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -82,11 +54,11 @@ fn second_half_allocs(trace: &[Arrival], shards: usize) -> u64 {
     for a in head {
         engine.ingest(a.clone());
     }
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = alloc_calls();
     for a in tail {
         engine.ingest(a.clone());
     }
-    let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    let allocs = alloc_calls() - before;
     let report = engine.finish().unwrap();
     assert_eq!(report.shed_channel, 0, "Block backpressure never drops");
     assert_eq!(
