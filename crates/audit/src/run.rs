@@ -276,6 +276,9 @@ pub(crate) fn normalized_metrics(m: &EngineMetrics) -> EngineMetrics {
     m.priority_rebuild_ns = 0;
     m.priority_rebuilds = 0;
     m.score_ns = 0;
+    m.expire_ns = 0;
+    m.probe_ns = 0;
+    m.insert_ns = 0;
     m.sign_cache_hits = 0;
     m.sign_cache_misses = 0;
     m.score_cache_hits = 0;

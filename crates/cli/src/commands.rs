@@ -10,7 +10,8 @@ use std::time::Instant;
 /// The `--stage-json` view of one engine's counters: per-stage wall-clock
 /// nanoseconds, the rescoring passes actually run, and the
 /// estimation-cache statistics (packed-sign and productivity-score memos,
-/// DESIGN.md §16). `sketch_observe_ns` and `score_ns` are estimates: the
+/// DESIGN.md §16). The per-arrival stages — `sketch_observe_ns`,
+/// `expire_ns`, `probe_ns`, `score_ns`, `insert_ns` — are estimates: the
 /// time of one arrival in `stage_sample_stride`, times that stride.
 fn stage_view(m: &EngineMetrics) -> serde_json::Value {
     serde_json::json!({
@@ -19,6 +20,9 @@ fn stage_view(m: &EngineMetrics) -> serde_json::Value {
         "priority_rebuild_ns": m.priority_rebuild_ns,
         "priority_rebuilds": m.priority_rebuilds,
         "score_ns": m.score_ns,
+        "expire_ns": m.expire_ns,
+        "probe_ns": m.probe_ns,
+        "insert_ns": m.insert_ns,
         "sign_cache_hits": m.sign_cache_hits,
         "sign_cache_misses": m.sign_cache_misses,
         "score_cache_hits": m.score_cache_hits,
@@ -812,6 +816,9 @@ mod tests {
             "priority_rebuild_ns",
             "priority_rebuilds",
             "score_ns",
+            "expire_ns",
+            "probe_ns",
+            "insert_ns",
             "sign_cache_hits",
             "sign_cache_misses",
             "score_cache_hits",

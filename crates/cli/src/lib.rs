@@ -78,15 +78,15 @@ RUN OPTIONS:
                          anything later; omit to trust timestamps as given
     --json               print the report as JSON instead of text
     --stage-json         append a JSON object of per-stage wall-clock
-                         nanoseconds (sketch_observe_ns, priority_rebuild_ns,
-                         score_ns), the rescoring passes run
-                         (priority_rebuilds) and estimation-cache counters
-                         (packed-sign and productivity score memos); sharded
-                         runs include a per_shard breakdown.
-                         sketch_observe_ns and score_ns are estimates: one
-                         arrival in stage_sample_stride is timed and its
-                         time multiplied by the stride; priority_rebuild_ns
-                         is exact
+                         nanoseconds (sketch_observe_ns, expire_ns, probe_ns,
+                         score_ns, insert_ns, priority_rebuild_ns), the
+                         rescoring passes run (priority_rebuilds) and
+                         estimation-cache counters (packed-sign and
+                         productivity score memos); sharded runs include a
+                         per_shard breakdown. All but priority_rebuild_ns
+                         (exact) are estimates: one arrival in
+                         stage_sample_stride is timed and its time
+                         multiplied by the stride
 
 GENERATE OPTIONS:
     --workload <w>       regions (Table-1 synthetic) | census

@@ -4,14 +4,19 @@
 //! was a tenth of an arrival (four reads at ≈ 35 ns against a few hundred
 //! nanoseconds of work). [`StageClock`] instead times the first arrival
 //! and every [`STRIDE`]-th after it and charges each timed stage
-//! `elapsed × STRIDE`, so [`EngineMetrics::sketch_observe_ns`] and
-//! [`EngineMetrics::score_ns`] keep their unit as estimates of the total.
+//! `elapsed × STRIDE`, so the per-arrival stage totals
+//! ([`EngineMetrics::sketch_observe_ns`], [`EngineMetrics::expire_ns`],
+//! [`EngineMetrics::probe_ns`], [`EngineMetrics::score_ns`],
+//! [`EngineMetrics::insert_ns`]) keep their unit as estimates of the total.
 //! Which arrivals are timed depends on the arrival count alone — never on
 //! the engine's rng — so a timed run sheds exactly what an untimed one
 //! would.
 //!
 //! [`EngineMetrics::sketch_observe_ns`]: crate::report::EngineMetrics::sketch_observe_ns
+//! [`EngineMetrics::expire_ns`]: crate::report::EngineMetrics::expire_ns
+//! [`EngineMetrics::probe_ns`]: crate::report::EngineMetrics::probe_ns
 //! [`EngineMetrics::score_ns`]: crate::report::EngineMetrics::score_ns
+//! [`EngineMetrics::insert_ns`]: crate::report::EngineMetrics::insert_ns
 
 use std::time::Instant;
 
@@ -48,14 +53,15 @@ pub(crate) struct Sample(bool);
 
 impl Sample {
     /// Runs `stage`; on a timed arrival adds `elapsed × STRIDE` to `total`.
+    /// One call site for `stage`, so a stage as large as the probe kernels
+    /// is instantiated once, not once per verdict.
     #[inline]
     pub(crate) fn time<R>(self, total: &mut u64, stage: impl FnOnce() -> R) -> R {
-        if !self.0 {
-            return stage();
-        }
-        let t0 = Instant::now();
+        let t0 = self.0.then(Instant::now);
         let out = stage();
-        *total += t0.elapsed().as_nanos() as u64 * STRIDE;
+        if let Some(t0) = t0 {
+            *total += t0.elapsed().as_nanos() as u64 * STRIDE;
+        }
         out
     }
 }

@@ -273,7 +273,8 @@ impl QueryCore {
     /// that owes its priorities and has room takes the tuple unscored; one
     /// that owes them and is full first runs the pass its last rollover
     /// skipped, then scores and inserts like any other. The scoring is
-    /// charged to [`EngineMetrics::score_ns`] when `sample` says the
+    /// charged to [`EngineMetrics::score_ns`] and the store's insert (and
+    /// eviction) to [`EngineMetrics::insert_ns`] when `sample` says the
     /// arrival is timed.
     pub(crate) fn admit(
         &mut self,
@@ -286,8 +287,9 @@ impl QueryCore {
     ) -> InsertOutcome {
         if store.is_deferred() {
             if !store.is_full() {
+                let slot = sample.time(&mut metrics.insert_ns, || store.insert_unscored(tuple));
                 return InsertOutcome {
-                    slot: Some(store.insert_unscored(tuple)),
+                    slot: Some(slot),
                     eviction: Eviction::None,
                 };
             }
@@ -296,7 +298,7 @@ impl QueryCore {
         let (score, state) = sample.time(&mut metrics.score_ns, || {
             self.admission_score(&tuple, now, event_time)
         });
-        store.insert_scored(tuple, score, state)
+        sample.time(&mut metrics.insert_ns, || store.insert_scored(tuple, score, state))
     }
 
     /// [`QueryCore::rescore_store`], counted and timed — every pass, not
@@ -746,7 +748,7 @@ impl ShedJoinEngine {
             }
         }
         // 2. Delete expired tuples from every window.
-        self.expire_all(now);
+        self.expire_all(now, sample);
         // 3. Emit the join results produced by this tuple, a run of the
         //    probe's two innermost levels at a time: what a run costs beyond
         //    finding it is the sink's to decide (`EmitSink::emit_run` — a
@@ -760,21 +762,23 @@ impl ShedJoinEngine {
         let track = self.core.reqs.produced_counters;
         let plan = &self.core.plans[stream.index()];
         let stores = &self.stores.as_slice();
-        let produced = if !role.probe {
-            0
-        } else if track {
-            let scratch = &mut self.produced_scratch;
-            probe_runs_in(plan, &tuple, stores, |run| {
-                for (k, s) in scratch.iter_mut().enumerate() {
-                    s.credit(StreamId(k), run);
-                }
-                sink.emit_run(QueryId::SOLO, run);
-            })
-        } else {
-            probe_runs_in(plan, &tuple, stores, |run| {
-                sink.emit_run(QueryId::SOLO, run)
-            })
-        };
+        let scratch = &mut self.produced_scratch;
+        let produced = sample.time(&mut self.metrics.probe_ns, || {
+            if !role.probe {
+                0
+            } else if track {
+                probe_runs_in(plan, &tuple, stores, |run| {
+                    for (k, s) in scratch.iter_mut().enumerate() {
+                        s.credit(StreamId(k), run);
+                    }
+                    sink.emit_run(QueryId::SOLO, run);
+                })
+            } else {
+                probe_runs_in(plan, &tuple, stores, |run| {
+                    sink.emit_run(QueryId::SOLO, run)
+                })
+            }
+        });
         self.metrics.total_output += produced;
         if role.count_processed {
             self.metrics.processed += 1;
@@ -871,10 +875,11 @@ impl ShedJoinEngine {
         self.core.sketches.as_mut().map(|s| s.estimate_join_count())
     }
 
-    fn expire_all(&mut self, now: VTime) {
-        for store in &mut self.stores {
-            self.metrics.expired += store.expire_each(now, drop);
-        }
+    fn expire_all(&mut self, now: VTime, sample: Sample) {
+        let stores = &mut self.stores;
+        self.metrics.expired += sample.time(&mut self.metrics.expire_ns, || {
+            stores.iter_mut().map(|store| store.expire_each(now, drop)).sum::<u64>()
+        });
     }
 
     /// Returns `(stored, shed)`: whether the arriving tuple remained
@@ -1143,6 +1148,9 @@ mod tests {
                 metrics.sketch_observe_ns = 0;
                 metrics.priority_rebuild_ns = 0;
                 metrics.score_ns = 0;
+                metrics.expire_ns = 0;
+                metrics.probe_ns = 0;
+                metrics.insert_ns = 0;
                 metrics.sign_cache_hits = 0;
                 metrics.sign_cache_misses = 0;
                 metrics.score_cache_hits = 0;
@@ -1358,6 +1366,10 @@ mod tests {
         let m = engine.metrics();
         assert!(m.sketch_observe_ns > 0, "observe stage timed");
         assert!(m.score_ns > 0, "scoring stage timed");
+        assert!(m.expire_ns > 0 && m.probe_ns > 0 && m.insert_ns > 0, "window stages timed: {m:?}");
+        for ns in [m.sketch_observe_ns, m.score_ns, m.expire_ns, m.probe_ns, m.insert_ns] {
+            assert_eq!(ns % crate::clock::STRIDE, 0, "sampled stages are charged by the stride");
+        }
         assert!(m.priority_rebuild_ns > 0, "on-demand rebuilds timed");
         assert!(m.priority_rebuilds > 0);
         assert!(m.sign_cache_misses > 0);

@@ -690,9 +690,10 @@ impl MultiQueryEngine {
         //    oldest-first, so expiring a store between its owner's events
         //    changes only the batching of removals, never their sequence —
         //    owner-solo equivalence is preserved.
-        for entry in stores.iter_mut().flatten() {
-            metrics.expired += entry.store.expire_each(now, drop);
-        }
+        metrics.expired += sample.time(&mut metrics.expire_ns, || {
+            let live = stores.iter_mut().flatten();
+            live.map(|entry| entry.store.expire_each(now, drop)).sum::<u64>()
+        });
         // 3. Every interested class probes its partner stores, before any
         //    insertion (the paper's operator probes partner windows only),
         //    and each run of matches goes to every member. Runs credit the
@@ -700,48 +701,51 @@ impl MultiQueryEngine {
         //    stay those of its solo run. Whether a class credits at all is
         //    decided here, not per run (see
         //    `ShedJoinEngine::ingest_tuple_as`).
-        let mut produced = 0u64;
-        let mut credited = false;
         let entries: &[Option<StoreEntry>] = stores;
-        for (cid, class) in classes.iter().enumerate() {
-            let Some(class) = class.as_ref() else {
-                continue;
-            };
-            let Some(origin) = class.local_of(g) else {
-                continue;
-            };
-            let plan = &class.core.plans[origin.index()];
-            // Slices: the run closure then carries (ptr, len) itself
-            // instead of re-reading them through the class per run.
-            let members: &[QueryId] = &class.members;
-            let map: &[usize] = &class.store_of;
-            let lookup = MappedStores { entries, map };
-            let rows = if class.core.reqs.produced_counters {
-                credited = true;
-                probe_runs_in(plan, &tuple, &lookup, |run| {
-                    for (k, &si) in map.iter().enumerate() {
-                        let entry = entries[si].as_ref().expect("class store is live");
-                        if entry.users[0] == cid {
-                            scratches[si].credit(StreamId(k), run);
+        let (produced, credited) = sample.time(&mut metrics.probe_ns, || {
+            let mut produced = 0u64;
+            let mut credited = false;
+            for (cid, class) in classes.iter().enumerate() {
+                let Some(class) = class.as_ref() else {
+                    continue;
+                };
+                let Some(origin) = class.local_of(g) else {
+                    continue;
+                };
+                let plan = &class.core.plans[origin.index()];
+                // Slices: the run closure then carries (ptr, len) itself
+                // instead of re-reading them through the class per run.
+                let members: &[QueryId] = &class.members;
+                let map: &[usize] = &class.store_of;
+                let lookup = MappedStores { entries, map };
+                let rows = if class.core.reqs.produced_counters {
+                    credited = true;
+                    probe_runs_in(plan, &tuple, &lookup, |run| {
+                        for (k, &si) in map.iter().enumerate() {
+                            let entry = entries[si].as_ref().expect("class store is live");
+                            if entry.users[0] == cid {
+                                scratches[si].credit(StreamId(k), run);
+                            }
                         }
-                    }
-                    for &qid in members {
-                        sink.emit_run(qid, run);
-                    }
-                })
-            } else {
-                probe_runs_in(plan, &tuple, &lookup, |run| {
-                    for &qid in members {
-                        sink.emit_run(qid, run);
-                    }
-                })
-            };
-            for &qid in members {
-                let q = queries[qid.index()].as_mut();
-                q.expect("member is registered").produced += rows;
+                        for &qid in members {
+                            sink.emit_run(qid, run);
+                        }
+                    })
+                } else {
+                    probe_runs_in(plan, &tuple, &lookup, |run| {
+                        for &qid in members {
+                            sink.emit_run(qid, run);
+                        }
+                    })
+                };
+                for &qid in members {
+                    let q = queries[qid.index()].as_mut();
+                    q.expect("member is registered").produced += rows;
+                }
+                produced += rows * members.len() as u64;
             }
-            produced += rows * members.len() as u64;
-        }
+            (produced, credited)
+        });
         metrics.total_output += produced;
         metrics.processed += 1;
         // 4. Land the produced-output credits, refreshed by each store
@@ -1113,6 +1117,9 @@ mod tests {
             let metrics = EngineMetrics {
                 sketch_observe_ns: 0,
                 score_ns: 0,
+                expire_ns: 0,
+                probe_ns: 0,
+                insert_ns: 0,
                 priority_rebuild_ns: 0,
                 priority_rebuilds: 0,
                 sign_cache_hits: 0,
@@ -1160,6 +1167,7 @@ mod tests {
         let m = run(Box::new(MSketch));
         assert!(m.shed_window > 0, "capacity 4 must shed");
         assert!(m.sketch_observe_ns > 0 && m.score_ns > 0, "{m:?}");
+        assert!(m.expire_ns > 0 && m.probe_ns > 0 && m.insert_ns > 0, "{m:?}");
         assert_eq!(run(Box::new(Fifo)).sketch_observe_ns, 0);
     }
 

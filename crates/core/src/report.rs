@@ -50,6 +50,23 @@ pub struct EngineMetrics {
     /// [`EngineMetrics::sketch_observe_ns`].
     #[serde(default)]
     pub score_ns: u64,
+    /// Wall-clock nanoseconds expiring tuples from every window (step 2 of
+    /// an arrival). An estimate, sampled and scaled like
+    /// [`EngineMetrics::sketch_observe_ns`].
+    #[serde(default)]
+    pub expire_ns: u64,
+    /// Wall-clock nanoseconds probing the partner windows and handing the
+    /// runs to the sink (step 3; the sink's own work included). An
+    /// estimate, sampled and scaled like
+    /// [`EngineMetrics::sketch_observe_ns`].
+    #[serde(default)]
+    pub probe_ns: u64,
+    /// Wall-clock nanoseconds storing the arrival in its window and
+    /// evicting its victim (the `WindowStore` half of step 5; the scoring
+    /// half is [`EngineMetrics::score_ns`]). An estimate, sampled and
+    /// scaled like [`EngineMetrics::sketch_observe_ns`].
+    #[serde(default)]
+    pub insert_ns: u64,
     /// Packed-sign cache hits inside the sketch bank (0 when sketch-free).
     #[serde(default)]
     pub sign_cache_hits: u64,
@@ -83,6 +100,9 @@ impl EngineMetrics {
         self.priority_rebuild_ns += other.priority_rebuild_ns;
         self.priority_rebuilds += other.priority_rebuilds;
         self.score_ns += other.score_ns;
+        self.expire_ns += other.expire_ns;
+        self.probe_ns += other.probe_ns;
+        self.insert_ns += other.insert_ns;
         self.sign_cache_hits += other.sign_cache_hits;
         self.sign_cache_misses += other.sign_cache_misses;
         self.score_cache_hits += other.score_cache_hits;
@@ -167,6 +187,9 @@ mod tests {
             priority_rebuild_ns: 8,
             priority_rebuilds: 16,
             score_ns: 9,
+            expire_ns: 17,
+            probe_ns: 18,
+            insert_ns: 19,
             sign_cache_hits: 10,
             sign_cache_misses: 11,
             score_cache_hits: 14,

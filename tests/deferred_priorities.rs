@@ -73,6 +73,9 @@ fn comparable(m: &EngineMetrics) -> EngineMetrics {
         sketch_observe_ns: 0,
         priority_rebuild_ns: 0,
         score_ns: 0,
+        expire_ns: 0,
+        probe_ns: 0,
+        insert_ns: 0,
         sign_cache_hits: 0,
         sign_cache_misses: 0,
         score_cache_hits: 0,

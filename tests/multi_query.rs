@@ -364,6 +364,9 @@ fn sink_choice_never_changes_what_the_plane_does() {
         let det = |m: &EngineMetrics| EngineMetrics {
             sketch_observe_ns: 0,
             score_ns: 0,
+            expire_ns: 0,
+            probe_ns: 0,
+            insert_ns: 0,
             priority_rebuild_ns: 0,
             ..m.clone()
         };

@@ -62,6 +62,9 @@ fn det(m: &EngineMetrics) -> EngineMetrics {
         sketch_observe_ns: 0,
         priority_rebuild_ns: 0,
         score_ns: 0,
+        expire_ns: 0,
+        probe_ns: 0,
+        insert_ns: 0,
         ..m.clone()
     }
 }
