@@ -18,22 +18,62 @@ fn tup(seq: u64, ts: u64, a: u64, b: u64) -> Tuple {
     )
 }
 
-/// Insert into a full window (every call pays one eviction).
-fn bench_insert_evict(c: &mut Criterion) {
-    let mut store = WindowStore::new(WindowSpec::Time(VDur::from_secs(1 << 30)), vec![0, 1], 1024);
-    let mut rng = StdRng::seed_from_u64(1);
+/// The per-arrival window kernels outside an end-to-end run, a thousand
+/// operations an iteration (ms/iter reads as microseconds an operation):
+/// `insert_evict_full` — a full 512-tuple window, two indexed attributes,
+/// scores that rise with the clock so that every insert displaces a
+/// resident somewhere in the heap — and `expire_idle_{3,8}` — one
+/// `expire_each` per store of an engine's set (3 solo, 8 on the plane)
+/// when nothing is due, as on most arrivals.
+fn bench_window_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("window_kernels_x1000");
+    let never = WindowSpec::Time(VDur::from_secs(1 << 30));
+    let mut rng = StdRng::seed_from_u64(7);
     let mut seq = 0u64;
-    for _ in 0..1024 {
-        store.insert(tup(seq, 0, rng.gen_range(0..100), rng.gen_range(0..100)), rng.gen());
+    let mut arrival = |rng: &mut StdRng| {
         seq += 1;
+        let t = tup(seq, seq / 10, rng.gen_range(0..100), rng.gen_range(0..100));
+        (t, seq as f64 / 512.0 + rng.gen::<f64>())
+    };
+    let mut store = WindowStore::new(never, vec![0, 1], 512);
+    for _ in 0..512 {
+        let (t, score) = arrival(&mut rng);
+        store.insert(t, score);
     }
-    c.bench_function("window_insert_with_eviction", |b| {
+    group.bench_function("insert_evict_full", |b| {
         b.iter(|| {
-            let t = tup(seq, 0, rng.gen_range(0..100), rng.gen_range(0..100));
-            seq += 1;
-            black_box(store.insert(t, rng.gen()));
+            for _ in 0..1000 {
+                let (t, score) = arrival(&mut rng);
+                black_box(store.insert(t, score));
+            }
         })
     });
+    for n in [3usize, 8] {
+        let mut stores: Vec<WindowStore> = (0..n)
+            .map(|_| {
+                let mut store = WindowStore::new(never, vec![0], 512);
+                for _ in 0..256 {
+                    let (t, score) = arrival(&mut rng);
+                    store.insert(t, score);
+                }
+                store
+            })
+            .collect();
+        let mut now = 0u64;
+        group.bench_function(&format!("expire_idle_{n}"), |b| {
+            b.iter(|| {
+                let mut expired = 0;
+                for _ in 0..1000 {
+                    now += 1;
+                    for store in stores.iter_mut() {
+                        expired += store.expire_each(black_box(VTime::from_secs(now)), drop);
+                    }
+                }
+                assert_eq!(expired, 0, "nothing is due");
+            })
+        });
+    }
+    group.finish();
 }
 
 /// Hash-index probe on a 1024-tuple window.
@@ -133,6 +173,19 @@ fn bench_join_probe(c: &mut Criterion) {
     };
     let stores = filled(&mut |rng| rng.gen_range(0..64));
     let skewed = filled(&mut |rng| rng.gen_range(0..20u64).saturating_sub(16));
+    // `skew_single`'s shape: some 78 outer candidates a probe (13 values
+    // of R2.A1 over 1024 tuples), four in five of them driving R3 with one
+    // value of R2.A2 — so what a probe costs is reading each candidate's
+    // drive value, from the second of R2's two indexed attributes.
+    let mut outer_key = true;
+    let drive_col = filled(&mut |rng| {
+        outer_key = !outer_key;
+        if outer_key {
+            rng.gen_range(0..20u64).saturating_sub(16)
+        } else {
+            rng.gen_range(0..13)
+        }
+    });
     let mut v = 0u64;
     let mid = ProbePlan::new(&q, StreamId(1));
     c.bench_function("probe_kernel_chain3_mid", |b| {
@@ -160,6 +213,17 @@ fn bench_join_probe(c: &mut Criterion) {
         });
     }
     group.finish();
+    // The chain from R1: each of R2's candidates drives R3 with its own A2.
+    let end = ProbePlan::new(&q, StreamId(0));
+    c.bench_function("probe_chain_drive_col_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1000 {
+                v = (v + 1) % 13;
+                let t = Tuple::new(StreamId(0), VTime::ZERO, SeqNo(seq), vec![Value(v), Value(0)]);
+                black_box(probe_count(&end, black_box(&t), &drive_col));
+            }
+        })
+    });
 }
 
 /// Raw single-key probe: the open-addressed `FlatIndex` against the
@@ -194,7 +258,7 @@ fn bench_flat_index(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_insert_evict,
+    bench_window_kernels,
     bench_window_probe,
     bench_rebuild,
     bench_queue,

@@ -385,16 +385,23 @@ impl<L: StoreLookup> Probe<'_, L> {
             return self.deliver(slots, cands, index.probe(drive.0).parts(), on_run);
         }
         let store = self.stores.store(outer.stream);
+        // A chain's candidates each drive `last` with their own value of
+        // `last.drive_attr` — a join attribute of theirs, so read from the
+        // store's column, not through the candidate's tuple. Only for a
+        // chain: the attribute indexes the drive stream's schema, and a
+        // star's outer tuples may be narrower than that.
+        let col = shared.is_none().then(|| store.join_col(last.drive_attr));
         // The value a candidate drives `last` with, if it passes `rvals`.
-        // Read off the candidate only for a chain: `last.drive_attr` indexes
-        // the drive stream's schema, and a star's outer tuples may be
-        // narrower than that.
         let drive_of = |slot| {
-            let t = store.tuple(slot).expect("probed slot is live");
-            rvals
-                .iter()
-                .all(|&(v, ca)| t.values[ca] == v)
-                .then(|| shared.unwrap_or_else(|| t.values[last.drive_attr]))
+            let passes = rvals.is_empty() || {
+                let t = store.tuple(slot).expect("probed slot is live");
+                rvals.iter().all(|&(v, ca)| t.values[ca] == v)
+            };
+            match (passes, col) {
+                (false, _) => None,
+                (true, Some(col)) => Some(col.get(slot)),
+                (true, None) => shared,
+            }
         };
         let mut count = 0;
         for part in [cands.0, cands.1] {
@@ -1021,7 +1028,7 @@ mod tests {
     }
 
     /// The query shapes the differential proptests cover.
-    const SHAPES: usize = 11;
+    const SHAPES: usize = 12;
 
     fn query(shape: usize) -> JoinQuery {
         let names = ["R1", "R2", "R3", "R4"];
@@ -1106,6 +1113,16 @@ mod tests {
             // pair: two predicates between two streams — single-step plans
             // whose one step carries a residual.
             9 => JoinQuery::from_names(mk(2), &[("R1.A1", "R2.A1"), ("R1.A2", "R2.A2")], w).unwrap(),
+            // wide middle: R2 is indexed on its first and fourth attributes
+            // only, so from R1 each R2 candidate drives R3 with the second
+            // value of its key-column row, from schema attribute 3.
+            11 => {
+                let mut c = Catalog::new();
+                c.add_stream(StreamSchema::new("R1", &["A1"]));
+                c.add_stream(StreamSchema::new("R2", &["A1", "A2", "A3", "A4"]));
+                c.add_stream(StreamSchema::new("R3", &["A1"]));
+                JoinQuery::from_names(c, &[("R1.A1", "R2.A1"), ("R2.A4", "R3.A1")], w).unwrap()
+            }
             // mixed arities: from R1 the outer step (R2, two attributes)
             // carries a residual and the last (R3) is driven by the
             // origin's fourth — an index no outer tuple has.

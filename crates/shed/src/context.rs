@@ -142,7 +142,7 @@ impl<'a> PriorityCtx<'a> {
     pub fn remaining_lifetime_secs(&self, tuple: &Tuple) -> f64 {
         match self.query.window(tuple.stream) {
             mstream_types::WindowSpec::Time(p) => {
-                let expiry = tuple.ts + p;
+                let expiry = tuple.ts.saturating_add(p);
                 expiry.since(self.now).as_secs_f64()
             }
             mstream_types::WindowSpec::Tuples(_) => 1.0,
@@ -180,16 +180,15 @@ mod tests {
     use rand::SeedableRng;
 
     fn chain3() -> JoinQuery {
+        chain3_over(WindowSpec::secs(100))
+    }
+
+    fn chain3_over(window: WindowSpec) -> JoinQuery {
         let mut c = Catalog::new();
         c.add_stream(StreamSchema::new("R1", &["A1", "A2"]));
         c.add_stream(StreamSchema::new("R2", &["A1", "A2"]));
         c.add_stream(StreamSchema::new("R3", &["A1", "A2"]));
-        JoinQuery::from_names(
-            c,
-            &[("R1.A1", "R2.A1"), ("R2.A2", "R3.A1")],
-            WindowSpec::secs(100),
-        )
-        .unwrap()
+        JoinQuery::from_names(c, &[("R1.A1", "R2.A1"), ("R2.A2", "R3.A1")], window).unwrap()
     }
 
     fn tup(stream: usize, ts: u64, a: u64, b: u64) -> Tuple {
@@ -221,6 +220,25 @@ mod tests {
             ..ctx
         };
         assert_eq!(ctx2.remaining_lifetime_secs(&tup(0, 10, 1, 1)), 0.0);
+    }
+
+    #[test]
+    fn a_window_that_never_closes_has_all_of_time_left() {
+        // `ts + p` past u64::MAX µs: wrapped, the sum read as a deadline
+        // long gone (0 s left, so `Age` ranked every resident last).
+        let q = chain3_over(WindowSpec::Time(VDur::from_micros(u64::MAX)));
+        let mut rng = StdRng::seed_from_u64(0);
+        let ctx = PriorityCtx {
+            query: &q,
+            sketches: None,
+            partner_freq: None,
+            now: VTime::from_secs(20),
+            rng: &mut rng,
+            event_time: false,
+        };
+        let end_of_time = VTime::from_micros(u64::MAX);
+        let left = ctx.remaining_lifetime_secs(&tup(0, 10, 1, 1));
+        assert_eq!(left, end_of_time.since(VTime::from_secs(20)).as_secs_f64());
     }
 
     #[test]

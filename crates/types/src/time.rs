@@ -58,6 +58,14 @@ impl VTime {
     pub fn since(self, earlier: VTime) -> VDur {
         VDur(self.0.saturating_sub(earlier.0))
     }
+
+    /// `self + dur`, saturating at the end of virtual time instead of
+    /// wrapping (release) or panicking (debug) as the plain `+` does: the
+    /// form for a *deadline* — a window of `u64::MAX` µs never closes.
+    #[inline]
+    pub const fn saturating_add(self, dur: VDur) -> VTime {
+        VTime(self.0.saturating_add(dur.0))
+    }
 }
 
 impl VDur {
@@ -181,6 +189,9 @@ mod tests {
         assert_eq!(t - VDur::from_secs(20), VTime::ZERO, "subtraction saturates");
         assert_eq!(t.since(VTime::from_secs(12)), VDur::from_secs(3));
         assert_eq!(VTime::from_secs(1).since(VTime::from_secs(2)), VDur::ZERO);
+        assert_eq!(t.saturating_add(VDur::from_secs(1)), VTime::from_secs(16));
+        let forever = VDur::from_micros(u64::MAX);
+        assert_eq!(t.saturating_add(forever), VTime::from_micros(u64::MAX), "saturates");
     }
 
     #[test]

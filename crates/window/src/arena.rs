@@ -140,6 +140,25 @@ impl<T> Arena<T> {
         }
     }
 
+    /// Swaps `value` in for the live entry at `slot`: same index, next
+    /// generation — what `remove` followed by an `insert` that reuses the
+    /// index yields, without the free-list round trip. Returns the new
+    /// handle and the old entry, or `None` (dropping `value`) if `slot` is
+    /// stale/absent.
+    pub fn replace(&mut self, slot: Slot, value: T) -> Option<(Slot, T)> {
+        match self.entries.get_mut(slot.index())? {
+            Entry::Occupied { generation, value: old } if *generation == slot.generation => {
+                *generation += 1;
+                let fresh = Slot {
+                    index: slot.index,
+                    generation: *generation,
+                };
+                Some((fresh, std::mem::replace(old, value)))
+            }
+            _ => None,
+        }
+    }
+
     /// Shared access to the entry at `slot`, or `None` if stale/absent.
     pub fn get(&self, slot: Slot) -> Option<&T> {
         match self.entries.get(slot.index()) {
@@ -218,6 +237,24 @@ mod tests {
         assert_eq!(a.get(s1), None);
         assert_eq!(a.remove(s1), None);
         assert_eq!(a.get(s2), Some(&2));
+    }
+
+    #[test]
+    fn replace_keeps_the_index_and_retires_the_handle() {
+        let mut a = Arena::new();
+        let s1 = a.insert(1);
+        let other = a.insert(7);
+        let (s2, old) = a.replace(s1, 2).unwrap();
+        assert_eq!((old, a.len()), (1, 2));
+        assert_eq!(s1.index(), s2.index());
+        assert_ne!(s1, s2);
+        assert_eq!((a.get(s1), a.get(s2), a.get(other)), (None, Some(&2), Some(&7)));
+        assert_eq!(a.replace(s1, 3), None, "a stale handle replaces nothing");
+        // The same handle a remove + insert on the index would have minted.
+        let mut b = Arena::new();
+        let t1 = b.insert(1);
+        b.remove(t1);
+        assert_eq!(b.insert(2), s2);
     }
 
     #[test]

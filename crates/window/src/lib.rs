@@ -13,7 +13,7 @@
 //!   n-way join),
 //! * O(log n) **priority rebuild** per element at tumbling-epoch rollover.
 //!
-//! [`WindowStore`] composes an arena ([`arena::Arena`]), an indexed binary
+//! [`WindowStore`] composes an arena ([`arena::Arena`]), an indexed 4-ary
 //! heap ([`heap::IndexedHeap`]), per-attribute hash indexes and an arrival
 //! deque to provide exactly that. [`ShedQueue`] reuses the same pieces for
 //! the input queue, whose victims are chosen by priority, at random, or by
@@ -51,10 +51,12 @@ pub mod index;
 pub mod queue;
 pub mod reorder;
 pub mod store;
+#[cfg(test)]
+mod store_model;
 
 pub use arena::{Arena, Slot};
 pub use heap::IndexedHeap;
 pub use index::{Candidates, FlatIndex};
 pub use queue::{QueueVictim, ShedQueue};
 pub use reorder::ReorderBuffer;
-pub use store::{Eviction, InsertOutcome, WindowStore};
+pub use store::{Eviction, InsertOutcome, JoinCol, WindowStore};

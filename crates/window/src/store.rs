@@ -20,6 +20,27 @@ struct Entry {
     arrival_idx: u64,
 }
 
+/// One indexed attribute's values across a store's residents
+/// ([`WindowStore::join_col`]).
+#[derive(Clone, Copy)]
+pub struct JoinCol<'a> {
+    /// Row-major: one row of `stride` values per arena index.
+    vals: &'a [Value],
+    stride: usize,
+    /// The attribute's offset within a row.
+    a: usize,
+}
+
+impl JoinCol<'_> {
+    /// The value the tuple at `slot` carries on the column's attribute.
+    /// `slot` must be live — fresh from a probe of the same store, say:
+    /// the column keeps no generations to tell a stale handle by.
+    #[inline]
+    pub fn get(&self, slot: Slot) -> Value {
+        self.vals[slot.index() * self.stride + self.a]
+    }
+}
+
 /// What happened when a tuple was offered to a full window.
 #[derive(Debug, PartialEq)]
 pub enum Eviction {
@@ -55,16 +76,23 @@ pub struct InsertOutcome {
 ///
 /// Layout (see DESIGN.md §10): join indexes are open-addressed
 /// [`FlatIndex`] tables (no SipHash, no per-value `Vec`), and the per-slot
-/// sidecars `index_pos` / `produced` / `state` are flat arrays indexed by
-/// the slot's dense arena index.
+/// sidecars `index_pos` / `join_vals` / `produced` / `state` are flat
+/// arrays indexed by the slot's dense arena index.
 pub struct WindowStore {
     spec: WindowSpec,
     capacity: usize,
     /// Schema attribute indexes that carry a hash index.
     join_attrs: Vec<usize>,
     arena: Arena<Entry>,
-    /// Arrival-ordered queue of slots for expiration (lazily cleaned).
+    /// Arrival-ordered queue of slots for expiration. Its front is live
+    /// (or the queue is empty); entries of tuples evicted from the middle
+    /// stay queued until they surface or are compacted away.
     expiry: VecDeque<Slot>,
+    /// The due key ([`WindowStore::due_key`]) of `expiry`'s front, or
+    /// `u64::MAX` while the queue is empty: nothing expires before the
+    /// clock (time windows) or the arrival count (tuple windows) gets
+    /// there, so an arrival with nothing due is one comparison.
+    next_due: u64,
     /// `indexes[a]` maps a value of `join_attrs[a]` to the slots holding it.
     indexes: Vec<FlatIndex>,
     heap: IndexedHeap,
@@ -74,6 +102,10 @@ pub struct WindowStore {
     /// slot inside its bucket of indexed attribute `a`, for O(1)
     /// swap-removal. Valid only while the slot is live.
     index_pos: Vec<u32>,
+    /// `join_vals[slot.index() * join_attrs.len() + a]` = the slot's value
+    /// on indexed attribute `a`: the column [`WindowStore::join_col`]
+    /// reads. Valid only while the slot is live.
+    join_vals: Vec<Value>,
     /// Join-output tuples attributed to each live slot so far (used by the
     /// random-sampling priority measure). Indexed by `slot.index()`.
     produced: Vec<u64>,
@@ -104,10 +136,12 @@ impl WindowStore {
             join_attrs,
             arena: Arena::with_capacity(reserve),
             expiry: VecDeque::with_capacity(reserve),
+            next_due: u64::MAX,
             indexes: (0..n_idx).map(|_| FlatIndex::new()).collect(),
             heap: IndexedHeap::new(),
             arrivals_seen: 0,
             index_pos: Vec::with_capacity(reserve * n_idx),
+            join_vals: Vec::new(),
             produced: Vec::with_capacity(reserve),
             state: Vec::with_capacity(reserve),
             deferred: false,
@@ -169,29 +203,36 @@ impl WindowStore {
 
     /// [`Self::expire`] handing each expired tuple to `visit`, oldest
     /// first, instead of collecting them; returns how many expired. The
-    /// engines only count, so their per-arrival expiry allocates nothing.
+    /// engines only count, so their per-arrival expiry allocates nothing —
+    /// and with nothing due touches neither queue nor arena.
+    #[inline]
     pub fn expire_each(&mut self, now: VTime, mut visit: impl FnMut(Tuple)) -> u64 {
+        let clock = match self.spec {
+            WindowSpec::Time(_) => now.as_micros(),
+            WindowSpec::Tuples(_) => self.arrivals_seen,
+        };
         let mut expired = 0;
-        while let Some(&slot) = self.expiry.front() {
-            // Lazily drop queue entries for tuples already evicted.
-            let Some(entry) = self.arena.get(slot) else {
-                self.expiry.pop_front();
-                continue;
-            };
-            let is_expired = match self.spec {
-                WindowSpec::Time(p) => entry.tuple.ts + p <= now,
-                WindowSpec::Tuples(count) => {
-                    self.arrivals_seen.saturating_sub(entry.arrival_idx) >= count
-                }
-            };
-            if !is_expired {
+        while self.next_due <= clock {
+            // `u64::MAX` is also the empty queue's key.
+            let Some(&front) = self.expiry.front() else {
                 break;
-            }
-            self.expiry.pop_front();
-            visit(self.remove_slot(slot).expect("slot checked live"));
+            };
+            // Removing the front re-reads `next_due` off the one behind it.
+            visit(self.remove_slot(front).expect("the expiry queue's front is live"));
             expired += 1;
         }
         expired
+    }
+
+    /// When `entry` leaves by expiry, on the clock [`Self::expire_each`]
+    /// reads: the first instant a time window no longer covers it
+    /// (`ts + p` in µs, saturating — a window of `u64::MAX` µs never
+    /// closes), or the arrival count that pushes it out of a tuple window.
+    fn due_key(&self, entry: &Entry) -> u64 {
+        match self.spec {
+            WindowSpec::Time(p) => entry.tuple.ts.saturating_add(p).as_micros(),
+            WindowSpec::Tuples(count) => entry.arrival_idx.saturating_add(count),
+        }
     }
 
     /// Inserts `tuple` with the given priority `score`, evicting the
@@ -205,8 +246,9 @@ impl WindowStore {
     ///
     /// A full window whose minimum outranks the arrival under the heap's
     /// own `(score, seq)` order dismisses the arrival before it touches
-    /// arena, indexes, expiry deque or heap: it would be stored only to be
-    /// picked as the victim.
+    /// arena, indexes, expiry queue or heap: it would be stored only to be
+    /// picked as the victim. Any other arrival to a full window takes its
+    /// minimum's place ([`Self::replace_min`]).
     ///
     /// # Panics
     /// Panics if priorities are deferred ([`Self::defer_priorities`]): a
@@ -215,24 +257,22 @@ impl WindowStore {
     pub fn insert_scored(&mut self, tuple: Tuple, score: f64, state: f64) -> InsertOutcome {
         assert!(!self.deferred, "rebuild a deferred store before scoring into it");
         self.arrivals_seen += 1;
-        let full = self.arena.len() >= self.capacity;
-        if full && self.heap.would_be_min(score, tuple.seq.0) {
+        if self.arena.len() < self.capacity {
+            return InsertOutcome {
+                slot: Some(self.store(tuple, Some(score), state)),
+                eviction: Eviction::None,
+            };
+        }
+        if self.heap.would_be_min(score, tuple.seq.0) {
             return InsertOutcome {
                 slot: None,
                 eviction: Eviction::Evicted(tuple),
             };
         }
-        let slot = self.store(tuple, Some(score), state);
-        let eviction = if full {
-            let (victim_slot, _) = self.heap.peek_min().expect("non-empty over capacity");
-            let victim = self.remove_slot(victim_slot);
-            Eviction::Evicted(victim.expect("heap entries are live"))
-        } else {
-            Eviction::None
-        };
+        let (slot, victim) = self.replace_min(tuple, score, state);
         InsertOutcome {
             slot: Some(slot),
-            eviction,
+            eviction: Eviction::Evicted(victim),
         }
     }
 
@@ -263,23 +303,89 @@ impl WindowStore {
             self.produced.resize(i + 1, 0);
             self.state.resize(i + 1, 0.0);
             self.index_pos.resize((i + 1) * n_idx, 0);
+            self.join_vals.resize((i + 1) * n_idx, Value(0));
         }
-        self.produced[i] = 0;
-        self.state[i] = state;
-        let entry = self.arena.get(slot).expect("just inserted");
-        for a in 0..n_idx {
-            let value = entry.tuple.values[self.join_attrs[a]];
-            let pos = self.indexes[a].insert(value.0, slot);
-            self.index_pos[i * n_idx + a] = pos;
-        }
-        self.expiry.push_back(slot);
+        self.link(slot, state, None);
         if let Some(score) = score {
             self.heap.insert(slot, score, tie);
         }
         slot
     }
 
-    /// Fully removes `slot` from arena, indexes and heap.
+    /// Hands the heap minimum's place to `tuple`: same arena index (next
+    /// generation), same heap root (one sift down), no free-list round
+    /// trip.
+    fn replace_min(&mut self, tuple: Tuple, score: f64, state: f64) -> (Slot, Tuple) {
+        let tie = tuple.seq.0;
+        let (victim, _) = self.heap.peek_min().expect("a full window has a minimum");
+        let entry = Entry {
+            tuple,
+            arrival_idx: self.arrivals_seen,
+        };
+        let (slot, old) = self.arena.replace(victim, entry).expect("heap entries are live");
+        self.unqueue(victim);
+        self.link(slot, state, Some((victim, &old.tuple)));
+        self.heap.replace_min(slot, score, tie);
+        (slot, old.tuple)
+    }
+
+    /// What every newcomer gets once the arena holds it and the sidecar
+    /// rows of its index exist: fresh counters, its bucket positions and
+    /// column values, and the back of the expiry queue.
+    ///
+    /// `leaving` is the victim whose arena index — hence sidecar rows —
+    /// the newcomer took over. Each index sees the newcomer inserted
+    /// **before** the victim is removed, the order of "store, then evict
+    /// the minimum": a swap-removal moves the bucket's last slot into the
+    /// hole, so where the newcomer lands, hence every later probe's
+    /// enumeration order, is what it always was.
+    fn link(&mut self, slot: Slot, state: f64, leaving: Option<(Slot, &Tuple)>) {
+        let i = slot.index();
+        let n_idx = self.join_attrs.len();
+        self.produced[i] = 0;
+        self.state[i] = state;
+        let entry = self.arena.get(slot).expect("just inserted");
+        for (a, &attr) in self.join_attrs.iter().enumerate() {
+            let cell = i * n_idx + a;
+            let value = entry.tuple.values[attr];
+            let victim_pos = self.index_pos[cell];
+            self.join_vals[cell] = value;
+            self.index_pos[cell] = self.indexes[a].insert(value.0, slot);
+            if let Some((victim, tuple)) = leaving {
+                let key = tuple.values[attr].0;
+                if let Some(moved) = self.indexes[a].remove(key, victim_pos, victim) {
+                    self.index_pos[moved.index() * n_idx + a] = victim_pos;
+                }
+            }
+        }
+        if self.expiry.is_empty() {
+            self.next_due = self.due_key(entry);
+        } else if self.expiry.len() == self.expiry.capacity() {
+            self.compact_expiry();
+        }
+        self.expiry.push_back(slot);
+    }
+
+    /// The expiry queue is about to grow: if more than a third of it is
+    /// entries of tuples evicted since (at 20× overload nineteen in
+    /// twenty), drops those instead. Each pass removes a third of the queue
+    /// or leaves it to double, so a push stays O(1) amortised and the
+    /// queue's length stays within a small multiple of the residents'.
+    /// Order, and the live front, are untouched. Out of line: it runs once
+    /// in hundreds of inserts and would bloat every one of them.
+    #[cold]
+    #[inline(never)]
+    fn compact_expiry(&mut self) {
+        // The arena already holds the newcomer, the queue not yet.
+        let stale = self.expiry.len() + 1 - self.arena.len();
+        if stale * 3 > self.expiry.len() {
+            let arena = &self.arena;
+            self.expiry.retain(|&slot| arena.contains(slot));
+        }
+    }
+
+    /// Fully removes `slot` from arena, indexes, heap and — if it is the
+    /// front — the expiry queue.
     fn remove_slot(&mut self, slot: Slot) -> Option<Tuple> {
         let entry = self.arena.remove(slot)?;
         let i = slot.index();
@@ -292,8 +398,28 @@ impl WindowStore {
             }
         }
         self.heap.remove(slot);
-        // The expiry deque entry is cleaned lazily.
+        self.unqueue(slot);
         Some(entry.tuple)
+    }
+
+    /// `dead` has just left the arena. Anywhere but the front its queue
+    /// entry stays behind (it surfaces, or is compacted away, later); at
+    /// the front it goes now, with every dead entry queued behind it, and
+    /// `next_due` is read off the live entry that surfaces.
+    fn unqueue(&mut self, dead: Slot) {
+        if self.expiry.front() != Some(&dead) {
+            return;
+        }
+        self.expiry.pop_front();
+        self.next_due = loop {
+            let Some(&front) = self.expiry.front() else {
+                break u64::MAX;
+            };
+            match self.arena.get(front) {
+                Some(entry) => break self.due_key(entry),
+                None => self.expiry.pop_front(),
+            };
+        };
     }
 
     /// Evicts and returns the lowest-priority tuple, if any (`None` while
@@ -317,9 +443,28 @@ impl WindowStore {
     /// # Panics
     /// Panics if `attr` is not one of the indexed join attributes.
     pub fn index_on(&self, attr: usize) -> &FlatIndex {
+        &self.indexes[self.indexed(attr)]
+    }
+
+    /// Where schema attribute `attr` sits among the indexed ones.
+    fn indexed(&self, attr: usize) -> usize {
         match self.join_attrs.iter().position(|&ja| ja == attr) {
-            Some(a) => &self.indexes[a],
+            Some(a) => a,
             None => panic!("attribute {attr} is not indexed"),
+        }
+    }
+
+    /// The residents' values on schema attribute `attr`, as a column read
+    /// by slot: what a probe walking many candidates for one join key
+    /// reads in place of each candidate's tuple.
+    ///
+    /// # Panics
+    /// Panics if `attr` is not one of the indexed join attributes.
+    pub fn join_col(&self, attr: usize) -> JoinCol<'_> {
+        JoinCol {
+            vals: &self.join_vals,
+            stride: self.join_attrs.len(),
+            a: self.indexed(attr),
         }
     }
 
@@ -480,6 +625,13 @@ impl WindowStore {
         self.iter().map(|(_, t)| t.seq).min()
     }
 
+    /// Entries in the expiry queue, dead ones included (for the test that
+    /// bounds it by the capacity).
+    #[doc(hidden)]
+    pub fn expiry_queue_len(&self) -> usize {
+        self.expiry.len()
+    }
+
     /// Internal consistency check used by tests: every resident tuple is in
     /// the heap — or, on a deferred store, none is and the heap is empty —
     /// and in every index bucket its values demand, and vice versa.
@@ -501,6 +653,7 @@ impl WindowStore {
                 let pos = self.index_pos[slot.index() * n_idx + a] as usize;
                 let bucket = self.indexes[a].probe(value.0);
                 assert_eq!(bucket.get(pos), Some(slot), "index_pos desynchronized");
+                assert_eq!(self.join_col(attr).get(slot), value, "join column desynchronized");
             }
         }
         if !self.join_attrs.is_empty() {
@@ -513,7 +666,8 @@ impl WindowStore {
     /// position-map invariants, the open-addressed indexes' internal
     /// invariants *and* a cross-check of their contents against a reference
     /// `HashMap` rebuilt from the arena, the capacity bound, and agreement
-    /// between the lazily-cleaned expiry deque and the arena.
+    /// between the expiry queue (live front, its due key on record, dead
+    /// entries only behind it) and the arena.
     ///
     /// O(n log n); compiled only for tests and the `audit` feature, where
     /// the differential harness calls it after every arrival.
@@ -531,6 +685,13 @@ impl WindowStore {
             self.arena.len(),
             self.capacity
         );
+        // The queue's front is live and `next_due` is its due key — or the
+        // store would sit on a due tuple, or walk the queue for nothing.
+        let front_due = self.expiry.front().map(|&front| {
+            let entry = self.arena.get(front).expect("dead entry at the expiry queue's front");
+            self.due_key(entry)
+        });
+        assert_eq!(self.next_due, front_due.unwrap_or(u64::MAX), "next_due out of date");
         // Every live slot must appear in the expiry deque exactly once, and
         // live deque entries must run oldest-first (nondecreasing seq) or
         // FIFO expiration would release tuples out of order.
@@ -538,7 +699,7 @@ impl WindowStore {
         let mut last_seq: Option<SeqNo> = None;
         for &slot in &self.expiry {
             let Some(entry) = self.arena.get(slot) else {
-                continue; // stale entry awaiting lazy cleanup
+                continue; // evicted since; surfaces or is compacted later
             };
             assert!(seen.insert(slot), "slot queued for expiry twice: {slot:?}");
             if let Some(prev) = last_seq {

@@ -123,8 +123,10 @@ done
 # and lane forms would panic. No run gets there — |X_k[c]| is at most the
 # tuples stream k saw this epoch, a u64 the bank counts beside it — and the
 # equivalence suite keeps its fold inputs half an i64 away from the ends.
+# mstream-window rides along: its due keys (`ts + p`, `arrival + count`)
+# saturate, and a plain `+` there must panic here instead of wrapping.
 RUSTFLAGS="-C overflow-checks=on" \
-  cargo test -q --release -p mstream-sketch -p mstream-types --target-dir target/overflow-checks
+  cargo test -q --release -p mstream-sketch -p mstream-types -p mstream-window --target-dir target/overflow-checks
 # mstream-sketch has one sanctioned unsafe island (kernel::avx2); a second
 # allow must not slip in unnoticed.
 UNSAFE_ALLOWS=$(cat crates/sketch/src/*.rs | grep -c 'allow(unsafe_code)' || true)
