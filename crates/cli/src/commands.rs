@@ -293,11 +293,7 @@ fn run_multi(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             "--service models a single-query operator and cannot be combined with --queries",
         ));
     }
-    if flags.num_opt::<f64>("--disorder-bound")?.is_some() {
-        return Err(CliError::usage(
-            "--disorder-bound is not supported by the multi-query engine",
-        ));
-    }
+    let disorder = parse_disorder(flags)?;
     let queries = load_queries(flags.require("--queries")?)?;
     let trace = load_trace(flags.require("--trace")?)?;
     let policy_name = flags.get("--policy").unwrap_or("MSketch");
@@ -317,6 +313,9 @@ fn run_multi(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         .boxed_policy(policy)
         .capacity_per_window(capacity)
         .seed(flags.num("--seed", 42)?);
+    if let Some(bound) = disorder {
+        builder = builder.disorder_bound(bound);
+    }
     for (i, query) in queries.iter().enumerate() {
         builder
             .register(query.clone())
@@ -335,6 +334,7 @@ fn run_multi(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
                 let now = VTime::ZERO + dt.mul(i as u64);
                 engine.ingest(Arrival::new(item.stream, item.values.clone(), now), &mut sink);
             }
+            engine.flush(&mut sink);
             MultiOutcome {
                 stats: (0..queries.len())
                     .map(|q| engine.query_stats(QueryId(q as u32)).unwrap_or_default())
@@ -404,6 +404,8 @@ fn run_multi(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             "output_tuples": o.metrics.total_output,
             "shed_window": o.metrics.shed_window,
             "shed_channel": o.shed_channel,
+            "late_dropped": o.metrics.late_dropped,
+            "disorder_bound_secs": disorder.map(|d| d.as_secs_f64()),
             "expired": o.metrics.expired,
             "epoch_rollovers": o.metrics.epoch_rollovers,
             "priority_rebuilds": o.metrics.priority_rebuilds,
@@ -989,7 +991,7 @@ mod tests {
         }
 
         // Conflicting flag combinations are usage errors.
-        for extra in [["--query", chain], ["--service", "10"], ["--disorder-bound", "5"]] {
+        for extra in [["--query", chain], ["--service", "10"]] {
             let err = run_cli(&[
                 "run", "--queries", queries_path, "--trace", trace_path, extra[0], extra[1],
             ])
@@ -1063,6 +1065,42 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.to_string().contains(">= 0"), "{err}");
+    }
+
+    #[test]
+    fn multi_query_run_accepts_a_disorder_bound() {
+        let dir = std::env::temp_dir().join("mstream_cli_test_multi_disorder");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace_path = dir.join("trace.csv");
+        let trace_path = trace_path.to_str().unwrap();
+        run_cli(&[
+            "generate", "--workload", "regions", "--tuples", "200", "--out", trace_path,
+        ])
+        .unwrap();
+        let chain = "SELECT * FROM R1(A1, A2) [RANGE 30 SECONDS], R2(A1, A2), R3(A1, A2) \
+                     WHERE R1.A1 = R2.A1 AND R2.A2 = R3.A1";
+        let pair = "SELECT * FROM R1(A1, A2) [RANGE 30 SECONDS], R2(A1, A2) \
+                    WHERE R1.A1 = R2.A1";
+        let queries_path = dir.join("queries.json");
+        std::fs::write(&queries_path, serde_json::to_string(&[chain, pair]).unwrap()).unwrap();
+        let queries_path = queries_path.to_str().unwrap();
+        let produced = |extra: &[&str]| -> Vec<serde_json::Value> {
+            let mut args = vec![
+                "run", "--queries", queries_path, "--trace", trace_path, "--capacity", "50",
+                "--json",
+            ];
+            args.extend_from_slice(extra);
+            let v: serde_json::Value = serde_json::from_str(&run_cli(&args).unwrap()).unwrap();
+            assert_eq!(v["late_dropped"], 0, "{extra:?}");
+            let rows = v["per_query"].as_array().unwrap();
+            rows.iter().map(|r| r["produced"].clone()).collect()
+        };
+        // The CLI's arrival schedule is in order, so the bound changes
+        // nothing: per query, in-process and through the coordinator.
+        let plain = produced(&[]);
+        assert!(plain.iter().all(|p| p.as_u64().unwrap() > 0), "{plain:?}");
+        assert_eq!(produced(&["--disorder-bound", "5"]), plain);
+        assert_eq!(produced(&["--disorder-bound", "5", "--shards", "2"]), plain);
     }
 
     #[test]

@@ -56,8 +56,8 @@ RUN OPTIONS:
     --query-file <path>  read the query from a file instead
     --queries <path>     JSON array of query strings: run them all as standing
                          queries on one shared data plane; the report gains
-                         per-query produced/shed/recall rows; excludes --query,
-                         --service and --disorder-bound
+                         per-query produced/shed/recall rows; excludes --query
+                         and --service
     --trace <path>       CSV trace: `stream,value,value,...` per line ('-' = stdin)
     --policy <name>      MSketch | MSketch-RS | Age | Life | Bjoin | Random | FIFO
                          (default MSketch)

@@ -2,12 +2,11 @@
 //!
 //! [`EngineBuilder`] is the one documented construction path: it owns all
 //! configuration validation (memory capacities, sketch bank sizing, epoch
-//! derivability, shard counts) and produces a single-threaded
-//! [`ShedJoinEngine`] (`build`), a hash-partitioned parallel
-//! [`ShardedJoinEngine`] (`build_sharded`), or — when more than one query
-//! is [`EngineBuilder::register`]ed — a shared-data-plane
-//! [`MultiQueryEngine`] (`build_multi`) / [`ShardedMultiEngine`]
-//! (`build_multi_sharded`).
+//! derivability, shard counts) and produces the one in-process engine —
+//! [`MultiQueryEngine`] over every [`EngineBuilder::register`]ed query
+//! (`build_multi`), or over exactly one ([`ShedJoinEngine`], `build`) —
+//! or a sharded one: [`ShardedJoinEngine`] (`build_sharded`) /
+//! [`ShardedMultiEngine`] (`build_multi_sharded`).
 //!
 //! Validation failures are reported as the typed [`BuildError`] enum; it
 //! converts losslessly into the workspace-wide
@@ -15,11 +14,11 @@
 //! error through [`mstream_types::Result`].
 
 use crate::engine::{default_epoch, resolve_capacities, EngineConfig, MemoryMode, ShedJoinEngine};
-use crate::multi::{MultiQueryEngine, ShardedMultiEngine};
+use crate::multi::{merge_into_catalog, MultiQueryEngine, ShardedMultiEngine};
 use crate::shard::{ShardConfig, ShardedJoinEngine};
 use mstream_shed_policies::{MSketch, ShedPolicy};
 use mstream_sketch::{BankConfig, EpochSpec};
-use mstream_types::{Error, JoinQuery, QueryId};
+use mstream_types::{Catalog, Error, JoinQuery, QueryId};
 use std::fmt;
 
 /// Typed validation errors surfaced by [`EngineBuilder`] and the engine
@@ -30,7 +29,8 @@ pub enum BuildError {
     /// A window capacity (per-window, per-stream, or pool total) was zero.
     ZeroWindowCapacity,
     /// [`MemoryMode::PerWindowEach`] listed a different number of
-    /// capacities than the query has streams.
+    /// capacities than the registered queries have (global) streams — at
+    /// build, or when `add_query` brings a stream the list does not cover.
     CapacityCountMismatch {
         /// Number of capacities provided.
         got: usize,
@@ -65,12 +65,6 @@ pub enum BuildError {
         /// The stream name both queries use.
         stream: String,
     },
-    /// A configuration knob is not supported by the multi-query engine
-    /// (global-pool memory, per-stream capacity lists, disorder bounds).
-    UnsupportedMulti {
-        /// The offending knob.
-        what: &'static str,
-    },
     /// Engine construction failed after validation (wraps the underlying
     /// workspace error).
     Engine(Error),
@@ -102,9 +96,6 @@ impl fmt::Display for BuildError {
                 f,
                 "stream `{stream}` is declared with different schemas by two registered queries"
             ),
-            BuildError::UnsupportedMulti { what } => {
-                write!(f, "{what} is not supported by the multi-query engine")
-            }
             BuildError::Engine(e) => write!(f, "engine construction failed: {e}"),
         }
     }
@@ -274,7 +265,8 @@ impl EngineBuilder {
     /// release in timestamp order as the watermark advances, and
     /// late-drop (counted in `EngineMetrics::late_dropped`) once later
     /// than the bound. Without this, timestamps are trusted as given and
-    /// processed in arrival order. Single-query engines only.
+    /// processed in arrival order. Sharded builds reorder at the
+    /// coordinator, before routing.
     pub fn disorder_bound(mut self, bound: mstream_types::VDur) -> Self {
         self.config.disorder = Some(bound);
         self
@@ -321,21 +313,29 @@ impl EngineBuilder {
         self
     }
 
-    /// The one query of a single-query builder.
-    fn single_query(&self) -> Result<&JoinQuery, BuildError> {
+    /// Checks that exactly one query is registered (`build`,
+    /// `build_sharded`).
+    fn single_query(&self) -> Result<(), BuildError> {
         match self.queries.len() {
             0 => Err(BuildError::NoQueries),
-            1 => Ok(&self.queries[0]),
+            1 => Ok(()),
             got => Err(BuildError::QueryCountForSingle { got }),
         }
     }
 
-    /// Validates everything the single-query engine constructors assume:
-    /// memory capacities, sketch bank sizing, epoch derivability for the
+    /// Validates everything the engine constructors assume: at least one
+    /// query, schemas that merge into one catalog, memory capacities over
+    /// its (global) streams, sketch bank sizing, epoch derivability for the
     /// chosen policy, and the shard count.
-    fn validate_single(&self) -> Result<(), BuildError> {
-        let query = self.single_query()?;
-        resolve_capacities(&self.config.memory, query.n_streams())?;
+    fn validate(&self) -> Result<(), BuildError> {
+        if self.queries.is_empty() {
+            return Err(BuildError::NoQueries);
+        }
+        let mut catalog = Catalog::new();
+        for query in &self.queries {
+            merge_into_catalog(&mut catalog, query)?;
+        }
+        resolve_capacities(&self.config.memory, catalog.len())?;
         if self.config.bank.s1 == 0 || self.config.bank.s2 == 0 {
             return Err(BuildError::ZeroSketchBank);
         }
@@ -343,71 +343,26 @@ impl EngineBuilder {
         if (reqs.sketches || reqs.partner_freq) && self.config.epoch.is_none() {
             // Surfaces the mixed-window error at build time instead of
             // deep inside engine construction.
-            default_epoch(query)?;
-        }
-        if self.shard.shards == 0 {
-            return Err(BuildError::ZeroShards);
-        }
-        Ok(())
-    }
-
-    /// Validates the query-set configuration for the multi-query engines.
-    fn validate_multi(&self) -> Result<(), BuildError> {
-        if self.queries.is_empty() {
-            return Err(BuildError::NoQueries);
-        }
-        match &self.config.memory {
-            MemoryMode::PerWindow(0) => return Err(BuildError::ZeroWindowCapacity),
-            MemoryMode::PerWindow(_) => {}
-            MemoryMode::PerWindowEach(_) => {
-                // A per-stream capacity list is ambiguous once stores are
-                // keyed by *global* stream: which query's stream order
-                // would it follow?
-                return Err(BuildError::UnsupportedMulti {
-                    what: "MemoryMode::PerWindowEach",
-                });
-            }
-            MemoryMode::GlobalPool(_) => {
-                return Err(BuildError::UnsupportedMulti {
-                    what: "MemoryMode::GlobalPool",
-                });
-            }
-        }
-        if self.config.disorder.is_some() {
-            return Err(BuildError::UnsupportedMulti {
-                what: "a disorder bound",
-            });
-        }
-        if self.config.bank.s1 == 0 || self.config.bank.s2 == 0 {
-            return Err(BuildError::ZeroSketchBank);
-        }
-        if self.shard.shards == 0 {
-            return Err(BuildError::ZeroShards);
-        }
-        let reqs = self.policy.requirements();
-        if (reqs.sketches || reqs.partner_freq) && self.config.epoch.is_none() {
             for query in &self.queries {
                 default_epoch(query)?;
             }
         }
+        if self.shard.shards == 0 {
+            return Err(BuildError::ZeroShards);
+        }
         Ok(())
     }
 
-    /// Builds the single-threaded engine.
+    /// Builds the single-threaded engine over the one registered query:
+    /// the shared data plane with that query registered, its streams the
+    /// global streams in the query's order.
     ///
     /// Errors if [`EngineBuilder::shards`] requested more than one worker
     /// (use [`EngineBuilder::build_sharded`]) or if more than one query
     /// was registered (use [`EngineBuilder::build_multi`]).
     pub fn build(self) -> Result<ShedJoinEngine, BuildError> {
-        self.validate_single()?;
-        if self.shard.shards > 1 {
-            return Err(BuildError::MultiShardBuild {
-                shards: self.shard.shards,
-            });
-        }
-        let mut queries = self.queries;
-        let query = queries.pop().expect("validated non-empty");
-        ShedJoinEngine::new(query, self.policy, self.config).map_err(BuildError::Engine)
+        self.single_query()?;
+        self.build_multi()
     }
 
     /// Builds the sharded parallel engine (spawns its worker threads).
@@ -416,18 +371,17 @@ impl EngineBuilder {
     /// single worker. Exactly one registered query; use
     /// [`EngineBuilder::build_multi_sharded`] for query sets.
     pub fn build_sharded(self) -> Result<ShardedJoinEngine, BuildError> {
-        self.validate_single()?;
+        self.single_query()?;
+        self.validate()?;
         let mut queries = self.queries;
         let query = queries.pop().expect("validated non-empty");
         ShardedJoinEngine::new(query, self.policy, self.config, self.shard)
             .map_err(BuildError::Engine)
     }
 
-    /// Builds the shared-data-plane multi-query engine over every
-    /// registered query. Single-query sets are valid (the engine then
-    /// behaves like [`ShedJoinEngine`] addressed by global stream ids).
+    /// Builds the shared-data-plane engine over every registered query.
     pub fn build_multi(self) -> Result<MultiQueryEngine, BuildError> {
-        self.validate_multi()?;
+        self.validate()?;
         if self.shard.shards > 1 {
             return Err(BuildError::MultiShardBuild {
                 shards: self.shard.shards,
@@ -442,7 +396,7 @@ impl EngineBuilder {
     /// query is key-partitionable and all queries agree on each shared
     /// stream's partition attribute.
     pub fn build_multi_sharded(self) -> Result<ShardedMultiEngine, BuildError> {
-        self.validate_multi()?;
+        self.validate()?;
         ShardedMultiEngine::new(self.queries, self.policy, self.config, self.shard)
     }
 }
@@ -579,7 +533,6 @@ mod tests {
             .disorder_bound(VDur::from_secs(5))
             .build()
             .unwrap();
-        assert_eq!(e.disorder_bound(), Some(VDur::from_secs(5)));
         feed(&mut e, 0, 1, VTime::from_secs(100));
         feed(&mut e, 1, 1, VTime::from_secs(100));
         // Buffered, not yet released: the watermark sits at 95s.
@@ -631,26 +584,6 @@ mod tests {
         assert_eq!(
             EngineBuilder::new_multi().build().err(),
             Some(BuildError::NoQueries)
-        );
-    }
-
-    #[test]
-    fn build_multi_rejects_unsupported_modes() {
-        let mut b = EngineBuilder::new_multi().global_pool(64);
-        b.register(pair_query()).unwrap();
-        assert_eq!(
-            b.build_multi().err(),
-            Some(BuildError::UnsupportedMulti {
-                what: "MemoryMode::GlobalPool"
-            })
-        );
-        let mut b = EngineBuilder::new_multi().disorder_bound(mstream_types::VDur::from_secs(1));
-        b.register(pair_query()).unwrap();
-        assert_eq!(
-            b.build_multi().err(),
-            Some(BuildError::UnsupportedMulti {
-                what: "a disorder bound"
-            })
         );
     }
 

@@ -1,4 +1,4 @@
-//! The sampled stage clock both engines share.
+//! The sampled stage clock the engine's per-arrival stages share.
 //!
 //! Reading the wall clock around every `observe` and every admission score
 //! was a tenth of an arrival (four reads at ≈ 35 ns against a few hundred

@@ -1,19 +1,33 @@
-//! The shedding multi-way join engine (paper §4, Algorithm 1).
+//! What the engine is made of (paper §4, Algorithm 1): its configuration,
+//! the bounded-disorder reorder stage in front of it, and the per-query
+//! core every registered query runs — plans, policy, estimation state. The
+//! engine itself is the shared data plane, [`crate::MultiQueryEngine`]; a
+//! single-query engine ([`ShedJoinEngine`]) is that plane with one
+//! registered query.
 
 use crate::builder::BuildError;
-use crate::clock::{Sample, StageClock};
-use crate::ingest::{Arrival, EmitSink, IngestOutcome, IngestRole};
+use crate::clock::Sample;
+use crate::ingest::Arrival;
 use crate::report::EngineMetrics;
-use mstream_join::{probe_runs_in, ProbePlan, Run};
+use mstream_join::{ProbePlan, Run};
 use mstream_shed_policies::{clamp_score, PriorityCtx, Requirements, ShedPolicy};
 use mstream_sketch::{BankConfig, EpochSpec, TumblingFreq, TumblingSketches};
-use mstream_types::{
-    JoinQuery, QueryId, Result, SeqNo, StreamId, Tuple, VDur, VTime, Value, WindowSpec,
-};
-use mstream_window::{Eviction, InsertOutcome, QueueVictim, ReorderBuffer, Slot, WindowStore};
+use mstream_types::{JoinQuery, StreamId, Tuple, VDur, VTime, Value, WindowSpec};
+use mstream_window::{Eviction, InsertOutcome, ReorderBuffer, Slot, WindowStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
+
+/// A multi-way sliding-window join that sheds load by priority: the
+/// shared data plane with one registered query (its streams are the global
+/// streams, in the query's order). Built by [`crate::EngineBuilder::build`].
+///
+/// Per arriving tuple (Algorithm 1): update the current tumbling sketch,
+/// expire stale tuples from every window, emit the join results the tuple
+/// produces against all other windows, and store it — scored with the
+/// active policy's priority measure only if its window may shed, evicting
+/// the least-priority resident if the window (or the global pool) is full.
+pub type ShedJoinEngine = crate::multi::MultiQueryEngine;
 
 /// How window memory is allocated across streams.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -21,7 +35,8 @@ pub enum MemoryMode {
     /// The same fixed number of tuples for every window (the allocation
     /// used in all of the paper's reported experiments).
     PerWindow(usize),
-    /// An explicit per-stream allocation.
+    /// An explicit per-stream allocation, indexed by global stream id:
+    /// every store of a stream takes that stream's capacity.
     PerWindowEach(Vec<usize>),
     /// One shared pool: windows grow freely but when the total exceeds the
     /// pool, the globally least-priority tuple (across all windows) is
@@ -75,30 +90,49 @@ impl Default for EngineConfig {
     }
 }
 
-/// The event-time ingest front end: per-stream reorder buffers, per-stream
-/// high-water marks, and the admission counter that keeps same-timestamp
-/// arrivals replaying in arrival order.
-pub(crate) struct EventTimeFrontEnd {
+/// The bounded-disorder front end (DESIGN.md §13) as one stage every
+/// front door shares — the engine before it mints, the sharded
+/// coordinators before they mint and route: [`ReorderStage::give`] an
+/// arrival, [`ReorderStage::release_below`] the watermark, and
+/// [`ReorderStage::drain`] at end of input. Per-stream reorder buffers,
+/// per-stream high-water marks, and the admission counter that keeps
+/// same-timestamp arrivals releasing in arrival order.
+pub(crate) struct ReorderStage {
+    /// Arrivals refused for lateness beyond the bound
+    /// ([`EngineMetrics::late_dropped`]).
+    pub(crate) dropped: u64,
     /// The disorder bound `K`.
-    pub(crate) bound: VDur,
+    bound: VDur,
     /// One reorder buffer per stream.
-    pub(crate) buffers: Vec<ReorderBuffer<Arrival>>,
+    buffers: Vec<ReorderBuffer<Arrival>>,
     /// Per-stream maximum timestamp seen (streams with no arrivals yet
     /// hold `VTime::ZERO`, pinning the watermark at the origin until every
     /// stream has spoken).
-    pub(crate) hwm: Vec<VTime>,
+    hwm: Vec<VTime>,
     /// Admission counter: the tiebreak that orders same-timestamp releases.
-    pub(crate) admitted: u64,
+    admitted: u64,
 }
 
-impl EventTimeFrontEnd {
+impl ReorderStage {
     pub(crate) fn new(bound: VDur, n_streams: usize) -> Self {
-        EventTimeFrontEnd {
+        let mut stage = ReorderStage {
+            dropped: 0,
             bound,
-            buffers: (0..n_streams).map(|_| ReorderBuffer::new()).collect(),
-            hwm: vec![VTime::ZERO; n_streams],
+            buffers: Vec::new(),
+            hwm: Vec::new(),
             admitted: 0,
-        }
+        };
+        stage.add_streams(n_streams);
+        stage
+    }
+
+    /// Grows the stage to `n_streams` streams (a registration brought new
+    /// ones). A new stream starts at the slowest stream's high-water mark,
+    /// so registering never moves the watermark backwards.
+    pub(crate) fn add_streams(&mut self, n_streams: usize) {
+        let start = self.hwm.iter().copied().min().unwrap_or(VTime::ZERO);
+        self.hwm.resize(n_streams, start);
+        self.buffers.resize_with(n_streams, ReorderBuffer::new);
     }
 
     /// `wm = min_s(hwm_s) - K`, saturating at the origin. No accepted
@@ -114,16 +148,82 @@ impl EventTimeFrontEnd {
             .expect("a join has at least one stream");
         min_hwm - self.bound
     }
+
+    /// Arrivals currently buffered.
+    pub(crate) fn len(&self) -> usize {
+        self.buffers.iter().map(ReorderBuffer::len).sum()
+    }
+
+    /// Takes one arrival: advances its stream's high-water mark, then
+    /// buffers it and returns the watermark to release below — or drops
+    /// and counts it (`None`) when it is already below the watermark. Such
+    /// an arrival is later than the bound: the reorder guarantee no longer
+    /// covers it (its window contemporaries may already have been released
+    /// and expired), so joining it would produce results an in-order run
+    /// never would.
+    pub(crate) fn give(&mut self, arrival: Arrival) -> Option<VTime> {
+        let k = arrival.stream.index();
+        if arrival.ts > self.hwm[k] {
+            self.hwm[k] = arrival.ts;
+        }
+        let wm = self.watermark();
+        if arrival.ts < wm {
+            self.dropped += 1;
+            return None;
+        }
+        self.buffers[k].push(arrival.ts, self.admitted, arrival);
+        self.admitted += 1;
+        Some(wm)
+    }
+
+    /// The next buffered arrival in merged `(ts, admission)` order, if its
+    /// timestamp is strictly below `wm`. Strictness matters: a future
+    /// accepted arrival carries `ts >= wm`, so nothing released here can
+    /// ever be preceded by one still to come. Each release is processed at
+    /// its **own** timestamp, so a covered disorder run is literally a
+    /// replay of the in-order run.
+    pub(crate) fn release_below(&mut self, wm: VTime) -> Option<Arrival> {
+        self.pop_head(|ts| ts < wm)
+    }
+
+    /// The next buffered arrival regardless of the watermark (end of
+    /// input).
+    pub(crate) fn drain(&mut self) -> Option<Arrival> {
+        self.pop_head(|_| true)
+    }
+
+    /// The `(ts, admission, stream)` of the first arrival in merged
+    /// `(ts, admission)` order (admissions are unique).
+    fn head(&self) -> Option<(VTime, u64, usize)> {
+        let heads = self.buffers.iter().enumerate();
+        heads.filter_map(|(k, buf)| buf.peek_key().map(|(ts, entry)| (ts, entry, k))).min()
+    }
+
+    fn pop_head(&mut self, due: impl Fn(VTime) -> bool) -> Option<Arrival> {
+        let (_, _, k) = self.head().filter(|&(ts, _, _)| due(ts))?;
+        self.buffers[k].pop().map(|(_, _, arrival)| arrival)
+    }
+
+    /// Everything still buffered is at or ahead of the watermark: earlier
+    /// entries were either released or late-dropped.
+    ///
+    /// # Panics
+    /// Panics on a releasable arrival left behind.
+    #[cfg(feature = "audit")]
+    pub(crate) fn check_invariants(&self) {
+        let wm = self.watermark();
+        if let Some((ts, _, k)) = self.head() {
+            assert!(ts >= wm, "stream {k} holds a releasable arrival: {ts:?} < watermark {wm:?}");
+        }
+    }
 }
 
 /// The per-query half of Algorithm 1: one query's probe plans, shedding
 /// policy and tumbling estimation state, with the steps that touch nothing
 /// else — fold an arrival in (step 1), rescore or defer one store at a
 /// rollover, admit a tuple to its window (step 5), score one for the
-/// input queue.
-/// [`ShedJoinEngine`] embeds one next to the stores it owns; every class of
-/// the multi-query plane embeds one next to its mapping into the shared
-/// store table, so the plane at N = 1 runs the solo engine's code.
+/// input queue. Every class of the engine embeds one next to its mapping
+/// into the shared store table.
 pub(crate) struct QueryCore {
     pub(crate) query: JoinQuery,
     pub(crate) plans: Vec<ProbePlan>,
@@ -348,32 +448,6 @@ impl QueryCore {
     }
 }
 
-/// A multi-way sliding-window join that sheds load by priority.
-///
-/// Per arriving tuple (Algorithm 1): update the current tumbling sketch,
-/// expire stale tuples from every window, emit the join results the tuple
-/// produces against all other windows, and store it — scored with the
-/// active policy's priority measure only if its window may shed, evicting
-/// the least-priority resident if the window (or the global pool) is full.
-/// Tumbling-epoch rollovers rebuild all priorities ("reset all the priority
-/// queues"), or owe the rebuild to the first arrival that needs a victim
-/// when its result cannot depend on the delay ([`QueryCore::rollover_store`]).
-pub struct ShedJoinEngine {
-    core: QueryCore,
-    memory: MemoryMode,
-    stores: Vec<WindowStore>,
-    next_seq: SeqNo,
-    metrics: EngineMetrics,
-    /// Picks the arrivals whose stages are timed.
-    stage_clock: StageClock,
-    /// Per-stream scratch reused across arrivals for per-slot produced
-    /// counting (coalesced heap rescoring).
-    produced_scratch: Vec<ProducedScratch>,
-    /// Bounded-disorder reorder buffers; `None` runs the legacy
-    /// arrival-time path untouched.
-    front: Option<EventTimeFrontEnd>,
-}
-
 /// A sparse per-stream accumulator for produced-output deltas gathered
 /// during one probe and applied as **one** coalesced heap update per
 /// touched slot. `delta` is indexed by the dense arena slot index and is
@@ -446,506 +520,6 @@ impl ProducedScratch {
     }
 }
 
-impl ShedJoinEngine {
-    /// Builds an engine for `query` shedding with `policy`.
-    pub fn new(
-        query: JoinQuery,
-        policy: Box<dyn ShedPolicy>,
-        config: EngineConfig,
-    ) -> Result<Self> {
-        let n = query.n_streams();
-        let capacities = resolve_capacities(&config.memory, n)?;
-        let stores = (0..n)
-            .map(|s| {
-                let sid = StreamId(s);
-                WindowStore::new(query.window(sid), query.join_attrs(sid), capacities[s])
-            })
-            .collect();
-        Ok(ShedJoinEngine {
-            core: QueryCore::new(query, policy, &config)?,
-            memory: config.memory,
-            stores,
-            next_seq: SeqNo(0),
-            metrics: EngineMetrics::default(),
-            stage_clock: StageClock::default(),
-            produced_scratch: (0..n).map(|_| ProducedScratch::default()).collect(),
-            front: config.disorder.map(|k| EventTimeFrontEnd::new(k, n)),
-        })
-    }
-
-    /// The query being executed.
-    pub fn query(&self) -> &JoinQuery {
-        &self.core.query
-    }
-
-    /// The active policy's display name.
-    pub fn policy_name(&self) -> &'static str {
-        self.core.policy.name()
-    }
-
-    /// Accumulated counters. Sketch-side cache statistics (packed-sign and
-    /// productivity-score memos) are snapshotted here, at read time — not
-    /// on every arrival, which put two counter copies on the per-ingest
-    /// hot path for values nobody reads mid-run.
-    pub fn metrics(&mut self) -> &EngineMetrics {
-        if let Some(sketches) = self.core.sketches.as_ref() {
-            let signs = sketches.sign_cache_stats();
-            self.metrics.sign_cache_hits = signs.hits;
-            self.metrics.sign_cache_misses = signs.misses;
-            let scores = sketches.score_cache_stats();
-            self.metrics.score_cache_hits = scores.hits;
-            self.metrics.score_cache_misses = scores.misses;
-        }
-        &self.metrics
-    }
-
-    /// Resident tuples in `stream`'s window, or `None` if `stream` is not
-    /// one of this query's streams.
-    pub fn window_len(&self, stream: StreamId) -> Option<usize> {
-        self.stores.get(stream.index()).map(WindowStore::len)
-    }
-
-    /// Total resident tuples across every window (per-shard occupancy in a
-    /// sharded run).
-    pub fn total_resident(&self) -> usize {
-        self.stores.iter().map(WindowStore::len).sum()
-    }
-
-    /// Windows that currently owe their priorities: marked at a rollover
-    /// and not yet short of room (DESIGN.md §16). Always 0 for an engine
-    /// that scores eagerly.
-    pub fn deferred_windows(&self) -> usize {
-        self.stores.iter().filter(|s| s.is_deferred()).count()
-    }
-
-    /// Structural audit of the whole operator: every window store's
-    /// arena/index/heap/expiry agreement, the tumbling sketches' epoch and
-    /// frozen-cross-product coherence, and the mode-aware memory bound
-    /// (per-window capacities, or the pooled total in
-    /// [`MemoryMode::GlobalPool`], where individual stores are unbounded
-    /// but the sum must respect the pool).
-    ///
-    /// O(resident tuples) and worse; compiled only under the `audit`
-    /// feature, where the differential harness calls it after every
-    /// arrival.
-    ///
-    /// # Panics
-    /// Panics on any violated invariant.
-    #[cfg(feature = "audit")]
-    pub fn check_invariants(&self) {
-        for store in &self.stores {
-            store.check_invariants();
-        }
-        if let Some(sketches) = self.core.sketches.as_ref() {
-            sketches.check_invariants();
-        }
-        match &self.memory {
-            // Store-local capacity bounds are asserted inside
-            // `WindowStore::check_invariants`; nothing extra to add.
-            MemoryMode::PerWindow(_) | MemoryMode::PerWindowEach(_) => {}
-            MemoryMode::GlobalPool(total) => {
-                let resident: usize = self.stores.iter().map(|s| s.len()).sum();
-                assert!(
-                    resident <= *total,
-                    "pool overrun: {resident} resident > {total} budget"
-                );
-            }
-        }
-        if let Some(front) = self.front.as_ref() {
-            // Everything still buffered must be at or ahead of the
-            // watermark: earlier entries were either released or late-dropped.
-            let wm = front.watermark();
-            for (k, buf) in front.buffers.iter().enumerate() {
-                if let Some((ts, _)) = buf.peek_key() {
-                    assert!(
-                        ts >= wm,
-                        "stream {k} holds a releasable arrival: {ts:?} < watermark {wm:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Mints an [`Arrival`] into a sequence-numbered tuple without
-    /// processing it.
-    ///
-    /// Use this when the tuple will be processed *later* (queued input,
-    /// sharded dispatch): sequence numbers are assigned in arrival order,
-    /// independent of service order.
-    pub fn mint(&mut self, arrival: Arrival) -> Tuple {
-        let seq = self.next_seq;
-        self.next_seq = seq.next();
-        Tuple::new(arrival.stream, arrival.ts, seq, arrival.values)
-    }
-
-    /// The single entry point for feeding the engine: mints `arrival` and
-    /// runs it through the operator at its arrival timestamp, passing every
-    /// join result it completes to `sink`.
-    ///
-    /// # Timestamp contract
-    /// Without a disorder bound ([`EngineConfig::disorder`] = `None`),
-    /// timestamps are trusted as given — monotone or not — and the arrival
-    /// is processed immediately at its own timestamp. With a bound `K`, the
-    /// event-time front end takes over: the arrival is buffered and later
-    /// replayed in timestamp order, unless its timestamp has already fallen
-    /// behind the watermark (`min` cross-stream high-water mark minus `K`),
-    /// in which case it is dropped — counted in
-    /// [`EngineMetrics::late_dropped`], never joined, and **never a
-    /// panic**. Regressions within the bound are therefore absorbed;
-    /// regressions beyond it are accounted, not amplified.
-    pub fn ingest(&mut self, arrival: Arrival, sink: &mut impl EmitSink) -> IngestOutcome {
-        if self.front.is_some() {
-            return self.ingest_event_time(arrival, sink);
-        }
-        let now = arrival.ts;
-        let tuple = self.mint(arrival);
-        self.ingest_tuple(tuple, now, sink)
-    }
-
-    /// Event-time ingest: advance this stream's high-water mark, admit or
-    /// late-drop the arrival against the watermark, then release every
-    /// buffered arrival the new watermark proves safe.
-    fn ingest_event_time(&mut self, arrival: Arrival, sink: &mut impl EmitSink) -> IngestOutcome {
-        let front = self.front.as_mut().expect("caller checked");
-        let k = arrival.stream.index();
-        if arrival.ts > front.hwm[k] {
-            front.hwm[k] = arrival.ts;
-        }
-        let wm = front.watermark();
-        if arrival.ts < wm {
-            // Later than the disorder bound: the reorder guarantee no
-            // longer covers it (its window contemporaries may already have
-            // been released and expired), so joining it would produce
-            // results an in-order run never would. Count and drop.
-            self.metrics.late_dropped += 1;
-            return IngestOutcome {
-                produced: 0,
-                stored: false,
-                shed: 0,
-            };
-        }
-        let entry = front.admitted;
-        front.admitted += 1;
-        front.buffers[k].push(arrival.ts, entry, arrival);
-        self.release_below(Some(wm), sink)
-    }
-
-    /// Releases buffered arrivals in merged `(ts, admission)` order while
-    /// the head's timestamp is strictly below `wm` (`None` releases
-    /// everything — end-of-trace flush). Strictness matters: a future
-    /// accepted arrival carries `ts >= wm`, so nothing released here can
-    /// ever be preceded by one still to come. Each release is processed at
-    /// its **own** timestamp through the unchanged pipeline — a covered
-    /// disorder run is literally a replay of the in-order run.
-    fn release_below(&mut self, wm: Option<VTime>, sink: &mut impl EmitSink) -> IngestOutcome {
-        let mut total = IngestOutcome {
-            produced: 0,
-            stored: true,
-            shed: 0,
-        };
-        loop {
-            let front = self.front.as_mut().expect("event-time engines only");
-            let mut head: Option<(VTime, u64, usize)> = None;
-            for (k, buf) in front.buffers.iter().enumerate() {
-                if let Some((ts, entry)) = buf.peek_key() {
-                    if head.map_or(true, |(ht, he, _)| (ts, entry) < (ht, he)) {
-                        head = Some((ts, entry, k));
-                    }
-                }
-            }
-            let Some((ts, _, k)) = head else { break };
-            if let Some(wm) = wm {
-                if ts >= wm {
-                    break;
-                }
-            }
-            let (_, _, arrival) = front.buffers[k].pop().expect("peeked entry exists");
-            let now = arrival.ts;
-            let tuple = self.mint(arrival);
-            let out = self.ingest_tuple(tuple, now, sink);
-            total.produced += out.produced;
-            total.shed += out.shed;
-        }
-        total
-    }
-
-    /// Drains the event-time reorder buffers at end of trace, releasing
-    /// every still-buffered arrival in `(ts, admission)` order regardless
-    /// of the watermark. No-op (and all-zero outcome) without a disorder
-    /// bound.
-    pub fn flush(&mut self, sink: &mut impl EmitSink) -> IngestOutcome {
-        if self.front.is_none() {
-            return IngestOutcome {
-                produced: 0,
-                stored: true,
-                shed: 0,
-            };
-        }
-        self.release_below(None, sink)
-    }
-
-    /// The current event-time watermark (`None` without a disorder bound).
-    pub fn watermark(&self) -> Option<VTime> {
-        self.front.as_ref().map(EventTimeFrontEnd::watermark)
-    }
-
-    /// The configured disorder bound (`None` = legacy arrival-time path).
-    pub fn disorder_bound(&self) -> Option<VDur> {
-        self.front.as_ref().map(|f| f.bound)
-    }
-
-    /// Arrivals currently held in the reorder buffers (0 without a bound).
-    pub fn buffered(&self) -> usize {
-        self.front
-            .as_ref()
-            .map_or(0, |f| f.buffers.iter().map(ReorderBuffer::len).sum())
-    }
-
-    /// Runs one already-minted tuple through the join operator at time
-    /// `now` (its arrival timestamp may be earlier if it waited in an input
-    /// queue or a shard channel), passing every result combination to
-    /// `sink`.
-    pub fn ingest_tuple(
-        &mut self,
-        tuple: Tuple,
-        now: VTime,
-        sink: &mut impl EmitSink,
-    ) -> IngestOutcome {
-        self.ingest_tuple_as(tuple, now, sink, IngestRole::FULL)
-    }
-
-    /// Role-parameterized form of [`ShedJoinEngine::ingest_tuple`], the
-    /// primitive behind replicated delivery in the sharded engine.
-    ///
-    /// Every role observes sketches, expires windows, scores and stores the
-    /// tuple — so replicated copies keep estimation state and tuple-window
-    /// expiry counters advancing identically on every shard. The role only
-    /// gates the *probe* (whether this delivery emits join results) and the
-    /// *accounting* (whether it counts as the arrival's one `processed`
-    /// delivery or as a `replicated` copy). `IngestRole::FULL` is exactly
-    /// the classic path: `ingest_tuple` delegates here unconditionally, so
-    /// an unsharded engine and an S=1 sharded engine execute the same code.
-    pub fn ingest_tuple_as(
-        &mut self,
-        tuple: Tuple,
-        now: VTime,
-        sink: &mut impl EmitSink,
-        role: IngestRole,
-    ) -> IngestOutcome {
-        let stream = tuple.stream;
-        // 1. Fold into the current tumbling estimation state (AGMS sketches
-        //    and/or exact arrival-frequency tables); on epoch rollover,
-        //    rebuild every window's priorities against the fresh snapshot,
-        //    or owe the rebuild to the window's next shed.
-        let sample = self.stage_clock.next_arrival();
-        let core = &mut self.core;
-        if core.observe(stream, &tuple.values, now, sample, &mut self.metrics) {
-            self.metrics.epoch_rollovers += 1;
-            if core.reqs.recompute_on_epoch {
-                for store in &mut self.stores {
-                    core.rollover_store(store, now, &mut self.metrics);
-                }
-            }
-        }
-        // 2. Delete expired tuples from every window.
-        self.expire_all(now, sample);
-        // 3. Emit the join results produced by this tuple, a run of the
-        //    probe's two innermost levels at a time: what a run costs beyond
-        //    finding it is the sink's to decide (`EmitSink::emit_run` — a
-        //    row reader pays per row, a counter per run), and with
-        //    produced counters a run is credited as a unit. Store-only
-        //    replicas skip the probe entirely: their arrival's results are
-        //    emitted by the one shard that received the FULL delivery.
-        //    Whether runs are credited is decided here, once per arrival:
-        //    a policy without produced counters runs kernels instantiated
-        //    over a closure that carries no crediting code at all.
-        let track = self.core.reqs.produced_counters;
-        let plan = &self.core.plans[stream.index()];
-        let stores = &self.stores.as_slice();
-        let scratch = &mut self.produced_scratch;
-        let produced = sample.time(&mut self.metrics.probe_ns, || {
-            if !role.probe {
-                0
-            } else if track {
-                probe_runs_in(plan, &tuple, stores, |run| {
-                    for (k, s) in scratch.iter_mut().enumerate() {
-                        s.credit(StreamId(k), run);
-                    }
-                    sink.emit_run(QueryId::SOLO, run);
-                })
-            } else {
-                probe_runs_in(plan, &tuple, stores, |run| {
-                    sink.emit_run(QueryId::SOLO, run)
-                })
-            }
-        });
-        self.metrics.total_output += produced;
-        if role.count_processed {
-            self.metrics.processed += 1;
-        } else {
-            self.metrics.replicated += 1;
-        }
-        // 4. Credit output to the participating window tuples and refresh
-        //    their priorities (the RS measure depends on produced counts):
-        //    one coalesced heap update per touched slot, landed before the
-        //    insert below can read a priority to pick a victim.
-        if track && produced > 0 {
-            self.flush_produced();
-        }
-        // 5. Store the arriving tuple — scored only if its window may
-        //    shed — shedding if full.
-        let (stored, shed) = self.insert_with_shedding(tuple, now, sample);
-        IngestOutcome {
-            produced,
-            stored,
-            shed,
-        }
-    }
-
-    /// [`ShedJoinEngine::ingest`] over a run of arrivals, in order. The
-    /// aggregate outcome sums `produced`/`shed`; `stored` reports the final
-    /// arrival's disposition.
-    pub fn ingest_batch(
-        &mut self,
-        arrivals: impl IntoIterator<Item = Arrival>,
-        sink: &mut impl EmitSink,
-    ) -> IngestOutcome {
-        let mut total = IngestOutcome {
-            produced: 0,
-            stored: true,
-            shed: 0,
-        };
-        for arrival in arrivals {
-            let out = self.ingest(arrival, sink);
-            total.produced += out.produced;
-            total.shed += out.shed;
-            total.stored = out.stored;
-        }
-        total
-    }
-
-    /// Applies the produced-output credits of the probe just run, in
-    /// first-credit order.
-    fn flush_produced(&mut self) {
-        for (store, scratch) in self.stores.iter_mut().zip(&mut self.produced_scratch) {
-            scratch.apply_to(store, &self.core);
-        }
-    }
-
-    /// Notes an arrival on `stream` that is being processed *elsewhere*
-    /// (another shard of a partitioned execution), so tuple-based window
-    /// expiration here still counts every operator-reaching arrival of the
-    /// stream, not just the ones routed to this engine.
-    pub fn note_foreign_arrival(&mut self, stream: StreamId) {
-        self.stores[stream.index()].note_arrival();
-    }
-
-    /// Bulk form of [`ShedJoinEngine::note_foreign_arrival`]: notes `n`
-    /// foreign arrivals on `stream` in one call (a coalesced tick summary
-    /// from the shard coordinator).
-    pub fn note_foreign_arrivals(&mut self, stream: StreamId, n: u64) {
-        self.stores[stream.index()].note_arrivals(n);
-    }
-
-    /// Priority a policy assigns `tuple` if it were queued right now.
-    pub fn queue_score(&mut self, tuple: &Tuple, now: VTime) -> f64 {
-        self.core.queue_score(tuple, now, self.front.is_some())
-    }
-
-    /// The queue-victim mode of the active policy.
-    pub fn queue_victim(&self) -> QueueVictim {
-        self.core.policy.queue_victim()
-    }
-
-    /// The engine's seeded rng (shared with the queue for victim draws so a
-    /// whole run remains a single deterministic random sequence).
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.core.rng
-    }
-
-    /// Records that the input queue shed a tuple before it reached the
-    /// operator.
-    pub fn note_queue_shed(&mut self) {
-        self.metrics.shed_queue += 1;
-    }
-
-    /// Estimated size of the full multi-way join over the current epoch
-    /// (diagnostics; `None` when the policy runs sketch-free).
-    pub fn estimate_join_count(&mut self) -> Option<f64> {
-        self.core.sketches.as_mut().map(|s| s.estimate_join_count())
-    }
-
-    fn expire_all(&mut self, now: VTime, sample: Sample) {
-        let stores = &mut self.stores;
-        self.metrics.expired += sample.time(&mut self.metrics.expire_ns, || {
-            stores.iter_mut().map(|store| store.expire_each(now, drop)).sum::<u64>()
-        });
-    }
-
-    /// Returns `(stored, shed)`: whether the arriving tuple remained
-    /// resident, and how many tuples (possibly itself) were evicted.
-    fn insert_with_shedding(&mut self, tuple: Tuple, now: VTime, sample: Sample) -> (bool, u64) {
-        let seq = tuple.seq;
-        let store = &mut self.stores[tuple.stream.index()];
-        let event_time = self.front.is_some();
-        let outcome = self
-            .core
-            .admit(store, tuple, now, event_time, sample, &mut self.metrics);
-        match self.memory {
-            MemoryMode::PerWindow(_) | MemoryMode::PerWindowEach(_) => {
-                let stored = outcome.slot.is_some();
-                if let Eviction::Evicted(_) = outcome.eviction {
-                    self.metrics.shed_window += 1;
-                    (stored, 1)
-                } else {
-                    (stored, 0)
-                }
-            }
-            MemoryMode::GlobalPool(total) => {
-                debug_assert_eq!(
-                    outcome.eviction,
-                    Eviction::None,
-                    "pool-mode stores are unbounded; only the engine evicts"
-                );
-                let mut stored = true;
-                let mut shed = 0u64;
-                while self.stores.iter().map(WindowStore::len).sum::<usize>() > total {
-                    // Global minimum under the same (score, seq) order the
-                    // per-store heaps use, so cross-window ties still evict
-                    // the oldest tuple first — never the just-inserted one
-                    // ahead of an equally-scored elder.
-                    let victim_store = self
-                        .stores
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, st)| {
-                            st.peek_min().map(|(slot, p)| {
-                                let seq = st.tuple(slot).expect("heap slot is live").seq;
-                                (i, p, seq)
-                            })
-                        })
-                        .min_by(|a, b| {
-                            a.1.partial_cmp(&b.1)
-                                .expect("finite priorities")
-                                .then(a.2.cmp(&b.2))
-                        })
-                        .map(|(i, _, _)| i)
-                        .expect("pool over limit implies a resident tuple");
-                    let (victim, _) = self.stores[victim_store]
-                        .evict_min()
-                        .expect("store has a minimum");
-                    if victim.seq == seq {
-                        stored = false;
-                    }
-                    self.metrics.shed_window += 1;
-                    shed += 1;
-                }
-                (stored, shed)
-            }
-        }
-    }
-}
-
 /// Resolves a [`MemoryMode`] into per-store capacities for an `n`-stream
 /// query, validating it in the process (shared by the engine, the builder
 /// and the sharded coordinator).
@@ -1014,8 +588,18 @@ pub(crate) fn default_epoch(
 mod tests {
     use super::*;
     use crate::ingest::CountSink;
+    use mstream_join::{probe_runs_in, StoreLookup};
     use mstream_shed_policies::{Bjoin, Fifo, MSketch, MSketchRs, RandomLoad};
-    use mstream_types::{Catalog, Error, StreamSchema, VDur, Value};
+    use mstream_types::{Catalog, Error, SeqNo, StreamSchema, VDur, Value};
+
+    /// The engine over `query` alone, through the plane's constructor.
+    fn solo(
+        query: JoinQuery,
+        policy: Box<dyn ShedPolicy>,
+        config: EngineConfig,
+    ) -> mstream_types::Result<ShedJoinEngine> {
+        ShedJoinEngine::new(vec![query], policy, config).map_err(Into::into)
+    }
 
     fn chain3(window_secs: u64) -> JoinQuery {
         let mut c = Catalog::new();
@@ -1057,13 +641,42 @@ mod tests {
     }
 
     #[test]
+    fn the_stage_releases_strictly_below_the_watermark() {
+        let at = |s: usize, secs: u64| {
+            Arrival::new(StreamId(s), vec![Value(secs)], VTime::from_secs(secs))
+        };
+        let mut stage = ReorderStage::new(VDur::ZERO, 2);
+        assert_eq!(stage.give(at(0, 10)), Some(VTime::ZERO), "stream 1 is silent");
+        let wm = stage.give(at(1, 10)).expect("on time");
+        assert_eq!(wm, VTime::from_secs(10));
+        // Both sit on the watermark, and a later arrival may still carry
+        // their timestamp: neither may leave yet.
+        assert!(stage.release_below(wm).is_none());
+        assert!(stage.give(at(0, 10)).is_some(), "on the watermark is on time");
+        assert!(stage.give(at(1, 9)).is_none(), "below it is late");
+        assert_eq!(stage.dropped, 1);
+        assert!(stage.give(at(1, 11)).is_some() && stage.give(at(0, 12)).is_some());
+        // A stream registered late joins at the slowest high-water mark.
+        stage.add_streams(3);
+        let wm = stage.watermark();
+        assert_eq!(wm, VTime::from_secs(11));
+        let released: Vec<_> = std::iter::from_fn(|| stage.release_below(wm))
+            .map(|a| (a.stream.index(), a.ts.as_secs_f64()))
+            .collect();
+        assert_eq!(released, [(0, 10.0), (1, 10.0), (0, 10.0)], "(ts, admission) order");
+        let drained: Vec<_> = std::iter::from_fn(|| stage.drain()).map(|a| a.stream).collect();
+        assert_eq!(drained, [StreamId(1), StreamId(0)]);
+        assert_eq!(stage.len(), 0);
+    }
+
+    #[test]
     fn unshedded_engine_matches_exact_join() {
         // With capacity >= arrivals the engine must be exact regardless of
         // policy.
         use mstream_join::ExactJoin;
         use rand::Rng;
         let mut engine =
-            ShedJoinEngine::new(chain3(50), Box::new(MSketch), cfg(10_000)).unwrap();
+            solo(chain3(50), Box::new(MSketch), cfg(10_000)).unwrap();
         let mut exact = ExactJoin::new(chain3(50));
         let mut rng = StdRng::seed_from_u64(1);
         for i in 0..500u64 {
@@ -1093,7 +706,7 @@ mod tests {
         ];
         for policy in policies {
             let name = policy.name();
-            let mut engine = ShedJoinEngine::new(chain3(100), policy, cfg(16)).unwrap();
+            let mut engine = solo(chain3(100), policy, cfg(16)).unwrap();
             let mut rng = StdRng::seed_from_u64(2);
             for i in 0..600u64 {
                 let now = VTime::from_secs(i / 3);
@@ -1134,7 +747,7 @@ mod tests {
                     score_cache: cached,
                     ..cfg(16)
                 };
-                let mut engine = ShedJoinEngine::new(chain3(40), mk(), config).unwrap();
+                let mut engine = solo(chain3(40), mk(), config).unwrap();
                 let mut sink = VecSink::default();
                 let mut rng = StdRng::seed_from_u64(9);
                 for i in 0..600u64 {
@@ -1176,7 +789,7 @@ mod tests {
         // full of partners) and A1=0 (dead weight). With a tiny window,
         // MSketch should retain the productive kind and out-produce FIFO.
         let run = |policy: Box<dyn ShedPolicy>| {
-            let mut engine = ShedJoinEngine::new(chain3(1000), policy, cfg(8)).unwrap();
+            let mut engine = solo(chain3(1000), policy, cfg(8)).unwrap();
             for i in 0..200u64 {
                 let now = VTime::from_secs(i);
                 arrive(&mut engine, StreamId(1), v(1, 2), now);
@@ -1202,7 +815,7 @@ mod tests {
         use rand::Rng;
         let mut config = cfg(0);
         config.memory = MemoryMode::GlobalPool(30);
-        let mut engine = ShedJoinEngine::new(chain3(1000), Box::new(MSketch), config).unwrap();
+        let mut engine = solo(chain3(1000), Box::new(MSketch), config).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         for i in 0..300u64 {
             let s = StreamId(rng.gen_range(0..3));
@@ -1224,7 +837,7 @@ mod tests {
         // resolves ties by store order would evict the fresh tuple instead.
         let mut config = cfg(0);
         config.memory = MemoryMode::GlobalPool(2);
-        let mut engine = ShedJoinEngine::new(chain3(1000), Box::new(MSketch), config).unwrap();
+        let mut engine = solo(chain3(1000), Box::new(MSketch), config).unwrap();
         arrive(&mut engine, StreamId(2), v(1, 1), VTime::ZERO);
         arrive(&mut engine, StreamId(1), v(2, 2), VTime::ZERO);
         // Third arrival overflows the pool; seq 0 (window 2) must go, even
@@ -1244,7 +857,7 @@ mod tests {
         // within budget but `shed_window` never saw those evictions.
         let mut config = cfg(0);
         config.memory = MemoryMode::GlobalPool(2);
-        let mut engine = ShedJoinEngine::new(chain3(1000), Box::new(Fifo), config).unwrap();
+        let mut engine = solo(chain3(1000), Box::new(Fifo), config).unwrap();
         for i in 0..5u64 {
             arrive(&mut engine, StreamId(0), v(i, i), VTime::ZERO);
         }
@@ -1260,7 +873,7 @@ mod tests {
     fn global_pool_zero_budget_rejected() {
         let mut config = cfg(1);
         config.memory = MemoryMode::GlobalPool(0);
-        let err = ShedJoinEngine::new(chain3(10), Box::new(Fifo), config)
+        let err = solo(chain3(10), Box::new(Fifo), config)
             .err()
             .expect("zero pool must be rejected");
         assert!(matches!(err, Error::InvalidConfig(_)));
@@ -1271,7 +884,7 @@ mod tests {
         use rand::Rng;
         // Exercise the tumbling frequency tables across inserts, evictions,
         // expirations and epoch rollovers.
-        let mut engine = ShedJoinEngine::new(chain3(20), Box::new(Bjoin), cfg(8)).unwrap();
+        let mut engine = solo(chain3(20), Box::new(Bjoin), cfg(8)).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
         for i in 0..1500u64 {
             let s = StreamId(rng.gen_range(0..3));
@@ -1290,7 +903,7 @@ mod tests {
 
     #[test]
     fn produced_counters_feed_rs_priorities() {
-        let mut engine = ShedJoinEngine::new(chain3(1000), Box::new(MSketchRs), cfg(64)).unwrap();
+        let mut engine = solo(chain3(1000), Box::new(MSketchRs), cfg(64)).unwrap();
         // A hot R2 tuple that produces on every R1/R3 arrival.
         arrive(&mut engine, StreamId(1), v(1, 1), VTime::ZERO);
         arrive(&mut engine, StreamId(2), v(1, 0), VTime::ZERO);
@@ -1309,24 +922,25 @@ mod tests {
         // inner list, so runs carry outer stretches: per stream, the
         // run-wise credits are the row-wise integers in the same
         // first-credit order.
-        let mut engine = ShedJoinEngine::new(chain3(1000), Box::new(Fifo), cfg(1000)).unwrap();
+        let mut engine = solo(chain3(1000), Box::new(Fifo), cfg(1000)).unwrap();
         for i in 0..90u64 {
             let j = i / 3;
             arrive(&mut engine, StreamId(i as usize % 3), v(j / 2 % 3, j / 6 % 2), VTime::ZERO);
         }
-        for (origin, plan) in engine.core.plans.iter().enumerate() {
+        let (core, stores) = engine.class_view(0);
+        for (origin, plan) in core.plans.iter().enumerate() {
             let t = Tuple::new(StreamId(origin), VTime::ZERO, SeqNo(999), v(1, 1));
             let scratches = || -> Vec<ProducedScratch> { (0..3).map(|_| Default::default()).collect() };
             let (mut by_run, mut by_row) = (scratches(), scratches());
             let mut blocks = 0;
-            probe_runs_in(plan, &t, &engine.stores.as_slice(), |run| {
+            probe_runs_in(plan, &t, &stores, |run| {
                 blocks += usize::from(run.outer_len() > 1 && run.inner_len() > 1);
                 for (k, s) in by_run.iter_mut().enumerate() {
                     s.credit(StreamId(k), run);
                 }
             });
             assert!(blocks > 0, "origin {origin}: no run spans several outer candidates");
-            let rows = mstream_join::probe_each(plan, &t, &engine.stores, |b| {
+            let rows = mstream_join::probe_each_in(plan, &t, &stores, |b| {
                 for (k, s) in by_row.iter_mut().enumerate() {
                     if let Some(slot) = b.slot(StreamId(k)) {
                         s.add(slot, 1);
@@ -1345,7 +959,7 @@ mod tests {
     fn epoch_rollover_rebuilds_priorities() {
         let mut config = cfg(32);
         config.epoch = Some(EpochSpec::Time(VDur::from_secs(10)));
-        let mut engine = ShedJoinEngine::new(chain3(100), Box::new(MSketch), config).unwrap();
+        let mut engine = solo(chain3(100), Box::new(MSketch), config).unwrap();
         for i in 0..50u64 {
             arrive(&mut engine, StreamId(i as usize % 3), v(1, 1), VTime::from_secs(i));
         }
@@ -1357,7 +971,7 @@ mod tests {
         // Windows of 8 fill, so the passes the rollovers owe run on demand.
         let mut config = cfg(8);
         config.epoch = Some(EpochSpec::Time(VDur::from_secs(10)));
-        let mut engine = ShedJoinEngine::new(chain3(100), Box::new(MSketch), config).unwrap();
+        let mut engine = solo(chain3(100), Box::new(MSketch), config).unwrap();
         // Long enough for a few timed arrivals (one in `clock::STRIDE`).
         for i in 0..240u64 {
             // Heavy value repetition: the packed-sign cache must hit.
@@ -1381,7 +995,7 @@ mod tests {
             m.sign_cache_misses
         );
         // Sketch-free policies leave the sketch counters untouched.
-        let mut plain = ShedJoinEngine::new(chain3(100), Box::new(Fifo), cfg(32)).unwrap();
+        let mut plain = solo(chain3(100), Box::new(Fifo), cfg(32)).unwrap();
         arrive(&mut plain, StreamId(0), v(1, 1), VTime::ZERO);
         assert_eq!(plain.metrics().sign_cache_hits, 0);
         assert_eq!(plain.metrics().sketch_observe_ns, 0);
@@ -1393,7 +1007,7 @@ mod tests {
         let run = |policy: Box<dyn ShedPolicy>, capacity: usize| {
             let mut config = cfg(capacity);
             config.epoch = Some(EpochSpec::Time(VDur::from_secs(10)));
-            let mut engine = ShedJoinEngine::new(chain3(40), policy, config).unwrap();
+            let mut engine = solo(chain3(40), policy, config).unwrap();
             for i in 0..600u64 {
                 arrive(&mut engine, StreamId(i as usize % 3), v(i % 4, i % 3), VTime::from_secs(i / 3));
             }
@@ -1419,7 +1033,7 @@ mod tests {
 
     #[test]
     fn invalid_capacity_rejected() {
-        let err = ShedJoinEngine::new(chain3(10), Box::new(Fifo), {
+        let err = solo(chain3(10), Box::new(Fifo), {
             let mut c = cfg(0);
             c.memory = MemoryMode::PerWindow(0);
             c
@@ -1427,7 +1041,7 @@ mod tests {
         .err()
         .expect("zero capacity must be rejected");
         assert!(matches!(err, Error::InvalidConfig(_)));
-        let err = ShedJoinEngine::new(chain3(10), Box::new(Fifo), {
+        let err = solo(chain3(10), Box::new(Fifo), {
             let mut c = cfg(1);
             c.memory = MemoryMode::PerWindowEach(vec![1, 2]);
             c
@@ -1443,7 +1057,7 @@ mod tests {
         c.add_stream(StreamSchema::new("R1", &["A1"]));
         c.add_stream(StreamSchema::new("R2", &["A1"]));
         let q = JoinQuery::from_names(c, &[("R1.A1", "R2.A1")], WindowSpec::Tuples(20)).unwrap();
-        let engine = ShedJoinEngine::new(q, Box::new(MSketch), cfg(8)).unwrap();
+        let engine = solo(q, Box::new(MSketch), cfg(8)).unwrap();
         // Constructed without error: the default epoch resolved to
         // PerStreamTuples(20).
         assert_eq!(engine.policy_name(), "MSketch");
@@ -1456,7 +1070,7 @@ mod tests {
             let mut config = cfg(16);
             config.seed = seed;
             let mut engine =
-                ShedJoinEngine::new(chain3(100), Box::new(RandomLoad), config).unwrap();
+                solo(chain3(100), Box::new(RandomLoad), config).unwrap();
             let mut rng = StdRng::seed_from_u64(9);
             for i in 0..400u64 {
                 let s = StreamId(rng.gen_range(0..3));
@@ -1486,12 +1100,13 @@ mod tests {
             88, 14, 90, 91, 92, 93, 13, 89, 96, 97, 98, 99,
         ];
         let mut engine =
-            ShedJoinEngine::new(chain3(100), Box::new(RandomLoad), cfg(8)).unwrap();
+            solo(chain3(100), Box::new(RandomLoad), cfg(8)).unwrap();
         let mut victims = Vec::new();
         for i in 0..100u64 {
             let k = i as usize % 3;
             let resident = |e: &ShedJoinEngine| -> Vec<u64> {
-                e.stores[k].iter().map(|(_, t)| t.seq.0).collect()
+                let (_, stores) = e.class_view(0);
+                stores.store(StreamId(k)).iter().map(|(_, t)| t.seq.0).collect()
             };
             let before = resident(&engine);
             let arrival = Arrival::new(StreamId(k), v(i % 5, i % 7), VTime::from_secs(i / 4));

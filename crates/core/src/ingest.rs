@@ -36,9 +36,9 @@ use mstream_types::{QueryId, Row, StreamId, Tuple, VTime};
 /// One raw stream event, before the engine assigns it a sequence number.
 ///
 /// `ts` is the arrival timestamp in virtual time. In the common case the
-/// tuple is also *processed* at `ts` ([`crate::ShedJoinEngine::ingest`]);
+/// tuple is also *processed* at `ts` ([`crate::MultiQueryEngine::ingest`]);
 /// when an input queue delays it, processing happens later at the service
-/// instant ([`crate::ShedJoinEngine::ingest_tuple`]).
+/// instant ([`crate::MultiQueryEngine::ingest_tuple`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Arrival {
     /// Source stream.

@@ -47,8 +47,12 @@
 //!
 //! ## Crate map
 //!
-//! * [`engine`] — [`ShedJoinEngine`]: Algorithm 1 of the paper (window
-//!   shedding, tumbling sketches, priority queues, per-policy state).
+//! * [`multi`] — [`MultiQueryEngine`], the one in-process engine:
+//!   Algorithm 1 of the paper over shared window stores, for N standing
+//!   queries; [`ShedJoinEngine`] is the same engine with one query.
+//! * [`engine`] — what it is made of: configuration, the reorder stage,
+//!   and the per-query core (tumbling sketches, priority queues,
+//!   per-policy state).
 //! * [`ingest`] — the unified feed API: [`Arrival`] in, join results out
 //!   through an [`EmitSink`].
 //! * [`shard`] — [`ShardedJoinEngine`]: hash-partitioned parallel

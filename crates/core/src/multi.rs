@@ -1,18 +1,17 @@
-//! The shared multi-query data plane: one engine, N standing queries.
+//! The engine: one shared data plane, N standing queries. A single-query
+//! engine ([`crate::ShedJoinEngine`], [`crate::EngineBuilder::build`]) is
+//! this plane with one registered query.
 //!
-//! [`MultiQueryEngine`] inverts the ownership of the single-query engine:
-//! instead of a query owning its windows, the *engine* owns one
-//! [`WindowStore`] (with its flat indexes) per **stream × window** and
-//! registered queries borrow them. Registration groups queries into
-//! **classes** — structurally identical queries (same streams, windows and
-//! predicates) collapse into one class that is planned, estimated, scored
-//! and probed exactly once; its emissions fan out to every member
-//! [`QueryId`]. Distinct classes that touch the same `(stream, window)`
-//! pair share the store outright. A class *is* the solo engine's
-//! per-query core ([`QueryCore`]: plans, policy, estimation state) plus a
-//! mapping of its local streams into the shared store table; it probes
-//! with `mstream-join`'s kernels through that mapping, exactly as
-//! [`crate::ShedJoinEngine`] does over the stores it owns.
+//! [`MultiQueryEngine`] owns one [`WindowStore`] (with its flat indexes)
+//! per **stream × window**, and registered queries borrow them.
+//! Registration groups queries into **classes** — structurally identical
+//! queries (same streams, windows and predicates) collapse into one class
+//! that is planned, estimated, scored and probed exactly once; its
+//! emissions fan out to every member [`QueryId`]. Distinct classes that
+//! touch the same `(stream, window)` pair share the store outright. A class
+//! is a per-query core ([`QueryCore`]: plans, policy, estimation state)
+//! plus a mapping of its local streams into the shared store table; it
+//! probes with `mstream-join`'s kernels through that mapping.
 //!
 //! # Emission order
 //!
@@ -43,7 +42,10 @@
 //! [`MultiQueryEngine::add_query`] mid-run always creates a fresh class
 //! with **fresh stores** (never reusing resident state), so a query
 //! registered mid-run sees only tuples admitted after registration —
-//! deterministic state handoff with no retroactive results.
+//! deterministic state handoff with no retroactive results. Under a
+//! disorder bound, "after" means after the release frontier: arrivals
+//! still held by the reorder stage are released later, so the new query
+//! sees them and a removed one does not.
 //! [`MultiQueryEngine::remove_query`] drops the member; a class with no
 //! members left is dismantled and any store losing its last user is freed
 //! immediately (its memory budget with it). A shared store whose owner
@@ -57,12 +59,17 @@
 //! tuple in a [`Bindings`] carries the engine's *global* tag. Consumers
 //! identifying result rows should therefore key on `(ts, values)` (plus
 //! emission order), not on `Tuple::stream` — the differential tests and
-//! the audit harness do exactly this.
+//! the audit harness do exactly this. With one registered query the two
+//! coincide.
+//!
+//! [`Bindings`]: mstream_join::Bindings
 
 use crate::builder::BuildError;
 use crate::clock::StageClock;
-use crate::engine::{EngineConfig, MemoryMode, ProducedScratch, QueryCore};
-use crate::ingest::{Arrival, EmitSink, IngestOutcome};
+use crate::engine::{
+    resolve_capacities, EngineConfig, MemoryMode, ProducedScratch, QueryCore, ReorderStage,
+};
+use crate::ingest::{Arrival, EmitSink, IngestOutcome, IngestRole};
 use crate::report::EngineMetrics;
 use mstream_join::{probe_runs_in, StoreLookup};
 use mstream_shed_policies::ShedPolicy;
@@ -70,7 +77,7 @@ use mstream_sketch::TumblingSketches;
 use mstream_types::{
     Catalog, EquiPredicate, JoinQuery, QueryId, SeqNo, StreamId, Tuple, VTime, WindowSpec,
 };
-use mstream_window::WindowStore;
+use mstream_window::{Eviction, ShedQueue, WindowStore};
 
 pub use crate::multi_shard::{MultiRunReport, ShardedMultiEngine};
 
@@ -105,6 +112,7 @@ struct QueryClass {
 
 impl QueryClass {
     /// The local stream id of global stream `g` in this class, if any.
+    #[inline]
     fn local_of(&self, g: StreamId) -> Option<StreamId> {
         self.gstream_of.iter().position(|&x| x == g).map(StreamId)
     }
@@ -129,7 +137,7 @@ pub struct QueryStats {
 /// A query-local view of the shared store table: local stream `k` resolves
 /// through the class's `store_of` mapping. This is the [`StoreLookup`] a
 /// class probes through.
-struct MappedStores<'a> {
+pub(crate) struct MappedStores<'a> {
     entries: &'a [Option<StoreEntry>],
     map: &'a [usize],
 }
@@ -146,8 +154,8 @@ impl StoreLookup for MappedStores<'_> {
 
 /// One engine executing N standing window-join queries over shared
 /// per-stream state. See the module docs for the sharing and exactness
-/// model; construction goes through
-/// [`crate::EngineBuilder::build_multi`].
+/// model; construction goes through [`crate::EngineBuilder::build_multi`]
+/// (or [`crate::EngineBuilder::build`] for one query).
 pub struct MultiQueryEngine {
     catalog: Catalog,
     policy_proto: Box<dyn ShedPolicy>,
@@ -169,6 +177,10 @@ pub struct MultiQueryEngine {
     /// engine-level cache statistics stay monotone as classes (and the
     /// sketch banks carrying the live counters) come and go.
     retired_cache: RetiredCacheStats,
+    /// The bounded-disorder reorder stage in front of the operator
+    /// (DESIGN.md §13), over global streams; `None` trusts timestamps as
+    /// given.
+    front: Option<ReorderStage>,
 }
 
 /// Sketch-side cache counters surviving their class (see
@@ -222,6 +234,14 @@ pub(crate) fn merge_into_catalog(
     Ok(gstream_of)
 }
 
+/// The attributes a store of `query`'s local stream `k` indexes.
+fn store_attrs(query: &JoinQuery, k: StreamId) -> Vec<usize> {
+    let mut attrs = query.join_attrs(k);
+    attrs.sort_unstable();
+    attrs.dedup();
+    attrs
+}
+
 /// A query's structural signature: two queries with equal signatures are
 /// the same standing computation and collapse into one class.
 fn class_signature(q: &JoinQuery) -> (Vec<String>, Vec<WindowSpec>, Vec<EquiPredicate>) {
@@ -254,8 +274,8 @@ impl MultiQueryEngine {
             metrics: EngineMetrics::default(),
             stage_clock: StageClock::default(),
             retired_cache: RetiredCacheStats::default(),
+            front: None,
         };
-        engine.per_window_capacity()?;
         // Group into classes first so structurally identical queries share
         // everything, then plan the store table with the attr-index union
         // of all users before any store is constructed.
@@ -277,13 +297,11 @@ impl MultiQueryEngine {
         let mut planned: Vec<Planned> = Vec::new();
         let mut class_maps: Vec<(Vec<StreamId>, Vec<usize>)> = Vec::new();
         for (cid, (q, _)) in specs.iter().enumerate() {
-            let gstream_of = engine.merge_catalog(q)?;
+            let gstream_of = merge_into_catalog(&mut engine.catalog, q)?;
             let mut store_of = Vec::with_capacity(q.n_streams());
             for (k, &g) in gstream_of.iter().enumerate() {
                 let window = q.window(StreamId(k));
-                let mut attrs = q.join_attrs(StreamId(k));
-                attrs.sort_unstable();
-                attrs.dedup();
+                let attrs = store_attrs(q, StreamId(k));
                 let si = match planned
                     .iter()
                     .position(|p| p.gstream == g && p.window == window)
@@ -316,10 +334,10 @@ impl MultiQueryEngine {
             }
             class_maps.push((gstream_of, store_of));
         }
-        let capacity = engine.per_window_capacity()?;
+        let capacities = resolve_capacities(&engine.config.memory, engine.catalog.len())?;
         for p in planned {
             engine.stores.push(Some(StoreEntry {
-                store: WindowStore::new(p.window, p.attrs, capacity),
+                store: WindowStore::new(p.window, p.attrs, capacities[p.gstream.index()]),
                 gstream: p.gstream,
                 users: p.users,
                 owner_local: p.owner_local,
@@ -345,28 +363,9 @@ impl MultiQueryEngine {
                 store_of,
             }));
         }
+        let n_streams = engine.catalog.len();
+        engine.front = engine.config.disorder.map(|k| ReorderStage::new(k, n_streams));
         Ok(engine)
-    }
-
-    /// The per-window capacity of the (sole supported) memory mode.
-    fn per_window_capacity(&self) -> Result<usize, BuildError> {
-        match &self.config.memory {
-            MemoryMode::PerWindow(0) => Err(BuildError::ZeroWindowCapacity),
-            MemoryMode::PerWindow(c) => Ok(*c),
-            MemoryMode::PerWindowEach(_) => Err(BuildError::UnsupportedMulti {
-                what: "MemoryMode::PerWindowEach",
-            }),
-            MemoryMode::GlobalPool(_) => Err(BuildError::UnsupportedMulti {
-                what: "MemoryMode::GlobalPool",
-            }),
-        }
-    }
-
-    /// Maps `query`'s local streams into the global catalog by stream
-    /// *name*, appending streams the catalog has not seen and rejecting
-    /// schema conflicts.
-    fn merge_catalog(&mut self, query: &JoinQuery) -> Result<Vec<StreamId>, BuildError> {
-        merge_into_catalog(&mut self.catalog, query)
     }
 
     /// The merged global catalog; [`Arrival::stream`] ids passed to
@@ -410,11 +409,18 @@ impl MultiQueryEngine {
         self.classes[state.class].as_ref().map(|c| &c.core.query)
     }
 
+    /// The shedding policy's display name.
+    pub fn policy_name(&self) -> &'static str {
+        self.policy_proto.name()
+    }
+
     /// Accumulated engine-level counters. Sketch-side cache statistics
-    /// are snapshotted here, at read time: the sum over every live class's
-    /// sketch bank plus the folded baseline of classes already dismantled
-    /// by [`MultiQueryEngine::remove_query`] — so the counters stay
-    /// monotone across query churn.
+    /// are snapshotted here, at read time — not on every arrival, which put
+    /// counter copies on the per-ingest hot path for values nobody reads
+    /// mid-run: the sum over every live class's sketch bank plus the folded
+    /// baseline of classes already dismantled by
+    /// [`MultiQueryEngine::remove_query`], so the counters stay monotone
+    /// across query churn. So is the reorder stage's late-drop count.
     pub fn metrics(&mut self) -> &EngineMetrics {
         let mut total = self.retired_cache;
         for class in self.classes.iter().flatten() {
@@ -426,6 +432,7 @@ impl MultiQueryEngine {
         self.metrics.sign_cache_misses = total.sign_misses;
         self.metrics.score_cache_hits = total.score_hits;
         self.metrics.score_cache_misses = total.score_misses;
+        self.metrics.late_dropped = self.front.as_ref().map_or(0, |f| f.dropped);
         &self.metrics
     }
 
@@ -454,18 +461,30 @@ impl MultiQueryEngine {
             .sum()
     }
 
-    /// Shared stores that currently owe their priorities (see
-    /// [`crate::ShedJoinEngine::deferred_windows`]).
+    /// Resident tuples across the live stores of global stream `stream`,
+    /// or `None` if no live store holds that stream.
+    pub fn window_len(&self, stream: StreamId) -> Option<usize> {
+        let mut live = self.stores.iter().flatten().filter(|e| e.gstream == stream);
+        let first = live.next()?.store.len();
+        Some(first + live.map(|e| e.store.len()).sum::<usize>())
+    }
+
+    /// Stores that currently owe their priorities: marked at a rollover
+    /// and not yet short of room (DESIGN.md §16). Always 0 for a policy
+    /// that scores eagerly.
     pub fn deferred_windows(&self) -> usize {
         let live = self.stores.iter().flatten();
         live.filter(|e| e.store.is_deferred()).count()
     }
 
     /// Structural audit of the shared data plane: every live store's
-    /// internal invariants, every class's sketch coherence, and the
-    /// sharing bookkeeping (owners exist, mappings in range, every
-    /// resident carries its owner's local stream id). Compiled only under
-    /// the `audit` feature.
+    /// internal invariants (per-store capacity bounds included), every
+    /// class's sketch coherence, the sharing bookkeeping (owners exist,
+    /// mappings in range, every resident carries its owner's local stream
+    /// id), the pooled total under [`MemoryMode::GlobalPool`], and a
+    /// reorder stage holding nothing releasable. O(resident tuples) and
+    /// worse; compiled only under the `audit` feature, where the
+    /// differential harness calls it after every arrival.
     ///
     /// # Panics
     /// Panics on any violated invariant.
@@ -509,63 +528,62 @@ impl MultiQueryEngine {
                 );
             }
         }
+        if let MemoryMode::GlobalPool(total) = self.config.memory {
+            let resident = self.total_resident();
+            assert!(resident <= total, "pool overrun: {resident} resident > {total} budget");
+        }
+        if let Some(front) = self.front.as_ref() {
+            front.check_invariants();
+        }
     }
 
     /// Registers a new standing query at runtime and returns its id.
     ///
     /// The query always gets a fresh class with fresh stores — even if it
     /// is structurally identical to a running one — so it sees only
-    /// tuples admitted after this call (deterministic handoff). Its
-    /// schema must agree with the global catalog on any stream name it
-    /// shares.
+    /// tuples admitted after this call (deterministic handoff; under a
+    /// disorder bound, released after it). Its schema must agree with the
+    /// global catalog on any stream name it shares, and under
+    /// [`MemoryMode::PerWindowEach`] it may bring no stream the capacity
+    /// list does not cover ([`BuildError::CapacityCountMismatch`]). A
+    /// rejected query leaves no trace.
     pub fn add_query(&mut self, query: JoinQuery) -> Result<QueryId, BuildError> {
-        let capacity = self.per_window_capacity()?;
         let snapshot = self.catalog.clone();
-        let gstream_of = match self.merge_catalog(&query) {
-            Ok(m) => m,
+        let registered = merge_into_catalog(&mut self.catalog, &query).and_then(|gstream_of| {
+            let capacities = resolve_capacities(&self.config.memory, self.catalog.len())?;
+            let core = QueryCore::new(query, self.policy_proto.clone(), &self.config)?;
+            Ok((gstream_of, capacities, core))
+        });
+        let (gstream_of, capacities, core) = match registered {
+            Ok(r) => r,
             Err(e) => {
                 self.catalog = snapshot;
                 return Err(e);
             }
         };
+        if let Some(front) = self.front.as_mut() {
+            front.add_streams(self.catalog.len());
+        }
         let cid = self.classes.len();
         let first_store = self.stores.len();
-        let store_of: Vec<usize> = (0..query.n_streams()).map(|k| first_store + k).collect();
-        let windows: Vec<WindowSpec> = (0..query.n_streams())
-            .map(|k| query.window(StreamId(k)))
-            .collect();
-        let attr_sets: Vec<Vec<usize>> = (0..query.n_streams())
-            .map(|k| {
-                let mut a = query.join_attrs(StreamId(k));
-                a.sort_unstable();
-                a.dedup();
-                a
-            })
-            .collect();
-        let qid = QueryId(self.queries.len() as u32);
-        let core = match QueryCore::new(query, self.policy_proto.clone(), &self.config) {
-            Ok(c) => c,
-            Err(e) => {
-                self.catalog = snapshot;
-                return Err(e);
-            }
-        };
-        for (k, ((&g, window), attrs)) in gstream_of.iter().zip(windows).zip(attr_sets).enumerate()
-        {
+        for (k, &g) in gstream_of.iter().enumerate() {
+            let local = StreamId(k);
+            let attrs = store_attrs(&core.query, local);
             self.stores.push(Some(StoreEntry {
-                store: WindowStore::new(window, attrs, capacity),
+                store: WindowStore::new(core.query.window(local), attrs, capacities[g.index()]),
                 gstream: g,
                 users: vec![cid],
-                owner_local: StreamId(k),
+                owner_local: local,
                 shed: 0,
             }));
             self.scratches.push(ProducedScratch::default());
         }
+        let qid = QueryId(self.queries.len() as u32);
         self.classes.push(Some(QueryClass {
             core,
             members: vec![qid],
+            store_of: (first_store..first_store + gstream_of.len()).collect(),
             gstream_of,
-            store_of,
         }));
         self.queries.push(Some(QueryState {
             class: cid,
@@ -623,29 +641,112 @@ impl MultiQueryEngine {
 
     /// Mints an [`Arrival`] (global stream id) into a sequence-numbered
     /// tuple without processing it.
+    ///
+    /// Use this when the tuple will be processed *later* (queued input,
+    /// sharded dispatch): sequence numbers are assigned in arrival order,
+    /// independent of service order.
     pub fn mint(&mut self, arrival: Arrival) -> Tuple {
         let seq = self.next_seq;
         self.next_seq = seq.next();
         Tuple::new(arrival.stream, arrival.ts, seq, arrival.values)
     }
 
-    /// Feeds one arrival (addressed by **global** stream id) through the
-    /// shared data plane: every interested class observes it, probes its
-    /// partner stores, and fans results out to its member queries via
-    /// `sink`. Returns the aggregate outcome across all queries.
+    /// The single entry point for feeding the engine: mints `arrival`
+    /// (addressed by **global** stream id) and runs it through the data
+    /// plane at its arrival timestamp — every interested class observes
+    /// it, probes its partner stores, and fans results out to its member
+    /// queries via `sink`. Returns the aggregate outcome across all
+    /// queries.
+    ///
+    /// # Timestamp contract
+    /// Without a disorder bound ([`EngineConfig::disorder`] = `None`),
+    /// timestamps are trusted as given — monotone or not — and the arrival
+    /// is processed immediately at its own timestamp. With a bound `K`, the
+    /// reorder stage takes over: the arrival is buffered and later
+    /// released in timestamp order, unless its timestamp has already
+    /// fallen behind the watermark (`min` cross-stream high-water mark
+    /// minus `K`), in which case it is dropped — counted in
+    /// [`EngineMetrics::late_dropped`], never joined, and **never a
+    /// panic**. The outcome then sums the arrivals this one released.
     pub fn ingest(&mut self, arrival: Arrival, sink: &mut impl EmitSink) -> IngestOutcome {
-        let now = arrival.ts;
-        let tuple = self.mint(arrival);
-        self.ingest_tuple(tuple, now, sink)
+        let Some(front) = self.front.as_mut() else {
+            let now = arrival.ts;
+            let tuple = self.mint(arrival);
+            return self.ingest_tuple(tuple, now, sink);
+        };
+        let Some(wm) = front.give(arrival) else {
+            return IngestOutcome::default();
+        };
+        self.release(|front| front.release_below(wm), sink)
+    }
+
+    /// Drains the reorder stage at end of input, releasing every
+    /// still-buffered arrival in `(ts, admission)` order regardless of the
+    /// watermark. A no-op (and an all-zero outcome) without a disorder
+    /// bound.
+    pub fn flush(&mut self, sink: &mut impl EmitSink) -> IngestOutcome {
+        self.release(ReorderStage::drain, sink)
+    }
+
+    /// Mints and runs every arrival `next` takes off the reorder stage.
+    fn release(
+        &mut self,
+        mut next: impl FnMut(&mut ReorderStage) -> Option<Arrival>,
+        sink: &mut impl EmitSink,
+    ) -> IngestOutcome {
+        let mut total = IngestOutcome {
+            produced: 0,
+            stored: true,
+            shed: 0,
+        };
+        while let Some(arrival) = self.front.as_mut().and_then(&mut next) {
+            let now = arrival.ts;
+            let tuple = self.mint(arrival);
+            let out = self.ingest_tuple(tuple, now, sink);
+            total.produced += out.produced;
+            total.shed += out.shed;
+        }
+        total
+    }
+
+    /// The current event-time watermark (`None` without a disorder bound).
+    pub fn watermark(&self) -> Option<VTime> {
+        self.front.as_ref().map(ReorderStage::watermark)
+    }
+
+    /// Arrivals currently held by the reorder stage (0 without a bound).
+    pub fn buffered(&self) -> usize {
+        self.front.as_ref().map_or(0, ReorderStage::len)
     }
 
     /// Runs one already-minted tuple (global stream tag) through the data
-    /// plane at time `now` — the primitive the sharded coordinator feeds.
+    /// plane at time `now` (its arrival timestamp may be earlier if it
+    /// waited in an input queue or a shard channel) — the primitive the
+    /// sharded coordinators feed.
     pub fn ingest_tuple(
         &mut self,
         tuple: Tuple,
         now: VTime,
         sink: &mut impl EmitSink,
+    ) -> IngestOutcome {
+        self.ingest_tuple_as(tuple, now, sink, IngestRole::FULL)
+    }
+
+    /// Role-parameterized form of [`MultiQueryEngine::ingest_tuple`], the
+    /// primitive behind replicated delivery in the sharded engine.
+    ///
+    /// Every role observes sketches, expires windows, scores and stores the
+    /// tuple — so replicated copies keep estimation state and tuple-window
+    /// expiry counters advancing identically on every shard. The role only
+    /// gates the *probe* (whether this delivery emits join results) and the
+    /// *accounting* (whether it counts as the arrival's one `processed`
+    /// delivery or as a `replicated` copy).
+    pub fn ingest_tuple_as(
+        &mut self,
+        tuple: Tuple,
+        now: VTime,
+        sink: &mut impl EmitSink,
+        role: IngestRole,
     ) -> IngestOutcome {
         let g = tuple.stream;
         assert!(
@@ -654,19 +755,20 @@ impl MultiQueryEngine {
         );
         self.clock = now;
         let sample = self.stage_clock.next_arrival();
+        let event_time = self.front.is_some();
         let Self {
             queries,
             classes,
             stores,
             scratches,
             metrics,
+            config,
             ..
         } = self;
         // 1. Every interested class folds the arrival into its estimation
         //    state under its *local* stream id; a class whose epoch rolls
-        //    over rebuilds or defers the priorities of the stores it owns
-        //    (exactly its solo rollover, store tuples already carry its
-        //    tags).
+        //    over rebuilds the priorities of the stores it owns against the
+        //    fresh snapshot, or owes each rebuild to the store's next shed.
         for (cid, class) in classes.iter_mut().enumerate() {
             let Some(class) = class.as_mut() else {
                 continue;
@@ -696,15 +798,23 @@ impl MultiQueryEngine {
         });
         // 3. Every interested class probes its partner stores, before any
         //    insertion (the paper's operator probes partner windows only),
-        //    and each run of matches goes to every member. Runs credit the
+        //    a run of the probe's two innermost levels at a time: what a run
+        //    costs beyond finding it is the sink's to decide
+        //    (`EmitSink::emit_run` — a row reader pays per row, a counter
+        //    per run), and each run goes to every member. Runs credit the
         //    partner stores the class owns, so an owner's produced counts
-        //    stay those of its solo run. Whether a class credits at all is
-        //    decided here, not per run (see
-        //    `ShedJoinEngine::ingest_tuple_as`).
+        //    stay those of its solo run; whether a class credits at all is
+        //    decided here, not per run — a policy without produced counters
+        //    runs kernels over a closure that carries no crediting code.
+        //    Store-only replicas skip the probe: their arrival's results are
+        //    emitted by the one shard that received the FULL delivery.
         let entries: &[Option<StoreEntry>] = stores;
         let (produced, credited) = sample.time(&mut metrics.probe_ns, || {
             let mut produced = 0u64;
             let mut credited = false;
+            if !role.probe {
+                return (produced, credited);
+            }
             for (cid, class) in classes.iter().enumerate() {
                 let Some(class) = class.as_ref() else {
                     continue;
@@ -747,9 +857,15 @@ impl MultiQueryEngine {
             (produced, credited)
         });
         metrics.total_output += produced;
-        metrics.processed += 1;
-        // 4. Land the produced-output credits, refreshed by each store
-        //    owner's policy.
+        if role.count_processed {
+            metrics.processed += 1;
+        } else {
+            metrics.replicated += 1;
+        }
+        // 4. Land the produced-output credits and refresh the credited
+        //    priorities by each store owner's policy: one coalesced heap
+        //    update per touched slot, landed before the insert below can
+        //    read a priority to pick a victim.
         if credited && produced > 0 {
             for (entry, scratch) in stores.iter_mut().zip(scratches.iter_mut()) {
                 let Some(entry) = entry else { continue };
@@ -759,9 +875,10 @@ impl MultiQueryEngine {
         }
         // 5. Store the arrival once per (stream, window) store, tagged and
         //    — if the store may shed — scored by the store's owner; shed if
-        //    full.
+        //    the store (or the pool) is full.
         let mut stored = false;
         let mut shed = 0u64;
+        let mut copies = 0u64;
         for entry in stores.iter_mut().flatten() {
             if entry.gstream != g {
                 continue;
@@ -771,13 +888,19 @@ impl MultiQueryEngine {
             local.stream = entry.owner_local;
             let outcome = owner
                 .core
-                .admit(&mut entry.store, local, now, false, sample, metrics);
+                .admit(&mut entry.store, local, now, event_time, sample, metrics);
             stored |= outcome.slot.is_some();
-            if let mstream_window::Eviction::Evicted(_) = outcome.eviction {
+            copies += 1;
+            if let Eviction::Evicted(_) = outcome.eviction {
                 entry.shed += 1;
                 metrics.shed_window += 1;
                 shed += 1;
             }
+        }
+        if let MemoryMode::GlobalPool(total) = config.memory {
+            let (evicted, own) = shed_to_pool(stores, total, tuple.seq, metrics);
+            shed += evicted;
+            stored = own < copies;
         }
         IngestOutcome {
             produced,
@@ -818,6 +941,86 @@ impl MultiQueryEngine {
             }
         }
     }
+
+    /// Offers the minted `tuple` to the input `queue` in front of the
+    /// operator (paper §2's overload model) at `now`: scored by the
+    /// policy's queue priority — answered by the owner class of the first
+    /// live store of its stream — with any random victim drawn from that
+    /// class's rng, so a whole run stays one deterministic random sequence.
+    /// A tuple the full queue sheds is counted in
+    /// [`EngineMetrics::shed_queue`].
+    ///
+    /// # Panics
+    /// Panics if no live query reads the tuple's stream.
+    pub fn offer(&mut self, queue: &mut ShedQueue, tuple: Tuple, now: VTime) {
+        let event_time = self.front.is_some();
+        let entry = self.stores.iter().flatten().find(|e| e.gstream == tuple.stream);
+        let entry = entry.expect("a live query reads the stream");
+        let owner = self.classes[entry.users[0]].as_mut().expect("owner is live");
+        let mut local = tuple.clone();
+        local.stream = entry.owner_local;
+        let score = owner.core.queue_score(&local, now, event_time);
+        let victim = self.policy_proto.queue_victim();
+        if queue.offer(tuple, score, victim, &mut owner.core.rng).is_some() {
+            self.metrics.shed_queue += 1;
+        }
+    }
+}
+
+#[cfg(test)]
+impl MultiQueryEngine {
+    /// Class `cid`'s core and its view of the store table — what a
+    /// single-query engine's tests read for the engine's plans and stores.
+    pub(crate) fn class_view(&self, cid: usize) -> (&QueryCore, MappedStores<'_>) {
+        let class = self.classes[cid].as_ref().expect("class is live");
+        let stores = MappedStores {
+            entries: &self.stores,
+            map: &class.store_of,
+        };
+        (&class.core, stores)
+    }
+}
+
+/// [`MemoryMode::GlobalPool`]'s half of step 5: while the live stores hold
+/// more than `total` tuples, evict the global minimum under the same
+/// `(score, seq)` order the per-store heaps use, so cross-window ties still
+/// evict the oldest tuple first — never the just-inserted one ahead of an
+/// equally-scored elder. Pool stores are unbounded (only this loop
+/// evicts). Returns the evictions and how many of them were copies of the
+/// arrival `seq`.
+fn shed_to_pool(
+    stores: &mut [Option<StoreEntry>],
+    total: usize,
+    seq: SeqNo,
+    metrics: &mut EngineMetrics,
+) -> (u64, u64) {
+    let (mut shed, mut own) = (0u64, 0u64);
+    while stores.iter().flatten().map(|e| e.store.len()).sum::<usize>() > total {
+        let victim_store = stores
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| {
+                let st = &e.as_ref()?.store;
+                st.peek_min().map(|(slot, p)| {
+                    let seq = st.tuple(slot).expect("heap slot is live").seq;
+                    (i, p, seq)
+                })
+            })
+            .min_by(|a, b| {
+                a.1.partial_cmp(&b.1)
+                    .expect("finite priorities")
+                    .then(a.2.cmp(&b.2))
+            })
+            .map(|(i, _, _)| i)
+            .expect("pool over limit implies a resident tuple");
+        let entry = stores[victim_store].as_mut().expect("victim store is live");
+        let (victim, _) = entry.store.evict_min().expect("store has a minimum");
+        own += u64::from(victim.seq == seq);
+        entry.shed += 1;
+        metrics.shed_window += 1;
+        shed += 1;
+    }
+    (shed, own)
 }
 
 #[cfg(test)]
@@ -889,7 +1092,7 @@ mod tests {
     }
 
     /// Projects an emitted row to comparable form (stream tags differ
-    /// between the shared and the solo engines by design).
+    /// between a query's run on a shared plane and its run alone).
     fn key_rows(rows: &[Vec<Tuple>]) -> Vec<Vec<(VTime, Row)>> {
         rows.iter()
             .map(|r| r.iter().map(|t| (t.ts, t.values.clone())).collect())
@@ -904,7 +1107,8 @@ mod tests {
             .unwrap();
         let mut sink = VecSink::default();
         for (name, row, ts) in t {
-            let Ok(attr) = e.query().catalog().resolve(&format!("{name}.k")) else {
+            let query = e.query(QueryId::SOLO).expect("one registered query");
+            let Ok(attr) = query.catalog().resolve(&format!("{name}.k")) else {
                 continue; // stream not in this query
             };
             e.ingest(Arrival::new(attr.stream, row.clone(), *ts), &mut sink);
@@ -1190,6 +1394,82 @@ mod tests {
         }
         let stats = tight.query_stats(QueryId(0)).unwrap();
         assert!(stats.shed > 0);
+    }
+
+    #[test]
+    fn store_replica_stores_without_probing() {
+        // The sharded engine's replicas run the plane: a store-only copy
+        // observes, expires and stores but never probes, and only the
+        // FULL delivery counts as `processed`.
+        let mut e = multi(vec![pair_query("L", "R", 60)], 64);
+        let (l, r) = (e.stream_id("L").unwrap(), e.stream_id("R").unwrap());
+        let mut sink = CountSink::default();
+        let mut deliver = |e: &mut MultiQueryEngine, g, role| {
+            let t = e.mint(Arrival::new(g, vec![Value(1), Value(0)], VTime::ZERO));
+            e.ingest_tuple_as(t, VTime::ZERO, &mut sink, role).produced
+        };
+        assert_eq!(deliver(&mut e, l, IngestRole::FULL), 0);
+        assert_eq!(deliver(&mut e, r, IngestRole::STORE_REPLICA), 0, "a replica never probes");
+        assert_eq!(e.window_len(r), Some(1), "but it stores");
+        assert_eq!(deliver(&mut e, l, IngestRole::PROBE_REPLICA), 1, "a probing copy joins");
+        let m = e.metrics();
+        assert_eq!((m.processed, m.replicated, m.total_output), (1, 2, 1));
+    }
+
+    #[test]
+    fn per_window_each_is_indexed_by_global_stream() {
+        // L = 0, R = 1, X = 2 globally; the second query knows R as 0 and
+        // X as 1, so a list read by local stream would give X R's budget.
+        let mut b = EngineBuilder::new_multi().policy(Fifo).capacities(vec![2, 4, 8]);
+        b.register(pair_query("L", "R", 600)).unwrap();
+        b.register(pair_query("R", "X", 600)).unwrap();
+        let mut e = b.build_multi().unwrap();
+        let t = trace(&["L", "R", "X"], 60);
+        let mut sink = QueryRowsSink::default();
+        feed(&mut e, &t, &mut sink);
+        let len = |e: &MultiQueryEngine, name| e.window_len(e.stream_id(name).unwrap());
+        assert_eq!([len(&e, "L"), len(&e, "R"), len(&e, "X")], [Some(2), Some(4), Some(8)]);
+        // A stream the list does not cover is a typed rejection, rolled back.
+        assert_eq!(
+            e.add_query(pair_query("X", "Y", 600)),
+            Err(BuildError::CapacityCountMismatch {
+                got: 3,
+                expected: 4
+            })
+        );
+        assert_eq!((e.catalog().len(), e.n_queries(), e.n_stores()), (3, 2, 3));
+        // A covered one gets fresh stores at its streams' global budgets.
+        e.add_query(pair_query("X", "L", 600)).unwrap();
+        feed(&mut e, &t, &mut sink);
+        assert_eq!([len(&e, "L"), len(&e, "X")], [Some(2 + 2), Some(8 + 8)]);
+    }
+
+    #[test]
+    fn global_pool_bounds_the_plane_and_sheds_a_sub_multiset() {
+        let queries = vec![pair_query("L", "R", 60), chain_query("L", "R", "X", 60)];
+        let mut b = EngineBuilder::new_multi().policy(MSketch).global_pool(10);
+        for q in &queries {
+            b.register(q.clone()).unwrap();
+        }
+        let mut pooled = b.build_multi().unwrap();
+        let mut exact = multi(queries, 1 << 20);
+        let t = trace(&["L", "R", "X"], 150);
+        let (mut s1, mut s2) = (QueryRowsSink::default(), QueryRowsSink::default());
+        for (name, row, ts) in &t {
+            let g = pooled.stream_id(name).unwrap();
+            pooled.ingest(Arrival::new(g, row.clone(), *ts), &mut s1);
+            exact.ingest(Arrival::new(g, row.clone(), *ts), &mut s2);
+            assert!(pooled.total_resident() <= 10, "pool bound violated");
+        }
+        assert!(pooled.metrics().shed_window > 0, "a pool of 10 must shed");
+        for q in 0..2 {
+            let mut exact_keys = key_rows(&s2.rows[q]);
+            assert!(!s1.rows[q].is_empty(), "query {q} still joins");
+            for row in key_rows(&s1.rows[q]) {
+                let pos = exact_keys.iter().position(|r| *r == row);
+                exact_keys.swap_remove(pos.expect("shed output is a sub-multiset of exact"));
+            }
+        }
     }
 
     #[test]

@@ -26,20 +26,27 @@
 //! shard, precisely the tuples routed after the broadcast. Pending expiry
 //! ticks are flushed to **all** shards first, so tuple-based windows of
 //! the new query never count pre-registration arrivals.
+//!
+//! # Disorder
+//!
+//! With a disorder bound the coordinator runs the engine's reorder stage
+//! before minting and routing, as [`crate::ShardedJoinEngine`] does:
+//! workers see watermark-ordered timestamps, late drops are counted here,
+//! and a registration takes effect at the release frontier — arrivals
+//! still buffered when it is broadcast reach the workers after it.
 
 use crate::builder::BuildError;
-use crate::engine::EngineConfig;
+use crate::engine::{EngineConfig, ReorderStage};
 use crate::ingest::{Arrival, CountSink, QueryRowsSink};
 use crate::multi::{merge_into_catalog, MultiQueryEngine, QueryStats};
 use crate::report::EngineMetrics;
-use crate::shard::{split_bank, split_memory, Backpressure, ShardConfig};
+use crate::shard::{panic_message, row_seq_cmp, split_bank, split_memory, Backpressure, ShardConfig};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use mstream_shed_policies::ShedPolicy;
 use mstream_types::{
     splitmix64, Catalog, Error, JoinQuery, Partitioning, QueryId, SeqNo, StreamId, Tuple,
     WindowSpec,
 };
-use std::cmp::Ordering;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -154,25 +161,23 @@ pub struct ShardedMultiEngine {
     n_registered: usize,
     next_seq: SeqNo,
     shed_channel: u64,
+    /// Coordinator-side reorder stage over global streams (`None` without
+    /// a disorder bound).
+    front: Option<ReorderStage>,
     started: Instant,
 }
 
 impl ShardedMultiEngine {
     /// Spawns the workers, each owning a full [`MultiQueryEngine`] over
     /// `1/S` of the key space (and `1/S` of the memory and sketch
-    /// budgets). Prefer [`crate::EngineBuilder::build_multi_sharded`].
+    /// budgets). Built by [`crate::EngineBuilder::build_multi_sharded`],
+    /// which validates the query set and the shard count.
     pub(crate) fn new(
         queries: Vec<JoinQuery>,
         policy: Box<dyn ShedPolicy>,
         config: EngineConfig,
         shard: ShardConfig,
     ) -> Result<Self, BuildError> {
-        if queries.is_empty() {
-            return Err(BuildError::NoQueries);
-        }
-        if shard.shards == 0 {
-            return Err(BuildError::ZeroShards);
-        }
         if shard.channel_capacity == 0 {
             return Err(BuildError::Engine(Error::InvalidConfig(
                 "shard channel capacity must be >= 1".into(),
@@ -221,6 +226,7 @@ impl ShardedMultiEngine {
             senders.push(tx);
         }
         let n_registered = queries.len();
+        let front = config.disorder.map(|k| ReorderStage::new(k, catalog.len()));
         Ok(ShardedMultiEngine {
             shards,
             degraded,
@@ -234,6 +240,7 @@ impl ShardedMultiEngine {
             n_registered,
             next_seq: SeqNo(0),
             shed_channel: 0,
+            front,
             started: Instant::now(),
         })
     }
@@ -311,6 +318,9 @@ impl ShardedMultiEngine {
         } else {
             self.key_of.resize(self.catalog.len(), None);
         }
+        if let Some(front) = self.front.as_mut() {
+            front.add_streams(self.catalog.len());
+        }
         self.needs_ticks |= self.shards > 1
             && query
                 .windows()
@@ -333,13 +343,30 @@ impl ShardedMultiEngine {
     /// Routes one arrival (addressed by **global** stream id) to the
     /// shard owning its key, flushing that shard's pending expiry ticks
     /// first. Single-shard runs (including degraded ones) route
-    /// everything to worker 0.
+    /// everything to worker 0. With a disorder bound the arrival first
+    /// passes the reorder stage: buffered until the watermark proves it
+    /// safe, or dropped and counted once beyond the bound.
     pub fn ingest(&mut self, arrival: Arrival) {
         let g = arrival.stream;
         assert!(
             g.index() < self.catalog.len(),
             "arrival stream {g} is not in the engine catalog"
         );
+        let Some(front) = self.front.as_mut() else {
+            self.route(arrival);
+            return;
+        };
+        let Some(wm) = front.give(arrival) else {
+            return;
+        };
+        while let Some(arrival) = self.front.as_mut().and_then(|f| f.release_below(wm)) {
+            self.route(arrival);
+        }
+    }
+
+    /// Mints and routes one arrival.
+    fn route(&mut self, arrival: Arrival) {
+        let g = arrival.stream;
         let seq = self.next_seq;
         self.next_seq = seq.next();
         let tuple = Tuple::new(g, arrival.ts, seq, arrival.values);
@@ -371,6 +398,9 @@ impl ShardedMultiEngine {
     /// merges their reports (rows per query in canonical per-stream-seq
     /// order when collected).
     pub fn finish(mut self) -> Result<MultiRunReport, Error> {
+        while let Some(arrival) = self.front.as_mut().and_then(ReorderStage::drain) {
+            self.route(arrival);
+        }
         for shard in 0..self.shards {
             self.flush_pending(shard);
         }
@@ -397,11 +427,7 @@ impl ShardedMultiEngine {
                     }
                 }
                 Err(panic) => {
-                    let msg = panic
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| panic.downcast_ref::<&'static str>().copied())
-                        .unwrap_or("non-string panic payload");
+                    let msg = panic_message(&panic);
                     failure.get_or_insert(Error::Shard(format!("worker {i} panicked: {msg}")));
                 }
             }
@@ -409,6 +435,7 @@ impl ShardedMultiEngine {
         if let Some(err) = failure {
             return Err(err);
         }
+        metrics.late_dropped += self.front.as_ref().map_or(0, |f| f.dropped);
         let rows = per_worker_rows.map(|per_worker| {
             let mut merged: Vec<Vec<Vec<Tuple>>> = vec![Vec::new(); self.n_registered];
             for worker in per_worker {
@@ -493,11 +520,6 @@ impl ShardedMultiEngine {
             Backpressure::Shed => self.senders[shard].try_send(msg).is_ok(),
         }
     }
-}
-
-/// Canonical result-row order: per-stream sequence numbers.
-fn row_seq_cmp(a: &[Tuple], b: &[Tuple]) -> Ordering {
-    a.iter().map(|t| t.seq).cmp(b.iter().map(|t| t.seq))
 }
 
 fn multi_worker_loop(

@@ -4,10 +4,11 @@
 //! ([`JoinQuery::partitioning`]): when every predicate lies in one
 //! attribute-equivalence class, arrivals can be hash-partitioned by that
 //! attribute's value across `S` worker threads, each owning an independent
-//! [`ShedJoinEngine`] with `1/S` of the memory budget — two tuples with
-//! different partition keys can never join, so the union of the per-shard
-//! outputs equals the single-engine output exactly (at full memory it is
-//! byte-identical; under shedding each shard shrinks its own partition).
+//! engine ([`crate::ShedJoinEngine`]) with `1/S` of the memory budget — two
+//! tuples with different partition keys can never join, so the union of the
+//! per-shard outputs equals the single-engine output exactly (at full memory
+//! it is byte-identical; under shedding each shard shrinks its own
+//! partition).
 //! Queries that join through more than one attribute class degrade to one
 //! shard, with the reason surfaced on the [`RunReport`].
 //!
@@ -29,8 +30,8 @@
 //! one coalesced [`Item::Ticks`] summary immediately before the next tuple
 //! delivered to that shard (O(1) channel items per batch instead of O(S)
 //! per arrival). Ticks only advance each stream's arrival counter
-//! ([`ShedJoinEngine::note_foreign_arrivals`]) and expiry is evaluated
-//! when the *next stored tuple* is processed, so a summary applied just
+//! ([`crate::MultiQueryEngine::note_foreign_arrivals`]) and expiry is
+//! evaluated when the *next stored tuple* is processed, so a summary applied just
 //! before that tuple is observationally identical to the per-arrival
 //! interleaving — expiry boundaries match the single-engine run exactly.
 //! Time-based windows need no ticks (expiry depends only on timestamps).
@@ -87,8 +88,9 @@
 //! re-queue as ticks for their shard (the arrival is still processed by
 //! its FULL delivery elsewhere), so expiry counters never skew.
 
-use crate::engine::{EngineConfig, EventTimeFrontEnd, MemoryMode, ShedJoinEngine};
+use crate::engine::{EngineConfig, MemoryMode, ReorderStage};
 use crate::ingest::{Arrival, CountSink, IngestRole, VecSink};
+use crate::multi::MultiQueryEngine;
 use crate::report::{EngineMetrics, RunReport};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use mstream_shed_policies::ShedPolicy;
@@ -479,10 +481,11 @@ impl SkewRouter {
 /// the key is provably expired on every shard, so all shards hold
 /// identical windows for the key and probes may round-robin.
 ///
-/// Time windows are exact (`expire_all(now)` runs before every probe and
+/// Time windows are exact (every store expires before every probe and
 /// expiry is `ts + p <= now`; pre-promotion tuples have `ts <=
-/// promote_ts`). Tuple windows ask for `c + 1` further arrivals on the
-/// stream since the promotion snapshot — one more than the window depth,
+/// promote_ts`), the deadline saturating: a window that never closes
+/// never opens the gate. Tuple windows ask for `c + 1` further arrivals on
+/// the stream since the promotion snapshot — one more than the window depth,
 /// absorbing the arriving tuple's own not-yet-counted position.
 fn gate_opens(
     slot: &HotSlot,
@@ -492,7 +495,7 @@ fn gate_opens(
     now: VTime,
 ) -> bool {
     if let Some(p) = max_time_window {
-        if now < slot.promote_ts + p {
+        if now < slot.promote_ts.saturating_add(p) {
             return false;
         }
     }
@@ -537,7 +540,7 @@ fn dominant_stream(query: &JoinQuery) -> usize {
     best
 }
 
-/// A shard-parallel front for [`ShedJoinEngine`]: route arrivals with
+/// A shard-parallel front for the engine: route arrivals with
 /// [`ShardedJoinEngine::ingest`], then collect the merged report with
 /// [`ShardedJoinEngine::finish`].
 pub struct ShardedJoinEngine {
@@ -571,14 +574,11 @@ pub struct ShardedJoinEngine {
     /// Broadcast-mode routing (non-key-partitionable query, S > 1,
     /// broadcast enabled).
     broadcast: Option<BroadcastPlan>,
-    /// Coordinator-side event-time front end: arrivals are reordered
-    /// *before* minting and routing, so every worker — and the skew
-    /// router's fan-out gate — observes a monotone (watermark-ordered)
-    /// timestamp sequence. `None` without a disorder bound.
-    front: Option<EventTimeFrontEnd>,
-    /// Arrivals the coordinator dropped for exceeding the disorder bound
-    /// (merged into the combined metrics at `finish`).
-    late_dropped: u64,
+    /// Coordinator-side reorder stage: arrivals are reordered *before*
+    /// minting and routing, so every worker — and the skew router's
+    /// fan-out gate — observes a monotone (watermark-ordered) timestamp
+    /// sequence. `None` without a disorder bound.
+    front: Option<ReorderStage>,
     started: Instant,
 }
 
@@ -641,9 +641,9 @@ impl ShardedJoinEngine {
         let mut returns = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         // Reordering happens once, at the coordinator, before minting and
-        // routing: workers then see timestamps in watermark order and run
-        // with the legacy (trusting) front end.
-        let front = config.disorder.map(|k| EventTimeFrontEnd::new(k, n_streams));
+        // routing: workers then see timestamps in watermark order and
+        // trust them.
+        let front = config.disorder.map(|k| ReorderStage::new(k, n_streams));
         for i in 0..shards {
             let mut worker_config = config.clone();
             worker_config.memory = memory.clone();
@@ -655,7 +655,7 @@ impl ShardedJoinEngine {
             if shards > 1 {
                 worker_config.seed = splitmix64(config.seed ^ (i as u64 + 1));
             }
-            let engine = ShedJoinEngine::new(query.clone(), policy.clone(), worker_config)?;
+            let engine = MultiQueryEngine::new(vec![query.clone()], policy.clone(), worker_config)?;
             let (tx, rx) = bounded(shard.channel_capacity);
             // The return channel holds every buffer that can be in flight
             // (channel depth + the one being drained + the one being
@@ -693,7 +693,6 @@ impl ShardedJoinEngine {
             skew,
             broadcast,
             front,
-            late_dropped: 0,
             started: Instant::now(),
         })
     }
@@ -731,49 +730,12 @@ impl ShardedJoinEngine {
             self.route_arrival(arrival);
             return;
         };
-        let k = arrival.stream.index();
-        if arrival.ts > front.hwm[k] {
-            front.hwm[k] = arrival.ts;
-        }
-        let wm = front.watermark();
-        if arrival.ts < wm {
-            self.late_dropped += 1;
+        let Some(wm) = front.give(arrival) else {
             return;
-        }
-        let entry = front.admitted;
-        front.admitted += 1;
-        front.buffers[k].push(arrival.ts, entry, arrival);
-        self.release_below(Some(wm));
-    }
-
-    /// Releases coordinator-buffered arrivals in merged `(ts, admission)`
-    /// order while the head's timestamp is strictly below `wm` (`None`
-    /// drains everything — the `finish` flush), routing each one.
-    fn release_below(&mut self, wm: Option<VTime>) {
-        loop {
-            let front = self.front.as_mut().expect("event-time mode only");
-            let mut head: Option<(VTime, u64, usize)> = None;
-            for (k, buf) in front.buffers.iter().enumerate() {
-                if let Some((ts, entry)) = buf.peek_key() {
-                    if head.map_or(true, |(ht, he, _)| (ts, entry) < (ht, he)) {
-                        head = Some((ts, entry, k));
-                    }
-                }
-            }
-            let Some((ts, _, k)) = head else { break };
-            if let Some(wm) = wm {
-                if ts >= wm {
-                    break;
-                }
-            }
-            let (_, _, arrival) = front.buffers[k].pop().expect("peeked entry exists");
+        };
+        while let Some(arrival) = self.front.as_mut().and_then(|f| f.release_below(wm)) {
             self.route_arrival(arrival);
         }
-    }
-
-    /// The current event-time watermark (`None` without a disorder bound).
-    pub fn watermark(&self) -> Option<VTime> {
-        self.front.as_ref().map(EventTimeFrontEnd::watermark)
     }
 
     /// Mints and routes one arrival (the pre-event-time `ingest` body).
@@ -1001,11 +963,11 @@ impl ShardedJoinEngine {
     /// Fails with [`Error::Shard`] if any worker panicked — under the
     /// `audit` feature workers check engine invariants after every tuple.
     pub fn finish(mut self) -> Result<ShardedRunReport> {
-        // Drain the event-time reorder buffers first: end of trace, so
-        // every still-buffered arrival releases regardless of the
-        // watermark (no-op without a disorder bound).
-        if self.front.is_some() {
-            self.release_below(None);
+        // Drain the reorder stage first: end of trace, so every
+        // still-buffered arrival releases regardless of the watermark
+        // (no-op without a disorder bound).
+        while let Some(arrival) = self.front.as_mut().and_then(ReorderStage::drain) {
+            self.route_arrival(arrival);
         }
         for shard in 0..self.shards {
             // Trailing ticks (arrivals after a shard's last tuple) cannot
@@ -1048,7 +1010,7 @@ impl ShardedJoinEngine {
         }
         // Coordinator-side late drops happen before routing, so no worker
         // ever saw them; fold them into the combined counters here.
-        combined.late_dropped += self.late_dropped;
+        combined.late_dropped += self.front.as_ref().map_or(0, |f| f.dropped);
         // Seq-stamped merge: per-stream arrival sequence numbers are
         // global (coordinator-minted), so this canonical order is directly
         // comparable across shard counts and to the single-engine oracle.
@@ -1093,7 +1055,7 @@ impl ShardedJoinEngine {
 /// canonical output order. Keys are unique (each join combination is
 /// emitted exactly once, on exactly one shard), so unstable sorting and
 /// arbitrary merge tie-breaks reproduce one well-defined order.
-fn row_seq_cmp(a: &[Tuple], b: &[Tuple]) -> Ordering {
+pub(crate) fn row_seq_cmp(a: &[Tuple], b: &[Tuple]) -> Ordering {
     a.iter().map(|t| t.seq).cmp(b.iter().map(|t| t.seq))
 }
 
@@ -1133,7 +1095,7 @@ struct WorkerMode {
 }
 
 fn worker_loop(
-    mut engine: ShedJoinEngine,
+    mut engine: MultiQueryEngine,
     rx: Receiver<Vec<Item>>,
     ret_tx: Sender<Vec<Item>>,
     mode: WorkerMode,
@@ -1261,7 +1223,7 @@ pub(crate) fn split_bank(bank: &BankConfig, shards: usize) -> BankConfig {
     }
 }
 
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {
@@ -1567,7 +1529,9 @@ mod tests {
     }
 
     /// The time-window gate anchors on the promotion timestamp: closed
-    /// strictly before `promote_ts + p`, open at it.
+    /// strictly before `promote_ts + p`, open at it — and a window that
+    /// never closes never opens it (the deadline saturates; a wrapping sum
+    /// lands just before `promote_ts` and opens the gate at once).
     #[test]
     fn time_window_gate_opens_exactly_at_promote_ts_plus_window() {
         let slot = HotSlot {
@@ -1583,6 +1547,10 @@ mod tests {
         let counts = [None, None];
         assert!(!gate_opens(&slot, &[9, 9], &counts, Some(p), VTime::from_secs(39)));
         assert!(gate_opens(&slot, &[0, 0], &counts, Some(p), VTime::from_secs(40)));
+        let forever = Some(VDur::from_micros(u64::MAX));
+        for now in [VTime::from_secs(10), VTime::from_secs(1 << 40), VTime::from_micros(u64::MAX - 1)] {
+            assert!(!gate_opens(&slot, &[0, 0], &counts, forever, now), "{now:?}");
+        }
     }
 
     /// The tuple-window gate demands `c + 1` arrivals past the snapshot on

@@ -120,10 +120,8 @@ pub fn run_trace(engine: &mut ShedJoinEngine, trace: &Trace, opts: &RunOptions) 
             let svc = VDur::from_rate(l);
             let mut queue = ShedQueue::new(opts.sim.queue_capacity);
             let mut server_free = VTime::ZERO;
-            let mut last_arrival = VTime::ZERO;
             for (i, item) in trace.items.iter().enumerate() {
                 let t_arr = VTime::ZERO + dt.mul(i as u64);
-                last_arrival = t_arr;
                 drain_queue(
                     engine,
                     &mut queue,
@@ -136,15 +134,9 @@ pub fn run_trace(engine: &mut ShedJoinEngine, trace: &Trace, opts: &RunOptions) 
                     &mut end_time,
                 );
                 let tuple = engine.mint(Arrival::new(item.stream, item.values.clone(), t_arr));
-                let score = engine.queue_score(&tuple, t_arr);
-                let victim_mode = engine.queue_victim();
-                let dropped = queue.offer(tuple, score, victim_mode, engine.rng_mut());
-                if dropped.is_some() {
-                    engine.note_queue_shed();
-                }
+                engine.offer(&mut queue, tuple, t_arr);
             }
             // Drain whatever survived the arrival phase.
-            let _ = last_arrival;
             drain_queue(
                 engine,
                 &mut queue,
@@ -290,7 +282,7 @@ mod tests {
 
     fn engine(query: JoinQuery, capacity: usize) -> ShedJoinEngine {
         ShedJoinEngine::new(
-            query,
+            vec![query],
             Box::new(MSketch),
             EngineConfig {
                 memory: MemoryMode::PerWindow(capacity),
@@ -446,7 +438,7 @@ mod tests {
             ..Default::default()
         };
         let mut e = ShedJoinEngine::new(
-            query,
+            vec![query],
             Box::new(Fifo),
             EngineConfig {
                 memory: MemoryMode::PerWindow(64),

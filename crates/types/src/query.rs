@@ -14,7 +14,6 @@
 use crate::error::{Error, Result};
 use crate::schema::{AttrRef, Catalog, StreamId};
 use crate::time::VDur;
-use crate::tuple::SeqNo;
 use serde::{Deserialize, Serialize};
 
 /// Handle for one standing query registered with a multi-query engine.
@@ -385,16 +384,6 @@ impl JoinQuery {
             .collect();
         Partitioning::ByKey { key_attrs }
     }
-
-    /// The "lifetime horizon" of a tuple entering at sequence number `seq`:
-    /// for tuple-based windows, the last global sequence number at which the
-    /// tuple can still be alive, assuming round-robin arrivals.
-    pub fn tuple_window_horizon(&self, stream: StreamId, seq: SeqNo) -> Option<SeqNo> {
-        match self.windows[stream.index()] {
-            WindowSpec::Tuples(c) => Some(SeqNo(seq.0 + c * self.n_streams() as u64)),
-            WindowSpec::Time(_) => None,
-        }
-    }
 }
 
 fn self_arity(catalog: &Catalog, stream: StreamId) -> usize {
@@ -558,11 +547,6 @@ mod tests {
         .unwrap();
         assert_eq!(q.max_time_window(), Some(VDur::from_secs(200)));
         assert!(!q.all_tuple_based());
-        assert_eq!(
-            q.tuple_window_horizon(StreamId(2), SeqNo(10)),
-            Some(SeqNo(10 + 50 * 3))
-        );
-        assert_eq!(q.tuple_window_horizon(StreamId(0), SeqNo(10)), None);
     }
 
     #[test]

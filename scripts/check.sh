@@ -23,6 +23,18 @@ if grep -rnE 'TrieNode|ProbeCtx|from_parts' crates/{join,core}/src; then
   echo "FAIL: a second probe enumerator is back in mstream-join / mstream-core"
   exit 1
 fi
+# One engine: a single-query engine is the plane with one registered query
+# (`pub type ShedJoinEngine`), and the bounded-disorder release loop is one
+# stage every front door shares (DESIGN.md §13, §14).
+if grep -rn 'struct ShedJoinEngine' crates/core/src; then
+  echo "FAIL: a second engine struct is back in mstream-core"
+  exit 1
+fi
+if [ "$(grep -rn 'fn release_below' crates/core/src | wc -l)" -gt 1 ]; then
+  grep -rn 'fn release_below' crates/core/src
+  echo "FAIL: a second copy of the reorder release loop in mstream-core"
+  exit 1
+fi
 # The engines deliver results through `EmitSink::emit_run` only (its
 # default body is the per-row path), so no call site can bypass a sink's
 # override.

@@ -344,3 +344,109 @@ fn sharded_promotion_under_injected_lateness_matches_the_oracle() {
     rows.sort();
     assert_eq!(rows, oracle_rows, "promotion + lateness must stay oracle-exact");
 }
+
+/// The plane takes the bound too: a two-query set (a keyed chain and a
+/// pair over two of its streams, sharing their stores) under a covered
+/// shuffle replays its in-order run per query — in process, and through
+/// the sharded coordinator at S ∈ {1, 2} — while a beyond-bound straggler
+/// is dropped, counted, and changes nothing.
+#[test]
+fn two_query_plane_replays_its_in_order_run_under_covered_disorder() {
+    let names = |c: &mut Catalog, ns: &[&str]| {
+        for n in ns {
+            c.add_stream(StreamSchema::new(*n, &["A1", "A2"]));
+        }
+    };
+    let (mut chain_cat, mut pair_cat) = (Catalog::new(), Catalog::new());
+    names(&mut chain_cat, &["R1", "R2", "R3"]);
+    names(&mut pair_cat, &["R1", "R2"]);
+    let queries = [
+        JoinQuery::from_names(
+            chain_cat,
+            &[("R1.A1", "R2.A1"), ("R2.A1", "R3.A1")],
+            WindowSpec::secs(30),
+        )
+        .unwrap(),
+        JoinQuery::from_names(pair_cat, &[("R1.A1", "R2.A1")], WindowSpec::secs(30)).unwrap(),
+    ];
+    let builder = |bound: Option<VDur>, capacity: usize| {
+        let mut b = EngineBuilder::new_multi()
+            .policy(MSketch)
+            .capacity_per_window(capacity)
+            .seed(5);
+        if let Some(k) = bound {
+            b = b.disorder_bound(k);
+        }
+        for q in &queries {
+            b.register(q.clone()).unwrap();
+        }
+        b
+    };
+    let trace: Vec<(usize, Vec<Value>, u64)> = (0..150u64)
+        .map(|i| {
+            let v = (i / 3) % 5;
+            ((i % 3) as usize, vec![Value(v), Value(v)], i * 500_000)
+        })
+        .collect();
+    let bound = VDur::from_secs(2);
+    let mut shuffled = shuffle_within(&trace, bound.as_micros());
+    shuffled.push((0, vec![Value(1), Value(1)], 1_000_000));
+    let drive = |bound: Option<VDur>, capacity: usize, t: &[(usize, Vec<Value>, u64)]| {
+        let mut engine = builder(bound, capacity).build_multi().unwrap();
+        let mut rows: Vec<Vec<Vec<u64>>> = vec![Vec::new(); 2];
+        let mut sink = QueryFnSink(|q: QueryId, b: &Bindings<'_>| {
+            rows[q.index()].push(row(b, b.n_streams()))
+        });
+        for (stream, vals, at) in t {
+            let a = Arrival::new(StreamId(*stream), vals.clone(), VTime::from_micros(*at));
+            engine.ingest(a, &mut sink);
+        }
+        engine.flush(&mut sink);
+        let late = engine.metrics().late_dropped;
+        (rows, late)
+    };
+    for capacity in [10_000usize, 12] {
+        let (in_order, _) = drive(None, capacity, &trace);
+        assert!(in_order.iter().all(|r| !r.is_empty()), "both queries join");
+        let (recovered, late) = drive(Some(bound), capacity, &shuffled);
+        assert_eq!(recovered, in_order, "capacity {capacity}: disorder must be invisible");
+        assert_eq!(late, 1, "capacity {capacity}: the straggler is counted");
+    }
+    let (mut in_order, _) = drive(None, 10_000, &trace);
+    in_order.iter_mut().for_each(|rows| rows.sort());
+    for shards in [1, 2] {
+        let mut engine = builder(Some(bound), 10_000)
+            .shard_config(ShardConfig {
+                shards,
+                collect_rows: true,
+                ..ShardConfig::default()
+            })
+            .build_multi_sharded()
+            .unwrap();
+        assert_eq!(engine.shards(), shards);
+        for (stream, vals, at) in &shuffled {
+            engine.ingest(Arrival::new(StreamId(*stream), vals.clone(), VTime::from_micros(*at)));
+        }
+        let report = engine.finish().unwrap();
+        assert_eq!(report.metrics.late_dropped, 1, "S={shards}: the straggler is counted");
+        let rows: Vec<Vec<Vec<u64>>> = report
+            .rows
+            .expect("collect_rows was set")
+            .iter()
+            .map(|query_rows| {
+                let flat = |result: &Vec<Tuple>| {
+                    let mut r = Vec::new();
+                    for t in result {
+                        r.push(t.seq.0);
+                        r.extend(t.values.iter().map(|v| v.0));
+                    }
+                    r
+                };
+                let mut rows: Vec<Vec<u64>> = query_rows.iter().map(flat).collect();
+                rows.sort();
+                rows
+            })
+            .collect();
+        assert_eq!(rows, in_order, "S={shards}: disorder must be invisible per query");
+    }
+}

@@ -119,12 +119,7 @@ fn solo_as(
         .unwrap();
     let mut sink = VecSink::default();
     for (name, row, ts) in t {
-        let Some((id, _)) = engine
-            .query()
-            .catalog()
-            .iter()
-            .find(|(_, s)| s.name == *name)
-        else {
+        let Some(id) = engine.stream_id(name) else {
             continue; // stream not referenced by this query
         };
         engine.ingest(Arrival::new(id, row.clone(), *ts), &mut sink);
