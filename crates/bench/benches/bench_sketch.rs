@@ -93,23 +93,34 @@ fn bench_productivity(c: &mut Criterion) {
     group.finish();
 }
 
-/// The packed-sign kernels in isolation: one full polynomial sweep over
-/// 1000 copies, the XOR combine with every lookup missing the memo, and
-/// the same combine served entirely from memoized vectors.
+/// The packed-sign kernels in isolation: full polynomial sweeps over 1000
+/// copies (the power form a memo miss runs, beside the Horner reference it
+/// replaced; each sample sweeps 1000 keys, so ms/iter reads as µs per
+/// vector), the XOR combine with every lookup missing the memo, and the
+/// same combine served entirely from memoized vectors.
 fn bench_packed_signs(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let families = SignFamilies::draw(&mut rng, 2, 1000);
     let incidence = [(0usize, 0usize), (1usize, 1usize)];
     let mut out = Vec::new();
     let mut group = c.benchmark_group("packed_signs");
-    group.bench_function("eval_1000_copies", |b| {
-        let mut x = 0u64;
-        b.iter(|| {
-            x = x.wrapping_add(0x9E37_79B9);
-            families.eval_packed_into(0, black_box(x), &mut out);
-            black_box(&out);
-        })
-    });
+    type Eval = fn(&SignFamilies, usize, u64, &mut Vec<u64>);
+    let evals: [(&str, Eval); 2] = [
+        ("eval_1000_copies", SignFamilies::eval_packed_into),
+        ("eval_1000_copies_horner", SignFamilies::eval_packed_scalar),
+    ];
+    for (name, eval) in evals {
+        group.bench_function(name, |b| {
+            let mut x = 0u64;
+            b.iter(|| {
+                for _ in 0..1000 {
+                    x = x.wrapping_add(0x9E37_79B9);
+                    eval(&families, 0, black_box(x), &mut out);
+                    black_box(&out);
+                }
+            })
+        });
+    }
     let mut cold_cache = SignCache::default();
     group.bench_function("xor_combine_cold", |b| {
         let mut x = 0u64;

@@ -15,7 +15,7 @@
 //! sketch policies estimate the same forward-looking quantity and differ
 //! only in *pairwise-exact vs multi-way-sketched*.
 
-use crate::tumbling::EpochSpec;
+use crate::tumbling::{elapsed_epochs, EpochSpec};
 use mstream_types::{JoinQuery, StreamId, VTime, Value, WordBuild};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -162,7 +162,9 @@ pub struct TumblingFreq {
     /// Whether stream `k` has completed at least one epoch.
     has_last: Vec<bool>,
     epoch: EpochSpec,
-    next_roll: VTime,
+    /// Time-mode: where the current epoch began (see
+    /// [`crate::TumblingSketches`]).
+    epoch_start: VTime,
     arrivals: Vec<u64>,
 }
 
@@ -187,16 +189,10 @@ impl TumblingFreq {
             .iter()
             .map(|p| (p.left.stream.index(), p.right.stream.index()))
             .collect();
-        let next_roll = match epoch {
-            EpochSpec::Time(d) => {
-                assert!(!d.is_zero(), "epoch length must be positive");
-                VTime::ZERO + d
-            }
-            EpochSpec::PerStreamTuples(c) => {
-                assert!(c > 0, "epoch tuple count must be positive");
-                VTime::ZERO
-            }
-        };
+        match epoch {
+            EpochSpec::Time(d) => assert!(!d.is_zero(), "epoch length must be positive"),
+            EpochSpec::PerStreamTuples(c) => assert!(c > 0, "epoch tuple count must be positive"),
+        }
         TumblingFreq {
             incidence,
             endpoints,
@@ -204,7 +200,7 @@ impl TumblingFreq {
             last: PartnerFrequency::new(query.predicates().len()),
             has_last: vec![false; n],
             epoch,
-            next_roll,
+            epoch_start: VTime::ZERO,
             arrivals: vec![0; n],
         }
     }
@@ -214,11 +210,13 @@ impl TumblingFreq {
     pub fn observe(&mut self, stream: StreamId, values: &[Value], now: VTime) -> bool {
         let mut rolled = false;
         if let EpochSpec::Time(d) = self.epoch {
-            while now >= self.next_roll {
+            // A gap of k epochs rolls min(k, 2) times: the second roll
+            // leaves `last` empty, and every further roll would too.
+            let elapsed = elapsed_epochs(&mut self.epoch_start, now, d);
+            for _ in 0..elapsed.min(2) {
                 self.roll_all();
-                self.next_roll += d;
-                rolled = true;
             }
+            rolled = elapsed > 0;
         }
         for &(pred, attr, is_left) in &self.incidence[stream.index()] {
             let v = values[attr];
@@ -513,6 +511,50 @@ mod tests {
             // and invisible to scoring.
             assert_eq!(tf.partner_count(0, StreamId(0), Value(5)), 3);
             assert_eq!(tf.partner_count(0, StreamId(0), Value(6)), 0);
+        }
+
+        /// A jump of 10^12 epochs rolls twice, not 10^12 times, and leaves
+        /// the counts and the epoch grid of a jump of three.
+        #[test]
+        fn a_jump_of_many_epochs_matches_a_jump_of_three() {
+            let q = chain3();
+            let n = VDur::from_secs(10);
+            let jump = |epochs: u64| {
+                let mut tf = TumblingFreq::new(&q, EpochSpec::Time(n));
+                tf.observe(StreamId(1), &[Value(5), Value(0)], VTime::from_secs(1));
+                let start = VTime::ZERO + n.mul(epochs);
+                let at = |secs| start + VDur::from_secs(secs);
+                assert!(tf.observe(StreamId(1), &[Value(6), Value(0)], at(4)));
+                assert!(!tf.observe(StreamId(2), &[Value(0), Value(1)], at(9)));
+                let counts = |tf: &TumblingFreq| {
+                    [5, 6, 0].map(|v| {
+                        let r2 = tf.partner_count(0, StreamId(0), Value(v));
+                        (r2, tf.partner_count(1, StreamId(1), Value(v)))
+                    })
+                };
+                let before = counts(&tf);
+                assert!(tf.observe(StreamId(0), &[Value(6), Value(0)], start + n));
+                (before, counts(&tf))
+            };
+            let three = jump(3);
+            assert_eq!(three.0, [(0, 0); 3], "the last completed epoch was empty");
+            assert_eq!(three.1, [(0, 0), (1, 0), (0, 1)]);
+            assert_eq!(jump(1_000_000_000_000), three);
+        }
+
+        /// An epoch of 2^62 µs: the boundary after 3·2^62 lies past
+        /// `u64::MAX`, so the epoch begun there stays open.
+        #[test]
+        fn an_epoch_ending_past_the_end_of_time_stays_open() {
+            let q = chain3();
+            let mut tf = TumblingFreq::new(&q, EpochSpec::Time(VDur::from_micros(1 << 62)));
+            tf.observe(StreamId(1), &[Value(5), Value(0)], VTime::from_secs(1));
+            let end = VTime::from_micros(u64::MAX);
+            let before_end = end - VDur::from_micros(1);
+            assert!(tf.observe(StreamId(1), &[Value(6), Value(0)], before_end));
+            assert!(!tf.observe(StreamId(1), &[Value(7), Value(0)], end));
+            // The last completed epoch, [2·2^62, 3·2^62), was empty.
+            assert_eq!(tf.partner_count(0, StreamId(0), Value(5)), 0);
         }
 
         #[test]

@@ -5,7 +5,15 @@
 //! any four distinct domain points get independent signs. The classical
 //! construction (Carter–Wegman) evaluates a uniformly random polynomial of
 //! degree 3 over a prime field and takes one output bit. We use the Mersenne
-//! prime `p = 2^61 − 1`, whose reduction needs only shifts and adds.
+//! prime `p = 2^61 − 1`, whose reduction ([`mod_mersenne`], exact for every
+//! `u128`) needs only shifts and adds.
+//!
+//! A single family evaluates by Horner's rule ([`FourWiseHash::eval`]), one
+//! reduction per step. The hot path does not: a sign-memo miss evaluates
+//! one key across every copy of a predicate, so
+//! [`crate::SignFamilies::eval_packed_into`] reduces `x`, `x²` and `x³`
+//! once and gives each copy one unreduced four-term sum and one reduction.
+//! Both forms compute the same residue, hence the same sign.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -15,12 +23,15 @@ pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
 
 /// Reduces `x` modulo `2^61 − 1` using the Mersenne shift-add identity.
 ///
-/// Accepts any `u128` produced by multiplying two values `< 2^61` (and, in
-/// particular, any `u64`, which makes it a division-free replacement for
-/// `x % MERSENNE_P` on raw attribute values).
+/// Exact for **every** `u128`: `2^61 ≡ 1 (mod p)`, so each fold keeps the
+/// residue. The first fold leaves less than `2^67 + 2^61`, the second less
+/// than `2^61 + 64 < 2·p`, and one conditional subtract lands in `[0, p)`.
+/// That covers a raw `u64` attribute value (a division-free `x % p`), a
+/// product of two residues, and the power form's four-term sums in
+/// [`crate::SignFamilies::eval_packed_into`].
 #[inline]
 pub fn mod_mersenne(x: u128) -> u64 {
-    // Fold twice: after one fold the value fits in 62 bits + small carry.
+    // Fold twice: after one fold the value fits in 67 bits + small carry.
     let folded = (x & MERSENNE_P as u128) + (x >> 61);
     let folded = (folded & MERSENNE_P as u128) + (folded >> 61);
     let mut r = folded as u64;
@@ -109,14 +120,18 @@ mod tests {
         assert_eq!(mod_mersenne(MERSENNE_P as u128 + 5), 5);
     }
 
+    /// Arbitrary `u128`s, not just products of residues: the doc promises
+    /// every input, and a single fold leaves these far above `p`.
     #[test]
     fn mod_mersenne_matches_naive_on_products() {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..1000 {
-            let a = rand::Rng::gen_range(&mut rng, 0..MERSENNE_P) as u128;
-            let b = rand::Rng::gen_range(&mut rng, 0..MERSENNE_P) as u128;
-            assert_eq!(mod_mersenne(a * b), ((a * b) % MERSENNE_P as u128) as u64);
+            let (hi, lo): (u64, u64) = (rand::Rng::gen(&mut rng), rand::Rng::gen(&mut rng));
+            let x = (hi as u128) << 64 | lo as u128;
+            assert_eq!(mod_mersenne(x), (x % MERSENNE_P as u128) as u64, "x={x}");
         }
+        let max = u128::MAX;
+        assert_eq!(mod_mersenne(max), (max % MERSENNE_P as u128) as u64);
     }
 
     #[test]

@@ -121,12 +121,36 @@ impl SignFamilies {
     /// the signs into `out` (bit `c % 64` of word `c / 64` set ⇔ copy `c`
     /// has sign −1). `out` is cleared and resized to [`words_for`] words.
     ///
-    /// Runs the lane-blocked form ([`Self::eval_packed_lanes`]); the
-    /// arithmetic is pure integer math, so it is exact and bit-identical
-    /// to the scalar reference loop — proven by the
-    /// [`Self::eval_packed_scalar`] comparison in the equivalence suite.
+    /// Power form: `x`, `x²` and `x³` are reduced mod p once per call, so
+    /// each copy is three independent multiplies summed in one `u128` —
+    /// `c0 + c1·x + c2·x² + c3·x³ ≤ 3·(p − 1)² + p − 1 < 2^125` — and one
+    /// [`mod_mersenne`], which is exact for every `u128`. That is the
+    /// residue in `[0, p)` the Horner chain of [`Self::eval_packed_scalar`]
+    /// reaches through three dependent reductions, so every sign bit is
+    /// the same (the equivalence suite holds the two to it).
     pub fn eval_packed_into(&self, pred: usize, x: u64, out: &mut Vec<u64>) {
-        self.eval_packed_lanes(pred, x, out)
+        let n = self.copies;
+        out.clear();
+        out.resize(words_for(n), 0);
+        let bank = &self.coeffs[pred];
+        let x1 = mod_mersenne(x as u128);
+        let x2 = mod_mersenne(x1 as u128 * x1 as u128);
+        let x3 = mod_mersenne(x2 as u128 * x1 as u128);
+        let (c0, rest) = bank.split_at(n);
+        let (c1, rest) = rest.split_at(n);
+        let (c2, c3) = rest.split_at(n);
+        for (w, word) in out.iter_mut().enumerate() {
+            let first = w * WORD_BITS;
+            let mut bits = 0u64;
+            for c in first..n.min(first + WORD_BITS) {
+                let sum = c0[c] as u128
+                    + c1[c] as u128 * x1 as u128
+                    + c2[c] as u128 * x2 as u128
+                    + c3[c] as u128 * x3 as u128;
+                bits |= (mod_mersenne(sum) & 1) << (c - first);
+            }
+            *word = bits;
+        }
     }
 
     /// Scalar reference for [`Self::eval_packed_into`]: one Horner chain
@@ -146,45 +170,6 @@ impl SignFamilies {
             acc = mod_mersenne(acc as u128 * x as u128 + c1[c] as u128);
             acc = mod_mersenne(acc as u128 * x as u128 + c0[c] as u128);
             out[c / WORD_BITS] |= (acc & 1) << (c % WORD_BITS);
-        }
-    }
-
-    /// Lane-blocked body of [`Self::eval_packed_into`]:
-    /// [`crate::kernel::LANES`] independent Horner chains advance together
-    /// (the copy-major coefficient layout makes each degree a contiguous
-    /// load), with a scalar tail for `copies % LANES != 0`. Exact — every
-    /// chain performs the identical integer operations as the scalar loop.
-    pub fn eval_packed_lanes(&self, pred: usize, x: u64, out: &mut Vec<u64>) {
-        const LANES: usize = crate::kernel::LANES;
-        let n = self.copies;
-        out.clear();
-        out.resize(words_for(n), 0);
-        let bank = &self.coeffs[pred];
-        let x = mod_mersenne(x as u128) as u128;
-        let (c0, rest) = bank.split_at(n);
-        let (c1, rest) = rest.split_at(n);
-        let (c2, c3) = rest.split_at(n);
-        let mut c = 0usize;
-        while c + LANES <= n {
-            let mut acc = [0u64; LANES];
-            acc.copy_from_slice(&c3[c..c + LANES]);
-            for coeffs in [c2, c1, c0] {
-                for l in 0..LANES {
-                    acc[l] = mod_mersenne(acc[l] as u128 * x + coeffs[c + l] as u128);
-                }
-            }
-            for (l, a) in acc.iter().enumerate() {
-                let i = c + l;
-                out[i / WORD_BITS] |= (a & 1) << (i % WORD_BITS);
-            }
-            c += LANES;
-        }
-        for i in c..n {
-            let mut acc = c3[i];
-            acc = mod_mersenne(acc as u128 * x + c2[i] as u128);
-            acc = mod_mersenne(acc as u128 * x + c1[i] as u128);
-            acc = mod_mersenne(acc as u128 * x + c0[i] as u128);
-            out[i / WORD_BITS] |= (acc & 1) << (i % WORD_BITS);
         }
     }
 }
@@ -301,6 +286,7 @@ pub fn combine_packed_signs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::MERSENNE_P;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -344,8 +330,9 @@ mod tests {
     fn packed_bits_match_scalar_signs() {
         let soa = families(3, 2, 130); // > 2 words, with a ragged tail
         let mut bits = Vec::new();
+        let p = MERSENNE_P;
         for pred in 0..2 {
-            for x in [0u64, 1, 7, 123_456_789, u64::MAX] {
+            for x in [0u64, 1, 7, 123_456_789, p - 1, p, p + 1, 2 * p, u64::MAX] {
                 soa.eval_packed_into(pred, x, &mut bits);
                 assert_eq!(bits.len(), words_for(130));
                 for c in 0..130 {
@@ -354,6 +341,29 @@ mod tests {
                     assert_eq!(packed, soa.family(pred, c).sign(x));
                 }
             }
+        }
+    }
+
+    /// The power form's sums at the field's edges, on families built from
+    /// explicit coefficients: `[p − 1, 1, 0, 0]` at `x = 1` sums to exactly
+    /// `p` (residue 0, even — a reduction that skips its final subtract
+    /// leaves `p`, odd), and every coefficient `p − 1` at `x = p − 1`
+    /// (`x² ≡ 1`, `x³ ≡ p − 1`) sums to `2p(p − 1)`, near 2^123 and again
+    /// a multiple of `p`.
+    #[test]
+    fn power_form_matches_horner_at_field_edges() {
+        let p = MERSENNE_P;
+        let explicit = |c: [u64; 4]| SignFamilies {
+            copies: 3,
+            coeffs: vec![c.iter().flat_map(|&d| [d; 3]).collect()],
+        };
+        let (mut power, mut horner) = (Vec::new(), Vec::new());
+        for (coeffs, x, want) in [([p - 1, 1, 0, 0], 1, 0b000), ([p - 1; 4], p - 1, 0b000)] {
+            let fam = explicit(coeffs);
+            fam.eval_packed_into(0, x, &mut power);
+            fam.eval_packed_scalar(0, x, &mut horner);
+            assert_eq!(power, horner, "coeffs {coeffs:?} x {x}");
+            assert_eq!(power, [want], "coeffs {coeffs:?} x {x}");
         }
     }
 

@@ -39,6 +39,16 @@ pub enum EpochSpec {
     PerStreamTuples(u64),
 }
 
+/// The time-mode epoch boundaries an arrival at `now` has crossed since the
+/// epoch that began at `start`, which it steps to the last boundary at or
+/// before `now`: one division for any gap. `start` never passes `now`, so
+/// nothing can overflow.
+pub(crate) fn elapsed_epochs(start: &mut VTime, now: VTime, n: VDur) -> u64 {
+    let epochs = now.since(*start).as_micros() / n.as_micros();
+    *start += n.mul(epochs);
+    epochs
+}
+
 /// Current + last tumbling-epoch sketches for every stream of a query.
 #[derive(Clone, Debug)]
 pub struct TumblingSketches {
@@ -59,8 +69,10 @@ pub struct TumblingSketches {
     /// epochs).
     has_prev: Vec<bool>,
     epoch: EpochSpec,
-    /// Time-mode: when the next global roll fires.
-    next_roll: VTime,
+    /// Time-mode: where the current epoch began, a whole number of epochs
+    /// from the origin. The next global roll fires one epoch later; an
+    /// epoch whose end lies past `u64::MAX` µs stays open.
+    epoch_start: VTime,
     /// Tuple-mode: arrivals seen per stream since its last roll.
     arrivals: Vec<u64>,
     /// Scratch buffer of per-copy statistics for the paths that build the
@@ -95,16 +107,10 @@ impl TumblingSketches {
         let bank = SketchBank::new(query, config);
         let n_streams = query.n_streams();
         let copies = config.copies();
-        let next_roll = match epoch {
-            EpochSpec::Time(n) => {
-                assert!(!n.is_zero(), "epoch length must be positive");
-                VTime::ZERO + n
-            }
-            EpochSpec::PerStreamTuples(n) => {
-                assert!(n > 0, "epoch tuple count must be positive");
-                VTime::ZERO
-            }
-        };
+        match epoch {
+            EpochSpec::Time(n) => assert!(!n.is_zero(), "epoch length must be positive"),
+            EpochSpec::PerStreamTuples(n) => assert!(n > 0, "epoch tuple count must be positive"),
+        }
         TumblingSketches {
             bank,
             last: vec![0; n_streams * copies],
@@ -112,7 +118,7 @@ impl TumblingSketches {
             prev: vec![0; n_streams * copies],
             has_prev: vec![false; n_streams],
             epoch,
-            next_roll,
+            epoch_start: VTime::ZERO,
             arrivals: vec![0; n_streams],
             scratch: Vec::new(),
             groups: Vec::with_capacity(config.s2),
@@ -139,13 +145,14 @@ impl TumblingSketches {
     pub fn observe(&mut self, stream: StreamId, values: &[Value], now: VTime) -> bool {
         let rolled = match self.epoch {
             EpochSpec::Time(n) => {
-                let mut rolled = false;
-                while now >= self.next_roll {
+                // A gap of k epochs rolls min(k, 3) times: by the third roll
+                // `last` and `prev` both hold an empty epoch, and every
+                // further roll would leave them so.
+                let elapsed = elapsed_epochs(&mut self.epoch_start, now, n);
+                for _ in 0..elapsed.min(3) {
                     self.roll_all();
-                    self.next_roll += n;
-                    rolled = true;
                 }
-                rolled
+                elapsed > 0
             }
             EpochSpec::PerStreamTuples(_) => false,
         };
@@ -346,7 +353,7 @@ impl TumblingSketches {
     /// have no timestamp extent).
     pub fn current_epoch_start(&self) -> Option<VTime> {
         match self.epoch {
-            EpochSpec::Time(n) => Some(self.next_roll - n),
+            EpochSpec::Time(_) => Some(self.epoch_start),
             EpochSpec::PerStreamTuples(_) => None,
         }
     }
@@ -509,8 +516,8 @@ impl TumblingSketches {
     /// Structural audit of the tumbling state:
     ///
     /// - buffer shapes agree with the stream count and copy count;
-    /// - epoch bookkeeping is coherent (time mode: the pending roll instant
-    ///   is a positive whole number of epochs; tuple mode: no per-stream
+    /// - epoch bookkeeping is coherent (time mode: the current epoch starts
+    ///   a whole number of epochs from the origin; tuple mode: no per-stream
     ///   arrival counter has silently passed its roll threshold);
     /// - every cross-product row flagged `cross_valid` is bit-identical to
     ///   a fresh recomputation from the `last` snapshot — the frozen fast
@@ -544,9 +551,8 @@ impl TumblingSketches {
         self.bank.check_invariants();
         match self.epoch {
             EpochSpec::Time(p) => {
-                let micros = self.next_roll.as_micros();
-                assert!(micros >= p.as_micros(), "next roll before first epoch end");
-                assert_eq!(micros % p.as_micros(), 0, "next roll off the epoch grid");
+                let micros = self.epoch_start.as_micros();
+                assert_eq!(micros % p.as_micros(), 0, "epoch start off the epoch grid");
             }
             EpochSpec::PerStreamTuples(c) => {
                 for (k, &a) in self.arrivals.iter().enumerate() {
@@ -650,6 +656,61 @@ mod tests {
         assert!(rolled);
         let p = ts.productivity(StreamId(1), &v(1, 1));
         assert_eq!(p, 0.0, "last epoch was empty");
+    }
+
+    /// Past three epochs a gap changes nothing but the epoch start: a jump
+    /// of 10^12 epochs costs three rolls, not 10^12, and leaves the same
+    /// estimates as a jump of three.
+    #[test]
+    fn a_jump_of_many_epochs_matches_a_jump_of_three() {
+        let q = chain_query();
+        let n = VDur::from_secs(10);
+        let jump = |epochs: u64| {
+            let mut ts = TumblingSketches::new(&q, cfg(64, 7), EpochSpec::Time(n));
+            for i in 0..30u64 {
+                let s = StreamId((i % 3) as usize);
+                ts.observe(s, &v(i % 5, i % 3), VTime::from_secs(i % 9));
+            }
+            // Epoch 1 is current; the jump lands `epochs` epochs later.
+            ts.observe(StreamId(1), &v(7, 3), VTime::from_secs(15));
+            let start = VTime::ZERO + n.mul(1 + epochs);
+            assert!(ts.observe(StreamId(2), &v(3, 0), start + VDur::from_secs(4)));
+            assert_eq!(ts.current_epoch_start(), Some(start));
+            ts.check_invariants();
+            // The rest of the epoch rolls nothing; its end rolls once.
+            assert!(!ts.observe(StreamId(0), &v(2, 1), start + VDur::from_secs(9)));
+            let estimates = |ts: &mut TumblingSketches| -> Vec<u64> {
+                let late = start - VDur::from_secs(1);
+                let mut bits = Vec::new();
+                for a in 0..15u64 {
+                    let s = StreamId((a % 3) as usize);
+                    bits.push(ts.productivity(s, &v(a % 5, a % 3)).to_bits());
+                    bits.push(ts.productivity_at(s, &v(a % 5, 0), late).to_bits());
+                }
+                bits
+            };
+            let before = estimates(&mut ts);
+            assert!(ts.observe(StreamId(0), &v(1, 1), start + n));
+            assert_eq!(ts.current_epoch_start(), Some(start + n));
+            (before, estimates(&mut ts))
+        };
+        assert_eq!(jump(1_000_000_000_000), jump(3));
+    }
+
+    /// An epoch of 2^62 µs has three boundaries below `u64::MAX`; the fourth
+    /// does not exist, so the epoch begun at 3·2^62 stays open.
+    #[test]
+    fn an_epoch_ending_past_the_end_of_time_stays_open() {
+        let q = chain_query();
+        let n = VDur::from_micros(1 << 62);
+        let mut ts = TumblingSketches::new(&q, cfg(8, 3), EpochSpec::Time(n));
+        ts.observe(StreamId(1), &v(1, 1), VTime::from_secs(1));
+        assert!(ts.observe(StreamId(1), &v(1, 1), VTime::from_micros(u64::MAX - 1)));
+        assert_eq!(ts.current_epoch_start(), Some(VTime::from_micros(3 << 62)));
+        assert!(!ts.observe(StreamId(2), &v(1, 1), VTime::from_micros(u64::MAX)));
+        ts.check_invariants();
+        // The last completed epoch, [2·2^62, 3·2^62), was empty.
+        assert_eq!(ts.productivity(StreamId(0), &v(1, 0)), 0.0);
     }
 
     #[test]

@@ -124,6 +124,21 @@ for S in 1 2 4; do
   echo "shard smoke: S=$S -> $TUPLES output tuples (matches baseline)"
 done
 
+# Far-future timestamps: at --rate 1e-9 arrivals land 10^15 µs apart, 5·10^8
+# epochs of a 2-second window. The estimators roll at most three times per
+# gap instead of once per elapsed epoch, so MSketch and Bjoin finish as fast
+# as FIFO (which keeps no epochs) and print its empty result.
+printf '0,1,1\n1,1,1\n0,1,2\n1,1,2\n0,2,1\n1,2,1\n' > target/check_far_future.csv
+FAR_QUERY='SELECT * FROM R1(A1, A2) [RANGE 2 SECONDS], R2(A1, A2) WHERE R1.A1 = R2.A1'
+for POLICY in MSketch Bjoin; do
+  OUT=$(timeout 20 ./target/release/mstream run --query "$FAR_QUERY" \
+    --trace target/check_far_future.csv --policy "$POLICY" --capacity 4 --rate 1e-9) \
+    || { echo "FAIL: far-future smoke under $POLICY exited $?"; exit 1; }
+  grep -Eq 'output tuples: +0$' <<<"$OUT" \
+    || { echo "FAIL: far-future smoke under $POLICY did not print FIFO's 'output tuples: 0'"; exit 1; }
+  echo "far-future smoke: $POLICY finished"
+done
+
 # The sketch crate's tests once more in release with overflow checks on:
 # the pending bit-planes, the settle and the i64 counters share a build
 # where wrap-around panics instead of passing (ROADMAP chaos item 6 asks
