@@ -20,9 +20,10 @@
 //! sweep covers `S ∈ {1, 2, 4}`.
 
 use crate::gen::{Arrival, Case, ReducedMemory};
-use crate::run::{first_diff, normalized_metrics, panic_message, row, Failure, FailureKind};
+use crate::run::{
+    audit_shard_config, first_diff, normalized_metrics, panic_message, row, Failure, FailureKind,
+};
 use mstream_core::ingest::FnSink;
-use mstream_core::shard::{Backpressure, HotKeyConfig, ShardConfig};
 use mstream_core::{EngineBuilder, EngineMetrics};
 use mstream_join::Bindings;
 use mstream_shed_policies::{parse_policy, ALL_POLICY_NAMES};
@@ -338,23 +339,7 @@ fn drive_sharded(
         builder = builder.disorder_bound(bound);
     }
     let engine = builder
-        .shard_config(ShardConfig {
-            shards,
-            channel_capacity: 4,
-            batch_size: 3,
-            backpressure: Backpressure::Block,
-            collect_rows: true,
-            route_only: false,
-            hot_keys: HotKeyConfig {
-                enabled: true,
-                capacity: 8,
-                tracker_capacity: 64,
-                epoch_arrivals: 24,
-                promote_permille: 200,
-                demote_permille: 100,
-            },
-            broadcast: true,
-        })
+        .shard_config(audit_shard_config(shards))
         .build_sharded()
         .map_err(|e| fail(format!("sharded construction failed: {e:?}")))?;
     let outcome = catch_unwind(AssertUnwindSafe(move || {
@@ -377,7 +362,7 @@ fn drive_sharded(
     let n = case.n_streams();
     let rows: Vec<Vec<u64>> = report
         .rows
-        .expect("collect_rows was set")
+        .expect("collect_rows was set")[0]
         .iter()
         .map(|result| {
             let mut r = Vec::with_capacity(n * 3);

@@ -202,6 +202,7 @@ fn multi(args: &[String]) -> i32 {
     let mut queries_total = 0usize;
     let mut churn_cases = 0usize;
     let mut deferred_cases = 0usize;
+    let mut hot_split_cases = 0usize;
     for i in 0..cases {
         let seed = case_seed(master, i);
         let case = generate_multi_case(seed);
@@ -209,7 +210,10 @@ fn multi(args: &[String]) -> i32 {
         queries_total += case.registered().len();
         churn_cases += usize::from(case.has_churn());
         match run_multi_case(&case) {
-            Ok(stats) => deferred_cases += usize::from(stats.deferred),
+            Ok(stats) => {
+                deferred_cases += usize::from(stats.deferred);
+                hot_split_cases += usize::from(stats.hot_split);
+            }
             Err(failure) => {
                 report_multi(&case, &failure);
                 return 1;
@@ -223,7 +227,8 @@ fn multi(args: &[String]) -> i32 {
         "multi-query audit: {cases} cases ({queries_total} standing queries, \
          {arrivals_total} arrivals, {churn_cases} churn cases with a mid-trace add_query or \
          remove_query, {deferred_cases} deferred cases in which a shared store owed its \
-         priorities) — every query's shared-plane output matches its solo exact oracle \
+         priorities, {hot_split_cases} hot-split cases in which a sharded run promoted a \
+         hot key) — every query's shared-plane output matches its solo exact oracle \
          over the arrivals it was registered for at 100% memory for every policy \
          (in-process and sharded S ∈ {{1, 2}}), \
          every shed run is a per-query sub-multiset, keyed sets run at full width, \

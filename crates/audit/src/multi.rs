@@ -15,6 +15,9 @@
 //! 3. The engine's structural invariants hold after every arrival, and the
 //!    sharded coordinator honours its contract: keyed query sets run at
 //!    the requested width, nothing is dropped under blocking backpressure.
+//!    The sharded runs take the sweep's shard tuning
+//!    ([`crate::run::audit_shard_config`]): small batches, so registrations
+//!    land between mid-trace flushes, and hot-key splitting.
 //!
 //! A case may carry registration churn ([`MultiCase::remove`],
 //! [`MultiCase::add`]); both drivers apply it at the drawn positions and
@@ -23,10 +26,10 @@
 
 use crate::gen::{Arrival as GenArrival, MultiCase};
 use crate::run::{
-    first_diff, not_in_multiset, panic_message, run_ab, CaseStats, Failure, FailureKind, Variant,
+    audit_shard_config, first_diff, not_in_multiset, panic_message, run_ab, CaseStats, Failure,
+    FailureKind, Variant,
 };
 use mstream_core::ingest::QueryFnSink;
-use mstream_core::shard::ShardConfig;
 use mstream_core::{Arrival, EngineBuilder, EngineMetrics};
 use mstream_join::{Bindings, ExactJoin};
 use mstream_shed_policies::ALL_POLICY_NAMES;
@@ -54,9 +57,9 @@ pub fn run_multi_case(case: &MultiCase) -> Result<CaseStats, Failure> {
     for name in ["MSketch", "FIFO"] {
         for shards in [1usize, 2] {
             let label = format!("{name}@multi-x{shards}");
-            let full = drive_multi_sharded(case, name, shards, true)?;
+            let full = drive_multi_sharded(case, name, shards, true, &mut stats)?;
             check_exact(&label, &full, &oracle)?;
-            let shed = drive_multi_sharded(case, name, shards, false)?;
+            let shed = drive_multi_sharded(case, name, shards, false, &mut stats)?;
             check_sub(&label, &shed, &oracle)?;
         }
     }
@@ -270,13 +273,14 @@ fn drive_multi_with(
 }
 
 /// Drives the trace through the sharded coordinator at `shards` workers,
-/// checks the keyed-width and no-drop contracts, and returns per-query
-/// canonical rows from the merged report.
+/// checks the keyed-width and no-drop contracts, notes a hot-key split in
+/// `stats`, and returns per-query canonical rows from the merged report.
 fn drive_multi_sharded(
     case: &MultiCase,
     policy: &str,
     shards: usize,
     full_memory: bool,
+    stats: &mut CaseStats,
 ) -> Result<Vec<Vec<Vec<u64>>>, Failure> {
     let label = format!("{policy}@multi-x{shards}");
     let fail = |detail: String, kind| Failure {
@@ -292,13 +296,8 @@ fn drive_multi_sharded(
         case.capacity
     };
     let mut engine = builder(case, policy, capacity, Variant::default())
-        .shard_config(ShardConfig {
-            shards,
-            channel_capacity: 4,
-            collect_rows: true,
-            ..ShardConfig::default()
-        })
-        .build_multi_sharded()
+        .shard_config(audit_shard_config(shards))
+        .build_sharded()
         .map_err(|e| fail(format!("sharded construction failed: {e:?}"), FailureKind::InvariantPanic))?;
     if case.keyed && (engine.shards() != shards || engine.degraded().is_some()) {
         return Err(fail(
@@ -339,6 +338,7 @@ fn drive_multi_sharded(
             FailureKind::ShardContract,
         ));
     }
+    stats.hot_split |= report.hot_promoted > 0;
     let mut rows: Vec<Vec<Vec<u64>>> = report
         .rows
         .expect("collect_rows was set")

@@ -108,6 +108,32 @@ pub struct CaseStats {
     /// Some in-process run of the case held a window that owed its
     /// priorities (DESIGN.md §16) after at least one arrival.
     pub deferred: bool,
+    /// Some sharded run of the case promoted a hot key and split it.
+    pub hot_split: bool,
+}
+
+/// The shard tuning every sharded audit driver runs with: batches of three
+/// and channels of four, so flushes (and registrations) land mid-trace,
+/// and a hot-key detector aggressive enough to promote and split heavy
+/// hitters on these short traces.
+pub(crate) fn audit_shard_config(shards: usize) -> ShardConfig {
+    ShardConfig {
+        shards,
+        channel_capacity: 4,
+        batch_size: 3,
+        backpressure: Backpressure::Block,
+        collect_rows: true,
+        route_only: false,
+        hot_keys: HotKeyConfig {
+            enabled: true,
+            capacity: 8,
+            tracker_capacity: 64,
+            epoch_arrivals: 24,
+            promote_permille: 200,
+            demote_permille: 100,
+        },
+        broadcast: true,
+    }
 }
 
 /// Runs the full differential audit for `case`.
@@ -426,23 +452,7 @@ fn drive_sharded_with(
         builder = builder.capacity_per_window((arrivals.len() + 1) * case.shards);
     }
     let mut engine = builder
-        .shard_config(ShardConfig {
-            shards: case.shards,
-            channel_capacity: 4,
-            batch_size: 3, // deliberately small: exercises mid-trace flushes
-            backpressure: Backpressure::Block,
-            collect_rows: true,
-            route_only: false,
-            hot_keys: HotKeyConfig {
-                enabled: true,
-                capacity: 8,
-                tracker_capacity: 64,
-                epoch_arrivals: 24,
-                promote_permille: 200,
-                demote_permille: 100,
-            },
-            broadcast: true,
-        })
+        .shard_config(audit_shard_config(case.shards))
         .build_sharded()
         .map_err(|e| fail(format!("sharded construction failed: {e:?}"), FailureKind::InvariantPanic))?;
 
@@ -514,7 +524,7 @@ fn drive_sharded_with(
     let n = case.n_streams();
     let mut rows: Vec<Vec<u64>> = report
         .rows
-        .expect("collect_rows was set")
+        .expect("collect_rows was set")[0]
         .iter()
         .map(|result| {
             let mut r = Vec::with_capacity(n * 3);

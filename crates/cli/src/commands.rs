@@ -348,24 +348,22 @@ fn run_multi(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             }
         }
         Some(s) => {
-            let mut engine = builder
+            let engine = builder
                 .shards(s)
-                .build_multi_sharded()
+                .build_sharded()
                 .map_err(|e| CliError::input(e.to_string()))?;
             validate_trace_catalog(engine.catalog(), &trace)?;
-            for (i, item) in trace.items.iter().enumerate() {
-                let now = VTime::ZERO + dt.mul(i as u64);
-                engine.ingest(Arrival::new(item.stream, item.values.clone(), now));
-            }
-            let report = engine.finish().map_err(|e| CliError::input(e.to_string()))?;
+            let report = engine
+                .run_trace(&trace, rate)
+                .map_err(|e| CliError::input(e.to_string()))?;
             MultiOutcome {
                 stats: report.stats,
-                metrics: report.metrics,
-                resident: report.resident,
+                metrics: report.combined.metrics,
+                resident: report.resident.iter().sum(),
                 shed_channel: report.shed_channel,
-                shards: Some((report.shards, report.degraded)),
+                shards: Some((report.combined.shards, report.combined.degraded)),
                 sharing: None,
-                wall: report.wall_time,
+                wall: report.combined.wall_time,
             }
         }
     };

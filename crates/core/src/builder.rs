@@ -5,8 +5,8 @@
 //! derivability, shard counts) and produces the one in-process engine —
 //! [`MultiQueryEngine`] over every [`EngineBuilder::register`]ed query
 //! (`build_multi`), or over exactly one ([`ShedJoinEngine`], `build`) —
-//! or a sharded one: [`ShardedJoinEngine`] (`build_sharded`) /
-//! [`ShardedMultiEngine`] (`build_multi_sharded`).
+//! or the one sharded coordinator over every registered query,
+//! [`ShardedJoinEngine`] (`build_sharded`).
 //!
 //! Validation failures are reported as the typed [`BuildError`] enum; it
 //! converts losslessly into the workspace-wide
@@ -14,7 +14,7 @@
 //! error through [`mstream_types::Result`].
 
 use crate::engine::{default_epoch, resolve_capacities, EngineConfig, MemoryMode, ShedJoinEngine};
-use crate::multi::{merge_into_catalog, MultiQueryEngine, ShardedMultiEngine};
+use crate::multi::{merge_into_catalog, MultiQueryEngine};
 use crate::shard::{ShardConfig, ShardedJoinEngine};
 use mstream_shed_policies::{MSketch, ShedPolicy};
 use mstream_sketch::{BankConfig, EpochSpec};
@@ -50,8 +50,8 @@ pub enum BuildError {
     /// default tumbling epoch cannot be derived; set
     /// [`EngineBuilder::epoch`] explicitly.
     EpochUnderivable,
-    /// `build()` / `build_sharded()` need exactly one registered query;
-    /// use `build_multi()` / `build_multi_sharded()` for query sets.
+    /// `build()` needs exactly one registered query; use `build_multi()`
+    /// or `build_sharded()` for query sets.
     QueryCountForSingle {
         /// Number of registered queries.
         got: usize,
@@ -88,8 +88,8 @@ impl fmt::Display for BuildError {
             ),
             BuildError::QueryCountForSingle { got } => write!(
                 f,
-                "{got} queries registered; build()/build_sharded() take exactly one — \
-                 use build_multi()"
+                "{got} queries registered; build() takes exactly one — \
+                 use build_multi() or build_sharded()"
             ),
             BuildError::NoQueries => write!(f, "no queries registered; call register() first"),
             BuildError::SchemaMismatch { stream } => write!(
@@ -118,8 +118,9 @@ impl From<Error> for BuildError {
     }
 }
 
-/// A fluent builder over [`ShedJoinEngine`], [`ShardedJoinEngine`] and the
-/// multi-query engines.
+/// A fluent builder over the in-process engine ([`MultiQueryEngine`], or
+/// [`ShedJoinEngine`] for one query) and the sharded coordinator
+/// ([`ShardedJoinEngine`]).
 ///
 /// ```
 /// use mstream_core::prelude::*;
@@ -282,9 +283,10 @@ impl EngineBuilder {
     }
 
     /// Requests `shards` parallel workers. The engine must then be built
-    /// with [`EngineBuilder::build_sharded`]; queries whose predicates do
-    /// not all share one partition attribute degrade to a single shard
-    /// (the reason is surfaced on the run report).
+    /// with [`EngineBuilder::build_sharded`]; a query set without one
+    /// partition attribute per stream degrades to a single shard (the
+    /// reason is surfaced on the run report) unless it is one query that
+    /// can run in broadcast mode.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shard.shards = shards;
         self
@@ -299,28 +301,19 @@ impl EngineBuilder {
     }
 
     /// Tunes (or disables) the skew-adaptive hot-key splitter used by
-    /// key-partitioned sharded execution (DESIGN.md §12).
+    /// key-partitioned sharded execution, for one query or a set
+    /// (DESIGN.md §12).
     pub fn hot_keys(mut self, hot_keys: crate::shard::HotKeyConfig) -> Self {
         self.shard.hot_keys = hot_keys;
         self
     }
 
-    /// Enables or disables broadcast execution for queries that have no
-    /// single partition key (default: enabled). With broadcast off, such
-    /// queries degrade to one shard and report why.
+    /// Enables or disables broadcast execution for a single query that has
+    /// no single partition key (default: enabled). With broadcast off, such
+    /// a query degrades to one shard and reports why.
     pub fn broadcast(mut self, broadcast: bool) -> Self {
         self.shard.broadcast = broadcast;
         self
-    }
-
-    /// Checks that exactly one query is registered (`build`,
-    /// `build_sharded`).
-    fn single_query(&self) -> Result<(), BuildError> {
-        match self.queries.len() {
-            0 => Err(BuildError::NoQueries),
-            1 => Ok(()),
-            got => Err(BuildError::QueryCountForSingle { got }),
-        }
     }
 
     /// Validates everything the engine constructors assume: at least one
@@ -361,22 +354,22 @@ impl EngineBuilder {
     /// (use [`EngineBuilder::build_sharded`]) or if more than one query
     /// was registered (use [`EngineBuilder::build_multi`]).
     pub fn build(self) -> Result<ShedJoinEngine, BuildError> {
-        self.single_query()?;
-        self.build_multi()
+        match self.queries.len() {
+            0 => Err(BuildError::NoQueries),
+            1 => self.build_multi(),
+            got => Err(BuildError::QueryCountForSingle { got }),
+        }
     }
 
-    /// Builds the sharded parallel engine (spawns its worker threads).
-    ///
-    /// A shard count of 1 is valid and runs the same code path with a
-    /// single worker. Exactly one registered query; use
-    /// [`EngineBuilder::build_multi_sharded`] for query sets.
+    /// Builds the sharded coordinator over every registered query (spawns
+    /// its worker threads). The routing plan comes from the whole set: by
+    /// partition key when every query partitions and all agree on each
+    /// shared stream's attribute, broadcast for a single query that cannot
+    /// partition, one shard (with a reason) otherwise. A shard count of 1
+    /// is valid and runs the same code path with a single worker.
     pub fn build_sharded(self) -> Result<ShardedJoinEngine, BuildError> {
-        self.single_query()?;
         self.validate()?;
-        let mut queries = self.queries;
-        let query = queries.pop().expect("validated non-empty");
-        ShardedJoinEngine::new(query, self.policy, self.config, self.shard)
-            .map_err(BuildError::Engine)
+        ShardedJoinEngine::new(self.queries, self.policy, self.config, self.shard)
     }
 
     /// Builds the shared-data-plane engine over every registered query.
@@ -388,16 +381,6 @@ impl EngineBuilder {
             });
         }
         MultiQueryEngine::new(self.queries, self.policy, self.config)
-    }
-
-    /// Builds the sharded multi-query engine: the coordinator routes each
-    /// arrival once and fans it out to every registered query on the
-    /// owning shard. Degrades to one shard (with a reason) unless every
-    /// query is key-partitionable and all queries agree on each shared
-    /// stream's partition attribute.
-    pub fn build_multi_sharded(self) -> Result<ShardedMultiEngine, BuildError> {
-        self.validate()?;
-        ShardedMultiEngine::new(self.queries, self.policy, self.config, self.shard)
     }
 }
 

@@ -55,8 +55,9 @@
 //!   per-policy state).
 //! * [`ingest`] — the unified feed API: [`Arrival`] in, join results out
 //!   through an [`EmitSink`].
-//! * [`shard`] — [`ShardedJoinEngine`]: hash-partitioned parallel
-//!   execution across worker threads, when the query's predicates allow.
+//! * [`shard`] — [`ShardedJoinEngine`], the one sharded coordinator: the
+//!   same plane on every worker thread, for one query or a standing set,
+//!   arrivals routed by partition key (or broadcast) with hot keys split.
 //! * [`sim`] — the discrete-event driver: arrival rate `k`, service rate
 //!   `l`, the bounded input queue, and overload shedding.
 //! * [`builder`] — [`EngineBuilder`], the one documented construction path.
@@ -81,7 +82,6 @@ mod eager;
 pub mod engine;
 pub mod ingest;
 pub mod multi;
-mod multi_shard;
 pub mod report;
 pub mod shard;
 pub mod sim;
@@ -92,7 +92,7 @@ pub use ingest::{
     Arrival, CountSink, EmitSink, FnSink, IngestOutcome, IngestRole, QueryFnSink, QueryRowsSink,
     VecSink,
 };
-pub use multi::{MultiQueryEngine, MultiRunReport, QueryStats, ShardedMultiEngine};
+pub use multi::{MultiQueryEngine, QueryStats};
 pub use report::{EngineMetrics, RunReport};
 pub use shard::{Backpressure, HotKeyConfig, ShardConfig, ShardedJoinEngine, ShardedRunReport};
 pub use sim::{run_exact_trace, run_trace, RunOptions, SimConfig};
@@ -114,7 +114,7 @@ pub mod prelude {
         Arrival, CountSink, EmitSink, FnSink, IngestOutcome, IngestRole, QueryFnSink,
         QueryRowsSink, VecSink,
     };
-    pub use crate::multi::{MultiQueryEngine, MultiRunReport, QueryStats, ShardedMultiEngine};
+    pub use crate::multi::{MultiQueryEngine, QueryStats};
     pub use crate::report::{EngineMetrics, RunReport};
     pub use crate::shard::{Backpressure, HotKeyConfig, ShardConfig, ShardedJoinEngine, ShardedRunReport};
     pub use crate::sim::{run_exact_trace, run_trace, RunOptions, SimConfig};

@@ -79,8 +79,6 @@ use mstream_types::{
 };
 use mstream_window::{Eviction, ShedQueue, WindowStore};
 
-pub use crate::multi_shard::{MultiRunReport, ShardedMultiEngine};
-
 /// One shared window store plus its sharing bookkeeping.
 struct StoreEntry {
     store: WindowStore,

@@ -1,16 +1,25 @@
-//! Hash-partitioned parallel execution of the shedding join.
+//! Hash-partitioned parallel execution of the shedding join, for one
+//! standing query or a set of them (DESIGN.md §9).
 //!
-//! [`ShardedJoinEngine`] analyzes the query's equi-predicate graph
-//! ([`JoinQuery::partitioning`]): when every predicate lies in one
-//! attribute-equivalence class, arrivals can be hash-partitioned by that
-//! attribute's value across `S` worker threads, each owning an independent
-//! engine ([`crate::ShedJoinEngine`]) with `1/S` of the memory budget — two
-//! tuples with different partition keys can never join, so the union of the
-//! per-shard outputs equals the single-engine output exactly (at full memory
-//! it is byte-identical; under shedding each shard shrinks its own
-//! partition).
-//! Queries that join through more than one attribute class degrade to one
-//! shard, with the reason surfaced on the [`RunReport`].
+//! [`ShardedJoinEngine`] runs one [`MultiQueryEngine`] per worker thread
+//! over the whole registered set and routes each arrival **once**: every
+//! query interested in it is served on the shard that receives it, from
+//! that worker's shared stores, so routing cost does not grow with the
+//! number of queries. One routing plan is computed from the set:
+//!
+//! * **By key.** Every query is key-partitionable
+//!   ([`JoinQuery::partitioning`]) and all of them agree on the partition
+//!   attribute of every global stream they share: arrivals are
+//!   hash-partitioned by that attribute's value across `S` workers, each
+//!   with `1/S` of the memory and sketch budgets. Two tuples with different
+//!   keys never join, so at full memory the merged output equals the
+//!   in-process output exactly; under shedding each shard shrinks its own
+//!   partition.
+//! * **Broadcast.** A one-query set that is not key-partitionable runs
+//!   replicated when [`ShardConfig::broadcast`] is on (below).
+//! * Otherwise the run degrades to one shard, with the reason on the
+//!   [`RunReport`]. A one-shard run keeps the master seed and budgets, so
+//!   it is bit-identical to the in-process plane.
 //!
 //! ## Data plane
 //!
@@ -27,77 +36,78 @@
 //! Tuple-count windows expire by *arrivals seen on the stream*, which a
 //! shard only partially observes. The coordinator accumulates the arrivals
 //! routed elsewhere as per-shard pending tick counters and flushes them as
-//! one coalesced [`Item::Ticks`] summary immediately before the next tuple
-//! delivered to that shard (O(1) channel items per batch instead of O(S)
-//! per arrival). Ticks only advance each stream's arrival counter
-//! ([`crate::MultiQueryEngine::note_foreign_arrivals`]) and expiry is
-//! evaluated when the *next stored tuple* is processed, so a summary applied just
-//! before that tuple is observationally identical to the per-arrival
-//! interleaving — expiry boundaries match the single-engine run exactly.
-//! Time-based windows need no ticks (expiry depends only on timestamps).
+//! one coalesced [`Item::Ticks`] summary immediately before the next item
+//! delivered to that shard. Ticks only advance each stream's arrival
+//! counter ([`MultiQueryEngine::note_foreign_arrivals`]) and expiry is
+//! evaluated when the *next stored tuple* is processed, so a summary
+//! applied just before that tuple is observationally identical to the
+//! per-arrival interleaving. Time-based windows need no ticks.
+//!
+//! ## Runtime registration
+//!
+//! [`ShardedJoinEngine::add_query`] / [`ShardedJoinEngine::remove_query`]
+//! travel the same FIFO batches as data (`Item::Add`, `Item::Remove`),
+//! each behind its shard's flushed tick summary, so every worker applies a
+//! registration at the same point of its routed sub-trace: a query added
+//! mid-run sees, on every shard, exactly the tuples routed after it, and
+//! its tuple windows count no earlier arrival. Registration batches are
+//! never shed. There is no online re-partitioning: an added query that
+//! does not fit the running key plan (or any query added to a broadcast
+//! run) is rejected.
 //!
 //! ## Skew-adaptive routing (DESIGN.md §12)
 //!
-//! Hash routing pins every hot join key to one worker, so a Zipf-skewed
-//! key distribution saturates one shard while the rest idle. The
-//! coordinator therefore runs an online heavy-hitter detector (a
-//! space-saving tracker over routed keys, sampled at a fixed arrival
-//! cadence with promote/demote hysteresis). Arrivals carrying a *hot* key
-//! fan their **store side** to every shard ([`Item::Replica`]: observe +
-//! expire + store, no probe, no `processed` credit) while their **probe
-//! side** goes to exactly one shard — round-robin once the key's *fan-out
-//! gate* opens, the hash-home shard until then. The gate guards exactness:
-//! a shard other than the hash home is missing the key's pre-promotion
-//! tuples, so probes stay pinned to the home until every pre-promotion
-//! tuple is provably expired (time windows: `now ≥ promote_ts + p`;
-//! tuple windows: `c + 1` further arrivals on the stream since the
-//! promotion snapshot). Each arrival gets exactly one probing (FULL)
-//! delivery, so produced counts and join results are never duplicated, and
-//! demotion is immediately safe (the home shard received every replica).
+//! Hash routing pins every hot join key to one worker. The coordinator
+//! runs an online heavy-hitter detector (a space-saving tracker over
+//! routed keys, sampled at a fixed arrival cadence with promote/demote
+//! hysteresis). Arrivals carrying a *hot* key fan their **store side** to
+//! every shard ([`Item::Replica`]: observe + expire + store, no probe, no
+//! `processed` credit) while their **probe side** goes to exactly one
+//! shard — round-robin once the key's *fan-out gate* opens, the hash-home
+//! shard until then. The gate guards exactness: a shard other than the
+//! hash home is missing the key's pre-promotion tuples, so probes stay
+//! pinned to the home until every pre-promotion tuple is provably expired
+//! under every window of the set (time windows: `now ≥ promote_ts + p` for
+//! the longest `p`; tuple windows: `c + 1` further arrivals on each stream
+//! since the promotion snapshot, for the largest `c` on that stream).
 //!
 //! ## Broadcast execution mode
 //!
-//! Queries whose equi-predicate graph is *not* key-partitionable
-//! previously degraded to one shard. With [`ShardConfig::broadcast`] (the
-//! default) they instead run replicated: the **dominant** stream (most
-//! incident predicates, ties to the lowest index) is partitioned
-//! round-robin, and every other stream is broadcast — stored on all
-//! shards, probed on all shards ([`Item::ProbeReplica`] on the non-home
-//! copies). Every result combination contains exactly one dominant-stream
-//! tuple, resident on exactly one shard, so each combination is emitted
-//! exactly once. Broadcast streams keep their *full* window allocation on
-//! every shard (memory × S for those streams — the price of sharing the
-//! build side), while the dominant stream's window divides by S.
+//! A query whose equi-predicate graph is *not* key-partitionable runs
+//! replicated with [`ShardConfig::broadcast`] (the default): the
+//! **dominant** stream (most incident predicates, ties to the lowest
+//! index) is partitioned round-robin, and every other stream is broadcast
+//! — stored and probed on all shards ([`Item::ProbeReplica`] on the
+//! non-home copies). Every result combination contains exactly one
+//! dominant-stream tuple, resident on exactly one shard, so each is
+//! emitted exactly once. Broadcast streams keep their *full* window
+//! allocation on every shard, while the dominant stream's divides by S.
 //!
 //! ## Determinism
 //!
 //! The coordinator mints globally-ordered sequence numbers, routes by a
 //! fixed hash of the key value, and derives each worker's engine seed from
-//! the master seed — so a run is a pure function of (query, policy,
-//! config, trace); the heavy-hitter tracker and round-robin cursors are
-//! deterministic too (`Vec` scans only, no hash-order iteration). With
-//! [`Backpressure::Block`] (the default) nothing is ever dropped at the
-//! channels and replays are exact; [`Backpressure::Shed`] instead drops
-//! batches when a worker falls behind, counting them in
-//! [`ShardedRunReport::shed_channel`]. A dropped batch's coalesced tick
-//! summaries are re-queued into the pending counters (tick counts commute,
-//! and the dropped batch is always the newest traffic for that shard), so
-//! tuple-window accounting only drifts by the dropped *tuples* themselves
-//! — live-mode semantics matching the single engine's queue shedding,
-//! where a dropped tuple never ages any window. Dropped replica deliveries
-//! re-queue as ticks for their shard (the arrival is still processed by
-//! its FULL delivery elsewhere), so expiry counters never skew.
+//! the master seed — so a run is a pure function of (queries, policy,
+//! config, trace, registration schedule). With [`Backpressure::Block`]
+//! (the default) nothing is ever dropped at the channels and replays are
+//! exact; [`Backpressure::Shed`] instead drops batches when a worker falls
+//! behind, counting their tuples in [`ShardedRunReport::shed_channel`]. A
+//! dropped batch's tick summaries re-queue into the pending counters, and
+//! so does each dropped tuple or replica for its own shard, so tuple-window
+//! accounting drifts only by the dropped tuples themselves — as in the
+//! in-process engine's queue shedding, a dropped tuple never ages a window.
 
+use crate::builder::BuildError;
 use crate::engine::{EngineConfig, MemoryMode, ReorderStage};
-use crate::ingest::{Arrival, CountSink, IngestRole, VecSink};
-use crate::multi::MultiQueryEngine;
+use crate::ingest::{Arrival, CountSink, IngestRole, QueryRowsSink};
+use crate::multi::{merge_into_catalog, MultiQueryEngine, QueryStats};
 use crate::report::{EngineMetrics, RunReport};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use mstream_shed_policies::ShedPolicy;
 use mstream_sketch::{BankConfig, SpaceSaving};
 use mstream_types::{
-    splitmix64, Error, JoinQuery, Partitioning, Result, SeqNo, StreamId, Tuple, VDur, VTime,
-    WindowSpec, WordBuild,
+    splitmix64, Catalog, Error, JoinQuery, Partitioning, QueryId, Result, SeqNo, StreamId, Tuple,
+    VDur, VTime, WindowSpec, WordBuild,
 };
 use mstream_workload::Trace;
 use std::cmp::Ordering;
@@ -174,7 +184,7 @@ pub struct ShardConfig {
     /// Full-channel behavior.
     pub backpressure: Backpressure,
     /// Collect every join result row (owned tuples in stream order) for
-    /// the merged report. Needed for differential testing; off for
+    /// the merged report, per query. Needed for differential testing; off for
     /// throughput runs.
     pub collect_rows: bool,
     /// Diagnostic mode: workers drain and recycle batches without running
@@ -183,9 +193,9 @@ pub struct ShardConfig {
     /// holds its steady state to zero allocations and the benchmark times
     /// it as `shard.route_only_ns_per_arrival`.
     pub route_only: bool,
-    /// Heavy-hitter splitting for key-partitioned queries.
+    /// Heavy-hitter splitting for key-partitioned runs.
     pub hot_keys: HotKeyConfig,
-    /// Run non-key-partitionable queries in broadcast mode at the
+    /// Run a non-key-partitionable query in broadcast mode at the
     /// requested shard count instead of degrading to one shard.
     pub broadcast: bool,
 }
@@ -213,6 +223,9 @@ pub struct ShardedRunReport {
     pub combined: RunReport,
     /// Each worker's own counters, indexed by shard.
     pub per_shard: Vec<EngineMetrics>,
+    /// Per registered query id: produced/shed counters summed across
+    /// shards (removed queries report zeros).
+    pub stats: Vec<QueryStats>,
     /// Tuples dropped at the shard channels under [`Backpressure::Shed`].
     pub shed_channel: u64,
     /// FULL (probing) deliveries the coordinator assigned to each shard
@@ -226,12 +239,12 @@ pub struct ShardedRunReport {
     /// Hot-key promotions performed by the skew router over the run.
     pub hot_promoted: u64,
     /// Whether the run executed in broadcast mode (replicated windows for
-    /// non-key-partitionable queries).
+    /// a non-key-partitionable query).
     pub broadcast: bool,
-    /// Every join result row (tuples in stream order), merged across
-    /// shards and sorted by per-stream sequence numbers, when
-    /// [`ShardConfig::collect_rows`] was set.
-    pub rows: Option<Vec<Vec<Tuple>>>,
+    /// Per query id, every result row (tuples in the query's local stream
+    /// order), merged across shards and sorted by per-stream sequence
+    /// numbers, when [`ShardConfig::collect_rows`] was set.
+    pub rows: Option<Vec<Vec<Vec<Tuple>>>>,
 }
 
 /// Streams covered by one [`Item::Ticks`] summary (wider schemas send
@@ -243,12 +256,22 @@ const TICK_LANES: usize = 8;
 /// routed to other shards since this shard's previous batch traffic.
 #[derive(Clone, Copy, Debug)]
 struct TickBlock {
-    base: u8,
-    n: u8,
+    base: usize,
+    n: usize,
     counts: [u32; TICK_LANES],
 }
 
+impl TickBlock {
+    /// The `(stream, arrivals)` pairs this block carries.
+    fn ticks(self) -> impl Iterator<Item = (usize, u64)> {
+        (0..self.n)
+            .filter(move |&lane| self.counts[lane] > 0)
+            .map(move |lane| (self.base + lane, u64::from(self.counts[lane])))
+    }
+}
+
 /// One message element on a worker channel.
+#[derive(Clone)]
 enum Item {
     /// A tuple routed to this shard for processing — the arrival's one
     /// FULL delivery (probe + emit + `processed` credit).
@@ -261,15 +284,24 @@ enum Item {
     /// does not count as processed.
     ProbeReplica(Tuple),
     /// Arrivals other shards are processing (advances tuple-window expiry
-    /// here). Always delivered before the tuples that follow them.
+    /// here). Always delivered before the items that follow them.
     Ticks(TickBlock),
+    /// Register a standing query (every worker assigns it the same dense
+    /// id). Boxed so the item stays the size of a tagged tuple.
+    Add(Box<JoinQuery>),
+    /// Deregister a query.
+    Remove(QueryId),
 }
 
 struct WorkerOut {
     metrics: EngineMetrics,
-    /// Result rows sorted by per-stream seq on the worker thread, so the
-    /// coordinator's merge is a k-way interleave, not a global sort.
-    rows: Option<Vec<Vec<Tuple>>>,
+    /// Per registered query id: the worker's counters (`None` once
+    /// removed).
+    stats: Vec<Option<QueryStats>>,
+    /// Per query id, result rows sorted by per-stream seq on the worker
+    /// thread, so the coordinator's merge is a k-way interleave, not a
+    /// global sort.
+    rows: Option<Vec<Vec<Vec<Tuple>>>>,
     end_time: VTime,
     /// Window occupancy at the end of the run.
     resident: usize,
@@ -288,7 +320,7 @@ struct HotSlot {
     /// Arrival timestamp at promotion (time-window gate anchor).
     promote_ts: VTime,
     /// Per-stream global arrival counts at promotion (tuple-window gate
-    /// anchor); preallocated, length `n_streams`.
+    /// anchor); one entry per global stream.
     snapshot: Vec<u64>,
     /// Once true, probes round-robin (sticky for the rest of the hot
     /// period: windows only ever shrink behind the gate condition).
@@ -309,9 +341,9 @@ enum Placement {
 const MIN_PROMOTE_SUPPORT: u64 = 8;
 
 /// Coordinator-side heavy-hitter detection and hot-key routing (key-
-/// partitioned mode, S > 1). All state is preallocated at construction
-/// and every decision iterates `Vec`s only, so routing stays
-/// allocation-free and platform-deterministic.
+/// partitioned mode, S > 1). State is preallocated, growing only when a
+/// registration brings new streams, and every decision iterates `Vec`s
+/// only, so routing stays allocation-free and platform-deterministic.
 struct SkewRouter {
     shards: usize,
     tracker: SpaceSaving,
@@ -325,17 +357,19 @@ struct SkewRouter {
     /// Global arrivals per stream seen by the coordinator (the oracle
     /// position every shard's expiry counter is synchronized to).
     stream_arrivals: Vec<u64>,
-    /// Tuple-window sizes per stream (`None` for time windows).
+    /// The largest tuple-window size over the set, per global stream
+    /// (`None` where every window on the stream is time-based).
     tuple_counts: Vec<Option<u64>>,
-    /// Longest time window across streams, if any.
+    /// The longest time window of the set, if any.
     max_time_window: Option<VDur>,
     /// Total promotions performed (diagnostic).
     promoted: u64,
 }
 
 impl SkewRouter {
-    fn new(query: &JoinQuery, cfg: &HotKeyConfig, shards: usize) -> Self {
-        let n = query.n_streams();
+    /// A router with no streams yet; [`SkewRouter::cover`] adds each
+    /// query's.
+    fn new(cfg: &HotKeyConfig, shards: usize) -> Self {
         let promote = if cfg.promote_permille == 0 {
             (1000 / (2 * shards as u64)).max(1)
         } else {
@@ -346,22 +380,6 @@ impl SkewRouter {
         } else {
             u64::from(cfg.demote_permille)
         };
-        let tuple_counts: Vec<Option<u64>> = query
-            .windows()
-            .iter()
-            .map(|w| match *w {
-                WindowSpec::Tuples(c) => Some(c),
-                WindowSpec::Time(_) => None,
-            })
-            .collect();
-        let max_time_window = query
-            .windows()
-            .iter()
-            .filter_map(|w| match *w {
-                WindowSpec::Time(p) => Some(p),
-                WindowSpec::Tuples(_) => None,
-            })
-            .max();
         let capacity = cfg.capacity.max(1);
         SkewRouter {
             shards,
@@ -378,14 +396,36 @@ impl SkewRouter {
                     rr: i as u64,
                     home: 0,
                     promote_ts: VTime::ZERO,
-                    snapshot: vec![0; n],
+                    snapshot: Vec::new(),
                     gate_open: false,
                 })
                 .collect(),
-            stream_arrivals: vec![0; n],
-            tuple_counts,
-            max_time_window,
+            stream_arrivals: Vec::new(),
+            tuple_counts: Vec::new(),
+            max_time_window: None,
             promoted: 0,
+        }
+    }
+
+    /// Takes `query`'s windows into the fan-out gate — its local stream
+    /// `k` is global stream `gstream_of[k]` — and grows the per-stream
+    /// arrays to `n_streams`. The gate only ever widens, so a gate already
+    /// open stays sound: a query registered later has fresh stores, which
+    /// every shard fills alike with the key's replicated tuples.
+    fn cover(&mut self, n_streams: usize, gstream_of: &[StreamId], query: &JoinQuery) {
+        self.stream_arrivals.resize(n_streams, 0);
+        self.tuple_counts.resize(n_streams, None);
+        for slot in &mut self.slots {
+            slot.snapshot.resize(n_streams, 0);
+        }
+        for (&g, window) in gstream_of.iter().zip(query.windows()) {
+            match *window {
+                WindowSpec::Tuples(c) => {
+                    let count = &mut self.tuple_counts[g.index()];
+                    *count = (*count).max(Some(c));
+                }
+                WindowSpec::Time(p) => self.max_time_window = self.max_time_window.max(Some(p)),
+            }
         }
     }
 
@@ -540,14 +580,59 @@ fn dominant_stream(query: &JoinQuery) -> usize {
     best
 }
 
+/// Extends the key plan `key_of` (global stream → partition attribute)
+/// with `query`'s streams — its local stream `k` is global stream
+/// `gstream_of[k]` — or says why the query cannot share it: it is not
+/// key-partitionable, or it partitions a stream the plan already
+/// partitions on another attribute (a tuple would then have to live on two
+/// shards at once).
+fn extend_key_plan(
+    key_of: &mut Vec<Option<usize>>,
+    gstream_of: &[StreamId],
+    query: &JoinQuery,
+) -> std::result::Result<(), String> {
+    let key_attrs = match query.partitioning() {
+        Partitioning::ByKey { key_attrs } => key_attrs,
+        Partitioning::Single { reason } => return Err(reason),
+    };
+    for (&g, &attr) in gstream_of.iter().zip(&key_attrs) {
+        if key_of.len() <= g.index() {
+            key_of.resize(g.index() + 1, None);
+        }
+        match key_of[g.index()] {
+            None => key_of[g.index()] = Some(attr),
+            Some(prev) if prev == attr => {}
+            Some(prev) => return Err(format!(
+                "stream {g} is partitioned on attr {prev} by one query and attr {attr} by another"
+            )),
+        }
+    }
+    Ok(())
+}
+
+fn has_tuple_windows(query: &JoinQuery) -> bool {
+    query
+        .windows()
+        .iter()
+        .any(|w| matches!(w, WindowSpec::Tuples(_)))
+}
+
 /// A shard-parallel front for the engine: route arrivals with
-/// [`ShardedJoinEngine::ingest`], then collect the merged report with
-/// [`ShardedJoinEngine::finish`].
+/// [`ShardedJoinEngine::ingest`], change the standing set with
+/// [`ShardedJoinEngine::add_query`] / [`ShardedJoinEngine::remove_query`],
+/// then collect the merged report with [`ShardedJoinEngine::finish`].
+/// Built by [`crate::EngineBuilder::build_sharded`].
 pub struct ShardedJoinEngine {
     shards: usize,
-    n_streams: usize,
     degraded: Option<String>,
-    key_attrs: Option<Vec<usize>>,
+    /// The coordinator's mirror of every worker's merged catalog (they
+    /// evolve in lockstep through [`ShardedJoinEngine::add_query`]);
+    /// arrivals are addressed against it, and it sets the width of the
+    /// per-stream tick lanes.
+    catalog: Catalog,
+    /// Global stream → partition attribute (key-partitioned runs with
+    /// S > 1; empty otherwise).
+    key_of: Vec<Option<usize>>,
     needs_ticks: bool,
     batch_size: usize,
     backpressure: Backpressure,
@@ -557,9 +642,9 @@ pub struct ShardedJoinEngine {
     /// reuse (steady-state ingest then allocates no batch buffers).
     returns: Vec<Receiver<Vec<Item>>>,
     buffers: Vec<Vec<Item>>,
-    /// Pending foreign-arrival ticks, flat-indexed `[shard * n_streams +
-    /// stream]`; drained into an [`Item::Ticks`] summary right before the
-    /// next tuple pushed to that shard.
+    /// Pending foreign-arrival ticks, flat-indexed
+    /// `[shard * catalog.len() + stream]`; drained into an [`Item::Ticks`] summary right before the
+    /// next item pushed to that shard.
     pending_ticks: Vec<u64>,
     /// Per-shard dirty flags for `pending_ticks`, keeping the hot-path
     /// check O(1).
@@ -568,10 +653,12 @@ pub struct ShardedJoinEngine {
     handles: Vec<JoinHandle<WorkerOut>>,
     next_seq: SeqNo,
     shed_channel: u64,
+    /// Query ids handed out so far (dense; mirrors every worker).
+    n_registered: usize,
     /// Heavy-hitter detection and hot-key routing (key-partitioned mode,
     /// S > 1, hot keys enabled).
     skew: Option<SkewRouter>,
-    /// Broadcast-mode routing (non-key-partitionable query, S > 1,
+    /// Broadcast-mode routing (one non-key-partitionable query, S > 1,
     /// broadcast enabled).
     broadcast: Option<BroadcastPlan>,
     /// Coordinator-side reorder stage: arrivals are reordered *before*
@@ -583,79 +670,87 @@ pub struct ShardedJoinEngine {
 }
 
 impl ShardedJoinEngine {
-    /// Spawns the worker threads for `query` with per-worker copies of
-    /// `policy`. `config.memory` is the *total* budget; each worker gets
-    /// `1/S` of it. Prefer [`crate::EngineBuilder::build_sharded`].
-    pub fn new(
-        query: JoinQuery,
+    /// Computes the routing plan for `queries` and spawns the worker
+    /// threads, each with a copy of `policy`. `config.memory` is the
+    /// *total* budget; each key-partitioned worker gets `1/S` of it.
+    pub(crate) fn new(
+        queries: Vec<JoinQuery>,
         policy: Box<dyn ShedPolicy>,
         config: EngineConfig,
         shard: ShardConfig,
-    ) -> Result<Self> {
-        if shard.shards == 0 {
-            return Err(Error::InvalidConfig("shard count must be >= 1".into()));
-        }
+    ) -> std::result::Result<Self, BuildError> {
         if shard.batch_size == 0 || shard.channel_capacity == 0 {
-            return Err(Error::InvalidConfig(
+            return Err(BuildError::Engine(Error::InvalidConfig(
                 "shard batch size and channel capacity must be >= 1".into(),
-            ));
+            )));
         }
-        let (shards, degraded, key_attrs, broadcast) =
-            match (shard.shards, query.partitioning()) {
-                (1, p) => (1, None, p.key_attrs().map(<[usize]>::to_vec), None),
-                (s, Partitioning::ByKey { key_attrs }) => (s, None, Some(key_attrs), None),
-                (s, Partitioning::Single { .. }) if shard.broadcast => (
-                    s,
-                    None,
-                    None,
-                    Some(BroadcastPlan {
-                        dominant: dominant_stream(&query),
-                        dominant_rr: 0,
-                        broadcast_rr: 0,
-                    }),
-                ),
-                (_, Partitioning::Single { reason }) => (1, Some(reason), None, None),
-            };
-        let n_streams = query.n_streams();
-        let needs_ticks = shards > 1
-            && query
-                .windows()
-                .iter()
-                .any(|w| matches!(w, WindowSpec::Tuples(_)));
-        let memory = match &broadcast {
-            Some(plan) => broadcast_memory(&config.memory, shards, plan.dominant, n_streams),
-            None => split_memory(&config.memory, shards),
-        };
+        let mut catalog = Catalog::new();
+        let mut sets = Vec::with_capacity(queries.len());
+        for query in &queries {
+            sets.push((merge_into_catalog(&mut catalog, query)?, query));
+        }
+        let n_streams = catalog.len();
+        let mut key_of = Vec::new();
+        let mut degraded = None;
+        let mut broadcast = None;
+        if shard.shards > 1 {
+            let plan = sets.iter().try_for_each(|(gstream_of, query)| {
+                extend_key_plan(&mut key_of, gstream_of, query)
+            });
+            if let Err(reason) = plan {
+                key_of.clear();
+                match &queries[..] {
+                    [query] if shard.broadcast => {
+                        broadcast = Some(BroadcastPlan {
+                            dominant: dominant_stream(query),
+                            dominant_rr: 0,
+                            broadcast_rr: 0,
+                        })
+                    }
+                    _ => degraded = Some(reason),
+                }
+            }
+        }
+        let shards = if degraded.is_some() { 1 } else { shard.shards };
+        let needs_ticks = shards > 1 && queries.iter().any(has_tuple_windows);
         // Broadcast shards each observe *every* broadcast-stream arrival
         // (replicated estimation state mirrors the replicated windows), so
         // they keep the full bank; key-partitioned shards estimate 1/S of
         // the key space and split it.
-        let bank = if broadcast.is_some() {
-            config.bank
-        } else {
-            split_bank(&config.bank, shards)
+        let (memory, bank) = match &broadcast {
+            Some(plan) => (
+                broadcast_memory(&config.memory, shards, plan.dominant, n_streams),
+                config.bank,
+            ),
+            None => (
+                split_memory(&config.memory, shards),
+                split_bank(&config.bank, shards),
+            ),
         };
-        let skew = (shards > 1 && key_attrs.is_some() && shard.hot_keys.enabled)
-            .then(|| SkewRouter::new(&query, &shard.hot_keys, shards));
+        let skew = (shards > 1 && broadcast.is_none() && shard.hot_keys.enabled).then(|| {
+            let mut router = SkewRouter::new(&shard.hot_keys, shards);
+            for (gstream_of, query) in &sets {
+                router.cover(n_streams, gstream_of, query);
+            }
+            router
+        });
         let mut senders = Vec::with_capacity(shards);
         let mut returns = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
-        // Reordering happens once, at the coordinator, before minting and
-        // routing: workers then see timestamps in watermark order and
-        // trust them.
-        let front = config.disorder.map(|k| ReorderStage::new(k, n_streams));
         for i in 0..shards {
             let mut worker_config = config.clone();
             worker_config.memory = memory.clone();
             worker_config.bank = bank;
+            // Reordering happens once, at the coordinator, before minting
+            // and routing: workers see watermark-ordered timestamps.
             worker_config.disorder = None;
             // A 1-shard run keeps the master seed so it is bit-identical to
-            // the single-threaded engine; multi-shard workers get
-            // independent derived streams.
+            // the in-process plane; multi-shard workers get independent
+            // derived streams.
             if shards > 1 {
                 worker_config.seed = splitmix64(config.seed ^ (i as u64 + 1));
             }
-            let engine = MultiQueryEngine::new(vec![query.clone()], policy.clone(), worker_config)?;
+            let engine = MultiQueryEngine::new(queries.clone(), policy.clone(), worker_config)?;
             let (tx, rx) = bounded(shard.channel_capacity);
             // The return channel holds every buffer that can be in flight
             // (channel depth + the one being drained + the one being
@@ -674,9 +769,9 @@ impl ShardedJoinEngine {
         let batch_size = shard.batch_size;
         Ok(ShardedJoinEngine {
             shards,
-            n_streams,
             degraded,
-            key_attrs,
+            catalog,
+            key_of,
             needs_ticks,
             batch_size,
             backpressure: shard.backpressure,
@@ -690,14 +785,15 @@ impl ShardedJoinEngine {
             handles,
             next_seq: SeqNo(0),
             shed_channel: 0,
+            n_registered: queries.len(),
             skew,
             broadcast,
-            front,
+            front: config.disorder.map(|k| ReorderStage::new(k, n_streams)),
             started: Instant::now(),
         })
     }
 
-    /// Workers the engine actually runs on (1 when the query degraded).
+    /// Workers the engine actually runs on (1 when the set degraded).
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -707,15 +803,90 @@ impl ShardedJoinEngine {
         self.degraded.as_deref()
     }
 
-    /// Routes one arrival. Key-partitioned arrivals go to their hash-home
-    /// shard — unless the skew router has the key hot, in which case the
-    /// store side replicates to every shard and the probe side goes to
-    /// one. Broadcast-mode arrivals partition the dominant stream and
-    /// replicate the rest. For tuple-based windows, arrivals a shard does
-    /// not receive are recorded as pending expiry ticks, delivered as a
-    /// coalesced summary ahead of that shard's next delivery. Channel
-    /// errors surface at [`ShardedJoinEngine::finish`], where the worker's
-    /// panic is reported.
+    /// The merged global catalog; [`Arrival::stream`] ids passed to
+    /// [`ShardedJoinEngine::ingest`] index into it.
+    pub fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    /// The global id of the stream named `name`.
+    pub fn stream_id(&self, name: &str) -> Option<StreamId> {
+        self.catalog
+            .iter()
+            .find(|(_, s)| s.name == name)
+            .map(|(g, _)| g)
+    }
+
+    /// Query ids handed out so far (dense; includes removed queries).
+    pub fn n_registered(&self) -> usize {
+        self.n_registered
+    }
+
+    /// Registers a new standing query on every shard and returns its id —
+    /// the id each worker assigns, since registrations reach them all in
+    /// one order. As in [`MultiQueryEngine::add_query`], the query sees
+    /// only arrivals routed after this call (under a disorder bound:
+    /// released after it).
+    ///
+    /// On a key-partitioned run the query must partition too, on the
+    /// attribute the running set uses for every stream it shares; a query
+    /// that does not, or any query added to a broadcast run, is rejected.
+    /// A rejected query leaves no trace.
+    pub fn add_query(&mut self, query: JoinQuery) -> std::result::Result<QueryId, BuildError> {
+        let reject = |reason: String| BuildError::Engine(Error::InvalidConfig(reason));
+        if self.broadcast.is_some() {
+            return Err(reject(format!(
+                "cannot add a query to a {}-shard broadcast run",
+                self.shards
+            )));
+        }
+        let mut catalog = self.catalog.clone();
+        let gstream_of = merge_into_catalog(&mut catalog, &query)?;
+        let mut key_of = self.key_of.clone();
+        if self.shards > 1 {
+            extend_key_plan(&mut key_of, &gstream_of, &query).map_err(|reason| {
+                reject(format!(
+                    "cannot add to a {}-shard run: {reason}",
+                    self.shards
+                ))
+            })?;
+        }
+        let n_streams = catalog.len();
+        if let Some(skew) = self.skew.as_mut() {
+            skew.cover(n_streams, &gstream_of, &query);
+        }
+        self.needs_ticks |= self.shards > 1 && has_tuple_windows(&query);
+        self.send_registration(Item::Add(Box::new(query)));
+        // Every pending tick went out ahead of the registration, so the
+        // counters re-lay for the grown catalog as zeros.
+        self.pending_ticks = vec![0; self.shards * n_streams];
+        self.catalog = catalog;
+        self.key_of = key_of;
+        if let Some(front) = self.front.as_mut() {
+            front.add_streams(n_streams);
+        }
+        let id = QueryId(self.n_registered as u32);
+        self.n_registered += 1;
+        Ok(id)
+    }
+
+    /// Deregisters `id` on every shard, at the same point of each one's
+    /// routed sub-trace. Unknown or already-removed ids are a no-op on the
+    /// workers.
+    pub fn remove_query(&mut self, id: QueryId) {
+        self.send_registration(Item::Remove(id));
+    }
+
+    /// Routes one arrival (addressed by **global** stream id).
+    /// Key-partitioned arrivals go to their hash-home shard — unless the
+    /// skew router has the key hot, in which case the store side
+    /// replicates to every shard and the probe side goes to one.
+    /// Broadcast-mode arrivals partition the dominant stream and replicate
+    /// the rest. For tuple-based windows, arrivals a shard does not receive
+    /// are recorded as pending expiry ticks, delivered as a coalesced
+    /// summary ahead of that shard's next delivery. Channel errors surface
+    /// at [`ShardedJoinEngine::finish`], where the worker's panic is
+    /// reported.
     ///
     /// With a disorder bound configured, the coordinator's event-time
     /// front end runs *before* minting and routing: arrivals buffer until
@@ -738,7 +909,7 @@ impl ShardedJoinEngine {
         }
     }
 
-    /// Mints and routes one arrival (the pre-event-time `ingest` body).
+    /// Mints and routes one arrival.
     fn route_arrival(&mut self, arrival: Arrival) {
         let stream = arrival.stream;
         let seq = self.next_seq;
@@ -753,8 +924,8 @@ impl ShardedJoinEngine {
             self.push(0, Item::Tuple(tuple));
             return;
         }
-        let key_attrs = self.key_attrs.as_ref().expect("multi-shard implies keys");
-        let key = tuple.values[key_attrs[stream.index()]].raw();
+        let attr = self.key_of[stream.index()].expect("a keyed run partitions every stream");
+        let key = tuple.values[attr].raw();
         let home = (splitmix64(key) % self.shards as u64) as usize;
         let placement = match self.skew.as_mut() {
             Some(skew) => skew.place(key, stream, tuple.ts, home),
@@ -771,10 +942,10 @@ impl ShardedJoinEngine {
     fn deliver_cold(&mut self, home: usize, tuple: Tuple) {
         self.routed[home] += 1;
         if self.needs_ticks {
-            let s = tuple.stream.index();
+            let (n, s) = (self.catalog.len(), tuple.stream.index());
             for shard in 0..self.shards {
                 if shard != home {
-                    self.pending_ticks[shard * self.n_streams + s] += 1;
+                    self.pending_ticks[shard * n + s] += 1;
                     self.pending_any[shard] = true;
                 }
             }
@@ -792,13 +963,7 @@ impl ShardedJoinEngine {
     /// each copy lands at the arrival's global expiry position.
     fn deliver_hot(&mut self, probe: usize, tuple: Tuple) {
         self.routed[probe] += 1;
-        if self.needs_ticks {
-            for shard in 0..self.shards {
-                if self.pending_any[shard] {
-                    self.flush_pending_ticks(shard);
-                }
-            }
-        }
+        self.flush_all_pending_ticks();
         for shard in 0..self.shards {
             if shard != probe {
                 self.push(shard, Item::Replica(tuple.clone()));
@@ -824,13 +989,7 @@ impl ShardedJoinEngine {
         let full = (plan.broadcast_rr % shards) as usize;
         plan.broadcast_rr += 1;
         self.routed[full] += 1;
-        if self.needs_ticks {
-            for shard in 0..self.shards {
-                if self.pending_any[shard] {
-                    self.flush_pending_ticks(shard);
-                }
-            }
-        }
+        self.flush_all_pending_ticks();
         for shard in 0..self.shards {
             if shard != full {
                 self.push(shard, Item::ProbeReplica(tuple.clone()));
@@ -839,21 +998,51 @@ impl ShardedJoinEngine {
         self.push(full, Item::Tuple(tuple));
     }
 
+    /// Sends a registration change to every shard, each behind its flushed
+    /// tick summary. Registration batches — and the tick batches flushed
+    /// ahead of them — are never shed: under [`Backpressure::Shed`] they
+    /// are sent blocking, so every worker applies the change.
+    fn send_registration(&mut self, item: Item) {
+        let backpressure = std::mem::replace(&mut self.backpressure, Backpressure::Block);
+        for shard in 0..self.shards {
+            if self.pending_any[shard] {
+                self.flush_pending_ticks(shard);
+            }
+            self.push(shard, item.clone());
+            self.flush(shard);
+        }
+        self.backpressure = backpressure;
+    }
+
+    fn flush_all_pending_ticks(&mut self) {
+        if self.needs_ticks {
+            for shard in 0..self.shards {
+                if self.pending_any[shard] {
+                    self.flush_pending_ticks(shard);
+                }
+            }
+        }
+    }
+
     /// Drains `shard`'s pending tick counters into [`Item::Ticks`]
     /// summaries on its batch buffer (chunked [`TICK_LANES`] streams at a
     /// time; counts above `u32::MAX` chain extra blocks).
     fn flush_pending_ticks(&mut self, shard: usize) {
-        for base in (0..self.n_streams).step_by(TICK_LANES) {
-            let n = TICK_LANES.min(self.n_streams - base);
+        // Cleared first: a batch the channel rejects while the summary is
+        // being pushed re-queues its counts and marks the shard again.
+        self.pending_any[shard] = false;
+        let n_streams = self.catalog.len();
+        for base in (0..n_streams).step_by(TICK_LANES) {
+            let n = TICK_LANES.min(n_streams - base);
             loop {
                 let mut block = TickBlock {
-                    base: base as u8,
-                    n: n as u8,
+                    base,
+                    n,
                     counts: [0; TICK_LANES],
                 };
                 let mut any = false;
                 for lane in 0..n {
-                    let slot = &mut self.pending_ticks[shard * self.n_streams + base + lane];
+                    let slot = &mut self.pending_ticks[shard * n_streams + base + lane];
                     let take = (*slot).min(u32::MAX as u64);
                     if take > 0 {
                         block.counts[lane] = take as u32;
@@ -867,7 +1056,6 @@ impl ShardedJoinEngine {
                 self.push(shard, Item::Ticks(block));
             }
         }
-        self.pending_any[shard] = false;
     }
 
     fn push(&mut self, shard: usize, item: Item) {
@@ -924,41 +1112,37 @@ impl ShardedJoinEngine {
     /// rejected batch is the newest traffic for this shard, so the counts
     /// re-merge in order.
     fn account_rejected(&mut self, shard: usize, batch: &[Item]) {
+        let n_streams = self.catalog.len();
+        let mut requeue = |stream: usize, count: u64| {
+            if self.needs_ticks {
+                self.pending_ticks[shard * n_streams + stream] += count;
+                self.pending_any[shard] = true;
+            }
+        };
         for item in batch {
             match item {
                 Item::Tuple(tuple) => {
                     self.shed_channel += 1;
-                    if self.needs_ticks {
-                        self.pending_ticks[shard * self.n_streams + tuple.stream.index()] += 1;
-                        self.pending_any[shard] = true;
-                    }
+                    requeue(tuple.stream.index(), 1);
                 }
                 // A dropped replica is not channel shedding — the arrival
                 // is still fully processed by its FULL delivery elsewhere.
                 // But this shard missed a counter-advancing store, so the
                 // arrival re-queues as a tick to keep its expiry exact.
                 Item::Replica(tuple) | Item::ProbeReplica(tuple) => {
-                    if self.needs_ticks {
-                        self.pending_ticks[shard * self.n_streams + tuple.stream.index()] += 1;
-                        self.pending_any[shard] = true;
-                    }
+                    requeue(tuple.stream.index(), 1);
                 }
-                Item::Ticks(block) => {
-                    for lane in 0..block.n as usize {
-                        let count = block.counts[lane];
-                        if count > 0 {
-                            let stream = block.base as usize + lane;
-                            self.pending_ticks[shard * self.n_streams + stream] += count as u64;
-                            self.pending_any[shard] = true;
-                        }
-                    }
+                Item::Ticks(block) => block.ticks().for_each(|(s, n)| requeue(s, n)),
+                Item::Add(_) | Item::Remove(_) => {
+                    unreachable!("registration batches are sent blocking")
                 }
             }
         }
     }
 
     /// Flushes the remaining batches, waits for every worker, and merges
-    /// their metrics (and rows, when collected) into one report.
+    /// their metrics, per-query counters and (when collected) rows into one
+    /// report.
     ///
     /// Fails with [`Error::Shard`] if any worker panicked — under the
     /// `audit` feature workers check engine invariants after every tuple.
@@ -973,7 +1157,7 @@ impl ShardedJoinEngine {
             // Trailing ticks (arrivals after a shard's last tuple) cannot
             // change its output, but delivering them keeps the final
             // arrival counters exact on every shard.
-            if self.needs_ticks && self.pending_any[shard] {
+            if self.pending_any[shard] {
                 self.flush_pending_ticks(shard);
             }
             self.flush(shard);
@@ -983,7 +1167,8 @@ impl ShardedJoinEngine {
         let mut combined = EngineMetrics::default();
         let mut per_shard = Vec::with_capacity(self.shards);
         let mut resident = Vec::with_capacity(self.shards);
-        let mut worker_rows = self.collect_rows.then(Vec::new);
+        let mut stats = vec![QueryStats::default(); self.n_registered];
+        let mut worker_rows = Vec::new();
         let mut end_time = VTime::ZERO;
         let mut failure: Option<Error> = None;
         for (i, handle) in handles.into_iter().enumerate() {
@@ -992,9 +1177,13 @@ impl ShardedJoinEngine {
                     combined.merge(&out.metrics);
                     per_shard.push(out.metrics);
                     resident.push(out.resident);
-                    if let (Some(all), Some(r)) = (worker_rows.as_mut(), out.rows) {
-                        all.push(r);
+                    for (total, s) in stats.iter_mut().zip(&out.stats) {
+                        if let Some(s) = s {
+                            total.produced += s.produced;
+                            total.shed += s.shed;
+                        }
                     }
+                    worker_rows.extend(out.rows);
                     end_time = end_time.max(out.end_time);
                 }
                 Err(panic) => {
@@ -1011,11 +1200,23 @@ impl ShardedJoinEngine {
         // Coordinator-side late drops happen before routing, so no worker
         // ever saw them; fold them into the combined counters here.
         combined.late_dropped += self.front.as_ref().map_or(0, |f| f.dropped);
-        // Seq-stamped merge: per-stream arrival sequence numbers are
-        // global (coordinator-minted), so this canonical order is directly
-        // comparable across shard counts and to the single-engine oracle.
-        // Each worker pre-sorted its rows, so this is a k-way interleave.
-        let rows = worker_rows.map(merge_sorted_rows);
+        // Seq-stamped merge, query by query: per-stream arrival sequence
+        // numbers are global (coordinator-minted), so this canonical order
+        // is directly comparable across shard counts and to the in-process
+        // plane. Each worker pre-sorted its rows, so this is a k-way
+        // interleave.
+        let rows = self.collect_rows.then(|| {
+            (0..self.n_registered)
+                .map(|q| {
+                    let lists = worker_rows.iter_mut();
+                    merge_sorted_rows(
+                        lists
+                            .map(|w| w.get_mut(q).map(std::mem::take).unwrap_or_default())
+                            .collect(),
+                    )
+                })
+                .collect()
+        });
         let combined = RunReport {
             metrics: combined,
             end_time,
@@ -1027,6 +1228,7 @@ impl ShardedJoinEngine {
         Ok(ShardedRunReport {
             combined,
             per_shard,
+            stats,
             shed_channel: self.shed_channel,
             routed: self.routed,
             resident,
@@ -1055,7 +1257,7 @@ impl ShardedJoinEngine {
 /// canonical output order. Keys are unique (each join combination is
 /// emitted exactly once, on exactly one shard), so unstable sorting and
 /// arbitrary merge tie-breaks reproduce one well-defined order.
-pub(crate) fn row_seq_cmp(a: &[Tuple], b: &[Tuple]) -> Ordering {
+fn row_seq_cmp(a: &[Tuple], b: &[Tuple]) -> Ordering {
     a.iter().map(|t| t.seq).cmp(b.iter().map(|t| t.seq))
 }
 
@@ -1100,43 +1302,46 @@ fn worker_loop(
     ret_tx: Sender<Vec<Item>>,
     mode: WorkerMode,
 ) -> WorkerOut {
-    let mut vec_sink = VecSink::default();
+    let mut rows_sink = QueryRowsSink::default();
+    // Without row collection nothing reads the results here: per-query
+    // counts come from `query_stats`.
     let mut count_sink = CountSink::default();
     let mut end_time = VTime::ZERO;
     while let Ok(mut batch) = rx.recv() {
         if mode.route_only {
             batch.clear();
-        } else {
-            for item in batch.drain(..) {
-                match item {
-                    Item::Ticks(block) => {
-                        for lane in 0..block.n as usize {
-                            let count = block.counts[lane];
-                            if count > 0 {
-                                let stream = StreamId(block.base as usize + lane);
-                                engine.note_foreign_arrivals(stream, count as u64);
-                            }
-                        }
+        }
+        for item in batch.drain(..) {
+            let (tuple, role) = match item {
+                Item::Tuple(t) => (t, IngestRole::FULL),
+                Item::Replica(t) => (t, IngestRole::STORE_REPLICA),
+                Item::ProbeReplica(t) => (t, IngestRole::PROBE_REPLICA),
+                Item::Ticks(block) => {
+                    for (stream, count) in block.ticks() {
+                        engine.note_foreign_arrivals(StreamId(stream), count);
                     }
-                    item => {
-                        let (tuple, role) = match item {
-                            Item::Tuple(t) => (t, IngestRole::FULL),
-                            Item::Replica(t) => (t, IngestRole::STORE_REPLICA),
-                            Item::ProbeReplica(t) => (t, IngestRole::PROBE_REPLICA),
-                            Item::Ticks(_) => unreachable!("handled above"),
-                        };
-                        let now = tuple.ts;
-                        end_time = end_time.max(now);
-                        if mode.collect_rows {
-                            engine.ingest_tuple_as(tuple, now, &mut vec_sink, role);
-                        } else {
-                            engine.ingest_tuple_as(tuple, now, &mut count_sink, role);
-                        }
-                        #[cfg(feature = "audit")]
-                        engine.check_invariants();
-                    }
+                    continue;
                 }
+                Item::Add(query) => {
+                    engine
+                        .add_query(*query)
+                        .expect("coordinator-validated registration");
+                    continue;
+                }
+                Item::Remove(id) => {
+                    engine.remove_query(id);
+                    continue;
+                }
+            };
+            let now = tuple.ts;
+            end_time = end_time.max(now);
+            if mode.collect_rows {
+                engine.ingest_tuple_as(tuple, now, &mut rows_sink, role);
+            } else {
+                engine.ingest_tuple_as(tuple, now, &mut count_sink, role);
             }
+            #[cfg(feature = "audit")]
+            engine.check_invariants();
         }
         // Hand the drained allocation back for reuse. The return channel
         // is sized to hold every in-flight buffer, so a failure only
@@ -1144,13 +1349,18 @@ fn worker_loop(
         let _ = ret_tx.try_send(batch);
     }
     let rows = mode.collect_rows.then(|| {
-        let mut rows = vec_sink.rows;
-        rows.sort_unstable_by(|a, b| row_seq_cmp(a, b));
+        let mut rows = rows_sink.rows;
+        for query_rows in &mut rows {
+            query_rows.sort_unstable_by(|a, b| row_seq_cmp(a, b));
+        }
         rows
     });
     WorkerOut {
         resident: engine.total_resident(),
         metrics: engine.metrics().clone(),
+        stats: (0..engine.n_registered())
+            .map(|q| engine.query_stats(QueryId(q as u32)))
+            .collect(),
         rows,
         end_time,
     }
@@ -1158,7 +1368,7 @@ fn worker_loop(
 
 /// Splits a total memory budget evenly across `shards` workers (each
 /// window keeps at least one slot).
-pub(crate) fn split_memory(memory: &MemoryMode, shards: usize) -> MemoryMode {
+fn split_memory(memory: &MemoryMode, shards: usize) -> MemoryMode {
     if shards <= 1 {
         return memory.clone();
     }
@@ -1212,8 +1422,8 @@ fn broadcast_memory(
 /// only its own key partition — a strictly smaller join — so the divided
 /// budget funds `S` independent, narrower estimators instead of `S`
 /// replicas of the full-width one. A 1-shard run keeps the master bank
-/// untouched (bit-identical to the single engine).
-pub(crate) fn split_bank(bank: &BankConfig, shards: usize) -> BankConfig {
+/// untouched (bit-identical to the in-process plane).
+fn split_bank(bank: &BankConfig, shards: usize) -> BankConfig {
     if shards <= 1 {
         return *bank;
     }
@@ -1223,7 +1433,7 @@ pub(crate) fn split_bank(bank: &BankConfig, shards: usize) -> BankConfig {
     }
 }
 
-pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {
@@ -1236,6 +1446,8 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::EngineBuilder;
+    use mstream_types::{Row, StreamSchema};
 
     #[test]
     fn split_bank_divides_means_keeps_median_groups() {
@@ -1297,7 +1509,7 @@ mod tests {
     fn row(seqs: &[u64]) -> Vec<Tuple> {
         seqs.iter()
             .enumerate()
-            .map(|(k, &s)| Tuple::new(StreamId(k), VTime::ZERO, SeqNo(s), mstream_types::Row::new()))
+            .map(|(k, &s)| Tuple::new(StreamId(k), VTime::ZERO, SeqNo(s), Row::new()))
             .collect()
     }
 
@@ -1356,78 +1568,199 @@ mod tests {
         assert_eq!(bases, vec![0, 8]);
     }
 
+    /// A registration rides the channel as one boxed pointer, and a tick
+    /// block is smaller than a tuple: neither widens the channel item past
+    /// a tagged tuple.
+    #[test]
+    fn item_is_no_larger_than_a_tagged_tuple() {
+        assert!(std::mem::size_of::<Item>() <= std::mem::size_of::<Tuple>() + 8);
+    }
+
+    fn pair_query(l: &str, r: &str, window: WindowSpec) -> JoinQuery {
+        let mut c = Catalog::new();
+        c.add_stream(StreamSchema::new(l, &["k", "v"]));
+        c.add_stream(StreamSchema::new(r, &["k", "v"]));
+        JoinQuery::from_names(c, &[(&format!("{l}.k"), &format!("{r}.k"))], window).unwrap()
+    }
+
+    /// `L.v = Z.k`: partitions `L` on its second attribute, where
+    /// [`pair_query`] partitions it on the first.
+    fn clashing_query() -> JoinQuery {
+        let mut c = Catalog::new();
+        c.add_stream(StreamSchema::new("L", &["k", "v"]));
+        c.add_stream(StreamSchema::new("Z", &["k", "v"]));
+        JoinQuery::from_names(c, &[("L.v", "Z.k")], WindowSpec::secs(600)).unwrap()
+    }
+
+    fn engine(queries: Vec<JoinQuery>, shard: ShardConfig) -> ShardedJoinEngine {
+        let mut b = EngineBuilder::new_multi()
+            .policy(mstream_shed_policies::Fifo)
+            .capacity_per_window(1 << 16)
+            .shard_config(shard);
+        for q in queries {
+            b.register(q).unwrap();
+        }
+        b.build_sharded().unwrap()
+    }
+
+    fn shards(n: usize) -> ShardConfig {
+        ShardConfig {
+            shards: n,
+            ..ShardConfig::default()
+        }
+    }
+
+    /// The ticks queued for `shard`'s next batch, as `(stream, count)`.
+    fn buffered_ticks(engine: &ShardedJoinEngine, shard: usize) -> Vec<(usize, u64)> {
+        let blocks = engine.buffers[shard].iter().filter_map(|item| match item {
+            Item::Ticks(block) => Some(*block),
+            _ => None,
+        });
+        blocks.flat_map(TickBlock::ticks).collect()
+    }
+
     /// A full channel must count rejected tuples as channel-shed but give
     /// rejected tick summaries back to the pending counters — dropping
     /// them would silently skew tuple-window expiry on the starved shard.
     #[test]
     fn rejected_batches_requeue_tick_summaries() {
-        use mstream_types::{Catalog, JoinQuery, WindowSpec};
-        let mut c = Catalog::new();
-        c.add_stream(mstream_types::StreamSchema::new("R1", &["A1"]));
-        c.add_stream(mstream_types::StreamSchema::new("R2", &["A1"]));
-        let query = JoinQuery::from_names(
-            c,
-            &[("R1.A1", "R2.A1")],
-            WindowSpec::Tuples(4),
-        )
-        .unwrap();
-        let mut engine = ShardedJoinEngine::new(
-            query,
-            mstream_shed_policies::Fifo.clone_box(),
-            EngineConfig::default(),
+        let mut engine = engine(
+            vec![pair_query("R1", "R2", WindowSpec::Tuples(4))],
             ShardConfig {
                 shards: 2,
                 backpressure: Backpressure::Shed,
                 ..ShardConfig::default()
             },
-        )
-        .unwrap();
+        );
+        let mut counts = [0u32; TICK_LANES];
+        counts[0] = 3;
+        counts[1] = 1;
+        let tuple = |s: usize, q: u64| Tuple::new(StreamId(s), VTime::ZERO, SeqNo(q), Row::new());
         let batch = vec![
             Item::Ticks(TickBlock {
                 base: 0,
                 n: 2,
-                counts: {
-                    let mut c = [0u32; TICK_LANES];
-                    c[0] = 3;
-                    c[1] = 1;
-                    c
-                },
+                counts,
             }),
-            Item::Tuple(Tuple::new(
-                StreamId(0),
-                VTime::ZERO,
-                SeqNo(0),
-                mstream_types::Row::new(),
-            )),
-            Item::Tuple(Tuple::new(
-                StreamId(1),
-                VTime::ZERO,
-                SeqNo(1),
-                mstream_types::Row::new(),
-            )),
+            Item::Tuple(tuple(0, 0)),
+            Item::Tuple(tuple(1, 1)),
         ];
         engine.account_rejected(1, &batch);
         assert_eq!(engine.shed_channel, 2, "only tuples count as shed");
         // Tick summary counts re-merge, and each shed tuple ticks its own
         // shard (the other shards were already ticked at ingest).
-        assert_eq!(engine.pending_ticks[1 * 2 + 0], 3 + 1, "stream 0 re-queued");
-        assert_eq!(engine.pending_ticks[1 * 2 + 1], 1 + 1, "stream 1 re-queued");
+        assert_eq!(engine.pending_ticks[2], 3 + 1, "stream 0 re-queued");
+        assert_eq!(engine.pending_ticks[2 + 1], 1 + 1, "stream 1 re-queued");
         assert_eq!(engine.pending_ticks[0], 0, "other shard untouched");
         assert!(engine.pending_any[1], "re-queued counts marked dirty");
         assert!(!engine.pending_any[0]);
         // Re-queued counts drain into the next summary for that shard.
         engine.flush_pending_ticks(1);
-        assert_eq!(engine.pending_ticks[1 * 2 + 0], 0);
+        assert_eq!(buffered_ticks(&engine, 1), vec![(0, 4), (1, 2)]);
+        assert_eq!(engine.pending_ticks[2], 0);
         assert!(!engine.pending_any[1]);
         engine.finish().unwrap();
     }
 
-    fn two_stream_query(window: WindowSpec) -> mstream_types::JoinQuery {
-        use mstream_types::{Catalog, JoinQuery, StreamSchema};
+    /// A union catalog past 256 streams (which `add_query` can grow) must
+    /// still credit each tick to its own stream.
+    #[test]
+    fn tick_blocks_address_streams_past_256() {
+        let mut engine = engine(
+            vec![pair_query("R1", "R2", WindowSpec::Tuples(4))],
+            shards(2),
+        );
+        for s in 2..301 {
+            engine.catalog.add_stream(StreamSchema::new(format!("S{s}"), &["k"]));
+        }
+        engine.pending_ticks = vec![0; 2 * 301];
+        engine.pending_ticks[301 + 300] = 5;
+        engine.pending_any[1] = true;
+        engine.flush_pending_ticks(1);
+        assert_eq!(buffered_ticks(&engine, 1), vec![(300, 5)]);
+        engine.buffers[1].clear();
+        engine.finish().unwrap();
+    }
+
+    /// Two queries partitioning one stream on different attributes cannot
+    /// share a key plan: the set degrades to one shard, with the reason.
+    #[test]
+    fn conflicting_partitioning_degrades_to_one_shard() {
+        let set = vec![
+            pair_query("L", "R", WindowSpec::secs(600)),
+            clashing_query(),
+        ];
+        let e = engine(set, shards(4));
+        assert_eq!(e.shards(), 1);
+        assert!(e.degraded().is_some_and(|r| r.contains("stream")));
+        e.finish().unwrap();
+    }
+
+    /// There is no online re-partitioning: an added query that does not fit
+    /// the running key plan is rejected, and leaves the run as it was.
+    #[test]
+    fn incompatible_runtime_add_is_rejected_on_multi_shard() {
+        let mut e = engine(vec![pair_query("L", "R", WindowSpec::secs(600))], shards(2));
+        assert!(e.add_query(clashing_query()).is_err());
+        assert_eq!(e.n_registered(), 1, "failed add leaves the id space alone");
+        assert_eq!(e.catalog().len(), 2, "failed add leaves the catalog alone");
+        for i in 0..40u64 {
+            let g = e.stream_id(["L", "R"][(i % 2) as usize]).unwrap();
+            let row: Row = vec![mstream_types::Value(i % 3), mstream_types::Value(i % 5)].into();
+            e.ingest(Arrival::new(g, row, VTime::from_secs(i)));
+        }
+        let report = e.finish().unwrap();
+        assert_eq!(report.stats.len(), 1);
+        assert!(report.stats[0].produced > 0);
+    }
+
+    /// A broadcast run replicates one query's windows; there is no plan to
+    /// fit a second query into, so adding one is rejected.
+    #[test]
+    fn add_query_on_a_broadcast_run_is_rejected() {
         let mut c = Catalog::new();
-        c.add_stream(StreamSchema::new("R1", &["A1"]));
-        c.add_stream(StreamSchema::new("R2", &["A1"]));
-        JoinQuery::from_names(c, &[("R1.A1", "R2.A1")], window).unwrap()
+        for s in ["R1", "R2", "R3"] {
+            c.add_stream(StreamSchema::new(s, &["A1", "A2"]));
+        }
+        let chain = JoinQuery::from_names(
+            c,
+            &[("R1.A1", "R2.A1"), ("R2.A2", "R3.A1")],
+            WindowSpec::secs(9),
+        )
+        .unwrap();
+        let mut e = engine(vec![chain], shards(2));
+        assert!(e.broadcast.is_some());
+        let err = e.add_query(pair_query("R1", "R2", WindowSpec::secs(9)));
+        assert!(matches!(
+            err,
+            Err(BuildError::Engine(Error::InvalidConfig(_)))
+        ));
+        assert_eq!(e.n_registered(), 1);
+        e.finish().unwrap();
+    }
+
+    /// A router covering `query` alone, its streams the global streams.
+    fn router(query: &JoinQuery, cfg: &HotKeyConfig, shards: usize) -> SkewRouter {
+        let mut router = SkewRouter::new(cfg, shards);
+        let identity: Vec<StreamId> = (0..query.n_streams()).map(StreamId).collect();
+        router.cover(query.n_streams(), &identity, query);
+        router
+    }
+
+    /// The gate waits out every window of the set: the largest tuple count
+    /// per global stream and the longest time window overall.
+    #[test]
+    fn skew_router_gate_covers_every_window_of_the_set() {
+        let mut router = SkewRouter::new(&HotKeyConfig::default(), 2);
+        let (s0, s1, s2) = (StreamId(0), StreamId(1), StreamId(2));
+        router.cover(2, &[s0, s1], &pair_query("A", "B", WindowSpec::Tuples(4)));
+        router.cover(3, &[s1, s2], &pair_query("B", "C", WindowSpec::Tuples(9)));
+        router.cover(3, &[s0, s2], &pair_query("A", "C", WindowSpec::secs(30)));
+        router.cover(3, &[s0, s1], &pair_query("A", "B", WindowSpec::secs(10)));
+        assert_eq!(router.tuple_counts, vec![Some(4), Some(9), Some(9)]);
+        assert_eq!(router.max_time_window, Some(VDur::from_secs(30)));
+        assert_eq!(router.stream_arrivals.len(), 3);
+        assert!(router.slots.iter().all(|s| s.snapshot.len() == 3));
     }
 
     /// A cumulative 60%-share key must promote at the first epoch
@@ -1437,7 +1770,7 @@ mod tests {
     /// hash routing.
     #[test]
     fn skew_router_promotes_gates_round_robins_and_demotes() {
-        let query = two_stream_query(WindowSpec::Tuples(4));
+        let query = pair_query("R1", "R2", WindowSpec::Tuples(4));
         let cfg = HotKeyConfig {
             enabled: true,
             capacity: 4,
@@ -1447,7 +1780,7 @@ mod tests {
             demote_permille: 150,
         };
         let shards = 4;
-        let mut router = SkewRouter::new(&query, &cfg, shards);
+        let mut router = router(&query, &cfg, shards);
         let home = |k: u64| (splitmix64(k) % shards as u64) as usize;
 
         // First epoch: key 7 on every arrival, alternating streams. The
@@ -1501,7 +1834,7 @@ mod tests {
     fn skew_router_is_deterministic() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let query = two_stream_query(WindowSpec::Tuples(6));
+        let query = pair_query("R1", "R2", WindowSpec::Tuples(6));
         let cfg = HotKeyConfig {
             enabled: true,
             capacity: 4,
@@ -1511,7 +1844,7 @@ mod tests {
             demote_permille: 125,
         };
         let run = || {
-            let mut router = SkewRouter::new(&query, &cfg, 4);
+            let mut router = router(&query, &cfg, 4);
             let mut rng = StdRng::seed_from_u64(3);
             let mut out = Vec::new();
             for i in 0..600u64 {
@@ -1578,7 +1911,6 @@ mod tests {
     /// lowest index.
     #[test]
     fn dominant_stream_picks_most_incident_predicates() {
-        use mstream_types::{Catalog, JoinQuery, StreamSchema};
         let mut c = Catalog::new();
         c.add_stream(StreamSchema::new("R1", &["A1", "A2"]));
         c.add_stream(StreamSchema::new("R2", &["A1", "A2"]));
@@ -1592,12 +1924,10 @@ mod tests {
         .unwrap();
         assert_eq!(dominant_stream(&chain), 1);
         // A symmetric pair ties; the lowest stream index wins.
-        let mut c2 = Catalog::new();
-        c2.add_stream(StreamSchema::new("L", &["k"]));
-        c2.add_stream(StreamSchema::new("R", &["k"]));
-        let pair =
-            JoinQuery::from_names(c2, &[("L.k", "R.k")], WindowSpec::secs(10)).unwrap();
-        assert_eq!(dominant_stream(&pair), 0);
+        assert_eq!(
+            dominant_stream(&pair_query("L", "R", WindowSpec::secs(10))),
+            0
+        );
     }
 
     /// Broadcast memory: broadcast streams keep their full window on every

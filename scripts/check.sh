@@ -123,6 +123,25 @@ for S in 1 2 4; do
   [ "$TUPLES" = "$BASELINE" ] || { echo "FAIL: S=$S produced $TUPLES tuples, S=1 produced $BASELINE"; exit 1; }
   echo "shard smoke: S=$S -> $TUPLES output tuples (matches baseline)"
 done
+# The same differential through `run --queries`: the one coordinator serves
+# a standing set too, so a keyed two-query set at full capacity must give
+# each query the same produced count at S in {1,2,4}.
+cat > target/check_shard_queries.json <<'JSON'
+["SELECT * FROM R1(A1, A2) [RANGE 30 SECONDS], R2(A1, A2), R3(A1, A2) WHERE R1.A1 = R2.A1 AND R2.A1 = R3.A1",
+ "SELECT * FROM R1(A1, A2) [RANGE 10 SECONDS], R2(A1, A2) WHERE R1.A1 = R2.A1"]
+JSON
+BASELINE=""
+for S in 1 2 4; do
+  OUT=$(./target/release/mstream run --queries target/check_shard_queries.json \
+    --trace target/check_shard_trace.csv --capacity 100000 --shards "$S" --json \
+    | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["shards"], r["shed_window"] + r["shed_channel"], ",".join(str(q["produced"]) for q in r["per_query"]))')
+  read -r GOT_S SHED PRODUCED <<<"$OUT"
+  [ "$GOT_S" = "$S" ] || { echo "FAIL: query set requested $S shards, ran $GOT_S"; exit 1; }
+  [ "$SHED" = 0 ] || { echo "FAIL: full-capacity query set shed $SHED tuples at S=$S"; exit 1; }
+  if [ -z "$BASELINE" ]; then BASELINE="$PRODUCED"; fi
+  [ "$PRODUCED" = "$BASELINE" ] || { echo "FAIL: S=$S produced $PRODUCED per query, S=1 produced $BASELINE"; exit 1; }
+  echo "query-set shard smoke: S=$S -> $PRODUCED per query (matches baseline)"
+done
 
 # Far-future timestamps: at --rate 1e-9 arrivals land 10^15 µs apart, 5·10^8
 # epochs of a 2-second window. The estimators roll at most three times per
@@ -178,7 +197,10 @@ fi
 # Multi-query differential audit smoke (DESIGN.md §14): fuzzed 2-4-query
 # sets, each query vs its own solo exact oracle, in-process and sharded
 # S in {1,2}. It must include registration churn (a mid-trace add_query /
-# remove_query), or owner hand-off goes unwatched.
+# remove_query), or owner hand-off goes unwatched, and a sharded set that
+# split a hot key, or the gate over a set's windows goes unwatched.
 cargo run --release -p mstream-audit -- multi --cases 25 --seed 7 | tee target/check_multi_audit.txt
 grep -Eq '[1-9][0-9]* churn cases' target/check_multi_audit.txt \
   || { echo "FAIL: the multi-query audit smoke ran no churn case"; exit 1; }
+grep -Eq '[1-9][0-9]* hot-split cases' target/check_multi_audit.txt \
+  || { echo "FAIL: the multi-query audit smoke split no hot key"; exit 1; }

@@ -191,7 +191,7 @@ fn sharded(builder: EngineBuilder, shards: usize, arrivals: &[Arrival]) -> Shard
 }
 
 fn canon(report: &ShardedRunReport) -> Vec<Vec<SeqNo>> {
-    let rows = report.rows.as_ref().expect("collect_rows was set");
+    let rows = &report.rows.as_ref().expect("collect_rows was set")[0];
     let mut out: Vec<Vec<SeqNo>> = rows
         .iter()
         .map(|row| row.iter().map(|t| t.seq).collect())

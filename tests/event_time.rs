@@ -330,7 +330,7 @@ fn sharded_promotion_under_injected_lateness_matches_the_oracle() {
     assert_eq!(report.combined.metrics.late_dropped, 0);
     let mut rows: Vec<Vec<u64>> = report
         .rows
-        .expect("collect_rows was set")
+        .expect("collect_rows was set")[0]
         .iter()
         .map(|result| {
             let mut r = Vec::new();
@@ -421,14 +421,14 @@ fn two_query_plane_replays_its_in_order_run_under_covered_disorder() {
                 collect_rows: true,
                 ..ShardConfig::default()
             })
-            .build_multi_sharded()
+            .build_sharded()
             .unwrap();
         assert_eq!(engine.shards(), shards);
         for (stream, vals, at) in &shuffled {
             engine.ingest(Arrival::new(StreamId(*stream), vals.clone(), VTime::from_micros(*at)));
         }
         let report = engine.finish().unwrap();
-        assert_eq!(report.metrics.late_dropped, 1, "S={shards}: the straggler is counted");
+        assert_eq!(report.combined.metrics.late_dropped, 1, "S={shards}: the straggler is counted");
         let rows: Vec<Vec<Vec<u64>>> = report
             .rows
             .expect("collect_rows was set")

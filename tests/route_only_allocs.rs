@@ -1,9 +1,11 @@
-//! The sharded data plane's steady state allocates nothing (DESIGN.md
-//! "Sharded data plane"): with the join switched off
-//! (`ShardConfig::route_only`), mint + route + batch + channel round-trip
-//! of inline-arity rows must run the second half of a trace — by then the
-//! batch buffers are recycling — without one allocator call, coordinator
-//! and workers together.
+//! The sharded data plane's steady state allocates nothing (DESIGN.md §9):
+//! with the join switched off (`ShardConfig::route_only`), mint + route +
+//! batch + channel round-trip of inline-arity rows must run the second
+//! half of a trace — by then the batch buffers are recycling — without one
+//! allocator call, coordinator and workers together. That holds for one
+//! query and for a keyed query set with tuple windows, whose arrivals also
+//! queue expiry ticks for the shards they skip, delivered as coalesced
+//! tick blocks inside the recycled batches.
 //!
 //! This is the only test in its binary (see `support/counting_alloc.rs`).
 
@@ -18,25 +20,28 @@ use counting_alloc::{alloc_calls, CountingAlloc};
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Both predicates through `A1`: one attribute class, so the query
+/// Predicates through `A1` only: one attribute class, so the query
 /// partitions by key and runs at the requested shard count.
-fn keyed3() -> JoinQuery {
+fn keyed(streams: &[&str], window: WindowSpec) -> JoinQuery {
     let mut c = Catalog::new();
-    c.add_stream(StreamSchema::new("R1", &["A1", "A2"]));
-    c.add_stream(StreamSchema::new("R2", &["A1", "A2"]));
-    c.add_stream(StreamSchema::new("R3", &["A1", "A2"]));
-    JoinQuery::from_names(
-        c,
-        &[("R1.A1", "R2.A1"), ("R2.A1", "R3.A1")],
-        WindowSpec::secs(2),
-    )
-    .unwrap()
+    for s in streams {
+        c.add_stream(StreamSchema::new(*s, &["A1", "A2"]));
+    }
+    let names: Vec<(String, String)> = streams
+        .windows(2)
+        .map(|p| (format!("{}.A1", p[0]), format!("{}.A1", p[1])))
+        .collect();
+    let pairs: Vec<(&str, &str)> = names
+        .iter()
+        .map(|(l, r)| (l.as_str(), r.as_str()))
+        .collect();
+    JoinQuery::from_names(c, &pairs, window).unwrap()
 }
 
 /// Allocator calls, process-wide, while the second half of `trace` is
-/// ingested by a fresh route-only engine of `shards` workers.
-fn second_half_allocs(trace: &[Arrival], shards: usize) -> u64 {
-    let mut engine = EngineBuilder::new(keyed3())
+/// ingested by a fresh route-only engine of `shards` workers over `set`.
+fn second_half_allocs(trace: &[Arrival], set: &[JoinQuery], shards: usize) -> u64 {
+    let mut builder = EngineBuilder::new_multi()
         .policy(MSketch)
         .capacity_per_window(256)
         .seed(1)
@@ -46,10 +51,12 @@ fn second_half_allocs(trace: &[Arrival], shards: usize) -> u64 {
             batch_size: 256,
             route_only: true,
             ..ShardConfig::default()
-        })
-        .build_sharded()
-        .unwrap();
-    assert_eq!(engine.shards(), shards, "the keyed query must partition");
+        });
+    for query in set {
+        builder.register(query.clone()).unwrap();
+    }
+    let mut engine = builder.build_sharded().unwrap();
+    assert_eq!(engine.shards(), shards, "the keyed set must partition");
     let (head, tail) = trace.split_at(trace.len() / 2);
     for a in head {
         engine.ingest(a.clone());
@@ -84,12 +91,27 @@ fn route_only_steady_state_allocates_nothing() {
     // A pass whose workers fall behind primes more of the buffer pool
     // during its second half, so the plane is judged by its best pass: one
     // clean pass shows that nothing on the path allocates per arrival.
+    let one = [keyed(&["R1", "R2", "R3"], WindowSpec::secs(2))];
     let allocs: Vec<u64> = [1usize, 2, 1, 2, 1, 2]
         .into_iter()
-        .map(|shards| second_half_allocs(&trace, shards))
+        .map(|shards| second_half_allocs(&trace, &one, shards))
         .collect();
     assert!(
         allocs.contains(&0),
         "route-only ingest allocated in every pass's second half: {allocs:?}"
+    );
+    // Ticks flow only between two or more shards, so every pass of the set
+    // runs wide.
+    let set = [
+        keyed(&["R1", "R2", "R3"], WindowSpec::Tuples(64)),
+        keyed(&["R1", "R2"], WindowSpec::Tuples(16)),
+    ];
+    let allocs: Vec<u64> = [2usize; 6]
+        .into_iter()
+        .map(|shards| second_half_allocs(&trace, &set, shards))
+        .collect();
+    assert!(
+        allocs.contains(&0),
+        "route-only ingest of a ticking query set allocated in every pass's second half: {allocs:?}"
     );
 }

@@ -178,7 +178,7 @@ fn full_memory_sharded_output_matches_single_engine() {
         assert_eq!(report.combined.shards, shards);
         assert_eq!(report.combined.degraded, None);
         assert_eq!(report.shed_channel, 0, "Block backpressure never drops");
-        let rows = canon(report.rows.as_ref().unwrap());
+        let rows = canon(&report.rows.as_ref().unwrap()[0]);
         assert_eq!(rows, oracle, "S={shards} row set diverged from oracle");
         assert_eq!(
             report.combined.metrics.total_output, oracle_metrics.total_output,
@@ -207,7 +207,7 @@ fn reduced_memory_sharded_output_is_sub_multiset_of_oracle() {
             report.combined.metrics.shed_window > 0,
             "capacity 32/{shards} must shed on this trace"
         );
-        let rows = canon(report.rows.as_ref().unwrap());
+        let rows = canon(&report.rows.as_ref().unwrap()[0]);
         assert!(rows.len() < oracle.len(), "shedding must cost some rows");
         assert!(
             is_sub_multiset(&rows, &oracle),
@@ -247,7 +247,7 @@ fn non_partitionable_query_degrades_with_reason_and_stays_exact() {
 
     let (oracle, oracle_metrics) = single_engine_rows(chain3(), 24, &arrivals);
     assert!(oracle_metrics.shed_window > 0, "this capacity must shed");
-    assert_eq!(canon(report.rows.as_ref().unwrap()), oracle);
+    assert_eq!(canon(&report.rows.as_ref().unwrap()[0]), oracle);
     assert_eq!(det(&report.combined.metrics), det(&oracle_metrics));
 }
 
@@ -261,7 +261,7 @@ fn tuple_windows_match_oracle_across_shards() {
     assert!(!oracle.is_empty(), "trace must produce joins");
     for shards in [2, 4] {
         let report = sharded_rows(keyed3(WindowSpec::Tuples(15)), shards, 100_000, &arrivals);
-        let rows = canon(report.rows.as_ref().unwrap());
+        let rows = canon(&report.rows.as_ref().unwrap()[0]);
         assert_eq!(rows, oracle, "S={shards}: tuple-window expiry drifted");
     }
 }
@@ -291,7 +291,7 @@ fn coalesced_tick_summaries_match_per_arrival_semantics() {
                 ..ShardConfig::default()
             },
         );
-        let rows = canon(report.rows.as_ref().unwrap());
+        let rows = canon(&report.rows.as_ref().unwrap()[0]);
         assert_eq!(rows, oracle, "S={shards}: coalesced ticks drifted");
     }
 }
@@ -305,7 +305,7 @@ fn single_shard_bit_identity_survives_shedding() {
     let (oracle, oracle_metrics) = single_engine_rows(keyed3(WindowSpec::secs(25)), 32, &arrivals);
     assert!(oracle_metrics.shed_window > 0, "capacity 32 must shed");
     let report = sharded_rows(keyed3(WindowSpec::secs(25)), 1, 32, &arrivals);
-    assert_eq!(canon(report.rows.as_ref().unwrap()), oracle);
+    assert_eq!(canon(&report.rows.as_ref().unwrap()[0]), oracle);
     assert_eq!(det(&report.combined.metrics), det(&oracle_metrics));
 }
 
@@ -326,11 +326,11 @@ fn buffer_recycling_survives_capacity_one_stress() {
     };
     let (oracle, _) = single_engine_rows(keyed3(WindowSpec::Tuples(15)), 100_000, &arrivals);
     let a = sharded_rows_with(keyed3(WindowSpec::Tuples(15)), 100_000, &arrivals, stress.clone());
-    assert_eq!(canon(a.rows.as_ref().unwrap()), oracle);
+    assert_eq!(canon(&a.rows.as_ref().unwrap()[0]), oracle);
     let b = sharded_rows_with(keyed3(WindowSpec::Tuples(15)), 100_000, &arrivals, stress);
     assert_eq!(
-        canon(a.rows.as_ref().unwrap()),
-        canon(b.rows.as_ref().unwrap())
+        canon(&a.rows.as_ref().unwrap()[0]),
+        canon(&b.rows.as_ref().unwrap()[0])
     );
     assert_eq!(det(&a.combined.metrics), det(&b.combined.metrics));
 }
@@ -362,7 +362,7 @@ fn shed_backpressure_accounts_every_arrival() {
         arrivals.len() as u64,
         "every arrival is processed or counted as channel-shed"
     );
-    let rows = canon(report.rows.as_ref().unwrap());
+    let rows = canon(&report.rows.as_ref().unwrap()[0]);
     assert!(
         is_sub_multiset(&rows, &oracle),
         "channel shedding emitted a row the oracle never produced"
@@ -383,8 +383,8 @@ fn same_seed_replays_identically() {
         b.per_shard.iter().map(det).collect::<Vec<_>>()
     );
     assert_eq!(
-        canon(a.rows.as_ref().unwrap()),
-        canon(b.rows.as_ref().unwrap())
+        canon(&a.rows.as_ref().unwrap()[0]),
+        canon(&b.rows.as_ref().unwrap()[0])
     );
 }
 
@@ -461,7 +461,7 @@ fn hot_key_split_matches_oracle_at_full_memory() {
                 arrivals.len() as u64,
                 "exactly one FULL delivery per arrival"
             );
-            let rows = canon(report.rows.as_ref().unwrap());
+            let rows = canon(&report.rows.as_ref().unwrap()[0]);
             assert_eq!(
                 rows, oracle,
                 "S={shards} {window:?}: hot-key split diverged from oracle"
@@ -512,13 +512,13 @@ fn hot_key_split_sheds_as_sub_multiset_and_replays() {
         a.combined.metrics.shed_window > 0,
         "capacity 48/4 must shed on this trace"
     );
-    let rows = canon(a.rows.as_ref().unwrap());
+    let rows = canon(&a.rows.as_ref().unwrap()[0]);
     assert!(
         is_sub_multiset(&rows, &oracle),
         "hot-key shedding emitted a row the oracle never produced"
     );
     let b = sharded_rows_with(keyed3(WindowSpec::secs(25)), 48, &arrivals, skewed_config(4));
-    assert_eq!(rows, canon(b.rows.as_ref().unwrap()));
+    assert_eq!(rows, canon(&b.rows.as_ref().unwrap()[0]));
     assert_eq!(det(&a.combined.metrics), det(&b.combined.metrics));
     assert_eq!(a.routed, b.routed, "routing must replay identically");
 }
@@ -562,7 +562,7 @@ fn broadcast_mode_matches_oracle_at_full_memory() {
                 arrivals.len() as u64,
                 "exactly one FULL delivery per arrival"
             );
-            let rows = canon(report.rows.as_ref().unwrap());
+            let rows = canon(&report.rows.as_ref().unwrap()[0]);
             assert_eq!(
                 rows, oracle,
                 "S={shards} {window:?}: broadcast output diverged from oracle"
@@ -597,12 +597,12 @@ fn broadcast_mode_sheds_as_sub_multiset_and_replays() {
         "capacity 24 must shed on this trace"
     );
     assert_eq!(a.combined.metrics.processed, arrivals.len() as u64);
-    let rows = canon(a.rows.as_ref().unwrap());
+    let rows = canon(&a.rows.as_ref().unwrap()[0]);
     assert!(
         is_sub_multiset(&rows, &oracle),
         "broadcast shedding emitted a row the oracle never produced"
     );
     let b = sharded_rows_with(chain3(), 24, &arrivals, config);
-    assert_eq!(rows, canon(b.rows.as_ref().unwrap()));
+    assert_eq!(rows, canon(&b.rows.as_ref().unwrap()[0]));
     assert_eq!(det(&a.combined.metrics), det(&b.combined.metrics));
 }
