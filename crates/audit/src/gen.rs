@@ -1,4 +1,4 @@
-//! Seeded random generation of queries and workloads.
+//! Seeded random generation of audit cases.
 //!
 //! Everything is a pure function of the case seed, so a failing case is
 //! reproduced exactly by `replay <seed>` — including the engine's own
@@ -10,151 +10,297 @@ use mstream_types::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// One generated stream arrival.
 #[derive(Clone, Debug)]
 pub struct Arrival {
-    /// Target stream index.
+    /// Target pool stream (`R<stream + 1>`).
     pub stream: usize,
-    /// Attribute values (every generated schema has two attributes).
+    /// Attribute values, as many as the stream's schema has.
     pub values: Vec<u64>,
     /// Processing instant in virtual microseconds (nondecreasing).
     pub at_micros: u64,
 }
 
-/// Memory discipline for a case's reduced-memory run.
+/// A runtime change to the standing set.
+#[derive(Clone, Debug)]
+pub enum Churn {
+    /// `remove_query` of this registered query id.
+    Remove(usize),
+    /// `add_query` of this query, registered under the next dense id.
+    Add(JoinQuery),
+}
+
+/// What a case feeds the engine: arrivals, and churn events each applied
+/// just before the arrival at its position (in list order on a tie; a
+/// position equal to the trace length applies after the last arrival).
+#[derive(Clone, Debug, Default)]
+pub struct Trace {
+    /// The arrivals, in processing order.
+    pub arrivals: Vec<Arrival>,
+    /// `(position, event)`, sorted by position.
+    pub churn: Vec<(usize, Churn)>,
+}
+
+/// Memory discipline for a case's reduced-memory runs.
 #[derive(Clone, Debug)]
 pub enum ReducedMemory {
     /// The same small capacity on every window.
     PerWindow(usize),
-    /// Heterogeneous per-window capacities (one entry per stream).
+    /// One capacity per pool stream (mapped onto the engine's catalog).
     PerWindowEach(Vec<usize>),
     /// One shared pool across all windows.
     GlobalPool(usize),
 }
 
-/// A fully materialised audit case: query, engine configuration knobs and
-/// the arrival trace.
+/// How one query of the standing set relates to the queries before it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MixKind {
+    /// The first query of the set.
+    Base,
+    /// An exact clone of an earlier query (joins its class).
+    Duplicate,
+    /// An earlier query's stream span with fresh windows and attributes —
+    /// shares stores where `(stream, window)` agree.
+    Overlap,
+    /// An independently drawn stream span.
+    Fresh,
+}
+
+/// One audit case: a standing set of 1–4 queries over the pool streams
+/// `R1..Rm`, the engine configuration and the trace.
+#[derive(Clone)]
 pub struct Case {
     /// The seed this case was generated from.
     pub seed: u64,
-    /// The (validated) join query: 2–4 streams, chain or cyclic shape,
-    /// possibly heterogeneous time/tuple windows.
-    pub query: JoinQuery,
-    /// Explicit tumbling-epoch discipline (mixed-window queries have no
-    /// derivable default, so the generator always picks one).
+    /// Arity of each pool stream; every query naming it shares the schema.
+    pub arity: Vec<usize>,
+    /// The standing queries, in registration order.
+    pub queries: Vec<JoinQuery>,
+    /// How each query relates to its predecessors (same indexing).
+    pub kinds: Vec<MixKind>,
+    /// Tumbling-epoch discipline shared by every query.
     pub epoch: EpochSpec,
-    /// Memory discipline for the reduced-memory run.
+    /// Memory discipline for the reduced-memory runs.
     pub reduced: ReducedMemory,
-    /// Worker count for the sharded differential runs (2 or 4). Cases
-    /// whose query cannot partition exercise the broadcast path instead.
+    /// Worker count for the sharded runs (2 or 4).
     pub shards: usize,
-    /// Whether this case pins the Zipf-hot-key class: a key-partitionable
-    /// query whose join key concentrates ~60% of arrivals on one value,
-    /// forcing the skew router's promote/split/demote machinery into the
-    /// differential (every `seed % 8 == 4`).
+    /// The disorder bound `K` of the event-time runs (zero: in order).
+    pub disorder: VDur,
+    /// Whether every predicate of every query joins on attribute 0.
+    pub keyed: bool,
+    /// The Zipf-hot-key class (`seed % 8 == 4`): keyed, with ~60% of
+    /// join-key values on one value, so the skew router splits hot keys.
     pub zipf_hot: bool,
-    /// Whether this case pins the score-cache A/B class (every odd seed):
-    /// each engine run is driven twice — productivity score cache on and
-    /// off — and the two runs must be bit-identical in rows and in every
-    /// metric except the cache counters and wall-clock ns themselves
-    /// (DESIGN.md §16).
+    /// The score-cache A/B class (odd seeds); even seeds run the
+    /// plain/eager pair instead.
     pub cache_ab: bool,
-    /// The arrival trace.
-    pub arrivals: Vec<Arrival>,
+    /// The arrivals and churn.
+    pub trace: Trace,
 }
 
 impl Case {
-    /// The number of streams in this case's query.
-    pub fn n_streams(&self) -> usize {
-        self.query.n_streams()
+    /// Whether the trace carries an `add_query` or `remove_query`.
+    pub fn has_churn(&self) -> bool {
+        !self.trace.churn.is_empty()
+    }
+
+    /// Every query `trace` registers, adds last, each with the half-open
+    /// range of arrival positions it is registered over.
+    pub fn registered<'a>(&'a self, trace: &'a Trace) -> Vec<(&'a JoinQuery, Range<usize>)> {
+        let len = trace.arrivals.len();
+        let mut out: Vec<_> = self.queries.iter().map(|q| (q, 0..len)).collect();
+        for (at, event) in &trace.churn {
+            match event {
+                Churn::Remove(q) => out[*q].1.end = *at,
+                Churn::Add(query) => out.push((query, *at..len)),
+            }
+        }
+        out
+    }
+
+    /// Whether some query joins more streams than the probe keeps binding
+    /// slots for inline (8), so its probes spill.
+    pub fn spills(&self) -> bool {
+        self.queries.iter().any(|q| q.n_streams() > 8)
+    }
+
+    /// Whether the streams the set uses differ in arity.
+    pub fn mixed_arity(&self) -> bool {
+        let used = catalog_order(&self.queries);
+        used.iter().any(|&p| self.arity[p] != self.arity[used[0]])
     }
 }
 
-/// Generates the audit case for `seed`.
-pub fn generate_case(seed: u64) -> Case {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = rng.gen_range(2..=4usize);
+/// The pool stream behind each of `query`'s local streams.
+pub fn pool_streams(query: &JoinQuery) -> Vec<usize> {
+    let name = |s: &StreamSchema| s.name[1..].parse::<usize>().expect("pool names are R<n>") - 1;
+    query.catalog().iter().map(|(_, s)| name(s)).collect()
+}
 
-    let mut catalog = Catalog::new();
-    for k in 0..n {
-        catalog.add_stream(StreamSchema::new(format!("R{}", k + 1), &["A1", "A2"]));
+/// The pool streams of the engine catalog `queries` build, in its order
+/// (first appearance in registration order).
+pub fn catalog_order(queries: &[JoinQuery]) -> Vec<usize> {
+    let mut order = Vec::new();
+    for p in queries.iter().flat_map(pool_streams) {
+        if !order.contains(&p) {
+            order.push(p);
+        }
     }
+    order
+}
 
-    // Every eighth seed pins the case class the sharded tick path depends
-    // on — an all-tuple-window, key-partitionable query — so every sweep
-    // is guaranteed real multi-shard runs with coalesced expiry ticks
-    // (otherwise keyed × all-tuples is a ~12% coincidence per case).
-    let pinned_tuple_shard = seed % 8 == 0;
+const ATTRS: [&str; 4] = ["A1", "A2", "A3", "A4"];
+const TIME_SECS: [u64; 4] = [4, 9, 18, 36];
+const TUPLES: [u64; 4] = [3, 6, 12, 23];
 
-    // Every eighth seed (offset 4, disjoint from the tuple-shard class)
-    // pins the Zipf-hot-key class: keyed shape + one join-key value
-    // carrying ~60% of arrivals, so every sweep drives the skew router's
-    // heavy-hitter splitting through the exactness differential.
-    let zipf_hot = seed % 8 == 4;
+/// The draws every query of one case shares.
+struct Shape<'a> {
+    arity: &'a [usize],
+    /// 0 all-time windows, 1 all-tuple, 2 mixed per stream.
+    flavour: u8,
+    keyed: bool,
+    /// The 9-stream class: tuple windows of 2–4 keep its join small.
+    wide: bool,
+}
 
-    // Window flavour: all-time, all-tuple, or heterogeneous per stream.
-    let flavour = if pinned_tuple_shard {
-        1
-    } else {
-        rng.gen_range(0..3u8)
-    };
-    let windows: Vec<WindowSpec> = (0..n)
+/// A query over the pool streams `lo..hi`: a chain, each edge doubled
+/// with probability 0.2 (a residual predicate on that probe step),
+/// closed into a cycle with probability 0.3 (3+ streams). Windows come
+/// from small menus so overlapping queries share stores.
+fn build(rng: &mut StdRng, (lo, hi): (usize, usize), shape: &Shape) -> JoinQuery {
+    let m = hi - lo;
+    let mut catalog = Catalog::new();
+    for p in lo..hi {
+        catalog.add_stream(StreamSchema::new(
+            format!("R{}", p + 1),
+            &ATTRS[..shape.arity[p]],
+        ));
+    }
+    let windows = (0..m)
         .map(|_| {
-            let time = match flavour {
+            let time = match shape.flavour {
                 0 => true,
                 1 => false,
                 _ => rng.gen_bool(0.5),
             };
-            if time {
-                WindowSpec::Time(VDur::from_secs(rng.gen_range(4..40u64)))
+            if shape.wide {
+                WindowSpec::Tuples(rng.gen_range(2..=4))
+            } else if time {
+                WindowSpec::Time(VDur::from_secs(TIME_SECS[rng.gen_range(0..4)]))
             } else {
-                WindowSpec::Tuples(rng.gen_range(3..24u64))
+                WindowSpec::Tuples(TUPLES[rng.gen_range(0..4)])
             }
         })
         .collect();
-    let all_tuples = windows.iter().all(|w| matches!(w, WindowSpec::Tuples(_)));
-
-    // Join shape: a chain through all streams, optionally closed into a
-    // cycle (3+ streams), optionally doubled on one edge. Attribute choices
-    // are random on both sides, except that ~35% of cases pin every
-    // predicate to attribute 0 — a guaranteed key-partitionable shape, so
-    // the sharded differential regularly exercises real multi-shard runs.
-    let keyed = pinned_tuple_shard || zipf_hot || rng.gen_bool(0.35);
-    let attr = |rng: &mut StdRng| if keyed { 0 } else { rng.gen_range(0..2usize) };
+    let edge = |rng: &mut StdRng, a: usize, b: usize| {
+        let mut side = |k: usize| {
+            let attr = if shape.keyed {
+                0
+            } else {
+                rng.gen_range(0..shape.arity[lo + k])
+            };
+            AttrRef::new(StreamId(k), attr)
+        };
+        EquiPredicate::new(side(a), side(b))
+    };
     let mut predicates = Vec::new();
-    for k in 0..n - 1 {
-        predicates.push(EquiPredicate::new(
-            AttrRef::new(StreamId(k), attr(&mut rng)),
-            AttrRef::new(StreamId(k + 1), attr(&mut rng)),
-        ));
+    for k in 0..m - 1 {
+        predicates.push(edge(rng, k, k + 1));
+        if rng.gen_bool(0.2) {
+            predicates.push(edge(rng, k, k + 1));
+        }
     }
-    if n >= 3 && rng.gen_bool(0.3) {
-        predicates.push(EquiPredicate::new(
-            AttrRef::new(StreamId(n - 1), attr(&mut rng)),
-            AttrRef::new(StreamId(0), attr(&mut rng)),
-        ));
+    if m >= 3 && rng.gen_bool(0.3) {
+        predicates.push(edge(rng, m - 1, 0));
     }
-    if rng.gen_bool(0.2) {
-        let k = rng.gen_range(0..n - 1);
-        predicates.push(EquiPredicate::new(
-            AttrRef::new(StreamId(k), attr(&mut rng)),
-            AttrRef::new(StreamId(k + 1), attr(&mut rng)),
-        ));
-    }
-    let query = JoinQuery::new(catalog, predicates, windows)
-        .expect("generated queries are connected by construction");
+    JoinQuery::new(catalog, predicates, windows).expect("chains are connected")
+}
 
-    let epoch = if all_tuples {
+/// Generates the audit case for `seed`.
+///
+/// Pinned classes (arithmetic on the seed, so they hold in every sweep):
+/// `seed % 8 == 0` all-tuple windows and keyed (real multi-shard runs with
+/// coalesced expiry ticks), `seed % 8 == 4` Zipf-hot keys, `seed % 16 == 2`
+/// a 9-stream chain (the probe's binding slots spill), odd seeds the
+/// score-cache A/B pair, even seeds the plain/eager pair.
+pub fn generate_case(seed: u64) -> Case {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let tuple_shard = seed % 8 == 0;
+    let zipf_hot = seed % 8 == 4;
+    let wide = seed % 16 == 2;
+    let n_queries = if rng.gen_bool(0.5) {
+        1
+    } else {
+        rng.gen_range(2..=4usize)
+    };
+    // A hot key multiplies rows per arrival by its share on every step, so
+    // Zipf-hot queries join at most three streams.
+    let max_width = if zipf_hot { 3 } else { 5 };
+    let pool = match (wide, n_queries) {
+        (true, _) => 9,
+        (false, 1) => rng.gen_range(2..=max_width),
+        _ => 5,
+    };
+    let arity: Vec<usize> = (0..pool).map(|_| rng.gen_range(1..=4usize)).collect();
+    let shape = Shape {
+        arity: &arity,
+        flavour: if tuple_shard || wide {
+            1
+        } else {
+            rng.gen_range(0..3u8)
+        },
+        keyed: tuple_shard || zipf_hot || rng.gen_bool(0.4),
+        wide,
+    };
+    let span = |rng: &mut StdRng| {
+        let m = rng.gen_range(2..=max_width.min(4));
+        let lo = rng.gen_range(0..=pool - m);
+        (lo, lo + m)
+    };
+
+    let first = if n_queries == 1 || wide {
+        (0, pool)
+    } else {
+        span(&mut rng)
+    };
+    let mut queries = vec![build(&mut rng, first, &shape)];
+    let mut spans = vec![first];
+    let mut kinds = vec![MixKind::Base];
+    for _ in 1..n_queries {
+        let i = rng.gen_range(0..queries.len());
+        let (kind, query, s) = match rng.gen_range(0..3u8) {
+            0 => (MixKind::Duplicate, queries[i].clone(), spans[i]),
+            1 => (
+                MixKind::Overlap,
+                build(&mut rng, spans[i], &shape),
+                spans[i],
+            ),
+            _ => {
+                let s = span(&mut rng);
+                (MixKind::Fresh, build(&mut rng, s, &shape), s)
+            }
+        };
+        queries.push(query);
+        spans.push(s);
+        kinds.push(kind);
+    }
+    let used = catalog_order(&queries);
+
+    let epoch = if shape.flavour == 1 {
         EpochSpec::PerStreamTuples(rng.gen_range(4..32u64))
     } else {
         EpochSpec::Time(VDur::from_secs(rng.gen_range(2..20u64)))
     };
 
-    // Small value domains force joins; bursty clocks force expirations to
-    // land on and around window boundaries.
-    let domain = rng.gen_range(2..6u64);
-    let len = rng.gen_range(60..200usize);
+    // Small value domains force joins; a wider widest query gets a wider
+    // domain (the 9-stream class's tiny windows keep its own joins
+    // small), so rows per arrival stay in the tens. Bursty clocks force
+    // expirations to land on and around window boundaries.
+    let widest = queries.iter().map(JoinQuery::n_streams).max().unwrap_or(2);
+    let domain = rng.gen_range(2..6u64) + if wide { 0 } else { 2 * (widest as u64 - 2) };
+    let len = rng.gen_range(60..160usize);
     let mut clock = 0u64;
     let arrivals = (0..len)
         .map(|_| {
@@ -163,16 +309,21 @@ pub fn generate_case(seed: u64) -> Case {
             if !rng.gen_bool(0.25) {
                 clock += rng.gen_range(1..2_000_000u64);
             }
-            // Zipf-hot cases concentrate ~60% of join-key values (attr 0,
-            // the partition key of every keyed shape) on value 0.
-            let key = if zipf_hot && rng.gen_bool(0.6) {
-                0
-            } else {
-                rng.gen_range(0..domain)
-            };
+            let stream = used[rng.gen_range(0..used.len())];
+            let values = (0..arity[stream])
+                .map(|a| {
+                    // Zipf-hot cases put ~60% of join keys (attribute 0,
+                    // the partition key of every keyed shape) on 0.
+                    if a == 0 && zipf_hot && rng.gen_bool(0.6) {
+                        0
+                    } else {
+                        rng.gen_range(0..domain)
+                    }
+                })
+                .collect();
             Arrival {
-                stream: rng.gen_range(0..n),
-                values: vec![key, rng.gen_range(0..domain)],
+                stream,
+                values,
                 at_micros: clock,
             }
         })
@@ -180,221 +331,54 @@ pub fn generate_case(seed: u64) -> Case {
 
     let reduced = match rng.gen_range(0..3u8) {
         0 => ReducedMemory::PerWindow(rng.gen_range(2..8usize)),
-        1 => ReducedMemory::PerWindowEach(
-            (0..n).map(|_| rng.gen_range(2..8usize)).collect(),
-        ),
-        _ => ReducedMemory::GlobalPool(rng.gen_range(2..8usize) * n),
+        1 => ReducedMemory::PerWindowEach((0..pool).map(|_| rng.gen_range(2..8usize)).collect()),
+        _ => ReducedMemory::GlobalPool(rng.gen_range(2..8usize) * used.len()),
     };
+    let shards = if rng.gen_bool(0.5) { 2 } else { 4 };
+
+    // Churn (sets of two or more): positions keep a quarter of the trace
+    // on either side. Any query may be removed, the owner of a shared
+    // store included; keyed sets add a fresh query over a standing span,
+    // the others a clone — the shapes a sharded run of any width accepts.
+    let mut churn = Vec::new();
+    if n_queries > 1 {
+        let at = |rng: &mut StdRng| rng.gen_range(len / 4..3 * len / 4);
+        if rng.gen_bool(0.3) {
+            churn.push((at(&mut rng), Churn::Remove(rng.gen_range(0..n_queries))));
+        }
+        if rng.gen_bool(0.3) {
+            let i = rng.gen_range(0..n_queries);
+            let query = if shape.keyed {
+                build(&mut rng, spans[i], &shape)
+            } else {
+                queries[i].clone()
+            };
+            churn.push((at(&mut rng), Churn::Add(query)));
+        }
+        churn.sort_by_key(|&(at, _)| at);
+    }
+    // Disorder and churn exclude each other: under a bound, registration
+    // takes effect at the release frontier, not at a trace position.
+    let disorder = if churn.is_empty() && rng.gen_bool(0.5) {
+        VDur::from_micros(rng.gen_range(100_000..6_000_000u64))
+    } else {
+        VDur::from_micros(0)
+    };
+    let keyed = shape.keyed;
 
     Case {
         seed,
-        query,
-        epoch,
-        reduced,
-        shards: if rng.gen_bool(0.5) { 2 } else { 4 },
-        zipf_hot,
-        // Derived arithmetically (no rng draw) so the pinned seed classes
-        // above keep generating byte-identical cases.
-        cache_ab: seed % 2 == 1,
-        arrivals,
-    }
-}
-
-/// How one query of a [`MultiCase`] relates to the queries before it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MixKind {
-    /// The first query of the set.
-    Base,
-    /// An exact clone of an earlier query (collapses into its class).
-    Duplicate,
-    /// The same stream span as an earlier query with fresh windows and
-    /// attribute choices — shares stores where `(stream, window)` agree.
-    Overlap,
-    /// An independently drawn stream span (disjoint when the pool allows).
-    Fresh,
-}
-
-/// A multi-query audit case: 2–4 standing queries over a shared pool of
-/// streams `R1..R5` — a mix of exact duplicates, overlapping subgraphs and
-/// independent spans — plus one arrival trace over the union of their
-/// streams. Windows are all time-based (the solo sweep owns tuple-window
-/// coverage; one epoch discipline then serves every query). About half
-/// the cases also carry registration churn: one `remove_query` and/or one
-/// `add_query` applied mid-trace.
-pub struct MultiCase {
-    /// The seed this case was generated from.
-    pub seed: u64,
-    /// The standing queries, in registration order.
-    pub queries: Vec<JoinQuery>,
-    /// How each query relates to its predecessors (same indexing).
-    pub kinds: Vec<MixKind>,
-    /// Explicit tumbling-epoch discipline shared by every query.
-    pub epoch: EpochSpec,
-    /// Reduced per-window capacity (the shared data plane's one memory
-    /// mode).
-    pub capacity: usize,
-    /// Whether every predicate of every query joins on attribute 0 — the
-    /// key-partitionable class, pinned on even seeds so the sharded multi
-    /// differential regularly runs on two real shards.
-    pub keyed: bool,
-    /// The score-cache A/B class (odd seeds, mirroring the solo sweep):
-    /// the in-process engine runs cache-on and cache-off and must match
-    /// bit for bit (DESIGN.md §16).
-    pub cache_ab: bool,
-    /// The arrival trace. `stream` is the *pool* index; the runner
-    /// resolves it to the engine's union-catalog id by name (`R<pool+1>`).
-    pub arrivals: Vec<Arrival>,
-    /// `(query index, position)`: that standing query is removed just
-    /// before the arrival at `position`. Any query may be drawn, the owner
-    /// of a shared store included (its stores then change hands).
-    pub remove: Option<(usize, usize)>,
-    /// `(query, position)`: registered just before the arrival at
-    /// `position` (after the removal, if both land on one position), under
-    /// the next dense id, `queries.len()`. Keyed cases draw a fresh query
-    /// over an existing span; the others re-register a clone of a standing
-    /// query, the one shape a sharded run of any width must accept.
-    pub add: Option<(JoinQuery, usize)>,
-}
-
-impl MultiCase {
-    /// Whether the case carries an `add_query` or `remove_query`.
-    pub fn has_churn(&self) -> bool {
-        self.remove.is_some() || self.add.is_some()
-    }
-
-    /// Every query the case registers, `add` last, each with the
-    /// half-open range of arrival positions it is registered over.
-    pub fn registered(&self) -> Vec<(&JoinQuery, std::ops::Range<usize>)> {
-        let len = self.arrivals.len();
-        let mut out: Vec<_> = self.queries.iter().map(|q| (q, 0..len)).collect();
-        if let Some((q, at)) = self.remove {
-            out[q].1.end = at;
-        }
-        if let Some((query, at)) = &self.add {
-            out.push((query, *at..len));
-        }
-        out
-    }
-}
-
-/// Generates the multi-query audit case for `seed`.
-pub fn generate_multi_case(seed: u64) -> MultiCase {
-    const POOL: usize = 5;
-    const WINDOW_SECS: [u64; 3] = [6, 12, 24];
-    let mut rng = StdRng::seed_from_u64(seed);
-    let keyed = seed % 2 == 0;
-    let n_queries = rng.gen_range(2..=4usize);
-
-    fn span(rng: &mut StdRng) -> (usize, usize) {
-        let m = rng.gen_range(2..=3usize);
-        let lo = rng.gen_range(0..=POOL - m);
-        (lo, lo + m)
-    }
-    // A chain query over the pool streams `lo..hi`, with windows drawn
-    // from a deliberately tiny set so overlapping queries regularly land
-    // on the same `(stream, window)` store key.
-    fn build(rng: &mut StdRng, (lo, hi): (usize, usize), keyed: bool) -> JoinQuery {
-        let m = hi - lo;
-        let mut catalog = Catalog::new();
-        for p in lo..hi {
-            catalog.add_stream(StreamSchema::new(format!("R{}", p + 1), &["A1", "A2"]));
-        }
-        let windows: Vec<WindowSpec> = (0..m)
-            .map(|_| {
-                WindowSpec::Time(VDur::from_secs(WINDOW_SECS[rng.gen_range(0..3usize)]))
-            })
-            .collect();
-        let attr = |rng: &mut StdRng| if keyed { 0 } else { rng.gen_range(0..2usize) };
-        let predicates: Vec<EquiPredicate> = (0..m - 1)
-            .map(|k| {
-                EquiPredicate::new(
-                    AttrRef::new(StreamId(k), attr(rng)),
-                    AttrRef::new(StreamId(k + 1), attr(rng)),
-                )
-            })
-            .collect();
-        JoinQuery::new(catalog, predicates, windows).expect("chains are connected")
-    }
-
-    let mut queries = Vec::with_capacity(n_queries);
-    let mut spans = Vec::with_capacity(n_queries);
-    let mut kinds = Vec::with_capacity(n_queries);
-    let first = span(&mut rng);
-    queries.push(build(&mut rng, first, keyed));
-    spans.push(first);
-    kinds.push(MixKind::Base);
-    for _ in 1..n_queries {
-        match rng.gen_range(0..3u8) {
-            0 => {
-                let i = rng.gen_range(0..queries.len());
-                queries.push(queries[i].clone());
-                spans.push(spans[i]);
-                kinds.push(MixKind::Duplicate);
-            }
-            1 => {
-                let i = rng.gen_range(0..spans.len());
-                queries.push(build(&mut rng, spans[i], keyed));
-                spans.push(spans[i]);
-                kinds.push(MixKind::Overlap);
-            }
-            _ => {
-                let s = span(&mut rng);
-                queries.push(build(&mut rng, s, keyed));
-                spans.push(s);
-                kinds.push(MixKind::Fresh);
-            }
-        }
-    }
-
-    let mut used: Vec<usize> = spans.iter().flat_map(|&(lo, hi)| lo..hi).collect();
-    used.sort_unstable();
-    used.dedup();
-
-    let epoch = EpochSpec::Time(VDur::from_secs(rng.gen_range(2..10u64)));
-    let capacity = rng.gen_range(2..8usize);
-    let domain = rng.gen_range(2..6u64);
-    let len = rng.gen_range(60..160usize);
-    let mut clock = 0u64;
-    let arrivals = (0..len)
-        .map(|_| {
-            if !rng.gen_bool(0.25) {
-                clock += rng.gen_range(1..2_000_000u64);
-            }
-            Arrival {
-                stream: used[rng.gen_range(0..used.len())],
-                values: vec![rng.gen_range(0..domain), rng.gen_range(0..domain)],
-                at_micros: clock,
-            }
-        })
-        .collect();
-
-    // Churn is drawn last, so everything above is the case the seed always
-    // generated. Positions keep a quarter of the trace on either side.
-    let remove = rng
-        .gen_bool(0.35)
-        .then(|| (rng.gen_range(0..n_queries), rng.gen_range(len / 4..3 * len / 4)));
-    let add = rng.gen_bool(0.35).then(|| {
-        let i = rng.gen_range(0..n_queries);
-        let query = if keyed {
-            build(&mut rng, spans[i], true)
-        } else {
-            queries[i].clone()
-        };
-        (query, rng.gen_range(len / 4..3 * len / 4))
-    });
-
-    MultiCase {
-        seed,
+        arity,
         queries,
         kinds,
         epoch,
-        capacity,
+        reduced,
+        shards,
+        disorder,
         keyed,
-        // Arithmetic (no rng draw): pinned classes stay byte-identical.
+        zipf_hot,
         cache_ab: seed % 2 == 1,
-        arrivals,
-        remove,
-        add,
+        trace: Trace { arrivals, churn },
     }
 }
 
@@ -403,102 +387,61 @@ mod tests {
     use super::*;
     use mstream_types::Partitioning;
 
-    /// The pinned case class: every eighth seed must produce an
-    /// all-tuple-window, key-partitionable query, so sweeps always cover
-    /// the sharded coalesced-tick path with real multi-shard runs.
+    fn partitions(case: &Case) -> bool {
+        let keyed = |q: &JoinQuery| matches!(q.partitioning(), Partitioning::ByKey { .. });
+        case.queries.iter().all(keyed)
+    }
+
+    /// Every eighth seed is the all-tuple-window keyed class, so sweeps
+    /// always run real multi-shard runs with coalesced expiry ticks.
     #[test]
     fn every_eighth_seed_pins_sharded_tuple_windows() {
         for seed in [0u64, 8, 16, 64, 800, 4096] {
             let case = generate_case(seed);
+            let tuples = |q: &JoinQuery| q.all_tuple_based();
             assert!(
-                case.query
-                    .windows()
-                    .iter()
-                    .all(|w| matches!(w, WindowSpec::Tuples(_))),
-                "seed {seed}: pinned class must use tuple windows only"
+                case.queries.iter().all(tuples),
+                "seed {seed}: tuple windows only"
             );
             assert!(
-                matches!(case.query.partitioning(), Partitioning::ByKey { .. }),
+                partitions(&case),
                 "seed {seed}: pinned class must partition by key"
             );
-            assert!(case.shards >= 2, "pinned class runs multi-shard");
         }
     }
 
-    /// Across a modest sweep the multi-query generator must emit all three
-    /// mix kinds, both the keyed and the free-attribute class, and every
-    /// query-set size from 2 to 4.
-    #[test]
-    fn multi_case_generator_covers_all_mix_kinds() {
-        let (mut dup, mut overlap, mut fresh) = (false, false, false);
-        let (mut keyed, mut free) = (false, false);
-        let mut sizes = [false; 3];
-        for seed in 0..60u64 {
-            let case = generate_multi_case(seed);
-            assert_eq!(case.kinds[0], MixKind::Base);
-            assert_eq!(case.kinds.len(), case.queries.len());
-            sizes[case.queries.len() - 2] = true;
-            for k in &case.kinds[1..] {
-                match k {
-                    MixKind::Base => unreachable!("base is only first"),
-                    MixKind::Duplicate => dup = true,
-                    MixKind::Overlap => overlap = true,
-                    MixKind::Fresh => fresh = true,
-                }
-            }
-            if case.keyed {
-                keyed = true;
-                for q in &case.queries {
-                    assert!(
-                        matches!(q.partitioning(), Partitioning::ByKey { .. }),
-                        "seed {seed}: keyed case has a non-partitionable query"
-                    );
-                }
-            } else {
-                free = true;
-            }
-            assert!(!case.arrivals.is_empty());
-        }
-        assert!(dup && overlap && fresh, "all three mix kinds generated");
-        let churn: Vec<MultiCase> = (0..60).map(generate_multi_case).collect();
-        assert!(churn.iter().any(|c| c.remove.is_some() && c.add.is_none()));
-        assert!(churn.iter().any(|c| c.remove.is_none() && c.add.is_some()));
-        assert!(churn.iter().any(|c| c.remove.is_some() && c.add.is_some()));
-        assert!(churn.iter().any(|c| !c.has_churn()), "plain cases keep rotating");
-        assert!(
-            churn.iter().any(|c| c.remove.is_some_and(|(q, _)| q == 0)),
-            "the first query, owner of whatever it shares, gets removed too"
-        );
-        assert!(keyed && free, "both partitionability classes generated");
-        assert!(sizes.iter().all(|&s| s), "query-set sizes 2..=4 generated");
-    }
-
-    /// The Zipf-hot-key case class: every `seed % 8 == 4` must produce a
-    /// key-partitionable query whose join key (attribute 0) concentrates
-    /// well over its uniform share on one hot value, so sweeps always run
-    /// the skew router's splitting machinery through the differential.
+    /// Every `seed % 8 == 4` is keyed and concentrates well over its
+    /// uniform share of join keys on one value.
     #[test]
     fn every_eighth_seed_offset_four_pins_zipf_hot_keys() {
         for seed in [4u64, 12, 20, 68, 804, 4100] {
             let case = generate_case(seed);
-            assert!(case.zipf_hot, "seed {seed}: class flag must be set");
+            assert!(case.zipf_hot && partitions(&case), "seed {seed}");
+            let arrivals = &case.trace.arrivals;
+            let hot = arrivals.iter().filter(|a| a.values[0] == 0).count();
             assert!(
-                matches!(case.query.partitioning(), Partitioning::ByKey { .. }),
-                "seed {seed}: zipf-hot class must partition by key"
-            );
-            assert!(case.shards >= 2, "zipf-hot class runs multi-shard");
-            let hot = case
-                .arrivals
-                .iter()
-                .filter(|a| a.values[0] == 0)
-                .count();
-            assert!(
-                hot * 2 > case.arrivals.len(),
-                "seed {seed}: hot key carries {hot}/{} arrivals — not skewed",
-                case.arrivals.len()
+                hot * 2 > arrivals.len(),
+                "seed {seed}: {hot}/{} hot",
+                arrivals.len()
             );
         }
-        let uniform = generate_case(3);
-        assert!(!uniform.zipf_hot, "other seeds stay unpinned");
+        assert!(!generate_case(3).zipf_hot, "other seeds stay unpinned");
+    }
+
+    /// Every set opens with its base query; the later members draw every
+    /// other mix kind within 60 seeds.
+    #[test]
+    fn multi_case_generator_covers_all_mix_kinds() {
+        let mut later = Vec::new();
+        for seed in 0..60u64 {
+            let case = generate_case(seed);
+            assert_eq!(case.kinds.len(), case.queries.len(), "seed {seed}");
+            assert_eq!(case.kinds[0], MixKind::Base, "seed {seed}");
+            later.extend_from_slice(&case.kinds[1..]);
+        }
+        assert!(!later.contains(&MixKind::Base), "base is only first");
+        for kind in [MixKind::Duplicate, MixKind::Overlap, MixKind::Fresh] {
+            assert!(later.contains(&kind), "{kind:?} never drawn in 60 seeds");
+        }
     }
 }

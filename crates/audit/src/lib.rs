@@ -1,59 +1,18 @@
 //! Differential audit harness for the shedding join engine.
 //!
-//! The harness generates seeded random queries and workloads ([`gen`]),
-//! runs every registered shedding policy's [`mstream_core::ShedJoinEngine`]
-//! against the exact reference join ([`run`]), and checks two semantic
-//! contracts plus the structural invariants of every stateful layer:
-//!
-//! 1. **At 100% memory** (windows sized to hold the whole trace) the
-//!    shedding engine must produce a result multiset **byte-identical** to
-//!    [`mstream_join::ExactJoin`]'s — shedding machinery that never sheds
-//!    must be invisible.
-//! 2. **Under reduced memory** the shed output must be a **sub-multiset**
-//!    of the oracle's: shedding may lose results, never invent them. (This
-//!    holds because a shed window's residents are always a subset of the
-//!    exact window's, and arrival counting advances identically whether or
-//!    not a tuple is retained.)
-//! 3. After every arrival the engine's `check_invariants` (compiled under
-//!    the `audit` feature) re-validates heap order, position-map
-//!    bijections, arena/index/expiry-deque agreement, capacity bounds,
-//!    epoch bookkeeping, and frozen-cross-product coherence.
-//!
-//! The [`disorder`] module adds the event-time contracts: a `K = 0`
-//! in-order run is bit-identical to the trusting engine, a bounded shuffle
-//! within `K` reproduces the in-order output exactly (every policy, both
-//! memory modes, sharded included), and beyond-bound lateness is dropped
-//! with accounting, never joined (`mstream-audit disorder --cases N`).
-//!
-//! The [`multi`] module adds the multi-query contracts: 2–4 standing
-//! queries (duplicate, overlapping-subgraph and disjoint mixes) run on one
-//! shared data plane, and each query's output is checked against its *own*
-//! solo exact oracle — equal at 100% memory, a sub-multiset under reduced
-//! memory — for every policy, in-process and sharded S ∈ {1, 2}
-//! (`mstream-audit multi --cases N`). About half the cases remove a
-//! standing query and/or add one mid-trace; each query is then held to its
-//! oracle over the arrivals it was registered for.
-//!
-//! Every **odd-seed case** additionally pins the score-cache A/B class:
-//! each engine run in the three audits above (single-engine, sharded,
-//! event-time, multi-query) is driven twice — the epoch-memoized
-//! productivity score cache forced on and forced off — and the two runs
-//! must agree bit for bit on emissions and on every metric except the
-//! cache counters and stage timers themselves (DESIGN.md §16).
-//!
-//! Every **even-seed case** pins the plain-vs-eager A/B class instead:
-//! each run of a policy that lets the engine owe window priorities
-//! (`MSketch`, `MSketch-RS`; single-engine, sharded and multi-query) is
-//! driven twice — the policy as shipped, and wrapped so that it no longer
-//! declares `ShedPolicy::deferrable_priority`, which is the engine that
-//! scores every arrival and rebuilds every window at every rollover — and
-//! the two runs must agree in the same sense. The sweep summaries count
-//! the cases in which a window actually owed its priorities. (The
-//! event-time audit's `K = 0` identity already holds an eager engine — a
-//! front end never defers — to the trusting one, in emit order.)
-//!
-//! Failures print a replay line (`cargo run -p mstream-audit -- replay
-//! <seed>`) and a greedily shrunk minimal trace ([`shrink`]).
+//! A case ([`gen`]) is a standing set of 1–4 queries, a memory mode, a
+//! shard count, a disorder bound `K` (0: in order) and a trace that may
+//! add or remove a query mid-run. The run ([`run`]) drives every
+//! registered policy's engine through the one builder, in process and
+//! sharded, and checks the contracts of DESIGN.md §8 on it: each query
+//! exact at full memory and a sub-multiset of its oracle when shedding,
+//! the event-time run equal to the in-order one, beyond-bound lateness
+//! dropped and counted, store owners replaying their solo runs, the
+//! sharded partitioning contract, the score-cache (odd seeds) and
+//! plain/eager (even seeds) A/B pairs, and every engine's structural
+//! invariants after every arrival. Failures print a replay line
+//! (`cargo run -p mstream-audit -- replay <seed>`) and a greedily shrunk
+//! minimal trace ([`shrink`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,15 +22,12 @@ pub mod disorder;
 #[path = "../../../tests/support/eager.rs"]
 mod eager;
 pub mod gen;
-pub mod multi;
 pub mod run;
 pub mod shrink;
 
-pub use disorder::{inject_disorder, run_disorder_case};
-pub use gen::{generate_case, generate_multi_case, Arrival, Case, MixKind, MultiCase, ReducedMemory};
-pub use multi::run_multi_case;
+pub use gen::{generate_case, Arrival, Case, Churn, MixKind, ReducedMemory, Trace};
 pub use run::{install_quiet_hook, run_case, run_case_on, CaseStats, Failure, FailureKind};
-pub use shrink::shrink_case;
+pub use shrink::{shrink, shrink_case};
 
 /// Derives the per-case seed for case `index` of a sweep started with
 /// `master`: the `index`-th output of the SplitMix64 generator seeded
@@ -80,23 +36,47 @@ pub fn case_seed(master: u64, index: u64) -> u64 {
     mstream_types::splitmix64(master.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
+/// Multi-query standing sets through the one run.
+#[cfg(test)]
+mod multi {
+    mod tests {
+        use crate::{case_seed, generate_case, install_quiet_hook, run_case};
+
+        /// The first multi-query sets of a sweep pass the whole run.
+        #[test]
+        fn small_multi_sweep_passes() {
+            install_quiet_hook();
+            let cases = (0..).map(|i| generate_case(case_seed(13, i)));
+            for case in cases.filter(|c| c.queries.len() > 1).take(3) {
+                if let Err(f) = run_case(&case) {
+                    panic!("multi case (seed {}) failed: {f}", case.seed);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mstream_types::{Partitioning, WindowSpec};
 
     #[test]
     fn case_generation_is_deterministic() {
-        let a = generate_case(99);
-        let b = generate_case(99);
-        assert_eq!(a.arrivals.len(), b.arrivals.len());
-        for (x, y) in a.arrivals.iter().zip(&b.arrivals) {
-            assert_eq!(x.stream, y.stream);
-            assert_eq!(x.values, y.values);
-            assert_eq!(x.at_micros, y.at_micros);
-        }
-        assert_eq!(format!("{:?}", a.reduced), format!("{:?}", b.reduced));
-        assert_eq!(a.shards, b.shards);
-        assert_eq!(a.query.n_streams(), b.query.n_streams());
+        let (a, b) = (generate_case(99), generate_case(99));
+        let key = |c: &Case| {
+            let arrivals: Vec<_> = c
+                .trace
+                .arrivals
+                .iter()
+                .map(|a| (a.stream, a.values.clone(), a.at_micros))
+                .collect();
+            format!(
+                "{arrivals:?} {:?} {:?} {} {:?} {:?}",
+                c.trace.churn, c.reduced, c.shards, c.disorder, c.queries
+            )
+        };
+        assert_eq!(key(&a), key(&b));
     }
 
     #[test]
@@ -110,108 +90,178 @@ mod tests {
 
     #[test]
     fn generated_queries_cover_both_window_kinds() {
-        let (mut time, mut tuples) = (false, false);
-        for seed in 0..30u64 {
-            let case = generate_case(case_seed(3, seed));
-            for k in 0..case.n_streams() {
-                match case.query.window(mstream_types::StreamId(k)) {
-                    mstream_types::WindowSpec::Time(_) => time = true,
-                    mstream_types::WindowSpec::Tuples(_) => tuples = true,
-                }
-            }
-        }
-        assert!(time && tuples, "generator must exercise both window kinds");
+        let tuples: Vec<bool> = (0..30u64)
+            .flat_map(|seed| generate_case(case_seed(3, seed)).queries)
+            .flat_map(|q| q.windows().to_vec())
+            .map(|w| matches!(w, WindowSpec::Tuples(_)))
+            .collect();
+        let both = tuples.contains(&true) && tuples.contains(&false);
+        assert!(both, "generator must exercise both window kinds");
     }
 
+    /// Within 60 seeds the generator draws every class the run's
+    /// contracts need: each memory mode, S = 2 and 4, keyed and broadcast
+    /// shapes, time / tuple / mixed windows, K = 0 and K > 0, set sizes
+    /// 1–4, each mix kind, each churn shape, mixed arity and the 9-stream
+    /// spill.
     #[test]
     fn generator_covers_memory_modes_shards_and_partitionability() {
-        use mstream_types::Partitioning;
-        let (mut pw, mut pwe, mut pool) = (false, false, false);
-        let (mut s2, mut s4) = (false, false);
-        let (mut keyed, mut single) = (false, false);
-        for i in 0..60u64 {
-            let case = generate_case(case_seed(5, i));
-            match case.reduced {
-                ReducedMemory::PerWindow(_) => pw = true,
-                ReducedMemory::PerWindowEach(_) => pwe = true,
-                ReducedMemory::GlobalPool(_) => pool = true,
+        let mut drawn = std::collections::BTreeSet::new();
+        for seed in 0..60u64 {
+            let case = generate_case(seed);
+            let mut class = |name: String| drawn.insert(name);
+            let memory = format!("{:?}", case.reduced);
+            class(memory[..memory.find('(').unwrap_or(memory.len())].into());
+            class(format!("S={}", case.shards));
+            class(format!("K>0:{}", !case.disorder.is_zero()));
+            class(format!("size {}", case.queries.len()));
+            for kind in &case.kinds {
+                class(format!("{kind:?}"));
             }
-            match case.shards {
-                2 => s2 = true,
-                4 => s4 = true,
-                other => panic!("unexpected shard count {other}"),
+            let windows = case.queries.iter().flat_map(|q| q.windows().iter());
+            let tuples: Vec<bool> = windows
+                .map(|w| matches!(w, WindowSpec::Tuples(_)))
+                .collect();
+            let flavour = match (tuples.iter().all(|&t| t), tuples.iter().any(|&t| t)) {
+                (true, _) => "tuple windows",
+                (false, true) => "mixed windows",
+                (false, false) => "time windows",
+            };
+            class(flavour.into());
+            let removes = case
+                .trace
+                .churn
+                .iter()
+                .filter(|(_, c)| matches!(c, Churn::Remove(_)))
+                .count();
+            let adds = case.trace.churn.len() - removes;
+            class(format!("churn {removes}/{adds}"));
+            if case.keyed {
+                class("keyed".into());
             }
-            match case.query.partitioning() {
-                Partitioning::ByKey { .. } => keyed = true,
-                Partitioning::Single { .. } => single = true,
+            if let [q] = &case.queries[..] {
+                if matches!(q.partitioning(), Partitioning::Single { .. }) {
+                    class("broadcast".into());
+                }
+            }
+            if case.mixed_arity() {
+                class("mixed arity".into());
+            }
+            if case.spills() {
+                class("spill".into());
             }
         }
-        assert!(pw && pwe && pool, "all three memory modes generated");
-        assert!(s2 && s4, "both shard counts generated");
-        assert!(keyed && single, "both partitionability outcomes generated");
+        let want = "PerWindow,PerWindowEach,GlobalPool,S=2,S=4,K>0:false,K>0:true,size 1,\
+                    size 2,size 3,size 4,Base,Duplicate,Overlap,Fresh,tuple windows,\
+                    mixed windows,time windows,churn 0/0,churn 1/0,churn 0/1,churn 1/1,keyed,\
+                    broadcast,mixed arity,spill";
+        for class in want.split(',') {
+            assert!(
+                drawn.contains(class),
+                "{class} never drawn in 60 seeds: {drawn:?}"
+            );
+        }
     }
 
-    /// The score-cache A/B class is exactly the odd seeds, in both the
-    /// solo and the multi-query generator, and a sweep of either parity
-    /// exists (so the A/B and the plain classes both keep rotating).
+    /// The score-cache A/B class is exactly the odd seeds, and a sweep
+    /// draws both parities.
     #[test]
     fn cache_ab_class_is_the_odd_seeds() {
-        let (mut ab, mut plain) = (false, false);
-        for i in 0..20u64 {
-            let seed = case_seed(17, i);
-            let case = generate_case(seed);
-            assert_eq!(case.cache_ab, seed % 2 == 1);
-            let multi = generate_multi_case(seed);
-            assert_eq!(multi.cache_ab, seed % 2 == 1);
-            if case.cache_ab {
-                ab = true;
-            } else {
-                plain = true;
-            }
+        let seeds: Vec<u64> = (0..20).map(|i| case_seed(17, i)).collect();
+        for &seed in &seeds {
+            assert_eq!(generate_case(seed).cache_ab, seed % 2 == 1);
         }
-        assert!(ab && plain, "both parities must appear in a sweep");
+        assert!(seeds.iter().any(|s| s % 2 == 1) && seeds.iter().any(|s| s % 2 == 0));
     }
 
-    /// The plain/eager A/B class is the even seeds, for exactly the
-    /// policies that let the engine owe priorities; odd seeds keep the
-    /// score-cache pair for every policy.
+    /// Even seeds pair each policy that lets the engine owe priorities
+    /// with its eager twin and every other policy with itself; odd seeds
+    /// pair every policy's cache on with off. One half of each pair runs
+    /// behind the front end unless the trace carries churn.
     #[test]
     fn deferral_ab_class_is_the_even_seeds_of_deferrable_policies() {
-        use crate::run::{ab_pair, FailureKind};
+        use crate::run::ab_pair;
         for &name in mstream_shed_policies::ALL_POLICY_NAMES {
             let owes = matches!(name, "MSketch" | "MSketch-RS");
-            match ab_pair(false, name) {
-                Some((plain, eager, kind)) => {
-                    assert!(owes, "{name} must not get an eager twin");
-                    assert!(!plain.eager && eager.eager);
-                    assert_eq!(kind, FailureKind::DeferralDivergence);
+            for front in [true, false] {
+                let (x, y, kind) = ab_pair(false, front, name);
+                assert!(!x.eager, "{name}: the first run is the engine as shipped");
+                match (owes, y) {
+                    (true, Some(y)) => {
+                        assert!(y.eager && !x.front && y.front == front);
+                        assert_eq!(kind, FailureKind::DeferralDivergence);
+                    }
+                    (false, y) => {
+                        assert_eq!(
+                            (x.front, y.map(|y| y.front)),
+                            (front, front.then_some(false))
+                        );
+                        assert_eq!(kind, FailureKind::DisorderContract);
+                    }
+                    (true, None) => panic!("{name} must be A/B-run against its eager twin"),
                 }
-                None => assert!(!owes, "{name} must be A/B-run against its eager twin"),
+                let (on, off, kind) = ab_pair(true, front, name);
+                let off = off.expect("odd seeds A/B every policy");
+                assert_eq!(
+                    (on.cache, off.cache, on.front, off.front),
+                    (Some(true), Some(false), front, false)
+                );
+                assert_eq!(kind, FailureKind::ScoreCacheDivergence);
             }
-            let (on, off, kind) = ab_pair(true, name).expect("odd seeds A/B every policy");
-            assert_eq!((on.cache, off.cache), (Some(true), Some(false)));
-            assert!(!on.eager && !off.eager);
-            assert_eq!(kind, FailureKind::ScoreCacheDivergence);
         }
     }
 
+    /// The first cases of a sweep — one-query and multi-query sets alike —
+    /// pass the whole run.
     #[test]
     fn small_sweep_passes() {
         install_quiet_hook();
-        for i in 0..3u64 {
+        for i in 0..4u64 {
             let case = generate_case(case_seed(11, i));
             if let Err(f) = run_case(&case) {
-                panic!("case {i} failed: {f}");
+                panic!("case {i} (seed {}) failed: {f}", case.seed);
             }
         }
     }
 
+    /// A synthetic failure — arrivals X and Y both present with a
+    /// `remove_query` between them — shrinks to exactly X and Y, the
+    /// removal remapped onto Y and the decoy churn event dropped; a
+    /// passing trace comes back whole.
     #[test]
     fn shrinker_returns_failing_subset_for_synthetic_failure() {
-        // A passing case shrinks to itself (the guard path).
-        install_quiet_hook();
-        let case = generate_case(case_seed(11, 0));
-        let kept = shrink_case(&case);
-        assert_eq!(kept.len(), case.arrivals.len(), "passing case left intact");
+        let arrivals = (0..20u64)
+            .map(|i| Arrival {
+                stream: 0,
+                values: vec![i],
+                at_micros: i,
+            })
+            .collect();
+        let trace = Trace {
+            arrivals,
+            churn: vec![(6, Churn::Remove(1)), (15, Churn::Remove(0))],
+        };
+        let at = |t: &Trace, v: u64| t.arrivals.iter().position(|a| a.values == [v]);
+        let fails = |t: &Trace| match (at(t, 3), at(t, 10)) {
+            (Some(x), Some(y)) => t
+                .churn
+                .iter()
+                .any(|(p, c)| matches!(c, Churn::Remove(1)) && x < *p && *p <= y),
+            _ => false,
+        };
+        let shrunk = shrink(&trace, fails);
+        let values: Vec<_> = shrunk.arrivals.iter().map(|a| a.values[0]).collect();
+        assert_eq!(values, [3, 10]);
+        assert!(
+            matches!(shrunk.churn[..], [(1, Churn::Remove(1))]),
+            "{:?}",
+            shrunk.churn
+        );
+        let whole = shrink(&trace, |_| false);
+        assert_eq!(
+            (whole.arrivals.len(), whole.churn.len()),
+            (20, 2),
+            "passing trace left intact"
+        );
     }
 }

@@ -1,76 +1,80 @@
-//! The differential runner: engine vs oracle, per policy, per memory mode,
-//! with per-arrival structural invariant checks.
+//! The one differential run: every policy's engine — in process and
+//! sharded, as shipped and as its A/B twin, in order and behind the
+//! event-time front end — against the exact oracle of each query, with
+//! per-arrival structural invariant checks.
 
+use crate::disorder::inject_disorder;
 use crate::eager::Eager;
-use crate::gen::{Arrival, Case, ReducedMemory};
-use mstream_core::ingest::FnSink;
+use crate::gen::{catalog_order, pool_streams, Arrival, Case, Churn, ReducedMemory, Trace};
+use mstream_core::ingest::QueryFnSink;
 use mstream_core::shard::{Backpressure, HotKeyConfig, ShardConfig};
 use mstream_core::{EngineBuilder, EngineMetrics};
 use mstream_join::{Bindings, ExactJoin};
 use mstream_shed_policies::{parse_policy, ShedPolicy, ALL_POLICY_NAMES};
 use mstream_sketch::BankConfig;
-use mstream_types::{Partitioning, Row, SeqNo, StreamId, Tuple, VTime, Value};
+use mstream_types::{
+    JoinQuery, Partitioning, QueryId, Row, SeqNo, StreamId, Tuple, VTime, Value, WindowSpec,
+};
 use mstream_window::{QueueVictim, ShedQueue};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// What contract a failing case violated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FailureKind {
-    /// At 100% memory the engine's result multiset differed from the
-    /// exact join's.
+    /// At 100% memory a query's result multiset differed from its exact
+    /// oracle's.
     ExactMismatch,
-    /// Under reduced memory the engine emitted a result the oracle never
+    /// Under reduced memory a query emitted a result its oracle never
     /// produced (shed output must be a sub-multiset of exact output).
     NotSubMultiset,
+    /// A query whose class owns every store it reads diverged from its
+    /// solo run (rows, or their order) under reduced memory.
+    SoloReplay,
     /// A structural invariant check (or any engine internals) panicked.
     InvariantPanic,
     /// The standalone [`ShedQueue`] churn audit panicked.
     QueuePanic,
     /// The sharded engine violated its partitioning contract: wrong shard
-    /// count, missing/spurious degrade reason, or channel drops under
-    /// blocking backpressure.
+    /// count, missing/spurious degrade reason, a rejected registration, or
+    /// channel drops under blocking backpressure.
     ShardContract,
-    /// The event-time front end broke a disorder contract: a `K = 0`
-    /// in-order run diverged from the trusting engine, a covered-disorder
-    /// run failed to reproduce the in-order output, or a beyond-bound
+    /// The event-time front end broke a disorder contract: a run behind
+    /// it (bound `K`, the trace shuffled within `K`; `K = 0` in order)
+    /// diverged from the in-order run without it, or a beyond-bound
     /// arrival was not dropped-and-counted cleanly.
     DisorderContract,
-    /// A score-cache A/B pair diverged: with the productivity score cache
-    /// forced on, the engine emitted different rows or different
-    /// (cache/ns-normalized) metrics than with it forced off. The memo is
-    /// supposed to be a pure evaluation shortcut (DESIGN.md §16).
+    /// A score-cache A/B pair diverged: cache on and off emitted different
+    /// rows or different normalized metrics (DESIGN.md §16).
     ScoreCacheDivergence,
-    /// A plain-vs-eager A/B pair diverged: a policy that lets the engine
-    /// owe window priorities emitted different rows or different
-    /// normalized metrics than the same policy scored eagerly. Owing a
-    /// priority is supposed to change when it is computed, never what it
-    /// is (DESIGN.md §16).
+    /// A plain-vs-eager A/B pair diverged: owing a priority changed what
+    /// it is, not just when it is computed (DESIGN.md §16).
     DeferralDivergence,
 }
 
 impl std::fmt::Display for FailureKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+        f.write_str(match self {
             FailureKind::ExactMismatch => "exact-mismatch (100% memory)",
             FailureKind::NotSubMultiset => "not-a-sub-multiset (reduced memory)",
+            FailureKind::SoloReplay => "solo-replay-divergence (store owner)",
             FailureKind::InvariantPanic => "invariant-violation",
             FailureKind::QueuePanic => "queue-invariant-violation",
             FailureKind::ShardContract => "shard-contract-violation",
             FailureKind::DisorderContract => "disorder-contract-violation (event time)",
             FailureKind::ScoreCacheDivergence => "score-cache-divergence (on/off A/B)",
             FailureKind::DeferralDivergence => "deferral-divergence (plain/eager A/B)",
-        };
-        f.write_str(s)
+        })
     }
 }
 
 /// A reproducible audit failure.
 #[derive(Clone, Debug)]
 pub struct Failure {
-    /// Policy under which the failure surfaced (empty for the queue audit).
+    /// The run the failure surfaced in (empty for the queue audit).
     pub policy: String,
     /// Violated contract.
     pub kind: FailureKind,
@@ -88,35 +92,152 @@ impl std::fmt::Display for Failure {
     }
 }
 
-/// One canonical result row: per-stream `(seq, values…)` flattened in
-/// stream order. Two executors agree byte-for-byte on a match exactly when
-/// these rows are equal, because sequence numbers are assigned identically
-/// (0, 1, 2, … in arrival order) by both.
-pub(crate) fn row(b: &Bindings<'_>, n: usize) -> Vec<u64> {
-    let mut r = Vec::with_capacity(n * 3);
-    for k in 0..n {
-        let t = b.tuple(StreamId(k));
-        r.push(t.seq.0);
+/// What a passing case exercised, for the sweep summary.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CaseStats {
+    /// Some in-process run held a store that owed its priorities
+    /// (DESIGN.md §16) after at least one arrival.
+    pub deferred: bool,
+    /// Some sharded run promoted a hot key and split it.
+    pub hot_split: bool,
+    /// The late-drop probe ran (every stream's high-water mark cleared K).
+    pub late_probe: bool,
+}
+
+/// One result row: per stream of the query, in its local order, the
+/// tuple's trace position (`u64::MAX` for a sequence number nothing was
+/// minted under) and then its values.
+type ResultRow = Vec<u64>;
+
+/// Result rows per registered query id.
+type Rows = Vec<Vec<ResultRow>>;
+
+fn result_row<'t>(tuples: impl Iterator<Item = &'t Tuple>, position: &[usize]) -> ResultRow {
+    let mut r = Vec::new();
+    for t in tuples {
+        let at = position.get(t.seq.0 as usize);
+        r.push(at.map_or(u64::MAX, |&p| p as u64));
         r.extend(t.values.iter().map(|v| v.0));
     }
     r
 }
 
-/// What a passing case exercised, for the sweep summaries.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CaseStats {
-    /// Some in-process run of the case held a window that owed its
-    /// priorities (DESIGN.md §16) after at least one arrival.
-    pub deferred: bool,
-    /// Some sharded run of the case promoted a hot key and split it.
-    pub hot_split: bool,
+fn bound_row(b: &Bindings<'_>, position: &[usize]) -> ResultRow {
+    result_row((0..b.n_streams()).map(|k| b.tuple(StreamId(k))), position)
 }
 
-/// The shard tuning every sharded audit driver runs with: batches of three
-/// and channels of four, so flushes (and registrations) land mid-trace,
-/// and a hot-key detector aggressive enough to promote and split heavy
-/// hitters on these short traces.
-pub(crate) fn audit_shard_config(shards: usize) -> ShardConfig {
+/// How one run departs from the shipped engine fed the in-order trace.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Variant {
+    /// Pins the productivity score cache on or off (`None`: the builder
+    /// default, on).
+    pub cache: Option<bool>,
+    /// Runs the policy behind [`Eager`]: every arrival scored, every
+    /// window rebuilt at every rollover.
+    pub eager: bool,
+    /// Arms the front end with the case's bound `K` and feeds the trace
+    /// shuffled within `K`.
+    pub front: bool,
+}
+
+impl Variant {
+    /// `name`'s policy as this variant runs it.
+    pub(crate) fn policy(self, name: &str) -> Box<dyn ShedPolicy> {
+        let policy = parse_policy(name).expect("every registered policy parses");
+        if self.eager {
+            Box::new(Eager(policy))
+        } else {
+            policy
+        }
+    }
+}
+
+/// The two runs every configuration of `policy` gets, and the contract a
+/// divergence between them breaks. Odd seeds pin the score cache on
+/// against off (every policy); even seeds run each policy that lets the
+/// engine owe priorities plain against eager, and every other policy
+/// against itself. One run of each pair sits behind the front end
+/// (`front`: the trace carries no churn), so every pair also holds the
+/// event-time run to the in-order one; the first run is the engine as
+/// shipped, and the deferral pair keeps it in order, where it may defer.
+pub(crate) fn ab_pair(
+    cache_ab: bool,
+    front: bool,
+    policy: &str,
+) -> (Variant, Option<Variant>, FailureKind) {
+    let shipped = Variant::default();
+    if cache_ab {
+        let on = Variant {
+            cache: Some(true),
+            front,
+            ..shipped
+        };
+        let off = Variant {
+            cache: Some(false),
+            ..shipped
+        };
+        return (on, Some(off), FailureKind::ScoreCacheDivergence);
+    }
+    if shipped.policy(policy).deferrable_priority() {
+        let eager = Variant {
+            eager: true,
+            front,
+            ..shipped
+        };
+        return (shipped, Some(eager), FailureKind::DeferralDivergence);
+    }
+    let event_time = Variant { front, ..shipped };
+    (
+        event_time,
+        front.then_some(shipped),
+        FailureKind::DisorderContract,
+    )
+}
+
+/// One engine run: the policy, the memory (full or the case's reduced
+/// discipline), in process or sharded at a width, and the variant.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    policy: &'a str,
+    full: bool,
+    shards: Option<usize>,
+    variant: Variant,
+    /// Appends one arrival at timestamp 0 after the trace, beyond the
+    /// bound once every stream's high-water mark has cleared it.
+    late: bool,
+}
+
+impl<'a> Run<'a> {
+    /// `policy` as shipped over the in-order trace.
+    fn new(policy: &'a str, full: bool, shards: Option<usize>) -> Self {
+        Run {
+            policy,
+            full,
+            shards,
+            variant: Variant::default(),
+            late: false,
+        }
+    }
+
+    fn label(&self) -> String {
+        match self.shards {
+            Some(s) => format!("{}@x{s}", self.policy),
+            None => self.policy.into(),
+        }
+    }
+}
+
+/// What one run observed.
+struct Output {
+    rows: Rows,
+    metrics: EngineMetrics,
+}
+
+/// The shard tuning every sharded run takes: batches of three and
+/// channels of four, so flushes (and registrations) land mid-trace, and
+/// a hot-key detector aggressive enough to split heavy hitters on these
+/// short traces.
+fn audit_shard_config(shards: usize) -> ShardConfig {
     ShardConfig {
         shards,
         channel_capacity: 4,
@@ -136,260 +257,14 @@ pub(crate) fn audit_shard_config(shards: usize) -> ShardConfig {
     }
 }
 
-/// Runs the full differential audit for `case`.
-pub fn run_case(case: &Case) -> Result<CaseStats, Failure> {
-    run_case_on(case, &case.arrivals)
-}
-
-/// Runs the differential audit for `case` restricted to `arrivals` (the
-/// shrinker re-enters here with progressively smaller traces).
-pub fn run_case_on(case: &Case, arrivals: &[Arrival]) -> Result<CaseStats, Failure> {
-    let n = case.n_streams();
-    let mut stats = CaseStats::default();
-
-    let mut oracle = ExactJoin::new(case.query.clone());
-    let mut oracle_rows: Vec<Vec<u64>> = Vec::new();
-    for a in arrivals {
-        let values: Vec<Value> = a.values.iter().map(|&v| Value(v)).collect();
-        oracle.process_each(
-            StreamId(a.stream),
-            values,
-            VTime::from_micros(a.at_micros),
-            |b| oracle_rows.push(row(b, n)),
-        );
-    }
-    oracle_rows.sort();
-
-    for &name in ALL_POLICY_NAMES {
-        let full = drive_engine(case, arrivals, name, true, &mut stats)?;
-        if full != oracle_rows {
-            return Err(Failure {
-                policy: name.into(),
-                kind: FailureKind::ExactMismatch,
-                detail: first_diff(&full, &oracle_rows),
-            });
-        }
-        let shed = drive_engine(case, arrivals, name, false, &mut stats)?;
-        if let Some(extra) = not_in_multiset(&shed, &oracle_rows) {
-            return Err(Failure {
-                policy: name.into(),
-                kind: FailureKind::NotSubMultiset,
-                detail: format!("shed run emitted a row the oracle never did: {extra:?}"),
-            });
-        }
-    }
-
-    // The sharded engine must honour the same two contracts (plus its
-    // partitioning metadata) for a deterministic and a sketch policy.
-    for name in ["MSketch", "FIFO"] {
-        let label = format!("{name}@x{}", case.shards);
-        let full = drive_sharded(case, arrivals, name, true)?;
-        if full != oracle_rows {
-            return Err(Failure {
-                policy: label.clone(),
-                kind: FailureKind::ExactMismatch,
-                detail: first_diff(&full, &oracle_rows),
-            });
-        }
-        let shed = drive_sharded(case, arrivals, name, false)?;
-        if let Some(extra) = not_in_multiset(&shed, &oracle_rows) {
-            return Err(Failure {
-                policy: label,
-                kind: FailureKind::NotSubMultiset,
-                detail: format!("sharded shed run emitted a row the oracle never did: {extra:?}"),
-            });
-        }
-    }
-
-    queue_audit(case, arrivals)?;
-    Ok(stats)
-}
-
-/// How one run of an A/B pair departs from the case's configuration.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Variant {
-    /// Pins the productivity score cache on or off (`None` leaves the
-    /// builder default, on).
-    pub cache: Option<bool>,
-    /// Runs the policy behind [`Eager`]: every arrival scored, every
-    /// window rebuilt at every rollover.
-    pub eager: bool,
-}
-
-impl Variant {
-    /// `name`'s policy as this variant runs it.
-    pub(crate) fn policy(self, name: &str) -> Box<dyn ShedPolicy> {
-        let policy = parse_policy(name).expect("every registered policy parses");
-        if self.eager {
-            Box::new(Eager(policy))
-        } else {
-            policy
-        }
-    }
-}
-
-/// The A/B pair a case runs `policy` under, with the failure a divergence
-/// reports. Odd seeds pin the score cache on against off (every policy);
-/// even seeds run each policy that lets the engine owe priorities against
-/// its eager reference. The first variant of a pair is the engine as
-/// shipped: its rows are the ones held to the oracle.
-pub(crate) fn ab_pair(cache_ab: bool, policy: &str) -> Option<(Variant, Variant, FailureKind)> {
-    let cache = |on| Variant {
-        cache: Some(on),
-        ..Variant::default()
-    };
-    if cache_ab {
-        return Some((cache(true), cache(false), FailureKind::ScoreCacheDivergence));
-    }
-    let eager = Variant {
-        eager: true,
-        ..Variant::default()
-    };
-    Variant::default()
-        .policy(policy)
-        .deferrable_priority()
-        .then_some((Variant::default(), eager, FailureKind::DeferralDivergence))
-}
-
-/// Runs one (policy, memory-mode) configuration through `run`: once, or —
-/// when [`ab_pair`] names a pair — under both variants, which must then
-/// agree on rows (`diff` locates the first difference) and on normalized
-/// metrics. Returns the rows of the engine as shipped.
-pub(crate) fn run_ab<R: PartialEq>(
-    cache_ab: bool,
-    policy: &str,
-    label: &str,
-    full_memory: bool,
-    mut run: impl FnMut(Variant) -> Result<(R, EngineMetrics), Failure>,
-    diff: impl FnOnce(&R, &R) -> String,
-) -> Result<R, Failure> {
-    let Some((a, b, kind)) = ab_pair(cache_ab, policy) else {
-        return Ok(run(Variant::default())?.0);
-    };
-    let (rows_a, metrics_a) = run(a)?;
-    let (rows_b, metrics_b) = run(b)?;
-    let memory = if full_memory { "full" } else { "reduced" };
-    let fail = |detail: String| Failure {
-        policy: label.into(),
-        kind,
-        detail,
-    };
-    if rows_a != rows_b {
-        return Err(fail(format!(
-            "emissions diverge (memory {memory}): {}",
-            diff(&rows_a, &rows_b)
-        )));
-    }
-    let (a, b) = (normalized_metrics(&metrics_a), normalized_metrics(&metrics_b));
-    if a != b {
-        return Err(fail(format!(
-            "normalized metrics diverge (memory {memory}): {a:?} vs {b:?}"
-        )));
-    }
-    Ok(rows_a)
-}
-
-/// Strips the metric fields that legitimately differ between the two runs
-/// of an A/B pair: the wall-clock stage timers, the score-cache counters
-/// themselves, the packed-sign cache counters (a score-cache hit, like an
-/// arrival stored unscored, skips the packed-sign computation entirely, so
-/// sign traffic diverges by design) and the count of rescoring passes (an
-/// owed pass nobody needs is never run). Everything else — shed counts,
-/// emissions, replication, late drops — must match bit for bit.
-pub(crate) fn normalized_metrics(m: &EngineMetrics) -> EngineMetrics {
-    let mut m = m.clone();
-    m.sketch_observe_ns = 0;
-    m.priority_rebuild_ns = 0;
-    m.priority_rebuilds = 0;
-    m.score_ns = 0;
-    m.expire_ns = 0;
-    m.probe_ns = 0;
-    m.insert_ns = 0;
-    m.sign_cache_hits = 0;
-    m.sign_cache_misses = 0;
-    m.score_cache_hits = 0;
-    m.score_cache_misses = 0;
-    m
-}
-
-/// Runs one (policy, memory-mode) configuration: a single engine run, or
-/// — when [`ab_pair`] names one — the trace driven twice and the two runs
-/// held to each other.
-fn drive_engine(
-    case: &Case,
-    arrivals: &[Arrival],
-    policy: &str,
-    full_memory: bool,
-    stats: &mut CaseStats,
-) -> Result<Vec<Vec<u64>>, Failure> {
-    let run = |variant| {
-        let (rows, metrics, deferred) =
-            drive_engine_with(case, arrivals, policy, full_memory, variant)?;
-        stats.deferred |= deferred;
-        Ok((rows, metrics))
-    };
-    run_ab(case.cache_ab, policy, policy, full_memory, run, |a, b| first_diff(a, b))
-}
-
-/// Builds the engine for one (policy, memory-mode) run and drives the
-/// trace through it, collecting canonical rows and re-checking structural
-/// invariants after every arrival; also reports whether any window owed
-/// its priorities after some arrival. Panics anywhere inside the engine
-/// are converted into [`FailureKind::InvariantPanic`].
-fn drive_engine_with(
-    case: &Case,
-    arrivals: &[Arrival],
-    policy: &str,
-    full_memory: bool,
-    variant: Variant,
-) -> Result<(Vec<Vec<u64>>, EngineMetrics, bool), Failure> {
-    let n = case.n_streams();
-    let fail = |detail: String, kind| Failure {
-        policy: policy.into(),
-        kind,
-        detail,
-    };
-    let mut engine = configured_builder(case, arrivals, policy, full_memory, variant)
-        .build()
-        .map_err(|e| fail(format!("engine construction failed: {e:?}"), FailureKind::InvariantPanic))?;
-
-    let mut rows = Vec::new();
-    let mut deferred = false;
-    for (i, a) in arrivals.iter().enumerate() {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut sink = FnSink(|b: &Bindings<'_>| rows.push(row(b, n)));
-            let values: Vec<Value> = a.values.iter().map(|&v| Value(v)).collect();
-            let now = VTime::from_micros(a.at_micros);
-            let tuple = engine.mint(mstream_core::Arrival::new(StreamId(a.stream), values, now));
-            engine.ingest_tuple(tuple, now, &mut sink);
-            engine.check_invariants();
-            deferred |= engine.deferred_windows() > 0;
-        }));
-        if let Err(payload) = outcome {
-            return Err(fail(
-                format!("arrival #{i}: {}", panic_message(&payload)),
-                FailureKind::InvariantPanic,
-            ));
-        }
-    }
-    rows.sort();
-    let metrics = engine.metrics().clone();
-    Ok((rows, metrics, deferred))
-}
-
-/// The shared [`EngineBuilder`] setup for one (policy, memory-mode) run:
-/// explicit epoch and sketch bank, case-seeded determinism, the variant's
-/// policy wrapping and cache pin, and the case's reduced-memory discipline
-/// (full-memory runs size every window to hold the whole trace).
-fn configured_builder(
-    case: &Case,
-    arrivals: &[Arrival],
-    policy: &str,
-    full_memory: bool,
-    variant: Variant,
-) -> EngineBuilder {
-    let mut builder = EngineBuilder::new(case.query.clone())
-        .boxed_policy(variant.policy(policy))
+/// The one builder setup: `queries` registered in order, explicit epoch
+/// and sketch bank, case-seeded determinism, the variant's policy, cache
+/// pin and front end, and the run's memory — full memory holds the whole
+/// trace on every window (times the width: skewed routing may land it all
+/// on one worker).
+fn builder(case: &Case, queries: &[JoinQuery], len: usize, run: &Run) -> EngineBuilder {
+    let mut b = EngineBuilder::new_multi()
+        .boxed_policy(run.variant.policy(run.policy))
         .epoch(case.epoch)
         .bank(BankConfig {
             s1: 32,
@@ -397,156 +272,513 @@ fn configured_builder(
             seed: case.seed,
         })
         .seed(case.seed);
-    if let Some(on) = variant.cache {
-        builder = builder.score_cache(on);
+    if let Some(on) = run.variant.cache {
+        b = b.score_cache(on);
     }
-    if full_memory {
-        builder.capacity_per_window(arrivals.len() + 1)
+    if run.variant.front {
+        b = b.disorder_bound(case.disorder);
+    }
+    for query in queries {
+        b.register(query.clone()).expect("pool schemas agree");
+    }
+    if let Some(shards) = run.shards {
+        b = b.shard_config(audit_shard_config(shards));
+    }
+    if run.full {
+        return b.capacity_per_window((len + 1) * run.shards.unwrap_or(1));
+    }
+    match &case.reduced {
+        ReducedMemory::PerWindow(c) => b.capacity_per_window(*c),
+        ReducedMemory::PerWindowEach(caps) => b.capacities(
+            catalog_order(queries)
+                .into_iter()
+                .map(|p| caps[p])
+                .collect(),
+        ),
+        ReducedMemory::GlobalPool(total) => b.global_pool(*total),
+    }
+}
+
+/// What the engine is fed: the trace, shuffled within `K` behind the
+/// front end, then the late arrival if the run asks for one.
+fn fed(case: &Case, queries: &[JoinQuery], trace: &Trace, run: &Run) -> Vec<Arrival> {
+    let mut fed = if run.variant.front {
+        inject_disorder(&trace.arrivals, case.disorder, case.seed ^ 0x5EED_5EED)
     } else {
-        match &case.reduced {
-            ReducedMemory::PerWindow(c) => builder.capacity_per_window(*c),
-            ReducedMemory::PerWindowEach(cs) => builder.capacities(cs.clone()),
-            ReducedMemory::GlobalPool(total) => builder.global_pool(*total),
-        }
+        trace.arrivals.clone()
+    };
+    if run.late {
+        let stream = pool_streams(&queries[0])[0];
+        let values = vec![0; case.arity[stream]];
+        fed.push(Arrival {
+            stream,
+            values,
+            at_micros: 0,
+        });
     }
+    fed
 }
 
-/// Drives the trace through a [`mstream_core::ShardedJoinEngine`] at the
-/// case's shard count, checks the partitioning contract (real fan-out on
-/// partitionable queries, broadcast execution at full width otherwise, no
-/// drops under blocking backpressure), and returns the merged canonical
-/// rows. The hot-key detector runs with an aggressive decision cadence so
-/// even these short traces promote and split heavy hitters (the Zipf-hot
-/// case class guarantees skewed inputs every sweep).
-fn drive_sharded(
-    case: &Case,
-    arrivals: &[Arrival],
-    policy: &str,
-    full_memory: bool,
-) -> Result<Vec<Vec<u64>>, Failure> {
-    let label = format!("{policy}@x{}", case.shards);
-    let run = |variant| drive_sharded_with(case, arrivals, policy, full_memory, variant);
-    run_ab(case.cache_ab, policy, &label, full_memory, run, |a, b| first_diff(a, b))
+/// The engine arrival for `a`, addressed through `ids` (pool → global).
+fn arrival(a: &Arrival, ids: &[Option<StreamId>]) -> mstream_core::Arrival {
+    let values: Vec<Value> = a.values.iter().map(|&v| Value(v)).collect();
+    let stream = ids[a.stream].expect("arrivals target registered streams");
+    mstream_core::Arrival::new(stream, values, VTime::from_micros(a.at_micros))
 }
 
-/// The single-run body behind [`drive_sharded`]: returns the merged rows
-/// plus the combined cross-shard metrics so the A/B wrapper can compare
-/// both. `variant` applies to every worker in the instance.
-fn drive_sharded_with(
+/// Drives one run over `trace` and returns each registered query's rows:
+/// in emit order in process, in the merged report's canonical order
+/// sharded. The engine mints sequence numbers in release order, which is
+/// trace order for every run made here, so `position[seq]` is the trace
+/// position of the tuple minted `seq`-th. Panics anywhere inside the
+/// engine become [`FailureKind::InvariantPanic`].
+fn drive(
     case: &Case,
-    arrivals: &[Arrival],
-    policy: &str,
-    full_memory: bool,
-    variant: Variant,
-) -> Result<(Vec<Vec<u64>>, EngineMetrics), Failure> {
-    let fail = |detail: String, kind| Failure {
-        policy: format!("{policy}@x{}", case.shards),
+    queries: &[JoinQuery],
+    trace: &Trace,
+    position: &[usize],
+    run: Run,
+    stats: &mut CaseStats,
+) -> Result<Output, Failure> {
+    let fail = |kind, detail: String| Failure {
+        policy: run.label(),
         kind,
         detail,
     };
-    let mut builder = configured_builder(case, arrivals, policy, full_memory, variant);
-    if full_memory {
-        // The shard layer splits the budget S ways; skewed routing may put
-        // most tuples on one shard, so "full memory" must survive the
-        // worst case: the whole trace landing on a single worker.
-        builder = builder.capacity_per_window((arrivals.len() + 1) * case.shards);
-    }
-    let mut engine = builder
-        .shard_config(audit_shard_config(case.shards))
-        .build_sharded()
-        .map_err(|e| fail(format!("sharded construction failed: {e:?}"), FailureKind::InvariantPanic))?;
+    let panicked = |at: &str, payload: Box<dyn std::any::Any + Send>| {
+        fail(
+            FailureKind::InvariantPanic,
+            format!("{at}: {}", panic_message(&*payload)),
+        )
+    };
+    let unbuilt = |e| {
+        fail(
+            FailureKind::InvariantPanic,
+            format!("construction failed: {e:?}"),
+        )
+    };
+    let built = builder(case, queries, trace.arrivals.len(), &run);
+    let fed = fed(case, queries, trace, &run);
+    let adds = trace
+        .churn
+        .iter()
+        .filter(|(_, c)| matches!(c, Churn::Add(_)));
+    let mut rows: Rows = vec![Vec::new(); queries.len() + adds.count()];
+    let mut churn = trace.churn.iter().peekable();
 
-    match case.query.partitioning() {
-        Partitioning::ByKey { .. } => {
-            if engine.shards() != case.shards || engine.degraded().is_some() {
-                return Err(fail(
-                    format!(
-                        "partitionable query ran on {} shards (requested {}), degraded: {:?}",
-                        engine.shards(),
-                        case.shards,
-                        engine.degraded()
-                    ),
-                    FailureKind::ShardContract,
-                ));
-            }
+    let Some(shards) = run.shards else {
+        let mut engine = built.build_multi().map_err(unbuilt)?;
+        let ids: Vec<_> = (0..case.arity.len())
+            .map(|p| engine.stream_id(&format!("R{}", p + 1)))
+            .collect();
+        let mut next_id = queries.len();
+        let mut sink = QueryFnSink(|q: QueryId, b: &Bindings<'_>| {
+            rows[q.index()].push(bound_row(b, position))
+        });
+        for i in 0..=fed.len() {
+            let step = catch_unwind(AssertUnwindSafe(|| {
+                while let Some((_, event)) = churn.next_if(|(at, _)| *at == i) {
+                    match event {
+                        Churn::Remove(q) => assert!(engine.remove_query(QueryId(*q as u32))),
+                        Churn::Add(query) => {
+                            let id = engine.add_query(query.clone()).expect("pool schemas agree");
+                            assert_eq!(id.index(), next_id, "ids are dense");
+                            next_id += 1;
+                        }
+                    }
+                    engine.check_invariants();
+                }
+                match fed.get(i) {
+                    Some(a) => engine.ingest(arrival(a, &ids), &mut sink),
+                    None => engine.flush(&mut sink),
+                };
+                engine.check_invariants();
+                stats.deferred |= engine.deferred_windows() > 0;
+            }));
+            step.map_err(|payload| panicked(&format!("arrival #{i}"), payload))?;
         }
-        Partitioning::Single { .. } => {
-            if engine.shards() != case.shards || engine.degraded().is_some() {
-                return Err(fail(
-                    format!(
-                        "non-partitionable query must run broadcast at {} shards; got {} shards, degraded: {:?}",
-                        case.shards,
-                        engine.shards(),
-                        engine.degraded()
-                    ),
-                    FailureKind::ShardContract,
-                ));
-            }
-        }
-    }
+        let metrics = engine.metrics().clone();
+        return Ok(Output { rows, metrics });
+    };
 
-    let expect_shards = engine.shards();
-    let expect_degraded = engine.degraded().map(str::to_owned);
-    for a in arrivals {
-        let values: Vec<Value> = a.values.iter().map(|&v| Value(v)).collect();
-        engine.ingest(mstream_core::Arrival::new(
-            StreamId(a.stream),
-            values,
-            VTime::from_micros(a.at_micros),
-        ));
-    }
-    let report = engine
-        .finish()
-        .map_err(|e| fail(format!("{e}"), FailureKind::InvariantPanic))?;
-    if report.shed_channel != 0 {
+    let engine = built.build_sharded().map_err(unbuilt)?;
+    // Partitioning contract: a keyed set runs at full width; one query
+    // that cannot partition runs broadcast at full width; any other set
+    // either partitions or degrades to one shard with a reason.
+    let (width, degraded) = (engine.shards(), engine.degraded().map(str::to_owned));
+    let broadcast_single = match queries {
+        [q] => matches!(q.partitioning(), Partitioning::Single { .. }),
+        _ => false,
+    };
+    let must_partition = case.keyed || queries.len() == 1;
+    let degrade_ok = !must_partition && width == 1 && degraded.is_some();
+    if !(width == shards && degraded.is_none() || degrade_ok) {
         return Err(fail(
-            format!("{} tuples dropped under Backpressure::Block", report.shed_channel),
             FailureKind::ShardContract,
+            format!("requested {shards} shards, ran {width}, degraded: {degraded:?}"),
         ));
     }
-    if report.combined.shards != expect_shards
-        || report.combined.degraded != expect_degraded
-        || report.per_shard.len() != expect_shards
+    let ids: Vec<_> = (0..case.arity.len())
+        .map(|p| engine.stream_id(&format!("R{}", p + 1)))
+        .collect();
+    let outcome = catch_unwind(AssertUnwindSafe(move || {
+        let mut engine = engine;
+        for i in 0..=fed.len() {
+            while let Some((_, event)) = churn.next_if(|(at, _)| *at == i) {
+                match event {
+                    Churn::Remove(q) => engine.remove_query(QueryId(*q as u32)),
+                    Churn::Add(query) => {
+                        if let Err(e) = engine.add_query(query.clone()) {
+                            let detail = format!("add_query rejected before #{i}: {e:?}");
+                            return Err(fail(FailureKind::ShardContract, detail));
+                        }
+                    }
+                }
+            }
+            if let Some(a) = fed.get(i) {
+                engine.ingest(arrival(a, &ids));
+            }
+        }
+        let report = engine.finish();
+        report.map_err(|e| fail(FailureKind::InvariantPanic, e.to_string()))
+    }));
+    let report = outcome.map_err(|payload| panicked("coordinator", payload))??;
+    let combined = &report.combined;
+    if report.shed_channel != 0
+        || combined.shards != width
+        || combined.degraded != degraded
+        || report.per_shard.len() != width
+        || report.broadcast != (broadcast_single && width > 1)
     {
         return Err(fail(
-            format!(
-                "merged report disagrees with the engine: shards {} vs {}, degraded {:?} vs {:?}, {} per-shard entries",
-                report.combined.shards,
-                expect_shards,
-                report.combined.degraded,
-                expect_degraded,
-                report.per_shard.len()
-            ),
             FailureKind::ShardContract,
+            format!(
+                "{} channel drops under Backpressure::Block; report: {} shards, degraded {:?}, \
+                 {} per-shard entries, broadcast {} (engine: {width} shards, degraded {degraded:?})",
+                report.shed_channel,
+                combined.shards,
+                combined.degraded,
+                report.per_shard.len(),
+                report.broadcast
+            ),
         ));
     }
+    stats.hot_split |= report.hot_promoted > 0;
+    let merged = report.rows.expect("collect_rows was set");
+    for (q, results) in merged.iter().enumerate() {
+        rows[q] = results
+            .iter()
+            .map(|r| result_row(r.iter(), position))
+            .collect();
+    }
+    Ok(Output {
+        rows,
+        metrics: report.combined.metrics,
+    })
+}
 
-    let n = case.n_streams();
-    let mut rows: Vec<Vec<u64>> = report
-        .rows
-        .expect("collect_rows was set")[0]
-        .iter()
-        .map(|result| {
-            let mut r = Vec::with_capacity(n * 3);
-            for t in result {
-                r.push(t.seq.0);
-                r.extend(t.values.iter().map(|v| v.0));
+/// Runs `run`'s configuration under both halves of its [`ab_pair`]: the
+/// two must agree on every query's rows, in order, and on normalized
+/// metrics. Returns the first run's output.
+fn drive_pair(
+    case: &Case,
+    trace: &Trace,
+    position: &[usize],
+    run: Run,
+    stats: &mut CaseStats,
+) -> Result<Output, Failure> {
+    let (x, y, kind) = ab_pair(case.cache_ab, trace.churn.is_empty(), run.policy);
+    let mut go = |variant| {
+        drive(
+            case,
+            &case.queries,
+            trace,
+            position,
+            Run { variant, ..run },
+            stats,
+        )
+    };
+    let first = go(x)?;
+    let Some(y) = y else {
+        return Ok(first);
+    };
+    let Some(detail) = divergence(&first, &go(y)?) else {
+        return Ok(first);
+    };
+    // When the pair differs in both variant and front end, the second
+    // variant on the first's side of the front end names the contract:
+    // if it still diverges, the variants do, else the front end does.
+    let disorder = FailureKind::DisorderContract;
+    let mixed = x.front != y.front && kind != disorder;
+    let z = Variant {
+        front: x.front,
+        ..y
+    };
+    let kind = match mixed && divergence(&first, &go(z)?).is_none() {
+        true => disorder,
+        false => kind,
+    };
+    let memory = if run.full { "full" } else { "reduced" };
+    let detail = format!("{memory} memory: {detail}");
+    Err(Failure {
+        policy: run.label(),
+        kind,
+        detail,
+    })
+}
+
+/// Where two runs first part: a query's rows (in order), or their
+/// normalized metrics.
+fn divergence(a: &Output, b: &Output) -> Option<String> {
+    if let Some(q) = (0..a.rows.len()).find(|&q| a.rows[q] != b.rows[q]) {
+        return Some(format!(
+            "q{q} emissions diverge: {}",
+            first_diff(&a.rows[q], &b.rows[q])
+        ));
+    }
+    let (ma, mb) = (
+        normalized_metrics(&a.metrics),
+        normalized_metrics(&b.metrics),
+    );
+    (ma != mb).then(|| format!("normalized metrics diverge: {ma:?} vs {mb:?}"))
+}
+
+/// Strips the metric fields that legitimately differ between the two runs
+/// of a pair: the wall-clock stage timers, the score-cache counters
+/// themselves, the packed-sign cache counters (a score-cache hit, like an
+/// arrival stored unscored, skips the packed-sign computation entirely)
+/// and the count of rescoring passes (an owed pass nobody needs is never
+/// run). Everything else — shed counts, emissions, replication, late
+/// drops — must match bit for bit.
+pub(crate) fn normalized_metrics(m: &EngineMetrics) -> EngineMetrics {
+    EngineMetrics {
+        sketch_observe_ns: 0,
+        priority_rebuild_ns: 0,
+        priority_rebuilds: 0,
+        score_ns: 0,
+        expire_ns: 0,
+        probe_ns: 0,
+        insert_ns: 0,
+        sign_cache_hits: 0,
+        sign_cache_misses: 0,
+        score_cache_hits: 0,
+        score_cache_misses: 0,
+        ..m.clone()
+    }
+}
+
+/// Runs the whole audit for `case`.
+pub fn run_case(case: &Case) -> Result<CaseStats, Failure> {
+    run_case_on(case, &case.trace)
+}
+
+/// Runs the whole audit for `case` over `trace` (the shrinker re-enters
+/// here with smaller traces).
+pub fn run_case_on(case: &Case, trace: &Trace) -> Result<CaseStats, Failure> {
+    let registered = case.registered(trace);
+    // The oracle probes with the engine's kernels: a panic there fails too.
+    let oracle = catch_unwind(|| {
+        let exact =
+            |(q, over): &(&JoinQuery, _)| oracle_rows(q, &trace.arrivals, Range::clone(over));
+        registered.iter().map(exact).collect::<Rows>()
+    });
+    let oracle = oracle.map_err(|payload| Failure {
+        policy: "oracle".into(),
+        kind: FailureKind::InvariantPanic,
+        detail: panic_message(&*payload),
+    })?;
+    let position: Vec<usize> = (0..trace.arrivals.len()).collect();
+    let mut stats = CaseStats::default();
+    let probes = ["MSketch", "FIFO"];
+    for &policy in ALL_POLICY_NAMES {
+        for full in [true, false] {
+            let run = Run::new(policy, full, None);
+            let out = drive_pair(case, trace, &position, run, &mut stats)?;
+            check_oracle(policy, full, &out.rows, &oracle)?;
+            if full && probes.contains(&policy) {
+                late_drop_probe(case, trace, &position, run, &out.rows, &mut stats)?;
+            } else if !full {
+                solo_replays(case, trace, policy, &out.rows)?;
             }
-            r
-        })
-        .collect();
+        }
+    }
+    for policy in probes {
+        for full in [true, false] {
+            let run = Run::new(policy, full, Some(case.shards));
+            let out = drive_pair(case, trace, &position, run, &mut stats)?;
+            check_oracle(&run.label(), full, &out.rows, &oracle)?;
+        }
+    }
+    queue_audit(case, trace)?;
+    Ok(stats)
+}
+
+/// Holds each query to its oracle: equal at full memory, a sub-multiset
+/// under reduced memory.
+fn check_oracle(label: &str, full: bool, rows: &Rows, oracle: &Rows) -> Result<(), Failure> {
+    for (q, (got, want)) in rows.iter().zip(oracle).enumerate() {
+        let mut got = got.clone();
+        got.sort();
+        let fail = |kind, detail| Failure {
+            policy: format!("{label}[q{q}]"),
+            kind,
+            detail,
+        };
+        if full && got != *want {
+            return Err(fail(FailureKind::ExactMismatch, first_diff(&got, want)));
+        }
+        if let Some(extra) = not_in_multiset(&got, want) {
+            let detail = format!("shed run emitted a row the oracle never did: {extra:?}");
+            return Err(fail(FailureKind::NotSubMultiset, detail));
+        }
+    }
+    Ok(())
+}
+
+/// `query`'s exact result over the arrivals at `over` on its streams, in
+/// the row form of [`result_row`] (its local seq mapped through the trace
+/// positions it was fed), sorted.
+fn oracle_rows(query: &JoinQuery, arrivals: &[Arrival], over: Range<usize>) -> Vec<ResultRow> {
+    let streams = pool_streams(query);
+    let mut join = ExactJoin::new(query.clone());
+    let (mut fed, mut rows) = (Vec::new(), Vec::new());
+    for (i, a) in arrivals.iter().enumerate().take(over.end).skip(over.start) {
+        let Some(local) = streams.iter().position(|&p| p == a.stream) else {
+            continue;
+        };
+        fed.push(i);
+        let values: Vec<Value> = a.values.iter().map(|&v| Value(v)).collect();
+        join.process_each(
+            StreamId(local),
+            values,
+            VTime::from_micros(a.at_micros),
+            |b| rows.push(bound_row(b, &fed)),
+        );
+    }
     rows.sort();
-    Ok((rows, report.combined.metrics))
+    rows
+}
+
+/// The solo-replay contract: a query whose class owns every store it
+/// reads evolves bit for bit as in its solo run, even under shedding
+/// (DESIGN.md §14). Owners are the initial queries that first register
+/// each of their `(stream, window)` pairs (a duplicate shares its
+/// original's class) and every added query (fresh class, fresh stores).
+/// A pool shares one budget across classes, so it has no solo run.
+fn solo_replays(case: &Case, trace: &Trace, policy: &str, rows: &Rows) -> Result<(), Failure> {
+    let registered = case.registered(trace);
+    if registered.len() < 2 || matches!(case.reduced, ReducedMemory::GlobalPool(_)) {
+        return Ok(());
+    }
+    let stores = |q: &JoinQuery| pool_streams(q).into_iter().zip(q.windows().to_vec());
+    let first_user = |key: (usize, WindowSpec)| {
+        let uses = |q: &&JoinQuery| stores(q).any(|k| k == key);
+        case.queries
+            .iter()
+            .find(uses)
+            .expect("a query uses its own store")
+    };
+    let same_class = |a: &JoinQuery, b: &JoinQuery| {
+        pool_streams(a) == pool_streams(b)
+            && a.windows() == b.windows()
+            && a.predicates() == b.predicates()
+    };
+    for (q, (query, over)) in registered.iter().enumerate() {
+        let added = q >= case.queries.len();
+        if !added && !stores(query).all(|key| same_class(first_user(key), query)) {
+            continue;
+        }
+        let streams = pool_streams(query);
+        let on_query =
+            |&(i, a): &(usize, &Arrival)| over.contains(&i) && streams.contains(&a.stream);
+        let (position, arrivals): (Vec<usize>, Vec<Arrival>) = trace
+            .arrivals
+            .iter()
+            .enumerate()
+            .filter(on_query)
+            .map(|(i, a)| (i, a.clone()))
+            .unzip();
+        let solo = Trace {
+            arrivals,
+            churn: Vec::new(),
+        };
+        let (run, query) = (Run::new(policy, false, None), std::slice::from_ref(*query));
+        let out = drive(
+            case,
+            query,
+            &solo,
+            &position,
+            run,
+            &mut CaseStats::default(),
+        )?;
+        if out.rows[0] != rows[q] {
+            return Err(Failure {
+                policy: format!("{policy}[q{q}]"),
+                kind: FailureKind::SoloReplay,
+                detail: first_diff(&rows[q], &out.rows[0]),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// An arrival later than the bound is dropped, counted once, and has no
+/// effect on the output: the full-memory run behind the front end with a
+/// timestamp-0 arrival appended must reproduce `baseline` with exactly
+/// one late drop. Runs when the trace carries no churn and every stream's
+/// high-water mark clears `K`, which makes timestamp 0 beyond the bound.
+fn late_drop_probe(
+    case: &Case,
+    trace: &Trace,
+    position: &[usize],
+    run: Run,
+    baseline: &Rows,
+    stats: &mut CaseStats,
+) -> Result<(), Failure> {
+    let mut hwm = vec![0u64; case.arity.len()];
+    for a in &trace.arrivals {
+        hwm[a.stream] = hwm[a.stream].max(a.at_micros);
+    }
+    let slowest = catalog_order(&case.queries).iter().map(|&p| hwm[p]).min();
+    if !trace.churn.is_empty() || slowest.unwrap_or(0) <= case.disorder.as_micros() {
+        return Ok(());
+    }
+    stats.late_probe = true;
+    let run = Run {
+        variant: Variant {
+            front: true,
+            ..Variant::default()
+        },
+        late: true,
+        ..run
+    };
+    let out = drive(case, &case.queries, trace, position, run, stats)?;
+    let dropped = out.metrics.late_dropped;
+    let detail = if dropped != 1 {
+        format!("beyond-bound arrival counted {dropped} late drops (expected 1)")
+    } else if let Some(q) = (0..baseline.len()).find(|&q| out.rows[q] != baseline[q]) {
+        format!(
+            "a dropped late arrival changed q{q}: {}",
+            first_diff(&out.rows[q], &baseline[q])
+        )
+    } else {
+        return Ok(());
+    };
+    Err(Failure {
+        policy: run.label(),
+        kind: FailureKind::DisorderContract,
+        detail,
+    })
 }
 
 /// Exercises [`ShedQueue`] with a seeded churn of offers and pops derived
-/// from the case trace, re-checking its invariants after every operation.
-fn queue_audit(case: &Case, arrivals: &[Arrival]) -> Result<(), Failure> {
+/// from the trace, re-checking its invariants after every operation.
+fn queue_audit(case: &Case, trace: &Trace) -> Result<(), Failure> {
     let mut rng = StdRng::seed_from_u64(case.seed ^ 0xA5A5_5A5A_A5A5_5A5A);
     let capacity = rng.gen_range(1..6usize);
     let mut queue = ShedQueue::new(capacity);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        for (i, a) in arrivals.iter().enumerate() {
+        for (i, a) in trace.arrivals.iter().enumerate() {
             let tuple = Tuple::new(
                 StreamId(a.stream),
                 VTime::from_micros(a.at_micros),
@@ -570,12 +802,12 @@ fn queue_audit(case: &Case, arrivals: &[Arrival]) -> Result<(), Failure> {
     outcome.map_err(|payload| Failure {
         policy: String::new(),
         kind: FailureKind::QueuePanic,
-        detail: format!("capacity {capacity}: {}", panic_message(&payload)),
+        detail: format!("capacity {capacity}: {}", panic_message(&*payload)),
     })
 }
 
 /// Last panic rendered by the [`install_quiet_hook`] hook (message +
-/// source location), for reports where the payload itself is opaque.
+/// source location), for the failure report.
 static LAST_PANIC: std::sync::Mutex<Option<String>> = std::sync::Mutex::new(None);
 
 /// Replaces the default panic hook with one that stays quiet (the
@@ -587,40 +819,36 @@ pub fn install_quiet_hook() {
     }));
 }
 
-/// Extracts the human-readable message from a caught panic: the payload
-/// string if it has one, else whatever [`install_quiet_hook`] recorded.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).into()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(rendered) = LAST_PANIC.lock().unwrap().take() {
-        rendered
-    } else {
-        "non-string panic payload".into()
+/// Renders a caught panic: what [`install_quiet_hook`] recorded (message
+/// and source location), else the payload string.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(rendered) = LAST_PANIC.lock().unwrap().take() {
+        return rendered.replace('\n', " ");
     }
+    let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
+    let text = text.or_else(|| payload.downcast_ref::<String>().cloned());
+    text.unwrap_or_else(|| "non-string panic payload".into())
 }
 
-/// Describes the first discrepancy between two sorted row multisets.
-pub(crate) fn first_diff(got: &[Vec<u64>], want: &[Vec<u64>]) -> String {
+/// Describes the first discrepancy between two row lists.
+fn first_diff(got: &[ResultRow], want: &[ResultRow]) -> String {
     if got.len() != want.len() {
+        let missing = got.iter().find(|r| !want.contains(r));
         return format!(
-            "row count {} vs oracle {} (first engine row missing from oracle / vice versa: {:?})",
+            "row count {} vs {} (first row on one side only: {:?})",
             got.len(),
             want.len(),
-            got.iter().find(|r| !want.contains(r)).or_else(|| want.iter().find(|r| !got.contains(r)))
+            missing.or_else(|| want.iter().find(|r| !got.contains(r)))
         );
     }
-    for (g, w) in got.iter().zip(want) {
-        if g != w {
-            return format!("first divergent row: engine {g:?} vs oracle {w:?}");
-        }
+    match got.iter().zip(want).find(|(g, w)| g != w) {
+        Some((g, w)) => format!("first divergent row: {g:?} vs {w:?}"),
+        None => "rows differ in an unlocated way".into(),
     }
-    "multisets differ in an unlocated way".into()
 }
 
 /// Returns a row of `small` that exceeds its multiplicity in `big`, if any.
-pub(crate) fn not_in_multiset(small: &[Vec<u64>], big: &[Vec<u64>]) -> Option<Vec<u64>> {
+fn not_in_multiset(small: &[ResultRow], big: &[ResultRow]) -> Option<ResultRow> {
     let mut budget: HashMap<&[u64], i64> = HashMap::new();
     for r in big {
         *budget.entry(r.as_slice()).or_insert(0) += 1;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Nightly deep audit sweep: engine-vs-oracle differential fuzzing over
-# randomly generated queries and workloads, with structural invariant
-# checks after every arrival (see DESIGN.md §8).
+# Nightly deep audit sweep: every contract of DESIGN.md §8 — each query
+# of a fuzzed standing set against its exact oracle, in process and
+# sharded, event-time runs against in-order runs, churn, the A/B pairs —
+# with structural invariant checks after every arrival.
 #
 # Usage: scripts/audit.sh [CASES] [SEED]
 #

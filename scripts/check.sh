@@ -80,25 +80,17 @@ if grep -rniE '9E37_?79B9_?7F4A_?7C15|BF58_?476D_?1CE4_?E5B9|94D0_?49BB_?1331_?1
   echo "FAIL: a second copy of the SplitMix64 constants (import mstream_types::splitmix64)"
   exit 1
 fi
-# Differential audit smoke: every policy vs the exact oracle over 50
-# fuzzed cases, with per-arrival structural invariant checks (includes the
-# sharded-vs-oracle differential at the case's shard count). Odd-seed
-# cases additionally run every engine twice — productivity score cache
-# forced on and off — and the runs must be bit-identical (DESIGN.md §16).
-# Even-seed cases run MSketch and MSketch-RS twice instead — as shipped
-# (window priorities owed until a window is short) and behind the eager
-# wrapper — with the same requirement; a sweep in which no window ever
-# owed its priorities watched nothing.
-cargo run --release -p mstream-audit -- sweep --cases 50 --seed 7 | tee target/check_audit.txt
-grep -Eq '[1-9][0-9]* deferred cases' target/check_audit.txt \
-  || { echo "FAIL: no audit case entered the deferred state"; exit 1; }
-# Event-time disorder smoke (DESIGN.md §13): for fuzzed cases across every
-# policy and both memory modes, a K=0 run is bit-identical to the trusting
-# engine, a shuffle bounded by K reproduces the in-order output exactly
-# (single-engine and sharded at S in {1, case shards}), and beyond-bound
-# lateness is dropped, counted, and never joined. Odd-seed cases A/B the
-# score cache through the event-time path (prev-epoch memo keying).
-cargo run --release -p mstream-audit -- disorder --cases 25 --seed 7
+# Differential audit smoke (DESIGN.md §8): 100 fuzzed cases, every policy
+# in process and sharded against each query's exact oracle, event-time
+# runs against in-order runs, the score-cache (odd seeds) and plain/eager
+# (even seeds) A/B pairs, structural invariants after every arrival. A
+# class the sweep never drew watched nothing, so every count must be > 0.
+cargo run --release -p mstream-audit -- sweep --cases 100 --seed 7 | tee target/check_audit.txt
+for CLASS in "one-query sets" "multi-query sets" "churn cases" "disorder cases" \
+  "late-drop probes" "deferred cases" "hot-split cases" "mixed-arity cases" "spill cases"; do
+  grep -Eq "[1-9][0-9]* $CLASS" target/check_audit.txt \
+    || { echo "FAIL: the audit smoke drew no $CLASS"; exit 1; }
+done
 
 # Sharded-vs-single CLI differential smoke: the same key-partitionable
 # query and trace must produce the same output count at S in {1,2,4} when
@@ -193,14 +185,3 @@ if [ -n "$UNREFERENCED" ]; then
   echo "FAIL: kernel::avx2 kernels without a kernel::scalar reference:" $UNREFERENCED
   exit 1
 fi
-
-# Multi-query differential audit smoke (DESIGN.md §14): fuzzed 2-4-query
-# sets, each query vs its own solo exact oracle, in-process and sharded
-# S in {1,2}. It must include registration churn (a mid-trace add_query /
-# remove_query), or owner hand-off goes unwatched, and a sharded set that
-# split a hot key, or the gate over a set's windows goes unwatched.
-cargo run --release -p mstream-audit -- multi --cases 25 --seed 7 | tee target/check_multi_audit.txt
-grep -Eq '[1-9][0-9]* churn cases' target/check_multi_audit.txt \
-  || { echo "FAIL: the multi-query audit smoke ran no churn case"; exit 1; }
-grep -Eq '[1-9][0-9]* hot-split cases' target/check_multi_audit.txt \
-  || { echo "FAIL: the multi-query audit smoke split no hot key"; exit 1; }
