@@ -126,6 +126,24 @@ impl Case {
         self.queries.iter().any(|q| q.n_streams() > 8)
     }
 
+    /// Whether the reduced-memory runs can shed nothing: every window
+    /// `trace` registers is a `ROWS n` with room for `n`, under per-window
+    /// memory (DESIGN.md §16). In process, those runs must equal the
+    /// oracle exactly.
+    pub fn cannot_shed(&self, trace: &Trace) -> bool {
+        let capacity = |p: usize| match &self.reduced {
+            ReducedMemory::PerWindow(c) => Some(*c as u64),
+            ReducedMemory::PerWindowEach(cs) => Some(cs[p] as u64),
+            ReducedMemory::GlobalPool(_) => None,
+        };
+        self.registered(trace).iter().all(|(q, _)| {
+            let mut windows = pool_streams(q).into_iter().zip(q.windows());
+            windows.all(|(p, w)| {
+                matches!((w, capacity(p)), (WindowSpec::Tuples(n), Some(c)) if c >= *n)
+            })
+        })
+    }
+
     /// Whether the streams the set uses differ in arity.
     pub fn mixed_arity(&self) -> bool {
         let used = catalog_order(&self.queries);
@@ -223,13 +241,16 @@ fn build(rng: &mut StdRng, (lo, hi): (usize, usize), shape: &Shape) -> JoinQuery
 /// Pinned classes (arithmetic on the seed, so they hold in every sweep):
 /// `seed % 8 == 0` all-tuple windows and keyed (real multi-shard runs with
 /// coalesced expiry ticks), `seed % 8 == 4` Zipf-hot keys, `seed % 16 == 2`
-/// a 9-stream chain (the probe's binding slots spill), odd seeds the
-/// score-cache A/B pair, even seeds the plain/eager pair.
+/// a 9-stream chain (the probe's binding slots spill), `seed % 16 == 6`
+/// all-tuple windows with the reduced capacity equal to the longest (no
+/// window can fill: every class idles), odd seeds the score-cache A/B
+/// pair, even seeds the plain/eager pair.
 pub fn generate_case(seed: u64) -> Case {
     let mut rng = StdRng::seed_from_u64(seed);
     let tuple_shard = seed % 8 == 0;
     let zipf_hot = seed % 8 == 4;
     let wide = seed % 16 == 2;
+    let unfillable = seed % 16 == 6;
     let n_queries = if rng.gen_bool(0.5) {
         1
     } else {
@@ -246,7 +267,7 @@ pub fn generate_case(seed: u64) -> Case {
     let arity: Vec<usize> = (0..pool).map(|_| rng.gen_range(1..=4usize)).collect();
     let shape = Shape {
         arity: &arity,
-        flavour: if tuple_shard || wide {
+        flavour: if tuple_shard || wide || unfillable {
             1
         } else {
             rng.gen_range(0..3u8)
@@ -329,7 +350,7 @@ pub fn generate_case(seed: u64) -> Case {
         })
         .collect();
 
-    let reduced = match rng.gen_range(0..3u8) {
+    let mut reduced = match rng.gen_range(0..3u8) {
         0 => ReducedMemory::PerWindow(rng.gen_range(2..8usize)),
         1 => ReducedMemory::PerWindowEach((0..pool).map(|_| rng.gen_range(2..8usize)).collect()),
         _ => ReducedMemory::GlobalPool(rng.gen_range(2..8usize) * used.len()),
@@ -356,6 +377,18 @@ pub fn generate_case(seed: u64) -> Case {
             churn.push((at(&mut rng), Churn::Add(query)));
         }
         churn.sort_by_key(|&(at, _)| at);
+    }
+    if unfillable {
+        let added = churn.iter().filter_map(|(_, c)| match c {
+            Churn::Add(q) => Some(q),
+            Churn::Remove(_) => None,
+        });
+        let windows = queries.iter().chain(added).flat_map(|q| q.windows().to_vec());
+        let longest = windows.map(|w| match w {
+            WindowSpec::Tuples(n) => n as usize,
+            WindowSpec::Time(_) => unreachable!("the class draws tuple windows only"),
+        });
+        reduced = ReducedMemory::PerWindow(longest.max().expect("a query has windows"));
     }
     // Disorder and churn exclude each other: under a bound, registration
     // takes effect at the release frontier, not at a trace position.
@@ -408,6 +441,18 @@ mod tests {
                 "seed {seed}: pinned class must partition by key"
             );
         }
+    }
+
+    /// Every `seed % 16 == 6` gives each window room for its length, so no
+    /// reduced-memory run in process can shed; other seeds mostly can.
+    #[test]
+    fn every_sixteenth_seed_offset_six_pins_windows_that_cannot_fill() {
+        for seed in [6u64, 22, 38, 54, 806, 4102] {
+            let case = generate_case(seed);
+            assert!(case.cannot_shed(&case.trace), "seed {seed}");
+        }
+        let fillable = (0..40u64).map(generate_case).filter(|c| !c.cannot_shed(&c.trace));
+        assert!(fillable.count() > 30, "other seeds stay fillable");
     }
 
     /// Every `seed % 8 == 4` is keyed and concentrates well over its

@@ -5,7 +5,8 @@
 //! add or remove a query mid-run. The run ([`run`]) drives every
 //! registered policy's engine through the one builder, in process and
 //! sharded, and checks the contracts of DESIGN.md §8 on it: each query
-//! exact at full memory and a sub-multiset of its oracle when shedding,
+//! exact at full memory (and in process when no window can fill) and a
+//! sub-multiset of its oracle when shedding,
 //! the event-time run equal to the in-order one, beyond-bound lateness
 //! dropped and counted, store owners replaying their solo runs, the
 //! sharded partitioning contract, the score-cache (odd seeds) and

@@ -49,7 +49,7 @@ fn sweep(args: &[String]) -> i32 {
     }
     install_quiet_hook();
     // Class counts: a sweep in which one stays zero watched nothing there.
-    let mut n = [0usize; 11];
+    let mut n = [0usize; 12];
     for i in 0..cases {
         let case = generate_case(case_seed(master, i));
         let stats = match run_case(&case) {
@@ -69,6 +69,7 @@ fn sweep(args: &[String]) -> i32 {
             usize::from(!case.disorder.is_zero()),
             usize::from(stats.late_probe),
             usize::from(stats.deferred),
+            usize::from(stats.idle),
             usize::from(stats.hot_split),
             usize::from(case.mixed_arity()),
             usize::from(case.spills()),
@@ -83,14 +84,15 @@ fn sweep(args: &[String]) -> i32 {
     println!(
         "audit sweep: {cases} cases ({} arrivals, {} standing queries; {} one-query sets, \
          {} multi-query sets, {} churn cases, {} disorder cases, {} late-drop probes, \
-         {} deferred cases, {} hot-split cases, {} mixed-arity cases, {} spill cases) — every \
-         query matches its exact oracle at 100% memory and is a sub-multiset of it when \
-         shedding, for every policy in process and sharded; event-time runs reproduce the \
+         {} deferred cases, {} idle-estimation cases, {} hot-split cases, {} mixed-arity cases, \
+         {} spill cases) — every query matches its exact oracle at 100% memory (and in \
+         process when no window can fill) and is a sub-multiset of it when shedding, for \
+         every policy in process and sharded; event-time runs reproduce the \
          in-order runs; beyond-bound arrivals are dropped and counted; store owners replay \
          their solo runs; sharded runs honour the partitioning contract; the score-cache \
          (odd seeds) and plain/eager (even seeds) A/B pairs are bit-identical; zero invariant \
          violations",
-        n[0], n[1], n[2], n[3], n[4], n[5], n[6], n[7], n[8], n[9], n[10]
+        n[0], n[1], n[2], n[3], n[4], n[5], n[6], n[7], n[8], n[9], n[10], n[11]
     );
     0
 }

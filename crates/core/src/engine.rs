@@ -228,55 +228,74 @@ pub(crate) struct QueryCore {
     pub(crate) query: JoinQuery,
     pub(crate) plans: Vec<ProbePlan>,
     pub(crate) policy: Box<dyn ShedPolicy>,
+    /// What the engine keeps for the policy: its declared requirements,
+    /// or none at all while the core is idle.
     pub(crate) reqs: Requirements,
     pub(crate) sketches: Option<TumblingSketches>,
     partner_freq: Option<TumblingFreq>,
     pub(crate) rng: StdRng,
     /// The construction-time half of [`QueryCore::can_defer`].
     may_defer: bool,
+    /// No window of the query can fill, so nothing is estimated, credited
+    /// or scored (DESIGN.md §16, "A window that cannot fill").
+    pub(crate) idle: bool,
 }
 
 impl QueryCore {
-    /// Materializes exactly the estimation state `policy` declares it
-    /// needs, on `config`'s epoch (or the paper's default for `query`).
+    /// A core on `config`'s epoch (or the paper's default for `query`).
+    /// An `idle` one keeps no estimation state and asks the engine for
+    /// nothing until [`QueryCore::wake`]; any other materializes exactly
+    /// the estimation state `policy` declares it needs.
     pub(crate) fn new(
         query: JoinQuery,
         policy: Box<dyn ShedPolicy>,
         config: &EngineConfig,
+        idle: bool,
     ) -> core::result::Result<Self, BuildError> {
         let reqs = policy.requirements();
-        let epoch = if reqs.sketches || reqs.partner_freq {
-            Some(match config.epoch {
-                Some(e) => e,
-                None => default_epoch(&query)?,
-            })
-        } else {
-            None
-        };
-        let mut sketches = reqs
-            .sketches
-            .then(|| TumblingSketches::new(&query, config.bank, epoch.expect("resolved above")));
-        if let Some(s) = sketches.as_mut() {
-            s.set_score_cache(config.score_cache);
+        if reqs.sketches || reqs.partner_freq {
+            // Validated here, idle or not; materialized by `wake`.
+            epoch_of(&query, config)?;
         }
-        let partner_freq = reqs
-            .partner_freq
-            .then(|| TumblingFreq::new(&query, epoch.expect("resolved above")));
         let may_defer = policy.deferrable_priority()
             && reqs.recompute_on_epoch
-            && sketches.is_some()
+            && reqs.sketches
             && config.disorder.is_none()
             && !matches!(config.memory, MemoryMode::GlobalPool(_));
-        Ok(QueryCore {
+        let mut core = QueryCore {
             plans: ProbePlan::all(&query),
             query,
             policy,
-            reqs,
-            sketches,
-            partner_freq,
+            reqs: Requirements::default(),
+            sketches: None,
+            partner_freq: None,
             rng: StdRng::seed_from_u64(config.seed),
             may_defer,
-        })
+            idle: true,
+        };
+        if !idle {
+            core.wake(config);
+        }
+        Ok(core)
+    }
+
+    /// Ends idleness: materializes the estimation state the policy
+    /// declares, fresh, and takes on its requirements. A no-op on a core
+    /// that is not idle.
+    pub(crate) fn wake(&mut self, config: &EngineConfig) {
+        if !self.idle {
+            return;
+        }
+        self.idle = false;
+        self.reqs = self.policy.requirements();
+        let query = &self.query;
+        let epoch = || epoch_of(query, config).expect("validated at construction");
+        self.sketches = self.reqs.sketches.then(|| {
+            let mut sketches = TumblingSketches::new(query, config.bank, epoch());
+            sketches.set_score_cache(config.score_cache);
+            sketches
+        });
+        self.partner_freq = self.reqs.partner_freq.then(|| TumblingFreq::new(query, epoch()));
     }
 
     /// Step 1: folds an arrival on (query-local) `stream` into the current
@@ -293,7 +312,7 @@ impl QueryCore {
         sample: Sample,
         metrics: &mut EngineMetrics,
     ) -> bool {
-        if self.sketches.is_none() && self.partner_freq.is_none() {
+        if !self.estimates() {
             return false;
         }
         sample.time(&mut metrics.sketch_observe_ns, || {
@@ -306,6 +325,11 @@ impl QueryCore {
             }
             rolled
         })
+    }
+
+    /// Whether the core keeps estimation state at all.
+    pub(crate) fn estimates(&self) -> bool {
+        self.sketches.is_some() || self.partner_freq.is_some()
     }
 
     /// The policy next to the estimation state it scores against.
@@ -419,7 +443,7 @@ impl QueryCore {
     /// bit-identity contract (DESIGN.md §13) pins. Event-time epoch
     /// targeting applies only where a tuple's own timestamp is the scoring
     /// instant: admission scoring and queue admission.
-    fn rescore_store(&mut self, store: &mut WindowStore, now: VTime) {
+    pub(crate) fn rescore_store(&mut self, store: &mut WindowStore, now: VTime) {
         let (policy, mut ctx) = self.scoring(now, false);
         if policy.groupable_estimate() {
             // Walk residents grouped by distinct join key: one
@@ -556,6 +580,14 @@ pub(crate) fn resolve_capacities(
         return Err(BuildError::ZeroWindowCapacity);
     }
     Ok(capacities)
+}
+
+/// `config`'s epoch, or the paper's default for `query`.
+fn epoch_of(query: &JoinQuery, config: &EngineConfig) -> core::result::Result<EpochSpec, BuildError> {
+    match config.epoch {
+        Some(e) => Ok(e),
+        None => default_epoch(query),
+    }
 }
 
 /// The paper's default epoch: `n = p` for time windows; per-stream tuple

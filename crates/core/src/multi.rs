@@ -94,6 +94,16 @@ struct StoreEntry {
     shed: u64,
 }
 
+/// Whether `store` is **bounded**: a `ROWS n` window with room for `n`
+/// ([`WindowStore::cannot_fill`]) outside a [`MemoryMode::GlobalPool`],
+/// whose victims are picked across windows whether or not any one of them
+/// is full. A bounded store never sheds, so nothing needs its priorities;
+/// a class whose every store is bounded is idle (DESIGN.md §16). Fixed for
+/// the store's life: window, capacity and memory mode never change.
+fn bounded(store: &WindowStore, memory: &MemoryMode) -> bool {
+    store.cannot_fill() && !matches!(memory, MemoryMode::GlobalPool(_))
+}
+
 /// One class of structurally identical registered queries.
 struct QueryClass {
     /// The class's query in its own local stream space (`StreamId(0..n)`),
@@ -179,6 +189,9 @@ pub struct MultiQueryEngine {
     /// (DESIGN.md §13), over global streams; `None` trusts timestamps as
     /// given.
     front: Option<ReorderStage>,
+    /// An input queue has been offered a tuple: queue scores read every
+    /// class's estimates, so no class is idle from then on.
+    queued: bool,
 }
 
 /// Sketch-side cache counters surviving their class (see
@@ -273,6 +286,7 @@ impl MultiQueryEngine {
             stage_clock: StageClock::default(),
             retired_cache: RetiredCacheStats::default(),
             front: None,
+            queued: false,
         };
         // Group into classes first so structurally identical queries share
         // everything, then plan the store table with the attr-index union
@@ -354,12 +368,23 @@ impl MultiQueryEngine {
                     produced: 0,
                 });
             }
+            let memory = &engine.config.memory;
+            let store = |si: usize| &engine.stores[si].as_ref().expect("built").store;
+            let idle = store_of.iter().all(|&si| bounded(store(si), memory));
             engine.classes.push(Some(QueryClass {
-                core: QueryCore::new(q, engine.policy_proto.clone(), &engine.config)?,
+                core: QueryCore::new(q, engine.policy_proto.clone(), &engine.config, idle)?,
                 members,
                 gstream_of,
                 store_of,
             }));
+        }
+        // An idle class's stores are born owing their priorities: they take
+        // every arrival unscored, and the pass they owe never runs.
+        for entry in engine.stores.iter_mut().flatten() {
+            let owner = engine.classes[entry.users[0]].as_ref().expect("owner is live");
+            if owner.core.idle {
+                entry.store.defer_priorities();
+            }
         }
         let n_streams = engine.catalog.len();
         engine.front = engine.config.disorder.map(|k| ReorderStage::new(k, n_streams));
@@ -467,20 +492,32 @@ impl MultiQueryEngine {
         Some(first + live.map(|e| e.store.len()).sum::<usize>())
     }
 
-    /// Stores that currently owe their priorities: marked at a rollover
-    /// and not yet short of room (DESIGN.md §16). Always 0 for a policy
-    /// that scores eagerly.
+    /// Stores that currently owe their priorities because a rollover
+    /// marked them and they are not yet short of room (DESIGN.md §16).
+    /// Always 0 for a policy that scores eagerly. The stores of idle
+    /// classes owe theirs from birth and are not counted here
+    /// ([`MultiQueryEngine::idle_classes`]).
     pub fn deferred_windows(&self) -> usize {
+        let idle = |e: &StoreEntry| self.classes[e.users[0]].as_ref().is_some_and(|c| c.core.idle);
         let live = self.stores.iter().flatten();
-        live.filter(|e| e.store.is_deferred()).count()
+        live.filter(|e| e.store.is_deferred() && !idle(e)).count()
+    }
+
+    /// Live classes that are idle: no window they read can fill, so they
+    /// keep no estimation state, credit nothing and score nothing
+    /// (DESIGN.md §16).
+    pub fn idle_classes(&self) -> usize {
+        self.classes.iter().flatten().filter(|c| c.core.idle).count()
     }
 
     /// Structural audit of the shared data plane: every live store's
     /// internal invariants (per-store capacity bounds included), every
     /// class's sketch coherence, the sharing bookkeeping (owners exist,
     /// mappings in range, every resident carries its owner's local stream
-    /// id), the pooled total under [`MemoryMode::GlobalPool`], and a
-    /// reorder stage holding nothing releasable. O(resident tuples) and
+    /// id), bounded stores that never shed, idle classes that keep no
+    /// estimation state and own only bounded stores that owe their
+    /// priorities, the pooled total under [`MemoryMode::GlobalPool`], and
+    /// a reorder stage holding nothing releasable. O(resident tuples) and
     /// worse; compiled only under the `audit` feature, where the
     /// differential harness calls it after every arrival.
     ///
@@ -510,14 +547,33 @@ impl MultiQueryEngine {
                     "store {si}: resident carries its owner's local stream id"
                 );
             }
+            // Every insert into a full store sheds one tuple.
+            assert!(
+                !bounded(&entry.store, &self.config.memory) || entry.shed == 0,
+                "store {si}: a bounded store was full at an insert"
+            );
         }
-        for class in self.classes.iter().flatten() {
+        for (cid, class) in self.classes.iter().enumerate() {
+            let Some(class) = class else { continue };
             if let Some(sk) = class.core.sketches.as_ref() {
                 sk.check_invariants();
+            }
+            if class.core.idle {
+                assert!(!class.core.estimates(), "idle class {cid} keeps estimation state");
             }
             for (&si, &g) in class.store_of.iter().zip(&class.gstream_of) {
                 let entry = self.stores[si].as_ref().expect("class store is live");
                 assert_eq!(entry.gstream, g, "store mapping agrees on stream");
+                if class.core.idle {
+                    assert!(
+                        bounded(&entry.store, &self.config.memory),
+                        "idle class {cid} reads store {si}, which can fill"
+                    );
+                    assert!(
+                        entry.users[0] != cid || entry.store.is_deferred(),
+                        "idle class {cid} keeps priorities on store {si}"
+                    );
+                }
             }
             for &m in &class.members {
                 assert!(
@@ -547,12 +603,33 @@ impl MultiQueryEngine {
     /// rejected query leaves no trace.
     pub fn add_query(&mut self, query: JoinQuery) -> Result<QueryId, BuildError> {
         let snapshot = self.catalog.clone();
+        let cid = self.classes.len();
         let registered = merge_into_catalog(&mut self.catalog, &query).and_then(|gstream_of| {
             let capacities = resolve_capacities(&self.config.memory, self.catalog.len())?;
-            let core = QueryCore::new(query, self.policy_proto.clone(), &self.config)?;
-            Ok((gstream_of, capacities, core))
+            let mut entries: Vec<StoreEntry> = gstream_of
+                .iter()
+                .enumerate()
+                .map(|(k, &g)| {
+                    let local = StreamId(k);
+                    let (window, attrs) = (query.window(local), store_attrs(&query, local));
+                    StoreEntry {
+                        store: WindowStore::new(window, attrs, capacities[g.index()]),
+                        gstream: g,
+                        users: vec![cid],
+                        owner_local: local,
+                        shed: 0,
+                    }
+                })
+                .collect();
+            let memory = &self.config.memory;
+            let idle = !self.queued && entries.iter().all(|e| bounded(&e.store, memory));
+            let core = QueryCore::new(query, self.policy_proto.clone(), &self.config, idle)?;
+            if idle {
+                entries.iter_mut().for_each(|e| e.store.defer_priorities());
+            }
+            Ok((gstream_of, entries, core))
         });
-        let (gstream_of, capacities, core) = match registered {
+        let (gstream_of, entries, core) = match registered {
             Ok(r) => r,
             Err(e) => {
                 self.catalog = snapshot;
@@ -562,18 +639,9 @@ impl MultiQueryEngine {
         if let Some(front) = self.front.as_mut() {
             front.add_streams(self.catalog.len());
         }
-        let cid = self.classes.len();
         let first_store = self.stores.len();
-        for (k, &g) in gstream_of.iter().enumerate() {
-            let local = StreamId(k);
-            let attrs = store_attrs(&core.query, local);
-            self.stores.push(Some(StoreEntry {
-                store: WindowStore::new(core.query.window(local), attrs, capacities[g.index()]),
-                gstream: g,
-                users: vec![cid],
-                owner_local: local,
-                shed: 0,
-            }));
+        for entry in entries {
+            self.stores.push(Some(entry));
             self.scratches.push(ProducedScratch::default());
         }
         let qid = QueryId(self.queries.len() as u32);
@@ -598,7 +666,8 @@ impl MultiQueryEngine {
     /// shared store whose owner departs is handed to its next-oldest user
     /// — residents retagged to that class's local stream id and, for
     /// policies that rescore at rollovers, rescored by it right away, so
-    /// one heap never mixes two queries' estimates.
+    /// one heap never mixes two queries' estimates; an idle heir owes
+    /// the store's priorities instead.
     pub fn remove_query(&mut self, id: QueryId) -> bool {
         let Some(state) = self.queries.get_mut(id.index()).and_then(Option::take) else {
             return false;
@@ -628,7 +697,11 @@ impl MultiQueryEngine {
                 let k = heir.store_of.iter().position(|&s| s == si);
                 entry.owner_local = StreamId(k.expect("a user maps its store"));
                 entry.store.retag(entry.owner_local);
-                if heir.core.reqs.recompute_on_epoch {
+                if heir.core.idle {
+                    entry.store.defer_priorities();
+                } else if heir.core.reqs.recompute_on_epoch || entry.store.is_deferred() {
+                    // A store an idle owner left owing gets a rollover's
+                    // treatment even from a policy that never rolls.
                     heir.core
                         .rollover_store(&mut entry.store, self.clock, &mut self.metrics);
                 }
@@ -789,10 +862,13 @@ impl MultiQueryEngine {
         // 2. Expire every live store. Expirations always proceed
         //    oldest-first, so expiring a store between its owner's events
         //    changes only the batching of removals, never their sequence —
-        //    owner-solo equivalence is preserved.
+        //    owner-solo equivalence is preserved. The arrival's own stores
+        //    count it first, so a tuple window's departure is an expiry,
+        //    not the insert's victim.
         metrics.expired += sample.time(&mut metrics.expire_ns, || {
             let live = stores.iter_mut().flatten();
-            live.map(|entry| entry.store.expire_each(now, drop)).sum::<u64>()
+            let expire = |e: &mut StoreEntry| e.store.expire_ahead_of(now, e.gstream == g, drop);
+            live.map(expire).sum::<u64>()
         });
         // 3. Every interested class probes its partner stores, before any
         //    insertion (the paper's operator probes partner windows only),
@@ -948,9 +1024,17 @@ impl MultiQueryEngine {
     /// A tuple the full queue sheds is counted in
     /// [`EngineMetrics::shed_queue`].
     ///
+    /// Queue scores read estimates, so the first offer wakes every idle
+    /// class (DESIGN.md §16) and no class idles from then on; offered
+    /// before the first ingest, as [`crate::sim::run_trace`] does, that
+    /// changes nothing the run observes.
+    ///
     /// # Panics
     /// Panics if no live query reads the tuple's stream.
     pub fn offer(&mut self, queue: &mut ShedQueue, tuple: Tuple, now: VTime) {
+        if !self.queued {
+            self.wake_classes();
+        }
         let event_time = self.front.is_some();
         let entry = self.stores.iter().flatten().find(|e| e.gstream == tuple.stream);
         let entry = entry.expect("a live query reads the stream");
@@ -961,6 +1045,32 @@ impl MultiQueryEngine {
         let victim = self.policy_proto.queue_victim();
         if queue.offer(tuple, score, victim, &mut owner.core.rng).is_some() {
             self.metrics.shed_queue += 1;
+        }
+    }
+
+    /// Ends every class's idleness for good: estimation state materializes
+    /// fresh, and the stores an idle class owns are scored on the spot
+    /// (empty ones at no cost).
+    fn wake_classes(&mut self) {
+        self.queued = true;
+        let Self {
+            classes,
+            stores,
+            config,
+            clock,
+            ..
+        } = self;
+        for (cid, class) in classes.iter_mut().enumerate() {
+            let Some(class) = class.as_mut().filter(|c| c.core.idle) else {
+                continue;
+            };
+            class.core.wake(config);
+            for &si in &class.store_of {
+                let entry = stores[si].as_mut().expect("class store is live");
+                if entry.users[0] == cid {
+                    class.core.rescore_store(&mut entry.store, *clock);
+                }
+            }
         }
     }
 }

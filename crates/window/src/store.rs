@@ -206,10 +206,28 @@ impl WindowStore {
     /// engines only count, so their per-arrival expiry allocates nothing —
     /// and with nothing due touches neither queue nor arena.
     #[inline]
-    pub fn expire_each(&mut self, now: VTime, mut visit: impl FnMut(Tuple)) -> u64 {
+    pub fn expire_each(&mut self, now: VTime, visit: impl FnMut(Tuple)) -> u64 {
+        self.expire_ahead_of(now, false, visit)
+    }
+
+    /// [`Self::expire_each`] as an arrival's first step, `arriving` saying
+    /// whether the arrival is of this store's stream, hence about to be
+    /// stored here. A tuple window then counts it before expiring, so the
+    /// resident it pushes out of the last `n` leaves by expiry, not as the
+    /// insert's victim: a `ROWS n` window holds at most `n - 1` residents
+    /// when the insert comes, and one with room for `n` never needs a
+    /// victim. The insert counts the arrival as ever. An arrival never
+    /// probes its own stream, so no probe sees a different window.
+    #[inline]
+    pub fn expire_ahead_of(
+        &mut self,
+        now: VTime,
+        arriving: bool,
+        mut visit: impl FnMut(Tuple),
+    ) -> u64 {
         let clock = match self.spec {
             WindowSpec::Time(_) => now.as_micros(),
-            WindowSpec::Tuples(_) => self.arrivals_seen,
+            WindowSpec::Tuples(_) => self.arrivals_seen + u64::from(arriving),
         };
         let mut expired = 0;
         while self.next_due <= clock {
@@ -537,6 +555,13 @@ impl WindowStore {
         self.arena.len() >= self.capacity
     }
 
+    /// Whether no arrival can find the window full: a `ROWS n` window with
+    /// room for `n`, expired by [`Self::expire_ahead_of`] before each
+    /// arrival of its stream, holds at most `n - 1` residents then.
+    pub fn cannot_fill(&self) -> bool {
+        matches!(self.spec, WindowSpec::Tuples(n) if self.capacity as u64 >= n)
+    }
+
     /// Recomputes every resident tuple's priority (tumbling-epoch rollover:
     /// "reset all the priority queues"). The callback sees the tuple and
     /// its produced-so-far counter and returns `(score, policy state)`.
@@ -840,9 +865,35 @@ mod tests {
         w.note_arrival();
         w.note_arrival();
         assert!(w.expire(VTime::ZERO).is_empty(), "2 newer arrivals < 3");
-        w.note_arrival();
-        let dead = w.expire(VTime::ZERO);
-        assert_eq!(dead.len(), 1, "3 newer arrivals expire the tuple");
+        // A third arrival of the stream is counted ahead of its insert, so
+        // the tuple it pushes out leaves before the insert finds it.
+        assert_eq!(w.expire_ahead_of(VTime::ZERO, false, drop), 0, "another stream's arrival");
+        assert_eq!(w.expire_ahead_of(VTime::ZERO, true, drop), 1, "3 newer arrivals expire the tuple");
+        w.insert(tup(1, 0, 2, 0), 1.0);
+        assert_eq!((w.len(), w.arrivals_seen()), (1, 4), "the insert counts the arrival once");
+    }
+
+    #[test]
+    fn a_tuple_window_with_room_for_its_length_never_evicts() {
+        for (n, capacity) in [(3u64, 3usize), (3, 2), (1, 1)] {
+            let mut w = WindowStore::new(WindowSpec::Tuples(n), vec![0], capacity);
+            assert_eq!(w.cannot_fill(), capacity as u64 >= n);
+            let mut evicted = 0;
+            for seq in 0..40 {
+                w.expire_ahead_of(VTime::ZERO, true, drop);
+                assert_eq!(w.is_full(), !w.cannot_fill() && seq >= capacity as u64);
+                let out = w.insert(tup(seq, 0, seq % 4, 0), seq as f64);
+                evicted += usize::from(matches!(out.eviction, Eviction::Evicted(_)));
+                w.check_invariants();
+            }
+            let resident: Vec<u64> = w.iter().map(|(_, t)| t.seq.0).collect();
+            if w.cannot_fill() {
+                assert_eq!(evicted, 0, "ROWS {n} at capacity {capacity}");
+                assert_eq!(resident.len() as u64, n, "the last {n} arrivals");
+            } else {
+                assert!(evicted > 0, "ROWS {n} at capacity {capacity} sheds");
+            }
+        }
     }
 
     #[test]

@@ -98,12 +98,15 @@ impl Model {
         Some(self.remove(at).seq)
     }
 
-    fn expire(&mut self, now: VTime) -> Vec<u64> {
+    /// `arriving`: an arrival of this stream is about to be stored, and a
+    /// tuple window counts it first.
+    fn expire(&mut self, now: VTime, arriving: bool) -> Vec<u64> {
         let mut out = Vec::new();
+        let seen = self.arrivals_seen + u64::from(arriving);
         while let Some(oldest) = self.residents.first() {
             let due = match self.spec {
                 WindowSpec::Time(p) => oldest.ts.as_micros().saturating_add(p.as_micros()) <= now.as_micros(),
-                WindowSpec::Tuples(n) => self.arrivals_seen - oldest.arrival_idx >= n,
+                WindowSpec::Tuples(n) => seen - oldest.arrival_idx >= n,
             };
             if !due {
                 break;
@@ -149,22 +152,25 @@ fn run(spec: WindowSpec, n_attrs: usize, capacity: usize, ops: &[(u8, u64, u64, 
     let mut model = Model::new(spec, join_attrs, capacity);
     let mut slots: HashMap<u64, Slot> = HashMap::new();
     let (mut seq, mut clock) = (0u64, 0u64);
-    let expire = |real: &mut WindowStore, model: &mut Model, clock: u64| {
+    let expire = |real: &mut WindowStore, model: &mut Model, clock: u64, arriving: bool| {
         let now = VTime::from_secs(clock);
         let mut got = Vec::new();
-        let n = real.expire_each(now, |t| got.push(t.seq.0));
-        assert_eq!(got, model.expire(now), "expired at {now:?}");
+        let n = real.expire_ahead_of(now, arriving, |t| got.push(t.seq.0));
+        assert_eq!(got, model.expire(now, arriving), "expired at {now:?}");
         assert_eq!(n as usize, got.len());
     };
-    // A tuple window is expired before every arrival, as the engines do:
-    // `check_invariants` holds a resident past its count against the store.
+    // A tuple window is expired before every arrival, the arrival counted
+    // first, as the engines do: `check_invariants` holds a resident past
+    // its count against the store, and a window with room for its length
+    // must then never be full.
     let counted = matches!(spec, WindowSpec::Tuples(_));
     for &(op, x, y, z) in ops {
         match op {
             // Half the steps are arrivals, or windows would never fill.
             0..=5 => {
                 if counted {
-                    expire(&mut real, &mut model, clock);
+                    expire(&mut real, &mut model, clock, true);
+                    assert!(!(real.cannot_fill() && real.is_full()), "a ROWS window with room filled");
                 }
                 seq += 1;
                 // Mostly in timestamp order, sometimes a little behind.
@@ -198,13 +204,13 @@ fn run(spec: WindowSpec, n_attrs: usize, capacity: usize, ops: &[(u8, u64, u64, 
             }
             6 | 7 => {
                 clock += x % 4;
-                expire(&mut real, &mut model, clock);
+                expire(&mut real, &mut model, clock, false);
             }
             8 => {
                 real.note_arrivals(x % 4);
                 model.arrivals_seen += x % 4;
                 if counted {
-                    expire(&mut real, &mut model, clock);
+                    expire(&mut real, &mut model, clock, false);
                 }
             }
             9 => {
@@ -313,7 +319,7 @@ fn expiry_queue_is_bounded_by_capacity_under_overload() {
         let now = VTime::from_micros(seq * 100_000);
         let mut got = Vec::new();
         real.expire_each(now, |t| got.push(t.seq.0));
-        assert_eq!(got, model.expire(now), "expired at {now:?}");
+        assert_eq!(got, model.expire(now, false), "expired at {now:?}");
         expired += got.len() as u64;
         let t = Tuple::new(StreamId(0), now, SeqNo(seq), vec![Value(seq % 7)]);
         // Scores rise with the clock, so nearly every arrival is admitted

@@ -87,7 +87,8 @@ fi
 # class the sweep never drew watched nothing, so every count must be > 0.
 cargo run --release -p mstream-audit -- sweep --cases 100 --seed 7 | tee target/check_audit.txt
 for CLASS in "one-query sets" "multi-query sets" "churn cases" "disorder cases" \
-  "late-drop probes" "deferred cases" "hot-split cases" "mixed-arity cases" "spill cases"; do
+  "late-drop probes" "deferred cases" "idle-estimation cases" "hot-split cases" \
+  "mixed-arity cases" "spill cases"; do
   grep -Eq "[1-9][0-9]* $CLASS" target/check_audit.txt \
     || { echo "FAIL: the audit smoke drew no $CLASS"; exit 1; }
 done
@@ -134,6 +135,29 @@ for S in 1 2 4; do
   [ "$PRODUCED" = "$BASELINE" ] || { echo "FAIL: S=$S produced $PRODUCED per query, S=1 produced $BASELINE"; exit 1; }
   echo "query-set shard smoke: S=$S -> $PRODUCED per query (matches baseline)"
 done
+# Windows that cannot fill (DESIGN.md §16): a keyed [ROWS n] query with room
+# for n tuples in every worker's window (the budget is the total: n·S) is
+# exact under MSketch and FIFO at S in {1,2,4}, sheds nothing and rolls no
+# epoch; with one slot less, MSketch estimates again.
+ROWS_N=40
+ROWS_QUERY="SELECT * FROM R1(A1, A2) [ROWS $ROWS_N], R2(A1, A2), R3(A1, A2)
+            WHERE R1.A1 = R2.A1 AND R2.A1 = R3.A1"
+rows_run() { # policy capacity shards -> "output_tuples shed_window epoch_rollovers"
+  ./target/release/mstream run --query "$ROWS_QUERY" --trace target/check_shard_trace.csv \
+    --policy "$1" --capacity "$2" --shards "$3" --json \
+    | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["output_tuples"], r["shed_window"], r["epoch_rollovers"])'
+}
+read -r FULL _ _ <<<"$(rows_run FIFO 100000 1)"
+for POLICY in MSketch FIFO; do
+  for S in 1 2 4; do
+    read -r TUPLES SHED_W ROLLS <<<"$(rows_run "$POLICY" $((ROWS_N * S)) "$S")"
+    [ "$TUPLES" = "$FULL" ] && [ "$SHED_W" = 0 ] && [ "$ROLLS" = 0 ] \
+      || { echo "FAIL: [ROWS $ROWS_N] with room for $ROWS_N, $POLICY S=$S: $TUPLES tuples (full memory $FULL), $SHED_W shed, $ROLLS rollovers"; exit 1; }
+    echo "unfillable-window smoke: $POLICY S=$S -> $TUPLES output tuples, none shed, no epoch"
+  done
+done
+read -r _ _ ROLLS <<<"$(rows_run MSketch $((ROWS_N - 1)) 1)"
+[ "$ROLLS" -gt 0 ] || { echo "FAIL: [ROWS $ROWS_N] at capacity $((ROWS_N - 1)) rolled no epoch"; exit 1; }
 
 # Far-future timestamps: at --rate 1e-9 arrivals land 10^15 µs apart, 5·10^8
 # epochs of a 2-second window. The estimators roll at most three times per

@@ -8,9 +8,11 @@
 //! two must be indistinguishable from outside: same rows in the same
 //! order, same per-arrival outcome, same counters — over time and tuple
 //! epochs, uniform and per-stream capacities, windows that are never,
-//! sometimes and always full, solo and sharded. Everything not eligible
-//! (other policies, the global pool, an event-time front end) must never
-//! owe anything.
+//! sometimes and always full, solo and sharded. A tuple window with room
+//! for its length cannot fill, so there both engines are idle: nothing
+//! estimated, nothing rescored, every store owing from birth. Everything
+//! else not eligible (other policies, the global pool, an event-time front
+//! end) must never owe anything.
 
 use mstream_core::prelude::*;
 use rand::rngs::StdRng;
@@ -46,7 +48,8 @@ fn trace(n: usize, seed: u64) -> Vec<Arrival> {
 
 /// The two window/epoch disciplines with, for each, capacities under which
 /// a window is never / sometimes / always full (a 20 s window holds about
-/// 27 of this trace's tuples, a 30-tuple window at most 30).
+/// 27 of this trace's tuples; a 30-tuple window cannot fill at capacity 30
+/// and sheds at 29).
 fn disciplines() -> [(WindowSpec, EpochSpec, [usize; 3]); 2] {
     [
         (
@@ -57,9 +60,14 @@ fn disciplines() -> [(WindowSpec, EpochSpec, [usize; 3]); 2] {
         (
             WindowSpec::Tuples(30),
             EpochSpec::PerStreamTuples(30),
-            [64, 30, 8],
+            [30, 29, 8],
         ),
     ]
+}
+
+/// Whether `fill` over `window` is the class of a window that cannot fill.
+fn idle(window: WindowSpec, fill: &str) -> bool {
+    matches!(window, WindowSpec::Tuples(_)) && fill == "never full"
 }
 
 fn policies() -> [fn() -> Box<dyn ShedPolicy>; 2] {
@@ -125,6 +133,10 @@ fn solo_plain_and_eager_are_indistinguishable() {
             "always full" => b.capacity_per_window(caps[2]),
             _ => b.capacities(caps.to_vec()),
         };
+        let exact = solo(
+            EngineBuilder::new(query(window, false)).policy(Fifo).capacity_per_window(10_000),
+            &arrivals,
+        );
         for mk in policies() {
             for fill in ["never full", "sometimes full", "always full", "one of each"] {
                 let label = format!("{} / {epoch:?} / {fill}", mk().name());
@@ -139,6 +151,17 @@ fn solo_plain_and_eager_are_indistinguishable() {
                     "{label}: counters"
                 );
                 assert!(!plain.rows.is_empty(), "{label}: the trace joins");
+                if idle(window, fill) {
+                    // Both idle: every store owes from birth and never pays.
+                    assert_eq!(plain.rows, exact.rows, "{label}: capacity n is exact");
+                    for run in [&plain, &eager] {
+                        let m = &run.metrics;
+                        let counts = (m.epoch_rollovers, m.priority_rebuilds, m.shed_window);
+                        assert_eq!(counts, (0, 0, 0), "{label}: rollovers, rebuilds, shed");
+                        assert_eq!(run.deferred_peak, 0, "{label}: no rollover marks a store");
+                    }
+                    continue;
+                }
                 assert_eq!(eager.deferred_peak, 0, "{label}: the reference owes nothing");
                 assert!(plain.deferred_peak > 0, "{label}: the plain policy must defer");
                 assert_eq!(
@@ -216,6 +239,7 @@ fn sharded_plain_and_eager_are_indistinguishable() {
                     };
                     let plain = sharded(base().boxed_policy(mk()), shards, &arrivals);
                     let eager = sharded(base().boxed_policy(Box::new(Eager(mk()))), shards, &arrivals);
+                    let exact = sharded(base().policy(Fifo).capacity_per_window(10_000), shards, &arrivals);
                     assert_eq!(plain.combined.shards, shards, "{label}");
                     assert_eq!(canon(&plain), canon(&eager), "{label}: rows");
                     assert_eq!(
@@ -227,10 +251,18 @@ fn sharded_plain_and_eager_are_indistinguishable() {
                         assert_eq!(comparable(p), comparable(e), "{label}: per-shard counters");
                     }
                     // A window that is always full runs every owed pass one
-                    // arrival later; one that never fills runs none.
+                    // arrival later; one that never fills runs none; one that
+                    // cannot fill leaves both engines idle.
                     let (p, e) = (&plain.combined.metrics, &eager.combined.metrics);
                     assert!(p.priority_rebuilds <= e.priority_rebuilds, "{label}");
-                    if fill == "never full" {
+                    if idle(window, fill) {
+                        assert_eq!(canon(&plain), canon(&exact), "{label}: capacity n is exact");
+                        let shards = plain.per_shard.iter().chain(&eager.per_shard);
+                        for m in shards.chain([p, e]) {
+                            let counts = (m.epoch_rollovers, m.priority_rebuilds, m.shed_window);
+                            assert_eq!(counts, (0, 0, 0), "{label}: rollovers, rebuilds, shed");
+                        }
+                    } else if fill == "never full" {
                         assert!(
                             p.priority_rebuilds * 4 < e.priority_rebuilds,
                             "{label}: workers must defer ({} vs {} passes)",

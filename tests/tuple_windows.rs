@@ -103,6 +103,35 @@ fn fifo_at_window_capacity_is_exact() {
     assert_eq!(report.total_output(), expected);
 }
 
+/// A `ROWS n` window with room for `n` is exact under every policy and
+/// sheds nothing: the tuple an arrival pushes out of its window expires
+/// before the arrival is stored instead of being its victim. One slot
+/// less and the policy estimates (MSketch rolls epochs) and sheds.
+#[test]
+fn capacity_n_is_exact_and_n_minus_one_sheds() {
+    let count = 30u64;
+    let trace = random_trace(5, 1500, 5);
+    let expected = brute_force(&trace, count);
+    for name in ["FIFO", "Random", "MSketch"] {
+        let run = |capacity: u64| {
+            let mut engine = EngineBuilder::new(pair_query(count))
+                .boxed_policy(parse_policy(name).unwrap())
+                .capacity_per_window(capacity as usize)
+                .seed(4)
+                .build()
+                .unwrap();
+            run_trace(&mut engine, &trace, &RunOptions::default()).metrics
+        };
+        let exact = run(count);
+        assert_eq!(exact.total_output, expected, "{name}");
+        assert_eq!((exact.shed_window, exact.epoch_rollovers), (0, 0), "{name}");
+        assert!(exact.expired > 0, "{name}: departures count as expiries");
+        let tight = run(count - 1);
+        assert!(tight.shed_window > 0 && tight.total_output < expected, "{name} at n - 1");
+        assert_eq!(tight.epoch_rollovers > 0, name == "MSketch", "{name} at n - 1");
+    }
+}
+
 /// Mixed window kinds are rejected unless an explicit epoch is configured,
 /// and accepted with one.
 #[test]
