@@ -90,8 +90,8 @@ pub struct Case {
     pub disorder: VDur,
     /// Whether every predicate of every query joins on attribute 0.
     pub keyed: bool,
-    /// The Zipf-hot-key class (`seed % 8 == 4`): keyed, with ~60% of
-    /// join-key values on one value, so the skew router splits hot keys.
+    /// The skewed-key class (`seed % 8 == 4`): keyed, with ~60% of
+    /// join-key values on one value, so one shard takes most arrivals.
     pub zipf_hot: bool,
     /// The score-cache A/B class (odd seeds); even seeds run the
     /// plain/eager pair instead.

@@ -70,7 +70,7 @@ fn sweep(args: &[String]) -> i32 {
             usize::from(stats.late_probe),
             usize::from(stats.deferred),
             usize::from(stats.idle),
-            usize::from(stats.hot_split),
+            usize::from(stats.skewed_sharded),
             usize::from(case.mixed_arity()),
             usize::from(case.spills()),
         ];
@@ -84,8 +84,8 @@ fn sweep(args: &[String]) -> i32 {
     println!(
         "audit sweep: {cases} cases ({} arrivals, {} standing queries; {} one-query sets, \
          {} multi-query sets, {} churn cases, {} disorder cases, {} late-drop probes, \
-         {} deferred cases, {} idle-estimation cases, {} hot-split cases, {} mixed-arity cases, \
-         {} spill cases) — every query matches its exact oracle at 100% memory (and in \
+         {} deferred cases, {} idle-estimation cases, {} skewed-key sharded cases, \
+         {} mixed-arity cases, {} spill cases) — every query matches its exact oracle at 100% memory (and in \
          process when no window can fill) and is a sub-multiset of it when shedding, for \
          every policy in process and sharded; event-time runs reproduce the \
          in-order runs; beyond-bound arrivals are dropped and counted; store owners replay \

@@ -7,7 +7,7 @@ use crate::disorder::inject_disorder;
 use crate::eager::Eager;
 use crate::gen::{catalog_order, pool_streams, Arrival, Case, Churn, ReducedMemory, Trace};
 use mstream_core::ingest::QueryFnSink;
-use mstream_core::shard::{Backpressure, HotKeyConfig, ShardConfig};
+use mstream_core::shard::{Backpressure, ShardConfig};
 use mstream_core::{EngineBuilder, EngineMetrics};
 use mstream_join::{Bindings, ExactJoin};
 use mstream_shed_policies::{parse_policy, ShedPolicy, ALL_POLICY_NAMES};
@@ -101,8 +101,8 @@ pub struct CaseStats {
     /// Some in-process run held an idle class: no window it reads can
     /// fill, so it estimated nothing (DESIGN.md §16).
     pub idle: bool,
-    /// Some sharded run promoted a hot key and split it.
-    pub hot_split: bool,
+    /// Some sharded run routed a skewed-key case (`seed % 8 == 4`).
+    pub skewed_sharded: bool,
     /// The late-drop probe ran (every stream's high-water mark cleared K).
     pub late_probe: bool,
 }
@@ -237,9 +237,7 @@ struct Output {
 }
 
 /// The shard tuning every sharded run takes: batches of three and
-/// channels of four, so flushes (and registrations) land mid-trace, and
-/// a hot-key detector aggressive enough to split heavy hitters on these
-/// short traces.
+/// channels of four, so flushes (and registrations) land mid-trace.
 fn audit_shard_config(shards: usize) -> ShardConfig {
     ShardConfig {
         shards,
@@ -247,16 +245,7 @@ fn audit_shard_config(shards: usize) -> ShardConfig {
         batch_size: 3,
         backpressure: Backpressure::Block,
         collect_rows: true,
-        route_only: false,
-        hot_keys: HotKeyConfig {
-            enabled: true,
-            capacity: 8,
-            tracker_capacity: 64,
-            epoch_arrivals: 24,
-            promote_permille: 200,
-            demote_permille: 100,
-        },
-        broadcast: true,
+        ..ShardConfig::default()
     }
 }
 
@@ -467,7 +456,19 @@ fn drive(
             ),
         ));
     }
-    stats.hot_split |= report.hot_promoted > 0;
+    // Outside broadcast, every arrival has one delivery: its home shard's.
+    let routed: u64 = report.routed.iter().sum();
+    let m = &combined.metrics;
+    if !report.broadcast && (m.replicated != 0 || routed != m.processed) {
+        return Err(fail(
+            FailureKind::ShardContract,
+            format!(
+                "outside broadcast: {} copies delivered, {routed} arrivals routed, {} processed",
+                m.replicated, m.processed
+            ),
+        ));
+    }
+    stats.skewed_sharded |= case.zipf_hot && width > 1;
     let merged = report.rows.expect("collect_rows was set");
     for (q, results) in merged.iter().enumerate() {
         rows[q] = results

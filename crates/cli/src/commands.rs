@@ -193,7 +193,6 @@ fn run_sharded(
             "shards": report.combined.shards,
             "degraded": report.combined.degraded,
             "broadcast": report.broadcast,
-            "hot_promoted": report.hot_promoted,
             "routed": report.routed,
             "resident": report.resident,
             "arrivals": trace.len(),

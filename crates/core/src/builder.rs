@@ -300,14 +300,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Tunes (or disables) the skew-adaptive hot-key splitter used by
-    /// key-partitioned sharded execution, for one query or a set
-    /// (DESIGN.md §12).
-    pub fn hot_keys(mut self, hot_keys: crate::shard::HotKeyConfig) -> Self {
-        self.shard.hot_keys = hot_keys;
-        self
-    }
-
     /// Enables or disables broadcast execution for a single query that has
     /// no single partition key (default: enabled). With broadcast off, such
     /// a query degrades to one shard and reports why.

@@ -61,17 +61,14 @@ impl Arrival {
     }
 }
 
-/// How a delivered tuple participates in the join operator.
+/// How a delivered tuple is accounted for.
 ///
-/// The sharded engine may deliver one logical arrival to several shards
-/// (replicated build sides for hot keys, broadcast streams). Exactly one
-/// delivery is [`IngestRole::FULL`]; the rest are replicas that keep the
-/// shard's window/estimation state identical without double-emitting
-/// results or double-counting the arrival.
+/// The sharded engine delivers a broadcast-mode arrival to every shard.
+/// Exactly one delivery is [`IngestRole::FULL`]; the rest are
+/// [`IngestRole::PROBE_REPLICA`] copies, which store and probe like it but
+/// count as `replicated` instead of `processed`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IngestRole {
-    /// Probe the partner windows and emit join results.
-    pub probe: bool,
     /// Count toward `processed` (an arrival's unique accounting delivery);
     /// otherwise the delivery counts as `replicated`.
     pub count_processed: bool,
@@ -80,20 +77,13 @@ pub struct IngestRole {
 impl IngestRole {
     /// The classic single-engine path: probe, emit, and account.
     pub const FULL: IngestRole = IngestRole {
-        probe: true,
         count_processed: true,
-    };
-    /// Build-side copy: store only (no probe, no `processed` credit).
-    pub const STORE_REPLICA: IngestRole = IngestRole {
-        probe: false,
-        count_processed: false,
     };
     /// Probing copy that is not the arrival's accounting delivery — a
     /// broadcast-stream tuple probing a shard that does not own its FULL
     /// delivery (it still stores and probes there, since that shard holds
     /// partner tuples no other shard has).
     pub const PROBE_REPLICA: IngestRole = IngestRole {
-        probe: true,
         count_processed: false,
     };
 }

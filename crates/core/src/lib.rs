@@ -57,7 +57,7 @@
 //!   through an [`EmitSink`].
 //! * [`shard`] — [`ShardedJoinEngine`], the one sharded coordinator: the
 //!   same plane on every worker thread, for one query or a standing set,
-//!   arrivals routed by partition key (or broadcast) with hot keys split.
+//!   each arrival routed once by partition key, or broadcast.
 //! * [`sim`] — the discrete-event driver: arrival rate `k`, service rate
 //!   `l`, the bounded input queue, and overload shedding.
 //! * [`builder`] — [`EngineBuilder`], the one documented construction path.

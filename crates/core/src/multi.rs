@@ -804,14 +804,12 @@ impl MultiQueryEngine {
     }
 
     /// Role-parameterized form of [`MultiQueryEngine::ingest_tuple`], the
-    /// primitive behind replicated delivery in the sharded engine.
+    /// primitive behind broadcast delivery in the sharded engine.
     ///
-    /// Every role observes sketches, expires windows, scores and stores the
-    /// tuple — so replicated copies keep estimation state and tuple-window
-    /// expiry counters advancing identically on every shard. The role only
-    /// gates the *probe* (whether this delivery emits join results) and the
-    /// *accounting* (whether it counts as the arrival's one `processed`
-    /// delivery or as a `replicated` copy).
+    /// Every role observes sketches, expires windows, probes, scores and
+    /// stores the tuple. The role only sets the *accounting*: whether the
+    /// delivery counts as the arrival's one `processed` delivery or as a
+    /// `replicated` copy.
     pub fn ingest_tuple_as(
         &mut self,
         tuple: Tuple,
@@ -880,15 +878,10 @@ impl MultiQueryEngine {
         //    stay those of its solo run; whether a class credits at all is
         //    decided here, not per run — a policy without produced counters
         //    runs kernels over a closure that carries no crediting code.
-        //    Store-only replicas skip the probe: their arrival's results are
-        //    emitted by the one shard that received the FULL delivery.
         let entries: &[Option<StoreEntry>] = stores;
         let (produced, credited) = sample.time(&mut metrics.probe_ns, || {
             let mut produced = 0u64;
             let mut credited = false;
-            if !role.probe {
-                return (produced, credited);
-            }
             for (cid, class) in classes.iter().enumerate() {
                 let Some(class) = class.as_ref() else {
                     continue;
@@ -1505,10 +1498,10 @@ mod tests {
     }
 
     #[test]
-    fn store_replica_stores_without_probing() {
-        // The sharded engine's replicas run the plane: a store-only copy
-        // observes, expires and stores but never probes, and only the
-        // FULL delivery counts as `processed`.
+    fn probe_replica_joins_but_is_not_processed() {
+        // The sharded engine's broadcast copies run the plane: a probing
+        // copy stores and joins, and only the FULL delivery counts as
+        // `processed`.
         let mut e = multi(vec![pair_query("L", "R", 60)], 64);
         let (l, r) = (e.stream_id("L").unwrap(), e.stream_id("R").unwrap());
         let mut sink = CountSink::default();
@@ -1517,11 +1510,11 @@ mod tests {
             e.ingest_tuple_as(t, VTime::ZERO, &mut sink, role).produced
         };
         assert_eq!(deliver(&mut e, l, IngestRole::FULL), 0);
-        assert_eq!(deliver(&mut e, r, IngestRole::STORE_REPLICA), 0, "a replica never probes");
-        assert_eq!(e.window_len(r), Some(1), "but it stores");
-        assert_eq!(deliver(&mut e, l, IngestRole::PROBE_REPLICA), 1, "a probing copy joins");
+        assert_eq!(deliver(&mut e, r, IngestRole::PROBE_REPLICA), 1, "a probing copy joins");
+        assert_eq!(e.window_len(r), Some(1), "and stores");
+        assert_eq!(deliver(&mut e, l, IngestRole::PROBE_REPLICA), 1);
         let m = e.metrics();
-        assert_eq!((m.processed, m.replicated, m.total_output), (1, 2, 1));
+        assert_eq!((m.processed, m.replicated, m.total_output), (1, 2, 2));
     }
 
     #[test]

@@ -13,8 +13,8 @@ pub struct EngineMetrics {
     /// Tuples run through the join operator.
     pub processed: u64,
     /// Replicated deliveries ingested in addition to an arrival's one
-    /// `processed` delivery (hot-key build copies, broadcast-stream
-    /// copies); 0 for unsharded runs.
+    /// `processed` delivery (broadcast-stream copies); 0 for unsharded
+    /// and key-partitioned runs.
     #[serde(default)]
     pub replicated: u64,
     /// Tuples dismissed from windows before expiry (shed).

@@ -11,10 +11,11 @@
 //!   ([`JoinQuery::partitioning`]) and all of them agree on the partition
 //!   attribute of every global stream they share: arrivals are
 //!   hash-partitioned by that attribute's value across `S` workers, each
-//!   with `1/S` of the memory and sketch budgets. Two tuples with different
-//!   keys never join, so at full memory the merged output equals the
-//!   in-process output exactly; under shedding each shard shrinks its own
-//!   partition.
+//!   with `1/S` of the memory and sketch budgets. Every arrival goes to its
+//!   hash-home shard and nowhere else, however skewed the keys (DESIGN.md
+//!   §12 says why hot keys are not split). Two tuples with different keys
+//!   never join, so at full memory the merged output equals the in-process
+//!   output exactly; under shedding each shard shrinks its own partition.
 //! * **Broadcast.** A one-query set that is not key-partitionable runs
 //!   replicated when [`ShardConfig::broadcast`] is on (below).
 //! * Otherwise the run degrades to one shard, with the reason on the
@@ -55,22 +56,6 @@
 //! does not fit the running key plan (or any query added to a broadcast
 //! run) is rejected.
 //!
-//! ## Skew-adaptive routing (DESIGN.md §12)
-//!
-//! Hash routing pins every hot join key to one worker. The coordinator
-//! runs an online heavy-hitter detector (a space-saving tracker over
-//! routed keys, sampled at a fixed arrival cadence with promote/demote
-//! hysteresis). Arrivals carrying a *hot* key fan their **store side** to
-//! every shard ([`Item::Replica`]: observe + expire + store, no probe, no
-//! `processed` credit) while their **probe side** goes to exactly one
-//! shard — round-robin once the key's *fan-out gate* opens, the hash-home
-//! shard until then. The gate guards exactness: a shard other than the
-//! hash home is missing the key's pre-promotion tuples, so probes stay
-//! pinned to the home until every pre-promotion tuple is provably expired
-//! under every window of the set (time windows: `now ≥ promote_ts + p` for
-//! the longest `p`; tuple windows: `c + 1` further arrivals on each stream
-//! since the promotion snapshot, for the largest `c` on that stream).
-//!
 //! ## Broadcast execution mode
 //!
 //! A query whose equi-predicate graph is *not* key-partitionable runs
@@ -93,9 +78,10 @@
 //! exact; [`Backpressure::Shed`] instead drops batches when a worker falls
 //! behind, counting their tuples in [`ShardedRunReport::shed_channel`]. A
 //! dropped batch's tick summaries re-queue into the pending counters, and
-//! so does each dropped tuple or replica for its own shard, so tuple-window
-//! accounting drifts only by the dropped tuples themselves — as in the
-//! in-process engine's queue shedding, a dropped tuple never ages a window.
+//! so does each dropped tuple or broadcast copy for its own shard, so
+//! tuple-window accounting drifts only by the dropped tuples themselves —
+//! as in the in-process engine's queue shedding, a dropped tuple never
+//! ages a window.
 
 use crate::builder::BuildError;
 use crate::engine::{EngineConfig, MemoryMode, ReorderStage};
@@ -104,14 +90,13 @@ use crate::multi::{merge_into_catalog, MultiQueryEngine, QueryStats};
 use crate::report::{EngineMetrics, RunReport};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use mstream_shed_policies::ShedPolicy;
-use mstream_sketch::{BankConfig, SpaceSaving};
+use mstream_sketch::BankConfig;
 use mstream_types::{
     splitmix64, Catalog, Error, JoinQuery, Partitioning, QueryId, Result, SeqNo, StreamId, Tuple,
-    VDur, VTime, WindowSpec, WordBuild,
+    VDur, VTime, WindowSpec,
 };
 use mstream_workload::Trace;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -126,49 +111,22 @@ pub enum Backpressure {
     Shed,
 }
 
-/// Online heavy-hitter detection knobs for skew-adaptive routing (active
-/// only for key-partitioned runs with more than one shard).
-///
-/// Thresholds are integer **permille** of the tracker's observed total
-/// (integer math keeps routing decisions platform-deterministic). `0`
-/// resolves the paper-free defaults at construction: promote at
-/// `1000 / (2·S)` permille (a key earning more than half a shard's fair
-/// share of probe work), demote at half the promote threshold — the
-/// promote/demote gap is the hysteresis that keeps the hot set stable
-/// between decision epochs.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Ignored: key-partitioned runs never split hot keys (DESIGN.md §12).
+/// Kept, with its fields, so `benchmark/` builds until its next change.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HotKeyConfig {
-    /// Master switch; `false` restores pure hash routing.
+    /// Ignored.
     pub enabled: bool,
-    /// Concurrently-hot key slots (keys beyond this stay hash-routed).
+    /// Ignored.
     pub capacity: usize,
-    /// Space-saving counters in the detector. Detection resolution is
-    /// `total / tracker_capacity`: a key share below
-    /// `1 / tracker_capacity` can never be *certified* hot, so size this
-    /// well above `1000 / promote_permille`.
+    /// Ignored.
     pub tracker_capacity: usize,
-    /// Arrivals between promote/demote decision points (the tracker
-    /// accumulates across epochs; this is the decision cadence).
+    /// Ignored.
     pub epoch_arrivals: u64,
-    /// Promote when a key's *guaranteed* (lower-bound) share reaches this
-    /// many permille; `0` = auto (`1000 / (2·S)`).
+    /// Ignored.
     pub promote_permille: u32,
-    /// Demote when a key's *estimated* (upper-bound) share falls below
-    /// this many permille; `0` = auto (half the promote threshold).
+    /// Ignored.
     pub demote_permille: u32,
-}
-
-impl Default for HotKeyConfig {
-    fn default() -> Self {
-        HotKeyConfig {
-            enabled: true,
-            capacity: 32,
-            tracker_capacity: 256,
-            epoch_arrivals: 2048,
-            promote_permille: 0,
-            demote_permille: 0,
-        }
-    }
 }
 
 /// Tuning for sharded execution.
@@ -193,7 +151,7 @@ pub struct ShardConfig {
     /// holds its steady state to zero allocations and the benchmark times
     /// it as `shard.route_only_ns_per_arrival`.
     pub route_only: bool,
-    /// Heavy-hitter splitting for key-partitioned runs.
+    /// Ignored; kept so `benchmark/` builds until its next change.
     pub hot_keys: HotKeyConfig,
     /// Run a non-key-partitionable query in broadcast mode at the
     /// requested shard count instead of degrading to one shard.
@@ -230,13 +188,14 @@ pub struct ShardedRunReport {
     pub shed_channel: u64,
     /// FULL (probing) deliveries the coordinator assigned to each shard
     /// (before any channel shedding) — the router's probe-work balance.
-    /// Exactly one per arrival; replicated build/broadcast copies are not
-    /// counted here (see [`EngineMetrics::replicated`]).
+    /// Exactly one per arrival; broadcast copies are not counted here (see
+    /// [`EngineMetrics::replicated`]).
     pub routed: Vec<u64>,
     /// Final resident tuples on each shard (per-shard window occupancy at
     /// the end of the run).
     pub resident: Vec<usize>,
-    /// Hot-key promotions performed by the skew router over the run.
+    /// Always 0: hot keys are never split. Kept so `benchmark/` builds
+    /// until its next change.
     pub hot_promoted: u64,
     /// Whether the run executed in broadcast mode (replicated windows for
     /// a non-key-partitionable query).
@@ -276,9 +235,6 @@ enum Item {
     /// A tuple routed to this shard for processing — the arrival's one
     /// FULL delivery (probe + emit + `processed` credit).
     Tuple(Tuple),
-    /// A replicated build-side copy (hot-key splitting): observe, expire
-    /// and store, but do not probe and do not count as processed.
-    Replica(Tuple),
     /// A broadcast-stream copy on a non-home shard: stores *and* probes
     /// (this shard holds dominant-stream partners no other shard has) but
     /// does not count as processed.
@@ -305,248 +261,6 @@ struct WorkerOut {
     end_time: VTime,
     /// Window occupancy at the end of the run.
     resident: usize,
-}
-
-/// One concurrently-hot key's routing state.
-struct HotSlot {
-    key: u64,
-    active: bool,
-    /// Round-robin cursor for probe placement once the fan-out gate opens
-    /// (seeded with the slot index so concurrent hot keys start de-phased).
-    rr: u64,
-    /// Hash-home shard — the probe target while the gate is closed (it is
-    /// the only shard holding the key's pre-promotion tuples).
-    home: usize,
-    /// Arrival timestamp at promotion (time-window gate anchor).
-    promote_ts: VTime,
-    /// Per-stream global arrival counts at promotion (tuple-window gate
-    /// anchor); one entry per global stream.
-    snapshot: Vec<u64>,
-    /// Once true, probes round-robin (sticky for the rest of the hot
-    /// period: windows only ever shrink behind the gate condition).
-    gate_open: bool,
-}
-
-/// Where one arrival's probing delivery goes.
-enum Placement {
-    /// Cold key: classic hash routing (ticks to the other shards).
-    Cold { home: usize },
-    /// Hot key: FULL to `probe`, store replicas to every other shard.
-    Hot { probe: usize },
-}
-
-/// Minimum guaranteed observations before a key may be promoted: permille
-/// thresholds alone are meaningless against the tiny totals of the first
-/// decision epochs (one observation out of 64 is 15‰).
-const MIN_PROMOTE_SUPPORT: u64 = 8;
-
-/// Coordinator-side heavy-hitter detection and hot-key routing (key-
-/// partitioned mode, S > 1). State is preallocated, growing only when a
-/// registration brings new streams, and every decision iterates `Vec`s
-/// only, so routing stays allocation-free and platform-deterministic.
-struct SkewRouter {
-    shards: usize,
-    tracker: SpaceSaving,
-    epoch_arrivals: u64,
-    since_epoch: u64,
-    promote_permille: u64,
-    demote_permille: u64,
-    /// key -> slot index; lookup-only (never iterated).
-    hot_index: HashMap<u64, usize, WordBuild>,
-    slots: Vec<HotSlot>,
-    /// Global arrivals per stream seen by the coordinator (the oracle
-    /// position every shard's expiry counter is synchronized to).
-    stream_arrivals: Vec<u64>,
-    /// The largest tuple-window size over the set, per global stream
-    /// (`None` where every window on the stream is time-based).
-    tuple_counts: Vec<Option<u64>>,
-    /// The longest time window of the set, if any.
-    max_time_window: Option<VDur>,
-    /// Total promotions performed (diagnostic).
-    promoted: u64,
-}
-
-impl SkewRouter {
-    /// A router with no streams yet; [`SkewRouter::cover`] adds each
-    /// query's.
-    fn new(cfg: &HotKeyConfig, shards: usize) -> Self {
-        let promote = if cfg.promote_permille == 0 {
-            (1000 / (2 * shards as u64)).max(1)
-        } else {
-            u64::from(cfg.promote_permille)
-        };
-        let demote = if cfg.demote_permille == 0 {
-            (promote / 2).max(1)
-        } else {
-            u64::from(cfg.demote_permille)
-        };
-        let capacity = cfg.capacity.max(1);
-        SkewRouter {
-            shards,
-            tracker: SpaceSaving::with_capacity(cfg.tracker_capacity.max(capacity)),
-            epoch_arrivals: cfg.epoch_arrivals.max(1),
-            since_epoch: 0,
-            promote_permille: promote,
-            demote_permille: demote,
-            hot_index: HashMap::with_capacity_and_hasher(capacity * 2, WordBuild::default()),
-            slots: (0..capacity)
-                .map(|i| HotSlot {
-                    key: 0,
-                    active: false,
-                    rr: i as u64,
-                    home: 0,
-                    promote_ts: VTime::ZERO,
-                    snapshot: Vec::new(),
-                    gate_open: false,
-                })
-                .collect(),
-            stream_arrivals: Vec::new(),
-            tuple_counts: Vec::new(),
-            max_time_window: None,
-            promoted: 0,
-        }
-    }
-
-    /// Takes `query`'s windows into the fan-out gate — its local stream
-    /// `k` is global stream `gstream_of[k]` — and grows the per-stream
-    /// arrays to `n_streams`. The gate only ever widens, so a gate already
-    /// open stays sound: a query registered later has fresh stores, which
-    /// every shard fills alike with the key's replicated tuples.
-    fn cover(&mut self, n_streams: usize, gstream_of: &[StreamId], query: &JoinQuery) {
-        self.stream_arrivals.resize(n_streams, 0);
-        self.tuple_counts.resize(n_streams, None);
-        for slot in &mut self.slots {
-            slot.snapshot.resize(n_streams, 0);
-        }
-        for (&g, window) in gstream_of.iter().zip(query.windows()) {
-            match *window {
-                WindowSpec::Tuples(c) => {
-                    let count = &mut self.tuple_counts[g.index()];
-                    *count = (*count).max(Some(c));
-                }
-                WindowSpec::Time(p) => self.max_time_window = self.max_time_window.max(Some(p)),
-            }
-        }
-    }
-
-    /// Observes one routed arrival and places its probing delivery.
-    fn place(&mut self, key: u64, stream: StreamId, now: VTime, home: usize) -> Placement {
-        self.stream_arrivals[stream.index()] += 1;
-        self.tracker.observe(key);
-        self.since_epoch += 1;
-        if self.since_epoch >= self.epoch_arrivals {
-            self.epoch_end(now);
-        }
-        let Some(&i) = self.hot_index.get(&key) else {
-            return Placement::Cold { home };
-        };
-        let slot = &mut self.slots[i];
-        if !slot.gate_open {
-            slot.gate_open = gate_opens(
-                slot,
-                &self.stream_arrivals,
-                &self.tuple_counts,
-                self.max_time_window,
-                now,
-            );
-        }
-        let probe = if slot.gate_open {
-            let p = (slot.rr % self.shards as u64) as usize;
-            slot.rr += 1;
-            p
-        } else {
-            slot.home
-        };
-        Placement::Hot { probe }
-    }
-
-    /// Promote/demote decision point, run every `epoch_arrivals` arrivals.
-    /// The tracker accumulates across epochs (cumulative shares), so
-    /// detection resolution improves over the run while the decision
-    /// cadence stays fixed.
-    fn epoch_end(&mut self, now: VTime) {
-        self.since_epoch = 0;
-        let total = self.tracker.total();
-        if total == 0 {
-            return;
-        }
-        // Demote first (freeing slots for this epoch's promotions): a hot
-        // key whose *upper-bound* share fell below the demote threshold is
-        // returned to hash routing. Immediately safe — its home shard
-        // received every replica during the hot period, so it has the
-        // key's full window.
-        for slot in &mut self.slots {
-            if slot.active && self.tracker.estimate(slot.key) * 1000 < self.demote_permille * total
-            {
-                slot.active = false;
-                self.hot_index.remove(&slot.key);
-            }
-        }
-        // Promote keys whose *guaranteed* (lower-bound) share clears the
-        // promote threshold — a key is only split when it provably earns
-        // it — and that have minimum absolute support: in the first few
-        // epochs the observed total is small enough that a key seen once
-        // or twice clears any permille share test, and every such noise
-        // promotion costs a home-pinned fan-out-gate window before its
-        // eventual demotion. Slot-order iteration keeps this
-        // deterministic.
-        for (key, count, error) in self.tracker.iter() {
-            let guaranteed = count - error;
-            if guaranteed < MIN_PROMOTE_SUPPORT {
-                continue;
-            }
-            if guaranteed * 1000 < self.promote_permille * total {
-                continue;
-            }
-            if self.hot_index.contains_key(&key) {
-                continue;
-            }
-            let Some(i) = self.slots.iter().position(|s| !s.active) else {
-                break; // All slots busy; surplus keys stay hash-routed.
-            };
-            let slot = &mut self.slots[i];
-            slot.key = key;
-            slot.active = true;
-            slot.home = (splitmix64(key) % self.shards as u64) as usize;
-            slot.promote_ts = now;
-            slot.snapshot.copy_from_slice(&self.stream_arrivals);
-            slot.gate_open = false;
-            self.hot_index.insert(key, i);
-            self.promoted += 1;
-        }
-    }
-}
-
-/// Whether a hot key's fan-out gate opens: every pre-promotion tuple of
-/// the key is provably expired on every shard, so all shards hold
-/// identical windows for the key and probes may round-robin.
-///
-/// Time windows are exact (every store expires before every probe and
-/// expiry is `ts + p <= now`; pre-promotion tuples have `ts <=
-/// promote_ts`), the deadline saturating: a window that never closes
-/// never opens the gate. Tuple windows ask for `c + 1` further arrivals on
-/// the stream since the promotion snapshot — one more than the window depth,
-/// absorbing the arriving tuple's own not-yet-counted position.
-fn gate_opens(
-    slot: &HotSlot,
-    arrivals: &[u64],
-    tuple_counts: &[Option<u64>],
-    max_time_window: Option<VDur>,
-    now: VTime,
-) -> bool {
-    if let Some(p) = max_time_window {
-        if now < slot.promote_ts.saturating_add(p) {
-            return false;
-        }
-    }
-    for (s, c) in tuple_counts.iter().enumerate() {
-        if let Some(c) = c {
-            if arrivals[s] - slot.snapshot[s] < c + 1 {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// Broadcast-mode routing state: the dominant stream partitions
@@ -655,16 +369,13 @@ pub struct ShardedJoinEngine {
     shed_channel: u64,
     /// Query ids handed out so far (dense; mirrors every worker).
     n_registered: usize,
-    /// Heavy-hitter detection and hot-key routing (key-partitioned mode,
-    /// S > 1, hot keys enabled).
-    skew: Option<SkewRouter>,
     /// Broadcast-mode routing (one non-key-partitionable query, S > 1,
     /// broadcast enabled).
     broadcast: Option<BroadcastPlan>,
     /// Coordinator-side reorder stage: arrivals are reordered *before*
-    /// minting and routing, so every worker — and the skew router's
-    /// fan-out gate — observes a monotone (watermark-ordered) timestamp
-    /// sequence. `None` without a disorder bound.
+    /// minting and routing, so every worker observes a monotone
+    /// (watermark-ordered) timestamp sequence. `None` without a disorder
+    /// bound.
     front: Option<ReorderStage>,
     started: Instant,
 }
@@ -727,13 +438,6 @@ impl ShardedJoinEngine {
                 split_bank(&config.bank, shards),
             ),
         };
-        let skew = (shards > 1 && broadcast.is_none() && shard.hot_keys.enabled).then(|| {
-            let mut router = SkewRouter::new(&shard.hot_keys, shards);
-            for (gstream_of, query) in &sets {
-                router.cover(n_streams, gstream_of, query);
-            }
-            router
-        });
         let mut senders = Vec::with_capacity(shards);
         let mut returns = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
@@ -786,7 +490,6 @@ impl ShardedJoinEngine {
             next_seq: SeqNo(0),
             shed_channel: 0,
             n_registered: queries.len(),
-            skew,
             broadcast,
             front: config.disorder.map(|k| ReorderStage::new(k, n_streams)),
             started: Instant::now(),
@@ -852,9 +555,6 @@ impl ShardedJoinEngine {
             })?;
         }
         let n_streams = catalog.len();
-        if let Some(skew) = self.skew.as_mut() {
-            skew.cover(n_streams, &gstream_of, &query);
-        }
         self.needs_ticks |= self.shards > 1 && has_tuple_windows(&query);
         self.send_registration(Item::Add(Box::new(query)));
         // Every pending tick went out ahead of the registration, so the
@@ -878,9 +578,7 @@ impl ShardedJoinEngine {
     }
 
     /// Routes one arrival (addressed by **global** stream id).
-    /// Key-partitioned arrivals go to their hash-home shard — unless the
-    /// skew router has the key hot, in which case the store side
-    /// replicates to every shard and the probe side goes to one.
+    /// Key-partitioned arrivals go to their hash-home shard only.
     /// Broadcast-mode arrivals partition the dominant stream and replicate
     /// the rest. For tuple-based windows, arrivals a shard does not receive
     /// are recorded as pending expiry ticks, delivered as a coalesced
@@ -893,9 +591,7 @@ impl ShardedJoinEngine {
     /// the watermark proves them safe, release in `(ts, admission)` order,
     /// and late-drop (counted, never routed, never a panic) once beyond
     /// the bound. Routing therefore always observes a monotone timestamp
-    /// sequence — which also re-anchors the skew router's time-window
-    /// fan-out gate (`now ≥ promote_ts + p`) on the watermark clock, where
-    /// its expiry reasoning is sound even for disordered inputs.
+    /// sequence.
     pub fn ingest(&mut self, arrival: Arrival) {
         let Some(front) = self.front.as_mut() else {
             self.route_arrival(arrival);
@@ -919,27 +615,18 @@ impl ShardedJoinEngine {
             self.ingest_broadcast(tuple);
             return;
         }
-        if self.shards == 1 {
-            self.routed[0] += 1;
-            self.push(0, Item::Tuple(tuple));
-            return;
-        }
-        let attr = self.key_of[stream.index()].expect("a keyed run partitions every stream");
-        let key = tuple.values[attr].raw();
-        let home = (splitmix64(key) % self.shards as u64) as usize;
-        let placement = match self.skew.as_mut() {
-            Some(skew) => skew.place(key, stream, tuple.ts, home),
-            None => Placement::Cold { home },
+        let home = if self.shards == 1 {
+            0
+        } else {
+            let attr = self.key_of[stream.index()].expect("a keyed run partitions every stream");
+            (splitmix64(tuple.values[attr].raw()) % self.shards as u64) as usize
         };
-        match placement {
-            Placement::Cold { home } => self.deliver_cold(home, tuple),
-            Placement::Hot { probe } => self.deliver_hot(probe, tuple),
-        }
+        self.deliver_once(home, tuple);
     }
 
-    /// Classic single-shard delivery: the tuple to `home`, pending expiry
-    /// ticks to every other shard.
-    fn deliver_cold(&mut self, home: usize, tuple: Tuple) {
+    /// An arrival's one delivery: the tuple to `home`, pending expiry ticks
+    /// to every other shard.
+    fn deliver_once(&mut self, home: usize, tuple: Tuple) {
         self.routed[home] += 1;
         if self.needs_ticks {
             let (n, s) = (self.catalog.len(), tuple.stream.index());
@@ -956,22 +643,6 @@ impl ShardedJoinEngine {
         self.push(home, Item::Tuple(tuple));
     }
 
-    /// Hot-key delivery: the one FULL (probing) delivery to `probe`, a
-    /// store replica to every other shard. Each shard receives a delivery
-    /// — storing advances its own expiry counters — so the arrival queues
-    /// no ticks; but older pending ticks flush to *every* shard first so
-    /// each copy lands at the arrival's global expiry position.
-    fn deliver_hot(&mut self, probe: usize, tuple: Tuple) {
-        self.routed[probe] += 1;
-        self.flush_all_pending_ticks();
-        for shard in 0..self.shards {
-            if shard != probe {
-                self.push(shard, Item::Replica(tuple.clone()));
-            }
-        }
-        self.push(probe, Item::Tuple(tuple));
-    }
-
     /// Broadcast-mode delivery: dominant-stream arrivals partition
     /// round-robin (with expiry ticks to the shards that miss them, like
     /// hash mode); every other stream is stored *and probed* on all
@@ -983,7 +654,7 @@ impl ShardedJoinEngine {
         if tuple.stream.index() == plan.dominant {
             let home = (plan.dominant_rr % shards) as usize;
             plan.dominant_rr += 1;
-            self.deliver_cold(home, tuple);
+            self.deliver_once(home, tuple);
             return;
         }
         let full = (plan.broadcast_rr % shards) as usize;
@@ -1125,11 +796,12 @@ impl ShardedJoinEngine {
                     self.shed_channel += 1;
                     requeue(tuple.stream.index(), 1);
                 }
-                // A dropped replica is not channel shedding — the arrival
-                // is still fully processed by its FULL delivery elsewhere.
-                // But this shard missed a counter-advancing store, so the
-                // arrival re-queues as a tick to keep its expiry exact.
-                Item::Replica(tuple) | Item::ProbeReplica(tuple) => {
+                // A dropped broadcast copy is not channel shedding — the
+                // arrival is still fully processed by its FULL delivery
+                // elsewhere. But this shard missed a counter-advancing
+                // store, so the arrival re-queues as a tick to keep its
+                // expiry exact.
+                Item::ProbeReplica(tuple) => {
                     requeue(tuple.stream.index(), 1);
                 }
                 Item::Ticks(block) => block.ticks().for_each(|(s, n)| requeue(s, n)),
@@ -1232,7 +904,7 @@ impl ShardedJoinEngine {
             shed_channel: self.shed_channel,
             routed: self.routed,
             resident,
-            hot_promoted: self.skew.as_ref().map_or(0, |s| s.promoted),
+            hot_promoted: 0,
             broadcast: self.broadcast.is_some(),
             rows,
         })
@@ -1314,7 +986,6 @@ fn worker_loop(
         for item in batch.drain(..) {
             let (tuple, role) = match item {
                 Item::Tuple(t) => (t, IngestRole::FULL),
-                Item::Replica(t) => (t, IngestRole::STORE_REPLICA),
                 Item::ProbeReplica(t) => (t, IngestRole::PROBE_REPLICA),
                 Item::Ticks(block) => {
                     for (stream, count) in block.ticks() {
@@ -1737,173 +1408,6 @@ mod tests {
         ));
         assert_eq!(e.n_registered(), 1);
         e.finish().unwrap();
-    }
-
-    /// A router covering `query` alone, its streams the global streams.
-    fn router(query: &JoinQuery, cfg: &HotKeyConfig, shards: usize) -> SkewRouter {
-        let mut router = SkewRouter::new(cfg, shards);
-        let identity: Vec<StreamId> = (0..query.n_streams()).map(StreamId).collect();
-        router.cover(query.n_streams(), &identity, query);
-        router
-    }
-
-    /// The gate waits out every window of the set: the largest tuple count
-    /// per global stream and the longest time window overall.
-    #[test]
-    fn skew_router_gate_covers_every_window_of_the_set() {
-        let mut router = SkewRouter::new(&HotKeyConfig::default(), 2);
-        let (s0, s1, s2) = (StreamId(0), StreamId(1), StreamId(2));
-        router.cover(2, &[s0, s1], &pair_query("A", "B", WindowSpec::Tuples(4)));
-        router.cover(3, &[s1, s2], &pair_query("B", "C", WindowSpec::Tuples(9)));
-        router.cover(3, &[s0, s2], &pair_query("A", "C", WindowSpec::secs(30)));
-        router.cover(3, &[s0, s1], &pair_query("A", "B", WindowSpec::secs(10)));
-        assert_eq!(router.tuple_counts, vec![Some(4), Some(9), Some(9)]);
-        assert_eq!(router.max_time_window, Some(VDur::from_secs(30)));
-        assert_eq!(router.stream_arrivals.len(), 3);
-        assert!(router.slots.iter().all(|s| s.snapshot.len() == 3));
-    }
-
-    /// A cumulative 60%-share key must promote at the first epoch
-    /// boundary; its probes stay pinned to the hash home until the
-    /// tuple-window gate opens, then round-robin across shards; and once
-    /// the key's share decays below the demote threshold it returns to
-    /// hash routing.
-    #[test]
-    fn skew_router_promotes_gates_round_robins_and_demotes() {
-        let query = pair_query("R1", "R2", WindowSpec::Tuples(4));
-        let cfg = HotKeyConfig {
-            enabled: true,
-            capacity: 4,
-            tracker_capacity: 64,
-            epoch_arrivals: 8,
-            promote_permille: 300,
-            demote_permille: 150,
-        };
-        let shards = 4;
-        let mut router = router(&query, &cfg, shards);
-        let home = |k: u64| (splitmix64(k) % shards as u64) as usize;
-
-        // First epoch: key 7 on every arrival, alternating streams. The
-        // epoch boundary fires inside the 8th `place` call, before that
-        // arrival's own routing decision.
-        for i in 0..7u64 {
-            let p = router.place(7, StreamId((i % 2) as usize), VTime::from_secs(i), home(7));
-            assert!(
-                matches!(p, Placement::Cold { .. }),
-                "not yet promoted mid-epoch"
-            );
-        }
-        let p = router.place(7, StreamId(1), VTime::from_secs(7), home(7));
-        assert!(matches!(p, Placement::Hot { .. }), "promoted at the epoch");
-        assert_eq!(router.promoted, 1, "epoch boundary promotes the 100% key");
-
-        // Gate: tuple windows need c + 1 = 5 further arrivals per stream
-        // since the snapshot; until then probes pin to the hash home.
-        let mut placements = Vec::new();
-        for i in 8..28u64 {
-            match router.place(7, StreamId((i % 2) as usize), VTime::from_secs(i), home(7)) {
-                Placement::Hot { probe } => placements.push(probe),
-                Placement::Cold { .. } => panic!("hot key must place as Hot"),
-            }
-        }
-        assert!(
-            placements[..8].iter().all(|&p| p == home(7)),
-            "gate must pin early probes to the home shard: {placements:?}"
-        );
-        let spread: std::collections::HashSet<usize> = placements[10..].iter().copied().collect();
-        assert_eq!(spread.len(), shards, "open gate round-robins all shards");
-
-        // Decay: flood with cold keys until key 7's share falls under the
-        // demote threshold, then check it hash-routes again.
-        for i in 0..400u64 {
-            router.place(1000 + i, StreamId(0), VTime::from_secs(40), home(1000 + i));
-        }
-        assert!(
-            matches!(
-                router.place(7, StreamId(0), VTime::from_secs(41), home(7)),
-                Placement::Cold { .. }
-            ),
-            "decayed key must demote back to hash routing"
-        );
-        assert!(router.slots.iter().all(|s| !s.active || s.key != 7));
-    }
-
-    /// Same-seed replay determinism of the router itself: identical
-    /// arrival sequences must yield identical placement sequences.
-    #[test]
-    fn skew_router_is_deterministic() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let query = pair_query("R1", "R2", WindowSpec::Tuples(6));
-        let cfg = HotKeyConfig {
-            enabled: true,
-            capacity: 4,
-            tracker_capacity: 32,
-            epoch_arrivals: 16,
-            promote_permille: 250,
-            demote_permille: 125,
-        };
-        let run = || {
-            let mut router = router(&query, &cfg, 4);
-            let mut rng = StdRng::seed_from_u64(3);
-            let mut out = Vec::new();
-            for i in 0..600u64 {
-                let key = if rng.gen_bool(0.5) { 0 } else { rng.gen_range(1..20) };
-                let home = (splitmix64(key) % 4) as usize;
-                let p = router.place(key, StreamId((i % 2) as usize), VTime::from_secs(i / 4), home);
-                out.push(match p {
-                    Placement::Cold { home } => (0, home),
-                    Placement::Hot { probe } => (1, probe),
-                });
-            }
-            (out, router.promoted)
-        };
-        assert_eq!(run(), run());
-    }
-
-    /// The time-window gate anchors on the promotion timestamp: closed
-    /// strictly before `promote_ts + p`, open at it — and a window that
-    /// never closes never opens it (the deadline saturates; a wrapping sum
-    /// lands just before `promote_ts` and opens the gate at once).
-    #[test]
-    fn time_window_gate_opens_exactly_at_promote_ts_plus_window() {
-        let slot = HotSlot {
-            key: 1,
-            active: true,
-            rr: 0,
-            home: 0,
-            promote_ts: VTime::from_secs(10),
-            snapshot: vec![0, 0],
-            gate_open: false,
-        };
-        let p = VDur::from_secs(30);
-        let counts = [None, None];
-        assert!(!gate_opens(&slot, &[9, 9], &counts, Some(p), VTime::from_secs(39)));
-        assert!(gate_opens(&slot, &[0, 0], &counts, Some(p), VTime::from_secs(40)));
-        let forever = Some(VDur::from_micros(u64::MAX));
-        for now in [VTime::from_secs(10), VTime::from_secs(1 << 40), VTime::from_micros(u64::MAX - 1)] {
-            assert!(!gate_opens(&slot, &[0, 0], &counts, forever, now), "{now:?}");
-        }
-    }
-
-    /// The tuple-window gate demands `c + 1` arrivals past the snapshot on
-    /// every tuple-windowed stream (the extra one absorbs the arriving
-    /// tuple's own not-yet-counted position).
-    #[test]
-    fn tuple_window_gate_needs_full_window_turnover_per_stream() {
-        let slot = HotSlot {
-            key: 1,
-            active: true,
-            rr: 0,
-            home: 0,
-            promote_ts: VTime::ZERO,
-            snapshot: vec![10, 20],
-            gate_open: false,
-        };
-        let counts = [Some(4), Some(4)];
-        assert!(!gate_opens(&slot, &[15, 24], &counts, None, VTime::ZERO));
-        assert!(!gate_opens(&slot, &[14, 25], &counts, None, VTime::ZERO));
-        assert!(gate_opens(&slot, &[15, 25], &counts, None, VTime::ZERO));
     }
 
     /// The dominant stream is the one with the most incident predicates

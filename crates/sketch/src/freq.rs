@@ -291,124 +291,6 @@ impl TumblingFreq {
     }
 }
 
-/// Space-saving top-k frequency tracker (Metwally et al.) over raw `u64`
-/// keys — the coordinator-side heavy-hitter detector for skew-adaptive
-/// routing.
-///
-/// Holds at most `capacity` monitored keys. An unmonitored arrival evicts
-/// the counter with the smallest count and inherits that count as its
-/// `error` bound, so for every monitored key:
-///
-///   true_count ≤ count,  and  count − error ≤ true_count.
-///
-/// `guaranteed()` (count − error) is therefore a *lower* bound on the true
-/// frequency — promotion decisions key off it so a key is only declared
-/// hot when it provably exceeds the threshold, while demotion keys off the
-/// upper-bound `estimate()` so hot status is sticky (hysteresis lives in
-/// the caller's two thresholds, not here).
-///
-/// Determinism: counters live in a `Vec` and eviction scans it for the
-/// first minimum; the `HashMap` index is only ever used for point lookups,
-/// never iterated, so identical observation sequences produce identical
-/// trackers regardless of hash seeding.
-#[derive(Clone, Debug)]
-pub struct SpaceSaving {
-    counters: Vec<SsCounter>,
-    /// key -> index into `counters`; lookup-only (never iterated).
-    index: HashMap<u64, usize, WordBuild>,
-    total: u64,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct SsCounter {
-    key: u64,
-    count: u64,
-    error: u64,
-}
-
-impl SpaceSaving {
-    /// Tracker monitoring at most `capacity` keys (`capacity >= 1`).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        SpaceSaving {
-            counters: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity_and_hasher(capacity * 2, WordBuild::default()),
-            total: 0,
-        }
-    }
-
-    /// Record one occurrence of `key`.
-    pub fn observe(&mut self, key: u64) {
-        self.total += 1;
-        if let Some(&i) = self.index.get(&key) {
-            self.counters[i].count += 1;
-            return;
-        }
-        if self.counters.len() < self.counters.capacity() {
-            self.index.insert(key, self.counters.len());
-            self.counters.push(SsCounter { key, count: 1, error: 0 });
-            return;
-        }
-        // Evict the first minimum-count counter; the newcomer inherits its
-        // count as the error bound.
-        let mut min = 0;
-        for (i, c) in self.counters.iter().enumerate().skip(1) {
-            if c.count < self.counters[min].count {
-                min = i;
-            }
-        }
-        let evicted = self.counters[min];
-        self.index.remove(&evicted.key);
-        self.index.insert(key, min);
-        self.counters[min] = SsCounter {
-            key,
-            count: evicted.count + 1,
-            error: evicted.count,
-        };
-    }
-
-    /// Upper-bound estimate of `key`'s frequency (0 if unmonitored).
-    pub fn estimate(&self, key: u64) -> u64 {
-        self.index.get(&key).map_or(0, |&i| self.counters[i].count)
-    }
-
-    /// Guaranteed lower bound on `key`'s frequency (0 if unmonitored).
-    pub fn guaranteed(&self, key: u64) -> u64 {
-        self.index.get(&key).map_or(0, |&i| {
-            let c = self.counters[i];
-            c.count - c.error
-        })
-    }
-
-    /// Total observations since the last `clear`.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of monitored keys.
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Whether the tracker has seen nothing since the last `clear`.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-
-    /// Monitored `(key, count, error)` triples in slot order
-    /// (deterministic: insertion/eviction order, never hash order).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counters.iter().map(|c| (c.key, c.count, c.error))
-    }
-
-    /// Reset for the next epoch, retaining allocated capacity.
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.index.clear();
-        self.total = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,108 +463,6 @@ mod tests {
             let tf = TumblingFreq::new(&q, EpochSpec::Time(VDur::from_secs(10)));
             // Predicate 0 joins R1 and R2; asking for R3 is a logic error.
             let _ = tf.partner_count(0, StreamId(2), Value(1));
-        }
-    }
-
-    mod space_saving {
-        use super::*;
-
-        #[test]
-        fn exact_within_capacity() {
-            let mut ss = SpaceSaving::with_capacity(4);
-            for _ in 0..5 {
-                ss.observe(10);
-            }
-            for _ in 0..3 {
-                ss.observe(20);
-            }
-            ss.observe(30);
-            assert_eq!(ss.estimate(10), 5);
-            assert_eq!(ss.guaranteed(10), 5);
-            assert_eq!(ss.estimate(20), 3);
-            assert_eq!(ss.estimate(30), 1);
-            assert_eq!(ss.estimate(99), 0);
-            assert_eq!(ss.total(), 9);
-            assert_eq!(ss.len(), 3);
-        }
-
-        #[test]
-        fn eviction_inherits_count_as_error() {
-            let mut ss = SpaceSaving::with_capacity(2);
-            ss.observe(1);
-            ss.observe(1);
-            ss.observe(2);
-            // 3 evicts 2 (the min, count 1) and inherits count=2, error=1.
-            ss.observe(3);
-            assert_eq!(ss.estimate(2), 0);
-            assert_eq!(ss.estimate(3), 2);
-            assert_eq!(ss.guaranteed(3), 1);
-            // 1's counter was never touched.
-            assert_eq!(ss.guaranteed(1), 2);
-        }
-
-        #[test]
-        fn heavy_hitter_survives_noise() {
-            // One hot key at ~50% among a churn of cold singletons: the
-            // guaranteed bound must still certify it as dominant.
-            let mut ss = SpaceSaving::with_capacity(8);
-            for i in 0..400u64 {
-                ss.observe(7);
-                ss.observe(1000 + i); // unique cold key each round
-            }
-            assert_eq!(ss.total(), 800);
-            assert!(ss.estimate(7) >= 400);
-            // 7 is never evicted (its count dominates every min scan), so
-            // error stays 0 and the guarantee is exact.
-            assert_eq!(ss.guaranteed(7), 400);
-        }
-
-        #[test]
-        fn clear_retains_capacity_and_resets_counts() {
-            let mut ss = SpaceSaving::with_capacity(4);
-            for k in 0..10u64 {
-                ss.observe(k);
-            }
-            ss.clear();
-            assert!(ss.is_empty());
-            assert_eq!(ss.total(), 0);
-            ss.observe(3);
-            assert_eq!(ss.estimate(3), 1);
-        }
-
-        #[test]
-        fn deterministic_across_runs() {
-            let run = || {
-                let mut ss = SpaceSaving::with_capacity(3);
-                for v in [5u64, 9, 5, 2, 7, 7, 2, 9, 9, 4, 5, 4] {
-                    ss.observe(v);
-                }
-                ss.iter().collect::<Vec<_>>()
-            };
-            assert_eq!(run(), run());
-        }
-
-        proptest! {
-            /// Space-saving invariants: counts upper-bound true frequency,
-            /// guaranteed lower-bounds it, and total is exact.
-            #[test]
-            fn bounds_hold(keys in proptest::collection::vec(0u64..12, 1..300)) {
-                let mut ss = SpaceSaving::with_capacity(4);
-                let mut truth: std::collections::HashMap<u64, u64> = Default::default();
-                for &k in &keys {
-                    ss.observe(k);
-                    *truth.entry(k).or_insert(0) += 1;
-                }
-                prop_assert_eq!(ss.total(), keys.len() as u64);
-                for (&k, &t) in &truth {
-                    // Monitored keys overestimate; the guarantee never
-                    // exceeds the truth. Unmonitored keys report 0.
-                    if ss.estimate(k) > 0 {
-                        prop_assert!(ss.estimate(k) >= t);
-                        prop_assert!(ss.guaranteed(k) <= t);
-                    }
-                }
-            }
         }
     }
 

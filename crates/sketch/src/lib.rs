@@ -69,7 +69,7 @@ pub mod tumbling;
 
 pub use atomic::AtomicSketch;
 pub use bank::{median_of_means_into, median_of_means_slice, BankConfig, SketchBank};
-pub use freq::{FreqTable, PartnerFrequency, SpaceSaving, TumblingFreq};
+pub use freq::{FreqTable, PartnerFrequency, TumblingFreq};
 pub use hash::FourWiseHash;
 pub use kernel::LANES;
 pub use score_cache::{ScoreCache, ScoreCacheStats, ScoreKey};

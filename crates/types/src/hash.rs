@@ -202,7 +202,7 @@ mod tests {
                 let got = spread(keys);
                 assert!(got >= 0.9, "(pred, value) {name}, {preds} preds: {got:.3}");
             }
-            // `FreqTable` / `SpaceSaving` / `SkewRouter` keys: the raw value.
+            // `FreqTable` keys: the raw value.
             let got = spread(values.iter().map(hash_of));
             assert!(got >= 0.9, "raw value {name}: {got:.3}");
             // `ScoreCache` keys: the value under a generation and a stream

@@ -128,8 +128,13 @@ impl WindowStore {
         assert!(capacity > 0, "window capacity must be positive");
         let n_idx = join_attrs.len();
         // Cap the eager reservation: "unbounded" reference joins pass huge
-        // capacities and grow on demand instead.
-        let reserve = capacity.min(4096) + 1;
+        // capacities and grow on demand instead, and a `ROWS n` window never
+        // holds more than `n`.
+        let most = match spec {
+            WindowSpec::Tuples(n) => capacity.min(usize::try_from(n).unwrap_or(usize::MAX)),
+            WindowSpec::Time(_) => capacity,
+        };
+        let reserve = most.min(4096) + 1;
         WindowStore {
             spec,
             capacity,
@@ -921,6 +926,22 @@ mod tests {
         assert_eq!(w.probe(0, Value(9)).len(), 0);
         // Attribute 1 is indexed separately.
         assert_eq!(w.probe(1, Value(7)).len(), 1);
+    }
+
+    /// A `ROWS n` window never holds more than `n`, so a lossless budget
+    /// far above `n` reserves room for `n` tuples and the arrival only.
+    #[test]
+    fn a_tuple_window_reserves_its_row_count() {
+        let w = WindowStore::new(WindowSpec::Tuples(100), vec![0], 200_001);
+        assert!(w.expiry.capacity() <= 101, "{}", w.expiry.capacity());
+        assert!(w.produced.capacity() <= 101 && w.state.capacity() <= 101);
+        assert!(w.index_pos.capacity() <= 101);
+        let w = WindowStore::new(WindowSpec::secs(10), vec![0], 200_001);
+        assert_eq!(
+            w.produced.capacity(),
+            4097,
+            "RANGE windows keep the 4096 cap"
+        );
     }
 
     #[test]

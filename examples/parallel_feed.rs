@@ -18,7 +18,7 @@
 //!    different attributes: no partition key exists, so the engine runs
 //!    it in *broadcast mode* (DESIGN.md §12) — the dominant stream is
 //!    partitioned round-robin and the others are replicated to every
-//!    shard as build-only copies.
+//!    shard, where each copy is stored and probed.
 //! 3. The same chain with broadcast disabled, which degrades to one
 //!    shard and reports why.
 //!

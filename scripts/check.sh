@@ -61,8 +61,8 @@ if [ "$CLOCK_READS" != 1 ] || [ "$RESCORE_READS" != 1 ]; then
   exit 1
 fi
 # ... and computes no SipHash: every map an engine crate keeps as a struct
-# field (the sign and score memos, the frequency tables, the heavy-hitter
-# and hot-key indexes, the queue's live positions) hashes through
+# field (the sign and score memos, the frequency tables, the queue's live
+# positions) hashes through
 # `mstream_types::WordBuild`. Chosen over clippy `disallowed-types`, which
 # cannot tell a test's reference model from a field.
 MAP_FIELD='^\s*(pub(\([a-z]+\))? )?[a-z_]+: (std::collections::)?HashMap<'
@@ -71,8 +71,15 @@ if grep -rnE "$MAP_FIELD" crates/{sketch,window,core}/src | grep -v 'WordBuild>,
   exit 1
 fi
 WORD_MAPS=$(grep -rhE "$MAP_FIELD" crates/{sketch,window,core}/src | grep -c 'WordBuild>,' || true)
-if [ "$WORD_MAPS" -lt 6 ]; then
-  echo "FAIL: expected the six per-arrival tables on WordBuild, found $WORD_MAPS"
+if [ "$WORD_MAPS" -lt 4 ]; then
+  echo "FAIL: expected the four per-arrival tables on WordBuild, found $WORD_MAPS"
+  exit 1
+fi
+# Every key-partitioned arrival is delivered once, to its hash-home shard:
+# hot keys are not split (DESIGN.md §12), so neither the tracker nor the
+# store-only replica role may come back.
+if grep -rnE 'SkewRouter|SpaceSaving|Item::Replica|STORE_REPLICA' crates/; then
+  echo "FAIL: hot-key splitting is back under crates/"
   exit 1
 fi
 # One mixer: SplitMix64 is defined in mstream-types and imported.
@@ -87,7 +94,7 @@ fi
 # class the sweep never drew watched nothing, so every count must be > 0.
 cargo run --release -p mstream-audit -- sweep --cases 100 --seed 7 | tee target/check_audit.txt
 for CLASS in "one-query sets" "multi-query sets" "churn cases" "disorder cases" \
-  "late-drop probes" "deferred cases" "idle-estimation cases" "hot-split cases" \
+  "late-drop probes" "deferred cases" "idle-estimation cases" "skewed-key sharded cases" \
   "mixed-arity cases" "spill cases"; do
   grep -Eq "[1-9][0-9]* $CLASS" target/check_audit.txt \
     || { echo "FAIL: the audit smoke drew no $CLASS"; exit 1; }
@@ -97,6 +104,7 @@ done
 # query and trace must produce the same output count at S in {1,2,4} when
 # nothing sheds (full memory, blocking channels) — and, with Time epochs
 # and windows that never fill, no worker may run a single rescoring pass.
+# Every arrival is routed once and copied nowhere.
 KEYED_QUERY='SELECT * FROM R1(A1, A2) [RANGE 30 SECONDS], R2(A1, A2), R3(A1, A2)
              WHERE R1.A1 = R2.A1 AND R2.A1 = R3.A1'
 cargo run --release -p mstream-cli -- generate \
@@ -106,9 +114,11 @@ for S in 1 2 4; do
   OUT=$(cargo run --release -p mstream-cli -- run \
     --query "$KEYED_QUERY" --trace target/check_shard_trace.csv \
     --capacity 100000 --shards "$S" --json \
-    | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["output_tuples"], r["shards"], r["shed_window"], r["shed_channel"], r["epoch_rollovers"], r["priority_rebuilds"])')
-  read -r TUPLES GOT_S SHED_W SHED_C ROLLS REBUILDS <<<"$OUT"
+    | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["output_tuples"], r["shards"], r["shed_window"], r["shed_channel"], r["epoch_rollovers"], r["priority_rebuilds"], r["replicated"], sum(r["routed"]), r["arrivals"])')
+  read -r TUPLES GOT_S SHED_W SHED_C ROLLS REBUILDS COPIES ROUTED ARRIVALS <<<"$OUT"
   [ "$GOT_S" = "$S" ] || { echo "FAIL: requested $S shards, ran $GOT_S"; exit 1; }
+  [ "$COPIES" = 0 ] && [ "$ROUTED" = "$ARRIVALS" ] \
+    || { echo "FAIL: S=$S copied $COPIES arrivals and routed $ROUTED of $ARRIVALS"; exit 1; }
   [ "$SHED_W" = 0 ] && [ "$SHED_C" = 0 ] || { echo "FAIL: full-memory run shed ($SHED_W window, $SHED_C channel)"; exit 1; }
   [ "$ROLLS" -gt 0 ] || { echo "FAIL: the smoke trace spans no epoch rollover"; exit 1; }
   [ "$REBUILDS" = 0 ] || { echo "FAIL: full-memory run rescored windows ($REBUILDS passes over $ROLLS rollovers)"; exit 1; }

@@ -527,10 +527,6 @@ fn sharded_registrations_survive_shed_backpressure() {
             batch_size: 1,
             backpressure: Backpressure::Shed,
             collect_rows: true,
-            hot_keys: HotKeyConfig {
-                enabled: false,
-                ..HotKeyConfig::default()
-            },
             ..ShardConfig::default()
         });
     b.register(tuples_pair()).unwrap();

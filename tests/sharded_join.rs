@@ -11,9 +11,9 @@
 //!   shard with the reason surfaced, and then behaves bit-identically to
 //!   the single engine; with broadcast mode (the default) it runs at the
 //!   requested shard count and still matches the oracle at full memory.
-//! * Hot-key splitting (replicated build sides + round-robin probes)
-//!   preserves the full-memory oracle equality and the sub-multiset
-//!   property under shedding, and replays deterministically.
+//! * Skewed keys are routed like any other: each arrival to its hash-home
+//!   shard only, with the full-memory oracle equality and the sub-multiset
+//!   property under shedding, replaying deterministically.
 //! * Tuple-count windows stay exact across shards (the tick broadcast).
 //! * Same seed ⇒ same run, shard count and shedding notwithstanding.
 
@@ -408,119 +408,87 @@ fn skewed_trace(n: usize, key_domain: u64) -> Vec<Arrival> {
         .collect()
 }
 
-/// A hot-key config aggressive enough to promote on a few-hundred-arrival
-/// test trace (the library default epoch of 2048 arrivals never fires
-/// here, by design — short traces shouldn't churn the hot set).
-fn aggressive_hot() -> HotKeyConfig {
-    HotKeyConfig {
-        enabled: true,
-        capacity: 8,
-        tracker_capacity: 64,
-        epoch_arrivals: 64,
-        promote_permille: 200,
-        demote_permille: 100,
-    }
-}
-
-fn skewed_config(shards: usize) -> ShardConfig {
-    ShardConfig {
-        shards,
-        channel_capacity: 4,
-        batch_size: 7,
-        backpressure: Backpressure::Block,
-        collect_rows: true,
-        hot_keys: aggressive_hot(),
-        ..ShardConfig::default()
-    }
-}
-
-/// Hot-key splitting replicates the build side and round-robins the probe
-/// side, but at full memory the merged output must still equal the
-/// single-engine oracle exactly — the fan-out gate defers round-robin
-/// probing until every pre-promotion tuple of the key has expired
-/// everywhere. Exercised for both window kinds (the two gate conditions).
+/// Skewed keys are not split: at full memory the merged output equals the
+/// single-engine oracle exactly, and every arrival has exactly one
+/// delivery — no copies, one routed slot each. Both window kinds.
 #[test]
-fn hot_key_split_matches_oracle_at_full_memory() {
+fn skewed_keys_match_oracle_at_full_memory() {
     for window in [WindowSpec::secs(25), WindowSpec::Tuples(15)] {
         let arrivals = skewed_trace(900, 12);
         let (oracle, oracle_metrics) = single_engine_rows(keyed3(window), 100_000, &arrivals);
         assert!(!oracle.is_empty(), "trace must produce joins");
-        for shards in [2, 4, 8] {
-            let report =
-                sharded_rows_with(keyed3(window), 100_000, &arrivals, skewed_config(shards));
-            assert!(
-                report.hot_promoted > 0,
-                "S={shards} {window:?}: the 60% key must be detected"
-            );
-            assert!(
-                report.combined.metrics.replicated > 0,
-                "S={shards} {window:?}: hot arrivals must replicate"
-            );
+        for shards in [2, 4] {
+            let report = sharded_rows(keyed3(window), shards, 100_000, &arrivals);
+            let m = &report.combined.metrics;
             assert_eq!(
-                report.combined.metrics.processed,
-                arrivals.len() as u64,
-                "exactly one FULL delivery per arrival"
+                m.replicated, 0,
+                "S={shards} {window:?}: no arrival is copied"
             );
+            assert_eq!(m.processed, arrivals.len() as u64);
+            assert_eq!(report.routed.iter().sum::<u64>(), arrivals.len() as u64);
             let rows = canon(&report.rows.as_ref().unwrap()[0]);
-            assert_eq!(
-                rows, oracle,
-                "S={shards} {window:?}: hot-key split diverged from oracle"
-            );
-            assert_eq!(
-                report.combined.metrics.total_output,
-                oracle_metrics.total_output
-            );
+            assert_eq!(rows, oracle, "S={shards} {window:?}: diverged from oracle");
+            assert_eq!(m.total_output, oracle_metrics.total_output);
         }
     }
 }
 
-/// Round-robin probe placement must actually engage: once the gate opens,
-/// the hot key's probe work spreads across shards instead of serializing
-/// on its hash home.
+/// Each arrival lands on the shard its key hashes to, hot key included:
+/// the 60% key's home shard takes all of that key's arrivals.
 #[test]
-fn hot_key_split_spreads_probe_work() {
+fn skewed_keys_route_each_arrival_to_its_home_shard() {
     let arrivals = skewed_trace(900, 12);
-    let report = sharded_rows_with(
-        keyed3(WindowSpec::Tuples(15)),
-        100_000,
-        &arrivals,
-        skewed_config(4),
-    );
-    assert!(report.hot_promoted > 0);
-    let max = *report.routed.iter().max().unwrap();
-    let total: u64 = report.routed.iter().sum();
-    assert_eq!(total, arrivals.len() as u64, "one FULL delivery each");
-    // Without splitting, the 60% key alone pins >60% of deliveries to one
-    // shard; with round-robin the maximum shard share must fall well
-    // below that.
-    assert!(
-        (max as f64) < 0.45 * total as f64,
-        "probe work still concentrated: max shard got {max} of {total}"
-    );
+    for shards in [2, 4] {
+        let report = sharded_rows(keyed3(WindowSpec::Tuples(15)), shards, 100_000, &arrivals);
+        let home =
+            |key: u64| (mstream_core::mstream_types::splitmix64(key) % shards as u64) as usize;
+        let mut want = vec![0u64; shards];
+        for a in &arrivals {
+            want[home(a.values[0].0)] += 1;
+        }
+        assert_eq!(report.routed, want, "S={shards}");
+        let processed: Vec<u64> = report.per_shard.iter().map(|m| m.processed).collect();
+        assert_eq!(
+            processed, want,
+            "S={shards}: each worker ran what it was sent"
+        );
+        let hot = arrivals.iter().filter(|a| a.values[0] == Value(0)).count() as u64;
+        assert!(
+            report.routed[home(0)] >= hot,
+            "S={shards}: the hot key stays home"
+        );
+    }
 }
 
-/// Under reduced memory with hot keys active, shards shed within their
-/// (now replicated) partitions; the merged output must stay a
-/// sub-multiset of the full-memory oracle, and replays must be identical.
+/// Under reduced memory the skewed shard sheds within its own partition;
+/// the merged output stays a sub-multiset of the full-memory oracle, and
+/// a replay is bit-identical.
 #[test]
-fn hot_key_split_sheds_as_sub_multiset_and_replays() {
-    let arrivals = skewed_trace(900, 12);
-    let (oracle, _) = single_engine_rows(keyed3(WindowSpec::secs(25)), 100_000, &arrivals);
-    let a = sharded_rows_with(keyed3(WindowSpec::secs(25)), 48, &arrivals, skewed_config(4));
-    assert!(a.hot_promoted > 0, "skew must be detected");
-    assert!(
-        a.combined.metrics.shed_window > 0,
-        "capacity 48/4 must shed on this trace"
-    );
-    let rows = canon(&a.rows.as_ref().unwrap()[0]);
-    assert!(
-        is_sub_multiset(&rows, &oracle),
-        "hot-key shedding emitted a row the oracle never produced"
-    );
-    let b = sharded_rows_with(keyed3(WindowSpec::secs(25)), 48, &arrivals, skewed_config(4));
-    assert_eq!(rows, canon(&b.rows.as_ref().unwrap()[0]));
-    assert_eq!(det(&a.combined.metrics), det(&b.combined.metrics));
-    assert_eq!(a.routed, b.routed, "routing must replay identically");
+fn skewed_keys_shed_as_sub_multiset_and_replay() {
+    for window in [WindowSpec::secs(25), WindowSpec::Tuples(15)] {
+        let arrivals = skewed_trace(900, 12);
+        let (oracle, _) = single_engine_rows(keyed3(window), 100_000, &arrivals);
+        for shards in [2, 4] {
+            let a = sharded_rows(keyed3(window), shards, 24, &arrivals);
+            assert!(
+                a.combined.metrics.shed_window > 0,
+                "S={shards} {window:?}: capacity 24 must shed on this trace"
+            );
+            let rows = canon(&a.rows.as_ref().unwrap()[0]);
+            assert!(
+                is_sub_multiset(&rows, &oracle),
+                "S={shards} {window:?}: shedding emitted a row the oracle never produced"
+            );
+            let b = sharded_rows(keyed3(window), shards, 24, &arrivals);
+            assert_eq!(rows, canon(&b.rows.as_ref().unwrap()[0]));
+            assert_eq!(det(&a.combined.metrics), det(&b.combined.metrics));
+            assert_eq!(
+                a.per_shard.iter().map(det).collect::<Vec<_>>(),
+                b.per_shard.iter().map(det).collect::<Vec<_>>()
+            );
+            assert_eq!(a.routed, b.routed, "routing must replay identically");
+        }
+    }
 }
 
 /// Broadcast mode: the chain query (not key-partitionable) runs at the
