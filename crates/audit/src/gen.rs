@@ -4,6 +4,7 @@
 //! reproduced exactly by `replay <seed>` — including the engine's own
 //! randomness, which is seeded from the same value.
 
+use mstream_core::InputQueue;
 use mstream_sketch::EpochSpec;
 use mstream_types::{
     AttrRef, Catalog, EquiPredicate, JoinQuery, StreamId, StreamSchema, VDur, WindowSpec,
@@ -96,6 +97,10 @@ pub struct Case {
     /// The score-cache A/B class (odd seeds); even seeds run the
     /// plain/eager pair instead.
     pub cache_ab: bool,
+    /// The queued class (`seed % 16` of 3 or 10): the input queue every
+    /// in-process run is built with. Its cases draw time windows only and
+    /// carry no churn and no disorder.
+    pub queue: Option<InputQueue>,
     /// The arrivals and churn.
     pub trace: Trace,
 }
@@ -144,6 +149,23 @@ impl Case {
         })
     }
 
+    /// Whether the input queue is transparent over `trace`: it serves in
+    /// no time (a 0 µs service interval) and holds the longest run of
+    /// same-instant arrivals, so every tuple is served at its arrival
+    /// instant and none is shed. True without a queue.
+    pub fn queue_is_transparent(&self, trace: &Trace) -> bool {
+        let Some(queue) = self.queue else {
+            return true;
+        };
+        let (mut burst, mut longest) = (0, 0);
+        for (i, a) in trace.arrivals.iter().enumerate() {
+            let same = i > 0 && trace.arrivals[i - 1].at_micros == a.at_micros;
+            burst = if same { burst + 1 } else { 1 };
+            longest = longest.max(burst);
+        }
+        VDur::from_rate(queue.service_rate).is_zero() && queue.capacity >= longest
+    }
+
     /// Whether the streams the set uses differ in arity.
     pub fn mixed_arity(&self) -> bool {
         let used = catalog_order(&self.queries);
@@ -172,6 +194,11 @@ pub fn catalog_order(queries: &[JoinQuery]) -> Vec<usize> {
 const ATTRS: [&str; 4] = ["A1", "A2", "A3", "A4"];
 const TIME_SECS: [u64; 4] = [4, 9, 18, 36];
 const TUPLES: [u64; 4] = [3, 6, 12, 23];
+/// A service rate whose interval rounds to 0 µs.
+const INSTANT_SERVICE: f64 = 1e9;
+/// The overloaded service rates, tuples per second (arrivals average
+/// about 1.3 a second).
+const SLOW_SERVICE: [f64; 3] = [0.5, 1.0, 2.0];
 
 /// The draws every query of one case shares.
 struct Shape<'a> {
@@ -243,14 +270,18 @@ fn build(rng: &mut StdRng, (lo, hi): (usize, usize), shape: &Shape) -> JoinQuery
 /// coalesced expiry ticks), `seed % 8 == 4` Zipf-hot keys, `seed % 16 == 2`
 /// a 9-stream chain (the probe's binding slots spill), `seed % 16 == 6`
 /// all-tuple windows with the reduced capacity equal to the longest (no
-/// window can fill: every class idles), odd seeds the score-cache A/B
-/// pair, even seeds the plain/eager pair.
+/// window can fill: every class idles), `seed % 16` of 3 or 10 the queued
+/// class, odd seeds the score-cache A/B pair, even seeds the plain/eager
+/// pair.
 pub fn generate_case(seed: u64) -> Case {
     let mut rng = StdRng::seed_from_u64(seed);
     let tuple_shard = seed % 8 == 0;
     let zipf_hot = seed % 8 == 4;
     let wide = seed % 16 == 2;
     let unfillable = seed % 16 == 6;
+    // Under queue shedding a `ROWS n` window holds the last n *served*
+    // arrivals, which an oracle fed every arrival does not bound.
+    let queue_class = matches!(seed % 16, 3 | 10);
     let n_queries = if rng.gen_bool(0.5) {
         1
     } else {
@@ -269,6 +300,8 @@ pub fn generate_case(seed: u64) -> Case {
         arity: &arity,
         flavour: if tuple_shard || wide || unfillable {
             1
+        } else if queue_class {
+            0
         } else {
             rng.gen_range(0..3u8)
         },
@@ -362,7 +395,7 @@ pub fn generate_case(seed: u64) -> Case {
     // store included; keyed sets add a fresh query over a standing span,
     // the others a clone — the shapes a sharded run of any width accepts.
     let mut churn = Vec::new();
-    if n_queries > 1 {
+    if n_queries > 1 && !queue_class {
         let at = |rng: &mut StdRng| rng.gen_range(len / 4..3 * len / 4);
         if rng.gen_bool(0.3) {
             churn.push((at(&mut rng), Churn::Remove(rng.gen_range(0..n_queries))));
@@ -391,13 +424,28 @@ pub fn generate_case(seed: u64) -> Case {
         reduced = ReducedMemory::PerWindow(longest.max().expect("a query has windows"));
     }
     // Disorder and churn exclude each other: under a bound, registration
-    // takes effect at the release frontier, not at a trace position.
-    let disorder = if churn.is_empty() && rng.gen_bool(0.5) {
+    // takes effect at the release frontier, not at a trace position. The
+    // queue excludes both: it serves arrivals in arrival order, and a
+    // registration takes effect at its service frontier.
+    let disorder = if churn.is_empty() && !queue_class && rng.gen_bool(0.5) {
         VDur::from_micros(rng.gen_range(100_000..6_000_000u64))
     } else {
         VDur::from_micros(0)
     };
     let keyed = shape.keyed;
+    // Drawn off the case's own rng, which the queue's draws do not shift.
+    let queue = queue_class.then(|| {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_A5A5_5A5A);
+        let capacity = rng.gen_range(1..=5usize);
+        let service_rate = match rng.gen_bool(0.5) {
+            true => INSTANT_SERVICE,
+            false => SLOW_SERVICE[rng.gen_range(0..SLOW_SERVICE.len())],
+        };
+        InputQueue {
+            service_rate,
+            capacity,
+        }
+    });
 
     Case {
         seed,
@@ -411,6 +459,7 @@ pub fn generate_case(seed: u64) -> Case {
         keyed,
         zipf_hot,
         cache_ab: seed % 2 == 1,
+        queue,
         trace: Trace { arrivals, churn },
     }
 }
@@ -471,6 +520,49 @@ mod tests {
             );
         }
         assert!(!generate_case(3).zipf_hot, "other seeds stay unpinned");
+    }
+
+    /// Every `seed % 16` of 3 or 10 is queued, over time windows without
+    /// churn or disorder; within 100 such seeds the class draws every
+    /// capacity 1–5, instant and slow service, and queues that are and are
+    /// not transparent. The policies draw every victim mode between them.
+    #[test]
+    fn the_queued_class_covers_capacities_rates_and_victim_modes() {
+        let mut capacities = std::collections::BTreeSet::new();
+        let (mut instant, mut slow, mut transparent, mut opaque) = (0, 0, 0, 0);
+        for seed in (0..800u64).filter(|s| matches!(s % 16, 3 | 10)) {
+            let case = generate_case(seed);
+            let queue = case.queue.expect("queued class");
+            let windows = case.queries.iter().flat_map(|q| q.windows());
+            let tuples = windows
+                .filter(|w| matches!(w, WindowSpec::Tuples(_)))
+                .count();
+            assert_eq!(tuples, 0, "seed {seed}: time windows only");
+            assert!(
+                case.trace.churn.is_empty() && case.disorder.is_zero(),
+                "seed {seed}"
+            );
+            capacities.insert(queue.capacity);
+            match VDur::from_rate(queue.service_rate).is_zero() {
+                true => instant += 1,
+                false => slow += 1,
+            }
+            match case.queue_is_transparent(&case.trace) {
+                true => transparent += 1,
+                false => opaque += 1,
+            }
+        }
+        assert_eq!(capacities.into_iter().collect::<Vec<_>>(), [1, 2, 3, 4, 5]);
+        assert!(instant > 0 && slow > 0 && transparent > 0 && opaque > 0);
+        assert!(
+            generate_case(5).queue.is_none(),
+            "other seeds stay unqueued"
+        );
+        use mstream_shed_policies::{parse_policy, ALL_POLICY_NAMES};
+        let victim = |n: &&str| format!("{:?}", parse_policy(n).unwrap().queue_victim());
+        let modes: std::collections::BTreeSet<String> =
+            ALL_POLICY_NAMES.iter().map(victim).collect();
+        assert_eq!(modes.len(), 3, "{modes:?}");
     }
 
     /// Every set opens with its base query; the later members draw every

@@ -1,14 +1,15 @@
 //! Differential audit harness for the shedding join engine.
 //!
 //! A case ([`gen`]) is a standing set of 1–4 queries, a memory mode, a
-//! shard count, a disorder bound `K` (0: in order) and a trace that may
-//! add or remove a query mid-run. The run ([`run`]) drives every
-//! registered policy's engine through the one builder, in process and
-//! sharded, and checks the contracts of DESIGN.md §8 on it: each query
-//! exact at full memory (and in process when no window can fill) and a
-//! sub-multiset of its oracle when shedding,
-//! the event-time run equal to the in-order one, beyond-bound lateness
-//! dropped and counted, store owners replaying their solo runs, the
+//! shard count, a disorder bound `K` (0: in order), for the queued class
+//! an input queue, and a trace that may add or remove a query mid-run.
+//! The run ([`run`]) drives every registered policy's engine through the
+//! one builder, in process and sharded, and checks the contracts of
+//! DESIGN.md §8 on it: each query exact at full memory (and in process
+//! when no window can fill) and a sub-multiset of its oracle when
+//! shedding, the event-time run equal to the in-order one, beyond-bound
+//! lateness dropped and counted, queued runs conserving every arrival,
+//! store owners replaying their solo runs, the
 //! sharded partitioning contract, the score-cache (odd seeds) and
 //! plain/eager (even seeds) A/B pairs, and every engine's structural
 //! invariants after every arrival. Failures print a replay line
@@ -103,8 +104,8 @@ mod tests {
     /// Within 60 seeds the generator draws every class the run's
     /// contracts need: each memory mode, S = 2 and 4, keyed and broadcast
     /// shapes, time / tuple / mixed windows, K = 0 and K > 0, set sizes
-    /// 1–4, each mix kind, each churn shape, mixed arity and the 9-stream
-    /// spill.
+    /// 1–4, each mix kind, each churn shape, mixed arity, the 9-stream
+    /// spill and the queued class.
     #[test]
     fn generator_covers_memory_modes_shards_and_partitionability() {
         let mut drawn = std::collections::BTreeSet::new();
@@ -151,11 +152,14 @@ mod tests {
             if case.spills() {
                 class("spill".into());
             }
+            if case.queue.is_some() {
+                class("queued".into());
+            }
         }
         let want = "PerWindow,PerWindowEach,GlobalPool,S=2,S=4,K>0:false,K>0:true,size 1,\
                     size 2,size 3,size 4,Base,Duplicate,Overlap,Fresh,tuple windows,\
                     mixed windows,time windows,churn 0/0,churn 1/0,churn 0/1,churn 1/1,keyed,\
-                    broadcast,mixed arity,spill";
+                    broadcast,mixed arity,spill,queued";
         for class in want.split(',') {
             assert!(
                 drawn.contains(class),

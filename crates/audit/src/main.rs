@@ -49,7 +49,7 @@ fn sweep(args: &[String]) -> i32 {
     }
     install_quiet_hook();
     // Class counts: a sweep in which one stays zero watched nothing there.
-    let mut n = [0usize; 12];
+    let mut n = [0usize; 13];
     for i in 0..cases {
         let case = generate_case(case_seed(master, i));
         let stats = match run_case(&case) {
@@ -73,6 +73,7 @@ fn sweep(args: &[String]) -> i32 {
             usize::from(stats.skewed_sharded),
             usize::from(case.mixed_arity()),
             usize::from(case.spills()),
+            usize::from(case.queue.is_some()),
         ];
         for (total, c) in n.iter_mut().zip(classes) {
             *total += c;
@@ -85,14 +86,15 @@ fn sweep(args: &[String]) -> i32 {
         "audit sweep: {cases} cases ({} arrivals, {} standing queries; {} one-query sets, \
          {} multi-query sets, {} churn cases, {} disorder cases, {} late-drop probes, \
          {} deferred cases, {} idle-estimation cases, {} skewed-key sharded cases, \
-         {} mixed-arity cases, {} spill cases) — every query matches its exact oracle at 100% memory (and in \
-         process when no window can fill) and is a sub-multiset of it when shedding, for \
-         every policy in process and sharded; event-time runs reproduce the \
-         in-order runs; beyond-bound arrivals are dropped and counted; store owners replay \
-         their solo runs; sharded runs honour the partitioning contract; the score-cache \
+         {} mixed-arity cases, {} spill cases, {} queued cases) — every query matches its exact \
+         oracle at 100% memory (and in process when no window can fill; queued, when the queue \
+         is transparent) and is a sub-multiset of it when shedding, for every policy in process \
+         and sharded; event-time runs reproduce the in-order runs; beyond-bound arrivals are \
+         dropped and counted; queued runs process or queue-shed every arrival once; store owners \
+         replay their solo runs; sharded runs honour the partitioning contract; the score-cache \
          (odd seeds) and plain/eager (even seeds) A/B pairs are bit-identical; zero invariant \
          violations",
-        n[0], n[1], n[2], n[3], n[4], n[5], n[6], n[7], n[8], n[9], n[10], n[11]
+        n[0], n[1], n[2], n[3], n[4], n[5], n[6], n[7], n[8], n[9], n[10], n[11], n[12]
     );
     0
 }
@@ -181,9 +183,13 @@ fn describe(case: &Case) -> String {
         .iter()
         .map(|(at, e)| format!("{} before #{at}", describe_churn(e)))
         .collect();
+    let queue = match case.queue {
+        Some(q) => format!("queue {} at {}/s", q.capacity, q.service_rate),
+        None => "no queue".into(),
+    };
     format!(
         "{} queries [{}], arities {:?}, epoch {:?}, reduced {memory}, {} shards, K = {}µs, \
-         {} arrivals, churn [{}]",
+         {queue}, {} arrivals, churn [{}]",
         case.queries.len(),
         queries.join(" "),
         case.arity,

@@ -1,7 +1,8 @@
 //! The one differential run: every policy's engine — in process and
 //! sharded, as shipped and as its A/B twin, in order and behind the
-//! event-time front end — against the exact oracle of each query, with
-//! per-arrival structural invariant checks.
+//! event-time front end or (the queued class, in process) the input
+//! queue — against the exact oracle of each query, with per-arrival
+//! structural invariant checks.
 
 use crate::disorder::inject_disorder;
 use crate::eager::Eager;
@@ -12,12 +13,7 @@ use mstream_core::{EngineBuilder, EngineMetrics};
 use mstream_join::{Bindings, ExactJoin};
 use mstream_shed_policies::{parse_policy, ShedPolicy, ALL_POLICY_NAMES};
 use mstream_sketch::BankConfig;
-use mstream_types::{
-    JoinQuery, Partitioning, QueryId, Row, SeqNo, StreamId, Tuple, VTime, Value, WindowSpec,
-};
-use mstream_window::{QueueVictim, ShedQueue};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mstream_types::{JoinQuery, Partitioning, QueryId, StreamId, Tuple, VTime, Value, WindowSpec};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,8 +32,9 @@ pub enum FailureKind {
     SoloReplay,
     /// A structural invariant check (or any engine internals) panicked.
     InvariantPanic,
-    /// The standalone [`ShedQueue`] churn audit panicked.
-    QueuePanic,
+    /// A queued run lost or duplicated an arrival: its processed and
+    /// queue-shed counts did not sum to the arrivals fed.
+    QueueConservation,
     /// The sharded engine violated its partitioning contract: wrong shard
     /// count, missing/spurious degrade reason, a rejected registration, or
     /// channel drops under blocking backpressure.
@@ -62,7 +59,7 @@ impl std::fmt::Display for FailureKind {
             FailureKind::NotSubMultiset => "not-a-sub-multiset (reduced memory)",
             FailureKind::SoloReplay => "solo-replay-divergence (store owner)",
             FailureKind::InvariantPanic => "invariant-violation",
-            FailureKind::QueuePanic => "queue-invariant-violation",
+            FailureKind::QueueConservation => "queue-conservation (processed + shed_queue)",
             FailureKind::ShardContract => "shard-contract-violation",
             FailureKind::DisorderContract => "disorder-contract-violation (event time)",
             FailureKind::ScoreCacheDivergence => "score-cache-divergence (on/off A/B)",
@@ -74,7 +71,7 @@ impl std::fmt::Display for FailureKind {
 /// A reproducible audit failure.
 #[derive(Clone, Debug)]
 pub struct Failure {
-    /// The run the failure surfaced in (empty for the queue audit).
+    /// The run the failure surfaced in.
     pub policy: String,
     /// Violated contract.
     pub kind: FailureKind,
@@ -84,11 +81,7 @@ pub struct Failure {
 
 impl std::fmt::Display for Failure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.policy.is_empty() {
-            write!(f, "{}: {}", self.kind, self.detail)
-        } else {
-            write!(f, "[{}] {}: {}", self.policy, self.kind, self.detail)
-        }
+        write!(f, "[{}] {}: {}", self.policy, self.kind, self.detail)
     }
 }
 
@@ -251,9 +244,9 @@ fn audit_shard_config(shards: usize) -> ShardConfig {
 
 /// The one builder setup: `queries` registered in order, explicit epoch
 /// and sketch bank, case-seeded determinism, the variant's policy, cache
-/// pin and front end, and the run's memory — full memory holds the whole
-/// trace on every window (times the width: skewed routing may land it all
-/// on one worker).
+/// pin and front end, the case's input queue in process, and the run's
+/// memory — full memory holds the whole trace on every window (times the
+/// width: skewed routing may land it all on one worker).
 fn builder(case: &Case, queries: &[JoinQuery], len: usize, run: &Run) -> EngineBuilder {
     let mut b = EngineBuilder::new_multi()
         .boxed_policy(run.variant.policy(run.policy))
@@ -269,6 +262,9 @@ fn builder(case: &Case, queries: &[JoinQuery], len: usize, run: &Run) -> EngineB
     }
     if run.variant.front {
         b = b.disorder_bound(case.disorder);
+    }
+    if let (Some(queue), None) = (case.queue, run.shards) {
+        b = b.input_queue(queue.service_rate, queue.capacity);
     }
     for query in queries {
         b.register(query.clone()).expect("pool schemas agree");
@@ -320,10 +316,13 @@ fn arrival(a: &Arrival, ids: &[Option<StreamId>]) -> mstream_core::Arrival {
 
 /// Drives one run over `trace` and returns each registered query's rows:
 /// in emit order in process, in the merged report's canonical order
-/// sharded. The engine mints sequence numbers in release order, which is
-/// trace order for every run made here, so `position[seq]` is the trace
-/// position of the tuple minted `seq`-th. Panics anywhere inside the
-/// engine become [`FailureKind::InvariantPanic`].
+/// sharded. The engine mints sequence numbers in release (or, queued,
+/// arrival) order, which is trace order for every run made here, so
+/// `position[seq]` is the trace position of the tuple minted `seq`-th.
+/// Panics anywhere inside the engine become
+/// [`FailureKind::InvariantPanic`]; a queued run whose processed and
+/// queue-shed counts do not sum to the arrivals fed fails
+/// [`FailureKind::QueueConservation`].
 fn drive(
     case: &Case,
     queries: &[JoinQuery],
@@ -391,6 +390,16 @@ fn drive(
             step.map_err(|payload| panicked(&format!("arrival #{i}"), payload))?;
         }
         let metrics = engine.metrics().clone();
+        let accounted = metrics.processed + metrics.shed_queue;
+        if case.queue.is_some() && accounted != fed.len() as u64 {
+            let detail = format!(
+                "{} processed + {} queue-shed of {} arrivals fed",
+                metrics.processed,
+                metrics.shed_queue,
+                fed.len()
+            );
+            return Err(fail(FailureKind::QueueConservation, detail));
+        }
         return Ok(Output { rows, metrics });
     };
 
@@ -492,7 +501,8 @@ fn drive_pair(
     run: Run,
     stats: &mut CaseStats,
 ) -> Result<Output, Failure> {
-    let (x, y, kind) = ab_pair(case.cache_ab, trace.churn.is_empty(), run.policy);
+    let front = trace.churn.is_empty() && case.queue.is_none();
+    let (x, y, kind) = ab_pair(case.cache_ab, front, run.policy);
     let mut go = |variant| {
         drive(
             case,
@@ -596,11 +606,17 @@ pub fn run_case_on(case: &Case, trace: &Trace) -> Result<CaseStats, Failure> {
     let mut stats = CaseStats::default();
     let probes = ["MSketch", "FIFO"];
     let unfillable = case.cannot_shed(trace);
+    let transparent = case.queue_is_transparent(trace);
     for &policy in ALL_POLICY_NAMES {
         for full in [true, false] {
             let run = Run::new(policy, full, None);
             let out = drive_pair(case, trace, &position, run, &mut stats)?;
-            check_oracle(policy, full || unfillable, &out.rows, &oracle)?;
+            check_oracle(
+                policy,
+                transparent && (full || unfillable),
+                &out.rows,
+                &oracle,
+            )?;
             if full && probes.contains(&policy) {
                 late_drop_probe(case, trace, &position, run, &out.rows, &mut stats)?;
             } else if !full {
@@ -615,12 +631,11 @@ pub fn run_case_on(case: &Case, trace: &Trace) -> Result<CaseStats, Failure> {
             check_oracle(&run.label(), full, &out.rows, &oracle)?;
         }
     }
-    queue_audit(case, trace)?;
     Ok(stats)
 }
 
 /// Holds each query to its oracle: equal when `exact` (full memory, or no
-/// window can fill), else a sub-multiset.
+/// window can fill, and no queue in the way), else a sub-multiset.
 fn check_oracle(label: &str, exact: bool, rows: &Rows, oracle: &Rows) -> Result<(), Failure> {
     for (q, (got, want)) in rows.iter().zip(oracle).enumerate() {
         let mut got = got.clone();
@@ -670,10 +685,16 @@ fn oracle_rows(query: &JoinQuery, arrivals: &[Arrival], over: Range<usize>) -> V
 /// (DESIGN.md §14). Owners are the initial queries that first register
 /// each of their `(stream, window)` pairs (a duplicate shares its
 /// original's class) and every added query (fresh class, fresh stores).
-/// A pool shares one budget across classes, so it has no solo run.
+/// A pool shares one budget across classes, so it has no solo run; nor
+/// has a queue that sheds or delays, whose victims and service instants
+/// depend on every stream's arrivals and scores. Behind a transparent
+/// queue an owner replays when it also answers the queue scores of its
+/// streams — each is the first query to read them — since a score may
+/// draw from the answering class's rng (`Random`'s does).
 fn solo_replays(case: &Case, trace: &Trace, policy: &str, rows: &Rows) -> Result<(), Failure> {
     let registered = case.registered(trace);
-    if registered.len() < 2 || matches!(case.reduced, ReducedMemory::GlobalPool(_)) {
+    let pooled = matches!(case.reduced, ReducedMemory::GlobalPool(_));
+    if registered.len() < 2 || pooled || !case.queue_is_transparent(trace) {
         return Ok(());
     }
     let stores = |q: &JoinQuery| pool_streams(q).into_iter().zip(q.windows().to_vec());
@@ -689,9 +710,23 @@ fn solo_replays(case: &Case, trace: &Trace, policy: &str, rows: &Rows) -> Result
             && a.windows() == b.windows()
             && a.predicates() == b.predicates()
     };
+    let first_reader = |p: usize| {
+        let reads = |q: &&JoinQuery| pool_streams(q).contains(&p);
+        case.queries
+            .iter()
+            .find(reads)
+            .expect("a query reads its own stream")
+    };
+    let scores_own = |query: &JoinQuery| {
+        let streams = pool_streams(query).into_iter();
+        case.queue.is_none() || streams.map(first_reader).all(|q| same_class(q, query))
+    };
     for (q, (query, over)) in registered.iter().enumerate() {
         let added = q >= case.queries.len();
         if !added && !stores(query).all(|key| same_class(first_user(key), query)) {
+            continue;
+        }
+        if !scores_own(query) {
             continue;
         }
         let streams = pool_streams(query);
@@ -731,8 +766,9 @@ fn solo_replays(case: &Case, trace: &Trace, policy: &str, rows: &Rows) -> Result
 /// An arrival later than the bound is dropped, counted once, and has no
 /// effect on the output: the full-memory run behind the front end with a
 /// timestamp-0 arrival appended must reproduce `baseline` with exactly
-/// one late drop. Runs when the trace carries no churn and every stream's
-/// high-water mark clears `K`, which makes timestamp 0 beyond the bound.
+/// one late drop. Runs when the trace carries no churn, the case no queue,
+/// and every stream's high-water mark clears `K`, which makes timestamp 0
+/// beyond the bound.
 fn late_drop_probe(
     case: &Case,
     trace: &Trace,
@@ -746,7 +782,8 @@ fn late_drop_probe(
         hwm[a.stream] = hwm[a.stream].max(a.at_micros);
     }
     let slowest = catalog_order(&case.queries).iter().map(|&p| hwm[p]).min();
-    if !trace.churn.is_empty() || slowest.unwrap_or(0) <= case.disorder.as_micros() {
+    let beyond = slowest.unwrap_or(0) > case.disorder.as_micros();
+    if !trace.churn.is_empty() || case.queue.is_some() || !beyond {
         return Ok(());
     }
     stats.late_probe = true;
@@ -774,41 +811,6 @@ fn late_drop_probe(
         policy: run.label(),
         kind: FailureKind::DisorderContract,
         detail,
-    })
-}
-
-/// Exercises [`ShedQueue`] with a seeded churn of offers and pops derived
-/// from the trace, re-checking its invariants after every operation.
-fn queue_audit(case: &Case, trace: &Trace) -> Result<(), Failure> {
-    let mut rng = StdRng::seed_from_u64(case.seed ^ 0xA5A5_5A5A_A5A5_5A5A);
-    let capacity = rng.gen_range(1..6usize);
-    let mut queue = ShedQueue::new(capacity);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        for (i, a) in trace.arrivals.iter().enumerate() {
-            let tuple = Tuple::new(
-                StreamId(a.stream),
-                VTime::from_micros(a.at_micros),
-                SeqNo(i as u64),
-                a.values.iter().map(|&v| Value(v)).collect::<Row>(),
-            );
-            let mode = match rng.gen_range(0..3u8) {
-                0 => QueueVictim::MinPriority,
-                1 => QueueVictim::Random,
-                _ => QueueVictim::Oldest,
-            };
-            let score = rng.gen_range(0.0..100.0f64);
-            queue.offer(tuple, score, mode, &mut rng);
-            queue.check_invariants();
-            if rng.gen_bool(0.3) {
-                let _ = queue.pop_front();
-                queue.check_invariants();
-            }
-        }
-    }));
-    outcome.map_err(|payload| Failure {
-        policy: String::new(),
-        kind: FailureKind::QueuePanic,
-        detail: format!("capacity {capacity}: {}", panic_message(&*payload)),
     })
 }
 

@@ -58,23 +58,17 @@ fn bench_figures(c: &mut Criterion) {
     });
 
     let overload_opts = RunOptions {
-        sim: SimConfig {
-            arrival_rate: paper::ARRIVAL_RATE,
-            service_rate: Some(paper::ARRIVAL_RATE / 5.0),
-            queue_capacity: paper::QUEUE_CAPACITY,
-        },
+        arrival_rate: paper::ARRIVAL_RATE,
         ..Default::default()
     };
     group.bench_function("fig6_overload_run", |b| {
         b.iter(|| {
-            black_box(runner::run_policy(
-                &query,
-                "MSketch",
-                capacity,
-                &high_skew,
-                &overload_opts,
-                42,
-            ))
+            let memory = MemoryMode::PerWindow(capacity);
+            let mut engine = runner::engine_builder(&query, "MSketch", memory, 42)
+                .input_queue(paper::ARRIVAL_RATE / 5.0, paper::QUEUE_CAPACITY)
+                .build()
+                .expect("engine config is valid");
+            black_box(run_trace(&mut engine, &high_skew, &overload_opts))
         })
     });
 

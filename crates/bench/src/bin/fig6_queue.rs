@@ -21,15 +21,11 @@ fn main() {
     let query = paper::paper_query(paper::scaled_window(scale));
     let trace = paper::paper_regions(paper::Z_INTRA_RANGES[3], scale, args.seed).generate();
     let opts = RunOptions {
-        sim: SimConfig {
-            arrival_rate: paper::ARRIVAL_RATE,
-            // "the input rate is 5 times faster than the join processing
-            // rate".
-            service_rate: Some(paper::ARRIVAL_RATE / 5.0),
-            queue_capacity: paper::QUEUE_CAPACITY,
-        },
+        arrival_rate: paper::ARRIVAL_RATE,
         ..Default::default()
     };
+    // "the input rate is 5 times faster than the join processing rate".
+    let service_rate = paper::ARRIVAL_RATE / 5.0;
     let header: Vec<String> = std::iter::once("buffer".to_string())
         .chain(POLICIES.iter().map(|p| p.to_string()))
         .collect();
@@ -40,7 +36,12 @@ fn main() {
         let capacity = paper::memory_tuples(pct, scale);
         let mut row = vec![format!("{capacity} ({pct}%)")];
         for (pi, policy) in POLICIES.iter().enumerate() {
-            let report = runner::run_policy(&query, policy, capacity, &trace, &opts, args.seed);
+            let memory = MemoryMode::PerWindow(capacity);
+            let mut engine = runner::engine_builder(&query, policy, memory, args.seed)
+                .input_queue(service_rate, paper::QUEUE_CAPACITY)
+                .build()
+                .expect("engine config is valid");
+            let report = run_trace(&mut engine, &trace, &opts);
             row.push(report.total_output().to_string());
             by_policy[pi].push(report.total_output());
             json_rows.push(serde_json::json!({

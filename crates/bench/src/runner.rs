@@ -9,6 +9,19 @@ pub fn build_engine(
     memory: MemoryMode,
     seed: u64,
 ) -> ShedJoinEngine {
+    engine_builder(query, policy_name, memory, seed)
+        .build()
+        .expect("engine config is valid")
+}
+
+/// The builder behind [`build_engine`], for runs that add to it (Figure
+/// 6's input queue).
+pub fn engine_builder(
+    query: &JoinQuery,
+    policy_name: &str,
+    memory: MemoryMode,
+    seed: u64,
+) -> EngineBuilder {
     let policy =
         parse_policy(policy_name).unwrap_or_else(|| panic!("unknown policy {policy_name}"));
     let builder = EngineBuilder::new(query.clone())
@@ -19,12 +32,11 @@ pub fn build_engine(
             seed: seed ^ 0x5EED,
         })
         .seed(seed);
-    let builder = match memory {
+    match memory {
         MemoryMode::PerWindow(c) => builder.capacity_per_window(c),
         MemoryMode::PerWindowEach(cs) => builder.capacities(cs),
         MemoryMode::GlobalPool(total) => builder.global_pool(total),
-    };
-    builder.build().expect("engine config is valid")
+    }
 }
 
 /// Runs one policy over `trace` and returns its report.

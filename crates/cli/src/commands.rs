@@ -42,42 +42,8 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let policy = parse_policy(policy_name)
         .ok_or_else(|| CliError::input(format!("unknown policy `{policy_name}`")))?;
     let capacity: usize = flags.num("--capacity", 1024)?;
-    let rate: f64 = flags.num("--rate", 10.0)?;
-    if rate <= 0.0 || rate.is_nan() {
-        return Err(CliError::usage("--rate must be positive"));
-    }
-    let service: Option<f64> = flags.num_opt("--service")?;
-    if let Some(l) = service {
-        if l <= 0.0 || l.is_nan() {
-            return Err(CliError::usage("--service must be positive"));
-        }
-    }
+    let rate = parse_rate(flags, &trace)?;
     let disorder = parse_disorder(flags)?;
-    if disorder.is_some() && service.is_some() {
-        return Err(CliError::usage(
-            "--disorder-bound reorders at the operator's ingest and cannot be combined with the \
-             --service queue model",
-        ));
-    }
-    if let Some(shards) = flags.num_opt::<usize>("--shards")? {
-        if shards == 0 {
-            return Err(CliError::usage("--shards must be >= 1"));
-        }
-        if service.is_some() {
-            return Err(CliError::usage(
-                "--service models a single-threaded operator and cannot be combined with --shards",
-            ));
-        }
-        return run_sharded(flags, out, query, policy, policy_name, &trace, capacity, rate, shards);
-    }
-    let opts = RunOptions {
-        sim: SimConfig {
-            arrival_rate: rate,
-            service_rate: service,
-            queue_capacity: flags.num("--queue", 100)?,
-        },
-        ..Default::default()
-    };
     let mut builder = EngineBuilder::new(query)
         .boxed_policy(policy)
         .capacity_per_window(capacity)
@@ -85,9 +51,27 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     if let Some(bound) = disorder {
         builder = builder.disorder_bound(bound);
     }
-    let mut engine = builder
-        .build()
-        .map_err(|e| CliError::input(e.to_string()))?;
+    if let Some(service_rate) = flags.num_opt("--service")? {
+        builder = builder.input_queue(service_rate, flags.num("--queue", 100)?);
+    }
+    if let Some(shards) = flags.num_opt::<usize>("--shards")? {
+        let builder = builder.shards(shards);
+        return run_sharded(
+            flags,
+            out,
+            builder,
+            policy_name,
+            &trace,
+            capacity,
+            rate,
+            shards,
+        );
+    }
+    let mut engine = builder.build().map_err(build_error)?;
+    let opts = RunOptions {
+        arrival_rate: rate,
+        ..Default::default()
+    };
     let report = run_trace(&mut engine, &trace, &opts);
     if flags.has("--json") {
         let body = serde_json::json!({
@@ -150,8 +134,7 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
 fn run_sharded(
     flags: &Flags,
     out: &mut dyn Write,
-    query: JoinQuery,
-    policy: Box<dyn ShedPolicy>,
+    builder: EngineBuilder,
     policy_name: &str,
     trace: &Trace,
     capacity: usize,
@@ -159,18 +142,10 @@ fn run_sharded(
     shards: usize,
 ) -> Result<(), CliError> {
     let disorder = parse_disorder(flags)?;
-    let mut builder = EngineBuilder::new(query)
-        .boxed_policy(policy)
-        .capacity_per_window(capacity)
-        .seed(flags.num("--seed", 42)?)
-        .shards(shards)
-        .broadcast(!flags.has("--no-broadcast"));
-    if let Some(bound) = disorder {
-        builder = builder.disorder_bound(bound);
-    }
     let engine = builder
+        .broadcast(!flags.has("--no-broadcast"))
         .build_sharded()
-        .map_err(|e| CliError::input(e.to_string()))?;
+        .map_err(build_error)?;
     let report = engine
         .run_trace(trace, rate)
         .map_err(|e| CliError::input(e.to_string()))?;
@@ -299,14 +274,8 @@ fn run_multi(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let policy = parse_policy(policy_name)
         .ok_or_else(|| CliError::input(format!("unknown policy `{policy_name}`")))?;
     let capacity: usize = flags.num("--capacity", 1024)?;
-    let rate: f64 = flags.num("--rate", 10.0)?;
-    if rate <= 0.0 || rate.is_nan() {
-        return Err(CliError::usage("--rate must be positive"));
-    }
+    let rate = parse_rate(flags, &trace)?;
     let shards: Option<usize> = flags.num_opt("--shards")?;
-    if shards == Some(0) {
-        return Err(CliError::usage("--shards must be >= 1"));
-    }
 
     let mut builder = EngineBuilder::new_multi()
         .boxed_policy(policy)
@@ -320,17 +289,13 @@ fn run_multi(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             .register(query.clone())
             .map_err(|e| CliError::input(format!("query {i}: {e}")))?;
     }
-    let dt = VDur::from_rate(rate);
     let o = match shards {
         None => {
-            let mut engine = builder
-                .build_multi()
-                .map_err(|e| CliError::input(e.to_string()))?;
+            let mut engine = builder.build_multi().map_err(build_error)?;
             validate_trace_catalog(engine.catalog(), &trace)?;
             let started = Instant::now();
             let mut sink = CountSink::default();
-            for (i, item) in trace.items.iter().enumerate() {
-                let now = VTime::ZERO + dt.mul(i as u64);
+            for (now, item) in trace.timed(rate) {
                 engine.ingest(Arrival::new(item.stream, item.values.clone(), now), &mut sink);
             }
             engine.flush(&mut sink);
@@ -347,10 +312,7 @@ fn run_multi(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             }
         }
         Some(s) => {
-            let engine = builder
-                .shards(s)
-                .build_sharded()
-                .map_err(|e| CliError::input(e.to_string()))?;
+            let engine = builder.shards(s).build_sharded().map_err(build_error)?;
             validate_trace_catalog(engine.catalog(), &trace)?;
             let report = engine
                 .run_trace(&trace, rate)
@@ -367,10 +329,7 @@ fn run_multi(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         }
     };
     let exact = multi_exact_counts(&queries, &trace, rate)?;
-    let span_secs = match trace.len() {
-        0 => 0.0,
-        n => dt.mul(n as u64 - 1).as_secs_f64(),
-    };
+    let span_secs = trace.span(rate).unwrap_or_default().as_secs_f64();
     let recall = |q: usize| match exact[q] {
         0 => 1.0,
         e => o.stats[q].produced as f64 / e as f64,
@@ -480,15 +439,45 @@ fn multi_exact_counts(
     let mut engine = builder
         .build_multi()
         .map_err(|e| CliError::input(e.to_string()))?;
-    let dt = VDur::from_rate(rate);
     let mut sink = CountSink::default();
-    for (i, item) in trace.items.iter().enumerate() {
-        let now = VTime::ZERO + dt.mul(i as u64);
+    for (now, item) in trace.timed(rate) {
         engine.ingest(Arrival::new(item.stream, item.values.clone(), now), &mut sink);
     }
     Ok((0..queries.len())
         .map(|q| engine.query_stats(QueryId(q as u32)).map_or(0, |s| s.produced))
         .collect())
+}
+
+/// Parses `--rate`: positive and finite, and slow enough that the trace's
+/// last arrival still falls within virtual time (`u64::MAX` µs).
+fn parse_rate(flags: &Flags, trace: &Trace) -> Result<f64, CliError> {
+    let rate: f64 = flags.num("--rate", 10.0)?;
+    if !(rate > 0.0 && rate.is_finite()) {
+        return Err(CliError::usage("--rate must be positive and finite"));
+    }
+    if trace.span(rate).is_none() {
+        return Err(CliError::usage(format!(
+            "--rate {rate}: {} arrivals would end past the last instant of virtual time",
+            trace.len()
+        )));
+    }
+    Ok(rate)
+}
+
+/// A builder refusal, in the terms of the flags that caused it.
+fn build_error(e: BuildError) -> CliError {
+    CliError::usage(match e {
+        BuildError::QueueWithDisorder => {
+            "--disorder-bound reorders at the operator's ingest and cannot be combined with the \
+             --service queue model"
+        }
+        BuildError::QueueSharded => {
+            "--service models a single-threaded operator and cannot be combined with --shards"
+        }
+        BuildError::BadInputQueue => "--service must be positive and finite, and --queue >= 1",
+        BuildError::ZeroShards => "--shards must be >= 1",
+        other => return CliError::input(other.to_string()),
+    })
 }
 
 /// Parses `--disorder-bound` (seconds) into the event-time bound, if given.
@@ -1114,6 +1103,55 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.to_string().contains(">= 1"), "{err}");
+    }
+
+    /// Arrivals 10^12 s apart: the 20th lands past `u64::MAX` µs, so the
+    /// rate is refused instead of wrapping the schedule around (which put
+    /// far-apart arrivals back inside one window and joined them).
+    #[test]
+    fn run_rejects_a_rate_whose_last_arrival_overflows() {
+        let dir = std::env::temp_dir().join("mstream_cli_test_far_rate");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace_path = dir.join("trace.csv");
+        let trace_path = trace_path.to_str().unwrap();
+        run_cli(&["generate", "--workload", "regions", "--tuples", "20", "--out", trace_path])
+            .unwrap();
+        let query = "SELECT * FROM R1(A1, A2) [RANGE 2 SECONDS], R2(A1, A2), R3(A1, A2) \
+                     WHERE R1.A1 = R2.A1 AND R2.A2 = R3.A1";
+        let run = |rate: &str| {
+            run_cli(&[
+                "run", "--query", query, "--trace", trace_path, "--rate", rate, "--policy",
+                "FIFO", "--capacity", "100000", "--json",
+            ])
+        };
+        let err = run("1e-12").unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(err.to_string().contains("--rate"), "{err}");
+        // Slow enough to fit: 10^14 µs apart, nothing shares a window.
+        let v: serde_json::Value = serde_json::from_str(&run("1e-8").unwrap()).unwrap();
+        assert_eq!(
+            (v["arrivals"].as_u64(), v["output_tuples"].as_u64()),
+            (Some(60), Some(0))
+        );
+    }
+
+    /// Out-of-range flag values are usage errors, never a panic: the two
+    /// `--service` refusals come from the builder, `--rate` from the CLI.
+    #[test]
+    fn out_of_range_rates_and_queues_are_usage_errors() {
+        let query = "SELECT * FROM L(a) [RANGE 5 SECONDS], R(a) WHERE L.a = R.a";
+        let cases: [(&[&str], &str); 3] = [
+            (&["--service", "5", "--queue", "0"], "--queue"),
+            (&["--service", "inf"], "--service"),
+            (&["--rate", "inf"], "--rate"),
+        ];
+        for (extra, flag) in cases {
+            let mut args = vec!["run", "--query", query, "--trace", "/dev/null"];
+            args.extend_from_slice(extra);
+            let err = run_cli(&args).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{extra:?}: {err}");
+            assert!(err.to_string().contains(flag), "{extra:?}: {err}");
+        }
     }
 
     #[test]

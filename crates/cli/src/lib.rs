@@ -63,7 +63,8 @@ RUN OPTIONS:
                          (default MSketch)
     --capacity <n>       tuples of memory per window (default 1024)
     --rate <k>           global arrival rate, tuples/second (default 10)
-    --service <l>        join service rate; omit for an unbounded operator
+    --service <l>        join service rate; omit for an unbounded operator;
+                         excludes --disorder-bound
     --queue <n>          input-queue capacity under overload (default 100)
     --seed <n>           engine seed (default 42)
     --shards <n>         hash-partition across n worker threads when the query's

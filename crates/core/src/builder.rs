@@ -2,7 +2,7 @@
 //!
 //! [`EngineBuilder`] is the one documented construction path: it owns all
 //! configuration validation (memory capacities, sketch bank sizing, epoch
-//! derivability, shard counts) and produces the one in-process engine —
+//! derivability, shard counts, the input queue) and produces the one in-process engine —
 //! [`MultiQueryEngine`] over every [`EngineBuilder::register`]ed query
 //! (`build_multi`), or over exactly one ([`ShedJoinEngine`], `build`) —
 //! or the one sharded coordinator over every registered query,
@@ -13,7 +13,8 @@
 //! [`mstream_types::Error::InvalidConfig`] for callers that funnel every
 //! error through [`mstream_types::Result`].
 
-use crate::engine::{default_epoch, resolve_capacities, EngineConfig, MemoryMode, ShedJoinEngine};
+use crate::engine::{default_epoch, resolve_capacities, EngineConfig, InputQueue};
+use crate::engine::{MemoryMode, ShedJoinEngine};
 use crate::multi::{merge_into_catalog, MultiQueryEngine};
 use crate::shard::{ShardConfig, ShardedJoinEngine};
 use mstream_shed_policies::{MSketch, ShedPolicy};
@@ -65,6 +66,12 @@ pub enum BuildError {
         /// The stream name both queries use.
         stream: String,
     },
+    /// An input queue with a disorder bound (the queue serves in arrival order).
+    QueueWithDisorder,
+    /// An input queue passed to `build_sharded()` (it models one operator).
+    QueueSharded,
+    /// An input queue with a service rate not positive and finite, or capacity 0.
+    BadInputQueue,
     /// Engine construction failed after validation (wraps the underlying
     /// workspace error).
     Engine(Error),
@@ -96,6 +103,9 @@ impl fmt::Display for BuildError {
                 f,
                 "stream `{stream}` is declared with different schemas by two registered queries"
             ),
+            BuildError::QueueWithDisorder => write!(f, "a queue excludes a disorder bound"),
+            BuildError::QueueSharded => write!(f, "a queue runs on build(), not build_sharded()"),
+            BuildError::BadInputQueue => write!(f, "a queue needs a finite rate > 0, size >= 1"),
             BuildError::Engine(e) => write!(f, "engine construction failed: {e}"),
         }
     }
@@ -273,6 +283,17 @@ impl EngineBuilder {
         self
     }
 
+    /// Puts the overload input queue in front of the operator (paper §2,
+    /// DESIGN.md §13): served at `service_rate` tuples per second, holding
+    /// `capacity`. Excludes [`EngineBuilder::disorder_bound`] and sharding.
+    pub fn input_queue(mut self, service_rate: f64, capacity: usize) -> Self {
+        self.config.input_queue = Some(InputQueue {
+            service_rate,
+            capacity,
+        });
+        self
+    }
+
     /// Turns the epoch-memoized productivity score cache (DESIGN.md §16,
     /// on by default) on or off for this engine. Cached and uncached runs
     /// are bit-identical; the cache only changes how often the estimation
@@ -311,7 +332,7 @@ impl EngineBuilder {
     /// Validates everything the engine constructors assume: at least one
     /// query, schemas that merge into one catalog, memory capacities over
     /// its (global) streams, sketch bank sizing, epoch derivability for the
-    /// chosen policy, and the shard count.
+    /// chosen policy, the shard count, and the input queue.
     fn validate(&self) -> Result<(), BuildError> {
         if self.queries.is_empty() {
             return Err(BuildError::NoQueries);
@@ -334,6 +355,15 @@ impl EngineBuilder {
         }
         if self.shard.shards == 0 {
             return Err(BuildError::ZeroShards);
+        }
+        if let Some(queue) = self.config.input_queue {
+            let rate = queue.service_rate;
+            if !(rate > 0.0 && rate.is_finite() && queue.capacity > 0) {
+                return Err(BuildError::BadInputQueue);
+            }
+            if self.config.disorder.is_some() {
+                return Err(BuildError::QueueWithDisorder);
+            }
         }
         Ok(())
     }
@@ -361,6 +391,9 @@ impl EngineBuilder {
     /// is valid and runs the same code path with a single worker.
     pub fn build_sharded(self) -> Result<ShardedJoinEngine, BuildError> {
         self.validate()?;
+        if self.config.input_queue.is_some() {
+            return Err(BuildError::QueueSharded);
+        }
         ShardedJoinEngine::new(self.queries, self.policy, self.config, self.shard)
     }
 
@@ -516,6 +549,51 @@ mod tests {
         let out = e.flush(&mut CountSink::default());
         assert_eq!(out.produced, 1, "flushed pair joins");
         assert_eq!(e.buffered(), 0);
+    }
+
+    #[test]
+    fn input_queue_refusals_are_typed() {
+        let with_queue = |rate: f64, capacity: usize| {
+            EngineBuilder::new(pair_query()).input_queue(rate, capacity)
+        };
+        assert!(with_queue(5.0, 1).build().is_ok());
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                with_queue(rate, 10).build().err(),
+                Some(BuildError::BadInputQueue)
+            );
+        }
+        assert_eq!(
+            with_queue(5.0, 0).build().err(),
+            Some(BuildError::BadInputQueue)
+        );
+        let behind_front = with_queue(5.0, 10).disorder_bound(mstream_types::VDur::from_secs(1));
+        assert_eq!(
+            behind_front.build().err(),
+            Some(BuildError::QueueWithDisorder)
+        );
+        let sharded = with_queue(5.0, 10).shards(2).build_sharded().err();
+        assert_eq!(sharded, Some(BuildError::QueueSharded));
+    }
+
+    /// An engine with a queue builds no idle class: `[ROWS 5]` windows
+    /// with room for 5 idle without one and estimate with one.
+    #[test]
+    fn an_input_queue_builds_no_idle_class() {
+        let mut c = Catalog::new();
+        c.add_stream(StreamSchema::new("L", &["k"]));
+        c.add_stream(StreamSchema::new("R", &["k"]));
+        let rows = JoinQuery::from_names(c, &[("L.k", "R.k")], WindowSpec::Tuples(5)).unwrap();
+        let plain = EngineBuilder::new(rows.clone())
+            .capacity_per_window(5)
+            .build()
+            .unwrap();
+        assert_eq!(plain.idle_classes(), 1);
+        let builder = EngineBuilder::new(rows.clone()).capacity_per_window(5);
+        let mut queued_engine = builder.input_queue(5.0, 10).build().unwrap();
+        assert_eq!(queued_engine.idle_classes(), 0);
+        queued_engine.add_query(rows).unwrap();
+        assert_eq!(queued_engine.idle_classes(), 0, "nor does a registration");
     }
 
     #[test]

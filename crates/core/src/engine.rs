@@ -1,5 +1,6 @@
 //! What the engine is made of (paper §4, Algorithm 1): its configuration,
-//! the bounded-disorder reorder stage in front of it, and the per-query
+//! the two optional stages in front of it — the bounded-disorder reorder
+//! stage and the overload input queue — and the per-query
 //! core every registered query runs — plans, policy, estimation state. The
 //! engine itself is the shared data plane, [`crate::MultiQueryEngine`]; a
 //! single-query engine ([`ShedJoinEngine`]) is that plane with one
@@ -13,7 +14,7 @@ use mstream_join::{ProbePlan, Run};
 use mstream_shed_policies::{clamp_score, PriorityCtx, Requirements, ShedPolicy};
 use mstream_sketch::{BankConfig, EpochSpec, TumblingFreq, TumblingSketches};
 use mstream_types::{JoinQuery, StreamId, Tuple, VDur, VTime, Value, WindowSpec};
-use mstream_window::{Eviction, InsertOutcome, ReorderBuffer, Slot, WindowStore};
+use mstream_window::{Eviction, InsertOutcome, ReorderBuffer, ShedQueue, Slot, WindowStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -75,6 +76,19 @@ pub struct EngineConfig {
     /// harness A/B-compares the two in one process, with the uncached run
     /// as the reference.
     pub score_cache: bool,
+    /// The overload input queue in front of the operator (DESIGN.md
+    /// §13); `None` (the default) processes every arrival on the spot.
+    pub input_queue: Option<InputQueue>,
+}
+
+/// Paper §2's overload model, operator side
+/// ([`crate::EngineBuilder::input_queue`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct InputQueue {
+    /// Join service rate `l`, tuples per second.
+    pub service_rate: f64,
+    /// Queue capacity in tuples (Figure 6 keeps 100).
+    pub capacity: usize,
 }
 
 impl Default for EngineConfig {
@@ -86,6 +100,7 @@ impl Default for EngineConfig {
             seed: 0xEA51,
             disorder: None,
             score_cache: true,
+            input_queue: None,
         }
     }
 }
@@ -218,6 +233,45 @@ impl ReorderStage {
     }
 }
 
+/// The overload input queue (paper §2, Figure 1) as a stage of the plane,
+/// the sibling of [`ReorderStage`]: the engine offers it every minted
+/// arrival and serves it one tuple per service interval.
+pub(crate) struct QueueStage {
+    pub(crate) queue: ShedQueue,
+    /// The service interval `1 / l`.
+    service: VDur,
+    /// When the server next becomes free.
+    server_free: VTime,
+    /// Draws the victims of tuples no live store reads.
+    pub(crate) rng: StdRng,
+}
+
+impl QueueStage {
+    /// An empty queue served at `spec`'s rate (validated by the builder).
+    pub(crate) fn new(spec: InputQueue, seed: u64) -> Self {
+        QueueStage {
+            queue: ShedQueue::new(spec.capacity),
+            service: VDur::from_rate(spec.service_rate),
+            server_free: VTime::ZERO,
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
+    /// Takes the oldest queued tuple off the queue with the instant its
+    /// service starts, `max(server free, its arrival)`, if that is earlier
+    /// than `until` (`None`: whenever it is), and books the server for one
+    /// service interval from then.
+    pub(crate) fn serve_before(&mut self, until: Option<VTime>) -> Option<(Tuple, VTime)> {
+        let start = self.server_free.max(self.queue.peek_front()?.ts);
+        if until.is_some_and(|t| start >= t) {
+            return None;
+        }
+        let tuple = self.queue.pop_front().expect("peeked tuple present");
+        self.server_free = start + self.service;
+        Some((tuple, start))
+    }
+}
+
 /// The per-query half of Algorithm 1: one query's probe plans, shedding
 /// policy and tumbling estimation state, with the steps that touch nothing
 /// else — fold an arrival in (step 1), rescore or defer one store at a
@@ -244,58 +298,47 @@ pub(crate) struct QueryCore {
 impl QueryCore {
     /// A core on `config`'s epoch (or the paper's default for `query`).
     /// An `idle` one keeps no estimation state and asks the engine for
-    /// nothing until [`QueryCore::wake`]; any other materializes exactly
-    /// the estimation state `policy` declares it needs.
+    /// nothing; any other materializes exactly the estimation state
+    /// `policy` declares it needs.
     pub(crate) fn new(
         query: JoinQuery,
         policy: Box<dyn ShedPolicy>,
         config: &EngineConfig,
         idle: bool,
     ) -> core::result::Result<Self, BuildError> {
-        let reqs = policy.requirements();
-        if reqs.sketches || reqs.partner_freq {
-            // Validated here, idle or not; materialized by `wake`.
-            epoch_of(&query, config)?;
-        }
-        let may_defer = policy.deferrable_priority()
-            && reqs.recompute_on_epoch
-            && reqs.sketches
-            && config.disorder.is_none()
-            && !matches!(config.memory, MemoryMode::GlobalPool(_));
-        let mut core = QueryCore {
-            plans: ProbePlan::all(&query),
-            query,
-            policy,
-            reqs: Requirements::default(),
-            sketches: None,
-            partner_freq: None,
-            rng: StdRng::seed_from_u64(config.seed),
-            may_defer,
-            idle: true,
+        let declared = policy.requirements();
+        // Validated here, idle or not.
+        let epoch = (declared.sketches || declared.partner_freq).then(|| epoch_of(&query, config));
+        let epoch = epoch.transpose()?;
+        let reqs = if idle {
+            Requirements::default()
+        } else {
+            declared
         };
-        if !idle {
-            core.wake(config);
-        }
-        Ok(core)
-    }
-
-    /// Ends idleness: materializes the estimation state the policy
-    /// declares, fresh, and takes on its requirements. A no-op on a core
-    /// that is not idle.
-    pub(crate) fn wake(&mut self, config: &EngineConfig) {
-        if !self.idle {
-            return;
-        }
-        self.idle = false;
-        self.reqs = self.policy.requirements();
-        let query = &self.query;
-        let epoch = || epoch_of(query, config).expect("validated at construction");
-        self.sketches = self.reqs.sketches.then(|| {
-            let mut sketches = TumblingSketches::new(query, config.bank, epoch());
+        let sketches = epoch.filter(|_| reqs.sketches).map(|e| {
+            let mut sketches = TumblingSketches::new(&query, config.bank, e);
             sketches.set_score_cache(config.score_cache);
             sketches
         });
-        self.partner_freq = self.reqs.partner_freq.then(|| TumblingFreq::new(query, epoch()));
+        let partner_freq = epoch
+            .filter(|_| reqs.partner_freq)
+            .map(|e| TumblingFreq::new(&query, e));
+        let may_defer = policy.deferrable_priority()
+            && declared.recompute_on_epoch
+            && declared.sketches
+            && config.disorder.is_none()
+            && !matches!(config.memory, MemoryMode::GlobalPool(_));
+        Ok(QueryCore {
+            plans: ProbePlan::all(&query),
+            query,
+            policy,
+            reqs,
+            sketches,
+            partner_freq,
+            rng: StdRng::seed_from_u64(config.seed),
+            may_defer,
+            idle,
+        })
     }
 
     /// Step 1: folds an arrival on (query-local) `stream` into the current
@@ -356,8 +399,10 @@ impl QueryCore {
     }
 
     /// Priority the policy assigns `tuple` if it were queued right now.
-    pub(crate) fn queue_score(&mut self, tuple: &Tuple, now: VTime, event_time: bool) -> f64 {
-        let (policy, mut ctx) = self.scoring(now, event_time);
+    /// The queue never sits behind the reorder stage, so the score reads
+    /// the live epoch.
+    pub(crate) fn queue_score(&mut self, tuple: &Tuple, now: VTime) -> f64 {
+        let (policy, mut ctx) = self.scoring(now, false);
         clamp_score(policy.queue_priority(&mut ctx, tuple))
     }
 
@@ -442,7 +487,7 @@ impl QueryCore {
     /// — and the trusting engine does exactly this, which the K = 0
     /// bit-identity contract (DESIGN.md §13) pins. Event-time epoch
     /// targeting applies only where a tuple's own timestamp is the scoring
-    /// instant: admission scoring and queue admission.
+    /// instant: admission scoring.
     pub(crate) fn rescore_store(&mut self, store: &mut WindowStore, now: VTime) {
         let (policy, mut ctx) = self.scoring(now, false);
         if policy.groupable_estimate() {
@@ -658,6 +703,7 @@ mod tests {
             seed: 3,
             disorder: None,
             score_cache: true,
+            input_queue: None,
         }
     }
 

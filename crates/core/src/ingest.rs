@@ -37,8 +37,8 @@ use mstream_types::{QueryId, Row, StreamId, Tuple, VTime};
 ///
 /// `ts` is the arrival timestamp in virtual time. In the common case the
 /// tuple is also *processed* at `ts` ([`crate::MultiQueryEngine::ingest`]);
-/// when an input queue delays it, processing happens later at the service
-/// instant ([`crate::MultiQueryEngine::ingest_tuple`]).
+/// when the engine's input queue delays it, processing happens later, at
+/// the instant its service starts ([`crate::EngineBuilder::input_queue`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Arrival {
     /// Source stream.
@@ -68,22 +68,22 @@ impl Arrival {
 /// [`IngestRole::PROBE_REPLICA`] copies, which store and probe like it but
 /// count as `replicated` instead of `processed`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IngestRole {
+pub(crate) struct IngestRole {
     /// Count toward `processed` (an arrival's unique accounting delivery);
     /// otherwise the delivery counts as `replicated`.
-    pub count_processed: bool,
+    pub(crate) count_processed: bool,
 }
 
 impl IngestRole {
     /// The classic single-engine path: probe, emit, and account.
-    pub const FULL: IngestRole = IngestRole {
+    pub(crate) const FULL: IngestRole = IngestRole {
         count_processed: true,
     };
     /// Probing copy that is not the arrival's accounting delivery — a
     /// broadcast-stream tuple probing a shard that does not own its FULL
     /// delivery (it still stores and probes there, since that shard holds
     /// partner tuples no other shard has).
-    pub const PROBE_REPLICA: IngestRole = IngestRole {
+    pub(crate) const PROBE_REPLICA: IngestRole = IngestRole {
         count_processed: false,
     };
 }

@@ -50,16 +50,18 @@
 //! * [`multi`] — [`MultiQueryEngine`], the one in-process engine:
 //!   Algorithm 1 of the paper over shared window stores, for N standing
 //!   queries; [`ShedJoinEngine`] is the same engine with one query.
-//! * [`engine`] — what it is made of: configuration, the reorder stage,
-//!   and the per-query core (tumbling sketches, priority queues,
-//!   per-policy state).
+//! * [`engine`] — what it is made of: configuration, the two optional
+//!   stages in front of the plane (the reorder stage and the overload
+//!   input queue), and the per-query core (tumbling sketches, priority
+//!   queues, per-policy state).
 //! * [`ingest`] — the unified feed API: [`Arrival`] in, join results out
 //!   through an [`EmitSink`].
 //! * [`shard`] — [`ShardedJoinEngine`], the one sharded coordinator: the
 //!   same plane on every worker thread, for one query or a standing set,
 //!   each arrival routed once by partition key, or broadcast.
-//! * [`sim`] — the discrete-event driver: arrival rate `k`, service rate
-//!   `l`, the bounded input queue, and overload shedding.
+//! * [`sim`] — trace replay: a trace at arrival rate `k` through
+//!   `ingest` and `flush` (behind [`EngineBuilder::input_queue`]'s service
+//!   rate `l`: the overload model), and the exact run on its timeline.
 //! * [`builder`] — [`EngineBuilder`], the one documented construction path.
 //! * [`report`] — run reports: output counts, per-bucket series, collected
 //!   aggregate values, shedding counters, wall-clock time.
@@ -87,15 +89,14 @@ pub mod shard;
 pub mod sim;
 
 pub use builder::{BuildError, EngineBuilder};
-pub use engine::{EngineConfig, MemoryMode, ShedJoinEngine};
+pub use engine::{EngineConfig, InputQueue, MemoryMode, ShedJoinEngine};
 pub use ingest::{
-    Arrival, CountSink, EmitSink, FnSink, IngestOutcome, IngestRole, QueryFnSink, QueryRowsSink,
-    VecSink,
+    Arrival, CountSink, EmitSink, FnSink, IngestOutcome, QueryFnSink, QueryRowsSink, VecSink,
 };
 pub use multi::{MultiQueryEngine, QueryStats};
 pub use report::{EngineMetrics, RunReport};
 pub use shard::{Backpressure, HotKeyConfig, ShardConfig, ShardedJoinEngine, ShardedRunReport};
-pub use sim::{run_exact_trace, run_trace, RunOptions, SimConfig};
+pub use sim::{run_exact_trace, run_trace, RunOptions};
 
 // Re-export the substrate crates under their own names…
 pub use mstream_agg;
@@ -109,15 +110,14 @@ pub use mstream_workload;
 /// One-stop imports for applications and examples.
 pub mod prelude {
     pub use crate::builder::{BuildError, EngineBuilder};
-    pub use crate::engine::{EngineConfig, MemoryMode, ShedJoinEngine};
+    pub use crate::engine::{EngineConfig, InputQueue, MemoryMode, ShedJoinEngine};
     pub use crate::ingest::{
-        Arrival, CountSink, EmitSink, FnSink, IngestOutcome, IngestRole, QueryFnSink,
-        QueryRowsSink, VecSink,
+        Arrival, CountSink, EmitSink, FnSink, IngestOutcome, QueryFnSink, QueryRowsSink, VecSink,
     };
     pub use crate::multi::{MultiQueryEngine, QueryStats};
     pub use crate::report::{EngineMetrics, RunReport};
     pub use crate::shard::{Backpressure, HotKeyConfig, ShardConfig, ShardedJoinEngine, ShardedRunReport};
-    pub use crate::sim::{run_exact_trace, run_trace, RunOptions, SimConfig};
+    pub use crate::sim::{run_exact_trace, run_trace, RunOptions};
     pub use mstream_agg::{quartiles, Reservoir, SeriesComparison};
     pub use mstream_join::{Bindings, ExactJoin};
     pub use mstream_shed_policies::{

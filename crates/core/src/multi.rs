@@ -42,10 +42,10 @@
 //! [`MultiQueryEngine::add_query`] mid-run always creates a fresh class
 //! with **fresh stores** (never reusing resident state), so a query
 //! registered mid-run sees only tuples admitted after registration —
-//! deterministic state handoff with no retroactive results. Under a
-//! disorder bound, "after" means after the release frontier: arrivals
-//! still held by the reorder stage are released later, so the new query
-//! sees them and a removed one does not.
+//! deterministic state handoff with no retroactive results. Behind a
+//! stage, "after" means after the release frontier: arrivals still held
+//! by the reorder stage or waiting in the input queue reach the plane
+//! later, so the new query sees them and a removed one does not.
 //! [`MultiQueryEngine::remove_query`] drops the member; a class with no
 //! members left is dismantled and any store losing its last user is freed
 //! immediately (its memory budget with it). A shared store whose owner
@@ -67,7 +67,8 @@
 use crate::builder::BuildError;
 use crate::clock::StageClock;
 use crate::engine::{
-    resolve_capacities, EngineConfig, MemoryMode, ProducedScratch, QueryCore, ReorderStage,
+    resolve_capacities, EngineConfig, MemoryMode, ProducedScratch, QueryCore, QueueStage,
+    ReorderStage,
 };
 use crate::ingest::{Arrival, EmitSink, IngestOutcome, IngestRole};
 use crate::report::EngineMetrics;
@@ -77,7 +78,7 @@ use mstream_sketch::TumblingSketches;
 use mstream_types::{
     Catalog, EquiPredicate, JoinQuery, QueryId, SeqNo, StreamId, Tuple, VTime, WindowSpec,
 };
-use mstream_window::{Eviction, ShedQueue, WindowStore};
+use mstream_window::{Eviction, WindowStore};
 
 /// One shared window store plus its sharing bookkeeping.
 struct StoreEntry {
@@ -176,7 +177,7 @@ pub struct MultiQueryEngine {
     next_seq: SeqNo,
     /// The latest processing instant: what a store handed to a new owner
     /// between arrivals is rescored at.
-    clock: VTime,
+    pub(crate) clock: VTime,
     metrics: EngineMetrics,
     /// Picks the arrivals whose stages are timed.
     stage_clock: StageClock,
@@ -189,9 +190,11 @@ pub struct MultiQueryEngine {
     /// (DESIGN.md §13), over global streams; `None` trusts timestamps as
     /// given.
     front: Option<ReorderStage>,
-    /// An input queue has been offered a tuple: queue scores read every
-    /// class's estimates, so no class is idle from then on.
-    queued: bool,
+    /// The overload input queue in front of the operator (DESIGN.md §13);
+    /// never armed together with `front`. `None` processes every arrival
+    /// on the spot. Boxed: its rng and queue would otherwise spread the
+    /// plane's per-arrival fields over more cache lines.
+    queue: Option<Box<QueueStage>>,
 }
 
 /// Sketch-side cache counters surviving their class (see
@@ -286,7 +289,7 @@ impl MultiQueryEngine {
             stage_clock: StageClock::default(),
             retired_cache: RetiredCacheStats::default(),
             front: None,
-            queued: false,
+            queue: None,
         };
         // Group into classes first so structurally identical queries share
         // everything, then plan the store table with the attr-index union
@@ -370,7 +373,10 @@ impl MultiQueryEngine {
             }
             let memory = &engine.config.memory;
             let store = |si: usize| &engine.stores[si].as_ref().expect("built").store;
-            let idle = store_of.iter().all(|&si| bounded(store(si), memory));
+            // Queue scores read every class's estimates: with a queue, no
+            // class idles.
+            let has_queue = engine.config.input_queue.is_some();
+            let idle = !has_queue && store_of.iter().all(|&si| bounded(store(si), memory));
             engine.classes.push(Some(QueryClass {
                 core: QueryCore::new(q, engine.policy_proto.clone(), &engine.config, idle)?,
                 members,
@@ -388,6 +394,11 @@ impl MultiQueryEngine {
         }
         let n_streams = engine.catalog.len();
         engine.front = engine.config.disorder.map(|k| ReorderStage::new(k, n_streams));
+        let seed = engine.config.seed;
+        engine.queue = engine
+            .config
+            .input_queue
+            .map(|spec| Box::new(QueueStage::new(spec, seed)));
         Ok(engine)
     }
 
@@ -516,8 +527,9 @@ impl MultiQueryEngine {
     /// mappings in range, every resident carries its owner's local stream
     /// id), bounded stores that never shed, idle classes that keep no
     /// estimation state and own only bounded stores that owe their
-    /// priorities, the pooled total under [`MemoryMode::GlobalPool`], and
-    /// a reorder stage holding nothing releasable. O(resident tuples) and
+    /// priorities, the pooled total under [`MemoryMode::GlobalPool`], a
+    /// reorder stage holding nothing releasable, and an input queue that
+    /// is consistent, within capacity, and ahead of no idle class. O(resident tuples) and
     /// worse; compiled only under the `audit` feature, where the
     /// differential harness calls it after every arrival.
     ///
@@ -589,18 +601,31 @@ impl MultiQueryEngine {
         if let Some(front) = self.front.as_ref() {
             front.check_invariants();
         }
+        if let Some(stage) = self.queue.as_ref() {
+            stage.queue.check_invariants();
+            assert!(
+                self.front.is_none(),
+                "an input queue behind the reorder stage"
+            );
+            assert_eq!(
+                self.idle_classes(),
+                0,
+                "an idle class behind an input queue"
+            );
+        }
     }
 
     /// Registers a new standing query at runtime and returns its id.
     ///
     /// The query always gets a fresh class with fresh stores — even if it
     /// is structurally identical to a running one — so it sees only
-    /// tuples admitted after this call (deterministic handoff; under a
-    /// disorder bound, released after it). Its schema must agree with the
-    /// global catalog on any stream name it shares, and under
-    /// [`MemoryMode::PerWindowEach`] it may bring no stream the capacity
-    /// list does not cover ([`BuildError::CapacityCountMismatch`]). A
-    /// rejected query leaves no trace.
+    /// tuples admitted after this call (deterministic handoff; behind the
+    /// reorder stage or the input queue, released or served after it).
+    /// Its schema must agree with the global catalog on any stream name it
+    /// shares, and under [`MemoryMode::PerWindowEach`] it may bring no
+    /// stream the capacity list does not cover
+    /// ([`BuildError::CapacityCountMismatch`]). A rejected query leaves no
+    /// trace.
     pub fn add_query(&mut self, query: JoinQuery) -> Result<QueryId, BuildError> {
         let snapshot = self.catalog.clone();
         let cid = self.classes.len();
@@ -622,7 +647,8 @@ impl MultiQueryEngine {
                 })
                 .collect();
             let memory = &self.config.memory;
-            let idle = !self.queued && entries.iter().all(|e| bounded(&e.store, memory));
+            let has_queue = self.queue.is_some();
+            let idle = !has_queue && entries.iter().all(|e| bounded(&e.store, memory));
             let core = QueryCore::new(query, self.policy_proto.clone(), &self.config, idle)?;
             if idle {
                 entries.iter_mut().for_each(|e| e.store.defer_priorities());
@@ -711,12 +737,9 @@ impl MultiQueryEngine {
     }
 
     /// Mints an [`Arrival`] (global stream id) into a sequence-numbered
-    /// tuple without processing it.
-    ///
-    /// Use this when the tuple will be processed *later* (queued input,
-    /// sharded dispatch): sequence numbers are assigned in arrival order,
-    /// independent of service order.
-    pub fn mint(&mut self, arrival: Arrival) -> Tuple {
+    /// tuple without processing it: sequence numbers are assigned in
+    /// arrival order, independent of service order.
+    pub(crate) fn mint(&mut self, arrival: Arrival) -> Tuple {
         let seq = self.next_seq;
         self.next_seq = seq.next();
         Tuple::new(arrival.stream, arrival.ts, seq, arrival.values)
@@ -730,39 +753,60 @@ impl MultiQueryEngine {
     /// queries.
     ///
     /// # Timestamp contract
-    /// Without a disorder bound ([`EngineConfig::disorder`] = `None`),
-    /// timestamps are trusted as given — monotone or not — and the arrival
-    /// is processed immediately at its own timestamp. With a bound `K`, the
+    /// Without a stage in front, timestamps are trusted as given —
+    /// monotone or not — and the arrival is processed immediately at its
+    /// own timestamp. With a bound `K` ([`EngineConfig::disorder`]), the
     /// reorder stage takes over: the arrival is buffered and later
     /// released in timestamp order, unless its timestamp has already
     /// fallen behind the watermark (`min` cross-stream high-water mark
     /// minus `K`), in which case it is dropped — counted in
     /// [`EngineMetrics::late_dropped`], never joined, and **never a
-    /// panic**. The outcome then sums the arrivals this one released.
+    /// panic**. With an input queue ([`EngineConfig::input_queue`]), the
+    /// server first takes, each at its service start, every queued tuple
+    /// whose service starts before this timestamp; then the arrival joins
+    /// the queue. Behind a stage the outcome sums the tuples it released.
     pub fn ingest(&mut self, arrival: Arrival, sink: &mut impl EmitSink) -> IngestOutcome {
-        let Some(front) = self.front.as_mut() else {
-            let now = arrival.ts;
-            let tuple = self.mint(arrival);
-            return self.ingest_tuple(tuple, now, sink);
-        };
-        let Some(wm) = front.give(arrival) else {
-            return IngestOutcome::default();
-        };
-        self.release(|front| front.release_below(wm), sink)
+        let now = arrival.ts;
+        if let Some(front) = self.front.as_mut() {
+            let Some(wm) = front.give(arrival) else {
+                return IngestOutcome::default();
+            };
+            return self.release(
+                |e| e.front.as_mut()?.release_below(wm).map(|a| e.minted(a)),
+                sink,
+            );
+        }
+        if self.queue.is_some() {
+            let served = self.release(|e| e.queue.as_mut()?.serve_before(Some(now)), sink);
+            self.enqueue(arrival);
+            return served;
+        }
+        let tuple = self.mint(arrival);
+        self.ingest_tuple_as(tuple, now, sink, IngestRole::FULL)
     }
 
-    /// Drains the reorder stage at end of input, releasing every
-    /// still-buffered arrival in `(ts, admission)` order regardless of the
-    /// watermark. A no-op (and an all-zero outcome) without a disorder
-    /// bound.
+    /// Drains the stage in front at end of input: the reorder stage
+    /// releases every still-buffered arrival in `(ts, admission)` order
+    /// regardless of the watermark, and the input queue serves every
+    /// queued tuple. A no-op (and an all-zero outcome) without a stage.
     pub fn flush(&mut self, sink: &mut impl EmitSink) -> IngestOutcome {
-        self.release(ReorderStage::drain, sink)
+        if self.queue.is_some() {
+            return self.release(|e| e.queue.as_mut()?.serve_before(None), sink);
+        }
+        self.release(|e| e.front.as_mut()?.drain().map(|a| e.minted(a)), sink)
     }
 
-    /// Mints and runs every arrival `next` takes off the reorder stage.
+    /// `arrival` minted, with the instant it is processed at: its own.
+    fn minted(&mut self, arrival: Arrival) -> (Tuple, VTime) {
+        let now = arrival.ts;
+        (self.mint(arrival), now)
+    }
+
+    /// Runs every tuple `next` takes off a stage through the plane, each
+    /// at the instant it comes with.
     fn release(
         &mut self,
-        mut next: impl FnMut(&mut ReorderStage) -> Option<Arrival>,
+        mut next: impl FnMut(&mut Self) -> Option<(Tuple, VTime)>,
         sink: &mut impl EmitSink,
     ) -> IngestOutcome {
         let mut total = IngestOutcome {
@@ -770,14 +814,46 @@ impl MultiQueryEngine {
             stored: true,
             shed: 0,
         };
-        while let Some(arrival) = self.front.as_mut().and_then(&mut next) {
-            let now = arrival.ts;
-            let tuple = self.mint(arrival);
-            let out = self.ingest_tuple(tuple, now, sink);
+        while let Some((tuple, now)) = next(self) {
+            let out = self.ingest_tuple_as(tuple, now, sink, IngestRole::FULL);
             total.produced += out.produced;
             total.shed += out.shed;
         }
         total
+    }
+
+    /// Mints `arrival` and offers it to the input queue, scored by the
+    /// queue priority of the owner class of its stream's first live store,
+    /// whose rng draws any random victim, so a run stays one deterministic
+    /// random sequence. A tuple no live store reads scores 0: the first
+    /// victim of a priority queue, a no-op if served. A tuple the full
+    /// queue sheds is counted in [`EngineMetrics::shed_queue`].
+    fn enqueue(&mut self, arrival: Arrival) {
+        let g = arrival.stream;
+        assert!(
+            g.index() < self.catalog.len(),
+            "arrival stream {g} is not in the engine catalog"
+        );
+        let now = arrival.ts;
+        let tuple = self.mint(arrival);
+        let victim = self.policy_proto.queue_victim();
+        let stage = self.queue.as_mut().expect("the engine has an input queue");
+        let reader = self.stores.iter().flatten().find(|e| e.gstream == g);
+        let shed = match reader {
+            Some(entry) => {
+                let owner = self.classes[entry.users[0]]
+                    .as_mut()
+                    .expect("owner is live");
+                let mut local = tuple.clone();
+                local.stream = entry.owner_local;
+                let score = owner.core.queue_score(&local, now);
+                stage.queue.offer(tuple, score, victim, &mut owner.core.rng)
+            }
+            None => stage.queue.offer(tuple, 0.0, victim, &mut stage.rng),
+        };
+        if shed.is_some() {
+            self.metrics.shed_queue += 1;
+        }
     }
 
     /// The current event-time watermark (`None` without a disorder bound).
@@ -792,25 +868,14 @@ impl MultiQueryEngine {
 
     /// Runs one already-minted tuple (global stream tag) through the data
     /// plane at time `now` (its arrival timestamp may be earlier if it
-    /// waited in an input queue or a shard channel) — the primitive the
-    /// sharded coordinators feed.
-    pub fn ingest_tuple(
-        &mut self,
-        tuple: Tuple,
-        now: VTime,
-        sink: &mut impl EmitSink,
-    ) -> IngestOutcome {
-        self.ingest_tuple_as(tuple, now, sink, IngestRole::FULL)
-    }
-
-    /// Role-parameterized form of [`MultiQueryEngine::ingest_tuple`], the
-    /// primitive behind broadcast delivery in the sharded engine.
+    /// waited in the input queue) — what every stage releases, and what
+    /// the sharded coordinator's workers feed.
     ///
     /// Every role observes sketches, expires windows, probes, scores and
     /// stores the tuple. The role only sets the *accounting*: whether the
     /// delivery counts as the arrival's one `processed` delivery or as a
-    /// `replicated` copy.
-    pub fn ingest_tuple_as(
+    /// `replicated` (broadcast) copy.
+    pub(crate) fn ingest_tuple_as(
         &mut self,
         tuple: Tuple,
         now: VTime,
@@ -1009,63 +1074,6 @@ impl MultiQueryEngine {
         }
     }
 
-    /// Offers the minted `tuple` to the input `queue` in front of the
-    /// operator (paper §2's overload model) at `now`: scored by the
-    /// policy's queue priority — answered by the owner class of the first
-    /// live store of its stream — with any random victim drawn from that
-    /// class's rng, so a whole run stays one deterministic random sequence.
-    /// A tuple the full queue sheds is counted in
-    /// [`EngineMetrics::shed_queue`].
-    ///
-    /// Queue scores read estimates, so the first offer wakes every idle
-    /// class (DESIGN.md §16) and no class idles from then on; offered
-    /// before the first ingest, as [`crate::sim::run_trace`] does, that
-    /// changes nothing the run observes.
-    ///
-    /// # Panics
-    /// Panics if no live query reads the tuple's stream.
-    pub fn offer(&mut self, queue: &mut ShedQueue, tuple: Tuple, now: VTime) {
-        if !self.queued {
-            self.wake_classes();
-        }
-        let event_time = self.front.is_some();
-        let entry = self.stores.iter().flatten().find(|e| e.gstream == tuple.stream);
-        let entry = entry.expect("a live query reads the stream");
-        let owner = self.classes[entry.users[0]].as_mut().expect("owner is live");
-        let mut local = tuple.clone();
-        local.stream = entry.owner_local;
-        let score = owner.core.queue_score(&local, now, event_time);
-        let victim = self.policy_proto.queue_victim();
-        if queue.offer(tuple, score, victim, &mut owner.core.rng).is_some() {
-            self.metrics.shed_queue += 1;
-        }
-    }
-
-    /// Ends every class's idleness for good: estimation state materializes
-    /// fresh, and the stores an idle class owns are scored on the spot
-    /// (empty ones at no cost).
-    fn wake_classes(&mut self) {
-        self.queued = true;
-        let Self {
-            classes,
-            stores,
-            config,
-            clock,
-            ..
-        } = self;
-        for (cid, class) in classes.iter_mut().enumerate() {
-            let Some(class) = class.as_mut().filter(|c| c.core.idle) else {
-                continue;
-            };
-            class.core.wake(config);
-            for &si in &class.store_of {
-                let entry = stores[si].as_mut().expect("class store is live");
-                if entry.users[0] == cid {
-                    class.core.rescore_store(&mut entry.store, *clock);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -93,7 +93,7 @@ use mstream_shed_policies::ShedPolicy;
 use mstream_sketch::BankConfig;
 use mstream_types::{
     splitmix64, Catalog, Error, JoinQuery, Partitioning, QueryId, Result, SeqNo, StreamId, Tuple,
-    VDur, VTime, WindowSpec,
+    VTime, WindowSpec,
 };
 use mstream_workload::Trace;
 use std::cmp::Ordering;
@@ -911,14 +911,12 @@ impl ShardedJoinEngine {
     }
 
     /// Convenience driver: feeds `trace` at `arrival_rate` tuples/second
-    /// on the same virtual-time schedule as [`crate::sim::run_trace`],
+    /// on the [`Trace::timed`] schedule [`crate::sim::run_trace`] uses,
     /// then finishes. Cloning `item.values` is a plain copy for inline
     /// arities (≤ [`mstream_types::ROW_INLINE`]), so replaying a trace
     /// allocates nothing per arrival.
     pub fn run_trace(mut self, trace: &Trace, arrival_rate: f64) -> Result<ShardedRunReport> {
-        let dt = VDur::from_rate(arrival_rate);
-        for (i, item) in trace.items.iter().enumerate() {
-            let now = VTime::ZERO + dt.mul(i as u64);
+        for (now, item) in trace.timed(arrival_rate) {
             self.ingest(Arrival::new(item.stream, item.values.clone(), now));
         }
         self.finish()

@@ -2,10 +2,13 @@
 //!
 //! The model has two rates: tuples arrive at `k` per second (globally,
 //! interleaved across streams by the trace) and the join operator services
-//! `l` per second. When `k ≤ l` the queue never forms and every tuple is
-//! processed at its arrival instant; when `k > l` (Figure 6 uses `k = 5l`)
-//! a bounded queue builds up in front of the operator and sheds by the
-//! active policy's queue priority.
+//! `l` per second. [`run_trace`] replays a trace at `k` through the
+//! engine's one front door, [`crate::MultiQueryEngine::ingest`], and ends
+//! it with [`crate::MultiQueryEngine::flush`]; `l` belongs to the engine.
+//! Without an input queue every tuple is processed at its arrival instant;
+//! with one ([`crate::EngineBuilder::input_queue`]) a bounded queue builds
+//! up in front of the operator when `k > l` (Figure 6 uses `k = 5l`) and
+//! sheds by the active policy's queue priority.
 //!
 //! Everything runs on virtual time, so runs are exactly reproducible; the
 //! wall-clock time the engine spends processing is measured separately
@@ -15,41 +18,17 @@ use crate::engine::ShedJoinEngine;
 use crate::ingest::{Arrival, FnSink};
 use crate::report::RunReport;
 use mstream_agg::{BucketSeries, HistBuckets};
-use mstream_join::ExactJoin;
+use mstream_join::{Bindings, ExactJoin};
 use mstream_types::{JoinQuery, StreamId, VDur, VTime};
-use mstream_window::ShedQueue;
 use mstream_workload::Trace;
 use std::time::Instant;
-
-/// Arrival / service model for one run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SimConfig {
-    /// Global arrival rate `k` in tuples per second (the trace's streams
-    /// share it in their interleaved order).
-    pub arrival_rate: f64,
-    /// Join service rate `l` in tuples per second; `None` models an
-    /// operator fast enough that the queue never forms.
-    pub service_rate: Option<f64>,
-    /// Input-queue capacity in tuples (only used when `service_rate` is
-    /// set; the paper's overload experiment keeps 100).
-    pub queue_capacity: usize,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            arrival_rate: 10.0,
-            service_rate: None,
-            queue_capacity: 100,
-        }
-    }
-}
 
 /// What to collect during a run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunOptions {
-    /// The arrival/service model.
-    pub sim: SimConfig,
+    /// Global arrival rate `k` in tuples per second (the trace's streams
+    /// share it in their interleaved order).
+    pub arrival_rate: f64,
     /// Record output counts per bucket of this width (Figure 5).
     pub output_bucket: Option<VDur>,
     /// Collect the value of this `(stream, attribute)` from every emitted
@@ -62,7 +41,7 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            sim: SimConfig::default(),
+            arrival_rate: 10.0,
             output_bucket: None,
             agg_attr: None,
             agg_bucket: VDur::from_secs(500),
@@ -70,132 +49,59 @@ impl Default for RunOptions {
     }
 }
 
-/// Runs `trace` through a shedding engine under the given model.
+/// Runs `trace` through a shedding engine at `opts.arrival_rate`: one
+/// [`crate::MultiQueryEngine::ingest`] per item on the [`Trace::timed`]
+/// schedule, then one [`crate::MultiQueryEngine::flush`]. The output
+/// series and the aggregate values bucket each row at the instant of the
+/// call that brought it to the plane (the flush's is the last arrival's),
+/// and `end_time` is the last processing instant: the last arrival's, or,
+/// behind an input queue, the last service start.
 ///
 /// Each arrival clones `item.values`, which for inline arities (≤
 /// [`mstream_types::ROW_INLINE`]) is a plain [`mstream_types::Row`] copy —
 /// replaying a trace allocates nothing per item.
+///
+/// # Panics
+/// Panics if the arrival rate is not positive and finite, or if an
+/// arrival falls past the end of virtual time ([`Trace::span`]).
 pub fn run_trace(engine: &mut ShedJoinEngine, trace: &Trace, opts: &RunOptions) -> RunReport {
-    let dt = VDur::from_rate(opts.sim.arrival_rate);
     let mut series = opts.output_bucket.map(BucketSeries::new);
     let mut aggs = opts.agg_attr.map(|_| HistBuckets::new(opts.agg_bucket));
     let agg_attr = opts.agg_attr;
-    let mut end_time = VTime::ZERO;
     let started = Instant::now();
-    match opts.sim.service_rate {
-        None => {
-            // Underload: process at arrival instants.
-            for (i, item) in trace.items.iter().enumerate() {
-                let now = VTime::ZERO + dt.mul(i as u64);
-                let aggs_ref = &mut aggs;
-                let outcome = engine.ingest(
-                    Arrival::new(item.stream, item.values.clone(), now),
-                    &mut FnSink(|b: &mstream_join::Bindings<'_>| {
-                        if let (Some(buckets), Some((s, a))) = (aggs_ref.as_mut(), agg_attr) {
-                            buckets.add(now, b.value(s, a).raw());
-                        }
-                    }),
-                );
-                if let Some(series) = series.as_mut() {
-                    series.add(now, outcome.produced);
-                }
-                end_time = now;
+    // One front-door call at `now`: an arrival's ingest, or (`None`) the
+    // end-of-trace flush, which adds a series bucket only if it emits.
+    let mut call = |arrival: Option<Arrival>, now: VTime| {
+        let flush = arrival.is_none();
+        let mut sink = FnSink(|b: &Bindings<'_>| {
+            if let (Some(buckets), Some((s, a))) = (aggs.as_mut(), agg_attr) {
+                buckets.add(now, b.value(s, a).raw());
             }
-            // End of trace: drain the event-time reorder buffers (no-op
-            // without a disorder bound). Flushed results land in the bucket
-            // of the last arrival instant.
-            let aggs_ref = &mut aggs;
-            let outcome = engine.flush(&mut FnSink(|b: &mstream_join::Bindings<'_>| {
-                if let (Some(buckets), Some((s, a))) = (aggs_ref.as_mut(), agg_attr) {
-                    buckets.add(end_time, b.value(s, a).raw());
-                }
-            }));
-            if let Some(series) = series.as_mut() {
-                if outcome.produced > 0 {
-                    series.add(end_time, outcome.produced);
-                }
-            }
+        });
+        let outcome = match arrival {
+            Some(arrival) => engine.ingest(arrival, &mut sink),
+            None => engine.flush(&mut sink),
+        };
+        if let Some(series) = series.as_mut().filter(|_| !flush || outcome.produced > 0) {
+            series.add(now, outcome.produced);
         }
-        Some(l) => {
-            let svc = VDur::from_rate(l);
-            let mut queue = ShedQueue::new(opts.sim.queue_capacity);
-            let mut server_free = VTime::ZERO;
-            for (i, item) in trace.items.iter().enumerate() {
-                let t_arr = VTime::ZERO + dt.mul(i as u64);
-                drain_queue(
-                    engine,
-                    &mut queue,
-                    &mut server_free,
-                    svc,
-                    Some(t_arr),
-                    &mut series,
-                    &mut aggs,
-                    agg_attr,
-                    &mut end_time,
-                );
-                let tuple = engine.mint(Arrival::new(item.stream, item.values.clone(), t_arr));
-                engine.offer(&mut queue, tuple, t_arr);
-            }
-            // Drain whatever survived the arrival phase.
-            drain_queue(
-                engine,
-                &mut queue,
-                &mut server_free,
-                svc,
-                None,
-                &mut series,
-                &mut aggs,
-                agg_attr,
-                &mut end_time,
-            );
-        }
+    };
+    let mut last = VTime::ZERO;
+    for (now, item) in trace.timed(opts.arrival_rate) {
+        call(
+            Some(Arrival::new(item.stream, item.values.clone(), now)),
+            now,
+        );
+        last = now;
     }
+    call(None, last);
     RunReport {
         metrics: engine.metrics().clone(),
         series,
         agg_values: aggs,
-        end_time,
+        end_time: last.max(engine.clock),
         wall_time: started.elapsed(),
         ..Default::default()
-    }
-}
-
-/// Services queued tuples until `until` (or until empty when `None`).
-#[allow(clippy::too_many_arguments)]
-fn drain_queue(
-    engine: &mut ShedJoinEngine,
-    queue: &mut ShedQueue,
-    server_free: &mut VTime,
-    svc: VDur,
-    until: Option<VTime>,
-    series: &mut Option<BucketSeries>,
-    aggs: &mut Option<HistBuckets>,
-    agg_attr: Option<(StreamId, usize)>,
-    end_time: &mut VTime,
-) {
-    while let Some(head) = queue.peek_front() {
-        // Service can start once the server is free and the tuple exists.
-        let start = (*server_free).max(head.ts);
-        if let Some(limit) = until {
-            if start >= limit {
-                break;
-            }
-        }
-        let tuple = queue.pop_front().expect("peeked tuple present");
-        let outcome = engine.ingest_tuple(
-            tuple,
-            start,
-            &mut FnSink(|b: &mstream_join::Bindings<'_>| {
-                if let (Some(buckets), Some((s, a))) = (aggs.as_mut(), agg_attr) {
-                    buckets.add(start, b.value(s, a).raw());
-                }
-            }),
-        );
-        if let Some(series) = series.as_mut() {
-            series.add(start, outcome.produced);
-        }
-        *server_free = start + svc;
-        *end_time = start;
     }
 }
 
@@ -204,15 +110,13 @@ fn drain_queue(
 /// ground truth against which shedding runs are compared; service-rate
 /// limits do not apply (the true answer is defined by arrivals alone).
 pub fn run_exact_trace(query: &JoinQuery, trace: &Trace, opts: &RunOptions) -> RunReport {
-    let dt = VDur::from_rate(opts.sim.arrival_rate);
     let mut join = ExactJoin::new(query.clone());
     let mut series = opts.output_bucket.map(BucketSeries::new);
     let mut aggs = opts.agg_attr.map(|_| HistBuckets::new(opts.agg_bucket));
     let agg_attr = opts.agg_attr;
     let mut end_time = VTime::ZERO;
     let started = Instant::now();
-    for (i, item) in trace.items.iter().enumerate() {
-        let now = VTime::ZERO + dt.mul(i as u64);
+    for (now, item) in trace.timed(opts.arrival_rate) {
         let aggs_ref = &mut aggs;
         let produced = join.process_each(item.stream, item.values.clone(), now, |b| {
             if let (Some(buckets), Some((s, a))) = (aggs_ref.as_mut(), agg_attr) {
@@ -239,7 +143,7 @@ pub fn run_exact_trace(query: &JoinQuery, trace: &Trace, opts: &RunOptions) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineConfig, MemoryMode};
+    use crate::engine::{EngineConfig, InputQueue, MemoryMode};
     use mstream_shed_policies::{Fifo, MSketch};
     use mstream_sketch::BankConfig;
     use mstream_types::{Catalog, StreamSchema, WindowSpec};
@@ -281,6 +185,15 @@ mod tests {
     }
 
     fn engine(query: JoinQuery, capacity: usize) -> ShedJoinEngine {
+        queued_engine(query, capacity, None)
+    }
+
+    /// The engine with an input queue of `(service rate, capacity)`.
+    fn queued_engine(
+        query: JoinQuery,
+        capacity: usize,
+        input_queue: Option<(f64, usize)>,
+    ) -> ShedJoinEngine {
         ShedJoinEngine::new(
             vec![query],
             Box::new(MSketch),
@@ -295,6 +208,10 @@ mod tests {
                 seed: 2,
                 disorder: None,
                 score_cache: true,
+                input_queue: input_queue.map(|(service_rate, capacity)| InputQueue {
+                    service_rate,
+                    capacity,
+                }),
             },
         )
         .unwrap()
@@ -305,11 +222,7 @@ mod tests {
         let query = chain3(100);
         let trace = small_trace();
         let opts = RunOptions {
-            sim: SimConfig {
-                arrival_rate: 10.0,
-                service_rate: None,
-                queue_capacity: 100,
-            },
+            arrival_rate: 10.0,
             ..Default::default()
         };
         let mut e = engine(query.clone(), 100_000);
@@ -343,14 +256,10 @@ mod tests {
         // Service 5x slower than arrivals with a tiny queue: the queue must
         // shed most of the input.
         let opts = RunOptions {
-            sim: SimConfig {
-                arrival_rate: 10.0,
-                service_rate: Some(2.0),
-                queue_capacity: 20,
-            },
+            arrival_rate: 10.0,
             ..Default::default()
         };
-        let mut e = engine(query, 1_000);
+        let mut e = queued_engine(query, 1_000, Some((2.0, 20)));
         let report = run_trace(&mut e, &trace, &opts);
         assert!(report.metrics.shed_queue > 0, "queue must shed");
         let admitted = report.metrics.processed;
@@ -371,14 +280,10 @@ mod tests {
         // Service much faster than arrivals: nothing is shed even with a
         // tiny queue.
         let opts = RunOptions {
-            sim: SimConfig {
-                arrival_rate: 5.0,
-                service_rate: Some(1000.0),
-                queue_capacity: 4,
-            },
+            arrival_rate: 5.0,
             ..Default::default()
         };
-        let mut e = engine(query.clone(), 100_000);
+        let mut e = queued_engine(query.clone(), 100_000, Some((1000.0, 4)));
         let report = run_trace(&mut e, &trace, &opts);
         assert_eq!(report.metrics.shed_queue, 0);
         // And output equals the exact result on the same arrival timeline
@@ -430,11 +335,7 @@ mod tests {
         let query = chain3(50);
         let trace = small_trace();
         let opts = RunOptions {
-            sim: SimConfig {
-                arrival_rate: 20.0,
-                service_rate: Some(4.0),
-                queue_capacity: 10,
-            },
+            arrival_rate: 20.0,
             ..Default::default()
         };
         let mut e = ShedJoinEngine::new(
@@ -442,6 +343,10 @@ mod tests {
             Box::new(Fifo),
             EngineConfig {
                 memory: MemoryMode::PerWindow(64),
+                input_queue: Some(InputQueue {
+                    service_rate: 4.0,
+                    capacity: 10,
+                }),
                 ..Default::default()
             },
         )

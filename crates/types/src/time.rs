@@ -114,9 +114,26 @@ impl VDur {
     }
 
     /// This duration scaled by an integer factor.
+    ///
+    /// # Panics
+    /// Panics if the product overflows virtual time (`u64::MAX` µs), in
+    /// release builds too; [`VDur::checked_mul`] is the form that asks.
     #[inline]
     pub const fn mul(self, factor: u64) -> Self {
-        VDur(self.0 * factor)
+        match self.checked_mul(factor) {
+            Some(d) => d,
+            None => panic!("duration overflows virtual time"),
+        }
+    }
+
+    /// This duration scaled by an integer factor, or `None` if the product
+    /// overflows virtual time.
+    #[inline]
+    pub const fn checked_mul(self, factor: u64) -> Option<Self> {
+        match self.0.checked_mul(factor) {
+            Some(micros) => Some(VDur(micros)),
+            None => None,
+        }
     }
 
     /// Whether this is the zero duration.
@@ -214,6 +231,14 @@ mod tests {
         assert!(!VDur::from_micros(1).is_zero());
         assert_eq!(VDur::from_secs(2).mul(3), VDur::from_secs(6));
         assert_eq!(VDur::from_secs(1) + VDur::from_secs(2), VDur::from_secs(3));
+        assert_eq!(VDur::from_secs(2).checked_mul(3), Some(VDur::from_secs(6)));
+        assert_eq!(VDur::from_micros(u64::MAX / 2 + 1).checked_mul(2), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "duration overflows virtual time")]
+    fn mul_past_the_end_of_virtual_time_panics() {
+        let _ = VDur::from_micros(u64::MAX / 2 + 1).mul(2);
     }
 
     proptest! {

@@ -108,8 +108,8 @@ impl ShedQueue {
         self.remove_slot(slot)
     }
 
-    /// The oldest queued tuple without removing it (the simulation driver
-    /// needs its arrival timestamp to schedule service start).
+    /// The oldest queued tuple without removing it (the engine's queue
+    /// stage needs its arrival timestamp to schedule service start).
     pub fn peek_front(&mut self) -> Option<&Tuple> {
         let slot = self.oldest_live()?;
         self.arena.get(slot).map(|(t, _)| t)

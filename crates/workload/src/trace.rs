@@ -1,6 +1,6 @@
 //! Replayable arrival traces.
 
-use mstream_types::{Row, StreamId, Value};
+use mstream_types::{Row, StreamId, VDur, VTime, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -51,6 +51,34 @@ impl Trace {
             stream,
             values: values.into(),
         });
+    }
+
+    /// The arrival schedule every replay of a trace runs on: at `rate`
+    /// tuples per second, item `i` arrives `i` inter-arrival gaps
+    /// ([`VDur::from_rate`]) after the origin.
+    ///
+    /// # Panics
+    /// Panics if `rate` is not positive and finite, and — as the item is
+    /// reached — if its arrival falls past the end of virtual time;
+    /// [`Trace::span`] checks that first.
+    pub fn timed(&self, rate: f64) -> impl Iterator<Item = (VTime, &TraceItem)> + '_ {
+        let gap = VDur::from_rate(rate);
+        let at = move |i: usize| VTime::ZERO + gap.mul(i as u64);
+        self.items
+            .iter()
+            .enumerate()
+            .map(move |(i, item)| (at(i), item))
+    }
+
+    /// When the last item arrives on the [`Trace::timed`] schedule at
+    /// `rate` (zero for an empty trace), or `None` if that falls past the
+    /// end of virtual time.
+    ///
+    /// # Panics
+    /// Panics if `rate` is not positive and finite.
+    pub fn span(&self, rate: f64) -> Option<VDur> {
+        let last = self.items.len().saturating_sub(1);
+        VDur::from_rate(rate).checked_mul(last as u64)
     }
 
     /// Marks the *next* pushed item as the start of a new distribution.
@@ -118,6 +146,25 @@ mod tests {
         let counts = t.stream_counts();
         assert_eq!(counts[&StreamId(0)], 2);
         assert_eq!(counts[&StreamId(1)], 1);
+    }
+
+    #[test]
+    fn the_schedule_spaces_items_by_the_gap_and_checks_its_end() {
+        let mut t = Trace::new();
+        assert_eq!(t.span(4.0), Some(VDur::ZERO));
+        for x in 0..3 {
+            t.push(StreamId(0), v(x));
+        }
+        let at: Vec<u64> = t.timed(4.0).map(|(ts, _)| ts.as_micros()).collect();
+        assert_eq!(at, [0, 250_000, 500_000]);
+        assert_eq!(t.span(4.0), Some(VDur::from_micros(500_000)));
+        // 10^12 s between arrivals: the 20th arrival passes u64::MAX µs.
+        let mut far = Trace::new();
+        for x in 0..20_000 {
+            far.push(StreamId(0), v(x));
+        }
+        assert_eq!(far.span(1e-12), None);
+        assert!(far.span(1e-8).is_some());
     }
 
     #[test]

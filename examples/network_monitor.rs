@@ -73,11 +73,7 @@ fn main() {
     // 40 events/s arrive; the operator services only 10/s; the input queue
     // holds 200 events.
     let opts = RunOptions {
-        sim: SimConfig {
-            arrival_rate: 40.0,
-            service_rate: Some(10.0),
-            queue_capacity: 200,
-        },
+        arrival_rate: 40.0,
         ..Default::default()
     };
 
@@ -90,6 +86,7 @@ fn main() {
         let mut engine = EngineBuilder::new(query.clone())
             .boxed_policy(parse_policy(name).expect("builtin policy"))
             .capacity_per_window(400)
+            .input_queue(10.0, 200)
             .seed(1)
             .build()
             .expect("valid engine");

@@ -71,9 +71,7 @@ fn main() {
     // cell — what a classifier with unlimited resources would learn.
     let mut cell_counts = std::collections::HashMap::<(u64, u64), [u64; 3]>::new();
     let mut exact = ExactJoin::new(query.clone());
-    let dt = VDur::from_rate(10.0);
-    for (i, item) in trace.items.iter().enumerate() {
-        let now = VTime::ZERO + dt.mul(i as u64);
+    for (now, item) in trace.timed(10.0) {
         exact.process_each(item.stream, item.values.clone(), now, |b| {
             let age = b.value(StreamId(1), 0).raw();
             let edu = b.value(StreamId(1), 2).raw();
@@ -106,8 +104,7 @@ fn main() {
             .expect("valid engine");
         let mut reservoir: Reservoir<Point> = Reservoir::new(400);
         let mut rng = StdRng::seed_from_u64(17);
-        for (i, item) in trace.items.iter().enumerate() {
-            let now = VTime::ZERO + dt.mul(i as u64);
+        for (now, item) in trace.timed(10.0) {
             let arrival = Arrival::new(item.stream, item.values.clone(), now);
             engine.ingest(
                 arrival,

@@ -82,6 +82,15 @@ if grep -rnE 'SkewRouter|SpaceSaving|Item::Replica|STORE_REPLICA' crates/; then
   echo "FAIL: hot-key splitting is back under crates/"
   exit 1
 fi
+# The overload queue is a stage of the plane (DESIGN.md §13): every run,
+# Figure 6 included, goes through `ingest` / `flush`, so the side door —
+# its service loop, its config struct, the run-time wake-up — stays gone.
+# (`fn offer` is matched in mstream-core only: `ShedQueue::offer` and
+# `Reservoir::offer` are the queue's and the sampler's own operations.)
+if grep -rnE 'SimConfig|drain_queue|wake_classes' crates/ || grep -rn 'fn offer' crates/core/src; then
+  echo "FAIL: the overload queue's side door is back (DESIGN.md §13)"
+  exit 1
+fi
 # One mixer: SplitMix64 is defined in mstream-types and imported.
 if grep -rniE '9E37_?79B9_?7F4A_?7C15|BF58_?476D_?1CE4_?E5B9|94D0_?49BB_?1331_?11EB' crates/{window,core,sketch}/src; then
   echo "FAIL: a second copy of the SplitMix64 constants (import mstream_types::splitmix64)"
@@ -95,7 +104,7 @@ fi
 cargo run --release -p mstream-audit -- sweep --cases 100 --seed 7 | tee target/check_audit.txt
 for CLASS in "one-query sets" "multi-query sets" "churn cases" "disorder cases" \
   "late-drop probes" "deferred cases" "idle-estimation cases" "skewed-key sharded cases" \
-  "mixed-arity cases" "spill cases"; do
+  "mixed-arity cases" "spill cases" "queued cases"; do
   grep -Eq "[1-9][0-9]* $CLASS" target/check_audit.txt \
     || { echo "FAIL: the audit smoke drew no $CLASS"; exit 1; }
 done
@@ -168,6 +177,26 @@ for POLICY in MSketch FIFO; do
 done
 read -r _ _ ROLLS <<<"$(rows_run MSketch $((ROWS_N - 1)) 1)"
 [ "$ROLLS" -gt 0 ] || { echo "FAIL: [ROWS $ROWS_N] at capacity $((ROWS_N - 1)) rolled no epoch"; exit 1; }
+
+# Overload smoke (paper §2, Figure 6's model): behind a queue served at a
+# fifth of the arrival rate every arrival is processed or queue-shed once;
+# the queue refuses a disorder bound and shards (nonzero exit).
+CHAIN_QUERY='SELECT * FROM R1(A1, A2) [RANGE 30 SECONDS], R2(A1, A2), R3(A1, A2)
+             WHERE R1.A1 = R2.A1 AND R2.A2 = R3.A1'
+read -r ARRIVALS PROCESSED SHED_Q <<<"$(./target/release/mstream run --query "$CHAIN_QUERY" \
+  --trace target/check_shard_trace.csv --capacity 50 --rate 10 --service 2 --queue 20 --json \
+  | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["arrivals"], r["processed"], r["shed_queue"])')"
+[ "$SHED_Q" -gt 0 ] && [ $((PROCESSED + SHED_Q)) = "$ARRIVALS" ] \
+  || { echo "FAIL: overload smoke: $PROCESSED processed + $SHED_Q queue-shed of $ARRIVALS arrivals"; exit 1; }
+for EXTRA in "--disorder-bound 5" "--shards 2"; do
+  # shellcheck disable=SC2086 # EXTRA is a flag and its value
+  if ./target/release/mstream run --query "$CHAIN_QUERY" --trace target/check_shard_trace.csv \
+    --service 2 $EXTRA > /dev/null 2>&1; then
+    echo "FAIL: --service with $EXTRA exited 0"
+    exit 1
+  fi
+done
+echo "overload smoke: $PROCESSED processed + $SHED_Q queue-shed of $ARRIVALS arrivals"
 
 # Far-future timestamps: at --rate 1e-9 arrivals land 10^15 µs apart, 5·10^8
 # epochs of a 2-second window. The estimators roll at most three times per

@@ -209,10 +209,10 @@ fn an_estimating_heir_scores_what_an_idle_owner_left_owing() {
     }
 }
 
-/// The queued overload model offers every arrival before it is served,
-/// so the first offer wakes the idle class before any ingest: queue sheds
-/// and rows as recorded before idleness existed (at capacity `n + 1`, where
-/// that build shed no window tuple either).
+/// Queue scores read estimates, so an engine with an input queue is built
+/// with no idle class: queue sheds and rows as recorded before idleness
+/// existed (at capacity `n + 1`, where that build shed no window tuple
+/// either).
 #[test]
 fn offering_from_the_first_arrival_keeps_queued_runs() {
     const RECORDED: [(&str, u64, u64); 3] =
@@ -226,20 +226,17 @@ fn offering_from_the_first_arrival_keeps_queued_runs() {
         let mut engine = EngineBuilder::new(query.clone())
             .boxed_policy(parse_policy(name).unwrap())
             .capacity_per_window(26)
+            .input_queue(60.0, 20)
             .seed(9)
             .build()
             .unwrap();
         let opts = RunOptions {
-            sim: SimConfig {
-                arrival_rate: 100.0,
-                service_rate: Some(60.0),
-                queue_capacity: 20,
-            },
+            arrival_rate: 100.0,
             ..RunOptions::default()
         };
-        assert_eq!(engine.idle_classes(), 1, "{name}: idle until the first offer");
+        assert_eq!(engine.idle_classes(), 0, "{name}: built awake");
         let report = run_trace(&mut engine, &trace, &opts);
-        assert_eq!(engine.idle_classes(), 0, "{name}: the queue woke it");
+        assert_eq!(engine.idle_classes(), 0, "{name}: and stays awake");
         let m = &report.metrics;
         assert!(m.shed_queue > 0 && m.shed_window == 0, "{name}: the queue sheds, no window");
         assert_eq!((m.shed_queue, m.total_output), (shed_queue, rows), "{name}");

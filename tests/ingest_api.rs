@@ -1,8 +1,8 @@
 //! The unified ingest API.
 //!
-//! One regression contract: every way of feeding the engine — the
-//! `ingest`/`ingest_tuple` entry points through any sink — must produce
-//! identical results and identical metrics on the same trace.
+//! One regression contract: `ingest`, the one entry point, through any
+//! sink, must produce identical results and identical metrics on the same
+//! trace.
 
 use mstream_core::mstream_join::Run;
 use mstream_core::prelude::*;
@@ -188,30 +188,6 @@ fn sinks_agree_with_outcome_counts() {
             assert_eq!(runs.blocks > 0, *label != "4-cycle", "{policy} on {label}");
         }
     }
-}
-
-/// The tuple-level entry point (`mint` + `ingest_tuple`) is equivalent to
-/// `ingest`, arrival for arrival — including the minted sequence numbers.
-#[test]
-fn tuple_level_ingest_matches_arrival_level() {
-    let mut minted = engine(16, 3);
-    let mut direct = engine(16, 3);
-    for arrival in trace(300) {
-        let t = minted.mint(arrival.clone());
-        let got_minted = minted.ingest_tuple(t.clone(), arrival.ts, &mut CountSink::default());
-        let got_direct = direct.ingest(arrival, &mut CountSink::default());
-        assert_eq!(got_minted, got_direct);
-        let t_direct = direct.mint(Arrival::new(t.stream, t.values.clone(), t.ts));
-        assert_eq!(
-            t_direct.seq,
-            SeqNo(t.seq.0 + 1),
-            "both paths advance the same seq counter"
-        );
-        // The probe mint advanced `direct`'s counter; re-sync by minting
-        // a throwaway on the other engine too.
-        minted.mint(Arrival::new(t.stream, t.values, t.ts));
-    }
-    assert_eq!(det(minted.metrics()), det(direct.metrics()));
 }
 
 /// `IngestOutcome` reports residency truthfully: at huge capacity

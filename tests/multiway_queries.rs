@@ -136,11 +136,7 @@ fn check_shape(
         .build()
         .unwrap();
     let opts = RunOptions {
-        sim: SimConfig {
-            arrival_rate: rate,
-            service_rate: None,
-            queue_capacity: 10,
-        },
+        arrival_rate: rate,
         ..Default::default()
     };
     let got = run_trace(&mut engine, &trace, &opts).total_output();

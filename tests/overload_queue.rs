@@ -22,25 +22,30 @@ fn trace() -> Trace {
     RegionsGenerator::new(config).unwrap().generate()
 }
 
-fn overload_opts(factor: f64, queue: usize) -> RunOptions {
-    RunOptions {
-        sim: SimConfig {
-            arrival_rate: 10.0,
-            service_rate: Some(10.0 / factor),
-            queue_capacity: queue,
-        },
-        ..Default::default()
-    }
+/// Arrivals at 10/s, served `factor` times slower through a queue of
+/// `queue` tuples.
+struct Overload {
+    factor: f64,
+    queue: usize,
 }
 
-fn run_policy(name: &str, opts: &RunOptions) -> RunReport {
+fn overload_opts(factor: f64, queue: usize) -> Overload {
+    Overload { factor, queue }
+}
+
+fn run_policy(name: &str, overload: &Overload) -> RunReport {
     let mut engine = EngineBuilder::new(chain3(100))
         .boxed_policy(parse_policy(name).unwrap())
         .capacity_per_window(200)
+        .input_queue(10.0 / overload.factor, overload.queue)
         .seed(4)
         .build()
         .unwrap();
-    run_trace(&mut engine, &trace(), opts)
+    let opts = RunOptions {
+        arrival_rate: 10.0,
+        ..Default::default()
+    };
+    run_trace(&mut engine, &trace(), &opts)
 }
 
 /// Under k = 5l the queue saturates and sheds roughly 4/5 of arrivals;
@@ -103,4 +108,50 @@ fn backlog_drains_after_arrivals_end() {
     let report = run_policy("Random", &overload_opts(5.0, 100));
     let last_arrival_secs = trace().len() as f64 / 10.0;
     assert!(report.end_time.as_secs_f64() >= last_arrival_secs);
+}
+
+/// Removing the last query that reads a stream while that stream's tuples
+/// wait in the queue: they stay queued, score 0 (the first victims of a
+/// priority queue), and are no-ops when served. Nothing panics, every
+/// arrival is still processed or queue-shed exactly once, and the removed
+/// query emits nothing more.
+#[test]
+fn removing_a_streams_last_reader_while_its_tuples_wait() {
+    let mut c = Catalog::new();
+    c.add_stream(StreamSchema::new("R3", &["A1", "A2"]));
+    c.add_stream(StreamSchema::new("R4", &["A1", "A2"]));
+    let pair = JoinQuery::from_names(c, &[("R3.A1", "R4.A1")], WindowSpec::secs(100)).unwrap();
+    for name in ["MSketch", "Random", "FIFO"] {
+        let mut builder = EngineBuilder::new_multi()
+            .boxed_policy(parse_policy(name).unwrap())
+            .capacity_per_window(50)
+            .input_queue(1.0, 40)
+            .seed(4);
+        builder.register(chain3(100)).unwrap();
+        let reader = builder.register(pair.clone()).unwrap();
+        let mut engine = builder.build_multi().unwrap();
+        let r4 = engine.stream_id("R4").unwrap();
+        let mut sink = CountSink::default();
+        let n = 400u64;
+        for i in 0..n {
+            if i == n / 2 {
+                // Ten arrivals a second against one served: the queue is
+                // full, and FIFO's holds the last 40 arrivals, R4's among
+                // them.
+                assert!(engine.remove_query(reader), "{name}");
+                assert_eq!(engine.window_len(r4), None, "{name}: R4 has no reader");
+            }
+            let values = vec![Value(i % 5), Value(i % 3)];
+            let at = VTime::from_micros(i * 100_000);
+            engine.ingest(
+                Arrival::new(StreamId((i % 4) as usize), values, at),
+                &mut sink,
+            );
+        }
+        engine.flush(&mut sink);
+        let m = engine.metrics();
+        assert!(m.shed_queue > 0, "{name}: the queue sheds");
+        assert_eq!(m.processed + m.shed_queue, n, "{name}: conservation");
+        assert_eq!(engine.query_stats(reader), None, "{name}: removed");
+    }
 }
