@@ -169,6 +169,7 @@ fn run_sharded(
             "degraded": report.combined.degraded,
             "broadcast": report.broadcast,
             "routed": report.routed,
+            "wire_words": report.wire_words,
             "resident": report.resident,
             "arrivals": trace.len(),
             "output_tuples": report.combined.total_output(),

@@ -24,37 +24,40 @@
 //!
 //! ## Data plane
 //!
-//! The coordinator buffers routed tuples into per-shard batches
-//! (`Vec<Item>`) and sends full batches over bounded channels. Batch
-//! buffers are *recycled*: each worker drains a batch in place and sends
-//! the empty allocation back on a per-worker return channel, so
-//! steady-state ingest allocates nothing — combined with the inline
-//! [`mstream_types::Row`] tuple payload, routing a tuple of arity ≤
-//! [`mstream_types::ROW_INLINE`] touches the heap zero times.
+//! The coordinator writes routed arrivals straight into per-shard batches
+//! of flat word records (`Vec<u64>`) and sends full batches over bounded
+//! channels. A tuple record is a header word (delivery kind, global
+//! stream, arity) followed by `ts`, `seq` and the raw values, so a keyed
+//! arity-2 arrival is 5 words; a tick summary is one record of
+//! `(stream, count)` pairs. Batch buffers are *recycled*: each worker
+//! decodes a batch into the tuples it ingests and sends the emptied
+//! allocation back on a per-worker return channel, so steady-state ingest
+//! of rows of arity ≤ [`mstream_types::ROW_INLINE`] touches the heap zero
+//! times.
 //!
 //! ## Tuple-based windows
 //!
 //! Tuple-count windows expire by *arrivals seen on the stream*, which a
 //! shard only partially observes. The coordinator accumulates the arrivals
-//! routed elsewhere as per-shard pending tick counters and flushes them as
-//! one coalesced [`Item::Ticks`] summary immediately before the next item
-//! delivered to that shard. Ticks only advance each stream's arrival
-//! counter ([`MultiQueryEngine::note_foreign_arrivals`]) and expiry is
-//! evaluated when the *next stored tuple* is processed, so a summary
-//! applied just before that tuple is observationally identical to the
-//! per-arrival interleaving. Time-based windows need no ticks.
+//! routed elsewhere as per-shard pending tick counters and writes them as
+//! one coalesced tick summary immediately before the next tuple delivered
+//! to that shard, in the same batch. Ticks only advance each stream's
+//! arrival counter ([`MultiQueryEngine::note_foreign_arrivals`]) and
+//! expiry is evaluated when the *next stored tuple* is processed, so a
+//! summary applied just before that tuple is observationally identical to
+//! the per-arrival interleaving. Time-based windows need no ticks.
 //!
 //! ## Runtime registration
 //!
 //! [`ShardedJoinEngine::add_query`] / [`ShardedJoinEngine::remove_query`]
-//! travel the same FIFO batches as data (`Item::Add`, `Item::Remove`),
-//! each behind its shard's flushed tick summary, so every worker applies a
-//! registration at the same point of its routed sub-trace: a query added
+//! travel the data channel as `Msg::Add` / `Msg::Remove`, right after the
+//! shard's flushed batch (tick summary included), so every worker applies
+//! a registration at the same point of its routed sub-trace: a query added
 //! mid-run sees, on every shard, exactly the tuples routed after it, and
-//! its tuple windows count no earlier arrival. Registration batches are
-//! never shed. There is no online re-partitioning: an added query that
-//! does not fit the running key plan (or any query added to a broadcast
-//! run) is rejected.
+//! its tuple windows count no earlier arrival. Registrations, and the
+//! batches flushed ahead of them, are never shed. There is no online
+//! re-partitioning: an added query that does not fit the running key plan
+//! (or any query added to a broadcast run) is rejected.
 //!
 //! ## Broadcast execution mode
 //!
@@ -62,7 +65,7 @@
 //! replicated with [`ShardConfig::broadcast`] (the default): the
 //! **dominant** stream (most incident predicates, ties to the lowest
 //! index) is partitioned round-robin, and every other stream is broadcast
-//! — stored and probed on all shards ([`Item::ProbeReplica`] on the
+//! — stored and probed on all shards (probe-replica records on the
 //! non-home copies). Every result combination contains exactly one
 //! dominant-stream tuple, resident on exactly one shard, so each is
 //! emitted exactly once. Broadcast streams keep their *full* window
@@ -78,10 +81,9 @@
 //! exact; [`Backpressure::Shed`] instead drops batches when a worker falls
 //! behind, counting their tuples in [`ShardedRunReport::shed_channel`]. A
 //! dropped batch's tick summaries re-queue into the pending counters, and
-//! so does each dropped tuple or broadcast copy for its own shard, so
-//! tuple-window accounting drifts only by the dropped tuples themselves —
-//! as in the in-process engine's queue shedding, a dropped tuple never
-//! ages a window.
+//! so does each dropped tuple or broadcast copy, as a tick for the shard
+//! it was sent to: a dropped tuple still ages that shard's tuple windows,
+//! as it ages every other shard's, and only its rows are lost.
 
 use crate::builder::BuildError;
 use crate::engine::{EngineConfig, MemoryMode, ReorderStage};
@@ -92,8 +94,8 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use mstream_shed_policies::ShedPolicy;
 use mstream_sketch::BankConfig;
 use mstream_types::{
-    splitmix64, Catalog, Error, JoinQuery, Partitioning, QueryId, Result, SeqNo, StreamId, Tuple,
-    VTime, WindowSpec,
+    splitmix64, Catalog, Error, JoinQuery, Partitioning, QueryId, Result, Row, SeqNo, StreamId,
+    Tuple, VTime, WindowSpec,
 };
 use mstream_workload::Trace;
 use std::cmp::Ordering;
@@ -137,7 +139,9 @@ pub struct ShardConfig {
     pub shards: usize,
     /// Bounded channel depth per worker, in *batches*.
     pub channel_capacity: usize,
-    /// Arrivals buffered per worker before a batch is sent.
+    /// Records buffered per worker before a batch is sent: tuple
+    /// deliveries (broadcast copies included) plus tick summaries. A
+    /// registration sends the batch early.
     pub batch_size: usize,
     /// Full-channel behavior.
     pub backpressure: Backpressure,
@@ -191,6 +195,9 @@ pub struct ShardedRunReport {
     /// Exactly one per arrival; broadcast copies are not counted here (see
     /// [`EngineMetrics::replicated`]).
     pub routed: Vec<u64>,
+    /// Words of the record batches each shard's channel accepted: the
+    /// bytes moved to a worker, over 8. Registrations are not counted.
+    pub wire_words: Vec<u64>,
     /// Final resident tuples on each shard (per-shard window occupancy at
     /// the end of the run).
     pub resident: Vec<usize>,
@@ -206,44 +213,83 @@ pub struct ShardedRunReport {
     pub rows: Option<Vec<Vec<Vec<Tuple>>>>,
 }
 
-/// Streams covered by one [`Item::Ticks`] summary (wider schemas send
-/// several chained blocks).
-const TICK_LANES: usize = 8;
+// A batch is a run of records, each starting with a header word: the
+// record kind in its low two bits, a length (a tuple's arity, or a tick
+// summary's pair count) in bits 2..32, and a tuple's global stream in bits
+// 32..64. A tuple record continues with `ts` (µs), `seq` and the raw
+// values; a tick summary with `(stream, count)` pairs.
 
-/// Coalesced foreign-arrival counts for the contiguous stream range
-/// `[base, base + n)`: `counts[k]` arrivals on stream `base + k` were
-/// routed to other shards since this shard's previous batch traffic.
-#[derive(Clone, Copy, Debug)]
-struct TickBlock {
-    base: usize,
-    n: usize,
-    counts: [u32; TICK_LANES],
+/// A tuple's one FULL delivery (probe + emit + `processed` credit).
+const FULL: u64 = 0;
+/// A broadcast-stream copy on a non-home shard: stores *and* probes (this
+/// shard holds dominant-stream partners no other shard has) but does not
+/// count as processed.
+const PROBE_REPLICA: u64 = 1;
+/// Arrivals other shards are processing (advances tuple-window expiry
+/// here); always ahead of the records that follow them.
+const TICKS: u64 = 2;
+const LEN_SHIFT: u32 = 2;
+const STREAM_SHIFT: u32 = 32;
+const LEN_MASK: u64 = (1 << (STREAM_SHIFT - LEN_SHIFT)) - 1;
+/// Words of a tuple record ahead of its values: header, `ts`, `seq`.
+const TUPLE_HEAD: usize = 3;
+
+fn header(kind: u64, stream: usize, len: usize) -> u64 {
+    debug_assert!(len as u64 <= LEN_MASK && (stream as u64) >> (64 - STREAM_SHIFT) == 0);
+    kind | (len as u64) << LEN_SHIFT | (stream as u64) << STREAM_SHIFT
 }
 
-impl TickBlock {
-    /// The `(stream, arrivals)` pairs this block carries.
-    fn ticks(self) -> impl Iterator<Item = (usize, u64)> {
-        (0..self.n)
-            .filter(move |&lane| self.counts[lane] > 0)
-            .map(move |lane| (self.base + lane, u64::from(self.counts[lane])))
-    }
+/// One record of a batch, borrowed from it.
+#[derive(Debug, PartialEq)]
+enum Record<'a> {
+    /// A tuple delivery; `body` is `ts`, `seq` and the values.
+    Tuple {
+        role: IngestRole,
+        stream: usize,
+        body: &'a [u64],
+    },
+    /// Foreign-arrival counts as flat `(stream, count)` pairs.
+    Ticks(&'a [u64]),
 }
 
-/// One message element on a worker channel.
+/// The records of `batch`, in order.
+fn records(batch: &[u64]) -> impl Iterator<Item = Record<'_>> {
+    let mut rest = batch;
+    std::iter::from_fn(move || {
+        let (&head, tail) = rest.split_first()?;
+        let (kind, len) = (head & 0b11, (head >> LEN_SHIFT) & LEN_MASK);
+        let words = if kind == TICKS { 2 * len } else { TUPLE_HEAD as u64 - 1 + len };
+        let (body, next) = tail.split_at(words as usize);
+        rest = next;
+        Some(match kind {
+            TICKS => Record::Ticks(body),
+            kind => Record::Tuple {
+                role: if kind == FULL { IngestRole::FULL } else { IngestRole::PROBE_REPLICA },
+                stream: (head >> STREAM_SHIFT) as usize,
+                body,
+            },
+        })
+    })
+}
+
+/// The `(stream, count)` pairs of a tick summary.
+fn tick_pairs(pairs: &[u64]) -> impl Iterator<Item = (usize, u64)> + '_ {
+    pairs.chunks_exact(2).map(|p| (p[0] as usize, p[1]))
+}
+
+/// The tuple a record's `body` carries on `stream`.
+fn decode_tuple(stream: usize, body: &[u64]) -> Tuple {
+    let values = Row::from_raw(&body[2..]);
+    Tuple::new(StreamId(stream), VTime::from_micros(body[0]), SeqNo(body[1]), values)
+}
+
+/// One message on a worker channel.
 #[derive(Clone)]
-enum Item {
-    /// A tuple routed to this shard for processing — the arrival's one
-    /// FULL delivery (probe + emit + `processed` credit).
-    Tuple(Tuple),
-    /// A broadcast-stream copy on a non-home shard: stores *and* probes
-    /// (this shard holds dominant-stream partners no other shard has) but
-    /// does not count as processed.
-    ProbeReplica(Tuple),
-    /// Arrivals other shards are processing (advances tuple-window expiry
-    /// here). Always delivered before the items that follow them.
-    Ticks(TickBlock),
+enum Msg {
+    /// A batch of records.
+    Batch(Vec<u64>),
     /// Register a standing query (every worker assigns it the same dense
-    /// id). Boxed so the item stays the size of a tagged tuple.
+    /// id).
     Add(Box<JoinQuery>),
     /// Deregister a query.
     Remove(QueryId),
@@ -324,6 +370,10 @@ fn extend_key_plan(
     Ok(())
 }
 
+fn widest_arity(catalog: &Catalog) -> usize {
+    catalog.iter().map(|(_, s)| s.arity()).max().unwrap_or(0)
+}
+
 fn has_tuple_windows(query: &JoinQuery) -> bool {
     query
         .windows()
@@ -348,17 +398,25 @@ pub struct ShardedJoinEngine {
     /// S > 1; empty otherwise).
     key_of: Vec<Option<usize>>,
     needs_ticks: bool,
+    /// Records a batch holds before it is sent.
     batch_size: usize,
+    /// Words a fresh batch buffer reserves: `batch_size` records of the
+    /// widest tuple in the catalog.
+    buffer_words: usize,
     backpressure: Backpressure,
     collect_rows: bool,
-    senders: Vec<Sender<Vec<Item>>>,
+    senders: Vec<Sender<Msg>>,
     /// Per-worker return path carrying drained batch allocations back for
     /// reuse (steady-state ingest then allocates no batch buffers).
-    returns: Vec<Receiver<Vec<Item>>>,
-    buffers: Vec<Vec<Item>>,
+    returns: Vec<Receiver<Vec<u64>>>,
+    buffers: Vec<Vec<u64>>,
+    /// Records in each shard's buffer.
+    records: Vec<usize>,
+    /// Words of the batches each shard's channel accepted.
+    wire_words: Vec<u64>,
     /// Pending foreign-arrival ticks, flat-indexed
-    /// `[shard * catalog.len() + stream]`; drained into an [`Item::Ticks`] summary right before the
-    /// next item pushed to that shard.
+    /// `[shard * catalog.len() + stream]`; drained into a tick summary
+    /// right before the next record pushed to that shard.
     pending_ticks: Vec<u64>,
     /// Per-shard dirty flags for `pending_ticks`, keeping the hot-path
     /// check O(1).
@@ -471,6 +529,7 @@ impl ShardedJoinEngine {
             returns.push(ret_rx);
         }
         let batch_size = shard.batch_size;
+        let buffer_words = batch_size * (TUPLE_HEAD + widest_arity(&catalog));
         Ok(ShardedJoinEngine {
             shards,
             degraded,
@@ -478,11 +537,14 @@ impl ShardedJoinEngine {
             key_of,
             needs_ticks,
             batch_size,
+            buffer_words,
             backpressure: shard.backpressure,
             collect_rows: shard.collect_rows,
             senders,
             returns,
-            buffers: (0..shards).map(|_| Vec::with_capacity(batch_size)).collect(),
+            buffers: (0..shards).map(|_| Vec::with_capacity(buffer_words)).collect(),
+            records: vec![0; shards],
+            wire_words: vec![0; shards],
             pending_ticks: vec![0; shards * n_streams],
             pending_any: vec![false; shards],
             routed: vec![0; shards],
@@ -556,10 +618,14 @@ impl ShardedJoinEngine {
         }
         let n_streams = catalog.len();
         self.needs_ticks |= self.shards > 1 && has_tuple_windows(&query);
-        self.send_registration(Item::Add(Box::new(query)));
+        self.send_registration(Msg::Add(Box::new(query)));
         // Every pending tick went out ahead of the registration, so the
         // counters re-lay for the grown catalog as zeros.
         self.pending_ticks = vec![0; self.shards * n_streams];
+        // A recycled buffer below the new reservation grows once.
+        self.buffer_words = self
+            .buffer_words
+            .max(self.batch_size * (TUPLE_HEAD + widest_arity(&catalog)));
         self.catalog = catalog;
         self.key_of = key_of;
         if let Some(front) = self.front.as_mut() {
@@ -574,7 +640,7 @@ impl ShardedJoinEngine {
     /// routed sub-trace. Unknown or already-removed ids are a no-op on the
     /// workers.
     pub fn remove_query(&mut self, id: QueryId) {
-        self.send_registration(Item::Remove(id));
+        self.send_registration(Msg::Remove(id));
     }
 
     /// Routes one arrival (addressed by **global** stream id).
@@ -607,40 +673,36 @@ impl ShardedJoinEngine {
 
     /// Mints and routes one arrival.
     fn route_arrival(&mut self, arrival: Arrival) {
-        let stream = arrival.stream;
         let seq = self.next_seq;
         self.next_seq = seq.next();
-        let tuple = Tuple::new(stream, arrival.ts, seq, arrival.values);
         if self.broadcast.is_some() {
-            self.ingest_broadcast(tuple);
+            self.ingest_broadcast(&arrival, seq);
             return;
         }
         let home = if self.shards == 1 {
             0
         } else {
-            let attr = self.key_of[stream.index()].expect("a keyed run partitions every stream");
-            (splitmix64(tuple.values[attr].raw()) % self.shards as u64) as usize
+            let attr =
+                self.key_of[arrival.stream.index()].expect("a keyed run partitions every stream");
+            (splitmix64(arrival.values[attr].raw()) % self.shards as u64) as usize
         };
-        self.deliver_once(home, tuple);
+        self.deliver_once(home, &arrival, seq);
     }
 
     /// An arrival's one delivery: the tuple to `home`, pending expiry ticks
     /// to every other shard.
-    fn deliver_once(&mut self, home: usize, tuple: Tuple) {
+    fn deliver_once(&mut self, home: usize, arrival: &Arrival, seq: SeqNo) {
         self.routed[home] += 1;
         if self.needs_ticks {
-            let (n, s) = (self.catalog.len(), tuple.stream.index());
+            let (n, s) = (self.catalog.len(), arrival.stream.index());
             for shard in 0..self.shards {
                 if shard != home {
                     self.pending_ticks[shard * n + s] += 1;
                     self.pending_any[shard] = true;
                 }
             }
-            if self.pending_any[home] {
-                self.flush_pending_ticks(home);
-            }
         }
-        self.push(home, Item::Tuple(tuple));
+        self.push_tuple(home, FULL, arrival, seq);
     }
 
     /// Broadcast-mode delivery: dominant-stream arrivals partition
@@ -648,129 +710,150 @@ impl ShardedJoinEngine {
     /// hash mode); every other stream is stored *and probed* on all
     /// shards, with one round-robin-designated FULL delivery carrying the
     /// arrival's `processed` accounting.
-    fn ingest_broadcast(&mut self, tuple: Tuple) {
+    fn ingest_broadcast(&mut self, arrival: &Arrival, seq: SeqNo) {
         let shards = self.shards as u64;
         let plan = self.broadcast.as_mut().expect("broadcast mode");
-        if tuple.stream.index() == plan.dominant {
+        if arrival.stream.index() == plan.dominant {
             let home = (plan.dominant_rr % shards) as usize;
             plan.dominant_rr += 1;
-            self.deliver_once(home, tuple);
+            self.deliver_once(home, arrival, seq);
             return;
         }
         let full = (plan.broadcast_rr % shards) as usize;
         plan.broadcast_rr += 1;
         self.routed[full] += 1;
-        self.flush_all_pending_ticks();
         for shard in 0..self.shards {
-            if shard != full {
-                self.push(shard, Item::ProbeReplica(tuple.clone()));
-            }
+            let kind = if shard == full { FULL } else { PROBE_REPLICA };
+            self.push_tuple(shard, kind, arrival, seq);
         }
-        self.push(full, Item::Tuple(tuple));
     }
 
-    /// Sends a registration change to every shard, each behind its flushed
-    /// tick summary. Registration batches — and the tick batches flushed
+    /// Sends a registration change to every shard, right after its flushed
+    /// batch and tick summary. Registrations — and the batches flushed
     /// ahead of them — are never shed: under [`Backpressure::Shed`] they
     /// are sent blocking, so every worker applies the change.
-    fn send_registration(&mut self, item: Item) {
+    fn send_registration(&mut self, msg: Msg) {
         let backpressure = std::mem::replace(&mut self.backpressure, Backpressure::Block);
         for shard in 0..self.shards {
-            if self.pending_any[shard] {
-                self.flush_pending_ticks(shard);
-            }
-            self.push(shard, item.clone());
-            self.flush(shard);
+            self.flush_with_ticks(shard);
+            // A dead worker's panic is reported by `finish`.
+            let _ = self.senders[shard].send(msg.clone());
         }
         self.backpressure = backpressure;
     }
 
-    fn flush_all_pending_ticks(&mut self) {
-        if self.needs_ticks {
-            for shard in 0..self.shards {
-                if self.pending_any[shard] {
-                    self.flush_pending_ticks(shard);
-                }
-            }
-        }
-    }
-
-    /// Drains `shard`'s pending tick counters into [`Item::Ticks`]
-    /// summaries on its batch buffer (chunked [`TICK_LANES`] streams at a
-    /// time; counts above `u32::MAX` chain extra blocks).
-    fn flush_pending_ticks(&mut self, shard: usize) {
-        // Cleared first: a batch the channel rejects while the summary is
-        // being pushed re-queues its counts and marks the shard again.
-        self.pending_any[shard] = false;
-        let n_streams = self.catalog.len();
-        for base in (0..n_streams).step_by(TICK_LANES) {
-            let n = TICK_LANES.min(n_streams - base);
-            loop {
-                let mut block = TickBlock {
-                    base,
-                    n,
-                    counts: [0; TICK_LANES],
-                };
-                let mut any = false;
-                for lane in 0..n {
-                    let slot = &mut self.pending_ticks[shard * n_streams + base + lane];
-                    let take = (*slot).min(u32::MAX as u64);
-                    if take > 0 {
-                        block.counts[lane] = take as u32;
-                        *slot -= take;
-                        any = true;
-                    }
-                }
-                if !any {
-                    break;
-                }
-                self.push(shard, Item::Ticks(block));
-            }
-        }
-    }
-
-    fn push(&mut self, shard: usize, item: Item) {
-        self.buffers[shard].push(item);
-        if self.buffers[shard].len() >= self.batch_size {
+    /// Writes `arrival` as a tuple record of `kind` to `shard`'s batch,
+    /// right behind the shard's pending tick summary. No batch is sent
+    /// between the two, so a batch the channel rejects always ends with
+    /// the newest records, and the counts it re-queues reach the worker
+    /// ahead of any later tuple.
+    fn push_tuple(&mut self, shard: usize, kind: u64, arrival: &Arrival, seq: SeqNo) {
+        let values = arrival.values.as_slice();
+        self.make_room(shard, TUPLE_HEAD + values.len());
+        self.write_ticks(shard);
+        let buffer = &mut self.buffers[shard];
+        buffer.extend([
+            header(kind, arrival.stream.index(), values.len()),
+            arrival.ts.as_micros(),
+            seq.0,
+        ]);
+        buffer.extend(values.iter().map(|v| v.raw()));
+        self.records[shard] += 1;
+        if self.records[shard] >= self.batch_size {
             self.flush(shard);
         }
+    }
+
+    /// Sends `shard`'s batch with its pending ticks as the last record.
+    fn flush_with_ticks(&mut self, shard: usize) {
+        self.make_room(shard, 0);
+        self.write_ticks(shard);
+        self.flush(shard);
+    }
+
+    /// Sends `shard`'s batch early if its pending tick summary and a
+    /// record of `words` would not fit the reservation, so a buffer stays
+    /// at `buffer_words`: wide tick summaries end a batch before
+    /// `batch_size` records. A rejected batch re-queues into the summary,
+    /// which then starts an empty buffer.
+    fn make_room(&mut self, shard: usize, words: usize) {
+        let summary = if self.pending_any[shard] {
+            let pending = &self.pending_ticks[self.tick_range(shard)];
+            1 + 2 * pending.iter().filter(|&&n| n > 0).count()
+        } else {
+            0
+        };
+        if self.buffers[shard].len() + summary + words > self.buffer_words {
+            self.flush(shard);
+        }
+    }
+
+    /// Drains `shard`'s pending tick counters, if any, into one tick
+    /// summary on its batch buffer.
+    fn write_ticks(&mut self, shard: usize) {
+        if !self.pending_any[shard] {
+            return;
+        }
+        self.pending_any[shard] = false;
+        let range = self.tick_range(shard);
+        let buffer = &mut self.buffers[shard];
+        let at = buffer.len();
+        buffer.push(0);
+        for (stream, count) in self.pending_ticks[range].iter_mut().enumerate() {
+            if *count > 0 {
+                buffer.extend([stream as u64, std::mem::take(count)]);
+            }
+        }
+        buffer[at] = header(TICKS, 0, (buffer.len() - at - 1) / 2);
+        self.records[shard] += 1;
+    }
+
+    /// `shard`'s slice of `pending_ticks`.
+    fn tick_range(&self, shard: usize) -> std::ops::Range<usize> {
+        let n_streams = self.catalog.len();
+        shard * n_streams..(shard + 1) * n_streams
     }
 
     /// Takes a recycled batch buffer off `shard`'s return channel, falling
     /// back to a fresh allocation only when every buffer is still in
     /// flight (startup, or a worker busy draining).
-    fn recycled_buffer(&mut self, shard: usize) -> Vec<Item> {
+    fn recycled_buffer(&mut self, shard: usize) -> Vec<u64> {
         self.returns[shard]
             .try_recv()
-            .unwrap_or_else(|_| Vec::with_capacity(self.batch_size))
+            .unwrap_or_else(|_| Vec::with_capacity(self.buffer_words))
     }
 
     fn flush(&mut self, shard: usize) {
-        if self.buffers[shard].is_empty() {
+        if self.records[shard] == 0 {
             return;
         }
+        self.records[shard] = 0;
         // `Vec::new()` is allocation-free; the slot is refilled below with
         // either a recycled buffer or (under Shed) the rejected batch.
         let batch = std::mem::take(&mut self.buffers[shard]);
-        match self.backpressure {
-            Backpressure::Block => {
-                if self.senders[shard].send(batch).is_err() {
-                    // The worker died; its panic is reported by `finish`.
-                }
-                self.buffers[shard] = self.recycled_buffer(shard);
-            }
-            Backpressure::Shed => match self.senders[shard].try_send(batch) {
-                Ok(()) => self.buffers[shard] = self.recycled_buffer(shard),
+        let words = batch.len() as u64;
+        let sent = match self.backpressure {
+            // An error means the worker died; `finish` reports its panic.
+            Backpressure::Block => self.senders[shard].send(Msg::Batch(batch)).is_ok(),
+            Backpressure::Shed => match self.senders[shard].try_send(Msg::Batch(batch)) {
+                Ok(()) => true,
                 Err(err) => {
-                    let mut batch = err.into_inner();
+                    let Msg::Batch(mut batch) = err.into_inner() else {
+                        unreachable!("a batch was sent")
+                    };
                     self.account_rejected(shard, &batch);
                     // The rejected batch's allocation becomes the shard's
                     // next buffer — shedding allocates nothing either.
                     batch.clear();
                     self.buffers[shard] = batch;
+                    return;
                 }
             },
+        };
+        if sent {
+            self.wire_words[shard] += words;
         }
+        self.buffers[shard] = self.recycled_buffer(shard);
     }
 
     /// Books a batch the full channel rejected: tuples count as
@@ -782,7 +865,7 @@ impl ShardedJoinEngine {
     /// would expire late and emit rows no unshedded run produces. The
     /// rejected batch is the newest traffic for this shard, so the counts
     /// re-merge in order.
-    fn account_rejected(&mut self, shard: usize, batch: &[Item]) {
+    fn account_rejected(&mut self, shard: usize, batch: &[u64]) {
         let n_streams = self.catalog.len();
         let mut requeue = |stream: usize, count: u64| {
             if self.needs_ticks {
@@ -790,24 +873,20 @@ impl ShardedJoinEngine {
                 self.pending_any[shard] = true;
             }
         };
-        for item in batch {
-            match item {
-                Item::Tuple(tuple) => {
-                    self.shed_channel += 1;
-                    requeue(tuple.stream.index(), 1);
+        for record in records(batch) {
+            match record {
+                Record::Tuple { role, stream, .. } => {
+                    // A dropped broadcast copy is not channel shedding —
+                    // the arrival is still fully processed by its FULL
+                    // delivery elsewhere. But this shard missed a
+                    // counter-advancing store, so it re-queues as a tick
+                    // too.
+                    if role == IngestRole::FULL {
+                        self.shed_channel += 1;
+                    }
+                    requeue(stream, 1);
                 }
-                // A dropped broadcast copy is not channel shedding — the
-                // arrival is still fully processed by its FULL delivery
-                // elsewhere. But this shard missed a counter-advancing
-                // store, so the arrival re-queues as a tick to keep its
-                // expiry exact.
-                Item::ProbeReplica(tuple) => {
-                    requeue(tuple.stream.index(), 1);
-                }
-                Item::Ticks(block) => block.ticks().for_each(|(s, n)| requeue(s, n)),
-                Item::Add(_) | Item::Remove(_) => {
-                    unreachable!("registration batches are sent blocking")
-                }
+                Record::Ticks(pairs) => tick_pairs(pairs).for_each(|(s, n)| requeue(s, n)),
             }
         }
     }
@@ -829,10 +908,7 @@ impl ShardedJoinEngine {
             // Trailing ticks (arrivals after a shard's last tuple) cannot
             // change its output, but delivering them keeps the final
             // arrival counters exact on every shard.
-            if self.pending_any[shard] {
-                self.flush_pending_ticks(shard);
-            }
-            self.flush(shard);
+            self.flush_with_ticks(shard);
         }
         self.senders.clear(); // Dropping the senders ends the worker loops.
         let handles = std::mem::take(&mut self.handles);
@@ -903,6 +979,7 @@ impl ShardedJoinEngine {
             stats,
             shed_channel: self.shed_channel,
             routed: self.routed,
+            wire_words: self.wire_words,
             resident,
             hot_promoted: 0,
             broadcast: self.broadcast.is_some(),
@@ -968,8 +1045,8 @@ struct WorkerMode {
 
 fn worker_loop(
     mut engine: MultiQueryEngine,
-    rx: Receiver<Vec<Item>>,
-    ret_tx: Sender<Vec<Item>>,
+    rx: Receiver<Msg>,
+    ret_tx: Sender<Vec<u64>>,
     mode: WorkerMode,
 ) -> WorkerOut {
     let mut rows_sink = QueryRowsSink::default();
@@ -977,28 +1054,30 @@ fn worker_loop(
     // counts come from `query_stats`.
     let mut count_sink = CountSink::default();
     let mut end_time = VTime::ZERO;
-    while let Ok(mut batch) = rx.recv() {
+    while let Ok(msg) = rx.recv() {
+        let mut batch = match msg {
+            Msg::Batch(batch) => batch,
+            Msg::Add(query) => {
+                engine
+                    .add_query(*query)
+                    .expect("coordinator-validated registration");
+                continue;
+            }
+            Msg::Remove(id) => {
+                engine.remove_query(id);
+                continue;
+            }
+        };
         if mode.route_only {
             batch.clear();
         }
-        for item in batch.drain(..) {
-            let (tuple, role) = match item {
-                Item::Tuple(t) => (t, IngestRole::FULL),
-                Item::ProbeReplica(t) => (t, IngestRole::PROBE_REPLICA),
-                Item::Ticks(block) => {
-                    for (stream, count) in block.ticks() {
+        for record in records(&batch) {
+            let (role, tuple) = match record {
+                Record::Tuple { role, stream, body } => (role, decode_tuple(stream, body)),
+                Record::Ticks(pairs) => {
+                    for (stream, count) in tick_pairs(pairs) {
                         engine.note_foreign_arrivals(StreamId(stream), count);
                     }
-                    continue;
-                }
-                Item::Add(query) => {
-                    engine
-                        .add_query(*query)
-                        .expect("coordinator-validated registration");
-                    continue;
-                }
-                Item::Remove(id) => {
-                    engine.remove_query(id);
                     continue;
                 }
             };
@@ -1012,9 +1091,10 @@ fn worker_loop(
             #[cfg(feature = "audit")]
             engine.check_invariants();
         }
-        // Hand the drained allocation back for reuse. The return channel
+        // Hand the emptied allocation back for reuse. The return channel
         // is sized to hold every in-flight buffer, so a failure only
         // means the coordinator is gone — then the buffer just drops.
+        batch.clear();
         let _ = ret_tx.try_send(batch);
     }
     let rows = mode.collect_rows.then(|| {
@@ -1116,7 +1196,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::builder::EngineBuilder;
-    use mstream_types::{Row, StreamSchema};
+    use mstream_types::{StreamSchema, Value, ROW_INLINE};
 
     #[test]
     fn split_bank_divides_means_keeps_median_groups() {
@@ -1229,22 +1309,6 @@ mod tests {
         assert_eq!(seqs(&merged), seqs(&expect));
     }
 
-    #[test]
-    fn tick_blocks_chunk_wide_schemas() {
-        // 10 streams -> lanes split across two blocks at the chunk size.
-        assert_eq!(TICK_LANES, 8, "chunking tests assume 8 lanes");
-        let bases: Vec<usize> = (0..10).step_by(TICK_LANES).collect();
-        assert_eq!(bases, vec![0, 8]);
-    }
-
-    /// A registration rides the channel as one boxed pointer, and a tick
-    /// block is smaller than a tuple: neither widens the channel item past
-    /// a tagged tuple.
-    #[test]
-    fn item_is_no_larger_than_a_tagged_tuple() {
-        assert!(std::mem::size_of::<Item>() <= std::mem::size_of::<Tuple>() + 8);
-    }
-
     fn pair_query(l: &str, r: &str, window: WindowSpec) -> JoinQuery {
         let mut c = Catalog::new();
         c.add_stream(StreamSchema::new(l, &["k", "v"]));
@@ -1281,16 +1345,173 @@ mod tests {
 
     /// The ticks queued for `shard`'s next batch, as `(stream, count)`.
     fn buffered_ticks(engine: &ShardedJoinEngine, shard: usize) -> Vec<(usize, u64)> {
-        let blocks = engine.buffers[shard].iter().filter_map(|item| match item {
-            Item::Ticks(block) => Some(*block),
-            _ => None,
+        let summaries = records(&engine.buffers[shard]).filter_map(|record| match record {
+            Record::Ticks(pairs) => Some(pairs),
+            Record::Tuple { .. } => None,
         });
-        blocks.flat_map(TickBlock::ticks).collect()
+        summaries.flat_map(tick_pairs).collect()
+    }
+
+    /// Two streams, then single-attribute streams up to `n_streams`, with
+    /// the pending counters re-laid for them.
+    fn wide_engine(n_streams: usize) -> ShardedJoinEngine {
+        let mut engine = engine(
+            vec![pair_query("R1", "R2", WindowSpec::Tuples(4))],
+            shards(2),
+        );
+        for s in 2..n_streams {
+            engine.catalog.add_stream(StreamSchema::new(format!("S{s}"), &["k"]));
+        }
+        engine.pending_ticks = vec![0; 2 * n_streams];
+        engine
+    }
+
+    fn arrival(stream: usize, arity: usize, ts: u64) -> Arrival {
+        let values: Vec<Value> = (0..arity as u64).map(|v| Value(v * 7 + 1)).collect();
+        Arrival::new(StreamId(stream), values, VTime::from_micros(ts))
+    }
+
+    /// Drops what `shard`'s buffer holds, so `finish` sends nothing the
+    /// test wrote by hand.
+    fn discard_buffer(engine: &mut ShardedJoinEngine, shard: usize) {
+        engine.buffers[shard].clear();
+        engine.records[shard] = 0;
+    }
+
+    /// Every record kind decodes to what was written: tuples of arity 0,
+    /// `ROW_INLINE` and `ROW_INLINE + 2` (spilled), a probe replica on a
+    /// stream past 256, and one tick summary whose count exceeds
+    /// `u32::MAX`.
+    #[test]
+    fn records_round_trip_every_kind() {
+        let mut engine = wide_engine(301);
+        let sent = [
+            (FULL, arrival(0, 0, 5)),
+            (FULL, arrival(1, ROW_INLINE, 6)),
+            (FULL, arrival(2, ROW_INLINE + 2, u64::MAX)),
+            (PROBE_REPLICA, arrival(300, 2, 8)),
+        ];
+        let big = u64::from(u32::MAX) + 5;
+        engine.pending_ticks[301 + 1] = 3;
+        engine.pending_ticks[301 + 300] = big;
+        engine.pending_any[1] = true;
+        for (seq, (kind, a)) in sent.iter().enumerate() {
+            engine.push_tuple(1, *kind, a, SeqNo(seq as u64));
+        }
+        assert_eq!(engine.records[1], 1 + sent.len());
+        let got: Vec<Record> = records(&engine.buffers[1]).collect();
+        assert_eq!(got.len(), 1 + sent.len(), "one tick summary, then the tuples");
+        assert_eq!(got[0], Record::Ticks(&[1, 3, 300, big]));
+        for (seq, ((kind, a), record)) in sent.iter().zip(&got[1..]).enumerate() {
+            let Record::Tuple { role, stream, body } = record else {
+                panic!("record {seq} is not a tuple")
+            };
+            let want = if *kind == FULL { IngestRole::FULL } else { IngestRole::PROBE_REPLICA };
+            assert_eq!(*role, want);
+            let tuple = decode_tuple(*stream, body);
+            let expect = Tuple::new(a.stream, a.ts, SeqNo(seq as u64), a.values.clone());
+            assert!(tuple == expect, "record {seq}: {tuple:?} != {expect:?}");
+            assert_eq!(tuple.values.is_inline(), a.values.len() <= ROW_INLINE);
+        }
+        discard_buffer(&mut engine, 1);
+        engine.finish().unwrap();
+    }
+
+    /// A keyed arity-2 arrival travels as 5 words (40 bytes): header,
+    /// `ts`, `seq` and its two values.
+    #[test]
+    fn keyed_arity_two_record_is_five_words() {
+        let mut engine = engine(vec![pair_query("R1", "R2", WindowSpec::secs(9))], shards(2));
+        engine.push_tuple(0, FULL, &arrival(0, 2, 1), SeqNo(0));
+        assert_eq!(engine.buffers[0].len(), 5);
+        assert_eq!(engine.buffer_words, 64 * 5, "a buffer reserves batch_size records");
+        engine.finish().unwrap();
+    }
+
+    /// A record that would overflow its buffer's reservation sends the
+    /// batch ahead of it, so a buffer stays at `batch_size × (3 + widest
+    /// arity)` words even when wide tick summaries fill it.
+    #[test]
+    fn a_record_past_the_reservation_sends_the_batch_early() {
+        let mut engine = engine(
+            vec![pair_query("R1", "R2", WindowSpec::Tuples(4))],
+            ShardConfig {
+                shards: 2,
+                batch_size: 4,
+                ..ShardConfig::default()
+            },
+        );
+        engine.catalog.add_stream(StreamSchema::new("S2", &["k"]));
+        engine.pending_ticks = vec![0; 6];
+        for seq in 0..3 {
+            engine.push_tuple(1, FULL, &arrival(0, 2, seq), SeqNo(seq));
+        }
+        engine.pending_ticks[3..].fill(1);
+        engine.pending_any[1] = true;
+        // 15 words held, 20 reserved: the 7-word summary and its 5-word
+        // tuple start a batch.
+        engine.push_tuple(1, FULL, &arrival(0, 2, 3), SeqNo(3));
+        assert_eq!(engine.wire_words[1], 15, "the three tuples went ahead");
+        assert_eq!((engine.records[1], engine.buffers[1].len()), (2, 12));
+        discard_buffer(&mut engine, 1);
+        engine.finish().unwrap();
+    }
+
+    /// Under `Shed`, no tuple is ever left in a buffer behind counts that
+    /// were re-queued after it was written: whichever send the channel
+    /// rejects — the early one that makes room (a tight reservation), or
+    /// the one at `batch_size` (a roomy one) — a tuple's tick summary
+    /// reaches the worker ahead of it, and every dropped tuple is
+    /// accounted for.
+    #[test]
+    fn a_rejected_send_never_strands_a_tuple_ahead_of_its_ticks() {
+        for (batch_size, room) in (1..=4).flat_map(|b| [(b, 5), (b, 16)]) {
+            for held in 0..batch_size {
+                let mut engine = wide_engine(3);
+                engine.backpressure = Backpressure::Shed;
+                engine.batch_size = batch_size;
+                engine.buffer_words = batch_size * room;
+                // Every send to shard 1 is rejected.
+                let (dead, _) = bounded(1);
+                engine.senders[1] = dead;
+                for seq in 0..held {
+                    engine.push_tuple(1, FULL, &arrival(0, 2, seq as u64), SeqNo(seq as u64));
+                }
+                engine.pending_ticks[3..].copy_from_slice(&[2, 3, 4]);
+                engine.pending_any[1] = true;
+                engine.deliver_once(1, &arrival(1, 2, 9), SeqNo(9));
+                let case = format!("batch {batch_size}, room {room}, {held} held");
+                let tuples = records(&engine.buffers[1])
+                    .filter(|r| matches!(r, Record::Tuple { .. }))
+                    .count();
+                assert!(
+                    !(engine.pending_any[1] && tuples > 0),
+                    "{case}: a buffered tuple is behind re-queued ticks"
+                );
+                assert_eq!(engine.shed_channel as usize + tuples, held + 1, "{case}");
+                let mut ticks = [0; 3];
+                for (s, n) in buffered_ticks(&engine, 1) {
+                    ticks[s] += n;
+                }
+                for (s, t) in ticks.iter_mut().enumerate() {
+                    *t += engine.pending_ticks[3 + s];
+                }
+                // Held tuples (stream 0) are older, so they drop first.
+                let shed = engine.shed_channel;
+                let held_shed = shed.min(held as u64);
+                let expect = [2 + held_shed, 3 + shed - held_shed, 4];
+                assert_eq!(ticks, expect, "{case}: one tick per dropped tuple");
+                discard_buffer(&mut engine, 1);
+                engine.pending_any[1] = false;
+                engine.finish().unwrap();
+            }
+        }
     }
 
     /// A full channel must count rejected tuples as channel-shed but give
-    /// rejected tick summaries back to the pending counters — dropping
-    /// them would silently skew tuple-window expiry on the starved shard.
+    /// rejected tick summaries, and each dropped tuple or probe replica,
+    /// back to the pending counters — dropping them would silently skew
+    /// tuple-window expiry on the starved shard.
     #[test]
     fn rejected_batches_requeue_tick_summaries() {
         let mut engine = engine(
@@ -1301,31 +1522,27 @@ mod tests {
                 ..ShardConfig::default()
             },
         );
-        let mut counts = [0u32; TICK_LANES];
-        counts[0] = 3;
-        counts[1] = 1;
-        let tuple = |s: usize, q: u64| Tuple::new(StreamId(s), VTime::ZERO, SeqNo(q), Row::new());
-        let batch = vec![
-            Item::Ticks(TickBlock {
-                base: 0,
-                n: 2,
-                counts,
-            }),
-            Item::Tuple(tuple(0, 0)),
-            Item::Tuple(tuple(1, 1)),
-        ];
+        engine.pending_ticks[2] = 3;
+        engine.pending_ticks[2 + 1] = 1;
+        engine.pending_any[1] = true;
+        engine.push_tuple(1, FULL, &arrival(0, 2, 0), SeqNo(0));
+        engine.push_tuple(1, FULL, &arrival(1, 2, 0), SeqNo(1));
+        engine.push_tuple(1, PROBE_REPLICA, &arrival(0, 2, 0), SeqNo(2));
+        let batch = engine.buffers[1].clone();
+        discard_buffer(&mut engine, 1);
+        assert_eq!(engine.pending_ticks[2..], [0, 0], "the summary drained them");
         engine.account_rejected(1, &batch);
-        assert_eq!(engine.shed_channel, 2, "only tuples count as shed");
-        // Tick summary counts re-merge, and each shed tuple ticks its own
-        // shard (the other shards were already ticked at ingest).
-        assert_eq!(engine.pending_ticks[2], 3 + 1, "stream 0 re-queued");
+        assert_eq!(engine.shed_channel, 2, "only FULL tuples count as shed");
+        // Tick summary counts re-merge, and each dropped tuple or replica
+        // ticks its own shard (the other shards were ticked at ingest).
+        assert_eq!(engine.pending_ticks[2], 3 + 1 + 1, "stream 0 re-queued");
         assert_eq!(engine.pending_ticks[2 + 1], 1 + 1, "stream 1 re-queued");
         assert_eq!(engine.pending_ticks[0], 0, "other shard untouched");
         assert!(engine.pending_any[1], "re-queued counts marked dirty");
         assert!(!engine.pending_any[0]);
         // Re-queued counts drain into the next summary for that shard.
-        engine.flush_pending_ticks(1);
-        assert_eq!(buffered_ticks(&engine, 1), vec![(0, 4), (1, 2)]);
+        engine.write_ticks(1);
+        assert_eq!(buffered_ticks(&engine, 1), vec![(0, 5), (1, 2)]);
         assert_eq!(engine.pending_ticks[2], 0);
         assert!(!engine.pending_any[1]);
         engine.finish().unwrap();
@@ -1334,20 +1551,29 @@ mod tests {
     /// A union catalog past 256 streams (which `add_query` can grow) must
     /// still credit each tick to its own stream.
     #[test]
-    fn tick_blocks_address_streams_past_256() {
-        let mut engine = engine(
-            vec![pair_query("R1", "R2", WindowSpec::Tuples(4))],
-            shards(2),
-        );
-        for s in 2..301 {
-            engine.catalog.add_stream(StreamSchema::new(format!("S{s}"), &["k"]));
-        }
-        engine.pending_ticks = vec![0; 2 * 301];
+    fn tick_summaries_address_streams_past_256() {
+        let mut engine = wide_engine(301);
         engine.pending_ticks[301 + 300] = 5;
         engine.pending_any[1] = true;
-        engine.flush_pending_ticks(1);
+        engine.write_ticks(1);
         assert_eq!(buffered_ticks(&engine, 1), vec![(300, 5)]);
-        engine.buffers[1].clear();
+        discard_buffer(&mut engine, 1);
+        engine.finish().unwrap();
+    }
+
+    /// However wide the catalog, a shard's pending ticks leave as one
+    /// summary record: one pair per stream with a nonzero count.
+    #[test]
+    fn one_tick_summary_covers_a_wide_catalog() {
+        let mut engine = wide_engine(10);
+        for s in (0..10).step_by(3) {
+            engine.pending_ticks[10 + s] = s as u64 + 1;
+        }
+        engine.pending_any[1] = true;
+        engine.write_ticks(1);
+        assert_eq!(engine.records[1], 1);
+        assert_eq!(buffered_ticks(&engine, 1), vec![(0, 1), (3, 4), (6, 7), (9, 10)]);
+        discard_buffer(&mut engine, 1);
         engine.finish().unwrap();
     }
 

@@ -55,6 +55,25 @@ impl Row {
         }
     }
 
+    /// Builds a row from raw value words (inline when it fits): the
+    /// sharded data plane's decode, which a variable-length slice copy
+    /// would send through `memcpy`.
+    #[inline]
+    pub fn from_raw(words: &[u64]) -> Self {
+        if words.len() <= ROW_INLINE {
+            let mut buf = [Value(0); ROW_INLINE];
+            for (value, &word) in buf.iter_mut().zip(words) {
+                *value = Value(word);
+            }
+            Row(Repr::Inline {
+                len: words.len() as u8,
+                buf,
+            })
+        } else {
+            Row(Repr::Spill(words.iter().map(|&w| Value(w)).collect()))
+        }
+    }
+
     /// Appends a value, spilling to the heap past [`ROW_INLINE`].
     pub fn push(&mut self, value: Value) {
         match &mut self.0 {
@@ -219,6 +238,11 @@ mod tests {
             assert!(Row::from(vals(n)).is_inline(), "arity {n} must be inline");
         }
         assert!(!Row::from(vals(5)).is_inline(), "arity 5 must spill");
+        for n in 0..=6 {
+            let words: Vec<u64> = (0..n).collect();
+            let row = Row::from_raw(&words);
+            assert_eq!((row.is_inline(), row.as_slice()), (n <= 4, vals(n).as_slice()));
+        }
     }
 
     #[test]

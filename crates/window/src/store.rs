@@ -178,17 +178,10 @@ impl WindowStore {
         self.arrivals_seen
     }
 
-    /// Notes an arrival on this stream *without* storing it (the arrival
-    /// still advances tuple-based expiration). Used when the queue sheds a
-    /// tuple before it ever reaches the window.
-    pub fn note_arrival(&mut self) {
-        self.arrivals_seen += 1;
-    }
-
-    /// Notes `n` arrivals at once — the bulk form of
-    /// [`WindowStore::note_arrival`], used by sharded execution to apply a
-    /// coalesced foreign-arrival tick summary. Ticks only advance the
-    /// counter (expiry is evaluated on the next stored arrival), so `n`
+    /// Notes `n` arrivals on this stream *without* storing them (they
+    /// still advance tuple-based expiration), used by sharded execution to
+    /// apply a coalesced foreign-arrival tick summary. Ticks only advance
+    /// the counter (expiry is evaluated on the next stored arrival), so `n`
     /// single ticks and one bulk tick are observationally identical.
     pub fn note_arrivals(&mut self, n: u64) {
         self.arrivals_seen += n;
@@ -867,8 +860,8 @@ mod tests {
         let mut w = WindowStore::new(WindowSpec::Tuples(3), vec![0], 10);
         w.insert(tup(0, 0, 1, 0), 1.0);
         // Two arrivals that were shed upstream still age the window.
-        w.note_arrival();
-        w.note_arrival();
+        w.note_arrivals(1);
+        w.note_arrivals(1);
         assert!(w.expire(VTime::ZERO).is_empty(), "2 newer arrivals < 3");
         // A third arrival of the stream is counted ahead of its insert, so
         // the tuple it pushes out leaves before the insert finds it.

@@ -82,6 +82,12 @@ if grep -rnE 'SkewRouter|SpaceSaving|Item::Replica|STORE_REPLICA' crates/; then
   echo "FAIL: hot-key splitting is back under crates/"
   exit 1
 fi
+# Sharded batches are flat word records (DESIGN.md §9): the tagged channel
+# item and its fixed-lane tick blocks stay gone.
+if grep -rnE 'TickBlock|TICK_LANES|enum Item' crates/core; then
+  echo "FAIL: the tagged channel item is back in mstream-core (batches are word records)"
+  exit 1
+fi
 # The overload queue is a stage of the plane (DESIGN.md §13): every run,
 # Figure 6 included, goes through `ingest` / `flush`, so the side door —
 # its service loop, its config struct, the run-time wake-up — stays gone.
@@ -123,8 +129,8 @@ for S in 1 2 4; do
   OUT=$(cargo run --release -p mstream-cli -- run \
     --query "$KEYED_QUERY" --trace target/check_shard_trace.csv \
     --capacity 100000 --shards "$S" --json \
-    | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["output_tuples"], r["shards"], r["shed_window"], r["shed_channel"], r["epoch_rollovers"], r["priority_rebuilds"], r["replicated"], sum(r["routed"]), r["arrivals"])')
-  read -r TUPLES GOT_S SHED_W SHED_C ROLLS REBUILDS COPIES ROUTED ARRIVALS <<<"$OUT"
+    | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["output_tuples"], r["shards"], r["shed_window"], r["shed_channel"], r["epoch_rollovers"], r["priority_rebuilds"], r["replicated"], sum(r["routed"]), r["arrivals"], "%.2f" % (sum(r["wire_words"]) / sum(r["routed"])))')
+  read -r TUPLES GOT_S SHED_W SHED_C ROLLS REBUILDS COPIES ROUTED ARRIVALS WORDS <<<"$OUT"
   [ "$GOT_S" = "$S" ] || { echo "FAIL: requested $S shards, ran $GOT_S"; exit 1; }
   [ "$COPIES" = 0 ] && [ "$ROUTED" = "$ARRIVALS" ] \
     || { echo "FAIL: S=$S copied $COPIES arrivals and routed $ROUTED of $ARRIVALS"; exit 1; }
@@ -133,7 +139,7 @@ for S in 1 2 4; do
   [ "$REBUILDS" = 0 ] || { echo "FAIL: full-memory run rescored windows ($REBUILDS passes over $ROLLS rollovers)"; exit 1; }
   if [ -z "$BASELINE" ]; then BASELINE="$TUPLES"; fi
   [ "$TUPLES" = "$BASELINE" ] || { echo "FAIL: S=$S produced $TUPLES tuples, S=1 produced $BASELINE"; exit 1; }
-  echo "shard smoke: S=$S -> $TUPLES output tuples (matches baseline)"
+  echo "shard smoke: S=$S -> $TUPLES output tuples (matches baseline), $WORDS words per routed arrival"
 done
 # The same differential through `run --queries`: the one coordinator serves
 # a standing set too, so a keyed two-query set at full capacity must give

@@ -5,7 +5,7 @@
 //! allocator call, coordinator and workers together. That holds for one
 //! query and for a keyed query set with tuple windows, whose arrivals also
 //! queue expiry ticks for the shards they skip, delivered as coalesced
-//! tick blocks inside the recycled batches.
+//! tick-summary records inside the recycled batches.
 //!
 //! This is the only test in its binary (see `support/counting_alloc.rs`).
 

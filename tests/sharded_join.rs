@@ -267,7 +267,7 @@ fn tuple_windows_match_oracle_across_shards() {
 }
 
 /// Deep tick coalescing — a large batch size lets many foreign arrivals
-/// collapse into one [`Item::Ticks`] summary before the next home tuple —
+/// collapse into one tick-summary record before the next home tuple —
 /// must be observationally identical to per-arrival tick delivery: ticks
 /// only advance a stream's arrivals-seen counter, and expiry is evaluated
 /// against that counter when the next tuple is stored, so summing the
