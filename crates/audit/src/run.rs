@@ -152,21 +152,22 @@ impl Variant {
 /// divergence between them breaks. Odd seeds pin the score cache on
 /// against off (every policy); even seeds run each policy that lets the
 /// engine owe priorities plain against eager, and every other policy
-/// against itself. One run of each pair sits behind the front end
-/// (`front`: the trace carries no churn), so every pair also holds the
-/// event-time run to the in-order one; the first run is the engine as
-/// shipped, and the deferral pair keeps it in order, where it may defer.
+/// against itself. The first run of each pair sits behind the front end
+/// (`front`: no churn and no input queue) and the second runs in order, so
+/// every pair also holds the event-time run to the in-order one; in the
+/// deferral pair the first run is the engine as shipped, owing its
+/// priorities behind the front end.
 pub(crate) fn ab_pair(
     cache_ab: bool,
     front: bool,
     policy: &str,
 ) -> (Variant, Option<Variant>, FailureKind) {
     let shipped = Variant::default();
+    let first = Variant { front, ..shipped };
     if cache_ab {
         let on = Variant {
             cache: Some(true),
-            front,
-            ..shipped
+            ..first
         };
         let off = Variant {
             cache: Some(false),
@@ -177,14 +178,12 @@ pub(crate) fn ab_pair(
     if shipped.policy(policy).deferrable_priority() {
         let eager = Variant {
             eager: true,
-            front,
             ..shipped
         };
-        return (shipped, Some(eager), FailureKind::DeferralDivergence);
+        return (first, Some(eager), FailureKind::DeferralDivergence);
     }
-    let event_time = Variant { front, ..shipped };
     (
-        event_time,
+        first,
         front.then_some(shipped),
         FailureKind::DisorderContract,
     )

@@ -326,7 +326,6 @@ impl QueryCore {
         let may_defer = policy.deferrable_priority()
             && declared.recompute_on_epoch
             && declared.sketches
-            && config.disorder.is_none()
             && !matches!(config.memory, MemoryMode::GlobalPool(_));
         Ok(QueryCore {
             plans: ProbePlan::all(&query),
@@ -376,14 +375,13 @@ impl QueryCore {
     }
 
     /// The policy next to the estimation state it scores against.
-    fn scoring(&mut self, now: VTime, event_time: bool) -> (&mut dyn ShedPolicy, PriorityCtx<'_>) {
+    fn scoring(&mut self, now: VTime) -> (&mut dyn ShedPolicy, PriorityCtx<'_>) {
         let ctx = PriorityCtx {
             query: &self.query,
             sketches: self.sketches.as_mut(),
             partner_freq: self.partner_freq.as_ref(),
             now,
             rng: &mut self.rng,
-            event_time,
         };
         (self.policy.as_mut(), ctx)
     }
@@ -392,17 +390,15 @@ impl QueryCore {
     /// query-local stream) enters its window with. All scores funnel
     /// through the finite clamp before they reach a priority heap —
     /// third-party policies included.
-    fn admission_score(&mut self, tuple: &Tuple, now: VTime, event_time: bool) -> (f64, f64) {
-        let (policy, mut ctx) = self.scoring(now, event_time);
+    fn admission_score(&mut self, tuple: &Tuple, now: VTime) -> (f64, f64) {
+        let (policy, mut ctx) = self.scoring(now);
         let (score, state) = policy.window_priority_with_state(&mut ctx, tuple, 0);
         (clamp_score(score), state)
     }
 
     /// Priority the policy assigns `tuple` if it were queued right now.
-    /// The queue never sits behind the reorder stage, so the score reads
-    /// the live epoch.
     pub(crate) fn queue_score(&mut self, tuple: &Tuple, now: VTime) -> f64 {
-        let (policy, mut ctx) = self.scoring(now, false);
+        let (policy, mut ctx) = self.scoring(now);
         clamp_score(policy.queue_priority(&mut ctx, tuple))
     }
 
@@ -410,8 +406,7 @@ impl QueryCore {
     /// answer must not depend on *when* it is computed (DESIGN.md §16).
     /// That holds when the policy declares its priority a function of key
     /// values, produced count and the frozen snapshot
-    /// ([`ShedPolicy::deferrable_priority`]) and rebuilds at rollovers, no
-    /// event-time front end scores late tuples against an older snapshot,
+    /// ([`ShedPolicy::deferrable_priority`]) and rebuilds at rollovers,
     /// memory is per window (the pool picks its victim across heaps on
     /// every overflow) — fixed at construction — and every stream has
     /// completed an epoch, so no estimate reads the live bank.
@@ -450,7 +445,6 @@ impl QueryCore {
         store: &mut WindowStore,
         tuple: Tuple,
         now: VTime,
-        event_time: bool,
         sample: Sample,
         metrics: &mut EngineMetrics,
     ) -> InsertOutcome {
@@ -465,7 +459,7 @@ impl QueryCore {
             self.timed_rescore(store, now, metrics);
         }
         let (score, state) = sample.time(&mut metrics.score_ns, || {
-            self.admission_score(&tuple, now, event_time)
+            self.admission_score(&tuple, now)
         });
         sample.time(&mut metrics.insert_ns, || store.insert_scored(tuple, score, state))
     }
@@ -479,17 +473,10 @@ impl QueryCore {
         metrics.priority_rebuilds += 1;
     }
 
-    /// Rollover rescoring of one store's residents.
-    ///
-    /// Residents are rescored against the *current* epoch snapshot even in
-    /// event-time mode: the paper's rollover rescoring asks "how productive
-    /// will this tuple be from now on", not "which epoch did it arrive in"
-    /// — and the trusting engine does exactly this, which the K = 0
-    /// bit-identity contract (DESIGN.md §13) pins. Event-time epoch
-    /// targeting applies only where a tuple's own timestamp is the scoring
-    /// instant: admission scoring.
+    /// Rollover rescoring of one store's residents against the current
+    /// epoch snapshot.
     pub(crate) fn rescore_store(&mut self, store: &mut WindowStore, now: VTime) {
-        let (policy, mut ctx) = self.scoring(now, false);
+        let (policy, mut ctx) = self.scoring(now);
         if policy.groupable_estimate() {
             // Walk residents grouped by distinct join key: one
             // estimation-kernel run per key, fanned out to every slot

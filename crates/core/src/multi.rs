@@ -889,7 +889,6 @@ impl MultiQueryEngine {
         );
         self.clock = now;
         let sample = self.stage_clock.next_arrival();
-        let event_time = self.front.is_some();
         let Self {
             queries,
             classes,
@@ -1020,7 +1019,7 @@ impl MultiQueryEngine {
             local.stream = entry.owner_local;
             let outcome = owner
                 .core
-                .admit(&mut entry.store, local, now, event_time, sample, metrics);
+                .admit(&mut entry.store, local, now, sample, metrics);
             stored |= outcome.slot.is_some();
             copies += 1;
             if let Eviction::Evicted(_) = outcome.eviction {

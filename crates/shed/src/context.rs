@@ -39,13 +39,6 @@ pub struct PriorityCtx<'a> {
     pub now: VTime,
     /// The engine's seeded rng (for randomized policies).
     pub rng: &'a mut StdRng,
-    /// Whether the engine runs with an event-time front end (a disorder
-    /// bound is configured). When set, productivity queries target the
-    /// tumbling-sketch epoch the tuple's *timestamp* belongs to — a late
-    /// tuple is scored against the (frozen) snapshot that was in force
-    /// during its epoch, not the current one (DESIGN.md §13). When clear,
-    /// scoring keeps the legacy current-epoch discipline bit for bit.
-    pub event_time: bool,
 }
 
 impl<'a> PriorityCtx<'a> {
@@ -55,29 +48,17 @@ impl<'a> PriorityCtx<'a> {
     /// clamp to 0, and non-finite estimates (overflowed products, NaN)
     /// clamp through [`crate::policies::clamp_score`] so lifetime-weighted
     /// policies can never derive a `0 × ∞ = NaN` heap priority from them.
-    ///
-    /// With [`PriorityCtx::event_time`] set, the query targets the epoch
-    /// `tuple.ts` belongs to (a late tuple consults the frozen snapshot of
-    /// its own era). The clamp applies to *both* paths: an epoch-lookup
-    /// estimate from a frozen epoch with zero counters is exactly 0 after
-    /// clamping, and policies that divide by the estimate floor the
-    /// denominator at `f64::EPSILON` so a late dead tuple scores finite
-    /// instead of `0/0`.
+    /// A frozen epoch that saw no arrivals estimates exactly 0, so policies
+    /// that divide by the estimate floor the denominator at `f64::EPSILON`.
     ///
     /// # Panics
     /// Panics if the policy did not declare `sketches` in its requirements.
     pub fn productivity(&mut self, tuple: &Tuple) -> f64 {
-        let event_time = self.event_time;
         let sketches = self
             .sketches
             .as_deref_mut()
             .expect("policy did not declare Requirements::sketches");
-        let raw = if event_time {
-            sketches.productivity_at(tuple.stream, &tuple.values, tuple.ts)
-        } else {
-            sketches.productivity(tuple.stream, &tuple.values)
-        };
-        crate::policies::clamp_score(raw).max(0.0)
+        crate::policies::clamp_score(sketches.productivity(tuple.stream, &tuple.values)).max(0.0)
     }
 
     /// Productivity of `tuple` against the *current* (still accumulating)
@@ -210,7 +191,6 @@ mod tests {
             partner_freq: None,
             now: VTime::from_secs(30),
             rng: &mut rng,
-            event_time: false,
         };
         // Arrived at t=10 with p=100: 80s left at t=30.
         assert_eq!(ctx.remaining_lifetime_secs(&tup(0, 10, 1, 1)), 80.0);
@@ -234,7 +214,6 @@ mod tests {
             partner_freq: None,
             now: VTime::from_secs(20),
             rng: &mut rng,
-            event_time: false,
         };
         let end_of_time = VTime::from_micros(u64::MAX);
         let left = ctx.remaining_lifetime_secs(&tup(0, 10, 1, 1));
@@ -262,7 +241,6 @@ mod tests {
             partner_freq: Some(&pf),
             now: VTime::ZERO,
             rng: &mut rng,
-            event_time: false,
         };
         // R1 tuple with A1=7: 3 partner arrivals on R2.
         assert_eq!(ctx.partner_frequency(&tup(0, 0, 7, 0)), 3.0);
@@ -292,7 +270,6 @@ mod tests {
             partner_freq: Some(&pf),
             now: VTime::from_secs(11),
             rng: &mut rng,
-            event_time: false,
         };
         // R1 consults R2's LAST epoch: 4 sevens, zero nines.
         assert_eq!(ctx.binary_tree_frequency(&tup(0, 11, 7, 0)), 4.0);
@@ -318,7 +295,6 @@ mod tests {
             partner_freq: None,
             now: VTime::ZERO,
             rng: &mut rng,
-            event_time: false,
         };
         // Empty sketches -> estimate 0, and never below.
         assert!(ctx.productivity(&tup(0, 0, 1, 1)) >= 0.0);
@@ -343,7 +319,6 @@ mod tests {
             partner_freq: None,
             now: VTime::ZERO,
             rng: &mut rng,
-            event_time: false,
         };
         assert_eq!(ctx.sketch_cache_stats().unwrap().misses, 0);
         let _ = ctx.productivity(&tup(0, 0, 1, 1));
@@ -358,7 +333,6 @@ mod tests {
             partner_freq: None,
             now: VTime::ZERO,
             rng: &mut rng2,
-            event_time: false,
         };
         assert!(ctx2.sketch_cache_stats().is_none());
     }
@@ -374,7 +348,6 @@ mod tests {
             partner_freq: None,
             now: VTime::ZERO,
             rng: &mut rng,
-            event_time: false,
         };
         let _ = ctx.productivity(&tup(0, 0, 1, 1));
     }
@@ -392,7 +365,6 @@ mod tests {
             partner_freq: None,
             now: VTime::from_secs(5),
             rng: &mut rng,
-            event_time: false,
         };
         let t = Tuple::new(StreamId(0), VTime::ZERO, SeqNo(0), vec![Value(1)]);
         assert_eq!(ctx.remaining_lifetime_secs(&t), 1.0);

@@ -602,7 +602,6 @@ mod tests {
             partner_freq: pf,
             now: VTime::from_secs(now),
             rng,
-            event_time: false,
         }
     }
 
@@ -715,12 +714,12 @@ mod tests {
     }
 
     #[test]
-    fn late_tuple_against_empty_frozen_epoch_scores_finite() {
-        // The epoch-lookup path (event-time engines): a late tuple whose
-        // timestamp targets a frozen epoch with all-zero counters gets a
-        // productivity estimate of exactly 0. MSketch-RS divides produced
-        // output by that expectation — without the EPSILON denominator
-        // floor this would be 0/0 = NaN straight into a priority heap.
+    fn tuple_against_empty_last_epoch_scores_finite() {
+        // A gap of two or more epochs leaves the `last` snapshot all-zero,
+        // so a tuple of the current epoch gets a productivity estimate of
+        // exactly 0. MSketch-RS divides produced output by that
+        // expectation — without the EPSILON denominator floor this would
+        // be 0/0 = NaN straight into a priority heap.
         let q = chain3();
         let mut sk = TumblingSketches::new(
             &q,
@@ -732,39 +731,31 @@ mod tests {
             EpochSpec::Time(VDur::from_secs(10)),
         );
         // One populated first epoch, then a jump across several empty
-        // epochs: both frozen snapshots end up all-zero.
+        // epochs: the frozen snapshot ends up all-zero.
         sk.observe(StreamId(1), &[Value(3), Value(3)], VTime::ZERO);
         sk.observe(StreamId(2), &[Value(3), Value(0)], VTime::ZERO);
         sk.observe(StreamId(1), &[Value(0), Value(0)], VTime::from_secs(55));
         let mut rng = StdRng::seed_from_u64(0);
-        let mut c = PriorityCtx {
-            query: &q,
-            sketches: Some(&mut sk),
-            partner_freq: None,
-            now: VTime::from_secs(55),
-            rng: &mut rng,
-            event_time: true,
-        };
-        // Late tuple: stamped two epochs back, well before the current
-        // epoch's start at t=50.
-        let late = tup(0, 0, 42, 3, 0);
-        assert_eq!(c.productivity(&late), 0.0, "empty frozen epoch estimates 0");
-        assert_eq!(MSketch.window_priority(&mut c, &late, 0), 0.0);
-        let age = Age.window_priority(&mut c, &late, 0);
+        let mut c = ctx(&q, Some(&mut sk), None, 55, &mut rng);
+        // A tuple of the current epoch [50, 60).
+        let t = tup(0, 0, 55, 3, 0);
+        assert_eq!(c.productivity(&t), 0.0, "empty frozen epoch estimates 0");
+        assert_eq!(MSketch.window_priority(&mut c, &t, 0), 0.0);
+        let age = Age.window_priority(&mut c, &t, 0);
         assert!(age.is_finite() && age >= 0.0, "age={age}");
         let mut p = MSketchRs;
         for produced in [0, 1, 10, u64::MAX] {
-            let (score, state) = p.window_priority_with_state(&mut c, &late, produced);
+            let (score, state) = p.window_priority_with_state(&mut c, &t, produced);
             assert!(score.is_finite(), "produced={produced} score={score}");
             assert!(state.is_finite());
             assert!(p.refresh_priority(state, produced).is_finite());
         }
         assert_eq!(
-            p.window_priority(&mut c, &late, 0),
+            p.window_priority(&mut c, &t, 0),
             0.0,
-            "late dead tuple gets no protection, not a NaN priority"
+            "a dead tuple gets no protection, not a NaN priority"
         );
-        assert!(p.window_priority(&mut c, &late, 3) < 0.0);
+        assert!(p.window_priority(&mut c, &t, 3) < 0.0);
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //! * keys carry an **epoch generation** — bumped on every roll (any
 //!   stream, either epoch discipline) — so an entry can never outlive the
 //!   snapshot it was computed from;
-//! * the standard last-epoch lookup keys at the current generation; the
-//!   event-time *late* lookup keys at `generation − 1` (the `prev` bank it
-//!   reads is the snapshot that was `last` one roll ago);
+//! * every lookup keys at the current generation: no tuple is ever scored
+//!   against an older snapshot;
 //! * only fully-frozen lookups are cacheable — any path that folds a
 //!   *live* (still-accumulating) bank row is recomputed every time;
 //! * the table is bounded in the style of the packed-sign memo: hitting
@@ -48,9 +47,7 @@ pub const MAX_CACHED_ATTRS: usize = 4;
 /// inputs can never alias and a hit is bit-identical by construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ScoreKey {
-    /// Epoch generation the frozen snapshot belongs to (the current
-    /// generation for last-epoch lookups, `gen − 1` for late lookups
-    /// against the `prev` bank).
+    /// Epoch generation the frozen snapshot belongs to.
     pub generation: u64,
     /// Arriving tuple's stream.
     pub stream: u32,
@@ -151,9 +148,8 @@ impl ScoreCache {
     }
 
     /// Structural audit: occupancy respects the bound, and every resident
-    /// entry was keyed at the current generation (standard lookups) or one
-    /// behind it (late lookups against the `prev` bank) — rollover
-    /// invalidation can never leave an older estimate behind.
+    /// entry was keyed at the current generation — rollover invalidation
+    /// can never leave an older estimate behind.
     ///
     /// # Panics
     /// Panics on any violated invariant.
@@ -170,12 +166,10 @@ impl ScoreCache {
             "disabled score cache holds entries"
         );
         for key in self.map.keys() {
-            assert!(
-                key.generation == current_generation
-                    || key.generation == current_generation.wrapping_sub(1),
+            assert_eq!(
+                key.generation, current_generation,
                 "stale score-cache entry: generation {} at roll {}",
-                key.generation,
-                current_generation
+                key.generation, current_generation
             );
         }
     }
@@ -222,6 +216,14 @@ mod tests {
         c.insert(key(2, 7), 2.0);
         assert_eq!(c.get(&key(1, 7)), Some(1.0));
         assert_eq!(c.get(&key(2, 7)), Some(2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "stale score-cache entry")]
+    fn an_entry_one_generation_behind_is_stale() {
+        let mut c = ScoreCache::with_capacity_bound(8, true);
+        c.insert(key(1, 7), 1.0);
+        c.check_invariants(2);
     }
 
     #[test]

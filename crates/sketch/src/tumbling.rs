@@ -58,16 +58,6 @@ pub struct TumblingSketches {
     last: Vec<i64>,
     /// Whether stream `k` has completed at least one epoch.
     has_last: Vec<bool>,
-    /// The `last` snapshot as it stood *before* the most recent roll — the
-    /// estimation state that was in force while the previous epoch was
-    /// current. Late tuples whose timestamp predates the current epoch are
-    /// scored against this bank ([`TumblingSketches::productivity_at`]), so
-    /// frozen epochs stay addressable for one extra epoch (covering any
-    /// disorder bound `K <= n`).
-    prev: Vec<i64>,
-    /// Whether stream `k` has a meaningful `prev` snapshot (two completed
-    /// epochs).
-    has_prev: Vec<bool>,
     epoch: EpochSpec,
     /// Time-mode: where the current epoch began, a whole number of epochs
     /// from the origin. The next global roll fires one epoch later; an
@@ -76,9 +66,9 @@ pub struct TumblingSketches {
     /// Tuple-mode: arrivals seen per stream since its last roll.
     arrivals: Vec<u64>,
     /// Scratch buffer of per-copy statistics for the paths that build the
-    /// signed products before they sum them (the general mixed path, the
-    /// late-tuple path, and the fall-backs of the fused ones). Empty until
-    /// one of them first runs.
+    /// signed products before they sum them (the general mixed path and
+    /// the fall-backs of the fused ones). Empty until one of them first
+    /// runs.
     scratch: Vec<f64>,
     /// Scratch buffer of group means for median-of-means.
     groups: Vec<f64>,
@@ -115,8 +105,6 @@ impl TumblingSketches {
             bank,
             last: vec![0; n_streams * copies],
             has_last: vec![false; n_streams],
-            prev: vec![0; n_streams * copies],
-            has_prev: vec![false; n_streams],
             epoch,
             epoch_start: VTime::ZERO,
             arrivals: vec![0; n_streams],
@@ -145,11 +133,10 @@ impl TumblingSketches {
     pub fn observe(&mut self, stream: StreamId, values: &[Value], now: VTime) -> bool {
         let rolled = match self.epoch {
             EpochSpec::Time(n) => {
-                // A gap of k epochs rolls min(k, 3) times: by the third roll
-                // `last` and `prev` both hold an empty epoch, and every
-                // further roll would leave them so.
+                // A gap of k epochs rolls min(k, 2) times: the second roll
+                // leaves `last` empty, and every further roll would too.
                 let elapsed = elapsed_epochs(&mut self.epoch_start, now, n);
-                for _ in 0..elapsed.min(3) {
+                for _ in 0..elapsed.min(2) {
                     self.roll_all();
                 }
                 elapsed > 0
@@ -197,14 +184,12 @@ impl TumblingSketches {
         self.score_cache.clear();
     }
 
-    /// The data movement of a roll: `stream`'s `last` snapshot becomes its
-    /// `prev`, and its settled bank counters move straight into `last`.
+    /// The data movement of a roll: `stream`'s settled bank counters move
+    /// straight into its `last` snapshot.
     fn shift_snapshots(&mut self, stream: StreamId) {
         let copies = self.bank.config().copies();
         let k = stream.index();
         let last = &mut self.last[k * copies..(k + 1) * copies];
-        self.prev[k * copies..(k + 1) * copies].copy_from_slice(last);
-        self.has_prev[k] = self.has_last[k];
         self.bank.roll_stream_into(stream, last);
         self.has_last[k] = true;
     }
@@ -240,7 +225,7 @@ impl TumblingSketches {
         // live bank rows that change on every arrival.
         let frozen = (0..n).all(|k| k == i || self.has_last[k]);
         let key = if frozen {
-            self.cache_key(stream, values, self.generation)
+            self.cache_key(stream, values)
         } else {
             None
         };
@@ -348,99 +333,12 @@ impl TumblingSketches {
         }
     }
 
-    /// When the current (still-accumulating) epoch began, for time-based
-    /// epochs (`None` in tuple mode, where epochs are arrival-counted and
-    /// have no timestamp extent).
-    pub fn current_epoch_start(&self) -> Option<VTime> {
-        match self.epoch {
-            EpochSpec::Time(_) => Some(self.epoch_start),
-            EpochSpec::PerStreamTuples(_) => None,
-        }
-    }
-
-    /// Epoch-targeted productivity: the estimate in force for the epoch
-    /// `ts` *belongs to*, not necessarily the current one (DESIGN.md §13).
-    ///
-    /// A tuple whose timestamp falls inside the current epoch is scored
-    /// exactly like [`TumblingSketches::productivity`] — bit-identically,
-    /// so in-order runs are unaffected. A *late* tuple (time-based epochs,
-    /// `ts` before the current epoch's start) is scored against the
-    /// snapshot that was serving queries while its epoch was current: the
-    /// `prev` bank kept one roll longer for exactly this purpose. Frozen
-    /// epochs therefore stay addressable for one extra epoch length, which
-    /// covers any disorder bound `K <= n`.
-    ///
-    /// A frozen epoch that saw no arrivals has all-zero counters and
-    /// estimates 0 — callers that divide by such an estimate must guard
-    /// the denominator (the built-in policies floor it at `f64::EPSILON`;
-    /// see `MSketchRs::refresh_priority`).
-    ///
-    /// Tuple-mode epochs are arrival-counted: a timestamp does not place a
-    /// tuple in an epoch, so the lookup falls back to the standard
-    /// last-epoch estimate.
-    pub fn productivity_at(&mut self, stream: StreamId, values: &[Value], ts: VTime) -> f64 {
-        let late = match self.current_epoch_start() {
-            Some(start) => ts < start,
-            None => false,
-        };
-        if !late || !self.has_prev.iter().any(|&h| h) {
-            return self.productivity(stream, values);
-        }
-        // Cold path (late tuples only): fold the per-stream rows of the
-        // previous-epoch snapshot, falling back per stream to the newest
-        // state we have for streams that had not completed two epochs.
-        //
-        // Cacheable only when every partner row is frozen (prev or last
-        // snapshot — never the live bank), keyed at `generation − 1`: the
-        // prev bank this path reads is the snapshot that was `last` one
-        // roll ago, so late lookups can never alias same-epoch lookups of
-        // the same key values.
-        let i = stream.index();
-        let n = self.has_last.len();
-        let frozen = (0..n).all(|k| k == i || self.has_prev[k] || self.has_last[k]);
-        let key = if frozen {
-            self.cache_key(stream, values, self.generation.wrapping_sub(1))
-        } else {
-            None
-        };
-        if let Some(key) = &key {
-            if let Some(v) = self.score_cache.get(key) {
-                return v;
-            }
-        }
-        let copies = self.bank.config().copies();
-        self.bank.packed_signs_into(stream, values, &mut self.words);
-        self.settle_live_partners(i);
-        self.scratch.clear();
-        self.scratch.resize(copies, 1.0);
-        for k in 0..n {
-            if k == i {
-                continue;
-            }
-            let row: &[i64] = if self.has_prev[k] {
-                &self.prev[k * copies..(k + 1) * copies]
-            } else if self.has_last[k] {
-                &self.last[k * copies..(k + 1) * copies]
-            } else {
-                self.bank.settled_row(StreamId(k))
-            };
-            kernel::multiply_row(&mut self.scratch, row);
-        }
-        kernel::apply_packed_signs(&self.words, &mut self.scratch);
-        let cfg = self.bank.config();
-        let v = median_of_means_into(cfg.s1, cfg.s2, &self.scratch, &mut self.groups);
-        if let Some(key) = key {
-            self.score_cache.insert(key, v);
-        }
-        v
-    }
-
     /// The score-cache key of a frozen lookup: the raw values of the
     /// stream's incident join attributes (the only tuple inputs the sign
     /// product — and hence the estimate — depends on), in incidence order.
     /// `None` when memoization is off or the stream has more incident
     /// attributes than the inline key holds.
-    fn cache_key(&self, stream: StreamId, values: &[Value], generation: u64) -> Option<ScoreKey> {
+    fn cache_key(&self, stream: StreamId, values: &[Value]) -> Option<ScoreKey> {
         if !self.score_cache.enabled() {
             return None;
         }
@@ -453,7 +351,7 @@ impl TumblingSketches {
             *slot = values[attr].raw();
         }
         Some(ScoreKey {
-            generation,
+            generation: self.generation,
             stream: stream.index() as u32,
             values: vals,
             n_values: incidence.len() as u8,
@@ -536,14 +434,6 @@ impl TumblingSketches {
         let n = self.has_last.len();
         let copies = self.bank.config().copies();
         assert_eq!(self.last.len(), n * copies, "last snapshot shape");
-        assert_eq!(self.prev.len(), n * copies, "prev snapshot shape");
-        assert_eq!(self.has_prev.len(), n, "has_prev shape");
-        for (k, &hp) in self.has_prev.iter().enumerate() {
-            assert!(
-                !hp || self.has_last[k],
-                "stream {k} has a prev snapshot but no last snapshot"
-            );
-        }
         assert_eq!(self.cross.len(), n * copies, "cross-product shape");
         assert_eq!(self.cross_valid.len(), n, "cross_valid shape");
         assert_eq!(self.cross_exact.len(), n, "cross_exact shape");
@@ -658,11 +548,11 @@ mod tests {
         assert_eq!(p, 0.0, "last epoch was empty");
     }
 
-    /// Past three epochs a gap changes nothing but the epoch start: a jump
-    /// of 10^12 epochs costs three rolls, not 10^12, and leaves the same
-    /// estimates as a jump of three.
+    /// Past two epochs a gap changes nothing but the epoch start: a jump
+    /// of 10^12 epochs costs two rolls, not 10^12, and leaves the same
+    /// estimates as a jump of two.
     #[test]
-    fn a_jump_of_many_epochs_matches_a_jump_of_three() {
+    fn a_jump_of_many_epochs_matches_a_jump_of_two() {
         let q = chain_query();
         let n = VDur::from_secs(10);
         let jump = |epochs: u64| {
@@ -675,26 +565,24 @@ mod tests {
             ts.observe(StreamId(1), &v(7, 3), VTime::from_secs(15));
             let start = VTime::ZERO + n.mul(1 + epochs);
             assert!(ts.observe(StreamId(2), &v(3, 0), start + VDur::from_secs(4)));
-            assert_eq!(ts.current_epoch_start(), Some(start));
+            assert_eq!(ts.epoch_start, start);
             ts.check_invariants();
             // The rest of the epoch rolls nothing; its end rolls once.
             assert!(!ts.observe(StreamId(0), &v(2, 1), start + VDur::from_secs(9)));
             let estimates = |ts: &mut TumblingSketches| -> Vec<u64> {
-                let late = start - VDur::from_secs(1);
-                let mut bits = Vec::new();
-                for a in 0..15u64 {
-                    let s = StreamId((a % 3) as usize);
-                    bits.push(ts.productivity(s, &v(a % 5, a % 3)).to_bits());
-                    bits.push(ts.productivity_at(s, &v(a % 5, 0), late).to_bits());
-                }
-                bits
+                (0..15u64)
+                    .map(|a| {
+                        let s = StreamId((a % 3) as usize);
+                        ts.productivity(s, &v(a % 5, a % 3)).to_bits()
+                    })
+                    .collect()
             };
             let before = estimates(&mut ts);
             assert!(ts.observe(StreamId(0), &v(1, 1), start + n));
-            assert_eq!(ts.current_epoch_start(), Some(start + n));
+            assert_eq!(ts.epoch_start, start + n);
             (before, estimates(&mut ts))
         };
-        assert_eq!(jump(1_000_000_000_000), jump(3));
+        assert_eq!(jump(1_000_000_000_000), jump(2));
     }
 
     /// An epoch of 2^62 µs has three boundaries below `u64::MAX`; the fourth
@@ -706,7 +594,7 @@ mod tests {
         let mut ts = TumblingSketches::new(&q, cfg(8, 3), EpochSpec::Time(n));
         ts.observe(StreamId(1), &v(1, 1), VTime::from_secs(1));
         assert!(ts.observe(StreamId(1), &v(1, 1), VTime::from_micros(u64::MAX - 1)));
-        assert_eq!(ts.current_epoch_start(), Some(VTime::from_micros(3 << 62)));
+        assert_eq!(ts.epoch_start, VTime::from_micros(3 << 62));
         assert!(!ts.observe(StreamId(2), &v(1, 1), VTime::from_micros(u64::MAX)));
         ts.check_invariants();
         // The last completed epoch, [2·2^62, 3·2^62), was empty.
@@ -779,73 +667,6 @@ mod tests {
             after_roll.to_bits(),
             ts.productivity(StreamId(0), &v(2, 0)).to_bits()
         );
-    }
-
-    #[test]
-    fn productivity_at_matches_productivity_for_current_epoch_timestamps() {
-        let q = chain_query();
-        let mut ts = TumblingSketches::new(&q, cfg(64, 8), EpochSpec::Time(VDur::from_secs(10)));
-        for i in 0..25u64 {
-            let s = StreamId((i % 3) as usize);
-            ts.observe(s, &v(i % 5, i % 3), VTime::from_secs(i % 9));
-        }
-        ts.observe(StreamId(0), &v(1, 1), VTime::from_secs(30));
-        assert_eq!(ts.current_epoch_start(), Some(VTime::from_secs(30)));
-        let normal = ts.productivity(StreamId(0), &v(2, 0));
-        let at = ts.productivity_at(StreamId(0), &v(2, 0), VTime::from_secs(31));
-        assert_eq!(normal.to_bits(), at.to_bits(), "in-epoch lookup is the standard path");
-        // The epoch-start instant itself belongs to the current epoch.
-        let boundary = ts.productivity_at(StreamId(0), &v(2, 0), VTime::from_secs(30));
-        assert_eq!(normal.to_bits(), boundary.to_bits());
-    }
-
-    #[test]
-    fn productivity_at_consults_the_previous_epoch_for_late_timestamps() {
-        let q = chain_query();
-        let mut ts = TumblingSketches::new(&q, cfg(300, 2), EpochSpec::Time(VDur::from_secs(10)));
-        // Epoch [0, 10): 20 R2 partners for value 7, 10 R3 partners.
-        for _ in 0..20 {
-            ts.observe(StreamId(1), &v(7, 3), VTime::from_secs(1));
-        }
-        for _ in 0..10 {
-            ts.observe(StreamId(2), &v(3, 0), VTime::from_secs(2));
-        }
-        // Epoch [10, 20): value 7 disappears entirely.
-        ts.observe(StreamId(1), &v(0, 0), VTime::from_secs(11));
-        // Epoch [20, 30) current: `last` = the empty-of-7s epoch, `prev` =
-        // the partner-rich epoch.
-        ts.observe(StreamId(1), &v(0, 0), VTime::from_secs(21));
-        let current_epoch = ts.productivity(StreamId(0), &v(7, 0));
-        assert!(current_epoch.abs() < 40.0, "last epoch saw no 7s: {current_epoch}");
-        // A late tuple stamped into the previous epoch sees its own era:
-        // 20 × 10 = 200.
-        let late = ts.productivity_at(StreamId(0), &v(7, 0), VTime::from_secs(15));
-        assert!((late - 200.0).abs() / 200.0 < 0.5, "late={late}");
-    }
-
-    #[test]
-    fn productivity_at_with_empty_previous_epoch_estimates_zero() {
-        let q = chain_query();
-        let mut ts = TumblingSketches::new(&q, cfg(8, 3), EpochSpec::Time(VDur::from_secs(10)));
-        ts.observe(StreamId(1), &v(1, 1), VTime::from_secs(1));
-        // Jump several epochs: both `last` and `prev` end up all-zero.
-        ts.observe(StreamId(1), &v(1, 1), VTime::from_secs(45));
-        let late = ts.productivity_at(StreamId(0), &v(1, 0), VTime::from_secs(35));
-        assert_eq!(late, 0.0, "frozen epoch with zero counters estimates 0, not NaN");
-        ts.check_invariants();
-    }
-
-    #[test]
-    fn productivity_at_in_tuple_mode_falls_back_to_last_epoch() {
-        let q = chain_query();
-        let mut ts = TumblingSketches::new(&q, cfg(64, 4), EpochSpec::PerStreamTuples(10));
-        for i in 0..10 {
-            ts.observe(StreamId(1), &v(4, i % 2), VTime::ZERO);
-        }
-        assert_eq!(ts.current_epoch_start(), None);
-        let normal = ts.productivity(StreamId(0), &v(4, 0));
-        let at = ts.productivity_at(StreamId(0), &v(4, 0), VTime::ZERO);
-        assert_eq!(normal.to_bits(), at.to_bits());
     }
 
     #[test]
@@ -931,43 +752,6 @@ mod tests {
             let again = ts.productivity(StreamId(0), &v(a as u64, 0));
             assert_eq!(again.to_bits(), want.to_bits(), "value {a}");
         }
-    }
-
-    #[test]
-    fn score_cache_keys_late_lookups_at_the_prev_generation() {
-        // Same shape as productivity_at_consults_the_previous_epoch...:
-        // `last` is empty of 7s, `prev` is partner-rich. The late and
-        // current lookups of the SAME key values must not alias.
-        let q = chain_query();
-        let mut ts = TumblingSketches::new(&q, cfg(300, 2), EpochSpec::Time(VDur::from_secs(10)));
-        ts.set_score_cache(true);
-        for _ in 0..20 {
-            ts.observe(StreamId(1), &v(7, 3), VTime::from_secs(1));
-        }
-        for _ in 0..10 {
-            ts.observe(StreamId(2), &v(3, 0), VTime::from_secs(2));
-        }
-        ts.observe(StreamId(1), &v(0, 0), VTime::from_secs(11));
-        ts.observe(StreamId(1), &v(0, 0), VTime::from_secs(21));
-        for _ in 0..2 {
-            // Twice: second round exercises the memoized path of each.
-            let current = ts.productivity_at(StreamId(0), &v(7, 0), VTime::from_secs(22));
-            let late = ts.productivity_at(StreamId(0), &v(7, 0), VTime::from_secs(15));
-            assert!(current.abs() < 40.0, "current epoch saw no 7s: {current}");
-            assert!((late - 200.0).abs() / 200.0 < 0.5, "late={late}");
-            ts.check_invariants();
-        }
-        let stats = ts.score_cache_stats();
-        assert!(stats.hits >= 2, "second round must hit both entries: {stats:?}");
-        // And the memoized late answer is bit-identical to an uncached run.
-        let mut plain = ts.clone();
-        plain.set_score_cache(false);
-        assert_eq!(
-            ts.productivity_at(StreamId(0), &v(7, 0), VTime::from_secs(15)).to_bits(),
-            plain
-                .productivity_at(StreamId(0), &v(7, 0), VTime::from_secs(15))
-                .to_bits()
-        );
     }
 
     #[test]

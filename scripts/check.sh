@@ -102,6 +102,13 @@ if grep -rniE '9E37_?79B9_?7F4A_?7C15|BF58_?476D_?1CE4_?E5B9|94D0_?49BB_?1331_?1
   echo "FAIL: a second copy of the SplitMix64 constants (import mstream_types::splitmix64)"
   exit 1
 fi
+# Every tuple is scored at its own instant: the reorder stage releases each
+# arrival at its own timestamp, so no tuple is ever late for its epoch and
+# the late-tuple scoring path stays gone (DESIGN.md §13).
+if grep -rnwE 'productivity_at|has_prev|event_time' crates/{sketch,shed,core}/src; then
+  echo "FAIL: the late-tuple scoring path is back (DESIGN.md §13)"
+  exit 1
+fi
 # Differential audit smoke (DESIGN.md §8): 100 fuzzed cases, every policy
 # in process and sharded against each query's exact oracle, event-time
 # runs against in-order runs, the score-cache (odd seeds) and plain/eager

@@ -10,9 +10,10 @@
 //! epochs, uniform and per-stream capacities, windows that are never,
 //! sometimes and always full, solo and sharded. A tuple window with room
 //! for its length cannot fill, so there both engines are idle: nothing
-//! estimated, nothing rescored, every store owing from birth. Everything
-//! else not eligible (other policies, the global pool, an event-time front
-//! end) must never owe anything.
+//! estimated, nothing rescored, every store owing from birth. A reorder
+//! stage in front changes nothing: it releases every arrival at its own
+//! timestamp. Everything else not eligible (other policies, the global
+//! pool) must never owe anything.
 
 use mstream_core::prelude::*;
 use rand::rngs::StdRng;
@@ -276,6 +277,70 @@ fn sharded_plain_and_eager_are_indistinguishable() {
     }
 }
 
+/// `arrivals` with each group of equal timestamps moved, whole, up to
+/// `bound` later: every arrival stays within `bound` of the watermark, and
+/// a stage that holds them releases each group in its original order, so
+/// the stage mints the seqs of the in-order feed.
+fn shuffle_groups(arrivals: &[Arrival], bound: VDur) -> Vec<Arrival> {
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut groups: Vec<(VTime, usize, Vec<Arrival>)> = Vec::new();
+    for a in arrivals {
+        match groups.last_mut() {
+            Some((_, _, group)) if group[0].ts == a.ts => group.push(a.clone()),
+            _ => {
+                let jitter = VDur::from_micros(rng.gen_range(0..=bound.as_micros()));
+                groups.push((a.ts + jitter, groups.len(), vec![a.clone()]));
+            }
+        }
+    }
+    groups.sort_by_key(|(key, i, _)| (*key, *i));
+    groups.into_iter().flat_map(|(_, _, group)| group).collect()
+}
+
+#[test]
+fn plain_and_eager_are_indistinguishable_behind_a_reorder_stage() {
+    let arrivals = trace(1500, 14);
+    let bound = VDur::from_secs(3);
+    let shuffled = shuffle_groups(&arrivals, bound);
+    assert_ne!(shuffled, arrivals, "the shuffle must disorder the feed");
+    for (window, epoch, caps) in disciplines() {
+        for mk in policies() {
+            for (fill, capacity) in [("sometimes full", caps[1]), ("always full", caps[2])] {
+                let base = || {
+                    EngineBuilder::new(query(window, false))
+                        .epoch(epoch)
+                        .capacity_per_window(capacity)
+                };
+                let trusting = solo(base().boxed_policy(mk()), &arrivals);
+                for (k, feed) in [(VDur::ZERO, &arrivals), (bound, &shuffled)] {
+                    let label = format!("{} / {epoch:?} / {fill} / K={k:?}", mk().name());
+                    let staged = || base().disorder_bound(k);
+                    let plain = solo(staged().boxed_policy(mk()), feed);
+                    let eager = solo(staged().boxed_policy(Box::new(Eager(mk()))), feed);
+                    assert_eq!(plain.rows, eager.rows, "{label}: rows or their order");
+                    assert_eq!(plain.outcomes, eager.outcomes, "{label}: per-arrival outcome");
+                    assert_eq!(
+                        comparable(&plain.metrics),
+                        comparable(&eager.metrics),
+                        "{label}: counters"
+                    );
+                    assert_eq!(plain.metrics.late_dropped, 0, "{label}: the bound covers the feed");
+                    assert!(plain.metrics.shed_window > 0, "{label}: the windows shed");
+                    assert_eq!(eager.deferred_peak, 0, "{label}: the reference owes nothing");
+                    assert!(plain.deferred_peak > 0, "{label}: the plain policy must defer");
+                    if k.is_zero() {
+                        assert_eq!(plain.rows, trusting.rows, "{label}: rows of the trusting run");
+                        assert_eq!(
+                            plain.metrics.priority_rebuilds, trusting.metrics.priority_rebuilds,
+                            "{label}: passes of the trusting run"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn ineligible_engines_never_owe_a_priority() {
     let arrivals = trace(900, 13);
@@ -293,17 +358,6 @@ fn ineligible_engines_never_owe_a_priority() {
         ),
         ("MSketch / pool", base().policy(MSketch).global_pool(3 * caps[0])),
         ("MSketch-RS / pool", base().policy(MSketchRs).global_pool(3 * caps[2])),
-        (
-            "MSketch / K=0",
-            base().policy(MSketch).capacity_per_window(caps[0]).disorder_bound(VDur::ZERO),
-        ),
-        (
-            "MSketch-RS / K=3s",
-            base()
-                .policy(MSketchRs)
-                .capacity_per_window(caps[0])
-                .disorder_bound(VDur::from_secs(3)),
-        ),
     ];
     for (label, builder) in cases {
         let run = solo(builder, &arrivals);

@@ -12,7 +12,8 @@
 //!   watermark (exactly `K` late) is accepted — on either stream; one
 //!   microsecond below it is dropped.
 //! - **`K = 0` is bit-identical to the trusting engine** on an in-order
-//!   trace: same rows, same emit order, same sequence numbers.
+//!   trace: same rows, same emit order, same sequence numbers, and the
+//!   same rollovers and priority passes.
 //! - **Covered disorder is invisible.** A shuffle whose lateness stays
 //!   within `K` reproduces the in-order run exactly.
 //! - **The sharded coordinator re-keys its fan-out gate** off the same
@@ -241,6 +242,8 @@ fn k0_in_order_run_is_bit_identical_to_the_trusting_engine() {
         assert_eq!(k0, trusting, "capacity {capacity}: emit-order identity");
         assert_eq!(m_k0.total_output, m_trust.total_output);
         assert_eq!(m_k0.shed_window, m_trust.shed_window);
+        assert_eq!(m_k0.epoch_rollovers, m_trust.epoch_rollovers);
+        assert_eq!(m_k0.priority_rebuilds, m_trust.priority_rebuilds);
         assert_eq!(m_k0.late_dropped, 0);
     }
     let (_, m) = drive(chain3(30), None, 12, &trace);
