@@ -465,34 +465,32 @@ fn bench_arrival_kernels(c: &mut Criterion) {
         });
     }
 
-    // The first-epoch query's two live rows: fused, and the pair it
-    // replaces (which stays as its fall-back).
+    // The first-epoch query's two live rows: in integers, and the serial
+    // fold it falls back to outside its bounds.
     {
         let signs: Vec<u64> = (0..WORDS).map(|_| rng.gen()).collect();
         let row_a: Vec<i64> = (0..COPIES).map(|_| rng.gen_range(-100..100)).collect();
         let row_b: Vec<i64> = (0..COPIES).map(|_| rng.gen_range(-100..100)).collect();
-        group.bench_function("product2_signed_sum", |b| {
+        let rows = [&row_a[..], &row_b[..]];
+        let mut sums = Vec::new();
+        group.bench_function("product_group_sums", |b| {
             b.iter(|| {
                 for _ in 0..REPS {
-                    black_box(kernel::product2_signed_sum(
-                        black_box(&row_a),
-                        black_box(&row_b),
-                        &signs,
-                    ));
+                    sums.clear();
+                    let rows = black_box(&rows);
+                    assert!(kernel::product_group_sums(&signs, rows, &[100, 100], COPIES, 1, &mut sums));
+                    black_box(&sums);
                 }
             })
         });
         let mut per_copy = vec![0f64; COPIES];
-        let mut sums = Vec::new();
-        group.bench_function("product2_signed_then_group_sums", |b| {
+        group.bench_function("serial_fold_fallback", |b| {
             b.iter(|| {
                 for _ in 0..REPS {
-                    kernel::product2_signed(
-                        black_box(&row_a),
-                        black_box(&row_b),
-                        &signs,
-                        &mut per_copy,
-                    );
+                    per_copy.fill(1.0);
+                    kernel::multiply_row(&mut per_copy, black_box(&row_a));
+                    kernel::multiply_row(&mut per_copy, black_box(&row_b));
+                    kernel::apply_packed_signs(&signs, &mut per_copy);
                     sums.clear();
                     kernel::group_sums(&per_copy, COPIES, 1, &mut sums);
                     black_box(&sums);
@@ -502,7 +500,7 @@ fn bench_arrival_kernels(c: &mut Criterion) {
     }
 
     // What a first-epoch arrival pays the sketch layer end to end: the
-    // update, the settle of both partners' live rows, the fused query.
+    // update, the settle of both partners' live rows, the integer query.
     {
         let query = chain3();
         let mut sk = TumblingSketches::new(

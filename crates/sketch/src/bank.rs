@@ -427,7 +427,7 @@ impl SketchBank {
     ///   updates the planes hold (the pending ones less the held ones);
     /// - the settled view of every stream — its counters plus what its
     ///   planes and its block hold — equals the eagerly folded shadow, copy
-    ///   by copy.
+    ///   by copy, and no copy exceeds the stream's tuple count in magnitude.
     ///
     /// O(streams · copies · planes); compiled only for tests and the
     /// `audit` feature.
@@ -474,6 +474,9 @@ impl SketchBank {
             for vector in vectors.chunks_exact(words) {
                 kernel::scalar::fold_packed_signs(vector, &mut view);
             }
+            let tuples = self.tuples[k];
+            let within = view.iter().all(|x| x.unsigned_abs() <= tuples);
+            assert!(within, "stream {k}: a counter above the {tuples} tuples it folded");
             assert_eq!(
                 view,
                 &scratch.shadow[k * copies..(k + 1) * copies],

@@ -36,18 +36,20 @@
 //! [`signed_sum`] sums a frozen cross row in sixteen accumulators; it is
 //! only called on rows [`sum_is_exact`] accepts, where every partial sum in
 //! every order is an exactly representable integer. [`sum_is_exact`] itself
-//! and [`product2_signed_sum`] — the first-epoch product, sign and sum in
-//! one pass, which carries its own guard and answers `None` outside it —
-//! rest on the same argument.
+//! rests on the same argument. [`product_group_sums`] — the first-epoch
+//! query — sums in `i64`, where order cannot show at all, and answers only
+//! where its bounds prove the serial `f64` fold exact too.
 //!
 //! # Dispatch
 //!
 //! The top-level functions check shapes and run [`lanes`]. Where the CPU
-//! reports AVX2, [`fold_packed_signs`], [`apply_packed_signs`] and
-//! [`signed_sum`] run their [`avx2`] forms instead, and
-//! [`product2_signed_sum`] has no other form (without AVX2 it answers
-//! `None` and the caller runs [`product2_signed`] + [`group_sums`]). The
-//! bit-plane kernels have one portable form each.
+//! reports AVX2, [`fold_packed_signs`], [`apply_packed_signs`],
+//! [`signed_sum`] and [`signed_product_sum`] run their [`avx2`] forms
+//! instead; elsewhere [`signed_product_sum`] runs its [`scalar`] form,
+//! which is exact in any order. The bit-plane kernels have one portable
+//! form each.
+
+use std::ops::Range;
 
 /// Lane width of the portable vector kernels (f64x4 / i64x4-sized blocks,
 /// one 256-bit register on the machines this targets).
@@ -157,52 +159,9 @@ pub fn apply_packed_signs(words: &[u64], vals: &mut [f64]) {
     lanes::apply_packed_signs(words, vals)
 }
 
-/// The fused two-partner mixed path (3-stream joins, the paper's shape):
-/// `out[c] = ±(a[c] · b[c])` with the packed sign applied as an exact
-/// sign-bit flip. Bit-identical to `fill(1.0)` + [`multiply_row`] per
-/// row + [`apply_packed_signs`] — `1.0 · x` is exact and negation only
-/// toggles the sign bit — in one pass over the counters instead of four.
-pub fn product2_signed(a: &[i64], b: &[i64], words: &[u64], out: &mut [f64]) {
-    assert_eq!(a.len(), out.len(), "row/output length mismatch");
-    assert_eq!(b.len(), out.len(), "row/output length mismatch");
-    check_sign_shape(words, out.len(), "values");
-    lanes::product2_signed(a, b, words, out)
-}
-
-/// Counters at or above this magnitude leave [`product2_signed_sum`]'s
-/// fast path: below it the `2^52` magic-number add converts an `i64` to
-/// the same `f64` the `as` cast gives.
-const COUNTER_LIMIT: u64 = 1 << 51;
-
 /// The sum at and above which a row of integer-valued terms may round
 /// while it is added up (`2^53`).
 const EXACT_LIMIT: f64 = (1u64 << 53) as f64;
-
-/// [`product2_signed`] and the sum of its output in one pass, when that
-/// sum does not depend on the order it is taken in: `Some(Σ_c ±(a[c] ·
-/// b[c]))` — the bits of the serial `product2_signed` + one-group
-/// [`group_sums`] pair — if every counter is below `2^51` in magnitude
-/// and `Σ_c |a[c] · b[c]| < 2^53`, `None` otherwise and wherever there is
-/// no AVX2. The caller runs the serial pair on `None`.
-///
-/// Why the fast path may reorder: a product that is below `2^53` after
-/// rounding was below it before (rounding is monotone and `2^53` is
-/// representable), so it is the exact integer; the terms are then
-/// integers whose absolute values sum to less than `2^53`, every partial
-/// sum in every association is an exactly representable integer, and no
-/// add rounds. Sixteen accumulators from `-0.0` keep the sign of a zero
-/// total too, as in [`signed_sum`]. The guard sum itself runs in several
-/// accumulators; its verdict is order-free for the reason given at
-/// [`sum_is_exact`].
-pub fn product2_signed_sum(a: &[i64], b: &[i64], words: &[u64]) -> Option<f64> {
-    assert_eq!(a.len(), b.len(), "row length mismatch");
-    check_sign_shape(words, a.len(), "values");
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        return avx2::product2_signed_sum(a, b, words);
-    }
-    None
-}
 
 /// `dst[c] = ±src[c]` according to the packed signs — with [`group_sums`],
 /// the frozen cross-product productivity query for a row
@@ -458,6 +417,84 @@ pub fn signed_group_sums(words: &[u64], row: &[f64], s1: usize, s2: usize, group
 }
 
 // ---------------------------------------------------------------------------
+// The first-epoch query in integers.
+// ---------------------------------------------------------------------------
+
+/// Factors at or above this magnitude leave [`product_group_sums`]:
+/// `_mm256_mul_epi32` multiplies the signed low 32 bits of each lane.
+const FACTOR_LIMIT: u64 = 1 << 31;
+
+/// `Σ_{c ∈ copies} ±Π_k rows[k][c]` in `i64` over one or two partner
+/// rows, the sign of copy `c` from packed sign bit `c`. Integer addition
+/// commutes, so every form agrees with [`scalar::signed_product_sum`]; the
+/// caller keeps each factor below `2^31` in magnitude (the AVX2 form
+/// multiplies 32-bit halves) and the terms' magnitudes below `2^63`.
+pub fn signed_product_sum(words: &[u64], rows: &[&[i64]], copies: Range<usize>) -> i64 {
+    assert!(matches!(rows.len(), 1 | 2), "one or two partner rows");
+    assert!(
+        rows.iter().all(|row| copies.end <= row.len()),
+        "copies past a row's end"
+    );
+    check_sign_shape(words, copies.end, "copies");
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        return avx2::signed_product_sum(words, rows, copies);
+    }
+    scalar::signed_product_sum(words, rows, copies)
+}
+
+/// The first-epoch productivity query in integers: appends to `groups`
+/// each of the `s2` sums of `s1` copies of `±Π_k rows[k][c]`
+/// ([`signed_product_sum`]) as `f64`, the bits of the serial fold
+/// (`fill(1.0)`, [`multiply_row`] per partner, [`apply_packed_signs`],
+/// [`group_sums`]), and returns `true` — where `bounds` (`|rows[k][c]| ≤
+/// bounds[k]`) prove that fold exact: every bound below `2^31` and `s1 ·
+/// Π_k bounds[k] < 2^53`, so every product and every partial sum is an
+/// integer below `2^53` and nothing rounds. A zero sum is `-0.0` where
+/// every term is: the fold starts at `-0.0` and, once a term is not
+/// `-0.0`, can only come back to zero as `+0.0`. Outside the bounds it
+/// returns `false`, `groups` untouched, and the caller runs the fold.
+pub fn product_group_sums(
+    words: &[u64],
+    rows: &[&[i64]],
+    bounds: &[u64],
+    s1: usize,
+    s2: usize,
+    groups: &mut Vec<f64>,
+) -> bool {
+    assert_eq!(rows.len(), bounds.len(), "one bound per partner row");
+    let mut scale = s1 as u64;
+    for &bound in bounds {
+        if bound >= FACTOR_LIMIT {
+            return false;
+        }
+        scale = scale.saturating_mul(bound);
+    }
+    if scale >= 1 << 53 {
+        return false;
+    }
+    groups.extend((0..s2).map(|g| {
+        let copies = g * s1..(g + 1) * s1;
+        match signed_product_sum(words, rows, copies.clone()) {
+            0 if only_negative_zeros(words, rows, copies) => -0.0,
+            sum => sum as f64,
+        }
+    }));
+    true
+}
+
+/// Whether every term of the serial fold over `copies` is `-0.0`: a zero
+/// factor, and the sign bit XOR the factors' signs (`0 as f64` is `+0.0`)
+/// set. Mostly decided at the first copy.
+fn only_negative_zeros(words: &[u64], rows: &[&[i64]], copies: Range<usize>) -> bool {
+    copies.into_iter().all(|c| {
+        let negative = rows.iter().filter(|row| row[c] < 0).count() % 2 == 1;
+        let flipped = (words[c / 64] >> (c % 64)) & 1 == 1;
+        rows.iter().any(|row| row[c] == 0) && negative != flipped
+    })
+}
+
+// ---------------------------------------------------------------------------
 // Scalar reference path.
 // ---------------------------------------------------------------------------
 
@@ -465,7 +502,8 @@ pub fn signed_group_sums(words: &[u64], row: &[f64], s1: usize, s2: usize, group
 /// equivalence suite and benches compare the shipped path against. Shape
 /// guards live in the entry points; these assume validated inputs.
 pub mod scalar {
-    use super::{flipped, COUNTER_LIMIT, EXACT_LIMIT, SUM_ACCS};
+    use super::{flipped, SUM_ACCS};
+    use std::ops::Range;
 
     /// Scalar [`super::fold_packed_signs`].
     pub fn fold_packed_signs(words: &[u64], counters: &mut [i64]) {
@@ -506,21 +544,6 @@ pub mod scalar {
         }
     }
 
-    /// Scalar [`super::product2_signed`].
-    pub fn product2_signed(a: &[i64], b: &[i64], words: &[u64], out: &mut [f64]) {
-        for (((o_chunk, a_chunk), b_chunk), &w) in out
-            .chunks_mut(64)
-            .zip(a.chunks(64))
-            .zip(b.chunks(64))
-            .zip(words)
-        {
-            for (bit, ((o, &x), &y)) in o_chunk.iter_mut().zip(a_chunk).zip(b_chunk).enumerate() {
-                let p = (x as f64) * (y as f64);
-                *o = f64::from_bits(p.to_bits() ^ (((w >> bit) & 1) << 63));
-            }
-        }
-    }
-
     /// Scalar [`super::signed_copy`].
     pub fn signed_copy(words: &[u64], src: &[f64], dst: &mut [f64]) {
         for ((chunk, s_chunk), &w) in dst.chunks_mut(64).zip(src.chunks(64)).zip(words) {
@@ -551,16 +574,12 @@ pub mod scalar {
         acc.iter().fold(-0.0, |sum, &a| sum + a)
     }
 
-    /// Scalar [`super::product2_signed_sum`], as its contract reads: the
-    /// guards one by one, then [`product2_signed`] and a serial sum.
-    pub fn product2_signed_sum(a: &[i64], b: &[i64], words: &[u64]) -> Option<f64> {
-        if a.iter().chain(b).any(|x| x.unsigned_abs() >= COUNTER_LIMIT) {
-            return None;
-        }
-        let mut signed = vec![0.0f64; a.len()];
-        product2_signed(a, b, words, &mut signed);
-        let magnitude: f64 = signed.iter().map(|p| p.abs()).sum();
-        (magnitude < EXACT_LIMIT).then(|| signed.iter().sum())
+    /// Scalar [`super::signed_product_sum`]: one copy per step.
+    pub fn signed_product_sum(words: &[u64], rows: &[&[i64]], copies: Range<usize>) -> i64 {
+        let sign = |c: usize| 1 - 2 * ((words[c / 64] >> (c % 64)) & 1) as i64;
+        copies
+            .map(|c| sign(c) * rows.iter().map(|row| row[c]).product::<i64>())
+            .sum()
     }
 }
 
@@ -657,38 +676,6 @@ pub mod lanes {
             }
             for (b, v) in blocks.into_remainder().iter_mut().enumerate() {
                 *v = f64::from_bits(v.to_bits() ^ (((w >> (base + b as u32)) & 1) << 63));
-            }
-        }
-    }
-
-    /// Lane [`super::product2_signed`].
-    pub fn product2_signed(a: &[i64], b: &[i64], words: &[u64], out: &mut [f64]) {
-        for (((o_chunk, a_chunk), b_chunk), &w) in out
-            .chunks_mut(64)
-            .zip(a.chunks(64))
-            .zip(b.chunks(64))
-            .zip(words)
-        {
-            let mut o_blocks = o_chunk.chunks_exact_mut(LANES);
-            let mut a_blocks = a_chunk.chunks_exact(LANES);
-            let mut b_blocks = b_chunk.chunks_exact(LANES);
-            let mut base = 0u32;
-            for ((o, xa), xb) in (&mut o_blocks).zip(&mut a_blocks).zip(&mut b_blocks) {
-                for l in 0..LANES {
-                    let p = (xa[l] as f64) * (xb[l] as f64);
-                    o[l] = f64::from_bits(p.to_bits() ^ (((w >> (base + l as u32)) & 1) << 63));
-                }
-                base += LANES as u32;
-            }
-            for (bit, ((o, &x), &y)) in o_blocks
-                .into_remainder()
-                .iter_mut()
-                .zip(a_blocks.remainder())
-                .zip(b_blocks.remainder())
-                .enumerate()
-            {
-                let p = (x as f64) * (y as f64);
-                *o = f64::from_bits(p.to_bits() ^ (((w >> (base + bit as u32)) & 1) << 63));
             }
         }
     }
@@ -795,9 +782,10 @@ pub mod lanes {
 /// fold and sign application (pure integer / bit operations, exact for
 /// every input), the sixteen-accumulator signed sum (the accumulator
 /// assignment of [`scalar::signed_sum`], four accumulators to a register)
-/// and the fused first-epoch product-and-sum, which has no portable form.
+/// and the first-epoch integer sum of one or two partners' products.
 /// Packed sign bits expand to a `{0, 1<<63}` lane mask in-register
-/// (broadcast + variable shift). Only reached after
+/// (broadcast + variable shift) or, for the integer sum, to an all-ones
+/// lane (broadcast, mask, compare). Only reached after
 /// `is_x86_feature_detected!("avx2")` in the entry points.
 ///
 /// This module is the one sanctioned `unsafe` island of the crate (see
@@ -806,19 +794,20 @@ pub mod lanes {
 /// detection, and unaligned vector loads and stores through pointers
 /// taken from `chunks_exact` blocks of the width read or written. Vector
 /// integer adds wrap where the scalar forms would trip an overflow check;
-/// a counter is bounded by the tuples of its epoch, so neither happens.
+/// a counter is bounded by the tuples of its epoch, and the integer sum's
+/// terms by the bounds its caller checks, so neither happens.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub mod avx2 {
-    use super::{flipped, COUNTER_LIMIT, EXACT_LIMIT, LANES, SUM_ACCS};
+    use super::{flipped, scalar, LANES, SUM_ACCS};
     use std::arch::x86_64::{
-        __m256d, __m256i, _mm256_add_epi64, _mm256_add_pd, _mm256_and_pd, _mm256_and_si256,
-        _mm256_castsi256_pd, _mm256_cmpgt_epi64, _mm256_loadu_pd, _mm256_loadu_si256,
-        _mm256_mul_pd, _mm256_or_si256, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_setr_epi64x,
-        _mm256_setzero_si256, _mm256_slli_epi64, _mm256_srli_epi64, _mm256_srlv_epi64,
-        _mm256_storeu_pd, _mm256_storeu_si256, _mm256_sub_epi64, _mm256_sub_pd, _mm256_testz_si256,
-        _mm256_xor_pd,
+        __m256d, __m256i, _mm256_add_epi64, _mm256_add_pd, _mm256_and_si256, _mm256_castsi256_pd,
+        _mm256_cmpeq_epi64, _mm256_loadu_pd, _mm256_loadu_si256, _mm256_mul_epi32,
+        _mm256_set1_epi64x, _mm256_set1_pd, _mm256_setr_epi64x, _mm256_setzero_si256,
+        _mm256_slli_epi64, _mm256_srli_epi64, _mm256_srlv_epi64, _mm256_storeu_pd,
+        _mm256_storeu_si256, _mm256_sub_epi64, _mm256_xor_pd, _mm256_xor_si256,
     };
+    use std::ops::Range;
 
     /// Registers holding the [`SUM_ACCS`] accumulators.
     const REGS: usize = SUM_ACCS / LANES;
@@ -997,86 +986,82 @@ pub mod avx2 {
         unsafe { signed_sum_impl(words, first, vals) }
     }
 
-    /// `2^52 + 2^51`: added as an integer to the bits of this constant, a
-    /// counter `x` in `(−2^51, 2^51)` lands in the mantissa without
-    /// touching the exponent, so the sum read as a double is
-    /// `2^52 + 2^51 + x`, and subtracting the constant leaves `x` — the
-    /// same value as `x as f64`, +0.0 for zero included — with no
-    /// `cvtsi2sd`.
-    const MAGIC: f64 = ((1u64 << 52) + (1u64 << 51)) as f64;
-
-    /// AVX2 body of [`product2_signed_sum`]: shapes already checked.
+    /// AVX2 body of [`signed_product_sum`] over `a` (and `b`, when `TWO`;
+    /// one partner passes its row twice), sixteen copies at a time from
+    /// sign bit `first`, a multiple of sixteen. A lane product is
+    /// `_mm256_mul_epi32` of the low halves, exact below `2^31`; the sign
+    /// is `(p ^ m) − m` with `m` all ones where the bit is set.
     #[target_feature(enable = "avx2")]
-    unsafe fn product2_signed_sum_impl(a: &[i64], b: &[i64], words: &[u64]) -> Option<f64> {
-        let magic_bits = _mm256_set1_epi64x(MAGIC.to_bits() as i64);
-        let magic = _mm256_set1_pd(MAGIC);
-        let abs = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));
-        // `|x| < 2^51` as one signed compare: `x + 2^51 − 1` lies in
-        // `0..=2^52 − 2` as an unsigned number, and adding `i64::MIN` to
-        // both sides turns the unsigned comparison into a signed one.
-        let limit = COUNTER_LIMIT as i64;
-        let shift = _mm256_set1_epi64x(i64::MIN + (limit - 1));
-        let ceiling = _mm256_set1_epi64x(i64::MIN + (2 * limit - 2));
-        let mut out_of_range = _mm256_setzero_si256();
-        let mut sums = [_mm256_set1_pd(-0.0); REGS];
-        let mut magnitudes = _mm256_set1_pd(0.0);
-
-        let (mut rest_a, mut rest_b) = (a, b);
-        let mut pos = 0;
-        while rest_a.len() >= SUM_ACCS {
+    unsafe fn signed_product_sum_impl<const TWO: bool>(
+        words: &[u64],
+        first: usize,
+        a: &[i64],
+        b: &[i64],
+    ) -> i64 {
+        // Lane `l` of register `q` tests bit `4q + l` of a block's bits.
+        let lane_bits: [__m256i; REGS] = std::array::from_fn(|q| {
+            let q = LANES * q;
+            _mm256_setr_epi64x(1 << q, 2 << q, 4 << q, 8 << q)
+        });
+        let mut accs = [_mm256_setzero_si256(); REGS];
+        let (mut pos, mut rest_a, mut rest_b) = (first, a, b);
+        while !rest_a.is_empty() {
             let (mut bits, blocks_a, after_a) = blocks_in_word(words, pos, rest_a);
             let (blocks_b, after_b) = rest_b.split_at(blocks_a.len());
             for (xa, xb) in blocks_a
                 .chunks_exact(SUM_ACCS)
                 .zip(blocks_b.chunks_exact(SUM_ACCS))
             {
-                let masks = sign_masks16(bits);
-                for (q, mask) in masks.into_iter().enumerate() {
-                    // SAFETY: `xa` and `xb` are SUM_ACCS = REGS·LANES counters
-                    // wide and `q < REGS`, so LANES counters follow the offset.
-                    let va = _mm256_loadu_si256(xa.as_ptr().add(LANES * q) as *const __m256i);
-                    let vb = _mm256_loadu_si256(xb.as_ptr().add(LANES * q) as *const __m256i);
-                    let over_a = _mm256_cmpgt_epi64(_mm256_add_epi64(va, shift), ceiling);
-                    let over_b = _mm256_cmpgt_epi64(_mm256_add_epi64(vb, shift), ceiling);
-                    out_of_range = _mm256_or_si256(out_of_range, _mm256_or_si256(over_a, over_b));
-                    let da =
-                        _mm256_sub_pd(_mm256_castsi256_pd(_mm256_add_epi64(va, magic_bits)), magic);
-                    let db =
-                        _mm256_sub_pd(_mm256_castsi256_pd(_mm256_add_epi64(vb, magic_bits)), magic);
-                    let product = _mm256_mul_pd(da, db);
-                    sums[q] = _mm256_add_pd(sums[q], _mm256_xor_pd(product, mask));
-                    magnitudes = _mm256_add_pd(magnitudes, _mm256_and_pd(product, abs));
+                let word = _mm256_set1_epi64x(bits as i64);
+                for (q, (acc, lane)) in accs.iter_mut().zip(lane_bits).enumerate() {
+                    // SAFETY: `xa` and `xb` are SUM_ACCS = REGS·LANES copies
+                    // wide and `q < REGS`, so LANES copies follow the offset.
+                    let mut p = _mm256_loadu_si256(xa.as_ptr().add(LANES * q) as *const __m256i);
+                    if TWO {
+                        let vb = _mm256_loadu_si256(xb.as_ptr().add(LANES * q) as *const __m256i);
+                        p = _mm256_mul_epi32(p, vb);
+                    }
+                    let m = _mm256_cmpeq_epi64(_mm256_and_si256(word, lane), lane);
+                    *acc = _mm256_add_epi64(*acc, _mm256_sub_epi64(_mm256_xor_si256(p, m), m));
                 }
                 bits >>= SUM_ACCS;
             }
             pos += blocks_a.len();
             (rest_a, rest_b) = (after_a, after_b);
         }
-        let mut acc = [-0.0f64; SUM_ACCS];
-        let mut magnitude = [0.0f64; LANES];
-        store_accs(&sums, &mut acc);
-        // SAFETY: `magnitude` is exactly LANES values wide.
-        _mm256_storeu_pd(magnitude.as_mut_ptr(), magnitudes);
-        let mut tail_in_range = true;
-        for (j, (&x, &y)) in rest_a.iter().zip(rest_b).enumerate() {
-            tail_in_range &= x.unsigned_abs().max(y.unsigned_abs()) < COUNTER_LIMIT;
-            let product = x as f64 * y as f64;
-            acc[j] += flipped(words, pos + j, product);
-            magnitude[j % LANES] += product.abs();
+        let mut lanes = [0i64; LANES];
+        let mut sum = 0;
+        for acc in accs {
+            // SAFETY: `lanes` is exactly LANES copies wide.
+            _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
+            sum += lanes.iter().sum::<i64>();
         }
-        // An out-of-range lane converted to garbage; it is discarded here.
-        let exact = tail_in_range
-            && _mm256_testz_si256(out_of_range, out_of_range) == 1
-            && magnitude.iter().sum::<f64>() < EXACT_LIMIT;
-        exact.then(|| acc.iter().fold(-0.0, |sum, &a| sum + a))
+        sum
     }
 
-    /// AVX2 [`super::product2_signed_sum`]. Panics if AVX2 is unavailable
-    /// (the entry point only calls this after runtime detection).
-    pub fn product2_signed_sum(a: &[i64], b: &[i64], words: &[u64]) -> Option<f64> {
+    /// AVX2 [`super::signed_product_sum`]: the copies before the first
+    /// multiple of sixteen and the last fewer than sixteen through
+    /// [`scalar::signed_product_sum`]. Panics if AVX2 is unavailable (the
+    /// entry point only calls this after runtime detection).
+    pub fn signed_product_sum(words: &[u64], rows: &[&[i64]], copies: Range<usize>) -> i64 {
         assert_avx2();
+        let start = copies.start.next_multiple_of(SUM_ACCS).min(copies.end);
+        let body = start..start + (copies.end - start) / SUM_ACCS * SUM_ACCS;
+        let edges = scalar::signed_product_sum(words, rows, copies.start..body.start)
+            + scalar::signed_product_sum(words, rows, body.end..copies.end);
         // SAFETY: AVX2 presence asserted above.
-        unsafe { product2_signed_sum_impl(a, b, words) }
+        edges
+            + unsafe {
+                match rows {
+                    [a] => {
+                        signed_product_sum_impl::<false>(words, start, &a[body.clone()], &a[body])
+                    }
+                    [a, b] => {
+                        signed_product_sum_impl::<true>(words, start, &a[body.clone()], &b[body])
+                    }
+                    _ => panic!("one or two partner rows"),
+                }
+            }
     }
 }
 
@@ -1134,26 +1119,6 @@ mod tests {
         let mut z = [0.0f64];
         apply_packed_signs(&[1], &mut z);
         assert!(z[0] == 0.0 && z[0].is_sign_negative());
-    }
-
-    #[test]
-    fn product2_matches_unfused_path() {
-        // 70 copies to cross a word boundary; values include zero and
-        // negatives so sign handling of every magnitude is exercised.
-        let a: Vec<i64> = (0..70).map(|i| i - 35).collect();
-        let b: Vec<i64> = (0..70).map(|i| 2 * i - 11).collect();
-        let words = [0xDEAD_BEEF_0123_4567u64, 0x0F0F_0F0F_0F0F_0F0F];
-        let mut unfused = vec![1.0f64; 70];
-        multiply_row(&mut unfused, &a);
-        multiply_row(&mut unfused, &b);
-        apply_packed_signs(&words, &mut unfused);
-        let mut fused = vec![0.0f64; 70];
-        product2_signed(&a, &b, &words, &mut fused);
-        assert_eq!(
-            fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            unfused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "fused pass must be bit-identical (negative zero included)"
-        );
     }
 
     #[test]
@@ -1229,18 +1194,27 @@ mod tests {
         let a: Vec<i64> = (0..70).map(|i| i - 35).collect();
         let b: Vec<i64> = (0..70).map(|i| 2 * i - 11).collect();
         let words = [0xDEAD_BEEF_0123_4567u64, 0x0F0F_0F0F_0F0F_0F0F];
-        let mut signed = vec![0.0f64; 70];
-        product2_signed(&a, &b, &words, &mut signed);
-        let serial: f64 = signed.iter().sum();
-        assert_eq!(scalar::product2_signed_sum(&a, &b, &words), Some(serial));
-        // The dispatched form is the reference with AVX2 and declines
-        // without; either way the caller ends with the serial bits.
-        let fused = product2_signed_sum(&a, &b, &words);
-        assert_eq!(fused.unwrap_or(serial).to_bits(), serial.to_bits());
-        let mut big = a.clone();
-        big[3] = 1 << 51;
-        assert_eq!(scalar::product2_signed_sum(&big, &b, &words), None);
-        assert_eq!(product2_signed_sum(&big, &b, &words), None);
+        let answers = |bounds: [u64; 2], s1: usize| {
+            let mut sums = Vec::new();
+            product_group_sums(&words, &[&a, &b], &bounds, s1, 70 / s1, &mut sums)
+        };
+        assert!(answers([35, 129], 70));
+        assert!(!answers([1 << 31, 129], 70));
+        assert!(!answers([1 << 26, 1 << 26], 2));
+        assert!(answers([(1 << 26) - 1, 1 << 26], 2));
+        // A zero sum keeps the fold's zero: −0.0 where every term is.
+        for (signs, zero) in [(0u64, 0.0f64), (u64::MAX, -0.0)] {
+            let mut sums = Vec::new();
+            assert!(product_group_sums(
+                &[signs; 2],
+                &[&[0; 70]],
+                &[0],
+                70,
+                1,
+                &mut sums
+            ));
+            assert_eq!(sums[0].to_bits(), zero.to_bits());
+        }
     }
 
     #[test]
@@ -1319,5 +1293,4 @@ mod tests {
         group_sums(&per_copy, 4, 6, &mut dispatched);
         assert_eq!(dispatched, vec![1.0; 6]);
     }
-
 }

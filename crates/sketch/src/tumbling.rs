@@ -58,16 +58,17 @@ pub struct TumblingSketches {
     last: Vec<i64>,
     /// Whether stream `k` has completed at least one epoch.
     has_last: Vec<bool>,
+    /// `last_bound[k]` = the tuples stream `k`'s last completed epoch
+    /// folded, a bound on every `|X_k^{last}|` of it.
+    last_bound: Vec<u64>,
     epoch: EpochSpec,
     /// Time-mode: where the current epoch began, a whole number of epochs
     /// from the origin. The next global roll fires one epoch later; an
     /// epoch whose end lies past `u64::MAX` µs stays open.
     epoch_start: VTime,
-    /// Tuple-mode: arrivals seen per stream since its last roll.
-    arrivals: Vec<u64>,
     /// Scratch buffer of per-copy statistics for the paths that build the
-    /// signed products before they sum them (the general mixed path and
-    /// the fall-backs of the fused ones). Empty until one of them first
+    /// signed products before they sum them (the serial mixed fold and the
+    /// frozen query's guard-failed branch). Empty until one of them first
     /// runs.
     scratch: Vec<f64>,
     /// Scratch buffer of group means for median-of-means.
@@ -105,9 +106,9 @@ impl TumblingSketches {
             bank,
             last: vec![0; n_streams * copies],
             has_last: vec![false; n_streams],
+            last_bound: vec![0; n_streams],
             epoch,
             epoch_start: VTime::ZERO,
-            arrivals: vec![0; n_streams],
             scratch: Vec::new(),
             groups: Vec::with_capacity(config.s2),
             words: Vec::new(),
@@ -144,19 +145,13 @@ impl TumblingSketches {
             EpochSpec::PerStreamTuples(_) => false,
         };
         self.bank.update(stream, values);
+        // Tuple mode: the bank counts the stream's tuples since its roll.
         let rolled_tuple = match self.epoch {
-            EpochSpec::PerStreamTuples(n) => {
-                let k = stream.index();
-                self.arrivals[k] += 1;
-                if self.arrivals[k] >= n {
-                    self.arrivals[k] = 0;
-                    self.roll_stream(stream);
-                    true
-                } else {
-                    false
-                }
+            EpochSpec::PerStreamTuples(n) if self.bank.tuples_seen(stream) >= n => {
+                self.roll_stream(stream);
+                true
             }
-            EpochSpec::Time(_) => false,
+            _ => false,
         };
         rolled || rolled_tuple
     }
@@ -190,6 +185,7 @@ impl TumblingSketches {
         let copies = self.bank.config().copies();
         let k = stream.index();
         let last = &mut self.last[k * copies..(k + 1) * copies];
+        self.last_bound[k] = self.bank.tuples_seen(stream);
         self.bank.roll_stream_into(stream, last);
         self.has_last[k] = true;
     }
@@ -264,72 +260,52 @@ impl TumblingSketches {
             self.scratch.resize(copies, 0.0);
             kernel::signed_copy(&self.words, row, &mut self.scratch);
             median_of_means_into(cfg.s1, cfg.s2, &self.scratch, &mut self.groups)
-        } else if n == 3 {
-            // Two-partner mixed path (the paper's 3-stream shape): product,
-            // sign and sum in one pass where the sum cannot depend on its
-            // order (DESIGN.md §15), else a fused, branch-free product pass
-            // and the serial sum — bit-identical to the general fold below
-            // either way.
-            let (a, b) = match i {
-                0 => (1, 2),
-                1 => (0, 2),
-                _ => (0, 1),
-            };
-            self.settle_live_partners(i);
+        } else {
+            // Mixed path (some stream still in its first epoch): last-epoch
+            // or live counters per partner, as the paper prescribes, each
+            // row bounded by the tuples its epoch folded. One or two
+            // partners inside the bounds of DESIGN.md §15 are summed in
+            // integers; else rows multiply in ascending stream order and
+            // sum serially.
+            for k in (0..n).filter(|&k| k != i && !self.has_last[k]) {
+                self.bank.settle_stream(StreamId(k));
+            }
             let Self {
                 bank,
                 last,
                 has_last,
+                last_bound,
                 scratch,
                 groups,
                 words,
                 ..
             } = self;
-            let row = |k: usize| -> &[i64] {
+            let partner = |k: usize| -> (&[i64], u64) {
                 if has_last[k] {
-                    &last[k * copies..(k + 1) * copies]
+                    (&last[k * copies..(k + 1) * copies], last_bound[k])
                 } else {
-                    bank.settled_row(StreamId(k))
+                    (bank.settled_row(StreamId(k)), bank.tuples_seen(StreamId(k)))
                 }
             };
-            if cfg.s2 == 1 {
-                if let Some(sum) = kernel::product2_signed_sum(row(a), row(b), words) {
-                    return median_of_sums(cfg.s1, &mut [sum]);
+            let partners = (0..n).filter(|&k| k != i);
+            if n <= 3 {
+                let (mut rows, mut bounds) = ([&[][..]; 2], [0; 2]);
+                for (slot, k) in partners.clone().enumerate() {
+                    (rows[slot], bounds[slot]) = partner(k);
+                }
+                groups.clear();
+                let (rows, bounds) = (&rows[..n - 1], &bounds[..n - 1]);
+                if kernel::product_group_sums(words, rows, bounds, cfg.s1, cfg.s2, groups) {
+                    return median_of_sums(cfg.s1, groups);
                 }
             }
-            scratch.resize(copies, 0.0);
-            kernel::product2_signed(row(a), row(b), words, scratch);
+            scratch.clear();
+            scratch.resize(copies, 1.0);
+            for k in partners {
+                kernel::multiply_row(scratch, partner(k).0);
+            }
+            kernel::apply_packed_signs(words, scratch);
             median_of_means_into(cfg.s1, cfg.s2, scratch, groups)
-        } else {
-            // Mixed path (some stream still in its first epoch): multiply
-            // per-stream rows in ascending order, choosing last-epoch or
-            // live counters per stream exactly as the paper prescribes.
-            self.settle_live_partners(i);
-            self.scratch.clear();
-            self.scratch.resize(copies, 1.0);
-            for k in 0..n {
-                if k == i {
-                    continue;
-                }
-                let row: &[i64] = if self.has_last[k] {
-                    &self.last[k * copies..(k + 1) * copies]
-                } else {
-                    self.bank.settled_row(StreamId(k))
-                };
-                kernel::multiply_row(&mut self.scratch, row);
-            }
-            kernel::apply_packed_signs(&self.words, &mut self.scratch);
-            median_of_means_into(cfg.s1, cfg.s2, &self.scratch, &mut self.groups)
-        }
-    }
-
-    /// Settles the live bank row of every partner of stream `i` that has
-    /// no `last` snapshot yet — the rows the mixed first-epoch paths fold.
-    fn settle_live_partners(&mut self, i: usize) {
-        for k in 0..self.has_last.len() {
-            if k != i && !self.has_last[k] {
-                self.bank.settle_stream(StreamId(k));
-            }
         }
     }
 
@@ -415,8 +391,8 @@ impl TumblingSketches {
     ///
     /// - buffer shapes agree with the stream count and copy count;
     /// - epoch bookkeeping is coherent (time mode: the current epoch starts
-    ///   a whole number of epochs from the origin; tuple mode: no per-stream
-    ///   arrival counter has silently passed its roll threshold);
+    ///   a whole number of epochs from the origin; tuple mode: no stream's
+    ///   tuple count has silently passed its roll threshold);
     /// - every cross-product row flagged `cross_valid` is bit-identical to
     ///   a fresh recomputation from the `last` snapshot — the frozen fast
     ///   path must never serve a stale product — and its stored
@@ -437,7 +413,6 @@ impl TumblingSketches {
         assert_eq!(self.cross.len(), n * copies, "cross-product shape");
         assert_eq!(self.cross_valid.len(), n, "cross_valid shape");
         assert_eq!(self.cross_exact.len(), n, "cross_exact shape");
-        assert_eq!(self.arrivals.len(), n, "arrival counter shape");
         self.bank.check_invariants();
         match self.epoch {
             EpochSpec::Time(p) => {
@@ -445,12 +420,19 @@ impl TumblingSketches {
                 assert_eq!(micros % p.as_micros(), 0, "epoch start off the epoch grid");
             }
             EpochSpec::PerStreamTuples(c) => {
-                for (k, &a) in self.arrivals.iter().enumerate() {
+                for k in 0..n {
+                    let a = self.bank.tuples_seen(StreamId(k));
                     assert!(a < c, "stream {k} missed its epoch roll: {a} >= {c}");
                 }
             }
         }
         self.score_cache.check_invariants(self.generation);
+        assert_eq!(self.last_bound.len(), n, "last-bound shape");
+        for (k, row) in self.last.chunks_exact(copies).enumerate() {
+            let bound = self.last_bound[k];
+            let within = row.iter().all(|x| x.unsigned_abs() <= bound);
+            assert!(within, "stream {k}: a last-epoch counter above its epoch's {bound} tuples");
+        }
         let mut fresh = vec![0.0f64; copies];
         for i in 0..n {
             if !self.cross_valid[i] {
@@ -796,6 +778,7 @@ mod tests {
         ts.last[20..40].copy_from_slice(&r2);
         ts.last[40..60].copy_from_slice(&r3);
         ts.has_last.fill(true);
+        ts.last_bound.fill(100_000_000);
         ts.set_score_cache(false);
 
         // The serial reference, from the scalar kernels and the row the
@@ -839,36 +822,71 @@ mod tests {
 
     #[test]
     fn scratch_row_is_allocated_by_the_fall_back_paths_only() {
-        // Three streams, one group: with AVX2 neither the first-epoch nor
-        // the frozen query builds a per-copy row.
+        // Three streams, in one group and in three: neither the integer
+        // first-epoch query nor the frozen one builds a per-copy row.
         let q = chain_query();
         let epoch = EpochSpec::Time(VDur::from_secs(10));
-        let mut ts = TumblingSketches::new(&q, cfg(70, 3), epoch);
-        for i in 0..30 {
-            ts.observe(
-                StreamId(i % 3),
-                &v(i as u64 % 4, i as u64 % 3),
-                VTime::from_secs(1),
-            );
-            let _ = ts.productivity(StreamId(i % 3), &v(1, 2));
+        for s2 in [1, 3] {
+            let cfg = BankConfig { s1: 70, s2, seed: 3 };
+            let mut ts = TumblingSketches::new(&q, cfg, epoch);
+            for i in 0..30 {
+                let s = StreamId(i % 3);
+                ts.observe(s, &v(i as u64 % 4, i as u64 % 3), VTime::from_secs(1));
+                let _ = ts.productivity(s, &v(1, 2));
+            }
+            ts.observe(StreamId(0), &v(0, 0), VTime::from_secs(11));
+            let _ = ts.productivity(StreamId(1), &v(1, 2));
+            ts.check_invariants();
+            assert_eq!(ts.scratch.capacity(), 0, "s2 = {s2}: no per-copy row");
         }
-        ts.observe(StreamId(0), &v(0, 0), VTime::from_secs(11));
-        let _ = ts.productivity(StreamId(1), &v(1, 2));
-        ts.check_invariants();
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            assert_eq!(ts.scratch.capacity(), 0, "fused paths need no scratch row");
-        }
-        // Two groups: the first-epoch query falls back and builds the row.
-        let two = BankConfig {
-            s1: 35,
-            s2: 2,
-            seed: 3,
-        };
-        let mut ts = TumblingSketches::new(&q, two, epoch);
-        ts.observe(StreamId(1), &v(1, 2), VTime::from_secs(1));
+        // A partner bound of 2^31 leaves the first-epoch query to the
+        // serial fold, which builds the row.
+        let mut ts = TumblingSketches::new(&q, cfg(70, 3), EpochSpec::PerStreamTuples(5));
+        ts.observe(StreamId(1), &v(1, 2), VTime::ZERO);
+        ts.has_last[2] = true;
+        ts.last_bound[2] = 1 << 31;
         let _ = ts.productivity(StreamId(0), &v(1, 0));
         assert_eq!(ts.scratch.len(), 70);
+    }
+
+    /// Tuple-mode epochs: R2 has rolled, R3 is still live, so an R1 tuple
+    /// is scored against one frozen and one live row — in integers, and
+    /// to the bit of an eagerly folded reference.
+    #[test]
+    fn a_rolled_and_a_live_partner_score_like_the_eager_fold() {
+        let q = chain_query();
+        for s2 in [1, 3] {
+            let cfg = BankConfig { s1: 40, s2, seed: 21 };
+            let copies = cfg.copies();
+            let mut ts = TumblingSketches::new(&q, cfg, EpochSpec::PerStreamTuples(12));
+            let mut live = vec![vec![0i64; copies]; 3];
+            let mut last = vec![vec![0i64; copies]; 3];
+            let mut words = Vec::new();
+            let r2 = (0..17u64).map(|i| (1, v(i % 3, i % 4)));
+            let r3 = (0..7u64).map(|i| (2, v(i % 4, i % 2)));
+            for (k, vals) in r2.chain(r3) {
+                ts.observe(StreamId(k), &vals, VTime::ZERO);
+                ts.bank().packed_signs_into(StreamId(k), &vals, &mut words);
+                kernel::scalar::fold_packed_signs(&words, &mut live[k]);
+                if ts.bank().tuples_seen(StreamId(k)) == 0 {
+                    last[k] = std::mem::replace(&mut live[k], vec![0; copies]);
+                }
+            }
+            assert!(ts.has_last_epoch(StreamId(1)) && !ts.has_last_epoch(StreamId(2)));
+            for a in 0..6u64 {
+                let vals = v(a % 3, 0);
+                let mut per_copy = vec![1.0f64; copies];
+                kernel::scalar::multiply_row(&mut per_copy, &last[1]);
+                kernel::scalar::multiply_row(&mut per_copy, &live[2]);
+                ts.bank().packed_signs_into(StreamId(0), &vals, &mut words);
+                kernel::scalar::apply_packed_signs(&words, &mut per_copy);
+                let want = crate::median_of_means_slice(cfg.s1, s2, &per_copy);
+                let got = ts.productivity(StreamId(0), &vals);
+                assert_eq!(got.to_bits(), want.to_bits(), "s2 = {s2}, value {a}");
+            }
+            ts.check_invariants();
+            assert_eq!(ts.scratch.capacity(), 0, "s2 = {s2}: the integer query answered");
+        }
     }
 
     #[test]

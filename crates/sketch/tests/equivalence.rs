@@ -418,46 +418,84 @@ fn tumbling_tuple_epochs_bit_identical_with_snapshots() {
     }
 }
 
+/// Drives `n`-stream chain sketches through tuple epochs of eight, the
+/// last stream arriving a third as often, and holds every stream's
+/// estimate to the legacy fold's bits every fifth arrival. Returns how
+/// many of those probes had every partner live and how many mixed frozen
+/// and live partners.
+fn mixed_epochs_match_legacy(n: usize, cfg: BankConfig) -> (usize, usize) {
+    let mut c = Catalog::new();
+    for k in 1..=n {
+        c.add_stream(StreamSchema::new(format!("R{k}").as_str(), &["A1", "A2"]));
+    }
+    let preds: Vec<(String, String)> = (1..n)
+        .map(|k| (format!("R{k}.A2"), format!("R{}.A1", k + 1)))
+        .collect();
+    let preds: Vec<(&str, &str)> = preds.iter().map(|(a, b)| (&**a, &**b)).collect();
+    let q = JoinQuery::from_names(c, &preds, WindowSpec::secs(500)).unwrap();
+    let epoch = EpochSpec::PerStreamTuples(8);
+    let mut new = TumblingSketches::new(&q, cfg, epoch);
+    let mut old = LegacyTumbling::new(&q, cfg, epoch);
+    let (mut live, mut mixed) = (0, 0);
+    for i in 0..240u64 {
+        let s = StreamId(i as usize % n);
+        if s.index() == n - 1 && i % 3 != 0 {
+            continue;
+        }
+        let vals = v((i * i + 7 * i) % 9, (i / 2) % 9);
+        let t = VTime::from_secs(i / 4);
+        assert_eq!(new.observe(s, &vals, t), old.observe(s, &vals, t));
+        if i % 5 == 0 {
+            for stream in 0..n {
+                let frozen = (0..n)
+                    .filter(|&k| k != stream)
+                    .filter(|&k| new.has_last_epoch(StreamId(k)))
+                    .count();
+                match frozen {
+                    0 => live += 1,
+                    f if f < n - 1 => mixed += 1,
+                    _ => {}
+                }
+                let probe = v(i % 9, i % 4);
+                let sid = StreamId(stream);
+                assert_eq!(
+                    new.productivity(sid, &probe).to_bits(),
+                    old.productivity(sid, &probe).to_bits(),
+                    "n={n} {cfg:?}: productivity diverged at step {i} stream {stream}"
+                );
+            }
+        }
+    }
+    (live, mixed)
+}
+
 #[test]
 fn general_mixed_path_bit_identical_on_two_and_four_streams() {
     // Off the three-stream shape a first-epoch query takes the general
-    // fold (multiply row by row, sign, serial sum); tuple-mode epochs with
-    // a lagging last stream keep it live beside the frozen path.
+    // fold (multiply row by row, sign, serial sum) or, with one partner,
+    // the integer query; tuple-mode epochs with a lagging last stream keep
+    // them live beside the frozen path.
     for n in [2usize, 4] {
-        let mut c = Catalog::new();
-        for k in 1..=n {
-            c.add_stream(StreamSchema::new(format!("R{k}").as_str(), &["A1", "A2"]));
-        }
-        let preds: Vec<(String, String)> = (1..n)
-            .map(|k| (format!("R{k}.A2"), format!("R{}.A1", k + 1)))
-            .collect();
-        let preds: Vec<(&str, &str)> = preds.iter().map(|(a, b)| (&**a, &**b)).collect();
-        let q = JoinQuery::from_names(c, &preds, WindowSpec::secs(500)).unwrap();
         for (s1, s2) in [(33, 1), (20, 2)] {
-            let cfg = BankConfig { s1, s2, seed: 9 };
-            let epoch = EpochSpec::PerStreamTuples(8);
-            let mut new = TumblingSketches::new(&q, cfg, epoch);
-            let mut old = LegacyTumbling::new(&q, cfg, epoch);
-            for i in 0..240u64 {
-                let s = StreamId(i as usize % n);
-                if s.index() == n - 1 && i % 3 != 0 {
-                    continue;
-                }
-                let vals = v((i * i + 7 * i) % 9, (i / 2) % 9);
-                let t = VTime::from_secs(i / 4);
-                assert_eq!(new.observe(s, &vals, t), old.observe(s, &vals, t));
-                if i % 5 == 0 {
-                    for stream in 0..n {
-                        let probe = v(i % 9, i % 4);
-                        let sid = StreamId(stream);
-                        assert_eq!(
-                            new.productivity(sid, &probe).to_bits(),
-                            old.productivity(sid, &probe).to_bits(),
-                            "n={n} s2={s2}: productivity diverged at step {i} stream {stream}"
-                        );
-                    }
-                }
-            }
+            mixed_epochs_match_legacy(n, BankConfig { s1, s2, seed: 9 });
+        }
+    }
+}
+
+/// The integer first-epoch query through the tumbling layer: one partner
+/// and two, one group and three, partners all live and frozen beside
+/// live, to the legacy fold's bits.
+#[test]
+fn first_epoch_query_bit_identical_with_live_and_frozen_partners() {
+    for n in [2usize, 3] {
+        for s2 in [1, 3] {
+            let cfg = BankConfig { s1: 40, s2, seed: 5 };
+            let (live, mixed) = mixed_epochs_match_legacy(n, cfg);
+            // One partner is live or frozen; two can be one of each.
+            assert!(
+                live > 0 && (n == 2 || mixed > 0),
+                "n={n} s2={s2}: {live} live, {mixed} mixed"
+            );
         }
     }
 }
@@ -587,12 +625,12 @@ proptest! {
 //
 // Every kernel in `mstream_sketch::kernel` ships a scalar reference path
 // and a portable lane path (plus AVX2 specializations of the sign fold,
-// sign application, the signed sum and the fused first-epoch
-// product-and-sum); the entry points run the lane path, or AVX2 where the
-// CPU has it. These properties pin all implementations bit-identical
-// across odd lengths, ragged tails (len % LANES != 0, len % 64 != 0), and
-// extreme inputs (i64::MIN/MAX-adjacent counters, ±0.0, subnormal and
-// infinite values).
+// sign application, the signed sum and the first-epoch integer sum, whose
+// portable form is its scalar reference); the entry points run the lane
+// path, or AVX2 where the CPU has it. These properties pin all
+// implementations bit-identical across odd lengths, ragged tails
+// (len % LANES != 0, len % 64 != 0), and extreme inputs
+// (i64::MIN/MAX-adjacent counters, ±0.0, subnormal and infinite values).
 // ---------------------------------------------------------------------------
 
 mod kernels {
@@ -782,22 +820,39 @@ mod kernels {
         }
 
         #[test]
-        fn product2_signed_modes_agree(
+        fn signed_product_sum_modes_agree(
             sampled_len in 0usize..200,
+            first in 0usize..100,
+            two in any::<bool>(),
             seed in any::<u64>(),
         ) {
+            // Copies from any offset into the sign words, so heads of every
+            // length. One row holds factors up to the 2^31 − 1 the AVX2
+            // multiply takes, the other stays under 2^20, so no sum of up
+            // to 200 products leaves the i64 range.
             let len = pick_len(sampled_len, seed);
-            let a_row: Vec<i64> = (0..len).map(|i| extreme_i64(seed, i)).collect();
-            let b_row: Vec<i64> = (0..len).map(|i| extreme_i64(!seed, i)).collect();
-            let words = sign_words(seed ^ 0xF00D, len);
-            let mut a = vec![0.0f64; len];
-            let mut b = vec![0.0f64; len];
-            let mut c = vec![0.0f64; len];
-            scalar::product2_signed(&a_row, &b_row, &words, &mut a);
-            lanes::product2_signed(&a_row, &b_row, &words, &mut b);
-            kernel::product2_signed(&a_row, &b_row, &words, &mut c);
-            prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(bits(&a), bits(&c));
+            let wide = |i: usize| {
+                let r = mix(seed, i as u64);
+                let x = match r % 5 {
+                    0 => (1 << 31) - 1,
+                    1 => 0,
+                    2 => 1 << 30,
+                    _ => (r >> 8) as i64 % 5000,
+                };
+                if r >> 63 == 0 { x } else { -x }
+            };
+            let narrow = |i: usize| (mix(!seed, i as u64) % (1 << 21)) as i64 - (1 << 20);
+            let a: Vec<i64> = (0..first + len).map(wide).collect();
+            let b: Vec<i64> = (0..first + len).map(narrow).collect();
+            let rows: &[&[i64]] = if two { &[&b, &a] } else { &[&a] };
+            let words = sign_words(seed ^ 0xF00D, first + len);
+            let copies = first..first + len;
+            let want = scalar::signed_product_sum(&words, rows, copies.clone());
+            prop_assert_eq!(kernel::signed_product_sum(&words, rows, copies.clone()), want);
+            #[cfg(target_arch = "x86_64")]
+            if has_avx2() {
+                prop_assert_eq!(kernel::avx2::signed_product_sum(&words, rows, copies), want);
+            }
         }
 
         #[test]
@@ -835,41 +890,6 @@ mod kernels {
             let want = scalar::signed_sum(&words, first, &vals);
             prop_assert!(same(want, lanes::signed_sum(&words, first, &vals)));
             prop_assert!(same(want, kernel::signed_sum(&words, first, &vals)));
-        }
-
-        #[test]
-        fn product2_signed_sum_modes_agree(
-            sampled_len in 0usize..200,
-            magnitude in 0u32..54,
-            seed in any::<u64>(),
-        ) {
-            // Counters up to `2^magnitude`: small ones keep the guard sum
-            // under 2^53 (the fast path answers), large ones push it over
-            // or leave the counter range (it declines) — the reference and
-            // the vector form must decline together.
-            let len = pick_len(sampled_len, seed);
-            let draw = |salt: u64, i: usize| {
-                let r = mix(seed ^ salt, i as u64);
-                let x = (r >> 1) % (1u64 << magnitude).max(2);
-                if r & 1 == 0 { x as i64 } else { -(x as i64) }
-            };
-            let a: Vec<i64> = (0..len).map(|i| draw(1, i)).collect();
-            let b: Vec<i64> = (0..len).map(|i| draw(2, i)).collect();
-            let words = sign_words(seed ^ 0xF00D, len);
-            let want = scalar::product2_signed_sum(&a, &b, &words);
-            if let Some(sum) = want {
-                let mut signed = vec![0.0f64; len];
-                scalar::product2_signed(&a, &b, &words, &mut signed);
-                let mut serial = Vec::new();
-                scalar::group_sums(&signed, len, 1, &mut serial);
-                prop_assert_eq!(sum.to_bits(), serial[0].to_bits());
-            }
-            if has_avx2() {
-                let got = kernel::product2_signed_sum(&a, &b, &words);
-                prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
-            } else {
-                prop_assert_eq!(kernel::product2_signed_sum(&a, &b, &words), None);
-            }
         }
 
         #[test]
@@ -960,22 +980,26 @@ mod kernels {
                         assert!(same(want, got), "signed_sum copies={copies} group={g}");
                     }
                 }
-                let a: Vec<i64> = (0..copies)
+                let a: Vec<i64> = (0..3 * copies)
                     .map(|i| (mix(seed, i as u64) % 4001) as i64 - 2000)
                     .collect();
-                let b: Vec<i64> = (0..copies)
+                let b: Vec<i64> = (0..3 * copies)
                     .map(|i| (mix(!seed, i as u64) % 4001) as i64 - 2000)
                     .collect();
-                let want = scalar::product2_signed_sum(&a, &b, &words);
-                assert!(want.is_some(), "small counters pass both guards");
-                #[cfg(target_arch = "x86_64")]
-                if has_avx2() {
-                    let got = kernel::avx2::product2_signed_sum(&a, &b, &words);
-                    assert_eq!(
-                        got.map(f64::to_bits),
-                        want.map(f64::to_bits),
-                        "copies={copies}"
-                    );
+                for rows in [&[&a[..]][..], &[&a[..], &b[..]]] {
+                    for g in 0..3 {
+                        let copies = g * copies..(g + 1) * copies;
+                        let want = scalar::signed_product_sum(&words, rows, copies.clone());
+                        assert_eq!(
+                            kernel::signed_product_sum(&words, rows, copies.clone()),
+                            want
+                        );
+                        #[cfg(target_arch = "x86_64")]
+                        if has_avx2() {
+                            let got = kernel::avx2::signed_product_sum(&words, rows, copies);
+                            assert_eq!(got, want, "{} rows, group {g}", rows.len());
+                        }
+                    }
                 }
             }
         }
@@ -988,13 +1012,13 @@ mod kernels {
 // `SketchBank::update` parks sign vectors — eight to a block — in
 // bit-sliced pending counters and settles them into the `i64` counters on
 // read; the frozen productivity query sums a guarded cross row in sixteen
-// accumulators, and the first-epoch one multiplies, signs and sums two
-// live rows in one guarded pass. All are pinned here against the eager,
-// serial scalar kernels.
+// accumulators, and the first-epoch one sums its partners' signed products
+// in integers inside bounds that make the serial f64 fold exact. All are
+// pinned here against the eager, serial scalar kernels.
 // ---------------------------------------------------------------------------
 
 mod deferred {
-    use super::{chain_query, has_avx2, v, LegacyTumbling};
+    use super::{chain_query, v, LegacyTumbling};
     use mstream_sketch::kernel::{self, scalar};
     use mstream_sketch::{
         median_of_means_slice, BankConfig, EpochSpec, SketchBank, TumblingSketches,
@@ -1218,6 +1242,45 @@ mod deferred {
             let words: Vec<u64> = (0..len.div_ceil(64)).map(|i| mix(!seed, i as u64)).collect();
             prop_assert_eq!(bits(&fused(&words, &row, s1, s2)), bits(&serial(&words, &row, s1, s2)));
         }
+
+        /// The integer first-epoch query against the serial f64 fold: one
+        /// partner and two, every group shape, counters up to
+        /// `2^magnitude` (zero in every `zero_every`-th copy) and bounds at
+        /// or a little above their true maxima. It answers exactly where
+        /// the bounds pass, with the fold's bits.
+        #[test]
+        fn first_epoch_query_matches_the_serial_fold(
+            seed in any::<u64>(),
+            shape in 0usize..SHAPES.len(),
+            two in any::<bool>(),
+            magnitude in 0u32..33,
+            slack in 0u64..3,
+            zero_every in 1usize..40,
+        ) {
+            let (s1, s2) = SHAPES[shape];
+            let len = s1 * s2;
+            let draw = |salt: u64, i: usize| {
+                let r = mix(seed ^ salt, i as u64);
+                let x = ((r >> 1) % (1u64 << magnitude)) as i64;
+                if i % zero_every == 0 { 0 } else if r & 1 == 0 { x } else { -x }
+            };
+            let a: Vec<i64> = (0..len).map(|i| draw(1, i)).collect();
+            let b: Vec<i64> = (0..len).map(|i| draw(2, i)).collect();
+            let rows: &[&[i64]] = if two { &[&a, &b] } else { &[&a] };
+            let bounds: Vec<u64> = rows
+                .iter()
+                .map(|row| row.iter().map(|x| x.unsigned_abs()).max().unwrap_or(0) + slack)
+                .collect();
+            let words: Vec<u64> = (0..len.div_ceil(64)).map(|i| mix(!seed, i as u64)).collect();
+            let want = serial_fold(&words, rows, s1, s2);
+            let scale = bounds.iter().fold(s1 as u128, |p, &b| p * u128::from(b));
+            let exact = bounds.iter().all(|&b| b < 1 << 31) && scale < 1 << 53;
+            let got = integer_query(&words, rows, &bounds, s1, s2);
+            prop_assert_eq!(got.is_some(), exact);
+            if let Some(got) = got {
+                prop_assert_eq!(got, bits(&want));
+            }
+        }
     }
 
     proptest! {
@@ -1278,60 +1341,137 @@ mod deferred {
         }
     }
 
-    /// The fused first-epoch sum declines exactly at its two guards — a
-    /// counter of magnitude 2^51, a guard sum of 2^53 — in the vector body
-    /// and in the scalar tail, and just inside them returns the serial
-    /// pair's bits.
+    /// The serial f64 fold the integer first-epoch query stands in for:
+    /// `fill(1.0)`, one row multiply per partner in order, signs, serial
+    /// group sums.
+    fn serial_fold(words: &[u64], rows: &[&[i64]], s1: usize, s2: usize) -> Vec<f64> {
+        let mut per_copy = vec![1.0f64; s1 * s2];
+        for row in rows {
+            scalar::multiply_row(&mut per_copy, row);
+        }
+        scalar::apply_packed_signs(words, &mut per_copy);
+        let mut groups = Vec::new();
+        scalar::group_sums(&per_copy, s1, s2, &mut groups);
+        groups
+    }
+
+    /// The integer query's group sums, or `None` where it declines.
+    fn integer_query(
+        words: &[u64],
+        rows: &[&[i64]],
+        bounds: &[u64],
+        s1: usize,
+        s2: usize,
+    ) -> Option<Vec<u64>> {
+        let mut groups = Vec::new();
+        kernel::product_group_sums(words, rows, bounds, s1, s2, &mut groups).then(|| bits(&groups))
+    }
+
+    /// The first-epoch query's bound edges — a factor at 2^31 − 1 and at
+    /// 2^31, `s1·Π bounds` at 2^53 − 1 and at 2^53 — with the edge value in
+    /// the AVX2 body (copy 5) and in its tail (copy 67): inside, the serial
+    /// fold's bits; at the edge, it declines.
     #[test]
-    fn product2_signed_sum_declines_at_its_guards() {
+    fn first_epoch_query_at_its_bound_edges() {
         const COPIES: usize = 70;
-        let words: Vec<u64> = (0..2).map(|i| mix(51, i)).collect();
-        let serial = |a: &[i64], b: &[i64]| {
-            let mut signed = vec![0.0f64; COPIES];
-            scalar::product2_signed(a, b, &words, &mut signed);
-            let mut sums = Vec::new();
-            scalar::group_sums(&signed, COPIES, 1, &mut sums);
-            sums[0].to_bits()
-        };
-        // What the dispatched kernel must answer where the reference
-        // answers `want`: the same with AVX2, nothing without.
-        let check = |a: &[i64], b: &[i64], want: Option<u64>, what: &str| {
-            let reference = scalar::product2_signed_sum(a, b, &words).map(f64::to_bits);
-            assert_eq!(reference, want, "reference: {what}");
-            let got = kernel::product2_signed_sum(a, b, &words).map(f64::to_bits);
-            assert_eq!(
-                got,
-                if has_avx2() { want } else { None },
-                "dispatched: {what}"
-            );
-        };
-        let limit = 1i64 << 51;
-        // Slot 5 sits in the vector body, slot 67 in the tail.
+        let words: Vec<u64> = (0..2).map(|i| mix(31, i)).collect();
+        let factor = (1i64 << 31) - 1;
         for slot in [5, 67] {
-            for edge in [limit, -limit] {
-                let mut a = vec![1i64; COPIES];
-                let b = vec![0i64; COPIES];
-                a[slot] = edge;
-                check(&a, &b, None, "counter at the limit");
-                check(&b, &a, None, "counter at the limit, other row");
-                a[slot] = edge - edge.signum();
-                check(&a, &b, Some(serial(&a, &b)), "counter inside the limit");
+            for sign in [1, -1] {
+                let b = vec![-1i64; COPIES];
+                for (value, bound) in [(factor, factor as u64), (1 << 31, 1 << 31)] {
+                    let mut a = vec![1i64; COPIES];
+                    a[slot] = sign * value;
+                    for (rows, bounds) in [
+                        (&[&a[..], &b[..]][..], &[bound, 1][..]),
+                        (&[&b[..], &a[..]], &[1, bound]),
+                        (&[&a[..]], &[bound]),
+                    ] {
+                        let want = bits(&serial_fold(&words, rows, COPIES, 1));
+                        let inside = bound < 1 << 31;
+                        assert_eq!(
+                            integer_query(&words, rows, bounds, COPIES, 1),
+                            inside.then_some(want),
+                            "factor {}",
+                            a[slot]
+                        );
+                    }
+                }
             }
-            // Σ|a·b| = 2^53 exactly, then one less.
-            let mut a = vec![0i64; COPIES];
-            let mut b = vec![0i64; COPIES];
-            (a[slot], b[slot]) = (1 << 26, -(1 << 26));
-            (a[20], b[20]) = (1 << 26, 1 << 26);
-            check(&a, &b, None, "guard sum at 2^53");
-            (a[40], b[40]) = (-1, 1);
-            check(&a, &b, None, "guard sum above 2^53");
-            b[20] -= 1;
-            b[40] = 0;
+            // 2^53 − 1 = 441 650 591 · 20 394 401, in groups of one copy.
+            let (x, y) = (441_650_591i64, 20_394_401i64);
+            let mut a = vec![1i64; COPIES];
+            let mut b = vec![-1i64; COPIES];
+            (a[slot], b[slot]) = (x, -y);
+            let rows = [&a[..], &b[..]];
+            let want = serial_fold(&words, &rows, 1, COPIES);
+            assert_eq!(want[slot].abs(), ((1u64 << 53) - 1) as f64);
             assert_eq!(
-                a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum::<i64>(),
-                (1 << 53) - (1 << 26)
+                integer_query(&words, &rows, &[x as u64, y as u64], 1, COPIES),
+                Some(bits(&want))
             );
-            check(&a, &b, Some(serial(&a, &b)), "guard sum under 2^53");
+            assert_eq!(
+                integer_query(&words, &rows, &[1 << 27, 1 << 26], 1, COPIES),
+                None
+            );
+        }
+    }
+
+    /// Rows whose integer sum is zero: the serial fold reads `-0.0` when
+    /// every term is a zero with its sign bit set, `+0.0` otherwise — in a
+    /// zero row under random signs, and in non-zero terms that cancel. The
+    /// query gives the fold's zero, at a zero bound and at a zero sum.
+    #[test]
+    fn first_epoch_query_keeps_the_serial_sign_of_zero() {
+        const COPIES: usize = 70;
+        let words: Vec<u64> = (0..2).map(|i| mix(0, i)).collect();
+        let bit = |c: usize| (words[c / 64] >> (c % 64)) & 1 == 1;
+        let zeros = vec![0i64; COPIES];
+        // `±1 · +0.0` is a zero of the ±1's sign; it is flipped where the
+        // bit is set, so this row makes every term −0.0.
+        let against: Vec<i64> = (0..COPIES).map(|c| if bit(c) { 1 } else { -1 }).collect();
+        let ones = vec![1i64; COPIES];
+        // Terms x and −x in pairs, the sign bit undone by the row's sign.
+        let cancel: Vec<i64> = (0..COPIES)
+            .map(|c| {
+                let x = (c / 2 + 1) as i64;
+                if (c % 2 == 0) == bit(c) {
+                    -x
+                } else {
+                    x
+                }
+            })
+            .collect();
+        // All −0.0 but one term: a +0.0 (copy 69) or a cancelling pair.
+        let mut one_plus = against.clone();
+        one_plus[69] = -one_plus[69];
+        let mut one_pair = against.clone();
+        (one_pair[3], one_pair[40]) = (5, 5);
+        let mut pair_factor = zeros.clone();
+        pair_factor[3] = if bit(3) { -1 } else { 1 };
+        pair_factor[40] = if bit(40) { 1 } else { -1 };
+        for (rows, zero) in [
+            (&[&against[..], &zeros[..]][..], -0.0f64),
+            (&[&zeros[..], &against[..]], -0.0),
+            (&[&one_plus[..], &zeros[..]], 0.0),
+            (&[&one_pair[..], &pair_factor[..]], 0.0),
+            (&[&ones[..], &zeros[..]], 0.0),
+            (&[&zeros[..]], 0.0),
+            (&[&cancel[..]], 0.0),
+            (&[&cancel[..], &ones[..]], 0.0),
+        ] {
+            assert_eq!(
+                bits(&serial_fold(&words, rows, COPIES, 1)),
+                [zero.to_bits()]
+            );
+            let tight: Vec<u64> = rows
+                .iter()
+                .map(|row| row.iter().map(|x| x.unsigned_abs()).max().unwrap())
+                .collect();
+            for bounds in [tight, vec![COPIES as u64; rows.len()]] {
+                let got = integer_query(&words, rows, &bounds, COPIES, 1);
+                assert_eq!(got, Some(vec![zero.to_bits()]), "bounds {bounds:?}");
+            }
         }
     }
 

@@ -109,6 +109,12 @@ if grep -rnwE 'productivity_at|has_prev|event_time' crates/{sketch,shed,core}/sr
   echo "FAIL: the late-tuple scoring path is back (DESIGN.md §13)"
   exit 1
 fi
+# The first-epoch query sums in integers (DESIGN.md §15): the f64
+# product-and-sum forms and the magic-number conversion stay gone.
+if grep -rnE 'product2_signed|COUNTER_LIMIT|\bMAGIC\b' crates/sketch/src; then
+  echo "FAIL: an f64 first-epoch product form is back in mstream-sketch (DESIGN.md §15)"
+  exit 1
+fi
 # Differential audit smoke (DESIGN.md §8): 100 fuzzed cases, every policy
 # in process and sharded against each query's exact oracle, event-time
 # runs against in-order runs, the score-cache (odd seeds) and plain/eager
