@@ -1,7 +1,9 @@
 //! Accuracy metrics comparing approximate against exact join output.
 
 use crate::hist::HistBuckets;
+#[cfg(test)]
 use crate::quantile::{mean, quantile};
+#[cfg(test)]
 use crate::series::ValueBuckets;
 
 /// `|truth − estimate| / |truth|`; defined as 0 when both are 0 and 1 when
@@ -21,7 +23,8 @@ pub fn relative_error(truth: f64, estimate: f64) -> f64 {
 /// Mean absolute difference between the `qs`-quantiles of two samples
 /// (the paper's "average quantile differences", Figure 7(b), with
 /// `qs = [0.25, 0.5, 0.75]`). `None` if either sample is empty.
-pub fn avg_quantile_diff(truth: &[f64], sample: &[f64], qs: &[f64]) -> Option<f64> {
+#[cfg(test)]
+pub(crate) fn avg_quantile_diff(truth: &[f64], sample: &[f64], qs: &[f64]) -> Option<f64> {
     if truth.is_empty() || sample.is_empty() || qs.is_empty() {
         return None;
     }
@@ -32,7 +35,7 @@ pub fn avg_quantile_diff(truth: &[f64], sample: &[f64], qs: &[f64]) -> Option<f6
     Some(sum / qs.len() as f64)
 }
 
-/// Bucket-by-bucket comparison of two [`ValueBuckets`] streams: the exact
+/// Bucket-by-bucket comparison of two [`HistBuckets`] streams: the exact
 /// join's output values vs a shed join's. Produces the two numbers Figure 7
 /// plots per memory setting: the average relative error of the windowed
 /// AVG, and the average quartile difference.
@@ -97,7 +100,8 @@ impl SeriesComparison {
     }
 
     /// Compares `truth` and `sample` bucket-by-bucket using quartiles.
-    pub fn compute(truth: &ValueBuckets, sample: &ValueBuckets) -> SeriesComparison {
+    #[cfg(test)]
+    pub(crate) fn compute(truth: &ValueBuckets, sample: &ValueBuckets) -> SeriesComparison {
         const QS: [f64; 3] = [0.25, 0.5, 0.75];
         let mut err_sum = 0.0;
         let mut qd_sum = 0.0;

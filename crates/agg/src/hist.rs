@@ -51,7 +51,7 @@ impl Hist {
     }
 
     /// The `q`-quantile by linear interpolation between order statistics
-    /// (same "type 7" convention as [`crate::quantile`]), or `None` if
+    /// (same "type 7" convention as [`crate::quartiles`]), or `None` if
     /// empty.
     ///
     /// # Panics
@@ -93,7 +93,8 @@ impl Hist {
     }
 
     /// Iterates over `(value, count)` pairs in ascending value order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts.iter().map(|(&v, &c)| (v, c))
     }
 }
@@ -133,11 +134,6 @@ impl HistBuckets {
     /// Total samples recorded.
     pub fn total_samples(&self) -> u64 {
         self.hists.iter().map(Hist::len).sum()
-    }
-
-    /// The bucket width.
-    pub fn bucket(&self) -> VDur {
-        self.bucket
     }
 }
 
@@ -216,11 +212,11 @@ mod tests {
                 h.add(v);
                 xs.push(v as f64);
             }
-            let expected = crate::quantile(&xs, q).unwrap();
+            let expected = crate::quantile::quantile(&xs, q).unwrap();
             let got = h.quantile(q).unwrap();
             prop_assert!((got - expected).abs() < 1e-9, "{got} vs {expected}");
             let hm = h.mean().unwrap();
-            let vm = crate::mean(&xs).unwrap();
+            let vm = crate::quantile::mean(&xs).unwrap();
             prop_assert!((hm - vm).abs() < 1e-9);
         }
     }

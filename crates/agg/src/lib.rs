@@ -10,9 +10,9 @@
 //!   sample's frequency distribution matches the true result's.
 //!
 //! This crate provides the machinery: time-bucketed value collectors
-//! ([`ValueBuckets`], [`BucketSeries`]), exact quantiles ([`quantile`],
-//! [`quartiles`]), comparison metrics ([`relative_error`],
-//! [`avg_quantile_diff`], [`SeriesComparison`]) and a classical reservoir
+//! ([`BucketSeries`], [`HistBuckets`]), exact quantiles ([`quartiles`],
+//! [`Hist::quantile`]), comparison metrics ([`relative_error`],
+//! [`SeriesComparison`]) and a classical reservoir
 //! sampler ([`Reservoir`]) for downstream mining consumers (paper §6's
 //! future-work direction, exercised by the `stream_mining` example).
 
@@ -31,14 +31,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
-pub mod hist;
-pub mod quantile;
-pub mod reservoir;
-pub mod series;
+mod error;
+mod hist;
+mod quantile;
+mod reservoir;
+mod series;
 
-pub use error::{avg_quantile_diff, relative_error, SeriesComparison};
+pub use error::{relative_error, SeriesComparison};
 pub use hist::{Hist, HistBuckets};
-pub use quantile::{mean, quantile, quartiles};
+pub use quantile::quartiles;
 pub use reservoir::Reservoir;
-pub use series::{BucketSeries, ValueBuckets};
+pub use series::BucketSeries;

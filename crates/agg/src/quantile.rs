@@ -1,7 +1,8 @@
 //! Exact means and quantiles of small samples.
 
 /// The arithmetic mean; `None` for an empty slice.
-pub fn mean(xs: &[f64]) -> Option<f64> {
+#[cfg(test)]
+pub(crate) fn mean(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() {
         None
     } else {
@@ -14,7 +15,7 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
 ///
 /// # Panics
 /// Panics if `q` is outside `[0, 1]` or any value is NaN.
-pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
+pub(crate) fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
     if xs.is_empty() {
         return None;

@@ -49,16 +49,6 @@ impl<T> Reservoir<T> {
     pub fn seen(&self) -> u64 {
         self.seen
     }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Whether fewer elements than `capacity` have been offered.
-    pub fn is_partial(&self) -> bool {
-        self.items.len() < self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +66,6 @@ mod tests {
         }
         assert_eq!(r.items().len(), 3);
         assert_eq!(r.seen(), 10);
-        assert!(!r.is_partial());
     }
 
     #[test]
@@ -87,7 +76,6 @@ mod tests {
             r.offer(i, &mut rng);
         }
         assert_eq!(r.items(), &[0, 1, 2]);
-        assert!(r.is_partial());
     }
 
     #[test]

@@ -45,13 +45,9 @@ impl BucketSeries {
         self.counts.iter().sum()
     }
 
-    /// The bucket width.
-    pub fn bucket(&self) -> VDur {
-        self.bucket
-    }
-
     /// `(bucket start seconds, count)` pairs.
-    pub fn points(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn points(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
         let w = self.bucket.as_secs_f64();
         self.counts
             .iter()
@@ -60,17 +56,19 @@ impl BucketSeries {
     }
 }
 
-/// Collects raw `f64` samples per fixed-width bucket, for per-window
-/// averages and quantiles (Figure 7's windowed aggregates).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ValueBuckets {
+/// Collects raw `f64` samples per fixed-width bucket: the exact reference
+/// the tests hold [`crate::HistBuckets`] and its comparison to.
+#[cfg(test)]
+#[derive(Clone, Debug)]
+pub(crate) struct ValueBuckets {
     bucket: VDur,
     values: Vec<Vec<f64>>,
 }
 
+#[cfg(test)]
 impl ValueBuckets {
     /// A collector with the given bucket width.
-    pub fn new(bucket: VDur) -> Self {
+    pub(crate) fn new(bucket: VDur) -> Self {
         assert!(!bucket.is_zero(), "bucket width must be positive");
         ValueBuckets {
             bucket,
@@ -79,7 +77,7 @@ impl ValueBuckets {
     }
 
     /// Records sample `v` at time `t`.
-    pub fn add(&mut self, t: VTime, v: f64) {
+    pub(crate) fn add(&mut self, t: VTime, v: f64) {
         let idx = (t.as_micros() / self.bucket.as_micros()) as usize;
         if idx >= self.values.len() {
             self.values.resize_with(idx + 1, Vec::new);
@@ -88,22 +86,22 @@ impl ValueBuckets {
     }
 
     /// The samples of each bucket, in time order.
-    pub fn buckets(&self) -> &[Vec<f64>] {
+    pub(crate) fn buckets(&self) -> &[Vec<f64>] {
         &self.values
     }
 
     /// Number of buckets materialized.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
     }
 
     /// Whether no samples were collected.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.values.iter().all(Vec::is_empty)
     }
 
     /// Total sample count.
-    pub fn total_samples(&self) -> usize {
+    pub(crate) fn total_samples(&self) -> usize {
         self.values.iter().map(Vec::len).sum()
     }
 }

@@ -14,7 +14,7 @@
 //! plain/eager (even seeds) A/B pairs, and every engine's structural
 //! invariants after every arrival. Failures print a replay line
 //! (`cargo run -p mstream-audit -- replay <seed>`) and a greedily shrunk
-//! minimal trace ([`shrink`]).
+//! minimal trace ([`shrink()`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,9 +7,7 @@
 use crate::disorder::inject_disorder;
 use crate::eager::Eager;
 use crate::gen::{catalog_order, pool_streams, Arrival, Case, Churn, ReducedMemory, Trace};
-use mstream_core::ingest::QueryFnSink;
-use mstream_core::shard::{Backpressure, ShardConfig};
-use mstream_core::{EngineBuilder, EngineMetrics};
+use mstream_core::{Backpressure, EngineBuilder, EngineMetrics, QueryFnSink, ShardConfig};
 use mstream_join::{Bindings, ExactJoin};
 use mstream_shed_policies::{parse_policy, ShedPolicy, ALL_POLICY_NAMES};
 use mstream_sketch::BankConfig;

@@ -4,9 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mstream_core::mstream_sketch::kernel;
-use mstream_core::mstream_sketch::signs::combine_packed_signs;
 use mstream_core::mstream_sketch::{
-    FourWiseHash, SignCache, SignFamilies, SketchBank, TumblingSketches,
+    combine_packed_signs, FourWiseHash, SignCache, SignFamilies, SketchBank, TumblingSketches,
 };
 use mstream_core::prelude::*;
 use rand::rngs::StdRng;

@@ -15,7 +15,7 @@ use std::time::Instant;
 /// time of one arrival in `stage_sample_stride`, times that stride.
 fn stage_view(m: &EngineMetrics) -> serde_json::Value {
     serde_json::json!({
-        "stage_sample_stride": mstream_core::clock::STRIDE,
+        "stage_sample_stride": mstream_core::STAGE_SAMPLE_STRIDE,
         "sketch_observe_ns": m.sketch_observe_ns,
         "priority_rebuild_ns": m.priority_rebuild_ns,
         "priority_rebuilds": m.priority_rebuilds,
@@ -799,7 +799,7 @@ mod tests {
         let json_start = text.find('{').expect("stage object present");
         let v: serde_json::Value = serde_json::from_str(&text[json_start..]).unwrap();
         let stages = &v["stages"];
-        assert_eq!(stages["stage_sample_stride"].as_u64(), Some(mstream_core::clock::STRIDE));
+        assert_eq!(stages["stage_sample_stride"].as_u64(), Some(mstream_core::STAGE_SAMPLE_STRIDE));
         for key in [
             "sketch_observe_ns",
             "priority_rebuild_ns",

@@ -143,7 +143,6 @@ impl From<Error> for BuildError {
 /// let engine = EngineBuilder::new(query)
 ///     .policy(MSketchRs)
 ///     .capacity_per_window(256)
-///     .sketch_copies(64)
 ///     .seed(7)
 ///     .build()
 ///     .unwrap();
@@ -246,12 +245,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Number of AGMS sketch copies averaged per estimate (`s1`).
-    pub fn sketch_copies(mut self, s1: usize) -> Self {
-        self.config.bank.s1 = s1;
-        self
-    }
-
     /// Full sketch sizing.
     pub fn bank(mut self, bank: BankConfig) -> Self {
         self.config.bank = bank;
@@ -298,6 +291,8 @@ impl EngineBuilder {
     /// on by default) on or off for this engine. Cached and uncached runs
     /// are bit-identical; the cache only changes how often the estimation
     /// kernel runs. Sharded builds propagate the setting to every worker.
+    /// Only the audit's cached/uncached A/B pair turns it off.
+    #[cfg(feature = "audit")]
     pub fn score_cache(mut self, enabled: bool) -> Self {
         self.config.score_cache = enabled;
         self

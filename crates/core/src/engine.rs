@@ -48,7 +48,7 @@ pub enum MemoryMode {
 
 /// Engine construction parameters.
 #[derive(Clone, Debug)]
-pub struct EngineConfig {
+pub(crate) struct EngineConfig {
     /// Window memory allocation.
     pub memory: MemoryMode,
     /// AGMS sketch sizing (only materialized if the policy needs sketches).

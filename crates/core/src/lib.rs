@@ -47,24 +47,25 @@
 //!
 //! ## Crate map
 //!
-//! * [`multi`] — [`MultiQueryEngine`], the one in-process engine:
-//!   Algorithm 1 of the paper over shared window stores, for N standing
-//!   queries; [`ShedJoinEngine`] is the same engine with one query.
-//! * [`engine`] — what it is made of: configuration, the two optional
-//!   stages in front of the plane (the reorder stage and the overload
-//!   input queue), and the per-query core (tumbling sketches, priority
-//!   queues, per-policy state).
-//! * [`ingest`] — the unified feed API: [`Arrival`] in, join results out
-//!   through an [`EmitSink`].
-//! * [`shard`] — [`ShardedJoinEngine`], the one sharded coordinator: the
-//!   same plane on every worker thread, for one query or a standing set,
-//!   each arrival routed once by partition key, or broadcast.
-//! * [`sim`] — trace replay: a trace at arrival rate `k` through
-//!   `ingest` and `flush` (behind [`EngineBuilder::input_queue`]'s service
-//!   rate `l`: the overload model), and the exact run on its timeline.
-//! * [`builder`] — [`EngineBuilder`], the one documented construction path.
-//! * [`report`] — run reports: output counts, per-bucket series, collected
-//!   aggregate values, shedding counters, wall-clock time.
+//! * [`MultiQueryEngine`] — the one in-process engine: Algorithm 1 of the
+//!   paper over shared window stores, for N standing queries;
+//!   [`ShedJoinEngine`] is the same engine with one query. Two optional
+//!   stages sit in front of it: the reorder stage
+//!   ([`EngineBuilder::disorder_bound`]) and the overload input queue
+//!   ([`EngineBuilder::input_queue`]).
+//! * [`Arrival`] in, join results out through an [`EmitSink`] — the
+//!   unified feed API.
+//! * [`ShardedJoinEngine`] — the one sharded coordinator: the same plane
+//!   on every worker thread, for one query or a standing set, each arrival
+//!   routed once by partition key, or broadcast.
+//! * [`run_trace`] / [`run_exact_trace`] — trace replay: a trace at arrival
+//!   rate `k` through `ingest` and `flush` (behind the input queue's
+//!   service rate `l`: the overload model), and the exact run on its
+//!   timeline.
+//! * [`EngineBuilder`] — the one documented construction path.
+//! * [`RunReport`] / [`EngineMetrics`] — run reports: output counts,
+//!   per-bucket series, collected aggregate values, shedding counters,
+//!   wall-clock time.
 //!
 //! Re-exported substrate crates: [`mstream_types`] (values/queries),
 //! [`mstream_sketch`] (AGMS sketches), [`mstream_window`] (stores/queues),
@@ -75,21 +76,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod builder;
-pub mod clock;
+mod builder;
+mod clock;
 /// The eager reference policy the deferral tests compare against.
 #[cfg(test)]
 #[path = "../../../tests/support/eager.rs"]
 mod eager;
-pub mod engine;
-pub mod ingest;
-pub mod multi;
-pub mod report;
-pub mod shard;
-pub mod sim;
+mod engine;
+mod ingest;
+mod multi;
+mod report;
+mod shard;
+mod sim;
 
 pub use builder::{BuildError, EngineBuilder};
-pub use engine::{EngineConfig, InputQueue, MemoryMode, ShedJoinEngine};
+pub use clock::STRIDE as STAGE_SAMPLE_STRIDE;
+pub use engine::{InputQueue, MemoryMode, ShedJoinEngine};
 pub use ingest::{
     Arrival, CountSink, EmitSink, FnSink, IngestOutcome, QueryFnSink, QueryRowsSink, VecSink,
 };
@@ -107,17 +109,10 @@ pub use mstream_types;
 pub use mstream_window;
 pub use mstream_workload;
 
-/// One-stop imports for applications and examples.
+/// One-stop imports for applications and examples: this crate's own API
+/// (its re-export list above) plus the substrate items they name.
 pub mod prelude {
-    pub use crate::builder::{BuildError, EngineBuilder};
-    pub use crate::engine::{EngineConfig, InputQueue, MemoryMode, ShedJoinEngine};
-    pub use crate::ingest::{
-        Arrival, CountSink, EmitSink, FnSink, IngestOutcome, QueryFnSink, QueryRowsSink, VecSink,
-    };
-    pub use crate::multi::{MultiQueryEngine, QueryStats};
-    pub use crate::report::{EngineMetrics, RunReport};
-    pub use crate::shard::{Backpressure, HotKeyConfig, ShardConfig, ShardedJoinEngine, ShardedRunReport};
-    pub use crate::sim::{run_exact_trace, run_trace, RunOptions};
+    pub use crate::*;
     pub use mstream_agg::{quartiles, Reservoir, SeriesComparison};
     pub use mstream_join::{Bindings, ExactJoin};
     pub use mstream_shed_policies::{

@@ -422,7 +422,7 @@ impl MultiQueryEngine {
     }
 
     /// Query ids handed out so far (dense; includes removed queries).
-    pub fn n_registered(&self) -> usize {
+    pub(crate) fn n_registered(&self) -> usize {
         self.queries.len()
     }
 
@@ -438,7 +438,8 @@ impl MultiQueryEngine {
     }
 
     /// The query executed for `id` (its class's local-stream-space query).
-    pub fn query(&self, id: QueryId) -> Option<&JoinQuery> {
+    #[cfg(test)]
+    pub(crate) fn query(&self, id: QueryId) -> Option<&JoinQuery> {
         let state = self.queries.get(id.index())?.as_ref()?;
         self.classes[state.class].as_ref().map(|c| &c.core.query)
     }
@@ -755,16 +756,17 @@ impl MultiQueryEngine {
     /// # Timestamp contract
     /// Without a stage in front, timestamps are trusted as given —
     /// monotone or not — and the arrival is processed immediately at its
-    /// own timestamp. With a bound `K` ([`EngineConfig::disorder`]), the
-    /// reorder stage takes over: the arrival is buffered and later
-    /// released in timestamp order, unless its timestamp has already
-    /// fallen behind the watermark (`min` cross-stream high-water mark
-    /// minus `K`), in which case it is dropped — counted in
-    /// [`EngineMetrics::late_dropped`], never joined, and **never a
-    /// panic**. With an input queue ([`EngineConfig::input_queue`]), the
-    /// server first takes, each at its service start, every queued tuple
-    /// whose service starts before this timestamp; then the arrival joins
-    /// the queue. Behind a stage the outcome sums the tuples it released.
+    /// own timestamp. With a bound `K`
+    /// ([`crate::EngineBuilder::disorder_bound`]), the reorder stage takes
+    /// over: the arrival is buffered and later released in timestamp
+    /// order, unless its timestamp has already fallen behind the watermark
+    /// (`min` cross-stream high-water mark minus `K`), in which case it is
+    /// dropped — counted in [`EngineMetrics::late_dropped`], never joined,
+    /// and **never a panic**. With an input queue
+    /// ([`crate::EngineBuilder::input_queue`]), the server first takes,
+    /// each at its service start, every queued tuple whose service starts
+    /// before this timestamp; then the arrival joins the queue. Behind a
+    /// stage the outcome sums the tuples it released.
     pub fn ingest(&mut self, arrival: Arrival, sink: &mut impl EmitSink) -> IngestOutcome {
         let now = arrival.ts;
         if let Some(front) = self.front.as_mut() {
@@ -1065,7 +1067,7 @@ impl MultiQueryEngine {
     /// Notes `n` arrivals of global stream `g` processed on another shard,
     /// so tuple-based window expiry here counts every operator-reaching
     /// arrival.
-    pub fn note_foreign_arrivals(&mut self, g: StreamId, n: u64) {
+    pub(crate) fn note_foreign_arrivals(&mut self, g: StreamId, n: u64) {
         for entry in self.stores.iter_mut().flatten() {
             if entry.gstream == g {
                 entry.store.note_arrivals(n);

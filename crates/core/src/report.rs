@@ -87,7 +87,7 @@ pub struct EngineMetrics {
 impl EngineMetrics {
     /// Folds `other` into `self` by summing every counter (used to combine
     /// the per-shard metrics of a partitioned run).
-    pub fn merge(&mut self, other: &EngineMetrics) {
+    pub(crate) fn merge(&mut self, other: &EngineMetrics) {
         self.total_output += other.total_output;
         self.processed += other.processed;
         self.replicated += other.replicated;

@@ -582,11 +582,6 @@ impl ShardedJoinEngine {
             .map(|(g, _)| g)
     }
 
-    /// Query ids handed out so far (dense; includes removed queries).
-    pub fn n_registered(&self) -> usize {
-        self.n_registered
-    }
-
     /// Registers a new standing query on every shard and returns its id —
     /// the id each worker assigns, since registrations reach them all in
     /// one order. As in [`MultiQueryEngine::add_query`], the query sees
@@ -1597,7 +1592,7 @@ mod tests {
     fn incompatible_runtime_add_is_rejected_on_multi_shard() {
         let mut e = engine(vec![pair_query("L", "R", WindowSpec::secs(600))], shards(2));
         assert!(e.add_query(clashing_query()).is_err());
-        assert_eq!(e.n_registered(), 1, "failed add leaves the id space alone");
+        assert_eq!(e.n_registered, 1, "failed add leaves the id space alone");
         assert_eq!(e.catalog().len(), 2, "failed add leaves the catalog alone");
         for i in 0..40u64 {
             let g = e.stream_id(["L", "R"][(i % 2) as usize]).unwrap();
@@ -1630,7 +1625,7 @@ mod tests {
             err,
             Err(BuildError::Engine(Error::InvalidConfig(_)))
         ));
-        assert_eq!(e.n_registered(), 1);
+        assert_eq!(e.n_registered, 1);
         e.finish().unwrap();
     }
 

@@ -12,7 +12,6 @@ use mstream_window::WindowStore;
 /// error, or a quantile difference (Figure 7) runs the same trace through
 /// an `ExactJoin` to obtain the true result.
 pub struct ExactJoin {
-    query: JoinQuery,
     stores: Vec<WindowStore>,
     plans: Vec<ProbePlan>,
     next_seq: SeqNo,
@@ -30,17 +29,11 @@ impl ExactJoin {
             .collect();
         let plans = ProbePlan::all(&query);
         ExactJoin {
-            query,
             stores,
             plans,
             next_seq: SeqNo(0),
             total_output: 0,
         }
-    }
-
-    /// The query being executed.
-    pub fn query(&self) -> &JoinQuery {
-        &self.query
     }
 
     /// Processes one arrival: expires windows, emits the join results the

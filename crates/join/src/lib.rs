@@ -44,9 +44,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod exact;
-pub mod plan;
-pub mod probe;
+mod exact;
+mod plan;
+mod probe;
 
 pub use exact::ExactJoin;
 pub use plan::{PlanStep, ProbePlan};

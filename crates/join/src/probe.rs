@@ -98,7 +98,8 @@ impl<'a> Bindings<'a> {
     }
 
     /// The arrival sequence number of the tuple bound on `stream`.
-    pub fn seq(&self, stream: StreamId) -> mstream_types::SeqNo {
+    #[cfg(test)]
+    pub(crate) fn seq(&self, stream: StreamId) -> mstream_types::SeqNo {
         self.tuple(stream).seq
     }
 

@@ -4,7 +4,7 @@ use mstream_types::VDur;
 
 /// A window clause.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WindowAst {
+pub(crate) enum WindowAst {
     /// `[RANGE n SECONDS|MINUTES|HOURS]`
     Range(VDur),
     /// `[ROWS n]`
@@ -13,7 +13,7 @@ pub enum WindowAst {
 
 /// One `FROM` item: a stream with an inline schema and optional window.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RelationAst {
+pub(crate) struct RelationAst {
     /// Stream name.
     pub name: String,
     /// Attribute names in schema order.
@@ -27,7 +27,7 @@ pub struct RelationAst {
 
 /// A fully parsed `SELECT * FROM ... WHERE ...` query.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QueryAst {
+pub(crate) struct QueryAst {
     /// The `FROM` list, in order.
     pub relations: Vec<RelationAst>,
     /// The conjunctive equi-join predicates as dotted-name pairs, each with

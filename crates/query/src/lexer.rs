@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A lexical token with its byte offset in the source.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     /// Token kind and payload.
     pub kind: TokenKind,
     /// Byte offset of the token's first character.
@@ -13,7 +13,7 @@ pub struct Token {
 
 /// The token kinds of the query language.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// A keyword (uppercased): SELECT, FROM, WHERE, AND, RANGE, ROWS,
     /// SECONDS, MINUTES, HOURS.
     Keyword(String),
@@ -67,7 +67,7 @@ const KEYWORDS: &[&str] = &[
 
 /// A character that was not expected by the tokenizer.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// The unexpected character.
     pub ch: char,
     /// Its byte offset.
@@ -83,7 +83,7 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenizes `src`, appending a trailing [`TokenKind::Eof`].
-pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
     let mut tokens = Vec::new();
     let bytes = src.as_bytes();
     let mut i = 0;

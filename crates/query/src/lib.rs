@@ -39,9 +39,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ast;
-pub mod lexer;
-pub mod parser;
+mod ast;
+mod lexer;
+mod parser;
 
-pub use ast::{QueryAst, RelationAst, WindowAst};
 pub use parser::{parse_query, ParseError};

@@ -44,7 +44,7 @@ pub fn parse_query(src: &str) -> Result<JoinQuery, ParseError> {
 }
 
 /// Parses a query string to its [`QueryAst`] (no semantic validation).
-pub fn parse_ast(src: &str) -> Result<QueryAst, ParseError> {
+pub(crate) fn parse_ast(src: &str) -> Result<QueryAst, ParseError> {
     let tokens = tokenize(src)?;
     Parser { tokens, at: 0 }.query()
 }
@@ -221,7 +221,7 @@ impl Parser {
 }
 
 /// Translates a parsed AST to a validated [`JoinQuery`].
-pub fn to_join_query(ast: &QueryAst) -> Result<JoinQuery, ParseError> {
+pub(crate) fn to_join_query(ast: &QueryAst) -> Result<JoinQuery, ParseError> {
     let mut catalog = Catalog::new();
     let mut windows = Vec::with_capacity(ast.relations.len());
     let mut last_window: Option<WindowAst> = None;

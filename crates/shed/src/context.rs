@@ -1,7 +1,7 @@
 //! The state handed to a policy when it scores a tuple.
 
-use mstream_sketch::{SignCacheStats, TumblingFreq, TumblingSketches};
-use mstream_types::{JoinQuery, StreamId, Tuple, VTime};
+use mstream_sketch::{TumblingFreq, TumblingSketches};
+use mstream_types::{JoinQuery, Tuple, VTime};
 use rand::rngs::StdRng;
 
 /// What a policy needs the engine to maintain on its behalf.
@@ -53,7 +53,7 @@ impl<'a> PriorityCtx<'a> {
     ///
     /// # Panics
     /// Panics if the policy did not declare `sketches` in its requirements.
-    pub fn productivity(&mut self, tuple: &Tuple) -> f64 {
+    pub(crate) fn productivity(&mut self, tuple: &Tuple) -> f64 {
         let sketches = self
             .sketches
             .as_deref_mut()
@@ -69,7 +69,7 @@ impl<'a> PriorityCtx<'a> {
     ///
     /// # Panics
     /// Panics if the policy did not declare `sketches`.
-    pub fn current_productivity(&mut self, tuple: &Tuple) -> f64 {
+    pub(crate) fn current_productivity(&mut self, tuple: &Tuple) -> f64 {
         let sketches = self
             .sketches
             .as_deref_mut()
@@ -84,7 +84,8 @@ impl<'a> PriorityCtx<'a> {
     ///
     /// # Panics
     /// Panics if the policy did not declare `partner_freq`.
-    pub fn partner_frequency(&self, tuple: &Tuple) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn partner_frequency(&self, tuple: &Tuple) -> f64 {
         let pf = self
             .partner_freq
             .expect("policy did not declare Requirements::partner_freq");
@@ -105,7 +106,7 @@ impl<'a> PriorityCtx<'a> {
     ///
     /// # Panics
     /// Panics if the policy did not declare `partner_freq`.
-    pub fn binary_tree_frequency(&self, tuple: &Tuple) -> f64 {
+    pub(crate) fn binary_tree_frequency(&self, tuple: &Tuple) -> f64 {
         let pf = self
             .partner_freq
             .expect("policy did not declare Requirements::partner_freq");
@@ -120,7 +121,7 @@ impl<'a> PriorityCtx<'a> {
     /// Seconds of lifetime `tuple` has left in its window (time-based
     /// windows; tuple-based windows fall back to 1.0 since remaining
     /// lifetime is measured in arrivals the engine cannot foresee).
-    pub fn remaining_lifetime_secs(&self, tuple: &Tuple) -> f64 {
+    pub(crate) fn remaining_lifetime_secs(&self, tuple: &Tuple) -> f64 {
         match self.query.window(tuple.stream) {
             mstream_types::WindowSpec::Time(p) => {
                 let expiry = tuple.ts.saturating_add(p);
@@ -134,22 +135,14 @@ impl<'a> PriorityCtx<'a> {
     /// when the policy runs with sketches (`None` otherwise). Lets policy
     /// diagnostics report how much of the productivity hot path is served
     /// from memoized sign vectors.
-    pub fn sketch_cache_stats(&self) -> Option<SignCacheStats> {
+    #[cfg(test)]
+    pub(crate) fn sketch_cache_stats(&self) -> Option<mstream_sketch::SignCacheStats> {
         self.sketches.as_deref().map(|s| s.sign_cache_stats())
     }
 
     /// Number of streams in the query.
-    pub fn n_streams(&self) -> usize {
+    pub(crate) fn n_streams(&self) -> usize {
         self.query.n_streams()
-    }
-
-    /// The stream of interest's window length `p` in seconds, if
-    /// time-based.
-    pub fn window_secs(&self, stream: StreamId) -> Option<f64> {
-        match self.query.window(stream) {
-            mstream_types::WindowSpec::Time(p) => Some(p.as_secs_f64()),
-            mstream_types::WindowSpec::Tuples(_) => None,
-        }
     }
 }
 
@@ -157,7 +150,7 @@ impl<'a> PriorityCtx<'a> {
 mod tests {
     use super::*;
     use mstream_sketch::{BankConfig, EpochSpec};
-    use mstream_types::{Catalog, SeqNo, StreamSchema, VDur, Value, WindowSpec};
+    use mstream_types::{Catalog, SeqNo, StreamId, StreamSchema, VDur, Value, WindowSpec};
     use rand::SeedableRng;
 
     fn chain3() -> JoinQuery {
@@ -368,6 +361,5 @@ mod tests {
         };
         let t = Tuple::new(StreamId(0), VTime::ZERO, SeqNo(0), vec![Value(1)]);
         assert_eq!(ctx.remaining_lifetime_secs(&t), 1.0);
-        assert_eq!(ctx.window_secs(StreamId(0)), None);
     }
 }

@@ -23,11 +23,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod context;
-pub mod policies;
+mod context;
+mod policies;
 
 pub use context::{PriorityCtx, Requirements};
 pub use policies::{
     clamp_score, parse_policy, Age, Bjoin, Fifo, Life, MSketch, MSketchCurrentEpoch, MSketchRs,
-    RandomLoad, ShedPolicy, ALL_POLICY_NAMES, MAX_SCORE,
+    RandomLoad, ShedPolicy, ALL_POLICY_NAMES,
 };

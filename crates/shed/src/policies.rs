@@ -9,7 +9,7 @@ use rand::Rng;
 ///
 /// The priority heap (`mstream-window`) asserts finiteness, so every score
 /// must be clamped into this range before it reaches a priority queue.
-pub const MAX_SCORE: f64 = 1e300;
+pub(crate) const MAX_SCORE: f64 = 1e300;
 
 /// Maps a raw policy score onto the finite range the priority heaps accept.
 ///
@@ -18,7 +18,7 @@ pub const MAX_SCORE: f64 = 1e300;
 /// measures can then produce `0 × ∞ = NaN`. Either would trip the
 /// finiteness assert in the window heap and panic the engine mid-run. NaN
 /// collapses to `0` (an estimate that carries no information protects
-/// nothing); infinities saturate at `±`[`MAX_SCORE`].
+/// nothing); infinities saturate at `±1e300`.
 pub fn clamp_score(score: f64) -> f64 {
     if score.is_nan() {
         0.0
@@ -88,16 +88,16 @@ pub trait ShedPolicy: Send {
     ///
     /// Defaults to `false`: undeclared (e.g. third-party) policies are
     /// rescored per slot exactly as before — they still inherit the
-    /// estimate memo underneath [`PriorityCtx::productivity`], just not
-    /// the grouped walk.
+    /// estimate memo underneath the context's productivity estimate, just
+    /// not the grouped walk.
     fn groupable_estimate(&self) -> bool {
         false
     }
 
     /// Whether this policy's window priority is a function of exactly three
     /// things: the tuple's join-key values, its produced count, and the
-    /// **frozen** last-epoch sketch snapshot read through
-    /// [`PriorityCtx::productivity`] — not of `ctx.now`, `ctx.rng`, the
+    /// **frozen** last-epoch sketch snapshot read through the context's
+    /// productivity estimate — not of `ctx.now`, `ctx.rng`, the
     /// tuple's timestamp or sequence number, the live bank or the
     /// frequency tables — with [`ShedPolicy::refresh_priority`] agreeing
     /// with a full rescoring at the same produced count. Such a priority

@@ -35,12 +35,6 @@ impl AtomicSketch {
         self.value
     }
 
-    /// Number of tuples folded into this sketch this epoch.
-    #[inline]
-    pub fn tuples(&self) -> u64 {
-        self.tuples
-    }
-
     /// Resets to the zero state (epoch rollover).
     #[inline]
     pub fn reset(&mut self) {
@@ -56,7 +50,7 @@ mod tests {
     fn starts_at_zero() {
         let s = AtomicSketch::new();
         assert_eq!(s.value(), 0);
-        assert_eq!(s.tuples(), 0);
+        assert_eq!(s.tuples, 0);
     }
 
     #[test]
@@ -66,7 +60,7 @@ mod tests {
         s.add(1);
         s.add(-1);
         assert_eq!(s.value(), 1);
-        assert_eq!(s.tuples(), 3);
+        assert_eq!(s.tuples, 3);
     }
 
     #[test]

@@ -177,20 +177,15 @@ impl SketchBank {
     }
 
     /// The bank's sizing.
-    pub fn config(&self) -> BankConfig {
+    pub(crate) fn config(&self) -> BankConfig {
         self.config
-    }
-
-    /// Number of streams covered.
-    pub fn n_streams(&self) -> usize {
-        self.n_streams
     }
 
     /// The `(predicate index, attribute index)` pairs incident to `stream`
     /// — the attribute positions whose values determine the tuple's sign
     /// product (and therefore its productivity estimate, once the partner
     /// snapshots are frozen).
-    pub fn incidence(&self, stream: StreamId) -> &[(usize, usize)] {
+    pub(crate) fn incidence(&self, stream: StreamId) -> &[(usize, usize)] {
         &self.incidence[stream.index()]
     }
 
@@ -249,7 +244,7 @@ impl SketchBank {
     /// the planes. One pending update settles through the plain sign fold
     /// — the first epoch, where every arrival reads its partners' live
     /// rows, costs what an eager update does.
-    pub fn settle_stream(&mut self, stream: StreamId) {
+    pub(crate) fn settle_stream(&mut self, stream: StreamId) {
         let k = stream.index();
         let pending = std::mem::take(&mut self.pending[k]);
         if pending == 0 {
@@ -370,14 +365,8 @@ impl SketchBank {
     }
 
     /// Hit/miss/occupancy counters of the packed-sign memo.
-    pub fn sign_cache_stats(&self) -> SignCacheStats {
+    pub(crate) fn sign_cache_stats(&self) -> SignCacheStats {
         self.scratch.borrow().cache.stats()
-    }
-
-    /// Drops every memoized sign vector (the vectors remain valid for the
-    /// bank's lifetime; this only trades recomputation for memory).
-    pub fn clear_sign_cache(&self) {
-        self.scratch.borrow_mut().cache.clear();
     }
 
     /// Median-of-means estimate of the full multi-way COUNT
@@ -435,7 +424,7 @@ impl SketchBank {
     /// # Panics
     /// Panics on any violated invariant.
     #[cfg(any(test, feature = "audit"))]
-    pub fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         let copies = self.config.copies();
         let words = words_for(copies);
         let n = self.n_streams;
@@ -495,7 +484,7 @@ impl SketchBank {
 /// group's fold strictly serial in every kernel mode (f64 addition is not
 /// associative) and lane-parallelizes only across independent groups, so
 /// the estimate is bit-identical regardless of dispatch.
-pub fn median_of_means_into(
+pub(crate) fn median_of_means_into(
     s1: usize,
     s2: usize,
     per_copy: &[f64],
@@ -516,8 +505,8 @@ pub(crate) fn median_of_sums(s1: usize, sums: &mut [f64]) -> f64 {
 }
 
 /// Median-of-means over per-copy statistics laid out as `s1 × s2` values
-/// (group-major). Allocating convenience wrapper around
-/// [`median_of_means_into`].
+/// (group-major). Allocating convenience wrapper around the bank's
+/// in-place `median_of_means_into`.
 pub fn median_of_means_slice(s1: usize, s2: usize, per_copy: &[f64]) -> f64 {
     let mut groups = Vec::with_capacity(s2);
     median_of_means_into(s1, s2, per_copy, &mut groups)
@@ -885,7 +874,5 @@ mod tests {
         let after = bank.sign_cache_stats();
         assert_eq!(after.misses, before.misses, "second lookup is all hits");
         assert!(after.hits > before.hits);
-        bank.clear_sign_cache();
-        assert_eq!(bank.sign_cache_stats().entries, 0);
     }
 }

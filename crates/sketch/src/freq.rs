@@ -20,68 +20,27 @@ use mstream_types::{JoinQuery, StreamId, VTime, Value, WordBuild};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// An exact multiset of values with O(1) add/remove/count.
+/// An exact multiset of values with O(1) add/count.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct FreqTable {
+pub(crate) struct FreqTable {
     counts: HashMap<Value, u64, WordBuild>,
-    total: u64,
 }
 
 impl FreqTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FreqTable::default()
     }
 
     /// Records one occurrence of `v`.
-    pub fn add(&mut self, v: Value) {
+    pub(crate) fn add(&mut self, v: Value) {
         *self.counts.entry(v).or_insert(0) += 1;
-        self.total += 1;
-    }
-
-    /// Removes one occurrence of `v`.
-    ///
-    /// # Panics
-    /// Panics if `v` is not present — the window store and its frequency
-    /// tables must never disagree, so a miss is a logic error.
-    pub fn remove(&mut self, v: Value) {
-        match self.counts.get_mut(&v) {
-            Some(c) if *c > 1 => *c -= 1,
-            Some(_) => {
-                self.counts.remove(&v);
-            }
-            None => panic!("FreqTable::remove of absent value {v}"),
-        }
-        self.total -= 1;
     }
 
     /// The multiplicity of `v`.
     #[inline]
-    pub fn count(&self, v: Value) -> u64 {
+    pub(crate) fn count(&self, v: Value) -> u64 {
         self.counts.get(&v).copied().unwrap_or(0)
-    }
-
-    /// Total number of recorded occurrences.
-    #[inline]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of distinct values present.
-    #[inline]
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Whether the table is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Iterates over `(value, multiplicity)` pairs in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (Value, u64)> + '_ {
-        self.counts.iter().map(|(&v, &c)| (v, c))
     }
 }
 
@@ -95,14 +54,14 @@ impl FreqTable {
 /// independent binary joins (the decision that "disregards the content of
 /// streams outside the joined pair").
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct PartnerFrequency {
+pub(crate) struct PartnerFrequency {
     /// `tables[pred]` = (freq of left endpoint's window, freq of right's).
     tables: Vec<(FreqTable, FreqTable)>,
 }
 
 impl PartnerFrequency {
     /// Builds empty tables for `n_predicates` predicates.
-    pub fn new(n_predicates: usize) -> Self {
+    pub(crate) fn new(n_predicates: usize) -> Self {
         PartnerFrequency {
             tables: vec![(FreqTable::new(), FreqTable::new()); n_predicates],
         }
@@ -110,35 +69,25 @@ impl PartnerFrequency {
 
     /// Records that a tuple with value `v` on the **left** endpoint of
     /// predicate `pred` entered its window.
-    pub fn add_left(&mut self, pred: usize, v: Value) {
+    pub(crate) fn add_left(&mut self, pred: usize, v: Value) {
         self.tables[pred].0.add(v);
     }
 
     /// Records that a tuple with value `v` on the **right** endpoint of
     /// predicate `pred` entered its window.
-    pub fn add_right(&mut self, pred: usize, v: Value) {
+    pub(crate) fn add_right(&mut self, pred: usize, v: Value) {
         self.tables[pred].1.add(v);
-    }
-
-    /// Removes a left-endpoint occurrence.
-    pub fn remove_left(&mut self, pred: usize, v: Value) {
-        self.tables[pred].0.remove(v);
-    }
-
-    /// Removes a right-endpoint occurrence.
-    pub fn remove_right(&mut self, pred: usize, v: Value) {
-        self.tables[pred].1.remove(v);
     }
 
     /// Frequency of `v` among **left**-endpoint window tuples of `pred`
     /// (what a right-endpoint tuple consults).
-    pub fn left_count(&self, pred: usize, v: Value) -> u64 {
+    pub(crate) fn left_count(&self, pred: usize, v: Value) -> u64 {
         self.tables[pred].0.count(v)
     }
 
     /// Frequency of `v` among **right**-endpoint window tuples of `pred`
     /// (what a left-endpoint tuple consults).
-    pub fn right_count(&self, pred: usize, v: Value) -> u64 {
+    pub(crate) fn right_count(&self, pred: usize, v: Value) -> u64 {
         self.tables[pred].1.count(v)
     }
 }
@@ -286,7 +235,8 @@ impl TumblingFreq {
     }
 
     /// Whether `stream` has completed at least one epoch.
-    pub fn has_last_epoch(&self, stream: StreamId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_last_epoch(&self, stream: StreamId) -> bool {
         self.has_last[stream.index()]
     }
 }
@@ -297,40 +247,14 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn add_count_remove() {
+    fn add_and_count() {
         let mut t = FreqTable::new();
-        assert!(t.is_empty());
         t.add(Value(3));
         t.add(Value(3));
         t.add(Value(5));
         assert_eq!(t.count(Value(3)), 2);
         assert_eq!(t.count(Value(5)), 1);
         assert_eq!(t.count(Value(9)), 0);
-        assert_eq!(t.total(), 3);
-        assert_eq!(t.distinct(), 2);
-        t.remove(Value(3));
-        assert_eq!(t.count(Value(3)), 1);
-        t.remove(Value(3));
-        assert_eq!(t.count(Value(3)), 0);
-        assert_eq!(t.distinct(), 1);
-        assert_eq!(t.total(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "absent value")]
-    fn remove_absent_panics() {
-        FreqTable::new().remove(Value(1));
-    }
-
-    #[test]
-    fn iter_reports_multiplicities() {
-        let mut t = FreqTable::new();
-        for v in [1u64, 1, 2, 2, 2] {
-            t.add(Value(v));
-        }
-        let mut pairs: Vec<_> = t.iter().collect();
-        pairs.sort();
-        assert_eq!(pairs, vec![(Value(1), 2), (Value(2), 3)]);
     }
 
     #[test]
@@ -344,8 +268,23 @@ mod tests {
         assert_eq!(pf.right_count(0, Value(7)), 1);
         assert_eq!(pf.left_count(1, Value(7)), 0);
         assert_eq!(pf.right_count(1, Value(7)), 1);
-        pf.remove_left(0, Value(7));
-        assert_eq!(pf.left_count(0, Value(7)), 1);
+    }
+
+    proptest! {
+        /// Arbitrary adds keep every per-value total equal to a reference
+        /// multiset's.
+        #[test]
+        fn totals_stay_consistent(ops in proptest::collection::vec(0u64..8, 0..200)) {
+            let mut t = FreqTable::new();
+            let mut reference: std::collections::HashMap<u64, u64> = Default::default();
+            for v in ops {
+                t.add(Value(v));
+                *reference.entry(v).or_insert(0) += 1;
+            }
+            for v in 0..8 {
+                prop_assert_eq!(t.count(Value(v)), reference.get(&v).copied().unwrap_or(0));
+            }
+        }
     }
 
     mod tumbling_freq {
@@ -463,30 +402,6 @@ mod tests {
             let tf = TumblingFreq::new(&q, EpochSpec::Time(VDur::from_secs(10)));
             // Predicate 0 joins R1 and R2; asking for R3 is a logic error.
             let _ = tf.partner_count(0, StreamId(2), Value(1));
-        }
-    }
-
-    proptest! {
-        /// Adds then removes in arbitrary interleaving never desynchronize
-        /// the total from the per-value counts.
-        #[test]
-        fn totals_stay_consistent(ops in proptest::collection::vec((0u64..8, prop::bool::ANY), 0..200)) {
-            let mut t = FreqTable::new();
-            let mut reference: std::collections::HashMap<u64, u64> = Default::default();
-            for (v, is_add) in ops {
-                if is_add {
-                    t.add(Value(v));
-                    *reference.entry(v).or_insert(0) += 1;
-                } else if reference.get(&v).copied().unwrap_or(0) > 0 {
-                    t.remove(Value(v));
-                    *reference.get_mut(&v).unwrap() -= 1;
-                }
-            }
-            let ref_total: u64 = reference.values().sum();
-            prop_assert_eq!(t.total(), ref_total);
-            for (&v, &c) in &reference {
-                prop_assert_eq!(t.count(Value(v)), c);
-            }
         }
     }
 }

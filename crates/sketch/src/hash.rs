@@ -19,7 +19,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// The Mersenne prime `2^61 − 1`.
-pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
+pub(crate) const MERSENNE_P: u64 = (1u64 << 61) - 1;
 
 /// Reduces `x` modulo `2^61 − 1` using the Mersenne shift-add identity.
 ///
@@ -30,7 +30,7 @@ pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
 /// product of two residues, and the power form's four-term sums in
 /// [`crate::SignFamilies::eval_packed_into`].
 #[inline]
-pub fn mod_mersenne(x: u128) -> u64 {
+pub(crate) fn mod_mersenne(x: u128) -> u64 {
     // Fold twice: after one fold the value fits in 67 bits + small carry.
     let folded = (x & MERSENNE_P as u128) + (x >> 61);
     let folded = (folded & MERSENNE_P as u128) + (folded >> 61);
@@ -65,7 +65,8 @@ impl FourWiseHash {
     }
 
     /// Builds a family from explicit coefficients (tests / golden vectors).
-    pub fn from_coeffs(coeffs: [u64; 4]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_coeffs(coeffs: [u64; 4]) -> Self {
         let coeffs = coeffs.map(|c| c % MERSENNE_P);
         FourWiseHash { coeffs }
     }
@@ -74,13 +75,13 @@ impl FourWiseHash {
     /// Exposed so the SoA sign banks can adopt families drawn through the
     /// canonical [`FourWiseHash::random`] sequence without re-deriving it.
     #[inline]
-    pub fn coeffs(&self) -> [u64; 4] {
+    pub(crate) fn coeffs(&self) -> [u64; 4] {
         self.coeffs
     }
 
     /// Evaluates the underlying polynomial at `x`, in `[0, 2^61 − 1)`.
     #[inline]
-    pub fn eval(&self, x: u64) -> u64 {
+    pub(crate) fn eval(&self, x: u64) -> u64 {
         // Division-free input reduction: the same shift-add Mersenne fold
         // used between Horner steps (bit-identical to `x % MERSENNE_P`,
         // see `mod_mersenne_matches_division_on_u64`).

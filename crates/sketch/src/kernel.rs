@@ -587,7 +587,7 @@ pub mod scalar {
 // Portable lane path.
 // ---------------------------------------------------------------------------
 
-/// Fixed-width lane implementations on stable Rust: [`super::LANES`]-wide
+/// Fixed-width lane implementations on stable Rust: [`LANES`]-wide
 /// blocks via `chunks_exact` with a scalar tail, shaped so the compiler
 /// keeps each block in one vector register. Bit-identical to [`scalar`]
 /// because every block computes the same per-index operation sequence;

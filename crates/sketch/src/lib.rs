@@ -18,9 +18,9 @@
 //!   accumulate over epochs of length `n` (defaulting to the join-window
 //!   length `p`); productivity queries are answered from the *previous*
 //!   epoch so each tuple is scored at most twice in its lifetime.
-//! * [`FreqTable`] / [`PartnerFrequency`] — exact per-window value-frequency
-//!   tables, the state behind the `Bjoin`/`Prob` baseline (and the space
-//!   cost the paper's complexity comparison charges it with).
+//! * [`TumblingFreq`] — exact per-window value-frequency tables, the state
+//!   behind the `Bjoin`/`Prob` baseline (and the space cost the paper's
+//!   complexity comparison charges it with).
 //! * [`SignFamilies`] / [`SignCache`] / [`kernel`] — the flat
 //!   structure-of-arrays hot path beneath [`SketchBank`]: hash coefficients
 //!   stored copy-major per predicate, ±1 signs evaluated once per
@@ -58,20 +58,19 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod atomic;
-pub mod bank;
-pub mod freq;
-pub mod hash;
+mod atomic;
+mod bank;
+mod freq;
+mod hash;
 pub mod kernel;
-pub mod score_cache;
-pub mod signs;
-pub mod tumbling;
+mod score_cache;
+mod signs;
+mod tumbling;
 
 pub use atomic::AtomicSketch;
-pub use bank::{median_of_means_into, median_of_means_slice, BankConfig, SketchBank};
-pub use freq::{FreqTable, PartnerFrequency, TumblingFreq};
+pub use bank::{median_of_means_slice, BankConfig, SketchBank};
+pub use freq::TumblingFreq;
 pub use hash::FourWiseHash;
-pub use kernel::LANES;
-pub use score_cache::{ScoreCache, ScoreCacheStats, ScoreKey};
-pub use signs::{SignCache, SignCacheStats, SignFamilies};
+pub use score_cache::ScoreCacheStats;
+pub use signs::{combine_packed_signs, SignCache, SignCacheStats, SignFamilies};
 pub use tumbling::{EpochSpec, TumblingSketches};

@@ -36,17 +36,17 @@ use std::collections::HashMap;
 /// order of magnitude: the hot key set of a skewed workload fits easily,
 /// and a uniform workload cycles through wholesale drops instead of
 /// growing without bound).
-pub const DEFAULT_SCORE_CACHE_ENTRIES: usize = 8192;
+pub(crate) const DEFAULT_SCORE_CACHE_ENTRIES: usize = 8192;
 
 /// Most incident join attributes a stream may have and still be cached
 /// (the key inlines the values; streams beyond this skip the memo).
-pub const MAX_CACHED_ATTRS: usize = 4;
+pub(crate) const MAX_CACHED_ATTRS: usize = 4;
 
 /// Exact lookup key of one memoized estimate. No hashing of the values
 /// into a digest — the raw attribute values are the key, so distinct
 /// inputs can never alias and a hit is bit-identical by construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ScoreKey {
+pub(crate) struct ScoreKey {
     /// Epoch generation the frozen snapshot belongs to.
     pub generation: u64,
     /// Arriving tuple's stream.
@@ -58,7 +58,7 @@ pub struct ScoreKey {
     pub n_values: u8,
 }
 
-/// Aggregate counters of a [`ScoreCache`].
+/// Aggregate counters of the epoch-scoped productivity memo.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScoreCacheStats {
     /// Cacheable lookups served from a memoized estimate.
@@ -71,7 +71,7 @@ pub struct ScoreCacheStats {
 
 /// Bounded epoch-scoped memo of exact productivity estimates.
 #[derive(Clone, Debug)]
-pub struct ScoreCache {
+pub(crate) struct ScoreCache {
     map: HashMap<ScoreKey, f64, WordBuild>,
     hits: u64,
     misses: u64,
@@ -87,7 +87,7 @@ impl Default for ScoreCache {
 
 impl ScoreCache {
     /// An empty cache holding at most `max_entries` estimates (at least 1).
-    pub fn with_capacity_bound(max_entries: usize, enabled: bool) -> Self {
+    pub(crate) fn with_capacity_bound(max_entries: usize, enabled: bool) -> Self {
         ScoreCache {
             map: HashMap::default(),
             hits: 0,
@@ -98,13 +98,13 @@ impl ScoreCache {
     }
 
     /// Whether lookups are served at all.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled
     }
 
     /// Turns memoization on or off; turning it off drops every resident
     /// entry (counters persist).
-    pub fn set_enabled(&mut self, enabled: bool) {
+    pub(crate) fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
         if !enabled {
             self.map.clear();
@@ -113,7 +113,7 @@ impl ScoreCache {
 
     /// The memoized estimate under `key`, counting a hit or a miss. A
     /// disabled cache returns `None` without counting.
-    pub fn get(&mut self, key: &ScoreKey) -> Option<f64> {
+    pub(crate) fn get(&mut self, key: &ScoreKey) -> Option<f64> {
         if !self.enabled {
             return None;
         }
@@ -131,7 +131,7 @@ impl ScoreCache {
 
     /// Memoizes `value` under `key`. When the bound is hit the whole map
     /// is dropped first (generation-style eviction, like the sign memo).
-    pub fn insert(&mut self, key: ScoreKey, value: f64) {
+    pub(crate) fn insert(&mut self, key: ScoreKey, value: f64) {
         if !self.enabled {
             return;
         }
@@ -143,7 +143,7 @@ impl ScoreCache {
 
     /// Drops every memoized estimate (rollover invalidation); hit/miss
     /// counters persist.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
     }
 
@@ -154,7 +154,7 @@ impl ScoreCache {
     /// # Panics
     /// Panics on any violated invariant.
     #[cfg(any(test, feature = "audit"))]
-    pub fn check_invariants(&self, current_generation: u64) {
+    pub(crate) fn check_invariants(&self, current_generation: u64) {
         assert!(
             self.map.len() <= self.max_entries,
             "score cache over bound: {} > {}",
@@ -175,7 +175,7 @@ impl ScoreCache {
     }
 
     /// Current counters.
-    pub fn stats(&self) -> ScoreCacheStats {
+    pub(crate) fn stats(&self) -> ScoreCacheStats {
         ScoreCacheStats {
             hits: self.hits,
             misses: self.misses,

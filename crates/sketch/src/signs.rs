@@ -33,11 +33,11 @@ const WORD_BITS: usize = 64;
 /// At the paper's sizing (1000 copies = 16 words = 128 bytes per vector)
 /// this bounds the cache at ~1 MiB — far below the window stores — while
 /// covering every value a Zipfian epoch realistically revisits.
-pub const DEFAULT_SIGN_CACHE_ENTRIES: usize = 8192;
+pub(crate) const DEFAULT_SIGN_CACHE_ENTRIES: usize = 8192;
 
 /// Number of `u64` words needed to hold one sign bit per copy.
 #[inline]
-pub fn words_for(copies: usize) -> usize {
+pub(crate) fn words_for(copies: usize) -> usize {
     copies.div_ceil(WORD_BITS)
 }
 
@@ -75,19 +75,15 @@ impl SignFamilies {
         SignFamilies { copies, coeffs }
     }
 
-    /// Number of predicates covered.
-    pub fn n_predicates(&self) -> usize {
-        self.coeffs.len()
-    }
-
     /// Number of independent copies per predicate.
-    pub fn copies(&self) -> usize {
+    pub(crate) fn copies(&self) -> usize {
         self.copies
     }
 
     /// Reassembles the [`FourWiseHash`] of one `(predicate, copy)` pair
     /// (diagnostics and equivalence tests).
-    pub fn family(&self, pred: usize, copy: usize) -> FourWiseHash {
+    #[cfg(test)]
+    pub(crate) fn family(&self, pred: usize, copy: usize) -> FourWiseHash {
         let bank = &self.coeffs[pred];
         let n = self.copies;
         FourWiseHash::from_coeffs([
@@ -101,7 +97,7 @@ impl SignFamilies {
     /// The scalar ±1 sign of one `(predicate, copy)` pair at `x` —
     /// bit-identical to `FourWiseHash::sign` on the same coefficients.
     #[inline]
-    pub fn sign_one(&self, pred: usize, copy: usize, x: u64) -> i64 {
+    pub(crate) fn sign_one(&self, pred: usize, copy: usize, x: u64) -> i64 {
         let bank = &self.coeffs[pred];
         let n = self.copies;
         let x = mod_mersenne(x as u128);
@@ -119,12 +115,12 @@ impl SignFamilies {
 
     /// Evaluates predicate `pred` at `x` across **all** copies and packs
     /// the signs into `out` (bit `c % 64` of word `c / 64` set ⇔ copy `c`
-    /// has sign −1). `out` is cleared and resized to [`words_for`] words.
+    /// has sign −1). `out` is cleared and resized to `words_for(copies)` words.
     ///
     /// Power form: `x`, `x²` and `x³` are reduced mod p once per call, so
     /// each copy is three independent multiplies summed in one `u128` —
     /// `c0 + c1·x + c2·x² + c3·x³ ≤ 3·(p − 1)² + p − 1 < 2^125` — and one
-    /// [`mod_mersenne`], which is exact for every `u128`. That is the
+    /// `mod_mersenne`, which is exact for every `u128`. That is the
     /// residue in `[0, p)` the Horner chain of [`Self::eval_packed_scalar`]
     /// reaches through three dependent reductions, so every sign bit is
     /// the same (the equivalence suite holds the two to it).
@@ -202,7 +198,7 @@ impl Default for SignCache {
 
 impl SignCache {
     /// An empty cache holding at most `max_entries` vectors (at least 1).
-    pub fn with_capacity_bound(max_entries: usize) -> Self {
+    pub(crate) fn with_capacity_bound(max_entries: usize) -> Self {
         SignCache {
             map: HashMap::default(),
             hits: 0,
@@ -215,7 +211,7 @@ impl SignCache {
     /// it on first sight. When the bound is hit the whole map is dropped
     /// (generation-style eviction: O(1) amortized, and the very next epoch
     /// of a Zipfian workload repopulates the hot set immediately).
-    pub fn get_or_compute(
+    pub(crate) fn get_or_compute(
         &mut self,
         families: &SignFamilies,
         pred: usize,
@@ -240,13 +236,8 @@ impl SignCache {
         }
     }
 
-    /// Drops every memoized vector; hit/miss counters persist.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
     /// Current counters.
-    pub fn stats(&self) -> SignCacheStats {
+    pub(crate) fn stats(&self) -> SignCacheStats {
         SignCacheStats {
             hits: self.hits,
             misses: self.misses,

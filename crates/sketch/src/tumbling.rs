@@ -120,11 +120,6 @@ impl TumblingSketches {
         }
     }
 
-    /// The epoch discipline in force.
-    pub fn epoch(&self) -> EpochSpec {
-        self.epoch
-    }
-
     /// Advances virtual time, folds the arriving tuple into the current
     /// sketches, and performs any due epoch rollover.
     ///
@@ -346,13 +341,6 @@ impl TumblingSketches {
         self.bank.estimate_join_count()
     }
 
-    /// Read-only access to the underlying current-epoch bank (sizing,
-    /// incidence, memo counters — reading counter values settles pending
-    /// updates and goes through `&mut self` methods instead).
-    pub fn bank(&self) -> &SketchBank {
-        &self.bank
-    }
-
     /// Whether `stream` has completed at least one epoch.
     pub fn has_last_epoch(&self, stream: StreamId) -> bool {
         self.has_last[stream.index()]
@@ -368,23 +356,11 @@ impl TumblingSketches {
         self.score_cache.stats()
     }
 
-    /// Whether productivity memoization is active.
-    pub fn score_cache_enabled(&self) -> bool {
-        self.score_cache.enabled()
-    }
-
     /// Turns productivity memoization (on by default) on or off for this
     /// instance (the audit harness A/B-compares cached and uncached runs
     /// inside one process). Disabling drops every resident estimate.
     pub fn set_score_cache(&mut self, enabled: bool) {
         self.score_cache.set_enabled(enabled);
-    }
-
-    /// Rebinds the memo's capacity bound (tests exercise the wholesale
-    /// drop with tiny bounds); drops resident entries.
-    pub fn set_score_cache_bound(&mut self, max_entries: usize) {
-        let enabled = self.score_cache.enabled();
-        self.score_cache = ScoreCache::with_capacity_bound(max_entries, enabled);
     }
 
     /// Structural audit of the tumbling state:
@@ -398,7 +374,7 @@ impl TumblingSketches {
     ///   path must never serve a stale product — and its stored
     ///   order-free-sum guard equals a fresh [`kernel::sum_is_exact`];
     /// - the bank's deferred-update state holds
-    ///   ([`SketchBank::check_invariants`]).
+    ///   (the bank's own `check_invariants`).
     ///
     /// O(streams² · copies); compiled only for tests and the `audit`
     /// feature, where the differential harness calls it after every arrival.
@@ -683,7 +659,7 @@ mod tests {
         let mut cached = frozen_sketches(64, 2);
         let mut plain = frozen_sketches(64, 2);
         plain.set_score_cache(false);
-        assert!(cached.score_cache_enabled(), "the memo is on by default");
+        assert!(cached.score_cache.enabled(), "the memo is on by default");
         for a in 0..40u64 {
             let val = v(a % 5, a % 3);
             let s = StreamId((a % 3) as usize);
@@ -720,8 +696,8 @@ mod tests {
     #[test]
     fn score_cache_bound_evicts_wholesale_and_stays_exact() {
         let mut ts = frozen_sketches(32, 6);
-        ts.set_score_cache(true);
-        ts.set_score_cache_bound(4);
+        // A tiny bound exercises the wholesale drop.
+        ts.score_cache = ScoreCache::with_capacity_bound(4, true);
         let mut firsts = Vec::new();
         for a in 0..12u64 {
             firsts.push(ts.productivity(StreamId(0), &v(a, 0)));
@@ -785,7 +761,7 @@ mod tests {
         // instance built.
         let serial = |ts: &TumblingSketches, vals: &[Value]| -> f64 {
             let mut words = Vec::new();
-            ts.bank().packed_signs_into(StreamId(0), vals, &mut words);
+            ts.bank.packed_signs_into(StreamId(0), vals, &mut words);
             let mut signed = vec![0.0f64; 20];
             kernel::scalar::signed_copy(&words, &ts.cross[..20], &mut signed);
             let mut sums = Vec::new();
@@ -866,9 +842,9 @@ mod tests {
             let r3 = (0..7u64).map(|i| (2, v(i % 4, i % 2)));
             for (k, vals) in r2.chain(r3) {
                 ts.observe(StreamId(k), &vals, VTime::ZERO);
-                ts.bank().packed_signs_into(StreamId(k), &vals, &mut words);
+                ts.bank.packed_signs_into(StreamId(k), &vals, &mut words);
                 kernel::scalar::fold_packed_signs(&words, &mut live[k]);
-                if ts.bank().tuples_seen(StreamId(k)) == 0 {
+                if ts.bank.tuples_seen(StreamId(k)) == 0 {
                     last[k] = std::mem::replace(&mut live[k], vec![0; copies]);
                 }
             }
@@ -878,7 +854,7 @@ mod tests {
                 let mut per_copy = vec![1.0f64; copies];
                 kernel::scalar::multiply_row(&mut per_copy, &last[1]);
                 kernel::scalar::multiply_row(&mut per_copy, &live[2]);
-                ts.bank().packed_signs_into(StreamId(0), &vals, &mut words);
+                ts.bank.packed_signs_into(StreamId(0), &vals, &mut words);
                 kernel::scalar::apply_packed_signs(&words, &mut per_copy);
                 let want = crate::median_of_means_slice(cfg.s1, s2, &per_copy);
                 let got = ts.productivity(StreamId(0), &vals);

@@ -23,14 +23,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
-pub mod hash;
-pub mod query;
-pub mod row;
-pub mod schema;
-pub mod time;
-pub mod tuple;
-pub mod value;
+mod error;
+mod hash;
+mod query;
+mod row;
+mod schema;
+mod time;
+mod tuple;
+mod value;
 
 pub use error::{Error, Result};
 pub use hash::{splitmix64, WordBuild, WordHasher};

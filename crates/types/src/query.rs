@@ -62,7 +62,8 @@ impl WindowSpec {
     ///
     /// For a time-based window this is `rate * p` (the paper's "full
     /// window"); for a tuple-based window it is the count itself.
-    pub fn nominal_tuples(&self, rate_per_sec: f64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn nominal_tuples(&self, rate_per_sec: f64) -> u64 {
         match *self {
             WindowSpec::Time(p) => (rate_per_sec * p.as_secs_f64()).round() as u64,
             WindowSpec::Tuples(n) => n,
@@ -89,7 +90,8 @@ impl EquiPredicate {
     }
 
     /// The attribute this predicate constrains on `stream`, if incident.
-    pub fn attr_on(&self, stream: StreamId) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn attr_on(&self, stream: StreamId) -> Option<usize> {
         if self.left.stream == stream {
             Some(self.left.attr)
         } else if self.right.stream == stream {
@@ -100,7 +102,8 @@ impl EquiPredicate {
     }
 
     /// The stream on the other side of the predicate, if `stream` is incident.
-    pub fn other_side(&self, stream: StreamId) -> Option<AttrRef> {
+    #[cfg(test)]
+    pub(crate) fn other_side(&self, stream: StreamId) -> Option<AttrRef> {
         if self.left.stream == stream {
             Some(self.right)
         } else if self.right.stream == stream {
@@ -140,7 +143,8 @@ pub enum Partitioning {
 
 impl Partitioning {
     /// The per-stream partition attributes, when partitionable.
-    pub fn key_attrs(&self) -> Option<&[usize]> {
+    #[cfg(test)]
+    pub(crate) fn key_attrs(&self) -> Option<&[usize]> {
         match self {
             Partitioning::ByKey { key_attrs } => Some(key_attrs),
             Partitioning::Single { .. } => None,
@@ -148,7 +152,8 @@ impl Partitioning {
     }
 
     /// The degradation reason, when not partitionable.
-    pub fn reason(&self) -> Option<&str> {
+    #[cfg(test)]
+    pub(crate) fn reason(&self) -> Option<&str> {
         match self {
             Partitioning::ByKey { .. } => None,
             Partitioning::Single { reason } => Some(reason),

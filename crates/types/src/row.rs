@@ -42,7 +42,7 @@ impl Row {
 
     /// Builds a row by copying a slice (inline when it fits).
     #[inline]
-    pub fn from_slice(values: &[Value]) -> Self {
+    pub(crate) fn from_slice(values: &[Value]) -> Self {
         if values.len() <= ROW_INLINE {
             let mut buf = [Value(0); ROW_INLINE];
             buf[..values.len()].copy_from_slice(values);

@@ -80,7 +80,7 @@ impl StreamSchema {
     }
 
     /// Resolves an attribute name to its positional index.
-    pub fn attr_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn attr_index(&self, name: &str) -> Option<usize> {
         self.attrs.iter().position(|a| a == name)
     }
 }

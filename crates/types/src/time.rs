@@ -11,7 +11,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// Microseconds per second, the granularity of virtual time.
-pub const MICROS_PER_SEC: u64 = 1_000_000;
+pub(crate) const MICROS_PER_SEC: u64 = 1_000_000;
 
 /// A point in virtual time (microseconds since simulation start).
 #[derive(

@@ -3,7 +3,6 @@
 use crate::row::Row;
 use crate::schema::StreamId;
 use crate::time::VTime;
-use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -56,21 +55,6 @@ impl Tuple {
             values: values.into(),
         }
     }
-
-    /// The value of attribute `attr`, panicking on out-of-range access.
-    ///
-    /// Attribute indexes come from a validated [`crate::JoinQuery`], so an
-    /// out-of-range index is a programming error, not a data error.
-    #[inline]
-    pub fn value(&self, attr: usize) -> Value {
-        self.values[attr]
-    }
-
-    /// Number of attributes.
-    #[inline]
-    pub fn arity(&self) -> usize {
-        self.values.len()
-    }
 }
 
 impl fmt::Debug for Tuple {
@@ -89,6 +73,7 @@ impl fmt::Debug for Tuple {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn t() -> Tuple {
         Tuple::new(
@@ -102,16 +87,16 @@ mod tests {
     #[test]
     fn accessors() {
         let t = t();
-        assert_eq!(t.value(0), Value(10));
-        assert_eq!(t.value(1), Value(20));
-        assert_eq!(t.arity(), 2);
+        assert_eq!(t.values[0], Value(10));
+        assert_eq!(t.values[1], Value(20));
+        assert_eq!(t.values.len(), 2);
         assert_eq!(t.stream, StreamId(1));
     }
 
     #[test]
     #[should_panic]
     fn out_of_range_attr_panics() {
-        let _ = t().value(2);
+        let _ = t().values[2];
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl<T> Arena<T> {
     }
 
     /// An empty arena with room for `cap` entries before reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         Arena {
             entries: Vec::with_capacity(cap),
             free_head: None,
@@ -68,13 +68,13 @@ impl<T> Arena<T> {
 
     /// Number of live entries.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the arena holds no live entries.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -145,7 +145,7 @@ impl<T> Arena<T> {
     /// index yields, without the free-list round trip. Returns the new
     /// handle and the old entry, or `None` (dropping `value`) if `slot` is
     /// stale/absent.
-    pub fn replace(&mut self, slot: Slot, value: T) -> Option<(Slot, T)> {
+    pub(crate) fn replace(&mut self, slot: Slot, value: T) -> Option<(Slot, T)> {
         match self.entries.get_mut(slot.index())? {
             Entry::Occupied { generation, value: old } if *generation == slot.generation => {
                 *generation += 1;
@@ -160,7 +160,7 @@ impl<T> Arena<T> {
     }
 
     /// Shared access to the entry at `slot`, or `None` if stale/absent.
-    pub fn get(&self, slot: Slot) -> Option<&T> {
+    pub(crate) fn get(&self, slot: Slot) -> Option<&T> {
         match self.entries.get(slot.index()) {
             Some(Entry::Occupied { generation, value }) if *generation == slot.generation => {
                 Some(value)
@@ -170,7 +170,8 @@ impl<T> Arena<T> {
     }
 
     /// Mutable access to the entry at `slot`, or `None` if stale/absent.
-    pub fn get_mut(&mut self, slot: Slot) -> Option<&mut T> {
+    #[cfg(test)]
+    pub(crate) fn get_mut(&mut self, slot: Slot) -> Option<&mut T> {
         match self.entries.get_mut(slot.index()) {
             Some(Entry::Occupied { generation, value }) if *generation == slot.generation => {
                 Some(value)
@@ -180,12 +181,12 @@ impl<T> Arena<T> {
     }
 
     /// Whether `slot` refers to a live entry.
-    pub fn contains(&self, slot: Slot) -> bool {
+    pub(crate) fn contains(&self, slot: Slot) -> bool {
         self.get(slot).is_some()
     }
 
     /// Iterates over `(Slot, &T)` for all live entries, in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (Slot, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Slot, &T)> {
         self.entries.iter().enumerate().filter_map(|(i, e)| match e {
             Entry::Occupied { generation, value } => Some((
                 Slot {
@@ -199,7 +200,7 @@ impl<T> Arena<T> {
     }
 
     /// Mutable access to every live entry, in slot order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.entries.iter_mut().filter_map(|e| match e {
             Entry::Occupied { value, .. } => Some(value),
             Entry::Free { .. } => None,

@@ -1,7 +1,7 @@
 //! An indexed 4-ary min-heap over arena slots.
 //!
-//! Shedding needs `pop_min` / `replace_min` (evict the least-priority
-//! tuple, or hand its place to the arrival that displaces it) while
+//! Shedding needs `peek_min` / `replace_min` (find the least-priority
+//! tuple to evict, or hand its place to the arrival that displaces it) while
 //! expiration and probing need `remove(slot)` for tuples that leave for
 //! other reasons, and tumbling-epoch rollover needs `update(slot, prio)`.
 //! A d-ary heap augmented with a slot→position map supports all of them in
@@ -70,7 +70,7 @@ impl Prio {
 /// the entries in its way shift one level each (one array write and one
 /// position write a level), and is written once where the hole stops.
 #[derive(Default)]
-pub struct IndexedHeap {
+pub(crate) struct IndexedHeap {
     /// Heap-ordered array of (slot, priority).
     heap: Vec<(Slot, Prio)>,
     /// `positions[slot.index()]` = position in `heap` + 1, or 0 if the
@@ -80,7 +80,7 @@ pub struct IndexedHeap {
 
 impl IndexedHeap {
     /// An empty heap.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         IndexedHeap::default()
     }
 
@@ -115,14 +115,16 @@ impl IndexedHeap {
     }
 
     /// Number of entries.
+    #[cfg(any(test, feature = "audit"))]
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Whether the heap is empty.
+    #[cfg(any(test, feature = "audit"))]
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
@@ -130,7 +132,7 @@ impl IndexedHeap {
     ///
     /// # Panics
     /// Panics if `slot` is already present or `score` is not finite.
-    pub fn insert(&mut self, slot: Slot, score: f64, tie: u64) {
+    pub(crate) fn insert(&mut self, slot: Slot, score: f64, tie: u64) {
         self.claim(slot);
         let entry = (slot, Prio::new(score, tie));
         let hole = self.heap.len();
@@ -139,7 +141,7 @@ impl IndexedHeap {
     }
 
     /// The minimum entry without removing it.
-    pub fn peek_min(&self) -> Option<(Slot, f64)> {
+    pub(crate) fn peek_min(&self) -> Option<(Slot, f64)> {
         self.heap.first().map(|&(s, p)| (s, p.score))
     }
 
@@ -148,16 +150,9 @@ impl IndexedHeap {
     ///
     /// # Panics
     /// Panics if `score` is not finite.
-    pub fn would_be_min(&self, score: f64, tie: u64) -> bool {
+    pub(crate) fn would_be_min(&self, score: f64, tie: u64) -> bool {
         let prio = Prio::new(score, tie);
         self.heap.first().is_some_and(|(_, min)| prio.less(min))
-    }
-
-    /// Removes and returns the minimum-priority slot.
-    pub fn pop_min(&mut self) -> Option<(Slot, f64)> {
-        let &(slot, prio) = self.heap.first()?;
-        self.remove_at(0);
-        Some((slot, prio.score))
     }
 
     /// Removes the minimum and inserts `slot` in one sift: the newcomer
@@ -168,7 +163,7 @@ impl IndexedHeap {
     /// # Panics
     /// Panics if the heap is empty, `slot` is already present or `score`
     /// is not finite.
-    pub fn replace_min(&mut self, slot: Slot, score: f64, tie: u64) -> (Slot, f64) {
+    pub(crate) fn replace_min(&mut self, slot: Slot, score: f64, tie: u64) -> (Slot, f64) {
         let &(min, prio) = self.heap.first().expect("replace_min on an empty heap");
         self.positions[min.index()] = 0;
         self.claim(slot);
@@ -177,7 +172,7 @@ impl IndexedHeap {
     }
 
     /// Removes `slot` wherever it is; returns its score if present.
-    pub fn remove(&mut self, slot: Slot) -> Option<f64> {
+    pub(crate) fn remove(&mut self, slot: Slot) -> Option<f64> {
         let idx = self.position(slot)?;
         let score = self.heap[idx].1.score;
         self.remove_at(idx);
@@ -185,7 +180,7 @@ impl IndexedHeap {
     }
 
     /// Changes the score of `slot` (tiebreaker preserved); true if present.
-    pub fn update(&mut self, slot: Slot, score: f64) -> bool {
+    pub(crate) fn update(&mut self, slot: Slot, score: f64) -> bool {
         let Some(idx) = self.position(slot) else {
             return false;
         };
@@ -195,26 +190,23 @@ impl IndexedHeap {
     }
 
     /// Whether `slot` is in the heap.
-    pub fn contains(&self, slot: Slot) -> bool {
+    #[cfg(any(test, feature = "audit"))]
+    pub(crate) fn contains(&self, slot: Slot) -> bool {
         self.position(slot).is_some()
     }
 
     /// The score of `slot`, if present.
-    pub fn score(&self, slot: Slot) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn score(&self, slot: Slot) -> Option<f64> {
         self.position(slot).map(|idx| self.heap[idx].1.score)
     }
 
     /// Removes every entry.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for i in 0..self.heap.len() {
             self.positions[self.heap[i].0.index()] = 0;
         }
         self.heap.clear();
-    }
-
-    /// Iterates over all `(slot, score)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (Slot, f64)> + '_ {
-        self.heap.iter().map(|&(s, p)| (s, p.score))
     }
 
     /// Removes the entry at `idx`: the last entry fills the hole it leaves.
@@ -293,7 +285,7 @@ impl IndexedHeap {
     /// exact inverse of the heap array (missing, stale, or duplicated
     /// entries).
     #[cfg(any(test, feature = "audit"))]
-    pub fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         let resident = self.positions.iter().filter(|&&p| p != 0).count();
         assert_eq!(
             self.heap.len(),
@@ -326,6 +318,13 @@ mod tests {
         (0..n).map(|i| arena.insert(i)).collect()
     }
 
+    /// Removes and returns the minimum, the way an eviction does.
+    fn pop_min(h: &mut IndexedHeap) -> Option<(Slot, f64)> {
+        let (slot, score) = h.peek_min()?;
+        h.remove(slot);
+        Some((slot, score))
+    }
+
     #[test]
     fn pops_in_priority_order() {
         let ss = slots(5);
@@ -333,7 +332,7 @@ mod tests {
         for (i, (&s, score)) in ss.iter().zip([5.0, 1.0, 3.0, 2.0, 4.0]).enumerate() {
             h.insert(s, score, i as u64);
         }
-        let order: Vec<f64> = std::iter::from_fn(|| h.pop_min().map(|(_, p)| p)).collect();
+        let order: Vec<f64> = std::iter::from_fn(|| pop_min(&mut h).map(|(_, p)| p)).collect();
         assert_eq!(order, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 
@@ -344,9 +343,9 @@ mod tests {
         h.insert(ss[0], 1.0, 30);
         h.insert(ss[1], 1.0, 10);
         h.insert(ss[2], 1.0, 20);
-        assert_eq!(h.pop_min().unwrap().0, ss[1]);
-        assert_eq!(h.pop_min().unwrap().0, ss[2]);
-        assert_eq!(h.pop_min().unwrap().0, ss[0]);
+        assert_eq!(pop_min(&mut h).unwrap().0, ss[1]);
+        assert_eq!(pop_min(&mut h).unwrap().0, ss[2]);
+        assert_eq!(pop_min(&mut h).unwrap().0, ss[0]);
     }
 
     #[test]
@@ -377,7 +376,7 @@ mod tests {
         assert_eq!(h.remove(ss[1]), Some(1.0));
         assert_eq!(h.remove(ss[1]), None, "second removal is a no-op");
         let remaining: Vec<f64> =
-            std::iter::from_fn(|| h.pop_min().map(|(_, p)| p)).collect();
+            std::iter::from_fn(|| pop_min(&mut h).map(|(_, p)| p)).collect();
         assert_eq!(remaining, vec![0.0, 2.0, 3.0]);
     }
 
@@ -468,7 +467,7 @@ mod tests {
                     }
                     4 => {
                         let expect = (!model.is_empty()).then(|| model.remove(0));
-                        prop_assert_eq!(h.pop_min(), expect.map(|(score, _, s)| (s, score)));
+                        prop_assert_eq!(pop_min(&mut h), expect.map(|(score, _, s)| (s, score)));
                     }
                     _ => {
                         // The newcomer takes the minimum's place — a slot
@@ -498,7 +497,8 @@ mod tests {
                     model.first().is_some_and(|m| score < m.0 || (score == m.0 && tie < m.1))
                 );
             }
-            let drained: Vec<Slot> = std::iter::from_fn(|| h.pop_min().map(|(s, _)| s)).collect();
+            let drained: Vec<Slot> =
+                std::iter::from_fn(|| pop_min(&mut h).map(|(s, _)| s)).collect();
             prop_assert_eq!(drained, model.iter().map(|e| e.2).collect::<Vec<_>>());
         }
     }

@@ -31,7 +31,7 @@ use crate::arena::Slot;
 use mstream_types::splitmix64 as mix;
 
 /// Slots stored inline in each bucket before spilling to the side arena.
-pub const INLINE: usize = 3;
+pub(crate) const INLINE: usize = 3;
 
 const EMPTY: u8 = 0;
 const OCCUPIED: u8 = 1;
@@ -82,7 +82,7 @@ pub struct Candidates<'a> {
 
 impl<'a> Candidates<'a> {
     /// The empty candidate list.
-    pub const EMPTY: Candidates<'static> = Candidates { head: &[], tail: &[] };
+    pub(crate) const EMPTY: Candidates<'static> = Candidates { head: &[], tail: &[] };
 
     /// Number of candidate slots.
     #[inline]
@@ -98,7 +98,8 @@ impl<'a> Candidates<'a> {
 
     /// The candidate at `pos`, if in range.
     #[inline]
-    pub fn get(&self, pos: usize) -> Option<Slot> {
+    #[cfg(any(test, feature = "audit"))]
+    pub(crate) fn get(&self, pos: usize) -> Option<Slot> {
         if pos < self.head.len() {
             Some(self.head[pos])
         } else {
@@ -133,7 +134,7 @@ impl<'a> IntoIterator for Candidates<'a> {
 
 /// An open-addressed multimap from `u64` join-key payloads to arena slots.
 ///
-/// See the [module docs](self) for the layout. All operations the window
+/// DESIGN.md §10 describes the layout. All operations the window
 /// store needs are O(1) (amortized for growth): `insert` (append to a
 /// key's list), `remove` (swap-remove by recorded position) and `probe`.
 #[derive(Default)]
@@ -267,7 +268,7 @@ impl FlatIndex {
     }
 
     /// Iterates `(key, candidates)` over all present keys, in table order.
-    pub fn iter_keys(&self) -> impl Iterator<Item = (u64, Candidates<'_>)> {
+    pub(crate) fn iter_keys(&self) -> impl Iterator<Item = (u64, Candidates<'_>)> {
         self.ctrl
             .iter()
             .enumerate()
@@ -415,7 +416,7 @@ impl FlatIndex {
     /// # Panics
     /// Panics on any violated invariant.
     #[cfg(any(test, feature = "audit"))]
-    pub fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         assert_eq!(self.ctrl.len(), self.buckets.len(), "ctrl/bucket length");
         assert_eq!(self.ctrl.len(), self.keys.len(), "ctrl/key length");
         let occupied = self.ctrl.iter().filter(|&&c| c == OCCUPIED).count();

@@ -13,8 +13,8 @@
 //!   n-way join),
 //! * O(log n) **priority rebuild** per element at tumbling-epoch rollover.
 //!
-//! [`WindowStore`] composes an arena ([`arena::Arena`]), an indexed 4-ary
-//! heap ([`heap::IndexedHeap`]), per-attribute hash indexes and an arrival
+//! [`WindowStore`] composes an arena ([`Arena`]), an indexed 4-ary heap,
+//! per-attribute hash indexes ([`FlatIndex`]) and an arrival
 //! deque to provide exactly that. [`ShedQueue`] reuses the same pieces for
 //! the input queue, whose victims are chosen by priority, at random, or by
 //! age depending on the shedding policy.
@@ -45,17 +45,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
-pub mod heap;
-pub mod index;
-pub mod queue;
-pub mod reorder;
-pub mod store;
+mod arena;
+mod heap;
+mod index;
+mod queue;
+mod reorder;
+mod store;
 #[cfg(test)]
 mod store_model;
 
 pub use arena::{Arena, Slot};
-pub use heap::IndexedHeap;
 pub use index::{Candidates, FlatIndex};
 pub use queue::{QueueVictim, ShedQueue};
 pub use reorder::ReorderBuffer;

@@ -53,18 +53,9 @@ impl ShedQueue {
     }
 
     /// Number of queued tuples.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.arena.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Offers a tuple with a priority `score`. If the queue is full, a
@@ -137,13 +128,8 @@ impl ShedQueue {
         Some(tuple)
     }
 
-    /// Iterates over queued tuples and their scores, in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, f64)> {
-        self.arena.iter().map(|(_, (t, s))| (t, *s))
-    }
-
-    #[doc(hidden)]
-    pub fn check_consistency(&self) {
+    #[cfg(any(test, feature = "audit"))]
+    pub(crate) fn check_consistency(&self) {
         assert_eq!(self.arena.len(), self.heap.len());
         assert_eq!(self.arena.len(), self.live.len());
         assert_eq!(self.live.len(), self.live_pos.len());
@@ -153,7 +139,7 @@ impl ShedQueue {
         }
     }
 
-    /// Full structural audit: [`Self::check_consistency`] plus heap-order /
+    /// Full structural audit: `check_consistency` plus heap-order /
     /// position-map invariants, the capacity bound, and agreement between
     /// the lazily-cleaned FIFO deque and the arena.
     ///

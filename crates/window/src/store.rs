@@ -3,7 +3,7 @@
 use crate::arena::{Arena, Slot};
 use crate::heap::IndexedHeap;
 use crate::index::{Candidates, FlatIndex};
-use mstream_types::{SeqNo, StreamId, Tuple, VTime, Value, WindowSpec};
+use mstream_types::{StreamId, Tuple, VTime, Value, WindowSpec};
 use std::collections::VecDeque;
 
 /// One resident window tuple plus the bookkeeping that must travel with it.
@@ -163,18 +163,9 @@ impl WindowStore {
         self.arena.is_empty()
     }
 
-    /// The allocated capacity in tuples.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The window specification.
-    pub fn spec(&self) -> WindowSpec {
-        self.spec
-    }
-
     /// Arrivals observed so far (including tuples that were shed).
-    pub fn arrivals_seen(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn arrivals_seen(&self) -> u64 {
         self.arrivals_seen
     }
 
@@ -264,7 +255,7 @@ impl WindowStore {
     /// own `(score, seq)` order dismisses the arrival before it touches
     /// arena, indexes, expiry queue or heap: it would be stored only to be
     /// picked as the victim. Any other arrival to a full window takes its
-    /// minimum's place ([`Self::replace_min`]).
+    /// minimum's place (`replace_min`).
     ///
     /// # Panics
     /// Panics if priorities are deferred ([`Self::defer_priorities`]): a
@@ -510,7 +501,8 @@ impl WindowStore {
     }
 
     /// The produced-output counter of `slot`.
-    pub fn produced(&self, slot: Slot) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn produced(&self, slot: Slot) -> Option<u64> {
         self.arena.contains(slot).then(|| self.produced[slot.index()])
     }
 
@@ -526,7 +518,8 @@ impl WindowStore {
     }
 
     /// The priority of a resident tuple.
-    pub fn priority(&self, slot: Slot) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn priority(&self, slot: Slot) -> Option<f64> {
         self.heap.score(slot)
     }
 
@@ -644,22 +637,23 @@ impl WindowStore {
     }
 
     /// The oldest resident tuple's sequence number, if any.
-    pub fn oldest_seq(&self) -> Option<SeqNo> {
+    #[cfg(test)]
+    pub(crate) fn oldest_seq(&self) -> Option<mstream_types::SeqNo> {
         self.iter().map(|(_, t)| t.seq).min()
     }
 
     /// Entries in the expiry queue, dead ones included (for the test that
     /// bounds it by the capacity).
-    #[doc(hidden)]
-    pub fn expiry_queue_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn expiry_queue_len(&self) -> usize {
         self.expiry.len()
     }
 
     /// Internal consistency check used by tests: every resident tuple is in
     /// the heap — or, on a deferred store, none is and the heap is empty —
     /// and in every index bucket its values demand, and vice versa.
-    #[doc(hidden)]
-    pub fn check_consistency(&self) {
+    #[cfg(any(test, feature = "audit"))]
+    pub(crate) fn check_consistency(&self) {
         if self.deferred {
             assert!(self.heap.is_empty(), "heap entry on a deferred store");
         } else {
@@ -685,7 +679,7 @@ impl WindowStore {
         }
     }
 
-    /// Full structural audit: [`Self::check_consistency`] plus heap-order /
+    /// Full structural audit: `check_consistency` plus heap-order /
     /// position-map invariants, the open-addressed indexes' internal
     /// invariants *and* a cross-check of their contents against a reference
     /// `HashMap` rebuilt from the arena, the capacity bound, and agreement
@@ -719,7 +713,7 @@ impl WindowStore {
         // live deque entries must run oldest-first (nondecreasing seq) or
         // FIFO expiration would release tuples out of order.
         let mut seen = std::collections::HashSet::new();
-        let mut last_seq: Option<SeqNo> = None;
+        let mut last_seq: Option<mstream_types::SeqNo> = None;
         for &slot in &self.expiry {
             let Some(entry) = self.arena.get(slot) else {
                 continue; // evicted since; surfaces or is compacted later
@@ -783,7 +777,7 @@ impl WindowStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mstream_types::{StreamId, VDur};
+    use mstream_types::{SeqNo, StreamId, VDur};
     use proptest::prelude::*;
 
     fn tup(seq: u64, ts_secs: u64, a: u64, b: u64) -> Tuple {

@@ -21,19 +21,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Attribute index of Age (domain 1–9).
-pub const AGE: usize = 0;
-/// Attribute index of Income (domain 1–16).
-pub const INCOME: usize = 1;
-/// Attribute index of Education (domain 1–6).
-pub const EDUCATION: usize = 2;
-
 /// Domain sizes, mirroring the paper's discretization.
-pub const AGE_LEVELS: u64 = 9;
+pub(crate) const AGE_LEVELS: u64 = 9;
 /// Income bracket count.
-pub const INCOME_LEVELS: u64 = 16;
+pub(crate) const INCOME_LEVELS: u64 = 16;
 /// Education level count.
-pub const EDUCATION_LEVELS: u64 = 6;
+pub(crate) const EDUCATION_LEVELS: u64 = 6;
 
 /// Generator configuration.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -81,11 +74,6 @@ impl CensusGenerator {
             return Err(Error::InvalidConfig("drift must be in [0, 1]".into()));
         }
         Ok(CensusGenerator { config })
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &CensusConfig {
-        &self.config
     }
 
     /// Generates the interleaved trace (round-robin across months, so all
@@ -177,6 +165,11 @@ fn sample_weighted(rng: &mut StdRng, weights: &[f64]) -> usize {
 mod tests {
     use super::*;
     use mstream_types::StreamId;
+
+    /// Attribute indexes of Age, Income and Education in a generated row.
+    const AGE: usize = 0;
+    const INCOME: usize = 1;
+    const EDUCATION: usize = 2;
 
     fn small() -> CensusGenerator {
         CensusGenerator::new(CensusConfig {

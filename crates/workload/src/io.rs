@@ -38,19 +38,23 @@ impl fmt::Display for TraceIoError {
 
 impl std::error::Error for TraceIoError {}
 
-/// Writes `trace` in the CSV dialect (with `# drift` markers).
+/// Writes `trace` in the CSV dialect (with `# drift` markers): every
+/// marker at an index goes before that row, repeated markers included, and
+/// markers at the end of the trace go after the last row.
 pub fn write_trace<W: Write>(trace: &Trace, mut out: W) -> std::io::Result<()> {
-    let mut drift_iter = trace.drift_points.iter().peekable();
+    let mut drifts = trace.drift_points.iter().peekable();
     for (i, item) in trace.items.iter().enumerate() {
-        if drift_iter.peek() == Some(&&i) {
+        while drifts.next_if(|&&d| d <= i).is_some() {
             writeln!(out, "# drift")?;
-            drift_iter.next();
         }
         write!(out, "{}", item.stream.index())?;
         for v in &item.values {
             write!(out, ",{}", v.raw())?;
         }
         writeln!(out)?;
+    }
+    for _ in drifts {
+        writeln!(out, "# drift")?;
     }
     Ok(())
 }
@@ -109,11 +113,6 @@ pub fn read_trace<R: Read>(input: R) -> Result<Trace, TraceIoError> {
     Ok(trace)
 }
 
-/// Parses a trace from a CSV string.
-pub fn trace_from_csv(csv: &str) -> Result<Trace, TraceIoError> {
-    read_trace(csv.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,14 +128,14 @@ mod tests {
         let csv = trace_to_csv(&t);
         assert!(csv.contains("0,17,42\n"));
         assert!(csv.contains("# drift\n"));
-        let back = trace_from_csv(&csv).unwrap();
+        let back = read_trace(csv.as_bytes()).unwrap();
         assert_eq!(back, t);
     }
 
     #[test]
     fn tolerates_comments_blanks_and_spaces() {
         let csv = "# header comment\n\n 0 , 5 \n# note\n1,6\n";
-        let t = trace_from_csv(csv).unwrap();
+        let t = read_trace(csv.as_bytes()).unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.items[0].values, vec![Value(5)]);
         assert!(t.drift_points.is_empty());
@@ -144,34 +143,38 @@ mod tests {
 
     #[test]
     fn reports_line_numbers_on_errors() {
-        let err = trace_from_csv("0,1\nx,2\n").unwrap_err();
+        let err = read_trace("0,1\nx,2\n".as_bytes()).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("bad stream index"));
-        let err = trace_from_csv("0,1\n1,abc\n").unwrap_err();
+        let err = read_trace("0,1\n1,abc\n".as_bytes()).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("bad value"));
-        let err = trace_from_csv("7\n").unwrap_err();
+        let err = read_trace("7\n".as_bytes()).unwrap_err();
         assert!(err.message.contains("at least one attribute"));
     }
 
     proptest! {
-        /// Any generated trace round-trips through CSV bit-for-bit.
+        /// Any generated trace round-trips through CSV bit-for-bit, drift
+        /// markers included: repeated ones, one before the first row and
+        /// ones after the last.
         #[test]
         fn csv_round_trip(items in proptest::collection::vec((0usize..4, 0u64..100, 0u64..100), 0..100),
-                          drift_at in proptest::collection::vec(0usize..100, 0..4)) {
+                          drift_at in proptest::collection::vec(0usize..=100, 0..6)) {
             let mut t = Trace::new();
-            let mut drift: Vec<usize> = drift_at.into_iter().filter(|&d| d <= items.len()).collect();
+            let mut drift: Vec<usize> = drift_at.into_iter().map(|d| d.min(items.len())).collect();
             drift.sort_unstable();
-            drift.dedup();
+            let mut marks = drift.iter().peekable();
             for (i, (s, a, b)) in items.iter().enumerate() {
-                if drift.contains(&i) {
+                while marks.next_if(|&&d| d == i).is_some() {
                     t.mark_drift();
                 }
                 t.push(StreamId(*s), vec![Value(*a), Value(*b)]);
             }
-            // Trailing drift markers (at == items.len()) are representable
-            // but pointless; skip marking those.
-            let back = trace_from_csv(&trace_to_csv(&t)).unwrap();
+            for _ in marks {
+                t.mark_drift();
+            }
+            prop_assert_eq!(&t.drift_points, &drift);
+            let back = read_trace(trace_to_csv(&t).as_bytes()).unwrap();
             prop_assert_eq!(back, t);
         }
     }

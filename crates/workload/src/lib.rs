@@ -2,13 +2,13 @@
 //!
 //! Two families of workloads drive every experiment:
 //!
-//! * [`regions`] — the synthetic generator of Vitter & Wang (SIGMOD'99) as
+//! * [`RegionsGenerator`] — the synthetic generator of Vitter & Wang (SIGMOD'99) as
 //!   configured in the paper's Table 1: rectangular regions uniformly
 //!   placed in each relation's attribute space, a Zipfian `z-inter`
 //!   distribution across regions and `z-intra` within each region (cells
 //!   closer to a region's center are more frequent). Feeding the data
 //!   region-phase by region-phase simulates **concept drift**.
-//! * [`census`] — a correlated categorical generator standing in for the
+//! * [`CensusGenerator`] — a correlated categorical generator standing in for the
 //!   CPS census extracts (Age 1–9, Income 1–16, Education 1–6 over three
 //!   months); see DESIGN.md §5 for why this substitution preserves the
 //!   experiments' behaviour.
@@ -34,14 +34,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod census;
-pub mod io;
-pub mod regions;
-pub mod trace;
-pub mod zipf;
+mod census;
+mod io;
+mod regions;
+mod trace;
+mod zipf;
 
 pub use census::{CensusConfig, CensusGenerator};
-pub use io::{read_trace, trace_from_csv, trace_to_csv, write_trace, TraceIoError};
+pub use io::{read_trace, trace_to_csv, write_trace, TraceIoError};
 pub use regions::{FeedOrder, RegionsConfig, RegionsGenerator};
 pub use trace::{Trace, TraceItem};
 pub use zipf::Zipf;

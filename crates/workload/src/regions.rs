@@ -49,7 +49,7 @@ pub struct RegionsConfig {
     pub domain: u64,
     /// Regions per relation (Table 1: 10).
     pub n_regions: usize,
-    /// Cells per region (Table 1: "Volume 1[000]" — 1000 cells, i.e. each
+    /// Cells per region (Table 1: "Volume 1\[000\]" — 1000 cells, i.e. each
     /// region covers 10% of the 100x100 attribute space; this is the
     /// reading under which low `z_intra` makes the overall value
     /// distribution "nearly uniform", as the paper observes).

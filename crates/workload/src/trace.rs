@@ -2,7 +2,6 @@
 
 use mstream_types::{Row, StreamId, VDur, VTime, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One arrival: which stream it lands on and its attribute values.
 ///
@@ -82,7 +81,7 @@ impl Trace {
     }
 
     /// Marks the *next* pushed item as the start of a new distribution.
-    pub fn mark_drift(&mut self) {
+    pub(crate) fn mark_drift(&mut self) {
         self.drift_points.push(self.items.len());
     }
 
@@ -92,18 +91,23 @@ impl Trace {
     }
 
     /// Count of arrivals per stream id.
-    pub fn stream_counts(&self) -> HashMap<StreamId, usize> {
-        let mut counts = HashMap::new();
+    #[cfg(test)]
+    pub(crate) fn stream_counts(&self) -> std::collections::HashMap<StreamId, usize> {
+        let mut counts = std::collections::HashMap::new();
         for it in &self.items {
             *counts.entry(it.stream).or_insert(0) += 1;
         }
         counts
     }
 
-    /// Frequency of each value of attribute `attr` on `stream` — used by
-    /// tests and by `--describe` workload summaries.
-    pub fn value_histogram(&self, stream: StreamId, attr: usize) -> HashMap<Value, usize> {
-        let mut hist = HashMap::new();
+    /// Frequency of each value of attribute `attr` on `stream`.
+    #[cfg(test)]
+    pub(crate) fn value_histogram(
+        &self,
+        stream: StreamId,
+        attr: usize,
+    ) -> std::collections::HashMap<Value, usize> {
+        let mut hist = std::collections::HashMap::new();
         for it in self.per_stream(stream) {
             *hist.entry(it.values[attr]).or_insert(0) += 1;
         }

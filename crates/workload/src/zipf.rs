@@ -10,7 +10,6 @@ use rand::Rng;
 #[derive(Clone, Debug)]
 pub struct Zipf {
     cumulative: Vec<f64>,
-    z: f64,
 }
 
 impl Zipf {
@@ -33,17 +32,7 @@ impl Zipf {
         }
         // Guard against floating-point shortfall at the top end.
         *cumulative.last_mut().expect("non-empty") = 1.0;
-        Zipf { cumulative, z }
-    }
-
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// The skew parameter.
-    pub fn z(&self) -> f64 {
-        self.z
+        Zipf { cumulative }
     }
 
     /// Draws a rank in `0..n` (0 = most probable).
@@ -53,7 +42,7 @@ impl Zipf {
     }
 
     /// The probability assigned to `rank`.
-    pub fn pmf(&self, rank: usize) -> f64 {
+    pub(crate) fn pmf(&self, rank: usize) -> f64 {
         let hi = self.cumulative[rank];
         let lo = if rank == 0 {
             0.0

@@ -7,7 +7,22 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 cargo clippy --workspace -- -D warnings
-# The benchmark is a package outside the workspace, so the three commands
+# rustdoc with warnings denied: no broken or ambiguous intra-doc link, and
+# no public doc that links a private item.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --keep-going
+# A library crate's modules stay private, so its `pub use` list in `lib.rs`
+# is its whole public API and `unreachable_pub` (the workspace lint table,
+# gated by clippy above) sees every item the list does not reach. The two
+# open modules: `mstream_sketch::kernel`, whose scalar / lanes / avx2 forms
+# the equivalence suite and `bench_sketch` compare, and `mstream_core::prelude`.
+OPEN_MODS=$(grep -nE '^\s*pub mod ' crates/{types,sketch,window,join,shed,query,workload,agg,core}/src/lib.rs \
+  | grep -vE '^crates/sketch/src/lib.rs:[0-9]+:pub mod kernel;$|^crates/core/src/lib.rs:[0-9]+:pub mod prelude \{$' || true)
+if [ -n "$OPEN_MODS" ]; then
+  echo "$OPEN_MODS"
+  echo "FAIL: a library crate declares a pub mod besides mstream_sketch::kernel and mstream_core::prelude"
+  exit 1
+fi
+# The benchmark is a package outside the workspace, so the commands
 # above do not notice when an API it calls disappears.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 (cd benchmark && cargo test --offline -q)

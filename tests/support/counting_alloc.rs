@@ -8,12 +8,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub struct CountingAlloc;
+pub(crate) struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) so far.
-pub fn alloc_calls() -> u64 {
+pub(crate) fn alloc_calls() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
 }
 

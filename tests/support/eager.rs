@@ -14,7 +14,7 @@ use mstream_types::Tuple;
 use mstream_window::QueueVictim;
 
 /// `policy`, scored eagerly.
-pub struct Eager(pub Box<dyn ShedPolicy>);
+pub(crate) struct Eager(pub Box<dyn ShedPolicy>);
 
 impl ShedPolicy for Eager {
     fn name(&self) -> &'static str {
