@@ -209,7 +209,7 @@ fn bench_productivity_repeated(c: &mut Criterion) {
 /// the raw signed-fold every lookup would pay without memoization.
 fn bench_score_cache(c: &mut Criterion) {
     let query = chain3();
-    let mut seed_sketches = || {
+    let seed_sketches = || {
         let mut sk = TumblingSketches::new(
             &query,
             BankConfig {
@@ -277,89 +277,84 @@ fn bench_score_cache(c: &mut Criterion) {
     group.finish();
 }
 
-/// Vector-vs-scalar on the raw kernels: the scalar reference and the
-/// lane-parallel safe form (the AVX2 forms the entry points dispatch to
-/// are timed in [`bench_arrival_kernels`]). Each input is asserted bit-identical
-/// across modes before timing (the equivalence proptests own the
-/// exhaustive version of that claim).
+/// The three kernels with two forms, each form at the paper's sizing
+/// (1000 copies): the portable `kernel::scalar` form against the entry
+/// point, which runs the AVX2 form where the CPU has it. Each input is
+/// asserted bit-identical across the two before timing (the equivalence
+/// suite owns the exhaustive version of that claim), and each sample runs
+/// its kernel `REPS` times, so the printed ms/iter reads as µs per call.
 fn bench_kernel_modes(c: &mut Criterion) {
+    const REPS: usize = 1000;
+    const COPIES: usize = 1000;
     let mut rng = StdRng::seed_from_u64(8);
-    const N: usize = 16 * 1024;
-    let signs: Vec<u64> = (0..N / 64).map(|_| rng.gen()).collect();
-    let f64s: Vec<f64> = (0..N).map(|_| rng.gen::<f64>() - 0.5).collect();
-    let i64s: Vec<i64> = (0..N).map(|_| (rng.gen::<u64>() as i64) >> 8).collect();
+    let signs: Vec<u64> = (0..COPIES.div_ceil(64)).map(|_| rng.gen()).collect();
+    let counters: Vec<i64> = (0..COPIES).map(|_| rng.gen_range(-5000..5000)).collect();
+    let row: Vec<f64> = (0..COPIES)
+        .map(|_| f64::from(rng.gen_range(-2000..2000)))
+        .collect();
+    let row_a: Vec<i64> = (0..COPIES).map(|_| rng.gen_range(-100..100)).collect();
+    let row_b: Vec<i64> = (0..COPIES).map(|_| rng.gen_range(-100..100)).collect();
+    let rows = [&row_a[..], &row_b[..]];
 
-    let mut group = c.benchmark_group("kernel_modes");
-    // fold_packed_signs: ±1 folds into i64 counters.
+    let mut group = c.benchmark_group("kernel_modes_x1000");
     {
-        let mut want = i64s.clone();
+        let mut want = counters.clone();
         kernel::scalar::fold_packed_signs(&signs, &mut want);
-        let mut got = i64s.clone();
-        kernel::lanes::fold_packed_signs(&signs, &mut got);
-        assert_eq!(want, got, "fold_packed_signs modes diverge");
-        let mut buf = i64s.clone();
-        group.bench_function("fold_signs_scalar", |b| {
-            b.iter(|| {
-                buf.copy_from_slice(&i64s);
-                kernel::scalar::fold_packed_signs(black_box(&signs), &mut buf);
-                black_box(&buf);
-            })
-        });
-        group.bench_function("fold_signs_lanes", |b| {
-            b.iter(|| {
-                buf.copy_from_slice(&i64s);
-                kernel::lanes::fold_packed_signs(black_box(&signs), &mut buf);
-                black_box(&buf);
-            })
-        });
+        let mut got = counters.clone();
+        kernel::fold_packed_signs(&signs, &mut got);
+        assert_eq!(want, got, "fold_packed_signs forms diverge");
+        let mut buf = counters.clone();
+        type Fold = fn(&[u64], &mut [i64]);
+        let forms: [(&str, Fold); 2] = [
+            ("fold_packed_signs_scalar", kernel::scalar::fold_packed_signs),
+            ("fold_packed_signs", kernel::fold_packed_signs),
+        ];
+        for (name, fold) in forms {
+            group.bench_function(name, |b| {
+                b.iter(|| {
+                    for _ in 0..REPS {
+                        fold(black_box(&signs), &mut buf);
+                    }
+                    black_box(&buf);
+                })
+            });
+        }
     }
-    // signed_copy: sign-bit XOR while copying (the probe row kernel).
     {
-        let mut want = vec![0f64; N];
-        kernel::scalar::signed_copy(&signs, &f64s, &mut want);
-        let mut got = vec![0f64; N];
-        kernel::signed_copy(&signs, &f64s, &mut got);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&want), bits(&got), "signed_copy modes diverge");
-        let mut dst = vec![0f64; N];
-        group.bench_function("signed_copy_scalar", |b| {
-            b.iter(|| {
-                kernel::scalar::signed_copy(black_box(&signs), black_box(&f64s), &mut dst);
-                black_box(&dst);
-            })
-        });
-        group.bench_function("signed_copy_lanes", |b| {
-            b.iter(|| {
-                kernel::lanes::signed_copy(black_box(&signs), black_box(&f64s), &mut dst);
-                black_box(&dst);
-            })
-        });
+        let want = kernel::scalar::signed_sum(&signs, 0, &row);
+        assert_eq!(want.to_bits(), kernel::signed_sum(&signs, 0, &row).to_bits());
+        type Sum = fn(&[u64], usize, &[f64]) -> f64;
+        let forms: [(&str, Sum); 2] = [
+            ("signed_sum_scalar", kernel::scalar::signed_sum),
+            ("signed_sum", kernel::signed_sum),
+        ];
+        for (name, sum) in forms {
+            group.bench_function(name, |b| {
+                b.iter(|| {
+                    for _ in 0..REPS {
+                        black_box(sum(black_box(&signs), 0, black_box(&row)));
+                    }
+                })
+            });
+        }
     }
-    // group_sums: the mean stage of median-of-means (serial in-group
-    // order, lanes across groups).
     {
-        let (s1, s2) = (32usize, N / 32);
-        let mut want = Vec::new();
-        kernel::scalar::group_sums(&f64s, s1, s2, &mut want);
-        let mut got = Vec::new();
-        kernel::lanes::group_sums(&f64s, s1, s2, &mut got);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&want), bits(&got), "group_sums modes diverge");
-        let mut out = Vec::new();
-        group.bench_function("group_sums_scalar", |b| {
-            b.iter(|| {
-                out.clear();
-                kernel::scalar::group_sums(black_box(&f64s), s1, s2, &mut out);
-                black_box(&out);
-            })
-        });
-        group.bench_function("group_sums_lanes", |b| {
-            b.iter(|| {
-                out.clear();
-                kernel::lanes::group_sums(black_box(&f64s), s1, s2, &mut out);
-                black_box(&out);
-            })
-        });
+        let want = kernel::scalar::signed_product_sum(&signs, &rows, 0..COPIES);
+        assert_eq!(want, kernel::signed_product_sum(&signs, &rows, 0..COPIES));
+        type ProductSum = fn(&[u64], &[&[i64]], std::ops::Range<usize>) -> i64;
+        let forms: [(&str, ProductSum); 2] = [
+            ("signed_product_sum_scalar", kernel::scalar::signed_product_sum),
+            ("signed_product_sum", kernel::signed_product_sum),
+        ];
+        for (name, product_sum) in forms {
+            group.bench_function(name, |b| {
+                b.iter(|| {
+                    for _ in 0..REPS {
+                        black_box(product_sum(black_box(&signs), black_box(&rows), 0..COPIES));
+                    }
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -1321,7 +1321,7 @@ mod tests {
         let before = sink.rows[1].len();
         feed(&mut e, &t, &mut sink);
         assert_eq!(sink.rows[1].len(), before, "removed query emits nothing");
-        assert!(sink.rows[0].len() > 0);
+        assert!(!sink.rows[0].is_empty());
         assert!(e.query_stats(QueryId(1)).is_none());
     }
 

@@ -78,25 +78,6 @@ impl<'a> PriorityCtx<'a> {
             .max(0.0)
     }
 
-    /// Product over the predicates incident to `tuple.stream` of the
-    /// partner window's frequency of the tuple's join value — the `Prob`
-    /// pairwise measure.
-    ///
-    /// # Panics
-    /// Panics if the policy did not declare `partner_freq`.
-    #[cfg(test)]
-    pub(crate) fn partner_frequency(&self, tuple: &Tuple) -> f64 {
-        let pf = self
-            .partner_freq
-            .expect("policy did not declare Requirements::partner_freq");
-        let mut product = 1.0f64;
-        for &(pred_idx, attr) in self.query.incident(tuple.stream) {
-            let v = tuple.values[attr];
-            product *= pf.partner_count(pred_idx, tuple.stream, v) as f64;
-        }
-        product
-    }
-
     /// The partner-window frequency of `tuple`'s join value on its
     /// **designated binary-join-tree pair** — the lowest-index predicate
     /// incident to its stream, matching a left-deep decomposition such as
@@ -129,15 +110,6 @@ impl<'a> PriorityCtx<'a> {
             }
             mstream_types::WindowSpec::Tuples(_) => 1.0,
         }
-    }
-
-    /// Hit/miss/occupancy counters of the sketch bank's packed-sign memo,
-    /// when the policy runs with sketches (`None` otherwise). Lets policy
-    /// diagnostics report how much of the productivity hot path is served
-    /// from memoized sign vectors.
-    #[cfg(test)]
-    pub(crate) fn sketch_cache_stats(&self) -> Option<mstream_sketch::SignCacheStats> {
-        self.sketches.as_deref().map(|s| s.sign_cache_stats())
     }
 
     /// Number of streams in the query.
@@ -214,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn partner_frequency_multiplies_incident_predicates() {
+    fn binary_tree_frequency_consults_the_first_pair_only() {
         let q = chain3();
         let mut pf = TumblingFreq::new(&q, EpochSpec::Time(VDur::from_secs(1000)));
         // First epoch: the tables fall back to the live (current) counts.
@@ -236,14 +208,12 @@ mod tests {
             rng: &mut rng,
         };
         // R1 tuple with A1=7: 3 partner arrivals on R2.
-        assert_eq!(ctx.partner_frequency(&tup(0, 0, 7, 0)), 3.0);
         assert_eq!(ctx.binary_tree_frequency(&tup(0, 0, 7, 0)), 3.0);
-        // R2 tuple (7, 4): full product = 1 (R1) x 2 (R3) = 2, but the
-        // binary-tree measure only consults its first pair (R1) = 1.
-        assert_eq!(ctx.partner_frequency(&tup(1, 0, 7, 4)), 2.0);
+        // R2 tuple (7, 4): 2 partners on R3, but the binary-tree measure
+        // only consults its first pair (R1) = 1.
         assert_eq!(ctx.binary_tree_frequency(&tup(1, 0, 7, 4)), 1.0);
         // R3 tuple with A1=9: no partner -> 0.
-        assert_eq!(ctx.partner_frequency(&tup(2, 0, 9, 0)), 0.0);
+        assert_eq!(ctx.binary_tree_frequency(&tup(2, 0, 9, 0)), 0.0);
     }
 
     #[test]
@@ -291,43 +261,6 @@ mod tests {
         };
         // Empty sketches -> estimate 0, and never below.
         assert!(ctx.productivity(&tup(0, 0, 1, 1)) >= 0.0);
-    }
-
-    #[test]
-    fn sketch_cache_stats_exposed_when_sketches_present() {
-        let q = chain3();
-        let mut sk = TumblingSketches::new(
-            &q,
-            BankConfig {
-                s1: 4,
-                s2: 1,
-                seed: 2,
-            },
-            EpochSpec::Time(VDur::from_secs(100)),
-        );
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = PriorityCtx {
-            query: &q,
-            sketches: Some(&mut sk),
-            partner_freq: None,
-            now: VTime::ZERO,
-            rng: &mut rng,
-        };
-        assert_eq!(ctx.sketch_cache_stats().unwrap().misses, 0);
-        let _ = ctx.productivity(&tup(0, 0, 1, 1));
-        let _ = ctx.productivity(&tup(0, 0, 1, 1));
-        let stats = ctx.sketch_cache_stats().unwrap();
-        assert!(stats.misses >= 1, "first sign lookup evaluates");
-        assert!(stats.hits >= 1, "repeated sign lookup memoized");
-        let mut rng2 = StdRng::seed_from_u64(0);
-        let ctx2 = PriorityCtx {
-            query: &q,
-            sketches: None,
-            partner_freq: None,
-            now: VTime::ZERO,
-            rng: &mut rng2,
-        };
-        assert!(ctx2.sketch_cache_stats().is_none());
     }
 
     #[test]

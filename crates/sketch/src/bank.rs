@@ -481,9 +481,8 @@ impl SketchBank {
 /// the tumbling-epoch layer.
 ///
 /// The mean stage runs through [`kernel::group_sums`], which keeps each
-/// group's fold strictly serial in every kernel mode (f64 addition is not
-/// associative) and lane-parallelizes only across independent groups, so
-/// the estimate is bit-identical regardless of dispatch.
+/// group's fold strictly serial (f64 addition is not associative), so the
+/// estimate is bit-identical to the legacy per-copy fold.
 pub(crate) fn median_of_means_into(
     s1: usize,
     s2: usize,

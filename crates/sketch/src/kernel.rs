@@ -1,7 +1,10 @@
-//! Flat, branch-light kernels over the SoA sketch state: a portable
-//! fixed-width lane path, AVX2 specializations on `x86_64` for the loops an
-//! arrival pays, and a scalar reference path the tests compare against —
-//! all **bit-identical** by construction.
+//! Flat, branch-light kernels over the SoA sketch state, **bit-identical**
+//! to the legacy per-copy fold by construction. Each kernel has one
+//! portable body. The three an arrival pays on every call —
+//! [`fold_packed_signs`], [`signed_sum`] and [`signed_product_sum`] — also
+//! have an AVX2 form on `x86_64`; their portable body lives in [`scalar`],
+//! which is also the reference the equivalence suite holds the AVX2 form
+//! to.
 //!
 //! Every function here works on contiguous slices laid out *stream-major*:
 //! the counters (or last-epoch snapshots) of stream `k` occupy
@@ -10,21 +13,9 @@
 //! reduction folds in exactly the order the legacy AoS implementation used
 //! — ascending stream index, left to right over copies — so estimates stay
 //! bit-identical (multiplying by ±1 is an exact sign-bit flip and commutes
-//! with everything else).
-//!
-//! # Why lane parallelism preserves bit-identity
-//!
-//! Each kernel below computes output index `c` from inputs at index `c`
-//! only — counter folds, per-copy products, sign XORs are all elementwise.
-//! A lane-parallel form evaluates the *same* operation sequence per index;
-//! only the order **across** independent indexes changes, which is not
-//! observable. The one reduction that crosses indexes — the mean stage of
-//! median-of-means — keeps its serial within-group fold order
-//! ([`group_sums`] lane-parallelizes **across** groups, never inside
-//! one), because IEEE-754 addition is not associative and the estimates
-//! are pinned bit-for-bit against the legacy layout. `tests/equivalence.rs`
-//! proves all of this against [`scalar`], including ragged tails and
-//! extreme counters.
+//! with everything else). The mean stage of median-of-means,
+//! [`group_sums`], folds each group serially, because IEEE-754 addition is
+//! not associative.
 //!
 //! # The kernels that do reorder — by identity, not by luck
 //!
@@ -42,18 +33,17 @@
 //!
 //! # Dispatch
 //!
-//! The top-level functions check shapes and run [`lanes`]. Where the CPU
-//! reports AVX2, [`fold_packed_signs`], [`apply_packed_signs`],
-//! [`signed_sum`] and [`signed_product_sum`] run their [`avx2`] forms
-//! instead; elsewhere [`signed_product_sum`] runs its [`scalar`] form,
-//! which is exact in any order. The bit-plane kernels have one portable
-//! form each.
+//! The top-level functions check shapes. Where the CPU reports AVX2,
+//! [`fold_packed_signs`], [`signed_sum`] and [`signed_product_sum`] run
+//! their [`avx2`] forms, elsewhere their [`scalar`] forms; the AVX2 forms
+//! compute each output lane with the scalar form's operations, and the
+//! signed sum keeps its accumulator assignment. Every other kernel has one
+//! body.
 
 use std::ops::Range;
 
-/// Lane width of the portable vector kernels (f64x4 / i64x4-sized blocks,
-/// one 256-bit register on the machines this targets).
-pub const LANES: usize = 4;
+/// Lanes of one 256-bit register of `f64` / `i64`.
+const LANES: usize = 4;
 
 // ---------------------------------------------------------------------------
 // Shape guards, shared by every implementation.
@@ -121,7 +111,7 @@ pub fn fold_packed_signs(words: &[u64], counters: &mut [i64]) {
     if has_avx2() {
         return avx2::fold_packed_signs(words, counters);
     }
-    lanes::fold_packed_signs(words, counters)
+    scalar::fold_packed_signs(words, counters)
 }
 
 /// Per-copy product of the counters of every stream except `exclude`
@@ -135,14 +125,21 @@ pub fn column_products(buf: &[i64], copies: usize, exclude: usize, out: &mut [f6
     if check_column_shape(buf, copies, out) {
         return;
     }
-    lanes::column_products(buf, copies, exclude, out)
+    out.fill(1.0);
+    for (k, row) in buf.chunks_exact(copies).enumerate() {
+        if k != exclude {
+            multiply_row(out, row);
+        }
+    }
 }
 
 /// Multiplies one stream-row of counters into an accumulator:
 /// `acc[c] *= row[c]`. Used by the mixed last/current fallback path.
 #[inline]
 pub fn multiply_row(acc: &mut [f64], row: &[i64]) {
-    lanes::multiply_row(acc, row)
+    for (o, &v) in acc.iter_mut().zip(row) {
+        *o *= v as f64;
+    }
 }
 
 /// Negates `vals[c]` wherever bit `c` of `words` is set (sign −1).
@@ -152,36 +149,27 @@ pub fn multiply_row(acc: &mut [f64], row: &[i64]) {
 /// time.
 pub fn apply_packed_signs(words: &[u64], vals: &mut [f64]) {
     check_sign_shape(words, vals.len(), "values");
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        return avx2::apply_packed_signs(words, vals);
+    for (chunk, &w) in vals.chunks_mut(64).zip(words) {
+        for (b, v) in chunk.iter_mut().enumerate() {
+            *v = f64::from_bits(v.to_bits() ^ (((w >> b) & 1) << 63));
+        }
     }
-    lanes::apply_packed_signs(words, vals)
 }
 
 /// The sum at and above which a row of integer-valued terms may round
 /// while it is added up (`2^53`).
 const EXACT_LIMIT: f64 = (1u64 << 53) as f64;
 
-/// `dst[c] = ±src[c]` according to the packed signs — with [`group_sums`],
-/// the frozen cross-product productivity query for a row
-/// [`sum_is_exact`] rejects: one sign lookup and one copy per sketch copy,
-/// no multiplies.
-pub fn signed_copy(words: &[u64], src: &[f64], dst: &mut [f64]) {
-    assert_eq!(src.len(), dst.len(), "source/destination length mismatch");
-    check_sign_shape(words, src.len(), "values");
-    lanes::signed_copy(words, src, dst)
-}
-
 /// The mean stage of median-of-means: appends to `groups` the serial sum
 /// of each of the `s2` groups of `s1` consecutive `per_copy` values
-/// (group-major layout). The **within-group fold order stays strictly
-/// serial** — f64 addition is not associative, so an in-group tree would
-/// change bits — and the lane path parallelizes only *across* independent
-/// groups.
+/// (group-major layout), groups in ascending order. The fold inside a
+/// group stays strictly serial — f64 addition is not associative, so any
+/// other order would change bits.
 pub fn group_sums(per_copy: &[f64], s1: usize, s2: usize, groups: &mut Vec<f64>) {
     check_group_shape(per_copy, s1, s2);
-    lanes::group_sums(per_copy, s1, s2, groups)
+    for g in 0..s2 {
+        groups.push(per_copy[g * s1..(g + 1) * s1].iter().sum());
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -394,14 +382,14 @@ pub fn signed_sum(words: &[u64], first: usize, vals: &[f64]) -> f64 {
     if has_avx2() {
         return avx2::signed_sum(words, first, vals);
     }
-    lanes::signed_sum(words, first, vals)
+    scalar::signed_sum(words, first, vals)
 }
 
 /// The frozen productivity query in one pass: appends to `groups`, for
 /// each of the `s2` groups of `s1` consecutive `row` values, the sum of
 /// the group's values under the packed signs ([`signed_sum`]) — what
-/// [`signed_copy`] + [`group_sums`] compute, without the intermediate
-/// buffer and without the serial add chain.
+/// [`apply_packed_signs`] + [`group_sums`] compute on a copy of the row,
+/// without the copy and without the serial add chain.
 ///
 /// Bit-identical to that pair **only for rows [`sum_is_exact`] accepts**;
 /// the caller checks the row once when it builds it and runs the serial
@@ -495,12 +483,13 @@ fn only_negative_zeros(words: &[u64], rows: &[&[i64]], copies: Range<usize>) -> 
 }
 
 // ---------------------------------------------------------------------------
-// Scalar reference path.
+// Portable forms of the AVX2 kernels.
 // ---------------------------------------------------------------------------
 
-/// The one-element-per-iteration reference implementations the
-/// equivalence suite and benches compare the shipped path against. Shape
-/// guards live in the entry points; these assume validated inputs.
+/// The one-element-per-step forms of the kernels that also have an
+/// [`avx2`] form: what the entry points run on a CPU without AVX2, and the
+/// reference the equivalence suite and benches hold the AVX2 forms to.
+/// Shape guards live in the entry points; these assume validated inputs.
 pub mod scalar {
     use super::{flipped, SUM_ACCS};
     use std::ops::Range;
@@ -514,62 +503,22 @@ pub mod scalar {
         }
     }
 
-    /// Scalar [`super::column_products`].
-    pub fn column_products(buf: &[i64], copies: usize, exclude: usize, out: &mut [f64]) {
-        out.fill(1.0);
-        for (k, row) in buf.chunks_exact(copies).enumerate() {
-            if k == exclude {
-                continue;
-            }
-            for (o, &v) in out.iter_mut().zip(row) {
-                *o *= v as f64;
-            }
-        }
-    }
-
-    /// Scalar [`super::multiply_row`].
-    #[inline]
-    pub fn multiply_row(acc: &mut [f64], row: &[i64]) {
-        for (o, &v) in acc.iter_mut().zip(row) {
-            *o *= v as f64;
-        }
-    }
-
-    /// Scalar [`super::apply_packed_signs`].
-    pub fn apply_packed_signs(words: &[u64], vals: &mut [f64]) {
-        for (chunk, &w) in vals.chunks_mut(64).zip(words) {
-            for (b, v) in chunk.iter_mut().enumerate() {
-                *v = f64::from_bits(v.to_bits() ^ (((w >> b) & 1) << 63));
-            }
-        }
-    }
-
-    /// Scalar [`super::signed_copy`].
-    pub fn signed_copy(words: &[u64], src: &[f64], dst: &mut [f64]) {
-        for ((chunk, s_chunk), &w) in dst.chunks_mut(64).zip(src.chunks(64)).zip(words) {
-            for ((b, d), &s) in chunk.iter_mut().enumerate().zip(s_chunk) {
-                *d = f64::from_bits(s.to_bits() ^ (((w >> b) & 1) << 63));
-            }
-        }
-    }
-
-    /// Scalar [`super::group_sums`]: one serial sum per group, groups in
-    /// ascending order.
-    pub fn group_sums(per_copy: &[f64], s1: usize, s2: usize, groups: &mut Vec<f64>) {
-        for g in 0..s2 {
-            let sum: f64 = per_copy[g * s1..(g + 1) * s1].iter().sum();
-            groups.push(sum);
-        }
-    }
-
     /// Scalar [`super::signed_sum`]: one value per step into the
-    /// accumulator its position assigns it.
+    /// accumulator its position assigns it — the head one by one, then
+    /// sixteen-value blocks whose sign bits sit in one word.
     pub fn signed_sum(words: &[u64], first: usize, vals: &[f64]) -> f64 {
         let mut acc = [-0.0f64; SUM_ACCS];
         let head = (first.wrapping_neg() % SUM_ACCS).min(vals.len());
-        for (j, &v) in vals.iter().enumerate() {
-            let slot = if j < head { j } else { (j - head) % SUM_ACCS };
-            acc[slot] += flipped(words, first + j, v);
+        let (head_vals, body) = vals.split_at(head);
+        for (j, (a, &v)) in acc.iter_mut().zip(head_vals).enumerate() {
+            *a += flipped(words, first + j, v);
+        }
+        for (b, block) in body.chunks(SUM_ACCS).enumerate() {
+            let pos = first + head + b * SUM_ACCS;
+            let bits = words[pos / 64] >> (pos % 64);
+            for (l, (a, &v)) in acc.iter_mut().zip(block).enumerate() {
+                *a += f64::from_bits(v.to_bits() ^ (((bits >> l) & 1) << 63));
+            }
         }
         acc.iter().fold(-0.0, |sum, &a| sum + a)
     }
@@ -584,205 +533,14 @@ pub mod scalar {
 }
 
 // ---------------------------------------------------------------------------
-// Portable lane path.
-// ---------------------------------------------------------------------------
-
-/// Fixed-width lane implementations on stable Rust: [`LANES`]-wide
-/// blocks via `chunks_exact` with a scalar tail, shaped so the compiler
-/// keeps each block in one vector register. Bit-identical to [`scalar`]
-/// because every block computes the same per-index operation sequence;
-/// only the interleaving across independent indexes changes.
-pub mod lanes {
-    use super::{flipped, LANES, SUM_ACCS};
-
-    /// `SIGN_MASKS[n][l]` = bit `l` of the nibble `n`, moved to the sign
-    /// bit of lane `l`: four packed sign bits expand to four lanes of
-    /// `{0, 1 << 63}` with one 32-byte load.
-    const SIGN_MASKS: [[u64; LANES]; 16] = {
-        let mut table = [[0u64; LANES]; 16];
-        let mut n = 0;
-        while n < 16 {
-            let mut l = 0;
-            while l < LANES {
-                table[n][l] = ((n as u64 >> l) & 1) << 63;
-                l += 1;
-            }
-            n += 1;
-        }
-        table
-    };
-
-    /// Lane [`super::fold_packed_signs`]: [`LANES`] counters per step,
-    /// sign bits expanded in-register order.
-    pub fn fold_packed_signs(words: &[u64], counters: &mut [i64]) {
-        for (chunk, &w) in counters.chunks_mut(64).zip(words) {
-            let mut blocks = chunk.chunks_exact_mut(LANES);
-            let mut base = 0u32;
-            for block in &mut blocks {
-                for (l, cnt) in block.iter_mut().enumerate() {
-                    *cnt += 1 - 2 * ((w >> (base + l as u32)) & 1) as i64;
-                }
-                base += LANES as u32;
-            }
-            for (b, cnt) in blocks.into_remainder().iter_mut().enumerate() {
-                *cnt += 1 - 2 * ((w >> (base + b as u32)) & 1) as i64;
-            }
-        }
-    }
-
-    /// Lane [`super::column_products`]: the per-copy running products of a
-    /// [`LANES`]-block live in one register across the stream sweep; each
-    /// copy still multiplies streams in ascending order from 1.0.
-    pub fn column_products(buf: &[i64], copies: usize, exclude: usize, out: &mut [f64]) {
-        out.fill(1.0);
-        for (k, row) in buf.chunks_exact(copies).enumerate() {
-            if k == exclude {
-                continue;
-            }
-            multiply_row(out, row);
-        }
-    }
-
-    /// Lane [`super::multiply_row`].
-    #[inline]
-    pub fn multiply_row(acc: &mut [f64], row: &[i64]) {
-        let mut blocks = acc.chunks_exact_mut(LANES);
-        let mut rows = row.chunks_exact(LANES);
-        for (block, r) in (&mut blocks).zip(&mut rows) {
-            for (o, &v) in block.iter_mut().zip(r) {
-                *o *= v as f64;
-            }
-        }
-        for (o, &v) in blocks
-            .into_remainder()
-            .iter_mut()
-            .zip(rows.remainder())
-        {
-            *o *= v as f64;
-        }
-    }
-
-    /// Lane [`super::apply_packed_signs`]: XORs a 4-bit slice of the sign
-    /// word into the sign bits of [`LANES`] values per step.
-    pub fn apply_packed_signs(words: &[u64], vals: &mut [f64]) {
-        for (chunk, &w) in vals.chunks_mut(64).zip(words) {
-            let mut blocks = chunk.chunks_exact_mut(LANES);
-            let mut base = 0u32;
-            for block in &mut blocks {
-                for (l, v) in block.iter_mut().enumerate() {
-                    *v = f64::from_bits(v.to_bits() ^ (((w >> (base + l as u32)) & 1) << 63));
-                }
-                base += LANES as u32;
-            }
-            for (b, v) in blocks.into_remainder().iter_mut().enumerate() {
-                *v = f64::from_bits(v.to_bits() ^ (((w >> (base + b as u32)) & 1) << 63));
-            }
-        }
-    }
-
-    /// Lane [`super::signed_copy`].
-    pub fn signed_copy(words: &[u64], src: &[f64], dst: &mut [f64]) {
-        for ((chunk, s_chunk), &w) in dst.chunks_mut(64).zip(src.chunks(64)).zip(words) {
-            let mut d_blocks = chunk.chunks_exact_mut(LANES);
-            let mut s_blocks = s_chunk.chunks_exact(LANES);
-            let mut base = 0u32;
-            for (d, s) in (&mut d_blocks).zip(&mut s_blocks) {
-                for l in 0..LANES {
-                    d[l] = f64::from_bits(s[l].to_bits() ^ (((w >> (base + l as u32)) & 1) << 63));
-                }
-                base += LANES as u32;
-            }
-            for ((b, d), &s) in d_blocks
-                .into_remainder()
-                .iter_mut()
-                .enumerate()
-                .zip(s_blocks.remainder())
-            {
-                *d = f64::from_bits(s.to_bits() ^ (((w >> (base + b as u32)) & 1) << 63));
-            }
-        }
-    }
-
-    /// Lane [`super::signed_sum`]: sixteen values per step, a nibble of
-    /// sign bits per [`LANES`]-block through the `SIGN_MASKS` table.
-    pub fn signed_sum(words: &[u64], first: usize, vals: &[f64]) -> f64 {
-        let mut acc = [-0.0f64; SUM_ACCS];
-        let head = (first.wrapping_neg() % SUM_ACCS).min(vals.len());
-        let (head_vals, body) = vals.split_at(head);
-        for (j, (a, &v)) in acc.iter_mut().zip(head_vals).enumerate() {
-            *a += flipped(words, first + j, v);
-        }
-        let mut pos = first + head;
-        let mut blocks = body.chunks_exact(SUM_ACCS);
-        for block in &mut blocks {
-            let bits = words[pos / 64] >> (pos % 64);
-            for (q, (accs, vs)) in acc
-                .chunks_exact_mut(LANES)
-                .zip(block.chunks_exact(LANES))
-                .enumerate()
-            {
-                let mask = &SIGN_MASKS[((bits >> (LANES * q)) & 15) as usize];
-                for ((a, &v), &m) in accs.iter_mut().zip(vs).zip(mask) {
-                    *a += f64::from_bits(v.to_bits() ^ m);
-                }
-            }
-            pos += SUM_ACCS;
-        }
-        for (j, (a, &v)) in acc.iter_mut().zip(blocks.remainder()).enumerate() {
-            *a += flipped(words, pos + j, v);
-        }
-        acc.iter().fold(-0.0, |sum, &a| sum + a)
-    }
-
-    // The four-way zip in [`group_sums`] spells the lanes out by hand.
-    const _LANES_IS_FOUR: () = assert!(LANES == 4);
-
-    /// Lane [`super::group_sums`]: [`LANES`] *independent groups* advance
-    /// together, each keeping its own strictly serial accumulator — lane
-    /// parallelism across groups, never inside one, so every group's sum
-    /// is bit-identical to the scalar serial fold.
-    pub fn group_sums(per_copy: &[f64], s1: usize, s2: usize, groups: &mut Vec<f64>) {
-        let mut g = 0usize;
-        while g + LANES <= s2 {
-            // Four bounds-checked row slices up front; the inner loop then
-            // walks them in lockstep through zips, which elide per-element
-            // bounds checks and leave four independent add chains for the
-            // CPU to run in parallel.
-            let rest = &per_copy[g * s1..];
-            let (r0, rest) = rest.split_at(s1);
-            let (r1, rest) = rest.split_at(s1);
-            let (r2, rest) = rest.split_at(s1);
-            let r3 = &rest[..s1];
-            // -0.0, not +0.0: `Iterator::sum::<f64>` folds from -0.0 (the
-            // additive identity that preserves the sign of a -0.0-only
-            // group), and the scalar path inherits that. +0.0 here would
-            // flip the sign bit of all-negative-zero groups.
-            let mut acc = [-0.0f64; LANES];
-            for (((&x0, &x1), &x2), &x3) in r0.iter().zip(r1).zip(r2).zip(r3) {
-                acc[0] += x0;
-                acc[1] += x1;
-                acc[2] += x2;
-                acc[3] += x3;
-            }
-            groups.extend_from_slice(&acc);
-            g += LANES;
-        }
-        for tail in g..s2 {
-            let sum: f64 = per_copy[tail * s1..(tail + 1) * s1].iter().sum();
-            groups.push(sum);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // AVX2 specializations (x86_64 only).
 // ---------------------------------------------------------------------------
 
-/// AVX2 `std::arch` specializations of the loops an arrival pays: the sign
-/// fold and sign application (pure integer / bit operations, exact for
-/// every input), the sixteen-accumulator signed sum (the accumulator
-/// assignment of [`scalar::signed_sum`], four accumulators to a register)
-/// and the first-epoch integer sum of one or two partners' products.
+/// AVX2 `std::arch` forms of the three loops an arrival pays: the sign
+/// fold (pure integer, exact for every input), the sixteen-accumulator
+/// signed sum (the accumulator assignment of [`scalar::signed_sum`], four
+/// accumulators to a register) and the first-epoch integer sum of one or
+/// two partners' products.
 /// Packed sign bits expand to a `{0, 1<<63}` lane mask in-register
 /// (broadcast + variable shift) or, for the integer sum, to an all-ones
 /// lane (broadcast, mask, compare). Only reached after
@@ -883,38 +641,6 @@ pub mod avx2 {
         unsafe { fold_packed_signs_impl(words, counters) }
     }
 
-    /// AVX2 body of [`apply_packed_signs`]: `vals` and `words` already
-    /// shape-checked by the entry point.
-    #[target_feature(enable = "avx2")]
-    unsafe fn apply_packed_signs_impl(words: &[u64], vals: &mut [f64]) {
-        for (chunk, &w) in vals.chunks_mut(64).zip(words) {
-            let mut bits = w;
-            for block in chunk.chunks_mut(SUM_ACCS) {
-                let masks = sign_masks16(bits);
-                let mut quads = block.chunks_exact_mut(LANES);
-                let mut done = 0u32;
-                for (quad, mask) in (&mut quads).zip(masks) {
-                    let p = quad.as_mut_ptr();
-                    // SAFETY: `quad` is exactly LANES values wide.
-                    _mm256_storeu_pd(p, _mm256_xor_pd(_mm256_loadu_pd(p), mask));
-                    done += LANES as u32;
-                }
-                for (b, v) in quads.into_remainder().iter_mut().enumerate() {
-                    *v = f64::from_bits(v.to_bits() ^ (((bits >> (done + b as u32)) & 1) << 63));
-                }
-                bits >>= SUM_ACCS;
-            }
-        }
-    }
-
-    /// AVX2 [`super::apply_packed_signs`]. Panics if AVX2 is unavailable
-    /// (the entry point only calls this after runtime detection).
-    pub fn apply_packed_signs(words: &[u64], vals: &mut [f64]) {
-        assert_avx2();
-        // SAFETY: AVX2 presence asserted above.
-        unsafe { apply_packed_signs_impl(words, vals) }
-    }
-
     /// Loads the accumulator array into [`REGS`] registers.
     ///
     /// # Safety
@@ -943,9 +669,9 @@ pub mod avx2 {
         }
     }
 
-    /// AVX2 body of [`signed_sum`]: the head and the tail run as in
-    /// [`super::lanes::signed_sum`], the sixteen-value blocks between them
-    /// four registers at a time.
+    /// AVX2 body of [`signed_sum`]: the head and the tail go one value at
+    /// a time into the accumulators [`scalar::signed_sum`] assigns them,
+    /// the sixteen-value blocks between them four registers at a time.
     #[target_feature(enable = "avx2")]
     unsafe fn signed_sum_impl(words: &[u64], first: usize, vals: &[f64]) -> f64 {
         let mut acc = [-0.0f64; SUM_ACCS];
@@ -1106,15 +832,10 @@ mod tests {
     }
 
     #[test]
-    fn apply_and_signed_copy_agree() {
-        let words = [0b1010u64];
-        let src = [1.5f64, 2.5, 0.0, -4.0];
-        let mut a = src;
-        apply_packed_signs(&words, &mut a);
-        let mut b = [0.0f64; 4];
-        signed_copy(&words, &src, &mut b);
+    fn apply_packed_signs_flips_only_the_sign_bit() {
+        let mut a = [1.5f64, 2.5, 0.0, -4.0];
+        apply_packed_signs(&[0b1010], &mut a);
         assert_eq!(a, [1.5, -2.5, 0.0, 4.0]);
-        assert_eq!(a, b);
         // Negative zero round-trips exactly.
         let mut z = [0.0f64];
         apply_packed_signs(&[1], &mut z);
@@ -1274,8 +995,7 @@ mod tests {
     fn group_sums_keeps_serial_order_in_every_mode() {
         // Adversarial magnitudes where fold order is observable: a tree
         // reduction of [1e16, 1.0, -1e16, 1.0] gives 2.0, the serial fold
-        // gives 1.0. Both lane and scalar forms must produce the serial
-        // answer for every group.
+        // gives 1.0 — for every group.
         let per_copy: Vec<f64> = (0..6 * 4)
             .map(|i| match i % 4 {
                 0 => 1e16,
@@ -1284,13 +1004,8 @@ mod tests {
                 _ => 1.0,
             })
             .collect();
-        for groups_impl in [scalar::group_sums, lanes::group_sums] {
-            let mut groups = Vec::new();
-            groups_impl(&per_copy, 4, 6, &mut groups);
-            assert_eq!(groups, vec![1.0; 6], "serial in-group fold order");
-        }
-        let mut dispatched = Vec::new();
-        group_sums(&per_copy, 4, 6, &mut dispatched);
-        assert_eq!(dispatched, vec![1.0; 6]);
+        let mut groups = Vec::new();
+        group_sums(&per_copy, 4, 6, &mut groups);
+        assert_eq!(groups, vec![1.0; 6], "serial in-group fold order");
     }
 }

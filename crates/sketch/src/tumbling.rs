@@ -252,8 +252,9 @@ impl TumblingSketches {
                 kernel::signed_group_sums(&self.words, row, cfg.s1, cfg.s2, &mut self.groups);
                 return median_of_sums(cfg.s1, &mut self.groups);
             }
-            self.scratch.resize(copies, 0.0);
-            kernel::signed_copy(&self.words, row, &mut self.scratch);
+            self.scratch.clear();
+            self.scratch.extend_from_slice(row);
+            kernel::apply_packed_signs(&self.words, &mut self.scratch);
             median_of_means_into(cfg.s1, cfg.s2, &self.scratch, &mut self.groups)
         } else {
             // Mixed path (some stream still in its first epoch): last-epoch
@@ -757,16 +758,14 @@ mod tests {
         ts.last_bound.fill(100_000_000);
         ts.set_score_cache(false);
 
-        // The serial reference, from the scalar kernels and the row the
-        // instance built.
+        // The serial reference: each copy's sign times the row the
+        // instance built, summed left to right from −0.0 as the legacy
+        // per-copy fold does.
         let serial = |ts: &TumblingSketches, vals: &[Value]| -> f64 {
-            let mut words = Vec::new();
-            ts.bank.packed_signs_into(StreamId(0), vals, &mut words);
-            let mut signed = vec![0.0f64; 20];
-            kernel::scalar::signed_copy(&words, &ts.cross[..20], &mut signed);
-            let mut sums = Vec::new();
-            kernel::scalar::group_sums(&signed, 20, 1, &mut sums);
-            sums[0] / 20.0
+            let sum = (0..20).fold(-0.0, |sum, c| {
+                sum + ts.bank.sign_in_copy(c, StreamId(0), vals) as f64 * ts.cross[c]
+            });
+            sum / 20.0
         };
         let mut orders_differ = false;
         for a in 0..32 {
@@ -852,10 +851,10 @@ mod tests {
             for a in 0..6u64 {
                 let vals = v(a % 3, 0);
                 let mut per_copy = vec![1.0f64; copies];
-                kernel::scalar::multiply_row(&mut per_copy, &last[1]);
-                kernel::scalar::multiply_row(&mut per_copy, &live[2]);
+                kernel::multiply_row(&mut per_copy, &last[1]);
+                kernel::multiply_row(&mut per_copy, &live[2]);
                 ts.bank.packed_signs_into(StreamId(0), &vals, &mut words);
-                kernel::scalar::apply_packed_signs(&words, &mut per_copy);
+                kernel::apply_packed_signs(&words, &mut per_copy);
                 let want = crate::median_of_means_slice(cfg.s1, s2, &per_copy);
                 let got = ts.productivity(StreamId(0), &vals);
                 assert_eq!(got.to_bits(), want.to_bits(), "s2 = {s2}, value {a}");

@@ -621,28 +621,25 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Vector-vs-scalar kernel bit-identity (PR 9).
+// AVX2-vs-scalar kernel bit-identity.
 //
-// Every kernel in `mstream_sketch::kernel` ships a scalar reference path
-// and a portable lane path (plus AVX2 specializations of the sign fold,
-// sign application, the signed sum and the first-epoch integer sum, whose
-// portable form is its scalar reference); the entry points run the lane
-// path, or AVX2 where the CPU has it. These properties pin all
-// implementations bit-identical across odd lengths, ragged tails
-// (len % LANES != 0, len % 64 != 0), and extreme inputs
+// Three kernels in `mstream_sketch::kernel` — the sign fold, the signed
+// sum and the first-epoch integer sum — have an AVX2 form beside their
+// portable one in `kernel::scalar`; the entry points run AVX2 where the
+// CPU has it. These properties pin both forms bit-identical across odd
+// lengths, ragged tails (len % 4 != 0, len % 64 != 0), and extreme inputs
 // (i64::MIN/MAX-adjacent counters, ±0.0, subnormal and infinite values).
 // ---------------------------------------------------------------------------
 
 mod kernels {
     use super::has_avx2;
-    use mstream_sketch::kernel::{self, lanes, scalar, LANES};
+    use mstream_sketch::kernel::{self, scalar};
     use mstream_sketch::SignFamilies;
     use proptest::prelude::*;
     use rand::SeedableRng;
 
-    /// Deterministic counter stream biased toward the i64 extremes (the
-    /// `as f64` casts are lossy there — both paths must be lossy the same
-    /// way) with small values in between.
+    /// Deterministic counter stream biased toward the i64 extremes, with
+    /// small values in between.
     fn extreme_i64(seed: u64, i: usize) -> i64 {
         let r = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(i as u32);
         match r % 7 {
@@ -651,20 +648,6 @@ mod kernels {
             2 => 0,
             3 => -(1i64 << (r % 62)),
             _ => (r as i64) % 1000 - 500,
-        }
-    }
-
-    /// Deterministic value stream biased toward signed zeros and huge
-    /// magnitudes.
-    fn extreme_f64(seed: u64, i: usize) -> f64 {
-        let r = seed.rotate_left((3 * i) as u32).wrapping_add(i as u64);
-        match r % 8 {
-            0 => 0.0,
-            1 => -0.0,
-            2 => 1e300,
-            3 => -1e-300,
-            4 => f64::from_bits(r >> 2), // arbitrary finite-ish bit pattern
-            _ => (r as i64 % 10_000) as f64 / 3.0,
         }
     }
 
@@ -707,14 +690,10 @@ mod kernels {
             .collect()
     }
 
-    fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    /// Sampled lengths hit empty, sub-lane, ragged-tail
-    /// (`len % LANES != 0`), exact-lane, word-boundary and multi-word
+    /// Sampled lengths hit empty, sub-register, ragged-tail
+    /// (`len % 4 != 0`), one-register, word-boundary and multi-word
     /// shapes; this pins the boundary cases the uniform range might miss.
-    const PINNED_LENS: [usize; 8] = [0, 1, 3, LANES, 63, 64, 65, 130];
+    const PINNED_LENS: [usize; 8] = [0, 1, 3, 4, 63, 64, 65, 130];
 
     fn pick_len(sampled: usize, case_tag: u64) -> usize {
         if case_tag % 3 == 0 {
@@ -738,85 +717,9 @@ mod kernels {
             // magnitude extremes still exercise the full word layout.
             let mut a: Vec<i64> = (0..len).map(|i| extreme_i64(seed, i) / 2).collect();
             let mut b = a.clone();
-            let mut c = a.clone();
             scalar::fold_packed_signs(&words, &mut a);
-            lanes::fold_packed_signs(&words, &mut b);
-            kernel::fold_packed_signs(&words, &mut c);
+            kernel::fold_packed_signs(&words, &mut b);
             prop_assert_eq!(&a, &b);
-            prop_assert_eq!(&a, &c);
-        }
-
-        #[test]
-        fn column_products_modes_agree(
-            sampled_copies in 1usize..200,
-            streams in 1usize..5,
-            exclude in 0usize..6,
-            seed in any::<u64>(),
-        ) {
-            let copies = pick_len(sampled_copies, seed).max(1);
-            let buf: Vec<i64> = (0..copies * streams).map(|i| extreme_i64(seed, i)).collect();
-            let mut a = vec![0.0f64; copies];
-            let mut b = vec![0.0f64; copies];
-            let mut c = vec![0.0f64; copies];
-            scalar::column_products(&buf, copies, exclude, &mut a);
-            lanes::column_products(&buf, copies, exclude, &mut b);
-            kernel::column_products(&buf, copies, exclude, &mut c);
-            prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(bits(&a), bits(&c));
-        }
-
-        #[test]
-        fn multiply_row_modes_agree(
-            sampled_len in 0usize..200,
-            seed in any::<u64>(),
-        ) {
-            let len = pick_len(sampled_len, seed);
-            let row: Vec<i64> = (0..len).map(|i| extreme_i64(seed, i + 7)).collect();
-            let acc0: Vec<f64> = (0..len).map(|i| extreme_f64(seed, i)).collect();
-            let mut a = acc0.clone();
-            let mut b = acc0.clone();
-            let mut c = acc0.clone();
-            scalar::multiply_row(&mut a, &row);
-            lanes::multiply_row(&mut b, &row);
-            kernel::multiply_row(&mut c, &row);
-            prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(bits(&a), bits(&c));
-        }
-
-        #[test]
-        fn apply_packed_signs_modes_agree(
-            sampled_len in 0usize..200,
-            seed in any::<u64>(),
-        ) {
-            let len = pick_len(sampled_len, seed);
-            let vals: Vec<f64> = (0..len).map(|i| extreme_f64(seed, i)).collect();
-            let words = sign_words(seed ^ 0xABCD, len);
-            let mut a = vals.clone();
-            let mut b = vals.clone();
-            let mut c = vals.clone();
-            scalar::apply_packed_signs(&words, &mut a);
-            lanes::apply_packed_signs(&words, &mut b);
-            kernel::apply_packed_signs(&words, &mut c);
-            prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(bits(&a), bits(&c));
-        }
-
-        #[test]
-        fn signed_copy_modes_agree(
-            sampled_len in 0usize..200,
-            seed in any::<u64>(),
-        ) {
-            let len = pick_len(sampled_len, seed);
-            let src: Vec<f64> = (0..len).map(|i| extreme_f64(seed, 2 * i)).collect();
-            let words = sign_words(seed ^ 0x5A5A, len);
-            let mut a = vec![0.0f64; len];
-            let mut b = vec![0.0f64; len];
-            let mut c = vec![0.0f64; len];
-            scalar::signed_copy(&words, &src, &mut a);
-            lanes::signed_copy(&words, &src, &mut b);
-            kernel::signed_copy(&words, &src, &mut c);
-            prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(bits(&a), bits(&c));
         }
 
         #[test]
@@ -856,27 +759,6 @@ mod kernels {
         }
 
         #[test]
-        fn group_sums_modes_agree(
-            s1 in 0usize..40,
-            s2 in 0usize..12,
-            seed in any::<u64>(),
-        ) {
-            // Group counts straddle the lane width (s2 % LANES ∈ all
-            // residues over the sampled range) and the values are
-            // catastrophic-cancellation bait, so any in-group reorder
-            // would change bits.
-            let per_copy: Vec<f64> = (0..s1 * s2).map(|i| extreme_f64(seed, i)).collect();
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            let mut c = Vec::new();
-            scalar::group_sums(&per_copy, s1, s2, &mut a);
-            lanes::group_sums(&per_copy, s1, s2, &mut b);
-            kernel::group_sums(&per_copy, s1, s2, &mut c);
-            prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(bits(&a), bits(&c));
-        }
-
-        #[test]
         fn signed_sum_modes_agree(
             sampled_len in 0usize..200,
             first in 0usize..200,
@@ -888,7 +770,6 @@ mod kernels {
             let vals: Vec<f64> = (0..len).map(|i| edge_f64(seed, i)).collect();
             let words = sign_words(seed ^ 0x5EED, first + len);
             let want = scalar::signed_sum(&words, first, &vals);
-            prop_assert!(same(want, lanes::signed_sum(&words, first, &vals)));
             prop_assert!(same(want, kernel::signed_sum(&words, first, &vals)));
         }
 
@@ -935,22 +816,15 @@ mod kernels {
         }
     }
 
-    /// On AVX2 hosts the `std::arch` specializations must also be
-    /// bit-identical (elsewhere this test is vacuous — the entry points
-    /// never call them there either).
+    /// On AVX2 hosts the `std::arch` sign fold must also be bit-identical
+    /// at the pinned sizes (elsewhere this test is vacuous — the entry
+    /// points never call it there either).
     #[test]
     fn avx2_sign_kernels_match_scalar() {
         #[cfg(target_arch = "x86_64")]
         if has_avx2() {
             for len in PINNED_LENS.into_iter().chain(PINNED_COPIES) {
-                let src: Vec<f64> = (0..len).map(|i| extreme_f64(0xC0FFEE, i)).collect();
                 let words = sign_words(0xBEEF, len);
-                let mut want = src.clone();
-                scalar::apply_packed_signs(&words, &mut want);
-                let mut got = src.clone();
-                kernel::avx2::apply_packed_signs(&words, &mut got);
-                assert_eq!(bits(&want), bits(&got), "apply len={len}");
-
                 let counters: Vec<i64> = (0..len).map(|i| extreme_i64(7, i) / 2).collect();
                 let mut want = counters.clone();
                 scalar::fold_packed_signs(&words, &mut want);
@@ -972,7 +846,6 @@ mod kernels {
                 for g in 0..3 {
                     let (first, group) = (g * copies, &vals[g * copies..(g + 1) * copies]);
                     let want = scalar::signed_sum(&words, first, group);
-                    assert!(same(want, lanes::signed_sum(&words, first, group)));
                     assert!(same(want, kernel::signed_sum(&words, first, group)));
                     #[cfg(target_arch = "x86_64")]
                     if has_avx2() {
@@ -1028,7 +901,7 @@ mod deferred {
 
     /// The eager twin of a [`SketchBank`]: every update folded into the
     /// counters at once by `scalar::fold_packed_signs`, estimates from the
-    /// scalar kernels.
+    /// per-copy kernels.
     struct EagerBank {
         cfg: BankConfig,
         counters: Vec<i64>,
@@ -1060,10 +933,10 @@ mod deferred {
             let copies = self.cfg.copies();
             let mut per_copy = vec![0.0f64; copies];
             let skip = exclude.map_or(usize::MAX, |(i, _)| i);
-            scalar::column_products(&self.counters, copies, skip, &mut per_copy);
+            kernel::column_products(&self.counters, copies, skip, &mut per_copy);
             if let Some((i, values)) = exclude {
                 bank.packed_signs_into(StreamId(i), values, &mut self.words);
-                scalar::apply_packed_signs(&self.words, &mut per_copy);
+                kernel::apply_packed_signs(&self.words, &mut per_copy);
             }
             median_of_means_slice(self.cfg.s1, self.cfg.s2, &per_copy)
         }
@@ -1347,11 +1220,11 @@ mod deferred {
     fn serial_fold(words: &[u64], rows: &[&[i64]], s1: usize, s2: usize) -> Vec<f64> {
         let mut per_copy = vec![1.0f64; s1 * s2];
         for row in rows {
-            scalar::multiply_row(&mut per_copy, row);
+            kernel::multiply_row(&mut per_copy, row);
         }
-        scalar::apply_packed_signs(words, &mut per_copy);
+        kernel::apply_packed_signs(words, &mut per_copy);
         let mut groups = Vec::new();
-        scalar::group_sums(&per_copy, s1, s2, &mut groups);
+        kernel::group_sums(&per_copy, s1, s2, &mut groups);
         groups
     }
 
@@ -1502,12 +1375,16 @@ mod deferred {
         groups
     }
 
+    /// Each group of the row negated where its sign bit is set and summed
+    /// serially.
     fn serial(words: &[u64], row: &[f64], s1: usize, s2: usize) -> Vec<f64> {
-        let mut signed = vec![0.0f64; row.len()];
-        scalar::signed_copy(words, row, &mut signed);
-        let mut groups = Vec::new();
-        scalar::group_sums(&signed, s1, s2, &mut groups);
-        groups
+        let negated = |c: usize| (words[c / 64] >> (c % 64)) & 1 == 1;
+        let signed: Vec<f64> = row
+            .iter()
+            .enumerate()
+            .map(|(c, &x)| if negated(c) { -x } else { x })
+            .collect();
+        (0..s2).map(|g| signed[g * s1..(g + 1) * s1].iter().sum()).collect()
     }
 
     #[test]

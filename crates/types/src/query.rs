@@ -57,18 +57,6 @@ impl WindowSpec {
     pub fn secs(p: u64) -> Self {
         WindowSpec::Time(VDur::from_secs(p))
     }
-
-    /// The nominal capacity of the window in tuples, given an arrival rate.
-    ///
-    /// For a time-based window this is `rate * p` (the paper's "full
-    /// window"); for a tuple-based window it is the count itself.
-    #[cfg(test)]
-    pub(crate) fn nominal_tuples(&self, rate_per_sec: f64) -> u64 {
-        match *self {
-            WindowSpec::Time(p) => (rate_per_sec * p.as_secs_f64()).round() as u64,
-            WindowSpec::Tuples(n) => n,
-        }
-    }
 }
 
 /// One equi-join predicate `left = right` between two distinct streams.
@@ -87,30 +75,6 @@ impl EquiPredicate {
     /// Convenience constructor.
     pub fn new(left: AttrRef, right: AttrRef) -> Self {
         EquiPredicate { left, right }
-    }
-
-    /// The attribute this predicate constrains on `stream`, if incident.
-    #[cfg(test)]
-    pub(crate) fn attr_on(&self, stream: StreamId) -> Option<usize> {
-        if self.left.stream == stream {
-            Some(self.left.attr)
-        } else if self.right.stream == stream {
-            Some(self.right.attr)
-        } else {
-            None
-        }
-    }
-
-    /// The stream on the other side of the predicate, if `stream` is incident.
-    #[cfg(test)]
-    pub(crate) fn other_side(&self, stream: StreamId) -> Option<AttrRef> {
-        if self.left.stream == stream {
-            Some(self.right)
-        } else if self.right.stream == stream {
-            Some(self.left)
-        } else {
-            None
-        }
     }
 }
 
@@ -514,25 +478,6 @@ mod tests {
         );
         let err = JoinQuery::uniform(c, vec![bad], WindowSpec::secs(1)).unwrap_err();
         assert!(matches!(err, Error::StreamOutOfRange { stream: 7, .. }));
-    }
-
-    #[test]
-    fn window_spec_nominal_tuples() {
-        assert_eq!(WindowSpec::secs(500).nominal_tuples(3.344), 1672);
-        assert_eq!(WindowSpec::Tuples(99).nominal_tuples(123.0), 99);
-    }
-
-    #[test]
-    fn predicate_sides() {
-        let q = paper_query();
-        let p0 = q.predicates()[0];
-        assert_eq!(p0.attr_on(StreamId(0)), Some(0));
-        assert_eq!(p0.attr_on(StreamId(2)), None);
-        assert_eq!(
-            p0.other_side(StreamId(0)),
-            Some(AttrRef::new(StreamId(1), 0))
-        );
-        assert_eq!(p0.other_side(StreamId(2)), None);
     }
 
     #[test]

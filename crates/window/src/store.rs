@@ -636,12 +636,6 @@ impl WindowStore {
         self.arena.iter().map(|(slot, e)| (slot, &e.tuple))
     }
 
-    /// The oldest resident tuple's sequence number, if any.
-    #[cfg(test)]
-    pub(crate) fn oldest_seq(&self) -> Option<mstream_types::SeqNo> {
-        self.iter().map(|(_, t)| t.seq).min()
-    }
-
     /// Entries in the expiry queue, dead ones included (for the test that
     /// bounds it by the capacity).
     #[cfg(test)]
@@ -1146,15 +1140,6 @@ mod tests {
         assert_eq!(dead[0].seq, SeqNo(1));
         assert_eq!(w.len(), 1);
         w.check_consistency();
-    }
-
-    #[test]
-    fn oldest_seq_reports_minimum() {
-        let mut w = time_store(5);
-        assert_eq!(w.oldest_seq(), None);
-        w.insert(tup(5, 0, 1, 0), 1.0);
-        w.insert(tup(3, 0, 1, 0), 1.0);
-        assert_eq!(w.oldest_seq(), Some(SeqNo(3)));
     }
 
     /// [`WindowStore::insert_scored`] as it was before a losing arrival

@@ -6,14 +6,15 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
-cargo clippy --workspace -- -D warnings
+# Tests, benches and examples too: the lint table covers every target.
+cargo clippy --workspace --all-targets -- -D warnings
 # rustdoc with warnings denied: no broken or ambiguous intra-doc link, and
 # no public doc that links a private item.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --keep-going
 # A library crate's modules stay private, so its `pub use` list in `lib.rs`
 # is its whole public API and `unreachable_pub` (the workspace lint table,
 # gated by clippy above) sees every item the list does not reach. The two
-# open modules: `mstream_sketch::kernel`, whose scalar / lanes / avx2 forms
+# open modules: `mstream_sketch::kernel`, whose `scalar` and `avx2` forms
 # the equivalence suite and `bench_sketch` compare, and `mstream_core::prelude`.
 OPEN_MODS=$(grep -nE '^\s*pub mod ' crates/{types,sketch,window,join,shed,query,workload,agg,core}/src/lib.rs \
   | grep -vE '^crates/sketch/src/lib.rs:[0-9]+:pub mod kernel;$|^crates/core/src/lib.rs:[0-9]+:pub mod prelude \{$' || true)
@@ -128,6 +129,13 @@ fi
 # product-and-sum forms and the magic-number conversion stay gone.
 if grep -rnE 'product2_signed|COUNTER_LIMIT|\bMAGIC\b' crates/sketch/src; then
   echo "FAIL: an f64 first-epoch product form is back in mstream-sketch (DESIGN.md §15)"
+  exit 1
+fi
+# One form per sketch kernel (DESIGN.md §15): the portable lane tier and the
+# sign-copying kernel stay gone; `kernel::scalar` is the portable form of
+# the three kernels that also have an AVX2 one.
+if grep -rnE 'mod lanes|lanes::|signed_copy' crates/sketch crates/bench; then
+  echo "FAIL: a second portable kernel form is back (DESIGN.md §15)"
   exit 1
 fi
 # Differential audit smoke (DESIGN.md §8): 100 fuzzed cases, every policy
@@ -255,7 +263,7 @@ done
 # target directory, so the flag does not invalidate the release build
 # above. The flag does not reach `kernel::avx2`: a vector integer add
 # (`_mm256_add_epi64` in the sign fold) wraps silently where the scalar
-# and lane forms would panic. No run gets there — |X_k[c]| is at most the
+# form would panic. No run gets there — |X_k[c]| is at most the
 # tuples stream k saw this epoch, a u64 the bank counts beside it — and the
 # equivalence suite keeps its fold inputs half an i64 away from the ends.
 # mstream-window rides along: its due keys (`ts + p`, `arrival + count`)
@@ -270,15 +278,17 @@ if [ "$UNSAFE_ALLOWS" != 1 ]; then
   exit 1
 fi
 # ... and every kernel in the island has a same-named one-element-per-step
-# reference in `kernel::scalar` for the equivalence suite to hold it to.
+# form in `kernel::scalar` — the portable path and the reference the
+# equivalence suite holds it to — and `kernel::scalar` holds nothing else:
+# a kernel without an AVX2 form has one body, at the top of kernel.rs.
 pub_fns() { # the `pub fn` names of `pub mod $1` in kernel.rs
   awk -v mod="$1" '$0 == "pub mod " mod " {" {inside = 1; next} inside && /^}/ {inside = 0}
     inside && /^    pub fn / {sub(/^    pub fn /, ""); sub(/[(<].*/, ""); print}' \
     crates/sketch/src/kernel.rs | sort
 }
 [ -n "$(pub_fns avx2)" ] || { echo "FAIL: found no pub fn in kernel::avx2 (gate out of date?)"; exit 1; }
-UNREFERENCED=$(comm -23 <(pub_fns avx2) <(pub_fns scalar))
-if [ -n "$UNREFERENCED" ]; then
-  echo "FAIL: kernel::avx2 kernels without a kernel::scalar reference:" $UNREFERENCED
+UNPAIRED=$(comm -3 <(pub_fns avx2) <(pub_fns scalar))
+if [ -n "$UNPAIRED" ]; then
+  echo "FAIL: kernels in only one of kernel::avx2 and kernel::scalar:" $UNPAIRED
   exit 1
 fi

@@ -22,6 +22,9 @@
 
 use mstream_core::prelude::*;
 
+/// One arrival of a trace: stream index, values, timestamp in µs.
+type TraceRow = (usize, Vec<Value>, u64);
+
 fn chain3(window_secs: u64) -> JoinQuery {
     let mut c = Catalog::new();
     c.add_stream(StreamSchema::new("R1", &["A1", "A2"]));
@@ -70,7 +73,7 @@ fn drive(
     query: JoinQuery,
     bound: Option<VDur>,
     capacity: usize,
-    trace: &[(usize, Vec<Value>, u64)],
+    trace: &[TraceRow],
 ) -> (Vec<Vec<u64>>, EngineMetrics) {
     let n = query.n_streams();
     let mut builder = EngineBuilder::new(query)
@@ -96,7 +99,7 @@ fn drive(
 /// every 0.5s round-robin across the three streams, each round-robin
 /// triple sharing a join value (two values alternate, so cross-triple
 /// matches land inside the window too).
-fn chain3_trace(len: u64) -> Vec<(usize, Vec<Value>, u64)> {
+fn chain3_trace(len: u64) -> Vec<TraceRow> {
     (0..len)
         .map(|i| {
             let v = (i / 3) % 2;
@@ -110,8 +113,8 @@ fn chain3_trace(len: u64) -> Vec<(usize, Vec<Value>, u64)> {
 /// lateness never exceeds `bound` (an earlier-keyed arrival's timestamp is
 /// at most `key ≤ ts + bound` ahead), so an engine with disorder bound
 /// `bound` must accept every arrival.
-fn shuffle_within(trace: &[(usize, Vec<Value>, u64)], bound_micros: u64) -> Vec<(usize, Vec<Value>, u64)> {
-    let mut keyed: Vec<(u64, usize, (usize, Vec<Value>, u64))> = trace
+fn shuffle_within(trace: &[TraceRow], bound_micros: u64) -> Vec<TraceRow> {
+    let mut keyed: Vec<(u64, usize, TraceRow)> = trace
         .iter()
         .enumerate()
         .map(|(i, a)| {
@@ -279,7 +282,7 @@ fn covered_disorder_reproduces_the_in_order_run() {
 fn sharded_skewed_keys_under_injected_lateness_match_the_oracle() {
     // A hot key (7) at ~50% share loads its home shard; background keys
     // keep the other shard busy.
-    let trace: Vec<(usize, Vec<Value>, u64)> = (0..240u64)
+    let trace: Vec<TraceRow> = (0..240u64)
         .map(|i| {
             let key = if i % 4 < 2 { 7 } else { 10 + (i % 5) };
             ((i % 2) as usize, vec![Value(key)], i * 250_000)
@@ -378,7 +381,7 @@ fn two_query_plane_replays_its_in_order_run_under_covered_disorder() {
         }
         b
     };
-    let trace: Vec<(usize, Vec<Value>, u64)> = (0..150u64)
+    let trace: Vec<TraceRow> = (0..150u64)
         .map(|i| {
             let v = (i / 3) % 5;
             ((i % 3) as usize, vec![Value(v), Value(v)], i * 500_000)
@@ -387,7 +390,7 @@ fn two_query_plane_replays_its_in_order_run_under_covered_disorder() {
     let bound = VDur::from_secs(2);
     let mut shuffled = shuffle_within(&trace, bound.as_micros());
     shuffled.push((0, vec![Value(1), Value(1)], 1_000_000));
-    let drive = |bound: Option<VDur>, capacity: usize, t: &[(usize, Vec<Value>, u64)]| {
+    let drive = |bound: Option<VDur>, capacity: usize, t: &[TraceRow]| {
         let mut engine = builder(bound, capacity).build_multi().unwrap();
         let mut rows: Vec<Vec<Vec<u64>>> = vec![Vec::new(); 2];
         let mut sink = QueryFnSink(|q: QueryId, b: &Bindings<'_>| {
