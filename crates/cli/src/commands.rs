@@ -5,7 +5,6 @@ use mstream_core::mstream_join::ProbePlan;
 use mstream_core::mstream_workload::{read_trace, write_trace};
 use mstream_core::prelude::*;
 use std::io::Write;
-use std::time::Instant;
 
 /// The `--stage-json` view of one engine's counters: per-stage wall-clock
 /// nanoseconds, the rescoring passes actually run, and the
@@ -30,21 +29,22 @@ fn stage_view(m: &EngineMetrics) -> serde_json::Value {
     })
 }
 
-/// `mstream run`: execute a query over a trace with shedding.
+/// `mstream run`: a query set — the one `--query` (or `--query-file`),
+/// or the `--queries` array — over a trace with shedding, in process or
+/// on `--shards` workers. The report gives one row per `QueryId` with its
+/// produced/shed counts and its recall against a full-memory companion
+/// run of the same set (which, by the exactness contract, equals each
+/// query's solo exact output), and a sharded run one row per shard.
 pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
-    if flags.get("--queries").is_some() {
-        return run_multi(flags, out);
-    }
-    let query = load_query(flags)?;
+    let queries = load_query_set(flags)?;
     let trace = load_trace(flags.require("--trace")?)?;
-    validate_trace(&query, &trace)?;
     let policy_name = flags.get("--policy").unwrap_or("MSketch");
     let policy = parse_policy(policy_name)
         .ok_or_else(|| CliError::input(format!("unknown policy `{policy_name}`")))?;
     let capacity: usize = flags.num("--capacity", 1024)?;
     let rate = parse_rate(flags, &trace)?;
     let disorder = parse_disorder(flags)?;
-    let mut builder = EngineBuilder::new(query)
+    let mut builder = EngineBuilder::new_multi()
         .boxed_policy(policy)
         .capacity_per_window(capacity)
         .seed(flags.num("--seed", 42)?);
@@ -54,287 +54,50 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     if let Some(service_rate) = flags.num_opt("--service")? {
         builder = builder.input_queue(service_rate, flags.num("--queue", 100)?);
     }
-    if let Some(shards) = flags.num_opt::<usize>("--shards")? {
-        let builder = builder.shards(shards);
-        return run_sharded(
-            flags,
-            out,
-            builder,
-            policy_name,
-            &trace,
-            capacity,
-            rate,
-            shards,
-        );
-    }
-    let mut engine = builder.build().map_err(build_error)?;
-    let opts = RunOptions {
-        arrival_rate: rate,
-        ..Default::default()
-    };
-    let report = run_trace(&mut engine, &trace, &opts);
-    if flags.has("--json") {
-        let body = serde_json::json!({
-            "policy": policy_name,
-            "capacity_per_window": capacity,
-            "arrivals": trace.len(),
-            "output_tuples": report.total_output(),
-            "processed": report.metrics.processed,
-            "shed_window": report.metrics.shed_window,
-            "shed_queue": report.metrics.shed_queue,
-            "late_dropped": report.metrics.late_dropped,
-            "disorder_bound_secs": disorder.map(|d| d.as_secs_f64()),
-            "expired": report.metrics.expired,
-            "epoch_rollovers": report.metrics.epoch_rollovers,
-            "priority_rebuilds": report.metrics.priority_rebuilds,
-            "end_time_secs": report.end_time.as_secs_f64(),
-            "wall_seconds": report.wall_time.as_secs_f64(),
-        });
-        writeln!(out, "{}", serde_json::to_string_pretty(&body).expect("serializable"))?;
-    } else {
-        writeln!(out, "policy:          {policy_name}")?;
-        writeln!(out, "memory/window:   {capacity} tuples")?;
-        writeln!(out, "arrivals:        {}", trace.len())?;
-        writeln!(out, "processed:       {}", report.metrics.processed)?;
-        writeln!(out, "output tuples:   {}", report.total_output())?;
-        writeln!(
-            out,
-            "shed:            {} window, {} queue",
-            report.metrics.shed_window, report.metrics.shed_queue
-        )?;
-        if let Some(bound) = disorder {
-            writeln!(
-                out,
-                "event time:      bound {:.1}s, {} late-dropped",
-                bound.as_secs_f64(),
-                report.metrics.late_dropped
-            )?;
-        }
-        writeln!(out, "expired:         {}", report.metrics.expired)?;
-        writeln!(
-            out,
-            "virtual span:    {:.1}s   wall: {:.3}s",
-            report.end_time.as_secs_f64(),
-            report.wall_time.as_secs_f64()
-        )?;
-    }
-    if flags.has("--stage-json") {
-        let body = serde_json::json!({ "stages": stage_view(&report.metrics) });
-        writeln!(out, "{}", serde_json::to_string_pretty(&body).expect("serializable"))?;
-    }
-    Ok(())
-}
-
-/// `mstream run --shards N`: hash-partitioned parallel execution. The
-/// capacity flag is still the *total* memory budget; each worker gets
-/// `1/S` of it. Non-partitionable queries run in broadcast mode at the
-/// requested width (replicated windows, more total memory); with
-/// `--no-broadcast` they degrade to one shard and the report says why.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded(
-    flags: &Flags,
-    out: &mut dyn Write,
-    builder: EngineBuilder,
-    policy_name: &str,
-    trace: &Trace,
-    capacity: usize,
-    rate: f64,
-    shards: usize,
-) -> Result<(), CliError> {
-    let disorder = parse_disorder(flags)?;
-    let engine = builder
-        .broadcast(!flags.has("--no-broadcast"))
-        .build_sharded()
-        .map_err(build_error)?;
-    let report = engine
-        .run_trace(trace, rate)
-        .map_err(|e| CliError::input(e.to_string()))?;
-    if flags.has("--json") {
-        let per_shard: Vec<serde_json::Value> = report
-            .per_shard
-            .iter()
-            .map(|m| {
-                serde_json::json!({
-                    "processed": m.processed,
-                    "output_tuples": m.total_output,
-                    "shed_window": m.shed_window,
-                })
-            })
-            .collect();
-        let body = serde_json::json!({
-            "policy": policy_name,
-            "capacity_total": capacity,
-            "shards_requested": shards,
-            "shards": report.combined.shards,
-            "degraded": report.combined.degraded,
-            "broadcast": report.broadcast,
-            "routed": report.routed,
-            "wire_words": report.wire_words,
-            "resident": report.resident,
-            "arrivals": trace.len(),
-            "output_tuples": report.combined.total_output(),
-            "processed": report.combined.metrics.processed,
-            "replicated": report.combined.metrics.replicated,
-            "shed_window": report.combined.metrics.shed_window,
-            "shed_channel": report.shed_channel,
-            "late_dropped": report.combined.metrics.late_dropped,
-            "disorder_bound_secs": disorder.map(|d| d.as_secs_f64()),
-            "expired": report.combined.metrics.expired,
-            "epoch_rollovers": report.combined.metrics.epoch_rollovers,
-            "priority_rebuilds": report.combined.metrics.priority_rebuilds,
-            "per_shard": per_shard,
-            "end_time_secs": report.combined.end_time.as_secs_f64(),
-            "wall_seconds": report.combined.wall_time.as_secs_f64(),
-        });
-        writeln!(out, "{}", serde_json::to_string_pretty(&body).expect("serializable"))?;
-    } else {
-        writeln!(out, "policy:          {policy_name}")?;
-        writeln!(out, "memory total:    {capacity} tuples across {shards} requested shards")?;
-        match &report.combined.degraded {
-            Some(reason) => writeln!(out, "shards:          1 (degraded: {reason})")?,
-            None if report.broadcast => writeln!(
-                out,
-                "shards:          {} (broadcast: replicated windows, dominant stream partitioned)",
-                report.combined.shards
-            )?,
-            None => writeln!(out, "shards:          {}", report.combined.shards)?,
-        }
-        writeln!(out, "arrivals:        {}", trace.len())?;
-        writeln!(out, "processed:       {}", report.combined.metrics.processed)?;
-        writeln!(out, "output tuples:   {}", report.combined.total_output())?;
-        writeln!(
-            out,
-            "shed:            {} window, {} channel",
-            report.combined.metrics.shed_window, report.shed_channel
-        )?;
-        if let Some(bound) = disorder {
-            writeln!(
-                out,
-                "event time:      bound {:.1}s, {} late-dropped",
-                bound.as_secs_f64(),
-                report.combined.metrics.late_dropped
-            )?;
-        }
-        writeln!(out, "expired:         {}", report.combined.metrics.expired)?;
-        for (i, m) in report.per_shard.iter().enumerate() {
-            writeln!(
-                out,
-                "  shard {i}:       processed {:>7}  output {:>9}  shed {:>6}",
-                m.processed, m.total_output, m.shed_window
-            )?;
-        }
-        writeln!(
-            out,
-            "virtual span:    {:.1}s   wall: {:.3}s",
-            report.combined.end_time.as_secs_f64(),
-            report.combined.wall_time.as_secs_f64()
-        )?;
-    }
-    if flags.has("--stage-json") {
-        let body = serde_json::json!({
-            "stages": stage_view(&report.combined.metrics),
-            "per_shard": report.per_shard.iter().map(stage_view).collect::<Vec<_>>(),
-        });
-        writeln!(out, "{}", serde_json::to_string_pretty(&body).expect("serializable"))?;
-    }
-    Ok(())
-}
-
-/// The merged result of a multi-query run, shape-identical for the
-/// in-process and sharded engines so one report printer serves both.
-struct MultiOutcome {
-    stats: Vec<QueryStats>,
-    metrics: EngineMetrics,
-    resident: usize,
-    shed_channel: u64,
-    /// `Some((worker count, degrade reason))` for sharded runs.
-    shards: Option<(usize, Option<String>)>,
-    /// `(query classes, shared stores)` — in-process runs only.
-    sharing: Option<(usize, usize)>,
-    wall: std::time::Duration,
-}
-
-/// `mstream run --queries <file.json>`: N standing queries over one
-/// shared data plane. The report gains one row per `QueryId` with its
-/// produced/shed counts and its recall against a full-memory companion
-/// run of the same query set (which, by the exactness contract, equals
-/// each query's solo exact output).
-fn run_multi(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
-    if flags.get("--query").is_some() || flags.get("--query-file").is_some() {
-        return Err(CliError::usage("give --queries or --query, not both"));
-    }
-    if flags.num_opt::<f64>("--service")?.is_some() {
-        return Err(CliError::usage(
-            "--service models a single-query operator and cannot be combined with --queries",
-        ));
-    }
-    let disorder = parse_disorder(flags)?;
-    let queries = load_queries(flags.require("--queries")?)?;
-    let trace = load_trace(flags.require("--trace")?)?;
-    let policy_name = flags.get("--policy").unwrap_or("MSketch");
-    let policy = parse_policy(policy_name)
-        .ok_or_else(|| CliError::input(format!("unknown policy `{policy_name}`")))?;
-    let capacity: usize = flags.num("--capacity", 1024)?;
-    let rate = parse_rate(flags, &trace)?;
-    let shards: Option<usize> = flags.num_opt("--shards")?;
-
-    let mut builder = EngineBuilder::new_multi()
-        .boxed_policy(policy)
-        .capacity_per_window(capacity)
-        .seed(flags.num("--seed", 42)?);
-    if let Some(bound) = disorder {
-        builder = builder.disorder_bound(bound);
-    }
-    for (i, query) in queries.iter().enumerate() {
-        builder
-            .register(query.clone())
-            .map_err(|e| CliError::input(format!("query {i}: {e}")))?;
-    }
-    let o = match shards {
+    let builder = register_all(builder, &queries)?;
+    let o = match flags.num_opt::<usize>("--shards")? {
         None => {
             let mut engine = builder.build_multi().map_err(build_error)?;
             validate_trace_catalog(engine.catalog(), &trace)?;
-            let started = Instant::now();
-            let mut sink = CountSink::default();
-            for (now, item) in trace.timed(rate) {
-                engine.ingest(Arrival::new(item.stream, item.values.clone(), now), &mut sink);
-            }
-            engine.flush(&mut sink);
-            MultiOutcome {
-                stats: (0..queries.len())
-                    .map(|q| engine.query_stats(QueryId(q as u32)).unwrap_or_default())
-                    .collect(),
-                metrics: engine.metrics().clone(),
+            let opts = RunOptions {
+                arrival_rate: rate,
+                ..Default::default()
+            };
+            let report = run_trace(&mut engine, &trace, &opts);
+            Outcome {
+                report,
+                stats: query_stats(&engine, queries.len()),
                 resident: engine.total_resident(),
-                shed_channel: 0,
-                shards: None,
                 sharing: Some((engine.n_classes(), engine.n_stores())),
-                wall: started.elapsed(),
+                sharded: None,
             }
         }
-        Some(s) => {
-            let engine = builder.shards(s).build_sharded().map_err(build_error)?;
+        Some(shards) => {
+            let engine = builder
+                .shards(shards)
+                .broadcast(!flags.has("--no-broadcast"))
+                .build_sharded()
+                .map_err(build_error)?;
             validate_trace_catalog(engine.catalog(), &trace)?;
-            let report = engine
+            let sharded = engine
                 .run_trace(&trace, rate)
                 .map_err(|e| CliError::input(e.to_string()))?;
-            MultiOutcome {
-                stats: report.stats,
-                metrics: report.combined.metrics,
-                resident: report.resident.iter().sum(),
-                shed_channel: report.shed_channel,
-                shards: Some((report.combined.shards, report.combined.degraded)),
+            Outcome {
+                report: sharded.combined.clone(),
+                stats: sharded.stats.clone(),
+                resident: sharded.resident.iter().sum(),
                 sharing: None,
-                wall: report.combined.wall_time,
+                sharded: Some(sharded),
             }
         }
     };
-    let exact = multi_exact_counts(&queries, &trace, rate)?;
-    let span_secs = trace.span(rate).unwrap_or_default().as_secs_f64();
+    let exact = exact_counts(&queries, &trace, rate)?;
     let recall = |q: usize| match exact[q] {
         0 => 1.0,
         e => o.stats[q].produced as f64 / e as f64,
     };
+    let m = &o.report.metrics;
+    let shed_channel = o.sharded.as_ref().map_or(0, |s| s.shed_channel);
 
     if flags.has("--json") {
         let per_query: Vec<serde_json::Value> = (0..queries.len())
@@ -348,28 +111,48 @@ fn run_multi(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
                 })
             })
             .collect();
+        let per_shard = o.sharded.as_ref().map(|s| {
+            s.per_shard
+                .iter()
+                .zip(&s.resident)
+                .map(|(m, resident)| {
+                    serde_json::json!({
+                        "processed": m.processed,
+                        "output_tuples": m.total_output,
+                        "shed_window": m.shed_window,
+                        "resident": resident,
+                    })
+                })
+                .collect::<Vec<_>>()
+        });
         let body = serde_json::json!({
             "policy": policy_name,
             "capacity_per_window": capacity,
             "queries": queries.len(),
-            "shards": o.shards.as_ref().map(|(s, _)| s),
-            "degraded": o.shards.as_ref().and_then(|(_, d)| d.clone()),
+            "shards": o.report.shards,
+            "degraded": o.report.degraded,
+            "broadcast": o.sharded.as_ref().is_some_and(|s| s.broadcast),
             "classes": o.sharing.map(|(c, _)| c),
             "stores": o.sharing.map(|(_, s)| s),
             "arrivals": trace.len(),
-            "processed": o.metrics.processed,
-            "output_tuples": o.metrics.total_output,
-            "shed_window": o.metrics.shed_window,
-            "shed_channel": o.shed_channel,
-            "late_dropped": o.metrics.late_dropped,
+            "processed": m.processed,
+            "output_tuples": m.total_output,
+            "replicated": m.replicated,
+            "shed_window": m.shed_window,
+            "shed_queue": m.shed_queue,
+            "shed_channel": shed_channel,
+            "late_dropped": m.late_dropped,
             "disorder_bound_secs": disorder.map(|d| d.as_secs_f64()),
-            "expired": o.metrics.expired,
-            "epoch_rollovers": o.metrics.epoch_rollovers,
-            "priority_rebuilds": o.metrics.priority_rebuilds,
+            "expired": m.expired,
+            "epoch_rollovers": m.epoch_rollovers,
+            "priority_rebuilds": m.priority_rebuilds,
             "resident": o.resident,
+            "routed": o.sharded.as_ref().map(|s| &s.routed),
+            "wire_words": o.sharded.as_ref().map(|s| &s.wire_words),
             "per_query": per_query,
-            "end_time_secs": span_secs,
-            "wall_seconds": o.wall.as_secs_f64(),
+            "per_shard": per_shard,
+            "end_time_secs": o.report.end_time.as_secs_f64(),
+            "wall_seconds": o.report.wall_time.as_secs_f64(),
         });
         writeln!(out, "{}", serde_json::to_string_pretty(&body).expect("serializable"))?;
     } else {
@@ -383,21 +166,34 @@ fn run_multi(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             )?,
             None => writeln!(out, "queries:         {} standing", queries.len())?,
         }
-        if let Some((s, degraded)) = &o.shards {
-            match degraded {
+        if let Some(s) = &o.sharded {
+            match &o.report.degraded {
                 Some(reason) => writeln!(out, "shards:          1 (degraded: {reason})")?,
-                None => writeln!(out, "shards:          {s}")?,
+                None if s.broadcast => writeln!(
+                    out,
+                    "shards:          {} (broadcast: replicated windows, dominant stream partitioned)",
+                    o.report.shards
+                )?,
+                None => writeln!(out, "shards:          {}", o.report.shards)?,
             }
         }
         writeln!(out, "arrivals:        {}", trace.len())?;
-        writeln!(out, "processed:       {}", o.metrics.processed)?;
-        writeln!(out, "output tuples:   {}", o.metrics.total_output)?;
+        writeln!(out, "processed:       {}", m.processed)?;
+        writeln!(out, "output tuples:   {}", m.total_output)?;
         writeln!(
             out,
-            "shed:            {} window, {} channel",
-            o.metrics.shed_window, o.shed_channel
+            "shed:            {} window, {} queue, {shed_channel} channel",
+            m.shed_window, m.shed_queue
         )?;
-        writeln!(out, "expired:         {}", o.metrics.expired)?;
+        if let Some(bound) = disorder {
+            writeln!(
+                out,
+                "event time:      bound {:.1}s, {} late-dropped",
+                bound.as_secs_f64(),
+                m.late_dropped
+            )?;
+        }
+        writeln!(out, "expired:         {}", m.expired)?;
         writeln!(out, "resident:        {} tuples", o.resident)?;
         for q in 0..queries.len() {
             writeln!(
@@ -408,44 +204,82 @@ fn run_multi(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
                 recall(q)
             )?;
         }
+        for (i, m) in o.sharded.iter().flat_map(|s| s.per_shard.iter()).enumerate() {
+            writeln!(
+                out,
+                "  shard {i}:       processed {:>7}  output {:>9}  shed {:>6}",
+                m.processed, m.total_output, m.shed_window
+            )?;
+        }
         writeln!(
             out,
-            "virtual span:    {span_secs:.1}s   wall: {:.3}s",
-            o.wall.as_secs_f64()
+            "virtual span:    {:.1}s   wall: {:.3}s",
+            o.report.end_time.as_secs_f64(),
+            o.report.wall_time.as_secs_f64()
         )?;
     }
     if flags.has("--stage-json") {
-        let body = serde_json::json!({ "stages": stage_view(&o.metrics) });
+        let body = serde_json::json!({
+            "stages": stage_view(m),
+            "per_shard": o.sharded.as_ref().map(|s| s.per_shard.iter().map(stage_view).collect::<Vec<_>>()),
+        });
         writeln!(out, "{}", serde_json::to_string_pretty(&body).expect("serializable"))?;
     }
     Ok(())
 }
 
+/// One run of a query set, from either engine.
+struct Outcome {
+    /// The run's own report: combined counters, shards, end and wall time.
+    report: RunReport,
+    /// Per registered query id.
+    stats: Vec<QueryStats>,
+    /// Window-resident tuples at the end, summed over shards.
+    resident: usize,
+    /// `(query classes, shared stores)` — in-process runs only.
+    sharing: Option<(usize, usize)>,
+    /// The coordinator's report of a sharded run.
+    sharded: Option<ShardedRunReport>,
+}
+
+/// Registers `queries` in order, as `QueryId(0..)`.
+fn register_all(
+    mut builder: EngineBuilder,
+    queries: &[JoinQuery],
+) -> Result<EngineBuilder, CliError> {
+    for (i, query) in queries.iter().enumerate() {
+        builder
+            .register(query.clone())
+            .map_err(|e| CliError::input(format!("query {i}: {e}")))?;
+    }
+    Ok(builder)
+}
+
+/// Per-query counters of queries `0..n` of an in-process plane.
+fn query_stats(engine: &MultiQueryEngine, n: usize) -> Vec<QueryStats> {
+    (0..n)
+        .map(|q| engine.query_stats(QueryId(q as u32)).unwrap_or_default())
+        .collect()
+}
+
 /// Per-query exact output counts: the same query set replayed through a
 /// full-memory shared data plane (nothing is ever evicted, so the policy
 /// is irrelevant and FIFO's zero-overhead scoring is used).
-fn multi_exact_counts(
-    queries: &[JoinQuery],
-    trace: &Trace,
-    rate: f64,
-) -> Result<Vec<u64>, CliError> {
-    let mut builder = EngineBuilder::new_multi()
+fn exact_counts(queries: &[JoinQuery], trace: &Trace, rate: f64) -> Result<Vec<u64>, CliError> {
+    let builder = EngineBuilder::new_multi()
         .policy(Fifo)
         .capacity_per_window(usize::MAX);
-    for query in queries {
-        builder
-            .register(query.clone())
-            .map_err(|e| CliError::input(e.to_string()))?;
-    }
-    let mut engine = builder
+    let mut engine = register_all(builder, queries)?
         .build_multi()
         .map_err(|e| CliError::input(e.to_string()))?;
-    let mut sink = CountSink::default();
-    for (now, item) in trace.timed(rate) {
-        engine.ingest(Arrival::new(item.stream, item.values.clone(), now), &mut sink);
-    }
-    Ok((0..queries.len())
-        .map(|q| engine.query_stats(QueryId(q as u32)).map_or(0, |s| s.produced))
+    let opts = RunOptions {
+        arrival_rate: rate,
+        ..Default::default()
+    };
+    run_trace(&mut engine, trace, &opts);
+    Ok(query_stats(&engine, queries.len())
+        .iter()
+        .map(|s| s.produced)
         .collect())
 }
 
@@ -618,9 +452,16 @@ fn load_query(flags: &Flags) -> Result<JoinQuery, CliError> {
     mstream_query::parse_query(&text).map_err(|e| CliError::input(format!("query: {e}")))
 }
 
-/// Reads `--queries <file.json>`: a JSON array of query strings, each in
-/// the same CQL-ish dialect as `--query`.
-fn load_queries(path: &str) -> Result<Vec<JoinQuery>, CliError> {
+/// The run's query set: the `--queries` file, a JSON array of query
+/// strings in the same CQL-ish dialect as `--query`, or the one `--query`
+/// (or `--query-file`) as a set of one.
+fn load_query_set(flags: &Flags) -> Result<Vec<JoinQuery>, CliError> {
+    let Some(path) = flags.get("--queries") else {
+        return Ok(vec![load_query(flags)?]);
+    };
+    if flags.get("--query").is_some() || flags.get("--query-file").is_some() {
+        return Err(CliError::usage("give --queries or --query, not both"));
+    }
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::input(format!("cannot open queries `{path}`: {e}")))?;
     let specs: Vec<String> = serde_json::from_str(&text).map_err(|e| {
@@ -650,13 +491,9 @@ fn load_trace(path: &str) -> Result<Trace, CliError> {
     }
 }
 
-/// The trace must only reference the query's streams, with matching arity.
-fn validate_trace(query: &JoinQuery, trace: &Trace) -> Result<(), CliError> {
-    validate_trace_catalog(query.catalog(), trace)
-}
-
-/// Catalog-level trace validation — for multi-query runs the catalog is
-/// the union of every registered query's streams, in registration order.
+/// The trace must only reference the engine's streams, with matching
+/// arity: the union of every registered query's streams, in registration
+/// order.
 fn validate_trace_catalog(catalog: &Catalog, trace: &Trace) -> Result<(), CliError> {
     for (i, item) in trace.items.iter().enumerate() {
         let schema = catalog.schema(item.stream).ok_or_else(|| {
@@ -977,14 +814,25 @@ mod tests {
             assert_eq!(b["recall"], 1.0);
         }
 
-        // Conflicting flag combinations are usage errors.
-        for extra in [["--query", chain], ["--service", "10"]] {
-            let err = run_cli(&[
-                "run", "--queries", queries_path, "--trace", trace_path, extra[0], extra[1],
-            ])
-            .unwrap_err();
-            assert!(matches!(err, CliError::Usage(_)), "{extra:?}: {err}");
-        }
+        // Behind an overloaded input queue: every arrival is processed or
+        // queue-shed once, and each query keeps its row.
+        let json = run_cli(&[
+            "run", "--queries", queries_path, "--trace", trace_path, "--capacity", "50",
+            "--service", "2", "--queue", "20", "--json",
+        ])
+        .unwrap();
+        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let (processed, shed_queue) = (v["processed"].as_u64(), v["shed_queue"].as_u64());
+        assert!(shed_queue > Some(0), "{v:?}");
+        assert_eq!(processed.unwrap() + shed_queue.unwrap(), 600, "{v:?}");
+        assert_eq!(v["per_query"].as_array().unwrap().len(), 3, "{v:?}");
+
+        // --query and --queries exclude each other.
+        let err = run_cli(&[
+            "run", "--queries", queries_path, "--trace", trace_path, "--query", chain,
+        ])
+        .unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
         // Bad queries files are input errors with the path in the message.
         let bad = dir.join("bad.json");
         std::fs::write(&bad, "{}").unwrap();
@@ -999,6 +847,40 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.to_string().contains("empty"), "{err}");
+    }
+
+    /// A query is a one-query set: `--query Q` and `--queries '[Q]'` print
+    /// the same report, in process, sharded and behind an input queue.
+    #[test]
+    fn one_query_and_its_one_query_set_report_the_same() {
+        let dir = std::env::temp_dir().join("mstream_cli_test_one_set");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace_path = dir.join("trace.csv");
+        let trace_path = trace_path.to_str().unwrap();
+        run_cli(&[
+            "generate", "--workload", "regions", "--tuples", "200", "--out", trace_path,
+        ])
+        .unwrap();
+        let keyed = "SELECT * FROM R1(A1, A2) [RANGE 30 SECONDS], R2(A1, A2), R3(A1, A2) \
+                     WHERE R1.A1 = R2.A1 AND R2.A1 = R3.A1";
+        let set_path = dir.join("one.json");
+        std::fs::write(&set_path, serde_json::to_string(&[keyed]).unwrap()).unwrap();
+        let set_path = set_path.to_str().unwrap();
+        let report = |source: [&str; 2], extra: &[&str]| {
+            let mut args = vec!["run", source[0], source[1], "--trace", trace_path];
+            args.extend_from_slice(&["--capacity", "50", "--json"]);
+            args.extend_from_slice(extra);
+            let v: serde_json::Value = serde_json::from_str(&run_cli(&args).unwrap()).unwrap();
+            assert!(v["wall_seconds"].as_f64().is_some(), "{v:?}");
+            assert_eq!(v["per_query"].as_array().unwrap().len(), 1, "{v:?}");
+            let keys = v.as_object().unwrap().iter();
+            keys.filter(|(k, _)| k != "wall_seconds").cloned().collect::<Vec<_>>()
+        };
+        let extras: [&[&str]; 3] = [&[], &["--shards", "2"], &["--service", "2", "--queue", "20"]];
+        for extra in extras {
+            let one = report(["--query", keyed], extra);
+            assert_eq!(one, report(["--queries", set_path], extra), "{extra:?}");
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Subcommands:
 //!
-//! * `mstream run`      — execute a CQL-style query over a CSV trace with a
-//!   chosen shedding policy and memory budget, print a run report.
+//! * `mstream run`      — execute a CQL-style query, or a set of them, over
+//!   a CSV trace with a chosen shedding policy and memory budget, print a
+//!   run report with each query's recall.
 //! * `mstream generate` — emit a synthetic workload (the paper's region
 //!   generator or the census-like generator) as a CSV trace.
 //! * `mstream explain`  — parse a query and print its streams, windows,
@@ -46,7 +47,7 @@ pub const USAGE: &str = "\
 mstream — semantic load shedding for multi-way window joins (ICDE'07 reproduction)
 
 USAGE:
-    mstream run      --query <SQL> --trace <file.csv> [options]
+    mstream run      --query <SQL> | --queries <file.json> --trace <file.csv> [options]
     mstream generate --workload regions|census --out <file.csv> [options]
     mstream explain  --query <SQL>
     mstream policies
@@ -55,9 +56,10 @@ RUN OPTIONS:
     --query <SQL>        e.g. \"SELECT * FROM L(k) [ROWS 100], R(k) WHERE L.k = R.k\"
     --query-file <path>  read the query from a file instead
     --queries <path>     JSON array of query strings: run them all as standing
-                         queries on one shared data plane; the report gains
-                         per-query produced/shed/recall rows; excludes --query
-                         and --service
+                         queries on one shared data plane (--query is the set
+                         of one); excludes --query. Every run reports each
+                         query's produced/shed counts and its recall against
+                         a full-memory companion run of the same set
     --trace <path>       CSV trace: `stream,value,value,...` per line ('-' = stdin)
     --policy <name>      MSketch | MSketch-RS | Age | Life | Bjoin | Random | FIFO
                          (default MSketch)
@@ -70,7 +72,8 @@ RUN OPTIONS:
     --shards <n>         hash-partition across n worker threads when the query's
                          predicates allow; non-partitionable queries run broadcast
                          (replicated windows, dominant stream partitioned);
-                         --capacity stays the total budget; excludes --service
+                         --capacity stays the total budget; the report adds
+                         per-shard rows; excludes --service
     --no-broadcast       degrade non-partitionable queries to 1 shard (with a
                          reason) instead of running them broadcast
     --disorder-bound <s> event-time mode: buffer out-of-order arrivals up to s

@@ -18,7 +18,7 @@ use crate::engine::{MemoryMode, ShedJoinEngine};
 use crate::multi::{merge_into_catalog, MultiQueryEngine};
 use crate::shard::{ShardConfig, ShardedJoinEngine};
 use mstream_shed_policies::{MSketch, ShedPolicy};
-use mstream_sketch::{BankConfig, EpochSpec};
+use mstream_sketch::BankConfig;
 use mstream_types::{Catalog, Error, JoinQuery, QueryId};
 use std::fmt;
 
@@ -48,8 +48,8 @@ pub enum BuildError {
         shards: usize,
     },
     /// The query mixes time- and tuple-based windows, so the paper's
-    /// default tumbling epoch cannot be derived; set
-    /// [`EngineBuilder::epoch`] explicitly.
+    /// default tumbling epoch cannot be derived for a policy that keeps
+    /// estimates (only the audit sets an epoch of its own).
     EpochUnderivable,
     /// `build()` needs exactly one registered query; use `build_multi()`
     /// or `build_sharded()` for query sets.
@@ -91,7 +91,7 @@ impl fmt::Display for BuildError {
             }
             BuildError::EpochUnderivable => write!(
                 f,
-                "mixed time/tuple windows need an explicit EngineConfig::epoch"
+                "mixed time/tuple windows have no default epoch for an estimating policy"
             ),
             BuildError::QueryCountForSingle { got } => write!(
                 f,
@@ -251,8 +251,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Overrides the tumbling-epoch discipline (default: epoch = window).
-    pub fn epoch(mut self, epoch: EpochSpec) -> Self {
+    /// Overrides the tumbling-epoch discipline (default: epoch = window,
+    /// the paper's). Only the audit draws epochs apart from the window.
+    #[cfg(feature = "audit")]
+    pub fn epoch(mut self, epoch: mstream_sketch::EpochSpec) -> Self {
         self.config.epoch = Some(epoch);
         self
     }

@@ -178,6 +178,10 @@ impl EmitSink for VecSink {
 
 /// Adapts any `FnMut(&Bindings)` closure into a sink, discarding the
 /// emitting query id (the right shape for single-query consumers).
+///
+/// A closure sink pays per row: the default [`EmitSink::emit_run`] walks
+/// every run one result at a time to call it, where [`CountSink`] counts
+/// a run by its length. Use it when the rows are read, not to count them.
 pub struct FnSink<F: FnMut(&Bindings<'_>)>(pub F);
 
 impl<F: FnMut(&Bindings<'_>)> EmitSink for FnSink<F> {

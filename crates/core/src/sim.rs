@@ -15,11 +15,11 @@
 //! (Figure 3).
 
 use crate::engine::ShedJoinEngine;
-use crate::ingest::{Arrival, FnSink};
+use crate::ingest::{Arrival, EmitSink};
 use crate::report::RunReport;
 use mstream_agg::{BucketSeries, HistBuckets};
-use mstream_join::{Bindings, ExactJoin};
-use mstream_types::{JoinQuery, StreamId, VDur, VTime};
+use mstream_join::{Bindings, ExactJoin, Run};
+use mstream_types::{JoinQuery, QueryId, StreamId, VDur, VTime};
 use mstream_workload::Trace;
 use std::time::Instant;
 
@@ -57,6 +57,10 @@ impl Default for RunOptions {
 /// and `end_time` is the last processing instant: the last arrival's, or,
 /// behind an input queue, the last service start.
 ///
+/// Counts come from [`crate::IngestOutcome::produced`]: the run reads a
+/// result row only when `opts.agg_attr` collects its value, so a run
+/// without one pays per run of results, not per row.
+///
 /// Each arrival clones `item.values`, which for inline arities (≤
 /// [`mstream_types::ROW_INLINE`]) is a plain [`mstream_types::Row`] copy —
 /// replaying a trace allocates nothing per item.
@@ -67,17 +71,15 @@ impl Default for RunOptions {
 pub fn run_trace(engine: &mut ShedJoinEngine, trace: &Trace, opts: &RunOptions) -> RunReport {
     let mut series = opts.output_bucket.map(BucketSeries::new);
     let mut aggs = opts.agg_attr.map(|_| HistBuckets::new(opts.agg_bucket));
-    let agg_attr = opts.agg_attr;
     let started = Instant::now();
     // One front-door call at `now`: an arrival's ingest, or (`None`) the
     // end-of-trace flush, which adds a series bucket only if it emits.
     let mut call = |arrival: Option<Arrival>, now: VTime| {
         let flush = arrival.is_none();
-        let mut sink = FnSink(|b: &Bindings<'_>| {
-            if let (Some(buckets), Some((s, a))) = (aggs.as_mut(), agg_attr) {
-                buckets.add(now, b.value(s, a).raw());
-            }
-        });
+        let mut sink = ReplaySink {
+            aggs: aggs.as_mut().zip(opts.agg_attr),
+            now,
+        };
         let outcome = match arrival {
             Some(arrival) => engine.ingest(arrival, &mut sink),
             None => engine.flush(&mut sink),
@@ -105,24 +107,48 @@ pub fn run_trace(engine: &mut ShedJoinEngine, trace: &Trace, opts: &RunOptions) 
     }
 }
 
+/// [`run_trace`]'s sink for the calls at `now`: it buckets the collected
+/// attribute of every row when there is one, and otherwise takes a run
+/// without reading it.
+struct ReplaySink<'a> {
+    aggs: Option<(&'a mut HistBuckets, (StreamId, usize))>,
+    now: VTime,
+}
+
+impl EmitSink for ReplaySink<'_> {
+    fn emit(&mut self, _query: QueryId, b: &Bindings<'_>) {
+        if let Some((buckets, (s, a))) = self.aggs.as_mut() {
+            buckets.add(self.now, b.value(*s, *a).raw());
+        }
+    }
+
+    #[inline]
+    fn emit_run(&mut self, query: QueryId, run: &mut Run<'_>) {
+        if self.aggs.is_some() {
+            run.for_each_row(|b| self.emit(query, b));
+        }
+    }
+}
+
 /// Runs `trace` through the exact (unbounded, unshedded) reference join on
 /// the same arrival timeline, collecting the same observables. This is the
 /// ground truth against which shedding runs are compared; service-rate
 /// limits do not apply (the true answer is defined by arrivals alone).
+/// Like [`run_trace`], it reads result rows only to collect an aggregate.
 pub fn run_exact_trace(query: &JoinQuery, trace: &Trace, opts: &RunOptions) -> RunReport {
     let mut join = ExactJoin::new(query.clone());
     let mut series = opts.output_bucket.map(BucketSeries::new);
     let mut aggs = opts.agg_attr.map(|_| HistBuckets::new(opts.agg_bucket));
-    let agg_attr = opts.agg_attr;
     let mut end_time = VTime::ZERO;
     let started = Instant::now();
     for (now, item) in trace.timed(opts.arrival_rate) {
-        let aggs_ref = &mut aggs;
-        let produced = join.process_each(item.stream, item.values.clone(), now, |b| {
-            if let (Some(buckets), Some((s, a))) = (aggs_ref.as_mut(), agg_attr) {
+        let values = item.values.clone();
+        let produced = match (aggs.as_mut(), opts.agg_attr) {
+            (Some(buckets), Some((s, a))) => join.process_each(item.stream, values, now, |b| {
                 buckets.add(now, b.value(s, a).raw());
-            }
-        });
+            }),
+            _ => join.process(item.stream, values, now),
+        };
         if let Some(series) = series.as_mut() {
             series.add(now, produced);
         }
@@ -292,29 +318,45 @@ mod tests {
         assert_eq!(report.total_output(), exact.total_output());
     }
 
+    /// Rows are read only to collect an aggregate, and reading them
+    /// changes no count: runs with and without one give the same totals
+    /// and series, shedding or not, and so does the exact run.
     #[test]
     fn agg_values_collected_per_bucket() {
         let query = chain3(100);
         let trace = small_trace();
+        let counted = RunOptions {
+            output_bucket: Some(VDur::from_secs(10)),
+            ..Default::default()
+        };
         let opts = RunOptions {
             agg_attr: Some((StreamId(0), 1)),
             agg_bucket: VDur::from_secs(20),
-            ..Default::default()
+            ..counted
         };
-        let mut e = engine(query.clone(), 100_000);
-        let report = run_trace(&mut e, &trace, &opts);
-        let vals = report.agg_values.as_ref().unwrap();
-        assert_eq!(
-            vals.total_samples(),
-            report.total_output(),
-            "one sample per result tuple"
-        );
+        let counts = |r: &RunReport| {
+            let series = r.series.as_ref().unwrap().counts().to_vec();
+            (r.total_output(), r.metrics.shed_window, series)
+        };
+        for capacity in [24, 100_000] {
+            let report = run_trace(&mut engine(query.clone(), capacity), &trace, &opts);
+            let vals = report.agg_values.as_ref().unwrap();
+            assert_eq!(
+                vals.total_samples(),
+                report.total_output(),
+                "one sample per result tuple"
+            );
+            let plain = run_trace(&mut engine(query.clone(), capacity), &trace, &counted);
+            assert!(plain.agg_values.is_none());
+            assert_eq!(counts(&plain), counts(&report), "capacity {capacity}");
+        }
         // The exact run collects the same number.
         let exact = run_exact_trace(&query, &trace, &opts);
         assert_eq!(
             exact.agg_values.as_ref().unwrap().total_samples(),
             exact.total_output()
         );
+        assert_eq!(counts(&run_exact_trace(&query, &trace, &counted)), counts(&exact));
     }
 
     #[test]

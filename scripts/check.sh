@@ -138,6 +138,13 @@ if grep -rnE 'mod lanes|lanes::|signed_copy' crates/sketch crates/bench; then
   echo "FAIL: a second portable kernel form is back (DESIGN.md §15)"
   exit 1
 fi
+# One `mstream run` path (DESIGN.md §14): `--query` is a query set of one,
+# so the separate single-query, sharded and multi-query bodies, their own
+# trace validator and their hand-written exact-count loop stay gone.
+if grep -rnE 'fn run_multi|fn run_sharded|fn multi_exact_counts|fn validate_trace\(' crates/cli/src; then
+  echo "FAIL: a second mstream run path is back in crates/cli/src"
+  exit 1
+fi
 # Differential audit smoke (DESIGN.md §8): 100 fuzzed cases, every policy
 # in process and sharded against each query's exact oracle, event-time
 # runs against in-order runs, the score-cache (odd seeds) and plain/eager
@@ -230,6 +237,15 @@ read -r ARRIVALS PROCESSED SHED_Q <<<"$(./target/release/mstream run --query "$C
   | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["arrivals"], r["processed"], r["shed_queue"])')"
 [ "$SHED_Q" -gt 0 ] && [ $((PROCESSED + SHED_Q)) = "$ARRIVALS" ] \
   || { echo "FAIL: overload smoke: $PROCESSED processed + $SHED_Q queue-shed of $ARRIVALS arrivals"; exit 1; }
+# The queue serves a query set too: a two-query set behind it conserves
+# every arrival and keeps a row per query.
+read -r ARRIVALS_M PROCESSED_M SHED_Q_M ROWS_M <<<"$(./target/release/mstream run \
+  --queries target/check_shard_queries.json --trace target/check_shard_trace.csv \
+  --capacity 50 --rate 10 --service 2 --queue 20 --json \
+  | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["arrivals"], r["processed"], r["shed_queue"], len(r["per_query"]))')"
+[ "$SHED_Q_M" -gt 0 ] && [ $((PROCESSED_M + SHED_Q_M)) = "$ARRIVALS_M" ] && [ "$ROWS_M" = 2 ] \
+  || { echo "FAIL: query-set overload smoke: $PROCESSED_M processed + $SHED_Q_M queue-shed of $ARRIVALS_M arrivals, $ROWS_M query rows"; exit 1; }
+echo "query-set overload smoke: $PROCESSED_M processed + $SHED_Q_M queue-shed of $ARRIVALS_M arrivals"
 for EXTRA in "--disorder-bound 5" "--shards 2"; do
   # shellcheck disable=SC2086 # EXTRA is a flag and its value
   if ./target/release/mstream run --query "$CHAIN_QUERY" --trace target/check_shard_trace.csv \
