@@ -102,10 +102,10 @@ mod tests {
     }
 
     /// Within 60 seeds the generator draws every class the run's
-    /// contracts need: each memory mode, S = 2 and 4, keyed and broadcast
-    /// shapes, time / tuple / mixed windows, K = 0 and K > 0, set sizes
-    /// 1–4, each mix kind, each churn shape, mixed arity, the 9-stream
-    /// spill and the queued class.
+    /// contracts need: each memory mode, S = 2 and 4, keyed and unkeyed
+    /// one-query shapes, time / tuple / mixed windows, K = 0 and K > 0,
+    /// set sizes 1–4, each mix kind, each churn shape, mixed arity, the
+    /// 9-stream spill and the queued class.
     #[test]
     fn generator_covers_memory_modes_shards_and_partitionability() {
         let mut drawn = std::collections::BTreeSet::new();
@@ -143,7 +143,7 @@ mod tests {
             }
             if let [q] = &case.queries[..] {
                 if matches!(q.partitioning(), Partitioning::Single { .. }) {
-                    class("broadcast".into());
+                    class("unkeyed one-query".into());
                 }
             }
             if case.mixed_arity() {
@@ -159,7 +159,7 @@ mod tests {
         let want = "PerWindow,PerWindowEach,GlobalPool,S=2,S=4,K>0:false,K>0:true,size 1,\
                     size 2,size 3,size 4,Base,Duplicate,Overlap,Fresh,tuple windows,\
                     mixed windows,time windows,churn 0/0,churn 1/0,churn 0/1,churn 1/1,keyed,\
-                    broadcast,mixed arity,spill,queued";
+                    unkeyed one-query,mixed arity,spill,queued";
         for class in want.split(',') {
             assert!(
                 drawn.contains(class),

@@ -7,7 +7,7 @@
 use crate::disorder::inject_disorder;
 use crate::eager::Eager;
 use crate::gen::{catalog_order, pool_streams, Arrival, Case, Churn, ReducedMemory, Trace};
-use mstream_core::{Backpressure, EngineBuilder, EngineMetrics, QueryFnSink, ShardConfig};
+use mstream_core::{EngineBuilder, EngineMetrics, QueryFnSink, ShardConfig};
 use mstream_join::{Bindings, ExactJoin};
 use mstream_shed_policies::{parse_policy, ShedPolicy, ALL_POLICY_NAMES};
 use mstream_sketch::BankConfig;
@@ -233,7 +233,6 @@ fn audit_shard_config(shards: usize) -> ShardConfig {
         shards,
         channel_capacity: 4,
         batch_size: 3,
-        backpressure: Backpressure::Block,
         collect_rows: true,
         ..ShardConfig::default()
     }
@@ -401,17 +400,24 @@ fn drive(
     };
 
     let engine = built.build_sharded().map_err(unbuilt)?;
-    // Partitioning contract: a keyed set runs at full width; one query
-    // that cannot partition runs broadcast at full width; any other set
-    // either partitions or degrades to one shard with a reason.
+    // Partitioning contract: a keyed set, or one query that partitions,
+    // runs at full width; a set with a query that cannot partition
+    // degrades to one shard with a reason; any other set does one or the
+    // other.
     let (width, degraded) = (engine.shards(), engine.degraded().map(str::to_owned));
-    let broadcast_single = match queries {
-        [q] => matches!(q.partitioning(), Partitioning::Single { .. }),
-        _ => false,
+    let unkeyable = queries
+        .iter()
+        .any(|q| matches!(q.partitioning(), Partitioning::Single { .. }));
+    let full = width == shards && degraded.is_none();
+    let degrade = width == 1 && degraded.is_some();
+    let honoured = if case.keyed || queries.len() == 1 && !unkeyable {
+        full
+    } else if unkeyable {
+        degrade
+    } else {
+        full || degrade
     };
-    let must_partition = case.keyed || queries.len() == 1;
-    let degrade_ok = !must_partition && width == 1 && degraded.is_some();
-    if !(width == shards && degraded.is_none() || degrade_ok) {
+    if !honoured {
         return Err(fail(
             FailureKind::ShardContract,
             format!("requested {shards} shards, ran {width}, degraded: {degraded:?}"),
@@ -443,35 +449,28 @@ fn drive(
     }));
     let report = outcome.map_err(|payload| panicked("coordinator", payload))??;
     let combined = &report.combined;
-    if report.shed_channel != 0
-        || combined.shards != width
+    if combined.shards != width
         || combined.degraded != degraded
         || report.per_shard.len() != width
-        || report.broadcast != (broadcast_single && width > 1)
     {
         return Err(fail(
             FailureKind::ShardContract,
             format!(
-                "{} channel drops under Backpressure::Block; report: {} shards, degraded {:?}, \
-                 {} per-shard entries, broadcast {} (engine: {width} shards, degraded {degraded:?})",
-                report.shed_channel,
+                "report: {} shards, degraded {:?}, {} per-shard entries \
+                 (engine: {width} shards, degraded {degraded:?})",
                 combined.shards,
                 combined.degraded,
                 report.per_shard.len(),
-                report.broadcast
             ),
         ));
     }
-    // Outside broadcast, every arrival has one delivery: its home shard's.
+    // Every arrival has one delivery: its home shard's.
     let routed: u64 = report.routed.iter().sum();
-    let m = &combined.metrics;
-    if !report.broadcast && (m.replicated != 0 || routed != m.processed) {
+    let processed = combined.metrics.processed;
+    if routed != processed {
         return Err(fail(
             FailureKind::ShardContract,
-            format!(
-                "outside broadcast: {} copies delivered, {routed} arrivals routed, {} processed",
-                m.replicated, m.processed
-            ),
+            format!("{routed} arrivals routed, {processed} processed"),
         ));
     }
     stats.skewed_sharded |= case.zipf_hot && width > 1;

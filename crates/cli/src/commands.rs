@@ -73,11 +73,7 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             }
         }
         Some(shards) => {
-            let engine = builder
-                .shards(shards)
-                .broadcast(!flags.has("--no-broadcast"))
-                .build_sharded()
-                .map_err(build_error)?;
+            let engine = builder.shards(shards).build_sharded().map_err(build_error)?;
             validate_trace_catalog(engine.catalog(), &trace)?;
             let sharded = engine
                 .run_trace(&trace, rate)
@@ -97,7 +93,6 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         e => o.stats[q].produced as f64 / e as f64,
     };
     let m = &o.report.metrics;
-    let shed_channel = o.sharded.as_ref().map_or(0, |s| s.shed_channel);
 
     if flags.has("--json") {
         let per_query: Vec<serde_json::Value> = (0..queries.len())
@@ -131,16 +126,13 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             "queries": queries.len(),
             "shards": o.report.shards,
             "degraded": o.report.degraded,
-            "broadcast": o.sharded.as_ref().is_some_and(|s| s.broadcast),
             "classes": o.sharing.map(|(c, _)| c),
             "stores": o.sharing.map(|(_, s)| s),
             "arrivals": trace.len(),
             "processed": m.processed,
             "output_tuples": m.total_output,
-            "replicated": m.replicated,
             "shed_window": m.shed_window,
             "shed_queue": m.shed_queue,
-            "shed_channel": shed_channel,
             "late_dropped": m.late_dropped,
             "disorder_bound_secs": disorder.map(|d| d.as_secs_f64()),
             "expired": m.expired,
@@ -166,14 +158,9 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             )?,
             None => writeln!(out, "queries:         {} standing", queries.len())?,
         }
-        if let Some(s) = &o.sharded {
+        if o.sharded.is_some() {
             match &o.report.degraded {
                 Some(reason) => writeln!(out, "shards:          1 (degraded: {reason})")?,
-                None if s.broadcast => writeln!(
-                    out,
-                    "shards:          {} (broadcast: replicated windows, dominant stream partitioned)",
-                    o.report.shards
-                )?,
                 None => writeln!(out, "shards:          {}", o.report.shards)?,
             }
         }
@@ -182,7 +169,7 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(out, "output tuples:   {}", m.total_output)?;
         writeln!(
             out,
-            "shed:            {} window, {} queue, {shed_channel} channel",
+            "shed:            {} window, {} queue",
             m.shed_window, m.shed_queue
         )?;
         if let Some(bound) = disorder {
@@ -700,48 +687,18 @@ mod tests {
         assert_eq!(v["shards"], 4);
         assert_eq!(v["degraded"], serde_json::Value::Null);
         assert_eq!(v["per_shard"].as_array().unwrap().len(), 4);
-        assert_eq!(v["shed_channel"], 0);
+        let routed: u64 = v["routed"].as_array().unwrap().iter().map(|r| r.as_u64().unwrap()).sum();
+        assert_eq!(routed, v["arrivals"].as_u64().unwrap(), "one delivery per arrival");
 
-        // The chain query cannot key-partition: it now runs wide in
-        // broadcast mode, matching the single-shard output exactly.
+        // The chain query cannot key-partition: it runs on one shard, and
+        // the text report says why.
         let chain = "SELECT * FROM R1(A1, A2) [RANGE 30 SECONDS], R2(A1, A2), R3(A1, A2) \
                      WHERE R1.A1 = R2.A1 AND R2.A2 = R3.A1";
-        let single = run_cli(&[
-            "run", "--query", chain, "--trace", trace_path, "--shards", "1", "--json",
-        ])
-        .unwrap();
-        let s: serde_json::Value = serde_json::from_str(&single).unwrap();
-        let json = run_cli(&[
-            "run", "--query", chain, "--trace", trace_path, "--shards", "4", "--json",
-        ])
-        .unwrap();
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(v["shards"], 4);
-        assert_eq!(v["degraded"], serde_json::Value::Null);
-        assert_eq!(v["broadcast"], true);
-        assert!(v["replicated"].as_u64().unwrap() > 0, "{v:?}");
-        assert_eq!(v["output_tuples"], s["output_tuples"], "broadcast is exact");
         let text = run_cli(&[
             "run", "--query", chain, "--trace", trace_path, "--shards", "4",
         ])
         .unwrap();
-        assert!(text.contains("broadcast"), "{text}");
-
-        // --no-broadcast restores the degrade-to-one-shard behavior.
-        let json = run_cli(&[
-            "run", "--query", chain, "--trace", trace_path, "--shards", "4",
-            "--no-broadcast", "--json",
-        ])
-        .unwrap();
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(v["shards"], 1);
-        assert!(v["degraded"].as_str().is_some(), "{v:?}");
-        let text = run_cli(&[
-            "run", "--query", chain, "--trace", trace_path, "--shards", "4",
-            "--no-broadcast",
-        ])
-        .unwrap();
-        assert!(text.contains("degraded:"), "{text}");
+        assert!(text.contains("shards:          1 (degraded:"), "{text}");
     }
 
     #[test]
@@ -863,9 +820,8 @@ mod tests {
         .unwrap();
         let keyed = "SELECT * FROM R1(A1, A2) [RANGE 30 SECONDS], R2(A1, A2), R3(A1, A2) \
                      WHERE R1.A1 = R2.A1 AND R2.A1 = R3.A1";
-        let set_path = dir.join("one.json");
-        std::fs::write(&set_path, serde_json::to_string(&[keyed]).unwrap()).unwrap();
-        let set_path = set_path.to_str().unwrap();
+        let chain = "SELECT * FROM R1(A1, A2) [RANGE 30 SECONDS], R2(A1, A2), R3(A1, A2) \
+                     WHERE R1.A1 = R2.A1 AND R2.A2 = R3.A1";
         let report = |source: [&str; 2], extra: &[&str]| {
             let mut args = vec!["run", source[0], source[1], "--trace", trace_path];
             args.extend_from_slice(&["--capacity", "50", "--json"]);
@@ -876,11 +832,29 @@ mod tests {
             let keys = v.as_object().unwrap().iter();
             keys.filter(|(k, _)| k != "wall_seconds").cloned().collect::<Vec<_>>()
         };
-        let extras: [&[&str]; 3] = [&[], &["--shards", "2"], &["--service", "2", "--queue", "20"]];
-        for extra in extras {
-            let one = report(["--query", keyed], extra);
-            assert_eq!(one, report(["--queries", set_path], extra), "{extra:?}");
+        let cases: [(&str, &[&str]); 4] = [
+            (keyed, &[]),
+            (keyed, &["--shards", "2"]),
+            (keyed, &["--service", "2", "--queue", "20"]),
+            (chain, &["--shards", "2"]),
+        ];
+        for (i, (query, extra)) in cases.into_iter().enumerate() {
+            let set_path = dir.join(format!("one{i}.json"));
+            std::fs::write(&set_path, serde_json::to_string(&[query]).unwrap()).unwrap();
+            let one = report(["--query", query], extra);
+            assert_eq!(one, report(["--queries", set_path.to_str().unwrap()], extra), "{extra:?}");
         }
+        // The chain query at two shards degrades to one, with its reason,
+        // and reports the in-process run's output.
+        let wide = report(["--query", chain], &["--shards", "2"]);
+        let inproc = report(["--query", chain], &[]);
+        let field = |r: &[(String, serde_json::Value)], key: &str| {
+            r.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).unwrap()
+        };
+        assert_eq!(field(&wide, "shards"), 1);
+        assert!(field(&wide, "degraded").as_str().is_some_and(|r| !r.is_empty()));
+        assert_eq!(field(&wide, "output_tuples"), field(&inproc, "output_tuples"));
+        assert_eq!(field(&wide, "per_query"), field(&inproc, "per_query"));
     }
 
     #[test]

@@ -69,13 +69,11 @@ RUN OPTIONS:
                          excludes --disorder-bound
     --queue <n>          input-queue capacity under overload (default 100)
     --seed <n>           engine seed (default 42)
-    --shards <n>         hash-partition across n worker threads when the query's
-                         predicates allow; non-partitionable queries run broadcast
-                         (replicated windows, dominant stream partitioned);
+    --shards <n>         hash-partition across n worker threads when every
+                         query's predicates share one key per stream; any other
+                         set runs on 1 shard and the report says why;
                          --capacity stays the total budget; the report adds
                          per-shard rows; excludes --service
-    --no-broadcast       degrade non-partitionable queries to 1 shard (with a
-                         reason) instead of running them broadcast
     --disorder-bound <s> event-time mode: buffer out-of-order arrivals up to s
                          seconds of lateness, release them in timestamp order
                          as the watermark advances, and drop (with accounting)

@@ -303,26 +303,17 @@ impl EngineBuilder {
     /// Requests `shards` parallel workers. The engine must then be built
     /// with [`EngineBuilder::build_sharded`]; a query set without one
     /// partition attribute per stream degrades to a single shard (the
-    /// reason is surfaced on the run report) unless it is one query that
-    /// can run in broadcast mode.
+    /// reason is surfaced on the run report).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shard.shards = shards;
         self
     }
 
-    /// Full sharded-execution tuning (channel capacity, batch size,
-    /// backpressure, row collection). The shard *count* set here is kept;
+    /// Full sharded-execution tuning (channel capacity, batch size, row
+    /// collection). The shard *count* set here is kept;
     /// call [`EngineBuilder::shards`] afterwards to override just that.
     pub fn shard_config(mut self, config: ShardConfig) -> Self {
         self.shard = config;
-        self
-    }
-
-    /// Enables or disables broadcast execution for a single query that has
-    /// no single partition key (default: enabled). With broadcast off, such
-    /// a query degrades to one shard and reports why.
-    pub fn broadcast(mut self, broadcast: bool) -> Self {
-        self.shard.broadcast = broadcast;
         self
     }
 
@@ -383,8 +374,7 @@ impl EngineBuilder {
     /// Builds the sharded coordinator over every registered query (spawns
     /// its worker threads). The routing plan comes from the whole set: by
     /// partition key when every query partitions and all agree on each
-    /// shared stream's attribute, broadcast for a single query that cannot
-    /// partition, one shard (with a reason) otherwise. A shard count of 1
+    /// shared stream's attribute, one shard (with a reason) otherwise. A shard count of 1
     /// is valid and runs the same code path with a single worker.
     pub fn build_sharded(self) -> Result<ShardedJoinEngine, BuildError> {
         self.validate()?;

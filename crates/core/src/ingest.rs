@@ -61,33 +61,6 @@ impl Arrival {
     }
 }
 
-/// How a delivered tuple is accounted for.
-///
-/// The sharded engine delivers a broadcast-mode arrival to every shard.
-/// Exactly one delivery is [`IngestRole::FULL`]; the rest are
-/// [`IngestRole::PROBE_REPLICA`] copies, which store and probe like it but
-/// count as `replicated` instead of `processed`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct IngestRole {
-    /// Count toward `processed` (an arrival's unique accounting delivery);
-    /// otherwise the delivery counts as `replicated`.
-    pub(crate) count_processed: bool,
-}
-
-impl IngestRole {
-    /// The classic single-engine path: probe, emit, and account.
-    pub(crate) const FULL: IngestRole = IngestRole {
-        count_processed: true,
-    };
-    /// Probing copy that is not the arrival's accounting delivery — a
-    /// broadcast-stream tuple probing a shard that does not own its FULL
-    /// delivery (it still stores and probes there, since that shard holds
-    /// partner tuples no other shard has).
-    pub(crate) const PROBE_REPLICA: IngestRole = IngestRole {
-        count_processed: false,
-    };
-}
-
 /// What the operator did with one ingested arrival.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngestOutcome {

@@ -57,7 +57,8 @@
 //!   unified feed API.
 //! * [`ShardedJoinEngine`] — the one sharded coordinator: the same plane
 //!   on every worker thread, for one query or a standing set, each arrival
-//!   routed once by partition key, or broadcast.
+//!   routed once by partition key; a set without one key runs on one
+//!   shard.
 //! * [`run_trace`] / [`run_exact_trace`] — trace replay: a trace at arrival
 //!   rate `k` through `ingest` and `flush` (behind the input queue's
 //!   service rate `l`: the overload model), and the exact run on its

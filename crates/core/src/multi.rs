@@ -70,7 +70,7 @@ use crate::engine::{
     resolve_capacities, EngineConfig, MemoryMode, ProducedScratch, QueryCore, QueueStage,
     ReorderStage,
 };
-use crate::ingest::{Arrival, EmitSink, IngestOutcome, IngestRole};
+use crate::ingest::{Arrival, EmitSink, IngestOutcome};
 use crate::report::EngineMetrics;
 use mstream_join::{probe_runs_in, StoreLookup};
 use mstream_shed_policies::ShedPolicy;
@@ -784,7 +784,7 @@ impl MultiQueryEngine {
             return served;
         }
         let tuple = self.mint(arrival);
-        self.ingest_tuple_as(tuple, now, sink, IngestRole::FULL)
+        self.ingest_tuple(tuple, now, sink)
     }
 
     /// Drains the stage in front at end of input: the reorder stage
@@ -817,7 +817,7 @@ impl MultiQueryEngine {
             shed: 0,
         };
         while let Some((tuple, now)) = next(self) {
-            let out = self.ingest_tuple_as(tuple, now, sink, IngestRole::FULL);
+            let out = self.ingest_tuple(tuple, now, sink);
             total.produced += out.produced;
             total.shed += out.shed;
         }
@@ -872,17 +872,11 @@ impl MultiQueryEngine {
     /// plane at time `now` (its arrival timestamp may be earlier if it
     /// waited in the input queue) — what every stage releases, and what
     /// the sharded coordinator's workers feed.
-    ///
-    /// Every role observes sketches, expires windows, probes, scores and
-    /// stores the tuple. The role only sets the *accounting*: whether the
-    /// delivery counts as the arrival's one `processed` delivery or as a
-    /// `replicated` (broadcast) copy.
-    pub(crate) fn ingest_tuple_as(
+    pub(crate) fn ingest_tuple(
         &mut self,
         tuple: Tuple,
         now: VTime,
         sink: &mut impl EmitSink,
-        role: IngestRole,
     ) -> IngestOutcome {
         let g = tuple.stream;
         assert!(
@@ -990,11 +984,7 @@ impl MultiQueryEngine {
             (produced, credited)
         });
         metrics.total_output += produced;
-        if role.count_processed {
-            metrics.processed += 1;
-        } else {
-            metrics.replicated += 1;
-        }
+        metrics.processed += 1;
         // 4. Land the produced-output credits and refresh the credited
         //    priorities by each store owner's policy: one coalesced heap
         //    update per touched slot, landed before the insert below can
@@ -1504,26 +1494,6 @@ mod tests {
         }
         let stats = tight.query_stats(QueryId(0)).unwrap();
         assert!(stats.shed > 0);
-    }
-
-    #[test]
-    fn probe_replica_joins_but_is_not_processed() {
-        // The sharded engine's broadcast copies run the plane: a probing
-        // copy stores and joins, and only the FULL delivery counts as
-        // `processed`.
-        let mut e = multi(vec![pair_query("L", "R", 60)], 64);
-        let (l, r) = (e.stream_id("L").unwrap(), e.stream_id("R").unwrap());
-        let mut sink = CountSink::default();
-        let mut deliver = |e: &mut MultiQueryEngine, g, role| {
-            let t = e.mint(Arrival::new(g, vec![Value(1), Value(0)], VTime::ZERO));
-            e.ingest_tuple_as(t, VTime::ZERO, &mut sink, role).produced
-        };
-        assert_eq!(deliver(&mut e, l, IngestRole::FULL), 0);
-        assert_eq!(deliver(&mut e, r, IngestRole::PROBE_REPLICA), 1, "a probing copy joins");
-        assert_eq!(e.window_len(r), Some(1), "and stores");
-        assert_eq!(deliver(&mut e, l, IngestRole::PROBE_REPLICA), 1);
-        let m = e.metrics();
-        assert_eq!((m.processed, m.replicated, m.total_output), (1, 2, 2));
     }
 
     #[test]

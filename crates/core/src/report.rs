@@ -12,9 +12,8 @@ pub struct EngineMetrics {
     pub total_output: u64,
     /// Tuples run through the join operator.
     pub processed: u64,
-    /// Replicated deliveries ingested in addition to an arrival's one
-    /// `processed` delivery (broadcast-stream copies); 0 for unsharded
-    /// and key-partitioned runs.
+    /// Always 0: every arrival has one delivery. Kept so `benchmark/`
+    /// builds until its next change.
     #[serde(default)]
     pub replicated: u64,
     /// Tuples dismissed from windows before expiry (shed).

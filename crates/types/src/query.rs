@@ -562,8 +562,8 @@ mod tests {
     /// independent predicates, (3) a star whose hub fans out through
     /// distinct attributes, (4) a four-stream double chain whose interior
     /// streams each bridge classes (the lowest-indexed culprit is named).
-    /// The sharded engine surfaces these strings verbatim (when broadcast
-    /// mode is off), so their wording is pinned here.
+    /// The sharded engine surfaces these strings verbatim, so their
+    /// wording is pinned here.
     #[test]
     fn degrade_reasons_enumerate_non_shardable_shapes() {
         let reason = |q: &JoinQuery| q.partitioning().reason().unwrap().to_owned();

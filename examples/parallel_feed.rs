@@ -8,19 +8,15 @@
 //! `ShedJoinEngine` on `1/S` of the memory budget), and merges the
 //! per-shard reports.
 //!
-//! Three runs are shown:
+//! Two runs are shown:
 //!
 //! 1. A *partitionable* query (all predicates on one attribute) fanned
-//!    out over four shards with `Backpressure::Shed` — when a worker's
-//!    channel saturates the coordinator sheds at the source, the
-//!    back-pressure-free regime a DSMS operates in.
+//!    out over four shards. A full worker channel makes the coordinator
+//!    wait, so every arrival reaches its shard and any shedding is the
+//!    policy's, by productivity.
 //! 2. The paper's chain query, whose middle stream joins through two
-//!    different attributes: no partition key exists, so the engine runs
-//!    it in *broadcast mode* (DESIGN.md §12) — the dominant stream is
-//!    partitioned round-robin and the others are replicated to every
-//!    shard, where each copy is stored and probed.
-//! 3. The same chain with broadcast disabled, which degrades to one
-//!    shard and reports why.
+//!    different attributes: no partition key exists, so the run degrades
+//!    to one shard and reports why (DESIGN.md §9).
 //!
 //! ```text
 //! cargo run --release -p mstream-core --example parallel_feed
@@ -69,7 +65,6 @@ fn main() {
             shards: 4,
             channel_capacity: 8,
             batch_size: 16,
-            backpressure: Backpressure::Shed, // live mode: drop, don't block
             ..ShardConfig::default()
         })
         .build_sharded()
@@ -77,11 +72,10 @@ fn main() {
     feed(&mut engine, 30_000);
     let report = engine.finish().expect("workers exit cleanly");
     println!(
-        "  {} shards  processed {:>6}  window-shed {:>6}  channel-shed {:>6}  results {:>8}",
+        "  {} shards  processed {:>6}  window-shed {:>6}  results {:>8}",
         report.combined.shards,
         report.combined.metrics.processed,
         report.combined.metrics.shed_window,
-        report.shed_channel,
         report.combined.total_output(),
     );
     for (i, m) in report.per_shard.iter().enumerate() {
@@ -92,52 +86,29 @@ fn main() {
     }
 
     // The paper's chain shape joins Readings through two different
-    // attributes — no single partition key exists. A 4-shard request
-    // still runs wide: broadcast mode partitions the dominant stream
-    // (Readings, incident to both predicates) round-robin and replicates
-    // the other streams to every shard as build-only copies, at the cost
-    // of window memory scaling with S for the replicated streams.
+    // attributes — no single partition key exists, so a 4-shard request
+    // runs on one worker, and says why.
     let chain = sensors_query(&[
         ("Sensors.region", "Readings.region"),
         ("Readings.level", "Alarms.region"),
     ]);
-    let mut engine = EngineBuilder::new(chain.clone())
+    let mut engine = EngineBuilder::new(chain)
         .policy(MSketch)
         .capacity_per_window(128)
         .seed(9)
         .shards(4)
-        .build_sharded()
-        .expect("valid engine");
-    assert!(engine.degraded().is_none(), "broadcast mode runs wide");
-    feed(&mut engine, 30_000);
-    let report = engine.finish().expect("workers exit cleanly");
-    println!(
-        "\nchain query in broadcast mode: {} shards  processed {:>6}  replicated {:>6}  results {:>8}",
-        report.combined.shards,
-        report.combined.metrics.processed,
-        report.combined.metrics.replicated,
-        report.combined.total_output(),
-    );
-
-    // Opting out of broadcast (e.g. to cap memory at one window per
-    // stream) degrades the same query to one worker — and says why.
-    let engine = EngineBuilder::new(chain)
-        .policy(MSketch)
-        .capacity_per_window(128)
-        .seed(9)
-        .shards(4)
-        .broadcast(false)
         .build_sharded()
         .expect("valid engine");
     let degraded = engine
         .degraded()
         .map(str::to_owned)
         .expect("chain query cannot partition by key");
-    let report = engine
-        .run_trace(&Trace::default(), 300.0)
-        .expect("empty run still finishes");
+    feed(&mut engine, 30_000);
+    let report = engine.finish().expect("workers exit cleanly");
     println!(
-        "\nchain query with broadcast disabled degraded to {} shard: {}",
-        report.combined.shards, degraded
+        "\nchain query: {} shard  processed {:>6}  results {:>8}\n  degraded: {degraded}",
+        report.combined.shards,
+        report.combined.metrics.processed,
+        report.combined.total_output(),
     );
 }

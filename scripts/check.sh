@@ -98,6 +98,14 @@ if grep -rnE 'SkewRouter|SpaceSaving|Item::Replica|STORE_REPLICA' crates/; then
   echo "FAIL: hot-key splitting is back under crates/"
   exit 1
 fi
+# One sharded route and one flow rule (DESIGN.md §9): a set that
+# partitions by key runs wide, any other runs on one shard, and a full
+# channel blocks, so broadcast mode, its replica deliveries and channel
+# shedding stay gone.
+if grep -rnE 'BroadcastPlan|PROBE_REPLICA|IngestRole|ingest_broadcast|broadcast_memory|account_rejected|Backpressure::Shed|no-broadcast' crates/ examples/; then
+  echo "FAIL: broadcast mode or channel shedding is back (DESIGN.md §9)"
+  exit 1
+fi
 # Sharded batches are flat word records (DESIGN.md §9): the tagged channel
 # item and its fixed-lane tick blocks stay gone.
 if grep -rnE 'TickBlock|TICK_LANES|enum Item' crates/core; then
@@ -160,9 +168,9 @@ done
 
 # Sharded-vs-single CLI differential smoke: the same key-partitionable
 # query and trace must produce the same output count at S in {1,2,4} when
-# nothing sheds (full memory, blocking channels) — and, with Time epochs
-# and windows that never fill, no worker may run a single rescoring pass.
-# Every arrival is routed once and copied nowhere.
+# nothing sheds (full memory) — and, with Time epochs and windows that
+# never fill, no worker may run a single rescoring pass. Every arrival is
+# routed once.
 KEYED_QUERY='SELECT * FROM R1(A1, A2) [RANGE 30 SECONDS], R2(A1, A2), R3(A1, A2)
              WHERE R1.A1 = R2.A1 AND R2.A1 = R3.A1'
 cargo run --release -p mstream-cli -- generate \
@@ -172,12 +180,11 @@ for S in 1 2 4; do
   OUT=$(cargo run --release -p mstream-cli -- run \
     --query "$KEYED_QUERY" --trace target/check_shard_trace.csv \
     --capacity 100000 --shards "$S" --json \
-    | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["output_tuples"], r["shards"], r["shed_window"], r["shed_channel"], r["epoch_rollovers"], r["priority_rebuilds"], r["replicated"], sum(r["routed"]), r["arrivals"], "%.2f" % (sum(r["wire_words"]) / sum(r["routed"])))')
-  read -r TUPLES GOT_S SHED_W SHED_C ROLLS REBUILDS COPIES ROUTED ARRIVALS WORDS <<<"$OUT"
+    | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["output_tuples"], r["shards"], r["shed_window"], r["epoch_rollovers"], r["priority_rebuilds"], sum(r["routed"]), r["arrivals"], "%.2f" % (sum(r["wire_words"]) / sum(r["routed"])))')
+  read -r TUPLES GOT_S SHED_W ROLLS REBUILDS ROUTED ARRIVALS WORDS <<<"$OUT"
   [ "$GOT_S" = "$S" ] || { echo "FAIL: requested $S shards, ran $GOT_S"; exit 1; }
-  [ "$COPIES" = 0 ] && [ "$ROUTED" = "$ARRIVALS" ] \
-    || { echo "FAIL: S=$S copied $COPIES arrivals and routed $ROUTED of $ARRIVALS"; exit 1; }
-  [ "$SHED_W" = 0 ] && [ "$SHED_C" = 0 ] || { echo "FAIL: full-memory run shed ($SHED_W window, $SHED_C channel)"; exit 1; }
+  [ "$ROUTED" = "$ARRIVALS" ] || { echo "FAIL: S=$S routed $ROUTED of $ARRIVALS arrivals"; exit 1; }
+  [ "$SHED_W" = 0 ] || { echo "FAIL: full-memory run shed $SHED_W window tuples"; exit 1; }
   [ "$ROLLS" -gt 0 ] || { echo "FAIL: the smoke trace spans no epoch rollover"; exit 1; }
   [ "$REBUILDS" = 0 ] || { echo "FAIL: full-memory run rescored windows ($REBUILDS passes over $ROLLS rollovers)"; exit 1; }
   if [ -z "$BASELINE" ]; then BASELINE="$TUPLES"; fi
@@ -195,7 +202,7 @@ BASELINE=""
 for S in 1 2 4; do
   OUT=$(./target/release/mstream run --queries target/check_shard_queries.json \
     --trace target/check_shard_trace.csv --capacity 100000 --shards "$S" --json \
-    | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["shards"], r["shed_window"] + r["shed_channel"], ",".join(str(q["produced"]) for q in r["per_query"]))')
+    | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["shards"], r["shed_window"], ",".join(str(q["produced"]) for q in r["per_query"]))')
   read -r GOT_S SHED PRODUCED <<<"$OUT"
   [ "$GOT_S" = "$S" ] || { echo "FAIL: query set requested $S shards, ran $GOT_S"; exit 1; }
   [ "$SHED" = 0 ] || { echo "FAIL: full-capacity query set shed $SHED tuples at S=$S"; exit 1; }
@@ -203,6 +210,21 @@ for S in 1 2 4; do
   [ "$PRODUCED" = "$BASELINE" ] || { echo "FAIL: S=$S produced $PRODUCED per query, S=1 produced $BASELINE"; exit 1; }
   echo "query-set shard smoke: S=$S -> $PRODUCED per query (matches baseline)"
 done
+# A query without one partition key per stream (the chain joins R2 through
+# two attributes) runs on one shard at --shards 2, says why, and reports
+# the in-process run's output.
+CHAIN_QUERY='SELECT * FROM R1(A1, A2) [RANGE 30 SECONDS], R2(A1, A2), R3(A1, A2)
+             WHERE R1.A1 = R2.A1 AND R2.A2 = R3.A1'
+chain_run() { # extra flags -> "shards degraded-nonempty output_tuples"
+  ./target/release/mstream run --query "$CHAIN_QUERY" --trace target/check_shard_trace.csv \
+    --capacity 50 --json "$@" \
+    | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["shards"], bool(r["degraded"]), r["output_tuples"])'
+}
+read -r _ _ INPROC <<<"$(chain_run)"
+read -r GOT_S DEGRADED TUPLES <<<"$(chain_run --shards 2)"
+[ "$GOT_S" = 1 ] && [ "$DEGRADED" = True ] && [ "$TUPLES" = "$INPROC" ] \
+  || { echo "FAIL: chain query at --shards 2: $GOT_S shards, degraded $DEGRADED, $TUPLES tuples (in process $INPROC)"; exit 1; }
+echo "unkeyed shard smoke: chain query at S=2 -> 1 shard with a reason, $TUPLES output tuples (matches in process)"
 # Windows that cannot fill (DESIGN.md §16): a keyed [ROWS n] query with room
 # for n tuples in every worker's window (the budget is the total: n·S) is
 # exact under MSketch and FIFO at S in {1,2,4}, sheds nothing and rolls no
@@ -230,8 +252,6 @@ read -r _ _ ROLLS <<<"$(rows_run MSketch $((ROWS_N - 1)) 1)"
 # Overload smoke (paper §2, Figure 6's model): behind a queue served at a
 # fifth of the arrival rate every arrival is processed or queue-shed once;
 # the queue refuses a disorder bound and shards (nonzero exit).
-CHAIN_QUERY='SELECT * FROM R1(A1, A2) [RANGE 30 SECONDS], R2(A1, A2), R3(A1, A2)
-             WHERE R1.A1 = R2.A1 AND R2.A2 = R3.A1'
 read -r ARRIVALS PROCESSED SHED_Q <<<"$(./target/release/mstream run --query "$CHAIN_QUERY" \
   --trace target/check_shard_trace.csv --capacity 50 --rate 10 --service 2 --queue 20 --json \
   | python3 -c 'import json,sys; r=json.load(sys.stdin); print(r["arrivals"], r["processed"], r["shed_queue"])')"

@@ -202,7 +202,6 @@ fn sharded(builder: EngineBuilder, shards: usize, arrivals: &[Arrival]) -> Shard
             shards,
             channel_capacity: 4,
             batch_size: 7,
-            backpressure: Backpressure::Block,
             collect_rows: true,
             ..ShardConfig::default()
         })

@@ -7,14 +7,12 @@
 //!   sequence numbers — for any S.
 //! * Under reduced memory, the sharded output is a sub-multiset of the
 //!   full-memory result (shedding only removes rows, never invents them).
-//! * A non-partitionable query with broadcast mode disabled degrades to 1
-//!   shard with the reason surfaced, and then behaves bit-identically to
-//!   the single engine; with broadcast mode (the default) it runs at the
-//!   requested shard count and still matches the oracle at full memory.
+//! * A non-partitionable query degrades to 1 shard with the reason
+//!   surfaced, and then behaves bit-identically to the single engine.
 //! * Skewed keys are routed like any other: each arrival to its hash-home
 //!   shard only, with the full-memory oracle equality and the sub-multiset
 //!   property under shedding, replaying deterministically.
-//! * Tuple-count windows stay exact across shards (the tick broadcast).
+//! * Tuple-count windows stay exact across shards (the tick summaries).
 //! * Same seed ⇒ same run, shard count and shedding notwithstanding.
 
 use mstream_core::prelude::*;
@@ -38,7 +36,7 @@ fn keyed3(window: WindowSpec) -> JoinQuery {
 
 /// The paper's chain: R2 joins through two different attributes, so no
 /// single partition key exists.
-fn chain3_windowed(window: WindowSpec) -> JoinQuery {
+fn chain3(window: WindowSpec) -> JoinQuery {
     let mut c = Catalog::new();
     c.add_stream(StreamSchema::new("R1", &["A1", "A2"]));
     c.add_stream(StreamSchema::new("R2", &["A1", "A2"]));
@@ -49,10 +47,6 @@ fn chain3_windowed(window: WindowSpec) -> JoinQuery {
         window,
     )
     .unwrap()
-}
-
-fn chain3() -> JoinQuery {
-    chain3_windowed(WindowSpec::secs(40))
 }
 
 /// Metrics with the wall-clock timing counters zeroed — everything else
@@ -158,7 +152,6 @@ fn sharded_rows(
             shards,
             channel_capacity: 4,
             batch_size: 7, // deliberately not a divisor of the trace length
-            backpressure: Backpressure::Block,
             collect_rows: true,
             ..ShardConfig::default()
         },
@@ -177,7 +170,7 @@ fn full_memory_sharded_output_matches_single_engine() {
         let report = sharded_rows(keyed3(WindowSpec::secs(25)), shards, 100_000, &arrivals);
         assert_eq!(report.combined.shards, shards);
         assert_eq!(report.combined.degraded, None);
-        assert_eq!(report.shed_channel, 0, "Block backpressure never drops");
+        assert_eq!(report.routed.iter().sum::<u64>(), arrivals.len() as u64);
         let rows = canon(&report.rows.as_ref().unwrap()[0]);
         assert_eq!(rows, oracle, "S={shards} row set diverged from oracle");
         assert_eq!(
@@ -216,21 +209,20 @@ fn reduced_memory_sharded_output_is_sub_multiset_of_oracle() {
     }
 }
 
-/// The chain query joins R2 through two different attributes: with
-/// broadcast mode switched off, a 4-shard request degrades to 1 worker,
-/// says why, and — because a 1-shard run keeps the master seed — matches
-/// the single engine bit for bit even while shedding.
+/// The chain query joins R2 through two different attributes: a 4-shard
+/// request degrades to 1 worker, says why, and — because a 1-shard run
+/// keeps the master seed — matches the single engine bit for bit even
+/// while shedding.
 #[test]
 fn non_partitionable_query_degrades_with_reason_and_stays_exact() {
     let arrivals = trace(700, 6);
-    let mut engine = EngineBuilder::new(chain3())
+    let mut engine = EngineBuilder::new(chain3(WindowSpec::secs(40)))
         .policy(MSketch)
         .capacity_per_window(24)
         .seed(5)
         .shard_config(ShardConfig {
             shards: 4,
             collect_rows: true,
-            broadcast: false,
             ..ShardConfig::default()
         })
         .build_sharded()
@@ -245,14 +237,14 @@ fn non_partitionable_query_degrades_with_reason_and_stays_exact() {
     assert_eq!(report.combined.shards, 1);
     assert_eq!(report.combined.degraded.as_deref(), Some(reason.as_str()));
 
-    let (oracle, oracle_metrics) = single_engine_rows(chain3(), 24, &arrivals);
+    let (oracle, oracle_metrics) = single_engine_rows(chain3(WindowSpec::secs(40)), 24, &arrivals);
     assert!(oracle_metrics.shed_window > 0, "this capacity must shed");
     assert_eq!(canon(&report.rows.as_ref().unwrap()[0]), oracle);
     assert_eq!(det(&report.combined.metrics), det(&oracle_metrics));
 }
 
 /// Tuple-count windows expire by arrivals-seen on the stream; the tick
-/// broadcast keeps every shard's count exact, so a multi-shard run still
+/// summaries keep every shard's count exact, so a multi-shard run still
 /// matches the single engine at full memory.
 #[test]
 fn tuple_windows_match_oracle_across_shards() {
@@ -286,7 +278,6 @@ fn coalesced_tick_summaries_match_per_arrival_semantics() {
                 shards,
                 channel_capacity: 4,
                 batch_size: 64, // deep coalescing: many ticks per summary
-                backpressure: Backpressure::Block,
                 collect_rows: true,
                 ..ShardConfig::default()
             },
@@ -320,7 +311,6 @@ fn buffer_recycling_survives_capacity_one_stress() {
         shards: 4,
         channel_capacity: 1,
         batch_size: 1, // one item per batch: maximum recycling churn
-        backpressure: Backpressure::Block,
         collect_rows: true,
         ..ShardConfig::default()
     };
@@ -333,40 +323,6 @@ fn buffer_recycling_survives_capacity_one_stress() {
         canon(&b.rows.as_ref().unwrap()[0])
     );
     assert_eq!(det(&a.combined.metrics), det(&b.combined.metrics));
-}
-
-/// Under `Backpressure::Shed` with a starved channel, every arrival is
-/// accounted for — processed by some worker or counted as channel-shed —
-/// and the emitted rows are still a sub-multiset of the oracle (rejected
-/// tick summaries are re-queued, never dropped, so expiry stays exact for
-/// the tuples that do get through).
-#[test]
-fn shed_backpressure_accounts_every_arrival() {
-    let arrivals = trace(600, 8);
-    let (oracle, _) = single_engine_rows(keyed3(WindowSpec::Tuples(15)), 100_000, &arrivals);
-    let report = sharded_rows_with(
-        keyed3(WindowSpec::Tuples(15)),
-        100_000,
-        &arrivals,
-        ShardConfig {
-            shards: 4,
-            channel_capacity: 1,
-            batch_size: 1,
-            backpressure: Backpressure::Shed,
-            collect_rows: true,
-            ..ShardConfig::default()
-        },
-    );
-    assert_eq!(
-        report.combined.metrics.processed + report.shed_channel,
-        arrivals.len() as u64,
-        "every arrival is processed or counted as channel-shed"
-    );
-    let rows = canon(&report.rows.as_ref().unwrap()[0]);
-    assert!(
-        is_sub_multiset(&rows, &oracle),
-        "channel shedding emitted a row the oracle never produced"
-    );
 }
 
 /// Sharded runs are a pure function of (query, config, trace): the same
@@ -410,7 +366,7 @@ fn skewed_trace(n: usize, key_domain: u64) -> Vec<Arrival> {
 
 /// Skewed keys are not split: at full memory the merged output equals the
 /// single-engine oracle exactly, and every arrival has exactly one
-/// delivery — no copies, one routed slot each. Both window kinds.
+/// delivery — one routed slot each. Both window kinds.
 #[test]
 fn skewed_keys_match_oracle_at_full_memory() {
     for window in [WindowSpec::secs(25), WindowSpec::Tuples(15)] {
@@ -420,10 +376,6 @@ fn skewed_keys_match_oracle_at_full_memory() {
         for shards in [2, 4] {
             let report = sharded_rows(keyed3(window), shards, 100_000, &arrivals);
             let m = &report.combined.metrics;
-            assert_eq!(
-                m.replicated, 0,
-                "S={shards} {window:?}: no arrival is copied"
-            );
             assert_eq!(m.processed, arrivals.len() as u64);
             assert_eq!(report.routed.iter().sum::<u64>(), arrivals.len() as u64);
             let rows = canon(&report.rows.as_ref().unwrap()[0]);
@@ -491,50 +443,27 @@ fn skewed_keys_shed_as_sub_multiset_and_replay() {
     }
 }
 
-/// Broadcast mode: the chain query (not key-partitionable) runs at the
-/// requested shard count with no degrade reason, and at full memory the
-/// merged output equals the single-engine oracle — every result
-/// combination contains exactly one dominant-stream tuple, resident on
-/// exactly one shard. Exercised with time and tuple windows (the latter
-/// drives the dominant-stream tick path).
+/// The chain query on a multi-shard request, at full memory: the run
+/// degrades to one worker (the query was once served wide by a broadcast
+/// mode, hence the name), delivers every arrival exactly once, and its
+/// rows equal the single-engine oracle. Time and tuple windows, S ∈ {2, 4}.
 #[test]
 fn broadcast_mode_matches_oracle_at_full_memory() {
     for window in [WindowSpec::secs(40), WindowSpec::Tuples(20)] {
         let arrivals = trace(700, 6);
-        let (oracle, oracle_metrics) =
-            single_engine_rows(chain3_windowed(window), 100_000, &arrivals);
+        let (oracle, oracle_metrics) = single_engine_rows(chain3(window), 100_000, &arrivals);
         assert!(!oracle.is_empty(), "trace must produce joins");
         for shards in [2, 4] {
-            let report = sharded_rows_with(
-                chain3_windowed(window),
-                100_000,
-                &arrivals,
-                ShardConfig {
-                    shards,
-                    channel_capacity: 4,
-                    batch_size: 7,
-                    backpressure: Backpressure::Block,
-                    collect_rows: true,
-                    ..ShardConfig::default()
-                },
-            );
-            assert_eq!(report.combined.shards, shards, "broadcast mode runs wide");
-            assert_eq!(report.combined.degraded, None);
-            assert!(report.broadcast, "report must flag broadcast mode");
-            assert!(
-                report.combined.metrics.replicated > 0,
-                "broadcast streams must replicate"
-            );
+            let report = sharded_rows(chain3(window), shards, 100_000, &arrivals);
+            assert_eq!(report.combined.shards, 1, "S={shards} {window:?}: chain query degrades");
+            assert!(report.combined.degraded.is_some());
             assert_eq!(
                 report.combined.metrics.processed,
                 arrivals.len() as u64,
-                "exactly one FULL delivery per arrival"
+                "exactly one delivery per arrival"
             );
             let rows = canon(&report.rows.as_ref().unwrap()[0]);
-            assert_eq!(
-                rows, oracle,
-                "S={shards} {window:?}: broadcast output diverged from oracle"
-            );
+            assert_eq!(rows, oracle, "S={shards} {window:?}: output diverged from oracle");
             assert_eq!(
                 report.combined.metrics.total_output,
                 oracle_metrics.total_output
@@ -543,23 +472,15 @@ fn broadcast_mode_matches_oracle_at_full_memory() {
     }
 }
 
-/// Broadcast-mode shedding and replay: reduced memory stays a
-/// sub-multiset of the oracle, every arrival is accounted once, and the
-/// same seed replays identically.
+/// The chain query on a multi-shard request, under shedding: reduced
+/// memory stays a sub-multiset of the full-memory oracle, every arrival
+/// is accounted once, and the same seed replays identically.
 #[test]
 fn broadcast_mode_sheds_as_sub_multiset_and_replays() {
     let arrivals = trace(700, 6);
-    let (oracle, _) = single_engine_rows(chain3(), 100_000, &arrivals);
-    let config = ShardConfig {
-        shards: 4,
-        channel_capacity: 4,
-        batch_size: 7,
-        backpressure: Backpressure::Block,
-        collect_rows: true,
-        ..ShardConfig::default()
-    };
-    let a = sharded_rows_with(chain3(), 24, &arrivals, config.clone());
-    assert!(a.broadcast);
+    let query = || chain3(WindowSpec::secs(40));
+    let (oracle, _) = single_engine_rows(query(), 100_000, &arrivals);
+    let a = sharded_rows(query(), 4, 24, &arrivals);
     assert!(
         a.combined.metrics.shed_window > 0,
         "capacity 24 must shed on this trace"
@@ -568,9 +489,9 @@ fn broadcast_mode_sheds_as_sub_multiset_and_replays() {
     let rows = canon(&a.rows.as_ref().unwrap()[0]);
     assert!(
         is_sub_multiset(&rows, &oracle),
-        "broadcast shedding emitted a row the oracle never produced"
+        "shedding emitted a row the oracle never produced"
     );
-    let b = sharded_rows_with(chain3(), 24, &arrivals, config);
+    let b = sharded_rows(query(), 4, 24, &arrivals);
     assert_eq!(rows, canon(&b.rows.as_ref().unwrap()[0]));
     assert_eq!(det(&a.combined.metrics), det(&b.combined.metrics));
 }
