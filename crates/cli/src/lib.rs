@@ -28,16 +28,13 @@ pub fn dispatch(args: &[String], out: &mut dyn std::io::Write) -> Result<(), Cli
     let (sub, rest) = args
         .split_first()
         .ok_or_else(|| CliError::usage("missing subcommand"))?;
-    let flags = Flags::parse(rest)?;
+    let flags = |accepted| Flags::parse(rest, accepted);
     match sub.as_str() {
-        "run" => run(&flags, out),
-        "generate" => generate(&flags, out),
-        "explain" => explain(&flags, out),
-        "policies" => policies(out),
-        "help" | "--help" | "-h" => {
-            write!(out, "{}", USAGE).map_err(CliError::from)?;
-            Ok(())
-        }
+        "run" => run(&flags(opts::RUN_FLAGS)?, out),
+        "generate" => generate(&flags(opts::GENERATE_FLAGS)?, out),
+        "explain" => explain(&flags(opts::EXPLAIN_FLAGS)?, out),
+        "policies" => flags("").and_then(|_| policies(out)),
+        "help" | "--help" | "-h" => flags("").and_then(|_| Ok(write!(out, "{USAGE}")?)),
         other => Err(CliError::usage(format!("unknown subcommand `{other}`"))),
     }
 }

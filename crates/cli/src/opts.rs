@@ -51,44 +51,47 @@ pub struct Flags {
     switches: Vec<String>,
 }
 
-/// The flags that take a value; everything else `--x` is a switch.
-const VALUE_FLAGS: &[&str] = &[
-    "--query",
-    "--query-file",
-    "--queries",
-    "--trace",
-    "--policy",
-    "--capacity",
-    "--rate",
-    "--service",
-    "--queue",
-    "--seed",
-    "--shards",
-    "--disorder-bound",
-    "--workload",
-    "--out",
-    "--tuples",
-    "--z",
-];
+/// The switches: flags that take no value.
+const SWITCHES: &str = "--json --stage-json --drift";
+
+/// The flags `mstream run` reads.
+pub(crate) const RUN_FLAGS: &str = "--query --query-file --queries --trace --policy --capacity \
+     --rate --service --queue --seed --shards --disorder-bound --json --stage-json";
+
+/// The flags `mstream generate` reads.
+pub(crate) const GENERATE_FLAGS: &str = "--workload --out --tuples --z --drift --seed";
+
+/// The flags `mstream explain` reads.
+pub(crate) const EXPLAIN_FLAGS: &str = "--query --query-file";
+
+/// Whether the space-separated `list` names `flag`.
+fn lists(list: &str, flag: &str) -> bool {
+    list.split_whitespace().any(|f| f == flag)
+}
 
 impl Flags {
-    /// Parses a flag list.
-    pub fn parse(args: &[String]) -> Result<Flags, CliError> {
+    /// Parses a flag list, refusing any flag the space-separated
+    /// `accepted` (the flags the subcommand reads) does not name, so a typo
+    /// or a retired flag is an error rather than silently ignored.
+    pub fn parse(args: &[String], accepted: &str) -> Result<Flags, CliError> {
         let mut flags = Flags::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             if !arg.starts_with("--") {
                 return Err(CliError::usage(format!("unexpected argument `{arg}`")));
             }
-            if VALUE_FLAGS.contains(&arg.as_str()) {
+            if !lists(accepted, arg) {
+                return Err(CliError::usage(format!("unknown flag `{arg}`")));
+            }
+            if lists(SWITCHES, arg) {
+                flags.switches.push(arg.clone());
+            } else {
                 let value = it
                     .next()
                     .ok_or_else(|| CliError::usage(format!("{arg} needs a value")))?;
                 if flags.values.insert(arg.clone(), value.clone()).is_some() {
                     return Err(CliError::usage(format!("{arg} given twice")));
                 }
-            } else {
-                flags.switches.push(arg.clone());
             }
         }
         Ok(flags)
@@ -107,12 +110,7 @@ impl Flags {
 
     /// A parsed numeric flag with a default.
     pub fn num<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, CliError> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::usage(format!("{flag}: cannot parse `{v}`"))),
-        }
+        Ok(self.num_opt(flag)?.unwrap_or(default))
     }
 
     /// A parsed numeric flag with no default.
@@ -137,7 +135,8 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Flags, CliError> {
-        Flags::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        Flags::parse(&args, RUN_FLAGS)
     }
 
     #[test]
@@ -175,5 +174,44 @@ mod tests {
         let f = parse(&["--capacity", "many"]).unwrap();
         let err = f.num::<usize>("--capacity", 1).unwrap_err();
         assert!(err.to_string().contains("--capacity"));
+    }
+
+    /// Every flag the usage text lists for a subcommand, on its
+    /// `mstream <sub>` line or in its OPTIONS section, parses for it.
+    #[test]
+    fn every_flag_usage_lists_parses_for_its_subcommand() {
+        let table = |name: &str| match name {
+            "run" | "RUN" => RUN_FLAGS,
+            "generate" | "GENERATE" => GENERATE_FLAGS,
+            "explain" => EXPLAIN_FLAGS,
+            _ => "",
+        };
+        let (mut section, mut listed) = ("", 0);
+        for line in crate::USAGE.lines() {
+            let mut words = line.split_whitespace();
+            let (accepted, flags): (&str, Vec<&str>) = match words.next() {
+                Some("mstream") if line.starts_with("    ") => {
+                    let accepted = table(words.next().expect("a subcommand"));
+                    (accepted, words.filter(|w| w.starts_with("--")).collect())
+                }
+                Some(heading) if line.ends_with(" OPTIONS:") => {
+                    section = table(heading);
+                    continue;
+                }
+                Some(flag) if line.starts_with("    --") => (section, vec![flag]),
+                _ => continue,
+            };
+            for flag in flags {
+                let mut args = vec![flag.to_string()];
+                if !lists(SWITCHES, flag) {
+                    args.push("1".into());
+                }
+                if let Err(err) = Flags::parse(&args, accepted) {
+                    panic!("`{flag}` in the usage text: {err}");
+                }
+                listed += 1;
+            }
+        }
+        assert!(listed > 20, "the usage text lists {listed} flags");
     }
 }

@@ -685,8 +685,7 @@ impl ShardedJoinEngine {
     /// their metrics, per-query counters and (when collected) rows into one
     /// report.
     ///
-    /// Fails with [`Error::Shard`] if any worker panicked — under the
-    /// `audit` feature workers check engine invariants after every tuple.
+    /// Fails with [`Error::Shard`] if any worker panicked.
     pub fn finish(mut self) -> Result<ShardedRunReport> {
         // Drain the reorder stage first: end of trace, so every
         // still-buffered arrival releases regardless of the watermark
@@ -876,8 +875,6 @@ fn worker_loop(
             } else {
                 engine.ingest_tuple(tuple, now, &mut count_sink);
             }
-            #[cfg(feature = "audit")]
-            engine.check_invariants();
         }
         // Hand the emptied allocation back for reuse. The return channel
         // is sized to hold every in-flight buffer, so a failure only

@@ -153,7 +153,6 @@ impl ScoreCache {
     ///
     /// # Panics
     /// Panics on any violated invariant.
-    #[cfg(any(test, feature = "audit"))]
     pub(crate) fn check_invariants(&self, current_generation: u64) {
         assert!(
             self.map.len() <= self.max_entries,

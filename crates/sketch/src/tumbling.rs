@@ -377,12 +377,11 @@ impl TumblingSketches {
     /// - the bank's deferred-update state holds
     ///   (the bank's own `check_invariants`).
     ///
-    /// O(streams² · copies); compiled only for tests and the `audit`
-    /// feature, where the differential harness calls it after every arrival.
+    /// O(streams² · copies); the differential harness calls it after every
+    /// arrival.
     ///
     /// # Panics
     /// Panics on any violated invariant.
-    #[cfg(any(test, feature = "audit"))]
     pub fn check_invariants(&self) {
         let n = self.has_last.len();
         let copies = self.bank.config().copies();

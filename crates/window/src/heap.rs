@@ -115,14 +115,12 @@ impl IndexedHeap {
     }
 
     /// Number of entries.
-    #[cfg(any(test, feature = "audit"))]
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Whether the heap is empty.
-    #[cfg(any(test, feature = "audit"))]
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
@@ -190,7 +188,6 @@ impl IndexedHeap {
     }
 
     /// Whether `slot` is in the heap.
-    #[cfg(any(test, feature = "audit"))]
     pub(crate) fn contains(&self, slot: Slot) -> bool {
         self.position(slot).is_some()
     }
@@ -277,14 +274,12 @@ impl IndexedHeap {
 
     /// Structural invariant check: heap order + position-map bijection.
     ///
-    /// O(n); compiled only for tests and the `audit` feature, where the
-    /// differential harness calls it after every arrival.
+    /// O(n); the differential harness calls it after every arrival.
     ///
     /// # Panics
     /// Panics if the heap order is violated, or if `positions` is not an
     /// exact inverse of the heap array (missing, stale, or duplicated
     /// entries).
-    #[cfg(any(test, feature = "audit"))]
     pub(crate) fn check_invariants(&self) {
         let resident = self.positions.iter().filter(|&&p| p != 0).count();
         assert_eq!(

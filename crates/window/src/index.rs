@@ -98,7 +98,6 @@ impl<'a> Candidates<'a> {
 
     /// The candidate at `pos`, if in range.
     #[inline]
-    #[cfg(any(test, feature = "audit"))]
     pub(crate) fn get(&self, pos: usize) -> Option<Slot> {
         if pos < self.head.len() {
             Some(self.head[pos])
@@ -409,13 +408,11 @@ impl FlatIndex {
     /// reachability from its hash position, slot totals, spill-block
     /// bounds and free-list disjointness.
     ///
-    /// O(capacity + spill); compiled only for tests and the `audit`
-    /// feature, where the differential harness calls it (via
+    /// O(capacity + spill); the differential harness calls it (via
     /// `WindowStore::check_invariants`) after every arrival.
     ///
     /// # Panics
     /// Panics on any violated invariant.
-    #[cfg(any(test, feature = "audit"))]
     pub(crate) fn check_invariants(&self) {
         assert_eq!(self.ctrl.len(), self.buckets.len(), "ctrl/bucket length");
         assert_eq!(self.ctrl.len(), self.keys.len(), "ctrl/key length");

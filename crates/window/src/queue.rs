@@ -128,7 +128,6 @@ impl ShedQueue {
         Some(tuple)
     }
 
-    #[cfg(any(test, feature = "audit"))]
     pub(crate) fn check_consistency(&self) {
         assert_eq!(self.arena.len(), self.heap.len());
         assert_eq!(self.arena.len(), self.live.len());
@@ -143,11 +142,8 @@ impl ShedQueue {
     /// position-map invariants, the capacity bound, and agreement between
     /// the lazily-cleaned FIFO deque and the arena.
     ///
-    /// Compiled only for tests and the `audit` feature.
-    ///
     /// # Panics
     /// Panics on any violated invariant.
-    #[cfg(any(test, feature = "audit"))]
     pub fn check_invariants(&self) {
         self.check_consistency();
         self.heap.check_invariants();

@@ -646,7 +646,6 @@ impl WindowStore {
     /// Internal consistency check used by tests: every resident tuple is in
     /// the heap — or, on a deferred store, none is and the heap is empty —
     /// and in every index bucket its values demand, and vice versa.
-    #[cfg(any(test, feature = "audit"))]
     pub(crate) fn check_consistency(&self) {
         if self.deferred {
             assert!(self.heap.is_empty(), "heap entry on a deferred store");
@@ -680,12 +679,10 @@ impl WindowStore {
     /// between the expiry queue (live front, its due key on record, dead
     /// entries only behind it) and the arena.
     ///
-    /// O(n log n); compiled only for tests and the `audit` feature, where
-    /// the differential harness calls it after every arrival.
+    /// O(n log n); the differential harness calls it after every arrival.
     ///
     /// # Panics
     /// Panics on any violated invariant.
-    #[cfg(any(test, feature = "audit"))]
     pub fn check_invariants(&self) {
         self.check_consistency();
         self.heap.check_invariants();
@@ -738,7 +735,6 @@ impl WindowStore {
     /// Differential check of every open-addressed index against a reference
     /// `HashMap<value, Vec<Slot>>` rebuilt from the arena: per-key slot
     /// multisets must agree exactly and the index must hold no extra keys.
-    #[cfg(any(test, feature = "audit"))]
     fn check_index_against_reference(&self) {
         use std::collections::HashMap;
         for (a, &attr) in self.join_attrs.iter().enumerate() {

@@ -23,6 +23,35 @@ if [ -n "$OPEN_MODS" ]; then
   echo "FAIL: a library crate declares a pub mod besides mstream_sketch::kernel and mstream_core::prelude"
   exit 1
 fi
+# One build, one behaviour: the `audit` feature belongs to mstream-core
+# alone and adds items the audit calls (a fn, an impl, a struct field or a
+# module), never a statement on a path an arrival reaches, so the root build
+# — where cargo unifies mstream-audit's `features = ["audit"]` into every
+# binary — runs what a `-p mstream-cli` build runs.
+AUDIT_GATE=$({ grep -rln 'feature = "audit"' crates tests examples || true; } | sort | while read -r FILE; do
+  case "$FILE" in
+    crates/core/src/*|crates/audit/*) ;;
+    *) grep -n 'feature = "audit"' "$FILE" | sed "s|^|$FILE:|; s|\$| (outside crates/core/src and crates/audit)|" ;;
+  esac
+  # The line after the attribute (and any attributes or comments stacked
+  # under it) must open an item.
+  awk -v file="$FILE" '
+    gated && /^[[:space:]]*(#\[|\/\/)/ { next }
+    gated {
+      if ($0 !~ /^[[:space:]]*(pub(\([a-z]+\))? )?((const |unsafe )*fn |impl[ <]|mod |[a-z_][a-z0-9_]*: [^=!]*,$)/)
+        printf "%s:%d: %s (not on an item)\n", file, at, $0
+      gated = 0
+    }
+    /feature = "audit"/ {
+      if ($0 ~ /^[[:space:]]*#\[cfg/) { gated = 1; at = NR }
+      else printf "%s:%d: %s (not a cfg attribute)\n", file, NR, $0
+    }' "$FILE"
+done)
+if [ -n "$AUDIT_GATE" ]; then
+  echo "$AUDIT_GATE"
+  echo "FAIL: feature = \"audit\" outside crates/core/src and crates/audit, or on a statement rather than an item"
+  exit 1
+fi
 # The benchmark is a package outside the workspace, so the commands
 # above do not notice when an API it calls disappears.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
@@ -275,6 +304,15 @@ for EXTRA in "--disorder-bound 5" "--shards 2"; do
   fi
 done
 echo "overload smoke: $PROCESSED processed + $SHED_Q queue-shed of $ARRIVALS arrivals"
+# A flag the subcommand does not read is a usage error (exit 2), so a typo
+# or a retired flag cannot pass unnoticed.
+for FLAG in --jsn --no-broadcast; do
+  RC=0
+  ./target/release/mstream run --query "$CHAIN_QUERY" --trace target/check_shard_trace.csv \
+    "$FLAG" > /dev/null 2>&1 || RC=$?
+  [ "$RC" = 2 ] || { echo "FAIL: mstream run with the unknown flag $FLAG exited $RC, not 2"; exit 1; }
+  echo "unknown-flag smoke: mstream run $FLAG exited 2"
+done
 
 # Far-future timestamps: at --rate 1e-9 arrivals land 10^15 µs apart, 5·10^8
 # epochs of a 2-second window. The estimators roll at most three times per
