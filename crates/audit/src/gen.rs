@@ -4,8 +4,7 @@
 //! reproduced exactly by `replay <seed>` — including the engine's own
 //! randomness, which is seeded from the same value.
 
-use mstream_core::InputQueue;
-use mstream_sketch::EpochSpec;
+use mstream_core::{EpochSpec, InputQueue};
 use mstream_types::{
     AttrRef, Catalog, EquiPredicate, JoinQuery, StreamId, StreamSchema, VDur, WindowSpec,
 };
@@ -558,7 +557,7 @@ mod tests {
             generate_case(5).queue.is_none(),
             "other seeds stay unqueued"
         );
-        use mstream_shed_policies::{parse_policy, ALL_POLICY_NAMES};
+        use mstream_core::{parse_policy, ALL_POLICY_NAMES};
         let victim = |n: &&str| format!("{:?}", parse_policy(n).unwrap().queue_victim());
         let modes: std::collections::BTreeSet<String> =
             ALL_POLICY_NAMES.iter().map(victim).collect();

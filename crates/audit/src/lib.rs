@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn deferral_ab_class_is_the_even_seeds_of_deferrable_policies() {
         use crate::run::ab_pair;
-        for &name in mstream_shed_policies::ALL_POLICY_NAMES {
+        for &name in mstream_core::ALL_POLICY_NAMES {
             let owes = matches!(name, "MSketch" | "MSketch-RS");
             for front in [true, false] {
                 let (x, y, kind) = ab_pair(false, front, name);

@@ -7,10 +7,10 @@
 use crate::disorder::inject_disorder;
 use crate::eager::Eager;
 use crate::gen::{catalog_order, pool_streams, Arrival, Case, Churn, ReducedMemory, Trace};
-use mstream_core::{EngineBuilder, EngineMetrics, QueryFnSink, ShardConfig};
-use mstream_join::{Bindings, ExactJoin};
-use mstream_shed_policies::{parse_policy, ShedPolicy, ALL_POLICY_NAMES};
-use mstream_sketch::BankConfig;
+use mstream_core::{
+    parse_policy, BankConfig, Bindings, EngineBuilder, EngineMetrics, ExactJoin, QueryFnSink,
+    ShardConfig, ShedPolicy, ALL_POLICY_NAMES,
+};
 use mstream_types::{JoinQuery, Partitioning, QueryId, StreamId, Tuple, VTime, Value, WindowSpec};
 use std::collections::HashMap;
 use std::ops::Range;

@@ -3,7 +3,7 @@
 //! paper's "fast-and-light" claim.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use mstream_core::mstream_sketch::kernel;
+use mstream_core::kernel;
 use mstream_core::mstream_sketch::{
     combine_packed_signs, FourWiseHash, SignCache, SignFamilies, SketchBank, TumblingSketches,
 };

@@ -17,8 +17,8 @@ use crate::engine::{default_epoch, resolve_capacities, EngineConfig, InputQueue}
 use crate::engine::{MemoryMode, ShedJoinEngine};
 use crate::multi::{merge_into_catalog, MultiQueryEngine};
 use crate::shard::{ShardConfig, ShardedJoinEngine};
-use mstream_shed_policies::{MSketch, ShedPolicy};
-use mstream_sketch::BankConfig;
+use crate::shed::{MSketch, ShedPolicy};
+use crate::sketch::BankConfig;
 use mstream_types::{Catalog, Error, JoinQuery, QueryId};
 use std::fmt;
 
@@ -220,7 +220,7 @@ impl EngineBuilder {
     }
 
     /// Sets a boxed shedding policy (e.g. from
-    /// [`mstream_shed_policies::parse_policy`]).
+    /// [`crate::parse_policy`]).
     pub fn boxed_policy(mut self, policy: Box<dyn ShedPolicy>) -> Self {
         self.policy = policy;
         self
@@ -254,7 +254,7 @@ impl EngineBuilder {
     /// Overrides the tumbling-epoch discipline (default: epoch = window,
     /// the paper's). Only the audit draws epochs apart from the window.
     #[cfg(feature = "audit")]
-    pub fn epoch(mut self, epoch: mstream_sketch::EpochSpec) -> Self {
+    pub fn epoch(mut self, epoch: crate::sketch::EpochSpec) -> Self {
         self.config.epoch = Some(epoch);
         self
     }
@@ -414,7 +414,7 @@ fn check_catalogs_compatible(a: &JoinQuery, b: &JoinQuery) -> Result<(), BuildEr
 mod tests {
     use super::*;
     use crate::ingest::{Arrival, CountSink};
-    use mstream_shed_policies::Fifo;
+    use crate::Fifo;
     use mstream_types::{Catalog, StreamId, StreamSchema, VTime, Value, WindowSpec};
 
     fn pair_query() -> JoinQuery {
@@ -454,7 +454,7 @@ mod tests {
 
     #[test]
     fn builder_accepts_parsed_policies() {
-        let boxed = mstream_shed_policies::parse_policy("bjoin").unwrap();
+        let boxed = crate::parse_policy("bjoin").unwrap();
         let e = EngineBuilder::new(pair_query())
             .boxed_policy(boxed)
             .build()

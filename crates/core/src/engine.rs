@@ -9,12 +9,12 @@
 use crate::builder::BuildError;
 use crate::clock::Sample;
 use crate::ingest::Arrival;
+use crate::join::{ProbePlan, Run};
 use crate::report::EngineMetrics;
-use mstream_join::{ProbePlan, Run};
-use mstream_shed_policies::{clamp_score, PriorityCtx, Requirements, ShedPolicy};
-use mstream_sketch::{BankConfig, EpochSpec, TumblingFreq, TumblingSketches};
+use crate::shed::{clamp_score, PriorityCtx, Requirements, ShedPolicy};
+use crate::sketch::{BankConfig, EpochSpec, TumblingFreq, TumblingSketches};
+use crate::window::{Eviction, InsertOutcome, ReorderBuffer, ShedQueue, Slot, WindowStore};
 use mstream_types::{JoinQuery, StreamId, Tuple, VDur, VTime, Value, WindowSpec};
-use mstream_window::{Eviction, InsertOutcome, ReorderBuffer, ShedQueue, Slot, WindowStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -652,8 +652,8 @@ pub(crate) fn default_epoch(
 mod tests {
     use super::*;
     use crate::ingest::CountSink;
-    use mstream_join::{probe_runs_in, StoreLookup};
-    use mstream_shed_policies::{Bjoin, Fifo, MSketch, MSketchRs, RandomLoad};
+    use crate::join::{probe_runs_in, StoreLookup};
+    use crate::{Bjoin, Fifo, MSketch, MSketchRs, RandomLoad};
     use mstream_types::{Catalog, Error, SeqNo, StreamSchema, VDur, Value};
 
     /// The engine over `query` alone, through the plane's constructor.
@@ -738,7 +738,7 @@ mod tests {
     fn unshedded_engine_matches_exact_join() {
         // With capacity >= arrivals the engine must be exact regardless of
         // policy.
-        use mstream_join::ExactJoin;
+        use crate::join::ExactJoin;
         use rand::Rng;
         let mut engine =
             solo(chain3(50), Box::new(MSketch), cfg(10_000)).unwrap();
@@ -763,8 +763,8 @@ mod tests {
         let policies: Vec<Box<dyn ShedPolicy>> = vec![
             Box::new(MSketch),
             Box::new(MSketchRs),
-            Box::new(mstream_shed_policies::Age),
-            Box::new(mstream_shed_policies::Life),
+            Box::new(crate::Age),
+            Box::new(crate::Life),
             Box::new(Bjoin),
             Box::new(RandomLoad),
             Box::new(Fifo),
@@ -804,7 +804,7 @@ mod tests {
         let policies: &[fn() -> Box<dyn ShedPolicy>] = &[
             || Box::new(MSketch),
             || Box::new(MSketchRs),
-            || Box::new(mstream_shed_policies::Age),
+            || Box::new(crate::Age),
         ];
         for mk in policies {
             let run = |cached: bool| {
@@ -1005,7 +1005,7 @@ mod tests {
                 }
             });
             assert!(blocks > 0, "origin {origin}: no run spans several outer candidates");
-            let rows = mstream_join::probe_each_in(plan, &t, &stores, |b| {
+            let rows = crate::probe::probe_each_in(plan, &t, &stores, |b| {
                 for (k, s) in by_row.iter_mut().enumerate() {
                     if let Some(slot) = b.slot(StreamId(k)) {
                         s.add(slot, 1);

@@ -30,7 +30,7 @@
 //! [`QueryId::SOLO`]; the multi-query engine fans one arrival out to every
 //! registered query and tags each result with its owner.
 
-use mstream_join::{Bindings, Run};
+use crate::join::{Bindings, Run};
 use mstream_types::{QueryId, Row, StreamId, Tuple, VTime};
 
 /// One raw stream event, before the engine assigns it a sequence number.

@@ -2,8 +2,8 @@
 
 use crate::plan::ProbePlan;
 use crate::probe::{probe_count, probe_each, Bindings};
+use crate::window::WindowStore;
 use mstream_types::{JoinQuery, Row, SeqNo, StreamId, Tuple, VTime};
-use mstream_window::WindowStore;
 
 /// A multi-way window join with no memory limit and no shedding.
 ///

@@ -3,7 +3,7 @@
 //! The paper's operator (§2, Figure 1) processes one tuple at a time: when
 //! tuple `t` of stream `S_i` reaches the join operator, expired tuples are
 //! deleted from every window, the join result produced by `t` against all
-//! *other* windows is emitted, and `t` is stored in `W_i`. This crate
+//! *other* windows is emitted, and `t` is stored in `W_i`. This layer
 //! implements the probing machinery that all engines (shedding or exact)
 //! share:
 //!
@@ -17,7 +17,7 @@
 //!   view of its shared store table): a consumer that counts or credits
 //!   per tuple reads a run's length and its two slot lists, once per
 //!   block instead of once per result row or per outer candidate.
-//! * [`probe_each`] / [`probe_each_in`] / [`probe_count`] — its row-wise
+//! * `probe_each` / `probe_each_in` / `probe_count` — its row-wise
 //!   and counting instantiations: every combination of window tuples that
 //!   joins with the arriving tuple as a zero-copy [`Bindings`] view
 //!   (windowed aggregates, result collection), or just how many.
@@ -27,8 +27,8 @@
 
 //!
 //! ```
-//! use mstream_join::ExactJoin;
-//! use mstream_types::{Catalog, JoinQuery, StreamId, StreamSchema, VTime, Value, WindowSpec};
+//! use mstream_core::prelude::ExactJoin;
+//! use mstream_core::mstream_types::{Catalog, JoinQuery, StreamId, StreamSchema, VTime, Value, WindowSpec};
 //!
 //! let mut c = Catalog::new();
 //! c.add_stream(StreamSchema::new("L", &["k"]));
@@ -41,15 +41,6 @@
 //! assert_eq!(join.total_output(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-mod exact;
-mod plan;
-mod probe;
-
-pub use exact::ExactJoin;
-pub use plan::{PlanStep, ProbePlan};
-pub use probe::{
-    probe_count, probe_each, probe_each_in, probe_runs_in, Bindings, Run, StoreLookup,
-};
+pub(crate) use crate::exact::ExactJoin;
+pub(crate) use crate::plan::ProbePlan;
+pub(crate) use crate::probe::{probe_runs_in, Bindings, Run, StoreLookup};

@@ -27,8 +27,8 @@
 //! [`probe_each_in`] and [`probe_count`] are instantiations.
 
 use crate::plan::{PlanStep, ProbePlan};
+use crate::window::{FlatIndex, Slot, WindowStore};
 use mstream_types::{StreamId, Tuple, Value};
-use mstream_window::{FlatIndex, Slot, WindowStore};
 
 /// Resolves a query-local stream id to the window store backing it.
 ///
@@ -38,7 +38,7 @@ use mstream_window::{FlatIndex, Slot, WindowStore};
 /// each query a *mapped* view (query-local stream `k` → some shared store),
 /// which is why the probe kernels and [`Bindings`] reach stores through
 /// this trait instead of indexing a slice.
-pub trait StoreLookup {
+pub(crate) trait StoreLookup {
     /// The window store holding tuples of query-local stream `stream`.
     fn store(&self, stream: StreamId) -> &WindowStore;
 }
@@ -125,7 +125,7 @@ impl<'a> Bindings<'a> {
 /// Every stream but the last two plan steps' is bound (the *prefix*). The
 /// last step's surviving candidates — the *inner list*, a contiguous
 /// stretch of one index bucket, as the two
-/// [`mstream_window::Candidates::parts`] slices — each complete one match
+/// `Candidates::parts` slices — each complete one match
 /// with each slot of the *outer stretch*: consecutive candidates of the
 /// step before it that all drive the last step to that same inner list
 /// (they carry the same drive value, or the last step is not driven by
@@ -139,7 +139,7 @@ impl<'a> Bindings<'a> {
 /// last step carries residual predicates: those may read the outer tuple,
 /// so which inner candidates survive is not shared between outer ones.
 ///
-/// A run is what the probe kernels deliver ([`probe_runs_in`]). A consumer
+/// A run is what the probe kernels deliver (`probe_runs_in`). A consumer
 /// that only counts reads [`Run::len`]; one that credits per tuple reads
 /// the prefix ([`Run::slot`]) once, the inner list ([`Run::slots`]) once
 /// and the outer stretch ([`Run::outer_slots`]) once; one that needs the
@@ -261,7 +261,7 @@ impl<'a> Run<'a> {
     }
 }
 
-/// The two slices of a candidate list ([`mstream_window::Candidates::parts`]).
+/// The two slices of a candidate list ([`crate::index::Candidates::parts`]).
 type Parts<'a> = (&'a [Slot], &'a [Slot]);
 
 /// No outer stretch: what a delivery of the innermost level alone passes.
@@ -443,7 +443,7 @@ pub fn probe_each<F: FnMut(&Bindings<'_>)>(
 
 /// [`probe_each`] over any [`StoreLookup`]: every row of every run
 /// [`probe_runs_in`] delivers, in order.
-pub fn probe_each_in<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
+pub(crate) fn probe_each_in<L: StoreLookup, F: FnMut(&Bindings<'_>)>(
     plan: &ProbePlan,
     origin_tuple: &Tuple,
     stores: &L,
@@ -494,7 +494,7 @@ fn scratch<'a, T: Clone>(
 /// `k`. `origin_tuple` stands for `plan.origin()` whatever its own `stream`
 /// tag says — the multi-query plane probes with the arriving tuple under
 /// its global tag.
-pub fn probe_runs_in<L: StoreLookup, F: FnMut(&mut Run<'_>)>(
+pub(crate) fn probe_runs_in<L: StoreLookup, F: FnMut(&mut Run<'_>)>(
     plan: &ProbePlan,
     origin_tuple: &Tuple,
     stores: &L,

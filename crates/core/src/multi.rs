@@ -11,14 +11,14 @@
 //! touch the same `(stream, window)` pair share the store outright. A class
 //! is a per-query core ([`QueryCore`]: plans, policy, estimation state)
 //! plus a mapping of its local streams into the shared store table; it
-//! probes with `mstream-join`'s kernels through that mapping.
+//! probes with the join layer's kernels through that mapping.
 //!
 //! # Emission order
 //!
 //! Each query's results arrive in its solo run's order. Across queries,
 //! one arrival's results are emitted class by class in class-id
 //! (registration) order, and within a class run by run (the probe's two
-//! innermost levels, [`mstream_join::Run`]), each run to every member in
+//! innermost levels, [`crate::join::Run`]), each run to every member in
 //! registration order — so two members of one class alternate per run,
 //! not per row, while every query's own order is unchanged. A run spans
 //! every consecutive outer candidate sharing its inner list, so that
@@ -62,7 +62,7 @@
 //! the audit harness do exactly this. With one registered query the two
 //! coincide.
 //!
-//! [`Bindings`]: mstream_join::Bindings
+//! [`Bindings`]: crate::join::Bindings
 
 use crate::builder::BuildError;
 use crate::clock::StageClock;
@@ -71,14 +71,14 @@ use crate::engine::{
     ReorderStage,
 };
 use crate::ingest::{Arrival, EmitSink, IngestOutcome};
+use crate::join::{probe_runs_in, StoreLookup};
 use crate::report::EngineMetrics;
-use mstream_join::{probe_runs_in, StoreLookup};
-use mstream_shed_policies::ShedPolicy;
-use mstream_sketch::TumblingSketches;
+use crate::shed::ShedPolicy;
+use crate::sketch::TumblingSketches;
+use crate::window::{Eviction, WindowStore};
 use mstream_types::{
     Catalog, EquiPredicate, JoinQuery, QueryId, SeqNo, StreamId, Tuple, VTime, WindowSpec,
 };
-use mstream_window::{Eviction, WindowStore};
 
 /// One shared window store plus its sharing bookkeeping.
 struct StoreEntry {
@@ -1128,7 +1128,7 @@ mod tests {
     use super::*;
     use crate::builder::EngineBuilder;
     use crate::ingest::{CountSink, QueryRowsSink, VecSink};
-    use mstream_shed_policies::{Fifo, MSketch};
+    use crate::{Fifo, MSketch};
     use mstream_types::{Row, StreamSchema, Value};
 
     fn pair_query(l: &str, r: &str, secs: u64) -> JoinQuery {
@@ -1321,7 +1321,7 @@ mod tests {
         // banks; dismantling a class must fold its counts into the retired
         // baseline, never lose them.
         let mut b = EngineBuilder::new_multi()
-            .policy(mstream_shed_policies::MSketch)
+            .policy(crate::shed::MSketch)
             .capacity_per_window(4); // full windows: every arrival is scored
         b.register(pair_query("L", "R", 30)).unwrap();
         b.register(pair_query("A", "B", 30)).unwrap();
@@ -1399,7 +1399,7 @@ mod tests {
         // engine's two methods: chain(A,B,X) owns the shared X store until
         // it departs mid-run and pair(X,Y) inherits it, owed passes and all.
         use crate::eager::Eager;
-        use mstream_shed_policies::MSketchRs;
+        use crate::MSketchRs;
         let t = trace(&["A", "B", "X", "Y"], 400);
         let run = |policy: Box<dyn ShedPolicy>, capacity: usize| {
             let mut b = EngineBuilder::new_multi()

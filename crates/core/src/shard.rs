@@ -70,9 +70,9 @@ use crate::engine::{EngineConfig, MemoryMode, ReorderStage};
 use crate::ingest::{Arrival, CountSink, QueryRowsSink};
 use crate::multi::{merge_into_catalog, MultiQueryEngine, QueryStats};
 use crate::report::{EngineMetrics, RunReport};
+use crate::shed::ShedPolicy;
+use crate::sketch::BankConfig;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use mstream_shed_policies::ShedPolicy;
-use mstream_sketch::BankConfig;
 use mstream_types::{
     splitmix64, Catalog, Error, JoinQuery, Partitioning, QueryId, Result, Row, SeqNo, StreamId,
     Tuple, VTime, WindowSpec,
@@ -1078,7 +1078,7 @@ mod tests {
 
     fn engine(queries: Vec<JoinQuery>, shard: ShardConfig) -> ShardedJoinEngine {
         let mut b = EngineBuilder::new_multi()
-            .policy(mstream_shed_policies::Fifo)
+            .policy(crate::Fifo)
             .capacity_per_window(1 << 16)
             .shard_config(shard);
         for q in queries {

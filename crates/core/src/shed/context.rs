@@ -1,6 +1,6 @@
 //! The state handed to a policy when it scores a tuple.
 
-use mstream_sketch::{TumblingFreq, TumblingSketches};
+use crate::sketch::{TumblingFreq, TumblingSketches};
 use mstream_types::{JoinQuery, Tuple, VTime};
 use rand::rngs::StdRng;
 
@@ -22,7 +22,7 @@ pub struct Requirements {
     pub recompute_on_epoch: bool,
 }
 
-/// Estimation state lent to [`crate::ShedPolicy`] scoring calls.
+/// Estimation state lent to [`crate::shed::ShedPolicy`] scoring calls.
 ///
 /// `sketches` and `partner_freq` are `Option`s: they are only populated
 /// when the policy's [`Requirements`] asked for them, and a policy that
@@ -30,15 +30,15 @@ pub struct Requirements {
 /// caught by tests, not a data condition).
 pub struct PriorityCtx<'a> {
     /// The query (for predicate incidence and window specs).
-    pub query: &'a JoinQuery,
+    pub(crate) query: &'a JoinQuery,
     /// Tumbling sketches, if required.
-    pub sketches: Option<&'a mut TumblingSketches>,
+    pub(crate) sketches: Option<&'a mut TumblingSketches>,
     /// Tumbling partner-frequency tables, if required.
-    pub partner_freq: Option<&'a TumblingFreq>,
+    pub(crate) partner_freq: Option<&'a TumblingFreq>,
     /// Current virtual time (for lifetime-based policies).
-    pub now: VTime,
+    pub(crate) now: VTime,
     /// The engine's seeded rng (for randomized policies).
-    pub rng: &'a mut StdRng,
+    pub(crate) rng: &'a mut StdRng,
 }
 
 impl<'a> PriorityCtx<'a> {
@@ -121,7 +121,7 @@ impl<'a> PriorityCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mstream_sketch::{BankConfig, EpochSpec};
+    use crate::sketch::{BankConfig, EpochSpec};
     use mstream_types::{Catalog, SeqNo, StreamId, StreamSchema, VDur, Value, WindowSpec};
     use rand::SeedableRng;
 

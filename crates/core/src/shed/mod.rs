@@ -8,26 +8,17 @@
 //! | Policy        | Window score of tuple `t` on `S_i`                      |
 //! |---------------|---------------------------------------------------------|
 //! | [`MSketch`]   | `max(prod(t), 0)` — sketch-estimated productivity       |
-//! | [`MSketchRs`] | `1 − produced(t) / ((n−1)·prod(t))` — remaining fraction|
-//! | [`Age`]       | remaining lifetime × `max(prod(t), 0)`                  |
-//! | [`Life`]      | remaining lifetime × partner frequency (Das et al.)     |
-//! | [`Bjoin`]     | Π partner-window frequency of `t`'s join values (Prob applied pairwise) |
-//! | [`RandomLoad`]| uniform random draw                                     |
-//! | [`Fifo`]      | arrival sequence number (drop-oldest)                   |
+//! | `MSketchRs`   | `1 − produced(t) / ((n−1)·prod(t))` — remaining fraction|
+//! | `Age`         | remaining lifetime × `max(prod(t), 0)`                  |
+//! | `Life`        | remaining lifetime × partner frequency (Das et al.)     |
+//! | `Bjoin`       | Π partner-window frequency of `t`'s join values (Prob applied pairwise) |
+//! | `RandomLoad`  | uniform random draw                                     |
+//! | `Fifo`        | arrival sequence number (drop-oldest)                   |
 //!
 //! The engine supplies a [`PriorityCtx`] carrying whichever state the
 //! policy declares it needs ([`ShedPolicy::requirements`]): tumbling
 //! sketches for productivity, exact partner-frequency tables for the
 //! binary-join baselines, produced-so-far counters for random sampling.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-mod context;
-mod policies;
-
-pub use context::{PriorityCtx, Requirements};
-pub use policies::{
-    clamp_score, parse_policy, Age, Bjoin, Fifo, Life, MSketch, MSketchCurrentEpoch, MSketchRs,
-    RandomLoad, ShedPolicy, ALL_POLICY_NAMES,
-};
+pub(crate) use crate::context::{PriorityCtx, Requirements};
+pub(crate) use crate::policies::{clamp_score, MSketch, ShedPolicy};

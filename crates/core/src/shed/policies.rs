@@ -1,8 +1,8 @@
 //! The concrete policies compared in the paper's evaluation (§5).
 
 use crate::context::{PriorityCtx, Requirements};
+use crate::window::QueueVictim;
 use mstream_types::Tuple;
-use mstream_window::QueueVictim;
 use rand::Rng;
 
 /// Largest magnitude a policy score may take.
@@ -19,7 +19,7 @@ pub(crate) const MAX_SCORE: f64 = 1e300;
 /// finiteness assert in the window heap and panic the engine mid-run. NaN
 /// collapses to `0` (an estimate that carries no information protects
 /// nothing); infinities saturate at `±1e300`.
-pub fn clamp_score(score: f64) -> f64 {
+pub(crate) fn clamp_score(score: f64) -> f64 {
     if score.is_nan() {
         0.0
     } else {
@@ -539,7 +539,7 @@ pub fn parse_policy(name: &str) -> Option<Box<dyn ShedPolicy>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mstream_sketch::{BankConfig, EpochSpec, TumblingFreq, TumblingSketches};
+    use crate::sketch::{BankConfig, EpochSpec, TumblingFreq, TumblingSketches};
     use mstream_types::{
         Catalog, JoinQuery, SeqNo, StreamId, StreamSchema, VDur, VTime, Value, WindowSpec,
     };

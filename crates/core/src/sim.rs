@@ -16,9 +16,9 @@
 
 use crate::engine::ShedJoinEngine;
 use crate::ingest::{Arrival, EmitSink};
+use crate::join::{Bindings, ExactJoin, Run};
 use crate::report::RunReport;
 use mstream_agg::{BucketSeries, HistBuckets};
-use mstream_join::{Bindings, ExactJoin, Run};
 use mstream_types::{JoinQuery, QueryId, StreamId, VDur, VTime};
 use mstream_workload::Trace;
 use std::time::Instant;
@@ -170,8 +170,8 @@ pub fn run_exact_trace(query: &JoinQuery, trace: &Trace, opts: &RunOptions) -> R
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, InputQueue, MemoryMode};
-    use mstream_shed_policies::{Fifo, MSketch};
-    use mstream_sketch::BankConfig;
+    use crate::sketch::BankConfig;
+    use crate::{Fifo, MSketch};
     use mstream_types::{Catalog, StreamSchema, WindowSpec};
     use mstream_workload::{RegionsConfig, RegionsGenerator};
 

@@ -100,7 +100,7 @@ struct BankScratch {
 ///
 /// A `SketchBank` covers **one window's worth** of each stream (one
 /// tumbling epoch). The epoch discipline — current vs. last bank, rollover
-/// every `n` seconds — lives in [`crate::TumblingSketches`].
+/// every `n` seconds — lives in [`crate::sketch::TumblingSketches`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SketchBank {
     config: BankConfig,
@@ -288,6 +288,7 @@ impl SketchBank {
 
     /// The raw atomic-sketch counter `X_k` of `stream` in copy `c`.
     #[inline]
+    #[cfg(any(test, feature = "audit"))]
     pub fn sketch_value(&mut self, c: usize, stream: StreamId) -> i64 {
         self.counters_row(stream)[c]
     }
@@ -295,6 +296,7 @@ impl SketchBank {
     /// The contiguous per-copy counter row of `stream` (`X_k` for every
     /// copy), settled first.
     #[inline]
+    #[cfg(any(test, feature = "audit"))]
     pub fn counters_row(&mut self, stream: StreamId) -> &[i64] {
         self.settle_stream(stream);
         self.settled_row(stream)
@@ -345,6 +347,7 @@ impl SketchBank {
 
     /// Median-of-means estimate of the full multi-way COUNT
     /// `|W_1 ⋈ … ⋈ W_n|` from this bank's sketches.
+    #[cfg(any(test, feature = "audit"))]
     pub fn estimate_join_count(&mut self) -> f64 {
         self.settle();
         let copies = self.config.copies();
@@ -397,6 +400,7 @@ impl SketchBank {
     ///
     /// # Panics
     /// Panics on any violated invariant.
+    #[cfg(any(test, feature = "audit"))]
     pub(crate) fn check_invariants(&self) {
         let copies = self.config.copies();
         let words = words_for(copies);

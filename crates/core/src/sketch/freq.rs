@@ -94,13 +94,13 @@ impl PartnerFrequency {
 
 /// Tumbling-epoch partner-frequency tables over *arrival* streams.
 ///
-/// Mirrors [`crate::TumblingSketches`]: each processed tuple is folded into
+/// Mirrors [`crate::sketch::TumblingSketches`]: each processed tuple is folded into
 /// the current epoch's tables; priorities are answered from the last
 /// completed epoch (per-stream fallback to the current tables while a
 /// stream's first epoch is still open); time-based epochs roll everything
 /// at once, tuple-based epochs roll per stream.
 #[derive(Clone, Debug)]
-pub struct TumblingFreq {
+pub(crate) struct TumblingFreq {
     /// `(predicate, attr on stream, this stream is the predicate's left
     /// endpoint)` for every stream.
     incidence: Vec<Vec<(usize, usize, bool)>>,
@@ -112,14 +112,14 @@ pub struct TumblingFreq {
     has_last: Vec<bool>,
     epoch: EpochSpec,
     /// Time-mode: where the current epoch began (see
-    /// [`crate::TumblingSketches`]).
+    /// [`crate::sketch::TumblingSketches`]).
     epoch_start: VTime,
     arrivals: Vec<u64>,
 }
 
 impl TumblingFreq {
     /// Builds empty tables for `query`.
-    pub fn new(query: &JoinQuery, epoch: EpochSpec) -> Self {
+    pub(crate) fn new(query: &JoinQuery, epoch: EpochSpec) -> Self {
         let n = query.n_streams();
         let incidence = (0..n)
             .map(|s| {
@@ -156,7 +156,7 @@ impl TumblingFreq {
 
     /// Folds an arriving tuple into the current epoch and performs any due
     /// rollover. Returns `true` when a rollover happened.
-    pub fn observe(&mut self, stream: StreamId, values: &[Value], now: VTime) -> bool {
+    pub(crate) fn observe(&mut self, stream: StreamId, values: &[Value], now: VTime) -> bool {
         let mut rolled = false;
         if let EpochSpec::Time(d) = self.epoch {
             // A gap of k epochs rolls min(k, 2) times: the second roll
@@ -213,7 +213,7 @@ impl TumblingFreq {
     ///
     /// # Panics
     /// Panics if `of_stream` is not an endpoint of `pred`.
-    pub fn partner_count(&self, pred: usize, of_stream: StreamId, v: Value) -> u64 {
+    pub(crate) fn partner_count(&self, pred: usize, of_stream: StreamId, v: Value) -> u64 {
         let (left, right) = self.endpoints[pred];
         let (partner_stream, partner_is_left) = if of_stream.index() == left {
             (right, false)

@@ -11,7 +11,7 @@
 //! A single family evaluates by Horner's rule ([`FourWiseHash::eval`]), one
 //! reduction per step. The hot path does not: a sign-memo miss evaluates
 //! one key across every copy of a predicate, so
-//! [`crate::SignFamilies::eval_packed_into`] reduces `x`, `x²` and `x³`
+//! [`crate::signs::SignFamilies::eval_packed_into`] reduces `x`, `x²` and `x³`
 //! once and gives each copy one unreduced four-term sum and one reduction.
 //! Both forms compute the same residue, hence the same sign.
 
@@ -28,7 +28,7 @@ pub(crate) const MERSENNE_P: u64 = (1u64 << 61) - 1;
 /// than `2^61 + 64 < 2·p`, and one conditional subtract lands in `[0, p)`.
 /// That covers a raw `u64` attribute value (a division-free `x % p`), a
 /// product of two residues, and the power form's four-term sums in
-/// [`crate::SignFamilies::eval_packed_into`].
+/// [`crate::signs::SignFamilies::eval_packed_into`].
 #[inline]
 pub(crate) fn mod_mersenne(x: u128) -> u64 {
     // Fold twice: after one fold the value fits in 67 bits + small carry.
@@ -47,7 +47,7 @@ pub(crate) fn mod_mersenne(x: u128) -> u64 {
 /// `h(x) = c3·x³ + c2·x² + c1·x + c0 (mod 2^61 − 1)`; the sign is the
 /// low-order bit of `h(x)`. Each family is cheap to store (4 words) and
 /// evaluation is a handful of multiply-reduce steps, so maintaining the
-/// `s1 × s2 × |θ|` families of a [`crate::SketchBank`] stays "fast and
+/// `s1 × s2 × |θ|` families of a [`crate::bank::SketchBank`] stays "fast and
 /// light" as the paper requires.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FourWiseHash {

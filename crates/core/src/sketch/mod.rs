@@ -1,14 +1,14 @@
 //! AGMS sketching for multi-way join-size and tuple-productivity estimation.
 //!
-//! This crate implements the estimation substrate of Law & Zaniolo (ICDE'07),
+//! This layer implements the estimation substrate of Law & Zaniolo (ICDE'07),
 //! which itself builds on Dobra, Garofalakis, Gehrke & Rastogi (SIGMOD'02)
 //! and Alon, Gibbons, Matias & Szegedy (PODS'99):
 //!
-//! * [`FourWiseHash`] — a four-wise independent ±1 family built from a
+//! * `FourWiseHash` — a four-wise independent ±1 family built from a
 //!   degree-3 polynomial over the Mersenne prime `2^61 − 1`.
-//! * [`AtomicSketch`] — per-relation atomic sketch
+//! * `AtomicSketch` — per-relation atomic sketch
 //!   `X_k = Σ_t Π_{j ∈ attrs(R_k) ∩ θ} ξ_{j, t[j]}`.
-//! * [`SketchBank`] — `s1 × s2` independent copies of the atomic sketches of
+//! * `SketchBank` — `s1 × s2` independent copies of the atomic sketches of
 //!   every stream, combined by median-of-means into
 //!   - the multi-way COUNT estimate `E[Π_k X_k] = |W_1 ⋈ … ⋈ W_n|`, and
 //!   - the per-tuple productivity `prod(t) = ξ_i(t) · Π_{k≠i} X_k`
@@ -21,8 +21,8 @@
 //! * [`TumblingFreq`] — exact per-window value-frequency tables, the state
 //!   behind the `Bjoin`/`Prob` baseline (and the space cost the paper's
 //!   complexity comparison charges it with).
-//! * [`SignFamilies`] / [`SignCache`] / [`kernel`] — the flat
-//!   structure-of-arrays hot path beneath [`SketchBank`]: hash coefficients
+//! * `SignFamilies` / `SignCache` / `kernel` — the flat
+//!   structure-of-arrays hot path beneath `SketchBank`: hash coefficients
 //!   stored copy-major per predicate, ±1 signs evaluated once per
 //!   `(predicate, value)` into bit-packed `u64` vectors (memoized, XOR-
 //!   combined across incident predicates), and contiguous counter/product
@@ -31,8 +31,9 @@
 
 //!
 //! ```
-//! use mstream_sketch::{BankConfig, SketchBank};
-//! use mstream_types::{Catalog, JoinQuery, StreamId, StreamSchema, Value, WindowSpec};
+//! use mstream_core::mstream_sketch::SketchBank;
+//! use mstream_core::prelude::BankConfig;
+//! use mstream_core::mstream_types::{Catalog, JoinQuery, StreamId, StreamSchema, Value, WindowSpec};
 //!
 //! let mut c = Catalog::new();
 //! c.add_stream(StreamSchema::new("L", &["k"]));
@@ -50,27 +51,6 @@
 //! assert!(hot > cold.max(0.0));
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// tightly-scoped allow on `kernel::avx2`, whose only unsafety is the
-// `target_feature` calling contract (discharged by runtime CPU detection).
-// Everything else in the crate stays safe; `scripts/check.sh` counts the
-// allows.
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
-mod atomic;
-mod bank;
-mod freq;
-mod hash;
-pub mod kernel;
-mod score_cache;
-mod signs;
-mod tumbling;
-
-pub use atomic::AtomicSketch;
-pub use bank::{median_of_means_slice, BankConfig, SketchBank};
-pub use freq::TumblingFreq;
-pub use hash::FourWiseHash;
-pub use score_cache::ScoreCacheStats;
-pub use signs::{combine_packed_signs, SignCache, SignCacheStats, SignFamilies};
-pub use tumbling::{EpochSpec, TumblingSketches};
+pub(crate) use crate::bank::BankConfig;
+pub(crate) use crate::freq::TumblingFreq;
+pub(crate) use crate::tumbling::{EpochSpec, TumblingSketches};

@@ -26,7 +26,7 @@
 //! it off per instance (the audit harness A/B-compares cached and uncached
 //! runs in one process).
 //!
-//! [`TumblingSketches::set_score_cache`]: crate::TumblingSketches::set_score_cache
+//! [`TumblingSketches::set_score_cache`]: crate::sketch::TumblingSketches::set_score_cache
 
 use mstream_types::WordBuild;
 use serde::{Deserialize, Serialize};
@@ -60,7 +60,7 @@ pub(crate) struct ScoreKey {
 
 /// Aggregate counters of the epoch-scoped productivity memo.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScoreCacheStats {
+pub(crate) struct ScoreCacheStats {
     /// Cacheable lookups served from a memoized estimate.
     pub hits: u64,
     /// Cacheable lookups that had to run the estimation kernel.
@@ -153,6 +153,7 @@ impl ScoreCache {
     ///
     /// # Panics
     /// Panics on any violated invariant.
+    #[cfg(any(test, feature = "audit"))]
     pub(crate) fn check_invariants(&self, current_generation: u64) {
         assert!(
             self.map.len() <= self.max_entries,

@@ -172,7 +172,7 @@ impl SignFamilies {
 
 /// Aggregate counters of a [`SignCache`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SignCacheStats {
+pub(crate) struct SignCacheStats {
     /// Lookups served from a memoized vector.
     pub hits: u64,
     /// Lookups that had to evaluate the polynomial bank.

@@ -338,6 +338,7 @@ impl TumblingSketches {
     }
 
     /// Estimated size of the full multi-way join over the current epoch.
+    #[cfg(any(test, feature = "audit"))]
     pub fn estimate_join_count(&mut self) -> f64 {
         self.bank.estimate_join_count()
     }
@@ -348,12 +349,12 @@ impl TumblingSketches {
     }
 
     /// Hit/miss/occupancy counters of the bank's packed-sign memo.
-    pub fn sign_cache_stats(&self) -> SignCacheStats {
+    pub(crate) fn sign_cache_stats(&self) -> SignCacheStats {
         self.bank.sign_cache_stats()
     }
 
     /// Hit/miss/occupancy counters of the epoch-scoped productivity memo.
-    pub fn score_cache_stats(&self) -> ScoreCacheStats {
+    pub(crate) fn score_cache_stats(&self) -> ScoreCacheStats {
         self.score_cache.stats()
     }
 
@@ -382,7 +383,8 @@ impl TumblingSketches {
     ///
     /// # Panics
     /// Panics on any violated invariant.
-    pub fn check_invariants(&self) {
+    #[cfg(any(test, feature = "audit"))]
+    pub(crate) fn check_invariants(&self) {
         let n = self.has_last.len();
         let copies = self.bank.config().copies();
         assert_eq!(self.last.len(), n * copies, "last snapshot shape");
@@ -854,7 +856,7 @@ mod tests {
                 kernel::multiply_row(&mut per_copy, &live[2]);
                 ts.bank.packed_signs_into(StreamId(0), &vals, &mut words);
                 kernel::apply_packed_signs(&words, &mut per_copy);
-                let want = crate::median_of_means_slice(cfg.s1, s2, &per_copy);
+                let want = crate::bank::median_of_means_slice(cfg.s1, s2, &per_copy);
                 let got = ts.productivity(StreamId(0), &vals);
                 assert_eq!(got.to_bits(), want.to_bits(), "s2 = {s2}, value {a}");
             }

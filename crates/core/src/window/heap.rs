@@ -115,12 +115,14 @@ impl IndexedHeap {
     }
 
     /// Number of entries.
+    #[cfg(any(test, feature = "audit"))]
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Whether the heap is empty.
+    #[cfg(any(test, feature = "audit"))]
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
@@ -188,6 +190,7 @@ impl IndexedHeap {
     }
 
     /// Whether `slot` is in the heap.
+    #[cfg(any(test, feature = "audit"))]
     pub(crate) fn contains(&self, slot: Slot) -> bool {
         self.position(slot).is_some()
     }
@@ -280,6 +283,7 @@ impl IndexedHeap {
     /// Panics if the heap order is violated, or if `positions` is not an
     /// exact inverse of the heap array (missing, stale, or duplicated
     /// entries).
+    #[cfg(any(test, feature = "audit"))]
     pub(crate) fn check_invariants(&self) {
         let resident = self.positions.iter().filter(|&&p| p != 0).count();
         assert_eq!(

@@ -97,6 +97,7 @@ impl<'a> Candidates<'a> {
     }
 
     /// The candidate at `pos`, if in range.
+    #[cfg(any(test, feature = "audit"))]
     #[inline]
     pub(crate) fn get(&self, pos: usize) -> Option<Slot> {
         if pos < self.head.len() {
@@ -109,7 +110,7 @@ impl<'a> Candidates<'a> {
     /// The two contiguous runs `(inline head, spill tail)` — the shape the
     /// iterative probe kernel consumes without an iterator in the way.
     #[inline]
-    pub fn parts(&self) -> (&'a [Slot], &'a [Slot]) {
+    pub(crate) fn parts(&self) -> (&'a [Slot], &'a [Slot]) {
         (self.head, self.tail)
     }
 
@@ -176,6 +177,7 @@ impl FlatIndex {
 
     /// Number of distinct keys present.
     #[inline]
+    #[cfg(any(test, feature = "audit"))]
     pub fn n_keys(&self) -> usize {
         self.live
     }
@@ -413,6 +415,7 @@ impl FlatIndex {
     ///
     /// # Panics
     /// Panics on any violated invariant.
+    #[cfg(any(test, feature = "audit"))]
     pub(crate) fn check_invariants(&self) {
         assert_eq!(self.ctrl.len(), self.buckets.len(), "ctrl/bucket length");
         assert_eq!(self.ctrl.len(), self.keys.len(), "ctrl/key length");

@@ -13,7 +13,7 @@
 //!   n-way join),
 //! * O(log n) **priority rebuild** per element at tumbling-epoch rollover.
 //!
-//! [`WindowStore`] composes an arena ([`Arena`]), an indexed 4-ary heap,
+//! [`WindowStore`] composes an arena (`Arena`), an indexed 4-ary heap,
 //! per-attribute hash indexes ([`FlatIndex`]) and an arrival
 //! deque to provide exactly that. [`ShedQueue`] reuses the same pieces for
 //! the input queue, whose victims are chosen by priority, at random, or by
@@ -21,8 +21,8 @@
 
 //!
 //! ```
-//! use mstream_types::{SeqNo, StreamId, Tuple, VTime, Value, WindowSpec};
-//! use mstream_window::{Eviction, WindowStore};
+//! use mstream_core::mstream_types::{SeqNo, StreamId, Tuple, VTime, Value, WindowSpec};
+//! use mstream_core::mstream_window::{Eviction, WindowStore};
 //!
 //! // A 60s window indexed on attribute 0, with room for two tuples.
 //! let mut w = WindowStore::new(WindowSpec::secs(60), vec![0], 2);
@@ -42,20 +42,8 @@
 //! assert_eq!(w.probe(0, Value(7)).len(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-mod arena;
-mod heap;
-mod index;
-mod queue;
-mod reorder;
-mod store;
-#[cfg(test)]
-mod store_model;
-
-pub use arena::{Arena, Slot};
-pub use index::{Candidates, FlatIndex};
-pub use queue::{QueueVictim, ShedQueue};
-pub use reorder::ReorderBuffer;
-pub use store::{Eviction, InsertOutcome, JoinCol, WindowStore};
+pub(crate) use crate::arena::Slot;
+pub(crate) use crate::index::FlatIndex;
+pub(crate) use crate::queue::{QueueVictim, ShedQueue};
+pub(crate) use crate::reorder::ReorderBuffer;
+pub(crate) use crate::store::{Eviction, InsertOutcome, WindowStore};

@@ -94,14 +94,14 @@ impl ShedQueue {
     }
 
     /// Dequeues the oldest tuple for processing.
-    pub fn pop_front(&mut self) -> Option<Tuple> {
+    pub(crate) fn pop_front(&mut self) -> Option<Tuple> {
         let slot = self.oldest_live()?;
         self.remove_slot(slot)
     }
 
     /// The oldest queued tuple without removing it (the engine's queue
     /// stage needs its arrival timestamp to schedule service start).
-    pub fn peek_front(&mut self) -> Option<&Tuple> {
+    pub(crate) fn peek_front(&mut self) -> Option<&Tuple> {
         let slot = self.oldest_live()?;
         self.arena.get(slot).map(|(t, _)| t)
     }
@@ -128,6 +128,7 @@ impl ShedQueue {
         Some(tuple)
     }
 
+    #[cfg(any(test, feature = "audit"))]
     pub(crate) fn check_consistency(&self) {
         assert_eq!(self.arena.len(), self.heap.len());
         assert_eq!(self.arena.len(), self.live.len());
@@ -144,7 +145,8 @@ impl ShedQueue {
     ///
     /// # Panics
     /// Panics on any violated invariant.
-    pub fn check_invariants(&self) {
+    #[cfg(any(test, feature = "audit"))]
+    pub(crate) fn check_invariants(&self) {
         self.check_consistency();
         self.heap.check_invariants();
         assert!(

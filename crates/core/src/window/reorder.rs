@@ -92,12 +92,13 @@ impl<T> ReorderBuffer<T> {
     }
 
     /// Buffered entry count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Whether the buffer holds nothing.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 }

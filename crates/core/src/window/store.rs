@@ -23,7 +23,7 @@ struct Entry {
 /// One indexed attribute's values across a store's residents
 /// ([`WindowStore::join_col`]).
 #[derive(Clone, Copy)]
-pub struct JoinCol<'a> {
+pub(crate) struct JoinCol<'a> {
     /// Row-major: one row of `stride` values per arena index.
     vals: &'a [Value],
     stride: usize,
@@ -36,7 +36,7 @@ impl JoinCol<'_> {
     /// `slot` must be live — fresh from a probe of the same store, say:
     /// the column keeps no generations to tell a stale handle by.
     #[inline]
-    pub fn get(&self, slot: Slot) -> Value {
+    pub(crate) fn get(&self, slot: Slot) -> Value {
         self.vals[slot.index() * self.stride + self.a]
     }
 }
@@ -174,7 +174,7 @@ impl WindowStore {
     /// apply a coalesced foreign-arrival tick summary. Ticks only advance
     /// the counter (expiry is evaluated on the next stored arrival), so `n`
     /// single ticks and one bulk tick are observationally identical.
-    pub fn note_arrivals(&mut self, n: u64) {
+    pub(crate) fn note_arrivals(&mut self, n: u64) {
         self.arrivals_seen += n;
     }
 
@@ -208,7 +208,7 @@ impl WindowStore {
     /// victim. The insert counts the arrival as ever. An arrival never
     /// probes its own stream, so no probe sees a different window.
     #[inline]
-    pub fn expire_ahead_of(
+    pub(crate) fn expire_ahead_of(
         &mut self,
         now: VTime,
         arriving: bool,
@@ -258,7 +258,7 @@ impl WindowStore {
     /// minimum's place (`replace_min`).
     ///
     /// # Panics
-    /// Panics if priorities are deferred ([`Self::defer_priorities`]): a
+    /// Panics if priorities are deferred (`defer_priorities`): a
     /// lone scored resident among unscored ones would be the only victim
     /// the heap can name.
     pub fn insert_scored(&mut self, tuple: Tuple, score: f64, state: f64) -> InsertOutcome {
@@ -289,7 +289,7 @@ impl WindowStore {
     ///
     /// # Panics
     /// Panics unless priorities are deferred and the window has room.
-    pub fn insert_unscored(&mut self, tuple: Tuple) -> Slot {
+    pub(crate) fn insert_unscored(&mut self, tuple: Tuple) -> Slot {
         assert!(
             self.deferred && self.arena.len() < self.capacity,
             "unscored inserts need a deferred store with room"
@@ -431,7 +431,7 @@ impl WindowStore {
 
     /// Evicts and returns the lowest-priority tuple, if any (`None` while
     /// priorities are deferred: no resident has one).
-    pub fn evict_min(&mut self) -> Option<(Tuple, f64)> {
+    pub(crate) fn evict_min(&mut self) -> Option<(Tuple, f64)> {
         let (slot, score) = self.heap.peek_min()?;
         let tuple = self.remove_slot(slot).expect("heap entries are live");
         Some((tuple, score))
@@ -439,7 +439,7 @@ impl WindowStore {
 
     /// The lowest priority currently resident, if any (global-pool
     /// variant); `None` while priorities are deferred.
-    pub fn peek_min(&self) -> Option<(Slot, f64)> {
+    pub(crate) fn peek_min(&self) -> Option<(Slot, f64)> {
         self.heap.peek_min()
     }
 
@@ -449,7 +449,7 @@ impl WindowStore {
     ///
     /// # Panics
     /// Panics if `attr` is not one of the indexed join attributes.
-    pub fn index_on(&self, attr: usize) -> &FlatIndex {
+    pub(crate) fn index_on(&self, attr: usize) -> &FlatIndex {
         &self.indexes[self.indexed(attr)]
     }
 
@@ -467,7 +467,7 @@ impl WindowStore {
     ///
     /// # Panics
     /// Panics if `attr` is not one of the indexed join attributes.
-    pub fn join_col(&self, attr: usize) -> JoinCol<'_> {
+    pub(crate) fn join_col(&self, attr: usize) -> JoinCol<'_> {
         JoinCol {
             vals: &self.join_vals,
             stride: self.join_attrs.len(),
@@ -491,7 +491,7 @@ impl WindowStore {
     /// Adds `n` to the produced-output counter of `slot` (for the
     /// random-sampling priority). Returns the new total, or `None` if the
     /// slot is stale.
-    pub fn add_produced(&mut self, slot: Slot, n: u64) -> Option<u64> {
+    pub(crate) fn add_produced(&mut self, slot: Slot, n: u64) -> Option<u64> {
         if !self.arena.contains(slot) {
             return None;
         }
@@ -507,7 +507,7 @@ impl WindowStore {
     }
 
     /// The cached policy state of `slot`.
-    pub fn state(&self, slot: Slot) -> Option<f64> {
+    pub(crate) fn state(&self, slot: Slot) -> Option<f64> {
         self.arena.contains(slot).then(|| self.state[slot.index()])
     }
 
@@ -531,25 +531,25 @@ impl WindowStore {
     /// credits run as ever; only victim selection needs the rebuild, and a
     /// window with room selects none. Legal when a rebuild yields the same
     /// priorities whenever it runs — the caller's call (DESIGN.md §16).
-    pub fn defer_priorities(&mut self) {
+    pub(crate) fn defer_priorities(&mut self) {
         self.heap.clear();
         self.deferred = true;
     }
 
     /// Whether priorities are owed ([`WindowStore::defer_priorities`]).
-    pub fn is_deferred(&self) -> bool {
+    pub(crate) fn is_deferred(&self) -> bool {
         self.deferred
     }
 
     /// Whether the next stored arrival needs a victim.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.arena.len() >= self.capacity
     }
 
     /// Whether no arrival can find the window full: a `ROWS n` window with
     /// room for `n`, expired by [`Self::expire_ahead_of`] before each
     /// arrival of its stream, holds at most `n - 1` residents then.
-    pub fn cannot_fill(&self) -> bool {
+    pub(crate) fn cannot_fill(&self) -> bool {
         matches!(self.spec, WindowSpec::Tuples(n) if self.capacity as u64 >= n)
     }
 
@@ -625,7 +625,7 @@ impl WindowStore {
     /// are query-local, so a store changing hands between queries of the
     /// multi-query plane must carry its new owner's id for this stream
     /// before that owner's policy scores the residents.
-    pub fn retag(&mut self, stream: StreamId) {
+    pub(crate) fn retag(&mut self, stream: StreamId) {
         for entry in self.arena.iter_mut() {
             entry.tuple.stream = stream;
         }
@@ -646,6 +646,7 @@ impl WindowStore {
     /// Internal consistency check used by tests: every resident tuple is in
     /// the heap — or, on a deferred store, none is and the heap is empty —
     /// and in every index bucket its values demand, and vice versa.
+    #[cfg(any(test, feature = "audit"))]
     pub(crate) fn check_consistency(&self) {
         if self.deferred {
             assert!(self.heap.is_empty(), "heap entry on a deferred store");
@@ -683,7 +684,8 @@ impl WindowStore {
     ///
     /// # Panics
     /// Panics on any violated invariant.
-    pub fn check_invariants(&self) {
+    #[cfg(any(test, feature = "audit"))]
+    pub(crate) fn check_invariants(&self) {
         self.check_consistency();
         self.heap.check_invariants();
         self.check_index_against_reference();
@@ -735,6 +737,7 @@ impl WindowStore {
     /// Differential check of every open-addressed index against a reference
     /// `HashMap<value, Vec<Slot>>` rebuilt from the arena: per-key slot
     /// multisets must agree exactly and the index must hold no extra keys.
+    #[cfg(any(test, feature = "audit"))]
     fn check_index_against_reference(&self) {
         use std::collections::HashMap;
         for (a, &attr) in self.join_attrs.iter().enumerate() {

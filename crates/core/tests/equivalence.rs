@@ -12,10 +12,10 @@
 //! identical workloads — golden vectors plus property-based random
 //! schedules covering epoch rollovers in both time- and tuple-window mode.
 
-use mstream_sketch::{
-    median_of_means_slice, AtomicSketch, BankConfig, EpochSpec, FourWiseHash, SketchBank,
-    TumblingSketches,
+use mstream_core::mstream_sketch::{
+    median_of_means_slice, AtomicSketch, FourWiseHash, SketchBank, TumblingSketches,
 };
+use mstream_core::{BankConfig, EpochSpec};
 use mstream_types::{
     Catalog, JoinQuery, StreamId, StreamSchema, VDur, VTime, Value, WindowSpec,
 };
@@ -633,8 +633,8 @@ proptest! {
 
 mod kernels {
     use super::has_avx2;
-    use mstream_sketch::kernel::{self, scalar};
-    use mstream_sketch::SignFamilies;
+    use mstream_core::kernel::{self, scalar};
+    use mstream_core::mstream_sketch::SignFamilies;
     use proptest::prelude::*;
     use rand::SeedableRng;
 
@@ -892,10 +892,9 @@ mod kernels {
 
 mod deferred {
     use super::{chain_query, v, LegacyTumbling};
-    use mstream_sketch::kernel::{self, scalar};
-    use mstream_sketch::{
-        median_of_means_slice, BankConfig, EpochSpec, SketchBank, TumblingSketches,
-    };
+    use mstream_core::kernel::{self, scalar};
+    use mstream_core::mstream_sketch::{median_of_means_slice, SketchBank, TumblingSketches};
+    use mstream_core::{BankConfig, EpochSpec};
     use mstream_types::{StreamId, VDur, VTime, Value};
     use proptest::prelude::*;
 

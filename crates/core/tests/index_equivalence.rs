@@ -4,7 +4,7 @@
 //! that bit-identical bucket order is what keeps every engine result
 //! unchanged by the index rewrite (DESIGN.md §10).
 
-use mstream_window::{Arena, FlatIndex, Slot};
+use mstream_core::mstream_window::{Arena, FlatIndex, Slot};
 use proptest::prelude::*;
 use std::collections::HashMap;
 

@@ -4,6 +4,28 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# grep_paths [GREP_OPTION...] PATTERN PATH...: `grep -rnHE` over paths that
+# must exist. No match is fine; a missing or unreadable path (grep's status
+# 2) fails the script, so a gate cannot pass by searching a directory that
+# moved.
+grep_paths() {
+  local rc=0
+  grep -rnHE "$@" || rc=$?
+  [ "$rc" -le 1 ] || { echo "FAIL: grep exited $rc (a gate names a missing path?): $*" >&2; exit 1; }
+}
+# forbid WHY [GREP_OPTION...] PATTERN PATH...: fail with WHY, printing the
+# matches, when PATTERN occurs under the paths.
+forbid() {
+  local why=$1 hits
+  shift
+  hits=$(grep_paths "$@") || exit 1
+  if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "FAIL: $why"
+    exit 1
+  fi
+}
+
 cargo build --release
 cargo test -q
 # Tests, benches and examples too: the lint table covers every target.
@@ -13,14 +35,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --keep-going
 # A library crate's modules stay private, so its `pub use` list in `lib.rs`
 # is its whole public API and `unreachable_pub` (the workspace lint table,
-# gated by clippy above) sees every item the list does not reach. The two
-# open modules: `mstream_sketch::kernel`, whose `scalar` and `avx2` forms
-# the equivalence suite and `bench_sketch` compare, and `mstream_core::prelude`.
-OPEN_MODS=$(grep -nE '^\s*pub mod ' crates/{types,sketch,window,join,shed,query,workload,agg,core}/src/lib.rs \
-  | grep -vE '^crates/sketch/src/lib.rs:[0-9]+:pub mod kernel;$|^crates/core/src/lib.rs:[0-9]+:pub mod prelude \{$' || true)
+# gated by clippy above) sees every item the list does not reach. The open
+# modules are mstream-core's: `kernel`, whose `scalar` and `avx2` forms the
+# equivalence suite and `bench_sketch` compare, `prelude`, and the three
+# `mstream_{join,sketch,window}` lists `benchmark/` imports from.
+PUB_MODS=$(grep_paths '^\s*pub mod ' crates/{types,query,workload,agg,core}/src/lib.rs \
+  crates/core/src/{join,shed,sketch,window}/mod.rs)
+OPEN_MODS=$(grep -vE '^crates/core/src/lib.rs:[0-9]+:pub mod (kernel;|(prelude|mstream_join|mstream_sketch|mstream_window) \{)$' <<<"$PUB_MODS" || true)
 if [ -n "$OPEN_MODS" ]; then
   echo "$OPEN_MODS"
-  echo "FAIL: a library crate declares a pub mod besides mstream_sketch::kernel and mstream_core::prelude"
+  echo "FAIL: a library crate declares a pub mod besides mstream-core's kernel, prelude and three benchmark lists"
   exit 1
 fi
 # One build, one behaviour: the `audit` feature belongs to mstream-core
@@ -58,42 +82,32 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 (cd benchmark && cargo test --offline -q)
 # Engine crates take their configuration through the builder, never from
 # the process environment.
-if grep -rn 'MSTREAM_' crates/{types,sketch,window,join,shed,core}/src; then
-  echo "FAIL: an engine crate names an MSTREAM_* environment variable"
-  exit 1
-fi
-# One match enumerator: the probe kernels in mstream-join serve the solo
+forbid "an engine crate names an MSTREAM_* environment variable" 'MSTREAM_' crates/{types,core}/src
+# One match enumerator: the probe kernels in `join/probe.rs` serve the solo
 # engine and every class of the multi-query plane (DESIGN.md §14).
-if grep -rnE 'TrieNode|ProbeCtx|from_parts' crates/{join,core}/src; then
-  echo "FAIL: a second probe enumerator is back in mstream-join / mstream-core"
-  exit 1
-fi
+forbid "a second probe enumerator is back in mstream-core" 'TrieNode|ProbeCtx|from_parts' crates/core/src
 # One engine: a single-query engine is the plane with one registered query
 # (`pub type ShedJoinEngine`), and the bounded-disorder release loop is one
 # stage every front door shares (DESIGN.md §13, §14).
-if grep -rn 'struct ShedJoinEngine' crates/core/src; then
-  echo "FAIL: a second engine struct is back in mstream-core"
-  exit 1
-fi
-if [ "$(grep -rn 'fn release_below' crates/core/src | wc -l)" -gt 1 ]; then
-  grep -rn 'fn release_below' crates/core/src
+forbid "a second engine struct is back in mstream-core" 'struct ShedJoinEngine' crates/core/src
+RELEASE_LOOPS=$(grep_paths 'fn release_below' crates/core/src)
+if [ "$(grep -c . <<<"$RELEASE_LOOPS")" -gt 1 ]; then
+  echo "$RELEASE_LOOPS"
   echo "FAIL: a second copy of the reorder release loop in mstream-core"
   exit 1
 fi
 # The engines deliver results through `EmitSink::emit_run` only (its
 # default body is the per-row path), so no call site can bypass a sink's
 # override.
-if grep -nE 'sink\.emit\(' crates/core/src/{engine,multi}.rs; then
-  echo "FAIL: an engine calls sink.emit directly instead of emit_run"
-  exit 1
-fi
+forbid "an engine calls sink.emit directly instead of emit_run" 'sink\.emit\(' crates/core/src/{engine,multi}.rs
 # ... and a counting path never walks rows: the engines credit a run from
 # its slot lists and CountSink reads its length (outer x inner), so neither
 # may reach for the per-row walk.
 COUNT_SINK=$(sed -n '/^impl EmitSink for CountSink/,/^}/p' crates/core/src/ingest.rs)
 [ -n "$COUNT_SINK" ] || { echo "FAIL: found no 'impl EmitSink for CountSink' in ingest.rs (gate out of date?)"; exit 1; }
-if grep -n 'for_each_row' crates/core/src/{engine,multi}.rs || grep -n 'for_each_row' <<<"$COUNT_SINK"; then
-  echo "FAIL: a counting path (engine.rs, multi.rs, CountSink) walks a run's rows"
+forbid "a counting path (engine.rs, multi.rs) walks a run's rows" 'for_each_row' crates/core/src/{engine,multi}.rs
+if grep -n 'for_each_row' <<<"$COUNT_SINK"; then
+  echo "FAIL: CountSink walks a run's rows"
   exit 1
 fi
 # An arrival reads no clock: per-arrival stages are timed through the
@@ -111,11 +125,12 @@ fi
 # `mstream_types::WordBuild`. Chosen over clippy `disallowed-types`, which
 # cannot tell a test's reference model from a field.
 MAP_FIELD='^\s*(pub(\([a-z]+\))? )?[a-z_]+: (std::collections::)?HashMap<'
-if grep -rnE "$MAP_FIELD" crates/{sketch,window,core}/src | grep -v 'WordBuild>,'; then
+MAP_FIELDS=$(grep_paths "$MAP_FIELD" crates/core/src)
+if grep -v 'WordBuild>,' <<<"$MAP_FIELDS" | grep .; then
   echo "FAIL: a HashMap field of an engine crate is built on RandomState"
   exit 1
 fi
-WORD_MAPS=$(grep -rhE "$MAP_FIELD" crates/{sketch,window,core}/src | grep -c 'WordBuild>,' || true)
+WORD_MAPS=$(grep -c 'WordBuild>,' <<<"$MAP_FIELDS" || true)
 if [ "$WORD_MAPS" -lt 4 ]; then
   echo "FAIL: expected the four per-arrival tables on WordBuild, found $WORD_MAPS"
   exit 1
@@ -123,65 +138,46 @@ fi
 # Every key-partitioned arrival is delivered once, to its hash-home shard:
 # hot keys are not split (DESIGN.md §12), so neither the tracker nor the
 # store-only replica role may come back.
-if grep -rnE 'SkewRouter|SpaceSaving|Item::Replica|STORE_REPLICA' crates/; then
-  echo "FAIL: hot-key splitting is back under crates/"
-  exit 1
-fi
+forbid "hot-key splitting is back under crates/" 'SkewRouter|SpaceSaving|Item::Replica|STORE_REPLICA' crates/
 # One sharded route and one flow rule (DESIGN.md §9): a set that
 # partitions by key runs wide, any other runs on one shard, and a full
 # channel blocks, so broadcast mode, its replica deliveries and channel
 # shedding stay gone.
-if grep -rnE 'BroadcastPlan|PROBE_REPLICA|IngestRole|ingest_broadcast|broadcast_memory|account_rejected|Backpressure::Shed|no-broadcast' crates/ examples/; then
-  echo "FAIL: broadcast mode or channel shedding is back (DESIGN.md §9)"
-  exit 1
-fi
+forbid "broadcast mode or channel shedding is back (DESIGN.md §9)" \
+  'BroadcastPlan|PROBE_REPLICA|IngestRole|ingest_broadcast|broadcast_memory|account_rejected|Backpressure::Shed|no-broadcast' \
+  crates/ examples/
 # Sharded batches are flat word records (DESIGN.md §9): the tagged channel
 # item and its fixed-lane tick blocks stay gone.
-if grep -rnE 'TickBlock|TICK_LANES|enum Item' crates/core; then
-  echo "FAIL: the tagged channel item is back in mstream-core (batches are word records)"
-  exit 1
-fi
+forbid "the tagged channel item is back in mstream-core (batches are word records)" \
+  'TickBlock|TICK_LANES|enum Item' crates/core
 # The overload queue is a stage of the plane (DESIGN.md §13): every run,
 # Figure 6 included, goes through `ingest` / `flush`, so the side door —
 # its service loop, its config struct, the run-time wake-up — stays gone.
-# (`fn offer` is matched in mstream-core only: `ShedQueue::offer` and
-# `Reservoir::offer` are the queue's and the sampler's own operations.)
-if grep -rnE 'SimConfig|drain_queue|wake_classes' crates/ || grep -rn 'fn offer' crates/core/src; then
-  echo "FAIL: the overload queue's side door is back (DESIGN.md §13)"
-  exit 1
-fi
+# (`fn offer` is matched in mstream-core's engine files only: `ShedQueue::offer`
+# in `window/` and `Reservoir::offer` are the queue's and the sampler's own
+# operations.)
+forbid "the overload queue's side door is back (DESIGN.md §13)" 'SimConfig|drain_queue|wake_classes' crates/
+forbid "the overload queue's side door is back (DESIGN.md §13)" 'fn offer' crates/core/src/*.rs
 # One mixer: SplitMix64 is defined in mstream-types and imported.
-if grep -rniE '9E37_?79B9_?7F4A_?7C15|BF58_?476D_?1CE4_?E5B9|94D0_?49BB_?1331_?11EB' crates/{window,core,sketch}/src; then
-  echo "FAIL: a second copy of the SplitMix64 constants (import mstream_types::splitmix64)"
-  exit 1
-fi
+forbid "a second copy of the SplitMix64 constants (import mstream_types::splitmix64)" -i \
+  '9E37_?79B9_?7F4A_?7C15|BF58_?476D_?1CE4_?E5B9|94D0_?49BB_?1331_?11EB' crates/core/src
 # Every tuple is scored at its own instant: the reorder stage releases each
 # arrival at its own timestamp, so no tuple is ever late for its epoch and
 # the late-tuple scoring path stays gone (DESIGN.md §13).
-if grep -rnwE 'productivity_at|has_prev|event_time' crates/{sketch,shed,core}/src; then
-  echo "FAIL: the late-tuple scoring path is back (DESIGN.md §13)"
-  exit 1
-fi
+forbid "the late-tuple scoring path is back (DESIGN.md §13)" -w 'productivity_at|has_prev|event_time' crates/core/src
 # The first-epoch query sums in integers (DESIGN.md §15): the f64
 # product-and-sum forms and the magic-number conversion stay gone.
-if grep -rnE 'product2_signed|COUNTER_LIMIT|\bMAGIC\b' crates/sketch/src; then
-  echo "FAIL: an f64 first-epoch product form is back in mstream-sketch (DESIGN.md §15)"
-  exit 1
-fi
+forbid "an f64 first-epoch product form is back in the sketch layer (DESIGN.md §15)" \
+  'product2_signed|COUNTER_LIMIT|\bMAGIC\b' crates/core/src/sketch
 # One form per sketch kernel (DESIGN.md §15): the portable lane tier and the
 # sign-copying kernel stay gone; `kernel::scalar` is the portable form of
 # the three kernels that also have an AVX2 one.
-if grep -rnE 'mod lanes|lanes::|signed_copy' crates/sketch crates/bench; then
-  echo "FAIL: a second portable kernel form is back (DESIGN.md §15)"
-  exit 1
-fi
+forbid "a second portable kernel form is back (DESIGN.md §15)" 'mod lanes|lanes::|signed_copy' crates/core/src/sketch crates/bench
 # One `mstream run` path (DESIGN.md §14): `--query` is a query set of one,
 # so the separate single-query, sharded and multi-query bodies, their own
 # trace validator and their hand-written exact-count loop stay gone.
-if grep -rnE 'fn run_multi|fn run_sharded|fn multi_exact_counts|fn validate_trace\(' crates/cli/src; then
-  echo "FAIL: a second mstream run path is back in crates/cli/src"
-  exit 1
-fi
+forbid "a second mstream run path is back in crates/cli/src" \
+  'fn run_multi|fn run_sharded|fn multi_exact_counts|fn validate_trace\(' crates/cli/src
 # Differential audit smoke (DESIGN.md §8): 100 fuzzed cases, every policy
 # in process and sharded against each query's exact oracle, event-time
 # runs against in-order runs, the score-cache (odd seeds) and plain/eager
@@ -329,26 +325,29 @@ for POLICY in MSketch Bjoin; do
   echo "far-future smoke: $POLICY finished"
 done
 
-# The sketch crate's tests once more in release with overflow checks on:
-# the pending bit-planes, the settle and the i64 counters share a build
-# where wrap-around panics instead of passing (ROADMAP chaos item 6 asks
-# for this workspace-wide; this crate is the start), and mstream-types'
-# with it: the word hasher must wrap on purpose everywhere it wraps. Own
-# target directory, so the flag does not invalidate the release build
-# above. The flag does not reach `kernel::avx2`: a vector integer add
-# (`_mm256_add_epi64` in the sign fold) wraps silently where the scalar
-# form would panic. No run gets there — |X_k[c]| is at most the
-# tuples stream k saw this epoch, a u64 the bank counts beside it — and the
-# equivalence suite keeps its fold inputs half an i64 away from the ends.
-# mstream-window rides along: its due keys (`ts + p`, `arrival + count`)
-# saturate, and a plain `+` there must panic here instead of wrapping.
+# mstream-core's unit tests and its sketch and window equivalence suites
+# once more in release with overflow checks on: the pending bit-planes, the
+# settle and the i64 counters share a build where wrap-around panics instead
+# of passing (ROADMAP chaos item 6 asks for this workspace-wide; the engine
+# crate is the start), and mstream-types' with it: the word hasher must wrap
+# on purpose everywhere it wraps. Own target directory, so the flag does not
+# invalidate the release build above. The flag does not reach
+# `kernel::avx2`: a vector integer add (`_mm256_add_epi64` in the sign fold)
+# wraps silently where the scalar form would panic. No run gets there —
+# |X_k[c]| is at most the tuples stream k saw this epoch, a u64 the bank
+# counts beside it — and the equivalence suite keeps its fold inputs half an
+# i64 away from the ends. The window layer's due keys (`ts + p`,
+# `arrival + count`) saturate, and a plain `+` there must panic here instead
+# of wrapping.
 RUSTFLAGS="-C overflow-checks=on" \
-  cargo test -q --release -p mstream-sketch -p mstream-types -p mstream-window --target-dir target/overflow-checks
-# mstream-sketch has one sanctioned unsafe island (kernel::avx2); a second
+  cargo test -q --release -p mstream-types -p mstream-core --lib --test equivalence --test index_equivalence \
+  --target-dir target/overflow-checks
+# mstream-core has one sanctioned unsafe island (kernel::avx2); a second
 # allow must not slip in unnoticed.
-UNSAFE_ALLOWS=$(cat crates/sketch/src/*.rs | grep -c 'allow(unsafe_code)' || true)
-if [ "$UNSAFE_ALLOWS" != 1 ]; then
-  echo "FAIL: mstream-sketch allows unsafe code in $UNSAFE_ALLOWS places (exactly 1: kernel::avx2)"
+UNSAFE_ALLOWS=$(grep_paths 'allow\(unsafe_code\)' crates/core/src)
+if [ "$(grep -c . <<<"$UNSAFE_ALLOWS")" != 1 ] || ! grep -q '^crates/core/src/sketch/kernel.rs:' <<<"$UNSAFE_ALLOWS"; then
+  echo "$UNSAFE_ALLOWS"
+  echo "FAIL: mstream-core must allow unsafe code in exactly one place, kernel::avx2 in sketch/kernel.rs"
   exit 1
 fi
 # ... and every kernel in the island has a same-named one-element-per-step
@@ -358,7 +357,7 @@ fi
 pub_fns() { # the `pub fn` names of `pub mod $1` in kernel.rs
   awk -v mod="$1" '$0 == "pub mod " mod " {" {inside = 1; next} inside && /^}/ {inside = 0}
     inside && /^    pub fn / {sub(/^    pub fn /, ""); sub(/[(<].*/, ""); print}' \
-    crates/sketch/src/kernel.rs | sort
+    crates/core/src/sketch/kernel.rs | sort
 }
 [ -n "$(pub_fns avx2)" ] || { echo "FAIL: found no pub fn in kernel::avx2 (gate out of date?)"; exit 1; }
 UNPAIRED=$(comm -3 <(pub_fns avx2) <(pub_fns scalar))

@@ -9,9 +9,8 @@
 //! this file by `#[path]`, so the reference exists once and ships in no
 //! library.
 
-use mstream_shed_policies::{PriorityCtx, Requirements, ShedPolicy};
+use mstream_core::{PriorityCtx, QueueVictim, Requirements, ShedPolicy};
 use mstream_types::Tuple;
-use mstream_window::QueueVictim;
 
 /// `policy`, scored eagerly.
 pub(crate) struct Eager(pub Box<dyn ShedPolicy>);
