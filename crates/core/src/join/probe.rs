@@ -77,7 +77,8 @@ impl<'a> Bindings<'a> {
     }
 
     /// The bound window slot of `stream` (`None` for the origin stream).
-    pub fn slot(&self, stream: StreamId) -> Option<Slot> {
+    #[cfg(test)]
+    pub(crate) fn slot(&self, stream: StreamId) -> Option<Slot> {
         self.slots[stream.index()]
     }
 

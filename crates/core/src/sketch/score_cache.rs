@@ -11,16 +11,19 @@
 //!
 //! Keying and invalidation contract (DESIGN.md §16):
 //!
-//! * keys carry an **epoch generation** — bumped on every roll (any
-//!   stream, either epoch discipline) — so an entry can never outlive the
-//!   snapshot it was computed from;
-//! * every lookup keys at the current generation: no tuple is ever scored
-//!   against an older snapshot;
+//! * one map per stream, keyed by the raw values of that stream's incident
+//!   join attributes — exactly what the estimate depends on once the
+//!   snapshot is frozen;
+//! * every roll (any stream, either epoch discipline) clears every map in
+//!   the same call, so no entry outlives the snapshot it was computed from
+//!   and no key needs to name an epoch;
 //! * only fully-frozen lookups are cacheable — any path that folds a
 //!   *live* (still-accumulating) bank row is recomputed every time;
-//! * the table is bounded in the style of the packed-sign memo: hitting
-//!   the bound drops the whole map (O(1) amortized; a Zipfian hot set
-//!   repopulates immediately), and every rollover clears it wholesale.
+//! * a stream with more than [`MAX_CACHED_ATTRS`] incident attributes is
+//!   scored uncached;
+//! * the maps share one bound in the style of the packed-sign memo:
+//!   hitting it drops every map (O(1) amortized; a Zipfian hot set
+//!   repopulates immediately).
 //!
 //! The memo is on by default; [`TumblingSketches::set_score_cache`] turns
 //! it off per instance (the audit harness A/B-compares cached and uncached
@@ -32,31 +35,21 @@ use mstream_types::WordBuild;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Default bound on resident estimates (matches the packed-sign memo's
-/// order of magnitude: the hot key set of a skewed workload fits easily,
-/// and a uniform workload cycles through wholesale drops instead of
-/// growing without bound).
+/// Default bound on resident estimates, across every stream (matches the
+/// packed-sign memo's order of magnitude: the hot key set of a skewed
+/// workload fits easily, and a uniform workload cycles through wholesale
+/// drops instead of growing without bound).
 pub(crate) const DEFAULT_SCORE_CACHE_ENTRIES: usize = 8192;
 
-/// Most incident join attributes a stream may have and still be cached
-/// (the key inlines the values; streams beyond this skip the memo).
-pub(crate) const MAX_CACHED_ATTRS: usize = 4;
+/// Most incident join attributes a stream may have and still be cached.
+pub(crate) const MAX_CACHED_ATTRS: usize = 2;
 
-/// Exact lookup key of one memoized estimate. No hashing of the values
-/// into a digest — the raw attribute values are the key, so distinct
-/// inputs can never alias and a hit is bit-identical by construction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct ScoreKey {
-    /// Epoch generation the frozen snapshot belongs to.
-    pub generation: u64,
-    /// Arriving tuple's stream.
-    pub stream: u32,
-    /// Raw values of the stream's incident join attributes, in incidence
-    /// order; slots past `n_values` are zero-padded.
-    pub values: [u64; MAX_CACHED_ATTRS],
-    /// How many of `values` are meaningful.
-    pub n_values: u8,
-}
+/// Exact key of one memoized estimate within its stream's map: the raw
+/// values of the stream's incident join attributes in incidence order, a
+/// one-attribute stream's second slot zero. No digest stands in for the
+/// values, so distinct inputs never alias and a hit is bit-identical by
+/// construction.
+pub(crate) type ScoreValues = [u64; MAX_CACHED_ATTRS];
 
 /// Aggregate counters of the epoch-scoped productivity memo.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,24 +65,23 @@ pub(crate) struct ScoreCacheStats {
 /// Bounded epoch-scoped memo of exact productivity estimates.
 #[derive(Clone, Debug)]
 pub(crate) struct ScoreCache {
-    map: HashMap<ScoreKey, f64, WordBuild>,
+    /// `maps[k]` = stream `k`'s estimates.
+    maps: Vec<HashMap<ScoreValues, f64, WordBuild>>,
+    /// Estimates resident across every map.
+    len: usize,
     hits: u64,
     misses: u64,
     max_entries: usize,
     enabled: bool,
 }
 
-impl Default for ScoreCache {
-    fn default() -> Self {
-        ScoreCache::with_capacity_bound(DEFAULT_SCORE_CACHE_ENTRIES, true)
-    }
-}
-
 impl ScoreCache {
-    /// An empty cache holding at most `max_entries` estimates (at least 1).
-    pub(crate) fn with_capacity_bound(max_entries: usize, enabled: bool) -> Self {
+    /// An empty memo for `n_streams` streams holding at most `max_entries`
+    /// estimates in all (at least 1).
+    pub(crate) fn new(n_streams: usize, max_entries: usize, enabled: bool) -> Self {
         ScoreCache {
-            map: HashMap::default(),
+            maps: vec![HashMap::default(); n_streams],
+            len: 0,
             hits: 0,
             misses: 0,
             max_entries: max_entries.max(1),
@@ -107,17 +99,17 @@ impl ScoreCache {
     pub(crate) fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
         if !enabled {
-            self.map.clear();
+            self.clear();
         }
     }
 
-    /// The memoized estimate under `key`, counting a hit or a miss. A
-    /// disabled cache returns `None` without counting.
-    pub(crate) fn get(&mut self, key: &ScoreKey) -> Option<f64> {
+    /// The memoized estimate of `stream` under `key`, counting a hit or a
+    /// miss. A disabled cache returns `None` without counting.
+    pub(crate) fn get(&mut self, stream: usize, key: &ScoreValues) -> Option<f64> {
         if !self.enabled {
             return None;
         }
-        match self.map.get(key) {
+        match self.maps[stream].get(key) {
             Some(&v) => {
                 self.hits += 1;
                 Some(v)
@@ -129,49 +121,47 @@ impl ScoreCache {
         }
     }
 
-    /// Memoizes `value` under `key`. When the bound is hit the whole map
-    /// is dropped first (generation-style eviction, like the sign memo).
-    pub(crate) fn insert(&mut self, key: ScoreKey, value: f64) {
+    /// Memoizes `value` of `stream` under `key`. When the bound is hit
+    /// every map is dropped first (generation-style eviction, like the
+    /// sign memo).
+    pub(crate) fn insert(&mut self, stream: usize, key: ScoreValues, value: f64) {
         if !self.enabled {
             return;
         }
-        if self.map.len() >= self.max_entries {
-            self.map.clear();
+        if self.len >= self.max_entries {
+            self.clear();
         }
-        self.map.insert(key, value);
+        if self.maps[stream].insert(key, value).is_none() {
+            self.len += 1;
+        }
     }
 
     /// Drops every memoized estimate (rollover invalidation); hit/miss
     /// counters persist.
     pub(crate) fn clear(&mut self) {
-        self.map.clear();
+        self.maps.iter_mut().for_each(HashMap::clear);
+        self.len = 0;
     }
 
-    /// Structural audit: occupancy respects the bound, and every resident
-    /// entry was keyed at the current generation — rollover invalidation
-    /// can never leave an older estimate behind.
+    /// Structural audit: the resident count is the maps' total and
+    /// respects the bound, and a disabled memo holds nothing.
     ///
     /// # Panics
     /// Panics on any violated invariant.
     #[cfg(any(test, feature = "audit"))]
-    pub(crate) fn check_invariants(&self, current_generation: u64) {
+    pub(crate) fn check_invariants(&self) {
+        let resident: usize = self.maps.iter().map(HashMap::len).sum();
+        assert_eq!(resident, self.len, "score cache miscounts its entries");
         assert!(
-            self.map.len() <= self.max_entries,
+            self.len <= self.max_entries,
             "score cache over bound: {} > {}",
-            self.map.len(),
+            self.len,
             self.max_entries
         );
         assert!(
-            self.enabled || self.map.is_empty(),
+            self.enabled || self.len == 0,
             "disabled score cache holds entries"
         );
-        for key in self.map.keys() {
-            assert_eq!(
-                key.generation, current_generation,
-                "stale score-cache entry: generation {} at roll {}",
-                key.generation, current_generation
-            );
-        }
     }
 
     /// Current counters.
@@ -179,7 +169,7 @@ impl ScoreCache {
         ScoreCacheStats {
             hits: self.hits,
             misses: self.misses,
-            entries: self.map.len(),
+            entries: self.len,
         }
     }
 }
@@ -188,73 +178,61 @@ impl ScoreCache {
 mod tests {
     use super::*;
 
-    fn key(generation: u64, v: u64) -> ScoreKey {
-        ScoreKey {
-            generation,
-            stream: 0,
-            values: [v, 0, 0, 0],
-            n_values: 1,
-        }
-    }
-
     #[test]
     fn hit_returns_exact_bits() {
-        let mut c = ScoreCache::with_capacity_bound(8, true);
+        let mut c = ScoreCache::new(1, 8, true);
         let v = -0.0f64; // sign-sensitive: bit-identity must preserve it
-        assert_eq!(c.get(&key(1, 7)), None);
-        c.insert(key(1, 7), v);
-        let got = c.get(&key(1, 7)).expect("memoized");
+        assert_eq!(c.get(0, &[7, 0]), None);
+        c.insert(0, [7, 0], v);
+        let got = c.get(0, &[7, 0]).expect("memoized");
         assert_eq!(got.to_bits(), v.to_bits());
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
-    fn generations_do_not_alias() {
-        let mut c = ScoreCache::with_capacity_bound(8, true);
-        c.insert(key(1, 7), 1.0);
-        c.insert(key(2, 7), 2.0);
-        assert_eq!(c.get(&key(1, 7)), Some(1.0));
-        assert_eq!(c.get(&key(2, 7)), Some(2.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "stale score-cache entry")]
-    fn an_entry_one_generation_behind_is_stale() {
-        let mut c = ScoreCache::with_capacity_bound(8, true);
-        c.insert(key(1, 7), 1.0);
-        c.check_invariants(2);
+    fn streams_do_not_alias() {
+        let mut c = ScoreCache::new(2, 8, true);
+        c.insert(0, [7, 0], 1.0);
+        c.insert(1, [7, 0], 2.0);
+        assert_eq!(c.get(0, &[7, 0]), Some(1.0));
+        assert_eq!(c.get(1, &[7, 0]), Some(2.0));
+        assert_eq!(c.get(1, &[7, 1]), None);
     }
 
     #[test]
     fn bound_drops_wholesale() {
-        let mut c = ScoreCache::with_capacity_bound(2, true);
-        c.insert(key(1, 1), 1.0);
-        c.insert(key(1, 2), 2.0);
+        // One bound across the streams' maps.
+        let mut c = ScoreCache::new(2, 2, true);
+        c.insert(0, [1, 0], 1.0);
+        c.insert(1, [2, 0], 2.0);
         assert_eq!(c.stats().entries, 2);
-        // Third insert hits the bound: the map is dropped, then repopulated
-        // with just the new entry.
-        c.insert(key(1, 3), 3.0);
+        // Third insert hits the bound: every map is dropped, then
+        // repopulated with just the new entry.
+        c.insert(0, [3, 0], 3.0);
         assert_eq!(c.stats().entries, 1);
-        assert_eq!(c.get(&key(1, 3)), Some(3.0));
-        assert_eq!(c.get(&key(1, 1)), None);
+        c.check_invariants();
+        assert_eq!(c.get(0, &[3, 0]), Some(3.0));
+        assert_eq!(c.get(0, &[1, 0]), None);
+        assert_eq!(c.get(1, &[2, 0]), None);
     }
 
     #[test]
     fn disabled_cache_is_inert() {
-        let mut c = ScoreCache::with_capacity_bound(8, false);
-        c.insert(key(1, 7), 1.0);
-        assert_eq!(c.get(&key(1, 7)), None);
+        let mut c = ScoreCache::new(1, 8, false);
+        c.insert(0, [7, 0], 1.0);
+        assert_eq!(c.get(0, &[7, 0]), None);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));
     }
 
     #[test]
     fn disabling_drops_entries() {
-        let mut c = ScoreCache::with_capacity_bound(8, true);
-        c.insert(key(1, 7), 1.0);
+        let mut c = ScoreCache::new(1, 8, true);
+        c.insert(0, [7, 0], 1.0);
         c.set_enabled(false);
         c.set_enabled(true);
-        assert_eq!(c.get(&key(1, 7)), None, "re-enabling starts cold");
+        assert_eq!(c.get(0, &[7, 0]), None, "re-enabling starts cold");
+        c.check_invariants();
     }
 }

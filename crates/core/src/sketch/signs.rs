@@ -6,9 +6,9 @@
 //! so this module evaluates all copies of a predicate's polynomial in one
 //! linear sweep over flat coefficient arrays ([`SignFamilies`]), packs the
 //! result into a `[u64]` bitvector (bit set ⇔ sign is −1), and memoizes
-//! the packed vectors in a bounded `(predicate, value) → bits` cache
-//! ([`SignCache`]) that exploits the Zipfian value repetition of the
-//! paper's workloads.
+//! the packed vectors in a bounded cache of one `value → bits` map per
+//! predicate ([`SignCache`]) that exploits the Zipfian value repetition of
+//! the paper's workloads.
 //!
 //! Signs of *incident predicates* combine by product; since each sign is
 //! ±1, the product is +1 exactly when an even number of factors are −1 —
@@ -28,7 +28,7 @@ use std::collections::hash_map::{Entry, HashMap};
 /// Sign bits packed per `u64` word.
 const WORD_BITS: usize = 64;
 
-/// Default cap on memoized `(predicate, value)` sign vectors.
+/// Default cap on memoized sign vectors, across every predicate.
 ///
 /// At the paper's sizing (1000 copies = 16 words = 128 bytes per vector)
 /// this bounds the cache at ~1 MiB — far below the window stores — while
@@ -78,20 +78,6 @@ impl SignFamilies {
     /// Number of independent copies per predicate.
     pub(crate) fn copies(&self) -> usize {
         self.copies
-    }
-
-    /// Reassembles the [`FourWiseHash`] of one `(predicate, copy)` pair
-    /// (diagnostics and equivalence tests).
-    #[cfg(test)]
-    pub(crate) fn family(&self, pred: usize, copy: usize) -> FourWiseHash {
-        let bank = &self.coeffs[pred];
-        let n = self.copies;
-        FourWiseHash::from_coeffs([
-            bank[copy],
-            bank[n + copy],
-            bank[2 * n + copy],
-            bank[3 * n + copy],
-        ])
     }
 
     /// The scalar ±1 sign of one `(predicate, copy)` pair at `x` —
@@ -181,10 +167,13 @@ pub(crate) struct SignCacheStats {
     pub entries: usize,
 }
 
-/// Bounded memo of packed sign vectors keyed by `(predicate, value)`.
+/// Bounded memo of packed sign vectors, one `value → bits` map per predicate.
 #[derive(Clone, Debug)]
 pub struct SignCache {
-    map: HashMap<(usize, u64), Vec<u64>, WordBuild>,
+    /// `maps[pred]` = predicate `pred`'s vectors (grown on first sight).
+    maps: Vec<HashMap<u64, Box<[u64]>, WordBuild>>,
+    /// Vectors resident across every map.
+    len: usize,
     hits: u64,
     misses: u64,
     max_entries: usize,
@@ -200,7 +189,8 @@ impl SignCache {
     /// An empty cache holding at most `max_entries` vectors (at least 1).
     pub(crate) fn with_capacity_bound(max_entries: usize) -> Self {
         SignCache {
-            map: HashMap::default(),
+            maps: Vec::new(),
+            len: 0,
             hits: 0,
             misses: 0,
             max_entries: max_entries.max(1),
@@ -208,7 +198,7 @@ impl SignCache {
     }
 
     /// The packed sign vector of `(pred, value)`, evaluating and memoizing
-    /// it on first sight. When the bound is hit the whole map is dropped
+    /// it on first sight. When the bound is hit every map is dropped
     /// (generation-style eviction: O(1) amortized, and the very next epoch
     /// of a Zipfian workload repopulates the hot set immediately).
     pub(crate) fn get_or_compute(
@@ -217,21 +207,25 @@ impl SignCache {
         pred: usize,
         value: u64,
     ) -> &[u64] {
-        let key = (pred, value);
-        // Only a full map pays a second lookup; a hit hashes the key once.
-        if self.map.len() >= self.max_entries && !self.map.contains_key(&key) {
-            self.map.clear();
+        if self.maps.len() <= pred {
+            self.maps.resize_with(pred + 1, HashMap::default);
         }
-        match self.map.entry(key) {
+        // Only a full memo pays a second lookup; a hit hashes the key once.
+        if self.len >= self.max_entries && !self.maps[pred].contains_key(&value) {
+            self.maps.iter_mut().for_each(HashMap::clear);
+            self.len = 0;
+        }
+        match self.maps[pred].entry(value) {
             Entry::Occupied(hit) => {
                 self.hits += 1;
                 hit.into_mut()
             }
             Entry::Vacant(miss) => {
                 self.misses += 1;
-                let mut bits = Vec::new();
+                self.len += 1;
+                let mut bits = Vec::with_capacity(words_for(families.copies()));
                 families.eval_packed_into(pred, value, &mut bits);
-                miss.insert(bits)
+                miss.insert(bits.into_boxed_slice())
             }
         }
     }
@@ -241,7 +235,7 @@ impl SignCache {
         SignCacheStats {
             hits: self.hits,
             misses: self.misses,
-            entries: self.map.len(),
+            entries: self.len,
         }
     }
 }
@@ -286,11 +280,26 @@ mod tests {
         SignFamilies::draw(&mut rng, n_preds, copies)
     }
 
+    /// Reassembles the [`FourWiseHash`] of one `(predicate, copy)` pair.
+    fn family(soa: &SignFamilies, pred: usize, copy: usize) -> FourWiseHash {
+        let (bank, n) = (&soa.coeffs[pred], soa.copies);
+        FourWiseHash::from_coeffs([
+            bank[copy],
+            bank[n + copy],
+            bank[2 * n + copy],
+            bank[3 * n + copy],
+        ])
+    }
+
     /// The legacy construction order: copy-major, predicate inner.
     fn legacy_families(seed: u64, n_preds: usize, copies: usize) -> Vec<Vec<FourWiseHash>> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..copies)
-            .map(|_| (0..n_preds).map(|_| FourWiseHash::random(&mut rng)).collect())
+            .map(|_| {
+                (0..n_preds)
+                    .map(|_| FourWiseHash::random(&mut rng))
+                    .collect()
+            })
             .collect()
     }
 
@@ -309,7 +318,7 @@ mod tests {
         for (copy, per_copy) in legacy.iter().enumerate() {
             for (pred, expected) in per_copy.iter().enumerate() {
                 assert_eq!(
-                    soa.family(pred, copy),
+                    family(&soa, pred, copy),
                     *expected,
                     "copy {copy} pred {pred}"
                 );
@@ -327,9 +336,17 @@ mod tests {
                 soa.eval_packed_into(pred, x, &mut bits);
                 assert_eq!(bits.len(), words_for(130));
                 for c in 0..130 {
-                    let packed = if (bits[c / 64] >> (c % 64)) & 1 == 1 { -1 } else { 1 };
-                    assert_eq!(packed, soa.sign_one(pred, c, x), "pred {pred} copy {c} x {x}");
-                    assert_eq!(packed, soa.family(pred, c).sign(x));
+                    let packed = if (bits[c / 64] >> (c % 64)) & 1 == 1 {
+                        -1
+                    } else {
+                        1
+                    };
+                    assert_eq!(
+                        packed,
+                        soa.sign_one(pred, c, x),
+                        "pred {pred} copy {c} x {x}"
+                    );
+                    assert_eq!(packed, family(&soa, pred, c).sign(x));
                 }
             }
         }
@@ -378,7 +395,11 @@ mod tests {
         combine_packed_signs(&soa, &mut cache, &incidence, &values, &mut combined);
         for c in 0..70 {
             let product = soa.sign_one(0, c, 42) * soa.sign_one(1, c, 99);
-            let packed = if (combined[c / 64] >> (c % 64)) & 1 == 1 { -1 } else { 1 };
+            let packed = if (combined[c / 64] >> (c % 64)) & 1 == 1 {
+                -1
+            } else {
+                1
+            };
             assert_eq!(packed, product, "copy {c}");
         }
     }
@@ -410,5 +431,29 @@ mod tests {
         let mut fresh = Vec::new();
         soa.eval_packed_into(0, 1, &mut fresh);
         assert_eq!(cache.get_or_compute(&soa, 0, 1), fresh.as_slice());
+    }
+
+    /// One bound across the predicates' maps: the insert that finds the
+    /// memo full drops every map, a hit never does, and a vector evaluated
+    /// again after the drop is the same bits.
+    #[test]
+    fn per_predicate_maps_share_one_bound_and_clear_wholesale() {
+        let soa = families(11, 2, 70);
+        let mut cache = SignCache::with_capacity_bound(3);
+        let first = cache.get_or_compute(&soa, 0, 5).to_vec();
+        cache.get_or_compute(&soa, 1, 5);
+        cache.get_or_compute(&soa, 1, 6);
+        assert_eq!(cache.stats().entries, 3);
+        // A hit on a full memo keeps every map.
+        cache.get_or_compute(&soa, 0, 5);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 3, 3));
+        // A new value of either predicate drops both maps.
+        cache.get_or_compute(&soa, 0, 7);
+        assert_eq!(cache.stats().entries, 1);
+        assert_eq!(cache.get_or_compute(&soa, 0, 5), first.as_slice());
+        cache.get_or_compute(&soa, 1, 5);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 6, 3));
     }
 }

@@ -23,7 +23,9 @@
 
 use crate::bank::{median_of_means_into, median_of_sums, BankConfig, SketchBank};
 use crate::kernel;
-use crate::score_cache::{ScoreCache, ScoreCacheStats, ScoreKey, MAX_CACHED_ATTRS};
+use crate::score_cache::{
+    ScoreCache, ScoreCacheStats, ScoreValues, DEFAULT_SCORE_CACHE_ENTRIES, MAX_CACHED_ATTRS,
+};
 use crate::signs::SignCacheStats;
 use mstream_types::{JoinQuery, StreamId, VDur, VTime, Value};
 use serde::{Deserialize, Serialize};
@@ -84,12 +86,8 @@ pub struct TumblingSketches {
     cross_exact: Vec<bool>,
     /// Epoch-scoped memo of exact productivity estimates (DESIGN.md §16).
     /// Only fully-frozen lookups are memoized, so a hit returns the same
-    /// bits a recomputation would.
+    /// bits a recomputation would; every roll clears it.
     score_cache: ScoreCache,
-    /// Monotone roll counter: bumped by every roll of any stream, in
-    /// either epoch discipline. Score-cache keys carry it so no entry can
-    /// outlive the snapshot it was computed from.
-    generation: u64,
 }
 
 impl TumblingSketches {
@@ -115,8 +113,7 @@ impl TumblingSketches {
             cross: vec![0.0; n_streams * copies],
             cross_valid: vec![false; n_streams],
             cross_exact: vec![false; n_streams],
-            score_cache: ScoreCache::default(),
-            generation: 0,
+            score_cache: ScoreCache::new(n_streams, DEFAULT_SCORE_CACHE_ENTRIES, true),
         }
     }
 
@@ -157,7 +154,6 @@ impl TumblingSketches {
             self.shift_snapshots(StreamId(k));
         }
         self.cross_valid.fill(false);
-        self.generation += 1;
         self.score_cache.clear();
     }
 
@@ -170,7 +166,6 @@ impl TumblingSketches {
                 *valid = false;
             }
         }
-        self.generation += 1;
         self.score_cache.clear();
     }
 
@@ -221,13 +216,13 @@ impl TumblingSketches {
             None
         };
         if let Some(key) = &key {
-            if let Some(v) = self.score_cache.get(key) {
+            if let Some(v) = self.score_cache.get(i, key) {
                 return v;
             }
         }
         let v = self.productivity_uncached(stream, values, frozen);
         if let Some(key) = key {
-            self.score_cache.insert(key, v);
+            self.score_cache.insert(i, key, v);
         }
         v
     }
@@ -305,12 +300,12 @@ impl TumblingSketches {
         }
     }
 
-    /// The score-cache key of a frozen lookup: the raw values of the
-    /// stream's incident join attributes (the only tuple inputs the sign
-    /// product — and hence the estimate — depends on), in incidence order.
-    /// `None` when memoization is off or the stream has more incident
-    /// attributes than the inline key holds.
-    fn cache_key(&self, stream: StreamId, values: &[Value]) -> Option<ScoreKey> {
+    /// The score-cache key of a frozen lookup in `stream`'s map: the raw
+    /// values of the stream's incident join attributes (the only tuple
+    /// inputs the sign product — and hence the estimate — depends on), in
+    /// incidence order. `None` when memoization is off or the stream has
+    /// more incident attributes than the key holds.
+    fn cache_key(&self, stream: StreamId, values: &[Value]) -> Option<ScoreValues> {
         if !self.score_cache.enabled() {
             return None;
         }
@@ -318,16 +313,11 @@ impl TumblingSketches {
         if incidence.len() > MAX_CACHED_ATTRS {
             return None;
         }
-        let mut vals = [0u64; MAX_CACHED_ATTRS];
-        for (slot, &(_, attr)) in vals.iter_mut().zip(incidence) {
+        let mut key = [0u64; MAX_CACHED_ATTRS];
+        for (slot, &(_, attr)) in key.iter_mut().zip(incidence) {
             *slot = values[attr].raw();
         }
-        Some(ScoreKey {
-            generation: self.generation,
-            stream: stream.index() as u32,
-            values: vals,
-            n_values: incidence.len() as u8,
-        })
+        Some(key)
     }
 
     /// Productivity computed against the *current* epoch's sketches
@@ -404,12 +394,15 @@ impl TumblingSketches {
                 }
             }
         }
-        self.score_cache.check_invariants(self.generation);
+        self.score_cache.check_invariants();
         assert_eq!(self.last_bound.len(), n, "last-bound shape");
         for (k, row) in self.last.chunks_exact(copies).enumerate() {
             let bound = self.last_bound[k];
             let within = row.iter().all(|x| x.unsigned_abs() <= bound);
-            assert!(within, "stream {k}: a last-epoch counter above its epoch's {bound} tuples");
+            assert!(
+                within,
+                "stream {k}: a last-epoch counter above its epoch's {bound} tuples"
+            );
         }
         let mut fresh = vec![0.0f64; copies];
         for i in 0..n {
@@ -685,7 +678,11 @@ mod tests {
         assert!(ts.score_cache_stats().entries >= 1);
         // Roll: the snapshot the entries were computed from is gone.
         assert!(ts.observe(StreamId(1), &v(7, 3), VTime::from_secs(25)));
-        assert_eq!(ts.score_cache_stats().entries, 0, "rollover flushes wholesale");
+        assert_eq!(
+            ts.score_cache_stats().entries,
+            0,
+            "rollover flushes wholesale"
+        );
         ts.check_invariants();
         let after = ts.productivity(StreamId(0), &v(7, 0));
         assert_ne!(
@@ -695,11 +692,110 @@ mod tests {
         );
     }
 
+    /// R1 and R3 have one incident join attribute, R2 two: each stream's
+    /// memo answers with the uncached bits in two successive epochs. R3 is
+    /// silent in the second, so the third epoch's cross rows for R1 and R2
+    /// are signed zeros, and two copies a group leave some estimates at
+    /// `-0.0`.
+    #[test]
+    fn memoized_one_and_two_attribute_streams_match_uncached_across_rolls() {
+        let mut cached = frozen_sketches(2, 3);
+        let mut plain = frozen_sketches(2, 3);
+        plain.set_score_cache(false);
+        let mut negative_zeros = 0;
+        for (roll_at, r3) in [(21, true), (31, false)] {
+            for sketches in [&mut cached, &mut plain] {
+                for i in 0..12u64 {
+                    sketches.observe(StreamId(1), &v(i % 4, i % 3), VTime::from_secs(roll_at - 9));
+                    if r3 {
+                        sketches.observe(StreamId(2), &v(i % 3, 1), VTime::from_secs(roll_at - 9));
+                    }
+                }
+                assert!(sketches.observe(StreamId(0), &v(1, 1), VTime::from_secs(roll_at)));
+                assert_eq!(
+                    sketches.score_cache_stats().entries,
+                    0,
+                    "a roll empties the memo"
+                );
+            }
+            let before = cached.score_cache_stats();
+            for a in 0..24u64 {
+                for s in [0, 1, 2] {
+                    let val = v(a % 6, a % 4);
+                    let want = plain.productivity(StreamId(s), &val);
+                    let got = cached.productivity(StreamId(s), &val);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "roll at {roll_at}: R{} {val:?}",
+                        s + 1
+                    );
+                    negative_zeros += usize::from(got.to_bits() == (-0.0f64).to_bits());
+                }
+            }
+            let after = cached.score_cache_stats();
+            assert!(
+                after.hits > before.hits && after.misses > before.misses,
+                "{after:?}"
+            );
+            cached.check_invariants();
+        }
+        assert!(negative_zeros > 0, "no -0.0 estimate was memoized");
+    }
+
+    /// A stream with three incident join attributes (the star's centre) is
+    /// scored by the kernel every time: its estimates equal the uncached
+    /// ones and the memo's counters stand still.
+    #[test]
+    fn a_stream_with_three_incident_attributes_scores_uncached() {
+        let mut c = Catalog::new();
+        c.add_stream(StreamSchema::new("R1", &["A1", "A2", "A3"]));
+        for name in ["R2", "R3", "R4"] {
+            c.add_stream(StreamSchema::new(name, &["A1"]));
+        }
+        let preds = [("R1.A1", "R2.A1"), ("R1.A2", "R3.A1"), ("R1.A3", "R4.A1")];
+        let q = JoinQuery::from_names(c, &preds, WindowSpec::secs(10)).unwrap();
+        assert_eq!(q.incident(StreamId(0)).len(), 3);
+        let build = || {
+            let mut ts =
+                TumblingSketches::new(&q, cfg(32, 4), EpochSpec::Time(VDur::from_secs(10)));
+            for i in 0..20u64 {
+                ts.observe(
+                    StreamId(1 + (i % 3) as usize),
+                    &[Value(i % 2)],
+                    VTime::from_secs(1),
+                );
+            }
+            ts.observe(StreamId(0), &[Value(0); 3], VTime::from_secs(11));
+            ts
+        };
+        let (mut cached, mut plain) = (build(), build());
+        plain.set_score_cache(false);
+        let row = [Value(0), Value(1), Value(0)];
+        for _ in 0..3 {
+            let got = cached.productivity(StreamId(0), &row);
+            assert_eq!(
+                got.to_bits(),
+                plain.productivity(StreamId(0), &row).to_bits()
+            );
+        }
+        assert_ne!(
+            cached.productivity(StreamId(0), &row),
+            0.0,
+            "the partners are frozen"
+        );
+        let s = cached.score_cache_stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));
+        // A one-attribute partner is still memoized.
+        cached.productivity(StreamId(1), &[Value(1)]);
+        assert_eq!(cached.score_cache_stats().misses, 1);
+    }
+
     #[test]
     fn score_cache_bound_evicts_wholesale_and_stays_exact() {
         let mut ts = frozen_sketches(32, 6);
         // A tiny bound exercises the wholesale drop.
-        ts.score_cache = ScoreCache::with_capacity_bound(4, true);
+        ts.score_cache = ScoreCache::new(3, 4, true);
         let mut firsts = Vec::new();
         for a in 0..12u64 {
             firsts.push(ts.productivity(StreamId(0), &v(a, 0)));
@@ -730,7 +826,11 @@ mod tests {
         }
         assert!(!ts.has_last_epoch(StreamId(2)));
         let before = ts.productivity(StreamId(0), &v(4, 0));
-        assert_eq!(ts.score_cache_stats().entries, 0, "mixed path never memoizes");
+        assert_eq!(
+            ts.score_cache_stats().entries,
+            0,
+            "mixed path never memoizes"
+        );
         for _ in 0..4 {
             ts.observe(StreamId(2), &v(0, 9), VTime::ZERO);
         }
@@ -803,7 +903,11 @@ mod tests {
         let q = chain_query();
         let epoch = EpochSpec::Time(VDur::from_secs(10));
         for s2 in [1, 3] {
-            let cfg = BankConfig { s1: 70, s2, seed: 3 };
+            let cfg = BankConfig {
+                s1: 70,
+                s2,
+                seed: 3,
+            };
             let mut ts = TumblingSketches::new(&q, cfg, epoch);
             for i in 0..30 {
                 let s = StreamId(i % 3);
@@ -832,7 +936,11 @@ mod tests {
     fn a_rolled_and_a_live_partner_score_like_the_eager_fold() {
         let q = chain_query();
         for s2 in [1, 3] {
-            let cfg = BankConfig { s1: 40, s2, seed: 21 };
+            let cfg = BankConfig {
+                s1: 40,
+                s2,
+                seed: 21,
+            };
             let copies = cfg.copies();
             let mut ts = TumblingSketches::new(&q, cfg, EpochSpec::PerStreamTuples(12));
             let mut live = vec![vec![0i64; copies]; 3];
@@ -861,7 +969,11 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "s2 = {s2}, value {a}");
             }
             ts.check_invariants();
-            assert_eq!(ts.scratch.capacity(), 0, "s2 = {s2}: the integer query answered");
+            assert_eq!(
+                ts.scratch.capacity(),
+                0,
+                "s2 = {s2}: the integer query answered"
+            );
         }
     }
 

@@ -1,8 +1,8 @@
 //! The workspace's one bit mixer and the word hasher built on it.
 //!
 //! Every table an arrival looks up is keyed by a few machine words the
-//! program itself made — a `(predicate, value)` pair, a score key, a raw
-//! join value, a slot — so hashing one costs a fold per word and one
+//! program itself made — a raw join value, a stream's pair of them, a
+//! slot — so hashing one costs a fold per word and one
 //! [`splitmix64`] finish instead of a SipHash. The hasher only picks the
 //! bucket: the maps still compare whole keys, so what a lookup returns
 //! never depends on it.
@@ -95,25 +95,11 @@ mod tests {
         WordBuild::default().hash_one(key)
     }
 
-    /// The shape of `mstream_sketch::ScoreKey`: the derived `Hash` writes a
-    /// `u64`, a `u32`, the array (length prefix, then its bytes in one
-    /// `write`) and a `u8`.
-    #[derive(Hash)]
-    struct ScoreShaped {
-        generation: u64,
-        stream: u32,
-        values: [u64; 4],
-        n_values: u8,
-    }
-
-    fn score_shaped(generation: u64, stream: u32, v: u64) -> ScoreShaped {
-        ScoreShaped {
-            generation,
-            stream,
-            values: [v, 0, 0, 0],
-            n_values: 1,
-        }
-    }
+    /// The shape of a key of `mstream-core`'s per-stream `ScoreCache` maps,
+    /// the stream's incident join values with a one-attribute stream's
+    /// second slot zero: the derived `Hash` of an array writes its length,
+    /// then its bytes in one `write`.
+    type ScoreShaped = [u64; 2];
 
     #[test]
     fn finish_values_are_pinned() {
@@ -193,29 +179,25 @@ mod tests {
     #[test]
     fn hostile_key_families_spread_like_a_uniform_hash() {
         for (name, values) in families() {
-            // `SignCache` keys: a handful of predicates, many values.
-            for preds in [1usize, 3] {
-                let keys = values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| hash_of(&(i % preds, v)));
-                let got = spread(keys);
-                assert!(got >= 0.9, "(pred, value) {name}, {preds} preds: {got:.3}");
-            }
-            // `FreqTable` keys: the raw value.
+            // `SignCache` and `FreqTable` keys: the raw value.
             let got = spread(values.iter().map(hash_of));
             assert!(got >= 0.9, "raw value {name}: {got:.3}");
-            // `ScoreCache` keys: the value under a generation and a stream
-            // that hardly vary, and the same family in the generation.
-            let got = spread(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| hash_of(&score_shaped(17, (i % 3) as u32, v))),
-            );
-            assert!(got >= 0.9, "score key {name}: {got:.3}");
-            let got = spread(values.iter().map(|&g| hash_of(&score_shaped(g, 1, 7))));
-            assert!(got >= 0.9, "score key generation {name}: {got:.3}");
+            // `ScoreCache` keys: a one-attribute stream's value beside a
+            // zero, and a two-attribute stream's value in either slot beside
+            // a partner value that hardly varies.
+            let one: Vec<ScoreShaped> = values.iter().map(|&v| [v, 0]).collect();
+            let first: Vec<ScoreShaped> =
+                values.iter().zip(0..).map(|(&v, i)| [v, i % 3]).collect();
+            let second: Vec<ScoreShaped> =
+                values.iter().zip(0..).map(|(&v, i)| [i % 3, v]).collect();
+            for (slot, keys) in [
+                ("one value", one),
+                ("first of two", first),
+                ("second of two", second),
+            ] {
+                let got = spread(keys.iter().map(hash_of));
+                assert!(got >= 0.9, "score key, {slot}, {name}: {got:.3}");
+            }
         }
     }
 

@@ -33,6 +33,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 # rustdoc with warnings denied: no broken or ambiguous intra-doc link, and
 # no public doc that links a private item.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --keep-going
+# A rustfmt ratchet: the tree as a whole is not rustfmt-clean, and a
+# wholesale reflow would bury every change in it, so the files listed in
+# scripts/rustfmt-ratchet.txt (one path a line, `#` comments) are held to
+# `rustfmt --check`. A change that rewrites a file formats it as a whole
+# and adds it to the list; files it does not touch are not reflowed.
+mapfile -t FMT_FILES < <(grep -v '^#' scripts/rustfmt-ratchet.txt)
+[ "${#FMT_FILES[@]}" -gt 0 ] || { echo "FAIL: scripts/rustfmt-ratchet.txt lists no file"; exit 1; }
+rustfmt --edition 2021 --check "${FMT_FILES[@]}" \
+  || { echo "FAIL: a file on scripts/rustfmt-ratchet.txt is not rustfmt-clean (run rustfmt --edition 2021 on it)"; exit 1; }
 # A library crate's modules stay private, so its `pub use` list in `lib.rs`
 # is its whole public API and `unreachable_pub` (the workspace lint table,
 # gated by clippy above) sees every item the list does not reach. The open
@@ -48,8 +57,9 @@ if [ -n "$OPEN_MODS" ]; then
   exit 1
 fi
 # One build, one behaviour: the `audit` feature belongs to mstream-core
-# alone and adds items the audit calls (a fn, an impl, a struct field or a
-# module), never a statement on a path an arrival reaches, so the root build
+# alone and adds items the audit calls (a fn, an impl, a module, a use, a
+# struct, enum, type, const, static or trait, or a struct field), never a
+# statement on a path an arrival reaches, so the root build
 # — where cargo unifies mstream-audit's `features = ["audit"]` into every
 # binary — runs what a `-p mstream-cli` build runs.
 AUDIT_GATE=$({ grep -rln 'feature = "audit"' crates tests examples || true; } | sort | while read -r FILE; do
@@ -62,7 +72,7 @@ AUDIT_GATE=$({ grep -rln 'feature = "audit"' crates tests examples || true; } | 
   awk -v file="$FILE" '
     gated && /^[[:space:]]*(#\[|\/\/)/ { next }
     gated {
-      if ($0 !~ /^[[:space:]]*(pub(\([a-z]+\))? )?((const |unsafe )*fn |impl[ <]|mod |[a-z_][a-z0-9_]*: [^=!]*,$)/)
+      if ($0 !~ /^[[:space:]]*(pub(\([a-z_: ]+\))? )?((const |unsafe )*fn |(unsafe )?(impl[ <]|trait )|(mod|use|struct|enum|type|static) |const [A-Z_][A-Z0-9_]*:|[a-z_][a-z0-9_]*: [^=!]*,$)/)
         printf "%s:%d: %s (not on an item)\n", file, at, $0
       gated = 0
     }
@@ -120,17 +130,18 @@ if [ "$CLOCK_READS" != 1 ] || [ "$RESCORE_READS" != 1 ]; then
   exit 1
 fi
 # ... and computes no SipHash: every map an engine crate keeps as a struct
-# field (the sign and score memos, the frequency tables, the queue's live
-# positions) hashes through
+# field, alone or one per stream or predicate in a `Vec` (the sign and score
+# memos, the frequency tables, the queue's live positions), hashes through
 # `mstream_types::WordBuild`. Chosen over clippy `disallowed-types`, which
-# cannot tell a test's reference model from a field.
-MAP_FIELD='^\s*(pub(\([a-z]+\))? )?[a-z_]+: (std::collections::)?HashMap<'
-MAP_FIELDS=$(grep_paths "$MAP_FIELD" crates/core/src)
-if grep -v 'WordBuild>,' <<<"$MAP_FIELDS" | grep .; then
+# cannot tell a test's reference model (`store_model.rs`, left out) from a
+# field.
+MAP_FIELD='^\s*(pub(\([a-z]+\))? )?[a-z_]+: (Vec<)?(std::collections::)?HashMap<'
+MAP_FIELDS=$(grep_paths --exclude=store_model.rs "$MAP_FIELD" crates/core/src)
+if grep -vE 'WordBuild>>?,' <<<"$MAP_FIELDS" | grep .; then
   echo "FAIL: a HashMap field of an engine crate is built on RandomState"
   exit 1
 fi
-WORD_MAPS=$(grep -c 'WordBuild>,' <<<"$MAP_FIELDS" || true)
+WORD_MAPS=$(grep -cE 'WordBuild>>?,' <<<"$MAP_FIELDS" || true)
 if [ "$WORD_MAPS" -lt 4 ]; then
   echo "FAIL: expected the four per-arrival tables on WordBuild, found $WORD_MAPS"
   exit 1
