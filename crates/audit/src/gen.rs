@@ -43,17 +43,6 @@ pub struct Trace {
     pub churn: Vec<(usize, Churn)>,
 }
 
-/// Memory discipline for a case's reduced-memory runs.
-#[derive(Clone, Debug)]
-pub enum ReducedMemory {
-    /// The same small capacity on every window.
-    PerWindow(usize),
-    /// One capacity per pool stream (mapped onto the engine's catalog).
-    PerWindowEach(Vec<usize>),
-    /// One shared pool across all windows.
-    GlobalPool(usize),
-}
-
 /// How one query of the standing set relates to the queries before it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MixKind {
@@ -82,8 +71,8 @@ pub struct Case {
     pub kinds: Vec<MixKind>,
     /// Tumbling-epoch discipline shared by every query.
     pub epoch: EpochSpec,
-    /// Memory discipline for the reduced-memory runs.
-    pub reduced: ReducedMemory,
+    /// The tuples every window holds in the reduced-memory runs.
+    pub capacity: usize,
     /// Worker count for the sharded runs (2 or 4).
     pub shards: usize,
     /// The disorder bound `K` of the event-time runs (zero: in order).
@@ -131,21 +120,11 @@ impl Case {
     }
 
     /// Whether the reduced-memory runs can shed nothing: every window
-    /// `trace` registers is a `ROWS n` with room for `n`, under per-window
-    /// memory (DESIGN.md §16). In process, those runs must equal the
-    /// oracle exactly.
+    /// `trace` registers is a `ROWS n` with room for `n` (DESIGN.md §16).
+    /// In process, those runs must equal the oracle exactly.
     pub fn cannot_shed(&self, trace: &Trace) -> bool {
-        let capacity = |p: usize| match &self.reduced {
-            ReducedMemory::PerWindow(c) => Some(*c as u64),
-            ReducedMemory::PerWindowEach(cs) => Some(cs[p] as u64),
-            ReducedMemory::GlobalPool(_) => None,
-        };
-        self.registered(trace).iter().all(|(q, _)| {
-            let mut windows = pool_streams(q).into_iter().zip(q.windows());
-            windows.all(|(p, w)| {
-                matches!((w, capacity(p)), (WindowSpec::Tuples(n), Some(c)) if c >= *n)
-            })
-        })
+        let room = |w: &WindowSpec| matches!(w, WindowSpec::Tuples(n) if self.capacity as u64 >= *n);
+        self.registered(trace).iter().all(|(q, _)| q.windows().iter().all(room))
     }
 
     /// Whether the input queue is transparent over `trace`: it serves in
@@ -382,11 +361,7 @@ pub fn generate_case(seed: u64) -> Case {
         })
         .collect();
 
-    let mut reduced = match rng.gen_range(0..3u8) {
-        0 => ReducedMemory::PerWindow(rng.gen_range(2..8usize)),
-        1 => ReducedMemory::PerWindowEach((0..pool).map(|_| rng.gen_range(2..8usize)).collect()),
-        _ => ReducedMemory::GlobalPool(rng.gen_range(2..8usize) * used.len()),
-    };
+    let mut capacity = rng.gen_range(2..8usize);
     let shards = if rng.gen_bool(0.5) { 2 } else { 4 };
 
     // Churn (sets of two or more): positions keep a quarter of the trace
@@ -420,7 +395,7 @@ pub fn generate_case(seed: u64) -> Case {
             WindowSpec::Tuples(n) => n as usize,
             WindowSpec::Time(_) => unreachable!("the class draws tuple windows only"),
         });
-        reduced = ReducedMemory::PerWindow(longest.max().expect("a query has windows"));
+        capacity = longest.max().expect("a query has windows");
     }
     // Disorder and churn exclude each other: under a bound, registration
     // takes effect at the release frontier, not at a trace position. The
@@ -452,7 +427,7 @@ pub fn generate_case(seed: u64) -> Case {
         queries,
         kinds,
         epoch,
-        reduced,
+        capacity,
         shards,
         disorder,
         keyed,

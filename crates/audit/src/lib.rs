@@ -27,7 +27,7 @@ pub mod gen;
 pub mod run;
 pub mod shrink;
 
-pub use gen::{generate_case, Arrival, Case, Churn, MixKind, ReducedMemory, Trace};
+pub use gen::{generate_case, Arrival, Case, Churn, MixKind, Trace};
 pub use run::{install_quiet_hook, run_case, run_case_on, CaseStats, Failure, FailureKind};
 pub use shrink::{shrink, shrink_case};
 
@@ -75,7 +75,7 @@ mod tests {
                 .collect();
             format!(
                 "{arrivals:?} {:?} {:?} {} {:?} {:?}",
-                c.trace.churn, c.reduced, c.shards, c.disorder, c.queries
+                c.trace.churn, c.capacity, c.shards, c.disorder, c.queries
             )
         };
         assert_eq!(key(&a), key(&b));
@@ -102,18 +102,16 @@ mod tests {
     }
 
     /// Within 60 seeds the generator draws every class the run's
-    /// contracts need: each memory mode, S = 2 and 4, keyed and unkeyed
-    /// one-query shapes, time / tuple / mixed windows, K = 0 and K > 0,
-    /// set sizes 1–4, each mix kind, each churn shape, mixed arity, the
-    /// 9-stream spill and the queued class.
+    /// contracts need: S = 2 and 4, keyed and unkeyed one-query shapes,
+    /// time / tuple / mixed windows, K = 0 and K > 0, set sizes 1–4, each
+    /// mix kind, each churn shape, mixed arity, the 9-stream spill and the
+    /// queued class.
     #[test]
     fn generator_covers_memory_modes_shards_and_partitionability() {
         let mut drawn = std::collections::BTreeSet::new();
         for seed in 0..60u64 {
             let case = generate_case(seed);
             let mut class = |name: String| drawn.insert(name);
-            let memory = format!("{:?}", case.reduced);
-            class(memory[..memory.find('(').unwrap_or(memory.len())].into());
             class(format!("S={}", case.shards));
             class(format!("K>0:{}", !case.disorder.is_zero()));
             class(format!("size {}", case.queries.len()));
@@ -156,7 +154,7 @@ mod tests {
                 class("queued".into());
             }
         }
-        let want = "PerWindow,PerWindowEach,GlobalPool,S=2,S=4,K>0:false,K>0:true,size 1,\
+        let want = "S=2,S=4,K>0:false,K>0:true,size 1,\
                     size 2,size 3,size 4,Base,Duplicate,Overlap,Fresh,tuple windows,\
                     mixed windows,time windows,churn 0/0,churn 1/0,churn 0/1,churn 1/1,keyed,\
                     unkeyed one-query,mixed arity,spill,queued";

@@ -10,7 +10,6 @@
 
 use mstream_audit::{
     case_seed, generate_case, install_quiet_hook, run_case, shrink_case, Case, Churn, Failure,
-    ReducedMemory,
 };
 
 const USAGE: &str = "usage:
@@ -172,11 +171,6 @@ fn describe(case: &Case) -> String {
             )
         })
         .collect();
-    let memory = match &case.reduced {
-        ReducedMemory::PerWindow(c) => format!("cap {c}/window"),
-        ReducedMemory::PerWindowEach(cs) => format!("caps {cs:?} by pool stream"),
-        ReducedMemory::GlobalPool(total) => format!("pool {total}"),
-    };
     let churn: Vec<String> = case
         .trace
         .churn
@@ -188,12 +182,13 @@ fn describe(case: &Case) -> String {
         None => "no queue".into(),
     };
     format!(
-        "{} queries [{}], arities {:?}, epoch {:?}, reduced {memory}, {} shards, K = {}µs, \
+        "{} queries [{}], arities {:?}, epoch {:?}, reduced cap {}/window, {} shards, K = {}µs, \
          {queue}, {} arrivals, churn [{}]",
         case.queries.len(),
         queries.join(" "),
         case.arity,
         case.epoch,
+        case.capacity,
         case.shards,
         case.disorder.as_micros(),
         case.trace.arrivals.len(),

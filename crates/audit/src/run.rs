@@ -6,7 +6,7 @@
 
 use crate::disorder::inject_disorder;
 use crate::eager::Eager;
-use crate::gen::{catalog_order, pool_streams, Arrival, Case, Churn, ReducedMemory, Trace};
+use crate::gen::{catalog_order, pool_streams, Arrival, Case, Churn, Trace};
 use mstream_core::{
     parse_policy, BankConfig, Bindings, EngineBuilder, EngineMetrics, ExactJoin, QueryFnSink,
     ShardConfig, ShedPolicy, ALL_POLICY_NAMES,
@@ -188,7 +188,7 @@ pub(crate) fn ab_pair(
 }
 
 /// One engine run: the policy, the memory (full or the case's reduced
-/// discipline), in process or sharded at a width, and the variant.
+/// capacity), in process or sharded at a width, and the variant.
 #[derive(Clone, Copy)]
 struct Run<'a> {
     policy: &'a str,
@@ -268,18 +268,9 @@ fn builder(case: &Case, queries: &[JoinQuery], len: usize, run: &Run) -> EngineB
     if let Some(shards) = run.shards {
         b = b.shard_config(audit_shard_config(shards));
     }
-    if run.full {
-        return b.capacity_per_window((len + 1) * run.shards.unwrap_or(1));
-    }
-    match &case.reduced {
-        ReducedMemory::PerWindow(c) => b.capacity_per_window(*c),
-        ReducedMemory::PerWindowEach(caps) => b.capacities(
-            catalog_order(queries)
-                .into_iter()
-                .map(|p| caps[p])
-                .collect(),
-        ),
-        ReducedMemory::GlobalPool(total) => b.global_pool(*total),
+    match run.full {
+        true => b.capacity_per_window((len + 1) * run.shards.unwrap_or(1)),
+        false => b.capacity_per_window(case.capacity),
     }
 }
 
@@ -681,16 +672,14 @@ fn oracle_rows(query: &JoinQuery, arrivals: &[Arrival], over: Range<usize>) -> V
 /// (DESIGN.md §14). Owners are the initial queries that first register
 /// each of their `(stream, window)` pairs (a duplicate shares its
 /// original's class) and every added query (fresh class, fresh stores).
-/// A pool shares one budget across classes, so it has no solo run; nor
-/// has a queue that sheds or delays, whose victims and service instants
-/// depend on every stream's arrivals and scores. Behind a transparent
-/// queue an owner replays when it also answers the queue scores of its
-/// streams — each is the first query to read them — since a score may
-/// draw from the answering class's rng (`Random`'s does).
+/// A queue that sheds or delays has no solo run: its victims and service
+/// instants depend on every stream's arrivals and scores. Behind a
+/// transparent queue an owner replays when it also answers the queue
+/// scores of its streams — each is the first query to read them — since a
+/// score may draw from the answering class's rng (`Random`'s does).
 fn solo_replays(case: &Case, trace: &Trace, policy: &str, rows: &Rows) -> Result<(), Failure> {
     let registered = case.registered(trace);
-    let pooled = matches!(case.reduced, ReducedMemory::GlobalPool(_));
-    if registered.len() < 2 || pooled || !case.queue_is_transparent(trace) {
+    if registered.len() < 2 || !case.queue_is_transparent(trace) {
         return Ok(());
     }
     let stores = |q: &JoinQuery| pool_streams(q).into_iter().zip(q.windows().to_vec());

@@ -63,8 +63,7 @@ fn bench_figures(c: &mut Criterion) {
     };
     group.bench_function("fig6_overload_run", |b| {
         b.iter(|| {
-            let memory = MemoryMode::PerWindow(capacity);
-            let mut engine = runner::engine_builder(&query, "MSketch", memory, 42)
+            let mut engine = runner::engine_builder(&query, "MSketch", capacity, 42)
                 .input_queue(paper::ARRIVAL_RATE / 5.0, paper::QUEUE_CAPACITY)
                 .build()
                 .expect("engine config is valid");

@@ -122,9 +122,9 @@ mod tests {
 
     #[test]
     fn keeps_binary_specific_rest() {
-        let a = parse(&["--part", "b", "--global-pool"]);
-        assert!(a.has_flag("--global-pool"));
+        let a = parse(&["--part", "b", "--extra"]);
+        assert!(a.has_flag("--extra"));
         assert!(!a.has_flag("--missing"));
-        assert_eq!(a.rest, ["--part", "b", "--global-pool"]);
+        assert_eq!(a.rest, ["--part", "b", "--extra"]);
     }
 }

@@ -6,9 +6,6 @@
 //!    pairwise frequencies.
 //! 2. **Epoch discipline**: scoring against the last completed tumbling
 //!    window (the paper's choice) vs the live current-epoch sketches.
-//! 3. **Memory allocation**: fixed per-window allocation (the paper's
-//!    reported setting) vs the global shared pool it tried and dismissed
-//!    as "not so significant".
 //!
 //! ```text
 //! cargo run --release -p mstream-bench --bin ablations
@@ -88,30 +85,5 @@ fn main() {
         epoch_outputs[0] as f64 >= 0.8 * epoch_outputs[1] as f64,
     );
 
-    // 3. Per-window vs global pool.
-    let mut rows = Vec::new();
-    let mut pool_outputs = Vec::new();
-    for (label, memory) in [
-        ("per-window (paper)", MemoryMode::PerWindow(capacity)),
-        ("global pool", MemoryMode::GlobalPool(3 * capacity)),
-    ] {
-        let mut engine = runner::build_engine(&query, "MSketch", memory, args.seed);
-        let report = run_trace(&mut engine, &trace, &opts);
-        pool_outputs.push(report.total_output());
-        rows.push(vec![label.to_string(), report.total_output().to_string()]);
-        json_rows.push(serde_json::json!({
-            "ablation": "memory_mode", "variant": label, "output": report.total_output(),
-        }));
-    }
-    table::print_table(
-        "Ablation 3: fixed per-window allocation vs global shared pool (same total memory)",
-        &["variant".to_string(), "output".to_string()],
-        &rows,
-    );
-    let ratio = pool_outputs[1] as f64 / pool_outputs[0].max(1) as f64;
-    table::print_shape(
-        &format!("global pool is not a significant win (pool/per-window = {ratio:.2})"),
-        ratio < 1.5,
-    );
     mstream_bench::args::maybe_dump_json(&args.json, &json_rows);
 }

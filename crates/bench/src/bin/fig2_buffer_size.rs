@@ -4,7 +4,6 @@
 //! ```text
 //! cargo run --release -p mstream-bench --bin fig2_buffer_size
 //! cargo run --release -p mstream-bench --bin fig2_buffer_size -- --describe   # Table 1
-//! cargo run --release -p mstream-bench --bin fig2_buffer_size -- --global-pool # ablation
 //! ```
 
 use mstream_bench::{paper, runner, table, Args};
@@ -23,7 +22,6 @@ fn main() {
     }
     let query = paper::paper_query(paper::scaled_window(scale));
     let opts = RunOptions::default();
-    let global_pool = args.has_flag("--global-pool");
     let mut json_rows = Vec::new();
     // MSketch/Random output ratio at 25% memory, per part (a = low skew,
     // b = high skew) — the cross-part shape check.
@@ -39,17 +37,8 @@ fn main() {
             let capacity = paper::memory_tuples(pct, scale);
             let mut row = vec![format!("{capacity} ({pct}%)")];
             for (pi, policy) in paper::MAX_SUBSET_POLICIES.iter().enumerate() {
-                let report = if global_pool {
-                    let mut engine = runner::build_engine(
-                        &query,
-                        policy,
-                        MemoryMode::GlobalPool(3 * capacity),
-                        args.seed,
-                    );
-                    run_trace(&mut engine, &trace, &opts)
-                } else {
-                    runner::run_policy(&query, policy, capacity, &trace, &opts, args.seed)
-                };
+                let report =
+                    runner::run_policy(&query, policy, capacity, &trace, &opts, args.seed);
                 row.push(report.total_output().to_string());
                 by_policy[pi].push(report.total_output());
                 json_rows.push(serde_json::json!({
@@ -60,17 +49,14 @@ fn main() {
                     "policy": policy,
                     "output": report.total_output(),
                     "shed_window": report.metrics.shed_window,
-                    "global_pool": global_pool,
                 }));
             }
             rows.push(row);
         }
         table::print_table(
             &format!(
-                "Figure 2({part}): #output tuples vs buffer size, z-intra {:.1}-{:.1}{}",
-                z.0,
-                z.1,
-                if global_pool { " [global-pool ablation]" } else { "" }
+                "Figure 2({part}): #output tuples vs buffer size, z-intra {:.1}-{:.1}",
+                z.0, z.1
             ),
             &header,
             &rows,

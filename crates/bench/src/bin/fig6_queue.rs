@@ -36,8 +36,7 @@ fn main() {
         let capacity = paper::memory_tuples(pct, scale);
         let mut row = vec![format!("{capacity} ({pct}%)")];
         for (pi, policy) in POLICIES.iter().enumerate() {
-            let memory = MemoryMode::PerWindow(capacity);
-            let mut engine = runner::engine_builder(&query, policy, memory, args.seed)
+            let mut engine = runner::engine_builder(&query, policy, capacity, args.seed)
                 .input_queue(service_rate, paper::QUEUE_CAPACITY)
                 .build()
                 .expect("engine config is valid");

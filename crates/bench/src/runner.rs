@@ -2,14 +2,15 @@
 
 use mstream_core::prelude::*;
 
-/// Builds an engine for `policy_name` with the standard experiment sizing.
+/// Builds an engine for `policy_name` with the standard experiment sizing
+/// and `capacity` tuples per window.
 pub fn build_engine(
     query: &JoinQuery,
     policy_name: &str,
-    memory: MemoryMode,
+    capacity: usize,
     seed: u64,
 ) -> ShedJoinEngine {
-    engine_builder(query, policy_name, memory, seed)
+    engine_builder(query, policy_name, capacity, seed)
         .build()
         .expect("engine config is valid")
 }
@@ -19,24 +20,20 @@ pub fn build_engine(
 pub fn engine_builder(
     query: &JoinQuery,
     policy_name: &str,
-    memory: MemoryMode,
+    capacity: usize,
     seed: u64,
 ) -> EngineBuilder {
     let policy =
         parse_policy(policy_name).unwrap_or_else(|| panic!("unknown policy {policy_name}"));
-    let builder = EngineBuilder::new(query.clone())
+    EngineBuilder::new(query.clone())
         .boxed_policy(policy)
+        .capacity_per_window(capacity)
         .bank(BankConfig {
             s1: 1000,
             s2: 1,
             seed: seed ^ 0x5EED,
         })
-        .seed(seed);
-    match memory {
-        MemoryMode::PerWindow(c) => builder.capacity_per_window(c),
-        MemoryMode::PerWindowEach(cs) => builder.capacities(cs),
-        MemoryMode::GlobalPool(total) => builder.global_pool(total),
-    }
+        .seed(seed)
 }
 
 /// Runs one policy over `trace` and returns its report.
@@ -48,7 +45,7 @@ pub fn run_policy(
     opts: &RunOptions,
     seed: u64,
 ) -> RunReport {
-    let mut engine = build_engine(query, policy_name, MemoryMode::PerWindow(capacity), seed);
+    let mut engine = build_engine(query, policy_name, capacity, seed);
     run_trace(&mut engine, trace, opts)
 }
 
@@ -107,6 +104,6 @@ mod tests {
     #[should_panic(expected = "unknown policy")]
     fn unknown_policy_panics() {
         let query = paper::paper_query(100);
-        let _ = build_engine(&query, "nope", MemoryMode::PerWindow(10), 1);
+        let _ = build_engine(&query, "nope", 10, 1);
     }
 }

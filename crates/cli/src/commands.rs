@@ -40,7 +40,7 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let trace = load_trace(flags.require("--trace")?)?;
     let policy_name = flags.get("--policy").unwrap_or("MSketch");
     let policy = parse_policy(policy_name)
-        .ok_or_else(|| CliError::input(format!("unknown policy `{policy_name}`")))?;
+        .ok_or_else(|| CliError::usage(format!("unknown policy `{policy_name}`")))?;
     let capacity: usize = flags.num("--capacity", 1024)?;
     let rate = parse_rate(flags, &trace)?;
     let disorder = parse_disorder(flags)?;
@@ -416,7 +416,6 @@ pub fn policies(out: &mut dyn Write) -> Result<(), CliError> {
         ("MSketch", "max-subset: evict the least sketch-estimated multi-way productivity"),
         ("MSketch-RS", "random sample: evict the largest produced fraction of expected output"),
         ("Age", "remaining lifetime x productivity"),
-        ("Life", "remaining lifetime x pairwise partner frequency (Das et al.)"),
         ("Bjoin", "pairwise partner frequency over a binary join tree (Prob)"),
         ("Random", "uniform random eviction"),
         ("FIFO", "drop-oldest"),
@@ -537,9 +536,30 @@ mod tests {
     #[test]
     fn policies_lists_all_builtins() {
         let text = run_cli(&["policies"]).unwrap();
-        for name in ALL_POLICY_NAMES {
-            assert!(text.contains(name), "missing {name}");
-        }
+        let listed: Vec<&str> = text
+            .lines()
+            .skip(1)
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert_eq!(listed, ALL_POLICY_NAMES, "`mstream policies`, in order");
+        let usage = crate::USAGE.lines().find_map(|l| l.trim().strip_prefix("--policy <name>"));
+        let usage = usage.expect("USAGE documents --policy");
+        let named: Vec<&str> = usage.split('|').map(str::trim).collect();
+        assert_eq!(named, ALL_POLICY_NAMES, "USAGE's --policy line, in order");
+    }
+
+    #[test]
+    fn an_unknown_policy_is_a_usage_error_naming_it() {
+        let dir = std::env::temp_dir().join("mstream_cli_unknown_policy");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("trace.csv");
+        std::fs::write(&trace, "0,1,2\n1,1,3\n").unwrap();
+        let query = "SELECT * FROM L(a, b) [ROWS 5], R(a, b) WHERE L.a = R.a";
+        let run = ["run", "--query", query, "--trace", trace.to_str().unwrap(), "--policy"];
+        run_cli(&[&run[..], &["Bjoin"]].concat()).unwrap();
+        let err = run_cli(&[&run[..], &["Life"]].concat()).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(err.to_string().contains("unknown policy `Life`"), "{err}");
     }
 
     #[test]

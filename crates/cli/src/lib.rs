@@ -58,7 +58,7 @@ RUN OPTIONS:
                          query's produced/shed counts and its recall against
                          a full-memory companion run of the same set
     --trace <path>       CSV trace: `stream,value,value,...` per line ('-' = stdin)
-    --policy <name>      MSketch | MSketch-RS | Age | Life | Bjoin | Random | FIFO
+    --policy <name>      MSketch | MSketch-RS | Age | Bjoin | Random | FIFO
                          (default MSketch)
     --capacity <n>       tuples of memory per window (default 1024)
     --rate <k>           global arrival rate, tuples/second (default 10)

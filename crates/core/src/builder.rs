@@ -13,8 +13,7 @@
 //! [`mstream_types::Error::InvalidConfig`] for callers that funnel every
 //! error through [`mstream_types::Result`].
 
-use crate::engine::{default_epoch, resolve_capacities, EngineConfig, InputQueue};
-use crate::engine::{MemoryMode, ShedJoinEngine};
+use crate::engine::{default_epoch, EngineConfig, InputQueue, ShedJoinEngine};
 use crate::multi::{merge_into_catalog, MultiQueryEngine};
 use crate::shard::{ShardConfig, ShardedJoinEngine};
 use crate::shed::{MSketch, ShedPolicy};
@@ -27,17 +26,8 @@ use std::fmt;
 /// of a stringly error, so callers can match on the failure mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
-    /// A window capacity (per-window, per-stream, or pool total) was zero.
+    /// The window capacity was zero.
     ZeroWindowCapacity,
-    /// [`MemoryMode::PerWindowEach`] listed a different number of
-    /// capacities than the registered queries have (global) streams — at
-    /// build, or when `add_query` brings a stream the list does not cover.
-    CapacityCountMismatch {
-        /// Number of capacities provided.
-        got: usize,
-        /// Number of streams in the query.
-        expected: usize,
-    },
     /// The sketch bank was sized with `s1 == 0` or `s2 == 0`.
     ZeroSketchBank,
     /// A shard count of zero was requested.
@@ -81,9 +71,6 @@ impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BuildError::ZeroWindowCapacity => write!(f, "window capacity must be positive"),
-            BuildError::CapacityCountMismatch { got, expected } => {
-                write!(f, "{got} capacities for {expected} streams")
-            }
             BuildError::ZeroSketchBank => write!(f, "sketch bank needs s1 >= 1 and s2 >= 1"),
             BuildError::ZeroShards => write!(f, "shard count must be >= 1"),
             BuildError::MultiShardBuild { shards } => {
@@ -226,22 +213,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Allocates `tuples` of memory to every window.
+    /// Allocates `tuples` of memory to every window (sharded builds: the
+    /// total across workers, split evenly).
     pub fn capacity_per_window(mut self, tuples: usize) -> Self {
-        self.config.memory = MemoryMode::PerWindow(tuples);
-        self
-    }
-
-    /// Allocates explicit per-stream capacities.
-    pub fn capacities(mut self, tuples: Vec<usize>) -> Self {
-        self.config.memory = MemoryMode::PerWindowEach(tuples);
-        self
-    }
-
-    /// Uses a single shared memory pool across all windows (the global
-    /// least-priority tuple is evicted when the pool overflows).
-    pub fn global_pool(mut self, total_tuples: usize) -> Self {
-        self.config.memory = MemoryMode::GlobalPool(total_tuples);
+        self.config.capacity = tuples;
         self
     }
 
@@ -318,9 +293,9 @@ impl EngineBuilder {
     }
 
     /// Validates everything the engine constructors assume: at least one
-    /// query, schemas that merge into one catalog, memory capacities over
-    /// its (global) streams, sketch bank sizing, epoch derivability for the
-    /// chosen policy, the shard count, and the input queue.
+    /// query, schemas that merge into one catalog, a window capacity,
+    /// sketch bank sizing, epoch derivability for the chosen policy, the
+    /// shard count, and the input queue.
     fn validate(&self) -> Result<(), BuildError> {
         if self.queries.is_empty() {
             return Err(BuildError::NoQueries);
@@ -329,7 +304,9 @@ impl EngineBuilder {
         for query in &self.queries {
             merge_into_catalog(&mut catalog, query)?;
         }
-        resolve_capacities(&self.config.memory, catalog.len())?;
+        if self.config.capacity == 0 {
+            return Err(BuildError::ZeroWindowCapacity);
+        }
         if self.config.bank.s1 == 0 || self.config.bank.s2 == 0 {
             return Err(BuildError::ZeroSketchBank);
         }
@@ -464,18 +441,11 @@ mod tests {
 
     #[test]
     fn builder_rejects_bad_capacities() {
-        let err = EngineBuilder::new(pair_query())
-            .capacities(vec![1])
-            .build()
-            .err()
-            .expect("capacity count mismatch rejected");
-        assert_eq!(
-            err,
-            BuildError::CapacityCountMismatch {
-                got: 1,
-                expected: 2
-            }
-        );
+        let zero = || EngineBuilder::new(pair_query()).capacity_per_window(0);
+        assert_eq!(zero().build().err(), Some(BuildError::ZeroWindowCapacity));
+        // Checked before the split: a zero total is not floored to one slot.
+        let sharded = zero().shards(2).build_sharded().err();
+        assert_eq!(sharded, Some(BuildError::ZeroWindowCapacity));
     }
 
     #[test]
@@ -503,21 +473,6 @@ mod tests {
             .expect("multi-shard build() must be rejected");
         assert_eq!(err, BuildError::MultiShardBuild { shards: 4 });
         assert!(err.to_string().contains("build_sharded"));
-    }
-
-    #[test]
-    fn builder_global_pool_mode() {
-        let mut e = EngineBuilder::new(pair_query())
-            .policy(Fifo)
-            .global_pool(3)
-            .build()
-            .unwrap();
-        for i in 0..5u64 {
-            feed(&mut e, (i % 2) as usize, i, VTime::ZERO);
-        }
-        let total =
-            e.window_len(StreamId(0)).unwrap() + e.window_len(StreamId(1)).unwrap();
-        assert_eq!(total, 3);
     }
 
     #[test]

@@ -27,30 +27,15 @@ use std::time::Instant;
 /// expire stale tuples from every window, emit the join results the tuple
 /// produces against all other windows, and store it — scored with the
 /// active policy's priority measure only if its window may shed, evicting
-/// the least-priority resident if the window (or the global pool) is full.
+/// the least-priority resident if the window is full.
 pub type ShedJoinEngine = crate::multi::MultiQueryEngine;
-
-/// How window memory is allocated across streams.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MemoryMode {
-    /// The same fixed number of tuples for every window (the allocation
-    /// used in all of the paper's reported experiments).
-    PerWindow(usize),
-    /// An explicit per-stream allocation, indexed by global stream id:
-    /// every store of a stream takes that stream's capacity.
-    PerWindowEach(Vec<usize>),
-    /// One shared pool: windows grow freely but when the total exceeds the
-    /// pool, the globally least-priority tuple (across all windows) is
-    /// evicted — the variable-allocation variant the paper tried and found
-    /// "not so significant" (§5.1.1); reproduced as an ablation.
-    GlobalPool(usize),
-}
 
 /// Engine construction parameters.
 #[derive(Clone, Debug)]
 pub(crate) struct EngineConfig {
-    /// Window memory allocation.
-    pub memory: MemoryMode,
+    /// Tuples of memory every window holds (the allocation of all of the
+    /// paper's reported experiments).
+    pub capacity: usize,
     /// AGMS sketch sizing (only materialized if the policy needs sketches).
     pub bank: BankConfig,
     /// Tumbling-epoch discipline; `None` derives the paper's default
@@ -94,7 +79,7 @@ pub struct InputQueue {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            memory: MemoryMode::PerWindow(1024),
+            capacity: 1024,
             bank: BankConfig::default(),
             epoch: None,
             seed: 0xEA51,
@@ -323,10 +308,8 @@ impl QueryCore {
         let partner_freq = epoch
             .filter(|_| reqs.partner_freq)
             .map(|e| TumblingFreq::new(&query, e));
-        let may_defer = policy.deferrable_priority()
-            && declared.recompute_on_epoch
-            && declared.sketches
-            && !matches!(config.memory, MemoryMode::GlobalPool(_));
+        let may_defer =
+            policy.deferrable_priority() && declared.recompute_on_epoch && declared.sketches;
         Ok(QueryCore {
             plans: ProbePlan::all(&query),
             query,
@@ -406,10 +389,9 @@ impl QueryCore {
     /// answer must not depend on *when* it is computed (DESIGN.md §16).
     /// That holds when the policy declares its priority a function of key
     /// values, produced count and the frozen snapshot
-    /// ([`ShedPolicy::deferrable_priority`]) and rebuilds at rollovers,
-    /// memory is per window (the pool picks its victim across heaps on
-    /// every overflow) — fixed at construction — and every stream has
-    /// completed an epoch, so no estimate reads the live bank.
+    /// ([`ShedPolicy::deferrable_priority`]) and rebuilds at rollovers —
+    /// fixed at construction — and every stream has completed an epoch, so
+    /// no estimate reads the live bank.
     fn can_defer(&self) -> bool {
         self.may_defer
             && self.sketches.as_ref().is_some_and(|s| {
@@ -576,44 +558,6 @@ impl ProducedScratch {
     }
 }
 
-/// Resolves a [`MemoryMode`] into per-store capacities for an `n`-stream
-/// query, validating it in the process (shared by the engine, the builder
-/// and the sharded coordinator).
-///
-/// Pool mode yields effectively-unbounded stores: ALL enforcement happens
-/// in the engine's post-insert loop, which evicts the global (cross-window)
-/// minimum. Giving a store a finite capacity would let it self-evict its
-/// *local* minimum when it alone exceeds the pool — the wrong victim
-/// (possibly the just-inserted tuple out of tie order), and one the
-/// metrics would never see.
-pub(crate) fn resolve_capacities(
-    memory: &MemoryMode,
-    n: usize,
-) -> core::result::Result<Vec<usize>, BuildError> {
-    let capacities: Vec<usize> = match memory {
-        MemoryMode::PerWindow(c) => vec![*c; n],
-        MemoryMode::PerWindowEach(cs) => {
-            if cs.len() != n {
-                return Err(BuildError::CapacityCountMismatch {
-                    got: cs.len(),
-                    expected: n,
-                });
-            }
-            cs.clone()
-        }
-        MemoryMode::GlobalPool(total) => {
-            if *total == 0 {
-                return Err(BuildError::ZeroWindowCapacity);
-            }
-            vec![usize::MAX / 2; n]
-        }
-    };
-    if capacities.contains(&0) {
-        return Err(BuildError::ZeroWindowCapacity);
-    }
-    Ok(capacities)
-}
-
 /// `config`'s epoch, or the paper's default for `query`.
 fn epoch_of(query: &JoinQuery, config: &EngineConfig) -> core::result::Result<EpochSpec, BuildError> {
     match config.epoch {
@@ -680,7 +624,7 @@ mod tests {
 
     fn cfg(capacity: usize) -> EngineConfig {
         EngineConfig {
-            memory: MemoryMode::PerWindow(capacity),
+            capacity,
             bank: BankConfig {
                 s1: 50,
                 s2: 1,
@@ -764,7 +708,6 @@ mod tests {
             Box::new(MSketch),
             Box::new(MSketchRs),
             Box::new(crate::Age),
-            Box::new(crate::Life),
             Box::new(Bjoin),
             Box::new(RandomLoad),
             Box::new(Fifo),
@@ -873,75 +816,6 @@ mod tests {
             msketch > fifo,
             "MSketch ({msketch}) should beat FIFO ({fifo}) on skewed data"
         );
-    }
-
-    #[test]
-    fn global_pool_respects_total_budget() {
-        use rand::Rng;
-        let mut config = cfg(0);
-        config.memory = MemoryMode::GlobalPool(30);
-        let mut engine = solo(chain3(1000), Box::new(MSketch), config).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        for i in 0..300u64 {
-            let s = StreamId(rng.gen_range(0..3));
-            arrive(&mut engine, s, v(rng.gen_range(0..4), 0), VTime::from_secs(i));
-            let total: usize = (0..3).map(|k| engine.window_len(StreamId(k)).unwrap()).sum();
-            assert!(total <= 30, "pool bound violated: {total}");
-        }
-        assert!(engine.metrics().shed_window > 0);
-    }
-
-    #[test]
-    fn global_pool_ties_evict_oldest_across_windows() {
-        // Empty sketches give every MSketch arrival score 0, so pool
-        // eviction order is decided purely by the (score, seq) tie-break:
-        // the globally oldest tuple goes first, never the one that was just
-        // inserted. Values are chosen to never join (no produced updates).
-        // Arrive in DESCENDING stream order so the oldest tied tuple lives
-        // in the highest-indexed store: a score-only comparison that
-        // resolves ties by store order would evict the fresh tuple instead.
-        let mut config = cfg(0);
-        config.memory = MemoryMode::GlobalPool(2);
-        let mut engine = solo(chain3(1000), Box::new(MSketch), config).unwrap();
-        arrive(&mut engine, StreamId(2), v(1, 1), VTime::ZERO);
-        arrive(&mut engine, StreamId(1), v(2, 2), VTime::ZERO);
-        // Third arrival overflows the pool; seq 0 (window 2) must go, even
-        // though the arrival landed in window 0.
-        arrive(&mut engine, StreamId(0), v(3, 3), VTime::ZERO);
-        assert_eq!(engine.window_len(StreamId(2)).unwrap(), 0, "oldest evicted");
-        assert_eq!(engine.window_len(StreamId(1)).unwrap(), 1);
-        assert_eq!(engine.window_len(StreamId(0)).unwrap(), 1, "fresh tuple survives the tie");
-        assert_eq!(engine.metrics().shed_window, 1);
-    }
-
-    #[test]
-    fn global_pool_counts_single_window_overflow() {
-        // All arrivals land in ONE window. Before pool enforcement moved
-        // entirely into the engine, the store (sized to the whole pool)
-        // would silently self-evict its local minimum here: the pool stayed
-        // within budget but `shed_window` never saw those evictions.
-        let mut config = cfg(0);
-        config.memory = MemoryMode::GlobalPool(2);
-        let mut engine = solo(chain3(1000), Box::new(Fifo), config).unwrap();
-        for i in 0..5u64 {
-            arrive(&mut engine, StreamId(0), v(i, i), VTime::ZERO);
-        }
-        assert_eq!(engine.window_len(StreamId(0)).unwrap(), 2, "pool bound enforced");
-        assert_eq!(
-            engine.metrics().shed_window,
-            3,
-            "every pool eviction is counted exactly once"
-        );
-    }
-
-    #[test]
-    fn global_pool_zero_budget_rejected() {
-        let mut config = cfg(1);
-        config.memory = MemoryMode::GlobalPool(0);
-        let err = solo(chain3(10), Box::new(Fifo), config)
-            .err()
-            .expect("zero pool must be rejected");
-        assert!(matches!(err, Error::InvalidConfig(_)));
     }
 
     #[test]
@@ -1098,21 +972,9 @@ mod tests {
 
     #[test]
     fn invalid_capacity_rejected() {
-        let err = solo(chain3(10), Box::new(Fifo), {
-            let mut c = cfg(0);
-            c.memory = MemoryMode::PerWindow(0);
-            c
-        })
-        .err()
-        .expect("zero capacity must be rejected");
-        assert!(matches!(err, Error::InvalidConfig(_)));
-        let err = solo(chain3(10), Box::new(Fifo), {
-            let mut c = cfg(1);
-            c.memory = MemoryMode::PerWindowEach(vec![1, 2]);
-            c
-        })
-        .err()
-        .expect("capacity count mismatch must be rejected");
+        let err = solo(chain3(10), Box::new(Fifo), cfg(0))
+            .err()
+            .expect("zero capacity must be rejected");
         assert!(matches!(err, Error::InvalidConfig(_)));
     }
 

@@ -163,15 +163,15 @@ pub use bank::BankConfig;
 pub use builder::{BuildError, EngineBuilder};
 pub use clock::STRIDE as STAGE_SAMPLE_STRIDE;
 pub use context::{PriorityCtx, Requirements};
-pub use engine::{InputQueue, MemoryMode, ShedJoinEngine};
+pub use engine::{InputQueue, ShedJoinEngine};
 pub use exact::ExactJoin;
 pub use ingest::{
     Arrival, CountSink, EmitSink, FnSink, IngestOutcome, QueryFnSink, QueryRowsSink, VecSink,
 };
 pub use multi::{MultiQueryEngine, QueryStats};
 pub use policies::{
-    parse_policy, Age, Bjoin, Fifo, Life, MSketch, MSketchCurrentEpoch, MSketchRs, RandomLoad,
-    ShedPolicy, ALL_POLICY_NAMES,
+    parse_policy, Age, Bjoin, Fifo, MSketch, MSketchCurrentEpoch, MSketchRs, RandomLoad, ShedPolicy,
+    ALL_POLICY_NAMES,
 };
 pub use probe::{Bindings, Run};
 pub use queue::QueueVictim;

@@ -66,10 +66,7 @@
 
 use crate::builder::BuildError;
 use crate::clock::StageClock;
-use crate::engine::{
-    resolve_capacities, EngineConfig, MemoryMode, ProducedScratch, QueryCore, QueueStage,
-    ReorderStage,
-};
+use crate::engine::{EngineConfig, ProducedScratch, QueryCore, QueueStage, ReorderStage};
 use crate::ingest::{Arrival, EmitSink, IngestOutcome};
 use crate::join::{probe_runs_in, StoreLookup};
 use crate::report::EngineMetrics;
@@ -93,16 +90,6 @@ struct StoreEntry {
     owner_local: StreamId,
     /// Tuples shed from this store (evictions before expiry).
     shed: u64,
-}
-
-/// Whether `store` is **bounded**: a `ROWS n` window with room for `n`
-/// ([`WindowStore::cannot_fill`]) outside a [`MemoryMode::GlobalPool`],
-/// whose victims are picked across windows whether or not any one of them
-/// is full. A bounded store never sheds, so nothing needs its priorities;
-/// a class whose every store is bounded is idle (DESIGN.md §16). Fixed for
-/// the store's life: window, capacity and memory mode never change.
-fn bounded(store: &WindowStore, memory: &MemoryMode) -> bool {
-    store.cannot_fill() && !matches!(memory, MemoryMode::GlobalPool(_))
 }
 
 /// One class of structurally identical registered queries.
@@ -275,6 +262,9 @@ impl MultiQueryEngine {
         if queries.is_empty() {
             return Err(BuildError::NoQueries);
         }
+        if config.capacity == 0 {
+            return Err(BuildError::ZeroWindowCapacity);
+        }
         let mut engine = MultiQueryEngine {
             catalog: Catalog::new(),
             policy_proto: policy,
@@ -349,10 +339,9 @@ impl MultiQueryEngine {
             }
             class_maps.push((gstream_of, store_of));
         }
-        let capacities = resolve_capacities(&engine.config.memory, engine.catalog.len())?;
         for p in planned {
             engine.stores.push(Some(StoreEntry {
-                store: WindowStore::new(p.window, p.attrs, capacities[p.gstream.index()]),
+                store: WindowStore::new(p.window, p.attrs, engine.config.capacity),
                 gstream: p.gstream,
                 users: p.users,
                 owner_local: p.owner_local,
@@ -371,12 +360,11 @@ impl MultiQueryEngine {
                     produced: 0,
                 });
             }
-            let memory = &engine.config.memory;
             let store = |si: usize| &engine.stores[si].as_ref().expect("built").store;
             // Queue scores read every class's estimates: with a queue, no
             // class idles.
             let has_queue = engine.config.input_queue.is_some();
-            let idle = !has_queue && store_of.iter().all(|&si| bounded(store(si), memory));
+            let idle = !has_queue && store_of.iter().all(|&si| store(si).cannot_fill());
             engine.classes.push(Some(QueryClass {
                 core: QueryCore::new(q, engine.policy_proto.clone(), &engine.config, idle)?,
                 members,
@@ -526,13 +514,13 @@ impl MultiQueryEngine {
     /// internal invariants (per-store capacity bounds included), every
     /// class's sketch coherence, the sharing bookkeeping (owners exist,
     /// mappings in range, every resident carries its owner's local stream
-    /// id), bounded stores that never shed, idle classes that keep no
-    /// estimation state and own only bounded stores that owe their
-    /// priorities, the pooled total under [`MemoryMode::GlobalPool`], a
-    /// reorder stage holding nothing releasable, and an input queue that
-    /// is consistent, within capacity, and ahead of no idle class. O(resident tuples) and
-    /// worse; compiled only under the `audit` feature, where the
-    /// differential harness calls it after every arrival.
+    /// id), stores that cannot fill and never shed, idle classes that keep
+    /// no estimation state and own only stores that cannot fill and owe
+    /// their priorities, a reorder stage holding nothing releasable, and an
+    /// input queue that is consistent, within capacity, and ahead of no
+    /// idle class. O(resident tuples) and worse; compiled only under the
+    /// `audit` feature, where the differential harness calls it after
+    /// every arrival.
     ///
     /// # Panics
     /// Panics on any violated invariant.
@@ -562,7 +550,7 @@ impl MultiQueryEngine {
             }
             // Every insert into a full store sheds one tuple.
             assert!(
-                !bounded(&entry.store, &self.config.memory) || entry.shed == 0,
+                !entry.store.cannot_fill() || entry.shed == 0,
                 "store {si}: a bounded store was full at an insert"
             );
         }
@@ -579,7 +567,7 @@ impl MultiQueryEngine {
                 assert_eq!(entry.gstream, g, "store mapping agrees on stream");
                 if class.core.idle {
                     assert!(
-                        bounded(&entry.store, &self.config.memory),
+                        entry.store.cannot_fill(),
                         "idle class {cid} reads store {si}, which can fill"
                     );
                     assert!(
@@ -594,10 +582,6 @@ impl MultiQueryEngine {
                     "class member {m} is registered"
                 );
             }
-        }
-        if let MemoryMode::GlobalPool(total) = self.config.memory {
-            let resident = self.total_resident();
-            assert!(resident <= total, "pool overrun: {resident} resident > {total} budget");
         }
         if let Some(front) = self.front.as_ref() {
             front.check_invariants();
@@ -623,15 +607,11 @@ impl MultiQueryEngine {
     /// tuples admitted after this call (deterministic handoff; behind the
     /// reorder stage or the input queue, released or served after it).
     /// Its schema must agree with the global catalog on any stream name it
-    /// shares, and under [`MemoryMode::PerWindowEach`] it may bring no
-    /// stream the capacity list does not cover
-    /// ([`BuildError::CapacityCountMismatch`]). A rejected query leaves no
-    /// trace.
+    /// shares; a rejected query leaves no trace.
     pub fn add_query(&mut self, query: JoinQuery) -> Result<QueryId, BuildError> {
         let snapshot = self.catalog.clone();
         let cid = self.classes.len();
         let registered = merge_into_catalog(&mut self.catalog, &query).and_then(|gstream_of| {
-            let capacities = resolve_capacities(&self.config.memory, self.catalog.len())?;
             let mut entries: Vec<StoreEntry> = gstream_of
                 .iter()
                 .enumerate()
@@ -639,7 +619,7 @@ impl MultiQueryEngine {
                     let local = StreamId(k);
                     let (window, attrs) = (query.window(local), store_attrs(&query, local));
                     StoreEntry {
-                        store: WindowStore::new(window, attrs, capacities[g.index()]),
+                        store: WindowStore::new(window, attrs, self.config.capacity),
                         gstream: g,
                         users: vec![cid],
                         owner_local: local,
@@ -647,9 +627,8 @@ impl MultiQueryEngine {
                     }
                 })
                 .collect();
-            let memory = &self.config.memory;
             let has_queue = self.queue.is_some();
-            let idle = !has_queue && entries.iter().all(|e| bounded(&e.store, memory));
+            let idle = !has_queue && entries.iter().all(|e| e.store.cannot_fill());
             let core = QueryCore::new(query, self.policy_proto.clone(), &self.config, idle)?;
             if idle {
                 entries.iter_mut().for_each(|e| e.store.defer_priorities());
@@ -891,7 +870,6 @@ impl MultiQueryEngine {
             stores,
             scratches,
             metrics,
-            config,
             ..
         } = self;
         // 1. Every interested class folds the arrival into its estimation
@@ -997,11 +975,10 @@ impl MultiQueryEngine {
             }
         }
         // 5. Store the arrival once per (stream, window) store, tagged and
-        //    — if the store may shed — scored by the store's owner; shed if
-        //    the store (or the pool) is full.
+        //    — if the store may shed — scored by the store's owner; a full
+        //    store evicts its least-priority resident.
         let mut stored = false;
         let mut shed = 0u64;
-        let mut copies = 0u64;
         for entry in stores.iter_mut().flatten() {
             if entry.gstream != g {
                 continue;
@@ -1013,17 +990,11 @@ impl MultiQueryEngine {
                 .core
                 .admit(&mut entry.store, local, now, sample, metrics);
             stored |= outcome.slot.is_some();
-            copies += 1;
             if let Eviction::Evicted(_) = outcome.eviction {
                 entry.shed += 1;
                 metrics.shed_window += 1;
                 shed += 1;
             }
-        }
-        if let MemoryMode::GlobalPool(total) = config.memory {
-            let (evicted, own) = shed_to_pool(stores, total, tuple.seq, metrics);
-            shed += evicted;
-            stored = own < copies;
         }
         IngestOutcome {
             produced,
@@ -1079,48 +1050,6 @@ impl MultiQueryEngine {
         };
         (&class.core, stores)
     }
-}
-
-/// [`MemoryMode::GlobalPool`]'s half of step 5: while the live stores hold
-/// more than `total` tuples, evict the global minimum under the same
-/// `(score, seq)` order the per-store heaps use, so cross-window ties still
-/// evict the oldest tuple first — never the just-inserted one ahead of an
-/// equally-scored elder. Pool stores are unbounded (only this loop
-/// evicts). Returns the evictions and how many of them were copies of the
-/// arrival `seq`.
-fn shed_to_pool(
-    stores: &mut [Option<StoreEntry>],
-    total: usize,
-    seq: SeqNo,
-    metrics: &mut EngineMetrics,
-) -> (u64, u64) {
-    let (mut shed, mut own) = (0u64, 0u64);
-    while stores.iter().flatten().map(|e| e.store.len()).sum::<usize>() > total {
-        let victim_store = stores
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| {
-                let st = &e.as_ref()?.store;
-                st.peek_min().map(|(slot, p)| {
-                    let seq = st.tuple(slot).expect("heap slot is live").seq;
-                    (i, p, seq)
-                })
-            })
-            .min_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .expect("finite priorities")
-                    .then(a.2.cmp(&b.2))
-            })
-            .map(|(i, _, _)| i)
-            .expect("pool over limit implies a resident tuple");
-        let entry = stores[victim_store].as_mut().expect("victim store is live");
-        let (victim, _) = entry.store.evict_min().expect("store has a minimum");
-        own += u64::from(victim.seq == seq);
-        entry.shed += 1;
-        metrics.shed_window += 1;
-        shed += 1;
-    }
-    (shed, own)
 }
 
 #[cfg(test)]
@@ -1494,62 +1423,6 @@ mod tests {
         }
         let stats = tight.query_stats(QueryId(0)).unwrap();
         assert!(stats.shed > 0);
-    }
-
-    #[test]
-    fn per_window_each_is_indexed_by_global_stream() {
-        // L = 0, R = 1, X = 2 globally; the second query knows R as 0 and
-        // X as 1, so a list read by local stream would give X R's budget.
-        let mut b = EngineBuilder::new_multi().policy(Fifo).capacities(vec![2, 4, 8]);
-        b.register(pair_query("L", "R", 600)).unwrap();
-        b.register(pair_query("R", "X", 600)).unwrap();
-        let mut e = b.build_multi().unwrap();
-        let t = trace(&["L", "R", "X"], 60);
-        let mut sink = QueryRowsSink::default();
-        feed(&mut e, &t, &mut sink);
-        let len = |e: &MultiQueryEngine, name| e.window_len(e.stream_id(name).unwrap());
-        assert_eq!([len(&e, "L"), len(&e, "R"), len(&e, "X")], [Some(2), Some(4), Some(8)]);
-        // A stream the list does not cover is a typed rejection, rolled back.
-        assert_eq!(
-            e.add_query(pair_query("X", "Y", 600)),
-            Err(BuildError::CapacityCountMismatch {
-                got: 3,
-                expected: 4
-            })
-        );
-        assert_eq!((e.catalog().len(), e.n_queries(), e.n_stores()), (3, 2, 3));
-        // A covered one gets fresh stores at its streams' global budgets.
-        e.add_query(pair_query("X", "L", 600)).unwrap();
-        feed(&mut e, &t, &mut sink);
-        assert_eq!([len(&e, "L"), len(&e, "X")], [Some(2 + 2), Some(8 + 8)]);
-    }
-
-    #[test]
-    fn global_pool_bounds_the_plane_and_sheds_a_sub_multiset() {
-        let queries = vec![pair_query("L", "R", 60), chain_query("L", "R", "X", 60)];
-        let mut b = EngineBuilder::new_multi().policy(MSketch).global_pool(10);
-        for q in &queries {
-            b.register(q.clone()).unwrap();
-        }
-        let mut pooled = b.build_multi().unwrap();
-        let mut exact = multi(queries, 1 << 20);
-        let t = trace(&["L", "R", "X"], 150);
-        let (mut s1, mut s2) = (QueryRowsSink::default(), QueryRowsSink::default());
-        for (name, row, ts) in &t {
-            let g = pooled.stream_id(name).unwrap();
-            pooled.ingest(Arrival::new(g, row.clone(), *ts), &mut s1);
-            exact.ingest(Arrival::new(g, row.clone(), *ts), &mut s2);
-            assert!(pooled.total_resident() <= 10, "pool bound violated");
-        }
-        assert!(pooled.metrics().shed_window > 0, "a pool of 10 must shed");
-        for q in 0..2 {
-            let mut exact_keys = key_rows(&s2.rows[q]);
-            assert!(!s1.rows[q].is_empty(), "query {q} still joins");
-            for row in key_rows(&s1.rows[q]) {
-                let pos = exact_keys.iter().position(|r| *r == row);
-                exact_keys.swap_remove(pos.expect("shed output is a sub-multiset of exact"));
-            }
-        }
     }
 
     #[test]

@@ -66,7 +66,7 @@
 //! channels, so replays are exact.
 
 use crate::builder::BuildError;
-use crate::engine::{EngineConfig, MemoryMode, ReorderStage};
+use crate::engine::{EngineConfig, ReorderStage};
 use crate::ingest::{Arrival, CountSink, QueryRowsSink};
 use crate::multi::{merge_into_catalog, MultiQueryEngine, QueryStats};
 use crate::report::{EngineMetrics, RunReport};
@@ -362,7 +362,7 @@ pub struct ShardedJoinEngine {
 
 impl ShardedJoinEngine {
     /// Computes the routing plan for `queries` and spawns the worker
-    /// threads, each with a copy of `policy`. `config.memory` is the
+    /// threads, each with a copy of `policy`. `config.capacity` is the
     /// *total* budget; each key-partitioned worker gets `1/S` of it.
     pub(crate) fn new(
         queries: Vec<JoinQuery>,
@@ -394,14 +394,14 @@ impl ShardedJoinEngine {
         }
         let shards = if degraded.is_some() { 1 } else { shard.shards };
         let needs_ticks = shards > 1 && queries.iter().any(has_tuple_windows);
-        let memory = split_memory(&config.memory, shards);
+        let capacity = split_memory(config.capacity, shards);
         let bank = split_bank(&config.bank, shards);
         let mut senders = Vec::with_capacity(shards);
         let mut returns = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for i in 0..shards {
             let mut worker_config = config.clone();
-            worker_config.memory = memory.clone();
+            worker_config.capacity = capacity;
             worker_config.bank = bank;
             // Reordering happens once, at the coordinator, before minting
             // and routing: workers see watermark-ordered timestamps.
@@ -900,19 +900,10 @@ fn worker_loop(
     }
 }
 
-/// Splits a total memory budget evenly across `shards` workers (each
+/// Splits a total window capacity evenly across `shards` workers (each
 /// window keeps at least one slot).
-fn split_memory(memory: &MemoryMode, shards: usize) -> MemoryMode {
-    if shards <= 1 {
-        return memory.clone();
-    }
-    match memory {
-        MemoryMode::PerWindow(c) => MemoryMode::PerWindow((c / shards).max(1)),
-        MemoryMode::PerWindowEach(cs) => {
-            MemoryMode::PerWindowEach(cs.iter().map(|c| (c / shards).max(1)).collect())
-        }
-        MemoryMode::GlobalPool(total) => MemoryMode::GlobalPool((total / shards).max(1)),
-    }
+fn split_memory(capacity: usize, shards: usize) -> usize {
+    (capacity / shards).max(1)
 }
 
 /// Splits the estimation budget the way [`split_memory`] splits the
@@ -966,27 +957,11 @@ mod tests {
 
     #[test]
     fn split_memory_is_even_with_floor_of_one() {
-        assert_eq!(
-            split_memory(&MemoryMode::PerWindow(64), 4),
-            MemoryMode::PerWindow(16)
-        );
-        assert_eq!(
-            split_memory(&MemoryMode::PerWindow(2), 8),
-            MemoryMode::PerWindow(1)
-        );
-        assert_eq!(
-            split_memory(&MemoryMode::PerWindowEach(vec![8, 4]), 2),
-            MemoryMode::PerWindowEach(vec![4, 2])
-        );
-        assert_eq!(
-            split_memory(&MemoryMode::GlobalPool(100), 3),
-            MemoryMode::GlobalPool(33)
-        );
+        assert_eq!(split_memory(64, 4), 16);
+        assert_eq!(split_memory(100, 3), 33);
+        assert_eq!(split_memory(2, 8), 1);
         // A single shard keeps the budget untouched.
-        assert_eq!(
-            split_memory(&MemoryMode::GlobalPool(100), 1),
-            MemoryMode::GlobalPool(100)
-        );
+        assert_eq!(split_memory(100, 1), 100);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! | [`MSketch`]   | `max(prod(t), 0)` — sketch-estimated productivity       |
 //! | `MSketchRs`   | `1 − produced(t) / ((n−1)·prod(t))` — remaining fraction|
 //! | `Age`         | remaining lifetime × `max(prod(t), 0)`                  |
-//! | `Life`        | remaining lifetime × partner frequency (Das et al.)     |
 //! | `Bjoin`       | Π partner-window frequency of `t`'s join values (Prob applied pairwise) |
 //! | `RandomLoad`  | uniform random draw                                     |
 //! | `Fifo`        | arrival sequence number (drop-oldest)                   |

@@ -345,34 +345,6 @@ impl ShedPolicy for Age {
     }
 }
 
-/// `Life` (Das et al., SIGMOD'03): partner frequency × remaining lifetime,
-/// the binary-join heuristic the paper cites as related work. Included as
-/// an additional baseline (see DESIGN.md §7).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Life;
-
-impl ShedPolicy for Life {
-    fn clone_box(&self) -> Box<dyn ShedPolicy> {
-        Box::new(*self)
-    }
-
-    fn name(&self) -> &'static str {
-        "Life"
-    }
-
-    fn requirements(&self) -> Requirements {
-        Requirements {
-            partner_freq: true,
-            recompute_on_epoch: true,
-            ..Default::default()
-        }
-    }
-
-    fn window_priority(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple, _produced: u64) -> f64 {
-        ctx.remaining_lifetime_secs(tuple) * ctx.binary_tree_frequency(tuple)
-    }
-}
-
 /// `Bjoin` (paper §1/§5): the multi-binary-join baseline — Das et al.'s
 /// `Prob` applied to a left-deep binary decomposition such as
 /// `(R1 ⋈ R2) ⋈ R3`. Each window's priority is the partner frequency of
@@ -515,7 +487,6 @@ pub const ALL_POLICY_NAMES: &[&str] = &[
     "MSketch",
     "MSketch-RS",
     "Age",
-    "Life",
     "Bjoin",
     "Random",
     "FIFO",
@@ -528,7 +499,6 @@ pub fn parse_policy(name: &str) -> Option<Box<dyn ShedPolicy>> {
         "msketch-current" | "msketchcurrent" => Some(Box::new(MSketchCurrentEpoch)),
         "msketch-rs" | "msketchrs" | "rs" => Some(Box::new(MSketchRs)),
         "age" => Some(Box::new(Age)),
-        "life" => Some(Box::new(Life)),
         "bjoin" => Some(Box::new(Bjoin)),
         "random" => Some(Box::new(RandomLoad)),
         "fifo" => Some(Box::new(Fifo)),
@@ -835,21 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn life_multiplies_frequency_and_lifetime() {
-        let q = chain3();
-        let pf = demo_freq(&q);
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut p = Life;
-        let score = p.window_priority(
-            &mut ctx(&q, None, Some(&pf), 50, &mut rng),
-            &tup(0, 0, 0, 7, 0),
-            0,
-        );
-        // 2 partner arrivals × 50s remaining lifetime.
-        assert_eq!(score, 100.0);
-    }
-
-    #[test]
     fn random_draws_differ_and_need_nothing() {
         let q = chain3();
         let mut rng = StdRng::seed_from_u64(0);
@@ -937,9 +892,7 @@ mod tests {
             }
         }
         // The non-sketch built-ins keep the per-slot path.
-        for p in [parse_policy("life").unwrap(), parse_policy("bjoin").unwrap()] {
-            assert!(!p.groupable_estimate(), "{} stays per-slot", p.name());
-        }
+        assert!(!Bjoin.groupable_estimate());
         assert!(!RandomLoad.groupable_estimate());
         assert!(!Fifo.groupable_estimate());
     }

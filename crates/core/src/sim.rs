@@ -169,7 +169,7 @@ pub fn run_exact_trace(query: &JoinQuery, trace: &Trace, opts: &RunOptions) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineConfig, InputQueue, MemoryMode};
+    use crate::engine::{EngineConfig, InputQueue};
     use crate::sketch::BankConfig;
     use crate::{Fifo, MSketch};
     use mstream_types::{Catalog, StreamSchema, WindowSpec};
@@ -224,7 +224,7 @@ mod tests {
             vec![query],
             Box::new(MSketch),
             EngineConfig {
-                memory: MemoryMode::PerWindow(capacity),
+                capacity,
                 bank: BankConfig {
                     s1: 30,
                     s2: 1,
@@ -384,7 +384,7 @@ mod tests {
             vec![query],
             Box::new(Fifo),
             EngineConfig {
-                memory: MemoryMode::PerWindow(64),
+                capacity: 64,
                 input_queue: Some(InputQueue {
                     service_rate: 4.0,
                     capacity: 10,

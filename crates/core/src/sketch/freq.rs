@@ -11,9 +11,9 @@
 //!
 //! [`TumblingFreq`] maintains these tables under the same tumbling-epoch
 //! discipline as the AGMS sketches (accumulate the current epoch, score
-//! from the last completed one), so the `Bjoin`/`Life` baselines and the
-//! sketch policies estimate the same forward-looking quantity and differ
-//! only in *pairwise-exact vs multi-way-sketched*.
+//! from the last completed one), so the `Bjoin` baseline and the sketch
+//! policies estimate the same forward-looking quantity and differ only in
+//! *pairwise-exact vs multi-way-sketched*.
 
 use crate::tumbling::{elapsed_epochs, EpochSpec};
 use mstream_types::{JoinQuery, StreamId, VTime, Value, WordBuild};

@@ -431,14 +431,16 @@ impl WindowStore {
 
     /// Evicts and returns the lowest-priority tuple, if any (`None` while
     /// priorities are deferred: no resident has one).
+    #[cfg(test)]
     pub(crate) fn evict_min(&mut self) -> Option<(Tuple, f64)> {
         let (slot, score) = self.heap.peek_min()?;
         let tuple = self.remove_slot(slot).expect("heap entries are live");
         Some((tuple, score))
     }
 
-    /// The lowest priority currently resident, if any (global-pool
-    /// variant); `None` while priorities are deferred.
+    /// The lowest priority currently resident, if any; `None` while
+    /// priorities are deferred.
+    #[cfg(test)]
     pub(crate) fn peek_min(&self) -> Option<(Slot, f64)> {
         self.heap.peek_min()
     }
@@ -548,7 +550,10 @@ impl WindowStore {
 
     /// Whether no arrival can find the window full: a `ROWS n` window with
     /// room for `n`, expired by [`Self::expire_ahead_of`] before each
-    /// arrival of its stream, holds at most `n - 1` residents then.
+    /// arrival of its stream, holds at most `n - 1` residents then. Such a
+    /// store never sheds, so nothing needs its priorities; a class whose
+    /// every store is one is idle (DESIGN.md §16). Fixed for the store's
+    /// life: window and capacity never change.
     pub(crate) fn cannot_fill(&self) -> bool {
         matches!(self.spec, WindowSpec::Tuples(n) if self.capacity as u64 >= n)
     }

@@ -189,6 +189,12 @@ forbid "a second portable kernel form is back (DESIGN.md §15)" 'mod lanes|lanes
 # trace validator and their hand-written exact-count loop stay gone.
 forbid "a second mstream run path is back in crates/cli/src" \
   'fn run_multi|fn run_sharded|fn multi_exact_counts|fn validate_trace\(' crates/cli/src
+# One memory rule (DESIGN.md §8): every window holds the same fixed number
+# of tuples, so the memory modes, the global pool and per-stream capacity
+# lists stay gone.
+forbid "a second memory rule is back (DESIGN.md §8)" \
+  'MemoryMode|GlobalPool|PerWindowEach|shed_to_pool|global_pool|fn capacities' \
+  crates/core/src crates/cli/src crates/bench/src crates/audit/src
 # Differential audit smoke (DESIGN.md §8): 100 fuzzed cases, every policy
 # in process and sharded against each query's exact oracle, event-time
 # runs against in-order runs, the score-cache (odd seeds) and plain/eager

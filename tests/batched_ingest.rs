@@ -3,9 +3,8 @@
 //! The contract under test: feeding a trace through `ingest_batch` — any
 //! chunking — is the per-arrival loop: same result rows in the same
 //! emission order, same sequence numbers, same shed decisions, same
-//! deterministic metrics. This holds at full memory, under per-window and
-//! global-pool shedding, with a disorder bound, and on the multi-query
-//! plane.
+//! deterministic metrics. This holds at full memory, under shedding, with
+//! a disorder bound, and on the multi-query plane.
 
 use mstream_core::prelude::*;
 use rand::rngs::StdRng;
@@ -71,30 +70,22 @@ fn emitted(rows: &[Vec<Tuple>]) -> Vec<Vec<SeqNo>> {
         .collect()
 }
 
-fn build(query: JoinQuery, policy: &str, memory: &Memory) -> ShedJoinEngine {
-    let builder = EngineBuilder::new(query)
+fn build(query: JoinQuery, policy: &str, capacity: usize) -> ShedJoinEngine {
+    EngineBuilder::new(query)
         .boxed_policy(parse_policy(policy).unwrap())
-        .seed(5);
-    match memory {
-        Memory::PerWindow(c) => builder.capacity_per_window(*c),
-        Memory::GlobalPool(t) => builder.global_pool(*t),
-    }
-    .build()
-    .unwrap()
-}
-
-enum Memory {
-    PerWindow(usize),
-    GlobalPool(usize),
+        .capacity_per_window(capacity)
+        .seed(5)
+        .build()
+        .unwrap()
 }
 
 fn run_per_arrival(
     query: JoinQuery,
     policy: &str,
-    memory: &Memory,
+    capacity: usize,
     arrivals: &[Arrival],
 ) -> (Vec<Vec<SeqNo>>, EngineMetrics, usize) {
-    let mut engine = build(query, policy, memory);
+    let mut engine = build(query, policy, capacity);
     let mut sink = VecSink::default();
     for a in arrivals {
         engine.ingest(a.clone(), &mut sink);
@@ -105,11 +96,11 @@ fn run_per_arrival(
 fn run_batched(
     query: JoinQuery,
     policy: &str,
-    memory: &Memory,
+    capacity: usize,
     arrivals: &[Arrival],
     batch: usize,
 ) -> (Vec<Vec<SeqNo>>, EngineMetrics, usize) {
-    let mut engine = build(query, policy, memory);
+    let mut engine = build(query, policy, capacity);
     let mut sink = VecSink::default();
     for chunk in arrivals.chunks(batch) {
         engine.ingest_batch(chunk.iter().cloned(), &mut sink);
@@ -128,11 +119,10 @@ fn batched_ingest_is_bit_identical_at_full_memory() {
         ("chain3", chain3(WindowSpec::secs(25))),
     ] {
         for policy in ["MSketch", "FIFO"] {
-            let memory = Memory::PerWindow(100_000);
-            let reference = run_per_arrival(query.clone(), policy, &memory, &arrivals);
+            let reference = run_per_arrival(query.clone(), policy, 100_000, &arrivals);
             assert!(!reference.0.is_empty(), "{label}: trace must produce joins");
             for batch in BATCHES {
-                let got = run_batched(query.clone(), policy, &memory, &arrivals, batch);
+                let got = run_batched(query.clone(), policy, 100_000, &arrivals, batch);
                 assert_eq!(
                     got, reference,
                     "{label}/{policy}: batch={batch} diverged from per-arrival"
@@ -143,27 +133,24 @@ fn batched_ingest_is_bit_identical_at_full_memory() {
 }
 
 /// Reduced memory: evictions read priorities, so every produced-credit
-/// must have landed by then whatever the chunking. Per-window and
-/// global-pool disciplines, every policy whose priorities depend on
-/// produced counts plus the sketch family.
+/// must have landed by then whatever the chunking. Every policy whose
+/// priorities depend on produced counts plus the sketch family.
 #[test]
 fn batched_ingest_is_bit_identical_under_shedding() {
     let arrivals = trace(600, 5, 11);
     let query = keyed3(WindowSpec::secs(30));
-    for memory in [Memory::PerWindow(6), Memory::GlobalPool(20)] {
-        for policy in ["MSketch", "Bjoin", "Life", "FIFO", "Age"] {
-            let reference = run_per_arrival(query.clone(), policy, &memory, &arrivals);
-            assert!(
-                reference.1.shed_window > 0,
-                "{policy}: this capacity must actually shed"
+    for policy in ["MSketch", "Bjoin", "FIFO", "Age"] {
+        let reference = run_per_arrival(query.clone(), policy, 6, &arrivals);
+        assert!(
+            reference.1.shed_window > 0,
+            "{policy}: this capacity must actually shed"
+        );
+        for batch in BATCHES {
+            let got = run_batched(query.clone(), policy, 6, &arrivals, batch);
+            assert_eq!(
+                got, reference,
+                "{policy}: batch={batch} diverged from per-arrival under shedding"
             );
-            for batch in BATCHES {
-                let got = run_batched(query.clone(), policy, &memory, &arrivals, batch);
-                assert_eq!(
-                    got, reference,
-                    "{policy}: batch={batch} diverged from per-arrival under shedding"
-                );
-            }
         }
     }
 }
@@ -174,11 +161,10 @@ fn batched_ingest_is_bit_identical_under_shedding() {
 fn batched_ingest_is_bit_identical_on_tuple_windows() {
     let arrivals = trace(400, 5, 13);
     let query = keyed3(WindowSpec::Tuples(9));
-    for policy in ["MSketch", "Life"] {
-        let memory = Memory::PerWindow(6);
-        let reference = run_per_arrival(query.clone(), policy, &memory, &arrivals);
+    for policy in ["MSketch", "Bjoin"] {
+        let reference = run_per_arrival(query.clone(), policy, 6, &arrivals);
         for batch in BATCHES {
-            let got = run_batched(query.clone(), policy, &memory, &arrivals, batch);
+            let got = run_batched(query.clone(), policy, 6, &arrivals, batch);
             assert_eq!(
                 got, reference,
                 "{policy}: batch={batch} diverged on tuple windows"

@@ -7,13 +7,12 @@
 //! scores every arrival and rebuilds every window at every rollover. The
 //! two must be indistinguishable from outside: same rows in the same
 //! order, same per-arrival outcome, same counters — over time and tuple
-//! epochs, uniform and per-stream capacities, windows that are never,
-//! sometimes and always full, solo and sharded. A tuple window with room
+//! epochs, windows that are never, sometimes and always full, solo and
+//! sharded. A tuple window with room
 //! for its length cannot fill, so there both engines are idle: nothing
 //! estimated, nothing rescored, every store owing from birth. A reorder
 //! stage in front changes nothing: it releases every arrival at its own
-//! timestamp. Everything else not eligible (other policies, the global
-//! pool) must never owe anything.
+//! timestamp. The policies not eligible must never owe anything.
 
 use mstream_core::prelude::*;
 use rand::rngs::StdRng;
@@ -128,20 +127,19 @@ fn solo(builder: EngineBuilder, arrivals: &[Arrival]) -> SoloRun {
 fn solo_plain_and_eager_are_indistinguishable() {
     let arrivals = trace(1500, 11);
     for (window, epoch, caps) in disciplines() {
-        let memory = |b: EngineBuilder, fill: &str| match fill {
-            "never full" => b.capacity_per_window(caps[0]),
-            "sometimes full" => b.capacity_per_window(caps[1]),
-            "always full" => b.capacity_per_window(caps[2]),
-            _ => b.capacities(caps.to_vec()),
-        };
         let exact = solo(
             EngineBuilder::new(query(window, false)).policy(Fifo).capacity_per_window(10_000),
             &arrivals,
         );
         for mk in policies() {
-            for fill in ["never full", "sometimes full", "always full", "one of each"] {
+            let fills = ["never full", "sometimes full", "always full"];
+            for (fill, capacity) in fills.into_iter().zip(caps) {
                 let label = format!("{} / {epoch:?} / {fill}", mk().name());
-                let base = || memory(EngineBuilder::new(query(window, false)).epoch(epoch), fill);
+                let base = || {
+                    EngineBuilder::new(query(window, false))
+                        .epoch(epoch)
+                        .capacity_per_window(capacity)
+                };
                 let plain = solo(base().boxed_policy(mk()), &arrivals);
                 let eager = solo(base().boxed_policy(Box::new(Eager(mk()))), &arrivals);
                 assert_eq!(plain.rows, eager.rows, "{label}: rows or their order");
@@ -347,7 +345,6 @@ fn ineligible_engines_never_owe_a_priority() {
     let base = || EngineBuilder::new(query(window, false)).epoch(epoch);
     let cases: Vec<(&str, EngineBuilder)> = vec![
         ("Age", base().policy(Age).capacity_per_window(caps[0])),
-        ("Life", base().policy(Life).capacity_per_window(caps[0])),
         ("Bjoin", base().policy(Bjoin).capacity_per_window(caps[0])),
         ("Random", base().policy(RandomLoad).capacity_per_window(caps[0])),
         ("FIFO", base().policy(Fifo).capacity_per_window(caps[0])),
@@ -355,8 +352,6 @@ fn ineligible_engines_never_owe_a_priority() {
             "MSketch-Current",
             base().policy(MSketchCurrentEpoch).capacity_per_window(caps[0]),
         ),
-        ("MSketch / pool", base().policy(MSketch).global_pool(3 * caps[0])),
-        ("MSketch-RS / pool", base().policy(MSketchRs).global_pool(3 * caps[2])),
     ];
     for (label, builder) in cases {
         let run = solo(builder, &arrivals);

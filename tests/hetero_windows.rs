@@ -101,17 +101,17 @@ fn heterogeneous_windows_match_brute_force() {
 #[test]
 fn heterogeneous_windows_shed_per_stream() {
     let trace = random_trace(32, 3000);
-    // Small per-stream budgets proportional to each window's population.
+    // A budget below every window's population (about 33, 133 and 266).
     let mut engine = EngineBuilder::new(hetero_query())
-        .capacities(vec![8, 32, 64])
+        .capacity_per_window(24)
         .seed(2)
         .build()
         .unwrap();
     let report = run_trace(&mut engine, &trace, &RunOptions::default());
     assert!(report.metrics.shed_window > 0);
-    assert!(engine.window_len(StreamId(0)).unwrap() <= 8);
-    assert!(engine.window_len(StreamId(1)).unwrap() <= 32);
-    assert!(engine.window_len(StreamId(2)).unwrap() <= 64);
+    for k in 0..3 {
+        assert!(engine.window_len(StreamId(k)).unwrap() <= 24, "window {k}");
+    }
     assert!(report.total_output() <= brute_force(&trace, 10.0));
 }
 

@@ -1,6 +1,6 @@
 //! A window that cannot fill costs no estimation (DESIGN.md §16): a store
-//! is bounded when its window is `ROWS n`, it has room for `n` and memory
-//! is not one pool; a class whose every store is bounded is idle — no
+//! is bounded when its window is `ROWS n` and it has room for `n`; a class
+//! whose every store is bounded is idle — no
 //! sketches, no rollovers, no credits, no scores, stores owing their
 //! priorities from birth. What idleness must leave alone: a class with
 //! one window that can fill, a query added beside an idle one, an owner
@@ -241,22 +241,6 @@ fn offering_from_the_first_arrival_keeps_queued_runs() {
         assert!(m.shed_queue > 0 && m.shed_window == 0, "{name}: the queue sheds, no window");
         assert_eq!((m.shed_queue, m.total_output), (shed_queue, rows), "{name}");
     }
-}
-
-/// A pool picks its victim across every window whether or not one is
-/// full, so `ROWS` windows under `GlobalPool` are never bounded: the class
-/// estimates and the pool sheds.
-#[test]
-fn a_global_pool_never_idles() {
-    let query = chain(&["R1", "R2", "R3"], &[WindowSpec::Tuples(20); 3]);
-    let mut engine = EngineBuilder::new(query).policy(MSketch).global_pool(30).build().unwrap();
-    assert_eq!(engine.idle_classes(), 0);
-    for a in arrivals(600, 3, 5, false, 26) {
-        engine.ingest(a, &mut CountSink::default());
-        assert!(engine.total_resident() <= 30, "pool bound");
-    }
-    let m = engine.metrics();
-    assert!(m.shed_window > 0 && m.epoch_rollovers > 0, "{m:?}");
 }
 
 /// Keyed sharded runs over skewed keys and windows that cannot fill on any
