@@ -14,8 +14,6 @@ pub struct Args {
     pub json: Option<String>,
     /// Print the workload description (Table 1) and exit.
     pub describe: bool,
-    /// Leftover binary-specific flags, in order.
-    pub rest: Vec<String>,
 }
 
 impl Default for Args {
@@ -25,19 +23,21 @@ impl Default for Args {
             seed: 42,
             json: None,
             describe: false,
-            rest: Vec::new(),
         }
     }
 }
 
 impl Args {
-    /// Parses `std::env::args()` (skipping the binary name).
+    /// Parses `std::env::args()` (skipping the binary name); a usage
+    /// error exits 2 with its message.
     pub fn from_env() -> Args {
-        Self::parse(std::env::args().skip(1))
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|msg| die(&msg))
     }
 
-    /// Parses an explicit iterator of flags.
-    pub fn parse<I: IntoIterator<Item = String>>(items: I) -> Args {
+    /// Parses an explicit iterator of flags. A flag no figure binary reads
+    /// is an error naming it, so a typo or a retired flag cannot pass
+    /// unnoticed.
+    pub fn parse<I: IntoIterator<Item = String>>(items: I) -> Result<Args, String> {
         let mut args = Args::default();
         let mut it = items.into_iter();
         while let Some(flag) = it.next() {
@@ -46,38 +46,29 @@ impl Args {
                     let v: f64 = it
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--scale needs a number"));
+                        .ok_or("--scale needs a number")?;
+                    if v <= 0.0 || v.is_nan() {
+                        return Err("--scale must be positive".into());
+                    }
                     args.scale = Some(v);
                 }
                 "--seed" => {
                     args.seed = it
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--seed needs an integer"));
+                        .ok_or("--seed needs an integer")?;
                 }
-                "--json" => {
-                    args.json = Some(it.next().unwrap_or_else(|| die("--json needs a path")));
-                }
+                "--json" => args.json = Some(it.next().ok_or("--json needs a path")?),
                 "--describe" => args.describe = true,
-                other => args.rest.push(other.to_string()),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        if let Some(scale) = args.scale {
-            if scale <= 0.0 || scale.is_nan() {
-                die::<f64>("--scale must be positive");
-            }
-        }
-        args
+        Ok(args)
     }
 
     /// The scale in force, falling back to the binary's default.
     pub fn scale_or(&self, default: f64) -> f64 {
         self.scale.unwrap_or(default)
-    }
-
-    /// Whether a binary-specific flag was passed.
-    pub fn has_flag(&self, name: &str) -> bool {
-        self.rest.iter().any(|r| r == name)
     }
 }
 
@@ -99,32 +90,46 @@ pub fn maybe_dump_json<T: serde::Serialize>(json: &Option<String>, rows: &T) {
 mod tests {
     use super::*;
 
-    fn parse(flags: &[&str]) -> Args {
+    fn parse(flags: &[&str]) -> Result<Args, String> {
         Args::parse(flags.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn defaults() {
-        let a = parse(&[]);
+        let a = parse(&[]).unwrap();
         assert_eq!(a, Args::default());
     }
 
     #[test]
     fn parses_common_flags() {
-        let a = parse(&["--scale", "0.5", "--seed", "7", "--json", "/tmp/x.json", "--describe"]);
+        let a = parse(&[
+            "--scale",
+            "0.5",
+            "--seed",
+            "7",
+            "--json",
+            "/tmp/x.json",
+            "--describe",
+        ])
+        .unwrap();
         assert_eq!(a.scale, Some(0.5));
         assert_eq!(a.scale_or(1.0), 0.5);
-        assert_eq!(parse(&[]).scale_or(0.5), 0.5);
+        assert_eq!(parse(&[]).unwrap().scale_or(0.5), 0.5);
         assert_eq!(a.seed, 7);
         assert_eq!(a.json.as_deref(), Some("/tmp/x.json"));
         assert!(a.describe);
     }
 
     #[test]
-    fn keeps_binary_specific_rest() {
-        let a = parse(&["--part", "b", "--extra"]);
-        assert!(a.has_flag("--extra"));
-        assert!(!a.has_flag("--missing"));
-        assert_eq!(a.rest, ["--part", "b", "--extra"]);
+    fn refuses_unknown_and_retired_flags() {
+        // `--global-pool` went with the global memory pool: refused, not ignored.
+        for (flags, err) in [
+            (&["--scale", "0.5", "--extra"][..], "unknown flag --extra"),
+            (&["--global-pool"], "unknown flag --global-pool"),
+            (&["--scale", "0"], "--scale must be positive"),
+            (&["--seed"], "--seed needs an integer"),
+        ] {
+            assert_eq!(parse(flags), Err(err.to_string()));
+        }
     }
 }

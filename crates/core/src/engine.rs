@@ -308,8 +308,7 @@ impl QueryCore {
         let partner_freq = epoch
             .filter(|_| reqs.partner_freq)
             .map(|e| TumblingFreq::new(&query, e));
-        let may_defer =
-            policy.deferrable_priority() && declared.recompute_on_epoch && declared.sketches;
+        let may_defer = policy.deferrable_priority() && declared.sketches;
         Ok(QueryCore {
             plans: ProbePlan::all(&query),
             query,
@@ -369,16 +368,6 @@ impl QueryCore {
         (self.policy.as_mut(), ctx)
     }
 
-    /// The `(priority, cached policy state)` `tuple` (tagged with its
-    /// query-local stream) enters its window with. All scores funnel
-    /// through the finite clamp before they reach a priority heap —
-    /// third-party policies included.
-    fn admission_score(&mut self, tuple: &Tuple, now: VTime) -> (f64, f64) {
-        let (policy, mut ctx) = self.scoring(now);
-        let (score, state) = policy.window_priority_with_state(&mut ctx, tuple, 0);
-        (clamp_score(score), state)
-    }
-
     /// Priority the policy assigns `tuple` if it were queued right now.
     pub(crate) fn queue_score(&mut self, tuple: &Tuple, now: VTime) -> f64 {
         let (policy, mut ctx) = self.scoring(now);
@@ -389,7 +378,7 @@ impl QueryCore {
     /// answer must not depend on *when* it is computed (DESIGN.md §16).
     /// That holds when the policy declares its priority a function of key
     /// values, produced count and the frozen snapshot
-    /// ([`ShedPolicy::deferrable_priority`]) and rebuilds at rollovers —
+    /// ([`ShedPolicy::deferrable_priority`]) and reads the sketches — both
     /// fixed at construction — and every stream has completed an epoch, so
     /// no estimate reads the live bank.
     fn can_defer(&self) -> bool {
@@ -418,7 +407,9 @@ impl QueryCore {
     /// Step 5: stores `tuple` in its window, shedding if full. A window
     /// that owes its priorities and has room takes the tuple unscored; one
     /// that owes them and is full first runs the pass its last rollover
-    /// skipped, then scores and inserts like any other. The scoring is
+    /// skipped, then scores and inserts like any other: the slot caches
+    /// the policy's score, and the priority passes the finite clamp, as
+    /// every priority does before it reaches a heap. The scoring is
     /// charged to [`EngineMetrics::score_ns`] and the store's insert (and
     /// eviction) to [`EngineMetrics::insert_ns`] when `sample` says the
     /// arrival is timed.
@@ -440,10 +431,12 @@ impl QueryCore {
             }
             self.timed_rescore(store, now, metrics);
         }
-        let (score, state) = sample.time(&mut metrics.score_ns, || {
-            self.admission_score(&tuple, now)
+        let (priority, score) = sample.time(&mut metrics.score_ns, || {
+            let (policy, mut ctx) = self.scoring(now);
+            let score = policy.score(&mut ctx, &tuple);
+            (clamp_score(policy.priority(score, 0)), score)
         });
-        sample.time(&mut metrics.insert_ns, || store.insert_scored(tuple, score, state))
+        sample.time(&mut metrics.insert_ns, || store.insert_scored(tuple, priority, score))
     }
 
     /// [`QueryCore::rescore_store`], counted and timed — every pass, not
@@ -456,33 +449,22 @@ impl QueryCore {
     }
 
     /// Rollover rescoring of one store's residents against the current
-    /// epoch snapshot.
+    /// epoch snapshot: each slot's score anew, priced at its produced
+    /// count. Residents sharing a key share one estimate through the
+    /// sketches' score memo (DESIGN.md §16).
     pub(crate) fn rescore_store(&mut self, store: &mut WindowStore, now: VTime) {
         let (policy, mut ctx) = self.scoring(now);
-        if policy.groupable_estimate() {
-            // Walk residents grouped by distinct join key: one
-            // estimation-kernel run per key, fanned out to every slot
-            // holding that key through the cheap produced-count combiner
-            // (DESIGN.md §16).
-            store.rebuild_priorities_grouped(|tuple, produced, shared| {
-                let estimate = shared.unwrap_or_else(|| policy.window_estimate(&mut ctx, tuple));
-                let (score, state) =
-                    policy.window_priority_from_estimate(&mut ctx, tuple, produced, estimate);
-                (clamp_score(score), state, estimate)
-            });
-        } else {
-            store.rebuild_priorities(|tuple, produced| {
-                let (score, state) = policy.window_priority_with_state(&mut ctx, tuple, produced);
-                (clamp_score(score), state)
-            });
-        }
+        store.rebuild_priorities(|tuple, produced| {
+            let score = policy.score(&mut ctx, tuple);
+            (clamp_score(policy.priority(score, produced)), score)
+        });
     }
 
     /// Step 4 for one slot: the priority after its produced count grew to
-    /// `produced`, from the state cached at its last full scoring (the
-    /// paper's "productivity computed at most twice per lifetime").
-    pub(crate) fn refreshed_priority(&self, state: f64, produced: u64) -> f64 {
-        clamp_score(self.policy.refresh_priority(state, produced))
+    /// `produced`, from the score cached at its last scoring (the paper's
+    /// "productivity computed at most twice per lifetime").
+    pub(crate) fn refreshed_priority(&self, score: f64, produced: u64) -> f64 {
+        clamp_score(self.policy.priority(score, produced))
     }
 }
 
@@ -786,7 +768,7 @@ mod tests {
             assert_eq!(cache_off, (0, 0), "{name}: disabled cache counts nothing");
             assert!(
                 cache_on.0 + cache_on.1 > 0,
-                "{name}: a groupable sketch policy must exercise the cache"
+                "{name}: a sketch policy must exercise the cache"
             );
         }
     }
@@ -968,6 +950,49 @@ mod tests {
         assert!(tight.shed_window > 0);
         assert!(tight.priority_rebuilds > 0 && tight.priority_rebuilds <= eager.priority_rebuilds);
         assert!(tight.priority_rebuild_ns > 0);
+    }
+
+    #[test]
+    fn a_rescoring_pass_shares_each_keys_estimate_through_the_memo() {
+        // N residents over K distinct keys: the pass at a roll runs the
+        // estimation kernel once per key and serves the other N − K slots
+        // from the score memo — for a one-attribute store (R1) and for the
+        // chain's two-attribute middle stream (R2) alike. The eager
+        // reference runs the pass at the roll itself.
+        use crate::eager::Eager;
+        const N: u64 = 12;
+        const K: u64 = 4;
+        let query = chain3(1000);
+        let mut config = cfg(64);
+        config.epoch = Some(EpochSpec::Time(VDur::from_secs(10)));
+        for (stream, attrs) in [(StreamId(0), 1), (StreamId(1), 2)] {
+            let policy = Box::new(Eager(Box::new(MSketch)));
+            let mut core = QueryCore::new(query.clone(), policy, &config, false).unwrap();
+            let sketches = core.sketches.as_mut().expect("MSketch keeps sketches");
+            for i in 0..30u64 {
+                let at = VTime::from_secs(i / 4);
+                sketches.observe(StreamId(i as usize % 3), &v(i % K, i % K), at);
+            }
+            let join_attrs = query.join_attrs(stream);
+            assert_eq!(join_attrs.len(), attrs);
+            let mut store = WindowStore::new(query.window(stream), join_attrs, 64);
+            for i in 0..N {
+                // The second attribute joins on R2 only: R1's residents
+                // differ in it and still share their key's estimate.
+                let b = if attrs == 1 { i } else { i % K };
+                let t = Tuple::new(stream, VTime::from_secs(9), SeqNo(i), v(i % K, b));
+                store.insert_scored(t, 0.0, 0.0);
+            }
+            let now = VTime::from_secs(10);
+            assert!(sketches.observe(StreamId(2), &v(0, 0), now), "the epoch rolls");
+            let before = sketches.score_cache_stats();
+            let mut metrics = EngineMetrics::default();
+            core.rollover_store(&mut store, now, &mut metrics);
+            assert_eq!(metrics.priority_rebuilds, 1, "{stream:?}: the pass ran at the roll");
+            let after = core.sketches.as_ref().unwrap().score_cache_stats();
+            assert_eq!(after.misses - before.misses, K, "{stream:?}: one estimate per key");
+            assert_eq!(after.hits - before.hits, N - K, "{stream:?}: the rest share it");
+        }
     }
 
     #[test]

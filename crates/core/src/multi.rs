@@ -705,7 +705,7 @@ impl MultiQueryEngine {
                 entry.store.retag(entry.owner_local);
                 if heir.core.idle {
                     entry.store.defer_priorities();
-                } else if heir.core.reqs.recompute_on_epoch || entry.store.is_deferred() {
+                } else if heir.core.estimates() || entry.store.is_deferred() {
                     // A store an idle owner left owing gets a rollover's
                     // treatment even from a policy that never rolls.
                     heir.core
@@ -885,9 +885,6 @@ impl MultiQueryEngine {
                 continue;
             }
             metrics.epoch_rollovers += 1;
-            if !class.core.reqs.recompute_on_epoch {
-                continue;
-            }
             for &si in &class.store_of {
                 let entry = stores[si].as_mut().expect("class store is live");
                 if entry.users[0] == cid {

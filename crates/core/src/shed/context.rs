@@ -18,8 +18,6 @@ pub struct Requirements {
     /// Track per-tuple produced-output counters (and refresh priorities as
     /// they grow).
     pub produced_counters: bool,
-    /// Rebuild all window priorities at tumbling-epoch rollovers.
-    pub recompute_on_epoch: bool,
 }
 
 /// Estimation state lent to [`crate::shed::ShedPolicy`] scoring calls.

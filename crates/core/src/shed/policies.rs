@@ -29,8 +29,14 @@ pub(crate) fn clamp_score(score: f64) -> f64 {
 
 /// A load-shedding policy: a priority score per tuple.
 ///
-/// Higher scores survive; the engine evicts the minimum when a window or
-/// the queue is full. Scores must be finite.
+/// Higher priorities survive; the engine evicts the minimum when a window
+/// or the queue is full. A window resident's priority comes in two steps:
+/// [`ShedPolicy::score`] reads the estimation state once, at admission and
+/// at every rescoring pass, and the slot caches the result; a credit to the
+/// tuple's produced count then reprices it through
+/// [`ShedPolicy::priority`] without touching the estimation state again —
+/// the paper's "productivity computed at most twice per lifetime". Every
+/// priority is clamped finite before it reaches a heap.
 pub trait ShedPolicy: Send {
     /// Short display name (matches the paper's legends).
     fn name(&self) -> &'static str;
@@ -40,71 +46,34 @@ pub trait ShedPolicy: Send {
     /// copy it (the built-ins are all stateless unit structs).
     fn clone_box(&self) -> Box<dyn ShedPolicy>;
 
-    /// What engine-maintained state this policy consumes.
+    /// What engine-maintained state this policy consumes. A policy that
+    /// reads sketches or partner frequencies is rescored at every epoch
+    /// rollover, since its score reads state that rolls.
     fn requirements(&self) -> Requirements;
 
-    /// Priority of `tuple` as a *window* resident. `produced` is the number
-    /// of join results attributed to the tuple so far (0 on arrival); only
-    /// policies that declared `produced_counters` see non-zero values.
-    fn window_priority(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple, produced: u64)
-        -> f64;
+    /// What a window slot caches for `tuple`, computed against the
+    /// estimation state in `ctx`.
+    fn score(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple) -> f64;
 
-    /// Window priority plus opaque per-tuple state the engine caches so the
-    /// priority can be refreshed cheaply as the tuple's produced-output
-    /// counter grows ([`ShedPolicy::refresh_priority`]) without touching
-    /// the estimation state again — the paper's "productivity computed at
-    /// most twice per lifetime" discipline. Policies without
-    /// produced-counters just return state 0.
-    fn window_priority_with_state(
-        &mut self,
-        ctx: &mut PriorityCtx<'_>,
-        tuple: &Tuple,
-        produced: u64,
-    ) -> (f64, f64) {
-        (self.window_priority(ctx, tuple, produced), 0.0)
-    }
-
-    /// Recomputes the priority from cached `state` after the tuple's
-    /// produced-output counter changed. Only called for policies that
-    /// declare `Requirements::produced_counters`.
-    fn refresh_priority(&self, state: f64, produced: u64) -> f64 {
-        let _ = (state, produced);
-        unreachable!("policy did not declare Requirements::produced_counters")
-    }
-
-    /// Whether this policy's window priority factors into a **shareable
-    /// estimate** ([`ShedPolicy::window_estimate`]) recombined per tuple by
-    /// [`ShedPolicy::window_priority_from_estimate`]. Declaring `true` is a
-    /// contract with two clauses the engine exploits at epoch rollovers
-    /// (DESIGN.md §16):
-    ///
-    /// 1. `window_priority_from_estimate(ctx, t, p, window_estimate(ctx, t))`
-    ///    returns bit-identically what `window_priority_with_state(ctx, t, p)`
-    ///    would, and
-    /// 2. `window_estimate` depends on the tuple only through the values of
-    ///    its stream's indexed join attributes — tuples agreeing on those
-    ///    values share one estimate, so the rollover rebuild computes it
-    ///    once per distinct key and fans it out to every resident slot.
-    ///
-    /// Defaults to `false`: undeclared (e.g. third-party) policies are
-    /// rescored per slot exactly as before — they still inherit the
-    /// estimate memo underneath the context's productivity estimate, just
-    /// not the grouped walk.
-    fn groupable_estimate(&self) -> bool {
-        false
+    /// The window priority of a tuple whose slot caches `score` and which
+    /// has produced `produced` join results so far (0 on arrival; only
+    /// policies that declared `produced_counters` see non-zero values).
+    /// Defaults to the score itself.
+    fn priority(&self, score: f64, produced: u64) -> f64 {
+        let _ = produced;
+        score
     }
 
     /// Whether this policy's window priority is a function of exactly three
-    /// things: the tuple's join-key values, its produced count, and the
+    /// things: the tuple's join-key values, its produced count and the
     /// **frozen** last-epoch sketch snapshot read through the context's
-    /// productivity estimate — not of `ctx.now`, `ctx.rng`, the
-    /// tuple's timestamp or sequence number, the live bank or the
-    /// frequency tables — with [`ShedPolicy::refresh_priority`] agreeing
-    /// with a full rescoring at the same produced count. Such a priority
-    /// comes out the same whenever between two rollovers it is computed,
-    /// so the engine may owe it: a window with room stores arrivals
-    /// unscored and skips rollover rebuilds until it first needs a victim
-    /// (DESIGN.md §16 lists the conditions the engine checks on its side).
+    /// productivity estimate — not of `ctx.now`, `ctx.rng`, the tuple's
+    /// timestamp or sequence number, the live bank or the frequency tables.
+    /// Such a priority comes out the same whenever between two rollovers it
+    /// is computed, so the engine may owe it: a window with room stores
+    /// arrivals unscored and skips rollover rebuilds until it first needs a
+    /// victim (DESIGN.md §16 lists the conditions the engine checks on its
+    /// side).
     ///
     /// Defaults to `false`: an undeclared policy is scored on every
     /// arrival and rebuilt at every rollover, as ever.
@@ -112,35 +81,11 @@ pub trait ShedPolicy: Send {
         false
     }
 
-    /// The shareable component of the window priority (see
-    /// [`ShedPolicy::groupable_estimate`]). Defaults to the clamped
-    /// sketch-estimated productivity — the partner-side quantity every
-    /// built-in sketch policy prices tuples with.
-    fn window_estimate(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple) -> f64 {
-        ctx.productivity(tuple)
-    }
-
-    /// Recombines a previously computed `estimate` with the tuple's
-    /// per-slot inputs (produced count, lifetime, …) into
-    /// `(priority, policy state)`. The default delegates to the full
-    /// scoring path — correct for any policy, just without the saving —
-    /// so only policies that declare [`ShedPolicy::groupable_estimate`]
-    /// need to override it.
-    fn window_priority_from_estimate(
-        &mut self,
-        ctx: &mut PriorityCtx<'_>,
-        tuple: &Tuple,
-        produced: u64,
-        estimate: f64,
-    ) -> (f64, f64) {
-        let _ = estimate;
-        self.window_priority_with_state(ctx, tuple, produced)
-    }
-
     /// Priority of `tuple` as a *queue* resident. Defaults to the window
     /// priority with `produced = 0` (a queued tuple has produced nothing).
     fn queue_priority(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple) -> f64 {
-        self.window_priority(ctx, tuple, 0)
+        let score = self.score(ctx, tuple);
+        self.priority(score, 0)
     }
 
     /// How a full queue chooses its victim.
@@ -173,32 +118,16 @@ impl ShedPolicy for MSketch {
     fn requirements(&self) -> Requirements {
         Requirements {
             sketches: true,
-            recompute_on_epoch: true,
             ..Default::default()
         }
     }
 
-    fn window_priority(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple, _produced: u64) -> f64 {
+    fn score(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple) -> f64 {
         ctx.productivity(tuple)
-    }
-
-    fn groupable_estimate(&self) -> bool {
-        true
     }
 
     fn deferrable_priority(&self) -> bool {
         true
-    }
-
-    fn window_priority_from_estimate(
-        &mut self,
-        _ctx: &mut PriorityCtx<'_>,
-        _tuple: &Tuple,
-        _produced: u64,
-        estimate: f64,
-    ) -> (f64, f64) {
-        // The priority IS the shared estimate.
-        (estimate, 0.0)
     }
 }
 
@@ -224,46 +153,17 @@ impl ShedPolicy for MSketchRs {
         Requirements {
             sketches: true,
             produced_counters: true,
-            recompute_on_epoch: true,
             ..Default::default()
         }
     }
 
-    fn window_priority(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple, produced: u64) -> f64 {
-        self.window_priority_with_state(ctx, tuple, produced).0
-    }
-
-    fn window_priority_with_state(
-        &mut self,
-        ctx: &mut PriorityCtx<'_>,
-        tuple: &Tuple,
-        produced: u64,
-    ) -> (f64, f64) {
-        let estimate = ctx.productivity(tuple);
-        self.window_priority_from_estimate(ctx, tuple, produced, estimate)
-    }
-
-    fn groupable_estimate(&self) -> bool {
-        true
+    /// The expected output `(n−1)·prod(t)`.
+    fn score(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple) -> f64 {
+        (ctx.n_streams() as f64 - 1.0) * ctx.productivity(tuple)
     }
 
     fn deferrable_priority(&self) -> bool {
         true
-    }
-
-    /// Recombine: scale the shared estimate to the expected output
-    /// `(n−1)·prod(t)`, then apply the per-tuple produced count. This is
-    /// the cacheable-estimate / cheap-combiner split — a credit refresh or
-    /// a grouped rebuild reprices the tuple without re-estimating.
-    fn window_priority_from_estimate(
-        &mut self,
-        ctx: &mut PriorityCtx<'_>,
-        _tuple: &Tuple,
-        produced: u64,
-        estimate: f64,
-    ) -> (f64, f64) {
-        let expected = (ctx.n_streams() as f64 - 1.0) * estimate;
-        (self.refresh_priority(expected, produced), expected)
     }
 
     /// Fraction of the cached expected output still to come. A tuple whose
@@ -278,7 +178,7 @@ impl ShedPolicy for MSketchRs {
     /// sees a denominator above the `EPSILON` floor (a saturated `+∞`
     /// expectation divides to 0 and scores the full fraction, which is the
     /// conservative direction).
-    fn refresh_priority(&self, expected: f64, produced: u64) -> f64 {
+    fn priority(&self, expected: f64, produced: u64) -> f64 {
         if expected.is_nan() || expected <= f64::EPSILON {
             if produced == 0 {
                 0.0
@@ -318,30 +218,12 @@ impl ShedPolicy for Age {
     fn requirements(&self) -> Requirements {
         Requirements {
             sketches: true,
-            recompute_on_epoch: true,
             ..Default::default()
         }
     }
 
-    fn window_priority(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple, _produced: u64) -> f64 {
-        let life = ctx.remaining_lifetime_secs(tuple);
-        life * ctx.productivity(tuple)
-    }
-
-    fn groupable_estimate(&self) -> bool {
-        true
-    }
-
-    /// Recombine: the per-tuple remaining lifetime scales the shared
-    /// productivity estimate (same factor order as the full path).
-    fn window_priority_from_estimate(
-        &mut self,
-        ctx: &mut PriorityCtx<'_>,
-        tuple: &Tuple,
-        _produced: u64,
-        estimate: f64,
-    ) -> (f64, f64) {
-        (ctx.remaining_lifetime_secs(tuple) * estimate, 0.0)
+    fn score(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple) -> f64 {
+        ctx.remaining_lifetime_secs(tuple) * ctx.productivity(tuple)
     }
 }
 
@@ -366,12 +248,11 @@ impl ShedPolicy for Bjoin {
     fn requirements(&self) -> Requirements {
         Requirements {
             partner_freq: true,
-            recompute_on_epoch: true,
             ..Default::default()
         }
     }
 
-    fn window_priority(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple, _produced: u64) -> f64 {
+    fn score(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple) -> f64 {
         ctx.binary_tree_frequency(tuple)
     }
 }
@@ -394,7 +275,7 @@ impl ShedPolicy for RandomLoad {
         Requirements::default()
     }
 
-    fn window_priority(&mut self, ctx: &mut PriorityCtx<'_>, _tuple: &Tuple, _produced: u64) -> f64 {
+    fn score(&mut self, ctx: &mut PriorityCtx<'_>, _tuple: &Tuple) -> f64 {
         ctx.rng.gen::<f64>()
     }
 
@@ -421,7 +302,7 @@ impl ShedPolicy for Fifo {
         Requirements::default()
     }
 
-    fn window_priority(&mut self, _ctx: &mut PriorityCtx<'_>, tuple: &Tuple, _produced: u64) -> f64 {
+    fn score(&mut self, _ctx: &mut PriorityCtx<'_>, tuple: &Tuple) -> f64 {
         tuple.seq.0 as f64
     }
 
@@ -451,46 +332,17 @@ impl ShedPolicy for MSketchCurrentEpoch {
     fn requirements(&self) -> Requirements {
         Requirements {
             sketches: true,
-            recompute_on_epoch: true,
             ..Default::default()
         }
     }
 
-    fn window_priority(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple, _produced: u64) -> f64 {
+    fn score(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple) -> f64 {
         ctx.current_productivity(tuple)
-    }
-
-    fn groupable_estimate(&self) -> bool {
-        // The live bank does not change *during* a rebuild pass, so equal
-        // join-key values still share one current-epoch estimate there —
-        // the estimate is simply never memoized across arrivals.
-        true
-    }
-
-    fn window_estimate(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple) -> f64 {
-        ctx.current_productivity(tuple)
-    }
-
-    fn window_priority_from_estimate(
-        &mut self,
-        _ctx: &mut PriorityCtx<'_>,
-        _tuple: &Tuple,
-        _produced: u64,
-        estimate: f64,
-    ) -> (f64, f64) {
-        (estimate, 0.0)
     }
 }
 
 /// All built-in policy names, in the paper's reporting order.
-pub const ALL_POLICY_NAMES: &[&str] = &[
-    "MSketch",
-    "MSketch-RS",
-    "Age",
-    "Bjoin",
-    "Random",
-    "FIFO",
-];
+pub const ALL_POLICY_NAMES: &[&str] = &["MSketch", "MSketch-RS", "Age", "Bjoin", "Random", "FIFO"];
 
 /// Instantiates a built-in policy by (case-insensitive) name.
 pub fn parse_policy(name: &str) -> Option<Box<dyn ShedPolicy>> {
@@ -582,8 +434,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut p = MSketch;
         let mut c = ctx(&q, Some(&mut sk), None, 0, &mut rng);
-        let hot = p.window_priority(&mut c, &tup(0, 0, 0, 9, 0), 0);
-        let cold = p.window_priority(&mut c, &tup(0, 1, 0, 1, 0), 0);
+        let hot = p.score(&mut c, &tup(0, 0, 0, 9, 0));
+        let cold = p.score(&mut c, &tup(0, 1, 0, 1, 0));
         assert!(hot > cold + 50.0, "hot={hot} cold={cold}");
         assert!(cold >= 0.0, "clamped at zero");
     }
@@ -595,7 +447,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut p = MSketch;
         let t = tup(0, 0, 0, 9, 0);
-        let w = p.window_priority(&mut ctx(&q, Some(&mut sk), None, 0, &mut rng), &t, 0);
+        let w = p.score(&mut ctx(&q, Some(&mut sk), None, 0, &mut rng), &t);
         let qp = p.queue_priority(&mut ctx(&q, Some(&mut sk), None, 0, &mut rng), &t);
         assert_eq!(w, qp);
         assert_eq!(p.queue_victim(), QueueVictim::MinPriority);
@@ -608,11 +460,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut p = MSketchRs;
         let t = tup(0, 0, 0, 9, 0);
-        let fresh = p.window_priority(&mut ctx(&q, Some(&mut sk), None, 0, &mut rng), &t, 0);
-        let half = p.window_priority(&mut ctx(&q, Some(&mut sk), None, 0, &mut rng), &t, 200);
-        let over = p.window_priority(&mut ctx(&q, Some(&mut sk), None, 0, &mut rng), &t, 800);
+        let expected = p.score(&mut ctx(&q, Some(&mut sk), None, 0, &mut rng), &t);
+        let [fresh, half, over] = [0, 200, 800].map(|produced| p.priority(expected, produced));
         assert!(fresh > half && half > over, "{fresh} > {half} > {over}");
-        assert!((fresh - 1.0).abs() < 0.2, "fresh tuple has ~full fraction left");
+        assert!(
+            (fresh - 1.0).abs() < 0.2,
+            "fresh tuple has ~full fraction left"
+        );
     }
 
     #[test]
@@ -631,10 +485,9 @@ mod tests {
         let mut p = MSketchRs;
         let t = tup(0, 0, 0, 1, 0);
         // Empty sketches: expectation 0.
-        let idle = p.window_priority(&mut ctx(&q, Some(&mut sk), None, 0, &mut rng), &t, 0);
-        let over = p.window_priority(&mut ctx(&q, Some(&mut sk), None, 0, &mut rng), &t, 5);
-        assert_eq!(idle, 0.0, "nothing left to contribute");
-        assert!(over < -1e5);
+        let expected = p.score(&mut ctx(&q, Some(&mut sk), None, 0, &mut rng), &t);
+        assert_eq!(p.priority(expected, 0), 0.0, "nothing left to contribute");
+        assert!(p.priority(expected, 5) < -1e5);
     }
 
     #[test]
@@ -667,20 +520,23 @@ mod tests {
         let mut c = ctx(&q, Some(&mut sk), None, 0, &mut rng);
         assert_eq!(c.productivity(&t), 0.0);
         // MSketch / Age: zero, not negative or NaN.
-        assert_eq!(MSketch.window_priority(&mut c, &t, 0), 0.0);
-        assert_eq!(Age.window_priority(&mut c, &t, 0), 0.0);
+        assert_eq!(MSketch.score(&mut c, &t), 0.0);
+        assert_eq!(Age.score(&mut c, &t), 0.0);
         // MSketch-RS: the expected-output denominator is <= 0, so the
         // remaining-fraction division must not run; the dead-tuple branch
-        // yields finite scores for any produced count.
+        // yields finite priorities for any produced count.
         let mut p = MSketchRs;
+        let expected = p.score(&mut c, &t);
+        assert!(expected.is_finite());
         for produced in [0, 1, 10, u64::MAX] {
-            let (score, state) = p.window_priority_with_state(&mut c, &t, produced);
-            assert!(score.is_finite(), "produced={produced} score={score}");
-            assert!(state.is_finite());
-            assert!(p.refresh_priority(state, produced).is_finite());
+            let priority = p.priority(expected, produced);
+            assert!(
+                priority.is_finite(),
+                "produced={produced} priority={priority}"
+            );
         }
-        assert_eq!(p.window_priority(&mut c, &t, 0), 0.0);
-        assert!(p.window_priority(&mut c, &t, 3) < 0.0, "over-producer sheds first");
+        assert_eq!(p.priority(expected, 0), 0.0);
+        assert!(p.priority(expected, 3) < 0.0, "over-producer sheds first");
     }
 
     #[test]
@@ -710,22 +566,25 @@ mod tests {
         // A tuple of the current epoch [50, 60).
         let t = tup(0, 0, 55, 3, 0);
         assert_eq!(c.productivity(&t), 0.0, "empty frozen epoch estimates 0");
-        assert_eq!(MSketch.window_priority(&mut c, &t, 0), 0.0);
-        let age = Age.window_priority(&mut c, &t, 0);
+        assert_eq!(MSketch.score(&mut c, &t), 0.0);
+        let age = Age.score(&mut c, &t);
         assert!(age.is_finite() && age >= 0.0, "age={age}");
         let mut p = MSketchRs;
+        let expected = p.score(&mut c, &t);
+        assert!(expected.is_finite());
         for produced in [0, 1, 10, u64::MAX] {
-            let (score, state) = p.window_priority_with_state(&mut c, &t, produced);
-            assert!(score.is_finite(), "produced={produced} score={score}");
-            assert!(state.is_finite());
-            assert!(p.refresh_priority(state, produced).is_finite());
+            let priority = p.priority(expected, produced);
+            assert!(
+                priority.is_finite(),
+                "produced={produced} priority={priority}"
+            );
         }
+        let dead = p.priority(expected, 0);
         assert_eq!(
-            p.window_priority(&mut c, &t, 0),
-            0.0,
+            dead, 0.0,
             "a dead tuple gets no protection, not a NaN priority"
         );
-        assert!(p.window_priority(&mut c, &t, 3) < 0.0);
+        assert!(p.priority(expected, 3) < 0.0);
     }
 
     #[test]
@@ -740,9 +599,9 @@ mod tests {
         }
         // NaN expectations (estimator misuse) take the dead-tuple branch.
         let p = MSketchRs;
-        assert_eq!(p.refresh_priority(f64::NAN, 0), 0.0);
-        assert!(p.refresh_priority(f64::NAN, 7).is_finite());
-        assert_eq!(p.refresh_priority(f64::INFINITY, 123), 1.0);
+        assert_eq!(p.priority(f64::NAN, 0), 0.0);
+        assert!(p.priority(f64::NAN, 7).is_finite());
+        assert_eq!(p.priority(f64::INFINITY, 123), 1.0);
     }
 
     #[test]
@@ -763,16 +622,9 @@ mod tests {
         let mut p = Age;
         // Same value, one tuple much older (arrived t=0, now t=80 -> 20s
         // left) than the other (arrived t=80 -> 100s left).
-        let old = p.window_priority(
-            &mut ctx(&q, Some(&mut sk), None, 80, &mut rng),
-            &tup(0, 0, 0, 9, 0),
-            0,
-        );
-        let young = p.window_priority(
-            &mut ctx(&q, Some(&mut sk), None, 80, &mut rng),
-            &tup(0, 1, 80, 9, 0),
-            0,
-        );
+        let mut c = ctx(&q, Some(&mut sk), None, 80, &mut rng);
+        let old = p.score(&mut c, &tup(0, 0, 0, 9, 0));
+        let young = p.score(&mut c, &tup(0, 1, 80, 9, 0));
         assert!(young > 4.0 * old, "young={young} old={old}");
     }
 
@@ -795,13 +647,13 @@ mod tests {
         let mut p = Bjoin;
         let mut c = ctx(&q, None, Some(&pf), 0, &mut rng);
         // R1 consults the R2 pair: two A1=7 arrivals.
-        assert_eq!(p.window_priority(&mut c, &tup(0, 0, 0, 7, 0), 0), 2.0);
+        assert_eq!(p.score(&mut c, &tup(0, 0, 0, 7, 0)), 2.0);
         // R2 consults ONLY its first pair (R1, empty): score 0 even though
         // its A2=4 has an R3 partner — the blindness the paper criticizes.
-        assert_eq!(p.window_priority(&mut c, &tup(1, 1, 0, 7, 4), 0), 0.0);
+        assert_eq!(p.score(&mut c, &tup(1, 1, 0, 7, 4)), 0.0);
         // R3 consults the R2 pair on A2: one arrival with A2=4... in fact
         // all three R2 arrivals carry A2=4.
-        assert_eq!(p.window_priority(&mut c, &tup(2, 2, 0, 4, 0), 0), 3.0);
+        assert_eq!(p.score(&mut c, &tup(2, 2, 0, 4, 0)), 3.0);
     }
 
     #[test]
@@ -812,8 +664,8 @@ mod tests {
         assert_eq!(p.requirements(), Requirements::default());
         let mut c = ctx(&q, None, None, 0, &mut rng);
         let t = tup(0, 0, 0, 1, 1);
-        let a = p.window_priority(&mut c, &t, 0);
-        let b = p.window_priority(&mut c, &t, 0);
+        let a = p.score(&mut c, &t);
+        let b = p.score(&mut c, &t);
         assert_ne!(a, b, "fresh draw per call");
         assert!((0.0..1.0).contains(&a));
     }
@@ -824,8 +676,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut p = Fifo;
         let mut c = ctx(&q, None, None, 0, &mut rng);
-        let older = p.window_priority(&mut c, &tup(0, 3, 0, 1, 1), 0);
-        let newer = p.window_priority(&mut c, &tup(0, 9, 0, 1, 1), 0);
+        let older = p.score(&mut c, &tup(0, 3, 0, 1, 1));
+        let newer = p.score(&mut c, &tup(0, 9, 0, 1, 1));
         assert!(older < newer, "oldest evicted first");
         assert_eq!(p.queue_victim(), QueueVictim::Oldest);
     }
@@ -838,63 +690,6 @@ mod tests {
         }
         assert!(parse_policy("nope").is_none());
         assert_eq!(parse_policy("rs").unwrap().name(), "MSketch-RS");
-    }
-
-    #[test]
-    fn estimate_split_recombines_bit_identically() {
-        // The groupable-estimate contract (clause 1): for every policy
-        // declaring the split, recombining window_estimate through
-        // window_priority_from_estimate must reproduce the full scoring
-        // path bit for bit — this is what lets the rollover rebuild share
-        // one estimate across every slot of a join key.
-        let q = chain3();
-        let policies: Vec<Box<dyn ShedPolicy>> = vec![
-            Box::new(MSketch),
-            Box::new(MSketchRs),
-            Box::new(Age),
-            Box::new(MSketchCurrentEpoch),
-        ];
-        for mut p in policies {
-            assert!(p.groupable_estimate(), "{} declares the split", p.name());
-            for produced in [0u64, 200, 800] {
-                for (a, b) in [(9, 0), (1, 0), (3, 3)] {
-                    let t = tup(0, 0, 0, a, b);
-                    let mut sk = hot_sketches(&q);
-                    let mut rng = StdRng::seed_from_u64(0);
-                    let full = p.window_priority_with_state(
-                        &mut ctx(&q, Some(&mut sk), None, 80, &mut rng),
-                        &t,
-                        produced,
-                    );
-                    let mut sk2 = hot_sketches(&q);
-                    let mut rng2 = StdRng::seed_from_u64(0);
-                    let est =
-                        p.window_estimate(&mut ctx(&q, Some(&mut sk2), None, 80, &mut rng2), &t);
-                    let split = p.window_priority_from_estimate(
-                        &mut ctx(&q, Some(&mut sk2), None, 80, &mut rng2),
-                        &t,
-                        produced,
-                        est,
-                    );
-                    assert_eq!(
-                        full.0.to_bits(),
-                        split.0.to_bits(),
-                        "{} score, produced={produced} value=({a},{b})",
-                        p.name()
-                    );
-                    assert_eq!(
-                        full.1.to_bits(),
-                        split.1.to_bits(),
-                        "{} state, produced={produced} value=({a},{b})",
-                        p.name()
-                    );
-                }
-            }
-        }
-        // The non-sketch built-ins keep the per-slot path.
-        assert!(!Bjoin.groupable_estimate());
-        assert!(!RandomLoad.groupable_estimate());
-        assert!(!Fifo.groupable_estimate());
     }
 
     #[test]

@@ -109,9 +109,10 @@ pub struct WindowStore {
     /// Join-output tuples attributed to each live slot so far (used by the
     /// random-sampling priority measure). Indexed by `slot.index()`.
     produced: Vec<u64>,
-    /// Opaque per-tuple policy state (e.g. the cached expected-output
-    /// denominator of the random-sampling measure), refreshed whenever the
-    /// priority is recomputed from scratch. Indexed by `slot.index()`.
+    /// Opaque per-tuple policy state — the policy's cached score (e.g. the
+    /// expected output the random-sampling priority divides by), refreshed
+    /// whenever the priority is recomputed from scratch. Indexed by
+    /// `slot.index()`.
     state: Vec<f64>,
     /// Priorities are owed, not kept: the heap is empty and residents carry
     /// no score until the next rebuild (see [`WindowStore::defer_priorities`]).
@@ -527,8 +528,7 @@ impl WindowStore {
 
     /// Owes every priority instead of recomputing it: empties the heap and
     /// leaves the store **deferred** until the next
-    /// [`WindowStore::rebuild_priorities`] /
-    /// [`WindowStore::rebuild_priorities_grouped`]. Arena, indexes, expiry
+    /// [`WindowStore::rebuild_priorities`]. Arena, indexes, expiry
     /// order and produced counts are untouched, so probes, expiry and
     /// credits run as ever; only victim selection needs the rebuild, and a
     /// window with room selects none. Legal when a rebuild yields the same
@@ -572,13 +572,13 @@ impl WindowStore {
         }
     }
 
-    /// Key-grouped variant of [`WindowStore::rebuild_priorities`] for
-    /// policies whose score factors into a per-key estimate recombined per
-    /// tuple (DESIGN.md §16): residents are walked **grouped by distinct
-    /// join-key value** via the hash index, so the scoring callback can
-    /// compute the expensive estimate once per distinct key and fan it out
-    /// to every slot holding that key — O(distinct keys × kernel +
-    /// residents) instead of O(residents × kernel).
+    /// Key-grouped variant of [`WindowStore::rebuild_priorities`]:
+    /// residents are walked **grouped by distinct join-key value** via the
+    /// hash index, so the callback can compute a per-key value once and
+    /// fan it out to every slot holding that key. The engine does not call
+    /// it (it rescores through [`WindowStore::rebuild_priorities`] and
+    /// shares a key's estimate through the sketches' score memo); its only
+    /// caller is `benchmark/src/layers.rs`, which times it.
     ///
     /// The callback sees `(tuple, produced, shared)` where `shared` is
     /// `None` for the first slot of each key group and `Some(estimate)` —
@@ -587,11 +587,7 @@ impl WindowStore {
     ///
     /// Stores indexing more than one join attribute fall back to the
     /// per-slot walk with `shared = None` throughout (a bucket of one
-    /// index does not pin the other indexed values, so no estimate may be
-    /// shared). Either walk visits every resident exactly once, and the
-    /// heap orders strictly by `(score, seq)` — a total order, since
-    /// sequence numbers are unique — so the visit order is unobservable:
-    /// grouped and arena-order rebuilds yield identical eviction behavior.
+    /// index does not pin the other indexed values).
     pub fn rebuild_priorities_grouped(
         &mut self,
         mut score: impl FnMut(&Tuple, u64, Option<f64>) -> (f64, f64, f64),

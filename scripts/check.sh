@@ -195,6 +195,13 @@ forbid "a second mstream run path is back in crates/cli/src" \
 forbid "a second memory rule is back (DESIGN.md §8)" \
   'MemoryMode|GlobalPool|PerWindowEach|shed_to_pool|global_pool|fn capacities' \
   crates/core/src crates/cli/src crates/bench/src crates/audit/src
+# One scoring contract (DESIGN.md §16): a policy is `score` then
+# `priority(score, produced)`, and a score that reads epoch state is rebuilt
+# when it rolls, so the estimate split and the rescore-at-rollover flag stay
+# gone.
+forbid "a second scoring path is back (DESIGN.md §16)" \
+  'groupable_estimate|window_estimate|window_priority_from_estimate|window_priority_with_state|recompute_on_epoch' \
+  crates/core/src crates/audit/src crates/cli/src tests
 # Differential audit smoke (DESIGN.md §8): 100 fuzzed cases, every policy
 # in process and sharded against each query's exact oracle, event-time
 # runs against in-order runs, the score-cache (odd seeds) and plain/eager
@@ -326,6 +333,12 @@ for FLAG in --jsn --no-broadcast; do
   [ "$RC" = 2 ] || { echo "FAIL: mstream run with the unknown flag $FLAG exited $RC, not 2"; exit 1; }
   echo "unknown-flag smoke: mstream run $FLAG exited 2"
 done
+# The figure binaries follow the same rule: a retired flag fails at parse,
+# before any figure work.
+RC=0
+./target/release/fig2_buffer_size --global-pool > /dev/null 2>&1 || RC=$?
+[ "$RC" = 2 ] || { echo "FAIL: fig2_buffer_size --global-pool exited $RC, not 2"; exit 1; }
+echo "unknown-flag smoke: fig2_buffer_size --global-pool exited 2"
 
 # Far-future timestamps: at --rate 1e-9 arrivals land 10^15 µs apart, 5·10^8
 # epochs of a 2-second window. The estimators roll at most three times per

@@ -28,40 +28,12 @@ impl ShedPolicy for Eager {
         self.0.requirements()
     }
 
-    fn window_priority(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple, produced: u64) -> f64 {
-        self.0.window_priority(ctx, tuple, produced)
+    fn score(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple) -> f64 {
+        self.0.score(ctx, tuple)
     }
 
-    fn window_priority_with_state(
-        &mut self,
-        ctx: &mut PriorityCtx<'_>,
-        tuple: &Tuple,
-        produced: u64,
-    ) -> (f64, f64) {
-        self.0.window_priority_with_state(ctx, tuple, produced)
-    }
-
-    fn refresh_priority(&self, state: f64, produced: u64) -> f64 {
-        self.0.refresh_priority(state, produced)
-    }
-
-    fn groupable_estimate(&self) -> bool {
-        self.0.groupable_estimate()
-    }
-
-    fn window_estimate(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple) -> f64 {
-        self.0.window_estimate(ctx, tuple)
-    }
-
-    fn window_priority_from_estimate(
-        &mut self,
-        ctx: &mut PriorityCtx<'_>,
-        tuple: &Tuple,
-        produced: u64,
-        estimate: f64,
-    ) -> (f64, f64) {
-        self.0
-            .window_priority_from_estimate(ctx, tuple, produced, estimate)
+    fn priority(&self, score: f64, produced: u64) -> f64 {
+        self.0.priority(score, produced)
     }
 
     fn queue_priority(&mut self, ctx: &mut PriorityCtx<'_>, tuple: &Tuple) -> f64 {
