@@ -96,6 +96,11 @@ pub struct CaseStats {
     pub skewed_sharded: bool,
     /// The late-drop probe ran (every stream's high-water mark cleared K).
     pub late_probe: bool,
+    /// Some in-process run held two or more estimating classes on one
+    /// sign table (`MultiQueryEngine::shared_sign_tables`), so its
+    /// differentials held shared ξ-families and memo to the oracle and the
+    /// solo replays.
+    pub shared_signs: bool,
 }
 
 /// One result row: per stream of the query, in its local order, the
@@ -373,6 +378,7 @@ fn drive(
                 engine.check_invariants();
                 stats.deferred |= engine.deferred_windows() > 0;
                 stats.idle |= engine.idle_classes() > 0;
+                stats.shared_signs |= engine.shared_sign_tables() > 0;
             }));
             step.map_err(|payload| panicked(&format!("arrival #{i}"), payload))?;
         }

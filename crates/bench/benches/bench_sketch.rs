@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mstream_core::kernel;
 use mstream_core::mstream_sketch::{
-    combine_packed_signs, FourWiseHash, SignCache, SignFamilies, SketchBank, TumblingSketches,
+    FourWiseHash, SignFamilies, SignTable, SketchBank, TumblingSketches,
 };
 use mstream_core::prelude::*;
 use rand::rngs::StdRng;
@@ -40,19 +40,18 @@ fn bench_bank_update(c: &mut Criterion) {
     let query = chain3();
     let mut group = c.benchmark_group("sketch_bank_update");
     for s1 in [100usize, 1000] {
-        let mut bank = SketchBank::new(
-            &query,
-            BankConfig {
-                s1,
-                s2: 1,
-                seed: 2,
-            },
-        );
+        let config = BankConfig {
+            s1,
+            s2: 1,
+            seed: 2,
+        };
+        let mut bank = SketchBank::new(&query, config);
+        let mut signs = SignTable::new(query.predicates().len(), config);
         let mut v = 0u64;
         group.bench_with_input(BenchmarkId::from_parameter(s1), &s1, |b, _| {
             b.iter(|| {
                 v = (v + 1) % 100;
-                bank.update(StreamId(1), &[Value(v), Value(v % 7)]);
+                bank.update(&mut signs, StreamId(1), &[Value(v), Value(v % 7)]);
             })
         });
     }
@@ -120,7 +119,14 @@ fn bench_packed_signs(c: &mut Criterion) {
             })
         });
     }
-    let mut cold_cache = SignCache::default();
+    // The same families as `families` (one seed, two predicates, 1000
+    // copies), each with a memo of its own.
+    let config = BankConfig {
+        s1: 1000,
+        s2: 1,
+        seed: 5,
+    };
+    let mut cold = SignTable::new(2, config);
     group.bench_function("xor_combine_cold", |b| {
         let mut x = 0u64;
         b.iter(|| {
@@ -128,30 +134,18 @@ fn bench_packed_signs(c: &mut Criterion) {
             // memo periodically generation-resets — that cost is part of
             // the cold path).
             x = x.wrapping_add(1);
-            combine_packed_signs(
-                &families,
-                &mut cold_cache,
-                &incidence,
-                &[Value(x), Value(x ^ 0xFFFF)],
-                &mut out,
-            );
+            cold.combine(&incidence, &[Value(x), Value(x ^ 0xFFFF)], &mut out);
             black_box(&out);
         })
     });
-    let mut hot_cache = SignCache::default();
+    let mut hot = SignTable::new(2, config);
     group.bench_function("xor_combine_cached", |b| {
         let mut x = 0u64;
         b.iter(|| {
             // A 64-value hot set: after one lap everything is memoized, so
             // the combine is two map hits and 16 XOR'd words.
             x = (x + 1) % 64;
-            combine_packed_signs(
-                &families,
-                &mut hot_cache,
-                &incidence,
-                &[Value(x), Value(x + 1000)],
-                &mut out,
-            );
+            hot.combine(&incidence, &[Value(x), Value(x + 1000)], &mut out);
             black_box(&out);
         })
     });

@@ -12,7 +12,7 @@ use crate::ingest::Arrival;
 use crate::join::{ProbePlan, Run};
 use crate::report::EngineMetrics;
 use crate::shed::{clamp_score, PriorityCtx, Requirements, ShedPolicy};
-use crate::sketch::{BankConfig, EpochSpec, TumblingFreq, TumblingSketches};
+use crate::sketch::{BankConfig, EpochSketches, EpochSpec, SignTables, TumblingFreq};
 use crate::window::{Eviction, InsertOutcome, ReorderBuffer, ShedQueue, Slot, WindowStore};
 use mstream_types::{JoinQuery, StreamId, Tuple, VDur, VTime, Value, WindowSpec};
 use rand::rngs::StdRng;
@@ -262,7 +262,9 @@ impl QueueStage {
 /// else — fold an arrival in (step 1), rescore or defer one store at a
 /// rollover, admit a tuple to its window (step 5), score one for the
 /// input queue. Every class of the engine embeds one next to its mapping
-/// into the shared store table.
+/// into the shared store table. The sketches' ξ-signs are the plane's:
+/// each step that evaluates them is lent the plane's [`SignTables`], of
+/// which the core reads the one table its sketches draw on.
 pub(crate) struct QueryCore {
     pub(crate) query: JoinQuery,
     pub(crate) plans: Vec<ProbePlan>,
@@ -270,7 +272,9 @@ pub(crate) struct QueryCore {
     /// What the engine keeps for the policy: its declared requirements,
     /// or none at all while the core is idle.
     pub(crate) reqs: Requirements,
-    pub(crate) sketches: Option<TumblingSketches>,
+    /// The AGMS sketches, with the id of the plane's sign table they draw
+    /// on.
+    pub(crate) sketches: Option<(EpochSketches, usize)>,
     partner_freq: Option<TumblingFreq>,
     pub(crate) rng: StdRng,
     /// The construction-time half of [`QueryCore::can_defer`].
@@ -284,12 +288,14 @@ impl QueryCore {
     /// A core on `config`'s epoch (or the paper's default for `query`).
     /// An `idle` one keeps no estimation state and asks the engine for
     /// nothing; any other materializes exactly the estimation state
-    /// `policy` declares it needs.
+    /// `policy` declares it needs, its sketches counted as one more user
+    /// of the sign table of their key in `signs`.
     pub(crate) fn new(
         query: JoinQuery,
         policy: Box<dyn ShedPolicy>,
         config: &EngineConfig,
         idle: bool,
+        signs: &mut SignTables,
     ) -> core::result::Result<Self, BuildError> {
         let declared = policy.requirements();
         // Validated here, idle or not.
@@ -301,9 +307,9 @@ impl QueryCore {
             declared
         };
         let sketches = epoch.filter(|_| reqs.sketches).map(|e| {
-            let mut sketches = TumblingSketches::new(&query, config.bank, e);
+            let mut sketches = EpochSketches::new(&query, config.bank, e);
             sketches.set_score_cache(config.score_cache);
-            sketches
+            (sketches, signs.intern(query.predicates().len(), config.bank))
         });
         let partner_freq = epoch
             .filter(|_| reqs.partner_freq)
@@ -330,6 +336,7 @@ impl QueryCore {
     /// charged nothing.
     pub(crate) fn observe(
         &mut self,
+        signs: &mut SignTables,
         stream: StreamId,
         values: &[Value],
         now: VTime,
@@ -341,8 +348,8 @@ impl QueryCore {
         }
         sample.time(&mut metrics.sketch_observe_ns, || {
             let mut rolled = false;
-            if let Some(sketches) = self.sketches.as_mut() {
-                rolled |= sketches.observe(stream, values, now);
+            if let Some((sketches, table)) = self.sketches.as_mut() {
+                rolled |= sketches.observe(signs.get_mut(*table), stream, values, now);
             }
             if let Some(freq) = self.partner_freq.as_mut() {
                 rolled |= freq.observe(stream, values, now);
@@ -356,11 +363,19 @@ impl QueryCore {
         self.sketches.is_some() || self.partner_freq.is_some()
     }
 
-    /// The policy next to the estimation state it scores against.
-    fn scoring(&mut self, now: VTime) -> (&mut dyn ShedPolicy, PriorityCtx<'_>) {
+    /// The policy next to the estimation state it scores against, the
+    /// sketches lent their table out of `signs`.
+    fn scoring<'a>(
+        &'a mut self,
+        signs: &'a mut SignTables,
+        now: VTime,
+    ) -> (&'a mut dyn ShedPolicy, PriorityCtx<'a>) {
         let ctx = PriorityCtx {
             query: &self.query,
-            sketches: self.sketches.as_mut(),
+            sketches: self
+                .sketches
+                .as_mut()
+                .map(|(sketches, table)| (sketches, signs.get_mut(*table))),
             partner_freq: self.partner_freq.as_ref(),
             now,
             rng: &mut self.rng,
@@ -369,8 +384,8 @@ impl QueryCore {
     }
 
     /// Priority the policy assigns `tuple` if it were queued right now.
-    pub(crate) fn queue_score(&mut self, tuple: &Tuple, now: VTime) -> f64 {
-        let (policy, mut ctx) = self.scoring(now);
+    pub(crate) fn queue_score(&mut self, signs: &mut SignTables, tuple: &Tuple, now: VTime) -> f64 {
+        let (policy, mut ctx) = self.scoring(signs, now);
         clamp_score(policy.queue_priority(&mut ctx, tuple))
     }
 
@@ -383,7 +398,7 @@ impl QueryCore {
     /// no estimate reads the live bank.
     fn can_defer(&self) -> bool {
         self.may_defer
-            && self.sketches.as_ref().is_some_and(|s| {
+            && self.sketches.as_ref().is_some_and(|(s, _)| {
                 (0..self.query.n_streams()).all(|k| s.has_last_epoch(StreamId(k)))
             })
     }
@@ -394,13 +409,14 @@ impl QueryCore {
     pub(crate) fn rollover_store(
         &mut self,
         store: &mut WindowStore,
+        signs: &mut SignTables,
         now: VTime,
         metrics: &mut EngineMetrics,
     ) {
         if self.can_defer() {
             store.defer_priorities();
         } else {
-            self.timed_rescore(store, now, metrics);
+            timed_rescore(metrics, || self.rescore_store(store, signs, now));
         }
     }
 
@@ -416,6 +432,7 @@ impl QueryCore {
     pub(crate) fn admit(
         &mut self,
         store: &mut WindowStore,
+        signs: &mut SignTables,
         tuple: Tuple,
         now: VTime,
         sample: Sample,
@@ -429,31 +446,22 @@ impl QueryCore {
                     eviction: Eviction::None,
                 };
             }
-            self.timed_rescore(store, now, metrics);
+            timed_rescore(metrics, || self.rescore_store(store, signs, now));
         }
         let (priority, score) = sample.time(&mut metrics.score_ns, || {
-            let (policy, mut ctx) = self.scoring(now);
+            let (policy, mut ctx) = self.scoring(signs, now);
             let score = policy.score(&mut ctx, &tuple);
             (clamp_score(policy.priority(score, 0)), score)
         });
         sample.time(&mut metrics.insert_ns, || store.insert_scored(tuple, priority, score))
     }
 
-    /// [`QueryCore::rescore_store`], counted and timed — every pass, not
-    /// a sample: there are a few hundred a run.
-    fn timed_rescore(&mut self, store: &mut WindowStore, now: VTime, metrics: &mut EngineMetrics) {
-        let t0 = Instant::now();
-        self.rescore_store(store, now);
-        metrics.priority_rebuild_ns += t0.elapsed().as_nanos() as u64;
-        metrics.priority_rebuilds += 1;
-    }
-
     /// Rollover rescoring of one store's residents against the current
     /// epoch snapshot: each slot's score anew, priced at its produced
     /// count. Residents sharing a key share one estimate through the
     /// sketches' score memo (DESIGN.md §16).
-    pub(crate) fn rescore_store(&mut self, store: &mut WindowStore, now: VTime) {
-        let (policy, mut ctx) = self.scoring(now);
+    pub(crate) fn rescore_store(&mut self, store: &mut WindowStore, signs: &mut SignTables, now: VTime) {
+        let (policy, mut ctx) = self.scoring(signs, now);
         store.rebuild_priorities(|tuple, produced| {
             let score = policy.score(&mut ctx, tuple);
             (clamp_score(policy.priority(score, produced)), score)
@@ -466,6 +474,15 @@ impl QueryCore {
     pub(crate) fn refreshed_priority(&self, score: f64, produced: u64) -> f64 {
         clamp_score(self.policy.priority(score, produced))
     }
+}
+
+/// One [`QueryCore::rescore_store`] pass, counted and timed — every pass,
+/// not a sample: there are a few hundred a run.
+fn timed_rescore(metrics: &mut EngineMetrics, pass: impl FnOnce()) {
+    let t0 = Instant::now();
+    pass();
+    metrics.priority_rebuild_ns += t0.elapsed().as_nanos() as u64;
+    metrics.priority_rebuilds += 1;
 }
 
 /// A sparse per-stream accumulator for produced-output deltas gathered
@@ -534,8 +551,8 @@ impl ProducedScratch {
             if owed {
                 continue;
             }
-            let state = store.state(slot).expect("counted slot is live");
-            store.update_priority(slot, core.refreshed_priority(state, total));
+            let score = store.score(slot).expect("counted slot is live");
+            store.update_priority(slot, core.refreshed_priority(score, total));
         }
     }
 }
@@ -967,11 +984,13 @@ mod tests {
         config.epoch = Some(EpochSpec::Time(VDur::from_secs(10)));
         for (stream, attrs) in [(StreamId(0), 1), (StreamId(1), 2)] {
             let policy = Box::new(Eager(Box::new(MSketch)));
-            let mut core = QueryCore::new(query.clone(), policy, &config, false).unwrap();
-            let sketches = core.sketches.as_mut().expect("MSketch keeps sketches");
+            let mut signs = SignTables::default();
+            let mut core = QueryCore::new(query.clone(), policy, &config, false, &mut signs).unwrap();
+            let (sketches, table) = core.sketches.as_mut().expect("MSketch keeps sketches");
+            let table = signs.get_mut(*table);
             for i in 0..30u64 {
                 let at = VTime::from_secs(i / 4);
-                sketches.observe(StreamId(i as usize % 3), &v(i % K, i % K), at);
+                sketches.observe(table, StreamId(i as usize % 3), &v(i % K, i % K), at);
             }
             let join_attrs = query.join_attrs(stream);
             assert_eq!(join_attrs.len(), attrs);
@@ -984,12 +1003,12 @@ mod tests {
                 store.insert_scored(t, 0.0, 0.0);
             }
             let now = VTime::from_secs(10);
-            assert!(sketches.observe(StreamId(2), &v(0, 0), now), "the epoch rolls");
+            assert!(sketches.observe(table, StreamId(2), &v(0, 0), now), "the epoch rolls");
             let before = sketches.score_cache_stats();
             let mut metrics = EngineMetrics::default();
-            core.rollover_store(&mut store, now, &mut metrics);
+            core.rollover_store(&mut store, &mut signs, now, &mut metrics);
             assert_eq!(metrics.priority_rebuilds, 1, "{stream:?}: the pass ran at the roll");
-            let after = core.sketches.as_ref().unwrap().score_cache_stats();
+            let after = core.sketches.as_ref().unwrap().0.score_cache_stats();
             assert_eq!(after.misses - before.misses, K, "{stream:?}: one estimate per key");
             assert_eq!(after.hits - before.hits, N - K, "{stream:?}: the rest share it");
         }

@@ -201,7 +201,7 @@ pub mod mstream_sketch {
     pub use crate::atomic::AtomicSketch;
     pub use crate::bank::{median_of_means_slice, SketchBank};
     pub use crate::hash::FourWiseHash;
-    pub use crate::signs::{combine_packed_signs, SignCache, SignFamilies};
+    pub use crate::signs::{SignFamilies, SignTable};
     pub use crate::tumbling::TumblingSketches;
 }
 

@@ -37,6 +37,23 @@
 //! modulo stream tags, see below); under shedding their output is a
 //! sub-multiset of their exact output, shaped by the owner's policy.
 //!
+//! # Sign tables
+//!
+//! A class's AGMS sketches keep counters only. Their ξ-sign families, and
+//! the memo of the packed sign vectors drawn from them, are a sign table
+//! that depends on nothing but `(seed, predicate count, copies)`, so the
+//! plane keeps **one table per distinct key** and lends it, `&mut`, to each
+//! class of that key for the one call that needs signs (observing an
+//! arrival, scoring a tuple, rescoring a store). Every class is built from
+//! the engine's one bank configuration, so in practice the key is the
+//! predicate count: four pair queries on four stream pairs draw on one
+//! table. Tables are counted by class like stores by user: registering
+//! reuses or draws one, and the last class leaving frees it. Sharing
+//! changes no estimate: a table's families are the ones every class of
+//! its key would draw, and a memo hit is the vector recomputing it gives.
+//! Classes that estimate nothing (idle ones, sketch-free policies) hold
+//! no table.
+//!
 //! # Registration semantics
 //!
 //! [`MultiQueryEngine::add_query`] mid-run always creates a fresh class
@@ -71,7 +88,7 @@ use crate::ingest::{Arrival, EmitSink, IngestOutcome};
 use crate::join::{probe_runs_in, StoreLookup};
 use crate::report::EngineMetrics;
 use crate::shed::ShedPolicy;
-use crate::sketch::TumblingSketches;
+use crate::sketch::{EpochSketches, SignCacheStats, SignTables};
 use crate::window::{Eviction, WindowStore};
 use mstream_types::{
     Catalog, EquiPredicate, JoinQuery, QueryId, SeqNo, StreamId, Tuple, VTime, WindowSpec,
@@ -168,10 +185,12 @@ pub struct MultiQueryEngine {
     metrics: EngineMetrics,
     /// Picks the arrivals whose stages are timed.
     stage_clock: StageClock,
+    /// The sign tables the classes' sketches draw on, one per family key.
+    signs: SignTables,
     /// Cache counters of classes dismantled by
-    /// [`MultiQueryEngine::remove_query`], folded in at teardown so the
-    /// engine-level cache statistics stay monotone as classes (and the
-    /// sketch banks carrying the live counters) come and go.
+    /// [`MultiQueryEngine::remove_query`] and of the sign tables freed
+    /// with their last class, folded in at teardown so the engine-level
+    /// cache statistics stay monotone as classes and tables come and go.
     retired_cache: RetiredCacheStats,
     /// The bounded-disorder reorder stage in front of the operator
     /// (DESIGN.md §13), over global streams; `None` trusts timestamps as
@@ -184,7 +203,7 @@ pub struct MultiQueryEngine {
     queue: Option<Box<QueueStage>>,
 }
 
-/// Sketch-side cache counters surviving their class (see
+/// Sketch-side cache counters surviving their class or table (see
 /// [`MultiQueryEngine::remove_query`]).
 #[derive(Clone, Copy, Debug, Default)]
 struct RetiredCacheStats {
@@ -195,13 +214,17 @@ struct RetiredCacheStats {
 }
 
 impl RetiredCacheStats {
-    fn absorb(&mut self, sketches: &TumblingSketches) {
-        let signs = sketches.sign_cache_stats();
-        self.sign_hits += signs.hits;
-        self.sign_misses += signs.misses;
+    /// Banks a class's score-memo counters.
+    fn absorb_scores(&mut self, sketches: &EpochSketches) {
         let scores = sketches.score_cache_stats();
         self.score_hits += scores.hits;
         self.score_misses += scores.misses;
+    }
+
+    /// Banks the sign-memo counters of a table its last class freed.
+    fn absorb_signs(&mut self, signs: SignCacheStats) {
+        self.sign_hits += signs.hits;
+        self.sign_misses += signs.misses;
     }
 }
 
@@ -277,6 +300,7 @@ impl MultiQueryEngine {
             clock: VTime::ZERO,
             metrics: EngineMetrics::default(),
             stage_clock: StageClock::default(),
+            signs: SignTables::default(),
             retired_cache: RetiredCacheStats::default(),
             front: None,
             queue: None,
@@ -339,6 +363,11 @@ impl MultiQueryEngine {
             }
             class_maps.push((gstream_of, store_of));
         }
+        // Sized to what is registered: a first push would reserve four
+        // slots, and a class is close to a kilobyte.
+        engine.stores.reserve_exact(planned.len());
+        engine.scratches.reserve_exact(planned.len());
+        engine.classes.reserve_exact(specs.len());
         for p in planned {
             engine.stores.push(Some(StoreEntry {
                 store: WindowStore::new(p.window, p.attrs, engine.config.capacity),
@@ -365,8 +394,10 @@ impl MultiQueryEngine {
             // class idles.
             let has_queue = engine.config.input_queue.is_some();
             let idle = !has_queue && store_of.iter().all(|&si| store(si).cannot_fill());
+            let policy = engine.policy_proto.clone();
+            let core = QueryCore::new(q, policy, &engine.config, idle, &mut engine.signs)?;
             engine.classes.push(Some(QueryClass {
-                core: QueryCore::new(q, engine.policy_proto.clone(), &engine.config, idle)?,
+                core,
                 members,
                 gstream_of,
                 store_of,
@@ -440,19 +471,21 @@ impl MultiQueryEngine {
     /// Accumulated engine-level counters. Sketch-side cache statistics
     /// are snapshotted here, at read time — not on every arrival, which put
     /// counter copies on the per-ingest hot path for values nobody reads
-    /// mid-run: the sum over every live class's sketch bank plus the folded
-    /// baseline of classes already dismantled by
-    /// [`MultiQueryEngine::remove_query`], so the counters stay monotone
-    /// across query churn. So is the reorder stage's late-drop count.
+    /// mid-run: the sum over every live class's score memo and every live
+    /// sign table plus the folded baseline of classes and tables already
+    /// gone ([`MultiQueryEngine::remove_query`]), so the counters stay
+    /// monotone across query churn. So is the reorder stage's late-drop
+    /// count.
     pub fn metrics(&mut self) -> &EngineMetrics {
         let mut total = self.retired_cache;
         for class in self.classes.iter().flatten() {
-            if let Some(sk) = class.core.sketches.as_ref() {
-                total.absorb(sk);
+            if let Some((sketches, _)) = class.core.sketches.as_ref() {
+                total.absorb_scores(sketches);
             }
         }
-        self.metrics.sign_cache_hits = total.sign_hits;
-        self.metrics.sign_cache_misses = total.sign_misses;
+        let (sign_hits, sign_misses) = self.signs.stats();
+        self.metrics.sign_cache_hits = total.sign_hits + sign_hits;
+        self.metrics.sign_cache_misses = total.sign_misses + sign_misses;
         self.metrics.score_cache_hits = total.score_hits;
         self.metrics.score_cache_misses = total.score_misses;
         self.metrics.late_dropped = self.front.as_ref().map_or(0, |f| f.dropped);
@@ -510,15 +543,22 @@ impl MultiQueryEngine {
         self.classes.iter().flatten().filter(|c| c.core.idle).count()
     }
 
+    /// Live sign tables that two or more classes draw on (module docs,
+    /// "Sign tables").
+    pub fn shared_sign_tables(&self) -> usize {
+        self.signs.shared()
+    }
+
     /// Structural audit of the shared data plane: every live store's
     /// internal invariants (per-store capacity bounds included), every
     /// class's sketch coherence, the sharing bookkeeping (owners exist,
     /// mappings in range, every resident carries its owner's local stream
-    /// id), stores that cannot fill and never shed, idle classes that keep
-    /// no estimation state and own only stores that cannot fill and owe
-    /// their priorities, a reorder stage holding nothing releasable, and an
-    /// input queue that is consistent, within capacity, and ahead of no
-    /// idle class. O(resident tuples) and worse; compiled only under the
+    /// id, every sign table counted by exactly the classes drawing on it
+    /// and holding its key's families), stores that cannot fill and never
+    /// shed, idle classes that keep no estimation state and own only stores
+    /// that cannot fill and owe their priorities, a reorder stage holding
+    /// nothing releasable, and an input queue that is consistent, within
+    /// capacity, and ahead of no idle class. O(resident tuples) and worse; compiled only under the
     /// `audit` feature, where the differential harness calls it after
     /// every arrival.
     ///
@@ -556,8 +596,8 @@ impl MultiQueryEngine {
         }
         for (cid, class) in self.classes.iter().enumerate() {
             let Some(class) = class else { continue };
-            if let Some(sk) = class.core.sketches.as_ref() {
-                sk.check_invariants();
+            if let Some((sketches, _)) = class.core.sketches.as_ref() {
+                sketches.check_invariants();
             }
             if class.core.idle {
                 assert!(!class.core.estimates(), "idle class {cid} keeps estimation state");
@@ -583,6 +623,10 @@ impl MultiQueryEngine {
                 );
             }
         }
+        let live = self.classes.iter().flatten();
+        let drawing = live.filter_map(|c| Some((c.core.sketches.as_ref()?.1, &c.core.query)));
+        let users: Vec<_> = drawing.map(|(t, q)| (t, q.predicates().len())).collect();
+        self.signs.check_invariants(self.config.bank, &users);
         if let Some(front) = self.front.as_ref() {
             front.check_invariants();
         }
@@ -629,7 +673,8 @@ impl MultiQueryEngine {
                 .collect();
             let has_queue = self.queue.is_some();
             let idle = !has_queue && entries.iter().all(|e| e.store.cannot_fill());
-            let core = QueryCore::new(query, self.policy_proto.clone(), &self.config, idle)?;
+            let policy = self.policy_proto.clone();
+            let core = QueryCore::new(query, policy, &self.config, idle, &mut self.signs)?;
             if idle {
                 entries.iter_mut().for_each(|e| e.store.defer_priorities());
             }
@@ -673,7 +718,8 @@ impl MultiQueryEngine {
     /// — residents retagged to that class's local stream id and, for
     /// policies that rescore at rollovers, rescored by it right away, so
     /// one heap never mixes two queries' estimates; an idle heir owes
-    /// the store's priorities instead.
+    /// the store's priorities instead. A sign table the class was the last
+    /// to draw on is freed with it.
     pub fn remove_query(&mut self, id: QueryId) -> bool {
         let Some(state) = self.queries.get_mut(id.index()).and_then(Option::take) else {
             return false;
@@ -683,10 +729,14 @@ impl MultiQueryEngine {
         class.members.retain(|&q| q != id);
         if class.members.is_empty() {
             let retired = std::mem::take(&mut self.classes[cid]).expect("checked");
-            if let Some(sk) = retired.core.sketches.as_ref() {
-                // The class's sketch bank dies here; bank its cache
-                // counters so engine-level stats stay monotone.
-                self.retired_cache.absorb(sk);
+            if let Some((sketches, table)) = retired.core.sketches.as_ref() {
+                // The class's score memo dies here, and its sign table
+                // with its last user; bank their cache counters so
+                // engine-level stats stay monotone.
+                self.retired_cache.absorb_scores(sketches);
+                if let Some(last) = self.signs.release(*table) {
+                    self.retired_cache.absorb_signs(last);
+                }
             }
             for si in retired.store_of {
                 let entry = self.stores[si].as_mut().expect("class store is live");
@@ -708,8 +758,9 @@ impl MultiQueryEngine {
                 } else if heir.core.estimates() || entry.store.is_deferred() {
                     // A store an idle owner left owing gets a rollover's
                     // treatment even from a policy that never rolls.
+                    let (signs, metrics) = (&mut self.signs, &mut self.metrics);
                     heir.core
-                        .rollover_store(&mut entry.store, self.clock, &mut self.metrics);
+                        .rollover_store(&mut entry.store, signs, self.clock, metrics);
                 }
             }
         }
@@ -827,7 +878,7 @@ impl MultiQueryEngine {
                     .expect("owner is live");
                 let mut local = tuple.clone();
                 local.stream = entry.owner_local;
-                let score = owner.core.queue_score(&local, now);
+                let score = owner.core.queue_score(&mut self.signs, &local, now);
                 stage.queue.offer(tuple, score, victim, &mut owner.core.rng)
             }
             None => stage.queue.offer(tuple, 0.0, victim, &mut stage.rng),
@@ -869,6 +920,7 @@ impl MultiQueryEngine {
             classes,
             stores,
             scratches,
+            signs,
             metrics,
             ..
         } = self;
@@ -881,14 +933,14 @@ impl MultiQueryEngine {
                 continue;
             };
             let Some(k) = class.local_of(g) else { continue };
-            if !class.core.observe(k, &tuple.values, now, sample, metrics) {
+            if !class.core.observe(signs, k, &tuple.values, now, sample, metrics) {
                 continue;
             }
             metrics.epoch_rollovers += 1;
             for &si in &class.store_of {
                 let entry = stores[si].as_mut().expect("class store is live");
                 if entry.users[0] == cid {
-                    class.core.rollover_store(&mut entry.store, now, metrics);
+                    class.core.rollover_store(&mut entry.store, signs, now, metrics);
                 }
             }
         }
@@ -985,7 +1037,7 @@ impl MultiQueryEngine {
             local.stream = entry.owner_local;
             let outcome = owner
                 .core
-                .admit(&mut entry.store, local, now, sample, metrics);
+                .admit(&mut entry.store, signs, local, now, sample, metrics);
             stored |= outcome.slot.is_some();
             if let Eviction::Evicted(_) = outcome.eviction {
                 entry.shed += 1;
@@ -1275,6 +1327,81 @@ mod tests {
                 >= after.score_cache_hits + after.score_cache_misses,
             "counters stay monotone after churn"
         );
+    }
+
+    // The sharded coordinator moves planes into its worker threads.
+    const _: fn() = || {
+        fn send<T: Send>() {}
+        send::<MultiQueryEngine>();
+    };
+
+    /// `queries` on one MSketch plane with windows of four tuples (always
+    /// shedding on the test traces).
+    fn msketch(queries: Vec<JoinQuery>) -> MultiQueryEngine {
+        let mut b = EngineBuilder::new_multi()
+            .policy(MSketch)
+            .capacity_per_window(4);
+        for q in queries {
+            b.register(q).unwrap();
+        }
+        b.build_multi().unwrap()
+    }
+
+    #[test]
+    fn classes_of_one_predicate_count_share_one_sign_table() {
+        // Four pair queries on four disjoint stream pairs: four classes,
+        // one predicate each, one table. Every arrival's observe looks up
+        // (predicate 0, its key); keys run over 0..3, so the one memo
+        // misses three times, where four memos missed twelve.
+        let names = ["A", "B", "C", "D", "E", "F", "G", "H"];
+        let pairs: Vec<_> = names.chunks(2).map(|p| pair_query(p[0], p[1], 60)).collect();
+        let mut e = msketch(pairs.clone());
+        assert_eq!((e.n_classes(), e.signs.live(), e.shared_sign_tables()), (4, 1, 1));
+        let t = trace(&names, 400);
+        let mut sink = QueryRowsSink::default();
+        feed(&mut e, &t, &mut sink);
+        let m = e.metrics().clone();
+        assert!(m.shed_window > 0, "capacity 4 must shed");
+        assert_eq!(m.sign_cache_misses, 3, "one miss per (predicate, value)");
+        assert!(m.sign_cache_hits > 400, "every other lookup hits");
+        // Sharing changes no estimate: each class owns its stores, so its
+        // rows are its solo run's, shed tuples and all.
+        for (i, q) in pairs.into_iter().enumerate() {
+            let mut solo = msketch(vec![q]);
+            let own = |(name, ..): &&(String, Row, VTime)| solo.stream_id(name).is_some();
+            let own: Vec<_> = t.iter().filter(own).cloned().collect();
+            let mut rows = QueryRowsSink::default();
+            feed(&mut solo, &own, &mut rows);
+            assert!(!rows.rows[0].is_empty(), "query {i} joins");
+            assert_eq!(key_rows(&sink.rows[i]), key_rows(&rows.rows[0]), "query {i}");
+        }
+    }
+
+    #[test]
+    fn sign_tables_follow_their_classes_in_and_out() {
+        let mut e = msketch(vec![pair_query("A", "B", 20), pair_query("C", "D", 20)]);
+        assert_eq!((e.signs.live(), e.shared_sign_tables()), (1, 1));
+        // Another predicate count is another key: a table of its own.
+        let chain = e.add_query(chain_query("X", "Y", "Z", 20)).unwrap();
+        assert_eq!((e.signs.live(), e.shared_sign_tables()), (2, 1));
+        let t = trace(&["A", "B", "C", "D", "X", "Y", "Z"], 210);
+        feed(&mut e, &t, &mut QueryRowsSink::default());
+        let before = e.metrics().clone();
+        assert!(e.remove_query(chain), "the chain's last class frees its table");
+        assert_eq!((e.signs.live(), e.shared_sign_tables()), (1, 1));
+        assert!(e.remove_query(QueryId(0)), "one pair left: the table stays");
+        assert_eq!((e.signs.live(), e.shared_sign_tables()), (1, 0));
+        assert!(e.remove_query(QueryId(1)));
+        assert_eq!(e.signs.live(), 0, "no class left, no table left");
+        let after = e.metrics().clone();
+        assert_eq!(
+            (after.sign_cache_hits, after.sign_cache_misses),
+            (before.sign_cache_hits, before.sign_cache_misses),
+            "freed tables keep their counters"
+        );
+        // Registering again draws a fresh table.
+        e.add_query(pair_query("A", "B", 20)).unwrap();
+        assert_eq!(e.signs.live(), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The state handed to a policy when it scores a tuple.
 
-use crate::sketch::{TumblingFreq, TumblingSketches};
+use crate::sketch::{EpochSketches, SignTable, TumblingFreq};
 use mstream_types::{JoinQuery, Tuple, VTime};
 use rand::rngs::StdRng;
 
@@ -29,8 +29,8 @@ pub struct Requirements {
 pub struct PriorityCtx<'a> {
     /// The query (for predicate incidence and window specs).
     pub(crate) query: &'a JoinQuery,
-    /// Tumbling sketches, if required.
-    pub(crate) sketches: Option<&'a mut TumblingSketches>,
+    /// Tumbling sketches, if required, with the sign table they draw on.
+    pub(crate) sketches: Option<(&'a mut EpochSketches, &'a mut SignTable)>,
     /// Tumbling partner-frequency tables, if required.
     pub(crate) partner_freq: Option<&'a TumblingFreq>,
     /// Current virtual time (for lifetime-based policies).
@@ -52,11 +52,12 @@ impl<'a> PriorityCtx<'a> {
     /// # Panics
     /// Panics if the policy did not declare `sketches` in its requirements.
     pub(crate) fn productivity(&mut self, tuple: &Tuple) -> f64 {
-        let sketches = self
+        let (sketches, signs) = self
             .sketches
-            .as_deref_mut()
+            .as_mut()
             .expect("policy did not declare Requirements::sketches");
-        crate::policies::clamp_score(sketches.productivity(tuple.stream, &tuple.values)).max(0.0)
+        let estimate = sketches.productivity(signs, tuple.stream, &tuple.values);
+        crate::policies::clamp_score(estimate).max(0.0)
     }
 
     /// Productivity of `tuple` against the *current* (still accumulating)
@@ -68,12 +69,12 @@ impl<'a> PriorityCtx<'a> {
     /// # Panics
     /// Panics if the policy did not declare `sketches`.
     pub(crate) fn current_productivity(&mut self, tuple: &Tuple) -> f64 {
-        let sketches = self
+        let (sketches, signs) = self
             .sketches
-            .as_deref_mut()
+            .as_mut()
             .expect("policy did not declare Requirements::sketches");
-        crate::policies::clamp_score(sketches.current_productivity(tuple.stream, &tuple.values))
-            .max(0.0)
+        let estimate = sketches.current_productivity(signs, tuple.stream, &tuple.values);
+        crate::policies::clamp_score(estimate).max(0.0)
     }
 
     /// The partner-window frequency of `tuple`'s join value on its
@@ -119,7 +120,7 @@ impl<'a> PriorityCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sketch::{BankConfig, EpochSpec};
+    use crate::sketch::{BankConfig, EpochSpec, TumblingSketches};
     use mstream_types::{Catalog, SeqNo, StreamId, StreamSchema, VDur, Value, WindowSpec};
     use rand::SeedableRng;
 
@@ -252,7 +253,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut ctx = PriorityCtx {
             query: &q,
-            sketches: Some(&mut sk),
+            sketches: Some(sk.lend()),
             partner_freq: None,
             now: VTime::ZERO,
             rng: &mut rng,

@@ -420,7 +420,7 @@ mod tests {
     ) -> PriorityCtx<'a> {
         PriorityCtx {
             query: q,
-            sketches: sk,
+            sketches: sk.map(TumblingSketches::lend),
             partner_freq: pf,
             now: VTime::from_secs(now),
             rng,

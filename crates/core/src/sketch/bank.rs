@@ -2,14 +2,15 @@
 //! combination, for multi-way COUNT and per-tuple productivity estimation.
 //!
 //! Since the flat-kernel rework the bank is laid out structure-of-arrays:
-//! hash coefficients live copy-major per predicate in [`SignFamilies`],
-//! and the per-copy counters of all streams share one contiguous `Vec<i64>`
+//! the per-copy counters of all streams share one contiguous `Vec<i64>`
 //! indexed `[stream × copies + copy]`. Updates and estimates stream
 //! linearly through those arrays (see [`crate::kernel`]) instead of
-//! chasing per-copy allocations, and per-tuple sign vectors are evaluated
-//! once, bit-packed, and memoized in a [`SignCache`]. All estimates are
-//! bit-identical to the legacy AoS layout under the same seed (enforced by
-//! `tests/equivalence.rs`).
+//! chasing per-copy allocations. The hash families are not the bank's:
+//! they live, with the memo of their bit-packed per-tuple sign vectors, in
+//! a [`SignTable`] the caller lends to every call that needs signs, so
+//! banks drawn from one `(seed, predicate count, copies)` share one. All
+//! estimates are bit-identical to the legacy AoS layout under the same
+//! seed (enforced by `tests/equivalence.rs`).
 //!
 //! Updates are **deferred**: [`SketchBank::update`] copies the tuple's
 //! packed sign words into a per-stream *held block* of [`kernel::BLOCK`]
@@ -21,12 +22,9 @@
 //! reader of counter values therefore takes `&mut self`.
 
 use crate::kernel::{self, BLOCK};
-use crate::signs::{combine_packed_signs, words_for, SignCache, SignCacheStats, SignFamilies};
+use crate::signs::{words_for, SignTable};
 use mstream_types::{JoinQuery, StreamId, Value};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 
 /// Sizing of a [`SketchBank`].
 ///
@@ -85,12 +83,9 @@ fn held_vectors(pending: u32) -> usize {
 }
 
 /// Reusable query-path buffers (packed sign words, per-copy statistics,
-/// group means) plus the packed-sign memo. Kept behind a `RefCell` so
-/// [`SketchBank::packed_signs_into`] stays `&self` while never allocating
-/// per call.
+/// group means), so no call allocates once they have grown.
 #[derive(Clone, Debug, Default)]
 struct BankScratch {
-    cache: SignCache,
     words: Vec<u64>,
     per_copy: Vec<f64>,
     groups: Vec<f64>,
@@ -100,15 +95,17 @@ struct BankScratch {
 ///
 /// A `SketchBank` covers **one window's worth** of each stream (one
 /// tumbling epoch). The epoch discipline — current vs. last bank, rollover
-/// every `n` seconds — lives in [`crate::sketch::TumblingSketches`].
+/// every `n` seconds — lives in [`crate::mstream_sketch::TumblingSketches`].
+///
+/// Every method that evaluates signs takes the bank's [`SignTable`]: the
+/// one `SignTable::new(query.predicates().len(), config)` builds, or any
+/// table of that key.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SketchBank {
     config: BankConfig,
     n_streams: usize,
     /// `incidence[k]` = `(predicate index, attr index)` pairs of stream `k`.
     incidence: Vec<Vec<(usize, usize)>>,
-    /// SoA hash coefficient banks, one polynomial per (predicate, copy).
-    families: SignFamilies,
     /// `counters[k * copies + c]` = atomic sketch `X_k` in copy `c`, as of
     /// stream `k`'s last settle.
     counters: Vec<i64>,
@@ -130,9 +127,9 @@ pub struct SketchBank {
     pending: Vec<u32>,
     /// Tuples folded per stream this epoch.
     tuples: Vec<u64>,
-    /// Query scratch + packed-sign memo (not part of the logical state).
+    /// Query scratch (not part of the logical state).
     #[serde(skip)]
-    scratch: RefCell<BankScratch>,
+    scratch: BankScratch,
 }
 
 impl SketchBank {
@@ -141,15 +138,12 @@ impl SketchBank {
     /// so a stream never holds this many between calls.
     pub const PENDING_MAX: u32 = (1 << PENDING_PLANES) - 1;
 
-    /// Builds a zeroed bank for `query`, drawing hash families from
-    /// `config.seed`.
+    /// Builds a zeroed bank for `query`; its signs come from the table of
+    /// `(config.seed, query.predicates().len(), config.copies())`.
     pub fn new(query: &JoinQuery, config: BankConfig) -> Self {
         assert!(config.s1 >= 1 && config.s2 >= 1, "s1 and s2 must be >= 1");
-        let mut rng = StdRng::seed_from_u64(config.seed);
         let n_streams = query.n_streams();
-        let n_preds = query.predicates().len();
         let copies = config.copies();
-        let families = SignFamilies::draw(&mut rng, n_preds, copies);
         let incidence = (0..n_streams)
             .map(|s| query.incident(StreamId(s)).to_vec())
             .collect();
@@ -157,13 +151,12 @@ impl SketchBank {
             config,
             n_streams,
             incidence,
-            families,
             counters: vec![0; n_streams * copies],
             planes: vec![0; n_streams * PENDING_PLANES * words_for(copies)],
             blocks: vec![0; n_streams * BLOCK * words_for(copies)],
             pending: vec![0; n_streams],
             tuples: vec![0; n_streams],
-            scratch: RefCell::default(),
+            scratch: BankScratch::default(),
         }
     }
 
@@ -189,20 +182,19 @@ impl SketchBank {
     /// vertical counter — word operations, not `s1·s2` counter adds. The
     /// counters catch up when a reader settles the stream, or here once
     /// [`Self::PENDING_MAX`] updates are pending.
-    pub fn update(&mut self, stream: StreamId, values: &[Value]) {
+    pub fn update(&mut self, signs: &mut SignTable, stream: StreamId, values: &[Value]) {
         let k = stream.index();
         debug_assert!(k < self.n_streams);
-        let scratch = self.scratch.get_mut();
-        combine_packed_signs(
-            &self.families,
-            &mut scratch.cache,
-            &self.incidence[k],
-            values,
-            &mut scratch.words,
+        debug_assert_eq!(
+            signs.copies(),
+            self.config.copies(),
+            "a table of another key"
         );
-        let words = scratch.words.len();
+        let words = &mut self.scratch.words;
+        signs.combine(&self.incidence[k], values, words);
+        let n = words.len();
         let slot = k * BLOCK + held_vectors(self.pending[k]);
-        self.blocks[slot * words..(slot + 1) * words].copy_from_slice(&scratch.words);
+        self.blocks[slot * n..(slot + 1) * n].copy_from_slice(words);
         self.pending[k] += 1;
         self.tuples[k] += 1;
         if held_vectors(self.pending[k]) == 0 {
@@ -263,27 +255,32 @@ impl SketchBank {
     /// (`Π_{j ∈ attrs(R_i)} ξ_{j, t[j]}`). Scalar path, exposed for
     /// diagnostics and the equivalence suite.
     #[inline]
-    pub fn sign_in_copy(&self, c: usize, stream: StreamId, values: &[Value]) -> i64 {
+    pub fn sign_in_copy(
+        &self,
+        signs: &SignTable,
+        c: usize,
+        stream: StreamId,
+        values: &[Value],
+    ) -> i64 {
         let mut sign = 1i64;
         for &(pred, attr) in &self.incidence[stream.index()] {
-            sign *= self.families.sign_one(pred, c, values[attr].raw());
+            sign *= signs.sign_one(pred, c, values[attr].raw());
         }
         sign
     }
 
     /// Writes the packed per-copy sign products of a tuple of `stream`
     /// into `out` (bit `c` set ⇔ copy `c` has sign −1), served from the
-    /// memoizing sign cache. This is the batched counterpart of
+    /// table's memo. This is the batched counterpart of
     /// [`SketchBank::sign_in_copy`].
-    pub fn packed_signs_into(&self, stream: StreamId, values: &[Value], out: &mut Vec<u64>) {
-        let mut scratch = self.scratch.borrow_mut();
-        combine_packed_signs(
-            &self.families,
-            &mut scratch.cache,
-            &self.incidence[stream.index()],
-            values,
-            out,
-        );
+    pub fn packed_signs_into(
+        &self,
+        signs: &mut SignTable,
+        stream: StreamId,
+        values: &[Value],
+        out: &mut Vec<u64>,
+    ) {
+        signs.combine(&self.incidence[stream.index()], values, out);
     }
 
     /// The raw atomic-sketch counter `X_k` of `stream` in copy `c`.
@@ -324,9 +321,8 @@ impl SketchBank {
         self.tuples[k] = 0;
     }
 
-    /// Resets every atomic sketch (epoch rollover); hash families persist,
-    /// and so does the packed-sign memo — sign vectors depend only on the
-    /// families, so they stay valid across epochs.
+    /// Resets every atomic sketch (epoch rollover). Signs are the table's,
+    /// not the bank's: families and memo stay valid across epochs.
     pub fn reset(&mut self) {
         self.counters.fill(0);
         self.planes.fill(0);
@@ -340,11 +336,6 @@ impl SketchBank {
         self.tuples[stream.index()]
     }
 
-    /// Hit/miss/occupancy counters of the packed-sign memo.
-    pub(crate) fn sign_cache_stats(&self) -> SignCacheStats {
-        self.scratch.borrow().cache.stats()
-    }
-
     /// Median-of-means estimate of the full multi-way COUNT
     /// `|W_1 ⋈ … ⋈ W_n|` from this bank's sketches.
     #[cfg(any(test, feature = "audit"))]
@@ -353,7 +344,7 @@ impl SketchBank {
         let copies = self.config.copies();
         let BankScratch {
             per_copy, groups, ..
-        } = self.scratch.get_mut();
+        } = &mut self.scratch;
         per_copy.resize(copies, 0.0);
         kernel::column_products(&self.counters, copies, usize::MAX, per_copy);
         median_of_means_into(self.config.s1, self.config.s2, per_copy, groups)
@@ -366,18 +357,21 @@ impl SketchBank {
     /// The estimate is unbiased but can come out negative for unproductive
     /// tuples; callers that need a priority should clamp at zero (true
     /// productivity is a count, hence non-negative).
-    pub fn productivity(&mut self, stream: StreamId, values: &[Value]) -> f64 {
+    pub fn productivity(
+        &mut self,
+        signs: &mut SignTable,
+        stream: StreamId,
+        values: &[Value],
+    ) -> f64 {
         self.settle();
         let i = stream.index();
         let copies = self.config.copies();
         let BankScratch {
-            cache,
             words,
             per_copy,
             groups,
-            ..
-        } = self.scratch.get_mut();
-        combine_packed_signs(&self.families, cache, &self.incidence[i], values, words);
+        } = &mut self.scratch;
+        signs.combine(&self.incidence[i], values, words);
         per_copy.resize(copies, 0.0);
         kernel::column_products(&self.counters, copies, i, per_copy);
         kernel::apply_packed_signs(words, per_copy);
@@ -438,7 +432,10 @@ impl SketchBank {
             }
             let tuples = self.tuples[k];
             let within = view.iter().all(|x| x.unsigned_abs() <= tuples);
-            assert!(within, "stream {k}: a counter above the {tuples} tuples it folded");
+            assert!(
+                within,
+                "stream {k}: a counter above the {tuples} tuples it folded"
+            );
         }
     }
 }
@@ -511,6 +508,12 @@ mod tests {
         .unwrap()
     }
 
+    /// A zeroed bank over `q` with the sign table of its key.
+    fn bank_and_signs(q: &JoinQuery, config: BankConfig) -> (SketchBank, SignTable) {
+        let table = SignTable::new(q.predicates().len(), config);
+        (SketchBank::new(q, config), table)
+    }
+
     fn v(a: u64, b: u64) -> Vec<Value> {
         vec![Value(a), Value(b)]
     }
@@ -559,16 +562,16 @@ mod tests {
             s2: 1,
             seed: 99,
         };
-        let mut b1 = SketchBank::new(&q, cfg);
-        let mut b2 = SketchBank::new(&q, cfg);
+        let (mut b1, mut signs) = bank_and_signs(&q, cfg);
+        let mut b2 = SketchBank::new(&q, cfg); // one key, one table
         for (s, vals) in [(0, v(1, 2)), (1, v(1, 5)), (2, v(5, 0))] {
-            b1.update(StreamId(s), &vals);
-            b2.update(StreamId(s), &vals);
+            b1.update(&mut signs, StreamId(s), &vals);
+            b2.update(&mut signs, StreamId(s), &vals);
         }
         assert_eq!(b1.estimate_join_count(), b2.estimate_join_count());
         assert_eq!(
-            b1.productivity(StreamId(1), &v(1, 5)),
-            b2.productivity(StreamId(1), &v(1, 5))
+            b1.productivity(&mut signs, StreamId(1), &v(1, 5)),
+            b2.productivity(&mut signs, StreamId(1), &v(1, 5))
         );
     }
 
@@ -576,7 +579,7 @@ mod tests {
     fn count_estimate_is_close_on_structured_data() {
         // A join with a strong signal: value 7 chains through all streams.
         let q = chain_query();
-        let mut bank = SketchBank::new(
+        let (mut bank, mut signs) = bank_and_signs(
             &q,
             BankConfig {
                 s1: 600,
@@ -588,13 +591,13 @@ mod tests {
         let r2: Vec<_> = (0..20).map(|_| v(7, 3)).collect();
         let r3: Vec<_> = (0..10).map(|i| v(3, i)).collect();
         for t in &r1 {
-            bank.update(StreamId(0), t);
+            bank.update(&mut signs, StreamId(0), t);
         }
         for t in &r2 {
-            bank.update(StreamId(1), t);
+            bank.update(&mut signs, StreamId(1), t);
         }
         for t in &r3 {
-            bank.update(StreamId(2), t);
+            bank.update(&mut signs, StreamId(2), t);
         }
         let exact = exact_chain_count(&r1, &r2, &r3) as f64; // 30*20*10 = 6000
         assert_eq!(exact, 6000.0);
@@ -609,7 +612,9 @@ mod tests {
         // converge to the exact count (unbiasedness), much tighter than any
         // single estimate.
         let q = chain_query();
-        let r1: Vec<_> = (0..8).flat_map(|a| (0..2).map(move |b| v(a % 4, b))).collect();
+        let r1: Vec<_> = (0..8)
+            .flat_map(|a| (0..2).map(move |b| v(a % 4, b)))
+            .collect();
         let r2: Vec<_> = (0..10).map(|i| v(i % 4, i % 3)).collect();
         let r3: Vec<_> = (0..9).map(|i| v(i % 3, i)).collect();
         let exact = exact_chain_count(&r1, &r2, &r3) as f64;
@@ -617,22 +622,15 @@ mod tests {
         let seeds = 300;
         let mut sum = 0.0;
         for seed in 0..seeds {
-            let mut bank = SketchBank::new(
-                &q,
-                BankConfig {
-                    s1: 4,
-                    s2: 1,
-                    seed,
-                },
-            );
+            let (mut bank, mut signs) = bank_and_signs(&q, BankConfig { s1: 4, s2: 1, seed });
             for t in &r1 {
-                bank.update(StreamId(0), t);
+                bank.update(&mut signs, StreamId(0), t);
             }
             for t in &r2 {
-                bank.update(StreamId(1), t);
+                bank.update(&mut signs, StreamId(1), t);
             }
             for t in &r3 {
-                bank.update(StreamId(2), t);
+                bank.update(&mut signs, StreamId(2), t);
             }
             sum += bank.estimate_join_count();
         }
@@ -646,7 +644,7 @@ mod tests {
         // R2/R3 heavily favour value 9; a fresh R1 tuple with A1=9 must get
         // a much larger productivity estimate than one with A1=0 (absent).
         let q = chain_query();
-        let mut bank = SketchBank::new(
+        let (mut bank, mut signs) = bank_and_signs(
             &q,
             BankConfig {
                 s1: 400,
@@ -655,13 +653,13 @@ mod tests {
             },
         );
         for i in 0..50 {
-            bank.update(StreamId(1), &v(9, i % 4));
+            bank.update(&mut signs, StreamId(1), &v(9, i % 4));
         }
         for i in 0..40 {
-            bank.update(StreamId(2), &v(i % 4, 0));
+            bank.update(&mut signs, StreamId(2), &v(i % 4, 0));
         }
-        let hot = bank.productivity(StreamId(0), &v(9, 0));
-        let cold = bank.productivity(StreamId(0), &v(0, 0));
+        let hot = bank.productivity(&mut signs, StreamId(0), &v(9, 0));
+        let cold = bank.productivity(&mut signs, StreamId(0), &v(0, 0));
         // Exact productivities: hot joins 50 R2-tuples × 10 matching R3 each
         // = 500; cold joins nothing.
         assert!(
@@ -675,7 +673,7 @@ mod tests {
     #[test]
     fn productivity_for_middle_stream_uses_both_neighbours() {
         let q = chain_query();
-        let mut bank = SketchBank::new(
+        let (mut bank, mut signs) = bank_and_signs(
             &q,
             BankConfig {
                 s1: 400,
@@ -684,16 +682,16 @@ mod tests {
             },
         );
         for _ in 0..20 {
-            bank.update(StreamId(0), &v(1, 0));
+            bank.update(&mut signs, StreamId(0), &v(1, 0));
         }
         for _ in 0..30 {
-            bank.update(StreamId(2), &v(2, 0));
+            bank.update(&mut signs, StreamId(2), &v(2, 0));
         }
         // t = (1, 2) matches 20 left-side and 30 right-side tuples -> 600.
-        let p = bank.productivity(StreamId(1), &v(1, 2));
+        let p = bank.productivity(&mut signs, StreamId(1), &v(1, 2));
         assert!((p - 600.0).abs() / 600.0 < 0.4, "p={p}");
         // t = (1, 5): no right-side partner -> ~0.
-        let dead = bank.productivity(StreamId(1), &v(1, 5));
+        let dead = bank.productivity(&mut signs, StreamId(1), &v(1, 5));
         assert!(dead.abs() < 150.0, "dead={dead}");
     }
 
@@ -705,26 +703,26 @@ mod tests {
             s2: 1,
             seed: 3,
         };
-        let mut bank = SketchBank::new(&q, cfg);
-        bank.update(StreamId(0), &v(1, 1));
+        let (mut bank, mut signs) = bank_and_signs(&q, cfg);
+        bank.update(&mut signs, StreamId(0), &v(1, 1));
         assert_eq!(bank.tuples_seen(StreamId(0)), 1);
         bank.reset();
         assert_eq!(bank.tuples_seen(StreamId(0)), 0);
         assert_eq!(bank.estimate_join_count(), 0.0);
         // Families survive reset: updating again gives the same state as a
         // fresh bank updated once.
-        bank.update(StreamId(0), &v(1, 1));
+        bank.update(&mut signs, StreamId(0), &v(1, 1));
         let mut fresh = SketchBank::new(&q, cfg);
-        fresh.update(StreamId(0), &v(1, 1));
+        fresh.update(&mut signs, StreamId(0), &v(1, 1));
         assert_eq!(bank.estimate_join_count(), fresh.estimate_join_count());
     }
 
     #[test]
     fn empty_bank_estimates_zero() {
         let q = chain_query();
-        let mut bank = SketchBank::new(&q, BankConfig::default());
+        let (mut bank, mut signs) = bank_and_signs(&q, BankConfig::default());
         assert_eq!(bank.estimate_join_count(), 0.0);
-        assert_eq!(bank.productivity(StreamId(0), &v(1, 1)), 0.0);
+        assert_eq!(bank.productivity(&mut signs, StreamId(0), &v(1, 1)), 0.0);
     }
 
     #[test]
@@ -735,13 +733,13 @@ mod tests {
             s2: 1,
             seed: 11,
         };
-        let mut bank = SketchBank::new(&q, cfg);
-        bank.update(StreamId(1), &v(4, 2));
-        bank.update(StreamId(1), &v(4, 2));
+        let (mut bank, mut signs) = bank_and_signs(&q, cfg);
+        bank.update(&mut signs, StreamId(1), &v(4, 2));
+        bank.update(&mut signs, StreamId(1), &v(4, 2));
         let expected: Vec<i64> = (0..6).map(|c| bank.sketch_value(c, StreamId(1))).collect();
         assert!(expected.iter().any(|&x| x != 0));
         // One more update, left pending: the roll must settle it first.
-        bank.update(StreamId(1), &v(4, 2));
+        bank.update(&mut signs, StreamId(1), &v(4, 2));
         let expected: Vec<i64> = expected.iter().map(|x| x / 2 * 3).collect();
         let mut snap = vec![0i64; 6];
         bank.roll_stream_into(StreamId(1), &mut snap);
@@ -759,12 +757,12 @@ mod tests {
             s2: 1,
             seed: 19,
         };
-        let mut bank = SketchBank::new(&q, cfg);
+        let (mut bank, mut signs) = bank_and_signs(&q, cfg);
         let mut eager = vec![0i64; 70];
         let mut words = Vec::new();
         for i in 0..21 {
-            bank.update(StreamId(2), &v(i % 5, 0));
-            bank.packed_signs_into(StreamId(2), &v(i % 5, 0), &mut words);
+            bank.update(&mut signs, StreamId(2), &v(i % 5, 0));
+            bank.packed_signs_into(&mut signs, StreamId(2), &v(i % 5, 0), &mut words);
             kernel::scalar::fold_packed_signs(&words, &mut eager);
             // Every block fill level: a settled clone reads the eager fold.
             bank.check_invariants();
@@ -781,7 +779,7 @@ mod tests {
     #[should_panic(expected = "a block slot behind its 1 held vectors is set")]
     fn invariants_catch_a_dirty_block_slot() {
         let q = chain_query();
-        let mut bank = SketchBank::new(
+        let (mut bank, mut signs) = bank_and_signs(
             &q,
             BankConfig {
                 s1: 70,
@@ -789,7 +787,7 @@ mod tests {
                 seed: 1,
             },
         );
-        bank.update(StreamId(0), &v(1, 1));
+        bank.update(&mut signs, StreamId(0), &v(1, 1));
         // Two words a vector: slot 3 of stream 0's block starts at word 6.
         bank.blocks[6] = 1;
         bank.check_invariants();
@@ -803,10 +801,10 @@ mod tests {
             s2: 1,
             seed: 17,
         };
-        let mut bank = SketchBank::new(&q, cfg);
+        let (mut bank, mut signs) = bank_and_signs(&q, cfg);
         for i in 0..13 {
-            bank.update(StreamId(0), &v(i, 1));
-            bank.update(StreamId(1), &v(i % 2, 1));
+            bank.update(&mut signs, StreamId(0), &v(i, 1));
+            bank.update(&mut signs, StreamId(1), &v(i % 2, 1));
         }
         // Settle one stream only: the other goes out mid-block, one block
         // in its planes and five vectors held.
@@ -830,17 +828,25 @@ mod tests {
             s2: 1,
             seed: 13,
         };
-        let bank = SketchBank::new(&q, cfg);
+        let (bank, mut signs) = bank_and_signs(&q, cfg);
         let vals = v(5, 9);
         let mut words = Vec::new();
-        bank.packed_signs_into(StreamId(1), &vals, &mut words);
+        bank.packed_signs_into(&mut signs, StreamId(1), &vals, &mut words);
         for c in 0..70 {
-            let packed = if (words[c / 64] >> (c % 64)) & 1 == 1 { -1 } else { 1 };
-            assert_eq!(packed, bank.sign_in_copy(c, StreamId(1), &vals), "copy {c}");
+            let packed = if (words[c / 64] >> (c % 64)) & 1 == 1 {
+                -1
+            } else {
+                1
+            };
+            assert_eq!(
+                packed,
+                bank.sign_in_copy(&signs, c, StreamId(1), &vals),
+                "copy {c}"
+            );
         }
-        let before = bank.sign_cache_stats();
-        bank.packed_signs_into(StreamId(1), &vals, &mut words);
-        let after = bank.sign_cache_stats();
+        let before = signs.stats();
+        bank.packed_signs_into(&mut signs, StreamId(1), &vals, &mut words);
+        let after = signs.stats();
         assert_eq!(after.misses, before.misses, "second lookup is all hits");
         assert!(after.hits > before.hits);
     }

@@ -21,17 +21,19 @@
 //! * [`TumblingFreq`] — exact per-window value-frequency tables, the state
 //!   behind the `Bjoin`/`Prob` baseline (and the space cost the paper's
 //!   complexity comparison charges it with).
-//! * `SignFamilies` / `SignCache` / `kernel` — the flat
-//!   structure-of-arrays hot path beneath `SketchBank`: hash coefficients
-//!   stored copy-major per predicate, ±1 signs evaluated once per
+//! * `SignTable` / `kernel` — the flat structure-of-arrays hot path
+//!   beneath `SketchBank`: hash coefficients stored copy-major per
+//!   predicate (`SignFamilies`), ±1 signs evaluated once per
 //!   `(predicate, value)` into bit-packed `u64` vectors (memoized, XOR-
 //!   combined across incident predicates), and contiguous counter/product
 //!   kernels that keep every estimate bit-identical to the original
-//!   array-of-structs implementation.
+//!   array-of-structs implementation. A table depends only on
+//!   `(seed, predicate count, copies)`, so the plane keeps one per key
+//!   (`SignTables`) and lends it to every class of that key.
 
 //!
 //! ```
-//! use mstream_core::mstream_sketch::SketchBank;
+//! use mstream_core::mstream_sketch::{SignTable, SketchBank};
 //! use mstream_core::prelude::BankConfig;
 //! use mstream_core::mstream_types::{Catalog, JoinQuery, StreamId, StreamSchema, Value, WindowSpec};
 //!
@@ -40,17 +42,22 @@
 //! c.add_stream(StreamSchema::new("R", &["k"]));
 //! let query = JoinQuery::from_names(c, &[("L.k", "R.k")], WindowSpec::secs(60)).unwrap();
 //!
-//! let mut bank = SketchBank::new(&query, BankConfig { s1: 400, s2: 1, seed: 7 });
+//! let config = BankConfig { s1: 400, s2: 1, seed: 7 };
+//! let mut bank = SketchBank::new(&query, config);
+//! let mut signs = SignTable::new(query.predicates().len(), config);
 //! for _ in 0..50 {
-//!     bank.update(StreamId(1), &[Value(3)]); // 50 R-tuples with k = 3
+//!     bank.update(&mut signs, StreamId(1), &[Value(3)]); // 50 R-tuples with k = 3
 //! }
 //! // A fresh L-tuple with k = 3 would join ~50 partners; k = 4 none.
-//! let hot = bank.productivity(StreamId(0), &[Value(3)]);
-//! let cold = bank.productivity(StreamId(0), &[Value(4)]);
+//! let hot = bank.productivity(&mut signs, StreamId(0), &[Value(3)]);
+//! let cold = bank.productivity(&mut signs, StreamId(0), &[Value(4)]);
 //! assert!((hot - 50.0).abs() < 20.0, "hot = {hot}");
 //! assert!(hot > cold.max(0.0));
 //! ```
 
 pub(crate) use crate::bank::BankConfig;
 pub(crate) use crate::freq::TumblingFreq;
-pub(crate) use crate::tumbling::{EpochSpec, TumblingSketches};
+pub(crate) use crate::signs::{SignCacheStats, SignTable, SignTables};
+#[cfg(test)]
+pub(crate) use crate::tumbling::TumblingSketches;
+pub(crate) use crate::tumbling::{EpochSketches, EpochSpec};

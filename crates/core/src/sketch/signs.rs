@@ -8,31 +8,42 @@
 //! result into a `[u64]` bitvector (bit set ⇔ sign is −1), and memoizes
 //! the packed vectors in a bounded cache of one `value → bits` map per
 //! predicate ([`SignCache`]) that exploits the Zipfian value repetition of
-//! the paper's workloads.
+//! the paper's workloads. Families and memo together are a [`SignTable`].
 //!
 //! Signs of *incident predicates* combine by product; since each sign is
 //! ±1, the product is +1 exactly when an even number of factors are −1 —
-//! i.e. packed vectors combine by **XOR** ([`combine_packed_signs`]).
+//! i.e. packed vectors combine by **XOR** ([`SignTable::combine`]).
 //!
 //! Sign vectors depend only on the hash coefficients, which are drawn once
-//! at bank construction and never change (epoch rollovers reset counters,
-//! not families). Cached vectors therefore stay valid for the bank's whole
-//! lifetime; the cache bound exists purely to cap memory.
+//! from `(seed, predicate count, copies)` and never change (epoch
+//! rollovers reset counters, not families). Cached vectors therefore stay
+//! valid for the table's whole lifetime, and every sketch bank drawn from
+//! the same key can read the same table: the plane keeps one per key
+//! ([`SignTables`]) and lends it to each class in turn. The cache bound
+//! exists purely to cap memory.
 
+use crate::bank::BankConfig;
 use crate::hash::{mod_mersenne, FourWiseHash};
 use mstream_types::{Value, WordBuild};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{Entry, HashMap};
 
 /// Sign bits packed per `u64` word.
 const WORD_BITS: usize = 64;
 
-/// Default cap on memoized sign vectors, across every predicate.
+/// Default cap on memoized sign vectors of one [`SignTable`], across every
+/// predicate.
 ///
 /// At the paper's sizing (1000 copies = 16 words = 128 bytes per vector)
-/// this bounds the cache at ~1 MiB — far below the window stores — while
-/// covering every value a Zipfian epoch realistically revisits.
+/// this bounds one table's memo at ~1 MiB of vectors plus their map
+/// entries, while covering every value a Zipfian epoch realistically
+/// revisits. That is not small beside the windows: on the benchmark's
+/// `multi_shared` workload, when every class kept its own memo, the four
+/// copies of the one-predicate memo were 0.53 MB of a 1.81 MB engine heap
+/// peak (EXPERIMENTS.md). A plane therefore keeps one memo per family
+/// key, not one per class.
 pub(crate) const DEFAULT_SIGN_CACHE_ENTRIES: usize = 8192;
 
 /// Number of `u64` words needed to hold one sign bit per copy.
@@ -169,7 +180,7 @@ pub(crate) struct SignCacheStats {
 
 /// Bounded memo of packed sign vectors, one `value → bits` map per predicate.
 #[derive(Clone, Debug)]
-pub struct SignCache {
+pub(crate) struct SignCache {
     /// `maps[pred]` = predicate `pred`'s vectors (grown on first sight).
     maps: Vec<HashMap<u64, Box<[u64]>, WordBuild>>,
     /// Vectors resident across every map.
@@ -238,32 +249,200 @@ impl SignCache {
             entries: self.len,
         }
     }
+
+    /// The resident count is the maps' total and within the bound.
+    #[cfg(feature = "audit")]
+    fn check_invariants(&self) {
+        let resident: usize = self.maps.iter().map(HashMap::len).sum();
+        assert_eq!(resident, self.len, "sign memo resident count");
+        assert!(self.len <= self.max_entries, "sign memo over its bound");
+    }
 }
 
-/// XOR-combines the packed sign vectors of every predicate incident to a
-/// stream, evaluated at the tuple's attribute values, into `out` — the
-/// packed per-copy sign *products* `Π_{j ∈ attrs(R_i)} ξ_{j, t[j]}`.
-///
-/// `incidence` is the stream's `(predicate index, attribute index)` list;
-/// an empty list leaves `out` all-zero (every sign +1), matching the
-/// scalar convention of an empty product.
-pub fn combine_packed_signs(
-    families: &SignFamilies,
-    cache: &mut SignCache,
-    incidence: &[(usize, usize)],
-    values: &[Value],
-    out: &mut Vec<u64>,
-) {
-    out.clear();
-    out.resize(words_for(families.copies()), 0);
-    for (idx, &(pred, attr)) in incidence.iter().enumerate() {
-        let bits = cache.get_or_compute(families, pred, values[attr].raw());
-        if idx == 0 {
-            out.copy_from_slice(bits);
-        } else {
-            for (o, &b) in out.iter_mut().zip(bits) {
-                *o ^= b;
+/// One family key's ξ-sign source: the [`SignFamilies`] that
+/// `(seed, predicate count, copies)` draws, and the memo of their packed
+/// vectors. A sketch bank keeps no families of its own; it is lent the
+/// table of its key on every call that needs signs. Two banks drawn from
+/// one key have bit-identical families, and a memo hit is the vector a
+/// recomputation gives, so which banks share a table changes no estimate.
+#[derive(Clone, Debug)]
+pub struct SignTable {
+    families: SignFamilies,
+    cache: SignCache,
+}
+
+impl SignTable {
+    /// The families `config` draws for a query of `n_predicates`
+    /// predicates (seeded by `config.seed`, copy-major), with an empty memo.
+    pub fn new(n_predicates: usize, config: BankConfig) -> Self {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        SignTable {
+            families: SignFamilies::draw(&mut rng, n_predicates, config.copies()),
+            cache: SignCache::default(),
+        }
+    }
+
+    /// Number of independent copies per predicate.
+    pub(crate) fn copies(&self) -> usize {
+        self.families.copies()
+    }
+
+    /// The scalar ±1 sign of one `(predicate, copy)` pair at `x`.
+    #[inline]
+    pub(crate) fn sign_one(&self, pred: usize, copy: usize, x: u64) -> i64 {
+        self.families.sign_one(pred, copy, x)
+    }
+
+    /// XOR-combines the packed sign vectors of every predicate incident to
+    /// a stream, evaluated at the tuple's attribute values, into `out` —
+    /// the packed per-copy sign *products* `Π_{j ∈ attrs(R_i)} ξ_{j, t[j]}`,
+    /// each vector served from the memo.
+    ///
+    /// `incidence` is the stream's `(predicate index, attribute index)`
+    /// list; an empty list leaves `out` all-zero (every sign +1), matching
+    /// the scalar convention of an empty product.
+    pub fn combine(&mut self, incidence: &[(usize, usize)], values: &[Value], out: &mut Vec<u64>) {
+        out.clear();
+        out.resize(words_for(self.families.copies()), 0);
+        for (idx, &(pred, attr)) in incidence.iter().enumerate() {
+            let bits = self
+                .cache
+                .get_or_compute(&self.families, pred, values[attr].raw());
+            if idx == 0 {
+                out.copy_from_slice(bits);
+            } else {
+                for (o, &b) in out.iter_mut().zip(bits) {
+                    *o ^= b;
+                }
             }
+        }
+    }
+
+    /// Hit/miss/occupancy counters of the memo.
+    pub(crate) fn stats(&self) -> SignCacheStats {
+        self.cache.stats()
+    }
+}
+
+/// The sign tables of one plane: one [`SignTable`] per distinct
+/// `(seed, predicate count, copies)`, counted by the classes drawing on it
+/// the way a shared window store counts its users. Ids are slot indices,
+/// stable while the table lives.
+#[derive(Debug, Default)]
+pub(crate) struct SignTables {
+    slots: Vec<Option<SharedTable>>,
+}
+
+#[derive(Debug)]
+struct SharedTable {
+    /// `(seed, predicate count, copies)`: what fixes the families.
+    key: (u64, usize, usize),
+    table: SignTable,
+    /// Classes drawing on the table.
+    users: usize,
+}
+
+impl SignTables {
+    /// The id of the table a query of `n_predicates` predicates draws on
+    /// under `config`, counting one more user: an existing table of that
+    /// key, or a new one.
+    pub(crate) fn intern(&mut self, n_predicates: usize, config: BankConfig) -> usize {
+        let key = (config.seed, n_predicates, config.copies());
+        let found = self
+            .slots
+            .iter()
+            .position(|slot| slot.as_ref().is_some_and(|t| t.key == key));
+        if let Some(id) = found {
+            self.slots[id].as_mut().expect("found live").users += 1;
+            return id;
+        }
+        // One slot at a time: a plane holds a table or two, and a first
+        // push would reserve four.
+        self.slots.reserve_exact(1);
+        self.slots.push(Some(SharedTable {
+            key,
+            table: SignTable::new(n_predicates, config),
+            users: 1,
+        }));
+        self.slots.len() - 1
+    }
+
+    /// Counts one user of table `id` out. The last one frees the table
+    /// and gets its final memo counters back.
+    pub(crate) fn release(&mut self, id: usize) -> Option<SignCacheStats> {
+        let shared = self.slots[id].as_mut().expect("released table is live");
+        shared.users -= 1;
+        if shared.users > 0 {
+            return None;
+        }
+        self.slots[id].take().map(|t| t.table.stats())
+    }
+
+    /// Table `id`, lent for one call.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, id: usize) -> &mut SignTable {
+        &mut self.slots[id].as_mut().expect("lent table is live").table
+    }
+
+    /// Memo hits and misses summed over the live tables.
+    pub(crate) fn stats(&self) -> (u64, u64) {
+        let live = self.slots.iter().flatten();
+        live.fold((0, 0), |(hits, misses), t| {
+            let s = t.table.stats();
+            (hits + s.hits, misses + s.misses)
+        })
+    }
+
+    /// Live tables that two or more classes draw on.
+    pub(crate) fn shared(&self) -> usize {
+        self.slots.iter().flatten().filter(|t| t.users >= 2).count()
+    }
+
+    /// Live tables.
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
+        self.slots.iter().flatten().count()
+    }
+
+    /// Every class drawing on a table — `users` lists each one's
+    /// `(table id, predicate count)` — reads a live table of its key under
+    /// `config`; every live table is counted by exactly the classes drawing
+    /// on it, at least one, is the only table of its key, holds its key's
+    /// families and keeps its memo within bound.
+    ///
+    /// # Panics
+    /// Panics on any violated invariant.
+    #[cfg(feature = "audit")]
+    pub(crate) fn check_invariants(&self, config: BankConfig, users: &[(usize, usize)]) {
+        for &(id, n_predicates) in users {
+            let shared = self.slots.get(id).and_then(Option::as_ref);
+            let key = shared.map(|t| t.key);
+            let want = (config.seed, n_predicates, config.copies());
+            assert_eq!(
+                key,
+                Some(want),
+                "a class draws on sign table {id} of another key"
+            );
+        }
+        for (id, shared) in self.slots.iter().enumerate() {
+            let Some(shared) = shared else { continue };
+            let counted = users.iter().filter(|&&(t, _)| t == id).count();
+            assert!(shared.users > 0, "sign table {id} outlived its last user");
+            assert_eq!(shared.users, counted, "sign table {id}: user count");
+            let twins = self.slots.iter().flatten().filter(|t| t.key == shared.key);
+            assert_eq!(
+                twins.count(),
+                1,
+                "sign table {id}: a second table of its key"
+            );
+            let (_, n_predicates, copies) = shared.key;
+            let families = &shared.table.families;
+            assert_eq!(
+                (families.coeffs.len(), families.copies),
+                (n_predicates, copies),
+                "sign table {id}: families of another key"
+            );
+            shared.table.cache.check_invariants();
         }
     }
 }
@@ -272,8 +451,6 @@ pub fn combine_packed_signs(
 mod tests {
     use super::*;
     use crate::hash::MERSENNE_P;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn families(seed: u64, n_preds: usize, copies: usize) -> SignFamilies {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -387,14 +564,23 @@ mod tests {
 
     #[test]
     fn xor_combine_is_sign_product() {
-        let soa = families(5, 2, 70);
-        let mut cache = SignCache::default();
+        let config = BankConfig {
+            s1: 70,
+            s2: 1,
+            seed: 5,
+        };
+        let mut table = SignTable::new(2, config);
+        assert_eq!(
+            table.families,
+            families(5, 2, 70),
+            "the table draws from the seed"
+        );
         let incidence = [(0usize, 0usize), (1usize, 1usize)];
         let values = [Value(42), Value(99)];
         let mut combined = Vec::new();
-        combine_packed_signs(&soa, &mut cache, &incidence, &values, &mut combined);
+        table.combine(&incidence, &values, &mut combined);
         for c in 0..70 {
-            let product = soa.sign_one(0, c, 42) * soa.sign_one(1, c, 99);
+            let product = table.sign_one(0, c, 42) * table.sign_one(1, c, 99);
             let packed = if (combined[c / 64] >> (c % 64)) & 1 == 1 {
                 -1
             } else {
@@ -406,11 +592,43 @@ mod tests {
 
     #[test]
     fn empty_incidence_means_all_plus_one() {
-        let soa = families(5, 1, 10);
-        let mut cache = SignCache::default();
+        let config = BankConfig {
+            s1: 10,
+            s2: 1,
+            seed: 5,
+        };
+        let mut table = SignTable::new(1, config);
         let mut combined = vec![u64::MAX; 3];
-        combine_packed_signs(&soa, &mut cache, &[], &[], &mut combined);
+        table.combine(&[], &[], &mut combined);
         assert_eq!(combined, vec![0u64; words_for(10)]);
+    }
+
+    /// One table per key: a second user of a key shares it, another
+    /// predicate count or seed gets its own, and the last user's release
+    /// frees it with its counters.
+    #[test]
+    fn tables_are_interned_by_key_and_freed_by_their_last_user() {
+        let config = BankConfig {
+            s1: 8,
+            s2: 1,
+            seed: 3,
+        };
+        let mut tables = SignTables::default();
+        let a = tables.intern(1, config);
+        assert_eq!(tables.intern(1, config), a);
+        let b = tables.intern(2, config);
+        let c = tables.intern(1, BankConfig { seed: 4, ..config });
+        assert!(a != b && a != c && b != c);
+        assert_eq!(tables.shared(), 1);
+        tables
+            .get_mut(a)
+            .combine(&[(0, 0)], &[Value(7)], &mut Vec::new());
+        assert_eq!(tables.release(a), None, "one user left");
+        assert_eq!(tables.shared(), 0);
+        let last = tables.release(a).expect("the last user frees the table");
+        assert_eq!((last.hits, last.misses), (0, 1));
+        assert_eq!(tables.stats(), (0, 0), "freed counters leave the live sum");
+        assert_ne!(tables.intern(1, config), a, "a freed id is not reused");
     }
 
     #[test]

@@ -20,13 +20,19 @@
 //! reduces to one packed-sign lookup plus a signed sum over that row —
 //! `O(copies)` adds instead of `O(copies · n)` multiplies — which is also
 //! what the engine's epoch-rollover priority rebuild pays per tuple.
+//!
+//! The ξ-signs are not the sketches' own: [`EpochSketches`] — what a class
+//! of the plane keeps — is lent the [`SignTable`] of its family key on
+//! every call that evaluates signs, so the classes of one key share one
+//! table. [`TumblingSketches`] is the standalone form, epoch sketches
+//! with a table of their own.
 
 use crate::bank::{median_of_means_into, median_of_sums, BankConfig, SketchBank};
 use crate::kernel;
 use crate::score_cache::{
     ScoreCache, ScoreCacheStats, ScoreValues, DEFAULT_SCORE_CACHE_ENTRIES, MAX_CACHED_ATTRS,
 };
-use crate::signs::SignCacheStats;
+use crate::signs::SignTable;
 use mstream_types::{JoinQuery, StreamId, VDur, VTime, Value};
 use serde::{Deserialize, Serialize};
 
@@ -51,9 +57,12 @@ pub(crate) fn elapsed_epochs(start: &mut VTime, now: VTime, n: VDur) -> u64 {
     epochs
 }
 
-/// Current + last tumbling-epoch sketches for every stream of a query.
+/// Current + last tumbling-epoch sketches for every stream of a query,
+/// drawing their signs from a [`SignTable`] lent per call: one built with
+/// `SignTable::new(query.predicates().len(), config)`, or any table of
+/// that key.
 #[derive(Clone, Debug)]
-pub struct TumblingSketches {
+pub(crate) struct EpochSketches {
     bank: SketchBank,
     /// `last[k * copies + c]` = last completed epoch's `X_k` in copy `c`
     /// (stream-major, same layout as the bank's counters).
@@ -90,9 +99,9 @@ pub struct TumblingSketches {
     score_cache: ScoreCache,
 }
 
-impl TumblingSketches {
+impl EpochSketches {
     /// Builds zeroed tumbling sketches for `query`.
-    pub fn new(query: &JoinQuery, config: BankConfig, epoch: EpochSpec) -> Self {
+    pub(crate) fn new(query: &JoinQuery, config: BankConfig, epoch: EpochSpec) -> Self {
         let bank = SketchBank::new(query, config);
         let n_streams = query.n_streams();
         let copies = config.copies();
@@ -100,7 +109,7 @@ impl TumblingSketches {
             EpochSpec::Time(n) => assert!(!n.is_zero(), "epoch length must be positive"),
             EpochSpec::PerStreamTuples(n) => assert!(n > 0, "epoch tuple count must be positive"),
         }
-        TumblingSketches {
+        EpochSketches {
             bank,
             last: vec![0; n_streams * copies],
             has_last: vec![false; n_streams],
@@ -123,7 +132,13 @@ impl TumblingSketches {
     /// Returns `true` if a rollover happened — the engine uses this as the
     /// cue to rebuild its priority queues (Algorithm 1, step 1.2: "reset all
     /// the priority queues").
-    pub fn observe(&mut self, stream: StreamId, values: &[Value], now: VTime) -> bool {
+    pub(crate) fn observe(
+        &mut self,
+        signs: &mut SignTable,
+        stream: StreamId,
+        values: &[Value],
+        now: VTime,
+    ) -> bool {
         let rolled = match self.epoch {
             EpochSpec::Time(n) => {
                 // A gap of k epochs rolls min(k, 2) times: the second roll
@@ -136,7 +151,7 @@ impl TumblingSketches {
             }
             EpochSpec::PerStreamTuples(_) => false,
         };
-        self.bank.update(stream, values);
+        self.bank.update(signs, stream, values);
         // Tuple mode: the bank counts the stream's tuples since its roll.
         let rolled_tuple = match self.epoch {
             EpochSpec::PerStreamTuples(n) if self.bank.tuples_seen(stream) >= n => {
@@ -204,7 +219,12 @@ impl TumblingSketches {
     /// signed copy of a precomputed `f64` row — or, on repeated key values
     /// within one epoch, a score-cache hit that skips the kernel entirely
     /// and returns the exact bits of the first computation.
-    pub fn productivity(&mut self, stream: StreamId, values: &[Value]) -> f64 {
+    pub(crate) fn productivity(
+        &mut self,
+        signs: &mut SignTable,
+        stream: StreamId,
+        values: &[Value],
+    ) -> f64 {
         let i = stream.index();
         let n = self.has_last.len();
         // Only the fully-frozen path is memoizable: the mixed paths fold
@@ -220,22 +240,29 @@ impl TumblingSketches {
                 return v;
             }
         }
-        let v = self.productivity_uncached(stream, values, frozen);
+        let v = self.productivity_uncached(signs, stream, values, frozen);
         if let Some(key) = key {
             self.score_cache.insert(i, key, v);
         }
         v
     }
 
-    /// The kernel path behind [`TumblingSketches::productivity`]:
+    /// The kernel path behind [`EpochSketches::productivity`]:
     /// `frozen` is the precomputed "every other stream past its first
     /// epoch" flag (passed in so the memoized wrapper derives it once).
-    fn productivity_uncached(&mut self, stream: StreamId, values: &[Value], frozen: bool) -> f64 {
+    fn productivity_uncached(
+        &mut self,
+        signs: &mut SignTable,
+        stream: StreamId,
+        values: &[Value],
+        frozen: bool,
+    ) -> f64 {
         let i = stream.index();
         let n = self.has_last.len();
         let cfg = self.bank.config();
         let copies = cfg.copies();
-        self.bank.packed_signs_into(stream, values, &mut self.words);
+        self.bank
+            .packed_signs_into(signs, stream, values, &mut self.words);
         if frozen {
             self.ensure_cross_row(i);
             let row = &self.cross[i * copies..(i + 1) * copies];
@@ -323,24 +350,24 @@ impl TumblingSketches {
     /// Productivity computed against the *current* epoch's sketches
     /// (the expensive variant; exposed for the recompute-policy ablation).
     /// Never memoized — the live bank changes on every arrival.
-    pub fn current_productivity(&mut self, stream: StreamId, values: &[Value]) -> f64 {
-        self.bank.productivity(stream, values)
+    pub(crate) fn current_productivity(
+        &mut self,
+        signs: &mut SignTable,
+        stream: StreamId,
+        values: &[Value],
+    ) -> f64 {
+        self.bank.productivity(signs, stream, values)
     }
 
     /// Estimated size of the full multi-way join over the current epoch.
     #[cfg(any(test, feature = "audit"))]
-    pub fn estimate_join_count(&mut self) -> f64 {
+    fn estimate_join_count(&mut self) -> f64 {
         self.bank.estimate_join_count()
     }
 
     /// Whether `stream` has completed at least one epoch.
-    pub fn has_last_epoch(&self, stream: StreamId) -> bool {
+    pub(crate) fn has_last_epoch(&self, stream: StreamId) -> bool {
         self.has_last[stream.index()]
-    }
-
-    /// Hit/miss/occupancy counters of the bank's packed-sign memo.
-    pub(crate) fn sign_cache_stats(&self) -> SignCacheStats {
-        self.bank.sign_cache_stats()
     }
 
     /// Hit/miss/occupancy counters of the epoch-scoped productivity memo.
@@ -351,7 +378,7 @@ impl TumblingSketches {
     /// Turns productivity memoization (on by default) on or off for this
     /// instance (the audit harness A/B-compares cached and uncached runs
     /// inside one process). Disabling drops every resident estimate.
-    pub fn set_score_cache(&mut self, enabled: bool) {
+    pub(crate) fn set_score_cache(&mut self, enabled: bool) {
         self.score_cache.set_enabled(enabled);
     }
 
@@ -424,6 +451,88 @@ impl TumblingSketches {
                 "stale order-free-sum guard: row {i}"
             );
         }
+    }
+}
+
+/// Tumbling sketches standing alone: a query's epoch sketches with a
+/// [`SignTable`] of their own — the one-class case of what a plane keeps,
+/// where every class is lent the table of its key.
+#[derive(Clone, Debug)]
+pub struct TumblingSketches {
+    epochs: EpochSketches,
+    signs: SignTable,
+}
+
+impl TumblingSketches {
+    /// Builds zeroed tumbling sketches for `query`, with the sign table of
+    /// `(config.seed, query.predicates().len(), config.copies())`.
+    pub fn new(query: &JoinQuery, config: BankConfig, epoch: EpochSpec) -> Self {
+        TumblingSketches {
+            epochs: EpochSketches::new(query, config, epoch),
+            signs: SignTable::new(query.predicates().len(), config),
+        }
+    }
+
+    /// Advances virtual time, folds the arriving tuple into the current
+    /// sketches, and performs any due epoch rollover; `true` if one
+    /// happened.
+    pub fn observe(&mut self, stream: StreamId, values: &[Value], now: VTime) -> bool {
+        self.epochs.observe(&mut self.signs, stream, values, now)
+    }
+
+    /// Estimated productivity of a tuple of `stream` against the last
+    /// completed epoch (per stream, the current one until its first roll),
+    /// memoized within an epoch.
+    pub fn productivity(&mut self, stream: StreamId, values: &[Value]) -> f64 {
+        self.epochs.productivity(&mut self.signs, stream, values)
+    }
+
+    /// Productivity against the *current* epoch's sketches (the
+    /// recompute-policy ablation); never memoized.
+    pub fn current_productivity(&mut self, stream: StreamId, values: &[Value]) -> f64 {
+        self.epochs
+            .current_productivity(&mut self.signs, stream, values)
+    }
+
+    /// Estimated size of the full multi-way join over the current epoch.
+    #[cfg(any(test, feature = "audit"))]
+    pub fn estimate_join_count(&mut self) -> f64 {
+        self.epochs.estimate_join_count()
+    }
+
+    /// Whether `stream` has completed at least one epoch.
+    pub fn has_last_epoch(&self, stream: StreamId) -> bool {
+        self.epochs.has_last_epoch(stream)
+    }
+
+    /// Turns productivity memoization (on by default) on or off.
+    pub fn set_score_cache(&mut self, enabled: bool) {
+        self.epochs.set_score_cache(enabled);
+    }
+
+    /// Hit/miss/occupancy counters of the own table's packed-sign memo.
+    #[cfg(test)]
+    pub(crate) fn sign_cache_stats(&self) -> crate::signs::SignCacheStats {
+        self.signs.stats()
+    }
+
+    /// Hit/miss/occupancy counters of the epoch-scoped productivity memo.
+    #[cfg(test)]
+    pub(crate) fn score_cache_stats(&self) -> ScoreCacheStats {
+        self.epochs.score_cache_stats()
+    }
+
+    /// The epoch sketches and their table, as a plane lends it — for the
+    /// scoring tests that build a policy's context by hand.
+    #[cfg(test)]
+    pub(crate) fn lend(&mut self) -> (&mut EpochSketches, &mut SignTable) {
+        (&mut self.epochs, &mut self.signs)
+    }
+
+    /// [`EpochSketches::check_invariants`].
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self) {
+        self.epochs.check_invariants();
     }
 }
 
@@ -518,7 +627,7 @@ mod tests {
             ts.observe(StreamId(1), &v(7, 3), VTime::from_secs(15));
             let start = VTime::ZERO + n.mul(1 + epochs);
             assert!(ts.observe(StreamId(2), &v(3, 0), start + VDur::from_secs(4)));
-            assert_eq!(ts.epoch_start, start);
+            assert_eq!(ts.epochs.epoch_start, start);
             ts.check_invariants();
             // The rest of the epoch rolls nothing; its end rolls once.
             assert!(!ts.observe(StreamId(0), &v(2, 1), start + VDur::from_secs(9)));
@@ -532,7 +641,7 @@ mod tests {
             };
             let before = estimates(&mut ts);
             assert!(ts.observe(StreamId(0), &v(1, 1), start + n));
-            assert_eq!(ts.epoch_start, start + n);
+            assert_eq!(ts.epochs.epoch_start, start + n);
             (before, estimates(&mut ts))
         };
         assert_eq!(jump(1_000_000_000_000), jump(2));
@@ -547,7 +656,7 @@ mod tests {
         let mut ts = TumblingSketches::new(&q, cfg(8, 3), EpochSpec::Time(n));
         ts.observe(StreamId(1), &v(1, 1), VTime::from_secs(1));
         assert!(ts.observe(StreamId(1), &v(1, 1), VTime::from_micros(u64::MAX - 1)));
-        assert_eq!(ts.epoch_start, VTime::from_micros(3 << 62));
+        assert_eq!(ts.epochs.epoch_start, VTime::from_micros(3 << 62));
         assert!(!ts.observe(StreamId(2), &v(1, 1), VTime::from_micros(u64::MAX)));
         ts.check_invariants();
         // The last completed epoch, [2·2^62, 3·2^62), was empty.
@@ -654,7 +763,10 @@ mod tests {
         let mut cached = frozen_sketches(64, 2);
         let mut plain = frozen_sketches(64, 2);
         plain.set_score_cache(false);
-        assert!(cached.score_cache.enabled(), "the memo is on by default");
+        assert!(
+            cached.epochs.score_cache.enabled(),
+            "the memo is on by default"
+        );
         for a in 0..40u64 {
             let val = v(a % 5, a % 3);
             let s = StreamId((a % 3) as usize);
@@ -795,7 +907,7 @@ mod tests {
     fn score_cache_bound_evicts_wholesale_and_stays_exact() {
         let mut ts = frozen_sketches(32, 6);
         // A tiny bound exercises the wholesale drop.
-        ts.score_cache = ScoreCache::new(3, 4, true);
+        ts.epochs.score_cache = ScoreCache::new(3, 4, true);
         let mut firsts = Vec::new();
         for a in 0..12u64 {
             firsts.push(ts.productivity(StreamId(0), &v(a, 0)));
@@ -853,10 +965,10 @@ mod tests {
         (r2[0], r2[16]) = (100_000_000, -100_000_000);
         let mut r3 = vec![1i64; 20];
         (r3[0], r3[16]) = (100_000_000, 100_000_000);
-        ts.last[20..40].copy_from_slice(&r2);
-        ts.last[40..60].copy_from_slice(&r3);
-        ts.has_last.fill(true);
-        ts.last_bound.fill(100_000_000);
+        ts.epochs.last[20..40].copy_from_slice(&r2);
+        ts.epochs.last[40..60].copy_from_slice(&r3);
+        ts.epochs.has_last.fill(true);
+        ts.epochs.last_bound.fill(100_000_000);
         ts.set_score_cache(false);
 
         // The serial reference: each copy's sign times the row the
@@ -864,17 +976,18 @@ mod tests {
         // per-copy fold does.
         let serial = |ts: &TumblingSketches, vals: &[Value]| -> f64 {
             let sum = (0..20).fold(-0.0, |sum, c| {
-                sum + ts.bank.sign_in_copy(c, StreamId(0), vals) as f64 * ts.cross[c]
+                sum + ts.epochs.bank.sign_in_copy(&ts.signs, c, StreamId(0), vals) as f64
+                    * ts.epochs.cross[c]
             });
             sum / 20.0
         };
         let mut orders_differ = false;
         for a in 0..32 {
             let got = ts.productivity(StreamId(0), &v(a, 0));
-            assert!(!ts.cross_exact[0], "bait row refused by the guard");
+            assert!(!ts.epochs.cross_exact[0], "bait row refused by the guard");
             assert_eq!(got.to_bits(), serial(&ts, &v(a, 0)).to_bits(), "value {a}");
             let mut fused = Vec::new();
-            kernel::signed_group_sums(&ts.words, &ts.cross[..20], 20, 1, &mut fused);
+            kernel::signed_group_sums(&ts.epochs.words, &ts.epochs.cross[..20], 20, 1, &mut fused);
             orders_differ |= fused[0] / 20.0 != got;
         }
         assert!(orders_differ, "the bait separates the two summation orders");
@@ -890,7 +1003,10 @@ mod tests {
         assert!(ts.observe(StreamId(0), &v(0, 0), VTime::from_secs(11)));
         for a in 0..4 {
             let got = ts.productivity(StreamId(0), &v(a, 0));
-            assert!(ts.cross_exact[0], "small integer row passes the guard");
+            assert!(
+                ts.epochs.cross_exact[0],
+                "small integer row passes the guard"
+            );
             assert_eq!(got.to_bits(), serial(&ts, &v(a, 0)).to_bits(), "value {a}");
         }
         ts.check_invariants();
@@ -917,16 +1033,20 @@ mod tests {
             ts.observe(StreamId(0), &v(0, 0), VTime::from_secs(11));
             let _ = ts.productivity(StreamId(1), &v(1, 2));
             ts.check_invariants();
-            assert_eq!(ts.scratch.capacity(), 0, "s2 = {s2}: no per-copy row");
+            assert_eq!(
+                ts.epochs.scratch.capacity(),
+                0,
+                "s2 = {s2}: no per-copy row"
+            );
         }
         // A partner bound of 2^31 leaves the first-epoch query to the
         // serial fold, which builds the row.
         let mut ts = TumblingSketches::new(&q, cfg(70, 3), EpochSpec::PerStreamTuples(5));
         ts.observe(StreamId(1), &v(1, 2), VTime::ZERO);
-        ts.has_last[2] = true;
-        ts.last_bound[2] = 1 << 31;
+        ts.epochs.has_last[2] = true;
+        ts.epochs.last_bound[2] = 1 << 31;
         let _ = ts.productivity(StreamId(0), &v(1, 0));
-        assert_eq!(ts.scratch.len(), 70);
+        assert_eq!(ts.epochs.scratch.len(), 70);
     }
 
     /// Tuple-mode epochs: R2 has rolled, R3 is still live, so an R1 tuple
@@ -950,9 +1070,11 @@ mod tests {
             let r3 = (0..7u64).map(|i| (2, v(i % 4, i % 2)));
             for (k, vals) in r2.chain(r3) {
                 ts.observe(StreamId(k), &vals, VTime::ZERO);
-                ts.bank.packed_signs_into(StreamId(k), &vals, &mut words);
+                ts.epochs
+                    .bank
+                    .packed_signs_into(&mut ts.signs, StreamId(k), &vals, &mut words);
                 kernel::scalar::fold_packed_signs(&words, &mut live[k]);
-                if ts.bank.tuples_seen(StreamId(k)) == 0 {
+                if ts.epochs.bank.tuples_seen(StreamId(k)) == 0 {
                     last[k] = std::mem::replace(&mut live[k], vec![0; copies]);
                 }
             }
@@ -962,7 +1084,9 @@ mod tests {
                 let mut per_copy = vec![1.0f64; copies];
                 kernel::multiply_row(&mut per_copy, &last[1]);
                 kernel::multiply_row(&mut per_copy, &live[2]);
-                ts.bank.packed_signs_into(StreamId(0), &vals, &mut words);
+                ts.epochs
+                    .bank
+                    .packed_signs_into(&mut ts.signs, StreamId(0), &vals, &mut words);
                 kernel::apply_packed_signs(&words, &mut per_copy);
                 let want = crate::bank::median_of_means_slice(cfg.s1, s2, &per_copy);
                 let got = ts.productivity(StreamId(0), &vals);
@@ -970,7 +1094,7 @@ mod tests {
             }
             ts.check_invariants();
             assert_eq!(
-                ts.scratch.capacity(),
+                ts.epochs.scratch.capacity(),
                 0,
                 "s2 = {s2}: the integer query answered"
             );

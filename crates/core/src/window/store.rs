@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 /// One resident window tuple plus the bookkeeping that must travel with it.
 ///
 /// Everything per-slot that the hot paths touch *without* the tuple —
-/// index positions, produced counters, cached policy state — lives in flat
+/// index positions, produced counters, cached policy scores — lives in flat
 /// parallel arrays on [`WindowStore`] instead (struct-of-arrays), so the
 /// entry itself adds no heap allocation beyond the tuple's own values and
 /// probe/eviction loops never drag the full entry into cache.
@@ -76,7 +76,7 @@ pub struct InsertOutcome {
 ///
 /// Layout (see DESIGN.md §10): join indexes are open-addressed
 /// [`FlatIndex`] tables (no SipHash, no per-value `Vec`), and the per-slot
-/// sidecars `index_pos` / `join_vals` / `produced` / `state` are flat
+/// sidecars `index_pos` / `join_vals` / `produced` / `score` are flat
 /// arrays indexed by the slot's dense arena index.
 pub struct WindowStore {
     spec: WindowSpec,
@@ -109,11 +109,11 @@ pub struct WindowStore {
     /// Join-output tuples attributed to each live slot so far (used by the
     /// random-sampling priority measure). Indexed by `slot.index()`.
     produced: Vec<u64>,
-    /// Opaque per-tuple policy state — the policy's cached score (e.g. the
+    /// The policy's cached score per tuple (e.g. the
     /// expected output the random-sampling priority divides by), refreshed
     /// whenever the priority is recomputed from scratch. Indexed by
     /// `slot.index()`.
-    state: Vec<f64>,
+    score: Vec<f64>,
     /// Priorities are owed, not kept: the heap is empty and residents carry
     /// no score until the next rebuild (see [`WindowStore::defer_priorities`]).
     deferred: bool,
@@ -149,7 +149,7 @@ impl WindowStore {
             index_pos: Vec::with_capacity(reserve * n_idx),
             join_vals: Vec::new(),
             produced: Vec::with_capacity(reserve),
-            state: Vec::with_capacity(reserve),
+            score: Vec::with_capacity(reserve),
             deferred: false,
         }
     }
@@ -243,17 +243,18 @@ impl WindowStore {
         }
     }
 
-    /// Inserts `tuple` with the given priority `score`, evicting the
+    /// Inserts `tuple` with the given `priority`, evicting the
     /// lowest-priority resident (possibly `tuple` itself) if the window is
     /// at capacity. Counts the arrival.
-    pub fn insert(&mut self, tuple: Tuple, score: f64) -> InsertOutcome {
-        self.insert_scored(tuple, score, 0.0)
+    pub fn insert(&mut self, tuple: Tuple, priority: f64) -> InsertOutcome {
+        self.insert_scored(tuple, priority, 0.0)
     }
 
-    /// [`Self::insert`] with explicit per-tuple policy state.
+    /// [`Self::insert`] with the policy's `score` cached beside the
+    /// priority (what a later refresh reprices).
     ///
     /// A full window whose minimum outranks the arrival under the heap's
-    /// own `(score, seq)` order dismisses the arrival before it touches
+    /// own `(priority, seq)` order dismisses the arrival before it touches
     /// arena, indexes, expiry queue or heap: it would be stored only to be
     /// picked as the victim. Any other arrival to a full window takes its
     /// minimum's place (`replace_min`).
@@ -262,29 +263,29 @@ impl WindowStore {
     /// Panics if priorities are deferred (`defer_priorities`): a
     /// lone scored resident among unscored ones would be the only victim
     /// the heap can name.
-    pub fn insert_scored(&mut self, tuple: Tuple, score: f64, state: f64) -> InsertOutcome {
+    pub fn insert_scored(&mut self, tuple: Tuple, priority: f64, score: f64) -> InsertOutcome {
         assert!(!self.deferred, "rebuild a deferred store before scoring into it");
         self.arrivals_seen += 1;
         if self.arena.len() < self.capacity {
             return InsertOutcome {
-                slot: Some(self.store(tuple, Some(score), state)),
+                slot: Some(self.store(tuple, Some(priority), score)),
                 eviction: Eviction::None,
             };
         }
-        if self.heap.would_be_min(score, tuple.seq.0) {
+        if self.heap.would_be_min(priority, tuple.seq.0) {
             return InsertOutcome {
                 slot: None,
                 eviction: Eviction::Evicted(tuple),
             };
         }
-        let (slot, victim) = self.replace_min(tuple, score, state);
+        let (slot, victim) = self.replace_min(tuple, priority, score);
         InsertOutcome {
             slot: Some(slot),
             eviction: Eviction::Evicted(victim),
         }
     }
 
-    /// Stores `tuple` in a deferred window that has room, with no score
+    /// Stores `tuple` in a deferred window that has room, with no priority
     /// and no heap entry: the rebuild that ends the deferral scores it
     /// with the other residents. Counts the arrival.
     ///
@@ -300,8 +301,8 @@ impl WindowStore {
     }
 
     /// Stores a tuple unconditionally (no capacity check, no arrival
-    /// count); `score: None` leaves it out of the heap.
-    fn store(&mut self, tuple: Tuple, score: Option<f64>, state: f64) -> Slot {
+    /// count); `priority: None` leaves it out of the heap.
+    fn store(&mut self, tuple: Tuple, priority: Option<f64>, score: f64) -> Slot {
         let tie = tuple.seq.0;
         let arrival_idx = self.arrivals_seen;
         let n_idx = self.join_attrs.len();
@@ -309,13 +310,13 @@ impl WindowStore {
         let i = slot.index();
         if i >= self.produced.len() {
             self.produced.resize(i + 1, 0);
-            self.state.resize(i + 1, 0.0);
+            self.score.resize(i + 1, 0.0);
             self.index_pos.resize((i + 1) * n_idx, 0);
             self.join_vals.resize((i + 1) * n_idx, Value(0));
         }
-        self.link(slot, state, None);
-        if let Some(score) = score {
-            self.heap.insert(slot, score, tie);
+        self.link(slot, score, None);
+        if let Some(priority) = priority {
+            self.heap.insert(slot, priority, tie);
         }
         slot
     }
@@ -323,7 +324,7 @@ impl WindowStore {
     /// Hands the heap minimum's place to `tuple`: same arena index (next
     /// generation), same heap root (one sift down), no free-list round
     /// trip.
-    fn replace_min(&mut self, tuple: Tuple, score: f64, state: f64) -> (Slot, Tuple) {
+    fn replace_min(&mut self, tuple: Tuple, priority: f64, score: f64) -> (Slot, Tuple) {
         let tie = tuple.seq.0;
         let (victim, _) = self.heap.peek_min().expect("a full window has a minimum");
         let entry = Entry {
@@ -332,14 +333,15 @@ impl WindowStore {
         };
         let (slot, old) = self.arena.replace(victim, entry).expect("heap entries are live");
         self.unqueue(victim);
-        self.link(slot, state, Some((victim, &old.tuple)));
-        self.heap.replace_min(slot, score, tie);
+        self.link(slot, score, Some((victim, &old.tuple)));
+        self.heap.replace_min(slot, priority, tie);
         (slot, old.tuple)
     }
 
     /// What every newcomer gets once the arena holds it and the sidecar
-    /// rows of its index exist: fresh counters, its bucket positions and
-    /// column values, and the back of the expiry queue.
+    /// rows of its index exist: a fresh counter, its cached score, its
+    /// bucket positions and column values, and the back of the expiry
+    /// queue.
     ///
     /// `leaving` is the victim whose arena index — hence sidecar rows —
     /// the newcomer took over. Each index sees the newcomer inserted
@@ -347,11 +349,11 @@ impl WindowStore {
     /// the minimum": a swap-removal moves the bucket's last slot into the
     /// hole, so where the newcomer lands, hence every later probe's
     /// enumeration order, is what it always was.
-    fn link(&mut self, slot: Slot, state: f64, leaving: Option<(Slot, &Tuple)>) {
+    fn link(&mut self, slot: Slot, score: f64, leaving: Option<(Slot, &Tuple)>) {
         let i = slot.index();
         let n_idx = self.join_attrs.len();
         self.produced[i] = 0;
-        self.state[i] = state;
+        self.score[i] = score;
         let entry = self.arena.get(slot).expect("just inserted");
         for (a, &attr) in self.join_attrs.iter().enumerate() {
             let cell = i * n_idx + a;
@@ -509,15 +511,15 @@ impl WindowStore {
         self.arena.contains(slot).then(|| self.produced[slot.index()])
     }
 
-    /// The cached policy state of `slot`.
-    pub(crate) fn state(&self, slot: Slot) -> Option<f64> {
-        self.arena.contains(slot).then(|| self.state[slot.index()])
+    /// The policy's cached score of `slot`.
+    pub(crate) fn score(&self, slot: Slot) -> Option<f64> {
+        self.arena.contains(slot).then(|| self.score[slot.index()])
     }
 
     /// Updates the priority of a resident tuple; `false` if the slot is
     /// stale or priorities are deferred.
-    pub fn update_priority(&mut self, slot: Slot, score: f64) -> bool {
-        self.heap.update(slot, score)
+    pub fn update_priority(&mut self, slot: Slot, priority: f64) -> bool {
+        self.heap.update(slot, priority)
     }
 
     /// The priority of a resident tuple.
@@ -560,15 +562,16 @@ impl WindowStore {
 
     /// Recomputes every resident tuple's priority (tumbling-epoch rollover:
     /// "reset all the priority queues"). The callback sees the tuple and
-    /// its produced-so-far counter and returns `(score, policy state)`.
-    pub fn rebuild_priorities(&mut self, mut score: impl FnMut(&Tuple, u64) -> (f64, f64)) {
+    /// its produced-so-far counter and returns `(priority, score)`: the
+    /// heap priority and the policy's score to cache beside it.
+    pub fn rebuild_priorities(&mut self, mut rescore: impl FnMut(&Tuple, u64) -> (f64, f64)) {
         self.heap.clear();
         self.deferred = false;
         for (slot, entry) in self.arena.iter() {
             let i = slot.index();
-            let (sc, st) = score(&entry.tuple, self.produced[i]);
-            self.state[i] = st;
-            self.heap.insert(slot, sc, entry.tuple.seq.0);
+            let (priority, score) = rescore(&entry.tuple, self.produced[i]);
+            self.score[i] = score;
+            self.heap.insert(slot, priority, entry.tuple.seq.0);
         }
     }
 
@@ -583,19 +586,19 @@ impl WindowStore {
     /// The callback sees `(tuple, produced, shared)` where `shared` is
     /// `None` for the first slot of each key group and `Some(estimate)` —
     /// the third element of the previous return — for the rest; it returns
-    /// `(score, policy state, estimate)`.
+    /// `(priority, score, estimate)`.
     ///
     /// Stores indexing more than one join attribute fall back to the
     /// per-slot walk with `shared = None` throughout (a bucket of one
     /// index does not pin the other indexed values).
     pub fn rebuild_priorities_grouped(
         &mut self,
-        mut score: impl FnMut(&Tuple, u64, Option<f64>) -> (f64, f64, f64),
+        mut rescore: impl FnMut(&Tuple, u64, Option<f64>) -> (f64, f64, f64),
     ) {
         if self.join_attrs.len() != 1 {
             self.rebuild_priorities(|tuple, produced| {
-                let (sc, st, _) = score(tuple, produced, None);
-                (sc, st)
+                let (priority, score, _) = rescore(tuple, produced, None);
+                (priority, score)
             });
             return;
         }
@@ -606,7 +609,7 @@ impl WindowStore {
             indexes,
             heap,
             produced,
-            state,
+            score,
             ..
         } = self;
         for (_value, cands) in indexes[0].iter_keys() {
@@ -614,10 +617,10 @@ impl WindowStore {
             for slot in cands.iter() {
                 let entry = arena.get(slot).expect("indexed slot is live");
                 let i = slot.index();
-                let (sc, st, est) = score(&entry.tuple, produced[i], shared);
+                let (priority, own, est) = rescore(&entry.tuple, produced[i], shared);
                 shared = Some(est);
-                state[i] = st;
-                heap.insert(slot, sc, entry.tuple.seq.0);
+                score[i] = own;
+                heap.insert(slot, priority, entry.tuple.seq.0);
             }
         }
     }
@@ -915,7 +918,7 @@ mod tests {
     fn a_tuple_window_reserves_its_row_count() {
         let w = WindowStore::new(WindowSpec::Tuples(100), vec![0], 200_001);
         assert!(w.expiry.capacity() <= 101, "{}", w.expiry.capacity());
-        assert!(w.produced.capacity() <= 101 && w.state.capacity() <= 101);
+        assert!(w.produced.capacity() <= 101 && w.score.capacity() <= 101);
         assert!(w.index_pos.capacity() <= 101);
         let w = WindowStore::new(WindowSpec::secs(10), vec![0], 200_001);
         assert_eq!(
@@ -958,7 +961,7 @@ mod tests {
     #[test]
     fn produced_counter_resets_on_slot_reuse() {
         // A new tuple that recycles an evicted tuple's arena slot must not
-        // inherit its produced counter or policy state.
+        // inherit its produced counter or cached score.
         let mut w = time_store(1);
         let s0 = w.insert_scored(tup(0, 0, 1, 1), 1.0, 9.0).slot.unwrap();
         assert_eq!(w.add_produced(s0, 7), Some(7));
@@ -967,7 +970,7 @@ mod tests {
         let s2 = w.probe(0, Value(3)).get(0).unwrap();
         assert_eq!(s2.index(), s0.index(), "arena slot recycled");
         assert_eq!(w.produced(s2), Some(0));
-        assert_eq!(w.state(s2), Some(4.0));
+        assert_eq!(w.score(s2), Some(4.0));
         assert_eq!(w.produced(s0), None, "stale handle still rejected");
         w.check_invariants();
     }
@@ -1000,15 +1003,15 @@ mod tests {
                 estimates += 1;
                 (t.values[0].0 * 10) as f64
             });
-            // Score = shared estimate + per-slot recombine (seq here).
+            // Priority = shared estimate + per-slot recombine (seq here).
             (est + t.seq.0 as f64, est, est)
         });
         assert_eq!(estimates, 3, "one estimate per distinct key, not per slot");
-        // Every slot carries the recombined score and the shared state.
+        // Every slot carries the recombined priority and the shared score.
         for (slot, t) in w.iter().collect::<Vec<_>>() {
             let want = (t.values[0].0 * 10) as f64;
             assert_eq!(w.priority(slot), Some(want + t.seq.0 as f64));
-            assert_eq!(w.state(slot), Some(want));
+            assert_eq!(w.score(slot), Some(want));
         }
         w.check_consistency();
         // Eviction order matches a per-slot rebuild with the same scores.

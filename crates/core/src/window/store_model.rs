@@ -21,8 +21,8 @@ struct Resident {
     arrival_idx: u64,
     values: Vec<Value>,
     /// `None` while priorities are deferred.
-    score: Option<f64>,
-    state: f64,
+    priority: Option<f64>,
+    score: f64,
     produced: u64,
 }
 
@@ -51,7 +51,7 @@ impl Model {
         }
     }
 
-    fn store(&mut self, tuple: &Tuple, score: Option<f64>, state: f64) {
+    fn store(&mut self, tuple: &Tuple, priority: Option<f64>, score: f64) {
         self.arrivals_seen += 1;
         for (a, &attr) in self.join_attrs.iter().enumerate() {
             let bucket = self.buckets[a].entry(tuple.values[attr].0).or_default();
@@ -62,8 +62,8 @@ impl Model {
             ts: tuple.ts,
             arrival_idx: self.arrivals_seen,
             values: tuple.values.to_vec(),
+            priority,
             score,
-            state,
             produced: 0,
         });
     }
@@ -79,20 +79,20 @@ impl Model {
         gone
     }
 
-    /// Store, then — over capacity — remove the `(score, seq)` minimum,
+    /// Store, then — over capacity — remove the `(priority, seq)` minimum,
     /// which may be the arrival. Returns the victim's sequence number.
-    fn insert_scored(&mut self, tuple: &Tuple, score: f64, state: f64) -> Option<u64> {
-        self.store(tuple, Some(score), state);
+    fn insert_scored(&mut self, tuple: &Tuple, priority: f64, score: f64) -> Option<u64> {
+        self.store(tuple, Some(priority), score);
         if self.residents.len() <= self.capacity {
             return None;
         }
-        let rank = |r: &Resident| (r.score.unwrap(), r.seq);
+        let rank = |r: &Resident| (r.priority.unwrap(), r.seq);
         let (mut at, mut min) = (0, rank(&self.residents[0]));
         for (i, r) in self.residents.iter().enumerate().skip(1) {
-            let (score, seq) = rank(r);
+            let (priority, seq) = rank(r);
             // `partial_cmp`, so that −0.0 ties with 0.0.
-            if (score, seq).partial_cmp(&min).unwrap().is_lt() {
-                (at, min) = (i, (score, seq));
+            if (priority, seq).partial_cmp(&min).unwrap().is_lt() {
+                (at, min) = (i, (priority, seq));
             }
         }
         Some(self.remove(at).seq)
@@ -117,10 +117,10 @@ impl Model {
     }
 
     /// Either rebuild: every resident rescored by [`rescored`].
-    fn rebuild(&mut self, salt: u64, state: f64) {
+    fn rebuild(&mut self, salt: u64, score: f64) {
         self.deferred = false;
         for r in &mut self.residents {
-            (r.score, r.state) = (Some(rescored(r.seq, r.values[0].0, r.produced, salt)), state);
+            (r.priority, r.score) = (Some(rescored(r.seq, r.values[0].0, r.produced, salt)), score);
         }
     }
 
@@ -129,14 +129,14 @@ impl Model {
     }
 
     fn min(&self) -> Option<(u64, f64)> {
-        let scored = self.residents.iter().filter_map(|r| Some((r.score?, r.seq)));
+        let scored = self.residents.iter().filter_map(|r| Some((r.priority?, r.seq)));
         scored
             .min_by(|a, b| a.partial_cmp(b).unwrap())
-            .map(|(score, seq)| (seq, score))
+            .map(|(priority, seq)| (seq, priority))
     }
 }
 
-/// The score a rebuild gives a resident: a per-key estimate plus a
+/// The priority a rebuild gives a resident: a per-key estimate plus a
 /// per-tuple part, with −0.0, 0.0 and repeated values among them.
 fn estimate(key: u64) -> f64 {
     [0.0, -0.0, 1.5, -2.0][key as usize % 4]
@@ -186,11 +186,11 @@ fn run(spec: WindowSpec, n_attrs: usize, capacity: usize, ops: &[(u8, u64, u64, 
                         real.rebuild_priorities(|t, p| (rescored(t.seq.0, t.values[0].0, p, 0), 1.0));
                         model.rebuild(0, 1.0);
                     }
-                    // Few distinct scores, both zeros among them.
-                    let score = [-0.0, 0.0, 1.0, 1.0, 2.5, -3.0][(y % 6) as usize];
-                    let state = z as f64;
-                    let want = model.insert_scored(&t, score, state);
-                    let got = real.insert_scored(t, score, state);
+                    // Few distinct priorities, both zeros among them.
+                    let priority = [-0.0, 0.0, 1.0, 1.0, 2.5, -3.0][(y % 6) as usize];
+                    let score = z as f64;
+                    let want = model.insert_scored(&t, priority, score);
+                    let got = real.insert_scored(t, priority, score);
                     let victim = match got.eviction {
                         Eviction::Evicted(v) => Some(v.seq.0),
                         Eviction::None => None,
@@ -216,10 +216,10 @@ fn run(spec: WindowSpec, n_attrs: usize, capacity: usize, ops: &[(u8, u64, u64, 
             9 => {
                 // Any handle ever issued: stale ones must be refused.
                 let target = 1 + x % seq.max(1);
-                let score = [0.0, -0.0, 0.5, 7.0][(y % 4) as usize];
-                let live = model.get_mut(target).filter(|r| r.score.is_some());
-                let want = live.map(|r| r.score = Some(score)).is_some();
-                let got = slots.get(&target).is_some_and(|&s| real.update_priority(s, score));
+                let priority = [0.0, -0.0, 0.5, 7.0][(y % 4) as usize];
+                let live = model.get_mut(target).filter(|r| r.priority.is_some());
+                let want = live.map(|r| r.priority = Some(priority)).is_some();
+                let got = slots.get(&target).is_some_and(|&s| real.update_priority(s, priority));
                 assert_eq!(got, want, "update_priority of {target}");
             }
             10 => {
@@ -234,7 +234,7 @@ fn run(spec: WindowSpec, n_attrs: usize, capacity: usize, ops: &[(u8, u64, u64, 
             11 => {
                 real.defer_priorities();
                 model.deferred = true;
-                model.residents.iter_mut().for_each(|r| r.score = None);
+                model.residents.iter_mut().for_each(|r| r.priority = None);
             }
             12 => {
                 real.rebuild_priorities(|t, p| (rescored(t.seq.0, t.values[0].0, p, x), y as f64));
@@ -256,7 +256,7 @@ fn run(spec: WindowSpec, n_attrs: usize, capacity: usize, ops: &[(u8, u64, u64, 
         assert_eq!(real.len(), model.residents.len());
         assert_eq!(real.arrivals_seen(), model.arrivals_seen);
         assert_eq!(real.is_deferred(), model.deferred);
-        let min = real.peek_min().map(|(slot, score)| (real.tuple(slot).unwrap().seq.0, score));
+        let min = real.peek_min().map(|(slot, priority)| (real.tuple(slot).unwrap().seq.0, priority));
         assert_eq!(min, model.min(), "heap minimum");
         for (a, buckets) in model.buckets.iter().enumerate() {
             for value in 0..DOMAIN {
@@ -275,8 +275,8 @@ fn run(spec: WindowSpec, n_attrs: usize, capacity: usize, ops: &[(u8, u64, u64, 
         for r in &model.residents {
             let slot = slots[&r.seq];
             assert_eq!(real.produced(slot), Some(r.produced));
-            assert_eq!(real.state(slot).map(f64::to_bits), Some(r.state.to_bits()));
-            assert_eq!(real.priority(slot).map(f64::to_bits), r.score.map(f64::to_bits));
+            assert_eq!(real.score(slot).map(f64::to_bits), Some(r.score.to_bits()));
+            assert_eq!(real.priority(slot).map(f64::to_bits), r.priority.map(f64::to_bits));
         }
     }
 }
@@ -327,9 +327,9 @@ fn expiry_queue_is_bounded_by_capacity_under_overload() {
         // later; one in fifty scores far ahead and lives to expire.
         let draw = mstream_types::splitmix64(seq);
         let ahead = if draw % 50 == 0 { 40.0 } else { (draw % 1000) as f64 / 1000.0 };
-        let score = seq as f64 / CAPACITY as f64 + ahead;
-        let want = model.insert_scored(&t, score, 0.0);
-        let got = real.insert_scored(t, score, 0.0);
+        let priority = seq as f64 / CAPACITY as f64 + ahead;
+        let want = model.insert_scored(&t, priority, 0.0);
+        let got = real.insert_scored(t, priority, 0.0);
         assert_eq!(got.slot.is_some(), want != Some(seq));
         evicted += u64::from(got.slot.is_some() && want.is_some());
         longest = longest.max(real.expiry_queue_len());

@@ -13,7 +13,7 @@
 //! schedules covering epoch rollovers in both time- and tuple-window mode.
 
 use mstream_core::mstream_sketch::{
-    median_of_means_slice, AtomicSketch, FourWiseHash, SketchBank, TumblingSketches,
+    median_of_means_slice, AtomicSketch, FourWiseHash, SignTable, SketchBank, TumblingSketches,
 };
 use mstream_core::{BankConfig, EpochSpec};
 use mstream_types::{
@@ -286,9 +286,10 @@ fn bank_estimates_bit_identical_on_golden_workload() {
     for (s1, s2, seed) in [(1, 1, 0u64), (7, 1, 1), (16, 3, 42), (130, 2, 0xDEAD)] {
         let cfg = BankConfig { s1, s2, seed };
         let mut new = SketchBank::new(&q, cfg);
+        let mut signs = SignTable::new(q.predicates().len(), cfg);
         let mut old = LegacyBank::new(&q, cfg);
         for (s, vals, _) in workload(200, 23) {
-            new.update(s, &vals);
+            new.update(&mut signs, s, &vals);
             old.update(s, &vals);
         }
         assert_eq!(
@@ -301,7 +302,7 @@ fn bank_estimates_bit_identical_on_golden_workload() {
                 let vals = v(probe % 23, (probe * 3) % 23);
                 let sid = StreamId(stream);
                 assert_eq!(
-                    new.productivity(sid, &vals).to_bits(),
+                    new.productivity(&mut signs, sid, &vals).to_bits(),
                     old.productivity(sid, &vals).to_bits(),
                     "productivity diverged: s1={s1} s2={s2} seed={seed} \
                      stream={stream} probe={probe}"
@@ -321,9 +322,10 @@ fn per_copy_state_matches_legacy_exactly() {
         seed: 9,
     };
     let mut new = SketchBank::new(&q, cfg);
+    let mut signs = SignTable::new(q.predicates().len(), cfg);
     let mut old = LegacyBank::new(&q, cfg);
     for (s, vals, _) in workload(120, 11) {
-        new.update(s, &vals);
+        new.update(&mut signs, s, &vals);
         old.update(s, &vals);
     }
     for c in 0..cfg.copies() {
@@ -338,7 +340,7 @@ fn per_copy_state_matches_legacy_exactly() {
             let vals = v(probe, probe % 3);
             for k in 0..3 {
                 assert_eq!(
-                    new.sign_in_copy(c, StreamId(k), &vals),
+                    new.sign_in_copy(&signs, c, StreamId(k), &vals),
                     old.sign_in_copy(c, StreamId(k), &vals),
                     "sign diverged at copy {c} stream {k} probe {probe}"
                 );
@@ -545,9 +547,10 @@ proptest! {
         let q = chain_query();
         let cfg = BankConfig { s1, s2, seed };
         let mut new = SketchBank::new(&q, cfg);
+        let mut signs = SignTable::new(q.predicates().len(), cfg);
         let mut old = LegacyBank::new(&q, cfg);
         for (s, a, b) in steps {
-            new.update(StreamId(s), &v(a, b));
+            new.update(&mut signs, StreamId(s), &v(a, b));
             old.update(StreamId(s), &v(a, b));
         }
         prop_assert_eq!(
@@ -556,7 +559,7 @@ proptest! {
         );
         for (s, a, b) in probes {
             prop_assert_eq!(
-                new.productivity(StreamId(s), &v(a, b)).to_bits(),
+                new.productivity(&mut signs, StreamId(s), &v(a, b)).to_bits(),
                 old.productivity(StreamId(s), &v(a, b)).to_bits()
             );
         }
@@ -893,16 +896,20 @@ mod kernels {
 mod deferred {
     use super::{chain_query, v, LegacyTumbling};
     use mstream_core::kernel::{self, scalar};
-    use mstream_core::mstream_sketch::{median_of_means_slice, SketchBank, TumblingSketches};
+    use mstream_core::mstream_sketch::{
+        median_of_means_slice, SignTable, SketchBank, TumblingSketches,
+    };
     use mstream_core::{BankConfig, EpochSpec};
     use mstream_types::{StreamId, VDur, VTime, Value};
     use proptest::prelude::*;
 
     /// The eager twin of a [`SketchBank`]: every update folded into the
     /// counters at once by `scalar::fold_packed_signs`, estimates from the
-    /// per-copy kernels.
+    /// per-copy kernels, signs from a table of its own (the bank's key, a
+    /// second table).
     struct EagerBank {
         cfg: BankConfig,
+        signs: SignTable,
         counters: Vec<i64>,
         words: Vec<u64>,
     }
@@ -911,6 +918,7 @@ mod deferred {
         fn new(cfg: BankConfig) -> Self {
             EagerBank {
                 cfg,
+                signs: SignTable::new(chain_query().predicates().len(), cfg),
                 counters: vec![0; 3 * cfg.copies()],
                 words: Vec::new(),
             }
@@ -923,7 +931,7 @@ mod deferred {
 
         fn update(&mut self, bank: &SketchBank, stream: usize, values: &[Value]) {
             let mut words = std::mem::take(&mut self.words);
-            bank.packed_signs_into(StreamId(stream), values, &mut words);
+            bank.packed_signs_into(&mut self.signs, StreamId(stream), values, &mut words);
             scalar::fold_packed_signs(&words, self.row(stream));
             self.words = words;
         }
@@ -934,7 +942,7 @@ mod deferred {
             let skip = exclude.map_or(usize::MAX, |(i, _)| i);
             kernel::column_products(&self.counters, copies, skip, &mut per_copy);
             if let Some((i, values)) = exclude {
-                bank.packed_signs_into(StreamId(i), values, &mut self.words);
+                bank.packed_signs_into(&mut self.signs, StreamId(i), values, &mut self.words);
                 kernel::apply_packed_signs(&self.words, &mut per_copy);
             }
             median_of_means_slice(self.cfg.s1, self.cfg.s2, &per_copy)
@@ -962,24 +970,25 @@ mod deferred {
             let cfg = BankConfig { s1, s2, seed };
             let copies = cfg.copies();
             let mut bank = SketchBank::new(&q, cfg);
+            let mut signs = SignTable::new(q.predicates().len(), cfg);
             let mut eager = EagerBank::new(cfg);
             for i in 0..u64::from(SketchBank::PENDING_MAX) + burst_extra {
                 let vals = v(i % 5, i % 3);
-                bank.update(StreamId(burst_stream), &vals);
+                bank.update(&mut signs, StreamId(burst_stream), &vals);
                 eager.update(&bank, burst_stream, &vals);
             }
             for (op, s, a, b) in ops {
                 let sid = StreamId(s);
                 match op {
                     0..=4 => {
-                        bank.update(sid, &v(a, b));
+                        bank.update(&mut signs, sid, &v(a, b));
                         eager.update(&bank, s, &v(a, b));
                     }
                     5 => {
                         // 64..=75 updates: some bursts end on a block
                         // boundary, most inside a block.
                         for i in 0..64 + a {
-                            bank.update(sid, &v(a, i % 4));
+                            bank.update(&mut signs, sid, &v(a, i % 4));
                             eager.update(&bank, s, &v(a, i % 4));
                         }
                     }
@@ -994,7 +1003,7 @@ mod deferred {
                     8 => {
                         let vals = v(a, b);
                         prop_assert_eq!(
-                            bank.productivity(sid, &vals).to_bits(),
+                            bank.productivity(&mut signs, sid, &vals).to_bits(),
                             eager.estimate(&bank, Some((s, &vals))).to_bits()
                         );
                     }

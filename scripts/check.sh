@@ -210,7 +210,7 @@ forbid "a second scoring path is back (DESIGN.md §16)" \
 cargo run --release -p mstream-audit -- sweep --cases 100 --seed 7 | tee target/check_audit.txt
 for CLASS in "one-query sets" "multi-query sets" "churn cases" "disorder cases" \
   "late-drop probes" "deferred cases" "idle-estimation cases" "skewed-key sharded cases" \
-  "mixed-arity cases" "spill cases" "queued cases"; do
+  "mixed-arity cases" "spill cases" "queued cases" "shared-sign cases"; do
   grep -Eq "[1-9][0-9]* $CLASS" target/check_audit.txt \
     || { echo "FAIL: the audit smoke drew no $CLASS"; exit 1; }
 done

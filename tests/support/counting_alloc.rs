@@ -1,6 +1,6 @@
-//! The system allocator behind a process-wide call counter, for tests that
-//! pin a path's steady state to zero allocator calls. A test binary
-//! installs it with
+//! The system allocator behind process-wide counters of calls and of live
+//! bytes, for tests that pin a path's steady state to zero allocator calls
+//! or bound what a step leaves allocated. A test binary installs it with
 //! `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;`
 //! and must hold a single test: the counter is process-wide, and a
 //! neighbour running on another test thread would be counted too.
@@ -11,31 +11,54 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub(crate) struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) so far.
+#[allow(dead_code)] // a binary reads one counter or the other
 pub(crate) fn alloc_calls() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
 }
 
+/// Bytes allocated and not yet freed.
+#[allow(dead_code)]
+pub(crate) fn live_bytes() -> u64 {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic.
+// upholds the `GlobalAlloc` contract; the counters are relaxed statistics,
+// the byte count moved only for calls that succeeded.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        let moved = System.realloc(ptr, layout, new_size);
+        if !moved.is_null() {
+            LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+            LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        }
+        moved
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
