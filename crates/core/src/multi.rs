@@ -690,6 +690,12 @@ impl MultiQueryEngine {
         if let Some(front) = self.front.as_mut() {
             front.add_streams(self.catalog.len());
         }
+        // Grow by exactly the slots this registration takes, as
+        // `SignTables::intern` does: a push onto a full table would double
+        // it, and a class slot is most of a kilobyte.
+        self.classes.reserve_exact(1);
+        self.stores.reserve_exact(entries.len());
+        self.scratches.reserve_exact(entries.len());
         let first_store = self.stores.len();
         for entry in entries {
             self.stores.push(Some(entry));

@@ -2,28 +2,27 @@
 //!
 //! [`WindowStore`](crate::store::WindowStore) keeps one hash index per join
 //! attribute so an arriving tuple can probe every other window in O(1) per
-//! candidate. The first implementation used `HashMap<Value, Vec<Slot>>`,
-//! which put a SipHash computation and a pointer chase (bucket `Vec`
-//! header and heap payload) on the probe hot path, plus one heap
-//! allocation per distinct value. [`FlatIndex`] replaces it with:
+//! candidate. [`FlatIndex`] replaced a `HashMap<Value, Vec<Slot>>`, which
+//! put SipHash and a pointer chase on the probe hot path and allocated once
+//! per distinct value, with:
 //!
-//! * an **open-addressed table** (linear probing, power-of-two capacity,
-//!   tombstone deletion) keyed by the raw `u64` value payload, mixed with
-//!   SplitMix64 — a handful of arithmetic ops instead of SipHash;
-//! * buckets that **inline the first [`INLINE`] slots**, so low-fanout keys
-//!   (the common case under shedding) are served entirely from the bucket
-//!   cache line;
+//! * an **open-addressed table** of `(key, bucket id)` cells: linear
+//!   probing over a power-of-two table at most half full, keyed by the raw
+//!   `u64` value payload mixed with SplitMix64. A removal shifts the rest of
+//!   its cluster back (backward-shift deletion), so the table holds live
+//!   keys only, never rehashes to drop tombstones and grows by doubling;
+//! * **buckets in a dense pool** with a free list, each inlining the first
+//!   [`INLINE`] slots, so low-fanout keys (the common case under shedding)
+//!   are served from one bucket and an empty cell costs 12 bytes;
 //! * a **side spill arena** for high-fanout keys: one shared `Vec<Slot>`
 //!   carved into power-of-two blocks with per-class free lists, so growth
 //!   never allocates per key and freed blocks are recycled.
 //!
-//! The per-key slot list preserves the exact semantics of the old
-//! `Vec<Slot>` bucket: `insert` appends (returning the position, which the
-//! store records for O(1) removal) and `remove` swap-removes (returning the
-//! slot that moved into the hole, so the store can patch its recorded
-//! position). Probe order is therefore **bit-identical** to the legacy
-//! index, which is what keeps every engine result byte-for-byte unchanged.
-
+//! The per-key slot list keeps the exact semantics of the old `Vec<Slot>`
+//! bucket: `insert` appends (returning the position, which the store
+//! records for O(1) removal) and `remove` swap-removes (returning the slot
+//! that moved into the hole, so the store can patch its recorded position).
+//! Probe order is therefore **bit-identical** to the legacy index.
 use crate::arena::Slot;
 // The key mixer is the function the sharded engine routes with — one
 // definition, imported by both — so behaviour is stable across platforms
@@ -33,13 +32,20 @@ use mstream_types::splitmix64 as mix;
 /// Slots stored inline in each bucket before spilling to the side arena.
 pub(crate) const INLINE: usize = 3;
 
-const EMPTY: u8 = 0;
-const OCCUPIED: u8 = 1;
-const TOMBSTONE: u8 = 2;
+/// The bucket id of an empty cell.
+const EMPTY: u32 = u32::MAX;
 
-/// One open-addressing cell's payload: the slot list (inline head, spill
-/// tail). The key itself lives in a dense side array so the probe scan
-/// walks 8-byte cells instead of dragging the whole bucket through cache.
+/// One table cell: a key and its bucket's position in the pool, or
+/// [`EMPTY`]. Packed to 12 bytes, so the probe scan reads one array.
+#[derive(Clone, Copy)]
+#[repr(C, packed(4))]
+struct Cell {
+    key: u64,
+    id: u32,
+}
+
+/// One key's slot list (inline head, spill tail), kept in the index's
+/// bucket pool and named by its position there.
 #[derive(Clone, Copy)]
 struct Bucket {
     /// Number of slots held for the key (inline + spill).
@@ -51,39 +57,16 @@ struct Bucket {
     inline: [Slot; INLINE],
 }
 
-impl Bucket {
-    const VACANT: Bucket = Bucket {
-        len: 0,
-        spill_off: 0,
-        spill_cap: 0,
-        inline: [Slot::DANGLING; INLINE],
-    };
-
-    fn new(first: Slot) -> Self {
-        let mut inline = [Slot::DANGLING; INLINE];
-        inline[0] = first;
-        Bucket {
-            len: 1,
-            spill_off: 0,
-            spill_cap: 0,
-            inline,
-        }
-    }
-}
-
 /// A borrowed view of one key's candidate slots: the inline head plus the
 /// spilled tail. Iterates in insertion order (as perturbed by
 /// swap-removal), exactly like the legacy `Vec<Slot>` bucket.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 pub struct Candidates<'a> {
     head: &'a [Slot],
     tail: &'a [Slot],
 }
 
 impl<'a> Candidates<'a> {
-    /// The empty candidate list.
-    pub(crate) const EMPTY: Candidates<'static> = Candidates { head: &[], tail: &[] };
-
     /// Number of candidate slots.
     #[inline]
     pub fn len(&self) -> usize {
@@ -100,11 +83,7 @@ impl<'a> Candidates<'a> {
     #[cfg(any(test, feature = "audit"))]
     #[inline]
     pub(crate) fn get(&self, pos: usize) -> Option<Slot> {
-        if pos < self.head.len() {
-            Some(self.head[pos])
-        } else {
-            self.tail.get(pos - self.head.len()).copied()
-        }
+        self.iter().nth(pos)
     }
 
     /// The two contiguous runs `(inline head, spill tail)` — the shape the
@@ -123,9 +102,8 @@ impl<'a> Candidates<'a> {
 
 impl<'a> IntoIterator for Candidates<'a> {
     type Item = Slot;
-    type IntoIter = std::iter::Copied<
-        std::iter::Chain<std::slice::Iter<'a, Slot>, std::slice::Iter<'a, Slot>>,
-    >;
+    type IntoIter =
+        std::iter::Copied<std::iter::Chain<std::slice::Iter<'a, Slot>, std::slice::Iter<'a, Slot>>>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.head.iter().chain(self.tail.iter()).copied()
@@ -139,20 +117,16 @@ impl<'a> IntoIterator for Candidates<'a> {
 /// key's list), `remove` (swap-remove by recorded position) and `probe`.
 #[derive(Default)]
 pub struct FlatIndex {
-    ctrl: Vec<u8>,
-    /// Key of each occupied cell, parallel to `buckets`. Kept separate so
-    /// the linear-probe scan touches a dense `u64` array (8 keys per cache
-    /// line) and only dereferences the 40-byte bucket on a key match.
-    keys: Vec<u64>,
-    buckets: Vec<Bucket>,
+    /// The open-addressed table; a bucket is read only on a key match.
+    cells: Vec<Cell>,
+    /// The slot lists of the present keys, and freed ones awaiting reuse.
+    pool: Vec<Bucket>,
+    /// Pool positions of the freed buckets.
+    free_ids: Vec<u32>,
     /// Shared spill storage, carved into power-of-two blocks.
     spill: Vec<Slot>,
     /// `free[c]` = offsets of recycled spill blocks of size `1 << c`.
     free: Vec<Vec<u32>>,
-    /// Occupied buckets (distinct keys present).
-    live: usize,
-    /// Occupied + tombstoned buckets (probe-chain occupancy).
-    used: usize,
     /// Total slots across all keys.
     total: usize,
 }
@@ -177,17 +151,16 @@ impl FlatIndex {
 
     /// Number of distinct keys present.
     #[inline]
-    #[cfg(any(test, feature = "audit"))]
     pub fn n_keys(&self) -> usize {
-        self.live
+        self.pool.len() - self.free_ids.len()
     }
 
     /// The candidate slots of `key`, in bucket order.
     #[inline]
     pub fn probe(&self, key: u64) -> Candidates<'_> {
         match self.find(key) {
-            Some(bi) => self.candidates(bi),
-            None => Candidates::EMPTY,
+            Some(cell) => self.candidates(self.cells[cell].id as usize),
+            None => Candidates::default(),
         }
     }
 
@@ -195,38 +168,27 @@ impl FlatIndex {
     /// O(1) [`FlatIndex::remove`]).
     pub fn insert(&mut self, key: u64, slot: Slot) -> u32 {
         self.total += 1;
-        if let Some(bi) = self.find(key) {
-            return self.bucket_push(bi, slot);
-        }
-        if self.buckets.is_empty() || (self.used + 1) * 2 > self.buckets.len() {
-            self.grow();
-        }
-        let mask = self.buckets.len() - 1;
-        let mut i = (mix(key) as usize) & mask;
-        let mut dest: Option<usize> = None;
-        loop {
-            match self.ctrl[i] {
-                EMPTY => {
-                    // Prefer the first tombstone passed on the way; a fresh
-                    // EMPTY cell extends probe-chain occupancy.
-                    let d = dest.unwrap_or(i);
-                    if d == i {
-                        self.used += 1;
-                    }
-                    dest = Some(d);
-                    break;
+        let id = match self.find(key) {
+            Some(cell) => self.cells[cell].id,
+            None => {
+                if (self.n_keys() + 1) * 2 > self.cells.len() {
+                    self.grow();
                 }
-                TOMBSTONE if dest.is_none() => dest = Some(i),
-                _ => {}
+                // A freed bucket is vacant: no slots, no spill block.
+                let id = self.free_ids.pop().unwrap_or_else(|| {
+                    self.pool.push(Bucket {
+                        len: 0,
+                        spill_off: 0,
+                        spill_cap: 0,
+                        inline: [Slot::DANGLING; INLINE],
+                    });
+                    u32::try_from(self.pool.len() - 1).expect("pool exceeds u32 ids")
+                });
+                self.place(key, id);
+                id
             }
-            i = (i + 1) & mask;
-        }
-        let d = dest.expect("insert destination found");
-        self.ctrl[d] = OCCUPIED;
-        self.keys[d] = key;
-        self.buckets[d] = Bucket::new(slot);
-        self.live += 1;
-        0
+        };
+        self.bucket_push(id as usize, slot)
     }
 
     /// Swap-removes position `pos` from `key`'s list. Returns the slot
@@ -238,48 +200,38 @@ impl FlatIndex {
     /// Panics (in debug builds) if `key` is absent, `pos` is out of range,
     /// or the entry at `pos` is not `expected`.
     pub fn remove(&mut self, key: u64, pos: u32, expected: Slot) -> Option<Slot> {
-        let bi = self.find(key).expect("removing an unindexed key");
-        debug_assert_eq!(
-            self.bucket_get(bi, pos),
-            expected,
-            "recorded index position desynchronized"
-        );
-        let _ = expected;
+        let cell = self.find(key).expect("removing an unindexed key");
+        let bi = self.cells[cell].id as usize;
+        debug_assert_eq!(*self.slot_mut(bi, pos), expected, "stale index position");
         self.total -= 1;
-        let last = self.buckets[bi].len - 1;
-        let moved = if pos != last {
-            let m = self.bucket_get(bi, last);
-            self.bucket_set(bi, pos, m);
-            Some(m)
-        } else {
-            None
-        };
-        self.buckets[bi].len = last;
-        if last as usize == INLINE && self.buckets[bi].spill_cap > 0 {
+        let last = self.pool[bi].len - 1;
+        let moved = (pos != last).then(|| *self.slot_mut(bi, last));
+        if let Some(m) = moved {
+            *self.slot_mut(bi, pos) = m;
+        }
+        let b = &mut self.pool[bi];
+        b.len = last;
+        if last as usize == INLINE && b.spill_cap > 0 {
             // The tail just emptied: recycle the spill block.
-            let (off, cap) = (self.buckets[bi].spill_off, self.buckets[bi].spill_cap);
+            let (off, cap) = (b.spill_off, std::mem::take(&mut b.spill_cap));
             self.free_block(off, cap);
-            self.buckets[bi].spill_cap = 0;
         }
         if last == 0 {
-            self.ctrl[bi] = TOMBSTONE;
-            self.live -= 1;
+            self.free_ids.push(bi as u32);
+            self.vacate(cell);
         }
         moved
     }
 
     /// Iterates `(key, candidates)` over all present keys, in table order.
     pub(crate) fn iter_keys(&self) -> impl Iterator<Item = (u64, Candidates<'_>)> {
-        self.ctrl
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c == OCCUPIED)
-            .map(move |(i, _)| (self.keys[i], self.candidates(i)))
+        let present = self.cells.iter().filter(|c| c.id != EMPTY);
+        present.map(|&Cell { key, id }| (key, self.candidates(id as usize)))
     }
 
     #[inline]
     fn candidates(&self, bi: usize) -> Candidates<'_> {
-        let b = &self.buckets[bi];
+        let b = &self.pool[bi];
         let len = b.len as usize;
         if len <= INLINE {
             Candidates {
@@ -295,68 +247,86 @@ impl FlatIndex {
         }
     }
 
+    /// The cell `key` hashes to.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (mix(key) as usize) & (self.cells.len() - 1)
+    }
+
+    /// The cell holding `key`: the table keeps no empty cell between a
+    /// key's home and its cell, so the scan stops at the first one.
     #[inline]
     fn find(&self, key: u64) -> Option<usize> {
-        if self.buckets.is_empty() {
-            return None;
-        }
-        let mask = self.buckets.len() - 1;
-        let mut i = (mix(key) as usize) & mask;
-        loop {
-            let c = self.ctrl[i];
-            if c == EMPTY {
-                return None;
-            }
-            if c == OCCUPIED && self.keys[i] == key {
+        let mask = self.cells.len().checked_sub(1)?;
+        let mut i = self.home(key);
+        while self.cells[i].id != EMPTY {
+            if self.cells[i].key == key {
                 return Some(i);
             }
             i = (i + 1) & mask;
         }
+        None
     }
 
-    fn bucket_get(&self, bi: usize, pos: u32) -> Slot {
-        let b = &self.buckets[bi];
-        debug_assert!(pos < b.len, "bucket position out of range");
-        if (pos as usize) < INLINE {
-            b.inline[pos as usize]
-        } else {
-            self.spill[b.spill_off as usize + pos as usize - INLINE]
+    /// Puts `key` with bucket `id` in the first empty cell from its home.
+    fn place(&mut self, key: u64, id: u32) {
+        let mask = self.cells.len() - 1;
+        let mut i = self.home(key);
+        while self.cells[i].id != EMPTY {
+            i = (i + 1) & mask;
         }
+        self.cells[i] = Cell { key, id };
     }
 
-    fn bucket_set(&mut self, bi: usize, pos: u32, slot: Slot) {
-        let b = &mut self.buckets[bi];
-        if (pos as usize) < INLINE {
-            b.inline[pos as usize] = slot;
-        } else {
-            self.spill[b.spill_off as usize + pos as usize - INLINE] = slot;
+    /// Empties cell `hole` by backward-shift deletion (Knuth, TAOCP 6.4,
+    /// Algorithm R): walking the rest of the cluster, each key whose home
+    /// does not lie cyclically in `(hole, j]` moves back into the hole,
+    /// which moves on to its old cell `j`. No key is left behind an empty
+    /// cell, so the table needs no tombstones.
+    fn vacate(&mut self, mut hole: usize) {
+        let mask = self.cells.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            if self.cells[j].id == EMPTY {
+                break;
+            }
+            let home = self.home(self.cells[j].key);
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.cells[hole] = self.cells[j];
+                hole = j;
+            }
+        }
+        self.cells[hole].id = EMPTY;
+    }
+
+    /// Position `pos` of bucket `bi`'s slot list.
+    fn slot_mut(&mut self, bi: usize, pos: u32) -> &mut Slot {
+        let b = &mut self.pool[bi];
+        debug_assert!(pos < b.len, "bucket position out of range");
+        match (pos as usize).checked_sub(INLINE) {
+            None => &mut b.inline[pos as usize],
+            Some(at) => &mut self.spill[b.spill_off as usize + at],
         }
     }
 
     /// Appends `slot` to bucket `bi`, growing its spill block as needed.
     fn bucket_push(&mut self, bi: usize, slot: Slot) -> u32 {
-        let len = self.buckets[bi].len;
-        if (len as usize) < INLINE {
-            self.buckets[bi].inline[len as usize] = slot;
-        } else {
-            let spill_len = len - INLINE as u32;
-            let cap = self.buckets[bi].spill_cap;
-            if spill_len == cap {
-                let new_cap = (cap * 2).max(1);
-                let new_off = self.alloc_block(new_cap);
-                if cap > 0 {
-                    let old = self.buckets[bi].spill_off as usize;
-                    self.spill
-                        .copy_within(old..old + spill_len as usize, new_off as usize);
-                    self.free_block(self.buckets[bi].spill_off, cap);
-                }
-                self.buckets[bi].spill_off = new_off;
-                self.buckets[bi].spill_cap = new_cap;
+        let b = self.pool[bi];
+        let (len, old, cap) = (b.len, b.spill_off, b.spill_cap);
+        let spilled = (len as usize).saturating_sub(INLINE);
+        if len as usize >= INLINE && spilled == cap as usize {
+            let off = self.alloc_block((cap * 2).max(1));
+            if cap > 0 {
+                let old = old as usize;
+                self.spill.copy_within(old..old + spilled, off as usize);
+                self.free_block(old as u32, cap);
             }
-            let off = self.buckets[bi].spill_off;
-            self.spill[off as usize + spill_len as usize] = slot;
+            self.pool[bi].spill_off = off;
+            self.pool[bi].spill_cap = (cap * 2).max(1);
         }
-        self.buckets[bi].len = len + 1;
+        self.pool[bi].len = len + 1;
+        *self.slot_mut(bi, len) = slot;
         len
     }
 
@@ -381,51 +351,41 @@ impl FlatIndex {
         self.free[class].push(off);
     }
 
-    /// Rehashes into a table sized for the live keys, dropping tombstones.
-    /// Spill blocks are untouched — only bucket cells move. The rehash
-    /// target keeps occupancy at or below ~1/4 (growing again at 1/2), so
-    /// linear-probe chains stay a couple of cells long.
+    /// Doubles the table (8 cells at first). Only cells move: buckets
+    /// keep their pool positions and spill blocks stay in place.
     fn grow(&mut self) {
-        let new_cap = ((self.live + 1) * 4).next_power_of_two().max(8);
-        let old_buckets = std::mem::replace(&mut self.buckets, vec![Bucket::VACANT; new_cap]);
-        let old_keys = std::mem::replace(&mut self.keys, vec![0; new_cap]);
-        let old_ctrl = std::mem::replace(&mut self.ctrl, vec![EMPTY; new_cap]);
-        let mask = new_cap - 1;
-        for ((b, k), c) in old_buckets.into_iter().zip(old_keys).zip(old_ctrl) {
-            if c != OCCUPIED {
-                continue;
+        let empty = Cell { key: 0, id: EMPTY };
+        let cells = vec![empty; (self.cells.len() * 2).max(8)];
+        for Cell { key, id } in std::mem::replace(&mut self.cells, cells) {
+            if id != EMPTY {
+                self.place(key, id);
             }
-            let mut i = (mix(k) as usize) & mask;
-            while self.ctrl[i] != EMPTY {
-                i = (i + 1) & mask;
-            }
-            self.ctrl[i] = OCCUPIED;
-            self.keys[i] = k;
-            self.buckets[i] = b;
         }
-        self.used = self.live;
     }
 
-    /// Structural invariant check: control-byte/bucket agreement, key
-    /// reachability from its hash position, slot totals, spill-block
-    /// bounds and free-list disjointness.
-    ///
-    /// O(capacity + spill); the differential harness calls it (via
+    /// Structural invariant check: load at most ½, every key reachable
+    /// from its home cell, every pool bucket in one cell or on the free
+    /// list, slot totals, spill-block bounds and free-list disjointness.
+    /// O(cells + pool + spill); the differential harness calls it (via
     /// `WindowStore::check_invariants`) after every arrival.
     ///
     /// # Panics
     /// Panics on any violated invariant.
     #[cfg(any(test, feature = "audit"))]
     pub(crate) fn check_invariants(&self) {
-        assert_eq!(self.ctrl.len(), self.buckets.len(), "ctrl/bucket length");
-        assert_eq!(self.ctrl.len(), self.keys.len(), "ctrl/key length");
-        let occupied = self.ctrl.iter().filter(|&&c| c == OCCUPIED).count();
-        let tombs = self.ctrl.iter().filter(|&&c| c == TOMBSTONE).count();
-        assert_eq!(occupied, self.live, "live count stale");
-        assert_eq!(occupied + tombs, self.used, "used count stale");
-        if !self.buckets.is_empty() {
-            assert!(self.used < self.buckets.len(), "no EMPTY cell left");
-            assert!(self.buckets.len().is_power_of_two(), "capacity not 2^k");
+        let cells = self.cells.len();
+        assert!(cells == 0 || cells.is_power_of_two(), "cells not 2^k");
+        assert!(self.n_keys() * 2 <= cells, "load above one half");
+        // Every pool bucket sits in exactly one cell or on the free list.
+        let mut held = vec![0u32; self.pool.len()];
+        let occupied = self.cells.iter().map(|c| c.id).filter(|&id| id != EMPTY);
+        for id in occupied.chain(self.free_ids.iter().copied()) {
+            held[id as usize] += 1;
+        }
+        assert!(held.iter().all(|&h| h == 1), "bucket held 0 or 2+ times");
+        for &id in &self.free_ids {
+            let b = &self.pool[id as usize];
+            assert!(b.len == 0 && b.spill_cap == 0, "a free bucket holds slots");
         }
         // Spill occupancy: live blocks must be in-bounds and disjoint from
         // each other and from every free-listed block.
@@ -439,30 +399,19 @@ impl FlatIndex {
         };
         let mut total = 0usize;
         let mut seen_keys = std::collections::HashSet::new();
-        for (i, &c) in self.ctrl.iter().enumerate() {
-            if c != OCCUPIED {
-                continue;
-            }
-            let b = &self.buckets[i];
-            let key = self.keys[i];
-            assert!(b.len > 0, "occupied bucket with no slots");
+        let cells = self.cells.iter().enumerate();
+        for (i, &Cell { key, id }) in cells.filter(|(_, c)| c.id != EMPTY) {
+            let b = &self.pool[id as usize];
+            assert!(b.len > 0, "occupied cell with no slots");
             assert!(seen_keys.insert(key), "duplicate key {key}");
-            assert_eq!(
-                self.find(key),
-                Some(i),
-                "key {key} not reachable from its hash position"
-            );
+            assert_eq!(self.find(key), Some(i), "key {key} unreachable");
             total += b.len as usize;
             if b.spill_cap > 0 {
                 assert!(b.spill_cap.is_power_of_two(), "spill cap not 2^k");
                 claim(b.spill_off, b.spill_cap);
             }
-            if b.len as usize > INLINE {
-                assert!(
-                    b.len as usize - INLINE <= b.spill_cap as usize,
-                    "spilled slots exceed spill capacity"
-                );
-            }
+            let room = INLINE + b.spill_cap as usize;
+            assert!(b.len as usize <= room, "spill past its block");
         }
         assert_eq!(total, self.total, "slot total stale");
         for (class, blocks) in self.free.iter().enumerate() {
@@ -491,8 +440,7 @@ mod tests {
         assert_eq!(idx.insert(7, ss[0]), 0);
         assert_eq!(idx.insert(7, ss[1]), 1);
         assert_eq!(idx.insert(9, ss[2]), 0);
-        let got: Vec<Slot> = idx.probe(7).iter().collect();
-        assert_eq!(got, vec![ss[0], ss[1]]);
+        assert!(idx.probe(7).iter().eq([ss[0], ss[1]]));
         assert_eq!(idx.probe(9).len(), 1);
         assert!(idx.probe(8).is_empty());
         assert_eq!(idx.len(), 3);
@@ -507,8 +455,7 @@ mod tests {
         for (i, &s) in ss.iter().enumerate() {
             assert_eq!(idx.insert(1, s), i as u32);
         }
-        let got: Vec<Slot> = idx.probe(1).iter().collect();
-        assert_eq!(got, ss);
+        assert!(idx.probe(1).iter().eq(ss.iter().copied()));
         let (head, tail) = idx.probe(1).parts();
         assert_eq!(head.len(), INLINE);
         assert_eq!(tail.len(), 40 - INLINE);
@@ -528,15 +475,20 @@ mod tests {
         let moved = idx.remove(3, 1, model[1]);
         model.swap_remove(1);
         assert_eq!(moved, Some(model[1]));
-        let got: Vec<Slot> = idx.probe(3).iter().collect();
-        assert_eq!(got, model);
+        assert!(idx.probe(3).iter().eq(model.iter().copied()));
         // Remove the tail: nothing moves.
         let last = model.len() as u32 - 1;
-        assert_eq!(idx.remove(3, last, *model.last().unwrap()), None);
-        model.pop();
-        let got: Vec<Slot> = idx.probe(3).iter().collect();
-        assert_eq!(got, model);
+        assert_eq!(idx.remove(3, last, model.pop().unwrap()), None);
+        assert!(idx.probe(3).iter().eq(model.iter().copied()));
         idx.check_invariants();
+    }
+
+    /// Removes every slot of `key`, last first, checking after each step.
+    fn drain(idx: &mut FlatIndex, key: u64) {
+        while let Some(last) = idx.probe(key).len().checked_sub(1) {
+            idx.remove(key, last as u32, idx.probe(key).get(last).unwrap());
+            idx.check_invariants();
+        }
     }
 
     #[test]
@@ -546,18 +498,19 @@ mod tests {
         for &s in &ss {
             idx.insert(5, s);
         }
-        for _ in 0..ss.len() {
-            let len = idx.probe(5).len();
-            let last = idx.probe(5).get(len - 1).unwrap();
-            idx.remove(5, len as u32 - 1, last);
-            idx.check_invariants();
-        }
+        drain(&mut idx, 5);
         assert!(idx.probe(5).is_empty());
-        assert_eq!(idx.n_keys(), 0);
-        assert_eq!(idx.len(), 0);
-        // The key can come back after tombstoning.
-        idx.insert(5, ss[0]);
-        assert_eq!(idx.probe(5).len(), 1);
+        assert_eq!((idx.n_keys(), idx.len()), (0, 0));
+        assert!(
+            idx.cells.iter().all(|c| c.id == EMPTY),
+            "a cell kept its key"
+        );
+        // The key comes back in the freed bucket and the recycled blocks.
+        let (pool, spill) = (idx.pool.len(), idx.spill.len());
+        for &s in &ss {
+            idx.insert(5, s);
+        }
+        assert_eq!((idx.pool.len(), idx.spill.len()), (pool, spill));
         idx.check_invariants();
     }
 
@@ -567,22 +520,19 @@ mod tests {
         let mut idx = FlatIndex::new();
         for (i, &s) in ss.iter().enumerate() {
             idx.insert(i as u64, s);
-            if i % 64 == 0 {
-                idx.check_invariants();
-            }
+            idx.check_invariants();
         }
         assert_eq!(idx.n_keys(), 512);
         for (i, &s) in ss.iter().enumerate() {
-            let got: Vec<Slot> = idx.probe(i as u64).iter().collect();
-            assert_eq!(got, vec![s]);
+            assert!(idx.probe(i as u64).iter().eq([s]));
         }
         idx.check_invariants();
     }
 
     #[test]
-    fn churn_through_tombstones_stays_consistent() {
-        // Insert/remove cycles over a small key domain: exercises tombstone
-        // reuse and the no-EMPTY-starvation guarantee.
+    fn churn_through_backward_shifts_stays_consistent() {
+        // Insert/remove cycles over a small key domain: every emptied key
+        // shifts its cluster back.
         let ss = slots(64);
         let mut idx = FlatIndex::new();
         for round in 0..200u64 {
@@ -596,5 +546,55 @@ mod tests {
             }
             idx.check_invariants();
         }
+    }
+
+    #[test]
+    fn removal_shifts_a_wrapped_cluster_back() {
+        // Four keys fill cells 6, 7, 0 and 1 of an 8-cell table: a cluster
+        // wrapping past the end, all homed in it, or the last at its own
+        // home (cell 1), where it must stay when cell 0 empties.
+        let ss = slots(1);
+        for homes in [[6, 6, 7, 7], [6, 6, 6, 1]] {
+            let mut keys: Vec<u64> = Vec::new();
+            for h in homes {
+                keys.extend((0..).find(|&k| mix(k) & 7 == h && !keys.contains(&k)));
+            }
+            // Delete the head, middle, wrapped part or tail first.
+            for first in 0..4 {
+                let mut idx = FlatIndex::new();
+                for &k in &keys {
+                    idx.insert(k, ss[0]);
+                }
+                let cells: Vec<_> = keys.iter().map(|&k| idx.find(k).unwrap()).collect();
+                assert_eq!((idx.cells.len(), cells), (8, vec![6, 7, 0, 1]));
+                for &k in keys.iter().cycle().skip(first).take(4) {
+                    drain(&mut idx, k);
+                    assert_eq!(idx.cells.len(), 8, "a removal grew the table");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn churn_over_a_wide_domain_stays_at_its_live_keys() {
+        // At most 100 of 4 096 keys live: at load ½ that is 256 cells,
+        // however many keys have come and gone.
+        let ss = slots(1);
+        let (mut idx, mut live) = (FlatIndex::new(), Vec::new());
+        for step in 0..20_000u64 {
+            let r = mix(step);
+            let key = r % 4096;
+            let at = live.iter().position(|&k| k == key);
+            if at.is_none() && live.len() < 100 {
+                idx.insert(key, ss[0]);
+                live.push(key);
+            } else {
+                let k = live.swap_remove(at.unwrap_or((r >> 32) as usize % 100));
+                idx.remove(k, 0, ss[0]);
+            }
+            assert!(idx.cells.len() <= 256, "grew past 256 cells at step {step}");
+        }
+        assert_eq!(idx.n_keys(), live.len());
+        idx.check_invariants();
     }
 }

@@ -124,7 +124,12 @@ fi
 # sampled `StageClock` (crates/core/src/clock.rs); the one exact timer left
 # in the engines is `timed_rescore` (a few hundred passes a run).
 CLOCK_READS=$(cat crates/core/src/{engine,multi}.rs | grep -c 'Instant::now' || true)
-RESCORE_READS=$(grep -A2 'fn timed_rescore' crates/core/src/engine.rs | grep -c 'Instant::now' || true)
+# The whole body, from the signature (however rustfmt wraps it) to the
+# closing brace at the signature's indentation.
+RESCORE_BODY=$(awk '/fn timed_rescore/ { inside = 1; match($0, /^ */); close_at = "^" substr($0, 1, RLENGTH) "}$" }
+  inside { print } inside && $0 ~ close_at { exit }' crates/core/src/engine.rs)
+[ -n "$RESCORE_BODY" ] || { echo "FAIL: found no fn timed_rescore in engine.rs (gate out of date?)"; exit 1; }
+RESCORE_READS=$(grep -c 'Instant::now' <<<"$RESCORE_BODY" || true)
 if [ "$CLOCK_READS" != 1 ] || [ "$RESCORE_READS" != 1 ]; then
   echo "FAIL: engine.rs / multi.rs read the clock outside timed_rescore ($CLOCK_READS reads, $RESCORE_READS in timed_rescore)"
   exit 1
