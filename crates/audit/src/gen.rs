@@ -85,6 +85,11 @@ pub struct Case {
     /// The score-cache A/B class (odd seeds); even seeds run the
     /// plain/eager pair instead.
     pub cache_ab: bool,
+    /// The wide-bank class (`seed % 16 == 9`): sketch banks of 1 000
+    /// copies, the engine's own sizing, so the frozen query's vector body
+    /// runs under the invariant checks; every other case keeps 32 copies,
+    /// one sign word.
+    pub wide_bank: bool,
     /// The queued class (`seed % 16` of 3 or 10): the input queue every
     /// in-process run is built with. Its cases draw time windows only and
     /// carry no churn and no disorder.
@@ -249,8 +254,8 @@ fn build(rng: &mut StdRng, (lo, hi): (usize, usize), shape: &Shape) -> JoinQuery
 /// a 9-stream chain (the probe's binding slots spill), `seed % 16 == 6`
 /// all-tuple windows with the reduced capacity equal to the longest (no
 /// window can fill: every class idles), `seed % 16` of 3 or 10 the queued
-/// class, odd seeds the score-cache A/B pair, even seeds the plain/eager
-/// pair.
+/// class, `seed % 16 == 9` the wide bank, odd seeds the score-cache A/B
+/// pair, even seeds the plain/eager pair.
 pub fn generate_case(seed: u64) -> Case {
     let mut rng = StdRng::seed_from_u64(seed);
     let tuple_shard = seed % 8 == 0;
@@ -433,6 +438,7 @@ pub fn generate_case(seed: u64) -> Case {
         keyed,
         zipf_hot,
         cache_ab: seed % 2 == 1,
+        wide_bank: seed % 16 == 9,
         queue,
         trace: Trace { arrivals, churn },
     }

@@ -104,8 +104,8 @@ mod tests {
     /// Within 60 seeds the generator draws every class the run's
     /// contracts need: S = 2 and 4, keyed and unkeyed one-query shapes,
     /// time / tuple / mixed windows, K = 0 and K > 0, set sizes 1–4, each
-    /// mix kind, each churn shape, mixed arity, the 9-stream spill and the
-    /// queued class.
+    /// mix kind, each churn shape, mixed arity, the 9-stream spill, the
+    /// queued class and the wide bank.
     #[test]
     fn generator_covers_memory_modes_shards_and_partitionability() {
         let mut drawn = std::collections::BTreeSet::new();
@@ -153,11 +153,14 @@ mod tests {
             if case.queue.is_some() {
                 class("queued".into());
             }
+            if case.wide_bank {
+                class("wide bank".into());
+            }
         }
         let want = "S=2,S=4,K>0:false,K>0:true,size 1,\
                     size 2,size 3,size 4,Base,Duplicate,Overlap,Fresh,tuple windows,\
                     mixed windows,time windows,churn 0/0,churn 1/0,churn 0/1,churn 1/1,keyed,\
-                    unkeyed one-query,mixed arity,spill,queued";
+                    unkeyed one-query,mixed arity,spill,queued,wide bank";
         for class in want.split(',') {
             assert!(
                 drawn.contains(class),

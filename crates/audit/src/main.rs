@@ -48,7 +48,7 @@ fn sweep(args: &[String]) -> i32 {
     }
     install_quiet_hook();
     // Class counts: a sweep in which one stays zero watched nothing there.
-    let mut n = [0usize; 14];
+    let mut n = [0usize; 15];
     for i in 0..cases {
         let case = generate_case(case_seed(master, i));
         let stats = match run_case(&case) {
@@ -74,6 +74,7 @@ fn sweep(args: &[String]) -> i32 {
             usize::from(case.spills()),
             usize::from(case.queue.is_some()),
             usize::from(stats.shared_signs),
+            usize::from(case.wide_bank),
         ];
         for (total, c) in n.iter_mut().zip(classes) {
             *total += c;
@@ -86,7 +87,8 @@ fn sweep(args: &[String]) -> i32 {
         "audit sweep: {cases} cases ({} arrivals, {} standing queries; {} one-query sets, \
          {} multi-query sets, {} churn cases, {} disorder cases, {} late-drop probes, \
          {} deferred cases, {} idle-estimation cases, {} skewed-key sharded cases, \
-         {} mixed-arity cases, {} spill cases, {} queued cases, {} shared-sign cases) — every \
+         {} mixed-arity cases, {} spill cases, {} queued cases, {} shared-sign cases, \
+         {} wide-bank cases) — every \
          query matches its exact \
          oracle at 100% memory (and in process when no window can fill; queued, when the queue \
          is transparent) and is a sub-multiset of it when shedding, for every policy in process \
@@ -95,7 +97,21 @@ fn sweep(args: &[String]) -> i32 {
          replay their solo runs; sharded runs honour the partitioning contract; the score-cache \
          (odd seeds) and plain/eager (even seeds) A/B pairs are bit-identical; zero invariant \
          violations",
-        n[0], n[1], n[2], n[3], n[4], n[5], n[6], n[7], n[8], n[9], n[10], n[11], n[12], n[13]
+        n[0],
+        n[1],
+        n[2],
+        n[3],
+        n[4],
+        n[5],
+        n[6],
+        n[7],
+        n[8],
+        n[9],
+        n[10],
+        n[11],
+        n[12],
+        n[13],
+        n[14]
     );
     0
 }
@@ -184,12 +200,13 @@ fn describe(case: &Case) -> String {
         None => "no queue".into(),
     };
     format!(
-        "{} queries [{}], arities {:?}, epoch {:?}, reduced cap {}/window, {} shards, K = {}µs, \
-         {queue}, {} arrivals, churn [{}]",
+        "{} queries [{}], arities {:?}, epoch {:?}, {} sketch copies, reduced cap {}/window, \
+         {} shards, K = {}µs, {queue}, {} arrivals, churn [{}]",
         case.queries.len(),
         queries.join(" "),
         case.arity,
         case.epoch,
+        if case.wide_bank { 1000 } else { 32 },
         case.capacity,
         case.shards,
         case.disorder.as_micros(),

@@ -253,7 +253,7 @@ fn builder(case: &Case, queries: &[JoinQuery], len: usize, run: &Run) -> EngineB
         .boxed_policy(run.variant.policy(run.policy))
         .epoch(case.epoch)
         .bank(BankConfig {
-            s1: 32,
+            s1: if case.wide_bank { 1000 } else { 32 },
             s2: 1,
             seed: case.seed,
         })

@@ -283,9 +283,6 @@ fn bench_kernel_modes(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(8);
     let signs: Vec<u64> = (0..COPIES.div_ceil(64)).map(|_| rng.gen()).collect();
     let counters: Vec<i64> = (0..COPIES).map(|_| rng.gen_range(-5000..5000)).collect();
-    let row: Vec<f64> = (0..COPIES)
-        .map(|_| f64::from(rng.gen_range(-2000..2000)))
-        .collect();
     let row_a: Vec<i64> = (0..COPIES).map(|_| rng.gen_range(-100..100)).collect();
     let row_b: Vec<i64> = (0..COPIES).map(|_| rng.gen_range(-100..100)).collect();
     let rows = [&row_a[..], &row_b[..]];
@@ -314,19 +311,22 @@ fn bench_kernel_modes(c: &mut Criterion) {
             });
         }
     }
-    {
-        let want = kernel::scalar::signed_sum(&signs, 0, &row);
-        assert_eq!(want.to_bits(), kernel::signed_sum(&signs, 0, &row).to_bits());
-        type Sum = fn(&[u64], usize, &[f64]) -> f64;
-        let forms: [(&str, Sum); 2] = [
-            ("signed_sum_scalar", kernel::scalar::signed_sum),
-            ("signed_sum", kernel::signed_sum),
+    // The sliced sum over a frozen row of 8, 20 and 40 planes — what
+    // `multi_shared`'s, `flat_single`'s and a deep row's queries read.
+    for depth in [8usize, 20, 40] {
+        let planes: Vec<u64> = (0..depth * signs.len()).map(|_| rng.gen()).collect();
+        let want = kernel::scalar::sliced_sum(&signs, &planes, 0..COPIES);
+        assert_eq!(want, kernel::sliced_sum(&signs, &planes, 0..COPIES));
+        type SlicedSum = fn(&[u64], &[u64], std::ops::Range<usize>) -> i64;
+        let forms: [(&str, SlicedSum); 2] = [
+            ("scalar", kernel::scalar::sliced_sum),
+            ("entry", kernel::sliced_sum),
         ];
-        for (name, sum) in forms {
-            group.bench_function(name, |b| {
+        for (form, sum) in forms {
+            group.bench_function(&format!("sliced_sum_b{depth}_{form}"), |b| {
                 b.iter(|| {
                     for _ in 0..REPS {
-                        black_box(sum(black_box(&signs), 0, black_box(&row)));
+                        black_box(sum(black_box(&signs), black_box(&planes), 0..COPIES));
                     }
                 })
             });
@@ -425,25 +425,34 @@ fn bench_arrival_kernels(c: &mut Criterion) {
         }
     }
 
-    // The frozen query's sum over one cross row, and its guard.
-    {
+    // The frozen query over one sliced cross row of two partners whose
+    // counters stay below 2^5, 2^10 and 2^20 in magnitude (B = 11, 21 and
+    // 41 planes), and the build of that row after a roll.
+    for bits in [5u32, 10, 20] {
         let signs: Vec<u64> = (0..WORDS).map(|_| rng.gen()).collect();
-        let row: Vec<f64> = (0..COPIES)
-            .map(|_| f64::from(rng.gen_range(-2000..2000)))
+        let bound = 1i64 << bits;
+        let last: Vec<i64> = (0..3 * COPIES)
+            .map(|_| rng.gen_range(1 - bound..bound))
             .collect();
-        assert!(kernel::sum_is_exact(&row));
-        group.bench_function("signed_sum", |b| {
+        let mut row = kernel::SlicedRow::default();
+        assert!(kernel::slice_row(&last, 0, COPIES, 1, &mut row));
+        let depth = row.planes.len() / WORDS;
+        let mut sums = Vec::new();
+        group.bench_function(&format!("sliced_group_sums_b{depth}"), |b| {
             b.iter(|| {
                 for _ in 0..REPS {
-                    black_box(kernel::signed_sum(black_box(&signs), 0, black_box(&row)));
+                    sums.clear();
+                    kernel::sliced_group_sums(black_box(&signs), &row, COPIES, 1, &mut sums);
+                    black_box(&sums);
                 }
             })
         });
-        group.bench_function("sum_is_exact", |b| {
+        group.bench_function(&format!("slice_row_b{depth}"), |b| {
             b.iter(|| {
                 for _ in 0..REPS {
-                    black_box(kernel::sum_is_exact(black_box(&row)));
+                    assert!(kernel::slice_row(black_box(&last), 0, COPIES, 1, &mut row));
                 }
+                black_box(&row);
             })
         });
     }

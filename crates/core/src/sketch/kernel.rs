@@ -1,7 +1,7 @@
 //! Flat, branch-light kernels over the SoA sketch state, **bit-identical**
 //! to the legacy per-copy fold by construction. Each kernel has one
 //! portable body. The three an arrival pays on every call —
-//! [`fold_packed_signs`], [`signed_sum`] and [`signed_product_sum`] — also
+//! [`fold_packed_signs`], [`sliced_sum`] and [`signed_product_sum`] — also
 //! have an AVX2 form on `x86_64`; their portable body lives in [`scalar`],
 //! which is also the reference the equivalence suite holds the AVX2 form
 //! to.
@@ -17,28 +17,29 @@
 //! [`group_sums`], folds each group serially, because IEEE-754 addition is
 //! not associative.
 //!
-//! # The kernels that do reorder — by identity, not by luck
+//! # The kernels that do reorder — in integers, where order cannot show
 //!
 //! [`add_sign_block`] / [`add_sign_planes`] / [`settle_planes`] defer the
 //! counter fold: sign vectors accumulate in bit-sliced per-copy counters —
 //! [`BLOCK`] at a time through a carry-save adder tree — and reach the
 //! `i64` counters later, all at once. Integer addition is associative and
 //! commutative, so the settled counters are the eagerly folded ones.
-//! [`signed_sum`] sums a frozen cross row in sixteen accumulators; it is
-//! only called on rows [`sum_is_exact`] accepts, where every partial sum in
-//! every order is an exactly representable integer. [`sum_is_exact`] itself
-//! rests on the same argument. [`product_group_sums`] — the first-epoch
-//! query — sums in `i64`, where order cannot show at all, and answers only
-//! where its bounds prove the serial `f64` fold exact too.
+//! The two productivity queries sum in integers too, and answer only where
+//! the serial `f64` fold they stand in for is exact: [`sliced_group_sums`]
+//! — the frozen query — reads a cross row held as two's-complement
+//! bit-planes ([`slice_row`]) with one popcount per plane and word, on
+//! rows whose partial products and `Σ_c |x_c|` stay below
+//! [`EXACT_LIMIT`]; [`product_group_sums`]
+//! — the first-epoch query — multiplies its partners' counters in `i64`
+//! inside bounds that make every product and partial sum exact.
 //!
 //! # Dispatch
 //!
 //! The top-level functions check shapes. Where the CPU reports AVX2,
-//! [`fold_packed_signs`], [`signed_sum`] and [`signed_product_sum`] run
-//! their [`avx2`] forms, elsewhere their [`scalar`] forms; the AVX2 forms
-//! compute each output lane with the scalar form's operations, and the
-//! signed sum keeps its accumulator assignment. Every other kernel has one
-//! body.
+//! [`fold_packed_signs`], [`sliced_sum`] and [`signed_product_sum`] run
+//! their [`avx2`] forms, elsewhere their [`scalar`] forms; all three are
+//! integer arithmetic, so the forms agree on every input. Every other
+//! kernel has one body.
 
 use std::ops::Range;
 
@@ -155,10 +156,6 @@ pub fn apply_packed_signs(words: &[u64], vals: &mut [f64]) {
         }
     }
 }
-
-/// The sum at and above which a row of integer-valued terms may round
-/// while it is added up (`2^53`).
-const EXACT_LIMIT: f64 = (1u64 << 53) as f64;
 
 /// The mean stage of median-of-means: appends to `groups` the serial sum
 /// of each of the `s2` groups of `s1` consecutive `per_copy` values
@@ -328,85 +325,322 @@ pub fn settle_planes(planes: &[u64], pending: u32, counters: &mut [i64]) {
 }
 
 // ---------------------------------------------------------------------------
-// Order-free signed sums over integer-valued rows.
+// The frozen query over bit-sliced rows.
 // ---------------------------------------------------------------------------
 
-/// Independent accumulators of [`signed_sum`]: four registers of
-/// [`LANES`], enough to hide the latency of a floating-point add.
-const SUM_ACCS: usize = 4 * LANES;
+/// The sum at and above which a row of integer-valued terms may round
+/// while it is added up: a frozen row is sliced only while `Σ_c |x_c|`
+/// stays below it.
+pub const EXACT_LIMIT: u64 = 1 << 53;
 
-/// `v` with its sign flipped where packed sign bit `pos` is set.
+/// Copies of one word of a bit-sliced row: [`slice_word`] transposes
+/// that many values at once.
+const WORD_COPIES: usize = 64;
+
+/// The bits of sign word `w` that fall inside `copies` (non-empty, and
+/// `w` one of the words it touches).
 #[inline(always)]
-fn flipped(words: &[u64], pos: usize, v: f64) -> f64 {
-    f64::from_bits(v.to_bits() ^ (((words[pos / 64] >> (pos % 64)) & 1) << 63))
+fn word_mask(copies: &Range<usize>, w: usize) -> u64 {
+    let lo = copies.start.saturating_sub(w * 64).min(64);
+    let hi = (copies.end - w * 64).min(64);
+    (u64::MAX >> (64 - (hi - lo))) << lo
 }
 
-/// Whether every signed sum over `row` is exact in any order:
-/// `Σ_c |row[c]| < 2^53`. For integer-valued entries (products of
-/// counters) that bounds every partial sum of `Σ_c ±row[c]`, under any
-/// association, by an exactly representable integer, so no add rounds.
-/// `false` for any non-finite entry.
-///
-/// The test sums in sixteen accumulators, and its verdict is the
-/// serial sum's: the terms are non-negative integers, so while a partial
-/// sum — of any subset, in any order — stays below `2^53` it is exact, and
-/// once one reaches `2^53` it cannot come back down, because
-/// round-to-nearest is monotone and `2^53` is representable. The total
-/// therefore reads below `2^53` exactly when the true sum is.
-pub fn sum_is_exact(row: &[f64]) -> bool {
-    let mut acc = [0.0f64; SUM_ACCS];
-    let mut blocks = row.chunks_exact(SUM_ACCS);
-    for block in &mut blocks {
-        for (a, v) in acc.iter_mut().zip(block) {
-            *a += v.abs();
+/// The sign words a non-empty range of copies touches.
+#[inline(always)]
+fn touched_words(copies: &Range<usize>) -> Range<usize> {
+    copies.start / 64..copies.end.div_ceil(64)
+}
+
+/// Transposes one word of a row into its low `depth` bit-planes: on entry
+/// `block[j]` is the two's-complement value of copy `j` of the word, on
+/// return bit `j` of `block[b]` is bit `b` of that value for every
+/// `b < depth` (the rows at and past `depth` are left unspecified). Six
+/// rounds of swapping ever smaller off-diagonal blocks; a round settles
+/// one more bit of the row index, so from the second round on it skips
+/// the blocks of rows that lie wholly at or past `depth`.
+fn slice_word(block: &mut [u64; WORD_COPIES], depth: usize) {
+    let mut width = WORD_COPIES / 2;
+    let mut low = u64::MAX >> width;
+    while width > 0 {
+        let wanted = depth.min(WORD_COPIES).div_ceil(2 * width);
+        for rows in block.chunks_exact_mut(2 * width).take(wanted) {
+            let (upper, lower) = rows.split_at_mut(width);
+            for (a, b) in upper.iter_mut().zip(lower) {
+                let t = ((*a >> width) ^ *b) & low;
+                *b ^= t;
+                *a ^= t << width;
+            }
         }
+        width /= 2;
+        low ^= low << width;
     }
-    for (a, v) in acc.iter_mut().zip(blocks.remainder()) {
-        *a += v.abs();
-    }
-    acc.iter().sum::<f64>() < EXACT_LIMIT
 }
 
-/// `Σ_j ±vals[j]` with the sign of `vals[j]` taken from packed sign bit
-/// `first + j`, summed in sixteen independent accumulators: the values up
-/// to the next multiple of sixteen sign bits go to accumulators `0, 1, …`
-/// (so that no later block straddles a sign word), and from there value
-/// `j` goes to accumulator `j mod 16`. Every accumulator starts from −0.0
-/// like `Iterator::sum`, so a zero total is −0.0 exactly when every term
-/// is −0.0 — in this order or the serial one. All forms keep this
-/// assignment, so they agree bit for bit on every input; the *serial* sum
-/// is matched only on rows [`sum_is_exact`] accepts.
-pub fn signed_sum(words: &[u64], first: usize, vals: &[f64]) -> f64 {
-    check_sign_shape(words, first + vals.len(), "values");
+/// `Σ x_c` over the copies `c` in `copies` whose bit is set in `signs`,
+/// where the row `x` is held bit-sliced in `planes`: `B = planes.len() /
+/// signs.len()` two's-complement planes of `signs.len()` words, bit `c %
+/// 64` of word `c / 64` of plane `b` being bit `b` of `x_c`, plane `b`
+/// weighing `2^b` and the top plane `−2^(B−1)`. One popcount per plane
+/// and word, in wrapping `i64`: exact whenever the true sum fits, which a
+/// row under [`EXACT_LIMIT`] guarantees. Any group shape: the edge words
+/// of `copies` are masked mid-word.
+pub fn sliced_sum(signs: &[u64], planes: &[u64], copies: Range<usize>) -> i64 {
+    assert!(
+        planes.is_empty() || (!signs.is_empty() && planes.len() % signs.len() == 0),
+        "planes are not word-major"
+    );
+    check_sign_shape(signs, copies.end, "copies");
+    if planes.is_empty() || copies.is_empty() {
+        return 0;
+    }
     #[cfg(target_arch = "x86_64")]
     if has_avx2() {
-        return avx2::signed_sum(words, first, vals);
+        return avx2::sliced_sum(signs, planes, copies);
     }
-    scalar::signed_sum(words, first, vals)
+    scalar::sliced_sum(signs, planes, copies)
 }
 
-/// The frozen productivity query in one pass: appends to `groups`, for
-/// each of the `s2` groups of `s1` consecutive `row` values, the sum of
-/// the group's values under the packed signs ([`signed_sum`]) — what
-/// [`apply_packed_signs`] + [`group_sums`] compute on a copy of the row,
-/// without the copy and without the serial add chain.
+/// A frozen cross row `x_c = Π_{k≠i} X_k^{last}[c]` bit-sliced: what
+/// [`slice_row`] builds and [`sliced_group_sums`] reads. Its depth `B` is
+/// its own two's-complement width — the least `B` with `−2^(B−1) ≤ x_c <
+/// 2^(B−1)` for every copy, at most the bit length of `max_c |x_c|` plus a
+/// sign bit; a row of zeros has `B = 0` and holds no planes.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SlicedRow {
+    /// `B` two's-complement planes of `words_for(copies)` words: bit
+    /// `c % 64` of word `c / 64` of plane `b` is bit `b` of `x_c`.
+    pub planes: Vec<u64>,
+    /// Bit `c` set where the serial `f64` product of copy `c` carries a
+    /// sign bit (an odd number of negative factors; a zero factor is
+    /// `+0.0`). It only decides the sign of an all-zero group's sum, so it
+    /// is kept only for a row with an all-zero group, and only if some bit
+    /// is set; empty reads all clear.
+    pub negative: Vec<u64>,
+    /// `Σ_{c ∈ g} x_c` per group `g`; empty when `B = 0`.
+    pub totals: Vec<i64>,
+}
+
+/// Applies `step` to each partner row of the cross row that excludes
+/// stream `exclude` from the stream-major `last`, cut to copies `first..
+/// first + len` (`len <= 64`), folding into one word's 64 lanes.
+#[inline]
+fn fold_partners(
+    last: &[i64],
+    copies: usize,
+    exclude: usize,
+    (first, len): (usize, usize),
+    init: i64,
+    step: impl Fn(i64, i64) -> i64,
+) -> [i64; WORD_COPIES] {
+    let mut lanes = [init; WORD_COPIES];
+    for (k, row) in last.chunks_exact(copies).enumerate() {
+        if k != exclude {
+            for (lane, &factor) in lanes.iter_mut().zip(&row[first..first + len]) {
+                *lane = step(*lane, factor);
+            }
+        }
+    }
+    lanes
+}
+
+/// Copies `first..first + len` of word `w` of a row of `copies`.
+fn word_span(w: usize, copies: usize) -> (usize, usize) {
+    let first = w * WORD_COPIES;
+    (first, WORD_COPIES.min(copies - first))
+}
+
+/// Builds into `row` the cross row that excludes stream `exclude` (pass
+/// any index `>= n` to include all) from the stream-major counters `last`
+/// of `s1 · s2` copies each, and returns `true` — where the guard holds:
+/// every product fits (the partners' largest magnitudes multiply to below
+/// [`EXACT_LIMIT`], so every partial product of the `f64` fold is an
+/// exact integer) and `Σ_c |x_c| <` [`EXACT_LIMIT`], so that the serial
+/// `f64` fold over the row ([`column_products`], [`apply_packed_signs`],
+/// [`group_sums`]) is exact and [`sliced_group_sums`] returns its bits.
+/// Outside the guard it returns `false` and leaves `row` empty.
 ///
-/// Bit-identical to that pair **only for rows [`sum_is_exact`] accepts**;
-/// the caller checks the row once when it builds it and runs the serial
-/// pair otherwise.
-pub fn signed_group_sums(words: &[u64], row: &[f64], s1: usize, s2: usize, groups: &mut Vec<f64>) {
-    assert!(s1 > 0, "groups must hold at least one copy");
-    check_group_shape(row, s1, s2);
-    groups.extend(
-        row.chunks_exact(s1)
-            .enumerate()
-            .map(|(g, vals)| signed_sum(words, g * s1, vals)),
+/// One pass a word (64 copies) at a time: the terms, their magnitudes'
+/// sum, the group totals, and the word transposed into bit-planes at the
+/// depth the partners' largest magnitudes allow; the planes past the row's
+/// own depth — copies of its sign plane — are truncated at the end. The
+/// product-sign bits take a second pass over the partners' signs, only for
+/// a row with an all-zero group, and are kept only if one is set. The
+/// buffers keep their capacity and grow to the exact size.
+pub fn slice_row(last: &[i64], exclude: usize, s1: usize, s2: usize, row: &mut SlicedRow) -> bool {
+    let copies = s1 * s2;
+    row.planes.clear();
+    row.negative.clear();
+    row.totals.clear();
+    if copies == 0 {
+        assert!(last.is_empty(), "zero copies with non-empty counters");
+        return true;
+    }
+    assert_eq!(last.len() % copies, 0, "counters are not stream-major");
+    let mut bound = 1u128;
+    for (k, partner) in last.chunks_exact(copies).enumerate() {
+        if k != exclude {
+            let largest = partner.iter().fold(0, |m, x| m.max(x.unsigned_abs()));
+            bound = bound.saturating_mul(u128::from(largest));
+        }
+    }
+    if bound >= u128::from(EXACT_LIMIT) {
+        return false;
+    }
+    let words = copies.div_ceil(WORD_COPIES);
+    let room = match bound {
+        0 => 0,
+        _ => (u128::BITS - bound.leading_zeros()) as usize + 1,
+    };
+    // `spread` ORs `x ^ (x >> 63)`, `|x|` for `x >= 0` and `|x| − 1`
+    // below: a row of width `B` in two's complement has it below `2^(B−1)`.
+    let (mut sum, mut spread) = (0u64, 0u64);
+    if room > 0 {
+        resize_exact(&mut row.planes, room * words);
+        resize_exact(&mut row.totals, s2);
+        for w in 0..words {
+            let (first, len) = word_span(w, copies);
+            // Exact: the bound above keeps every partial product below 2^53.
+            let values = fold_partners(last, copies, exclude, (first, len), 1, |p, f| p * f);
+            let terms = &values[..len];
+            for &x in terms {
+                let sign = x >> 63;
+                spread |= (x ^ sign) as u64;
+                sum += ((x ^ sign) - sign) as u64;
+            }
+            if sum >= EXACT_LIMIT {
+                row.planes.clear();
+                row.totals.clear();
+                return false;
+            }
+            let mut c = first;
+            while c < first + len {
+                let end = (c - c % s1 + s1).min(first + len);
+                row.totals[c / s1] += terms[c - first..end - first].iter().sum::<i64>();
+                c = end;
+            }
+            let mut block = values.map(|x| x as u64);
+            block[len..].fill(0);
+            slice_word(&mut block, room);
+            for (plane, &bits) in row.planes.chunks_exact_mut(words).zip(&block) {
+                plane[w] = bits;
+            }
+        }
+    }
+    let depth = match sum {
+        0 => 0,
+        _ => (u64::BITS - spread.leading_zeros()) as usize + 1,
+    };
+    row.planes.truncate(depth * words);
+    if depth == 0 {
+        row.totals.clear();
+    }
+    if has_zero_group(&row.planes, words, s1, s2) {
+        product_signs(last, copies, exclude, &mut row.negative);
+    }
+    true
+}
+
+/// Whether some group of `s1` copies is zero in every one of `planes`
+/// (`words` words each).
+fn has_zero_group(planes: &[u64], words: usize, s1: usize, s2: usize) -> bool {
+    (0..s2).any(|g| {
+        let copies = g * s1..(g + 1) * s1;
+        touched_words(&copies).all(|w| {
+            let mask = word_mask(&copies, w);
+            planes.chunks_exact(words).all(|plane| plane[w] & mask == 0)
+        })
+    })
+}
+
+/// Writes into `negative` the product-sign bits of the cross row that
+/// excludes stream `exclude` — bit `c` set where an odd number of copy
+/// `c`'s factors is negative — or leaves it empty where none is.
+fn product_signs(last: &[i64], copies: usize, exclude: usize, negative: &mut Vec<u64>) {
+    let word = |w: usize| {
+        let span = word_span(w, copies);
+        // The XOR of the factors carries the XOR of their sign bits.
+        let signs = fold_partners(last, copies, exclude, span, 0, |p, f| p ^ f);
+        let bits = signs[..span.1].iter().enumerate();
+        bits.fold(0u64, |word, (j, &sign)| word | u64::from(sign < 0) << j)
+    };
+    let words = copies.div_ceil(WORD_COPIES);
+    if (0..words).any(|w| word(w) != 0) {
+        resize_exact(negative, words);
+        for (w, bits) in negative.iter_mut().enumerate() {
+            *bits = word(w);
+        }
+    }
+}
+
+/// `buf` resized to `len` zeros, its capacity grown to exactly `len`
+/// where it is short.
+fn resize_exact<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
+    buf.reserve_exact(len.saturating_sub(buf.len()));
+    buf.resize(len, T::default());
+}
+
+/// The frozen productivity query over a [`SlicedRow`]: appends to
+/// `groups`, for each of the `s2` groups of `s1` copies, the signed sum
+/// `Σ_c ±x_c` as `totals[g] − 2·`[`sliced_sum`] — the bits of the serial
+/// fold ([`apply_packed_signs`] + [`group_sums`] on the row as `f64`),
+/// since on a row [`slice_row`] accepts every term and partial sum is an
+/// integer below `2^53`. A zero sum is `-0.0` where every term is: a group
+/// of zeros whose product-sign bits differ from the packed signs in every
+/// copy.
+pub fn sliced_group_sums(
+    signs: &[u64],
+    row: &SlicedRow,
+    s1: usize,
+    s2: usize,
+    groups: &mut Vec<f64>,
+) {
+    let words = (s1 * s2).div_ceil(WORD_COPIES);
+    assert_eq!(signs.len(), words, "one sign bit per copy, one word per 64");
+    let expected = if row.planes.is_empty() { 0 } else { s2 };
+    assert_eq!(
+        row.totals.len(),
+        expected,
+        "one total per group of a sliced row"
     );
+    assert!(
+        row.negative.is_empty() || row.negative.len() == signs.len(),
+        "one product-sign bit per copy"
+    );
+    groups.extend((0..s2).map(|g| {
+        let copies = g * s1..(g + 1) * s1;
+        let total = row.totals.get(g).copied().unwrap_or(0);
+        let flipped = sliced_sum(signs, &row.planes, copies.clone());
+        match total.wrapping_sub(flipped.wrapping_mul(2)) {
+            0 if only_negative_zero_terms(signs, row, copies) => -0.0,
+            sum => sum as f64,
+        }
+    }));
+}
+
+/// Whether every term of a sliced group is `-0.0`: every plane clear over
+/// the group, and the product-sign bit XOR the packed sign set in every
+/// copy. Mostly decided at the first word.
+fn only_negative_zero_terms(signs: &[u64], row: &SlicedRow, copies: Range<usize>) -> bool {
+    let words = signs.len();
+    touched_words(&copies).all(|w| {
+        let mask = word_mask(&copies, w);
+        let product = row.negative.get(w).copied().unwrap_or(0);
+        let zero = row
+            .planes
+            .chunks_exact(words)
+            .all(|plane| plane[w] & mask == 0);
+        zero && (product ^ signs[w]) & mask == mask
+    })
 }
 
 // ---------------------------------------------------------------------------
 // The first-epoch query in integers.
 // ---------------------------------------------------------------------------
+
+/// Copies of one block of the AVX2 integer sum: four registers of
+/// [`LANES`], whose sign bits never straddle a sign word.
+const SUM_ACCS: usize = 4 * LANES;
 
 /// Factors at or above this magnitude leave [`product_group_sums`]:
 /// `_mm256_mul_epi32` multiplies the signed low 32 bits of each lane.
@@ -491,7 +725,7 @@ fn only_negative_zeros(words: &[u64], rows: &[&[i64]], copies: Range<usize>) -> 
 /// reference the equivalence suite and benches hold the AVX2 forms to.
 /// Shape guards live in the entry points; these assume validated inputs.
 pub mod scalar {
-    use super::{flipped, SUM_ACCS};
+    use super::{touched_words, word_mask};
     use std::ops::Range;
 
     /// Scalar [`super::fold_packed_signs`].
@@ -503,24 +737,30 @@ pub mod scalar {
         }
     }
 
-    /// Scalar [`super::signed_sum`]: one value per step into the
-    /// accumulator its position assigns it — the head one by one, then
-    /// sixteen-value blocks whose sign bits sit in one word.
-    pub fn signed_sum(words: &[u64], first: usize, vals: &[f64]) -> f64 {
-        let mut acc = [-0.0f64; SUM_ACCS];
-        let head = (first.wrapping_neg() % SUM_ACCS).min(vals.len());
-        let (head_vals, body) = vals.split_at(head);
-        for (j, (a, &v)) in acc.iter_mut().zip(head_vals).enumerate() {
-            *a += flipped(words, first + j, v);
+    /// Scalar [`super::sliced_sum`]: one `count_ones` per plane and word.
+    pub fn sliced_sum(signs: &[u64], planes: &[u64], copies: Range<usize>) -> i64 {
+        let words = touched_words(&copies);
+        let (head, tail) = (words.start, words.end - 1);
+        let masks = (word_mask(&copies, head), word_mask(&copies, tail));
+        let masked = |w: usize| {
+            let head_mask = if w == head { masks.0 } else { u64::MAX };
+            signs[w] & head_mask & if w == tail { masks.1 } else { u64::MAX }
+        };
+        let depth = planes.len() / signs.len();
+        let mut sum = 0i64;
+        for (b, plane) in planes.chunks_exact(signs.len()).enumerate() {
+            let count: u64 = words
+                .clone()
+                .map(|w| u64::from((masked(w) & plane[w]).count_ones()))
+                .sum();
+            let weighted = (count << b) as i64;
+            sum = if b + 1 == depth {
+                sum.wrapping_sub(weighted)
+            } else {
+                sum.wrapping_add(weighted)
+            };
         }
-        for (b, block) in body.chunks(SUM_ACCS).enumerate() {
-            let pos = first + head + b * SUM_ACCS;
-            let bits = words[pos / 64] >> (pos % 64);
-            for (l, (a, &v)) in acc.iter_mut().zip(block).enumerate() {
-                *a += f64::from_bits(v.to_bits() ^ (((bits >> l) & 1) << 63));
-            }
-        }
-        acc.iter().fold(-0.0, |sum, &a| sum + a)
+        sum
     }
 
     /// Scalar [`super::signed_product_sum`]: one copy per step.
@@ -537,11 +777,11 @@ pub mod scalar {
 // ---------------------------------------------------------------------------
 
 /// AVX2 `std::arch` forms of the three loops an arrival pays: the sign
-/// fold (pure integer, exact for every input), the sixteen-accumulator
-/// signed sum (the accumulator assignment of [`scalar::signed_sum`], four
-/// accumulators to a register) and the first-epoch integer sum of one or
-/// two partners' products.
-/// Packed sign bits expand to a `{0, 1<<63}` lane mask in-register
+/// fold, the sliced sum of the frozen query (a `vpshufb` nibble popcount
+/// into byte counters, one `vpsadbw` and one shift-and-add per plane) and
+/// the first-epoch integer sum of one or two partners' products. All
+/// three are integer arithmetic, so they agree with their [`scalar`]
+/// forms on every input. Packed sign bits expand to a `{0, 1}` lane
 /// (broadcast + variable shift) or, for the integer sum, to an all-ones
 /// lane (broadcast, mask, compare). Only reached after
 /// `is_x86_feature_detected!("avx2")` in the entry points.
@@ -553,21 +793,22 @@ pub mod scalar {
 /// taken from `chunks_exact` blocks of the width read or written. Vector
 /// integer adds wrap where the scalar forms would trip an overflow check;
 /// a counter is bounded by the tuples of its epoch, and the integer sum's
-/// terms by the bounds its caller checks, so neither happens.
+/// terms by the bounds its caller checks, so neither happens (the sliced
+/// sum wraps in both forms, on purpose).
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub mod avx2 {
-    use super::{flipped, scalar, LANES, SUM_ACCS};
+    use super::{scalar, touched_words, word_mask, LANES, SUM_ACCS};
     use std::arch::x86_64::{
-        __m256d, __m256i, _mm256_add_epi64, _mm256_add_pd, _mm256_and_si256, _mm256_castsi256_pd,
-        _mm256_cmpeq_epi64, _mm256_loadu_pd, _mm256_loadu_si256, _mm256_mul_epi32,
-        _mm256_set1_epi64x, _mm256_set1_pd, _mm256_setr_epi64x, _mm256_setzero_si256,
-        _mm256_slli_epi64, _mm256_srli_epi64, _mm256_srlv_epi64, _mm256_storeu_pd,
-        _mm256_storeu_si256, _mm256_sub_epi64, _mm256_xor_pd, _mm256_xor_si256,
+        __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_cmpeq_epi64,
+        _mm256_loadu_si256, _mm256_mul_epi32, _mm256_sad_epu8, _mm256_set1_epi64x,
+        _mm256_set1_epi8, _mm256_setr_epi64x, _mm256_setr_epi8, _mm256_setzero_si256,
+        _mm256_shuffle_epi8, _mm256_sllv_epi64, _mm256_srli_epi16, _mm256_srli_epi64,
+        _mm256_srlv_epi64, _mm256_storeu_si256, _mm256_sub_epi64, _mm256_xor_si256,
     };
     use std::ops::Range;
 
-    /// Registers holding the [`SUM_ACCS`] accumulators.
+    /// Registers holding one [`SUM_ACCS`] block.
     const REGS: usize = SUM_ACCS / LANES;
 
     fn assert_avx2() {
@@ -575,25 +816,6 @@ pub mod avx2 {
             std::arch::is_x86_feature_detected!("avx2"),
             "avx2 kernels selected without avx2"
         );
-    }
-
-    /// The sign-flip masks of sixteen values from the low sixteen bits of
-    /// `bits` (higher bits are ignored): mask `q` covers values
-    /// `4q..4q + 4`. The left shift by 63 drops every bit but the lane's.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn sign_masks16(bits: u64) -> [__m256d; REGS] {
-        let bits = _mm256_set1_epi64x(bits as i64);
-        let lane = _mm256_setr_epi64x(0, 1, 2, 3);
-        let mut masks = [_mm256_castsi256_pd(bits); REGS];
-        for (q, mask) in masks.iter_mut().enumerate() {
-            let shifts = _mm256_add_epi64(lane, _mm256_set1_epi64x((LANES * q) as i64));
-            *mask = _mm256_castsi256_pd(_mm256_slli_epi64::<63>(_mm256_srlv_epi64(bits, shifts)));
-        }
-        masks
     }
 
     /// Splits off the sixteen-value blocks of `vals` whose sign bits —
@@ -641,75 +863,102 @@ pub mod avx2 {
         unsafe { fold_packed_signs_impl(words, counters) }
     }
 
-    /// Loads the accumulator array into [`REGS`] registers.
+    /// Sign words the sliced sum masks into a stack buffer at a time: its
+    /// byte counters take the sixteen chunks of four words, at most eight
+    /// a byte each, before one `vpsadbw` empties them.
+    const SEGMENT: usize = 64;
+
+    /// The number of set bits of every byte of `v`, byte for byte: two
+    /// nibble lookups.
     ///
     /// # Safety
     /// Requires AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn load_accs(acc: &[f64; SUM_ACCS]) -> [__m256d; REGS] {
-        let mut regs = [_mm256_set1_pd(0.0); REGS];
-        for (reg, lanes) in regs.iter_mut().zip(acc.chunks_exact(LANES)) {
-            // SAFETY: `lanes` is exactly LANES values wide.
-            *reg = _mm256_loadu_pd(lanes.as_ptr());
-        }
-        regs
+    unsafe fn byte_popcounts(v: __m256i) -> __m256i {
+        let table = _mm256_setr_epi8(
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, //
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+        );
+        let nibble = _mm256_set1_epi8(0x0F);
+        let low = _mm256_shuffle_epi8(table, _mm256_and_si256(v, nibble));
+        let high = _mm256_shuffle_epi8(table, _mm256_and_si256(_mm256_srli_epi16::<4>(v), nibble));
+        _mm256_add_epi8(low, high)
     }
 
-    /// Stores [`REGS`] registers back into the accumulator array.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[inline]
+    /// AVX2 body of [`sliced_sum`]: per segment of up to [`SEGMENT`] words,
+    /// the sign words once into a zero-padded buffer, the edge words of
+    /// `copies` masked, then per
+    /// plane the byte popcounts of `signs ∧ plane` four words at a time, one
+    /// `vpsadbw` to four lane counts and one shift by the plane's index
+    /// into the running total — subtracted for the top plane. A ragged last
+    /// chunk reads its plane words through a zero-padded copy.
     #[target_feature(enable = "avx2")]
-    unsafe fn store_accs(regs: &[__m256d; REGS], acc: &mut [f64; SUM_ACCS]) {
-        for (reg, lanes) in regs.iter().zip(acc.chunks_exact_mut(LANES)) {
-            // SAFETY: `lanes` is exactly LANES values wide.
-            _mm256_storeu_pd(lanes.as_mut_ptr(), *reg);
-        }
-    }
-
-    /// AVX2 body of [`signed_sum`]: the head and the tail go one value at
-    /// a time into the accumulators [`scalar::signed_sum`] assigns them,
-    /// the sixteen-value blocks between them four registers at a time.
-    #[target_feature(enable = "avx2")]
-    unsafe fn signed_sum_impl(words: &[u64], first: usize, vals: &[f64]) -> f64 {
-        let mut acc = [-0.0f64; SUM_ACCS];
-        let head = (first.wrapping_neg() % SUM_ACCS).min(vals.len());
-        let (head_vals, body) = vals.split_at(head);
-        for (j, (a, &v)) in acc.iter_mut().zip(head_vals).enumerate() {
-            *a += flipped(words, first + j, v);
-        }
-        let mut pos = first + head;
-        let mut regs = load_accs(&acc);
-        let mut rest = body;
-        while rest.len() >= SUM_ACCS {
-            let (mut bits, blocks, after) = blocks_in_word(words, pos, rest);
-            for block in blocks.chunks_exact(SUM_ACCS) {
-                let masks = sign_masks16(bits);
-                for ((reg, vs), mask) in regs.iter_mut().zip(block.chunks_exact(LANES)).zip(masks) {
-                    // SAFETY: `vs` is exactly LANES values wide.
-                    let v = _mm256_loadu_pd(vs.as_ptr());
-                    *reg = _mm256_add_pd(*reg, _mm256_xor_pd(v, mask));
-                }
-                bits >>= SUM_ACCS;
+    unsafe fn sliced_sum_impl(signs: &[u64], planes: &[u64], copies: Range<usize>) -> i64 {
+        let stride = signs.len();
+        let depth = planes.len() / stride;
+        let words = touched_words(&copies);
+        let (head, tail) = (
+            word_mask(&copies, words.start),
+            word_mask(&copies, words.end - 1),
+        );
+        let mut total = _mm256_setzero_si256();
+        let mut start = words.start;
+        while start < words.end {
+            let end = (start + SEGMENT).min(words.end);
+            let n = end - start;
+            let mut masked = [0u64; SEGMENT];
+            masked[..n].copy_from_slice(&signs[start..end]);
+            if start == words.start {
+                masked[0] &= head;
             }
-            pos += blocks.len();
-            rest = after;
+            if end == words.end {
+                masked[n - 1] &= tail;
+            }
+            for (b, plane) in planes.chunks_exact(stride).enumerate() {
+                let plane = &plane[start..end];
+                let mut chunks = plane.chunks_exact(LANES);
+                let mut bytes = _mm256_setzero_si256();
+                let mut q = 0;
+                for chunk in &mut chunks {
+                    // SAFETY: `chunk` is LANES words wide, and `masked`
+                    // holds LANES words from `LANES·q < SEGMENT` on.
+                    let p = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
+                    let s = _mm256_loadu_si256(masked.as_ptr().add(q) as *const __m256i);
+                    bytes = _mm256_add_epi8(bytes, byte_popcounts(_mm256_and_si256(s, p)));
+                    q += LANES;
+                }
+                if !chunks.remainder().is_empty() {
+                    let mut tail = [0u64; LANES];
+                    tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+                    // SAFETY: `tail` is LANES words wide, and so is
+                    // `masked` from `q < SEGMENT` on.
+                    let p = _mm256_loadu_si256(tail.as_ptr() as *const __m256i);
+                    let s = _mm256_loadu_si256(masked.as_ptr().add(q) as *const __m256i);
+                    bytes = _mm256_add_epi8(bytes, byte_popcounts(_mm256_and_si256(s, p)));
+                }
+                let counts = _mm256_sad_epu8(bytes, _mm256_setzero_si256());
+                let weighted = _mm256_sllv_epi64(counts, _mm256_set1_epi64x(b as i64));
+                total = if b + 1 == depth {
+                    _mm256_sub_epi64(total, weighted)
+                } else {
+                    _mm256_add_epi64(total, weighted)
+                };
+            }
+            start = end;
         }
-        store_accs(&regs, &mut acc);
-        for (j, (a, &v)) in acc.iter_mut().zip(rest).enumerate() {
-            *a += flipped(words, pos + j, v);
-        }
-        acc.iter().fold(-0.0, |sum, &a| sum + a)
+        let mut lanes = [0i64; LANES];
+        // SAFETY: `lanes` is exactly LANES words wide.
+        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, total);
+        lanes.iter().fold(0i64, |sum, &l| sum.wrapping_add(l))
     }
 
-    /// AVX2 [`super::signed_sum`]. Panics if AVX2 is unavailable (the
+    /// AVX2 [`super::sliced_sum`]. Panics if AVX2 is unavailable (the
     /// entry point only calls this after runtime detection).
-    pub fn signed_sum(words: &[u64], first: usize, vals: &[f64]) -> f64 {
+    pub fn sliced_sum(signs: &[u64], planes: &[u64], copies: Range<usize>) -> i64 {
         assert_avx2();
         // SAFETY: AVX2 presence asserted above.
-        unsafe { signed_sum_impl(words, first, vals) }
+        unsafe { sliced_sum_impl(signs, planes, copies) }
     }
 
     /// AVX2 body of [`signed_product_sum`] over `a` (and `b`, when `TWO`;
@@ -935,6 +1184,34 @@ mod tests {
                 &mut sums
             ));
             assert_eq!(sums[0].to_bits(), zero.to_bits());
+        }
+    }
+
+    #[test]
+    fn a_sliced_word_holds_bit_b_of_copy_j_at_bit_j_of_plane_b() {
+        let values: [i64; WORD_COPIES] = std::array::from_fn(|j| {
+            let x = (j as i64 * 0x9E37_79B9) % 100_003 - 50_000;
+            if j % 7 == 0 {
+                i64::MIN + j as i64
+            } else {
+                x
+            }
+        });
+        for depth in [0, 1, 7, 17, 33, 64] {
+            let mut block = values.map(|x| x as u64);
+            slice_word(&mut block, depth);
+            for (b, &plane) in block[..depth].iter().enumerate() {
+                for (j, &x) in values.iter().enumerate() {
+                    assert_eq!((plane >> j) & 1, (x as u64 >> b) & 1, "plane {b}, copy {j}");
+                }
+            }
+        }
+        let mut block = values.map(|x| x as u64);
+        slice_word(&mut block, WORD_COPIES);
+        for (b, &plane) in block.iter().enumerate() {
+            for (j, &x) in values.iter().enumerate() {
+                assert_eq!((plane >> j) & 1, (x as u64 >> b) & 1, "plane {b}, copy {j}");
+            }
         }
     }
 

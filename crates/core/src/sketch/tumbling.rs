@@ -14,12 +14,19 @@
 //! stream keeps falling back until its own first epoch completes.
 //!
 //! Because the last-epoch snapshot is **immutable between rollovers**, the
-//! cross-products `Π_{k≠i} X_k^{last}` it contributes to every
-//! productivity query are precomputed once per rollover (lazily, per
-//! excluded stream) into contiguous `f64` rows. A productivity query then
-//! reduces to one packed-sign lookup plus a signed sum over that row —
-//! `O(copies)` adds instead of `O(copies · n)` multiplies — which is also
-//! what the engine's epoch-rollover priority rebuild pays per tuple.
+//! cross-products `x_c = Π_{k≠i} X_k^{last}[c]` it contributes to every
+//! productivity query are built once per rollover — lazily, per excluded
+//! stream, at the row's first query — as a [`FrozenRow`]: `B` two's-
+//! complement bit-planes of one bit per copy (`B` the row's own width, at
+//! most the bit length of `max_c |x_c|` plus a sign bit) and one integer
+//! total per group. A productivity query then reduces to one packed-sign
+//! lookup and `B` popcounts per sign word ([`kernel::sliced_group_sums`]),
+//! which is also what the engine's epoch-rollover priority rebuild pays
+//! per tuple. The answer is the serial `f64` fold's, because a row is only
+//! sliced where that fold is exact: every partial product and every
+//! partial sum an integer below `2^53` ([`kernel::slice_row`]). A row
+//! outside that guard keeps no planes, and its queries take the serial
+//! fold over `last`.
 //!
 //! The ξ-signs are not the sketches' own: [`EpochSketches`] — what a class
 //! of the plane keeps — is lent the [`SignTable`] of its family key on
@@ -29,6 +36,7 @@
 
 use crate::bank::{median_of_means_into, median_of_sums, BankConfig, SketchBank};
 use crate::kernel;
+use crate::kernel::SlicedRow;
 use crate::score_cache::{
     ScoreCache, ScoreCacheStats, ScoreValues, DEFAULT_SCORE_CACHE_ENTRIES, MAX_CACHED_ATTRS,
 };
@@ -57,6 +65,39 @@ pub(crate) fn elapsed_epochs(start: &mut VTime, now: VTime, n: VDur) -> u64 {
     epochs
 }
 
+/// Where a [`FrozenRow`] stands against the current `last` snapshot.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum RowState {
+    /// Not built since a roll changed one of its partners.
+    #[default]
+    Stale,
+    /// Built, outside the guard: no planes, queries take the serial fold.
+    Serial,
+    /// Built and bit-sliced.
+    Sliced,
+}
+
+/// The frozen cross row `x_c = Π_{k≠i} X_k^{last}[c]` of one excluded
+/// stream `i` (DESIGN.md §16), built at its first query after a roll: a
+/// [`SlicedRow`] under the guard, nothing outside it. The buffers keep
+/// their capacity from epoch to epoch.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct FrozenRow {
+    state: RowState,
+    sliced: SlicedRow,
+}
+
+impl FrozenRow {
+    /// Builds the row that excludes stream `exclude` from `last`.
+    fn build(&mut self, last: &[i64], exclude: usize, cfg: BankConfig) {
+        let sliced = kernel::slice_row(last, exclude, cfg.s1, cfg.s2, &mut self.sliced);
+        self.state = match sliced {
+            true => RowState::Sliced,
+            false => RowState::Serial,
+        };
+    }
+}
+
 /// Current + last tumbling-epoch sketches for every stream of a query,
 /// drawing their signs from a [`SignTable`] lent per call: one built with
 /// `SignTable::new(query.predicates().len(), config)`, or any table of
@@ -77,22 +118,17 @@ pub(crate) struct EpochSketches {
     /// from the origin. The next global roll fires one epoch later; an
     /// epoch whose end lies past `u64::MAX` µs stays open.
     epoch_start: VTime,
-    /// Scratch buffer of per-copy statistics for the paths that build the
-    /// signed products before they sum them (the serial mixed fold and the
-    /// frozen query's guard-failed branch). Empty until one of them first
-    /// runs.
+    /// Scratch buffer of per-copy statistics for the serial fold (the
+    /// mixed path's fallback and the frozen rows outside the guard). Empty
+    /// until it first runs.
     scratch: Vec<f64>,
     /// Scratch buffer of group means for median-of-means.
     groups: Vec<f64>,
     /// Scratch buffer of packed sign words.
     words: Vec<u64>,
-    /// `cross[i * copies + c]` = frozen `Π_{k≠i} X_k^{last}` in copy `c`.
-    cross: Vec<f64>,
-    /// Whether `cross` row `i` reflects the current `last` snapshot.
-    cross_valid: Vec<bool>,
-    /// Whether valid `cross` row `i` passes [`kernel::sum_is_exact`], i.e.
-    /// may be summed in any order; recomputed with the row.
-    cross_exact: Vec<bool>,
+    /// `rows[i]` = the frozen cross row that excludes stream `i`; every
+    /// row starts stale and holds nothing until its first query.
+    rows: Vec<FrozenRow>,
     /// Epoch-scoped memo of exact productivity estimates (DESIGN.md §16).
     /// Only fully-frozen lookups are memoized, so a hit returns the same
     /// bits a recomputation would; every roll clears it.
@@ -119,9 +155,7 @@ impl EpochSketches {
             scratch: Vec::new(),
             groups: Vec::with_capacity(config.s2),
             words: Vec::new(),
-            cross: vec![0.0; n_streams * copies],
-            cross_valid: vec![false; n_streams],
-            cross_exact: vec![false; n_streams],
+            rows: vec![FrozenRow::default(); n_streams],
             score_cache: ScoreCache::new(n_streams, DEFAULT_SCORE_CACHE_ENTRIES, true),
         }
     }
@@ -168,7 +202,9 @@ impl EpochSketches {
         for k in 0..self.has_last.len() {
             self.shift_snapshots(StreamId(k));
         }
-        self.cross_valid.fill(false);
+        for row in &mut self.rows {
+            row.state = RowState::Stale;
+        }
         self.score_cache.clear();
     }
 
@@ -176,9 +212,9 @@ impl EpochSketches {
     fn roll_stream(&mut self, stream: StreamId) {
         self.shift_snapshots(stream);
         // Every cross-product row except `k`'s own consults X_k^{last}.
-        for (i, valid) in self.cross_valid.iter_mut().enumerate() {
+        for (i, row) in self.rows.iter_mut().enumerate() {
             if i != stream.index() {
-                *valid = false;
+                row.state = RowState::Stale;
             }
         }
         self.score_cache.clear();
@@ -195,18 +231,21 @@ impl EpochSketches {
         self.has_last[k] = true;
     }
 
-    /// Rebuilds the frozen cross-product row excluding stream `i` from the
-    /// current `last` snapshot (ascending stream order, so the float fold
-    /// matches the legacy per-copy loop bit for bit).
-    fn ensure_cross_row(&mut self, i: usize) {
-        if self.cross_valid[i] {
-            return;
+    /// The frozen query over the sliced cross row that excludes stream
+    /// `i`, built first if a roll left it stale; `None` for a row outside
+    /// the guard, whose queries take the serial fold.
+    fn sliced_productivity(&mut self, i: usize) -> Option<f64> {
+        let cfg = self.bank.config();
+        let row = &mut self.rows[i];
+        if row.state == RowState::Stale {
+            row.build(&self.last, i, cfg);
         }
-        let copies = self.bank.config().copies();
-        let row = &mut self.cross[i * copies..(i + 1) * copies];
-        kernel::column_products(&self.last, copies, i, row);
-        self.cross_exact[i] = kernel::sum_is_exact(row);
-        self.cross_valid[i] = true;
+        if row.state != RowState::Sliced {
+            return None;
+        }
+        self.groups.clear();
+        kernel::sliced_group_sums(&self.words, &row.sliced, cfg.s1, cfg.s2, &mut self.groups);
+        Some(median_of_sums(cfg.s1, &mut self.groups))
     }
 
     /// Estimated productivity of a tuple of `stream`:
@@ -215,10 +254,10 @@ impl EpochSketches {
     /// stream has not yet completed its first epoch.
     ///
     /// Steady state (every other stream past its first epoch) runs the
-    /// frozen-cross-product fast path: a memoized packed-sign lookup and a
-    /// signed copy of a precomputed `f64` row — or, on repeated key values
-    /// within one epoch, a score-cache hit that skips the kernel entirely
-    /// and returns the exact bits of the first computation.
+    /// frozen fast path: a memoized packed-sign lookup and a popcount per
+    /// plane and word of the bit-sliced cross row — or, on repeated key
+    /// values within one epoch, a score-cache hit that skips the kernel
+    /// entirely and returns the exact bits of the first computation.
     pub(crate) fn productivity(
         &mut self,
         signs: &mut SignTable,
@@ -264,67 +303,57 @@ impl EpochSketches {
         self.bank
             .packed_signs_into(signs, stream, values, &mut self.words);
         if frozen {
-            self.ensure_cross_row(i);
-            let row = &self.cross[i * copies..(i + 1) * copies];
-            if self.cross_exact[i] {
-                // Every partial sum of this row is an exact integer in any
-                // order (DESIGN.md §16): one fused multi-accumulator pass,
-                // bit-identical to the serial pair below.
-                self.groups.clear();
-                kernel::signed_group_sums(&self.words, row, cfg.s1, cfg.s2, &mut self.groups);
-                return median_of_sums(cfg.s1, &mut self.groups);
+            if let Some(v) = self.sliced_productivity(i) {
+                return v;
             }
-            self.scratch.clear();
-            self.scratch.extend_from_slice(row);
-            kernel::apply_packed_signs(&self.words, &mut self.scratch);
-            median_of_means_into(cfg.s1, cfg.s2, &self.scratch, &mut self.groups)
         } else {
             // Mixed path (some stream still in its first epoch): last-epoch
-            // or live counters per partner, as the paper prescribes, each
-            // row bounded by the tuples its epoch folded. One or two
-            // partners inside the bounds of DESIGN.md §15 are summed in
-            // integers; else rows multiply in ascending stream order and
-            // sum serially.
+            // or live counters per partner, as the paper prescribes.
             for k in (0..n).filter(|&k| k != i && !self.has_last[k]) {
                 self.bank.settle_stream(StreamId(k));
             }
-            let Self {
-                bank,
-                last,
-                has_last,
-                last_bound,
-                scratch,
-                groups,
-                words,
-                ..
-            } = self;
-            let partner = |k: usize| -> (&[i64], u64) {
-                if has_last[k] {
-                    (&last[k * copies..(k + 1) * copies], last_bound[k])
-                } else {
-                    (bank.settled_row(StreamId(k)), bank.tuples_seen(StreamId(k)))
-                }
-            };
-            let partners = (0..n).filter(|&k| k != i);
-            if n <= 3 {
-                let (mut rows, mut bounds) = ([&[][..]; 2], [0; 2]);
-                for (slot, k) in partners.clone().enumerate() {
-                    (rows[slot], bounds[slot]) = partner(k);
-                }
-                groups.clear();
-                let (rows, bounds) = (&rows[..n - 1], &bounds[..n - 1]);
-                if kernel::product_group_sums(words, rows, bounds, cfg.s1, cfg.s2, groups) {
-                    return median_of_sums(cfg.s1, groups);
-                }
-            }
-            scratch.clear();
-            scratch.resize(copies, 1.0);
-            for k in partners {
-                kernel::multiply_row(scratch, partner(k).0);
-            }
-            kernel::apply_packed_signs(words, scratch);
-            median_of_means_into(cfg.s1, cfg.s2, scratch, groups)
         }
+        let Self {
+            bank,
+            last,
+            has_last,
+            last_bound,
+            scratch,
+            groups,
+            words,
+            ..
+        } = self;
+        let partner = |k: usize| -> (&[i64], u64) {
+            if has_last[k] {
+                (&last[k * copies..(k + 1) * copies], last_bound[k])
+            } else {
+                (bank.settled_row(StreamId(k)), bank.tuples_seen(StreamId(k)))
+            }
+        };
+        let partners = (0..n).filter(|&k| k != i);
+        // Each mixed row is bounded by the tuples its epoch folded: one or
+        // two partners inside the bounds of DESIGN.md §15 are summed in
+        // integers.
+        if !frozen && n <= 3 {
+            let (mut rows, mut bounds) = ([&[][..]; 2], [0; 2]);
+            for (slot, k) in partners.clone().enumerate() {
+                (rows[slot], bounds[slot]) = partner(k);
+            }
+            groups.clear();
+            let (rows, bounds) = (&rows[..n - 1], &bounds[..n - 1]);
+            if kernel::product_group_sums(words, rows, bounds, cfg.s1, cfg.s2, groups) {
+                return median_of_sums(cfg.s1, groups);
+            }
+        }
+        // The serial fold: rows multiply in ascending stream order and
+        // sum serially.
+        scratch.clear();
+        scratch.resize(copies, 1.0);
+        for k in partners {
+            kernel::multiply_row(scratch, partner(k).0);
+        }
+        kernel::apply_packed_signs(words, scratch);
+        median_of_means_into(cfg.s1, cfg.s2, scratch, groups)
     }
 
     /// The score-cache key of a frozen lookup in `stream`'s map: the raw
@@ -388,10 +417,12 @@ impl EpochSketches {
     /// - epoch bookkeeping is coherent (time mode: the current epoch starts
     ///   a whole number of epochs from the origin; tuple mode: no stream's
     ///   tuple count has silently passed its roll threshold);
-    /// - every cross-product row flagged `cross_valid` is bit-identical to
-    ///   a fresh recomputation from the `last` snapshot — the frozen fast
-    ///   path must never serve a stale product — and its stored
-    ///   order-free-sum guard equals a fresh [`kernel::sum_is_exact`];
+    /// - every built cross row equals a fresh build from the `last`
+    ///   snapshot — planes, product signs, totals and guard verdict; the
+    ///   frozen fast path must never serve a stale product — and a sliced
+    ///   one decodes, copy by copy, to the `f64` products
+    ///   [`kernel::column_products`] folds, whose `Σ_c |x_c|` is below
+    ///   `2^53`;
     /// - the bank's deferred-update state holds
     ///   (the bank's own `check_invariants`).
     ///
@@ -405,9 +436,7 @@ impl EpochSketches {
         let n = self.has_last.len();
         let copies = self.bank.config().copies();
         assert_eq!(self.last.len(), n * copies, "last snapshot shape");
-        assert_eq!(self.cross.len(), n * copies, "cross-product shape");
-        assert_eq!(self.cross_valid.len(), n, "cross_valid shape");
-        assert_eq!(self.cross_exact.len(), n, "cross_exact shape");
+        assert_eq!(self.rows.len(), n, "frozen-row shape");
         self.bank.check_invariants();
         match self.epoch {
             EpochSpec::Time(p) => {
@@ -431,25 +460,48 @@ impl EpochSketches {
                 "stream {k}: a last-epoch counter above its epoch's {bound} tuples"
             );
         }
-        let mut fresh = vec![0.0f64; copies];
-        for i in 0..n {
-            if !self.cross_valid[i] {
+        let cfg = self.bank.config();
+        let words = crate::signs::words_for(copies);
+        let mut products = vec![0.0f64; copies];
+        for (i, row) in self.rows.iter().enumerate() {
+            if row.state == RowState::Stale {
                 continue;
             }
-            kernel::column_products(&self.last, copies, i, &mut fresh);
-            let row = &self.cross[i * copies..(i + 1) * copies];
-            for (c, (&got, &want)) in row.iter().zip(&fresh).enumerate() {
+            let mut fresh = FrozenRow::default();
+            fresh.build(&self.last, i, cfg);
+            assert_eq!(row, &fresh, "stale frozen cross row {i}");
+            if row.state != RowState::Sliced {
+                continue;
+            }
+            kernel::column_products(&self.last, copies, i, &mut products);
+            let exact = products.iter().map(|x| x.abs()).sum::<f64>() < kernel::EXACT_LIMIT as f64;
+            assert!(exact, "row {i} sliced outside the guard");
+            let row = &row.sliced;
+            let depth = row.planes.len() / words;
+            for (c, &want) in products.iter().enumerate() {
+                let bit = |plane: &[u64]| (plane[c / 64] >> (c % 64)) & 1;
+                let low = row.planes.chunks_exact(words).enumerate();
+                let x = low.fold(0i64, |x, (b, plane)| match b + 1 == depth {
+                    true => x - ((bit(plane) as i64) << b),
+                    false => x + ((bit(plane) as i64) << b),
+                });
+                assert_eq!(x as f64, want, "frozen cross row {i}, copy {c}");
+                if x == 0 && !row.negative.is_empty() {
+                    let negative = bit(&row.negative) == 1;
+                    assert_eq!(
+                        negative,
+                        want.is_sign_negative(),
+                        "row {i}, sign of copy {c}'s zero"
+                    );
+                }
+            }
+            for (g, &total) in row.totals.iter().enumerate() {
+                let sum: f64 = products[g * cfg.s1..(g + 1) * cfg.s1].iter().sum();
                 assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "stale frozen cross-product: row {i}, copy {c}"
+                    total as f64, sum,
+                    "frozen cross row {i}, total of group {g}"
                 );
             }
-            assert_eq!(
-                self.cross_exact[i],
-                kernel::sum_is_exact(&fresh),
-                "stale order-free-sum guard: row {i}"
-            );
         }
     }
 }
@@ -957,8 +1009,8 @@ mod tests {
     fn frozen_sum_branch_follows_each_cross_row_guard() {
         // Inject a last-epoch snapshot whose cross row for R1 is the
         // cancellation bait [1e16, 1 ×15, −1e16, 1 ×3]: Σ|x| ≥ 2^53, so the
-        // row must be summed serially — a sixteen-accumulator sum cancels
-        // the two giants first and keeps every 1 the serial fold absorbs.
+        // row carries no planes and is summed serially — where the fold
+        // absorbs the 1s an exact integer sum keeps.
         let q = chain_query();
         let mut ts = TumblingSketches::new(&q, cfg(20, 9), EpochSpec::Time(VDur::from_secs(10)));
         let mut r2 = vec![1i64; 20];
@@ -971,31 +1023,38 @@ mod tests {
         ts.epochs.last_bound.fill(100_000_000);
         ts.set_score_cache(false);
 
-        // The serial reference: each copy's sign times the row the
-        // instance built, summed left to right from −0.0 as the legacy
-        // per-copy fold does.
-        let serial = |ts: &TumblingSketches, vals: &[Value]| -> f64 {
-            let sum = (0..20).fold(-0.0, |sum, c| {
-                sum + ts.epochs.bank.sign_in_copy(&ts.signs, c, StreamId(0), vals) as f64
-                    * ts.epochs.cross[c]
-            });
-            sum / 20.0
+        // The serial reference: each copy's sign times the `f64` product
+        // of the partners, summed left to right from −0.0 as the legacy
+        // per-copy fold does; and the exact integer sum beside it.
+        let reference = |ts: &TumblingSketches, vals: &[Value]| -> (f64, i128) {
+            let mut products = vec![0.0f64; 20];
+            kernel::column_products(&ts.epochs.last, 20, 0, &mut products);
+            let sign = |c| ts.epochs.bank.sign_in_copy(&ts.signs, c, StreamId(0), vals);
+            let serial = (0..20).fold(-0.0, |sum, c| sum + sign(c) as f64 * products[c]);
+            let exact = (0..20)
+                .map(|c| i128::from(sign(c)) * products[c] as i128)
+                .sum();
+            (serial / 20.0, exact)
         };
-        let mut orders_differ = false;
+        let mut sums_differ = false;
         for a in 0..32 {
             let got = ts.productivity(StreamId(0), &v(a, 0));
-            assert!(!ts.epochs.cross_exact[0], "bait row refused by the guard");
-            assert_eq!(got.to_bits(), serial(&ts, &v(a, 0)).to_bits(), "value {a}");
-            let mut fused = Vec::new();
-            kernel::signed_group_sums(&ts.epochs.words, &ts.epochs.cross[..20], 20, 1, &mut fused);
-            orders_differ |= fused[0] / 20.0 != got;
+            let row = &ts.epochs.rows[0];
+            assert_eq!(row.state, RowState::Serial, "bait row refused by the guard");
+            assert!(
+                row.sliced.planes.is_empty(),
+                "a row outside the guard has no planes"
+            );
+            let (serial, exact) = reference(&ts, &v(a, 0));
+            assert_eq!(got.to_bits(), serial.to_bits(), "value {a}");
+            sums_differ |= serial * 20.0 != exact as f64;
         }
-        assert!(orders_differ, "the bait separates the two summation orders");
+        assert!(sums_differ, "the bait separates the serial and exact sums");
         ts.check_invariants();
 
         // One real roll later the snapshot is a handful of small counters:
-        // the same instance now takes the fused branch, and still returns
-        // the serial bits.
+        // the same instance now slices the row, and still returns the
+        // serial bits.
         for i in 0..6 {
             ts.observe(StreamId(1), &v(i % 2, 3), VTime::from_secs(1));
             ts.observe(StreamId(2), &v(3, i), VTime::from_secs(1));
@@ -1003,11 +1062,15 @@ mod tests {
         assert!(ts.observe(StreamId(0), &v(0, 0), VTime::from_secs(11)));
         for a in 0..4 {
             let got = ts.productivity(StreamId(0), &v(a, 0));
-            assert!(
-                ts.epochs.cross_exact[0],
+            let row = &ts.epochs.rows[0];
+            assert_eq!(
+                row.state,
+                RowState::Sliced,
                 "small integer row passes the guard"
             );
-            assert_eq!(got.to_bits(), serial(&ts, &v(a, 0)).to_bits(), "value {a}");
+            assert!(!row.sliced.planes.is_empty());
+            let (serial, _) = reference(&ts, &v(a, 0));
+            assert_eq!(got.to_bits(), serial.to_bits(), "value {a}");
         }
         ts.check_invariants();
     }

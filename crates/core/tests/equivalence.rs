@@ -626,12 +626,13 @@ proptest! {
 // ---------------------------------------------------------------------------
 // AVX2-vs-scalar kernel bit-identity.
 //
-// Three kernels in `mstream_sketch::kernel` — the sign fold, the signed
-// sum and the first-epoch integer sum — have an AVX2 form beside their
-// portable one in `kernel::scalar`; the entry points run AVX2 where the
-// CPU has it. These properties pin both forms bit-identical across odd
-// lengths, ragged tails (len % 4 != 0, len % 64 != 0), and extreme inputs
-// (i64::MIN/MAX-adjacent counters, ±0.0, subnormal and infinite values).
+// Three kernels in `mstream_sketch::kernel` — the sign fold, the sliced
+// sum of the frozen query and the first-epoch integer sum — have an AVX2
+// form beside their portable one in `kernel::scalar`; the entry points run
+// AVX2 where the CPU has it. These properties pin both forms identical
+// across odd lengths, ragged tails (len % 4 != 0, len % 64 != 0), every
+// plane depth a guarded row can have, and extreme inputs (i64::MIN/MAX-
+// adjacent counters).
 // ---------------------------------------------------------------------------
 
 mod kernels {
@@ -654,33 +655,8 @@ mod kernels {
         }
     }
 
-    /// Values at the edges of the format: signed zeros, subnormals,
-    /// infinities, and integers up to 2^60.
-    fn edge_f64(seed: u64, i: usize) -> f64 {
-        let r = mix(seed, i as u64);
-        let x = match r % 9 {
-            0 => 0.0,
-            1 => f64::from_bits(1 + (r >> 40)), // subnormal
-            2 => f64::MIN_POSITIVE,
-            3 => f64::INFINITY,
-            4 => 1e300,
-            _ => ((r >> 4) % (1 << 60)) as f64,
-        };
-        if r >> 63 == 0 {
-            x
-        } else {
-            -x
-        }
-    }
-
     fn mix(seed: u64, i: u64) -> u64 {
         super::deferred::mix(seed, i)
-    }
-
-    /// Bit equality, with any NaN equal to any NaN (∞ − ∞ in one
-    /// accumulator: which NaN comes out is the hardware's business).
-    fn same(a: f64, b: f64) -> bool {
-        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
     /// The sketch sizes the engine and the benches run at, and their
@@ -762,45 +738,6 @@ mod kernels {
         }
 
         #[test]
-        fn signed_sum_modes_agree(
-            sampled_len in 0usize..200,
-            first in 0usize..200,
-            seed in any::<u64>(),
-        ) {
-            // `first` is where a group of an `s2 > 1` bank starts: any
-            // offset into the sign words, so heads of every length.
-            let len = pick_len(sampled_len, seed);
-            let vals: Vec<f64> = (0..len).map(|i| edge_f64(seed, i)).collect();
-            let words = sign_words(seed ^ 0x5EED, first + len);
-            let want = scalar::signed_sum(&words, first, &vals);
-            prop_assert!(same(want, kernel::signed_sum(&words, first, &vals)));
-        }
-
-        #[test]
-        fn sum_is_exact_gives_the_serial_verdict(
-            sampled_len in 2usize..200,
-            slack in -40i64..40,
-            seed in any::<u64>(),
-        ) {
-            // Integer rows whose Σ|x| lands within 40 of 2^53, either side:
-            // the multi-accumulator test and the serial one agree.
-            let len = pick_len(sampled_len, seed).max(2) as u64;
-            let total = ((1i64 << 53) + slack) as u64;
-            // Every term but the last is at least 64, so the last — what
-            // is left of `total` — stays below 2^53 and converts exactly.
-            let mut ints: Vec<u64> = (1..len).map(|i| 64 + mix(seed, i) % (total / len - 64)).collect();
-            ints.push(total - ints.iter().sum::<u64>());
-            let row: Vec<f64> = ints
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| if mix(!seed, i as u64) & 1 == 1 { -(x as f64) } else { x as f64 })
-                .collect();
-            let serial = row.iter().map(|x| x.abs()).sum::<f64>() < (1u64 << 53) as f64;
-            prop_assert_eq!(serial, slack < 0);
-            prop_assert_eq!(kernel::sum_is_exact(&row), serial);
-        }
-
-        #[test]
         fn eval_packed_modes_agree(
             sampled_copies in 1usize..200,
             seed in any::<u64>(),
@@ -838,24 +775,13 @@ mod kernels {
         }
     }
 
-    /// The summing kernels at the pinned sizes, every form: one group, and
+    /// The integer sum at the pinned sizes, every form: one group, and
     /// three groups so that the later ones start mid-word and mid-block.
     #[test]
     fn summing_kernels_match_scalar_at_pinned_copies() {
         for copies in PINNED_COPIES {
             for seed in 0..4u64 {
-                let vals: Vec<f64> = (0..3 * copies).map(|i| edge_f64(seed, i)).collect();
                 let words = sign_words(seed ^ 0xACE, 3 * copies);
-                for g in 0..3 {
-                    let (first, group) = (g * copies, &vals[g * copies..(g + 1) * copies]);
-                    let want = scalar::signed_sum(&words, first, group);
-                    assert!(same(want, kernel::signed_sum(&words, first, group)));
-                    #[cfg(target_arch = "x86_64")]
-                    if has_avx2() {
-                        let got = kernel::avx2::signed_sum(&words, first, group);
-                        assert!(same(want, got), "signed_sum copies={copies} group={g}");
-                    }
-                }
                 let a: Vec<i64> = (0..3 * copies)
                     .map(|i| (mix(seed, i as u64) % 4001) as i64 - 2000)
                     .collect();
@@ -880,17 +806,53 @@ mod kernels {
             }
         }
     }
+
+    /// The sliced sum, scalar against the entry point and the AVX2 form,
+    /// over rows of 1–20 sign words (the audit's 32 copies are one, the
+    /// engine's 1 000 sixteen) at every depth from 1 to 54 planes: the
+    /// whole row, and ranges that start and end mid-word — the edges of
+    /// an `(s1, s2)` group — and span one word or several.
+    #[test]
+    fn sliced_sum_modes_agree_at_every_width_and_depth() {
+        for words in 1..=20usize {
+            let bits = 64 * words;
+            let ranges = [
+                0..bits,
+                0..bits - 1,
+                1..bits,
+                bits / 3..bits / 3 + 1,
+                bits / 3..(2 * bits / 3).max(bits / 3 + 1),
+                13.min(bits - 1)..bits - 7,
+            ];
+            for depth in 1..=54usize {
+                let seed = (words * 64 + depth) as u64;
+                let signs = sign_words(seed, bits);
+                let planes: Vec<u64> = (0..depth * words).map(|i| mix(!seed, i as u64)).collect();
+                for copies in ranges.iter().filter(|r| !r.is_empty()) {
+                    let want = scalar::sliced_sum(&signs, &planes, copies.clone());
+                    let got = kernel::sliced_sum(&signs, &planes, copies.clone());
+                    assert_eq!(got, want, "{words} words, {depth} planes, {copies:?}");
+                    #[cfg(target_arch = "x86_64")]
+                    if has_avx2() {
+                        let got = kernel::avx2::sliced_sum(&signs, &planes, copies.clone());
+                        assert_eq!(got, want, "avx2: {words} words, {depth} planes, {copies:?}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Deferred counter updates and the order-free signed sum (PR 14).
+// Deferred counter updates and the integer productivity queries.
 //
 // `SketchBank::update` parks sign vectors — eight to a block — in
 // bit-sliced pending counters and settles them into the `i64` counters on
-// read; the frozen productivity query sums a guarded cross row in sixteen
-// accumulators, and the first-epoch one sums its partners' signed products
-// in integers inside bounds that make the serial f64 fold exact. All are
-// pinned here against the eager, serial scalar kernels.
+// read; the frozen productivity query reads a guarded cross row held as
+// two's-complement bit-planes with one popcount per plane and word, and
+// the first-epoch one sums its partners' signed products in integers
+// inside bounds that make the serial f64 fold exact. All are pinned here
+// against the eager, serial scalar kernels.
 // ---------------------------------------------------------------------------
 
 mod deferred {
@@ -1095,33 +1057,37 @@ mod deferred {
             }
         }
 
-        /// Random integer-valued rows under the 2^53 guard: the fused
-        /// multi-accumulator sum returns the serial pair's bits for every
-        /// group shape, ragged heads and tails included.
+        /// Random counters for one to three partners, at every group shape
+        /// and at magnitudes on both sides of the guard: a row `slice_row`
+        /// accepts answers with the serial fold's bits, and it accepts
+        /// exactly the rows whose terms fit and whose `Σ_c |x_c|` — summed
+        /// here in `u128` — is below 2^53.
         #[test]
-        fn signed_group_sums_match_the_serial_pair_on_guarded_rows(
+        fn sliced_rows_match_the_serial_fold(
             seed in any::<u64>(),
             shape in 0usize..SHAPES.len(),
-            zero_every in 1usize..9,
+            partners in 1usize..4,
+            magnitude in 0u32..28,
+            zero_every in 1usize..40,
         ) {
             let (s1, s2) = SHAPES[shape];
-            let len = s1 * s2;
-            // |x| < 2^52 / len keeps Σ|x| under the guard.
-            let bound = (1u64 << 52) / len as u64;
-            let row: Vec<f64> = (0..len)
+            let copies = s1 * s2;
+            let exclude = (seed % (partners as u64 + 1)) as usize;
+            let last: Vec<i64> = (0..(partners + 1) * copies)
                 .map(|i| {
                     let r = mix(seed, i as u64);
-                    if i % zero_every == 0 {
-                        if r & 1 == 0 { 0.0 } else { -0.0 }
-                    } else {
-                        let x = (r % bound) as f64;
-                        if r >> 63 == 0 { x } else { -x }
-                    }
+                    let x = ((r >> 1) % (1u64 << magnitude)) as i64;
+                    if i % zero_every == 0 { 0 } else if r & 1 == 0 { x } else { -x }
                 })
                 .collect();
-            prop_assert!(kernel::sum_is_exact(&row));
-            let words: Vec<u64> = (0..len.div_ceil(64)).map(|i| mix(!seed, i as u64)).collect();
-            prop_assert_eq!(bits(&fused(&words, &row, s1, s2)), bits(&serial(&words, &row, s1, s2)));
+            let words: Vec<u64> = (0..copies.div_ceil(64)).map(|i| mix(!seed, i as u64)).collect();
+            let rows = partner_rows(&last, copies, exclude);
+            let exact = guard_holds(&rows);
+            let got = sliced(&words, &last, exclude, s1, s2);
+            prop_assert_eq!(got.is_some(), exact);
+            if let Some(got) = got {
+                prop_assert_eq!(got, bits(&serial_fold(&words, &rows, s1, s2)));
+            }
         }
 
         /// The integer first-epoch query against the serial f64 fold: one
@@ -1377,99 +1343,156 @@ mod deferred {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    fn fused(words: &[u64], row: &[f64], s1: usize, s2: usize) -> Vec<f64> {
+    /// The rows of every stream but `exclude` of the stream-major `last`.
+    fn partner_rows(last: &[i64], copies: usize, exclude: usize) -> Vec<&[i64]> {
+        let rows = last.chunks_exact(copies).enumerate();
+        rows.filter(|&(k, _)| k != exclude).map(|(_, row)| row).collect()
+    }
+
+    /// The slicing guard in `u128`: the partners' largest magnitudes
+    /// multiply to below 2^53 and the terms' magnitudes sum to below 2^53.
+    fn guard_holds(rows: &[&[i64]]) -> bool {
+        let largest = |row: &[i64]| row.iter().map(|x| u128::from(x.unsigned_abs())).max().unwrap();
+        let bound = rows.iter().fold(1u128, |p, row| p.saturating_mul(largest(row)));
+        let term = |c: usize| rows.iter().map(|row| u128::from(row[c].unsigned_abs())).product::<u128>();
+        bound < 1 << 53 && (0..rows[0].len()).map(term).sum::<u128>() < 1 << 53
+    }
+
+    /// The frozen query's group sums over the row `slice_row` builds, or
+    /// `None` where it refuses the row.
+    fn sliced(words: &[u64], last: &[i64], exclude: usize, s1: usize, s2: usize) -> Option<Vec<u64>> {
+        let mut row = kernel::SlicedRow::default();
+        if !kernel::slice_row(last, exclude, s1, s2, &mut row) {
+            assert_eq!(row, kernel::SlicedRow::default(), "a refused row holds nothing");
+            return None;
+        }
         let mut groups = Vec::new();
-        kernel::signed_group_sums(words, row, s1, s2, &mut groups);
-        groups
+        kernel::sliced_group_sums(words, &row, s1, s2, &mut groups);
+        Some(bits(&groups))
     }
 
-    /// Each group of the row negated where its sign bit is set and summed
-    /// serially.
-    fn serial(words: &[u64], row: &[f64], s1: usize, s2: usize) -> Vec<f64> {
-        let negated = |c: usize| (words[c / 64] >> (c % 64)) & 1 == 1;
-        let signed: Vec<f64> = row
-            .iter()
-            .enumerate()
-            .map(|(c, &x)| if negated(c) { -x } else { x })
-            .collect();
-        (0..s2).map(|g| signed[g * s1..(g + 1) * s1].iter().sum()).collect()
-    }
-
+    /// Groups of zero products whose `f64` signs differ from copy to copy
+    /// — a zero factor beside negative ones — next to groups that are not
+    /// all zero, at every group shape, under random signs and under signs
+    /// that make every term of a group −0.0: the frozen query keeps the
+    /// serial fold's zero, and keeps the product signs only where a group
+    /// of zeros needs them.
     #[test]
-    fn signed_group_sums_pin_the_sign_of_zero() {
+    fn sliced_rows_keep_the_serial_sign_of_zero() {
         for (s1, s2) in SHAPES {
-            let len = s1 * s2;
-            let words: Vec<u64> = (0..len.div_ceil(64)).map(|i| mix(7, i as u64)).collect();
-            let all_plus = vec![0u64; words.len()];
-            // Rows of one kind of zero: with no sign flipped the total
-            // keeps the row's zero; under random signs it is −0.0 only if
-            // every flipped term came out −0.0 — whatever the serial fold
-            // says.
-            for zero in [0.0f64, -0.0] {
-                let row = vec![zero; len];
-                assert!(kernel::sum_is_exact(&row));
-                let plain = fused(&all_plus, &row, s1, s2);
-                assert!(
-                    plain.iter().all(|g| g.to_bits() == zero.to_bits()),
-                    "{s1}x{s2}"
-                );
-                assert_eq!(
-                    bits(&fused(&words, &row, s1, s2)),
-                    bits(&serial(&words, &row, s1, s2)),
-                    "zeros {zero:?} at {s1}x{s2}"
-                );
-            }
-            // Non-zero terms that cancel: x where the sign bit is clear, −x
-            // where it is set, alternating, so every signed pair sums to
-            // +0.0 and never to −0.0.
-            let row: Vec<f64> = (0..len)
-                .map(|i| {
-                    let x = (i / 2 + 1) as f64;
-                    let flipped = (words[i / 64] >> (i % 64)) & 1 == 1;
-                    if (i % 2 == 0) == flipped {
-                        -x
-                    } else {
-                        x
-                    }
+            let copies = s1 * s2;
+            let random: Vec<u64> = (0..copies.div_ceil(64)).map(|i| mix(9, i as u64)).collect();
+            // Stream 1's sign follows copy parity, stream 2 is zero in the
+            // even groups and ±3 in the odd ones.
+            let r1: Vec<i64> = (0..copies).map(|c| if mix(3, c as u64) & 1 == 1 { -5 } else { 5 }).collect();
+            let r2: Vec<i64> = (0..copies)
+                .map(|c| match (c / s1) % 2 {
+                    0 => 0,
+                    _ if c % 3 == 0 => -3,
+                    _ => 3,
                 })
                 .collect();
-            assert_eq!(
-                bits(&fused(&words, &row, s1, s2)),
-                bits(&serial(&words, &row, s1, s2)),
-                "cancelling row at {s1}x{s2}"
-            );
+            let last: Vec<i64> = [vec![7; copies], r1.clone(), r2.clone()].concat();
+            let negative_zero = |c: usize| (r1[c] < 0) != (r2[c] < 0);
+            // Signs that make every zero term −0.0: set where the product
+            // is a +0.0.
+            let mut against = vec![0u64; copies.div_ceil(64)];
+            for c in 0..copies {
+                against[c / 64] |= u64::from(!negative_zero(c)) << (c % 64);
+            }
+            for words in [&random, &against] {
+                let want = bits(&serial_fold(words, &[&r1, &r2], s1, s2));
+                assert_eq!(sliced(words, &last, 0, s1, s2), Some(want.clone()), "{s1}x{s2}");
+                let minus = want.iter().filter(|&&b| b == (-0.0f64).to_bits()).count();
+                if std::ptr::eq(words, &against) {
+                    assert_eq!(minus, s2.div_ceil(2), "{s1}x{s2}: every zero group reads -0.0");
+                }
+            }
+            let mut row = kernel::SlicedRow::default();
+            assert!(kernel::slice_row(&last, 0, s1, s2, &mut row));
+            let needed = (0..copies).any(|c| r2[c] == 0 && negative_zero(c));
+            let kept = if needed { copies.div_ceil(64) } else { 0 };
+            assert_eq!(row.negative.len(), kept, "{s1}x{s2}: a signed zero group keeps the signs");
+            // Without a zero group the product signs are not kept.
+            let live: Vec<i64> = [vec![7; copies], r1.clone(), vec![-2; copies]].concat();
+            assert!(kernel::slice_row(&live, 0, s1, s2, &mut row));
+            assert!(row.negative.is_empty(), "{s1}x{s2}");
+            let want = bits(&serial_fold(&random, &[&r1, &live[2 * copies..]], s1, s2));
+            assert_eq!(sliced(&random, &live, 0, s1, s2), Some(want));
         }
     }
 
+    /// The guard's edge: a row whose `Σ_c |x_c|` is 2^53 − 1 is sliced and
+    /// answers with the serial bits; one at 2^53 is refused. And the
+    /// cancellation bait `[1e16, 1 ×15, −1e16, 1 ×3]`, where the serial
+    /// fold absorbs the 1s an exact sum keeps, never reaches the planes.
     #[test]
     fn exactness_guard_sits_at_two_to_the_53() {
-        let limit = (1u64 << 53) as f64;
-        // Σ|x| = 2^53 − 1 passes, and the fused sum is then the serial one.
-        let mut row = vec![1.0f64; 1000];
-        row[17] = -(limit - 1000.0);
-        assert!(kernel::sum_is_exact(&row));
+        const COPIES: usize = 1000;
         let words: Vec<u64> = (0..16).map(|i| mix(53, i)).collect();
-        assert_eq!(
-            bits(&fused(&words, &row, 1000, 1)),
-            bits(&serial(&words, &row, 1000, 1))
-        );
-        // Σ|x| = 2^53 does not, nor does anything non-finite.
-        row[0] = 2.0;
-        assert!(!kernel::sum_is_exact(&row));
-        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
-            assert!(!kernel::sum_is_exact(&[1.0, bad, 1.0]));
+        // 2^53 − 1 = 441 650 591 · 20 394 401: one copy holds it all but
+        // the 999 ones beside it.
+        let (x, y) = (441_650_591i64, 20_394_401i64);
+        let mut a = vec![1i64; COPIES];
+        let mut b = vec![-1i64; COPIES];
+        (a[17], b[17]) = (x, -(y - 1));
+        let remainder = (1i64 << 53) - 1 - x * (y - 1) - (COPIES as i64 - 2);
+        a[3] = remainder;
+        let last = [vec![0; COPIES], a.clone(), b.clone()].concat();
+        let rows = partner_rows(&last, COPIES, 0);
+        assert!(guard_holds(&rows));
+        let want = bits(&serial_fold(&words, &rows, COPIES, 1));
+        assert_eq!(sliced(&words, &last, 0, COPIES, 1), Some(want));
+        let mut row = kernel::SlicedRow::default();
+        assert!(kernel::slice_row(&last, 0, COPIES, 1, &mut row));
+        assert_eq!(row.planes.len(), 54 * 16, "|x| near 2^53 takes 53 bits and a sign");
+        // One more unit anywhere reaches 2^53.
+        a[3] += 1;
+        let last = [vec![0; COPIES], a, b].concat();
+        assert!(!guard_holds(&partner_rows(&last, COPIES, 0)));
+        assert_eq!(sliced(&words, &last, 0, COPIES, 1), None);
+        // The bait, as the product of two partners.
+        let mut r2 = vec![1i64; 20];
+        (r2[0], r2[16]) = (100_000_000, -100_000_000);
+        let mut r3 = vec![1i64; 20];
+        (r3[0], r3[16]) = (100_000_000, 100_000_000);
+        let bait = [vec![0; 20], r2.clone(), r3.clone()].concat();
+        assert_eq!(sliced(&[0], &bait, 0, 20, 1), None);
+        assert_eq!(serial_fold(&[0], &[&r2, &r3], 20, 1), [3.0], "the fold, not the sum 18");
+    }
+
+    /// Three partners whose products leave `i64` — and one whose wrapped
+    /// product reads zero — are refused; so is a zero factor beside two
+    /// partners whose largest magnitudes multiply past 2^53 (the `f64`
+    /// fold's partial product may round there), and it is a zero term
+    /// below that.
+    #[test]
+    fn three_partner_products_that_overflow_are_refused() {
+        const COPIES: usize = 70;
+        let words: Vec<u64> = (0..2).map(|i| mix(64, i)).collect();
+        let row = |slot: usize, value: i64| {
+            let mut r = vec![1i64; COPIES];
+            r[slot] = value;
+            r
+        };
+        for slot in [5, 67] {
+            for (factors, accepted) in [
+                ([1i64 << 22, 1 << 22, -(1 << 22)], false),
+                ([1 << 32, 1 << 32, 1], false),
+                ([1 << 31, -(1 << 31), 4], false),
+                ([1 << 40, 1 << 40, 0], false),
+                ([1 << 31, -(1 << 31), 0], false),
+                ([1 << 20, -(1 << 20), 0], true),
+                ([-(1 << 17), 1 << 17, -(1 << 17)], true),
+            ] {
+                let [a, b, c] = factors.map(|f| row(slot, f));
+                let last = [vec![9; COPIES], a, b, c].concat();
+                let rows = partner_rows(&last, COPIES, 0);
+                assert_eq!(guard_holds(&rows), accepted, "{factors:?}");
+                let got = sliced(&words, &last, 0, COPIES, 1);
+                let want = bits(&serial_fold(&words, &rows, COPIES, 1));
+                assert_eq!(got, accepted.then_some(want), "{factors:?} at copy {slot}");
+            }
         }
-        // The cancellation bait of `group_sums_keeps_serial_order_in_every_mode`
-        // is refused, so its row only ever meets the serial fold. Stretched
-        // over more than sixteen copies the orders do differ — the guard is
-        // what keeps that from showing.
-        assert!(!kernel::sum_is_exact(&[1e16, 1.0, -1e16, 1.0]));
-        let mut bait = vec![1.0f64; 20];
-        bait[0] = 1e16;
-        bait[16] = -1e16;
-        assert!(!kernel::sum_is_exact(&bait));
-        let plus = [0u64];
-        assert_eq!(serial(&plus, &bait, 20, 1), [3.0]);
-        assert_eq!(fused(&plus, &bait, 20, 1), [18.0]);
     }
 }
